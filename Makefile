@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover bench-smoke fuzz-smoke stress replica-smoke seal-sweep failover-sweep
+.PHONY: build test race vet lint cover bench-smoke benchmark-smoke fuzz-smoke stress replica-smoke seal-sweep failover-sweep
 
 build:
 	$(GO) build ./...
@@ -32,15 +32,20 @@ cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./internal/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# One iteration of the read-path benchmarks: enough to catch regressions in
-# the pipeline wiring without a full benchmark run.
-# Read-path micro-benchmarks, the commit-throughput suite (group-commit
-# pipeline vs the NoGroupCommit ablation), and a machine-readable
-# BENCH_smoke.json snapshot at the repo root.
+# One iteration of the read-path micro-benchmarks (enough to catch
+# regressions in the pipeline wiring without a full benchmark run), the
+# commit-throughput suite (group-commit pipeline vs serialised committers),
+# and a machine-readable BENCH_smoke.json snapshot at the repo root.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SnapshotLoad|GetGraph$$' -benchtime 1x ./internal/timestore/
 	$(GO) test -run '^$$' -bench 'CommitThroughput' -benchtime 100x ./internal/hostdb/
 	$(GO) run ./cmd/aion-bench -exp write -writeops 50 -committers 1,16 -json BENCH_smoke.json
+
+# A one-second pass of the frozen end-to-end benchmark (benchmark/, the
+# command BENCHMARK.json names): ~50 s including its build; exits non-zero
+# on any oracle mismatch, lost durable write or broken layer isolation.
+benchmark-smoke:
+	bash benchmark/run.sh -seconds 1 -seed 1
 
 # Concurrent serving-path stress under the race detector: mixed
 # reader/writer bolt clients against an undersized admission limit, plus the

@@ -200,8 +200,8 @@ func BenchmarkAblationPlannerThreshold(b *testing.B) {
 }
 
 // BenchmarkAblationParallelIO sweeps the snapshot/replay pipeline worker
-// count (Options.ParallelIO), comparing the sequential path against the
-// multi-core (de)serialization stages.
+// count (Options.ParallelIO), comparing the inline pipeline (1 worker)
+// against the multi-core (de)serialization stages.
 func BenchmarkAblationParallelIO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := bench.RunParallelIOAblation(benchConfig(b)); err != nil {

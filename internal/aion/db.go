@@ -86,8 +86,8 @@ type Options struct {
 	GraphStoreBytes int64
 	// AsyncQueueDepth bounds the background cascade queue (batches).
 	AsyncQueueDepth int
-	// ParallelIO bounds the TimeStore's snapshot (de)serialization and
-	// replay pipeline workers (<= 0: GOMAXPROCS; 1: fully sequential).
+	// ParallelIO is the worker count of the TimeStore's snapshot
+	// (de)serialization and replay pipelines (<= 0: GOMAXPROCS; 1: inline).
 	ParallelIO int
 	// FS is the filesystem every store lives on; nil means the real OS
 	// filesystem (used by the crash-recovery tests to inject faults).

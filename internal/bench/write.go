@@ -34,9 +34,11 @@ func (w *WriteConfig) defaults() {
 }
 
 // RunWritePath measures host commit throughput across committer counts,
-// with SyncCommits on/off and the group-commit pipeline on/off (the
-// NoGroupCommit ablation is the pre-pipeline write path: one log append
-// and, when synchronous, two fsyncs per transaction). Each transaction
+// with SyncCommits on/off and the group-commit pipeline on/off. "off" is a
+// harness shim, not a host option: committers are serialised by a mutex
+// around Commit, so every round of the one production commit path is a
+// one-transaction group — one log append and, when synchronous, two fsyncs
+// per transaction, the pre-pipeline cost. Each transaction
 // creates one node with a small property — the smallest realistic commit,
 // which maximises per-commit overhead and therefore isolates what the
 // pipeline coalesces.
@@ -78,14 +80,22 @@ func onOff(b bool) string {
 // aggregate throughput and latency figures.
 func runCommitLoad(mkdir func(string) string, committers, ops int, syncCommits, pipeline bool) (Record, error) {
 	db, err := hostdb.Open(hostdb.Options{
-		Dir:           mkdir("write"),
-		SyncCommits:   syncCommits,
-		NoGroupCommit: !pipeline,
+		Dir:         mkdir("write"),
+		SyncCommits: syncCommits,
 	})
 	if err != nil {
 		return Record{}, err
 	}
 	defer db.Close()
+	commit := (*hostdb.Tx).Commit
+	if !pipeline {
+		var serial sync.Mutex // pipeline=off: one committer inside Commit at a time
+		commit = func(tx *hostdb.Tx) (model.Timestamp, error) {
+			serial.Lock()
+			defer serial.Unlock()
+			return tx.Commit()
+		}
+	}
 
 	lats := make([][]time.Duration, committers)
 	errs := make([]error, committers)
@@ -105,7 +115,7 @@ func runCommitLoad(mkdir func(string) string, committers, ops int, syncCommits, 
 					errs[w] = err
 					return
 				}
-				if _, err := tx.Commit(); err != nil {
+				if _, err := commit(tx); err != nil {
 					errs[w] = err
 					return
 				}

@@ -51,11 +51,6 @@ type Options struct {
 	// does for durability. Ingestion benchmarks enable it so the baseline
 	// carries a realistic per-commit cost.
 	SyncCommits bool
-	// NoGroupCommit disables commit coalescing: every transaction is
-	// processed as its own group (one log append and, with SyncCommits,
-	// two fsyncs each). This is the pre-pipeline write path, kept as the
-	// ablation baseline for the commit-throughput benchmarks.
-	NoGroupCommit bool
 	// Replica marks this database as a replication follower: local
 	// transactions are rejected with ErrReplicaReadOnly and all changes
 	// arrive through ApplyShipment, which replays the primary's WAL bytes
@@ -841,13 +836,7 @@ func (tx *Tx) Commit() (model.Timestamp, error) {
 		batch := db.queue
 		db.queue = nil
 		db.qmu.Unlock()
-		if db.opts.NoGroupCommit {
-			for _, r := range batch {
-				db.commitBatch([]*commitReq{r})
-			}
-		} else {
-			db.commitBatch(batch)
-		}
+		db.commitBatch(batch)
 		db.qmu.Lock()
 	}
 	db.leading = false
@@ -901,7 +890,7 @@ func (db *DB) commitBatch(batch []*commitReq) {
 			durErr = err
 			break
 		}
-		if db.opts.NoGroupCommit || len(group) >= maxGroupCommit {
+		if len(group) >= maxGroupCommit {
 			break
 		}
 		db.qmu.Lock()
@@ -919,9 +908,7 @@ func (db *DB) commitBatch(batch []*commitReq) {
 		db.queue = nil
 		db.qmu.Unlock()
 	}
-	if !db.opts.NoGroupCommit {
-		db.lastGroup.Store(int64(len(group)))
-	}
+	db.lastGroup.Store(int64(len(group)))
 
 	// One strings-sync + one log-sync covers every sub-batch appended
 	// above: the record bytes hold positional refs into the string table,

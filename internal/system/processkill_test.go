@@ -6,7 +6,7 @@ package system
 // — but user-space buffers are lost. The WAL appends through unbuffered
 // WriteAt while the string table writes through a bufio.Writer, so without
 // the strings-Flush-before-log-append ordering (hostdb commitBatch,
-// timestore AppendBatch/appendLocked) the surviving files could hold log
+// timestore AppendBatch) the surviving files could hold log
 // records whose string refs were never written, and reopen would fail with
 // "strstore: dangling ref". The FaultFS models this crash mode exactly by
 // NOT calling Crash(): all written bytes remain visible, all buffered

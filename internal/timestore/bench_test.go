@@ -72,7 +72,7 @@ func benchUpdates(n int) []model.Update {
 }
 
 // parallelLevels returns the worker counts benchmarked for the pipeline:
-// sequential, 4 (the acceptance point), and GOMAXPROCS.
+// 1 (inline), 4 (the acceptance point), and GOMAXPROCS.
 func parallelLevels() []struct {
 	name string
 	par  int

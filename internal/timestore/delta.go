@@ -10,13 +10,8 @@
 package timestore
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"path/filepath"
 	"sort"
 
@@ -70,7 +65,7 @@ func (s *Store) compactPartition(ctx context.Context, p *sealedPart, entry *memg
 		return nil
 	}
 	var derr error
-	err := s.replayWalSeq(ctx, p.log, 0, func(off int64, u model.Update) bool {
+	err := s.replayWal(ctx, p.log, 1, 0, func(off int64, u model.Update) bool {
 		// Cut only at timestamp boundaries: every element is complete at
 		// its timestamp, so ts-only floor searches are exact.
 		if len(seg) >= segTarget && u.TS > cur.ts {
@@ -113,14 +108,16 @@ func (s *Store) compactPartition(ctx context.Context, p *sealedPart, entry *memg
 	return g, nil
 }
 
-// appendChainElem writes one chain file atomically and records its element.
+// appendChainElem publishes one chain file — frame 0 is the delta header,
+// frames 1..Count are update records — and records its element.
 func (s *Store) appendChainElem(p *sealedPart, elems *[]chainElem, kind enc.DeltaKind, pos, base position, logOff int64, us []model.Update) error {
 	hdr := enc.DeltaHeader{
 		Kind: kind, TS: pos.ts, Seq: pos.seq,
 		BaseTS: base.ts, BaseSeq: base.seq,
 		LogOff: logOff, Count: uint64(len(us)),
 	}
-	path, n, err := s.writeChainFile(p.dir, hdr, us)
+	path := filepath.Join(p.dir, chainFileName(kind, pos))
+	n, err := s.publishFrameFile(path, enc.AppendDeltaHeader(nil, hdr), us)
 	if err != nil {
 		return err
 	}
@@ -130,74 +127,9 @@ func (s *Store) appendChainElem(p *sealedPart, elems *[]chainElem, kind enc.Delt
 	}
 	*elems = append(*elems, chainElem{
 		kind: kind, pos: pos, base: base,
-		logOff: logOff, count: uint64(len(us)), path: path,
+		logOff: logOff, count: hdr.Count, path: path,
 	})
 	return nil
-}
-
-// writeChainFile persists one chain element with the snapshot files'
-// atomic-replace protocol and len+CRC framing: frame 0 is the delta header,
-// frames 1..Count are update records.
-func (s *Store) writeChainFile(dir string, hdr enc.DeltaHeader, us []model.Update) (string, int64, error) {
-	path := filepath.Join(dir, chainFileName(hdr.Kind, position{ts: hdr.TS, seq: hdr.Seq}))
-	tmp := path + ".tmp"
-	n, err := s.writeChainFileBody(tmp, hdr, us)
-	if err != nil {
-		_ = s.fs.Remove(tmp)
-		return "", 0, err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		_ = s.fs.Remove(tmp)
-		return "", 0, err
-	}
-	if err := s.fs.SyncDir(dir); err != nil {
-		return "", 0, err
-	}
-	return path, n, nil
-}
-
-func (s *Store) writeChainFileBody(path string, hdr enc.DeltaHeader, us []model.Update) (int64, error) {
-	f, err := s.fs.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w := bufio.NewWriterSize(&vfs.SeqWriter{F: f}, 1<<16)
-	var written int64
-	var fh [8]byte
-	frame := func(payload []byte) error {
-		binary.LittleEndian.PutUint32(fh[:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(fh[4:], crc32.ChecksumIEEE(payload))
-		if _, werr := w.Write(fh[:]); werr != nil {
-			return werr
-		}
-		_, werr := w.Write(payload)
-		written += int64(8 + len(payload))
-		return werr
-	}
-	if err := frame(enc.AppendDeltaHeader(nil, hdr)); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	buf := make([]byte, 0, 256)
-	for _, u := range us {
-		buf, err = s.codec.AppendUpdate(buf[:0], u)
-		if err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-		if err := frame(buf); err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	// Chain records hold string refs: the table must be durable first.
-	if err := s.codec.Strings.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	if err := f.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	return written, f.Close()
 }
 
 // readChainHeader reads and validates only frame 0 of a chain file (cheap:
@@ -208,82 +140,47 @@ func readChainHeader(fs vfs.FS, path string) (hdr enc.DeltaHeader, err error) {
 		return hdr, err
 	}
 	defer vfs.CloseChecked(f, &err)
-	sr, err := vfs.NewReader(f)
+	fr, err := newFrameReader(f, path, 512)
 	if err != nil {
 		return hdr, err
 	}
-	payload, err := readFrame(bufio.NewReaderSize(sr, 512))
+	payload, err := fr.readFrame()
 	if err != nil {
 		return hdr, err
 	}
 	return enc.DecodeDeltaHeader(payload)
 }
 
-// readFrame reads one len+CRC frame, verifying the checksum.
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var fh [8]byte
-	if _, err := io.ReadFull(r, fh[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(fh[:4])
-	sum := binary.LittleEndian.Uint32(fh[4:])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("timestore: chain frame checksum mismatch")
-	}
-	return payload, nil
-}
-
 // applyChainFile streams elem's update records into g. countReplay marks
 // delta applications (materialization work the chain could not avoid) for
 // the ReplayedUpdates stat; full loads are snapshot loads, not replay.
-func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.Graph, countReplay bool) (err error) {
-	f, err := s.fs.Open(elem.path)
-	if err != nil {
-		return err
-	}
-	defer vfs.CloseChecked(f, &err)
-	sr, err := vfs.NewReader(f)
-	if err != nil {
-		return err
-	}
-	r := bufio.NewReaderSize(sr, 1<<16)
-	payload, err := readFrame(r)
-	if err != nil {
-		return err
-	}
-	hdr, err := enc.DecodeDeltaHeader(payload)
-	if err != nil {
-		return err
-	}
-	if hdr.Kind != elem.kind || hdr.TS != elem.pos.ts || hdr.Seq != elem.pos.seq || hdr.Count != elem.count {
-		return fmt.Errorf("timestore: chain file %s header changed since derivation", elem.path)
-	}
-	for i := uint64(0); i < hdr.Count; i++ {
-		if i%frameBatchRecords == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.Graph, countReplay bool) error {
+	var applied uint64
+	err := s.readFrameFile(ctx, elem.path,
+		func(payload []byte) error {
+			hdr, err := enc.DecodeDeltaHeader(payload)
+			if err != nil {
+				return err
 			}
-		}
-		payload, err := readFrame(r)
-		if err != nil {
-			return fmt.Errorf("timestore: chain file %s record %d: %w", elem.path, i, err)
-		}
-		u, err := s.codec.DecodeUpdate(payload)
-		if err != nil {
-			return err
-		}
-		if err := g.Apply(u); err != nil {
-			return fmt.Errorf("timestore: chain apply %s: %w", elem.path, err)
-		}
-		if countReplay {
-			s.replayed.Add(1)
-		}
+			if hdr.Kind != elem.kind || hdr.TS != elem.pos.ts || hdr.Seq != elem.pos.seq || hdr.Count != elem.count {
+				return fmt.Errorf("timestore: chain file %s header changed since derivation", elem.path)
+			}
+			return nil
+		},
+		func(us []model.Update) error {
+			if err := g.ApplyAll(us); err != nil {
+				return fmt.Errorf("timestore: chain apply %s: %w", elem.path, err)
+			}
+			applied += uint64(len(us))
+			if countReplay {
+				s.replayed.Add(uint64(len(us)))
+			}
+			return nil
+		})
+	if err == nil && applied != elem.count {
+		err = fmt.Errorf("timestore: chain file %s holds %d records, header says %d", elem.path, applied, elem.count)
 	}
-	return nil
+	return err
 }
 
 // materializeElem returns a private graph at chain element j of p: the

@@ -1,0 +1,136 @@
+package timestore
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"aion/internal/model"
+)
+
+// goldenUpdates is the fixed update sequence behind the pinned digests:
+// every operation kind, several updates per timestamp, string/int
+// properties and label churn, so full and differential elements both carry
+// non-trivial records.
+func goldenUpdates() []model.Update {
+	const n = 120
+	var us []model.Update
+	ts := model.Timestamp(1)
+	for i := 0; i < n; i++ {
+		us = append(us, model.AddNode(ts, model.NodeID(i),
+			[]string{"Person", fmt.Sprintf("Group%d", i%5)},
+			model.Properties{
+				"name": model.StringValue(fmt.Sprintf("node-%d", i)),
+				"rank": model.IntValue(int64(i % 17)),
+			}))
+		if i%3 == 2 {
+			ts++
+		}
+	}
+	ts++
+	for i := 0; i < n-1; i++ {
+		us = append(us, model.AddRel(ts, model.RelID(i), model.NodeID(i), model.NodeID(i+1),
+			"KNOWS", model.Properties{"w": model.IntValue(int64(i))}))
+		if i%4 == 3 {
+			ts++
+		}
+	}
+	ts++
+	for i := 0; i < n; i += 2 {
+		us = append(us, model.UpdateNode(ts, model.NodeID(i),
+			[]string{"Seen"}, []string{fmt.Sprintf("Group%d", i%5)},
+			model.Properties{"rank": model.IntValue(int64(1000 + i))}, []string{"name"}))
+		if i%6 == 0 {
+			ts++
+		}
+	}
+	for i := 0; i < n-1; i += 3 {
+		us = append(us, model.UpdateRel(ts, model.RelID(i), model.NodeID(i), model.NodeID(i+1),
+			model.Properties{"note": model.StringValue(fmt.Sprintf("rel-%d", i))}, []string{"w"}))
+		ts++
+	}
+	for i := 0; i < 20; i++ {
+		us = append(us, model.DeleteRel(ts, model.RelID(i), model.NodeID(i), model.NodeID(i+1)))
+	}
+	ts++
+	for i := 0; i < 20; i++ {
+		us = append(us, model.DeleteNode(ts, model.NodeID(i)))
+		ts++
+	}
+	return us
+}
+
+// digestFiles hashes every file matching pattern (sorted by path) as
+// name NUL content, so one digest pins both the set of file names and
+// their bytes.
+func digestFiles(t *testing.T, pattern string) string {
+	t.Helper()
+	files, err := filepath.Glob(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("no files match %s", pattern)
+	}
+	sort.Strings(files)
+	h := sha256.New()
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(filepath.Base(f)))
+		h.Write([]byte{0})
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenOnDiskBytes pins the persisted-snapshot formats: a fixed update
+// sequence must produce these exact .snap and full-/delta- .dsnap bytes
+// (TestParallelSnapshotBytesIdentical extends that to every worker count).
+// The digests were computed on the commit before the snapshot I/O was
+// collapsed to one frame-file writer, so "format unchanged" is checked
+// rather than asserted.
+func TestGoldenOnDiskBytes(t *testing.T) {
+	const (
+		wantSnap  = "6a45a054c7ac181e32c4f64a6e3ad3300ac95c2792cf539a0994ebd597e37a19"
+		wantFull  = "9174d9addd5f328e971ca949afb536681b92bdfa104e156e5859dea6fe036d8b"
+		wantDelta = "f6bd3ef6c0373c1bcc6b229fb78dd4696f4e2498109aa293f8364037132f9cab"
+	)
+	us := goldenUpdates()
+	dir := t.TempDir()
+	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
+	if err := s.AppendBatch(us); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := digestFiles(t, filepath.Join(dir, "snap-*.snap")); got != wantSnap {
+		t.Errorf(".snap digest %s, want %s", got, wantSnap)
+	}
+
+	pdir := t.TempDir()
+	p := openStore(t, Options{Dir: pdir, SnapshotEveryOps: 1 << 30,
+		PartitionEvery: len(us) - 30, DeltaChainLength: 2})
+	for _, u := range us {
+		if err := p.Append(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.Stats(); st.SealedPartitions != 1 || st.CompactErrors != 0 {
+		t.Fatalf("%d sealed partitions, %d compaction errors (%s)",
+			st.SealedPartitions, st.CompactErrors, st.LastCompactError)
+	}
+	if got := digestFiles(t, filepath.Join(pdir, "p-1", "full-*.dsnap")); got != wantFull {
+		t.Errorf("full .dsnap digest %s, want %s", got, wantFull)
+	}
+	if got := digestFiles(t, filepath.Join(pdir, "p-1", "delta-*.dsnap")); got != wantDelta {
+		t.Errorf("delta .dsnap digest %s, want %s", got, wantDelta)
+	}
+}

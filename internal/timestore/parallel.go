@@ -1,23 +1,24 @@
-// Parallel snapshot and replay pipelines. Snapshot retrieval dominates
-// global-query latency (Sec 4.3, Figs 6-7): GetGraph loads the floor
-// snapshot and replays the log tail, and both halves were single-threaded
-// encode/CRC/decode/apply loops. Here each becomes a staged pipeline over
-// pool.RunOrdered — a sequential reader/writer on the order-sensitive edge,
-// Options.ParallelIO workers on the CPU-heavy middle — so reads scale with
-// cores while producing byte- and order-identical results to the
-// sequential paths (ParallelIO=1 selects those directly).
+// Frame-file and replay pipelines. Every persisted materialization — an
+// active .snap, or a sealed partition's full-/delta- .dsnap chain element —
+// is one kind of file: a sequence of [len u32 | crc u32 | payload] frames
+// holding update records in the Fig 3 format, optionally preceded by one
+// header frame (the chain files' DeltaHeader). One writer produces them and
+// one reader consumes them; log replay is the third pipeline. All three run
+// on pool.RunOrdered — a sequential reader/writer on the order-sensitive
+// edge, Options.ParallelIO workers on the CPU-heavy encode/CRC/decode
+// middle — so a worker count of 1 is the same code running inline, with
+// identical bytes and order.
 package timestore
 
 import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"path/filepath"
 
-	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/pool"
 	"aion/internal/vfs"
@@ -34,13 +35,15 @@ const (
 	frameBatchBytes = 256 << 10
 	// replayReadahead is the log ScanBatch chunk size used during replay.
 	replayReadahead = 1 << 20
+	// frameHdrLen is the size of a frame's length+CRC header.
+	frameHdrLen = 8
 )
 
 // frameBatch is one pipeline job: a pooled buffer of concatenated record
 // payloads plus per-record metadata. ends[i] is the end offset of record i
-// within buf; sums carries the snapshot frame CRCs (verified by the
-// workers); offs carries log offsets during replay (the WAL scan verifies
-// its own CRCs).
+// within buf; sums carries the file frames' CRCs (verified by the workers);
+// offs carries log offsets during replay (the WAL scan verifies its own
+// CRCs, so sums is nil there).
 type frameBatch struct {
 	buf  *[]byte
 	ends []int
@@ -54,42 +57,66 @@ func (b *frameBatch) release(s *Store) {
 	s.framePool.Put(b.buf)
 }
 
-// decodedBatch is a worker's output: updates in record order plus, for
-// replay, the log offset of each.
+// decode is the worker stage shared by the file reader and log replay:
+// verify the frame CRCs (when the batch carries them) and decode the
+// records in order. The decoded updates do not alias the batch buffer,
+// which is released here.
+func (b *frameBatch) decode(s *Store, path string) ([]model.Update, error) {
+	defer b.release(s)
+	buf := *b.buf
+	payloads := make([][]byte, len(b.ends))
+	start := 0
+	for i, end := range b.ends {
+		payloads[i] = buf[start:end]
+		if b.sums != nil && crc32.ChecksumIEEE(payloads[i]) != b.sums[i] {
+			return nil, fmt.Errorf("timestore: frame checksum mismatch in %s", path)
+		}
+		start = end
+	}
+	return s.codec.DecodeUpdates(make([]model.Update, 0, len(payloads)), payloads)
+}
+
+// decodedBatch is a replay worker's output: updates in record order plus
+// the log offset of each.
 type decodedBatch struct {
 	us   []model.Update
 	offs []int64
 }
 
-// writeSnapshotFile serializes a full graph materialization (a framed
-// sequence of insertion updates in the Fig 3 record format), returning the
-// bytes written. ParallelIO > 1 encodes on a worker pool.
-func (s *Store) writeSnapshotFile(path string, g *memgraph.Graph) (int64, error) {
-	if s.opts.ParallelIO > 1 {
-		return s.writeSnapshotFileParallel(path, g)
-	}
-	return s.writeSnapshotFileSeq(path, g)
+// sealFrame fills the header slot reserved at buf[start:] with the length
+// and CRC of the payload that follows it (everything up to len(buf)).
+func sealFrame(buf []byte, start int) {
+	payload := buf[start+frameHdrLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 }
 
-// writeSnapshotFileParallel: update slices are encoded and CRC-framed by
-// ParallelIO workers; the consumer streams the finished chunks to one
-// bufio writer in emission order, so the file bytes are identical to the
-// sequential writer's.
-func (s *Store) writeSnapshotFileParallel(path string, g *memgraph.Graph) (int64, error) {
+// writeFrameFile writes path as one frame per update, preceded by a header
+// frame when hdr is non-nil, and returns the bytes written. Update slices
+// are encoded and framed by ParallelIO workers; the consumer streams the
+// finished chunks to one bufio writer in emission order, so the file bytes
+// do not depend on the worker count. The records hold string refs, so the
+// string table is synced before the file is; the file is fsynced before
+// close so a publishing rename only ever exposes durable bytes.
+func (s *Store) writeFrameFile(path string, hdr []byte, us []model.Update) (written int64, err error) {
 	f, err := s.fs.Create(path)
 	if err != nil {
 		return 0, err
 	}
+	defer vfs.CloseChecked(f, &err)
 	w := bufio.NewWriterSize(&vfs.SeqWriter{F: f}, 1<<16)
-	var written int64
-	us := g.Export()
+	if hdr != nil {
+		fb := append(make([]byte, frameHdrLen, frameHdrLen+len(hdr)), hdr...)
+		sealFrame(fb, 0)
+		if _, err := w.Write(fb); err != nil {
+			return 0, err
+		}
+		written = int64(len(fb))
+	}
 	err = pool.RunOrdered(s.opts.ParallelIO,
 		func(emit func([]model.Update) bool) error {
 			for len(us) > 0 {
-				n := frameBatchRecords
-				if n > len(us) {
-					n = len(us)
-				}
+				n := min(frameBatchRecords, len(us))
 				if !emit(us[:n]) {
 					return nil
 				}
@@ -102,17 +129,13 @@ func (s *Store) writeSnapshotFileParallel(path string, g *memgraph.Graph) (int64
 			buf := *bp
 			for _, u := range batch {
 				start := len(buf)
-				buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header slot
+				buf = append(buf, make([]byte, frameHdrLen)...)
 				var err error
-				buf, err = s.codec.AppendUpdate(buf, u)
-				if err != nil {
-					*bp = buf[:0]
+				if buf, err = s.codec.AppendUpdate(buf, u); err != nil {
 					s.framePool.Put(bp)
 					return nil, err
 				}
-				payload := buf[start+8:]
-				binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
-				binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(payload))
+				sealFrame(buf, start)
 			}
 			*bp = buf
 			return bp, nil
@@ -120,80 +143,144 @@ func (s *Store) writeSnapshotFileParallel(path string, g *memgraph.Graph) (int64
 		func(bp *[]byte) error {
 			_, werr := w.Write(*bp)
 			written += int64(len(*bp))
-			*bp = (*bp)[:0]
 			s.framePool.Put(bp)
 			return werr
 		})
 	if err != nil {
-		return written, errors.Join(err, f.Close())
+		return written, err
 	}
 	if err := w.Flush(); err != nil {
-		return written, errors.Join(err, f.Close())
+		return written, err
 	}
-	// Snapshot records hold string refs: the table must be durable before
-	// the snapshot bytes are.
 	if err := s.codec.Strings.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
+		return written, err
 	}
-	if err := f.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	return written, f.Close()
+	return written, f.Sync()
 }
 
-// loadSnapshotFile materializes a snapshot file into a fresh graph,
-// observing ctx cancellation between frame batches. ParallelIO > 1 runs the
-// 3-stage pipeline: sequential frame reader → CRC+decode workers →
-// in-order ApplyAll batches.
-func (s *Store) loadSnapshotFile(ctx context.Context, path string, ts model.Timestamp) (*memgraph.Graph, error) {
-	if s.opts.ParallelIO > 1 {
-		return s.loadSnapshotFileParallel(ctx, path, ts)
+// publishFrameFile persists a frame file with the atomic-replace protocol:
+// write to path+".tmp", fsync the file, rename over the final name, fsync
+// the directory. A crash at any point leaves either the complete previous
+// file set (leftover tmps are removed by recovery) or the complete new
+// file — never a half-written file under a live name.
+func (s *Store) publishFrameFile(path string, hdr []byte, us []model.Update) (int64, error) {
+	tmp := path + ".tmp"
+	n, err := s.writeFrameFile(tmp, hdr, us)
+	if err == nil {
+		err = s.fs.Rename(tmp, path)
 	}
-	return s.loadSnapshotFileSeq(ctx, path, ts)
-}
-
-func (s *Store) loadSnapshotFileParallel(ctx context.Context, path string, ts model.Timestamp) (g *memgraph.Graph, err error) {
-	f, err := s.fs.Open(path)
 	if err != nil {
-		return nil, err
+		_ = s.fs.Remove(tmp)
+		return 0, err
 	}
-	defer vfs.CloseChecked(f, &err)
+	return n, s.fs.SyncDir(filepath.Dir(path))
+}
+
+// frameReader reads frames sequentially from one file, tracking how many
+// bytes the file still holds so a corrupt length field is rejected before
+// anything is allocated for it.
+type frameReader struct {
+	r    *bufio.Reader
+	left int64
+	path string
+}
+
+func newFrameReader(f vfs.File, path string, bufSize int) (*frameReader, error) {
 	sr, err := vfs.NewReader(f)
 	if err != nil {
 		return nil, err
 	}
-	r := bufio.NewReaderSize(sr, 1<<16)
-	g = memgraph.New()
-	err = pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
+	return &frameReader{r: bufio.NewReaderSize(sr, bufSize), left: sr.Size(), path: path}, nil
+}
+
+// appendFrame appends the next frame's payload to buf and returns its CRC
+// for the caller to verify; io.EOF (with buf unchanged) marks a clean end of
+// file. A length field that runs past the file end is corruption, reported
+// before any byte is allocated for it.
+func (fr *frameReader) appendFrame(buf []byte) ([]byte, uint32, error) {
+	var h [frameHdrLen]byte
+	if _, err := io.ReadFull(fr.r, h[:]); err != nil {
+		if err == io.EOF {
+			return buf, 0, io.EOF
+		}
+		return buf, 0, fmt.Errorf("timestore: frame header in %s: %w", fr.path, err)
+	}
+	fr.left -= frameHdrLen
+	n := int64(binary.LittleEndian.Uint32(h[:4]))
+	if n > fr.left {
+		return buf, 0, fmt.Errorf("timestore: corrupt frame in %s: length %d exceeds the %d bytes left in the file",
+			fr.path, n, fr.left)
+	}
+	fr.left -= n
+	start := len(buf)
+	buf = growBytes(buf, int(n))
+	if _, err := io.ReadFull(fr.r, buf[start:]); err != nil {
+		return buf[:start], 0, fmt.Errorf("timestore: frame body in %s: %w", fr.path, err)
+	}
+	return buf, binary.LittleEndian.Uint32(h[4:]), nil
+}
+
+// readFrame reads one whole frame and verifies its checksum (the chain
+// files' header frame; record frames are verified on the worker stage).
+func (fr *frameReader) readFrame() ([]byte, error) {
+	payload, sum, err := fr.appendFrame(nil)
+	if err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, fmt.Errorf("timestore: frame checksum mismatch in %s", fr.path)
+	}
+	return payload, nil
+}
+
+// readFrameFile streams path's update records to apply, batch by batch in
+// file order, observing ctx cancellation between batches: sequential frame
+// reader → CRC+decode workers → in-order apply on the calling goroutine.
+// When header is non-nil the file's first frame is handed to it before any
+// record is read.
+func (s *Store) readFrameFile(ctx context.Context, path string, header func([]byte) error, apply func([]model.Update) error) (err error) {
+	f, err := s.fs.Open(path)
+	if err != nil {
+		return err
+	}
+	defer vfs.CloseChecked(f, &err)
+	fr, err := newFrameReader(f, path, 1<<16)
+	if err != nil {
+		return err
+	}
+	if header != nil {
+		payload, err := fr.readFrame()
+		if err != nil {
+			return err
+		}
+		if err := header(payload); err != nil {
+			return err
+		}
+	}
+	return pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
 		func(emit func(frameBatch) bool) error {
-			var hdr [8]byte
-			eof := false
-			for !eof {
+			for eof := false; !eof; {
 				b := frameBatch{buf: s.framePool.Get()}
-				buf := (*b.buf)[:0]
+				buf := *b.buf
 				for len(b.ends) < frameBatchRecords && len(buf) < frameBatchBytes {
-					if _, err := io.ReadFull(r, hdr[:]); err != nil {
-						if err == io.EOF {
-							eof = true
-							break
-						}
-						b.release(s)
-						return fmt.Errorf("timestore: snapshot read: %w", err)
+					var sum uint32
+					var err error
+					buf, sum, err = fr.appendFrame(buf)
+					if err == io.EOF {
+						eof = true
+						break
 					}
-					n := int(binary.LittleEndian.Uint32(hdr[:4]))
-					start := len(buf)
-					buf = growBytes(buf, n)
-					if _, err := io.ReadFull(r, buf[start:]); err != nil {
+					if err != nil {
 						b.release(s)
-						return fmt.Errorf("timestore: snapshot body: %w", err)
+						return err
 					}
 					b.ends = append(b.ends, len(buf))
-					b.sums = append(b.sums, binary.LittleEndian.Uint32(hdr[4:]))
+					b.sums = append(b.sums, sum)
 				}
 				*b.buf = buf
 				if len(b.ends) == 0 {
 					b.release(s)
-					continue
+					break
 				}
 				if !emit(b) {
 					return nil
@@ -201,33 +288,8 @@ func (s *Store) loadSnapshotFileParallel(ctx context.Context, path string, ts mo
 			}
 			return nil
 		},
-		func(b frameBatch) (decodedBatch, error) {
-			defer b.release(s)
-			buf := *b.buf
-			payloads := make([][]byte, len(b.ends))
-			start := 0
-			for i, end := range b.ends {
-				payload := buf[start:end]
-				if crc32.ChecksumIEEE(payload) != b.sums[i] {
-					return decodedBatch{}, fmt.Errorf("timestore: snapshot checksum mismatch in %s", path)
-				}
-				payloads[i] = payload
-				start = end
-			}
-			us, err := s.codec.DecodeUpdates(make([]model.Update, 0, len(payloads)), payloads)
-			if err != nil {
-				return decodedBatch{}, err
-			}
-			return decodedBatch{us: us}, nil
-		},
-		func(d decodedBatch) error {
-			return g.ApplyAll(d.us)
-		})
-	if err != nil {
-		return nil, err
-	}
-	g.SetTimestamp(ts)
-	return g, nil
+		func(b frameBatch) ([]model.Update, error) { return b.decode(s, path) },
+		apply)
 }
 
 // growBytes extends b by n zero bytes, reallocating only when needed.
@@ -239,55 +301,23 @@ func growBytes(b []byte, n int) []byte {
 }
 
 // replayLog streams decoded updates (with their log offsets) from the
-// *active* log starting at offset from, in commit order, stopping early
-// when fn returns false or ctx is cancelled (cancellation is checked once
-// per readahead batch, so a runaway range scan stops within one batch of
-// the deadline). It is the shared replay engine of recover, ScanDiff, and
-// therefore GetGraph/GetGraphs: the WAL is scanned with readahead batches
-// and, when ParallelIO > 1, record decoding runs on the worker stage while
-// fn (index maintenance, graph apply) stays in order on the calling
-// goroutine. Sealed partition segments replay through the same engine via
-// replayWal/replayWalSeq with their own logs.
+// *active* log starting at offset from; see replayWal.
 func (s *Store) replayLog(ctx context.Context, from int64, fn func(off int64, u model.Update) bool) error {
-	return s.replayWal(ctx, s.log, from, fn)
+	return s.replayWal(ctx, s.log, s.opts.ParallelIO, from, fn)
 }
 
-func (s *Store) replayWal(ctx context.Context, l *wal.Log, from int64, fn func(off int64, u model.Update) bool) error {
-	if s.opts.ParallelIO > 1 {
-		return s.replayWalParallel(ctx, l, from, fn)
-	}
-	return s.replayWalSeq(ctx, l, from, fn)
-}
-
-// replayWalSeq is the sequential replay path, also used inside scatter-
-// gather workers (collectPart) where nesting another pipeline per
-// partition would oversubscribe the pool.
-func (s *Store) replayWalSeq(ctx context.Context, l *wal.Log, from int64, fn func(off int64, u model.Update) bool) error {
-	var derr error
-	_, err := l.ScanBatch(from, replayReadahead, func(frames []wal.Frame) bool {
-		if derr = ctx.Err(); derr != nil {
-			return false
-		}
-		for _, fr := range frames {
-			u, e := s.codec.DecodeUpdate(fr.Payload)
-			if e != nil {
-				derr = e
-				return false
-			}
-			if !fn(fr.Off, u) {
-				return false
-			}
-		}
-		return true
-	})
-	if derr != nil {
-		return derr
-	}
-	return err
-}
-
-func (s *Store) replayWalParallel(ctx context.Context, l *wal.Log, from int64, fn func(off int64, u model.Update) bool) error {
-	return pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
+// replayWal streams l's decoded updates from offset from in commit order,
+// stopping early when fn returns false or ctx is cancelled (checked once
+// per batch, so a runaway range scan stops within one batch of the
+// deadline). It is the shared replay engine of recover, ScanDiff, and
+// therefore GetGraph/GetGraphs, for the active log and sealed segments
+// alike: the WAL is scanned with readahead batches, record decoding runs on
+// `workers` workers, and fn (index maintenance, graph apply) stays in order
+// on the calling goroutine. Callers that already run on a pool worker
+// (collectPart) or replay a partition once (compaction) pass 1, so they do
+// not nest a second pool.
+func (s *Store) replayWal(ctx context.Context, l *wal.Log, workers int, from int64, fn func(off int64, u model.Update) bool) error {
+	return pool.RunOrderedCtx(ctx, workers,
 		func(emit func(frameBatch) bool) error {
 			stopped := false
 			_, err := l.ScanBatch(from, replayReadahead, func(frames []wal.Frame) bool {
@@ -295,12 +325,9 @@ func (s *Store) replayWalParallel(ctx context.Context, l *wal.Log, from int64, f
 				// copies its records into a pooled batch buffer before the
 				// scan moves on.
 				for len(frames) > 0 {
-					n := len(frames)
-					if n > frameBatchRecords {
-						n = frameBatchRecords
-					}
+					n := min(frameBatchRecords, len(frames))
 					b := frameBatch{buf: s.framePool.Get()}
-					buf := (*b.buf)[:0]
+					buf := *b.buf
 					for _, fr := range frames[:n] {
 						buf = append(buf, fr.Payload...)
 						b.ends = append(b.ends, len(buf))
@@ -321,19 +348,8 @@ func (s *Store) replayWalParallel(ctx context.Context, l *wal.Log, from int64, f
 			return err
 		},
 		func(b frameBatch) (decodedBatch, error) {
-			defer b.release(s)
-			buf := *b.buf
-			payloads := make([][]byte, len(b.ends))
-			start := 0
-			for i, end := range b.ends {
-				payloads[i] = buf[start:end]
-				start = end
-			}
-			us, err := s.codec.DecodeUpdates(make([]model.Update, 0, len(payloads)), payloads)
-			if err != nil {
-				return decodedBatch{}, err
-			}
-			return decodedBatch{us: us, offs: b.offs}, nil
+			us, err := b.decode(s, "")
+			return decodedBatch{us: us, offs: b.offs}, err
 		},
 		func(d decodedBatch) error {
 			for i, u := range d.us {

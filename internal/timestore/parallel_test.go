@@ -47,13 +47,33 @@ func snapshotFiles(t testing.TB, dir string) []string {
 	return files
 }
 
-// TestParallelSnapshotBytesIdentical is the property test of satellite (d):
-// the same update sequence snapshotted with ParallelIO=1 and ParallelIO=4
-// must produce byte-identical snapshot files (the parallel writer reorders
-// work, never bytes).
+// TestParallelSnapshotBytesIdentical is the worker-count property test: the
+// same update sequence persisted with 1 (inline), 2, 4 and 8 pipeline
+// workers must produce byte-identical files — the active .snap and every
+// full-/delta- .dsnap of a sealed partition's chain alike, since all of
+// them go through the one frame-file writer (workers reorder work, never
+// bytes).
 func TestParallelSnapshotBytesIdentical(t *testing.T) {
 	us := propUpdates(500)
-	write := func(par int) []byte {
+	// write returns name -> bytes of every persisted materialization.
+	write := func(par int) map[string][]byte {
+		out := map[string][]byte{}
+		collect := func(pattern string) {
+			files, err := filepath.Glob(pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				b, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(b) == 0 {
+					t.Fatalf("ParallelIO=%d wrote an empty %s", par, filepath.Base(f))
+				}
+				out[filepath.Base(f)] = b
+			}
+		}
 		dir := t.TempDir()
 		s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30, ParallelIO: par})
 		if err := s.AppendBatch(us); err != nil {
@@ -62,32 +82,46 @@ func TestParallelSnapshotBytesIdentical(t *testing.T) {
 		if err := s.CreateSnapshot(); err != nil {
 			t.Fatal(err)
 		}
-		files := snapshotFiles(t, dir)
-		if len(files) != 1 {
-			t.Fatalf("ParallelIO=%d produced %d snapshot files, want 1", par, len(files))
+		collect(filepath.Join(dir, "snap-*.snap"))
+		if len(out) != 1 {
+			t.Fatalf("ParallelIO=%d produced %d snapshot files, want 1", par, len(out))
 		}
-		b, err := os.ReadFile(files[0])
-		if err != nil {
-			t.Fatal(err)
+
+		// Chain files: one sealed partition whose mid-chain and end fulls
+		// span several pipeline batches (> frameBatchRecords records).
+		pdir := t.TempDir()
+		p := openStore(t, Options{Dir: pdir, SnapshotEveryOps: 1 << 30,
+			PartitionEvery: 900, DeltaChainLength: 1, ParallelIO: par})
+		for _, u := range us {
+			if err := p.Append(u); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if len(b) == 0 {
-			t.Fatalf("ParallelIO=%d wrote an empty snapshot", par)
+		if st := p.Stats(); st.SealedPartitions != 1 || st.DeltaSnapshots == 0 || st.CompactErrors != 0 {
+			t.Fatalf("ParallelIO=%d: %d sealed, %d deltas, %d compaction errors (%s)", par,
+				st.SealedPartitions, st.DeltaSnapshots, st.CompactErrors, st.LastCompactError)
 		}
-		return b
+		collect(filepath.Join(pdir, "p-1", "*.dsnap"))
+		return out
 	}
-	seq := write(1)
+	inline := write(1)
 	for _, par := range []int{2, 4, 8} {
-		if got := write(par); !bytes.Equal(got, seq) {
-			t.Fatalf("ParallelIO=%d snapshot differs from sequential (%d vs %d bytes)",
-				par, len(got), len(seq))
+		got := write(par)
+		if len(got) != len(inline) {
+			t.Fatalf("ParallelIO=%d wrote %d files, inline wrote %d", par, len(got), len(inline))
+		}
+		for name, want := range inline {
+			if !bytes.Equal(got[name], want) {
+				t.Errorf("ParallelIO=%d: %s differs from the inline pipeline's (%d vs %d bytes)",
+					par, name, len(got[name]), len(want))
+			}
 		}
 	}
 }
 
-// TestParallelLoadRoundTrip checks that a snapshot written sequentially is
-// read back identically by both loaders (and vice versa, given the writer
-// identity above): counts, labels, and properties survive the 3-stage
-// pipeline.
+// TestParallelLoadRoundTrip checks that a snapshot written at one worker
+// count is read back identically at another (inline and concurrent, both
+// ways): counts, labels, and properties survive the 3-stage pipeline.
 func TestParallelLoadRoundTrip(t *testing.T) {
 	const n = 300
 	us := propUpdates(n)
@@ -189,8 +223,9 @@ func TestStatsSnapshotBytesTracked(t *testing.T) {
 }
 
 // TestRecoverParallel reopens a populated store with ParallelIO=4 so
-// recovery runs the parallel snapshot loader and the parallel log-tail
-// replay, and checks the rebuilt state matches a sequential reopen.
+// recovery runs the snapshot load and the log-tail replay on concurrent
+// workers, and checks the rebuilt state matches an inline (ParallelIO=1)
+// reopen.
 func TestRecoverParallel(t *testing.T) {
 	const n = 400
 	dir := t.TempDir()

@@ -54,8 +54,10 @@ func (p position) startKey() []byte {
 	return enc.KeyTS(p.ts, p.seq+1)
 }
 
-// chainElem is one element of a sealed partition's snapshot chain, derived
-// from the .dsnap file's self-describing header at recovery.
+// chainElem is one persisted materialization: an element of a sealed
+// partition's snapshot chain, derived from the .dsnap file's self-describing
+// header at recovery, or an active snapshot file in the Store's catalogue
+// (always a full; only kind, pos and path are meaningful there).
 type chainElem struct {
 	kind   enc.DeltaKind
 	pos    position // complete through this position
@@ -63,6 +65,13 @@ type chainElem struct {
 	logOff int64    // partition-log offset of the first uncovered record
 	count  uint64   // update records in the file
 	path   string
+}
+
+// chainFloor returns the index of the newest element at or before ts in a
+// position-sorted element list, or -1: the one floor lookup behind sealed
+// chains and the active snapshot catalogue alike.
+func chainFloor(chain []chainElem, ts model.Timestamp) int {
+	return sort.Search(len(chain), func(k int) bool { return chain[k].pos.ts > ts }) - 1
 }
 
 // sealedPart is an immutable sealed partition: its own log segment, the
@@ -345,10 +354,7 @@ func deriveChain(fs vfs.FS, p *sealedPart) error {
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].pos != cands[j].pos {
-			if cands[i].pos.ts != cands[j].pos.ts {
-				return cands[i].pos.ts < cands[j].pos.ts
-			}
-			return cands[i].pos.seq < cands[j].pos.seq
+			return cands[i].pos.before(cands[j].pos)
 		}
 		return cands[i].kind == enc.DeltaFull && cands[j].kind != enc.DeltaFull
 	})
@@ -429,18 +435,7 @@ func (s *Store) doSeal() error {
 		endSeq:   s.seq,
 		count:    uint64(s.activeCount),
 	}
-	// The active snapshots are superseded by the partition's chain; collect
-	// their paths before the index is dropped below.
-	var stale []string
-	err := s.snapIdx.Scan(nil, nil, func(_, v []byte) bool {
-		stale = append(stale, string(v))
-		return true
-	})
-	if err != nil {
-		return err
-	}
-
-	p, err := s.sealSurgery(dir, pdir, m, stale)
+	p, err := s.sealSurgery(dir, pdir, m)
 	if err != nil {
 		return err
 	}
@@ -468,9 +463,9 @@ func (s *Store) doSeal() error {
 // sealSurgery performs the on-disk transition under sealMu: makes the
 // active log durable, retires the per-active derived state, moves the log
 // under the partition directory, commits the seal with the marker, and
-// installs a fresh empty active log + indexes. The open log handle stays
+// installs a fresh empty active log + time index. The open log handle stays
 // valid across the rename, so the sealed segment is never reopened.
-func (s *Store) sealSurgery(dir, pdir string, m partMarker, stale []string) (*sealedPart, error) {
+func (s *Store) sealSurgery(dir, pdir string, m partMarker) (*sealedPart, error) {
 	s.sealMu.Lock()
 	defer s.sealMu.Unlock()
 	// 1. The log becomes the partition's immutable segment: fully durable
@@ -486,24 +481,20 @@ func (s *Store) sealSurgery(dir, pdir string, m partMarker, stale []string) (*se
 	if err := s.log.Sync(); err != nil {
 		return nil, err
 	}
-	// 2. Drop the derived per-active state: both indexes (rebuilt empty for
-	// the new active) and the superseded snapshot files.
+	// 2. Drop the derived per-active state: the time index (rebuilt empty
+	// for the new active) and the catalogued snapshot files, which the
+	// partition's chain supersedes.
 	if err := s.timeCache.Close(); err != nil {
 		return nil, err
 	}
-	if err := s.snapCache.Close(); err != nil {
+	if err := s.fs.Remove(filepath.Join(dir, "time.idx")); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	for _, name := range []string{"time.idx", "snap.idx"} {
-		if err := s.fs.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
-	for _, path := range stale {
-		if sz, serr := s.fs.Stat(path); serr == nil {
+	for _, e := range s.resetSnapshots() {
+		if sz, serr := s.fs.Stat(e.path); serr == nil {
 			s.snapshotBytes.Add(-sz)
 		}
-		if err := s.fs.Remove(path); err != nil && !os.IsNotExist(err) {
+		if err := s.fs.Remove(e.path); err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
 	}
@@ -527,7 +518,7 @@ func (s *Store) sealSurgery(dir, pdir string, m partMarker, stale []string) (*se
 	if err := s.fs.SyncDir(pdir); err != nil {
 		return nil, err
 	}
-	// 5. Fresh active log and indexes under the original names.
+	// 5. Fresh active log and time index under the original names.
 	newLog, err := wal.OpenFS(s.fs, filepath.Join(dir, "updates.log"))
 	if err != nil {
 		return nil, err
@@ -537,14 +528,6 @@ func (s *Store) sealSurgery(dir, pdir string, m partMarker, stale []string) (*se
 		return nil, err
 	}
 	timeIdx, err := btree.Open(timeCache)
-	if err != nil {
-		return nil, err
-	}
-	snapCache, err := pagecache.OpenFS(s.fs, filepath.Join(dir, "snap.idx"), 64)
-	if err != nil {
-		return nil, err
-	}
-	snapIdx, err := btree.Open(snapCache)
 	if err != nil {
 		return nil, err
 	}
@@ -563,7 +546,6 @@ func (s *Store) sealSurgery(dir, pdir string, m partMarker, stale []string) (*se
 		count: m.count, log: s.log,
 	}
 	s.log, s.timeCache, s.timeIdx = newLog, timeCache, timeIdx
-	s.snapCache, s.snapIdx = snapCache, snapIdx
 	s.parts = append(s.parts, p)
 	s.sealedCount.Add(1)
 	s.sealedLogBytes.Add(p.log.Size())
@@ -588,8 +570,7 @@ func (s *Store) floorElem(ts model.Timestamp) (*sealedPart, int, bool) {
 		if len(p.chain) == 0 {
 			continue
 		}
-		j := sort.Search(len(p.chain), func(k int) bool { return p.chain[k].pos.ts > ts }) - 1
-		if j >= 0 {
+		if j := chainFloor(p.chain, ts); j >= 0 {
 			return p, j, true
 		}
 	}

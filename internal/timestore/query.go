@@ -3,8 +3,6 @@ package timestore
 import (
 	"context"
 	"fmt"
-	"path/filepath"
-	"sort"
 
 	"aion/internal/enc"
 	"aion/internal/memgraph"
@@ -138,16 +136,16 @@ func (s *Store) scanFromLocked(ctx context.Context, from position, end model.Tim
 // collectPart replays one sealed partition's segment, collecting the
 // updates with fromTS < ts < end. The chain accelerates the start: replay
 // begins at the floor element's first-uncovered offset instead of 0. Runs
-// on a pool worker, so it uses the sequential replay path (nesting another
-// pipeline per partition would oversubscribe the pool); decoded updates do
-// not alias the scan's readahead buffers.
+// on a pool worker, so it replays with one worker (nesting another pool per
+// partition would oversubscribe); decoded updates do not alias the scan's
+// readahead buffers.
 func (s *Store) collectPart(ctx context.Context, p *sealedPart, fromTS model.Timestamp, end model.Timestamp) ([]model.Update, error) {
 	var start int64
-	if j := sort.Search(len(p.chain), func(k int) bool { return p.chain[k].pos.ts > fromTS }) - 1; j >= 0 {
+	if j := chainFloor(p.chain, fromTS); j >= 0 {
 		start = p.chain[j].logOff
 	}
 	var out []model.Update
-	err := s.replayWalSeq(ctx, p.log, start, func(_ int64, u model.Update) bool {
+	err := s.replayWal(ctx, p.log, 1, start, func(_ int64, u model.Update) bool {
 		if u.TS >= end {
 			return false
 		}
@@ -218,16 +216,9 @@ func (s *Store) basePosLocked(ctx context.Context, ts model.Timestamp) (*memgrap
 	if g, snapTS, ok := s.gs.Floor(ts); ok {
 		memG, best, kind = g, position{ts: snapTS, seq: seqComplete}, 1
 	}
-	snapPath := ""
-	var snapPos position
-	if _, v, ok, err := s.snapIdx.SeekFloor(enc.KeyTSPrefix(ts)); err != nil {
-		return nil, position{}, err
-	} else if ok {
-		path := string(v)
-		if sts, sseq, pok := parseSnapName(filepath.Base(path)); pok && best.before(position{ts: sts, seq: sseq}) {
-			snapPath, snapPos = path, position{ts: sts, seq: sseq}
-			best, kind = snapPos, 2
-		}
+	snap, snapOK := s.floorSnapshot(ts)
+	if snapOK && best.before(snap.pos) {
+		best, kind = snap.pos, 2
 	}
 	part, elemIdx, elemOK := s.floorElem(ts)
 	if elemOK && best.before(part.chain[elemIdx].pos) {
@@ -237,7 +228,7 @@ func (s *Store) basePosLocked(ctx context.Context, ts model.Timestamp) (*memgrap
 	case 1:
 		return memG, best, nil
 	case 2:
-		g, err := s.loadSnapshotFile(ctx, snapPath, snapPos.ts)
+		g, err := s.loadSnapshotFile(ctx, snap.path, best.ts)
 		if err != nil {
 			return nil, position{}, err
 		}
@@ -245,10 +236,10 @@ func (s *Store) basePosLocked(ctx context.Context, ts model.Timestamp) (*memgrap
 		// of a time-index entry for the next sequence proves no later
 		// update at that timestamp was committed. Put caches a CoW clone,
 		// so g itself is handed back either way.
-		if _, found, gerr := s.timeIdx.Get(enc.KeyTS(snapPos.ts, snapPos.seq+1)); gerr == nil && !found {
+		if _, found, gerr := s.timeIdx.Get(enc.KeyTS(best.ts, best.seq+1)); gerr == nil && !found {
 			s.gs.Put(g)
 		}
-		return g, snapPos, nil
+		return g, best, nil
 	case 3:
 		g, err := s.materializeElem(ctx, part, elemIdx)
 		if err != nil {

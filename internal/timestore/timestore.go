@@ -1,23 +1,21 @@
 // Package timestore implements TimeStore (Sec 4.3), Aion's snapshot-based
 // temporal store: a single append-only log of all graph changes ordered by
 // commit timestamp, a B+Tree indexing the log by time, eagerly created full
-// snapshots governed by a user-defined policy (operation- or time-based),
-// and the in-memory GraphStore LRU cache to avoid snapshot I/O. Retrieving
-// a graph at an arbitrary timestamp fetches the closest snapshot and
-// replays the forward changes from the log.
+// snapshots governed by a user-defined policy (operation- or time-based)
+// and catalogued in memory from their file names, and the in-memory
+// GraphStore LRU cache to avoid snapshot I/O. Retrieving a graph at an
+// arbitrary timestamp fetches the closest snapshot and replays the forward
+// changes from the log.
 package timestore
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,11 +57,11 @@ type Options struct {
 	IndexCachePages int
 	// GraphStoreBytes is the byte budget of the in-memory snapshot cache.
 	GraphStoreBytes int64
-	// ParallelIO bounds the worker count of the snapshot (de)serialization
-	// and log-replay pipelines. <= 0 (the default) means GOMAXPROCS; 1
-	// selects the fully sequential paths, whose behaviour and on-disk bytes
-	// are identical to the pre-pipeline implementation (so paper-
-	// reproduction benches stay comparable).
+	// ParallelIO is the worker count of the snapshot (de)serialization and
+	// log-replay pipelines. <= 0 (the default) means GOMAXPROCS; 1 runs the
+	// same pipelines inline on the calling goroutine (no goroutines, every
+	// filesystem operation in program order), with identical behaviour and
+	// on-disk bytes.
 	ParallelIO int
 	// PartitionEvery seals the active partition once it holds at least this
 	// many updates (the seal lands on the next timestamp boundary, so a
@@ -114,10 +112,16 @@ type Store struct {
 	// timeIdx maps KeyTS(ts, seq) -> log offset (active partition only).
 	timeIdx   *btree.Tree
 	timeCache *pagecache.Cache
-	// snapIdx maps KeyTSPrefix(ts) -> snapshot file path (active only).
-	snapIdx   *btree.Tree
-	snapCache *pagecache.Cache
 	gs        *graphstore.Store
+
+	// snaps catalogues the active partition's published snapshot files,
+	// sorted by timestamp with one entry per timestamp (a later snapshot at
+	// the same timestamp supersedes the earlier). It is derived from the
+	// file names at Open and guarded by its own small lock, snapMu, because
+	// the background snapshot worker registers files without s.mu. Lock
+	// order: s.mu, sealMu, snapMu; no I/O runs under snapMu.
+	snapMu sync.Mutex
+	snaps  []chainElem
 
 	// sealMu serializes partition-set transitions against readers: queries
 	// take the read side for their whole partition walk, sealSurgery takes
@@ -219,30 +223,19 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Both indexes are fully derivable — recover() replays the whole log
-	// (re-putting every time-index entry) and snapshot filenames carry
-	// their timestamps — so they are rebuilt from scratch on every open.
+	// The time index is fully derivable — recover() replays the whole log,
+	// re-putting every entry — so it is rebuilt from scratch on every open.
 	// That costs nothing beyond the replay recovery already does, and it
 	// means a torn index page (the page cache writes in place, with no
 	// write-ahead protection of its own) can never poison recovery.
-	for _, name := range []string{"time.idx", "snap.idx"} {
-		if rerr := fs.Remove(filepath.Join(opts.Dir, name)); rerr != nil && !os.IsNotExist(rerr) {
-			return nil, fmt.Errorf("timestore: reset index %s: %w", name, rerr)
-		}
+	if rerr := fs.Remove(filepath.Join(opts.Dir, "time.idx")); rerr != nil && !os.IsNotExist(rerr) {
+		return nil, fmt.Errorf("timestore: reset time index: %w", rerr)
 	}
 	idxCache, err := pagecache.OpenFS(fs, filepath.Join(opts.Dir, "time.idx"), opts.IndexCachePages)
 	if err != nil {
 		return nil, err
 	}
 	timeIdx, err := btree.Open(idxCache)
-	if err != nil {
-		return nil, err
-	}
-	snapCache, err := pagecache.OpenFS(fs, filepath.Join(opts.Dir, "snap.idx"), 64)
-	if err != nil {
-		return nil, err
-	}
-	snapIdx, err := btree.Open(snapCache)
 	if err != nil {
 		return nil, err
 	}
@@ -253,8 +246,6 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 		log:        log,
 		timeIdx:    timeIdx,
 		timeCache:  idxCache,
-		snapIdx:    snapIdx,
-		snapCache:  snapCache,
 		gs:         graphstore.New(opts.GraphStoreBytes),
 		parts:      parts,
 		snapCh:     make(chan snapJob, 2),
@@ -265,7 +256,7 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("timestore: recover: %w", err)
 	}
 	// Make the directory entries of everything Open created (the log, the
-	// rebuilt index files) and recover deleted (tmps, orphan snapshots)
+	// rebuilt index file) and recover deleted (tmps, orphan snapshots)
 	// durable: fsyncing a file's contents does not persist its name.
 	if err := fs.SyncDir(opts.Dir); err != nil {
 		return nil, fmt.Errorf("timestore: sync dir: %w", err)
@@ -275,47 +266,88 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 }
 
 // snapshotWorker serializes policy-triggered snapshots in the background.
+// Its graphs are private CoW clones complete at their timestamp, so once
+// the file is published the cache takes ownership without another clone.
 func (s *Store) snapshotWorker() {
 	defer close(s.workerDone)
 	for j := range s.snapCh {
-		s.persistSnapshot(j.g, j.seq)
+		if s.persistSnapshot(j.g, j.seq) == nil {
+			s.gs.PutOwned(j.g)
+		}
 		s.snapWG.Done()
 	}
 }
 
-// persistSnapshot writes a snapshot to disk and registers it. It must not
-// take s.mu: a bulk AppendBatch holds that lock for its whole batch, and
-// snapshots must keep landing concurrently (the index and the GraphStore
-// have their own locks; the counter is atomic).
-func (s *Store) persistSnapshot(g *memgraph.Graph, seq uint32) {
-	ts := g.Timestamp()
-	path := filepath.Join(s.opts.Dir, snapFileName(ts, seq))
+// persistSnapshot publishes g as the snapshot file at position
+// (g.Timestamp(), seq) and catalogues it: the one path behind policy and
+// eager snapshots. It must not take s.mu: a bulk AppendBatch holds that
+// lock for its whole batch, and policy snapshots must keep landing
+// concurrently (the catalogue and the GraphStore have their own locks; the
+// counters are atomic). Snapshot loss is tolerable (the log still covers
+// the range), but never silent: a failure is counted, surfaced through
+// Stats, and returned.
+func (s *Store) persistSnapshot(g *memgraph.Graph, seq uint32) error {
+	pos := position{ts: g.Timestamp(), seq: seq}
+	path := filepath.Join(s.opts.Dir, snapFileName(pos.ts, pos.seq))
 	var replaced int64
 	if sz, err := s.fs.Stat(path); err == nil {
-		replaced = sz // re-snapshot at the same ts overwrites the file
+		replaced = sz // re-snapshot at the same position overwrites the file
 	}
-	n, err := s.writeSnapshotAtomic(path, g)
+	n, err := s.publishFrameFile(path, nil, g.Export())
 	if err != nil {
-		// Snapshot loss is tolerable (the log still covers the range), but
-		// never silent: the failure is counted and surfaced through Stats.
-		s.recordSnapshotError(err)
-		return
+		s.snapErrs.Add(1)
+		s.lastSnapErr.Store(err.Error())
+		return err
 	}
-	if err := s.snapIdx.Put(enc.KeyTSPrefix(ts), []byte(path)); err != nil {
-		s.recordSnapshotError(err)
-		return
-	}
-	// The worker's graph is already a private CoW clone, so the cache can
-	// take ownership without another clone.
-	s.gs.PutOwned(g)
+	s.registerSnapshot(chainElem{kind: enc.DeltaFull, pos: pos, path: path})
 	s.snapshotCount.Add(1)
 	s.snapshotBytes.Add(n - replaced)
+	return nil
 }
 
-// recordSnapshotError publishes a persistSnapshot failure for Stats.
-func (s *Store) recordSnapshotError(err error) {
-	s.snapErrs.Add(1)
-	s.lastSnapErr.Store(err.Error())
+// registerSnapshot enters a published snapshot file into the catalogue,
+// replacing any entry at the same timestamp.
+func (s *Store) registerSnapshot(e chainElem) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	i := chainFloor(s.snaps, e.pos.ts)
+	if i >= 0 && s.snaps[i].pos.ts == e.pos.ts {
+		s.snaps[i] = e
+		return
+	}
+	s.snaps = slices.Insert(s.snaps, i+1, e)
+}
+
+// floorSnapshot returns the catalogued snapshot with the newest timestamp
+// at or before ts.
+func (s *Store) floorSnapshot(ts model.Timestamp) (chainElem, bool) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	if i := chainFloor(s.snaps, ts); i >= 0 {
+		return s.snaps[i], true
+	}
+	return chainElem{}, false
+}
+
+// resetSnapshots empties the catalogue and returns what it held (a seal
+// retires every active snapshot in favour of the partition's chain).
+func (s *Store) resetSnapshots() []chainElem {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	old := s.snaps
+	s.snaps = nil
+	return old
+}
+
+// loadSnapshotFile materializes a snapshot file into a fresh graph stamped
+// ts, observing ctx cancellation between frame batches.
+func (s *Store) loadSnapshotFile(ctx context.Context, path string, ts model.Timestamp) (*memgraph.Graph, error) {
+	g := memgraph.New()
+	if err := s.readFrameFile(ctx, path, nil, g.ApplyAll); err != nil {
+		return nil, err
+	}
+	g.SetTimestamp(ts)
+	return g, nil
 }
 
 // snapFileName names a snapshot by the (timestamp, sequence) pair of the
@@ -387,7 +419,7 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 		// plain replay.
 		var n uint64
 		var aerr error
-		err := s.replayWalSeq(ctx, p.log, 0, func(_ int64, u model.Update) bool {
+		err := s.replayWal(ctx, p.log, 1, 0, func(_ int64, u model.Update) bool {
 			n++
 			aerr = g.Apply(u)
 			return aerr == nil
@@ -435,12 +467,7 @@ func (s *Store) recover() (err error) {
 	if err != nil {
 		return err
 	}
-	type snapInfo struct {
-		ts   model.Timestamp
-		seq  uint32
-		path string
-	}
-	var snaps []snapInfo
+	var snaps []chainElem // oldest first
 	for _, name := range names {
 		full := filepath.Join(s.opts.Dir, name)
 		if strings.HasSuffix(name, ".tmp") {
@@ -458,24 +485,18 @@ func (s *Store) recover() (err error) {
 				}
 				continue
 			}
-			snaps = append(snaps, snapInfo{ts: ts, seq: seq, path: full})
+			snaps = append(snaps, chainElem{kind: enc.DeltaFull, pos: position{ts: ts, seq: seq}, path: full})
 		}
 	}
-	sort.Slice(snaps, func(i, j int) bool {
-		if snaps[i].ts != snaps[j].ts {
-			return snaps[i].ts < snaps[j].ts
-		}
-		return snaps[i].seq < snaps[j].seq
-	})
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].pos.before(snaps[j].pos) })
 
 	for {
 		baseTS := model.Timestamp(-1)
 		baseSeq := uint32(0)
 		basePath := ""
 		if len(snaps) > 0 {
-			baseTS = snaps[len(snaps)-1].ts
-			baseSeq = snaps[len(snaps)-1].seq
-			basePath = snaps[len(snaps)-1].path
+			newest := snaps[len(snaps)-1]
+			baseTS, baseSeq, basePath = newest.pos.ts, newest.pos.seq, newest.path
 		}
 		var latest *memgraph.Graph
 		if basePath != "" {
@@ -548,21 +569,20 @@ func (s *Store) recover() (err error) {
 			snaps = snaps[:len(snaps)-1]
 			continue
 		}
-		// Register the surviving snapshots in the rebuilt snapshot index and
-		// seed the running footprint counter (the only time snapshot files
-		// are stat'ed). A snapshot superseded by a later one at the same
-		// timestamp is garbage — its file is removed here.
+		// Catalogue the surviving snapshots and seed the running footprint
+		// counter (the only time snapshot files are stat'ed). A snapshot
+		// superseded by a later one at the same timestamp is garbage — its
+		// file is removed here.
 		var snapBytes int64
+		s.snaps = snaps[:0]
 		for i, sn := range snaps {
-			if i+1 < len(snaps) && snaps[i+1].ts == sn.ts {
+			if i+1 < len(snaps) && snaps[i+1].pos.ts == sn.pos.ts {
 				if rerr := s.fs.Remove(sn.path); rerr != nil {
 					return rerr
 				}
 				continue
 			}
-			if perr := s.snapIdx.Put(enc.KeyTSPrefix(sn.ts), []byte(sn.path)); perr != nil {
-				return perr
-			}
+			s.snaps = append(s.snaps, sn)
 			if sz, serr := s.fs.Stat(sn.path); serr == nil {
 				snapBytes += sz
 			}
@@ -591,13 +611,9 @@ func (s *Store) recover() (err error) {
 	return nil
 }
 
-// Append writes one committed update into the log and time index, applies
-// it to the latest in-memory graph, and runs the snapshot policy. Updates
-// must arrive in non-decreasing timestamp order.
+// Append writes one committed update: AppendBatch of a single update.
 func (s *Store) Append(u model.Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(u)
+	return s.AppendBatch([]model.Update{u})
 }
 
 // AppendBatch appends a batch of updates under one lock acquisition (the
@@ -657,6 +673,10 @@ func (s *Store) AppendBatch(us []model.Update) error {
 		return err
 	}
 	for i, u := range us {
+		// Timestamp boundary: the latest graph is complete at s.lastTS — the
+		// only moment a policy snapshot may capture it. Capturing mid-
+		// timestamp would poison the GraphStore with a state no (ts) query
+		// key can name.
 		if u.TS > s.lastTS && s.activeCount > 0 {
 			s.maybeSnapshotLocked(s.lastTS)
 		}
@@ -679,63 +699,6 @@ func (s *Store) AppendBatch(us []model.Update) error {
 		s.opsSinceSnap++
 		s.bytesSinceSnap += int64(len(payloads[i]))
 	}
-	return nil
-}
-
-func (s *Store) appendLocked(u model.Update) error {
-	if s.sealErr != nil {
-		return s.sealErr
-	}
-	if u.TS < 0 {
-		return fmt.Errorf("timestore: %w: negative ts %d", model.ErrNonMonotonic, u.TS)
-	}
-	if u.TS < s.lastTS {
-		return fmt.Errorf("timestore: %w: ts %d after %d", model.ErrNonMonotonic, u.TS, s.lastTS)
-	}
-	// Timestamp boundary: the latest graph is complete at s.lastTS — the
-	// only moment a policy snapshot (or a partition seal, which subsumes
-	// one) may capture it. Capturing mid-timestamp would poison the
-	// GraphStore with a state no (ts) query key can name.
-	if u.TS > s.lastTS && s.activeCount > 0 {
-		if s.opts.PartitionEvery > 0 && s.activeCount >= s.opts.PartitionEvery {
-			if err := s.sealActiveLocked(); err != nil {
-				return err
-			}
-		} else {
-			s.maybeSnapshotLocked(s.lastTS)
-		}
-	}
-	payload, err := s.codec.AppendUpdate(s.encBuf[:0], u)
-	if err != nil {
-		return err
-	}
-	s.encBuf = payload[:0]
-	// Same strings-before-log flush ordering as AppendBatch: see there.
-	if err := s.codec.Strings.Flush(); err != nil {
-		return err
-	}
-	off, err := s.log.Append(payload)
-	if err != nil {
-		return err
-	}
-	if u.TS == s.lastTS {
-		s.seq++
-	} else {
-		s.lastTS, s.seq = u.TS, 0
-	}
-	if err := s.timeIdx.Put(enc.KeyTS(u.TS, s.seq), enc.U64Value(uint64(off))); err != nil {
-		return err
-	}
-	if err := s.gs.ApplyToLatest(u); err != nil {
-		return err
-	}
-	s.updateCount++
-	s.activeCount++
-	if s.activeCount == 1 {
-		s.activeMinTS = u.TS
-	}
-	s.opsSinceSnap++
-	s.bytesSinceSnap += int64(len(payload))
 	return nil
 }
 
@@ -789,147 +752,19 @@ func (s *Store) CreateSnapshot() error {
 }
 
 func (s *Store) createSnapshotLocked() error {
-	g := s.gs.Latest()
-	ts := g.Timestamp()
-	path := filepath.Join(s.opts.Dir, snapFileName(ts, s.seq))
-	var replaced int64
-	if sz, err := s.fs.Stat(path); err == nil {
-		replaced = sz
-	}
-	n, err := s.writeSnapshotAtomic(path, g)
-	if err != nil {
-		s.recordSnapshotError(err)
-		return err
-	}
-	if err := s.snapIdx.Put(enc.KeyTSPrefix(ts), []byte(path)); err != nil {
-		s.recordSnapshotError(err)
-		return err
-	}
 	// Unlike policy snapshots, an eager snapshot may land mid-timestamp
 	// (more updates at ts can still arrive), so the graph must NOT enter
 	// the GraphStore: the cache only ever holds graphs complete at their
 	// timestamp. The file itself is fine — its name carries the exact
 	// (ts, seq) position, which disk-floor lookups honour.
+	g := s.gs.Latest()
+	if err := s.persistSnapshot(g, s.seq); err != nil {
+		return err
+	}
 	s.opsSinceSnap = 0
 	s.bytesSinceSnap = 0
-	s.lastSnapTS = ts
-	s.snapshotCount.Add(1)
-	s.snapshotBytes.Add(n - replaced)
+	s.lastSnapTS = g.Timestamp()
 	return nil
-}
-
-// writeSnapshotAtomic persists a snapshot with the atomic-replace protocol:
-// write to path+".tmp", fsync the file, rename over the final name, fsync
-// the directory. A crash at any point leaves either the complete previous
-// snapshot set (leftover tmps are removed by recover) or the complete new
-// snapshot — never a half-written file under a live name.
-func (s *Store) writeSnapshotAtomic(path string, g *memgraph.Graph) (int64, error) {
-	tmp := path + ".tmp"
-	n, err := s.writeSnapshotFile(tmp, g)
-	if err != nil {
-		_ = s.fs.Remove(tmp)
-		return 0, err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		_ = s.fs.Remove(tmp)
-		return 0, err
-	}
-	if err := s.fs.SyncDir(s.opts.Dir); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// writeSnapshotFileSeq is the single-threaded snapshot writer (the
-// ParallelIO=1 path): a framed sequence of insertion updates in the Fig 3
-// record format. The parallel writer in parallel.go produces byte-identical
-// files; this loop is the reference implementation. The file is fsynced
-// before close so writeSnapshotAtomic's rename only publishes durable bytes.
-func (s *Store) writeSnapshotFileSeq(path string, g *memgraph.Graph) (int64, error) {
-	f, err := s.fs.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w := bufio.NewWriterSize(&vfs.SeqWriter{F: f}, 1<<16)
-	var written int64
-	var hdr [8]byte
-	buf := make([]byte, 0, 256)
-	for _, u := range g.Export() {
-		buf = buf[:0]
-		buf, err = s.codec.AppendUpdate(buf, u)
-		if err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(buf)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(buf))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-		if _, err := w.Write(buf); err != nil {
-			return written, errors.Join(err, f.Close())
-		}
-		written += int64(len(hdr) + len(buf))
-	}
-	if err := w.Flush(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	// Snapshot records hold string refs: the table must be durable before
-	// the snapshot bytes are.
-	if err := s.codec.Strings.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	if err := f.Sync(); err != nil {
-		return written, errors.Join(err, f.Close())
-	}
-	return written, f.Close()
-}
-
-func (s *Store) loadSnapshotFileSeq(ctx context.Context, path string, ts model.Timestamp) (g *memgraph.Graph, err error) {
-	f, err := s.fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer vfs.CloseChecked(f, &err)
-	sr, err := vfs.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	r := bufio.NewReaderSize(sr, 1<<16)
-	g = memgraph.New()
-	var hdr [8]byte
-	for records := 0; ; records++ {
-		// Snapshot files can hold millions of records; a stride check keeps
-		// a cancelled load from running to completion anyway.
-		if records%frameBatchRecords == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("timestore: snapshot read: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("timestore: snapshot body: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("timestore: snapshot checksum mismatch in %s", path)
-		}
-		u, err := s.codec.DecodeUpdate(payload)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.Apply(u); err != nil {
-			return nil, err
-		}
-	}
-	g.SetTimestamp(ts)
-	return g, nil
 }
 
 // Stats reports store counters for the benchmark harness.
@@ -978,7 +813,7 @@ func (s *Store) Stats() Stats {
 		Updates:           s.updateCount,
 		Snapshots:         int(s.snapshotCount.Load()),
 		LogBytes:          s.log.Size() + s.sealedLogBytes.Load(),
-		IndexBytes:        s.timeIdx.DiskBytes() + s.snapIdx.DiskBytes(),
+		IndexBytes:        s.timeIdx.DiskBytes(),
 		SnapshotBytes:     s.snapshotBytes.Load(),
 		SealedPartitions:  int(s.sealedCount.Load()),
 		DeltaSnapshots:    int(s.deltaSnaps.Load()),
@@ -1016,16 +851,13 @@ func (s *Store) LatestTimestamp() model.Timestamp {
 // intermediate results, Sec 5.2).
 func (s *Store) GraphStore() *graphstore.Store { return s.gs }
 
-// Flush persists indexes and the log, after draining in-flight snapshots.
-// The string table is synced before the log: log records hold positional
-// refs into it, so a log byte must never become durable ahead of the
-// strings it references.
+// Flush persists the time index and the log, after draining in-flight
+// snapshots. The string table is synced before the log: log records hold
+// positional refs into it, so a log byte must never become durable ahead of
+// the strings it references.
 func (s *Store) Flush() error {
 	s.snapWG.Wait()
 	if err := s.timeIdx.Flush(); err != nil {
-		return err
-	}
-	if err := s.snapIdx.Flush(); err != nil {
 		return err
 	}
 	if err := s.codec.Strings.Sync(); err != nil {
