@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover bench-smoke benchmark-smoke fuzz-smoke stress replica-smoke seal-sweep failover-sweep
+.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,11 @@ cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./internal/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
+# Non-test Go lines under internal/ and cmd/: the number every simplicity
+# PR's acceptance quotes.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
+
 # One iteration of the read-path micro-benchmarks (enough to catch
 # regressions in the pipeline wiring without a full benchmark run), the
 # commit-throughput suite (group-commit pipeline vs serialised committers),
@@ -46,6 +51,14 @@ bench-smoke:
 # on any oracle mismatch, lost durable write or broken layer isolation.
 benchmark-smoke:
 	bash benchmark/run.sh -seconds 1 -seed 1
+
+# The behaviour criterion of a refactor, mechanically: benchmark-smoke on
+# PARENT (a git ref) and on this tree, then a field-by-field diff of the
+# `# exact:` counters; fails when a field not listed in ALLOW differs.
+#   make exact-diff PARENT=HEAD~1 ALLOW=disk_bytes
+ALLOW ?=
+exact-diff:
+	bash scripts/exact-diff.sh $(PARENT) $(ALLOW)
 
 # Concurrent serving-path stress under the race detector: mixed
 # reader/writer bolt clients against an undersized admission limit, plus the

@@ -172,7 +172,7 @@ func RunFig9(c Config, dir func(string) string, batchSize, writers int) ([]Fig9R
 type Fig10Row struct {
 	Dataset       string
 	Neo4jBytes    int64   // host records + property chains + retained txn logs
-	TimeBytes     int64   // log + time index + snapshots
+	TimeBytes     int64   // log + snapshots (the fences are memory only)
 	LineageBytes  int64   // four B+Trees
 	OverheadRatio float64 // (Time+Lineage) / Neo4j
 }

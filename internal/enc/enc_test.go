@@ -201,10 +201,6 @@ func TestKeyParseRoundTrip(t *testing.T) {
 	if rid != 5 || rts != model.TSInfinity {
 		t.Error("rel key parse with infinity")
 	}
-	kts, seq := ParseKeyTS(KeyTS(123, 45))
-	if kts != 123 || seq != 45 {
-		t.Error("ts key parse")
-	}
 	r, del := ParseNeighValue(NeighValue(9, true))
 	if r != 9 || !del {
 		t.Error("neigh value parse")
@@ -212,21 +208,6 @@ func TestKeyParseRoundTrip(t *testing.T) {
 	r, del = ParseNeighValue(NeighValue(10, false))
 	if r != 10 || del {
 		t.Error("neigh value parse live")
-	}
-	if ParseU64Value(U64Value(1<<40)) != 1<<40 {
-		t.Error("u64 value parse")
-	}
-}
-
-func TestTSPrefixBoundsRange(t *testing.T) {
-	lo := KeyTSPrefix(100)
-	k := KeyTS(100, 0)
-	if bytes.Compare(lo, k) > 0 {
-		t.Error("prefix must sort <= full key at same ts")
-	}
-	hi := KeyTSPrefix(101)
-	if bytes.Compare(k, hi) >= 0 {
-		t.Error("full key at ts must sort < next ts prefix")
 	}
 }
 

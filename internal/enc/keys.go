@@ -18,26 +18,6 @@ func putU64(b []byte, v uint64) []byte {
 	return append(b, x[:]...)
 }
 
-// KeyTS encodes a TimeStore log-index key: (ts, seq). The sequence number
-// disambiguates multiple updates committed at the same timestamp.
-func KeyTS(ts model.Timestamp, seq uint32) []byte {
-	b := make([]byte, 0, 12)
-	b = putU64(b, uint64(ts))
-	var s [4]byte
-	binary.BigEndian.PutUint32(s[:], seq)
-	return append(b, s[:]...)
-}
-
-// KeyTSPrefix encodes the timestamp-only prefix of KeyTS for range bounds.
-func KeyTSPrefix(ts model.Timestamp) []byte {
-	return putU64(make([]byte, 0, 8), uint64(ts))
-}
-
-// ParseKeyTS decodes a key written by KeyTS.
-func ParseKeyTS(k []byte) (model.Timestamp, uint32) {
-	return model.Timestamp(binary.BigEndian.Uint64(k)), binary.BigEndian.Uint32(k[8:])
-}
-
 // KeyNode encodes a LineageStore node key: (nodeId, ts).
 func KeyNode(id model.NodeID, ts model.Timestamp) []byte {
 	b := make([]byte, 0, 16)
@@ -119,9 +99,3 @@ func NeighValue(rel model.RelID, deleted bool) []byte {
 func ParseNeighValue(v []byte) (model.RelID, bool) {
 	return model.RelID(binary.BigEndian.Uint64(v)), len(v) > 8 && v[8] != 0
 }
-
-// U64Value encodes a plain uint64 value (e.g. a log offset).
-func U64Value(v uint64) []byte { return putU64(make([]byte, 0, 8), v) }
-
-// ParseU64Value decodes a value written by U64Value.
-func ParseU64Value(b []byte) uint64 { return binary.BigEndian.Uint64(b) }

@@ -26,7 +26,10 @@ func catalogueFloor(s *Store, ts model.Timestamp) string {
 // per timestamp, a later snapshot at the same timestamp superseding the
 // earlier, eager mid-timestamp snapshots included, everything retired by a
 // seal, and the same answers after a reopen re-derives the catalogue from
-// the file names.
+// the file names. It also pins which loaded snapshot files enter the
+// GraphStore — only those complete at their timestamp, as the time.idx
+// probe the fence walk replaced decided — and that neither index file
+// survives an Open.
 func TestSnapshotCatalogueFloor(t *testing.T) {
 	node := func(ts model.Timestamp, id int) model.Update {
 		return model.AddNode(ts, model.NodeID(id), []string{"N"}, nil)
@@ -36,6 +39,7 @@ func TestSnapshotCatalogueFloor(t *testing.T) {
 		snap5b = "snap-0000000000000005-00000002.snap"
 		snap8  = "snap-0000000000000008-00000000.snap"
 		snap12 = "snap-000000000000000c-00000000.snap"
+		snap13 = "snap-000000000000000d-00000000.snap"
 	)
 	type floors map[model.Timestamp]string
 	stages := []struct {
@@ -43,6 +47,8 @@ func TestSnapshotCatalogueFloor(t *testing.T) {
 		do     func(t *testing.T, s *Store) // nil: close and reopen
 		want   floors
 		onDisk []string // snapshot files expected in the directory afterwards
+		// cached: after GetGraph(ts) loaded the floor file, is ts in the cache?
+		cached map[model.Timestamp]bool
 	}{
 		{
 			name: "eager mid-timestamp snapshot",
@@ -100,9 +106,43 @@ func TestSnapshotCatalogueFloor(t *testing.T) {
 			want:   floors{10: "", 11: "", 12: snap12, 100: snap12},
 			onDisk: []string{snap12},
 		},
+		{
+			name:   "update at the snapshot's timestamp: loaded, not cached",
+			do:     func(t *testing.T, s *Store) { appendAll(t, s, node(12, 9)) },
+			want:   floors{12: snap12},
+			onDisk: []string{snap12},
+			cached: map[model.Timestamp]bool{12: false},
+		},
+		{
+			name:   "still not cached after reopen",
+			want:   floors{12: snap12},
+			onDisk: []string{snap12},
+			cached: map[model.Timestamp]bool{12: false},
+		},
+		{
+			name: "only later timestamps follow: cached",
+			do: func(t *testing.T, s *Store) {
+				appendAll(t, s, node(13, 10))
+				snapshotNow(t, s)
+				appendAll(t, s, node(14, 11))
+			},
+			want:   floors{12: snap12, 13: snap13, 100: snap13},
+			onDisk: []string{snap12, snap13},
+			cached: map[model.Timestamp]bool{12: false, 13: true},
+		},
+		{
+			name:   "cached again after reopen",
+			want:   floors{12: snap12, 13: snap13, 100: snap13},
+			onDisk: []string{snap12, snap13},
+			cached: map[model.Timestamp]bool{12: false, 13: true},
+		},
 	}
 
 	dir := t.TempDir()
+	// A store written before the fence list left a time index behind.
+	if err := os.WriteFile(filepath.Join(dir, "time.idx"), make([]byte, 8192), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	codec := enc.NewCodec(strstore.NewMem())
 	open := func() *Store {
 		s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 1 << 30, PartitionEvery: 7})
@@ -141,9 +181,26 @@ func TestSnapshotCatalogueFloor(t *testing.T) {
 				break
 			}
 		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snap.idx")); !os.IsNotExist(err) {
-		t.Errorf("snap.idx must not exist any more (stat: %v)", err)
+		for ts, want := range st.cached {
+			g, err := s.GetGraph(ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.NodeCount() != int(ts)-2 { // one node per update: ids 0..ts-3
+				t.Errorf("%s: GetGraph(%d) has %d nodes, want %d", st.name, ts, g.NodeCount(), ts-2)
+			}
+			if _, got := s.gs.Get(ts); got != want {
+				t.Errorf("%s: snapshot at %d cached = %v, want %v", st.name, ts, got, want)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range []string{"snap.idx", "time.idx"} {
+			if _, err := os.Stat(filepath.Join(dir, idx)); !os.IsNotExist(err) {
+				t.Errorf("%s: %s must not exist (stat: %v)", st.name, idx, err)
+			}
+		}
 	}
 }
 

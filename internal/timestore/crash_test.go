@@ -24,7 +24,7 @@ import (
 
 // genWorkload builds a deterministic, valid update stream: node/rel
 // inserts, property updates, rel deletes, with occasionally repeated
-// timestamps (exercising the time index's sequence numbers).
+// timestamps (exercising per-timestamp sequence numbers).
 func genWorkload(n int) []model.Update {
 	rng := rand.New(rand.NewSource(42))
 	type relInfo struct {

@@ -77,11 +77,7 @@ func (s *Store) compactPartition(ctx context.Context, p *sealedPart, entry *memg
 			derr = aerr
 			return false
 		}
-		if u.TS == cur.ts {
-			cur.seq++
-		} else {
-			cur = position{ts: u.TS, seq: 0}
-		}
+		cur = cur.next(u.TS)
 		seg = append(seg, u)
 		return true
 	})

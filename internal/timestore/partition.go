@@ -24,11 +24,9 @@ import (
 	"strconv"
 	"strings"
 
-	"aion/internal/btree"
 	"aion/internal/enc"
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/pagecache"
 	"aion/internal/vfs"
 	"aion/internal/wal"
 )
@@ -46,12 +44,13 @@ type position struct {
 // seqComplete marks a position that covers all updates at its timestamp.
 const seqComplete = ^uint32(0)
 
-// startKey is the time-index key of the first update strictly past p.
-func (p position) startKey() []byte {
-	if p.seq == seqComplete {
-		return enc.KeyTSPrefix(p.ts + 1)
+// next is the position of a record at timestamp ts that directly follows
+// position p in the stream.
+func (p position) next(ts model.Timestamp) position {
+	if ts == p.ts {
+		return position{ts: ts, seq: p.seq + 1}
 	}
-	return enc.KeyTS(p.ts, p.seq+1)
+	return position{ts: ts}
 }
 
 // chainElem is one persisted materialization: an element of a sealed
@@ -463,8 +462,9 @@ func (s *Store) doSeal() error {
 // sealSurgery performs the on-disk transition under sealMu: makes the
 // active log durable, retires the per-active derived state, moves the log
 // under the partition directory, commits the seal with the marker, and
-// installs a fresh empty active log + time index. The open log handle stays
-// valid across the rename, so the sealed segment is never reopened.
+// installs a fresh empty active log with an empty fence list. The open log
+// handle stays valid across the rename, so the sealed segment is never
+// reopened.
 func (s *Store) sealSurgery(dir, pdir string, m partMarker) (*sealedPart, error) {
 	s.sealMu.Lock()
 	defer s.sealMu.Unlock()
@@ -481,15 +481,8 @@ func (s *Store) sealSurgery(dir, pdir string, m partMarker) (*sealedPart, error)
 	if err := s.log.Sync(); err != nil {
 		return nil, err
 	}
-	// 2. Drop the derived per-active state: the time index (rebuilt empty
-	// for the new active) and the catalogued snapshot files, which the
-	// partition's chain supersedes.
-	if err := s.timeCache.Close(); err != nil {
-		return nil, err
-	}
-	if err := s.fs.Remove(filepath.Join(dir, "time.idx")); err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
+	// 2. Drop the catalogued snapshot files, which the partition's chain
+	// supersedes.
 	for _, e := range s.resetSnapshots() {
 		if sz, serr := s.fs.Stat(e.path); serr == nil {
 			s.snapshotBytes.Add(-sz)
@@ -518,21 +511,13 @@ func (s *Store) sealSurgery(dir, pdir string, m partMarker) (*sealedPart, error)
 	if err := s.fs.SyncDir(pdir); err != nil {
 		return nil, err
 	}
-	// 5. Fresh active log and time index under the original names.
+	// 5. Fresh active log under the original name.
 	newLog, err := wal.OpenFS(s.fs, filepath.Join(dir, "updates.log"))
 	if err != nil {
 		return nil, err
 	}
-	timeCache, err := pagecache.OpenFS(s.fs, filepath.Join(dir, "time.idx"), s.opts.IndexCachePages)
-	if err != nil {
-		return nil, err
-	}
-	timeIdx, err := btree.Open(timeCache)
-	if err != nil {
-		return nil, err
-	}
 	// One top-level sync publishes the whole transition: the log's renamed-
-	// away old name, the fresh log and index files. Until it runs, a crash
+	// away old name and the fresh log file. Until it runs, a crash
 	// resurrects the old directory state — which recovery handles via the
 	// marker (sealed: stale pre-seal records in the resurfaced active log
 	// are skipped) or its absence (rollback).
@@ -545,14 +530,14 @@ func (s *Store) sealSurgery(dir, pdir string, m partMarker) (*sealedPart, error)
 		entryTS: m.entryTS, entrySeq: m.entrySeq, endSeq: m.endSeq,
 		count: m.count, log: s.log,
 	}
-	s.log, s.timeCache, s.timeIdx = newLog, timeCache, timeIdx
+	s.log = newLog
+	s.resetFences() // they indexed the sealed segment
 	s.parts = append(s.parts, p)
 	s.sealedCount.Add(1)
 	s.sealedLogBytes.Add(p.log.Size())
 	s.entryTS, s.entrySeq = p.maxTS, p.endSeq
 	s.activeCount = 0
 	s.opsSinceSnap, s.bytesSinceSnap = 0, 0
-	s.lastSnapTS = p.maxTS
 	return p, nil
 }
 

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"aion/internal/enc"
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/pool"
+	"aion/internal/wal"
 )
 
 // The query API comes in pairs following the database/sql convention:
@@ -25,7 +25,7 @@ import (
 // GetDiff returns all graph updates with start <= ts < end in commit order
 // (Table 1). History before the sealed boundary is gathered from the
 // partitions' immutable log segments in parallel (scatter-gather); the
-// active tail is located through the time index and range-scanned.
+// active tail is located through the fence list and range-scanned.
 func (s *Store) GetDiff(start, end model.Timestamp) ([]model.Update, error) {
 	return s.GetDiffContext(context.Background(), start, end)
 }
@@ -66,14 +66,13 @@ func (p position) before(q position) bool {
 
 // scanFromLocked streams every update strictly after position from and with
 // timestamp < end to fn in commit order. Sealed partitions overlapping the
-// range are read as a scatter-gather: partition segments are replayed by
-// pool workers concurrently (each from its chain's floor offset, so a scan
-// deep inside history skips the partition prefix) while the consumer hands
-// the collected runs to fn in partition order; the active tail follows via
-// the time index. Caller holds sealMu (either mode). Mid-timestamp from
+// range are read as a scatter-gather: partition segments are walked by pool
+// workers concurrently (each from its chain's floor fence, so a scan deep
+// inside history skips the partition prefix) while the consumer hands the
+// collected runs to fn in partition order; the active tail follows from its
+// floor fence. Caller holds sealMu (either mode). Mid-timestamp from
 // positions can only name points inside the active partition (snapshots
-// never straddle a seal), so sealed segments are filtered by timestamp
-// alone.
+// never straddle a seal), so the chains' timestamp-only floor is exact.
 func (s *Store) scanFromLocked(ctx context.Context, from position, end model.Timestamp, fn func(u model.Update) bool) error {
 	var overlap []*sealedPart
 	for _, p := range s.parts {
@@ -96,7 +95,7 @@ func (s *Store) scanFromLocked(ctx context.Context, from position, end model.Tim
 				return nil
 			},
 			func(p *sealedPart) ([]model.Update, error) {
-				return s.collectPart(ctx, p, from.ts, end)
+				return s.collectPart(ctx, p, from, end)
 			},
 			func(us []model.Update) error {
 				for _, u := range us {
@@ -111,47 +110,55 @@ func (s *Store) scanFromLocked(ctx context.Context, from position, end model.Tim
 			return err
 		}
 	}
-	// Active tail: the time index holds only active-partition entries, so
-	// the floor lookup lands on the first live record past from even when
-	// from predates the sealed boundary.
-	var off int64 = -1
-	err := s.timeIdx.Scan(from.startKey(), nil, func(k, v []byte) bool {
-		off = int64(enc.ParseU64Value(v))
-		return false
-	})
-	if err != nil {
-		return err
+	return s.scanActiveLocked(ctx, s.opts.ParallelIO, from, end, fn)
+}
+
+// scanActiveLocked walks the active log from from's floor fence. The fences
+// cover only live active-partition records, so the floor lands at or before
+// the first one past from even when from predates the sealed boundary.
+// Caller holds sealMu (either mode).
+func (s *Store) scanActiveLocked(ctx context.Context, workers int, from position, end model.Timestamp, fn func(u model.Update) bool) error {
+	start, ok := s.fenceFloor(from)
+	if !ok {
+		return nil // the active partition is empty
 	}
-	if off < 0 {
-		return nil // nothing past from in the active partition
-	}
-	return s.replayLog(ctx, off, func(_ int64, u model.Update) bool {
+	return s.scanSegment(ctx, s.log, workers, start, from, end, fn)
+}
+
+// scanSegment is the one walk over a log segment, sealed or active: from
+// the record at start.off it numbers every record off the fence's position
+// and hands those strictly after from, up to the first with timestamp >=
+// end, to fn. Records at or before from (at most a fence stride, or a
+// chain segment's head) are discarded unseen — fn counts only what it
+// applies.
+func (s *Store) scanSegment(ctx context.Context, l *wal.Log, workers int, start fence, from position, end model.Timestamp, fn func(u model.Update) bool) error {
+	cur := start.pos
+	return s.replayWal(ctx, l, workers, start.off, func(_ int64, u model.Update) bool {
 		if u.TS >= end {
 			return false
+		}
+		cur = cur.next(u.TS)
+		if !from.before(cur) {
+			return true // at or before from: not part of the answer
 		}
 		return fn(u)
 	})
 }
 
-// collectPart replays one sealed partition's segment, collecting the
-// updates with fromTS < ts < end. The chain accelerates the start: replay
-// begins at the floor element's first-uncovered offset instead of 0. Runs
-// on a pool worker, so it replays with one worker (nesting another pool per
-// partition would oversubscribe); decoded updates do not alias the scan's
-// readahead buffers.
-func (s *Store) collectPart(ctx context.Context, p *sealedPart, fromTS model.Timestamp, end model.Timestamp) ([]model.Update, error) {
-	var start int64
-	if j := chainFloor(p.chain, fromTS); j >= 0 {
-		start = p.chain[j].logOff
+// collectPart gathers one sealed partition's updates after from with
+// timestamp < end. The chain accelerates the start: the walk begins at the
+// floor element's fence instead of the partition's entry. Runs on a pool
+// worker, so it replays with one worker (nesting another pool per partition
+// would oversubscribe); decoded updates do not alias the scan's readahead
+// buffers.
+func (s *Store) collectPart(ctx context.Context, p *sealedPart, from position, end model.Timestamp) ([]model.Update, error) {
+	start := fence{pos: position{ts: p.entryTS, seq: p.entrySeq}}
+	if j := chainFloor(p.chain, from.ts); j >= 0 {
+		start = fence{pos: p.chain[j].pos, off: p.chain[j].logOff}
 	}
 	var out []model.Update
-	err := s.replayWal(ctx, p.log, 1, start, func(_ int64, u model.Update) bool {
-		if u.TS >= end {
-			return false
-		}
-		if u.TS > fromTS {
-			out = append(out, u)
-		}
+	err := s.scanSegment(ctx, p.log, 1, start, from, end, func(u model.Update) bool {
+		out = append(out, u)
 		return true
 	})
 	return out, err
@@ -232,11 +239,18 @@ func (s *Store) basePosLocked(ctx context.Context, ts model.Timestamp) (*memgrap
 		if err != nil {
 			return nil, position{}, err
 		}
-		// Cache only if the snapshot is complete at its timestamp: absence
-		// of a time-index entry for the next sequence proves no later
-		// update at that timestamp was committed. Put caches a CoW clone,
-		// so g itself is handed back either way.
-		if _, found, gerr := s.timeIdx.Get(enc.KeyTS(best.ts, best.seq+1)); gerr == nil && !found {
+		// Cache only if the snapshot is complete at its timestamp: no
+		// record past its position carries that timestamp. Put caches a CoW
+		// clone, so g itself is handed back either way.
+		complete := true
+		err = s.scanActiveLocked(ctx, 1, best, best.ts+1, func(model.Update) bool {
+			complete = false
+			return false
+		})
+		if err != nil {
+			return nil, position{}, err
+		}
+		if complete {
 			s.gs.Put(g)
 		}
 		return g, best, nil

@@ -1,8 +1,9 @@
 // Package timestore implements TimeStore (Sec 4.3), Aion's snapshot-based
 // temporal store: a single append-only log of all graph changes ordered by
-// commit timestamp, a B+Tree indexing the log by time, eagerly created full
-// snapshots governed by a user-defined policy (operation- or time-based)
-// and catalogued in memory from their file names, and the in-memory
+// commit timestamp, a sparse in-memory fence list turning a stream position
+// into a log offset (derived from the log at Open), eagerly created full
+// snapshots governed by a user-defined policy (operation- or log-bytes-
+// based) and catalogued in memory from their file names, and the in-memory
 // GraphStore LRU cache to avoid snapshot I/O. Retrieving a graph at an
 // arbitrary timestamp fetches the closest snapshot and replays the forward
 // changes from the log.
@@ -12,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -22,12 +22,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aion/internal/btree"
 	"aion/internal/enc"
 	"aion/internal/graphstore"
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/pagecache"
 	"aion/internal/pool"
 	"aion/internal/vfs"
 	"aion/internal/wal"
@@ -35,15 +33,11 @@ import (
 
 // Options configures a TimeStore.
 type Options struct {
-	// Dir is the directory for the log, index, and snapshot files. It must
-	// exist.
+	// Dir is the directory for the log and snapshot files. It must exist.
 	Dir string
 	// SnapshotEveryOps triggers a snapshot after this many updates
 	// (operation-based policy, the paper's default). <= 0 disables.
 	SnapshotEveryOps int
-	// SnapshotEveryTime triggers a snapshot when this much logical time has
-	// passed since the previous snapshot (time-based policy). <= 0 disables.
-	SnapshotEveryTime model.Timestamp
 	// SnapshotEveryBytes triggers a snapshot after this many log bytes have
 	// been appended since the previous snapshot. <= 0 disables. This is the
 	// store's default policy when no other is configured: unlike the
@@ -53,8 +47,6 @@ type Options struct {
 	// ones, and the trigger cost stays off the ingest path (the background
 	// worker does the serialization either way).
 	SnapshotEveryBytes int64
-	// IndexCachePages is the page-cache budget for the time index B+Tree.
-	IndexCachePages int
 	// GraphStoreBytes is the byte budget of the in-memory snapshot cache.
 	GraphStoreBytes int64
 	// ParallelIO is the worker count of the snapshot (de)serialization and
@@ -83,11 +75,8 @@ type Options struct {
 const DefaultSnapshotEveryBytes = 4 << 20
 
 func (o *Options) defaults() {
-	if o.SnapshotEveryOps == 0 && o.SnapshotEveryTime == 0 && o.SnapshotEveryBytes == 0 {
+	if o.SnapshotEveryOps == 0 && o.SnapshotEveryBytes == 0 {
 		o.SnapshotEveryBytes = DefaultSnapshotEveryBytes
-	}
-	if o.IndexCachePages <= 0 {
-		o.IndexCachePages = 1024
 	}
 	if o.GraphStoreBytes <= 0 {
 		o.GraphStoreBytes = 256 << 20
@@ -109,10 +98,14 @@ type Store struct {
 	fs    vfs.FS
 	codec *enc.Codec
 	log   *wal.Log
-	// timeIdx maps KeyTS(ts, seq) -> log offset (active partition only).
-	timeIdx   *btree.Tree
-	timeCache *pagecache.Cache
-	gs        *graphstore.Store
+	gs    *graphstore.Store
+
+	// fences is the active log's only index: the fence of its first live
+	// record and of every fenceStride-th after it, in stream order. Appended
+	// under s.mu, read by queries that hold only sealMu, hence its own lock.
+	// Lock order: s.mu, sealMu, fenceMu; no I/O runs under fenceMu.
+	fenceMu sync.Mutex
+	fences  []fence
 
 	// snaps catalogues the active partition's published snapshot files,
 	// sorted by timestamp with one entry per timestamp (a later snapshot at
@@ -125,7 +118,7 @@ type Store struct {
 
 	// sealMu serializes partition-set transitions against readers: queries
 	// take the read side for their whole partition walk, sealSurgery takes
-	// the write side while it swaps the active log and indexes. Lock order
+	// the write side while it swaps the active log and its fences. Lock order
 	// is always s.mu before sealMu.
 	sealMu sync.RWMutex
 	// parts are the sealed partitions, oldest first (guarded by sealMu for
@@ -149,7 +142,6 @@ type Store struct {
 	seq            uint32
 	opsSinceSnap   int
 	bytesSinceSnap int64
-	lastSnapTS     model.Timestamp
 	updateCount    uint64
 	snapshotCount  atomic.Int64
 	sealedCount    atomic.Int64
@@ -223,29 +215,11 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The time index is fully derivable — recover() replays the whole log,
-	// re-putting every entry — so it is rebuilt from scratch on every open.
-	// That costs nothing beyond the replay recovery already does, and it
-	// means a torn index page (the page cache writes in place, with no
-	// write-ahead protection of its own) can never poison recovery.
-	if rerr := fs.Remove(filepath.Join(opts.Dir, "time.idx")); rerr != nil && !os.IsNotExist(rerr) {
-		return nil, fmt.Errorf("timestore: reset time index: %w", rerr)
-	}
-	idxCache, err := pagecache.OpenFS(fs, filepath.Join(opts.Dir, "time.idx"), opts.IndexCachePages)
-	if err != nil {
-		return nil, err
-	}
-	timeIdx, err := btree.Open(idxCache)
-	if err != nil {
-		return nil, err
-	}
 	s := &Store{
 		opts:       opts,
 		fs:         fs,
 		codec:      codec,
 		log:        log,
-		timeIdx:    timeIdx,
-		timeCache:  idxCache,
 		gs:         graphstore.New(opts.GraphStoreBytes),
 		parts:      parts,
 		snapCh:     make(chan snapJob, 2),
@@ -255,9 +229,9 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	if err := s.recover(); err != nil {
 		return nil, fmt.Errorf("timestore: recover: %w", err)
 	}
-	// Make the directory entries of everything Open created (the log, the
-	// rebuilt index file) and recover deleted (tmps, orphan snapshots)
-	// durable: fsyncing a file's contents does not persist its name.
+	// Make the directory entries of everything Open created (the log) and
+	// recover deleted (tmps, orphan snapshots) durable: fsyncing a file's
+	// contents does not persist its name.
 	if err := fs.SyncDir(opts.Dir); err != nil {
 		return nil, fmt.Errorf("timestore: sync dir: %w", err)
 	}
@@ -337,6 +311,65 @@ func (s *Store) resetSnapshots() []chainElem {
 	old := s.snaps
 	s.snaps = nil
 	return old
+}
+
+// fence pins a point inside a log segment: the stream is complete through
+// pos just before the record at offset off, so a walk that starts there can
+// number every record it meets (same timestamp: seq+1; new timestamp: 0).
+// A sealed chain element's (pos, logOff) is a fence too.
+type fence struct {
+	pos position
+	off int64
+}
+
+// fenceStride is how many active-log records share one fence. A lookup
+// discards at most fenceStride-1 decoded records before the one it wants:
+// at 128 that is half of one replay decode batch (frameBatchRecords) inside
+// a readahead chunk the scan reads and checksums anyway, while the list
+// costs 24 B per 128 updates of memory and a lock once per 128 appends.
+// A constant in production; a variable only so tests can shrink it.
+var fenceStride = 128
+
+// advanceLocked moves the stream position past one live active-log record
+// at timestamp ts and log offset off — fencing it when it opens a stride —
+// and counts it. It is the one bookkeeping step shared by AppendBatch and
+// recovery's replay, so both lay identical fences. Caller holds s.mu (or is
+// Open, before the store is shared).
+func (s *Store) advanceLocked(ts model.Timestamp, off int64) {
+	cur := position{ts: s.lastTS, seq: s.seq}
+	if s.activeCount%fenceStride == 0 {
+		s.fenceMu.Lock()
+		s.fences = append(s.fences, fence{pos: cur, off: off})
+		s.fenceMu.Unlock()
+	}
+	if s.activeCount == 0 {
+		s.activeMinTS = ts
+	}
+	cur = cur.next(ts)
+	s.lastTS, s.seq = cur.ts, cur.seq
+	s.updateCount++
+	s.activeCount++
+}
+
+// fenceFloor returns the newest fence at or before from — the first fence
+// when from predates the active partition — and false when the active log
+// holds no live record.
+func (s *Store) fenceFloor(from position) (fence, bool) {
+	s.fenceMu.Lock()
+	defer s.fenceMu.Unlock()
+	if len(s.fences) == 0 {
+		return fence{}, false
+	}
+	i := sort.Search(len(s.fences), func(k int) bool { return from.before(s.fences[k].pos) }) - 1
+	return s.fences[max(i, 0)], true
+}
+
+// resetFences empties the fence list (a seal starts a fresh active log;
+// each recovery pass lays its fences from scratch).
+func (s *Store) resetFences() {
+	s.fenceMu.Lock()
+	s.fences = nil
+	s.fenceMu.Unlock()
 }
 
 // loadSnapshotFile materializes a snapshot file into a fresh graph stamped
@@ -455,7 +488,7 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 // log bytes were ever fsynced — is deleted, because keeping it would
 // resurrect updates that were never durably logged. The newest surviving
 // snapshot (or the sealed end state) seeds the latest in-memory graph and
-// the log tail past it is replayed on top, rebuilding the time index.
+// the log tail past it is replayed on top; the same pass lays the fences.
 func (s *Store) recover() (err error) {
 	ctx := context.Background()
 	base, err := s.recoverSealed(ctx)
@@ -474,6 +507,12 @@ func (s *Store) recover() (err error) {
 			if rerr := s.fs.Remove(full); rerr != nil {
 				return rerr
 			}
+			continue
+		}
+		if name == "time.idx" {
+			// The on-disk time index of stores written before the fence
+			// list: nothing reads it, so it is dropped, best effort.
+			_ = s.fs.Remove(full)
 			continue
 		}
 		if ts, seq, ok := parseSnapName(name); ok {
@@ -507,38 +546,27 @@ func (s *Store) recover() (err error) {
 		} else {
 			latest = base.Clone()
 		}
-		// Replay the whole active log: every record re-puts its time-index
-		// entry (idempotent across retries) and records past the snapshot's
-		// exact (ts, seq) position advance the latest graph — timestamps
-		// alone cannot place a snapshot, since more updates at the same
-		// timestamp may follow it in the log. Records at or before the
-		// sealed boundary are skipped entirely: they appear only when a
-		// crash between the seal's marker and its top-level directory sync
-		// resurfaced the old pre-seal log under the active name, and their
-		// history already lives in the sealed partition.
+		// Replay the whole active log: every live record is counted and
+		// fenced (from scratch on each retry), and records past the
+		// snapshot's exact (ts, seq) position advance the latest graph —
+		// timestamps alone cannot place a snapshot, since more updates at
+		// the same timestamp may follow it in the log. Records at or before
+		// the sealed boundary are skipped entirely, so the first fence is the
+		// first live record: they appear only when a crash between the seal's
+		// marker and its top-level directory sync resurfaced the old pre-seal
+		// log under the active name, and their history already lives in the
+		// sealed partition.
 		s.lastTS, s.seq = s.entryTS, s.entrySeq
 		s.updateCount = sealedUpdates
 		s.activeCount = 0
+		s.resetFences()
 		firstPastOff := int64(-1) // log offset of the first record past the snapshot
 		var replayErr error
 		err = s.replayLog(ctx, 0, func(off int64, u model.Update) bool {
 			if u.TS <= s.entryTS {
 				return true // stale pre-seal record
 			}
-			s.updateCount++
-			s.activeCount++
-			if s.activeCount == 1 {
-				s.activeMinTS = u.TS
-			}
-			if u.TS == s.lastTS {
-				s.seq++
-			} else {
-				s.lastTS, s.seq = u.TS, 0
-			}
-			if perr := s.timeIdx.Put(enc.KeyTS(u.TS, s.seq), enc.U64Value(uint64(off))); perr != nil {
-				replayErr = perr
-				return false
-			}
+			s.advanceLocked(u.TS, off)
 			if u.TS > baseTS || (u.TS == baseTS && s.seq > baseSeq) {
 				if firstPastOff < 0 {
 					firstPastOff = off
@@ -588,12 +616,6 @@ func (s *Store) recover() (err error) {
 			}
 		}
 		s.snapshotBytes.Store(snapBytes)
-		if s.entryTS > 0 {
-			s.lastSnapTS = s.entryTS // the chains cover through the boundary
-		}
-		if baseTS >= 0 {
-			s.lastSnapTS = baseTS
-		}
 		// Seed the log-bytes policy with the replay debt actually carried
 		// past the seeding snapshot, so a reopened store keeps its bounded
 		// recovery window instead of accruing another full budget first.
@@ -678,23 +700,11 @@ func (s *Store) AppendBatch(us []model.Update) error {
 		// timestamp would poison the GraphStore with a state no (ts) query
 		// key can name.
 		if u.TS > s.lastTS && s.activeCount > 0 {
-			s.maybeSnapshotLocked(s.lastTS)
+			s.maybeSnapshotLocked()
 		}
-		if u.TS == s.lastTS {
-			s.seq++
-		} else {
-			s.lastTS, s.seq = u.TS, 0
-		}
-		if err := s.timeIdx.Put(enc.KeyTS(u.TS, s.seq), enc.U64Value(uint64(offs[i]))); err != nil {
-			return err
-		}
+		s.advanceLocked(u.TS, offs[i])
 		if err := s.gs.ApplyToLatest(u); err != nil {
 			return err
-		}
-		s.updateCount++
-		s.activeCount++
-		if s.activeCount == 1 {
-			s.activeMinTS = u.TS
 		}
 		s.opsSinceSnap++
 		s.bytesSinceSnap += int64(len(payloads[i]))
@@ -702,23 +712,14 @@ func (s *Store) AppendBatch(us []model.Update) error {
 	return nil
 }
 
-// maybeSnapshotLocked runs the snapshot policy (operation-, time-, or
-// log-bytes-based, Sec 4.3) and schedules an asynchronous snapshot when any
-// configured trigger is due. It is called at timestamp boundaries with the
-// just-completed timestamp, so the captured graph is always complete at its
-// timestamp — the invariant every GraphStore entry carries.
-func (s *Store) maybeSnapshotLocked(ts model.Timestamp) {
-	due := false
-	if s.opts.SnapshotEveryOps > 0 && s.opsSinceSnap >= s.opts.SnapshotEveryOps {
-		due = true
-	}
-	if s.opts.SnapshotEveryTime > 0 && ts-s.lastSnapTS >= s.opts.SnapshotEveryTime {
-		due = true
-	}
-	if s.opts.SnapshotEveryBytes > 0 && s.bytesSinceSnap >= s.opts.SnapshotEveryBytes {
-		due = true
-	}
-	if due {
+// maybeSnapshotLocked runs the snapshot policy (operation- or log-bytes-
+// based, Sec 4.3) and schedules an asynchronous snapshot when a configured
+// trigger is due. It is called at timestamp boundaries, so the captured
+// graph is always complete at its timestamp — the invariant every
+// GraphStore entry carries.
+func (s *Store) maybeSnapshotLocked() {
+	if (s.opts.SnapshotEveryOps > 0 && s.opsSinceSnap >= s.opts.SnapshotEveryOps) ||
+		(s.opts.SnapshotEveryBytes > 0 && s.bytesSinceSnap >= s.opts.SnapshotEveryBytes) {
 		s.scheduleSnapshotLocked()
 	}
 }
@@ -735,7 +736,6 @@ func (s *Store) scheduleSnapshotLocked() {
 	g := s.gs.Latest()
 	s.opsSinceSnap = 0
 	s.bytesSinceSnap = 0
-	s.lastSnapTS = g.Timestamp()
 	s.snapWG.Add(1)
 	s.snapCh <- snapJob{g: g, seq: s.seq} // cannot block: single producer under s.mu saw room
 }
@@ -757,13 +757,11 @@ func (s *Store) createSnapshotLocked() error {
 	// the GraphStore: the cache only ever holds graphs complete at their
 	// timestamp. The file itself is fine — its name carries the exact
 	// (ts, seq) position, which disk-floor lookups honour.
-	g := s.gs.Latest()
-	if err := s.persistSnapshot(g, s.seq); err != nil {
+	if err := s.persistSnapshot(s.gs.Latest(), s.seq); err != nil {
 		return err
 	}
 	s.opsSinceSnap = 0
 	s.bytesSinceSnap = 0
-	s.lastSnapTS = g.Timestamp()
 	return nil
 }
 
@@ -772,7 +770,7 @@ type Stats struct {
 	Updates       uint64
 	Snapshots     int
 	LogBytes      int64
-	IndexBytes    int64
+	IndexBytes    int64 // always 0: the fences are memory-only; kept for the consumers that report it
 	SnapshotBytes int64
 	// SealedPartitions is the number of sealed (immutable) partitions;
 	// DeltaSnapshots counts the differential elements across their chains;
@@ -813,7 +811,6 @@ func (s *Store) Stats() Stats {
 		Updates:           s.updateCount,
 		Snapshots:         int(s.snapshotCount.Load()),
 		LogBytes:          s.log.Size() + s.sealedLogBytes.Load(),
-		IndexBytes:        s.timeIdx.DiskBytes(),
 		SnapshotBytes:     s.snapshotBytes.Load(),
 		SealedPartitions:  int(s.sealedCount.Load()),
 		DeltaSnapshots:    int(s.deltaSnaps.Load()),
@@ -851,15 +848,12 @@ func (s *Store) LatestTimestamp() model.Timestamp {
 // intermediate results, Sec 5.2).
 func (s *Store) GraphStore() *graphstore.Store { return s.gs }
 
-// Flush persists the time index and the log, after draining in-flight
-// snapshots. The string table is synced before the log: log records hold
-// positional refs into it, so a log byte must never become durable ahead of
-// the strings it references.
+// Flush persists the log, after draining in-flight snapshots. The string
+// table is synced before the log: log records hold positional refs into it,
+// so a log byte must never become durable ahead of the strings it
+// references.
 func (s *Store) Flush() error {
 	s.snapWG.Wait()
-	if err := s.timeIdx.Flush(); err != nil {
-		return err
-	}
 	if err := s.codec.Strings.Sync(); err != nil {
 		return err
 	}
@@ -867,22 +861,19 @@ func (s *Store) Flush() error {
 }
 
 // Close flushes and closes the store, including every sealed partition's
-// log segment. The background snapshot worker is reaped even when the
-// flush fails (e.g. on a failed filesystem), so Close never leaks the
-// goroutine.
+// log segment. The background snapshot worker is reaped and every log is
+// closed even when the flush fails (e.g. on a failed filesystem), so Close
+// never leaks the goroutine or a descriptor.
 func (s *Store) Close() error {
-	ferr := s.Flush()
+	err := s.Flush()
 	if s.snapCh != nil {
 		close(s.snapCh)
 		<-s.workerDone
 		s.snapCh = nil
 	}
-	if ferr != nil {
-		return ferr
-	}
-	cerr := s.log.Close()
+	err = errors.Join(err, s.log.Close())
 	for _, p := range s.parts {
-		cerr = errors.Join(cerr, p.log.Close())
+		err = errors.Join(err, p.log.Close())
 	}
-	return cerr
+	return err
 }

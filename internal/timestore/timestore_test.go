@@ -1,11 +1,16 @@
 package timestore
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"aion/internal/enc"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/vfs"
 )
 
 func openStore(t *testing.T, opts Options) *Store {
@@ -155,17 +160,6 @@ func TestSnapshotPolicyOperations(t *testing.T) {
 	}
 }
 
-func TestSnapshotPolicyTime(t *testing.T) {
-	s := openStore(t, Options{SnapshotEveryOps: -1, SnapshotEveryTime: 5})
-	if err := s.AppendBatch(chainUpdates(10)); err != nil {
-		t.Fatal(err)
-	}
-	s.WaitSnapshots()
-	if s.Stats().Snapshots < 2 {
-		t.Errorf("time-based policy created %d snapshots", s.Stats().Snapshots)
-	}
-}
-
 func TestGetGraphsSeries(t *testing.T) {
 	s := openStore(t, Options{SnapshotEveryOps: 6})
 	if err := s.AppendBatch(chainUpdates(10)); err != nil {
@@ -301,9 +295,9 @@ func TestRecoveryAfterReopen(t *testing.T) {
 	}
 }
 
-func TestRecoveryWithoutIndexFlush(t *testing.T) {
-	// Simulate a crash: append without Close (indexes unflushed), then
-	// reopen and verify the index is rebuilt from the log.
+func TestRecoveryWithoutClose(t *testing.T) {
+	// Simulate a crash: append without Close, then reopen and verify the
+	// fences are laid again from the log.
 	dir := t.TempDir()
 	codec := enc.NewCodec(strstore.NewMem())
 	s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
@@ -313,8 +307,7 @@ func TestRecoveryWithoutIndexFlush(t *testing.T) {
 	if err := s.AppendBatch(chainUpdates(5)); err != nil {
 		t.Fatal(err)
 	}
-	// Only sync the log, not the B+Tree indexes.
-	// (Log writes go straight to the file, so nothing else is needed.)
+	// Log writes go straight to the file, so nothing needs syncing.
 
 	s2, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
 	if err != nil {
@@ -326,7 +319,7 @@ func TestRecoveryWithoutIndexFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(diff) != 9 {
-		t.Errorf("rebuilt index found %d updates, want 9", len(diff))
+		t.Errorf("reopened store found %d updates, want 9", len(diff))
 	}
 }
 
@@ -404,5 +397,77 @@ func TestDefaultPolicyIsLogBytes(t *testing.T) {
 	o.defaults()
 	if o.SnapshotEveryBytes != 0 {
 		t.Fatalf("ops policy must not add a bytes default: %+v", o)
+	}
+}
+
+// failSyncFS is the OS filesystem with every log fsync failing once armed.
+type failSyncFS struct {
+	vfs.FS
+	armed *atomic.Bool
+}
+
+type failSyncFile struct {
+	vfs.File
+	armed *atomic.Bool
+}
+
+func (fs failSyncFS) OpenFile(path string) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return failSyncFile{File: f, armed: fs.armed}, nil
+}
+
+func (f failSyncFile) Sync() error {
+	if f.armed.Load() {
+		return vfs.ErrInjected
+	}
+	return f.File.Sync()
+}
+
+// TestCloseReleasesDescriptors opens, fills and closes a partitioned store
+// repeatedly — the last time over a filesystem whose fsync fails, so Close's
+// flush errors — and checks that the process holds no more descriptors than
+// when it started: Close must close the active and every sealed log on every
+// path.
+func TestCloseReleasesDescriptors(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no descriptor table to count: %v", err)
+		}
+		return len(ents)
+	}
+	var failSync atomic.Bool
+	fs := failSyncFS{FS: vfs.OS, armed: &failSync}
+	us := chainUpdates(20)
+	start := openFDs()
+	for i := 0; i <= 50; i++ {
+		dir := t.TempDir()
+		// vfs.MkdirAll creates directories only for the bare OS filesystem.
+		if err := os.Mkdir(filepath.Join(dir, partDirName(1)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(enc.NewCodec(strstore.NewMem()), Options{Dir: dir, FS: fs, PartitionEvery: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendBatch(us[:12]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendBatch(us[12:]); err != nil { // seals the first 12
+			t.Fatal(err)
+		}
+		failSync.Store(i == 50)
+		if err := s.Close(); (err != nil) != (i == 50) {
+			t.Fatalf("round %d: Close error = %v", i, err)
+		} else if i == 50 && !errors.Is(err, vfs.ErrInjected) {
+			t.Fatalf("Close over the failing filesystem returned %v", err)
+		}
+		failSync.Store(false)
+	}
+	if got := openFDs(); got > start {
+		t.Errorf("%d descriptors open after 51 Open/Close rounds, %d before", got, start)
 	}
 }
