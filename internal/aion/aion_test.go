@@ -1,6 +1,7 @@
 package aion
 
 import (
+	"os"
 	"testing"
 
 	"aion/internal/model"
@@ -303,5 +304,35 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	ns, err := db2.GetNode(0, 21, 21)
 	if err != nil || len(ns) != 1 || !ns[0].HasLabel("VIP") {
 		t.Errorf("reopened point query: %v %v", ns, err)
+	}
+}
+
+// TestCloseReleasesDescriptors opens, ingests into and closes a store fifty
+// times and checks that the process holds no more descriptors than when it
+// started: Close must release every store's files, the LineageStore's four
+// page-cache files included.
+func TestCloseReleasesDescriptors(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no descriptor table to count: %v", err)
+		}
+		return len(ents)
+	}
+	start := openFDs()
+	for i := 0; i < 50; i++ {
+		db, err := Open(Options{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.ApplyBatch(socialUpdates()); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	if got := openFDs(); got > start {
+		t.Errorf("%d descriptors open after 50 Open/Close rounds, %d before", got, start)
 	}
 }

@@ -450,7 +450,7 @@ func (db *DB) Close() error {
 		}
 	}
 	if db.ls != nil {
-		if err := db.ls.Flush(); err != nil && firstErr == nil {
+		if err := db.ls.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -329,3 +329,12 @@ func (s *Store) Flush() error {
 	}
 	return nil
 }
+
+// Close flushes the indexes and releases their page-cache files; the
+// files are released even when the flush fails. The store is unusable
+// afterwards.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return errors.Join(s.Flush(), s.closeTrees())
+}

@@ -90,18 +90,18 @@ func parallelLevels() []struct {
 // BenchmarkSnapshotLoad measures materializing a ~55k-update snapshot file
 // from disk: the read+CRC+decode+apply pipeline in isolation.
 func BenchmarkSnapshotLoad(b *testing.B) {
-	s, midTS, _ := buildBenchStore(b)
+	s, _, _ := buildBenchStore(b)
 	s.WaitSnapshots()
-	files := snapshotFiles(b, s.opts.Dir)
-	if len(files) != 1 {
-		b.Fatalf("expected 1 snapshot file, found %d", len(files))
+	chain := s.active().elems()
+	if len(chain) != 1 {
+		b.Fatalf("expected 1 snapshot element, found %d", len(chain))
 	}
 	for _, lvl := range parallelLevels() {
 		b.Run(lvl.name, func(b *testing.B) {
 			s.opts.ParallelIO = lvl.par
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g, err := s.loadSnapshotFile(context.Background(), files[0], midTS)
+				g, err := s.loadElem(context.Background(), chain, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,8 +1,8 @@
 package timestore
 
 import (
-	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"aion/internal/enc"
@@ -10,139 +10,139 @@ import (
 	"aion/internal/strstore"
 )
 
-// catalogueFloor is the file name of the active snapshot a disk-floor
-// lookup at ts lands on ("" when none).
-func catalogueFloor(s *Store, ts model.Timestamp) string {
-	e, ok := s.floorSnapshot(ts)
-	if !ok {
-		return ""
-	}
-	return filepath.Base(e.path)
-}
-
-// TestSnapshotCatalogueFloor pins the floor lookups of the in-memory
-// snapshot catalogue to what the snap.idx B+Tree it replaced answered
-// (the expectations were checked against that implementation): one entry
-// per timestamp, a later snapshot at the same timestamp superseding the
-// earlier, eager mid-timestamp snapshots included, everything retired by a
-// seal, and the same answers after a reopen re-derives the catalogue from
-// the file names. It also pins which loaded snapshot files enter the
-// GraphStore — only those complete at their timestamp, as the time.idx
-// probe the fence walk replaced decided — and that neither index file
-// survives an Open.
-func TestSnapshotCatalogueFloor(t *testing.T) {
-	node := func(ts model.Timestamp, id int) model.Update {
-		return model.AddNode(ts, model.NodeID(id), []string{"N"}, nil)
-	}
-	const (
-		snap5a = "snap-0000000000000005-00000001.snap"
-		snap5b = "snap-0000000000000005-00000002.snap"
-		snap8  = "snap-0000000000000008-00000000.snap"
-		snap12 = "snap-000000000000000c-00000000.snap"
-		snap13 = "snap-000000000000000d-00000000.snap"
+// TestChainFloor pins the one base lookup, floorElem, against both kinds of
+// segment with one table: the newest element at or before a timestamp,
+// whichever segment holds it — an eager mid-timestamp snapshot included, a
+// later snapshot at the same timestamp winning, the active segment's
+// snapshots retired by its seal in favour of the compacted chain (whose cuts
+// answer the same timestamps from the same positions), and the same answers
+// after a reopen re-derives every chain from the element headers. It also
+// pins which loaded elements enter the GraphStore — only those complete at
+// their timestamp.
+func TestChainFloor(t *testing.T) {
+	const ( // <segment>/<kind>-<ts>-<seq>
+		a5s1  = "p-1/full-0000000000000005-00000001.dsnap"
+		a5s2  = "p-1/full-0000000000000005-00000002.dsnap"
+		a8    = "p-1/full-0000000000000008-00000000.dsnap"
+		entry = "p-1/full-ffffffffffffffff-00000000.dsnap"
+		d3    = "p-1/delta-0000000000000003-00000000.dsnap"
+		d5s2  = "p-1/delta-0000000000000005-00000002.dsnap"
+		d8    = "p-1/delta-0000000000000008-00000000.dsnap"
+		d9    = "p-1/delta-0000000000000009-00000000.dsnap"
+		f10   = "p-1/full-000000000000000a-00000000.dsnap"
+		b12   = "p-2/full-000000000000000c-00000000.dsnap"
+		b13   = "p-2/full-000000000000000d-00000000.dsnap"
 	)
+	sealedChain := []string{d3, d5s2, d8, d9, f10, entry} // in file-name order
+	var appended []model.Update
+	add := func(t *testing.T, s *Store, ts model.Timestamp) {
+		u := model.AddNode(ts, model.NodeID(len(appended)), []string{"N"}, nil)
+		if err := s.Append(u); err != nil {
+			t.Fatal(err)
+		}
+		appended = append(appended, u)
+	}
 	type floors map[model.Timestamp]string
 	stages := []struct {
 		name   string
 		do     func(t *testing.T, s *Store) // nil: close and reopen
 		want   floors
-		onDisk []string // snapshot files expected in the directory afterwards
-		// cached: after GetGraph(ts) loaded the floor file, is ts in the cache?
+		onDisk []string
+		// cached: after GetGraph(ts) loaded the floor element, is ts in the cache?
 		cached map[model.Timestamp]bool
 	}{
 		{
 			name: "eager mid-timestamp snapshot",
 			do: func(t *testing.T, s *Store) {
-				appendAll(t, s, node(3, 0), node(5, 1), node(5, 2))
+				add(t, s, 3)
+				add(t, s, 5)
+				add(t, s, 5)
 				snapshotNow(t, s)
 			},
-			want:   floors{0: "", 4: "", 5: snap5a, 6: snap5a, 100: snap5a},
-			onDisk: []string{snap5a},
+			want:   floors{0: "", 4: "", 5: a5s1, 6: a5s1, 100: a5s1},
+			onDisk: []string{a5s1},
 		},
 		{
-			name: "same-timestamp supersede",
+			name: "a later snapshot at the same timestamp wins",
 			do: func(t *testing.T, s *Store) {
-				appendAll(t, s, node(5, 3))
+				add(t, s, 5)
 				snapshotNow(t, s)
 			},
-			want:   floors{4: "", 5: snap5b, 7: snap5b},
-			onDisk: []string{snap5a, snap5b}, // the superseded file waits for recovery
+			want:   floors{4: "", 5: a5s2, 7: a5s2},
+			onDisk: []string{a5s1, a5s2},
 		},
 		{
 			name: "later timestamp",
 			do: func(t *testing.T, s *Store) {
-				appendAll(t, s, node(8, 4))
+				add(t, s, 8)
 				snapshotNow(t, s)
 			},
-			want:   floors{4: "", 5: snap5b, 7: snap5b, 8: snap8, 100: snap8},
-			onDisk: []string{snap5a, snap5b, snap8},
+			want:   floors{4: "", 5: a5s2, 7: a5s2, 8: a8, 100: a8},
+			onDisk: []string{a5s1, a5s2, a8},
 		},
 		{
-			name:   "reopen re-derives from file names",
-			want:   floors{4: "", 5: snap5b, 7: snap5b, 8: snap8, 100: snap8},
-			onDisk: []string{snap5b, snap8},
+			name:   "reopen re-derives from the headers",
+			want:   floors{4: "", 5: a5s2, 7: a5s2, 8: a8, 100: a8},
+			onDisk: []string{a5s1, a5s2, a8},
 		},
 		{
-			name: "seal retires every active snapshot",
+			name: "seal: the compacted chain answers for the retired snapshots",
 			do: func(t *testing.T, s *Store) {
-				appendAll(t, s, node(9, 5), node(10, 6), node(11, 7)) // 8 updates; ts 11 crosses the boundary
+				add(t, s, 9)
+				add(t, s, 10)
+				add(t, s, 11) // the 8th update; ts 11 crosses the boundary
 				if got := len(s.SealedBounds()); got != 1 {
-					t.Fatalf("%d sealed partitions, want 1", got)
+					t.Fatalf("%d sealed segments, want 1", got)
 				}
 			},
-			want: floors{5: "", 8: "", 100: ""},
+			want:   floors{2: entry, 4: d3, 5: d5s2, 7: d5s2, 8: d8, 10: f10, 100: f10},
+			onDisk: sealedChain,
+			cached: map[model.Timestamp]bool{5: true},
 		},
 		{
-			name: "post-seal snapshot",
+			name: "snapshot in the successor",
 			do: func(t *testing.T, s *Store) {
-				appendAll(t, s, node(12, 8))
+				add(t, s, 12)
 				snapshotNow(t, s)
 			},
-			want:   floors{10: "", 11: "", 12: snap12, 100: snap12},
-			onDisk: []string{snap12},
+			want:   floors{10: f10, 11: f10, 12: b12, 100: b12},
+			onDisk: slices.Concat(sealedChain, []string{b12}),
 		},
 		{
 			name:   "reopen after seal",
-			want:   floors{10: "", 11: "", 12: snap12, 100: snap12},
-			onDisk: []string{snap12},
+			want:   floors{5: d5s2, 11: f10, 12: b12, 100: b12},
+			onDisk: slices.Concat(sealedChain, []string{b12}),
 		},
 		{
 			name:   "update at the snapshot's timestamp: loaded, not cached",
-			do:     func(t *testing.T, s *Store) { appendAll(t, s, node(12, 9)) },
-			want:   floors{12: snap12},
-			onDisk: []string{snap12},
+			do:     func(t *testing.T, s *Store) { add(t, s, 12) },
+			want:   floors{12: b12},
 			cached: map[model.Timestamp]bool{12: false},
 		},
 		{
 			name:   "still not cached after reopen",
-			want:   floors{12: snap12},
-			onDisk: []string{snap12},
+			want:   floors{12: b12},
 			cached: map[model.Timestamp]bool{12: false},
 		},
 		{
 			name: "only later timestamps follow: cached",
 			do: func(t *testing.T, s *Store) {
-				appendAll(t, s, node(13, 10))
+				add(t, s, 13)
 				snapshotNow(t, s)
-				appendAll(t, s, node(14, 11))
+				add(t, s, 14)
 			},
-			want:   floors{12: snap12, 13: snap13, 100: snap13},
-			onDisk: []string{snap12, snap13},
+			want:   floors{12: b12, 13: b13, 100: b13},
+			onDisk: slices.Concat(sealedChain, []string{b12, b13}),
 			cached: map[model.Timestamp]bool{12: false, 13: true},
 		},
 		{
 			name:   "cached again after reopen",
-			want:   floors{12: snap12, 13: snap13, 100: snap13},
-			onDisk: []string{snap12, snap13},
+			want:   floors{12: b12, 13: b13, 100: b13},
 			cached: map[model.Timestamp]bool{12: false, 13: true},
 		},
 	}
 
 	dir := t.TempDir()
-	// A store written before the fence list left a time index behind.
-	if err := os.WriteFile(filepath.Join(dir, "time.idx"), make([]byte, 8192), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	codec := enc.NewCodec(strstore.NewMem())
 	open := func() *Store {
 		s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 1 << 30, PartitionEvery: 7})
@@ -151,6 +151,7 @@ func TestSnapshotCatalogueFloor(t *testing.T) {
 		}
 		return s
 	}
+	rel := func(path string) string { return filepath.Join(filepath.Base(filepath.Dir(path)), filepath.Base(path)) }
 	s := open()
 	defer func() { s.Close() }()
 	for _, st := range stages {
@@ -163,22 +164,23 @@ func TestSnapshotCatalogueFloor(t *testing.T) {
 			s = open()
 		}
 		for ts, want := range st.want {
-			if got := catalogueFloor(s, ts); got != want {
+			got := ""
+			s.sealMu.RLock()
+			if _, chain, j := s.floorElem(ts); j >= 0 {
+				got = rel(chain[j].path)
+			}
+			s.sealMu.RUnlock()
+			if got != want {
 				t.Errorf("%s: floor(%d) = %q, want %q", st.name, ts, got, want)
 			}
 		}
-		var disk []string
-		for _, f := range snapshotFiles(t, dir) {
-			disk = append(disk, filepath.Base(f))
-		}
-		if len(disk) != len(st.onDisk) {
-			t.Errorf("%s: snapshot files %v, want %v", st.name, disk, st.onDisk)
-			continue
-		}
-		for i := range disk {
-			if disk[i] != st.onDisk[i] {
-				t.Errorf("%s: snapshot files %v, want %v", st.name, disk, st.onDisk)
-				break
+		if st.onDisk != nil {
+			var disk []string
+			for _, f := range snapshotFiles(t, dir) {
+				disk = append(disk, rel(f))
+			}
+			if !slices.Equal(disk, st.onDisk) {
+				t.Errorf("%s: element files %v, want %v", st.name, disk, st.onDisk)
 			}
 		}
 		for ts, want := range st.cached {
@@ -186,29 +188,18 @@ func TestSnapshotCatalogueFloor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g.NodeCount() != int(ts)-2 { // one node per update: ids 0..ts-3
-				t.Errorf("%s: GetGraph(%d) has %d nodes, want %d", st.name, ts, g.NodeCount(), ts-2)
+			nodes := 0 // one node per update
+			for _, u := range appended {
+				if u.TS <= ts {
+					nodes++
+				}
+			}
+			if g.NodeCount() != nodes {
+				t.Errorf("%s: GetGraph(%d) has %d nodes, want %d", st.name, ts, g.NodeCount(), nodes)
 			}
 			if _, got := s.gs.Get(ts); got != want {
-				t.Errorf("%s: snapshot at %d cached = %v, want %v", st.name, ts, got, want)
+				t.Errorf("%s: element at %d cached = %v, want %v", st.name, ts, got, want)
 			}
-		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		for _, idx := range []string{"snap.idx", "time.idx"} {
-			if _, err := os.Stat(filepath.Join(dir, idx)); !os.IsNotExist(err) {
-				t.Errorf("%s: %s must not exist (stat: %v)", st.name, idx, err)
-			}
-		}
-	}
-}
-
-func appendAll(t *testing.T, s *Store, us ...model.Update) {
-	t.Helper()
-	for _, u := range us {
-		if err := s.Append(u); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -5,76 +5,48 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
-	"aion/internal/enc"
 	"aion/internal/memgraph"
-	"aion/internal/strstore"
 )
 
-// TestCorruptedSnapshotSurfacesError flips bytes in an on-disk snapshot
-// file; a later GetGraph that needs it must return an error, not wrong data
-// or a panic.
-func TestCorruptedSnapshotSurfacesError(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(enc.NewCodec(strstore.NewMem()), Options{
-		Dir:              dir,
-		SnapshotEveryOps: 5,
-		GraphStoreBytes:  1, // force disk reads
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.AppendBatch(chainUpdates(10)); err != nil {
-		t.Fatal(err)
-	}
-	s.WaitSnapshots()
-	// Corrupt every snapshot file.
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots written")
-	}
-	for _, path := range snaps {
-		b, _ := os.ReadFile(path)
-		if len(b) > 10 {
-			b[len(b)/2] ^= 0xFF
-			os.WriteFile(path, b, 0o644)
-		}
-	}
-	// A query below the cached (newest) snapshot must load an older one
-	// from disk and see the corruption.
-	if _, err := s.GetGraph(6); err == nil {
-		t.Error("corrupted snapshot must surface an error")
-	}
-}
-
-// TestTruncatedSnapshotSurfacesError truncates a snapshot file mid-record.
-func TestTruncatedSnapshotSurfacesError(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(enc.NewCodec(strstore.NewMem()), Options{
-		Dir:              dir,
-		SnapshotEveryOps: 5,
-		GraphStoreBytes:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.AppendBatch(chainUpdates(10)); err != nil {
-		t.Fatal(err)
-	}
-	s.WaitSnapshots()
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	for _, path := range snaps {
-		b, _ := os.ReadFile(path)
-		os.WriteFile(path, b[:len(b)-3], 0o644)
-	}
-	if _, err := s.GetGraph(6); err == nil {
-		t.Error("truncated snapshot must surface an error")
+// TestDamagedSnapshotSurfacesError flips a byte in, or cuts the tail off,
+// every on-disk snapshot; a later GetGraph that needs one must return an
+// error, not wrong data or a panic.
+func TestDamagedSnapshotSurfacesError(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"corrupted": func(b []byte) []byte { b[len(b)/2] ^= 0xFF; return b },
+		"truncated": func(b []byte) []byte { return b[:len(b)-3] }, // mid-record
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			// A 1-byte cache forces disk reads.
+			s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 5, GraphStoreBytes: 1})
+			if err := s.AppendBatch(chainUpdates(10)); err != nil {
+				t.Fatal(err)
+			}
+			s.WaitSnapshots()
+			snaps := snapshotFiles(t, dir)
+			if len(snaps) == 0 {
+				t.Fatal("no snapshots written")
+			}
+			for _, path := range snaps {
+				b, err := os.ReadFile(path)
+				if err == nil {
+					err = os.WriteFile(path, damage(b), 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A query below the cached (newest) snapshot must load an older
+			// one from disk and see the damage.
+			if _, err := s.GetGraph(6); err == nil {
+				t.Error("a damaged snapshot must surface an error")
+			}
+		})
 	}
 }
 
@@ -102,9 +74,10 @@ func corruptFrameLen(t *testing.T, path string, off int) {
 }
 
 // TestCorruptFrameLengthRejectedBeforeAllocation is the regression for the
-// readers trusting a frame's length field: one flipped bit in a .snap or
-// .dsnap used to ask for up to 4 GiB before any check. The length is now
-// bounded by the bytes left in the file, and the error names the file.
+// readers trusting a frame's length field: one flipped bit in a .dsnap used
+// to ask for up to 4 GiB before any check. The length is now bounded by the
+// bytes left in the file, and the error names the file — for an active
+// segment's snapshot and a sealed segment's chain element alike.
 func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 	const maxAlloc = 32 << 20
 	check := func(t *testing.T, path string, load func() error) {
@@ -118,51 +91,37 @@ func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 		}
 	}
 	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("snapshot/P%d", par), func(t *testing.T) {
-			dir := t.TempDir()
-			s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30, GraphStoreBytes: 1, ParallelIO: par})
-			us := propUpdates(50)
-			if err := s.AppendBatch(us); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.CreateSnapshot(); err != nil {
-				t.Fatal(err)
-			}
-			path := snapshotFiles(t, dir)[0]
-			corruptFrameLen(t, path, 0)
-			check(t, path, func() error {
-				_, err := s.loadSnapshotFile(context.Background(), path, us[len(us)-1].TS)
-				return err
-			})
-		})
-		t.Run(fmt.Sprintf("chain/P%d", par), func(t *testing.T) {
-			dir := t.TempDir()
-			s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30, GraphStoreBytes: 1,
-				PartitionEvery: 60, DeltaChainLength: 1, ParallelIO: par})
-			for _, u := range propUpdates(50) {
-				if err := s.Append(u); err != nil {
+		for _, sealEvery := range []int{0, 60} {
+			t.Run(fmt.Sprintf("sealEvery=%d/P%d", sealEvery, par), func(t *testing.T) {
+				s := openStore(t, Options{SnapshotEveryOps: 1 << 30, GraphStoreBytes: 1,
+					PartitionEvery: sealEvery, DeltaChainLength: 1, ParallelIO: par})
+				for _, u := range propUpdates(50) {
+					if err := s.Append(u); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snapshotNow(t, s)
+				chain := s.segs[0].elems()
+				if s.segs[0].sealed != (sealEvery > 0) || len(chain) == 0 {
+					t.Fatalf("segment p-1: sealed=%v with %d elements", s.segs[0].sealed, len(chain))
+				}
+				// A record frame: skip the header frame, whose length is intact.
+				elem := chain[len(chain)-1]
+				b, err := os.ReadFile(elem.path)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if len(s.parts) == 0 || len(s.parts[0].chain) < 2 {
-				t.Fatal("workload sealed no compacted partition")
-			}
-			// A record frame: skip the header frame, whose length is intact.
-			elem := s.parts[0].chain[1]
-			b, err := os.ReadFile(elem.path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			corruptFrameLen(t, elem.path, frameHdrLen+int(binary.LittleEndian.Uint32(b)))
-			check(t, elem.path, func() error {
-				return s.applyChainFile(context.Background(), elem, memgraph.New(), false)
+				corruptFrameLen(t, elem.path, frameHdrLen+int(binary.LittleEndian.Uint32(b)))
+				check(t, elem.path, func() error {
+					return s.applyChainFile(context.Background(), elem, memgraph.New(), false)
+				})
+				// The header frame itself, as recovery's derivation reads it.
+				corruptFrameLen(t, elem.path, 0)
+				check(t, elem.path, func() error {
+					_, err := readChainHeader(s.fs, elem.path)
+					return err
+				})
 			})
-			// The header frame itself, as recovery's derivation reads it.
-			corruptFrameLen(t, elem.path, 0)
-			check(t, elem.path, func() error {
-				_, err := readChainHeader(s.fs, elem.path)
-				return err
-			})
-		})
+		}
 	}
 }

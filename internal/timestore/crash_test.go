@@ -226,7 +226,7 @@ func TestCrashSweepTimeStore(t *testing.T) {
 
 // TestCrashMidSnapshotKeepsPreviousSnapshots is the satellite regression: a
 // crash in the middle of writing a new snapshot must leave the previous
-// snapshot set fully readable and the leftover *.snap.tmp cleaned up.
+// snapshot set fully readable and the leftover *.dsnap.tmp cleaned up.
 func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 	us := genWorkload(120)
 	codec := enc.NewCodec(strstore.NewMem())
@@ -268,7 +268,7 @@ func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 		t.Fatalf("reopen after mid-snapshot crash: %v", err)
 	}
 	defer reapWorker(st2)
-	names, err := fs.ReadDir("ts")
+	names, err := fs.ReadDir("ts/p-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 		if strings.HasSuffix(name, ".tmp") {
 			t.Errorf("leftover tmp after recovery: %s", name)
 		}
-		if _, _, ok := parseSnapName(name); ok {
+		if _, _, ok := parseChainName(name); ok {
 			sawSnap = true
 		}
 	}

@@ -1,12 +1,12 @@
-// Delta-chain compaction and materialization for sealed partitions
-// (DeltaGraph-style hierarchical delta snapshots, PAPERS.md arXiv:1207.5777).
-// A sealed partition's log is replayed once and cut into segments at
+// Chain elements: writing, loading, and the compaction of a sealed
+// segment's chain (DeltaGraph-style hierarchical delta snapshots, PAPERS.md
+// arXiv:1207.5777). A sealed segment's log is replayed once and cut at
 // timestamp boundaries; each cut emits a chain element — every
 // DeltaChainLength-th a full materialization, otherwise a *differential*
-// snapshot holding the segment's updates compacted to their net effect.
-// GetGraph(ts) inside the partition then loads the nearest full and applies
-// at most DeltaChainLength deltas plus a bounded log tail, instead of
-// replaying from a distant snapshot.
+// snapshot holding the updates since the previous cut compacted to their
+// net effect. GetGraph(ts) inside the segment then loads the nearest full
+// and applies at most DeltaChainLength deltas plus a bounded log tail,
+// instead of replaying from a distant snapshot.
 package timestore
 
 import (
@@ -21,12 +21,12 @@ import (
 	"aion/internal/vfs"
 )
 
-// compactPartition replays p's log once on top of the partition's entry
+// compactPartition replays sealed segment p's log once on top of its entry
 // state (which it takes ownership of and mutates into the end state,
-// returned), writing the full/delta chain as it goes and installing it
-// under sealMu when complete. The log and marker are cross-checked: the
-// replay must end exactly at the marker's end position.
-func (s *Store) compactPartition(ctx context.Context, p *sealedPart, entry *memgraph.Graph) (*memgraph.Graph, error) {
+// returned), writing the full/delta chain as it goes and installing it when
+// complete. The log and marker are cross-checked: the replay must end
+// exactly at the marker's end position.
+func (s *Store) compactPartition(ctx context.Context, p *segment, entry *memgraph.Graph) (*memgraph.Graph, error) {
 	segs := 2 * (s.opts.DeltaChainLength + 1)
 	if s.opts.DeltaChainLength < 0 {
 		segs = 2 // fulls only
@@ -36,26 +36,32 @@ func (s *Store) compactPartition(ctx context.Context, p *sealedPart, entry *memg
 		segTarget = 1
 	}
 	var elems []chainElem
-	entryPos := position{ts: p.entryTS, seq: p.entrySeq}
 	g := entry
-	// chain[0] is the entry full: the state *before* the partition's first
-	// update. It shares its position with the previous partition's end, so
-	// a materialization never needs to cross partitions.
-	if err := s.appendChainElem(p, &elems, enc.DeltaFull, entryPos, position{}, 0, g.Export()); err != nil {
+	emit := func(kind enc.DeltaKind, pos, base position, off int64, us []model.Update) error {
+		e, err := s.writeChainElem(p, kind, pos, base, off, us)
+		if err == nil {
+			elems = append(elems, e)
+		}
+		return err
+	}
+	// chain[0] is the entry full: the state *before* the segment's first
+	// update. It shares its position with the previous segment's end, so a
+	// materialization never needs to cross segments.
+	if err := emit(enc.DeltaFull, p.entry, position{}, 0, g.Export()); err != nil {
 		return nil, err
 	}
-	prev := entryPos
-	cur := entryPos
+	prev := p.entry
+	cur := p.entry
 	deltas := 0
 	var seg []model.Update
 	cut := func(pos position, off int64) error {
 		if s.opts.DeltaChainLength < 0 || deltas >= s.opts.DeltaChainLength {
-			if err := s.appendChainElem(p, &elems, enc.DeltaFull, pos, position{}, off, g.Export()); err != nil {
+			if err := emit(enc.DeltaFull, pos, position{}, off, g.Export()); err != nil {
 				return err
 			}
 			deltas = 0
 		} else {
-			if err := s.appendChainElem(p, &elems, enc.DeltaDiff, pos, prev, off, compactUpdates(seg)); err != nil {
+			if err := emit(enc.DeltaDiff, pos, prev, off, compactUpdates(seg)); err != nil {
 				return err
 			}
 			deltas++
@@ -67,7 +73,7 @@ func (s *Store) compactPartition(ctx context.Context, p *sealedPart, entry *memg
 	var derr error
 	err := s.replayWal(ctx, p.log, 1, 0, func(off int64, u model.Update) bool {
 		// Cut only at timestamp boundaries: every element is complete at
-		// its timestamp, so ts-only floor searches are exact.
+		// its timestamp, so a sealed element's graph can always be cached.
 		if len(seg) >= segTarget && u.TS > cur.ts {
 			if derr = cut(cur, off); derr != nil {
 				return false
@@ -87,9 +93,9 @@ func (s *Store) compactPartition(ctx context.Context, p *sealedPart, entry *memg
 	if err != nil {
 		return nil, err
 	}
-	endPos := position{ts: p.maxTS, seq: p.endSeq}
+	endPos := p.end()
 	if cur != endPos {
-		return nil, fmt.Errorf("timestore: partition %s log ends at (%d,%d), marker says (%d,%d)",
+		return nil, fmt.Errorf("timestore: segment %s log ends at (%d,%d), marker says (%d,%d)",
 			p.dir, cur.ts, cur.seq, endPos.ts, endPos.seq)
 	}
 	if prev != endPos {
@@ -98,34 +104,30 @@ func (s *Store) compactPartition(ctx context.Context, p *sealedPart, entry *memg
 		}
 	}
 	g.SetTimestamp(p.maxTS)
-	s.sealMu.Lock()
+	p.mu.Lock()
 	p.chain = elems
-	s.sealMu.Unlock()
+	p.mu.Unlock()
 	return g, nil
 }
 
-// appendChainElem publishes one chain file — frame 0 is the delta header,
-// frames 1..Count are update records — and records its element.
-func (s *Store) appendChainElem(p *sealedPart, elems *[]chainElem, kind enc.DeltaKind, pos, base position, logOff int64, us []model.Update) error {
+// writeChainElem publishes one element file in g's directory — frame 0 is
+// the delta header, frames 1..Count are update records — and returns its
+// catalogue entry for the caller to place.
+func (s *Store) writeChainElem(g *segment, kind enc.DeltaKind, pos, base position, logOff int64, us []model.Update) (chainElem, error) {
 	hdr := enc.DeltaHeader{
 		Kind: kind, TS: pos.ts, Seq: pos.seq,
 		BaseTS: base.ts, BaseSeq: base.seq,
 		LogOff: logOff, Count: uint64(len(us)),
 	}
-	path := filepath.Join(p.dir, chainFileName(kind, pos))
+	path := filepath.Join(g.dir, chainFileName(kind, pos))
 	n, err := s.publishFrameFile(path, enc.AppendDeltaHeader(nil, hdr), us)
 	if err != nil {
-		return err
+		return chainElem{}, err
 	}
-	s.chainBytes.Add(n)
-	if kind == enc.DeltaDiff {
-		s.deltaSnaps.Add(1)
-	}
-	*elems = append(*elems, chainElem{
+	return chainElem{
 		kind: kind, pos: pos, base: base,
-		logOff: logOff, count: hdr.Count, path: path,
-	})
-	return nil
+		logOff: logOff, count: hdr.Count, path: path, size: n,
+	}, nil
 }
 
 // readChainHeader reads and validates only frame 0 of a chain file (cheap:
@@ -179,32 +181,48 @@ func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.
 	return err
 }
 
-// materializeElem returns a private graph at chain element j of p: the
-// cached graph at that timestamp if present, else the nearest preceding
-// full plus its deltas, cached in the GraphStore for the next reader.
-// Caller holds sealMu (either mode); every cut position is complete at its
-// timestamp, so the cache key carries no sequence ambiguity.
-func (s *Store) materializeElem(ctx context.Context, p *sealedPart, j int) (*memgraph.Graph, error) {
-	elem := p.chain[j]
-	if g, ok := s.gs.Get(elem.pos.ts); ok {
-		return g, nil
-	}
+// loadElem builds a private graph at chain[j] from the element files alone:
+// the nearest full at or before j, then every delta up to j.
+func (s *Store) loadElem(ctx context.Context, chain []chainElem, j int) (*memgraph.Graph, error) {
 	j0 := j
 	//aionlint:ignore ctxloop backward walk is bounded by DeltaChainLength steps and does no I/O
-	for p.chain[j0].kind != enc.DeltaFull {
+	for chain[j0].kind != enc.DeltaFull {
 		j0--
 	}
 	g := memgraph.New()
-	if err := s.applyChainFile(ctx, p.chain[j0], g, false); err != nil {
-		return nil, err
-	}
-	for k := j0 + 1; k <= j; k++ {
-		if err := s.applyChainFile(ctx, p.chain[k], g, true); err != nil {
+	for k := j0; k <= j; k++ {
+		if err := s.applyChainFile(ctx, chain[k], g, k > j0); err != nil {
 			return nil, err
 		}
 	}
-	g.SetTimestamp(elem.pos.ts)
-	s.gs.Put(g)
+	g.SetTimestamp(chain[j].pos.ts)
+	return g, nil
+}
+
+// materializeElem is loadElem for a query: the graph is also cached in the
+// GraphStore for the next reader when it is complete at its timestamp (the
+// cache key carries no sequence). A sealed segment's elements always are —
+// compaction cuts only at timestamp boundaries — while an eager snapshot in
+// the active segment may sit mid-timestamp: it is complete only if no
+// record past it carries its timestamp. Caller holds sealMu (either mode).
+func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chainElem, j int) (*memgraph.Graph, error) {
+	g, err := s.loadElem(ctx, chain, j)
+	if err != nil {
+		return nil, err
+	}
+	pos, complete := chain[j].pos, true
+	if !seg.sealed {
+		err = s.scanSegment(ctx, seg, 1, pos, pos.ts+1, func(model.Update) bool {
+			complete = false
+			return false
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if complete {
+		s.gs.Put(g) // caches a CoW clone; g itself stays the caller's
+	}
 	return g, nil
 }
 

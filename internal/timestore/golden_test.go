@@ -90,31 +90,22 @@ func digestFiles(t *testing.T, pattern string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenOnDiskBytes pins the persisted-snapshot formats: a fixed update
-// sequence must produce these exact .snap and full-/delta- .dsnap bytes
-// (TestParallelSnapshotBytesIdentical extends that to every worker count).
-// The digests were computed on the commit before the snapshot I/O was
-// collapsed to one frame-file writer, so "format unchanged" is checked
-// rather than asserted.
+// TestGoldenOnDiskBytes pins the one persisted-element format: a fixed
+// update sequence must produce these exact full-/delta- .dsnap bytes in a
+// sealed segment's chain (TestParallelSnapshotBytesIdentical extends that to
+// every worker count), digests computed on the commit before the snapshot
+// I/O was collapsed to one frame-file writer, so "format unchanged" is
+// checked rather than asserted. The third digest that commit pinned, of the
+// header-less active .snap, is retired with that format: an active segment's
+// snapshot is now a headered full, so instead an eager snapshot taken at the
+// sealed segment's end position must equal that segment's end full byte for
+// byte, name included (same graph, same log, hence the same logOff too).
 func TestGoldenOnDiskBytes(t *testing.T) {
 	const (
-		wantSnap  = "6a45a054c7ac181e32c4f64a6e3ad3300ac95c2792cf539a0994ebd597e37a19"
 		wantFull  = "9174d9addd5f328e971ca949afb536681b92bdfa104e156e5859dea6fe036d8b"
 		wantDelta = "f6bd3ef6c0373c1bcc6b229fb78dd4696f4e2498109aa293f8364037132f9cab"
 	)
 	us := goldenUpdates()
-	dir := t.TempDir()
-	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
-	if err := s.AppendBatch(us); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if got := digestFiles(t, filepath.Join(dir, "snap-*.snap")); got != wantSnap {
-		t.Errorf(".snap digest %s, want %s", got, wantSnap)
-	}
-
 	pdir := t.TempDir()
 	p := openStore(t, Options{Dir: pdir, SnapshotEveryOps: 1 << 30,
 		PartitionEvery: len(us) - 30, DeltaChainLength: 2})
@@ -124,7 +115,7 @@ func TestGoldenOnDiskBytes(t *testing.T) {
 		}
 	}
 	if st := p.Stats(); st.SealedPartitions != 1 || st.CompactErrors != 0 {
-		t.Fatalf("%d sealed partitions, %d compaction errors (%s)",
+		t.Fatalf("%d sealed segments, %d compaction errors (%s)",
 			st.SealedPartitions, st.CompactErrors, st.LastCompactError)
 	}
 	if got := digestFiles(t, filepath.Join(pdir, "p-1", "full-*.dsnap")); got != wantFull {
@@ -132,5 +123,19 @@ func TestGoldenOnDiskBytes(t *testing.T) {
 	}
 	if got := digestFiles(t, filepath.Join(pdir, "p-1", "delta-*.dsnap")); got != wantDelta {
 		t.Errorf("delta .dsnap digest %s, want %s", got, wantDelta)
+	}
+
+	dir := t.TempDir()
+	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
+	if err := s.AppendBatch(us[:p.segs[0].count]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	chain := p.segs[0].elems()
+	end := filepath.Base(chain[len(chain)-1].path)
+	if got, want := digestFiles(t, filepath.Join(dir, "p-1", "*.dsnap")), digestFiles(t, filepath.Join(pdir, "p-1", end)); got != want {
+		t.Errorf("the active segment's snapshot differs from the sealed end full %s", end)
 	}
 }

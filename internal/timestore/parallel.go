@@ -1,9 +1,9 @@
-// Frame-file and replay pipelines. Every persisted materialization — an
-// active .snap, or a sealed partition's full-/delta- .dsnap chain element —
-// is one kind of file: a sequence of [len u32 | crc u32 | payload] frames
-// holding update records in the Fig 3 format, optionally preceded by one
-// header frame (the chain files' DeltaHeader). One writer produces them and
-// one reader consumes them; log replay is the third pipeline. All three run
+// Frame-file and replay pipelines. Every persisted materialization — a
+// full- or delta- .dsnap chain element of any segment — is one kind of file:
+// a sequence of [len u32 | crc u32 | payload] frames, the first holding the
+// element's DeltaHeader and the rest update records in the Fig 3 format.
+// One writer produces them and one reader consumes them; log replay is the
+// third pipeline. All three run
 // on pool.RunOrdered — a sequential reader/writer on the order-sensitive
 // edge, Options.ParallelIO workers on the CPU-heavy encode/CRC/decode
 // middle — so a worker count of 1 is the same code running inline, with
@@ -91,8 +91,8 @@ func sealFrame(buf []byte, start int) {
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 }
 
-// writeFrameFile writes path as one frame per update, preceded by a header
-// frame when hdr is non-nil, and returns the bytes written. Update slices
+// writeFrameFile writes path as the header frame hdr followed by one frame
+// per update, and returns the bytes written. Update slices
 // are encoded and framed by ParallelIO workers; the consumer streams the
 // finished chunks to one bufio writer in emission order, so the file bytes
 // do not depend on the worker count. The records hold string refs, so the
@@ -105,14 +105,12 @@ func (s *Store) writeFrameFile(path string, hdr []byte, us []model.Update) (writ
 	}
 	defer vfs.CloseChecked(f, &err)
 	w := bufio.NewWriterSize(&vfs.SeqWriter{F: f}, 1<<16)
-	if hdr != nil {
-		fb := append(make([]byte, frameHdrLen, frameHdrLen+len(hdr)), hdr...)
-		sealFrame(fb, 0)
-		if _, err := w.Write(fb); err != nil {
-			return 0, err
-		}
-		written = int64(len(fb))
+	fb := append(make([]byte, frameHdrLen, frameHdrLen+len(hdr)), hdr...)
+	sealFrame(fb, 0)
+	if _, err := w.Write(fb); err != nil {
+		return 0, err
 	}
+	written = int64(len(fb))
 	err = pool.RunOrdered(s.opts.ParallelIO,
 		func(emit func([]model.Update) bool) error {
 			for len(us) > 0 {
@@ -220,8 +218,8 @@ func (fr *frameReader) appendFrame(buf []byte) ([]byte, uint32, error) {
 	return buf, binary.LittleEndian.Uint32(h[4:]), nil
 }
 
-// readFrame reads one whole frame and verifies its checksum (the chain
-// files' header frame; record frames are verified on the worker stage).
+// readFrame reads one whole frame and verifies its checksum (the header
+// frame; record frames are verified on the worker stage).
 func (fr *frameReader) readFrame() ([]byte, error) {
 	payload, sum, err := fr.appendFrame(nil)
 	if err != nil {
@@ -236,8 +234,7 @@ func (fr *frameReader) readFrame() ([]byte, error) {
 // readFrameFile streams path's update records to apply, batch by batch in
 // file order, observing ctx cancellation between batches: sequential frame
 // reader → CRC+decode workers → in-order apply on the calling goroutine.
-// When header is non-nil the file's first frame is handed to it before any
-// record is read.
+// The file's first frame is handed to header before any record is read.
 func (s *Store) readFrameFile(ctx context.Context, path string, header func([]byte) error, apply func([]model.Update) error) (err error) {
 	f, err := s.fs.Open(path)
 	if err != nil {
@@ -248,14 +245,12 @@ func (s *Store) readFrameFile(ctx context.Context, path string, header func([]by
 	if err != nil {
 		return err
 	}
-	if header != nil {
-		payload, err := fr.readFrame()
-		if err != nil {
-			return err
-		}
-		if err := header(payload); err != nil {
-			return err
-		}
+	payload, err := fr.readFrame()
+	if err != nil {
+		return err
+	}
+	if err := header(payload); err != nil {
+		return err
 	}
 	return pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
 		func(emit func(frameBatch) bool) error {
@@ -300,22 +295,16 @@ func growBytes(b []byte, n int) []byte {
 	return append(b, make([]byte, n)...)
 }
 
-// replayLog streams decoded updates (with their log offsets) from the
-// *active* log starting at offset from; see replayWal.
-func (s *Store) replayLog(ctx context.Context, from int64, fn func(off int64, u model.Update) bool) error {
-	return s.replayWal(ctx, s.log, s.opts.ParallelIO, from, fn)
-}
-
 // replayWal streams l's decoded updates from offset from in commit order,
 // stopping early when fn returns false or ctx is cancelled (checked once
 // per batch, so a runaway range scan stops within one batch of the
 // deadline). It is the shared replay engine of recover, ScanDiff, and
-// therefore GetGraph/GetGraphs, for the active log and sealed segments
-// alike: the WAL is scanned with readahead batches, record decoding runs on
-// `workers` workers, and fn (index maintenance, graph apply) stays in order
-// on the calling goroutine. Callers that already run on a pool worker
-// (collectPart) or replay a partition once (compaction) pass 1, so they do
-// not nest a second pool.
+// therefore GetGraph/GetGraphs, for every segment's log alike: the WAL is
+// scanned with readahead batches, record decoding runs on `workers`
+// workers, and fn (fence laying, graph apply) stays in order on the calling
+// goroutine. Callers that already run on a pool worker (the scatter-gather
+// over sealed segments) or replay a segment once (compaction) pass 1, so
+// they do not nest a second pool.
 func (s *Store) replayWal(ctx context.Context, l *wal.Log, workers int, from int64, fn func(off int64, u model.Update) bool) error {
 	return pool.RunOrderedCtx(ctx, workers,
 		func(emit func(frameBatch) bool) error {

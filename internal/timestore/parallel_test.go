@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,32 +39,30 @@ func propUpdates(n int) []model.Update {
 	return us
 }
 
+// snapshotFiles lists every element file under the store directory dir, in
+// segment then position order.
 func snapshotFiles(t testing.TB, dir string) []string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	files, err := filepath.Glob(filepath.Join(dir, "p-*", "*.dsnap"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sort.Strings(files)
 	return files
 }
 
 // TestParallelSnapshotBytesIdentical is the worker-count property test: the
 // same update sequence persisted with 1 (inline), 2, 4 and 8 pipeline
-// workers must produce byte-identical files — the active .snap and every
-// full-/delta- .dsnap of a sealed partition's chain alike, since all of
-// them go through the one frame-file writer (workers reorder work, never
-// bytes).
+// workers must produce byte-identical files — the active segment's snapshot
+// and every full-/delta- element of a sealed segment's chain alike
+// (workers reorder work, never bytes).
 func TestParallelSnapshotBytesIdentical(t *testing.T) {
 	us := propUpdates(500)
 	// write returns name -> bytes of every persisted materialization.
 	write := func(par int) map[string][]byte {
 		out := map[string][]byte{}
-		collect := func(pattern string) {
-			files, err := filepath.Glob(pattern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range files {
+		collect := func(store, dir string) {
+			for _, f := range snapshotFiles(t, dir) {
 				b, err := os.ReadFile(f)
 				if err != nil {
 					t.Fatal(err)
@@ -71,7 +70,7 @@ func TestParallelSnapshotBytesIdentical(t *testing.T) {
 				if len(b) == 0 {
 					t.Fatalf("ParallelIO=%d wrote an empty %s", par, filepath.Base(f))
 				}
-				out[filepath.Base(f)] = b
+				out[store+filepath.Base(f)] = b
 			}
 		}
 		dir := t.TempDir()
@@ -82,12 +81,12 @@ func TestParallelSnapshotBytesIdentical(t *testing.T) {
 		if err := s.CreateSnapshot(); err != nil {
 			t.Fatal(err)
 		}
-		collect(filepath.Join(dir, "snap-*.snap"))
+		collect("active/", dir)
 		if len(out) != 1 {
 			t.Fatalf("ParallelIO=%d produced %d snapshot files, want 1", par, len(out))
 		}
 
-		// Chain files: one sealed partition whose mid-chain and end fulls
+		// Chain files: one sealed segment whose mid-chain and end fulls
 		// span several pipeline batches (> frameBatchRecords records).
 		pdir := t.TempDir()
 		p := openStore(t, Options{Dir: pdir, SnapshotEveryOps: 1 << 30,
@@ -101,7 +100,7 @@ func TestParallelSnapshotBytesIdentical(t *testing.T) {
 			t.Fatalf("ParallelIO=%d: %d sealed, %d deltas, %d compaction errors (%s)", par,
 				st.SealedPartitions, st.DeltaSnapshots, st.CompactErrors, st.LastCompactError)
 		}
-		collect(filepath.Join(pdir, "p-1", "*.dsnap"))
+		collect("sealed/", pdir)
 		return out
 	}
 	inline := write(1)
@@ -134,11 +133,11 @@ func TestParallelLoadRoundTrip(t *testing.T) {
 		if err := s.CreateSnapshot(); err != nil {
 			t.Fatal(err)
 		}
-		path := snapshotFiles(t, dir)[0]
+		chain := s.active().elems()
 		lastTS := us[len(us)-1].TS
 		for _, loadPar := range []int{1, 4} {
 			s.opts.ParallelIO = loadPar
-			g, err := s.loadSnapshotFile(context.Background(), path, lastTS)
+			g, err := s.loadElem(context.Background(), chain, 0)
 			if err != nil {
 				t.Fatalf("write par=%d load par=%d: %v", par, loadPar, err)
 			}
@@ -167,8 +166,8 @@ func TestSnapshotWriteErrorSurfaced(t *testing.T) {
 	dir := t.TempDir()
 	// Block every snapshot path any policy trigger could pick.
 	for ts := model.Timestamp(0); ts <= us[len(us)-1].TS; ts++ {
-		p := filepath.Join(dir, snapFileName(ts, 0))
-		if err := os.Mkdir(p, 0o755); err != nil {
+		p := filepath.Join(dir, "p-1", chainFileName(enc.DeltaFull, position{ts: ts}))
+		if err := os.MkdirAll(p, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,28 +1,32 @@
-// Time-partitioned history (ROADMAP item 1). The TimeStore's log is split
-// into sealed, immutable time partitions: when the active log accumulates
-// Options.PartitionEvery updates it is sealed — moved under an epoch
-// directory p-<n>/ together with a marker file that commits the seal — and
-// a fresh, empty active log takes its place on the hot write path. Each
-// sealed partition is then compacted into a chain of full and differential
-// snapshots (delta.go) so GetGraph inside old history replays only its own
-// partition's chain, never the whole log. Everything here follows the
-// store's derive-don't-trust recovery contract: the only durable facts are
-// the partition logs, the marker files, and the chain files' self-
-// describing headers; recovery re-derives the rest and rolls back or
-// recompacts anything a crash left half-done.
+// Segments. The TimeStore's history is a run of directories p-1/ … p-N/,
+// each one segment of the update stream: its own log, and a chain of
+// persisted materializations (.dsnap elements) placed in that log by their
+// self-describing headers. Every directory but the last carries a marker
+// file and is sealed — immutable, its chain compacted into full and
+// differential elements (delta.go) so GetGraph inside old history replays
+// only its own segment's chain; the last, marker-less one is the active
+// segment every append lands in, its chain the policy and eager snapshots.
+// A store that never seals (Options.PartitionEvery <= 0) is exactly p-1/.
+// Everything here follows the derive-don't-trust recovery contract: the
+// only durable facts are the logs, the markers, and the element headers;
+// recovery re-derives the rest and recompacts anything a crash left
+// half-done.
 package timestore
 
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"aion/internal/enc"
 	"aion/internal/memgraph"
@@ -33,9 +37,8 @@ import (
 
 // position identifies an exact point in the global update stream: the
 // state complete through sequence seq at timestamp ts. seq == seqComplete
-// means the position covers every update at ts (sealing and chain cuts
-// happen only at timestamp boundaries, so sealed positions are always
-// complete; active snapshot files carry their exact seq in the filename).
+// means the position covers every update at ts, whatever their number (a
+// cached graph's position, and the bound of a timestamp-only lookup).
 type position struct {
 	ts  model.Timestamp
 	seq uint32
@@ -53,46 +56,108 @@ func (p position) next(ts model.Timestamp) position {
 	return position{ts: ts}
 }
 
-// chainElem is one persisted materialization: an element of a sealed
-// partition's snapshot chain, derived from the .dsnap file's self-describing
-// header at recovery, or an active snapshot file in the Store's catalogue
-// (always a full; only kind, pos and path are meaningful there).
+// fence pins a point inside a segment's log: the stream is complete through
+// pos just before the record at offset off, so a walk that starts there can
+// number every record it meets (same timestamp: seq+1; new timestamp: 0).
+// A chain element's (pos, logOff) is a fence too.
+type fence struct {
+	pos position
+	off int64
+}
+
+// chainElem is one persisted materialization, an element of a segment's
+// chain, derived from the .dsnap file's self-describing header at recovery.
 type chainElem struct {
 	kind   enc.DeltaKind
 	pos    position // complete through this position
 	base   position // for DeltaDiff: the element this delta applies on
-	logOff int64    // partition-log offset of the first uncovered record
+	logOff int64    // segment-log offset of the first uncovered record
 	count  uint64   // update records in the file
 	path   string
+	size   int64 // file bytes
 }
 
-// chainFloor returns the index of the newest element at or before ts in a
-// position-sorted element list, or -1: the one floor lookup behind sealed
-// chains and the active snapshot catalogue alike.
-func chainFloor(chain []chainElem, ts model.Timestamp) int {
-	return sort.Search(len(chain), func(k int) bool { return chain[k].pos.ts > ts }) - 1
+// chainFloor returns the index of the newest element at or before at in a
+// position-sorted chain, or -1.
+func chainFloor(chain []chainElem, at position) int {
+	return sort.Search(len(chain), func(k int) bool { return at.before(chain[k].pos) }) - 1
 }
 
-// sealedPart is an immutable sealed partition: its own log segment, the
-// marker-committed bounds, and the compacted snapshot chain (nil while
-// compaction is pending or failed — reads then fall back to log replay).
-type sealedPart struct {
-	dir      string
-	minTS    model.Timestamp // timestamp of the partition's first update
-	maxTS    model.Timestamp // timestamp of the partition's last update
-	entryTS  model.Timestamp // position the partition's history starts after
-	entrySeq uint32
-	endSeq   uint32 // seq of the last update (at maxTS)
-	count    uint64 // updates in the partition log
-	log      *wal.Log
-	chain    []chainElem // guarded by Store.sealMu
+// segment is one directory of the store: a log, the position its history
+// starts after, and the chain of elements persisted over that log. count and
+// minTS follow the appends while the segment is active (under Store.mu);
+// sealing fixes them with the end bounds under sealMu's write side, and
+// readers look at bounds only once sealed is set.
+type segment struct {
+	dir    string
+	entry  position // the position the segment's history starts after
+	log    *wal.Log
+	sealed bool
+	minTS  model.Timestamp // timestamp of the segment's first update
+	maxTS  model.Timestamp // timestamp of its last update (sealed only)
+	endSeq uint32          // seq of the last update, at maxTS (sealed only)
+	count  uint64          // updates in the log
+
+	// mu guards the two lists that turn a stream position into a log
+	// offset. It is a leaf lock — after Store.mu and sealMu, no I/O under
+	// it — so the snapshot worker can catalogue a file without either.
+	mu sync.Mutex
+	// chain is position-sorted and replaced, never modified in place, so a
+	// reader may keep using the slice elems returned. Nil in a sealed
+	// segment whose compaction is pending or failed: reads then replay its
+	// log from the entry.
+	chain []chainElem
+	// fences holds the fence of the active log's first record and of every
+	// fenceStride-th after it; memory only, laid by appends and by
+	// recovery's replay, dropped when the segment seals.
+	fences []fence
+}
+
+// end is the position of a sealed segment's last update.
+func (g *segment) end() position { return position{ts: g.maxTS, seq: g.endSeq} }
+
+// elems returns the chain as of now, for reading without the lock.
+func (g *segment) elems() []chainElem {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.chain
+}
+
+// insert catalogues a published element in position order; one at the same
+// position (a repeated eager snapshot rewrote the same file) is replaced.
+func (g *segment) insert(e chainElem) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if i := chainFloor(g.chain, e.pos); i >= 0 && g.chain[i].pos == e.pos {
+		g.chain = slices.Clone(g.chain)
+		g.chain[i] = e
+	} else {
+		g.chain = slices.Insert(slices.Clone(g.chain), i+1, e)
+	}
+}
+
+// startFence is the one rule for where a walk for the records after from
+// begins: the latest of the segment's entry, its chain's floor element and
+// its stride fences' floor.
+func (g *segment) startFence(from position) fence {
+	start := fence{pos: g.entry}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if i := chainFloor(g.chain, from); i >= 0 {
+		start = fence{pos: g.chain[i].pos, off: g.chain[i].logOff}
+	}
+	i := sort.Search(len(g.fences), func(k int) bool { return from.before(g.fences[k].pos) }) - 1
+	if i >= 0 && g.fences[i].off > start.off {
+		start = g.fences[i]
+	}
+	return start
 }
 
 func partDirName(n int) string { return fmt.Sprintf("p-%d", n) }
 
 // chainFileName names a chain element by kind and the (ts, seq) position it
-// is complete through, mirroring snapFileName's two's-complement hex form
-// so the -1 genesis entry sorts and parses cleanly.
+// is complete through, in two's-complement hex so the -1 genesis entry
+// sorts and parses cleanly.
 func chainFileName(kind enc.DeltaKind, pos position) string {
 	return fmt.Sprintf("%s-%016x-%08x.dsnap", kind, uint64(pos.ts), pos.seq)
 }
@@ -129,8 +194,8 @@ func parseChainName(name string) (enc.DeltaKind, position, bool) {
 
 // --- seal marker -------------------------------------------------------------
 
-// partMarkerName is the file whose presence commits a seal: a partition
-// directory without it is an aborted seal and is rolled back at recovery.
+// partMarkerName is the file whose presence commits a seal: the first
+// segment directory without it is the active segment.
 const partMarkerName = "sealed"
 
 // partMagic identifies a seal marker ("Aion Partition Marker v1").
@@ -215,116 +280,78 @@ func readPartMarker(fs vfs.FS, path string) (partMarker, error) {
 
 // --- recovery ----------------------------------------------------------------
 
-// recoverPartitions probes p-1, p-2, ... for committed seal markers,
-// opening each sealed partition's log and deriving its snapshot chain from
-// the chain files actually on disk. The first directory without a durable
-// marker is an aborted seal: its log (if any) is moved back to the active
-// position and stray files are removed, restoring the exact pre-seal
-// layout. Runs before the active log is opened, because the rollback may
-// have to reinstate it.
-func recoverPartitions(fs vfs.FS, dir string) ([]*sealedPart, error) {
-	var parts []*sealedPart
+// openSegments opens p-1, p-2, ... in order: every directory with a durable
+// seal marker is a sealed segment and the first without one is the active
+// segment. The segments opened so far are returned with an error too, for
+// the caller to close.
+func openSegments(fs vfs.FS, dir string) ([]*segment, error) {
+	var segs []*segment
+	entry := position{ts: -1}
 	for n := 1; ; n++ {
-		pdir := filepath.Join(dir, partDirName(n))
-		markerPath := filepath.Join(pdir, partMarkerName)
-		if _, err := fs.Stat(markerPath); err != nil {
-			if !os.IsNotExist(err) {
-				return nil, err
-			}
-			if err := rollbackHalfSeal(fs, dir, pdir); err != nil {
-				return nil, err
-			}
-			return parts, nil
-		}
-		m, err := readPartMarker(fs, markerPath)
+		g, err := openSegment(fs, dir, n, entry)
 		if err != nil {
-			return nil, fmt.Errorf("timestore: partition %s: %w", pdir, err)
+			return segs, err
 		}
-		wantEntry := position{ts: -1, seq: 0}
-		if n > 1 {
-			prev := parts[n-2]
-			wantEntry = position{ts: prev.maxTS, seq: prev.endSeq}
+		segs = append(segs, g)
+		if !g.sealed {
+			return segs, nil
 		}
-		if m.entryTS != wantEntry.ts || m.entrySeq != wantEntry.seq {
-			return nil, fmt.Errorf("timestore: partition %s entry (%d,%d) does not continue (%d,%d)",
-				pdir, m.entryTS, m.entrySeq, wantEntry.ts, wantEntry.seq)
-		}
-		plog, err := wal.OpenFS(fs, filepath.Join(pdir, "updates.log"))
-		if err != nil {
-			return nil, fmt.Errorf("timestore: partition %s log: %w", pdir, err)
-		}
-		p := &sealedPart{
-			dir: pdir, minTS: m.minTS, maxTS: m.maxTS,
-			entryTS: m.entryTS, entrySeq: m.entrySeq, endSeq: m.endSeq,
-			count: m.count, log: plog,
-		}
-		if err := deriveChain(fs, p); err != nil {
+		entry = g.end()
+	}
+}
+
+// openSegment opens directory p-n, whose history starts after entry: sealed
+// when its marker is there, else the active segment — created when absent
+// (a fresh store, a seal opening its successor, or a seal that crashed
+// after its marker). Either way the log is opened, which repairs a torn
+// tail, and the chain derived from the element files actually on disk.
+func openSegment(fs vfs.FS, dir string, n int, entry position) (*segment, error) {
+	g := &segment{dir: filepath.Join(dir, partDirName(n)), entry: entry}
+	m, err := readPartMarker(fs, filepath.Join(g.dir, partMarkerName))
+	switch {
+	case os.IsNotExist(err):
+		if err := vfs.MkdirAll(fs, g.dir); err != nil {
 			return nil, err
 		}
-		parts = append(parts, p)
+	case err != nil:
+		return nil, fmt.Errorf("timestore: segment %s: %w", g.dir, err)
+	case position{ts: m.entryTS, seq: m.entrySeq} != entry:
+		return nil, fmt.Errorf("timestore: segment %s entry (%d,%d) does not continue (%d,%d)",
+			g.dir, m.entryTS, m.entrySeq, entry.ts, entry.seq)
+	default:
+		g.sealed, g.minTS, g.maxTS, g.endSeq, g.count = true, m.minTS, m.maxTS, m.endSeq, m.count
 	}
+	if g.log, err = wal.OpenFS(fs, filepath.Join(g.dir, "updates.log")); err != nil {
+		return nil, fmt.Errorf("timestore: segment %s log: %w", g.dir, err)
+	}
+	if err := deriveChain(fs, g); err != nil {
+		return nil, errors.Join(err, g.log.Close())
+	}
+	return g, nil
 }
 
-// rollbackHalfSeal undoes a seal that crashed before its marker became
-// durable: the moved log is reinstated as the active log and everything
-// else in the aborted partition directory is removed. If the crash fell
-// between the rename becoming durable in pdir and the top-level directory
-// sync, the log is durable under *both* names with identical content (the
-// old name's directory entry was never dropped), so the partition copy is
-// simply deleted.
-func rollbackHalfSeal(fs vfs.FS, dir, pdir string) error {
-	names, err := fs.ReadDir(pdir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	touched := false
-	for _, name := range names {
-		full := filepath.Join(pdir, name)
-		if name == "updates.log" {
-			if _, serr := fs.Stat(filepath.Join(dir, "updates.log")); serr == nil {
-				if err := fs.Remove(full); err != nil {
-					return err
-				}
-			} else if err := fs.Rename(full, filepath.Join(dir, "updates.log")); err != nil {
-				return err
-			}
-		} else if err := fs.Remove(full); err != nil {
-			return err
-		}
-		touched = true
-	}
-	if touched {
-		// The reinstating rename into dir is made durable by Open's final
-		// top-level SyncDir; this persists the removals inside pdir.
-		return fs.SyncDir(pdir)
-	}
-	return nil
-}
-
-// deriveChain rebuilds p.chain from the chain files present in p.dir,
+// deriveChain rebuilds g.chain from the element files present in g.dir,
 // trusting only their self-describing headers. Leftover *.tmp files are
 // removed; so is any file whose header is unreadable or disagrees with its
-// name, and any delta whose base element is not the previously accepted
+// name, any element placed past the end of the tail-repaired log — a
+// snapshot the background worker persisted before the log bytes it covers
+// were ever fsynced, which would resurrect updates that were never durably
+// logged — and any delta whose base element is not the previously accepted
 // element — the orphaned-delta case: a crash (or a deleted mid-chain full)
 // leaves deltas whose base is gone, and applying one to the wrong base
-// would silently corrupt materialization. A surviving chain is kept only
-// if it is complete — entry full through the marker's end position —
-// otherwise all of it is dropped and the caller recompacts from the log.
-func deriveChain(fs vfs.FS, p *sealedPart) error {
-	names, err := fs.ReadDir(p.dir)
+// would silently corrupt materialization. The active segment keeps what
+// survives; a sealed one keeps its chain only if it is complete — entry
+// full through the marker's end position — otherwise all of it is dropped
+// and the caller recompacts from the log.
+func deriveChain(fs vfs.FS, g *segment) error {
+	names, err := fs.ReadDir(g.dir)
 	if err != nil {
 		return err
 	}
 	var cands []chainElem
 	removed := false
 	for _, name := range names {
-		if name == "updates.log" || name == partMarkerName {
-			continue
-		}
-		full := filepath.Join(p.dir, name)
+		full := filepath.Join(g.dir, name)
 		if strings.HasSuffix(name, ".tmp") {
 			if err := fs.Remove(full); err != nil {
 				return err
@@ -334,21 +361,26 @@ func deriveChain(fs vfs.FS, p *sealedPart) error {
 		}
 		kind, pos, ok := parseChainName(name)
 		if !ok {
-			continue
+			continue // the log, the marker
 		}
 		hdr, herr := readChainHeader(fs, full)
-		if herr != nil || hdr.Kind != kind || hdr.TS != pos.ts || hdr.Seq != pos.seq {
-			// Torn, corrupt, or misnamed element: useless and unsafe to keep.
+		if herr != nil || hdr.Kind != kind || hdr.TS != pos.ts || hdr.Seq != pos.seq || hdr.LogOff > g.log.Size() {
+			// Torn, corrupt, misnamed, or ahead of the durable log:
+			// useless or unsafe to keep.
 			if err := fs.Remove(full); err != nil {
 				return err
 			}
 			removed = true
 			continue
 		}
+		size, err := fs.Stat(full)
+		if err != nil {
+			return err
+		}
 		cands = append(cands, chainElem{
 			kind: kind, pos: pos,
 			base:   position{ts: hdr.BaseTS, seq: hdr.BaseSeq},
-			logOff: hdr.LogOff, count: hdr.Count, path: full,
+			logOff: hdr.LogOff, count: hdr.Count, path: full, size: size,
 		})
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -372,7 +404,7 @@ func deriveChain(fs vfs.FS, p *sealedPart) error {
 			removed = true
 		}
 	}
-	if !chainComplete(p, chain) {
+	if g.sealed && !chainComplete(g, chain) {
 		for _, c := range chain {
 			if err := fs.Remove(c.path); err != nil {
 				return err
@@ -381,34 +413,32 @@ func deriveChain(fs vfs.FS, p *sealedPart) error {
 		}
 		chain = nil
 	}
-	p.chain = chain
+	g.chain = chain
 	if removed {
-		return fs.SyncDir(p.dir)
+		return fs.SyncDir(g.dir)
 	}
 	return nil
 }
 
-// chainComplete reports whether chain covers the partition exactly: it
-// starts with the entry full (the state *before* the partition's first
-// update, shared with the previous partition's end) and its last element
-// is complete through the marker's end position.
-func chainComplete(p *sealedPart, chain []chainElem) bool {
+// chainComplete reports whether chain covers the sealed segment exactly: it
+// starts with the entry full (the state *before* the segment's first
+// update, shared with the previous segment's end) and its last element is
+// complete through the marker's end position.
+func chainComplete(g *segment, chain []chainElem) bool {
 	if len(chain) == 0 {
 		return false
 	}
 	first, last := chain[0], chain[len(chain)-1]
-	return first.kind == enc.DeltaFull &&
-		first.pos == (position{ts: p.entryTS, seq: p.entrySeq}) &&
-		first.logOff == 0 &&
-		last.pos == (position{ts: p.maxTS, seq: p.endSeq})
+	return first.kind == enc.DeltaFull && first.pos == g.entry && first.logOff == 0 && last.pos == g.end()
 }
 
 // --- sealing -----------------------------------------------------------------
 
-// sealActiveLocked seals the active partition. Caller holds s.mu. A seal
-// failure is sticky (s.sealErr): the directory may be mid-surgery, so the
-// store goes fail-stop for writes — the same contract as a failed append —
-// while reads keep working and a reopen rolls the half-seal back.
+// sealActiveLocked seals the active segment. Caller holds s.mu. A seal
+// failure is sticky (s.sealErr): the disk may say sealed where memory does
+// not, so the store goes fail-stop for writes — the same contract as a
+// failed append — while reads keep working and a reopen picks up whichever
+// side of the marker the failure fell on.
 func (s *Store) sealActiveLocked() error {
 	if s.sealErr != nil {
 		return s.sealErr
@@ -420,125 +450,91 @@ func (s *Store) sealActiveLocked() error {
 	return nil
 }
 
+// doSeal turns the active segment into a sealed one and opens its
+// successor. Nothing moves: the log stays where it is, under the handle
+// readers already hold, so every durable step runs before sealMu is taken
+// and the lock covers only the switch in memory.
 func (s *Store) doSeal() error {
-	// No snapshot writes may race the directory surgery, and no new jobs
-	// can be scheduled while s.mu is held.
+	// No snapshot write may race the seal, and no new job can be scheduled
+	// while s.mu is held.
 	s.snapWG.Wait()
-	dir := s.opts.Dir
-	pdir := filepath.Join(dir, partDirName(len(s.parts)+1))
+	old := s.active()
 	m := partMarker{
-		minTS:    s.activeMinTS,
-		maxTS:    s.lastTS,
-		entryTS:  s.entryTS,
-		entrySeq: s.entrySeq,
-		endSeq:   s.seq,
-		count:    uint64(s.activeCount),
+		minTS: old.minTS, maxTS: s.lastTS,
+		entryTS: old.entry.ts, entrySeq: old.entry.seq,
+		endSeq: s.seq, count: old.count,
 	}
-	p, err := s.sealSurgery(dir, pdir, m)
+	// 1. The log becomes the segment's immutable history: fully durable,
+	// strings before the log bytes that reference them.
+	if err := s.codec.Strings.Sync(); err != nil {
+		return err
+	}
+	if err := old.log.Sync(); err != nil {
+		return err
+	}
+	// 2. The marker commits the seal: once its name is durable, recovery
+	// treats the segment as sealed; before that, as still active.
+	if err := writePartMarker(s.fs, old.dir, m); err != nil {
+		return err
+	}
+	if err := s.fs.SyncDir(old.dir); err != nil {
+		return err
+	}
+	// 3. The successor, by the path Open takes when a crash here leaves the
+	// sealed run without one. Its names are durable before any append is
+	// acknowledged out of it.
+	next, err := openSegment(s.fs, s.opts.Dir, len(s.segs)+1, position{ts: m.maxTS, seq: m.endSeq})
 	if err != nil {
 		return err
 	}
-	// Compact outside sealMu: readers may proceed against the chainless
-	// partition (plain log replay) while the chain is built. The chain is
-	// an accelerator, not a correctness requirement — on failure the error
-	// is recorded in Stats and recovery recompacts at the next open.
+	if err := s.syncSegmentNames(next); err != nil {
+		return errors.Join(err, next.log.Close())
+	}
+	// 4. The switch. The policy fulls leave the chain with it: compaction
+	// cuts the segment its own way, and readers of a chainless sealed
+	// segment replay its log until that is done.
+	s.sealMu.Lock()
+	old.mu.Lock()
+	policy := old.chain
+	old.chain, old.fences = nil, nil
+	old.mu.Unlock()
+	old.sealed, old.maxTS, old.endSeq = true, m.maxTS, m.endSeq
+	s.segs = append(s.segs, next)
+	s.sealMu.Unlock()
+	s.opsSinceSnap, s.bytesSinceSnap = 0, 0
+	for _, e := range policy {
+		if err := s.fs.Remove(e.path); err != nil {
+			return err
+		}
+	}
+	// Compact outside sealMu. The chain is an accelerator, not a
+	// correctness requirement — on failure the error is recorded in Stats
+	// and recovery recompacts at the next open.
 	entry := s.sealEntry
 	s.sealEntry = nil
-	cerr := fmt.Errorf("timestore: no entry state for %s", pdir)
+	cerr := fmt.Errorf("timestore: no entry state for %s", old.dir)
 	var end *memgraph.Graph
 	if entry != nil {
-		end, cerr = s.compactPartition(context.Background(), p, entry)
+		end, cerr = s.compactPartition(context.Background(), old, entry)
 	}
 	if cerr != nil {
 		s.recordCompactError(cerr)
-		// The next partition still needs its entry state: the latest graph
-		// is exactly the sealed end (the new active log is empty).
+		// The next segment still needs its entry state: the latest graph is
+		// exactly the sealed end (the new active log is empty).
 		end = s.gs.Latest()
 	}
 	s.sealEntry = end
 	return nil
 }
 
-// sealSurgery performs the on-disk transition under sealMu: makes the
-// active log durable, retires the per-active derived state, moves the log
-// under the partition directory, commits the seal with the marker, and
-// installs a fresh empty active log with an empty fence list. The open log
-// handle stays valid across the rename, so the sealed segment is never
-// reopened.
-func (s *Store) sealSurgery(dir, pdir string, m partMarker) (*sealedPart, error) {
-	s.sealMu.Lock()
-	defer s.sealMu.Unlock()
-	// 1. The log becomes the partition's immutable segment: fully durable
-	// first, strings before the log bytes that reference them. The fsyncs
-	// below run under sealMu by design — a seal is a rare (every
-	// PartitionEvery updates) stop-the-world transition, and readers must
-	// never observe the half-swapped active state.
-	//aionlint:ignore lockio seal surgery must exclude readers for its whole durable transition
-	if err := s.codec.Strings.Sync(); err != nil {
-		return nil, err
+// syncSegmentNames makes the active segment's directory entry and its
+// log's durable: fsyncing a file's contents does not persist its name, and
+// an acknowledged append must not vanish with it.
+func (s *Store) syncSegmentNames(g *segment) error {
+	if err := s.fs.SyncDir(g.dir); err != nil {
+		return err
 	}
-	//aionlint:ignore lockio seal surgery must exclude readers for its whole durable transition
-	if err := s.log.Sync(); err != nil {
-		return nil, err
-	}
-	// 2. Drop the catalogued snapshot files, which the partition's chain
-	// supersedes.
-	for _, e := range s.resetSnapshots() {
-		if sz, serr := s.fs.Stat(e.path); serr == nil {
-			s.snapshotBytes.Add(-sz)
-		}
-		if err := s.fs.Remove(e.path); err != nil && !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
-	// 3. Move the log into the epoch directory.
-	if err := vfs.MkdirAll(s.fs, pdir); err != nil {
-		return nil, err
-	}
-	if err := s.fs.Rename(filepath.Join(dir, "updates.log"), filepath.Join(pdir, "updates.log")); err != nil {
-		return nil, err
-	}
-	//aionlint:ignore lockio seal surgery must exclude readers for its whole durable transition
-	if err := s.fs.SyncDir(pdir); err != nil {
-		return nil, err
-	}
-	// 4. The marker commits the seal: once its name is durable, recovery
-	// treats the partition as sealed; before that, it rolls the move back.
-	if err := writePartMarker(s.fs, pdir, m); err != nil {
-		return nil, err
-	}
-	//aionlint:ignore lockio seal surgery must exclude readers for its whole durable transition
-	if err := s.fs.SyncDir(pdir); err != nil {
-		return nil, err
-	}
-	// 5. Fresh active log under the original name.
-	newLog, err := wal.OpenFS(s.fs, filepath.Join(dir, "updates.log"))
-	if err != nil {
-		return nil, err
-	}
-	// One top-level sync publishes the whole transition: the log's renamed-
-	// away old name and the fresh log file. Until it runs, a crash
-	// resurrects the old directory state — which recovery handles via the
-	// marker (sealed: stale pre-seal records in the resurfaced active log
-	// are skipped) or its absence (rollback).
-	//aionlint:ignore lockio seal surgery must exclude readers for its whole durable transition
-	if err := s.fs.SyncDir(dir); err != nil {
-		return nil, err
-	}
-	p := &sealedPart{
-		dir: pdir, minTS: m.minTS, maxTS: m.maxTS,
-		entryTS: m.entryTS, entrySeq: m.entrySeq, endSeq: m.endSeq,
-		count: m.count, log: s.log,
-	}
-	s.log = newLog
-	s.resetFences() // they indexed the sealed segment
-	s.parts = append(s.parts, p)
-	s.sealedCount.Add(1)
-	s.sealedLogBytes.Add(p.log.Size())
-	s.entryTS, s.entrySeq = p.maxTS, p.endSeq
-	s.activeCount = 0
-	s.opsSinceSnap, s.bytesSinceSnap = 0, 0
-	return p, nil
+	return s.fs.SyncDir(s.opts.Dir)
 }
 
 // recordCompactError publishes a compaction failure for Stats.
@@ -547,29 +543,31 @@ func (s *Store) recordCompactError(err error) {
 	s.lastCompactErr.Store(err.Error())
 }
 
-// floorElem finds the newest chain element at or before ts across the
-// sealed partitions. Caller holds sealMu (either mode).
-func (s *Store) floorElem(ts model.Timestamp) (*sealedPart, int, bool) {
-	for i := len(s.parts) - 1; i >= 0; i-- {
-		p := s.parts[i]
-		if len(p.chain) == 0 {
-			continue
-		}
-		if j := chainFloor(p.chain, ts); j >= 0 {
-			return p, j, true
+// active returns the unsealed segment every append lands in. Caller holds
+// s.mu or sealMu (either mode).
+func (s *Store) active() *segment { return s.segs[len(s.segs)-1] }
+
+// floorElem finds the newest persisted element at or before ts: segments
+// newest first, each by its own chain. It returns the chain the index is
+// into, or index -1. Caller holds sealMu (either mode).
+func (s *Store) floorElem(ts model.Timestamp) (*segment, []chainElem, int) {
+	for i := len(s.segs) - 1; i >= 0; i-- {
+		chain := s.segs[i].elems()
+		if j := chainFloor(chain, position{ts: ts, seq: seqComplete}); j >= 0 {
+			return s.segs[i], chain, j
 		}
 	}
-	return nil, 0, false
+	return nil, nil, -1
 }
 
-// SealedBounds returns the max timestamp of each sealed partition in
-// order — the seal boundaries, exposed for tests and tooling.
+// SealedBounds returns the max timestamp of each sealed segment in order —
+// the seal boundaries, exposed for tests and tooling.
 func (s *Store) SealedBounds() []model.Timestamp {
 	s.sealMu.RLock()
 	defer s.sealMu.RUnlock()
-	out := make([]model.Timestamp, len(s.parts))
-	for i, p := range s.parts {
-		out[i] = p.maxTS
+	var out []model.Timestamp
+	for _, g := range s.segs[:len(s.segs)-1] {
+		out = append(out, g.maxTS)
 	}
 	return out
 }

@@ -1,14 +1,16 @@
 package timestore
 
-// Crash and recovery tests for the partition seal protocol, extending the
-// crash_test.go sweep: the seal's directory surgery (log rename, marker
-// write, fresh active state) is crashed at every mutating-operation index,
-// and recovery must always land in one of exactly two states — the seal
-// fully committed (marker durable, partition immutable) or fully rolled
-// back (active log reinstated, partition directory empty) — never a
-// hybrid, and never losing an acked commit.
+// Crash and recovery tests for the seal protocol, extending the
+// crash_test.go sweep: the seal's durable steps (log sync, marker write,
+// successor segment, compaction's chain writes) are crashed at every
+// mutating-operation index, and recovery must always land in one of exactly
+// two states — the seal committed (marker durable, segment immutable, a
+// successor active) or not (the segment still active) — and never lose an
+// acked commit.
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,43 +32,31 @@ func openCrashSealTS(fs vfs.FS, codec *enc.Codec) (*Store, error) {
 	})
 }
 
-// verifySealedLayout asserts the never-hybrid invariant on the recovered
-// directory tree: partition markers are dense (p-1..p-k all sealed), and
-// any directory past the sealed run holds no log segment — a crashed seal
-// either committed or was rolled back entirely.
+// verifySealedLayout asserts the recovered directory tree: p-1..p-k each
+// hold a marker and a log, p-(k+1) is the active segment — a log, no marker
+// — and nothing lies past it.
 func verifySealedLayout(t *testing.T, k int, torn bool, fs vfs.FS, st *Store) {
 	t.Helper()
-	sealed := len(st.parts)
-	for n := 1; n <= sealed; n++ {
+	for n := 1; n <= len(st.segs)+1; n++ {
 		names, err := fs.ReadDir("ts/p-" + strconv.Itoa(n))
 		if err != nil {
-			t.Fatalf("k=%d torn=%v: read sealed p-%d: %v", k, torn, n, err)
+			t.Fatalf("k=%d torn=%v: read p-%d: %v", k, torn, n, err)
 		}
 		hasMarker, hasLog := false, false
 		for _, name := range names {
-			if name == partMarkerName {
-				hasMarker = true
-			}
-			if name == "updates.log" {
-				hasLog = true
-			}
+			hasMarker = hasMarker || name == partMarkerName
+			hasLog = hasLog || name == "updates.log"
 			if strings.HasSuffix(name, ".tmp") {
-				t.Errorf("k=%d torn=%v: leftover tmp in sealed p-%d: %s", k, torn, n, name)
+				t.Errorf("k=%d torn=%v: leftover tmp in p-%d: %s", k, torn, n, name)
 			}
 		}
-		if !hasMarker || !hasLog {
+		switch {
+		case n < len(st.segs) && !(hasMarker && hasLog):
 			t.Fatalf("k=%d torn=%v: sealed p-%d marker=%v log=%v, want both", k, torn, n, hasMarker, hasLog)
-		}
-	}
-	// Directories past the sealed run must have been rolled back: no log
-	// segment may survive without its committing marker.
-	for n := sealed + 1; n <= sealed+2; n++ {
-		names, err := fs.ReadDir("ts/p-" + strconv.Itoa(n))
-		if err != nil {
-			continue
-		}
-		for _, name := range names {
-			t.Errorf("k=%d torn=%v: hybrid seal: p-%d still holds %s after rollback", k, torn, n, name)
+		case n == len(st.segs) && (hasMarker || !hasLog):
+			t.Fatalf("k=%d torn=%v: active p-%d marker=%v log=%v, want only the log", k, torn, n, hasMarker, hasLog)
+		case n > len(st.segs) && len(names) > 0:
+			t.Errorf("k=%d torn=%v: p-%d past the active segment holds %v", k, torn, n, names)
 		}
 	}
 }
@@ -93,11 +83,11 @@ func runSealCrashCase(t *testing.T, us []model.Update, k int, torn bool) {
 	reapWorker(st2)
 }
 
-// TestCrashSweepSeal crashes a partition-sealing workload at every
-// mutating-operation index in both fail modes. The workload crosses three
-// seal boundaries, so every fault index inside every stage of the seal
-// protocol — log sync, rename, marker write, fresh-active install,
-// compaction's chain writes — is hit at least once.
+// TestCrashSweepSeal crashes a sealing workload at every mutating-operation
+// index in both fail modes. The workload crosses three seal boundaries, so
+// every fault index inside every stage of the seal protocol — log sync,
+// marker write, successor segment, compaction's chain writes — is hit at
+// least once.
 func TestCrashSweepSeal(t *testing.T) {
 	us := genWorkload(150)
 	codec := enc.NewCodec(strstore.NewMem())
@@ -110,8 +100,8 @@ func TestCrashSweepSeal(t *testing.T) {
 	if res.attempted != len(us) {
 		t.Fatalf("fault-free run stopped after %d/%d updates", res.attempted, len(us))
 	}
-	if got := len(st.parts); got < 3 {
-		t.Fatalf("fault-free run sealed %d partitions, want >= 3", got)
+	if got := len(st.segs) - 1; got < 3 {
+		t.Fatalf("fault-free run sealed %d segments, want >= 3", got)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -130,7 +120,7 @@ func TestCrashSweepSeal(t *testing.T) {
 // mid-chain full materialization orphans every delta based on it. Recovery
 // must remove the orphans (applying a delta to the wrong base silently
 // corrupts materialization), notice the chain is no longer complete, drop
-// it, and recompact from the partition log — after which queries are whole
+// it, and recompact from the segment's log — after which queries are whole
 // again.
 func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 	us := genWorkload(120)
@@ -144,14 +134,14 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 	if res.attempted != len(us) {
 		t.Fatalf("drive stopped after %d/%d updates", res.attempted, len(us))
 	}
-	if len(st.parts) == 0 {
-		t.Fatal("workload sealed no partitions")
+	if len(st.segs) == 1 {
+		t.Fatal("workload sealed no segment")
 	}
-	// Pick a partition whose chain has a full beyond the entry full.
+	// Pick a sealed segment whose chain has a full beyond the entry full.
 	var victim string
 	var pdir string
-	for _, p := range st.parts {
-		for _, c := range p.chain[1:] {
+	for _, p := range st.segs[:len(st.segs)-1] {
+		for _, c := range p.elems()[1:] {
 			if c.kind == enc.DeltaFull {
 				victim, pdir = c.path, p.dir
 				break
@@ -207,10 +197,10 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 			t.Errorf("leftover tmp after recovery: %s", name)
 		}
 	}
-	// Recompaction restored a complete chain in every partition.
-	for _, p := range st2.parts {
-		if !chainComplete(p, p.chain) {
-			t.Fatalf("partition %s chain not recompacted to completeness", p.dir)
+	// Recompaction restored a complete chain in every sealed segment.
+	for _, p := range st2.segs[:len(st2.segs)-1] {
+		if !chainComplete(p, p.elems()) {
+			t.Fatalf("segment %s chain not recompacted to completeness", p.dir)
 		}
 	}
 	// And the store's contents are untouched.
@@ -226,7 +216,7 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 			t.Fatalf("update %d changed across orphan recovery", i)
 		}
 	}
-	// A graph query landing inside the recompacted partition materializes.
+	// A graph query landing inside the recompacted segment materializes.
 	mid := us[len(us)/3].TS
 	g, err := st2.GetGraph(mid)
 	if err != nil {
@@ -234,5 +224,73 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 	}
 	if g.NodeCount() == 0 {
 		t.Error("recompacted materialization is empty")
+	}
+}
+
+// TestRecoveryDropsElementAheadOfLog: Open drops an element whose header
+// places it past the end of the tail-repaired log, on that offset alone. The
+// first file planted here names a position the log does hold, which placing
+// by replay-and-compare would keep; the second case is the real one — a
+// snapshot persisted before the log bytes it covers, which are then lost.
+func TestRecoveryDropsElementAheadOfLog(t *testing.T) {
+	dir := t.TempDir()
+	codec := enc.NewCodec(strstore.NewMem())
+	reopen := func(s *Store) *Store {
+		t.Helper()
+		if s != nil {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := reopen(nil)
+	defer func() { s.Close() }()
+	if err := s.AppendBatch(chainUpdates(10)); err != nil { // ts 1..19
+		t.Fatal(err)
+	}
+	snapshotNow(t, s)
+	keep := s.active().elems()[0]
+	ahead, err := s.writeChainElem(s.active(), enc.DeltaFull, position{ts: 5}, position{}, keep.logOff+1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = reopen(s)
+	if chain := s.active().elems(); len(chain) != 1 || chain[0].path != keep.path {
+		t.Fatalf("chain after reopen %+v, want only %s", chain, keep.path)
+	}
+	if _, err := os.Stat(ahead.path); !os.IsNotExist(err) {
+		t.Errorf("element ahead of the log still on disk (stat: %v)", err)
+	}
+	logPath := s.active().log.Path()
+	s = reopen(s)
+	if err := os.Truncate(logPath, keep.logOff-1); err != nil { // tears the last record
+		t.Fatal(err)
+	}
+	s = reopen(s)
+	if g, err := s.GetGraph(19); err != nil || len(s.active().elems()) != 0 || g.RelCount() != 8 {
+		t.Fatalf("after losing the log tail: %d elements, graph %v (err %v); want none and the 8 rels still logged",
+			len(s.active().elems()), g, err)
+	}
+}
+
+// TestOpenRejectsLegacyLayout: a directory written before segment
+// directories (a top-level updates.log) fails Open with the documented
+// error instead of silently starting an empty store beside it.
+func TestOpenRejectsLegacyLayout(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "updates.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(enc.NewCodec(strstore.NewMem()), Options{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "no migration") {
+		t.Fatalf("Open over a legacy layout: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "p-1")); !os.IsNotExist(err) {
+		t.Errorf("Open started a fresh segment beside the legacy log (stat: %v)", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/pool"
-	"aion/internal/wal"
 )
 
 // The query API comes in pairs following the database/sql convention:
@@ -18,14 +17,13 @@ import (
 // return ctx.Err().
 //
 // Every public entry point takes sealMu.RLock exactly once for its whole
-// partition walk and delegates to *Locked internals, so the partition set
-// it routes over cannot change mid-query (sealSurgery takes the write
-// side). The internals therefore must never re-enter a public method.
+// walk and delegates to *Locked internals, so the segment set it routes
+// over cannot change mid-query (a seal takes the write side). The
+// internals therefore must never re-enter a public method.
 
 // GetDiff returns all graph updates with start <= ts < end in commit order
-// (Table 1). History before the sealed boundary is gathered from the
-// partitions' immutable log segments in parallel (scatter-gather); the
-// active tail is located through the fence list and range-scanned.
+// (Table 1). History before the sealed boundary is gathered from the sealed
+// segments' logs in parallel (scatter-gather); the active tail is streamed.
 func (s *Store) GetDiff(start, end model.Timestamp) ([]model.Update, error) {
 	return s.GetDiffContext(context.Background(), start, end)
 }
@@ -65,37 +63,41 @@ func (p position) before(q position) bool {
 }
 
 // scanFromLocked streams every update strictly after position from and with
-// timestamp < end to fn in commit order. Sealed partitions overlapping the
-// range are read as a scatter-gather: partition segments are walked by pool
-// workers concurrently (each from its chain's floor fence, so a scan deep
-// inside history skips the partition prefix) while the consumer hands the
-// collected runs to fn in partition order; the active tail follows from its
-// floor fence. Caller holds sealMu (either mode). Mid-timestamp from
-// positions can only name points inside the active partition (snapshots
-// never straddle a seal), so the chains' timestamp-only floor is exact.
+// timestamp < end to fn in commit order. The sealed segments overlapping
+// the range are read as a scatter-gather: pool workers walk them
+// concurrently, one worker each (nesting another pool per segment would
+// oversubscribe), while the consumer hands the collected runs to fn in
+// segment order — a sealed segment is bounded by PartitionEvery, so holding
+// its run is too. The active segment, unbounded in a store that never
+// seals, follows streamed. Caller holds sealMu (either mode).
 func (s *Store) scanFromLocked(ctx context.Context, from position, end model.Timestamp, fn func(u model.Update) bool) error {
-	var overlap []*sealedPart
-	for _, p := range s.parts {
+	var overlap []*segment
+	for _, g := range s.segs[:len(s.segs)-1] {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		if p.maxTS > from.ts && p.minTS < end {
-			overlap = append(overlap, p)
+		if from.before(g.end()) && g.minTS < end {
+			overlap = append(overlap, g)
 		}
 	}
 	stopped := false
 	if len(overlap) > 0 {
 		err := pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
-			func(emit func(*sealedPart) bool) error {
-				for _, p := range overlap {
-					if !emit(p) {
+			func(emit func(*segment) bool) error {
+				for _, g := range overlap {
+					if !emit(g) {
 						return nil
 					}
 				}
 				return nil
 			},
-			func(p *sealedPart) ([]model.Update, error) {
-				return s.collectPart(ctx, p, from, end)
+			func(g *segment) ([]model.Update, error) {
+				var out []model.Update // decoded updates do not alias the scan's buffers
+				err := s.scanSegment(ctx, g, 1, from, end, func(u model.Update) bool {
+					out = append(out, u)
+					return true
+				})
+				return out, err
 			},
 			func(us []model.Update) error {
 				for _, u := range us {
@@ -110,30 +112,18 @@ func (s *Store) scanFromLocked(ctx context.Context, from position, end model.Tim
 			return err
 		}
 	}
-	return s.scanActiveLocked(ctx, s.opts.ParallelIO, from, end, fn)
+	return s.scanSegment(ctx, s.active(), s.opts.ParallelIO, from, end, fn)
 }
 
-// scanActiveLocked walks the active log from from's floor fence. The fences
-// cover only live active-partition records, so the floor lands at or before
-// the first one past from even when from predates the sealed boundary.
-// Caller holds sealMu (either mode).
-func (s *Store) scanActiveLocked(ctx context.Context, workers int, from position, end model.Timestamp, fn func(u model.Update) bool) error {
-	start, ok := s.fenceFloor(from)
-	if !ok {
-		return nil // the active partition is empty
-	}
-	return s.scanSegment(ctx, s.log, workers, start, from, end, fn)
-}
-
-// scanSegment is the one walk over a log segment, sealed or active: from
-// the record at start.off it numbers every record off the fence's position
-// and hands those strictly after from, up to the first with timestamp >=
-// end, to fn. Records at or before from (at most a fence stride, or a
-// chain segment's head) are discarded unseen — fn counts only what it
-// applies.
-func (s *Store) scanSegment(ctx context.Context, l *wal.Log, workers int, start fence, from position, end model.Timestamp, fn func(u model.Update) bool) error {
+// scanSegment is the one walk over a segment's log, sealed or active: from
+// g.startFence(from) it numbers every record off the fence's position and
+// hands those strictly after from, up to the first with timestamp >= end,
+// to fn. Records at or before from (at most a fence stride, or the head of
+// a chain cut) are discarded unseen — fn counts only what it applies.
+func (s *Store) scanSegment(ctx context.Context, g *segment, workers int, from position, end model.Timestamp, fn func(u model.Update) bool) error {
+	start := g.startFence(from)
 	cur := start.pos
-	return s.replayWal(ctx, l, workers, start.off, func(_ int64, u model.Update) bool {
+	return s.replayWal(ctx, g.log, workers, start.off, func(_ int64, u model.Update) bool {
 		if u.TS >= end {
 			return false
 		}
@@ -145,31 +135,11 @@ func (s *Store) scanSegment(ctx context.Context, l *wal.Log, workers int, start 
 	})
 }
 
-// collectPart gathers one sealed partition's updates after from with
-// timestamp < end. The chain accelerates the start: the walk begins at the
-// floor element's fence instead of the partition's entry. Runs on a pool
-// worker, so it replays with one worker (nesting another pool per partition
-// would oversubscribe); decoded updates do not alias the scan's readahead
-// buffers.
-func (s *Store) collectPart(ctx context.Context, p *sealedPart, from position, end model.Timestamp) ([]model.Update, error) {
-	start := fence{pos: position{ts: p.entryTS, seq: p.entrySeq}}
-	if j := chainFloor(p.chain, from.ts); j >= 0 {
-		start = fence{pos: p.chain[j].pos, off: p.chain[j].logOff}
-	}
-	var out []model.Update
-	err := s.scanSegment(ctx, p.log, 1, start, from, end, func(u model.Update) bool {
-		out = append(out, u)
-		return true
-	})
-	return out, err
-}
-
 // GetGraph materializes the LPG snapshot valid at ts: fetch the closest
-// base at or before ts — a cached graph, an active snapshot file, or a
-// sealed partition's chain element — and apply the forward changes from
-// the owning log (Sec 4.3). A timestamp inside a sealed partition replays
-// only that partition's chain tail, never the whole history. The returned
-// graph is private to the caller.
+// base at or before ts — a cached graph or a segment's chain element — and
+// apply the forward changes from the owning log (Sec 4.3). A timestamp
+// inside a sealed segment replays only that segment's chain tail, never the
+// whole history. The returned graph is private to the caller.
 func (s *Store) GetGraph(ts model.Timestamp) (*memgraph.Graph, error) {
 	return s.GetGraphContext(context.Background(), ts)
 }
@@ -207,61 +177,27 @@ func (s *Store) getGraphLocked(ctx context.Context, ts model.Timestamp) (*memgra
 }
 
 // basePosLocked returns a mutable graph at the closest base position <= ts
-// together with that exact position: the best of the in-memory GraphStore,
-// the active snapshot files (whose names carry their (ts, seq) position),
-// and the sealed partitions' chain elements — falling back to the empty
+// together with that exact position: the later of the in-memory GraphStore's
+// floor and the newest chain element on disk — falling back to the empty
 // graph before all history. Caller holds sealMu (either mode).
 //
 // Graphs enter the GraphStore only when complete at their timestamp (the
 // cache key carries no sequence), so a cached hit is always position
-// (ts, seqComplete). A mid-timestamp snapshot file is still usable as a
-// base — its position is exact — it just must not be cached.
+// (ts, seqComplete), and it wins over an element at the same timestamp.
 func (s *Store) basePosLocked(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, position, error) {
+	cached, cachedTS, ok := s.gs.Floor(ts)
 	best := position{ts: -1, seq: seqComplete}
-	kind := 0 // 0: empty genesis, 1: GraphStore, 2: snapshot file, 3: chain element
-	var memG *memgraph.Graph
-	if g, snapTS, ok := s.gs.Floor(ts); ok {
-		memG, best, kind = g, position{ts: snapTS, seq: seqComplete}, 1
+	if ok {
+		best.ts = cachedTS
 	}
-	snap, snapOK := s.floorSnapshot(ts)
-	if snapOK && best.before(snap.pos) {
-		best, kind = snap.pos, 2
+	if seg, chain, j := s.floorElem(ts); j >= 0 && best.before(chain[j].pos) {
+		g, err := s.materializeElem(ctx, seg, chain, j)
+		return g, chain[j].pos, err
 	}
-	part, elemIdx, elemOK := s.floorElem(ts)
-	if elemOK && best.before(part.chain[elemIdx].pos) {
-		best, kind = part.chain[elemIdx].pos, 3
+	if ok {
+		return cached, best, nil
 	}
-	switch kind {
-	case 1:
-		return memG, best, nil
-	case 2:
-		g, err := s.loadSnapshotFile(ctx, snap.path, best.ts)
-		if err != nil {
-			return nil, position{}, err
-		}
-		// Cache only if the snapshot is complete at its timestamp: no
-		// record past its position carries that timestamp. Put caches a CoW
-		// clone, so g itself is handed back either way.
-		complete := true
-		err = s.scanActiveLocked(ctx, 1, best, best.ts+1, func(model.Update) bool {
-			complete = false
-			return false
-		})
-		if err != nil {
-			return nil, position{}, err
-		}
-		if complete {
-			s.gs.Put(g)
-		}
-		return g, best, nil
-	case 3:
-		g, err := s.materializeElem(ctx, part, elemIdx)
-		if err != nil {
-			return nil, position{}, err
-		}
-		return g, best, nil
-	}
-	return memgraph.New(), position{ts: -1, seq: seqComplete}, nil
+	return memgraph.New(), best, nil
 }
 
 // GetGraphs returns a series of snapshots at start, start+step, ..., built
@@ -352,7 +288,7 @@ func (s *Store) GetTemporalGraph(start, end model.Timestamp) (*memgraph.TGraph, 
 }
 
 // GetTemporalGraphContext is GetTemporalGraph honouring ctx cancellation.
-// It holds the partition set stable for the whole build (one RLock via the
+// It holds the segment set stable for the whole build (one RLock via the
 // *Locked internals — the public GetGraph/ScanDiff pair would re-acquire
 // it, and a writer queued between the two acquisitions would deadlock the
 // second).

@@ -3,7 +3,6 @@ package timestore
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -426,11 +425,10 @@ func (f failSyncFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestCloseReleasesDescriptors opens, fills and closes a partitioned store
+// TestCloseReleasesDescriptors opens, fills and closes a sealing store
 // repeatedly — the last time over a filesystem whose fsync fails, so Close's
 // flush errors — and checks that the process holds no more descriptors than
-// when it started: Close must close the active and every sealed log on every
-// path.
+// when it started: Close must close every segment's log on every path.
 func TestCloseReleasesDescriptors(t *testing.T) {
 	openFDs := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -444,12 +442,7 @@ func TestCloseReleasesDescriptors(t *testing.T) {
 	us := chainUpdates(20)
 	start := openFDs()
 	for i := 0; i <= 50; i++ {
-		dir := t.TempDir()
-		// vfs.MkdirAll creates directories only for the bare OS filesystem.
-		if err := os.Mkdir(filepath.Join(dir, partDirName(1)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(enc.NewCodec(strstore.NewMem()), Options{Dir: dir, FS: fs, PartitionEvery: 10})
+		s, err := Open(enc.NewCodec(strstore.NewMem()), Options{Dir: t.TempDir(), FS: fs, PartitionEvery: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

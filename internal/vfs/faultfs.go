@@ -263,6 +263,10 @@ func (fs *FaultFS) SyncDir(dir string) error {
 	return nil
 }
 
+// MkdirAll does nothing: paths are opaque keys grouped by filepath.Dir, and
+// an uncharged call keeps the crash sweeps' fault indexes unaffected.
+func (fs *FaultFS) MkdirAll(string) error { return nil }
+
 // --- file handles -----------------------------------------------------------
 
 type memFile struct {

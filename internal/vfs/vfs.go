@@ -57,6 +57,9 @@ type FS interface {
 	// SyncDir flushes the directory entries of dir to stable storage,
 	// making prior creates, renames, and removes under it durable.
 	SyncDir(dir string) error
+	// MkdirAll ensures the directory path exists, with its parents. The
+	// in-memory implementations have no directories and do nothing.
+	MkdirAll(path string) error
 }
 
 // OS is the passthrough FS over the real filesystem.
@@ -145,17 +148,12 @@ func (osFS) SyncDir(dir string) error {
 	return err
 }
 
-// MkdirAll ensures path exists on filesystems that have a real namespace.
-// The OS passthrough delegates to os.MkdirAll; in-memory filesystems
-// (FaultFS) treat paths as opaque keys grouped by filepath.Dir and need
-// no directories. Stores call this for every subdirectory they open files
-// under, so the one call shape works on both sides of the seam.
-func MkdirAll(fs FS, path string) error {
-	if _, ok := fs.(osFS); ok {
-		return os.MkdirAll(path, 0o755)
-	}
-	return nil
-}
+func (osFS) MkdirAll(path string) error { return os.MkdirAll(path, 0o755) }
+
+// MkdirAll ensures path exists on fs. Stores call this for every
+// subdirectory they open files under, so the one call shape works on both
+// sides of the seam and through any FS that wraps another.
+func MkdirAll(fs FS, path string) error { return fs.MkdirAll(path) }
 
 // MkdirTemp creates a fresh scratch directory on the real filesystem (an
 // os.MkdirTemp passthrough, with its dir/pattern contract). It is the

@@ -323,6 +323,15 @@ func TestMkdirAll(t *testing.T) {
 	if err := MkdirAll(OS, nested); err != nil {
 		t.Fatalf("MkdirAll must be idempotent: %v", err)
 	}
+	// A filesystem that wraps the OS one (a test's fault shim) inherits
+	// directory creation; it used to be silently skipped.
+	wrapped := filepath.Join(base, "w", "x")
+	if err := MkdirAll(struct{ FS }{OS}, wrapped); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(wrapped); err != nil || !st.IsDir() {
+		t.Fatalf("dir under a wrapped OS filesystem: %v %v", st, err)
+	}
 
 	ffs := NewFaultFS()
 	ffs.SetFailAfter(1) // any charged op would fail
