@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep
+.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep
 
 build:
 	$(GO) build ./...
@@ -107,3 +107,14 @@ seal-sweep:
 	$(GO) test -race -count=1 -run 'TestCrashSweepSeal|TestRecoveryDropsOrphanDeltas' ./internal/timestore/
 	$(GO) test -race -count=1 ./internal/tstest/
 	$(GO) run ./cmd/aion-bench -exp history -scale 500 -globalops 12 -json BENCH_seal.json -baseline BENCH_baseline.json
+
+# The restart gate: the two-generation checkpoint crash sweep, the tests that
+# the disk alone selects the catch-up path, the lineage-only watermark and
+# failed-Open leak tests and the tail-only TimeStore recovery property, all
+# under the race detector, then one timed reopen of the benchmark's dataset
+# shape.
+restart-sweep:
+	$(GO) test -race -count=1 -run 'TestCrashSweepRestart' ./internal/system/
+	$(GO) test -race -count=1 -run 'TestReopenCatchesUp|TestSkippedApplyBarsTheCheckpoint|TestLineageOnlyKeepsItsWatermark|TestFailedOpenReleasesEverything|TestCloseReleasesDescriptors' ./internal/aion/
+	$(GO) test -race -count=1 -run 'TestInvalidationPrecedesTheFirstWrite|TestFenceScanMatchesBruteForce|TestReplayCommittedDecodesOnly' ./internal/lineagestore/ ./internal/timestore/ ./internal/hostdb/
+	$(GO) test -run '^$$' -bench BenchmarkReopen -benchtime 1x ./internal/system/

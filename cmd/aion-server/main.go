@@ -55,11 +55,13 @@ func main() {
 		opts.Dir = d
 		fmt.Println("storage:", d)
 	}
+	t0 := time.Now()
 	sys, err := system.Open(opts)
 	if err != nil {
 		fail(err)
 	}
 	defer sys.Close()
+	opened := time.Since(t0).Round(time.Millisecond)
 
 	srvOpts := bolt.Options{
 		QueryTimeout:  *queryTimeout,
@@ -100,11 +102,12 @@ func main() {
 	if public == "" {
 		public = bound
 	}
+	role := "primary"
 	if *replicaOf != "" {
-		fmt.Printf("aion-server (replica of %s) listening on %s (advertised %s)\n", *replicaOf, bound, public)
-	} else {
-		fmt.Printf("aion-server (primary) listening on %s (advertised %s)\n", bound, public)
+		role = "replica of " + *replicaOf
 	}
+	fmt.Printf("aion-server (%s) listening on %s (advertised %s); store opened in %v, lineage caught up %d updates\n",
+		role, bound, public, opened, sys.Aion.LineageStore().Stats().CaughtUp)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var followerExit <-chan struct{}

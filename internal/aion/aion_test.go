@@ -307,19 +307,23 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 }
 
+// openFDs counts the process's open descriptors (skipping the test where
+// there is no table to count).
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no descriptor table to count: %v", err)
+	}
+	return len(ents)
+}
+
 // TestCloseReleasesDescriptors opens, ingests into and closes a store fifty
 // times and checks that the process holds no more descriptors than when it
 // started: Close must release every store's files, the LineageStore's four
 // page-cache files included.
 func TestCloseReleasesDescriptors(t *testing.T) {
-	openFDs := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skipf("no descriptor table to count: %v", err)
-		}
-		return len(ents)
-	}
-	start := openFDs()
+	start := openFDs(t)
 	for i := 0; i < 50; i++ {
 		db, err := Open(Options{Dir: t.TempDir()})
 		if err != nil {
@@ -332,7 +336,7 @@ func TestCloseReleasesDescriptors(t *testing.T) {
 			t.Fatalf("round %d: %v", i, err)
 		}
 	}
-	if got := openFDs(); got > start {
+	if got := openFDs(t); got > start {
 		t.Errorf("%d descriptors open after 50 Open/Close rounds, %d before", got, start)
 	}
 }

@@ -37,7 +37,9 @@ const (
 	SyncBoth
 	// SyncTimeStoreOnly maintains only the TimeStore.
 	SyncTimeStoreOnly
-	// SyncLineageOnly maintains only the LineageStore.
+	// SyncLineageOnly maintains only the LineageStore. Its watermark survives
+	// a clean Close (the checkpoint); after an unclean stop there is no log to
+	// rebuild from and the store reopens at -1 over whatever its indexes hold.
 	SyncLineageOnly
 )
 
@@ -140,12 +142,25 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec := enc.NewCodec(strings)
-	db := &DB{opts: opts, strings: strings, codec: codec,
+	db := &DB{opts: opts, strings: strings, codec: enc.NewCodec(strings),
 		stats: NewGraphStats(), catalog: newEntityCatalog()}
+	if err := db.openStores(fs); err != nil {
+		return nil, errors.Join(err, db.closeStores())
+	}
+	if opts.Mode == SyncHybrid {
+		db.queue = make(chan cascadeItem, opts.AsyncQueueDepth)
+		db.wg.Add(1)
+		go db.cascadeWorker()
+	}
+	return db, nil
+}
 
+// openStores opens the temporal stores over db.strings and brings the
+// LineageStore to the TimeStore's end; Open closes what an error leaves open.
+func (db *DB) openStores(fs vfs.FS) (err error) {
+	opts := db.opts
 	if opts.Mode != SyncLineageOnly {
-		db.ts, err = timestore.Open(codec, timestore.Options{
+		db.ts, err = timestore.Open(db.codec, timestore.Options{
 			Dir:                filepath.Join(opts.Dir, "timestore"),
 			SnapshotEveryOps:   opts.SnapshotEveryOps,
 			SnapshotEveryBytes: opts.SnapshotEveryBytes,
@@ -156,85 +171,40 @@ func Open(opts Options) (*DB, error) {
 			FS:                 opts.FS,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if opts.Mode != SyncTimeStoreOnly {
-		db.ls, err = lineagestore.Open(codec, lineagestore.Options{
+		db.ls, err = lineagestore.Open(db.codec, lineagestore.Options{
 			Dir:            filepath.Join(opts.Dir, "lineage"),
 			ChainThreshold: opts.ChainThreshold,
 			FS:             opts.FS,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if db.ts != nil {
 		db.rebuildStatsFromLatest()
 	}
-	if err := db.rebuildLineage(); err != nil {
-		return nil, err
+	if db.ts != nil && db.ls != nil {
+		// The TimeStore log is the authoritative copy: the LineageStore
+		// resumes from its clean-shutdown checkpoint when the disk holds one,
+		// and is otherwise wiped and replayed from the whole log (after a crash
+		// its index files may lag or lead the durable log undetectably).
+		end := db.ts.LatestTimestamp() + 1
+		err := db.ls.CatchUp(db.ts.Stats().Updates, func(from model.Timestamp, fn func(model.Update) bool) error {
+			return db.ts.ScanDiff(from, end, fn)
+		})
+		if err != nil {
+			return err
+		}
 	}
 	// Make strings.db's directory entry durable: its content syncs would
 	// otherwise be futile — a file whose name never reached the directory
 	// vanishes entirely at a crash, stranding the (surviving) TimeStore log
 	// with dangling string refs.
-	if err := vfs.OrOS(opts.FS).SyncDir(opts.Dir); err != nil {
-		return nil, err
-	}
-	if opts.Mode == SyncHybrid {
-		db.queue = make(chan cascadeItem, opts.AsyncQueueDepth)
-		db.wg.Add(1)
-		go db.cascadeWorker()
-	}
-	return db, nil
-}
-
-// rebuildLineage reconstructs the LineageStore from the TimeStore log after
-// a reopen. The LineageStore is maintained asynchronously and carries no
-// durable watermark, so after a crash its on-disk indexes may lag or lead
-// the TimeStore's durable prefix in ways that cannot be detected; wiping
-// and replaying the (authoritative) log is the only always-correct state.
-func (db *DB) rebuildLineage() error {
-	if db.ts == nil || db.ls == nil {
-		return nil
-	}
-	if db.ts.Stats().Updates == 0 {
-		if db.ls.AppliedThrough() >= 0 {
-			// Orphaned lineage state with an empty log: discard it too.
-			return db.ls.Wipe()
-		}
-		return nil
-	}
-	if err := db.ls.Wipe(); err != nil {
-		return err
-	}
-	batch := make([]model.Update, 0, 256)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := db.ls.ApplyBatch(batch)
-		batch = batch[:0]
-		return err
-	}
-	var aerr error
-	err := db.ts.ScanDiff(0, db.ts.LatestTimestamp()+1, func(u model.Update) bool {
-		batch = append(batch, u)
-		if len(batch) == cap(batch) {
-			if aerr = flush(); aerr != nil {
-				return false
-			}
-		}
-		return true
-	})
-	if aerr != nil {
-		return aerr
-	}
-	if err != nil {
-		return err
-	}
-	return flush()
+	return fs.SyncDir(opts.Dir)
 }
 
 // rebuildStatsFromLatest repopulates the planner histograms and the entity
@@ -421,7 +391,8 @@ func (db *DB) DiskBytes() (timeStore, lineage int64) {
 }
 
 // Flush makes every ingested update durable. The TimeStore log is the
-// authoritative copy (the LineageStore is rebuilt from it at Open), so
+// authoritative copy (at Open the LineageStore catches up from it, from its
+// checkpoint after a clean Close and from nothing after a crash), so
 // flushing the TimeStore — which syncs the shared string table before its
 // log — is sufficient in every mode that has one.
 func (db *DB) Flush() error {
@@ -434,7 +405,9 @@ func (db *DB) Flush() error {
 	return db.ls.Flush()
 }
 
-// Close drains the background queue, flushes, and closes all stores.
+// Close drains the background queue, flushes, and closes all stores: the
+// TimeStore first, so the log prefix the LineageStore's checkpoint names is
+// durable before the checkpoint is.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
@@ -443,22 +416,20 @@ func (db *DB) Close() error {
 		close(db.queue)
 		db.wg.Wait()
 	}
-	var firstErr error
+	return errors.Join(db.closeStores(), db.Err())
+}
+
+// closeStores closes whichever stores are open, all even when one fails. The
+// strings are synced before the LineageStore publishes its checkpoint.
+func (db *DB) closeStores() error {
+	var err error
 	if db.ts != nil {
-		if err := db.ts.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		err = db.ts.Close()
+	} else {
+		err = db.strings.Sync()
 	}
 	if db.ls != nil {
-		if err := db.ls.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		err = errors.Join(err, db.ls.Close())
 	}
-	if err := db.strings.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := db.Err(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return errors.Join(err, db.strings.Close())
 }

@@ -45,7 +45,8 @@ func seedUpdates() []model.Update {
 // exactly this input class when recovery replays a log whose tail a crash
 // tore — and every successfully decoded update must round-trip: re-encoding
 // it and decoding that must reproduce the same bytes (property keys are
-// encoded sorted, so the bytes are canonical).
+// encoded sorted, so the bytes are canonical), and PeekTS must report the
+// timestamp the full decode does.
 func FuzzDecodeUpdates(f *testing.F) {
 	seedCodec := NewCodec(strstore.NewMem())
 	for _, u := range seedUpdates() {
@@ -71,6 +72,11 @@ func FuzzDecodeUpdates(f *testing.F) {
 		u, err := c.DecodeUpdate(b)
 		if _, berr := c.DecodeUpdates(nil, [][]byte{b, b}); (berr == nil) != (err == nil) {
 			t.Fatalf("DecodeUpdates disagrees with DecodeUpdate: %v vs %v", berr, err)
+		}
+		// PeekTS reads the prefix DecodeUpdate starts with: it must agree on
+		// every record the decoder accepts (and only not panic on the rest).
+		if ts, perr := PeekTS(b); err == nil && (perr != nil || ts != u.TS) {
+			t.Fatalf("PeekTS = %d, %v on a record that decodes to ts %d", ts, perr, u.TS)
 		}
 		if err != nil {
 			return

@@ -82,6 +82,18 @@ func (c *Codec) EncodeUpdate(u model.Update) ([]byte, error) {
 	return c.AppendUpdate(make([]byte, 0, 64), u)
 }
 
+// PeekTS returns the timestamp of a record produced by AppendUpdate from
+// its first bytes (header(1) | ts uvarint) without decoding the rest: what
+// recovery needs to number a record it will not apply.
+func PeekTS(b []byte) (model.Timestamp, error) {
+	if len(b) > 0 {
+		if ts, w := binary.Uvarint(b[1:]); w > 0 {
+			return model.Timestamp(ts), nil
+		}
+	}
+	return 0, fmt.Errorf("enc: bad update record header")
+}
+
 // DecodeUpdate decodes a record produced by AppendUpdate.
 func (c *Codec) DecodeUpdate(b []byte) (model.Update, error) {
 	var u model.Update

@@ -160,7 +160,7 @@ func (db *DB) ObserveEpoch(epoch uint64) (uint64, bool, error) {
 // persistEpoch writes the epoch file atomically (tmp + fsync + rename +
 // dir fsync). Callers hold fence.mu. In-memory databases keep the state in
 // RAM only.
-func (db *DB) persistEpoch(epoch uint64, role byte) (err error) {
+func (db *DB) persistEpoch(epoch uint64, role byte) error {
 	if db.opts.InMemory || db.opts.Dir == "" {
 		return nil
 	}
@@ -169,27 +169,7 @@ func (db *DB) persistEpoch(epoch uint64, role byte) (err error) {
 	binary.LittleEndian.PutUint64(buf[4:], epoch)
 	buf[12] = role
 	binary.LittleEndian.PutUint32(buf[13:], crc32.ChecksumIEEE(buf[:13]))
-	path := filepath.Join(db.opts.Dir, epochFileName)
-	tmp := path + ".tmp"
-	f, err := db.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err = f.WriteAt(buf, 0); err != nil {
-		vfs.CloseChecked(f, &err)
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		vfs.CloseChecked(f, &err)
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	if err = db.fs.Rename(tmp, path); err != nil {
-		return err
-	}
-	return db.fs.SyncDir(db.opts.Dir)
+	return vfs.PublishFile(db.fs, filepath.Join(db.opts.Dir, epochFileName), buf)
 }
 
 // loadEpoch reads the epoch file, returning zero state when it does not

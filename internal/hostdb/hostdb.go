@@ -255,6 +255,19 @@ func (db *DB) decodeCommit(payload []byte) ([]model.Update, error) {
 	return us, nil
 }
 
+// peekCommitTS returns a commit's timestamp — its first update's — without
+// decoding the commit; an empty commit has none and reports -1.
+func peekCommitTS(payload []byte) (model.Timestamp, error) {
+	n, w := binary.Uvarint(payload)
+	if w <= 0 || (n > 0 && len(payload) < w+4) {
+		return -1, fmt.Errorf("hostdb: bad commit record header")
+	}
+	if n == 0 {
+		return -1, nil
+	}
+	return enc.PeekTS(payload[w+4:])
+}
+
 // ReplayCommitted streams every durably committed transaction with commit
 // timestamp strictly greater than after, in commit order. The system layer
 // uses it at startup to re-feed Aion with transactions the host made
@@ -265,19 +278,14 @@ func (db *DB) ReplayCommitted(after model.Timestamp, fn func(ts model.Timestamp,
 	}
 	var ferr error
 	_, err := db.txnLog.Scan(0, func(off int64, payload []byte) bool {
-		us, derr := db.decodeCommit(payload)
-		if derr != nil {
-			ferr = derr
-			return false
+		ts, perr := peekCommitTS(payload) // decode only what is delivered
+		if ferr = perr; ferr == nil && ts > after {
+			var us []model.Update
+			if us, ferr = db.decodeCommit(payload); ferr == nil {
+				ferr = fn(ts, us)
+			}
 		}
-		if len(us) == 0 || us[0].TS <= after {
-			return true
-		}
-		if e := fn(us[0].TS, us); e != nil {
-			ferr = e
-			return false
-		}
-		return true
+		return ferr == nil
 	})
 	if ferr != nil {
 		return ferr

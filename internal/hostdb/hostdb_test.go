@@ -1,10 +1,13 @@
 package hostdb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 
 	"aion/internal/model"
+	"aion/internal/wal"
 )
 
 func openDB(t *testing.T, opts Options) *DB {
@@ -263,5 +266,76 @@ func TestEmptyCommitIsNoop(t *testing.T) {
 	ts, err := tx.Commit()
 	if err != nil || ts != before {
 		t.Errorf("empty commit: ts %d err %v", ts, err)
+	}
+}
+
+// TestReplayCommittedDecodesOnlyWhatItDelivers: for every `after`, the
+// commits past it arrive byte-identical to what was logged, and the commits
+// at or before it are skipped off a peek at their timestamp — shown by
+// replaying a copy of the log in which exactly those commits no longer
+// decode (their first update's entity type is made invalid; the timestamp
+// that follows it stays readable).
+func TestReplayCommittedDecodesOnlyWhatItDelivers(t *testing.T) {
+	db := openDB(t, Options{})
+	const commits = 12
+	for i := 0; i < commits; i++ {
+		tx := db.Begin()
+		for j := 0; j <= i%3; j++ {
+			if _, err := tx.CreateNode([]string{"N"}, model.Properties{"i": model.IntValue(int64(i*10 + j))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var logged [][]byte
+	if _, err := db.txnLog.Scan(0, func(_ int64, p []byte) bool {
+		logged = append(logged, append([]byte(nil), p...))
+		return true
+	}); err != nil || len(logged) != commits {
+		t.Fatalf("scanned %d commits, %v", len(logged), err)
+	}
+	real := db.txnLog
+	defer func() { db.txnLog = real }()
+	for after := model.Timestamp(-1); after <= commits; after++ {
+		poisoned, err := wal.OpenTemp(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range logged {
+			p = append([]byte(nil), p...)
+			if model.Timestamp(i+1) <= after {
+				_, w := binary.Uvarint(p)
+				p[w+4] |= 0b11 // neither TypeNode nor TypeRel
+				if _, err := db.decodeCommit(p); err == nil {
+					t.Fatal("poisoned commit still decodes")
+				}
+			}
+			if _, err := poisoned.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.txnLog = poisoned
+		next := int(max(after, 0))
+		err = db.ReplayCommitted(after, func(ts model.Timestamp, us []model.Update) error {
+			if ts != model.Timestamp(next+1) {
+				t.Fatalf("after=%d: delivered ts %d, want %d", after, ts, next+1)
+			}
+			if p, err := db.encodeCommit(us); err != nil || !bytes.Equal(p, logged[next]) {
+				t.Fatalf("after=%d: commit ts %d does not re-encode to the logged bytes (%v)", after, ts, err)
+			}
+			next++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("after=%d: %v", after, err)
+		}
+		if next != commits {
+			t.Fatalf("after=%d: delivered through commit %d of %d", after, next, commits)
+		}
+		if err := poisoned.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

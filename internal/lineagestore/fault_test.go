@@ -1,6 +1,7 @@
 package lineagestore
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"aion/internal/model"
 	"aion/internal/pagecache"
 	"aion/internal/strstore"
+	"aion/internal/vfs"
 )
 
 func applyChain(t *testing.T, s *Store, n int) {
@@ -49,8 +51,8 @@ func TestOpenResetsTruncatedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over a truncated index must reset, got %v", err)
 	}
-	if !s2.Reset() {
-		t.Fatal("Reset() must report the corruption recovery")
+	if s2.holdsData() {
+		t.Fatal("the corruption recovery must leave empty indexes")
 	}
 	if s2.AppliedThrough() != -1 {
 		t.Errorf("reset store AppliedThrough = %d, want -1", s2.AppliedThrough())
@@ -70,8 +72,8 @@ func TestOpenResetsTruncatedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Reset() {
-		t.Error("clean reopen must not report a reset")
+	if !s3.holdsData() {
+		t.Error("clean reopen must keep the re-applied indexes")
 	}
 }
 
@@ -101,7 +103,83 @@ func TestOpenResetsBadMetaMagic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over a corrupt meta page must reset, got %v", err)
 	}
-	if !s2.Reset() {
-		t.Fatal("Reset() must report the corruption recovery")
+	if s2.holdsData() {
+		t.Fatal("the corruption recovery must leave empty indexes")
+	}
+}
+
+// failOnceFS fails the first Remove of one path.
+type failOnceFS struct {
+	vfs.FS
+	path  string
+	fired bool
+}
+
+func (f *failOnceFS) Remove(path string) error {
+	if path == f.path && !f.fired {
+		f.fired = true
+		return vfs.ErrInjected
+	}
+	return f.FS.Remove(path)
+}
+
+// TestInvalidationPrecedesTheFirstWrite: when the checkpoint cannot be
+// removed, the apply that tried must fail before it dirties a page — a
+// later flush of that page would put an index file ahead of a checkpoint
+// that is still on disk. (The crash sweeps cannot see this order: they stop
+// the disk for good at the fault, so nothing later reaches it.)
+func TestInvalidationPrecedesTheFirstWrite(t *testing.T) {
+	dir := t.TempDir()
+	codec := enc.NewCodec(strstore.NewMem())
+	s, err := Open(codec, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyChain(t, s, 10)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs := &failOnceFS{FS: vfs.OS, path: filepath.Join(dir, checkpointName)}
+	s, err = Open(codec, Options{Dir: dir, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := model.AddNode(11, 10, []string{"N"}, nil)
+	if err := s.Apply(extra); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Apply over an irremovable checkpoint: %v, want the injected fault", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(codec, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats(); s.AppliedThrough() != 10 || got.Updates != 10 {
+		t.Fatalf("reopened at ts %d with %d updates, want the checkpoint's 10 and 10", s.AppliedThrough(), got.Updates)
+	}
+	if vs, err := s.GetNode(10, 0, 20); err != nil || len(vs) != 0 {
+		t.Fatalf("the failed apply reached the index file: %v, %v", vs, err)
+	}
+	// The fault was transient: the same apply now goes through and the next
+	// clean Close checkpoints it.
+	if err := s.Apply(extra); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointName)); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint still present after an apply: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(codec, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if vs, err := s.GetNode(10, 0, 20); s.AppliedThrough() != 11 || err != nil || len(vs) != 1 {
+		t.Fatalf("after the retry: applied through %d, node 10 = %v, %v", s.AppliedThrough(), vs, err)
 	}
 }

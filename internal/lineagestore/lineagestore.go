@@ -9,14 +9,28 @@
 // entities. A delta chain threshold (Fig 11; default 4) bounds how many
 // deltas may accumulate before the store writes a materialized record,
 // trading ~16 % extra storage for fast version reconstruction.
+//
+// The indexes are derived data with a clean-shutdown checkpoint, under one
+// invariant: the checkpoint file is on disk only while the four index files
+// are durably the image of exactly the log prefix it names. Close publishes
+// it after all four trees are fsynced and only if no apply or catch-up has
+// failed since Open (a skipped update leaves trees that match no prefix);
+// the first Apply, ApplyBatch or Wipe afterwards makes its removal durable
+// before a tree page can be written; one that fails its CRC, that CatchUp
+// finds ahead of the owner's log, or that does not lead to the log's end,
+// counts as absent. A crash while trees are being written thus finds no
+// checkpoint and rebuilds, which is why B+Tree pages need no checksum.
 package lineagestore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"aion/internal/btree"
 	"aion/internal/enc"
@@ -71,8 +85,12 @@ type Store struct {
 	pcs   [4]*pagecache.Cache
 
 	lastTS      model.Timestamp
+	atLastTS    uint64 // updates applied at lastTS
 	updateCount uint64
-	reset       bool // Open found corrupt indexes and started fresh
+	caughtUp    uint64 // updates CatchUp applied
+	failed      bool   // an apply or catch-up failed: the trees may match no log prefix
+	// clean: the checkpoint on disk names this state, no page dirtied since (atomic for the lock-free DiskBytes).
+	clean atomic.Bool
 }
 
 // Open creates or reopens a LineageStore in opts.Dir. The LineageStore is
@@ -94,12 +112,12 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 		}
 	}
 	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, lastTS: -1}
+	s.readCheckpoint() // before the trees: a corruption wipe must remove it
 	if err := s.openTrees(); err != nil {
 		// Corrupt index files: wipe and start empty.
 		if werr := s.Wipe(); werr != nil {
 			return nil, fmt.Errorf("lineagestore: open: %v; reset failed: %w", err, werr)
 		}
-		s.reset = true
 	}
 	return s, nil
 }
@@ -112,7 +130,8 @@ func (s *Store) openTrees() error {
 		path := filepath.Join(s.opts.Dir, name)
 		// A file cut mid-page is a crash artifact: the B+Tree cannot be
 		// trusted even if the early pages parse.
-		if sz, err := s.fs.Stat(path); err == nil && sz%pagecache.PageSize != 0 {
+		sz, err := s.fs.Stat(path)
+		if err == nil && sz%pagecache.PageSize != 0 {
 			return errors.Join(fmt.Errorf("lineagestore: open %s: truncated mid-page (%d bytes)", name, sz), s.closeTrees())
 		}
 		pc, err := pagecache.OpenFS(s.fs, path, s.opts.IndexCachePages)
@@ -144,12 +163,15 @@ func (s *Store) closeTrees() error {
 	return err
 }
 
-// Wipe discards the on-disk indexes and reopens the store empty. Used for
-// corruption recovery and by owners that rebuild the LineageStore from the
-// TimeStore log after a reopen.
+// Wipe discards the on-disk indexes — the checkpoint first — and reopens the
+// store empty. Used for corruption recovery and by CatchUp when the indexes
+// cannot be trusted.
 func (s *Store) Wipe() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.invalidateLocked(); err != nil {
+		return err
+	}
 	// Close errors are ignored deliberately: the indexes are corrupt and
 	// about to be deleted, so a failed final flush carries no information.
 	_ = s.closeTrees()
@@ -162,15 +184,112 @@ func (s *Store) Wipe() error {
 	if err := s.fs.SyncDir(s.opts.Dir); err != nil {
 		return err
 	}
-	s.lastTS, s.updateCount = -1, 0
+	s.lastTS, s.atLastTS, s.updateCount, s.failed = -1, 0, 0, false
 	return s.openTrees()
 }
 
-// Reset reports whether Open found corrupt index files and wiped them.
-func (s *Store) Reset() bool {
+// The checkpoint file: magic | lastTS | atLastTS | updateCount | crc.
+const (
+	checkpointName  = "checkpoint"
+	checkpointMagic = "ALC1"
+	checkpointLen   = 4 + 8*3 + 4
+)
+
+// readCheckpoint restores the position a clean Close published; a missing,
+// short or corrupt file leaves the store at -1, for the owner to rebuild.
+func (s *Store) readCheckpoint() {
+	f, err := s.fs.Open(filepath.Join(s.opts.Dir, checkpointName))
+	if err != nil {
+		return
+	}
+	var b [checkpointLen]byte
+	_, err = f.ReadAt(b[:], 0)
+	if err = errors.Join(err, f.Close()); err != nil || string(b[:4]) != checkpointMagic ||
+		crc32.ChecksumIEEE(b[:checkpointLen-4]) != binary.BigEndian.Uint32(b[checkpointLen-4:]) {
+		return
+	}
+	s.lastTS = model.Timestamp(binary.BigEndian.Uint64(b[4:]))
+	s.atLastTS = binary.BigEndian.Uint64(b[12:])
+	s.updateCount = binary.BigEndian.Uint64(b[20:])
+	s.clean.Store(true)
+}
+
+// publishLocked writes the checkpoint; the caller just fsynced all four trees.
+func (s *Store) publishLocked() error {
+	b := append(make([]byte, 0, checkpointLen), checkpointMagic...)
+	b = binary.BigEndian.AppendUint64(b, uint64(s.lastTS))
+	b = binary.BigEndian.AppendUint64(b, s.atLastTS)
+	b = binary.BigEndian.AppendUint64(b, s.updateCount)
+	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return vfs.PublishFile(s.fs, filepath.Join(s.opts.Dir, checkpointName), b)
+}
+
+// invalidateLocked removes the checkpoint, durably, before the caller dirties
+// its first tree page since Open (a dirty page may be evicted to disk at once).
+func (s *Store) invalidateLocked() error {
+	if !s.clean.Load() {
+		return nil
+	}
+	if err := s.fs.Remove(filepath.Join(s.opts.Dir, checkpointName)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	//aionlint:ignore lockio once per open, and s.mu must be held: a reader let through meanwhile would see AppliedThrough lag for the length of an fsync and fall back to the TimeStore
+	if err := s.fs.SyncDir(s.opts.Dir); err != nil {
+		return err
+	}
+	s.clean.Store(false)
+	return nil
+}
+
+// CatchUp brings the store to the end of its owner's log at Open: logged is
+// the log's update count, scan streams its updates with timestamp >= from in
+// commit order. A checkpoint not ahead of the log resumes after its position
+// (skipping the updates at lastTS it holds); no checkpoint over index files
+// that hold data, one ahead of the log, or a resume that does not end at
+// exactly the log's end wipes and replays it all.
+func (s *Store) CatchUp(logged uint64, scan func(from model.Timestamp, fn func(model.Update) bool) error) error {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.reset
+	rebuild := s.updateCount > logged || (!s.clean.Load() && s.holdsData())
+	from, skip, start := s.lastTS, s.atLastTS, s.updateCount
+	s.mu.RUnlock()
+	for {
+		if rebuild {
+			if err := s.Wipe(); err != nil {
+				return err
+			}
+			from, skip, start = -1, 0, 0
+		}
+		var aerr error
+		err := scan(max(from, 0), func(u model.Update) bool {
+			if u.TS == from && skip > 0 {
+				skip--
+				return true
+			}
+			aerr = s.Apply(u)
+			return aerr == nil
+		})
+		s.mu.Lock()
+		s.caughtUp = s.updateCount - start
+		if err = errors.Join(err, aerr); err == nil && s.updateCount != logged {
+			err = fmt.Errorf("lineagestore: caught up to %d updates, the log holds %d", s.updateCount, logged)
+		}
+		s.failed = s.failed || err != nil
+		s.mu.Unlock()
+		if err == nil || rebuild {
+			return err
+		}
+		rebuild = true // the trees were no prefix of this log
+	}
+}
+
+// holdsData reports whether any tree has an entry on disk (or cannot say).
+func (s *Store) holdsData() bool {
+	for _, t := range []*btree.Tree{s.nodes, s.rels, s.out, s.in} {
+		if _, _, ok, err := t.First(); ok || err != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // AppliedThrough returns the newest timestamp the store has absorbed. As
@@ -184,28 +303,34 @@ func (s *Store) AppliedThrough() model.Timestamp {
 }
 
 // Apply indexes one committed update by its entity identifiers.
-func (s *Store) Apply(u model.Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyLocked(u)
-}
+func (s *Store) Apply(u model.Update) error { return s.ApplyBatch([]model.Update{u}) }
 
-// ApplyBatch indexes a batch of updates under one lock acquisition.
+// ApplyBatch indexes a batch of updates under one lock acquisition. Any
+// failure past the monotonicity check bars the checkpoint until a Wipe: that
+// update is missing or half there, and a later one may still apply.
 func (s *Store) ApplyBatch(us []model.Update) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, u := range us {
-		if err := s.applyLocked(u); err != nil {
-			return err
+	err := s.invalidateLocked()
+	for i := 0; err == nil && i < len(us); i++ {
+		u := us[i]
+		if u.TS < s.lastTS {
+			return fmt.Errorf("lineagestore: %w: ts %d after %d", model.ErrNonMonotonic, u.TS, s.lastTS)
+		}
+		if err = s.indexLocked(u); err == nil {
+			if u.TS != s.lastTS {
+				s.lastTS, s.atLastTS = u.TS, 0
+			}
+			s.atLastTS++
+			s.updateCount++
 		}
 	}
-	return nil
+	s.failed = s.failed || err != nil
+	return err
 }
 
-func (s *Store) applyLocked(u model.Update) error {
-	if u.TS < s.lastTS {
-		return fmt.Errorf("lineagestore: %w: ts %d after %d", model.ErrNonMonotonic, u.TS, s.lastTS)
-	}
+// indexLocked writes u into the trees it belongs to.
+func (s *Store) indexLocked(u model.Update) error {
 	switch u.Kind {
 	case model.OpAddNode, model.OpDeleteNode:
 		if err := s.putVersion(s.nodes, enc.KeyNode(u.NodeID, u.TS), 0, u); err != nil {
@@ -242,8 +367,6 @@ func (s *Store) applyLocked(u model.Update) error {
 	default:
 		return fmt.Errorf("lineagestore: unknown op %v", u.Kind)
 	}
-	s.lastTS = u.TS
-	s.updateCount++
 	return nil
 }
 
@@ -302,6 +425,7 @@ func (s *Store) putRelDelta(u model.Update) error {
 type Stats struct {
 	Updates    uint64
 	IndexBytes int64
+	CaughtUp   uint64 // re-applied by CatchUp at Open: 0 after a clean Close
 }
 
 // Stats returns the store's counters and footprint.
@@ -311,13 +435,18 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Updates:    s.updateCount,
 		IndexBytes: s.DiskBytes(),
+		CaughtUp:   s.caughtUp,
 	}
 }
 
-// DiskBytes reports the total on-disk footprint of the four indexes
-// (Fig 10 storage accounting).
+// DiskBytes reports the total on-disk footprint of the four indexes and
+// the checkpoint (Fig 10 storage accounting).
 func (s *Store) DiskBytes() int64 {
-	return s.nodes.DiskBytes() + s.rels.DiskBytes() + s.out.DiskBytes() + s.in.DiskBytes()
+	n := s.nodes.DiskBytes() + s.rels.DiskBytes() + s.out.DiskBytes() + s.in.DiskBytes()
+	if s.clean.Load() {
+		n += checkpointLen
+	}
+	return n
 }
 
 // Flush persists all four indexes.
@@ -330,11 +459,17 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// Close flushes the indexes and releases their page-cache files; the
-// files are released even when the flush fails. The store is unusable
-// afterwards.
+// Close flushes and fsyncs the indexes, publishes the checkpoint unless an
+// apply failed (a store untouched since Open keeps its own and writes
+// nothing), and releases the files even when the flush fails.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return errors.Join(s.Flush(), s.closeTrees())
+	var err error
+	if !s.clean.Load() && s.nodes != nil { // nil: a failed Wipe left no trees to flush
+		if err = s.Flush(); err == nil && !s.failed {
+			err = s.publishLocked()
+		}
+	}
+	return errors.Join(err, s.closeTrees())
 }

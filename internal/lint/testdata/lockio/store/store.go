@@ -1,6 +1,6 @@
 // Package storecorpus is the lockio corpus: fsync-class calls while a
 // same-function-acquired mutex is held are findings, including under a
-// deferred Unlock; calls after release or without an error result are not.
+// deferred Unlock and in a *Locked helper; calls after release or without an error result are not.
 package storecorpus
 
 import "sync"
@@ -53,9 +53,13 @@ func (s *store) goodNoErrorResult() {
 	s.m.Sync()
 }
 
-// Function literals are separate lock scopes by design: cross-function
-// lock flows are out of the heuristic's reach and covered by the
-// "Locked"-suffix naming convention instead.
+// A *Locked helper is entered with its caller's lock held.
+func (s *store) badSyncLocked() error {
+	return s.f.Sync() // want lockio
+}
+
+// Function literals are separate lock scopes by design: other
+// cross-function lock flows are out of the heuristic's reach.
 func (s *store) literalScopeIsSeparate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -272,6 +272,7 @@ func (c *Cache) flushLocked() error {
 		fr.dirty = false
 	}
 	if f, ok := c.backend.(interface{ Sync() error }); ok && c.isFile {
+		//aionlint:ignore lockio an explicit durability point (tree Flush, Close), never the page-access path; the one-mutex cache keeps write-back and fsync one step so c.failed covers both
 		if err := f.Sync(); err != nil {
 			c.failed = err
 			return fmt.Errorf("pagecache: sync: %w", err)

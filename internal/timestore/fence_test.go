@@ -4,12 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"aion/internal/enc"
+	"aion/internal/graphstore"
 	"aion/internal/memgraph"
 	"aion/internal/model"
+	"aion/internal/pool"
 	"aion/internal/strstore"
+	"aion/internal/vfs"
 )
 
 // fenceHistory builds a seeded, valid update stream whose timestamps come
@@ -155,6 +160,103 @@ func (o *fenceOracle) check(s *Store, label string) {
 	}
 }
 
+// openDecodingAll is Open with the recovery that decodes every record of the
+// active log, whatever the newest element covers: the reference the
+// tail-only recovery must be indistinguishable from.
+func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
+	t.Helper()
+	opts.defaults()
+	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, snapCh: make(chan snapJob, 2),
+		workerDone: make(chan struct{}), framePool: pool.NewBytes(frameBatchBytes + 4096)}
+	ctx := context.Background()
+	var err error
+	if s.segs, err = openSegments(s.fs, opts.Dir); err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.recoverSealed(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act := s.active()
+	s.lastTS, s.seq = act.entry.ts, act.entry.seq
+	latest, from := base.Clone(), int64(0)
+	if chain := act.elems(); len(chain) > 0 {
+		if latest, err = s.loadElem(ctx, chain, len(chain)-1); err != nil {
+			t.Fatal(err)
+		}
+		from = chain[len(chain)-1].logOff
+	}
+	var aerr error
+	err = s.replayWal(ctx, act.log, opts.ParallelIO, 0, func(off int64, u model.Update) bool {
+		s.advanceLocked(u.TS, off)
+		if off >= from {
+			aerr = latest.Apply(u)
+		}
+		return aerr == nil
+	})
+	if err != nil || aerr != nil {
+		t.Fatal(err, aerr)
+	}
+	s.bytesSinceSnap = act.log.Size() - from
+	s.gs = graphstore.NewWithLatest(opts.GraphStoreBytes, latest)
+	s.sealEntry = base
+	go s.snapshotWorker()
+	return s
+}
+
+// recovered is everything Open derives from the active log.
+type recovered struct {
+	Updates, Count uint64
+	MinTS, LastTS  model.Timestamp
+	Seq            uint32
+	BytesSinceSnap int64
+	Fences         []fence
+	Latest         string // the recovered latest graph
+}
+
+func (o *fenceOracle) recoveredState(s *Store) recovered {
+	act := s.active()
+	return recovered{Updates: s.Stats().Updates, Count: act.count, MinTS: act.minTS, LastTS: s.lastTS, Seq: s.seq,
+		BytesSinceSnap: s.bytesSinceSnap, Fences: append([]fence(nil), act.fences...),
+		Latest: o.digest(s.gs.Latest().Export())}
+}
+
+// reopenExact closes s and reopens it twice — with the decode-everything
+// reference, then with Open — and requires the two recoveries to derive the
+// same state while Open decodes only the records at or past the newest
+// element's logOff.
+func (o *fenceOracle) reopenExact(s *Store, open func() *Store, openRef func() *Store) *Store {
+	t := o.t
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ref := openRef()
+	want := o.recoveredState(ref)
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var decoded atomic.Int64
+	replayDecoded = func(n int) { decoded.Add(int64(n)) }
+	s = open()
+	replayDecoded = nil
+	if got := o.recoveredState(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("tail-only recovery derived\n %+v\nthe decode-everything recovery\n %+v", got, want)
+	}
+	act, from, tail := s.active(), int64(0), int64(0)
+	if chain := act.elems(); len(chain) > 0 {
+		from = chain[len(chain)-1].logOff
+	}
+	if _, err := act.log.Scan(from, func(int64, []byte) bool { tail++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Load() != tail {
+		t.Errorf("Open decoded %d log records, %d lie at or past the newest element's logOff %d (of %d in the log)",
+			decoded.Load(), tail, from, act.count)
+	}
+	return s
+}
+
 // TestFenceScanMatchesBruteForce drives seeded histories through appends,
 // policy and eager mid-timestamp snapshots, seals and reopens at a fence
 // stride of 2 or 3, and checks every read path against a brute-force
@@ -175,9 +277,12 @@ func TestFenceScanMatchesBruteForce(t *testing.T) {
 				}
 				return s
 			}
+			openRef := func() *Store {
+				return openDecodingAll(t, codec, Options{Dir: dir, SnapshotEveryOps: 25, PartitionEvery: 50})
+			}
 			s := open()
 			defer func() { s.Close() }()
-			reopened := false
+			stage, skipped := 0, false
 			for i, k, sinceSnap := 0, 0, 0; i < len(us); k++ {
 				n := min(1+k%4, len(us)-i) // Append and AppendBatch alike
 				if err := s.AppendBatch(us[i : i+n]); err != nil {
@@ -188,12 +293,17 @@ func TestFenceScanMatchesBruteForce(t *testing.T) {
 					snapshotNow(t, s) // eager, mid-timestamp
 					sinceSnap = 0
 				}
-				if i >= 120 && !reopened {
-					if err := s.Close(); err != nil {
-						t.Fatal(err)
-					}
-					s, reopened = open(), true
+				// A reopen every 30 updates leaves the operation policy (25)
+				// room to fire in between.
+				if i/30 > stage {
+					stage = i / 30
+					s = o.reopenExact(s, open, openRef)
+					chain := s.active().elems()
+					skipped = skipped || (len(chain) > 0 && chain[len(chain)-1].logOff > 0)
 				}
+			}
+			if !skipped {
+				t.Fatal("no reopen found an element to start the decode after")
 			}
 			s.WaitSnapshots()
 			if got := len(s.SealedBounds()); got < 2 {
@@ -209,10 +319,7 @@ func TestFenceScanMatchesBruteForce(t *testing.T) {
 				t.Fatal("no mid-timestamp snapshot survives in the active segment")
 			}
 			o.check(s, "live")
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			s = open()
+			s = o.reopenExact(s, open, openRef)
 			o.check(s, "reopened")
 		})
 	}

@@ -295,6 +295,10 @@ func growBytes(b []byte, n int) []byte {
 	return append(b, make([]byte, n)...)
 }
 
+// replayDecoded, when a test sets it, is told how many log records each
+// replay batch decoded (from the worker goroutines). Nil in production.
+var replayDecoded func(records int)
+
 // replayWal streams l's decoded updates from offset from in commit order,
 // stopping early when fn returns false or ctx is cancelled (checked once
 // per batch, so a runaway range scan stops within one batch of the
@@ -338,6 +342,9 @@ func (s *Store) replayWal(ctx context.Context, l *wal.Log, workers int, from int
 		},
 		func(b frameBatch) (decodedBatch, error) {
 			us, err := b.decode(s, "")
+			if replayDecoded != nil {
+				replayDecoded(len(us))
+			}
 			return decodedBatch{us: us, offs: b.offs}, err
 		},
 		func(d decodedBatch) error {

@@ -317,8 +317,8 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 // the element files' self-describing headers (openSegments). The newest
 // surviving element of the active chain — else the sealed end state —
 // seeds the latest in-memory graph and the log from that element's offset
-// on is applied on top; the same pass over the whole active log lays the
-// fences.
+// on is decoded and applied on top; every frame of the active log is still
+// walked, to count the records and lay the fences.
 func (s *Store) recover() (err error) {
 	ctx := context.Background()
 	if s.segs, err = openSegments(s.fs, s.opts.Dir); err != nil {
@@ -341,18 +341,27 @@ func (s *Store) recover() (err error) {
 	} else {
 		latest = base.Clone()
 	}
+	// The records before from are inside the seeding element already: they
+	// are counted and fenced off a peek at their timestamp, not decoded.
 	var aerr error
-	err = s.replayWal(ctx, act.log, s.opts.ParallelIO, 0, func(off int64, u model.Update) bool {
-		s.advanceLocked(u.TS, off)
+	_, err = act.log.Scan(0, func(off int64, rec []byte) bool {
 		if off >= from {
-			aerr = latest.Apply(u)
+			return false
+		}
+		var ts model.Timestamp
+		if ts, aerr = enc.PeekTS(rec); aerr == nil {
+			s.advanceLocked(ts, off)
 		}
 		return aerr == nil
 	})
-	if err == nil {
-		err = aerr
+	if err == nil && aerr == nil {
+		err = s.replayWal(ctx, act.log, s.opts.ParallelIO, from, func(off int64, u model.Update) bool {
+			s.advanceLocked(u.TS, off)
+			aerr = latest.Apply(u)
+			return aerr == nil
+		})
 	}
-	if err != nil {
+	if err = errors.Join(err, aerr); err != nil {
 		return err
 	}
 	// Seed the log-bytes policy with the replay debt actually carried past

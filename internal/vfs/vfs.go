@@ -177,6 +177,27 @@ func CloseChecked(f File, err *error) {
 	}
 }
 
+// PublishFile makes data the content of path atomically: write path+".tmp",
+// fsync it, rename it over path, fsync the directory. A crash at any point
+// leaves the previous file or the new one under the live name.
+func PublishFile(fs FS, path string, data []byte) (err error) {
+	tmp := path + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err = f.WriteAt(data, 0); err == nil {
+		err = f.Sync()
+	}
+	if CloseChecked(f, &err); err != nil {
+		return err
+	}
+	if err = fs.Rename(tmp, path); err != nil {
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(path))
+}
+
 // SeqWriter adapts a File to io.Writer for sequential appenders (bufio
 // over an append-only file). Off is advanced by each write.
 type SeqWriter struct {
