@@ -37,7 +37,7 @@ func TestRunTable3(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Nodes <= 0 || r.Rels <= 0 || r.AionBytes <= 0 || r.Neo4jBytes <= 0 {
+		if r.Nodes <= 0 || r.Rels <= 0 || r.AionBytes <= 0 || r.Neo4jBytes <= 0 || r.ResidentBytes <= 0 {
 			t.Errorf("row %+v", r)
 		}
 		if r.AionBytes >= r.Neo4jBytes {

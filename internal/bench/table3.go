@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 
 	"aion/internal/datagen"
 	"aion/internal/memgraph"
@@ -19,6 +20,18 @@ type Table3Row struct {
 	Directed   bool
 	Neo4jBytes int64 // host-style per-entity accounting
 	AionBytes  int64 // memgraph accounting (Table 3's Aion column)
+	// ResidentBytes is what the Go heap holds for the graph; AionBytes is
+	// the paper's constants and the GraphStore's eviction unit.
+	ResidentBytes int64
+}
+
+// liveHeap is the heap in use after two forced collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // neo4jInMemoryBytes models the paper's Neo4j in-memory measurement
@@ -58,22 +71,25 @@ func neo4jInMemoryBytes(g *memgraph.Graph) int64 {
 func RunTable3(c Config) ([]Table3Row, error) {
 	c.Defaults()
 	var rows []Table3Row
-	t := &table{header: []string{"Dataset", "Domain", "|V|", "|E|", "|E|/|V|", "Directed", "Neo4j (mem)", "Aion (mem)"}}
+	t := &table{header: []string{"Dataset", "Domain", "|V|", "|E|", "|E|/|V|", "Directed", "Neo4j (mem)", "Aion (accounted)", "Aion (resident)"}}
 	for _, name := range c.Datasets {
 		ds := c.genDataset(name, datagen.Options{})
+		before := liveHeap()
 		g := memgraph.New()
 		if err := g.ApplyAll(ds.Updates); err != nil {
 			return nil, fmt.Errorf("table3 %s: %w", name, err)
 		}
+		resident := liveHeap() - before
 		row := Table3Row{
-			Dataset:    name,
-			Domain:     ds.Spec.Domain,
-			Nodes:      g.NodeCount(),
-			Rels:       g.RelCount(),
-			AvgDegree:  float64(g.RelCount()) / float64(g.NodeCount()),
-			Directed:   ds.Spec.Directed,
-			Neo4jBytes: neo4jInMemoryBytes(g),
-			AionBytes:  g.ApproxBytes(),
+			Dataset:       name,
+			Domain:        ds.Spec.Domain,
+			Nodes:         g.NodeCount(),
+			Rels:          g.RelCount(),
+			AvgDegree:     float64(g.RelCount()) / float64(g.NodeCount()),
+			Directed:      ds.Spec.Directed,
+			Neo4jBytes:    neo4jInMemoryBytes(g),
+			AionBytes:     g.ApproxBytes(),
+			ResidentBytes: resident,
 		}
 		rows = append(rows, row)
 		dir := "no"
@@ -81,7 +97,7 @@ func RunTable3(c Config) ([]Table3Row, error) {
 			dir = "yes"
 		}
 		t.add(row.Dataset, row.Domain, fi(int64(row.Nodes)), fi(int64(row.Rels)),
-			f1(row.AvgDegree), dir, mb(row.Neo4jBytes), mb(row.AionBytes))
+			f1(row.AvgDegree), dir, mb(row.Neo4jBytes), mb(row.AionBytes), mb(row.ResidentBytes))
 	}
 	t.print(c.Out, fmt.Sprintf("Table 3: evaluation datasets (scale 1/%d)", c.Scale))
 	return rows, nil

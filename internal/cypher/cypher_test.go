@@ -148,6 +148,13 @@ func TestTemporalAsOfHistoryLookup(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].S.Int() != 31 {
 		t.Errorf("as-of 4: %v", res.Rows)
 	}
+	// A timestamp parameter that arrives as a float (a JSON or bolt client
+	// with one number type) names the same instant, not its IEEE bit pattern.
+	res = mustQuery(t, e, `USE GDB FOR SYSTEM_TIME AS OF $ts MATCH (n) WHERE id(n) = $id RETURN n.age`,
+		map[string]model.Value{"id": id, "ts": model.FloatValue(1)})
+	if len(res.Rows) != 1 || res.Rows[0][0].S.Int() != 30 {
+		t.Errorf("as-of 1.0: %v", res.Rows)
+	}
 }
 
 func TestTemporalBetweenReturnsVersions(t *testing.T) {

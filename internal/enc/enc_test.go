@@ -2,6 +2,8 @@ package enc
 
 import (
 	"bytes"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -222,5 +224,45 @@ func TestStringInterningSharesRefs(t *testing.T) {
 	// "Person", "name", "x", "y" = 4 interned strings.
 	if c.Strings.Len() != 4 {
 		t.Errorf("interned %d strings, want 4", c.Strings.Len())
+	}
+}
+
+// TestValueEncodingGolden pins the encoded bytes of every value kind to
+// those the 104-byte model.Value of PR 18 (6d1dc8a) produced: the in-memory
+// layout of a Value must never reach the disk.
+func TestValueEncodingGolden(t *testing.T) {
+	const golden = "00050901000000000b200000010110000002800000000000000050000003023ff8000000000000fff0000000000000500000040000000005ffffffffffffffffff0140000006030203ffffffffffffffffff014000000700100000087ff8000000000001300000090000000a6000000b030000000c0000000d0000000a6000000e00"
+	u := model.AddNode(5, 9, []string{"L"}, model.Properties{
+		"b":   model.BoolValue(true),
+		"f":   model.FloatValue(math.Copysign(0, -1)),
+		"fa":  model.FloatArrayValue([]float64{1.5, math.Inf(-1)}),
+		"fa0": model.FloatArrayValue(nil),
+		"i":   model.IntValue(math.MinInt64),
+		"ia":  model.IntArrayValue([]int64{1, -2, math.MinInt64}),
+		"ia0": model.IntArrayValue([]int64{}),
+		"nan": model.FloatValue(math.NaN()),
+		"s":   model.StringValue("neo"),
+		"sa":  model.StringArrayValue([]string{"x", "", "neo"}),
+		"sa0": model.StringArrayValue(nil),
+	})
+	c := newCodec()
+	b, err := c.EncodeUpdate(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(b); got != golden {
+		t.Fatalf("encoded bytes changed:\n got %s\nwant %s", got, golden)
+	}
+	dec, err := c.DecodeUpdate(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range u.SetProps {
+		if got := dec.SetProps[k]; got.Kind() != v.Kind() || got.String() != v.String() {
+			t.Errorf("%s decoded as %v %v, want %v %v", k, got.Kind(), got, v.Kind(), v)
+		}
+	}
+	if again, err := c.EncodeUpdate(dec); err != nil || !bytes.Equal(again, b) {
+		t.Errorf("re-encoding the decoded update: %x (%v), want %x", again, err, b)
 	}
 }

@@ -10,6 +10,7 @@ package memgraph
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"aion/internal/model"
@@ -262,7 +263,7 @@ func (g *Graph) Apply(u model.Update) error {
 		if n == nil {
 			return fmt.Errorf("%w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
 		}
-		c := n.Clone() // replace-on-write keeps CoW siblings intact
+		c := nextVersion(n, u) // replace-on-write keeps CoW siblings intact
 		u.ApplyToNode(c)
 		g.nodes[u.NodeID] = c
 
@@ -312,6 +313,18 @@ func (g *Graph) Apply(u model.Update) error {
 		g.ts = u.TS
 	}
 	return nil
+}
+
+// nextVersion is n.Clone() for the node update u about to be applied to the
+// copy: the label slice stays shared with n unless u edits labels, because
+// ApplyToNode edits them in place and most updates only set properties.
+func nextVersion(n *model.Node, u model.Update) *model.Node {
+	c := *n
+	c.Props = n.Props.Clone()
+	if len(u.AddLabels)+len(u.DelLabels) > 0 {
+		c.Labels = slices.Clone(n.Labels)
+	}
+	return &c
 }
 
 // ApplyAll folds a batch of updates, stopping at the first error.

@@ -94,7 +94,7 @@ func (tg *TGraph) Apply(u model.Update) error {
 			return fmt.Errorf("%w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
 		}
 		last.Valid.End = u.TS
-		next := last.Clone()
+		next := nextVersion(last, u)
 		next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
 		u.ApplyToNode(next)
 		tg.nodes[u.NodeID] = append(tg.nodes[u.NodeID], next)
@@ -290,8 +290,7 @@ func (tg *TGraph) Snapshot(ts model.Timestamp) *Graph {
 	for _, vs := range tg.nodes {
 		for _, v := range vs {
 			if v.Valid.Contains(ts) {
-				n := v.Clone()
-				_ = g.Apply(model.AddNode(v.Valid.Start, n.ID, n.Labels, n.Props))
+				_ = g.Apply(model.AddNode(v.Valid.Start, v.ID, v.Labels, v.Props))
 				break
 			}
 		}

@@ -7,6 +7,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -60,13 +61,23 @@ func (k ValueKind) String() string {
 // Value is a dynamically typed property value. The zero Value is null.
 // Values are immutable once constructed; arrays must not be mutated by the
 // caller after being passed in.
+//
+// Scalars and strings are inline and the array payloads sit behind one
+// pointer, nil for every other kind: 40 bytes, pinned by TestValueSize,
+// because a Go map allocates slots eight at a time and every entity that
+// carries a property pays eight of these per resident copy.
 type Value struct {
 	kind ValueKind
 	num  uint64 // int, float bits, or bool
 	str  string
-	ia   []int64
-	fa   []float64
-	sa   []string
+	arr  *arrays
+}
+
+// arrays holds the payload of an array-kind Value; at most one field is set.
+type arrays struct {
+	ia []int64
+	fa []float64
+	sa []string
 }
 
 // NullValue returns the null value.
@@ -91,13 +102,17 @@ func BoolValue(v bool) Value {
 func StringValue(v string) Value { return Value{kind: KindString, str: v} }
 
 // IntArrayValue returns an integer-array value. The slice is retained.
-func IntArrayValue(v []int64) Value { return Value{kind: KindIntArray, ia: v} }
+func IntArrayValue(v []int64) Value { return Value{kind: KindIntArray, arr: &arrays{ia: v}} }
 
 // FloatArrayValue returns a float-array value. The slice is retained.
-func FloatArrayValue(v []float64) Value { return Value{kind: KindFloatArray, fa: v} }
+func FloatArrayValue(v []float64) Value {
+	return Value{kind: KindFloatArray, arr: &arrays{fa: v}}
+}
 
 // StringArrayValue returns a string-array value. The slice is retained.
-func StringArrayValue(v []string) Value { return Value{kind: KindStringArray, sa: v} }
+func StringArrayValue(v []string) Value {
+	return Value{kind: KindStringArray, arr: &arrays{sa: v}}
+}
 
 // Kind reports the value's type.
 func (v Value) Kind() ValueKind { return v.kind }
@@ -105,8 +120,17 @@ func (v Value) Kind() ValueKind { return v.kind }
 // IsNull reports whether the value is null.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// Int returns the integer payload (zero if not an int).
-func (v Value) Int() int64 { return int64(v.num) }
+// Int returns the integer payload, truncating floats toward zero (the
+// mirror of Float's int conversion); every other kind yields zero.
+func (v Value) Int() int64 {
+	switch v.kind {
+	case KindInt:
+		return int64(v.num)
+	case KindFloat:
+		return int64(math.Float64frombits(v.num))
+	}
+	return 0
+}
 
 // Float returns the float payload, converting ints for convenience.
 func (v Value) Float() float64 {
@@ -122,14 +146,22 @@ func (v Value) Bool() bool { return v.num != 0 }
 // Str returns the string payload.
 func (v Value) Str() string { return v.str }
 
+// payload returns the array payloads, all nil for a kind that has none.
+func (v Value) payload() arrays {
+	if v.arr == nil {
+		return arrays{}
+	}
+	return *v.arr
+}
+
 // IntArray returns the integer-array payload. Callers must not mutate it.
-func (v Value) IntArray() []int64 { return v.ia }
+func (v Value) IntArray() []int64 { return v.payload().ia }
 
 // FloatArray returns the float-array payload. Callers must not mutate it.
-func (v Value) FloatArray() []float64 { return v.fa }
+func (v Value) FloatArray() []float64 { return v.payload().fa }
 
 // StringArray returns the string-array payload. Callers must not mutate it.
-func (v Value) StringArray() []string { return v.sa }
+func (v Value) StringArray() []string { return v.payload().sa }
 
 // Equal reports deep equality of two values.
 func (v Value) Equal(o Value) bool {
@@ -144,35 +176,11 @@ func (v Value) Equal(o Value) bool {
 	case KindString:
 		return v.str == o.str
 	case KindIntArray:
-		if len(v.ia) != len(o.ia) {
-			return false
-		}
-		for i := range v.ia {
-			if v.ia[i] != o.ia[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.IntArray(), o.IntArray())
 	case KindFloatArray:
-		if len(v.fa) != len(o.fa) {
-			return false
-		}
-		for i := range v.fa {
-			if v.fa[i] != o.fa[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.FloatArray(), o.FloatArray())
 	case KindStringArray:
-		if len(v.sa) != len(o.sa) {
-			return false
-		}
-		for i := range v.sa {
-			if v.sa[i] != o.sa[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.StringArray(), o.StringArray())
 	}
 	return false
 }
@@ -226,11 +234,11 @@ func (v Value) String() string {
 	case KindString:
 		return strconv.Quote(v.str)
 	case KindIntArray:
-		return fmt.Sprintf("%v", v.ia)
+		return fmt.Sprintf("%v", v.IntArray())
 	case KindFloatArray:
-		return fmt.Sprintf("%v", v.fa)
+		return fmt.Sprintf("%v", v.FloatArray())
 	case KindStringArray:
-		return fmt.Sprintf("%v", v.sa)
+		return fmt.Sprintf("%v", v.StringArray())
 	}
 	return "?"
 }
@@ -242,12 +250,12 @@ func (v Value) ApproxBytes() int {
 	case KindString:
 		return 16 + len(v.str)
 	case KindIntArray:
-		return 24 + 8*len(v.ia)
+		return 24 + 8*len(v.IntArray())
 	case KindFloatArray:
-		return 24 + 8*len(v.fa)
+		return 24 + 8*len(v.FloatArray())
 	case KindStringArray:
 		n := 24
-		for _, s := range v.sa {
+		for _, s := range v.StringArray() {
 			n += 16 + len(s)
 		}
 		return n

@@ -1,6 +1,10 @@
 package system
 
 import (
+	"flag"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	"aion/internal/aion"
@@ -9,26 +13,14 @@ import (
 	"aion/internal/model"
 )
 
-// BenchmarkReopen times system.Open + Close of a cleanly closed store with
-// the shape benchmark/ sets up: the DBLP preset at scale 20 (15 000 nodes,
-// 105 000 relationships), two property rounds over every node and one over
-// every second relationship — 202 500 updates in transactions of 2 000 —
-// with the operation snapshot policy at 16 384.
-func BenchmarkReopen(b *testing.B) {
-	g := datagen.Generate(datagen.MustPreset("DBLP", 20), datagen.Options{Seed: 1})
-	us := g.Updates
-	for _, key := range []string{"p0", "p1"} {
-		for id := 0; id < g.Spec.Nodes; id++ {
-			us = append(us, model.UpdateNode(0, model.NodeID(id), nil, nil,
-				model.Properties{key: model.IntValue(int64(id))}, nil))
-		}
-	}
-	for _, u := range g.Updates {
-		if u.Kind == model.OpAddRel && u.RelID%2 == 0 {
-			us = append(us, model.UpdateRel(0, u.RelID, u.Src, u.Tgt,
-				model.Properties{"w": model.StringValue("value-0-of-property-chain")}, nil))
-		}
-	}
+// loadBenchmarkShape builds and cleanly closes a store with the shape
+// benchmark/ sets up: the DBLP preset at scale 20 (15 000 nodes, 105 000
+// relationships), two property rounds over every node and one over every
+// second relationship — 202 500 updates in transactions of 2 000 — with the
+// operation snapshot policy at 16 384. It returns the options the serving
+// phase reopens with and the number of updates loaded.
+func loadBenchmarkShape(b *testing.B) (Options, int) {
+	us := datagen.BenchmarkShape(1)
 	opts := Options{Dir: b.TempDir(), Aion: aion.Options{SnapshotEveryOps: 16384}}
 	s, err := Open(opts)
 	if err != nil {
@@ -63,17 +55,66 @@ func BenchmarkReopen(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts.SyncCommits = true
+	return opts, len(us)
+}
+
+// BenchmarkReopen times system.Open + Close of the cleanly closed
+// benchmark-shaped store.
+func BenchmarkReopen(b *testing.B) {
+	opts, updates := loadBenchmarkShape(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := Open(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st := s.Aion.LineageStore().Stats(); st.Updates != uint64(len(us)) || st.CaughtUp != 0 {
-			b.Fatalf("reopened lineage %+v, want %d updates and none re-applied", st, len(us))
+		if st := s.Aion.LineageStore().Stats(); st.Updates != uint64(updates) || st.CaughtUp != 0 {
+			b.Fatalf("reopened lineage %+v, want %d updates and none re-applied", st, updates)
 		}
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// residentProfile names the file BenchmarkResident writes its heap profile
+// to. -memprofile cannot serve: it is written at process exit, after the
+// store is closed, and the attribution wanted is the open store's.
+var residentProfile = flag.String("resident.profile", "", "BenchmarkResident: write a heap profile at the measurement point to this file")
+
+// BenchmarkResident reports what a reopened benchmark-shaped store keeps on
+// the heap before it serves anything: benchmark/'s heap_live_mb minus the
+// harness (its script, recorder and oracle) and whatever serving adds.
+// make heap-budget turns the profile into the by-owner table.
+func BenchmarkResident(b *testing.B) {
+	opts, updates := loadBenchmarkShape(b)
+	var base, open runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&base)
+		s, err := Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&open)
+		if *residentProfile != "" && i == b.N-1 {
+			f, err := os.Create(*residentProfile)
+			if err == nil {
+				err = pprof.WriteHeapProfile(f)
+				f.Close()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	live := float64(open.HeapAlloc - base.HeapAlloc)
+	b.ReportMetric(live/(1<<20), "heap-MiB")
+	b.ReportMetric(live/float64(updates), "heap-B/update")
 }
