@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget
+.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,18 @@ benchmark-smoke:
 ALLOW ?=
 exact-diff:
 	bash scripts/exact-diff.sh $(PARENT) $(ALLOW)
+
+# What a claim on a gated metric rests on: PAIRS alternating untraced runs of
+# the frozen benchmark, PARENT (a git ref, copied out with git archive) against
+# this tree, on one seed (SEED=1, RUN_SECONDS=20 from the environment); the
+# exact counters must match on every pair (except ALLOW), then per workload and
+# gated metric the medians, quartiles, wins/pairs and a verdict against
+# BENCHMARK.json's bound. One workload is ~1 min a pair, all four ~12 min.
+#   make benchmark-ab PARENT=HEAD~1 WORKLOAD=point-history PAIRS=10
+WORKLOAD ?= all
+PAIRS ?= 10
+benchmark-ab:
+	bash scripts/benchmark-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(ALLOW)
 
 # Concurrent serving-path stress under the race detector: mixed
 # reader/writer bolt clients against an undersized admission limit, plus the
@@ -121,13 +133,18 @@ restart-sweep:
 
 # The heap attribution of a reopened store with the benchmark's dataset
 # shape, in one command: BenchmarkResident reports the live heap (MiB and
-# bytes per update) and writes a heap profile at its measurement point — the
-# store open, two collections done — which pprof then prints by owner (what
-# is not under a named owner is folded into the nearest one above it) and by
-# allocation site. Sampling every 4 KiB keeps the rows within ~1 %.
+# bytes per update; it fails over its budget) and writes a heap profile at
+# its measurement point — the store open, two collections done — which pprof
+# then prints by owner (what is not under a named owner is folded into the
+# nearest one above it) and by allocation site. Sampling every 4 KiB keeps
+# the rows within ~1 %. The resident LPG has one owner: the target fails when
+# hostdb.Open and timestore.Open each hold more than 10 MB.
 HEAP_OWNERS = system\.Open$$|hostdb\.Open$$|aion\.Open$$|timestore\.Open$$|lineagestore\.Open$$|rebuildStatsFromLatest$$|pagecache\.|strstore\.
 heap-budget:
 	@mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench BenchmarkResident -benchtime 1x -memprofilerate 4096 ./internal/system/ -resident.profile=$(CURDIR)/.bench_build/heap.pprof
-	$(GO) tool pprof -sample_index=inuse_space -top -show='$(HEAP_OWNERS)' .bench_build/heap.pprof
+	$(GO) tool pprof -sample_index=inuse_space -unit=mb -top -show='$(HEAP_OWNERS)' .bench_build/heap.pprof > .bench_build/heap-owners.txt
+	@cat .bench_build/heap-owners.txt
+	@awk '/hostdb\.Open$$/ {h = $$1 + 0} /timestore\.Open$$/ {t = $$1 + 0} \
+		END {if (h > 10 && t > 10) {printf "heap-budget: two resident copies of the current graph: hostdb.Open %.1f MB, timestore.Open %.1f MB\n", h, t; exit 1}}' .bench_build/heap-owners.txt
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=12 .bench_build/heap.pprof

@@ -12,12 +12,21 @@
 //
 // Connect with cmd/aion-shell or the internal/bolt client (bolt.Router
 // routes reads across replicas with primary fallback).
+//
+// With -debug-addr (off by default; bind it to loopback) the server also
+// answers HTTP there: /debug/pprof/ is net/http/pprof — `go tool pprof
+// http://ADDR/debug/pprof/heap` is the running store's heap by owner — and
+// /debug/vars is expvar, with every store's Stats under "aion.*".
 package main
 
 import (
 	"context"
+	"expvar"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -43,6 +52,7 @@ func main() {
 		replicaOf     = flag.String("replica-of", "", "primary address to replicate from; makes this node a read-only follower")
 		staleness     = flag.Int64("staleness-bound", 1000, "max commits a replica may lag before latest reads are rejected (0 = no bound)")
 		disconnGrace  = flag.Duration("disconnect-grace", 5*time.Second, "max heartbeat silence before a replica rejects latest reads (0 disables)")
+		debugAddr     = flag.String("debug-addr", "", "serve /debug/pprof/ and /debug/vars (expvar: the stores' Stats) over HTTP on this address; empty disables")
 	)
 	flag.Parse()
 
@@ -102,6 +112,14 @@ func main() {
 	if public == "" {
 		public = bound
 	}
+	if *debugAddr != "" {
+		dbg, at, err := serveDebug(*debugAddr, sys, srv)
+		if err != nil {
+			fail(err)
+		}
+		defer dbg.Close()
+		fmt.Println("debug endpoints on http://" + at + "/debug/pprof/ and /debug/vars")
+	}
 	role := "primary"
 	if *replicaOf != "" {
 		role = "replica of " + *replicaOf
@@ -153,6 +171,37 @@ serve:
 			r.FramesShipped, r.BytesShipped, r.FramesApplied, r.BytesApplied,
 			r.Heartbeats, r.Reconnects, r.Watermark, r.WatermarkLag)
 	}
+}
+
+// serveDebug starts the HTTP debug listener: pprof and expvar on a mux of
+// their own (nothing else in the process serves http.DefaultServeMux, and
+// nothing should start to by accident). The published variables are the
+// existing Stats and Metrics accessors, evaluated at each request.
+func serveDebug(addr string, sys *system.System, srv *bolt.Server) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", fmt.Errorf("debug listener: %w", err)
+	}
+	expvar.Publish("aion.hostdb", expvar.Func(func() any { return sys.Host.Stats() }))
+	expvar.Publish("aion.bolt", expvar.Func(func() any { return srv.Metrics() }))
+	expvar.Publish("aion.timestore", expvar.Func(func() any { return sys.Aion.TimeStore().Stats() }))
+	expvar.Publish("aion.lineagestore", expvar.Func(func() any { return sys.Aion.LineageStore().Stats() }))
+	expvar.Publish("aion.ingest_error", expvar.Func(func() any {
+		if err := sys.Aion.Err(); err != nil {
+			return err.Error()
+		}
+		return nil
+	}))
+	mux := http.NewServeMux()
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	dbg := &http.Server{Handler: mux}
+	go dbg.Serve(ln) // returns once main's deferred dbg.Close closes ln
+	return dbg, ln.Addr().String(), nil
 }
 
 func fail(err error) {

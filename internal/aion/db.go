@@ -94,6 +94,10 @@ type Options struct {
 	// FS is the filesystem every store lives on; nil means the real OS
 	// filesystem (used by the crash-recovery tests to inject faults).
 	FS vfs.FS
+	// Host is the attached host database's committed graph, filled in by
+	// internal/system and passed to the TimeStore (timestore.Options.Host);
+	// it is a hand-over, not a setting, and Open drops the reference.
+	Host *timestore.HostGraph
 }
 
 // DB is an Aion hybrid temporal store instance.
@@ -106,9 +110,11 @@ type DB struct {
 	stats   *GraphStats
 	catalog *entityCatalog
 
-	queue   chan cascadeItem
-	wg      sync.WaitGroup
-	bgErr   atomic.Value // error from the background worker
+	queue chan cascadeItem
+	wg    sync.WaitGroup
+	// failed is the first error that left a hole in what the stores hold: a
+	// failed background cascade or a failed synchronous TimeStore append.
+	failed  atomic.Pointer[error]
 	closed  atomic.Bool
 	decided struct { // planner decision counters, for tests and ablation
 		lineage atomic.Int64
@@ -144,7 +150,8 @@ func Open(opts Options) (*DB, error) {
 	}
 	db := &DB{opts: opts, strings: strings, codec: enc.NewCodec(strings),
 		stats: NewGraphStats(), catalog: newEntityCatalog()}
-	if err := db.openStores(fs); err != nil {
+	db.opts.Host = nil // the TimeStore's from here on, or nobody's
+	if err := db.openStores(fs, opts.Host); err != nil {
 		return nil, errors.Join(err, db.closeStores())
 	}
 	if opts.Mode == SyncHybrid {
@@ -157,7 +164,7 @@ func Open(opts Options) (*DB, error) {
 
 // openStores opens the temporal stores over db.strings and brings the
 // LineageStore to the TimeStore's end; Open closes what an error leaves open.
-func (db *DB) openStores(fs vfs.FS) (err error) {
+func (db *DB) openStores(fs vfs.FS, host *timestore.HostGraph) (err error) {
 	opts := db.opts
 	if opts.Mode != SyncLineageOnly {
 		db.ts, err = timestore.Open(db.codec, timestore.Options{
@@ -169,6 +176,7 @@ func (db *DB) openStores(fs vfs.FS) (err error) {
 			GraphStoreBytes:    opts.GraphStoreBytes,
 			ParallelIO:         opts.ParallelIO,
 			FS:                 opts.FS,
+			Host:               host,
 		})
 		if err != nil {
 			return err
@@ -240,7 +248,7 @@ func (db *DB) cascadeWorker() {
 	for item := range db.queue {
 		if len(item.batch) > 0 {
 			if err := db.ls.ApplyBatch(item.batch); err != nil {
-				db.bgErr.Store(err)
+				db.fail(err)
 			}
 		}
 		if item.done != nil {
@@ -249,12 +257,30 @@ func (db *DB) cascadeWorker() {
 	}
 }
 
-// Err returns any asynchronous cascade error observed so far.
+// Err returns the first failure that stopped ingestion: an asynchronous
+// cascade error or a failed synchronous TimeStore append. Either leaves a
+// hole in what the stores hold, so it is sticky — every later ApplyBatch
+// fails with it — until the store is reopened and recovers from its logs.
 func (db *DB) Err() error {
-	if v := db.bgErr.Load(); v != nil {
-		return v.(error)
+	if p := db.failed.Load(); p != nil {
+		return *p
 	}
 	return nil
+}
+
+// fail records err as the store's sticky failure unless one is recorded.
+func (db *DB) fail(err error) { db.failed.CompareAndSwap(nil, &err) }
+
+// appendTimeStore is the synchronous write of every mode with a TimeStore. A
+// failure past validation (a batch rejected for its timestamps never reaches
+// the log) means this batch is missing from the history, and anything
+// appended after it would sit on top of the hole.
+func (db *DB) appendTimeStore(us []model.Update) error {
+	err := db.ts.AppendBatch(us)
+	if err != nil && !errors.Is(err, model.ErrNonMonotonic) {
+		db.fail(err)
+	}
+	return err
 }
 
 // Apply ingests one committed graph update.
@@ -268,22 +294,22 @@ func (db *DB) ApplyBatch(us []model.Update) error {
 		return errors.New("aion: store closed")
 	}
 	if err := db.Err(); err != nil {
-		return fmt.Errorf("aion: background cascade failed: %w", err)
+		return fmt.Errorf("aion: ingestion stopped by an earlier failure: %w", err)
 	}
 	db.updateStats(us)
 	switch db.opts.Mode {
 	case SyncHybrid:
-		if err := db.ts.AppendBatch(us); err != nil {
+		if err := db.appendTimeStore(us); err != nil {
 			return err
 		}
 		db.queue <- cascadeItem{batch: append([]model.Update(nil), us...)}
 	case SyncBoth:
-		if err := db.ts.AppendBatch(us); err != nil {
+		if err := db.appendTimeStore(us); err != nil {
 			return err
 		}
 		return db.ls.ApplyBatch(us)
 	case SyncTimeStoreOnly:
-		return db.ts.AppendBatch(us)
+		return db.appendTimeStore(us)
 	case SyncLineageOnly:
 		return db.ls.ApplyBatch(us)
 	}

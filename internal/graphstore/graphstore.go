@@ -5,6 +5,12 @@
 // snapshot replication without expensive read transactions against the host
 // database. Snapshots are handed out as Copy-on-Write clones (Sec 5.2) so
 // callers can replay updates forward without disturbing cached state.
+//
+// The paper's latest graph is the one in-memory copy of the current version
+// (Neo4j's own copy is on-disk records). When a host database is attached,
+// this store's latest is therefore a copy-on-write handle on the host's
+// committed graph (SetLatest), not a second set of entity objects; see
+// DESIGN.md, "Resident graphs: who owns what".
 package graphstore
 
 import (
@@ -65,6 +71,15 @@ func (s *Store) ApplyToLatest(u model.Update) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.latest.Apply(u)
+}
+
+// SetLatest replaces the latest graph with g, which the store owns from here
+// on: the caller guarantees g is the state every update applied so far adds
+// up to. Clones handed out earlier keep the graph they were cloned from.
+func (s *Store) SetLatest(g *memgraph.Graph) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.latest = g
 }
 
 // Latest returns a CoW clone of the latest graph version.

@@ -221,3 +221,58 @@ func osStat(dir, name string) (int64, error) {
 	}
 	return st.Size(), nil
 }
+
+// TestAbortedCommitLeavesTheGraphAtTheClock pins the graph's timestamp after
+// a conflict: the aborted transaction's partial apply and its compensating
+// deletes carry the timestamp the commit would have got, and Committed must
+// never hand out a graph stamped with it. Both undo branches are covered: the
+// structural one (the applied prefix only created entities) and the rebuild
+// from the log (the prefix updated a pre-existing entity).
+func TestAbortedCommitLeavesTheGraphAtTheClock(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		prefix func(tx *Tx, keep model.NodeID) error
+	}{
+		{"structural", func(tx *Tx, _ model.NodeID) error {
+			_, err := tx.CreateNode([]string{"Mine"}, nil)
+			return err
+		}},
+		{"rebuildFromLog", func(tx *Tx, keep model.NodeID) error {
+			return tx.SetNodeProps(keep, model.Properties{"k": model.IntValue(2)}, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openDB(t, Options{})
+			var keep, doomed model.NodeID
+			db.Run(func(tx *Tx) error {
+				keep, _ = tx.CreateNode(nil, model.Properties{"k": model.IntValue(1)})
+				doomed, _ = tx.CreateNode(nil, nil)
+				return nil
+			})
+			tx := db.Begin()
+			if err := tc.prefix(tx, keep); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.DeleteNode(doomed); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Run(func(other *Tx) error { return other.DeleteNode(doomed) }); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Commit(); err == nil {
+				t.Fatal("commit must conflict")
+			}
+			g, clock, updates := db.Committed()
+			if g.Timestamp() != clock || clock != db.Clock() || clock != 2 {
+				t.Errorf("after the abort the graph is stamped %d, Committed says %d, the clock is %d (want 2)",
+					g.Timestamp(), clock, db.Clock())
+			}
+			if updates != 3 {
+				t.Errorf("committed updates = %d, want 3 (the aborted transaction's do not count)", updates)
+			}
+			if n := g.Node(keep); n == nil || n.Props["k"].Int() != 1 || g.NodeCount() != 1 {
+				t.Errorf("aborted transaction left a trace: node %v, %d nodes", n, g.NodeCount())
+			}
+		})
+	}
+}

@@ -69,6 +69,7 @@ type DB struct {
 	idMu     sync.Mutex   // guards the node/rel id allocators
 	current  *memgraph.Graph
 	clock    model.Timestamp
+	updates  uint64 // updates committed since genesis (guarded by mu)
 	nextNode model.NodeID
 	nextRel  model.RelID
 
@@ -170,6 +171,7 @@ func Open(opts Options) (*DB, error) {
 				return false
 			}
 			db.accountRecords(u)
+			db.updates++
 			if u.TS > db.clock {
 				db.clock = u.TS
 			}
@@ -442,9 +444,20 @@ func (db *DB) Clock() model.Timestamp {
 // Current returns a CoW clone of the latest committed graph (a read
 // snapshot).
 func (db *DB) Current() *memgraph.Graph {
+	g, _, _ := db.Committed()
+	return g
+}
+
+// Committed returns a CoW clone of the committed graph together with the
+// commit timestamp it is complete at and the number of updates committed
+// since genesis, all read under one lock so the three describe one state.
+// The clone shares every entity object with the host's graph: entities are
+// replaced on write, never mutated, so whoever holds the clone may apply
+// further updates to it without disturbing the host.
+func (db *DB) Committed() (g *memgraph.Graph, clock model.Timestamp, updates uint64) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.current.Clone()
+	return db.current.Clone(), db.clock, db.updates
 }
 
 // Counts returns the current node and relationship counts.
@@ -1006,6 +1019,7 @@ func (db *DB) applyAndAppend(batch []*commitReq) ([][]model.Update, error) {
 			continue
 		}
 		db.clock = ts
+		db.updates += uint64(len(req.updates))
 		req.ts = ts
 		applied = append(applied, req.updates)
 	}
@@ -1041,8 +1055,12 @@ func (db *DB) applyAndAppend(batch []*commitReq) ([][]model.Update, error) {
 // batchApplied holds the current group-commit round's already-applied
 // transactions, whose records are not yet in the log: when the structural
 // undo has to fall back to rebuilding from the log, they are re-applied on
-// top so the rebuilt graph matches the committed state.
+// top so the rebuilt graph matches the committed state. Either way the graph
+// is back at the clock: the aborted updates (and the compensating deletes)
+// carried the timestamp the transaction would have got, and no reader of
+// Current or Committed may see a graph stamped with a commit that never was.
 func (db *DB) rollbackPrefix(applied []model.Update, batchApplied [][]model.Update) {
+	defer func() { db.current.SetTimestamp(db.clock) }() // a closure: rebuildFromLog replaces db.current
 	for i := len(applied) - 1; i >= 0; i-- {
 		u := applied[i]
 		switch u.Kind {

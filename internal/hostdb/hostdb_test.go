@@ -339,3 +339,35 @@ func TestReplayCommittedDecodesOnlyWhatItDelivers(t *testing.T) {
 		}
 	}
 }
+
+// TestTxnFramesStopAtTheCapturedExtent: a shipment reads its strings chunk
+// after capturing the transaction-log extent, so frames must stop at that
+// extent even when a later commit — whose record references strings the chunk
+// does not hold — has become durable by the time the frames are read.
+func TestTxnFramesStopAtTheCapturedExtent(t *testing.T) {
+	db := openDB(t, Options{SyncCommits: true})
+	if _, err := db.Run(func(tx *Tx) error {
+		_, err := tx.CreateNode([]string{"Early"}, nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, captured := db.DurableExtents()
+	if _, err := db.Run(func(tx *Tx) error {
+		_, err := tx.CreateNode([]string{"InternedAfterTheCapture"}, nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	frames, next, err := db.TxnFrames(0, captured, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 1 || next != captured {
+		t.Fatalf("%d frames up to offset %d, want the 1 commit below the captured extent %d", len(frames), next, captured)
+	}
+	_, now := db.DurableExtents()
+	if frames, next, err = db.TxnFrames(next, now, 1<<20); err != nil || len(frames) != 1 || next != now {
+		t.Fatalf("resuming: %d frames up to %d (%v), want the second commit up to %d", len(frames), next, err, now)
+	}
+}

@@ -87,16 +87,20 @@ func (db *DB) TailCRC(strTo, txnTo, strMax, txnMax int64) (strLen, txnLen int64,
 }
 
 // TxnFrames reads durable transaction-log records starting at byte offset
-// from, up to roughly maxBytes of payload, and returns the copied record
-// payloads plus the offset the next call should resume from. At least one
-// record is returned when any is available, so a caller always makes
-// progress even when a single commit exceeds maxBytes.
-func (db *DB) TxnFrames(from int64, maxBytes int) (frames [][]byte, next int64, err error) {
+// from and ending below byte offset to — the transaction-log extent the
+// caller captured with DurableExtents BEFORE it read the strings it ships
+// alongside: a record that became durable after that capture may reference
+// strings the caller's chunk does not hold. Up to roughly maxBytes of payload
+// are returned, as copied record payloads plus the offset the next call
+// should resume from. At least one record is returned when any is available,
+// so a caller always makes progress even when a single commit exceeds
+// maxBytes.
+func (db *DB) TxnFrames(from, to int64, maxBytes int) (frames [][]byte, next int64, err error) {
 	next = from
 	if db.txnLog == nil {
 		return nil, next, nil
 	}
-	durable := db.txnLog.SyncedSize()
+	durable := min(to, db.txnLog.SyncedSize())
 	if from >= durable {
 		return nil, next, nil
 	}
@@ -215,6 +219,7 @@ func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, 
 				db.mu.Unlock()
 				return 0, fmt.Errorf("hostdb: shipment apply ts %d: %w", u.TS, err)
 			}
+			db.updates++
 			if u.TS > db.clock {
 				db.clock = u.TS
 			}

@@ -102,7 +102,7 @@ func (s *Source) Shipment(strOff, txnOff int64, maxBytes int) (*Shipment, error)
 		// reference a string the follower does not yet hold.
 		return sh, nil
 	}
-	frames, next, err := s.db.TxnFrames(txnOff, maxBytes)
+	frames, next, err := s.db.TxnFrames(txnOff, txnDurable, maxBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -82,6 +82,11 @@ func BenchmarkReopen(b *testing.B) {
 // store is closed, and the attribution wanted is the open store's.
 var residentProfile = flag.String("resident.profile", "", "BenchmarkResident: write a heap profile at the measurement point to this file")
 
+// residentBudget is BenchmarkResident's ceiling in live heap bytes per loaded
+// update: one resident copy of the current graph measures 278 (two measured
+// 514), so a second copy creeping back in fails the benchmark.
+const residentBudget = 320
+
 // BenchmarkResident reports what a reopened benchmark-shaped store keeps on
 // the heap before it serves anything: benchmark/'s heap_live_mb minus the
 // harness (its script, recorder and oracle) and whatever serving adds.
@@ -117,4 +122,7 @@ func BenchmarkResident(b *testing.B) {
 	live := float64(open.HeapAlloc - base.HeapAlloc)
 	b.ReportMetric(live/(1<<20), "heap-MiB")
 	b.ReportMetric(live/float64(updates), "heap-B/update")
+	if live/float64(updates) > residentBudget {
+		b.Fatalf("an open store keeps %.1f heap bytes per update, over the budget of %d", live/float64(updates), residentBudget)
+	}
 }

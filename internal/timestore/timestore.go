@@ -72,6 +72,21 @@ type Options struct {
 	// FS is the filesystem the store persists through. nil means the real
 	// OS filesystem; crash tests substitute a vfs.FaultFS.
 	FS vfs.FS
+	// Host is the committed graph of the host database this store is attached
+	// to, handed over by internal/system — not a setting. When the log Open
+	// recovers ends exactly where the host's does, recovery installs this
+	// graph as the latest instead of building its own from the newest
+	// snapshot and the log tail. Open drops the reference either way.
+	Host *HostGraph
+}
+
+// HostGraph is a host database's committed graph as hostdb.Committed returns
+// it: a CoW clone the receiver owns, the commit timestamp it is complete at,
+// and the number of updates committed since genesis.
+type HostGraph struct {
+	Graph   *memgraph.Graph
+	TS      model.Timestamp
+	Updates uint64
 }
 
 // DefaultSnapshotEveryBytes is the log-bytes snapshot policy applied when
@@ -132,6 +147,11 @@ type Store struct {
 	compactErrs    atomic.Uint64
 	lastCompactErr atomic.Value // string
 	encBuf         []byte       // append-path scratch, guarded by mu (Sec 5.3)
+
+	// adoptions and mismatches count AdoptLatest's outcomes; privateUpdates
+	// is how many updates the latest graph has applied on its own since it
+	// was last the host's. Guarded by mu.
+	adoptions, mismatches, privateUpdates uint64
 
 	// snapErrs / lastSnapErr surface background persistSnapshot failures,
 	// which would otherwise vanish silently off the commit path.
@@ -318,7 +338,10 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 // surviving element of the active chain — else the sealed end state —
 // seeds the latest in-memory graph and the log from that element's offset
 // on is decoded and applied on top; every frame of the active log is still
-// walked, to count the records and lay the fences.
+// walked, to count the records and lay the fences. When a host's graph is
+// on offer the whole log is walked that way first, and if it ends where the
+// host does — same last timestamp, same number of updates since genesis —
+// that graph is the latest and nothing is loaded or decoded.
 func (s *Store) recover() (err error) {
 	ctx := context.Background()
 	if s.segs, err = openSegments(s.fs, s.opts.Dir); err != nil {
@@ -330,22 +353,23 @@ func (s *Store) recover() (err error) {
 	}
 	act := s.active()
 	s.lastTS, s.seq = act.entry.ts, act.entry.seq
-	var latest *memgraph.Graph
+	chain := act.elems()
 	var from int64 // active-log offset the replay applies from
-	if chain := act.elems(); len(chain) > 0 {
-		newest := len(chain) - 1
-		if latest, err = s.loadElem(ctx, chain, newest); err != nil {
-			return err
-		}
-		from = chain[newest].logOff
-	} else {
-		latest = base.Clone()
+	if len(chain) > 0 {
+		from = chain[len(chain)-1].logOff
 	}
-	// The records before from are inside the seeding element already: they
-	// are counted and fenced off a peek at their timestamp, not decoded.
+	host := s.opts.Host
+	s.opts.Host = nil
+	// The records before peeked are counted and fenced off a peek at their
+	// timestamp, not decoded: those before from are inside the seeding element
+	// already, and the host's graph, if it is taken, holds them all.
+	peeked := from
+	if host != nil {
+		peeked = act.log.Size()
+	}
 	var aerr error
 	_, err = act.log.Scan(0, func(off int64, rec []byte) bool {
-		if off >= from {
+		if off >= peeked {
 			return false
 		}
 		var ts model.Timestamp
@@ -354,15 +378,32 @@ func (s *Store) recover() (err error) {
 		}
 		return aerr == nil
 	})
-	if err == nil && aerr == nil {
+	if err = errors.Join(err, aerr); err != nil {
+		return err
+	}
+	var latest *memgraph.Graph
+	if host != nil && host.TS == s.lastTS && host.Updates == s.updateCount {
+		latest = host.Graph
+		latest.SetTimestamp(s.lastTS)
+		s.adoptions = 1
+	} else {
+		if len(chain) > 0 {
+			if latest, err = s.loadElem(ctx, chain, len(chain)-1); err != nil {
+				return err
+			}
+		} else {
+			latest = base.Clone()
+		}
 		err = s.replayWal(ctx, act.log, s.opts.ParallelIO, from, func(off int64, u model.Update) bool {
-			s.advanceLocked(u.TS, off)
+			if off >= peeked {
+				s.advanceLocked(u.TS, off)
+			}
 			aerr = latest.Apply(u)
 			return aerr == nil
 		})
-	}
-	if err = errors.Join(err, aerr); err != nil {
-		return err
+		if err = errors.Join(err, aerr); err != nil {
+			return err
+		}
 	}
 	// Seed the log-bytes policy with the replay debt actually carried past
 	// the seeding element, so a reopened store keeps its bounded recovery
@@ -375,6 +416,30 @@ func (s *Store) recover() (err error) {
 	// Everything Open created (a segment directory, its log) and derivation
 	// deleted reaches the directory before the store takes a write.
 	return s.syncSegmentNames(act)
+}
+
+// AdoptLatest makes g — a CoW clone of the host's committed graph, complete
+// at commit timestamp ts — this store's latest graph, so the two share every
+// entity object instead of each holding the objects its own applies built.
+// The caller must know both sit at the same commit boundary; the store still
+// checks what it can and refuses (counting a mismatch in Stats) when ts is
+// not its last timestamp or the node and relationship counts differ from its
+// own latest: a host and an Aion that have diverged. Policy snapshots and
+// cached graphs cloned from the previous latest are unaffected.
+func (s *Store) AdoptLatest(g *memgraph.Graph, ts model.Timestamp) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if nodes, rels := s.gs.LatestCounts(); ts != s.lastTS || g.NodeCount() != nodes || g.RelCount() != rels {
+		s.mismatches++
+		return false
+	}
+	// The host stamps its graph with its clock; name the position the way
+	// this store's own latest would, whatever the clone carried.
+	g.SetTimestamp(ts)
+	s.gs.SetLatest(g)
+	s.adoptions++
+	s.privateUpdates = 0
+	return true
 }
 
 // Append writes one committed update: AppendBatch of a single update.
@@ -451,6 +516,7 @@ func (s *Store) AppendBatch(us []model.Update) error {
 		}
 		s.opsSinceSnap++
 		s.bytesSinceSnap += int64(len(payloads[i]))
+		s.privateUpdates++
 	}
 	return nil
 }
@@ -538,7 +604,16 @@ type Stats struct {
 	// eager); LastSnapshotError is the most recent failure's message.
 	SnapshotErrors    uint64
 	LastSnapshotError string
-	GraphStore        graphstore.Stats
+	// LatestAdoptions counts the times the latest graph became a handle on
+	// the host's (Open installing Options.Host, then every AdoptLatest),
+	// LatestMismatches the hand-overs AdoptLatest refused, and
+	// LatestPrivateUpdates the updates the latest graph has applied on its
+	// own since the last adoption — the bound on how many entity objects it
+	// does not share with the host right now.
+	LatestAdoptions      uint64
+	LatestMismatches     uint64
+	LatestPrivateUpdates uint64
+	GraphStore           graphstore.Stats
 }
 
 // Stats returns a snapshot of the store's counters and on-disk footprint.
@@ -560,7 +635,11 @@ func (s *Store) Stats() Stats {
 		LastCompactError:  lastCompact,
 		SnapshotErrors:    s.snapErrs.Load(),
 		LastSnapshotError: lastErr,
-		GraphStore:        s.gs.Stats(),
+
+		LatestAdoptions:      s.adoptions,
+		LatestMismatches:     s.mismatches,
+		LatestPrivateUpdates: s.privateUpdates,
+		GraphStore:           s.gs.Stats(),
 	}
 	for _, g := range s.segs {
 		var chainBytes int64
