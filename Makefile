@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget
+.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget disk-budget
 
 build:
 	$(GO) build ./...
@@ -148,3 +148,12 @@ heap-budget:
 	@awk '/hostdb\.Open$$/ {h = $$1 + 0} /timestore\.Open$$/ {t = $$1 + 0} \
 		END {if (h > 10 && t > 10) {printf "heap-budget: two resident copies of the current graph: hostdb.Open %.1f MB, timestore.Open %.1f MB\n", h, t; exit 1}}' .bench_build/heap-owners.txt
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=12 .bench_build/heap.pprof
+
+# The disk twin of heap-budget: BenchmarkDisk loads the benchmark's dataset
+# shape, closes it cleanly and prints what it occupies by owner — host
+# records, host log, TimeStore log, fulls and deltas, LineageStore trees,
+# string tables — in bytes and bytes per update, accounted the way
+# benchmark/'s disk_bytes is. It fails when the TimeStore chain (fulls +
+# deltas) is over 60 B/update, or holds a file the catalogue does not count.
+disk-budget:
+	$(GO) test -run '^$$' -bench BenchmarkDisk -benchtime 1x ./internal/system/

@@ -81,8 +81,9 @@ type Options struct {
 	// many updates (<= 0 disables partitioning: one monolithic log).
 	PartitionEvery int
 	// DeltaChainLength bounds the differential-snapshot run between full
-	// materializations in each sealed partition's chain (0: timestore
-	// default; < 0: full snapshots only).
+	// materializations in every TimeStore chain — the policy snapshots of
+	// the active partition and each sealed partition's compacted chain (0:
+	// timestore default; < 0: full snapshots only).
 	DeltaChainLength int
 	// GraphStoreBytes is the snapshot cache budget.
 	GraphStoreBytes int64

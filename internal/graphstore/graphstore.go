@@ -151,6 +151,25 @@ func (s *Store) evict() {
 	}
 }
 
+// Holds reports whether a snapshot is cached exactly at ts, leaving the
+// counters and the LRU order alone.
+func (s *Store) Holds(ts model.Timestamp) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.entries[ts] != nil
+}
+
+// Rebase points the entry cached at g's timestamp, if there still is one, at a
+// CoW clone of g — the same state, held in other objects; nothing else about
+// the entry changes.
+func (s *Store) Rebase(g *memgraph.Graph) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.entries[g.Timestamp()]; e != nil {
+		e.g = g.Clone()
+	}
+}
+
 // Get returns a CoW clone of the snapshot cached exactly at ts.
 func (s *Store) Get(ts model.Timestamp) (*memgraph.Graph, bool) {
 	s.mu.Lock()

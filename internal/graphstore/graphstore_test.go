@@ -234,3 +234,40 @@ func TestConcurrentPutAndFloor(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRebaseSwapsTheGraphOnly: the entry keeps its place in the eviction
+// order and every counter stands still, a timestamp that is not cached stays
+// uncached, and the caller's graph is not the cached one.
+func TestRebaseSwapsTheGraphOnly(t *testing.T) {
+	g := snapshotAt(t, 10, 4)
+	s := New(3 * g.ApproxBytes())
+	s.Put(snapshotAt(t, 10, 4))
+	s.Put(snapshotAt(t, 20, 4))
+	before := s.Stats()
+	s.Rebase(g)
+	s.Rebase(snapshotAt(t, 15, 4))
+	if !s.Holds(10) || s.Holds(15) {
+		t.Fatalf("Holds(10) = %v, Holds(15) = %v, want true, false", s.Holds(10), s.Holds(15))
+	}
+	if after := s.Stats(); after != before {
+		t.Errorf("counters went from %+v to %+v", before, after)
+	}
+	// 10 is still the least recently used: the fourth snapshot evicts it.
+	s.Put(snapshotAt(t, 30, 4))
+	s.Put(snapshotAt(t, 40, 4))
+	if s.Holds(10) || !s.Holds(20) {
+		t.Errorf("after two more snapshots Holds(10) = %v, Holds(20) = %v, want false, true", s.Holds(10), s.Holds(20))
+	}
+
+	s.Put(snapshotAt(t, 10, 4))
+	s.Rebase(g)
+	if got, _ := s.Get(10); got.Node(0) != g.Node(0) {
+		t.Error("Get(10) does not hold the rebased graph's entities")
+	}
+	if err := g.Apply(model.AddNode(10, 99, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Get(10); got.NodeCount() != 4 {
+		t.Errorf("a write to the caller's graph reached the cache: %d nodes", got.NodeCount())
+	}
+}

@@ -3,8 +3,10 @@ package system
 import (
 	"flag"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 
 	"aion/internal/aion"
@@ -124,5 +126,73 @@ func BenchmarkResident(b *testing.B) {
 	b.ReportMetric(live/float64(updates), "heap-B/update")
 	if live/float64(updates) > residentBudget {
 		b.Fatalf("an open store keeps %.1f heap bytes per update, over the budget of %d", live/float64(updates), residentBudget)
+	}
+}
+
+// chainBudget is BenchmarkDisk's ceiling on the TimeStore's chain — its
+// policy fulls and deltas — in bytes per loaded update: with four deltas
+// between fulls the shape measures 43 (every element a full: 106).
+const chainBudget = 60
+
+// BenchmarkDisk is BenchmarkResident's twin for the disk: what the loaded,
+// cleanly closed benchmark-shaped store occupies, by owner, accounted the way
+// benchmark/'s disk_bytes is. It fails when the
+// TimeStore chain is over its budget, or when the chain directory holds an
+// element file the catalogue does not count. make disk-budget runs it.
+func BenchmarkDisk(b *testing.B) {
+	opts, updates := loadBenchmarkShape(b)
+	s, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	host, ts := s.Host.Storage(), s.Aion.TimeStore().Stats()
+	_, lineage := s.Aion.DiskBytes()
+	size := func(path string) int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return fi.Size()
+	}
+	elems, err := filepath.Glob(filepath.Join(opts.Dir, "aion", "timestore", "p-*", "*.dsnap"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fulls, deltas int64
+	for _, f := range elems {
+		if strings.HasPrefix(filepath.Base(f), "delta-") {
+			deltas += size(f)
+		} else {
+			fulls += size(f)
+		}
+	}
+	if fulls+deltas != ts.SnapshotBytes+ts.ChainBytes {
+		b.Fatalf("%d bytes of element files on disk, the catalogue counts %d", fulls+deltas, ts.SnapshotBytes+ts.ChainBytes)
+	}
+	rows := []struct {
+		owner string
+		bytes int64
+	}{
+		{"host records", host.NodeRecords + host.RelRecords + host.PropRecords},
+		{"host log", host.TxnLog},
+		{"TimeStore log", ts.LogBytes},
+		{"TimeStore fulls", fulls},
+		{"TimeStore deltas", deltas},
+		{"LineageStore trees", lineage},
+		{"string tables", host.Strings + size(filepath.Join(opts.Dir, "aion", "strings.db"))},
+	}
+	var total int64
+	for _, r := range rows {
+		total += r.bytes
+		b.Logf("%-20s %11d B %8.1f B/update", r.owner, r.bytes, float64(r.bytes)/float64(updates))
+	}
+	b.Logf("%-20s %11d B %8.1f B/update over %d updates, %d policy elements (%d deltas)",
+		"total", total, float64(total)/float64(updates), updates, len(elems), ts.DeltaSnapshots)
+	chain := float64(fulls+deltas) / float64(updates)
+	b.ReportMetric(float64(total)/float64(updates), "disk-B/update")
+	b.ReportMetric(chain, "chain-B/update")
+	if chain > chainBudget {
+		b.Fatalf("the TimeStore chain takes %.1f bytes per update, over the budget of %d", chain, chainBudget)
 	}
 }

@@ -171,23 +171,29 @@ func (r *residentSys) verify(label string) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	fulls := 0
+	elems := 0
 	for _, name := range names {
 		if !strings.HasSuffix(name, ".dsnap") {
 			continue
 		}
+		// Policy elements are fulls and, between them, deltas: either kind
+		// must sit at the end of a commit.
 		var at model.Timestamp
 		var seq int
-		if _, err := fmt.Sscanf(name, "full-%16x-%8x.dsnap", &at, &seq); err != nil {
+		_, pos, _ := strings.Cut(name, "-")
+		if _, err := fmt.Sscanf(pos, "%16x-%8x.dsnap", &at, &seq); err != nil || !(strings.HasPrefix(name, "full-") || strings.HasPrefix(name, "delta-")) {
 			r.t.Fatalf("%s: chain file %q: %v", label, name, err)
 		}
-		fulls++
+		elems++
 		if at < 1 || int(at) > len(commits) || seq != len(commits[at-1])-1 {
 			r.t.Errorf("%s: snapshot %s is placed at (%d, %d), which is not the end of a commit", label, name, at, seq)
 		}
 	}
-	if len(commits) > 0 && fulls == 0 && st.Updates > 2*residentSnapshotEvery {
+	if len(commits) > 0 && elems == 0 && st.Updates > 2*residentSnapshotEvery {
 		r.t.Errorf("%s: no policy snapshot after %d updates", label, st.Updates)
+	}
+	if elems >= 2 && st.DeltaSnapshots == 0 {
+		r.t.Errorf("%s: %d policy snapshots and no delta among them", label, elems)
 	}
 	cmp, ref := tstest.NewComparator(), memgraph.New()
 	for i, us := range commits {

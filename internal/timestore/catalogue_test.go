@@ -18,7 +18,9 @@ import (
 // answer the same timestamps from the same positions), and the same answers
 // after a reopen re-derives every chain from the element headers. It also
 // pins which loaded elements enter the GraphStore — only those complete at
-// their timestamp.
+// their timestamp. The last stages add a policy snapshot, which the chain
+// rule makes a delta on the eager full before it: floors name elements of
+// either kind.
 func TestChainFloor(t *testing.T) {
 	const ( // <segment>/<kind>-<ts>-<seq>
 		a5s1  = "p-1/full-0000000000000005-00000001.dsnap"
@@ -32,6 +34,7 @@ func TestChainFloor(t *testing.T) {
 		f10   = "p-1/full-000000000000000a-00000000.dsnap"
 		b12   = "p-2/full-000000000000000c-00000000.dsnap"
 		b13   = "p-2/full-000000000000000d-00000000.dsnap"
+		c14   = "p-2/delta-000000000000000e-00000000.dsnap"
 	)
 	sealedChain := []string{d3, d5s2, d8, d9, f10, entry} // in file-name order
 	var appended []model.Update
@@ -139,6 +142,19 @@ func TestChainFloor(t *testing.T) {
 			name:   "cached again after reopen",
 			want:   floors{12: b12, 13: b13, 100: b13},
 			cached: map[model.Timestamp]bool{12: false, 13: true},
+		},
+		{
+			name:   "policy snapshot: the active chain takes a delta on the eager full",
+			do:     policySnapshotNow,
+			want:   floors{12: b12, 13: b13, 14: c14, 100: c14},
+			onDisk: slices.Concat(sealedChain, []string{c14, b12, b13}),
+			cached: map[model.Timestamp]bool{13: true, 14: true},
+		},
+		{
+			name:   "the delta answers after reopen",
+			want:   floors{13: b13, 14: c14, 100: c14},
+			onDisk: slices.Concat(sealedChain, []string{c14, b12, b13}),
+			cached: map[model.Timestamp]bool{14: true},
 		},
 	}
 

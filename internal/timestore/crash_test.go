@@ -106,16 +106,25 @@ type driveResult struct {
 }
 
 // driveStore pushes the workload: every update is appended, every 10th is
-// followed by a Flush (the sync point), every 60th by an eager snapshot.
+// followed by a Flush (the sync point), every 60th by an eager snapshot, and
+// the first timestamp boundary 20 and 40 updates after that by a policy
+// snapshot — a delta on the element before it — so the sweep also crashes
+// inside delta writes and recovers chains whose newest element is one.
 // Errors stop the appends (the stores are fail-stop) but are not fatal —
 // they are exactly the states the sweep wants to leave behind.
 func driveStore(st *Store, us []model.Update) driveResult {
 	var res driveResult
+	policyDue := false
 	for i, u := range us {
 		if err := st.Append(u); err != nil {
 			break
 		}
 		res.attempted = i + 1
+		policyDue = policyDue || (i+1)%60 == 20 || (i+1)%60 == 40
+		if policyDue && (i+1 == len(us) || us[i+1].TS > u.TS) {
+			policyDue = false
+			_ = policySnapshot(st)
+		}
 		if (i+1)%10 == 0 {
 			if err := st.Flush(); err == nil {
 				res.durable = res.attempted
@@ -171,6 +180,13 @@ func verifyRecovered(t *testing.T, k int, torn bool, codec *enc.Codec, st *Store
 	if m > 0 && st.LatestTimestamp() != us[m-1].TS {
 		t.Fatalf("k=%d torn=%v: latest ts %d, want %d", k, torn, st.LatestTimestamp(), us[m-1].TS)
 	}
+	// A delta survives only right behind its base; an orphan is dropped and
+	// the log covers what it held.
+	for i, e := range st.active().elems() {
+		if e.kind == enc.DeltaDiff && (i == 0 || e.base != st.active().elems()[i-1].pos) {
+			t.Fatalf("k=%d torn=%v: recovered chain keeps delta %s without its base", k, torn, e.path)
+		}
+	}
 }
 
 func runCrashCase(t *testing.T, us []model.Update, k int, torn bool) {
@@ -208,6 +224,9 @@ func TestCrashSweepTimeStore(t *testing.T) {
 	res := driveStore(st, us)
 	if res.attempted != len(us) {
 		t.Fatalf("fault-free run stopped after %d/%d updates", res.attempted, len(us))
+	}
+	if stats := st.Stats(); stats.DeltaSnapshots < 4 || stats.SnapshotErrors != 0 {
+		t.Fatalf("fault-free run wrote %d deltas with %d snapshot errors, want at least 4 and none", stats.DeltaSnapshots, stats.SnapshotErrors)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -1,19 +1,22 @@
 // Chain elements: writing, loading, and the compaction of a sealed
 // segment's chain (DeltaGraph-style hierarchical delta snapshots, PAPERS.md
-// arXiv:1207.5777). A sealed segment's log is replayed once and cut at
-// timestamp boundaries; each cut emits a chain element — every
-// DeltaChainLength-th a full materialization, otherwise a *differential*
-// snapshot holding the updates since the previous cut compacted to their
-// net effect. GetGraph(ts) inside the segment then loads the nearest full
-// and applies at most DeltaChainLength deltas plus a bounded log tail,
-// instead of replaying from a distant snapshot.
+// arXiv:1207.5777). Every chain, active or sealed, is fulls with up to
+// DeltaChainLength *differential* snapshots between them, each holding the
+// updates since the previous element compacted to their net effect. The
+// active chain grows one policy snapshot at a time (persistSnapshot); a
+// sealed segment's log is replayed once and cut at timestamp boundaries of
+// its own, each cut emitting the rule's next element. GetGraph(ts) then loads
+// the nearest full — or starts from a cached graph that sits at one of the
+// run's elements — and applies at most DeltaChainLength deltas plus a bounded
+// log tail, instead of replaying from a distant snapshot.
 package timestore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"aion/internal/enc"
 	"aion/internal/memgraph"
@@ -71,7 +74,7 @@ func (s *Store) compactPartition(ctx context.Context, p *segment, entry *memgrap
 		return nil
 	}
 	var derr error
-	err := s.replayWal(ctx, p.log, 1, 0, func(off int64, u model.Update) bool {
+	err := s.replayWal(ctx, p.log, 1, 0, logEnd, func(off int64, u model.Update) bool {
 		// Cut only at timestamp boundaries: every element is complete at
 		// its timestamp, so a sealed element's graph can always be cached.
 		if len(seg) >= segTarget && u.TS > cur.ts {
@@ -181,17 +184,32 @@ func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.
 	return err
 }
 
-// loadElem builds a private graph at chain[j] from the element files alone:
-// the nearest full at or before j, then every delta up to j.
-func (s *Store) loadElem(ctx context.Context, chain []chainElem, j int) (*memgraph.Graph, error) {
-	j0 := j
-	//aionlint:ignore ctxloop backward walk is bounded by DeltaChainLength steps and does no I/O
-	for chain[j0].kind != enc.DeltaFull {
-		j0--
+// loadElem builds a private graph at seg's chain[j] from the element files:
+// the nearest full at or before j, then every delta up to j. near, unless
+// nil, is a private graph complete at its timestamp that may stand in for
+// the head of that run: when it sits at the base of one of the run's deltas,
+// and that base is complete too, only the deltas from there on are read, and
+// applied to near — which, a CoW clone of a cached graph, keeps sharing every
+// entity they leave alone with it.
+func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
+	from, g := j, memgraph.New()
+	//aionlint:ignore ctxloop backward walk is bounded by DeltaChainLength steps, each at most one record read
+	for ; chain[from].kind == enc.DeltaDiff; from-- {
+		base := chain[from-1]
+		if near == nil || base.pos.ts != near.Timestamp() {
+			continue
+		}
+		ok, err := elemComplete(seg, base)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			g = near
+			break
+		}
 	}
-	g := memgraph.New()
-	for k := j0; k <= j; k++ {
-		if err := s.applyChainFile(ctx, chain[k], g, k > j0); err != nil {
+	for k := from; k <= j; k++ {
+		if err := s.applyChainFile(ctx, chain[k], g, chain[k].kind == enc.DeltaDiff); err != nil {
 			return nil, err
 		}
 	}
@@ -199,133 +217,152 @@ func (s *Store) loadElem(ctx context.Context, chain []chainElem, j int) (*memgra
 	return g, nil
 }
 
-// materializeElem is loadElem for a query: the graph is also cached in the
-// GraphStore for the next reader when it is complete at its timestamp (the
-// cache key carries no sequence). A sealed segment's elements always are —
-// compaction cuts only at timestamp boundaries — while an eager snapshot in
-// the active segment may sit mid-timestamp: it is complete only if no
-// record past it carries its timestamp. Caller holds sealMu (either mode).
-func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chainElem, j int) (*memgraph.Graph, error) {
-	g, err := s.loadElem(ctx, chain, j)
+// elemComplete reports whether e covers every update at its timestamp, so
+// that the graph at e is the one the GraphStore keys by that timestamp (the
+// cache key carries no sequence). Policy snapshots and compaction cut only at
+// timestamp boundaries; an eager snapshot may sit mid-timestamp, and is
+// complete only if the record right after it — the one at its logOff, the
+// only one read — carries a later timestamp or does not exist.
+func elemComplete(seg *segment, e chainElem) (bool, error) {
+	if e.logOff >= seg.log.Size() {
+		return true, nil
+	}
+	rec, err := seg.log.ReadAt(e.logOff)
+	if err != nil {
+		return false, err
+	}
+	ts, err := enc.PeekTS(rec)
+	return ts > e.pos.ts, err
+}
+
+// materializeElem is loadElem for a query, near being the GraphStore's floor
+// for it (nil: none): the graph is also cached for the next reader when it is
+// complete at its timestamp. Caller holds sealMu (either mode).
+func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
+	g, err := s.loadElem(ctx, seg, chain, j, near)
 	if err != nil {
 		return nil, err
 	}
-	pos, complete := chain[j].pos, true
-	if !seg.sealed {
-		err = s.scanSegment(ctx, seg, 1, pos, pos.ts+1, func(model.Update) bool {
-			complete = false
-			return false
-		})
-		if err != nil {
-			return nil, err
-		}
+	complete, err := elemComplete(seg, chain[j])
+	if err != nil {
+		return nil, err
 	}
 	if complete {
 		s.gs.Put(g) // caches a CoW clone; g itself stays the caller's
 	}
-	return g, nil
+	return g, s.rebaseRun(ctx, chain, j, g)
+}
+
+// rebaseRun keeps the cached graphs of one run a single line of descent: each
+// graph cached at a delta after chain[j] is derived again, from g — just built
+// at chain[j] — and takes the old one's place. Whatever they had been derived
+// from, they then share with g every entity those deltas leave alone, so what
+// a store keeps resident follows from which graphs it caches, not from the
+// order its misses arrived in. The work is bounded by the run's deltas.
+func (s *Store) rebaseRun(ctx context.Context, chain []chainElem, j int, g *memgraph.Graph) error {
+	last := j
+	//aionlint:ignore ctxloop forward walk is bounded by DeltaChainLength steps and does no I/O
+	for k := j + 1; k < len(chain) && chain[k].kind == enc.DeltaDiff; k++ {
+		if s.gs.Holds(chain[k].pos.ts) {
+			last = k
+		}
+	}
+	g = g.Clone() // the caller's graph stays at chain[j]
+	for k := j + 1; k <= last; k++ {
+		if err := s.applyChainFile(ctx, chain[k], g, true); err != nil {
+			return err
+		}
+		g.SetTimestamp(chain[k].pos.ts)
+		s.gs.Rebase(g)
+	}
+	return nil
 }
 
 // --- segment compaction ------------------------------------------------------
 
-// entAcc folds one entity's updates within a segment to their net effect.
-// At most one of each pointer survives: del (a pre-existing entity deleted
-// in the segment), add (an entity created — or deleted-and-recreated — in
-// the segment, with later updates merged in), upd (a pre-existing entity
-// modified). del+add together encode delete-then-recreate.
+// entAcc folds one entity's updates within a window to their net effect,
+// as pointers into the window. At most one of each survives: del (a
+// pre-existing entity deleted in the window), add (an entity created — or
+// deleted-and-recreated — in the window, with later updates merged in), upd (a
+// pre-existing entity modified). del+add together encode
+// delete-then-recreate.
 type entAcc struct {
-	del *model.Update
-	add *model.Update
-	upd *model.Update
+	del, add, upd *model.Update
 }
 
-// compactUpdates reduces a segment's update stream to its net effect: the
-// minimal-ish update list that transforms the segment's entry graph into
-// its end graph through memgraph.Apply. Emission is phased — rel deletes,
-// node deletes, node adds/updates, rel adds/updates, each sorted by entity
-// ID — which satisfies Apply's referential constraints (a node is deleted
-// only after its rels, a rel added only after its endpoints).
+// emitPhase orders a compacted window so that memgraph.Apply's referential
+// constraints hold: rel deletes, node deletes, node adds/updates, rel
+// adds/updates (a node is deleted only after its rels, a rel added only
+// after its endpoints).
+func emitPhase(k model.OpKind) int {
+	switch {
+	case k == model.OpDeleteRel:
+		return 0
+	case k == model.OpDeleteNode:
+		return 1
+	case k.IsNodeOp():
+		return 2
+	}
+	return 3
+}
+
+// compactUpdates reduces a window of the update stream to its net effect:
+// the minimal-ish update list that transforms the window's entry graph into
+// its end graph through memgraph.Apply, in emitPhase order and by entity ID
+// within a phase. It owns us: later updates are merged into earlier ones in
+// place, so the label slices and property maps must alias nothing the caller
+// still reads — true of updates fresh from the decoder, which is where both
+// callers (seal compaction, the snapshot worker) get theirs.
 func compactUpdates(us []model.Update) []model.Update {
-	accs := map[int64]*entAcc{}
-	for _, u := range us {
+	slot := make(map[int64]int32, len(us)/2) // entity key → index into accs
+	accs := make([]entAcc, 0, len(us)/2)
+	for i := range us {
+		u := &us[i]
 		k := u.EntityKey()
-		a := accs[k]
-		if a == nil {
-			a = &entAcc{}
-			accs[k] = a
+		ai, seen := slot[k]
+		if !seen {
+			ai = int32(len(accs))
+			slot[k] = ai
+			accs = append(accs, entAcc{})
 		}
+		a := &accs[ai]
 		switch u.Kind {
 		case model.OpAddNode, model.OpAddRel:
-			c := cloneUpdate(u)
-			a.add = &c
+			a.add = u
 		case model.OpUpdateNode, model.OpUpdateRel:
 			switch {
 			case a.add != nil:
-				mergeIntoAdd(a.add, u)
+				mergeIntoAdd(a.add, *u)
 			case a.upd != nil:
-				mergeUpdates(a.upd, u)
+				mergeUpdates(a.upd, *u)
 			default:
-				c := cloneUpdate(u)
-				a.upd = &c
+				a.upd = u
 			}
 		case model.OpDeleteNode, model.OpDeleteRel:
 			if a.add != nil {
-				a.add = nil // created and destroyed within the segment
+				a.add = nil // created and destroyed within the window
 			} else {
-				a.upd = nil
-				c := cloneUpdate(u)
-				a.del = &c
+				a.upd, a.del = nil, u
 			}
 		}
 	}
-	var relDel, nodeDel, nodes, rels []model.Update
-	route := func(u *model.Update) {
-		if u == nil {
-			return
-		}
-		u.Normalize()
-		if u.Kind.IsNodeOp() {
-			nodes = append(nodes, *u)
-		} else {
-			rels = append(rels, *u)
-		}
-	}
+	net := make([]*model.Update, 0, len(accs))
 	for _, a := range accs {
-		if a.del != nil {
-			if a.del.Kind.IsNodeOp() {
-				nodeDel = append(nodeDel, *a.del)
-			} else {
-				relDel = append(relDel, *a.del)
+		for _, u := range [...]*model.Update{a.del, a.add, a.upd} {
+			if u != nil {
+				net = append(net, u)
 			}
 		}
-		route(a.add)
-		route(a.upd)
 	}
-	sort.Slice(relDel, func(i, j int) bool { return relDel[i].RelID < relDel[j].RelID })
-	sort.Slice(nodeDel, func(i, j int) bool { return nodeDel[i].NodeID < nodeDel[j].NodeID })
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].NodeID < nodes[j].NodeID })
-	sort.Slice(rels, func(i, j int) bool { return rels[i].RelID < rels[j].RelID })
-	out := make([]model.Update, 0, len(relDel)+len(nodeDel)+len(nodes)+len(rels))
-	out = append(out, relDel...)
-	out = append(out, nodeDel...)
-	out = append(out, nodes...)
-	return append(out, rels...)
-}
-
-// cloneUpdate deep-copies the slices and map so merging never aliases the
-// caller's updates.
-func cloneUpdate(u model.Update) model.Update {
-	c := u
-	c.AddLabels = append([]string(nil), u.AddLabels...)
-	c.DelLabels = append([]string(nil), u.DelLabels...)
-	c.DelProps = append([]string(nil), u.DelProps...)
-	if u.SetProps != nil {
-		c.SetProps = make(model.Properties, len(u.SetProps))
-		for k, v := range u.SetProps {
-			c.SetProps[k] = v
-		}
+	slices.SortFunc(net, func(a, b *model.Update) int {
+		return cmp.Or(cmp.Compare(emitPhase(a.Kind), emitPhase(b.Kind)), cmp.Compare(a.EntityKey(), b.EntityKey()))
+	})
+	out := make([]model.Update, len(net))
+	for i, u := range net {
+		u.Normalize()
+		out[i] = *u
 	}
-	return c
+	return out
 }
 
 // mergeIntoAdd folds a later update b into a pending add: the add's labels

@@ -181,13 +181,13 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	s.lastTS, s.seq = act.entry.ts, act.entry.seq
 	latest, from := base.Clone(), int64(0)
 	if chain := act.elems(); len(chain) > 0 {
-		if latest, err = s.loadElem(ctx, chain, len(chain)-1); err != nil {
+		if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil); err != nil {
 			t.Fatal(err)
 		}
 		from = chain[len(chain)-1].logOff
 	}
 	var aerr error
-	err = s.replayWal(ctx, act.log, opts.ParallelIO, 0, func(off int64, u model.Update) bool {
+	err = s.replayWal(ctx, act.log, opts.ParallelIO, 0, logEnd, func(off int64, u model.Update) bool {
 		s.advanceLocked(u.TS, off)
 		if off >= from {
 			aerr = latest.Apply(u)

@@ -9,7 +9,9 @@ import (
 	"sort"
 	"testing"
 
+	"aion/internal/enc"
 	"aion/internal/model"
+	"aion/internal/strstore"
 )
 
 // goldenUpdates is the fixed update sequence behind the pinned digests:
@@ -137,5 +139,74 @@ func TestGoldenOnDiskBytes(t *testing.T) {
 	end := filepath.Base(chain[len(chain)-1].path)
 	if got, want := digestFiles(t, filepath.Join(dir, "p-1", "*.dsnap")), digestFiles(t, filepath.Join(pdir, "p-1", end)); got != want {
 		t.Errorf("the active segment's snapshot differs from the sealed end full %s", end)
+	}
+}
+
+// TestGoldenActiveChain pins the bytes of an active segment's chain, beside
+// the sealed chain's above: the golden history under a 90-operation policy
+// and a two-delta chain is full, delta, delta, full, and there is no new
+// format behind that. The fulls-only twin's digest was computed on the commit
+// before the active chain wrote deltas, with that commit's default options,
+// so its directory stands for "a store written by the parent": the twin must
+// still produce it, the two stores' fulls are the same files byte for byte,
+// and reopened with today's defaults the parent's directory answers every
+// timestamp the way the delta store does, keeps its files, and takes a delta
+// as its next policy element.
+func TestGoldenActiveChain(t *testing.T) {
+	const (
+		wantParent = "dcd45f5c7bc40f7a839628af1d1407a7223fcfa11fd726b1afc371b499bf12dd"
+		wantFull   = "a8d8281220a8b5bbacbdbab9773dd2a26d15e34d80c20a2a1254a27befa3ebfe"
+		wantDelta  = "252a9b03914819053f1b59024a9305528cba41d9d78faf5d02a23f322c798022"
+	)
+	us := goldenUpdates()
+	dir, pdir := t.TempDir(), t.TempDir()
+	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 90, DeltaChainLength: 2})
+	p := openBare(t, enc.NewCodec(strstore.NewMem()), Options{Dir: pdir, SnapshotEveryOps: 90, DeltaChainLength: -1})
+	defer func() { p.Close() }()
+	appendSettled(t, s, us)
+	appendSettled(t, p, us)
+	if got := elemKinds(s.active().elems()); got != "fddf" {
+		t.Fatalf("active chain %s, want fddf", got)
+	}
+	if got := digestFiles(t, filepath.Join(pdir, "p-1", "*.dsnap")); got != wantParent {
+		t.Errorf("fulls-only chain digest %s, want the parent's %s", got, wantParent)
+	}
+	if got := digestFiles(t, filepath.Join(dir, "p-1", "full-*.dsnap")); got != wantFull {
+		t.Errorf("active full .dsnap digest %s, want %s", got, wantFull)
+	}
+	if got := digestFiles(t, filepath.Join(dir, "p-1", "delta-*.dsnap")); got != wantDelta {
+		t.Errorf("active delta .dsnap digest %s, want %s", got, wantDelta)
+	}
+	for _, e := range s.active().elems() {
+		if name := filepath.Base(e.path); e.kind == enc.DeltaFull &&
+			digestFiles(t, e.path) != digestFiles(t, filepath.Join(pdir, "p-1", name)) {
+			t.Errorf("%s differs from the fulls-only twin's", name)
+		}
+	}
+
+	p = reopened(t, p, Options{Dir: pdir, SnapshotEveryOps: 90})
+	if got := elemKinds(p.active().elems()); got != "ffff" {
+		t.Fatalf("the parent's chain reopens as %s, want ffff", got)
+	}
+	maxTS := us[len(us)-1].TS
+	o := &fenceOracle{t: t, codec: p.codec}
+	for ts := model.Timestamp(0); ts <= maxTS; ts++ {
+		if o.digest(mustGraph(t, p, ts).Export()) != o.digest(mustGraph(t, s, ts).Export()) {
+			t.Fatalf("GetGraph(%d) differs between the parent's directory and the delta store", ts)
+		}
+	}
+	var more []model.Update
+	for i := 0; i < 100; i++ {
+		more = append(more, model.AddNode(maxTS+1+model.Timestamp(i), model.NodeID(1000+i), []string{"Late"}, nil))
+	}
+	appendSettled(t, p, more)
+	if got := elemKinds(p.active().elems()); got != "ffffd" {
+		t.Errorf("the parent's chain continues as %s, want ffffd", got)
+	}
+	if got := digestFiles(t, filepath.Join(pdir, "p-1", "full-*.dsnap")); got != wantParent {
+		t.Errorf("the parent's element files changed: digest %s, want %s", got, wantParent)
+	}
+	if g := mustGraph(t, p, maxTS+100); g.NodeCount() != 100+mustGraph(t, s, maxTS).NodeCount() {
+		t.Errorf("GetGraph past the new delta has %d nodes", g.NodeCount())
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 
 	"aion/internal/model"
@@ -33,7 +34,7 @@ const (
 	// frameBatchBytes caps a job's payload bytes so huge records do not
 	// inflate pipeline memory (in-flight jobs are bounded by the stage).
 	frameBatchBytes = 256 << 10
-	// replayReadahead is the log ScanBatch chunk size used during replay.
+	// replayReadahead is the log scan's chunk size during replay.
 	replayReadahead = 1 << 20
 	// frameHdrLen is the size of a frame's length+CRC header.
 	frameHdrLen = 8
@@ -299,7 +300,10 @@ func growBytes(b []byte, n int) []byte {
 // replay batch decoded (from the worker goroutines). Nil in production.
 var replayDecoded func(records int)
 
-// replayWal streams l's decoded updates from offset from in commit order,
+// logEnd as replayWal's upper bound means the log's end when the scan starts.
+const logEnd = math.MaxInt64
+
+// replayWal streams l's decoded updates at offsets [from, to) in commit order,
 // stopping early when fn returns false or ctx is cancelled (checked once
 // per batch, so a runaway range scan stops within one batch of the
 // deadline). It is the shared replay engine of recover, ScanDiff, and
@@ -309,11 +313,11 @@ var replayDecoded func(records int)
 // goroutine. Callers that already run on a pool worker (the scatter-gather
 // over sealed segments) or replay a segment once (compaction) pass 1, so
 // they do not nest a second pool.
-func (s *Store) replayWal(ctx context.Context, l *wal.Log, workers int, from int64, fn func(off int64, u model.Update) bool) error {
+func (s *Store) replayWal(ctx context.Context, l *wal.Log, workers int, from, to int64, fn func(off int64, u model.Update) bool) error {
 	return pool.RunOrderedCtx(ctx, workers,
 		func(emit func(frameBatch) bool) error {
 			stopped := false
-			_, err := l.ScanBatch(from, replayReadahead, func(frames []wal.Frame) bool {
+			_, err := l.ScanRange(from, to, replayReadahead, func(frames []wal.Frame) bool {
 				// Frames alias the scan's readahead buffer, so each job
 				// copies its records into a pooled batch buffer before the
 				// scan moves on.

@@ -5,7 +5,8 @@
 // file and is sealed — immutable, its chain compacted into full and
 // differential elements (delta.go) so GetGraph inside old history replays
 // only its own segment's chain; the last, marker-less one is the active
-// segment every append lands in, its chain the policy and eager snapshots.
+// segment every append lands in, its chain the policy snapshots (fulls with
+// deltas between them, by the same rule) and the eager ones (always fulls).
 // A store that never seals (Options.PartitionEvery <= 0) is exactly p-1/.
 // Everything here follows the derive-don't-trust recovery contract: the
 // only durable facts are the logs, the markers, and the element headers;
@@ -123,17 +124,43 @@ func (g *segment) elems() []chainElem {
 	return g.chain
 }
 
-// insert catalogues a published element in position order; one at the same
-// position (a repeated eager snapshot rewrote the same file) is replaced.
-func (g *segment) insert(e chainElem) {
+// insert catalogues a published element in position order. One at the same
+// position is replaced; if that was another file (the other kind — the same
+// kind rewrote the same name) its path is returned for the caller to remove.
+func (g *segment) insert(e chainElem) (superseded string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if i := chainFloor(g.chain, e.pos); i >= 0 && g.chain[i].pos == e.pos {
+		if g.chain[i].path != e.path {
+			superseded = g.chain[i].path
+		}
 		g.chain = slices.Clone(g.chain)
 		g.chain[i] = e
 	} else {
 		g.chain = slices.Insert(slices.Clone(g.chain), i+1, e)
 	}
+	return superseded
+}
+
+// deltaBase is the chain rule for a policy snapshot at pos: the element it is
+// written against as a delta, or nil when the chain calls for a full there —
+// nothing precedes pos, an element already sits at pos, or the newest one
+// before it ends a run of maxRun deltas (maxRun < 0: fulls only). Every delta
+// directly follows its base, so a chain never starts with one.
+func (g *segment) deltaBase(pos position, maxRun int) *chainElem {
+	chain := g.elems()
+	i := chainFloor(chain, pos)
+	if i < 0 || chain[i].pos == pos {
+		return nil
+	}
+	run := 0
+	for k := i; chain[k].kind == enc.DeltaDiff; k-- {
+		run++
+	}
+	if run >= maxRun {
+		return nil
+	}
+	return &chain[i]
 }
 
 // startFence is the one rule for where a walk for the records after from

@@ -123,7 +123,7 @@ func (s *Store) scanFromLocked(ctx context.Context, from position, end model.Tim
 func (s *Store) scanSegment(ctx context.Context, g *segment, workers int, from position, end model.Timestamp, fn func(u model.Update) bool) error {
 	start := g.startFence(from)
 	cur := start.pos
-	return s.replayWal(ctx, g.log, workers, start.off, func(_ int64, u model.Update) bool {
+	return s.replayWal(ctx, g.log, workers, start.off, logEnd, func(_ int64, u model.Update) bool {
 		if u.TS >= end {
 			return false
 		}
@@ -191,7 +191,7 @@ func (s *Store) basePosLocked(ctx context.Context, ts model.Timestamp) (*memgrap
 		best.ts = cachedTS
 	}
 	if seg, chain, j := s.floorElem(ts); j >= 0 && best.before(chain[j].pos) {
-		g, err := s.materializeElem(ctx, seg, chain, j)
+		g, err := s.materializeElem(ctx, seg, chain, j, cached)
 		return g, chain[j].pos, err
 	}
 	if ok {

@@ -8,15 +8,18 @@
 // On disk the store is a run of segment directories p-1/ … p-N/
 // (partition.go), each holding updates.log and a chain of .dsnap elements
 // — one file format, whose header carries the element's stream position,
-// its base and the log offset replay resumes at. The last directory is the
-// active segment: appends land in its log, full snapshots governed by a
-// user-defined policy (operation- or log-bytes-based) join its chain, and a
-// sparse in-memory fence list (laid again from the log at Open) turns a
-// stream position into a log offset. Once it holds Options.PartitionEvery
-// updates a marker file seals it, its chain is compacted into fulls and
-// deltas (delta.go), and p-(N+1)/ takes over; a store that never seals is
-// exactly p-1/. There is no migration: Open rejects a directory written
-// before this layout.
+// its base and the log offset replay resumes at. One rule shapes every
+// chain: a full materialization, then up to Options.DeltaChainLength
+// differential elements, each the net effect of the log since its
+// predecessor. The last directory is the active segment: appends land in
+// its log, snapshots governed by a user-defined policy (operation- or
+// log-bytes-based) join its chain as that rule's next element, and a sparse
+// in-memory fence list (laid again from the log at Open) turns a stream
+// position into a log offset. Once it holds Options.PartitionEvery updates
+// a marker file seals it, its chain is recompacted at cuts of its own
+// (delta.go), and p-(N+1)/ takes over; a store that never seals is exactly
+// p-1/. There is no migration: Open rejects a directory written before this
+// layout, and reads any chain written since, one of fulls only included.
 package timestore
 
 import (
@@ -34,6 +37,7 @@ import (
 	"aion/internal/model"
 	"aion/internal/pool"
 	"aion/internal/vfs"
+	"aion/internal/wal"
 )
 
 // Options configures a TimeStore.
@@ -66,7 +70,8 @@ type Options struct {
 	// never seals: the whole history stays in p-1.
 	PartitionEvery int
 	// DeltaChainLength is the number of differential snapshots between full
-	// ones in a sealed segment's chain. 0 picks the default (4); < 0
+	// ones in a segment's chain, the active segment's (policy snapshots) and
+	// a sealed one's (compaction) alike. 0 picks the default (4); < 0
 	// disables deltas (every chain element is a full materialization).
 	DeltaChainLength int
 	// FS is the filesystem the store persists through. nil means the real
@@ -220,36 +225,71 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// snapshotWorker serializes policy-triggered snapshots in the background.
-// Its graphs are private CoW clones complete at their timestamp, so once
-// the file is published the cache takes ownership without another clone.
+// snapshotWorker serializes policy-triggered snapshots in the background,
+// each as the element the chain calls for at its position. It is the only
+// writer of deltas and takes its jobs in position order, so a delta's base is
+// the element right before it. Its graphs are private CoW clones complete at
+// their timestamp: once published, the cache owns them without another clone.
 func (s *Store) snapshotWorker() {
 	defer close(s.workerDone)
 	for j := range s.snapCh {
-		if s.persistSnapshot(j.seg, j.g, j.at) == nil {
+		if s.persistSnapshot(j.seg, j.g, j.at, j.seg.deltaBase(j.at.pos, s.opts.DeltaChainLength)) == nil {
 			s.gs.PutOwned(j.g)
 		}
 		s.snapWG.Done()
 	}
 }
 
-// persistSnapshot publishes g as a full element of seg's chain at fence at:
-// the one path behind policy and eager snapshots. It must not take s.mu or
-// sealMu: a bulk AppendBatch holds s.mu for its whole batch, and policy
-// snapshots must keep landing concurrently (the chain and the GraphStore
-// have their own locks; the counters are atomic). Snapshot loss is
-// tolerable (the log still covers the range), but never silent: a failure
-// is counted, surfaced through Stats, and returned.
-func (s *Store) persistSnapshot(seg *segment, g *memgraph.Graph, at fence) error {
-	e, err := s.writeChainElem(seg, enc.DeltaFull, at.pos, position{}, at.off, g.Export())
+// persistSnapshot publishes the state g at fence at as an element of seg's
+// chain, the one path behind policy and eager snapshots: a full
+// materialization of g, or — when the caller names the base the chain calls
+// for there (segment.deltaBase; the snapshot worker only) — a delta. It must
+// not take s.mu or sealMu: a bulk AppendBatch holds s.mu for its whole batch,
+// and policy snapshots must keep landing concurrently (the chain and the
+// GraphStore have their own locks, a delta's window is read the way queries
+// read the log; the counters are atomic). Snapshot loss is tolerable (the log
+// still covers the range), but never silent: a failure is counted, surfaced
+// through Stats, and returned.
+func (s *Store) persistSnapshot(seg *segment, g *memgraph.Graph, at fence, base *chainElem) error {
+	e, err := s.writeSnapshot(seg, g, at, base)
+	if err == nil {
+		if old := seg.insert(e); old != "" { // the other kind's file name at this position
+			err = s.fs.Remove(old)
+		}
+	}
 	if err != nil {
 		s.snapErrs.Add(1)
 		s.lastSnapErr.Store(err.Error())
 		return err
 	}
-	seg.insert(e)
 	s.snapshotCount.Add(1)
 	return nil
+}
+
+// writeSnapshot writes g in full, or the net effect of the log window between
+// base's fence and at — nothing past at.off is read — as a delta on base.
+func (s *Store) writeSnapshot(seg *segment, g *memgraph.Graph, at fence, base *chainElem) (chainElem, error) {
+	if base == nil {
+		return s.writeChainElem(seg, enc.DeltaFull, at.pos, position{}, at.off, g.Export())
+	}
+	// Counting the window first (a read and a checksum, no decode) is cheaper
+	// than growing a slice of 144-byte updates to its size.
+	n := 0
+	_, err := seg.log.ScanRange(base.logOff, at.off, replayReadahead, func(frames []wal.Frame) bool {
+		n += len(frames)
+		return true
+	})
+	window := make([]model.Update, 0, n) // fresh from the decoder: compactUpdates may own it
+	if err == nil {
+		err = s.replayWal(context.Background(), seg.log, s.opts.ParallelIO, base.logOff, at.off, func(_ int64, u model.Update) bool {
+			window = append(window, u)
+			return true
+		})
+	}
+	if err != nil {
+		return chainElem{}, err
+	}
+	return s.writeChainElem(seg, enc.DeltaDiff, at.pos, base.pos, at.off, compactUpdates(window))
 }
 
 // fenceStride is how many active-log records share one fence. A lookup
@@ -295,7 +335,7 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 	for _, p := range s.segs[:len(s.segs)-1] {
 		s.updateCount += p.count
 		if chain := p.elems(); chain != nil {
-			ng, err := s.loadElem(ctx, chain, len(chain)-1)
+			ng, err := s.loadElem(ctx, p, chain, len(chain)-1, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -313,7 +353,7 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 		// plain replay.
 		var n uint64
 		var aerr error
-		err := s.replayWal(ctx, p.log, 1, 0, func(_ int64, u model.Update) bool {
+		err := s.replayWal(ctx, p.log, 1, 0, logEnd, func(_ int64, u model.Update) bool {
 			n++
 			aerr = g.Apply(u)
 			return aerr == nil
@@ -388,13 +428,13 @@ func (s *Store) recover() (err error) {
 		s.adoptions = 1
 	} else {
 		if len(chain) > 0 {
-			if latest, err = s.loadElem(ctx, chain, len(chain)-1); err != nil {
+			if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil); err != nil {
 				return err
 			}
 		} else {
 			latest = base.Clone()
 		}
-		err = s.replayWal(ctx, act.log, s.opts.ParallelIO, from, func(off int64, u model.Update) bool {
+		err = s.replayWal(ctx, act.log, s.opts.ParallelIO, from, logEnd, func(off int64, u model.Update) bool {
 			if off >= peeked {
 				s.advanceLocked(u.TS, off)
 			}
@@ -564,10 +604,12 @@ func (s *Store) CreateSnapshot() error {
 	// the GraphStore: the cache only ever holds graphs complete at their
 	// timestamp. The file itself is fine — its header carries the exact
 	// (ts, seq) position, which chain-floor lookups honour. Everything
-	// appended so far is in it, so replay resumes at the log's end.
+	// appended so far is in it, so replay resumes at the log's end. It is
+	// always a full: written out of turn, possibly in front of queued policy
+	// jobs, it must not depend on a base staying where it was.
 	g, act := s.gs.Latest(), s.active()
 	at := fence{pos: position{ts: g.Timestamp(), seq: s.seq}, off: act.log.Size()}
-	if err := s.persistSnapshot(act, g, at); err != nil {
+	if err := s.persistSnapshot(act, g, at, nil); err != nil {
 		return err
 	}
 	s.opsSinceSnap = 0
@@ -581,11 +623,12 @@ type Stats struct {
 	Snapshots     int // snapshots persisted since Open
 	LogBytes      int64
 	IndexBytes    int64 // always 0: the fences are memory-only; kept for the consumers that report it
-	SnapshotBytes int64 // the active segment's chain files
+	SnapshotBytes int64 // the active segment's chain files, fulls and deltas
 	// SealedPartitions is the number of sealed (immutable) segments;
-	// DeltaSnapshots counts the differential elements across their chains;
-	// SealedLogBytes / ChainBytes are their on-disk footprints (SealedLogBytes
-	// is also folded into LogBytes).
+	// DeltaSnapshots counts the differential elements across all chains, the
+	// active one's included; SealedLogBytes / ChainBytes are the sealed
+	// segments' on-disk footprints (SealedLogBytes is also folded into
+	// LogBytes).
 	SealedPartitions int
 	DeltaSnapshots   int
 	SealedLogBytes   int64

@@ -14,12 +14,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/timestore"
 )
 
+// monoOpts is the reference configuration: one log and full snapshots only.
 func monoOpts() timestore.Options {
-	return timestore.Options{SnapshotEveryOps: 50}
+	return timestore.Options{SnapshotEveryOps: 50, DeltaChainLength: -1}
 }
 
 func partOpts() timestore.Options {
@@ -140,6 +142,94 @@ func TestEquivalenceColdReopen(t *testing.T) {
 	}
 	if err := part.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEquivalenceActiveDeltaChain is the differential test of the active
+// chain's deltas: one seeded history through a store that never seals and
+// writes two deltas between fulls, and through its fulls-only twin. GetGraph
+// at every commit timestamp equals a replay from zero in both — with the
+// cache warm (ascending, so most misses find their neighbour cached) and
+// after a reopen with a one-entry cache (descending, so every element loads
+// from its files) — GetDiff is identical, and a reopen recovers the same
+// latest graph whether the store rebuilds it from its newest element and the
+// log tail or is handed the host's.
+func TestEquivalenceActiveDeltaChain(t *testing.T) {
+	us := GenWorkload(33, 900)
+	maxTS := us[len(us)-1].TS
+	cmp := NewComparator()
+	ref, want := memgraph.New(), make([]string, maxTS+1)
+	for i, u := range us {
+		if err := ref.Apply(u); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 == len(us) || us[i+1].TS > u.TS {
+			want[u.TS] = cmp.GraphDigest(t, ref)
+		}
+	}
+	for ts := 1; ts < len(want); ts++ {
+		if want[ts] == "" {
+			want[ts] = want[ts-1] // no commit at ts: the state before it
+		}
+	}
+	deltas := OpenStore(t, timestore.Options{SnapshotEveryOps: 30, DeltaChainLength: 2})
+	fulls := OpenStore(t, timestore.Options{SnapshotEveryOps: 30, DeltaChainLength: -1})
+	Drive(t, deltas, us, 20)
+	Drive(t, fulls, us, 20)
+	ds, fs := deltas.Stats(), fulls.Stats()
+	if ds.DeltaSnapshots == 0 || ds.SnapshotErrors != 0 || ds.SealedPartitions != 0 {
+		t.Fatalf("delta store: %d deltas, %d snapshot errors (%s), %d sealed", ds.DeltaSnapshots, ds.SnapshotErrors, ds.LastSnapshotError, ds.SealedPartitions)
+	}
+	if fs.DeltaSnapshots != 0 || fs.SnapshotErrors != 0 || ds.SnapshotBytes >= fs.SnapshotBytes {
+		t.Fatalf("fulls-only twin: %d deltas, %d snapshot errors; chains of %d bytes (deltas) and %d (fulls)", fs.DeltaSnapshots, fs.SnapshotErrors, ds.SnapshotBytes, fs.SnapshotBytes)
+	}
+	check := func(label string, st *Store, ts model.Timestamp) {
+		t.Helper()
+		g, err := st.GetGraph(ts)
+		if err != nil {
+			t.Fatalf("%s: %s GetGraph(%d): %v", label, st.name(), ts, err)
+		}
+		if ts > 0 && cmp.GraphDigest(t, g) != want[ts] {
+			t.Fatalf("%s: %s GetGraph(%d) differs from a replay from zero", label, st.name(), ts)
+		}
+	}
+	for ts := model.Timestamp(0); ts <= maxTS; ts++ {
+		check("warm", deltas, ts)
+		check("warm", fulls, ts)
+	}
+	AssertSameDiff(t, cmp, deltas, fulls, 0, maxTS+1)
+	AssertSameDiff(t, cmp, deltas, fulls, maxTS/3, 2*maxTS/3)
+	AssertSameScan(t, cmp, deltas, fulls, 1, maxTS+1, 5)
+
+	for _, st := range []*Store{deltas, fulls} {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st.Opts.GraphStoreBytes = 1 // the cache keeps its newest entry only
+		cold := st.Reopen(t)
+		if cmp.GraphDigest(t, cold.GraphStore().Latest()) != want[maxTS] {
+			t.Fatalf("%s: the latest graph recovered from the chain and the log tail differs from a replay from zero", st.name())
+		}
+		for ts := maxTS; ts >= 0; ts-- {
+			check("cold", cold, ts)
+		}
+		if err := cold.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st.Opts.Host = &timestore.HostGraph{Graph: ref.Clone(), TS: maxTS, Updates: uint64(len(us))}
+		hosted := st.Reopen(t)
+		if got := hosted.Stats().LatestAdoptions; got != 1 {
+			t.Fatalf("%s: reopen on the host's graph adopted it %d times, want 1", st.name(), got)
+		}
+		if cmp.GraphDigest(t, hosted.GraphStore().Latest()) != want[maxTS] {
+			t.Fatalf("%s: the latest graph taken from the host differs from a replay from zero", st.name())
+		}
+		for ts := maxTS; ts >= 0; ts -= 7 {
+			check("hosted", hosted, ts)
+		}
+		if err := hosted.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

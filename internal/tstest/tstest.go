@@ -287,10 +287,10 @@ func scanDigests(tb testing.TB, cmp *Comparator, st *Store, start, end, step mod
 	return out
 }
 
-// name labels a store by its partitioning config in failure messages.
+// name labels a store by its partitioning and chain config in failure messages.
 func (s *Store) name() string {
 	if s.Opts.PartitionEvery > 0 {
 		return fmt.Sprintf("partitioned(every=%d,chain=%d)", s.Opts.PartitionEvery, s.Opts.DeltaChainLength)
 	}
-	return "monolithic"
+	return fmt.Sprintf("monolithic(chain=%d)", s.Opts.DeltaChainLength)
 }

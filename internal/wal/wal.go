@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -284,8 +285,15 @@ const DefaultReadahead = 1 << 20
 // Scanning stops at the end of the log or when fn returns false; the return
 // value is the offset just past the last batch handed to fn.
 func (l *Log) ScanBatch(from int64, readahead int, fn func(frames []Frame) bool) (int64, error) {
+	return l.ScanRange(from, math.MaxInt64, readahead, fn)
+}
+
+// ScanRange is ScanBatch over the records in [from, to): to is a record
+// boundary, or anything past the log's end for the end as of the call. Nothing
+// past to is read, and the readahead buffer is no larger than the window.
+func (l *Log) ScanRange(from, to int64, readahead int, fn func(frames []Frame) bool) (int64, error) {
 	l.mu.RLock()
-	end := l.size
+	end := min(to, l.size)
 	l.mu.RUnlock()
 	if from < 0 {
 		return from, fmt.Errorf("wal: offset %d out of range (size %d)", from, end)
@@ -293,7 +301,7 @@ func (l *Log) ScanBatch(from int64, readahead int, fn func(frames []Frame) bool)
 	if readahead < recordHeaderSize {
 		readahead = DefaultReadahead
 	}
-	buf := make([]byte, readahead)
+	buf := make([]byte, max(recordHeaderSize, min(int64(readahead), end-from)))
 	var frames []Frame
 	off := from
 	for off < end {

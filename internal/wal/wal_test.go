@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -309,6 +310,43 @@ func TestScanBatchCorruption(t *testing.T) {
 	_, err = l.ScanBatch(0, 0, func(frames []Frame) bool { n += len(frames); return false })
 	if err != nil {
 		t.Errorf("scan stopping before the bad record must not error: %v", err)
+	}
+}
+
+// TestScanRangeStopsAtItsBound pins that a range scan delivers exactly the
+// records in [from, to) and reads nothing at or past to: the record at to is
+// corrupt on disk, which a scan to the log's end must report and the bounded
+// one must never meet.
+func TestScanRangeStopsAtItsBound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _ := Open(path)
+	defer l.Close()
+	var offs []int64
+	for i := 0; i < 20; i++ {
+		off, _ := l.Append([]byte{byte(i), byte(i), byte(i)})
+		offs = append(offs, off)
+	}
+	corruptOnDisk(t, path, func(b []byte) []byte {
+		b[offs[12]+recordHeaderSize] ^= 0xFF
+		return b
+	})
+	for _, readahead := range []int{0, recordHeaderSize + 3, 40} {
+		var got []int64
+		next, err := l.ScanRange(offs[5], offs[12], readahead, func(frames []Frame) bool {
+			for _, fr := range frames {
+				got = append(got, fr.Off)
+			}
+			return true
+		})
+		if err != nil || next != offs[12] || !slices.Equal(got, offs[5:12]) {
+			t.Errorf("readahead %d: ScanRange [%d,%d) = %v, next %d, err %v; want %v", readahead, offs[5], offs[12], got, next, err, offs[5:12])
+		}
+	}
+	if _, err := l.ScanRange(offs[5], l.Size()+100, 0, func([]Frame) bool { return true }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a bound past the end must scan to the end and meet the corruption, got %v", err)
+	}
+	if n, err := l.ScanRange(offs[7], offs[7], 0, func([]Frame) bool { t.Error("empty range delivered frames"); return true }); err != nil || n != offs[7] {
+		t.Errorf("empty range: next %d, err %v", n, err)
 	}
 }
 
