@@ -87,11 +87,13 @@ replica-smoke:
 
 # A short run of the record-decoder fuzzers (recovery feeds the update
 # decoder torn log tails; chain recovery feeds the delta-header decoder
-# arbitrary .dsnap prefixes): long enough to exercise the mutators, short
+# arbitrary .dsnap prefixes; LineageStore reads feed the key parsers B+Tree
+# pages that carry no checksum): long enough to exercise the mutators, short
 # enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUpdates -fuzztime 30s ./internal/enc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDelta -fuzztime 15s ./internal/enc/
+	$(GO) test -run '^$$' -fuzz FuzzParseKeys -fuzztime 10s ./internal/enc/
 
 # The failover gate: the kill/partition × protocol-point promotion sweep
 # plus the seeded replication chaos soak, across a bounded seed set under
@@ -153,7 +155,9 @@ heap-budget:
 # shape, closes it cleanly and prints what it occupies by owner — host
 # records, host log, TimeStore log, fulls and deltas, LineageStore trees,
 # string tables — in bytes and bytes per update, accounted the way
-# benchmark/'s disk_bytes is. It fails when the TimeStore chain (fulls +
-# deltas) is over 60 B/update, or holds a file the catalogue does not count.
+# benchmark/'s disk_bytes is — plus one row per LineageStore tree (bytes,
+# entries, mean key and value bytes, fill). It fails when the TimeStore chain
+# (fulls + deltas) is over 60 B/update or holds a file the catalogue does not
+# count, or when the four LineageStore trees are over 75 B/update.
 disk-budget:
 	$(GO) test -run '^$$' -bench BenchmarkDisk -benchtime 1x ./internal/system/

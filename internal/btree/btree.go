@@ -250,30 +250,16 @@ func setCellStartRaw(p []byte, n int) { binary.BigEndian.PutUint16(p[3:], uint16
 // compact rewrites all live cells packed at the page end, reclaiming space
 // leaked by removed or replaced cells.
 func compact(p []byte) {
-	n := nKeys(p)
-	type entry struct{ k, v []byte }
+	var old [pageSize]byte
+	copy(old[:], p)
 	leaf := isLeaf(p)
-	entries := make([]entry, n)
-	children := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		off := slotOff(p, i)
-		if leaf {
-			entries[i] = entry{
-				k: append([]byte(nil), leafCellKey(p, off)...),
-				v: append([]byte(nil), leafCellVal(p, off)...),
-			}
-		} else {
-			entries[i] = entry{k: append([]byte(nil), intCellKey(p, off)...)}
-			children[i] = intCellChild(p, off)
-		}
-	}
 	setCellStartRaw(p, pageSize)
-	for i := 0; i < n; i++ {
-		var off int
+	for i, n := 0, nKeys(p); i < n; i++ {
+		off := slotOff(old[:], i)
 		if leaf {
-			off = writeLeafCell(p, entries[i].k, entries[i].v)
+			off = writeLeafCell(p, leafCellKey(old[:], off), leafCellVal(old[:], off))
 		} else {
-			off = writeIntCell(p, entries[i].k, children[i])
+			off = writeIntCell(p, intCellKey(old[:], off), intCellChild(old[:], off))
 		}
 		setSlotOff(p, i, off)
 	}

@@ -397,3 +397,40 @@ func BenchmarkGet(b *testing.B) {
 		tr.Get(key(i % n))
 	}
 }
+
+// TestLeafRewriteAllocations pins what compaction and a leaf split allocate:
+// both rewrite from one stack copy of the page rather than copying every cell
+// to the heap (two allocations a cell, some 400 for a page of these entries).
+// A split is left with the new page's frame and buffer, its LRU element, the
+// separator and the split result.
+func TestLeafRewriteAllocations(t *testing.T) {
+	tr := newTree(t)
+	p, err := tr.pc.Get(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.pc.Release(tr.root)
+	k, v := []byte("k-000-padding"), []byte{0}
+	for i := 0; freeSpace(p) >= 4+len(k)+len(v)+slotSize; i++ {
+		copy(k[2:], fmt.Sprintf("%03d", 2*i))
+		insertSlot(p, i, writeLeafCell(p, k, v))
+	}
+	full := append([]byte(nil), p...)
+	if n := testing.AllocsPerRun(20, func() { compact(p) }); n != 0 {
+		t.Errorf("compact allocates %.0f times, want 0", n)
+	}
+	if !bytes.Equal(p, full) {
+		t.Error("compacting a page without dead cells changed it")
+	}
+	copy(k[2:], "101") // lands mid-page
+	at, _ := search(p, k)
+	n := testing.AllocsPerRun(20, func() {
+		copy(p, full)
+		if _, err := tr.splitLeaf(tr.root, p, at, k, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 6 {
+		t.Errorf("a leaf split of %d cells allocates %.0f times, want at most 6", nKeys(full), n)
+	}
+}

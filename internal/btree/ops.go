@@ -153,23 +153,24 @@ func childAt(p []byte, idx int) pagecache.PageID {
 }
 
 // splitLeaf distributes the page's cells plus the pending (key,val) across
-// the old page and a fresh right sibling, returning the separator.
+// the old page and a fresh right sibling, returning the separator. Both are
+// written from one copy of the old page.
 func (t *Tree) splitLeaf(pid pagecache.PageID, p []byte, insertAt int, key, val []byte) (*splitResult, error) {
 	n := nKeys(p)
-	type kv struct{ k, v []byte }
-	all := make([]kv, 0, n+1)
-	for i := 0; i < n; i++ {
-		off := slotOff(p, i)
-		all = append(all, kv{
-			k: append([]byte(nil), leafCellKey(p, off)...),
-			v: append([]byte(nil), leafCellVal(p, off)...),
-		})
+	var old [pageSize]byte
+	copy(old[:], p)
+	// cell i of the n+1 to distribute: the pending one sits at insertAt.
+	cell := func(i int) (k, v []byte) {
+		if i == insertAt {
+			return key, val
+		}
+		if i > insertAt {
+			i--
+		}
+		off := slotOff(old[:], i)
+		return leafCellKey(old[:], off), leafCellVal(old[:], off)
 	}
-	all = append(all, kv{})
-	copy(all[insertAt+1:], all[insertAt:])
-	all[insertAt] = kv{k: append([]byte(nil), key...), v: append([]byte(nil), val...)}
-
-	mid := len(all) / 2
+	mid := (n + 1) / 2
 	if insertAt == n {
 		// Rightmost append (sequential inserts, e.g. time- or id-ordered
 		// keys): leave the left page full and start a fresh right page,
@@ -186,15 +187,18 @@ func (t *Tree) splitLeaf(pid pagecache.PageID, p []byte, insertAt int, key, val 
 	initPage(p, true)
 	setExtra(p, uint64(rightID))
 
-	for i, e := range all[:mid] {
-		insertSlotAtEnd(p, i, writeLeafCell(p, e.k, e.v))
+	for i := 0; i < mid; i++ {
+		k, v := cell(i)
+		insertSlotAtEnd(p, i, writeLeafCell(p, k, v))
 	}
-	for i, e := range all[mid:] {
-		insertSlotAtEnd(right, i, writeLeafCell(right, e.k, e.v))
+	for i := mid; i <= n; i++ {
+		k, v := cell(i)
+		insertSlotAtEnd(right, i-mid, writeLeafCell(right, k, v))
 	}
 	t.pc.MarkDirty(pid)
 	t.pc.MarkDirty(rightID)
-	return &splitResult{sep: append([]byte(nil), all[mid].k...), right: rightID}, nil
+	sep, _ := cell(mid)
+	return &splitResult{sep: append([]byte(nil), sep...), right: rightID}, nil
 }
 
 // insertSlotAtEnd appends slot i (cells are inserted in order during

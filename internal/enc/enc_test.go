@@ -6,9 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"aion/internal/model"
 	"aion/internal/strstore"
@@ -143,73 +141,6 @@ func TestUpdateRoundTripRandom(t *testing.T) {
 		if !updatesEqual(u, got) {
 			t.Fatalf("random round trip %d mismatch:\n in: %+v\nout: %+v", i, u, got)
 		}
-	}
-}
-
-func TestKeyOrderingMatchesNumericOrder(t *testing.T) {
-	// Byte-wise key comparison must match (id, ts) lexicographic order.
-	f := func(id1, id2 uint32, ts1, ts2 uint32) bool {
-		k1 := KeyNode(model.NodeID(id1), model.Timestamp(ts1))
-		k2 := KeyNode(model.NodeID(id2), model.Timestamp(ts2))
-		cmp := bytes.Compare(k1, k2)
-		var want int
-		switch {
-		case id1 != id2:
-			if id1 < id2 {
-				want = -1
-			} else {
-				want = 1
-			}
-		case ts1 < ts2:
-			want = -1
-		case ts1 > ts2:
-			want = 1
-		}
-		return cmp == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNeighKeyGroupsByNodePrefix(t *testing.T) {
-	keys := [][]byte{
-		KeyNeigh(2, 1, 5),
-		KeyNeigh(1, 9, 0),
-		KeyNeigh(1, 2, 7),
-		KeyNeigh(1, 2, 3),
-	}
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
-	a0, b0, t0 := ParseKeyNeigh(keys[0])
-	if a0 != 1 || b0 != 2 || t0 != 3 {
-		t.Errorf("first key = (%d,%d,%d)", a0, b0, t0)
-	}
-	aLast, _, _ := ParseKeyNeigh(keys[3])
-	if aLast != 2 {
-		t.Error("node 2 entries must sort after all node 1 entries")
-	}
-	prefix := KeyNeighPrefix(1)
-	if !bytes.HasPrefix(keys[0], prefix) {
-		t.Error("prefix scan must match")
-	}
-}
-
-func TestKeyParseRoundTrip(t *testing.T) {
-	id, ts := ParseKeyNode(KeyNode(77, 88))
-	if id != 77 || ts != 88 {
-		t.Error("node key parse")
-	}
-	rid, rts := ParseKeyRel(KeyRel(5, model.TSInfinity))
-	if rid != 5 || rts != model.TSInfinity {
-		t.Error("rel key parse with infinity")
-	}
-	r, del := ParseNeighValue(NeighValue(9, true))
-	if r != 9 || !del {
-		t.Error("neigh value parse")
-	}
-	r, del = ParseNeighValue(NeighValue(10, false))
-	if r != 10 || del {
-		t.Error("neigh value parse live")
 	}
 }
 

@@ -1,101 +1,125 @@
 package enc
 
 import (
-	"encoding/binary"
+	"math/bits"
 
 	"aion/internal/model"
 )
 
-// Composite B+Tree key encodings for the hybrid store (Table 2). All keys
-// are big-endian so byte-wise lexicographic comparison matches numeric
-// ordering; composite keys order first by entity identifier(s), then by
-// timestamp, which keeps an entity's full history in the same or adjacent
-// pages (Sec 4.4).
+// Composite B+Tree key encodings for the hybrid store (Table 2). A key is
+// its components in order, each one length byte n (0..8) followed by the
+// component's n significant big-endian bytes. No component is a prefix of
+// another and a longer one is a larger number, so byte-wise lexicographic
+// comparison matches numeric tuple ordering; composite keys order first by
+// entity identifier(s), then by timestamp, which keeps an entity's full
+// history in the same or adjacent pages (Sec 4.4). Timestamps are cast to
+// uint64: negative ones sort after every non-negative one.
 
-func putU64(b []byte, v uint64) []byte {
-	var x [8]byte
-	binary.BigEndian.PutUint64(x[:], v)
-	return append(b, x[:]...)
+func appendUint(b []byte, v uint64) []byte {
+	n := (bits.Len64(v) + 7) / 8
+	b = append(b, byte(n))
+	for s := 8 * (n - 1); s >= 0; s -= 8 {
+		b = append(b, byte(v>>s))
+	}
+	return b
+}
+
+// readUint decodes one component and returns the rest of the key. Tree pages
+// carry no checksum, so any bytes may arrive here: ok is false for a length
+// byte over 8, a key cut short, or a component appendUint would not have
+// written (a leading zero byte) — and, rest being empty then, for every
+// readUint of what a failed one returned.
+func readUint(k []byte) (v uint64, rest []byte, ok bool) {
+	if len(k) == 0 || k[0] > 8 || len(k) < 1+int(k[0]) || k[0] > 0 && k[1] == 0 {
+		return 0, nil, false
+	}
+	n := 1 + int(k[0])
+	for _, c := range k[1:n] {
+		v = v<<8 | uint64(c)
+	}
+	return v, k[n:], true
+}
+
+// AppendKeyNode appends a LineageStore node key, (nodeId, ts), to b.
+func AppendKeyNode(b []byte, id model.NodeID, ts model.Timestamp) []byte {
+	return appendUint(appendUint(b, uint64(id)), uint64(ts))
 }
 
 // KeyNode encodes a LineageStore node key: (nodeId, ts).
 func KeyNode(id model.NodeID, ts model.Timestamp) []byte {
-	b := make([]byte, 0, 16)
-	b = putU64(b, uint64(id))
-	return putU64(b, uint64(ts))
+	return AppendKeyNode(make([]byte, 0, 18), id, ts)
 }
 
-// ParseKeyNode decodes a key written by KeyNode.
-func ParseKeyNode(k []byte) (model.NodeID, model.Timestamp) {
-	return model.NodeID(binary.BigEndian.Uint64(k)), model.Timestamp(binary.BigEndian.Uint64(k[8:]))
+// ParseKeyNode decodes a key written by KeyNode; ok is false, and the rest
+// zero, for bytes KeyNode cannot have written.
+func ParseKeyNode(k []byte) (id model.NodeID, ts model.Timestamp, ok bool) {
+	a, k, _ := readUint(k)
+	t, k, ok := readUint(k)
+	if !ok || len(k) != 0 {
+		return 0, 0, false
+	}
+	return model.NodeID(a), model.Timestamp(t), true
+}
+
+// AppendKeyRel appends a LineageStore relationship key, (relId, ts), to b.
+func AppendKeyRel(b []byte, id model.RelID, ts model.Timestamp) []byte {
+	return AppendKeyNode(b, model.NodeID(id), ts)
 }
 
 // KeyRel encodes a LineageStore relationship key: (relId, ts).
 func KeyRel(id model.RelID, ts model.Timestamp) []byte {
-	b := make([]byte, 0, 16)
-	b = putU64(b, uint64(id))
-	return putU64(b, uint64(ts))
+	return KeyNode(model.NodeID(id), ts)
 }
 
-// ParseKeyRel decodes a key written by KeyRel.
-func ParseKeyRel(k []byte) (model.RelID, model.Timestamp) {
-	return model.RelID(binary.BigEndian.Uint64(k)), model.Timestamp(binary.BigEndian.Uint64(k[8:]))
+// ParseKeyRel decodes a key written by KeyRel, like ParseKeyNode.
+func ParseKeyRel(k []byte) (model.RelID, model.Timestamp, bool) {
+	id, ts, ok := ParseKeyNode(k)
+	return model.RelID(id), ts, ok
 }
 
-// KeyNeigh encodes a neighbourhood key: (aId, bId, ts). For the
-// out-neighbours index a is the source and b the target; for the
-// in-neighbours index a is the target and b the source (Sec 4.2).
-func KeyNeigh(a, b model.NodeID, ts model.Timestamp) []byte {
-	buf := make([]byte, 0, 24)
-	buf = putU64(buf, uint64(a))
-	buf = putU64(buf, uint64(b))
-	return putU64(buf, uint64(ts))
-}
-
-// KeyNeighPrefix encodes the (aId) prefix for scanning all neighbours of a.
+// KeyNeighPrefix encodes the (aId) prefix for scanning all neighbours of a:
+// every key of a lies in [KeyNeighPrefix(a), KeyNeighPrefix(a+1)).
 func KeyNeighPrefix(a model.NodeID) []byte {
-	return putU64(make([]byte, 0, 8), uint64(a))
+	return appendUint(make([]byte, 0, 9), uint64(a))
 }
 
-// ParseKeyNeigh decodes a key written by KeyNeigh.
-func ParseKeyNeigh(k []byte) (a, b model.NodeID, ts model.Timestamp) {
-	return model.NodeID(binary.BigEndian.Uint64(k)),
-		model.NodeID(binary.BigEndian.Uint64(k[8:])),
-		model.Timestamp(binary.BigEndian.Uint64(k[16:]))
+// AppendKeyNeigh4 appends a neighbourhood key, (aId, bId, ts, relId), to
+// buf. For the out-neighbours index a is the source and b the target; for
+// the in-neighbours index a is the target and b the source (Sec 4.2). The
+// paper keys neighbour entries by (srcId, tgtId, ts) alone (Table 2); we add
+// the rel id so that multigraph relationships created between the same
+// endpoints at the same timestamp cannot collide — and so the value need not
+// repeat it. Ordering by (node, neighbour, time) is preserved.
+func AppendKeyNeigh4(buf []byte, a, b model.NodeID, ts model.Timestamp, rel model.RelID) []byte {
+	return appendUint(appendUint(appendUint(appendUint(buf, uint64(a)), uint64(b)), uint64(ts)), uint64(rel))
 }
 
-// KeyNeigh4 extends KeyNeigh with the relationship id as a fourth
-// component: (aId, bId, ts, relId). The paper keys neighbour entries by
-// (srcId, tgtId, ts) alone (Table 2); we add the rel id so that multigraph
-// relationships created between the same endpoints at the same timestamp
-// cannot collide. Ordering by (node, neighbour, time) is preserved.
+// KeyNeigh4 encodes a neighbourhood key: (aId, bId, ts, relId).
 func KeyNeigh4(a, b model.NodeID, ts model.Timestamp, rel model.RelID) []byte {
-	buf := make([]byte, 0, 32)
-	buf = putU64(buf, uint64(a))
-	buf = putU64(buf, uint64(b))
-	buf = putU64(buf, uint64(ts))
-	return putU64(buf, uint64(rel))
+	return AppendKeyNeigh4(make([]byte, 0, 36), a, b, ts, rel)
 }
 
-// ParseKeyNeigh4 decodes a key written by KeyNeigh4.
-func ParseKeyNeigh4(k []byte) (a, b model.NodeID, ts model.Timestamp, rel model.RelID) {
-	return model.NodeID(binary.BigEndian.Uint64(k)),
-		model.NodeID(binary.BigEndian.Uint64(k[8:])),
-		model.Timestamp(binary.BigEndian.Uint64(k[16:])),
-		model.RelID(binary.BigEndian.Uint64(k[24:]))
-}
-
-// NeighValue encodes a neighbourhood index value: the relationship id plus a
-// deletion flag, mapping the adjacency entry back to the source data.
-func NeighValue(rel model.RelID, deleted bool) []byte {
-	b := putU64(make([]byte, 0, 9), uint64(rel))
-	if deleted {
-		return append(b, 1)
+// ParseKeyNeigh4 decodes a key written by KeyNeigh4; ok is false, and the
+// rest zero, for bytes KeyNeigh4 cannot have written.
+func ParseKeyNeigh4(k []byte) (a, b model.NodeID, ts model.Timestamp, rel model.RelID, ok bool) {
+	var v [4]uint64
+	for i := range v {
+		v[i], k, ok = readUint(k)
 	}
-	return append(b, 0)
+	if !ok || len(k) != 0 {
+		return 0, 0, 0, 0, false
+	}
+	return model.NodeID(v[0]), model.NodeID(v[1]), model.Timestamp(v[2]), model.RelID(v[3]), true
+}
+
+// NeighValue encodes a neighbourhood index value: the deletion flag. The
+// relationship the entry maps back to is the key's fourth component.
+func NeighValue(deleted bool) []byte {
+	if deleted {
+		return []byte{1}
+	}
+	return []byte{0}
 }
 
 // ParseNeighValue decodes a value written by NeighValue.
-func ParseNeighValue(v []byte) (model.RelID, bool) {
-	return model.RelID(binary.BigEndian.Uint64(v)), len(v) > 8 && v[8] != 0
-}
+func ParseNeighValue(v []byte) (deleted bool) { return len(v) > 0 && v[0] != 0 }

@@ -80,8 +80,8 @@ type Store struct {
 
 	nodes *btree.Tree // KeyNode(id, ts)            -> [chainPos][update record]
 	rels  *btree.Tree // KeyRel(id, ts)             -> [chainPos][update record]
-	out   *btree.Tree // KeyNeigh4(src, tgt, ts, r) -> NeighValue(r, deleted)
-	in    *btree.Tree // KeyNeigh4(tgt, src, ts, r) -> NeighValue(r, deleted)
+	out   *btree.Tree // KeyNeigh4(src, tgt, ts, r) -> NeighValue(deleted)
+	in    *btree.Tree // KeyNeigh4(tgt, src, ts, r) -> NeighValue(deleted)
 	pcs   [4]*pagecache.Cache
 
 	lastTS      model.Timestamp
@@ -90,7 +90,8 @@ type Store struct {
 	caughtUp    uint64 // updates CatchUp applied
 	failed      bool   // an apply or catch-up failed: the trees may match no log prefix
 	// clean: the checkpoint on disk names this state, no page dirtied since (atomic for the lock-free DiskBytes).
-	clean atomic.Bool
+	clean   atomic.Bool
+	scratch []byte // the write path's key and record buffer, under mu
 }
 
 // Open creates or reopens a LineageStore in opts.Dir. The LineageStore is
@@ -191,7 +192,7 @@ func (s *Store) Wipe() error {
 // The checkpoint file: magic | lastTS | atLastTS | updateCount | crc.
 const (
 	checkpointName  = "checkpoint"
-	checkpointMagic = "ALC1"
+	checkpointMagic = "ALC2" // ALC1: fixed-width keys; CatchUp rebuilds such trees
 	checkpointLen   = 4 + 8*3 + 4
 )
 
@@ -333,52 +334,45 @@ func (s *Store) ApplyBatch(us []model.Update) error {
 func (s *Store) indexLocked(u model.Update) error {
 	switch u.Kind {
 	case model.OpAddNode, model.OpDeleteNode:
-		if err := s.putVersion(s.nodes, enc.KeyNode(u.NodeID, u.TS), 0, u); err != nil {
-			return err
-		}
+		return s.putVersion(s.nodes, 0, u)
 	case model.OpUpdateNode:
-		if err := s.putNodeDelta(u); err != nil {
+		return s.putNodeDelta(u)
+	case model.OpAddRel, model.OpDeleteRel:
+		if err := s.putVersion(s.rels, 0, u); err != nil {
 			return err
 		}
-	case model.OpAddRel:
-		if err := s.putVersion(s.rels, enc.KeyRel(u.RelID, u.TS), 0, u); err != nil {
+		if err := s.putNeigh(s.out, u.Src, u.Tgt, u); err != nil {
 			return err
 		}
-		if err := s.out.Put(enc.KeyNeigh4(u.Src, u.Tgt, u.TS, u.RelID), enc.NeighValue(u.RelID, false)); err != nil {
-			return err
-		}
-		if err := s.in.Put(enc.KeyNeigh4(u.Tgt, u.Src, u.TS, u.RelID), enc.NeighValue(u.RelID, false)); err != nil {
-			return err
-		}
-	case model.OpDeleteRel:
-		if err := s.putVersion(s.rels, enc.KeyRel(u.RelID, u.TS), 0, u); err != nil {
-			return err
-		}
-		if err := s.out.Put(enc.KeyNeigh4(u.Src, u.Tgt, u.TS, u.RelID), enc.NeighValue(u.RelID, true)); err != nil {
-			return err
-		}
-		if err := s.in.Put(enc.KeyNeigh4(u.Tgt, u.Src, u.TS, u.RelID), enc.NeighValue(u.RelID, true)); err != nil {
-			return err
-		}
+		return s.putNeigh(s.in, u.Tgt, u.Src, u)
 	case model.OpUpdateRel:
-		if err := s.putRelDelta(u); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("lineagestore: unknown op %v", u.Kind)
+		return s.putRelDelta(u)
 	}
-	return nil
+	return fmt.Errorf("lineagestore: unknown op %v", u.Kind)
 }
 
-// putVersion stores a version record with the given delta-chain position.
-func (s *Store) putVersion(tree *btree.Tree, key []byte, chainPos int, u model.Update) error {
-	buf := make([]byte, 1, 64)
-	buf[0] = byte(chainPos)
-	buf, err := s.codec.AppendUpdate(buf, u)
+// putVersion stores u in the nodes or the rels tree as a version record with
+// the given delta-chain position. Key and record are built in the one
+// store-owned buffer; the tree copies them into its page.
+func (s *Store) putVersion(tree *btree.Tree, chainPos int, u model.Update) error {
+	key := enc.AppendKeyNode(s.scratch[:0], u.NodeID, u.TS)
+	if tree == s.rels {
+		key = enc.AppendKeyRel(s.scratch[:0], u.RelID, u.TS)
+	}
+	buf, err := s.codec.AppendUpdate(append(key, byte(chainPos)), u)
 	if err != nil {
 		return err
 	}
-	return tree.Put(key, buf)
+	s.scratch = buf
+	return tree.Put(buf[:len(key)], buf[len(key):])
+}
+
+// putNeigh records relationship u, created or deleted, among a's neighbours
+// in one of the two neighbour trees.
+func (s *Store) putNeigh(tree *btree.Tree, a, b model.NodeID, u model.Update) error {
+	key := enc.AppendKeyNeigh4(s.scratch[:0], a, b, u.TS, u.RelID)
+	s.scratch = append(key, enc.NeighValue(u.Kind == model.OpDeleteRel)...)
+	return tree.Put(key, s.scratch[len(key):])
 }
 
 // putNodeDelta stores a node modification, materializing the full state
@@ -397,9 +391,9 @@ func (s *Store) putNodeDelta(u model.Update) error {
 		// store it as a full record (chain position resets to 0).
 		u.ApplyToNode(n)
 		m := model.AddNode(u.TS, n.ID, n.Labels, n.Props)
-		return s.putVersion(s.nodes, enc.KeyNode(u.NodeID, u.TS), 0, m)
+		return s.putVersion(s.nodes, 0, m)
 	}
-	return s.putVersion(s.nodes, enc.KeyNode(u.NodeID, u.TS), pos, u)
+	return s.putVersion(s.nodes, pos, u)
 }
 
 // putRelDelta stores a relationship modification, materializing on
@@ -416,9 +410,9 @@ func (s *Store) putRelDelta(u model.Update) error {
 	if s.opts.ChainThreshold > 0 && pos >= s.opts.ChainThreshold {
 		u.ApplyToRel(r)
 		m := model.AddRel(u.TS, r.ID, r.Src, r.Tgt, r.Label, r.Props)
-		return s.putVersion(s.rels, enc.KeyRel(u.RelID, u.TS), 0, m)
+		return s.putVersion(s.rels, 0, m)
 	}
-	return s.putVersion(s.rels, enc.KeyRel(u.RelID, u.TS), pos, u)
+	return s.putVersion(s.rels, pos, u)
 }
 
 // Stats reports store counters for the benchmark harness.

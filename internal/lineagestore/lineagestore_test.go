@@ -463,3 +463,28 @@ func TestGetRelationshipsInvalidInterval(t *testing.T) {
 		t.Error("inverted interval must fail")
 	}
 }
+
+// TestApplyAddRelAllocations pins the write path: indexing a relationship
+// builds its record, its three keys and the neighbour values in the store's
+// one scratch buffer. What is left is the page cache's LRU element for the
+// one page each of the three trees touches (the trees here are a leaf deep
+// and the loop too short to split one).
+func TestApplyAddRelAllocations(t *testing.T) {
+	s := openStore(t, Options{})
+	defer s.Close()
+	apply(t, s, model.AddNode(1, 1, nil, nil), model.AddNode(1, 2, nil, nil))
+	batch := []model.Update{model.AddRel(2, 0, 1, 2, "KNOWS", nil)}
+	n := testing.AllocsPerRun(50, func() {
+		batch[0].RelID++
+		batch[0].TS++
+		if err := s.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 3 {
+		t.Errorf("ApplyBatch of one OpAddRel allocates %.0f times, want at most 3", n)
+	}
+	if rels, err := s.GetRelationships(1, model.Outgoing, batch[0].TS, batch[0].TS); err != nil || len(rels) != 51 {
+		t.Errorf("node 1 has %d out-relationships (%v), want 51", len(rels), err)
+	}
+}

@@ -2,8 +2,10 @@ package lineagestore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"aion/internal/btree"
 	"aion/internal/enc"
 	"aion/internal/model"
 )
@@ -12,6 +14,10 @@ import (
 // ctx checks: frequent enough that a cancelled query stops in microseconds,
 // sparse enough that the check never shows up in a scan profile.
 const cancelStride = 256
+
+// errCorruptKey reports an index key no enc.Key* function can have written:
+// tree pages carry no checksum, so a read may meet one.
+var errCorruptKey = errors.New("lineagestore: corrupt index key")
 
 // reconstructNode rebuilds the node state valid at ts by walking the delta
 // chain backwards from the newest version <= ts to the nearest materialized
@@ -30,7 +36,10 @@ func (s *Store) reconstructNode(id model.NodeID, ts model.Timestamp) (int, *mode
 		if !ok {
 			return 0, nil, nil
 		}
-		kid, kts := enc.ParseKeyNode(k)
+		kid, kts, ok := enc.ParseKeyNode(k)
+		if !ok {
+			return 0, nil, errCorruptKey
+		}
 		if kid != id {
 			return 0, nil, nil
 		}
@@ -74,7 +83,10 @@ func (s *Store) reconstructRel(id model.RelID, ts model.Timestamp) (int, *model.
 		if !ok {
 			return 0, nil, nil
 		}
-		kid, kts := enc.ParseKeyRel(k)
+		kid, kts, ok := enc.ParseKeyRel(k)
+		if !ok {
+			return 0, nil, errCorruptKey
+		}
 		if kid != id {
 			return 0, nil, nil
 		}
@@ -200,16 +212,18 @@ func (s *Store) GetNodeContext(ctx context.Context, id model.NodeID, start, end 
 // Sec 4.2).
 func (s *Store) closeNodeInterval(id model.NodeID, n *model.Node) {
 	s.nodes.Scan(enc.KeyNode(id, n.Valid.Start+1), enc.KeyNode(id, model.TSInfinity), func(k, v []byte) bool {
-		_, ts := enc.ParseKeyNode(k)
-		n.Valid.End = ts
+		if _, ts, ok := enc.ParseKeyNode(k); ok {
+			n.Valid.End = ts
+		}
 		return false
 	})
 }
 
 func (s *Store) closeRelInterval(id model.RelID, r *model.Rel) {
 	s.rels.Scan(enc.KeyRel(id, r.Valid.Start+1), enc.KeyRel(id, model.TSInfinity), func(k, v []byte) bool {
-		_, ts := enc.ParseKeyRel(k)
-		r.Valid.End = ts
+		if _, ts, ok := enc.ParseKeyRel(k); ok {
+			r.Valid.End = ts
+		}
 		return false
 	})
 }
@@ -300,21 +314,22 @@ func (s *Store) liveRelsAt(ctx context.Context, id model.NodeID, d model.Directi
 	var order []model.RelID
 	scanned := 0
 	var cerr error
-	scan := func(tree interface {
-		Scan(low, high []byte, fn func(k, v []byte) bool) error
-	}) error {
+	scan := func(tree *btree.Tree) error {
 		err := tree.Scan(enc.KeyNeighPrefix(id), enc.KeyNeighPrefix(id+1), func(k, v []byte) bool {
 			if scanned++; scanned%cancelStride == 0 {
 				if cerr = ctx.Err(); cerr != nil {
 					return false
 				}
 			}
-			_, _, ets, _ := enc.ParseKeyNeigh4(k)
+			_, _, ets, rel, ok := enc.ParseKeyNeigh4(k)
+			if !ok {
+				cerr = errCorruptKey
+				return false
+			}
 			if ets > ts {
 				return true // later event; skip (entries per neighbour are time-ordered)
 			}
-			rel, deleted := enc.ParseNeighValue(v)
-			if deleted {
+			if enc.ParseNeighValue(v) {
 				if live[rel] {
 					live[rel] = false
 				}
@@ -400,20 +415,21 @@ func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d 
 	var order []model.RelID
 	scanned := 0
 	var cerr error
-	collect := func(tree interface {
-		Scan(low, high []byte, fn func(k, v []byte) bool) error
-	}) error {
+	collect := func(tree *btree.Tree) error {
 		err := tree.Scan(enc.KeyNeighPrefix(id), enc.KeyNeighPrefix(id+1), func(k, v []byte) bool {
 			if scanned++; scanned%cancelStride == 0 {
 				if cerr = ctx.Err(); cerr != nil {
 					return false
 				}
 			}
-			_, _, ets, _ := enc.ParseKeyNeigh4(k)
+			_, _, ets, rel, ok := enc.ParseKeyNeigh4(k)
+			if !ok {
+				cerr = errCorruptKey
+				return false
+			}
 			if ets >= end {
 				return true
 			}
-			rel, _ := enc.ParseNeighValue(v)
 			if !candidates[rel] {
 				candidates[rel] = true
 				order = append(order, rel)

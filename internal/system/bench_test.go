@@ -10,9 +10,11 @@ import (
 	"testing"
 
 	"aion/internal/aion"
+	"aion/internal/btree"
 	"aion/internal/datagen"
 	"aion/internal/hostdb"
 	"aion/internal/model"
+	"aion/internal/pagecache"
 )
 
 // loadBenchmarkShape builds and cleanly closes a store with the shape
@@ -132,22 +134,55 @@ func BenchmarkResident(b *testing.B) {
 // chainBudget is BenchmarkDisk's ceiling on the TimeStore's chain — its
 // policy fulls and deltas — in bytes per loaded update: with four deltas
 // between fulls the shape measures 43 (every element a full: 106).
-const chainBudget = 60
+// lineageBudget is its ceiling on the LineageStore's four trees: 58.4 with
+// compact keys and one-byte neighbour values (fixed-width keys: 121.9).
+const (
+	chainBudget   = 60
+	lineageBudget = 75
+)
+
+// logTreeRow prints one LineageStore tree of the closed store at dir: its
+// file size, entries, mean key and value bytes and fill — the share of the
+// file that is entries with their cell header and slot (6 bytes each).
+func logTreeRow(b *testing.B, dir, name string, updates int) {
+	pc, err := pagecache.Open(filepath.Join(dir, "aion", "lineage", name), 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pc.Close()
+	tree, err := btree.Open(pc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var keys, vals float64
+	if err := tree.Scan(nil, nil, func(k, v []byte) bool {
+		keys, vals = keys+float64(len(k)), vals+float64(len(v))
+		return true
+	}); err != nil {
+		b.Fatal(err)
+	}
+	n, size := float64(tree.Len()), float64(tree.DiskBytes())
+	b.Logf("  %-18s %11.0f B %8.1f B/update  %7.0f entries, key %4.1f B, value %4.1f B, fill %2.0f %%",
+		name, size, size/float64(updates), n, keys/n, vals/n, 100*(keys+vals+6*n)/size)
+}
 
 // BenchmarkDisk is BenchmarkResident's twin for the disk: what the loaded,
 // cleanly closed benchmark-shaped store occupies, by owner, accounted the way
-// benchmark/'s disk_bytes is. It fails when the
-// TimeStore chain is over its budget, or when the chain directory holds an
-// element file the catalogue does not count. make disk-budget runs it.
+// benchmark/'s disk_bytes is, with one row per LineageStore tree. It fails
+// when the TimeStore chain or the LineageStore's trees are over their budget,
+// or when the chain directory holds an element file the catalogue does not
+// count. make disk-budget runs it.
 func BenchmarkDisk(b *testing.B) {
 	opts, updates := loadBenchmarkShape(b)
 	s, err := Open(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	host, ts := s.Host.Storage(), s.Aion.TimeStore().Stats()
 	_, lineage := s.Aion.DiskBytes()
+	if err := s.Close(); err != nil { // untouched since Open: the files stay as loaded
+		b.Fatal(err)
+	}
 	size := func(path string) int64 {
 		fi, err := os.Stat(path)
 		if err != nil {
@@ -186,6 +221,11 @@ func BenchmarkDisk(b *testing.B) {
 	for _, r := range rows {
 		total += r.bytes
 		b.Logf("%-20s %11d B %8.1f B/update", r.owner, r.bytes, float64(r.bytes)/float64(updates))
+		if r.owner == "LineageStore trees" {
+			for _, name := range []string{"nodes.idx", "rels.idx", "out.idx", "in.idx"} {
+				logTreeRow(b, opts.Dir, name, updates)
+			}
+		}
 	}
 	b.Logf("%-20s %11d B %8.1f B/update over %d updates, %d policy elements (%d deltas)",
 		"total", total, float64(total)/float64(updates), updates, len(elems), ts.DeltaSnapshots)
@@ -194,5 +234,8 @@ func BenchmarkDisk(b *testing.B) {
 	b.ReportMetric(chain, "chain-B/update")
 	if chain > chainBudget {
 		b.Fatalf("the TimeStore chain takes %.1f bytes per update, over the budget of %d", chain, chainBudget)
+	}
+	if per := float64(lineage) / float64(updates); per > lineageBudget {
+		b.Fatalf("the LineageStore trees take %.1f bytes per update, over the budget of %d", per, lineageBudget)
 	}
 }
