@@ -107,17 +107,23 @@ func (s *Store) Put(g *memgraph.Graph) { s.put(g.Clone()) }
 // a copy-on-write break on the next cache read.
 func (s *Store) PutOwned(g *memgraph.Graph) { s.put(g) }
 
+// sizeOf is the accounting of a graph about to be cached: a walk of every
+// entity. A variable only so a test can observe where it runs.
+var sizeOf = (*memgraph.Graph).ApproxBytes
+
 func (s *Store) put(g *memgraph.Graph) {
+	// Sized before the lock: s.mu is the mutex every synchronous append takes
+	// (ApplyToLatest), and the walk is as long as the graph is large.
+	ts, bytes := g.Timestamp(), sizeOf(g)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ts := g.Timestamp()
 	if old, ok := s.entries[ts]; ok {
 		s.bytes -= old.bytes
 		s.lru.Remove(old.elem)
 		delete(s.entries, ts)
 		s.removeOrder(ts)
 	}
-	e := &entry{ts: ts, g: g, bytes: g.ApproxBytes()}
+	e := &entry{ts: ts, g: g, bytes: bytes}
 	e.elem = s.lru.PushFront(e)
 	s.entries[ts] = e
 	s.bytes += e.bytes

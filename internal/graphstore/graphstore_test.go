@@ -271,3 +271,36 @@ func TestRebaseSwapsTheGraphOnly(t *testing.T) {
 		t.Errorf("a write to the caller's graph reached the cache: %d nodes", got.NodeCount())
 	}
 }
+
+// Admission sizes a graph by walking every entity; s.mu is the mutex every
+// synchronous append takes (ApplyToLatest). The walk therefore runs before
+// the lock: probed from inside it, the mutex is free and a commit goes
+// through, for Put and PutOwned alike — whatever the graph's size, a
+// committer waits for the map insert only.
+func TestAdmissionSizesOutsideTheCommitLock(t *testing.T) {
+	s := New(1 << 30)
+	walk := sizeOf
+	defer func() { sizeOf = walk }()
+	walks := 0
+	sizeOf = func(g *memgraph.Graph) int64 {
+		walks++
+		if !s.mu.TryLock() {
+			t.Error("the store's mutex is held while a graph is sized for admission")
+			return walk(g)
+		}
+		s.mu.Unlock()
+		if err := s.ApplyToLatest(model.AddNode(1, model.NodeID(walks), nil, nil)); err != nil {
+			t.Error(err)
+		}
+		return walk(g)
+	}
+	a, b := snapshotAt(t, 10, 15000), snapshotAt(t, 20, 15000)
+	s.Put(a)
+	s.PutOwned(b)
+	if nodes, _ := s.LatestCounts(); walks != 2 || nodes != 2 {
+		t.Fatalf("%d sizing walks, %d commits through them; want 2 and 2", walks, nodes)
+	}
+	if st := s.Stats(); st.Snapshots != 2 || st.Bytes != a.ApproxBytes()+b.ApproxBytes() {
+		t.Fatalf("stats %+v after two admissions of %d and %d bytes", st, a.ApproxBytes(), b.ApproxBytes())
+	}
+}

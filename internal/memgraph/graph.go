@@ -232,15 +232,35 @@ func (g *Graph) Clone() *Graph {
 // Apply folds one graph update into the snapshot, enforcing the update
 // constraints of Sec 3.
 func (g *Graph) Apply(u model.Update) error {
+	_, err := g.ApplyShared(u, nil)
+	return err
+}
+
+// ApplyShared is Apply for a graph that is being materialised at a state ref
+// — unless nil, a handle nobody writes — has already been through. Where ref
+// holds the incarnation of the entity that u produces (same id, created no
+// later than this graph's time) with equal content, ref's object is installed
+// instead of a new one, and shared reports that; an adjacency list stays a
+// prefix of ref's for as long as it grows the way ref's did. The graph holds
+// the same state either way, but for Valid.Start: a shared entity carries its
+// creation time, which is at most Timestamp(), where a loaded one carries the
+// stamp of its record.
+func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error) {
 	g.ensureEntityVectorsOwned()
+	at := max(g.ts, u.TS) // Timestamp() once u is applied
 	switch u.Kind {
 	case model.OpAddNode:
 		g.growNodes(u.NodeID)
 		if g.nodes[u.NodeID] != nil {
-			return fmt.Errorf("%w: node %d at ts %d", model.ErrExists, u.NodeID, u.TS)
+			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrExists, u.NodeID, u.TS)
 		}
-		n := &model.Node{ID: u.NodeID, Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
-		u.ApplyToNode(n)
+		// An add names its entity's whole content, so the reference is asked
+		// before anything is allocated.
+		n := ref.sameNode(u.NodeID, at, u.AddLabels, u.SetProps)
+		if shared = n != nil && len(u.DelProps) == 0; !shared {
+			n = &model.Node{ID: u.NodeID, Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
+			u.ApplyToNode(n)
+		}
 		g.nodes[u.NodeID] = n
 		g.ownAdj(u.NodeID)
 		g.out[u.NodeID] = g.out[u.NodeID][:0]
@@ -250,10 +270,10 @@ func (g *Graph) Apply(u model.Update) error {
 	case model.OpDeleteNode:
 		n := g.Node(u.NodeID)
 		if n == nil {
-			return fmt.Errorf("%w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
+			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
 		}
 		if len(g.out[u.NodeID]) > 0 || len(g.in[u.NodeID]) > 0 {
-			return fmt.Errorf("%w: node %d at ts %d", model.ErrHasRels, u.NodeID, u.TS)
+			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrHasRels, u.NodeID, u.TS)
 		}
 		g.nodes[u.NodeID] = nil
 		g.nodeCount--
@@ -261,34 +281,42 @@ func (g *Graph) Apply(u model.Update) error {
 	case model.OpUpdateNode:
 		n := g.Node(u.NodeID)
 		if n == nil {
-			return fmt.Errorf("%w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
+			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
 		}
 		c := nextVersion(n, u) // replace-on-write keeps CoW siblings intact
 		u.ApplyToNode(c)
+		if r := ref.sameNode(u.NodeID, at, c.Labels, c.Props); r != nil {
+			c, shared = r, true
+		}
 		g.nodes[u.NodeID] = c
 
 	case model.OpAddRel:
 		if g.Node(u.Src) == nil || g.Node(u.Tgt) == nil {
-			return fmt.Errorf("%w: rel %d (%d->%d) at ts %d", model.ErrDangling, u.RelID, u.Src, u.Tgt, u.TS)
+			return false, fmt.Errorf("%w: rel %d (%d->%d) at ts %d", model.ErrDangling, u.RelID, u.Src, u.Tgt, u.TS)
 		}
 		g.growRels(u.RelID)
 		if g.rels[u.RelID] != nil {
-			return fmt.Errorf("%w: rel %d at ts %d", model.ErrExists, u.RelID, u.TS)
+			return false, fmt.Errorf("%w: rel %d at ts %d", model.ErrExists, u.RelID, u.TS)
 		}
-		r := &model.Rel{ID: u.RelID, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel,
-			Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
-		u.ApplyToRel(r)
+		r := ref.sameRel(u.RelID, at, u.Src, u.Tgt, u.RelLabel, u.SetProps)
+		if shared = r != nil && len(u.DelProps) == 0; !shared {
+			r = &model.Rel{ID: u.RelID, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel,
+				Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
+			u.ApplyToRel(r)
+		}
 		g.rels[u.RelID] = r
-		g.ownAdj(u.Src)
-		g.out[u.Src] = append(g.out[u.Src], u.RelID)
-		g.ownAdj(u.Tgt)
-		g.in[u.Tgt] = append(g.in[u.Tgt], u.RelID)
+		var refOut, refIn [][]model.RelID
+		if ref != nil {
+			refOut, refIn = ref.out, ref.in
+		}
+		g.appendAdj(g.out, refOut, u.Src, u.RelID)
+		g.appendAdj(g.in, refIn, u.Tgt, u.RelID)
 		g.relCount++
 
 	case model.OpDeleteRel:
 		r := g.Rel(u.RelID)
 		if r == nil {
-			return fmt.Errorf("%w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
+			return false, fmt.Errorf("%w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
 		}
 		g.rels[u.RelID] = nil
 		g.ownAdj(r.Src)
@@ -300,19 +328,64 @@ func (g *Graph) Apply(u model.Update) error {
 	case model.OpUpdateRel:
 		r := g.Rel(u.RelID)
 		if r == nil {
-			return fmt.Errorf("%w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
+			return false, fmt.Errorf("%w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
 		}
 		c := r.Clone()
 		u.ApplyToRel(c)
+		if s := ref.sameRel(u.RelID, at, c.Src, c.Tgt, c.Label, c.Props); s != nil {
+			c, shared = s, true
+		}
 		g.rels[u.RelID] = c
 
 	default:
-		return fmt.Errorf("memgraph: unknown op %v", u.Kind)
+		return false, fmt.Errorf("memgraph: unknown op %v", u.Kind)
 	}
-	if u.TS > g.ts {
-		g.ts = u.TS
+	g.ts = at
+	return shared, nil
+}
+
+// sameNode returns ref's node id when it is the incarnation a graph at time at
+// holds — created at or before at; it is live in ref, so not deleted since —
+// and carries exactly these labels, in this order, and these properties: the
+// object that may stand in for a node built from them. nil when ref is nil.
+func (ref *Graph) sameNode(id model.NodeID, at model.Timestamp, labels []string, props model.Properties) *model.Node {
+	if ref == nil {
+		return nil
 	}
-	return nil
+	n := ref.Node(id)
+	if n == nil || n.Valid.Start > at || !slices.Equal(n.Labels, labels) || !n.Props.Equal(props) {
+		return nil
+	}
+	return n
+}
+
+// sameRel is sameNode for a relationship; its endpoints and label are content.
+func (ref *Graph) sameRel(id model.RelID, at model.Timestamp, src, tgt model.NodeID, label string, props model.Properties) *model.Rel {
+	if ref == nil {
+		return nil
+	}
+	r := ref.Rel(id)
+	if r == nil || r.Valid.Start > at || r.Src != src || r.Tgt != tgt || r.Label != label || !r.Props.Equal(props) {
+		return nil
+	}
+	return r
+}
+
+// appendAdj appends rid to node id's list in lists (g.out or g.in). While the
+// list grows the way the reference's did — refLists is its vector of the same
+// direction, nil without a reference — it stays a prefix of that list, on the
+// same array: nothing is allocated or copied, and the node's lists are marked
+// un-owned, as after Clone, so the next write that departs copies them first.
+func (g *Graph) appendAdj(lists, refLists [][]model.RelID, id model.NodeID, rid model.RelID) {
+	if int(id) < len(refLists) {
+		l, r := lists[id], refLists[id]
+		if k := len(l); k < len(r) && r[k] == rid && (k == 0 || &l[0] == &r[0]) {
+			lists[id], g.owned[id] = r[:k+1], false
+			return
+		}
+	}
+	g.ownAdj(id)
+	lists[id] = append(lists[id], rid)
 }
 
 // nextVersion is n.Clone() for the node update u about to be applied to the

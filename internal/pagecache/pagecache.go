@@ -6,7 +6,6 @@
 package pagecache
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
@@ -66,7 +65,10 @@ type frame struct {
 	data  []byte
 	dirty bool
 	pins  int
-	elem  *list.Element // position in LRU list; nil while pinned
+	// prev and next link the unpinned frames into the LRU ring; both nil
+	// while pinned. The links live in the frame so that pinning and
+	// unpinning a cached page relinks and allocates nothing.
+	prev, next *frame
 }
 
 // Stats reports cache effectiveness counters.
@@ -81,7 +83,7 @@ type Cache struct {
 	mu        sync.Mutex
 	backend   Backend
 	frames    map[PageID]*frame
-	lru       *list.List // front = most recently used
+	lru       frame // the LRU ring's sentinel: next = most, prev = least recently used
 	capacity  int
 	pageCount uint64
 	stats     Stats
@@ -120,12 +122,13 @@ func newCache(b Backend, capacityPages int) *Cache {
 	if capacityPages < 8 {
 		capacityPages = 8
 	}
-	return &Cache{
+	c := &Cache{
 		backend:  b,
 		frames:   make(map[PageID]*frame, capacityPages),
-		lru:      list.New(),
 		capacity: capacityPages,
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // PageCount returns the number of allocated pages.
@@ -191,10 +194,15 @@ func (c *Cache) Get(id PageID) ([]byte, error) {
 
 func (c *Cache) pin(fr *frame) {
 	fr.pins++
-	if fr.elem != nil {
-		c.lru.Remove(fr.elem)
-		fr.elem = nil
+	if fr.next != nil {
+		fr.unlink()
 	}
+}
+
+// unlink takes an unpinned frame out of the LRU ring.
+func (fr *frame) unlink() {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
 }
 
 // MarkDirty records that the page's contents changed and must be written
@@ -217,7 +225,8 @@ func (c *Cache) Release(id PageID) {
 	}
 	fr.pins--
 	if fr.pins == 0 {
-		fr.elem = c.lru.PushFront(fr)
+		fr.prev, fr.next = &c.lru, c.lru.next
+		fr.prev.next, fr.next.prev = fr, fr
 	}
 }
 
@@ -225,20 +234,19 @@ func (c *Cache) Release(id PageID) {
 // the least recently used unpinned frame, if the cache is full.
 func (c *Cache) evictLocked() error {
 	for len(c.frames) >= c.capacity {
-		back := c.lru.Back()
-		if back == nil {
+		fr := c.lru.prev
+		if fr == &c.lru {
 			// Everything pinned: allow temporary over-capacity rather
 			// than deadlock.
 			return nil
 		}
-		fr := back.Value.(*frame)
 		if fr.dirty {
 			if _, err := c.backend.WriteAt(fr.data, int64(fr.id)*PageSize); err != nil {
 				c.failed = err
 				return fmt.Errorf("pagecache: writeback page %d: %w", fr.id, err)
 			}
 		}
-		c.lru.Remove(back)
+		fr.unlink()
 		delete(c.frames, fr.id)
 		c.stats.Evictions++
 	}

@@ -137,3 +137,69 @@ func TestHitMissCounters(t *testing.T) {
 		t.Errorf("DiskBytes = %d", c.DiskBytes())
 	}
 }
+
+// Pinning and unpinning a cached page only relinks its frame in the LRU ring:
+// a B+Tree descent does it once per level, on every Get and Put.
+func TestGetReleaseOfCachedPageAllocatesNothing(t *testing.T) {
+	c := OpenMem(8)
+	defer c.Close()
+	var ids [3]PageID
+	for i := range ids {
+		ids[i], _, _ = c.Allocate()
+		c.Release(ids[i])
+	}
+	n := testing.AllocsPerRun(100, func() {
+		for _, id := range ids {
+			if _, err := c.Get(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range ids {
+			c.Release(id)
+		}
+	})
+	if n != 0 {
+		t.Errorf("Get and Release of cached pages allocate %.0f times, want 0", n)
+	}
+}
+
+// The ring orders the unpinned frames by their last Release: a page touched
+// again outlives the ones released before it, a pinned one is never the
+// victim, and a page released twice in a row stays where it was.
+func TestEvictionFollowsLastRelease(t *testing.T) {
+	c := OpenMem(8)
+	defer c.Close()
+	var ids [8]PageID
+	for i := range ids {
+		ids[i], _, _ = c.Allocate()
+		c.Release(ids[i])
+	}
+	c.Release(ids[0]) // not pinned: a no-op, ids[0] stays the oldest
+	_, _ = c.Get(ids[0])
+	c.Release(ids[0]) // now the newest
+	_, _ = c.Get(ids[1])
+	for i := 0; i < 2; i++ { // evicts ids[2] and ids[3]: ids[1] is pinned, ids[0] fresh
+		id, _, err := c.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Release(id)
+	}
+	c.Release(ids[1])
+	if got := c.Stats().Evictions; got != 2 {
+		t.Fatalf("%d evictions, want 2", got)
+	}
+	for _, want := range []struct {
+		id     PageID
+		cached bool
+	}{{ids[0], true}, {ids[1], true}, {ids[4], true}, {ids[2], false}, {ids[3], false}} {
+		before := c.Stats().Hits
+		if _, err := c.Get(want.id); err != nil {
+			t.Fatal(err)
+		}
+		c.Release(want.id)
+		if cached := c.Stats().Hits == before+1; cached != want.cached {
+			t.Errorf("page %d cached = %v, want %v", want.id, cached, want.cached)
+		}
+	}
+}

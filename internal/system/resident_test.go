@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -167,33 +168,19 @@ func (r *residentSys) verify(label string) {
 	if st.LatestMismatches != 0 || st.SnapshotErrors != 0 {
 		r.t.Errorf("%s: %d refused hand-overs, %d snapshot errors (%s)", label, st.LatestMismatches, st.SnapshotErrors, st.LastSnapshotError)
 	}
-	names, err := r.fs.ReadDir("sys/aion/timestore/p-1")
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	elems := 0
-	for _, name := range names {
-		if !strings.HasSuffix(name, ".dsnap") {
-			continue
-		}
+	elems := r.chainElements()
+	for _, e := range elems {
 		// Policy elements are fulls and, between them, deltas: either kind
 		// must sit at the end of a commit.
-		var at model.Timestamp
-		var seq int
-		_, pos, _ := strings.Cut(name, "-")
-		if _, err := fmt.Sscanf(pos, "%16x-%8x.dsnap", &at, &seq); err != nil || !(strings.HasPrefix(name, "full-") || strings.HasPrefix(name, "delta-")) {
-			r.t.Fatalf("%s: chain file %q: %v", label, name, err)
-		}
-		elems++
-		if at < 1 || int(at) > len(commits) || seq != len(commits[at-1])-1 {
-			r.t.Errorf("%s: snapshot %s is placed at (%d, %d), which is not the end of a commit", label, name, at, seq)
+		if e.at < 1 || int(e.at) > len(commits) || e.seq != len(commits[e.at-1])-1 {
+			r.t.Errorf("%s: snapshot %s is placed at (%d, %d), which is not the end of a commit", label, e.name, e.at, e.seq)
 		}
 	}
-	if len(commits) > 0 && elems == 0 && st.Updates > 2*residentSnapshotEvery {
+	if len(commits) > 0 && len(elems) == 0 && st.Updates > 2*residentSnapshotEvery {
 		r.t.Errorf("%s: no policy snapshot after %d updates", label, st.Updates)
 	}
-	if elems >= 2 && st.DeltaSnapshots == 0 {
-		r.t.Errorf("%s: %d policy snapshots and no delta among them", label, elems)
+	if len(elems) >= 2 && st.DeltaSnapshots == 0 {
+		r.t.Errorf("%s: %d policy snapshots and no delta among them", label, len(elems))
 	}
 	cmp, ref := tstest.NewComparator(), memgraph.New()
 	for i, us := range commits {
@@ -540,4 +527,145 @@ func TestFailedIngestIsSticky(t *testing.T) {
 	if got := s.Aion.LatestTimestamp(); got != 40 || g.NodeCount() != 40 {
 		t.Errorf("after the reopen aion is at ts %d with %d nodes, want 40 and 40", got, g.NodeCount())
 	}
+}
+
+// chainElement is one policy element on disk: its file and its position.
+type chainElement struct {
+	name string
+	at   model.Timestamp
+	seq  int
+}
+
+// chainElements lists the policy elements on disk, fulls and deltas, oldest
+// first.
+func (r *residentSys) chainElements() []chainElement {
+	r.t.Helper()
+	names, err := r.fs.ReadDir("sys/aion/timestore/p-1")
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	var out []chainElement
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".dsnap") {
+			continue
+		}
+		e := chainElement{name: name}
+		_, pos, _ := strings.Cut(name, "-")
+		if _, err := fmt.Sscanf(pos, "%16x-%8x.dsnap", &e.at, &e.seq); err != nil || !(strings.HasPrefix(name, "full-") || strings.HasPrefix(name, "delta-")) {
+			r.t.Fatalf("chain file %q: %v", name, err)
+		}
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b chainElement) int { return int(a.at - b.at) })
+	return out
+}
+
+// TestCachedGraphsShareWithLatest: a graph materialised from element files
+// holds the latest graph's objects for every entity the history has not
+// touched since that element. A reopened store reads each of its policy
+// elements — every one a miss, a full or a delta on its cached neighbour —
+// while a committer keeps replacing objects of the latest graph; afterwards
+// each cached graph differs from the latest in exactly the entities some later
+// commit names, and every read still answers what a replay from zero does.
+func TestCachedGraphsShareWithLatest(t *testing.T) {
+	r := newResidentSys(t, false)
+	for i := 0; i < 150; i++ {
+		r.commit(i, 4)
+	}
+	r.verify("loaded")
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r.open()
+	var elems []model.Timestamp
+	for _, e := range r.chainElements() {
+		elems = append(elems, e.at)
+	}
+	if len(elems) < 3 { // a dozen, fewer when the snapshot worker fell behind the commits
+		t.Fatalf("%d policy elements, want at least 3", len(elems))
+	}
+	ts := r.Aion.TimeStore()
+	before := ts.Stats()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	var committed atomic.Int64
+	go func() {
+		defer close(done)
+		for i := 1000; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := r.Host.Run(func(tx *hostdb.Tx) error { return stageMix(tx, r.Host, i, 3) }); err != nil {
+				t.Error(err)
+				return
+			}
+			committed.Add(1)
+		}
+	}()
+	for _, at := range elems {
+		// At least one commit lands between any two loads.
+		for n := committed.Load(); committed.Load() == n; runtime.Gosched() {
+			select {
+			case <-done:
+				t.Fatal("the committer stopped")
+			default:
+			}
+		}
+		if _, err := ts.GetGraph(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if err := r.Aion.WaitSync(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := ts.Stats()
+	if loaded, shared := st.LoadedEntities-before.LoadedEntities, st.SharedEntities-before.SharedEntities; shared == 0 || shared > loaded {
+		t.Errorf("%d entity versions loaded, %d shared", loaded, shared)
+	}
+	r.mu.Lock()
+	commits := r.commits
+	r.mu.Unlock()
+	gs := ts.GraphStore()
+	for _, at := range elems {
+		g, ok := gs.Get(at)
+		if !ok {
+			t.Fatalf("the element at %d is not cached after it was read", at)
+		}
+		touched := map[int64]bool{}
+		for _, us := range commits[at:] { // commits[at] is the transaction stamped at+1
+			for _, u := range us {
+				touched[u.EntityKey()] = true
+			}
+		}
+		unshared, want, total := 0, 0, 0
+		g.ForEachNode(func(n *model.Node) bool {
+			total++
+			if gs.LatestNode(n.ID) != n {
+				unshared++
+			}
+			if touched[int64(n.ID)<<1] {
+				want++
+			}
+			return true
+		})
+		g.ForEachRel(func(rel *model.Rel) bool {
+			total++
+			if gs.LatestRel(rel.ID) != rel {
+				unshared++
+			}
+			if touched[int64(rel.ID)<<1|1] {
+				want++
+			}
+			return true
+		})
+		if unshared != want || total == 0 {
+			t.Errorf("the graph cached at %d holds %d of %d entities that are not the latest graph's objects; %d were updated since", at, unshared, total, want)
+		}
+	}
+	r.verify("after sharing")
 }

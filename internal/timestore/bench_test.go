@@ -103,7 +103,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			s.opts.ParallelIO = lvl.par
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g, err := s.loadElem(context.Background(), s.active(), chain, 0, nil)
+				g, err := s.loadElem(context.Background(), s.active(), chain, 0, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

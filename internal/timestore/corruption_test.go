@@ -113,7 +113,7 @@ func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 				}
 				corruptFrameLen(t, elem.path, frameHdrLen+int(binary.LittleEndian.Uint32(b)))
 				check(t, elem.path, func() error {
-					return s.applyChainFile(context.Background(), elem, memgraph.New(), false)
+					return s.applyChainFile(context.Background(), elem, memgraph.New(), nil, false)
 				})
 				// The header frame itself, as recovery's derivation reads it.
 				corruptFrameLen(t, elem.path, 0)

@@ -152,11 +152,13 @@ func readChainHeader(fs vfs.FS, path string) (hdr enc.DeltaHeader, err error) {
 	return enc.DecodeDeltaHeader(payload)
 }
 
-// applyChainFile streams elem's update records into g. countReplay marks
-// delta applications (materialization work the chain could not avoid) for
-// the ReplayedUpdates stat; full loads are snapshot loads, not replay.
-func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.Graph, countReplay bool) error {
-	var applied uint64
+// applyChainFile streams elem's update records into g, sharing with ref (nil:
+// nothing to share with) every entity version they produce that ref holds too
+// (memgraph.ApplyShared). countReplay marks delta applications
+// (materialization work the chain could not avoid) for the ReplayedUpdates
+// stat; full loads are snapshot loads, not replay.
+func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g, ref *memgraph.Graph, countReplay bool) error {
+	var applied, loaded, shared uint64
 	err := s.readFrameFile(ctx, elem.path,
 		func(payload []byte) error {
 			hdr, err := enc.DecodeDeltaHeader(payload)
@@ -169,8 +171,17 @@ func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.
 			return nil
 		},
 		func(us []model.Update) error {
-			if err := g.ApplyAll(us); err != nil {
-				return fmt.Errorf("timestore: chain apply %s: %w", elem.path, err)
+			for _, u := range us {
+				same, err := g.ApplyShared(u, ref)
+				if err != nil {
+					return fmt.Errorf("timestore: chain apply %s: %w", elem.path, err)
+				}
+				if same {
+					shared++
+				}
+				if u.Kind != model.OpDeleteNode && u.Kind != model.OpDeleteRel {
+					loaded++
+				}
 			}
 			applied += uint64(len(us))
 			if countReplay {
@@ -178,6 +189,8 @@ func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.
 			}
 			return nil
 		})
+	s.loadedEntities.Add(loaded)
+	s.sharedEntities.Add(shared)
 	if err == nil && applied != elem.count {
 		err = fmt.Errorf("timestore: chain file %s holds %d records, header says %d", elem.path, applied, elem.count)
 	}
@@ -190,8 +203,10 @@ func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g *memgraph.
 // the head of that run: when it sits at the base of one of the run's deltas,
 // and that base is complete too, only the deltas from there on are read, and
 // applied to near — which, a CoW clone of a cached graph, keeps sharing every
-// entity they leave alone with it.
-func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
+// entity they leave alone with it. Every entity version the files do produce
+// is shared with ref, a handle on the latest graph (nil: none yet), where
+// that holds it too.
+func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j int, near, ref *memgraph.Graph) (*memgraph.Graph, error) {
 	from, g := j, memgraph.New()
 	//aionlint:ignore ctxloop backward walk is bounded by DeltaChainLength steps, each at most one record read
 	for ; chain[from].kind == enc.DeltaDiff; from-- {
@@ -209,7 +224,7 @@ func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j
 		}
 	}
 	for k := from; k <= j; k++ {
-		if err := s.applyChainFile(ctx, chain[k], g, chain[k].kind == enc.DeltaDiff); err != nil {
+		if err := s.applyChainFile(ctx, chain[k], g, ref, chain[k].kind == enc.DeltaDiff); err != nil {
 			return nil, err
 		}
 	}
@@ -239,7 +254,11 @@ func elemComplete(seg *segment, e chainElem) (bool, error) {
 // for it (nil: none): the graph is also cached for the next reader when it is
 // complete at its timestamp. Caller holds sealMu (either mode).
 func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
-	g, err := s.loadElem(ctx, seg, chain, j, near)
+	// One O(1) handle on the latest graph serves the load and the rebase: what
+	// a loaded graph has in common with it is held once ("Sharing with the
+	// latest graph", DESIGN.md).
+	ref := s.gs.Latest()
+	g, err := s.loadElem(ctx, seg, chain, j, near, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +269,7 @@ func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chain
 	if complete {
 		s.gs.Put(g) // caches a CoW clone; g itself stays the caller's
 	}
-	return g, s.rebaseRun(ctx, chain, j, g)
+	return g, s.rebaseRun(ctx, chain, j, g, ref)
 }
 
 // rebaseRun keeps the cached graphs of one run a single line of descent: each
@@ -259,7 +278,7 @@ func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chain
 // from, they then share with g every entity those deltas leave alone, so what
 // a store keeps resident follows from which graphs it caches, not from the
 // order its misses arrived in. The work is bounded by the run's deltas.
-func (s *Store) rebaseRun(ctx context.Context, chain []chainElem, j int, g *memgraph.Graph) error {
+func (s *Store) rebaseRun(ctx context.Context, chain []chainElem, j int, g, ref *memgraph.Graph) error {
 	last := j
 	//aionlint:ignore ctxloop forward walk is bounded by DeltaChainLength steps and does no I/O
 	for k := j + 1; k < len(chain) && chain[k].kind == enc.DeltaDiff; k++ {
@@ -269,7 +288,7 @@ func (s *Store) rebaseRun(ctx context.Context, chain []chainElem, j int, g *memg
 	}
 	g = g.Clone() // the caller's graph stays at chain[j]
 	for k := j + 1; k <= last; k++ {
-		if err := s.applyChainFile(ctx, chain[k], g, true); err != nil {
+		if err := s.applyChainFile(ctx, chain[k], g, ref, true); err != nil {
 			return err
 		}
 		g.SetTimestamp(chain[k].pos.ts)

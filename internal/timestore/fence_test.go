@@ -42,6 +42,28 @@ func fenceHistory(seed int64, n int) []model.Update {
 	return us
 }
 
+// recreateTail extends a fenceHistory by two timestamps: the first deletes
+// nodes 0..3, the second creates them again with the content they had. The
+// latest graph then holds incarnations younger than every chain element taken
+// before, equal to the ones those elements hold wherever the node was not
+// updated in between — what a loaded element must not share.
+func recreateTail(us []model.Update) []model.Update {
+	var last [4]model.Update
+	for _, u := range us {
+		if int(u.NodeID) < len(last) {
+			last[u.NodeID] = u
+		}
+	}
+	ts := us[len(us)-1].TS + 1
+	for id := range last {
+		us = append(us, model.DeleteNode(ts, model.NodeID(id)))
+	}
+	for id, u := range last {
+		us = append(us, model.AddNode(ts+1, model.NodeID(id), []string{"N"}, u.SetProps))
+	}
+	return us
+}
+
 // streamPositions numbers a stream the way the store does: seq restarts at
 // every new timestamp.
 func streamPositions(us []model.Update) []position {
@@ -160,6 +182,27 @@ func (o *fenceOracle) check(s *Store, label string) {
 	}
 }
 
+// wantYoungerTwins requires what recreateTail is for: some chain element of s
+// holds a node that the latest graph holds with equal content and a later
+// start.
+func (o *fenceOracle) wantYoungerTwins(s *Store) {
+	latest := s.gs.Latest()
+	for _, seg := range s.segs {
+		for _, e := range seg.elems() {
+			at, twin := o.graphAt(e.pos.ts), false
+			at.ForEachNode(func(n *model.Node) bool {
+				l := latest.Node(n.ID)
+				twin = l != nil && l.Valid.Start > e.pos.ts && l.Props.Equal(n.Props)
+				return !twin
+			})
+			if twin {
+				return
+			}
+		}
+	}
+	o.t.Fatal("no chain element holds a node the latest graph holds again, equal and younger")
+}
+
 // openDecodingAll is Open with the recovery that decodes every record of the
 // active log, whatever the newest element covers: the reference the
 // tail-only recovery must be indistinguishable from.
@@ -181,7 +224,7 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	s.lastTS, s.seq = act.entry.ts, act.entry.seq
 	latest, from := base.Clone(), int64(0)
 	if chain := act.elems(); len(chain) > 0 {
-		if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil); err != nil {
+		if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		from = chain[len(chain)-1].logOff
@@ -260,13 +303,19 @@ func (o *fenceOracle) reopenExact(s *Store, open func() *Store, openRef func() *
 // TestFenceScanMatchesBruteForce drives seeded histories through appends,
 // policy and eager mid-timestamp snapshots, seals and reopens at a fence
 // stride of 2 or 3, and checks every read path against a brute-force
-// filter over the appended slice.
+// filter over the appended slice. The fourth run's history ends in re-creations
+// (recreateTail): its latest graph holds nodes equal to, and younger than, the
+// ones its chain elements hold.
 func TestFenceScanMatchesBruteForce(t *testing.T) {
 	defer func(old int) { fenceStride = old }(fenceStride)
-	for seed := int64(1); seed <= 3; seed++ {
-		fenceStride = 2 + int(seed%2)
-		t.Run(fmt.Sprintf("seed=%d/stride=%d", seed, fenceStride), func(t *testing.T) {
+	for i := int64(0); i < 4; i++ {
+		seed, recreate := 1+i%3, i == 3
+		fenceStride = 2 + int((seed+i/3)%2) // the seed's own stride, then its other one
+		t.Run(fmt.Sprintf("seed=%d/stride=%d/recreate=%v", seed, fenceStride, recreate), func(t *testing.T) {
 			us := fenceHistory(seed, 180)
+			if recreate {
+				us = recreateTail(us)
+			}
 			o := &fenceOracle{t: t, us: us, pos: streamPositions(us), codec: enc.NewCodec(strstore.NewMem())}
 			dir := t.TempDir()
 			codec := enc.NewCodec(strstore.NewMem())
@@ -317,6 +366,9 @@ func TestFenceScanMatchesBruteForce(t *testing.T) {
 			}
 			if !midTS {
 				t.Fatal("no mid-timestamp snapshot survives in the active segment")
+			}
+			if recreate {
+				o.wantYoungerTwins(s)
 			}
 			o.check(s, "live")
 			s = o.reopenExact(s, open, openRef)

@@ -137,7 +137,7 @@ func TestParallelLoadRoundTrip(t *testing.T) {
 		lastTS := us[len(us)-1].TS
 		for _, loadPar := range []int{1, 4} {
 			s.opts.ParallelIO = loadPar
-			g, err := s.loadElem(context.Background(), s.active(), chain, 0, nil)
+			g, err := s.loadElem(context.Background(), s.active(), chain, 0, nil, nil)
 			if err != nil {
 				t.Fatalf("write par=%d load par=%d: %v", par, loadPar, err)
 			}

@@ -153,6 +153,10 @@ type Store struct {
 	lastCompactErr atomic.Value // string
 	encBuf         []byte       // append-path scratch, guarded by mu (Sec 5.3)
 
+	// loadedEntities counts the entity versions element files have produced,
+	// sharedEntities those of them that are the latest graph's own objects.
+	loadedEntities, sharedEntities atomic.Uint64
+
 	// adoptions and mismatches count AdoptLatest's outcomes; privateUpdates
 	// is how many updates the latest graph has applied on its own since it
 	// was last the host's. Guarded by mu.
@@ -335,7 +339,7 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 	for _, p := range s.segs[:len(s.segs)-1] {
 		s.updateCount += p.count
 		if chain := p.elems(); chain != nil {
-			ng, err := s.loadElem(ctx, p, chain, len(chain)-1, nil)
+			ng, err := s.loadElem(ctx, p, chain, len(chain)-1, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -428,7 +432,7 @@ func (s *Store) recover() (err error) {
 		s.adoptions = 1
 	} else {
 		if len(chain) > 0 {
-			if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil); err != nil {
+			if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil, nil); err != nil {
 				return err
 			}
 		} else {
@@ -638,6 +642,12 @@ type Stats struct {
 	// and chains could not avoid. The equivalence harness asserts bounded
 	// replay with it.
 	ReplayedUpdates uint64
+	// LoadedEntities counts the entity versions that loading chain elements
+	// has produced — a record of a full, the result of a delta record —
+	// recovery's included; SharedEntities those for which the latest graph's
+	// own object was installed instead of a new one.
+	LoadedEntities uint64
+	SharedEntities uint64
 	// CompactErrors counts failed segment compactions (the segment stays
 	// readable via log replay and recompaction retries at reopen);
 	// LastCompactError is the most recent failure's message.
@@ -674,6 +684,8 @@ func (s *Store) Stats() Stats {
 		Snapshots:         int(s.snapshotCount.Load()),
 		SealedPartitions:  len(s.segs) - 1,
 		ReplayedUpdates:   s.replayed.Load(),
+		LoadedEntities:    s.loadedEntities.Load(),
+		SharedEntities:    s.sharedEntities.Load(),
 		CompactErrors:     s.compactErrs.Load(),
 		LastCompactError:  lastCompact,
 		SnapshotErrors:    s.snapErrs.Load(),
