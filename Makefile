@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget disk-budget
+.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget disk-budget expand-budget
 
 build:
 	$(GO) build ./...
@@ -165,3 +165,13 @@ heap-budget:
 # count, or when the four LineageStore trees are over 75 B/update.
 disk-budget:
 	$(GO) test -run '^$$' -bench BenchmarkDisk -benchtime 1x ./internal/system/
+
+# The read-path twin of the two budgets above: BenchmarkExpand1 runs
+# point-history's expand class — a node's outgoing relationships at an instant
+# — 20 000 times against the LineageStore of the benchmark-shaped store and
+# reports nanoseconds and page-cache accesses (hits + misses, an exact count at
+# a fixed iteration count) per returned relationship. It fails above 3.46
+# accesses, half of what the read path cost before every entity read became
+# one descent.
+expand-budget:
+	$(GO) test -run '^$$' -bench BenchmarkExpand1 -benchtime 20000x ./internal/system/

@@ -174,14 +174,6 @@ func intCellSize(p []byte, off int) int {
 	return 10 + int(binary.BigEndian.Uint16(p[off:]))
 }
 
-func cellKey(p []byte, i int) []byte {
-	off := slotOff(p, i)
-	if isLeaf(p) {
-		return leafCellKey(p, off)
-	}
-	return intCellKey(p, off)
-}
-
 func freeSpace(p []byte) int {
 	return cellStart(p) - headerSize - nKeys(p)*slotSize
 }
@@ -189,10 +181,16 @@ func freeSpace(p []byte) int {
 // search returns the index of the first slot whose key is >= key, and
 // whether an exact match was found at that index.
 func search(p []byte, key []byte) (int, bool) {
+	keyOff := 10 // internal cell: klen | child | key
+	if isLeaf(p) {
+		keyOff = 4 // leaf cell: klen | vlen | key
+	}
 	lo, hi := 0, nKeys(p)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch bytes.Compare(cellKey(p, mid), key) {
+		off := slotOff(p, mid)
+		k := p[off+keyOff : off+keyOff+int(binary.BigEndian.Uint16(p[off:]))]
+		switch bytes.Compare(k, key) {
 		case -1:
 			lo = mid + 1
 		case 0:

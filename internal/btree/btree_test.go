@@ -178,12 +178,22 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// seekFloor returns copies of the largest entry with key <= target.
+func seekFloor(tr *Tree, target []byte) (k, v []byte, ok bool, err error) {
+	c := tr.Cursor()
+	defer c.Close()
+	if ok = c.SeekFloor(target); ok {
+		k, v = append([]byte(nil), c.Key()...), append([]byte(nil), c.Value()...)
+	}
+	return k, v, ok, c.Err()
+}
+
 func TestSeekFloor(t *testing.T) {
 	tr := newTree(t)
 	for i := 0; i < 1000; i += 10 {
 		tr.Put(key(i), val(i))
 	}
-	k, v, ok, err := tr.SeekFloor(key(55))
+	k, v, ok, err := seekFloor(tr, key(55))
 	if err != nil || !ok {
 		t.Fatal(err, ok)
 	}
@@ -191,17 +201,17 @@ func TestSeekFloor(t *testing.T) {
 		t.Errorf("floor(55) = %s", k)
 	}
 	// Exact hit.
-	k, _, ok, _ = tr.SeekFloor(key(70))
+	k, _, ok, _ = seekFloor(tr, key(70))
 	if !ok || !bytes.Equal(k, key(70)) {
 		t.Errorf("floor(70) = %s", k)
 	}
 	// Below minimum.
-	_, _, ok, _ = tr.SeekFloor([]byte("a"))
+	_, _, ok, _ = seekFloor(tr, []byte("a"))
 	if ok {
 		t.Error("floor below min must be absent")
 	}
 	// Above maximum.
-	k, _, ok, _ = tr.SeekFloor([]byte("zzzz"))
+	k, _, ok, _ = seekFloor(tr, []byte("zzzz"))
 	if !ok || !bytes.Equal(k, key(990)) {
 		t.Errorf("floor(max) = %s", k)
 	}
@@ -217,7 +227,7 @@ func TestSeekFloorAfterDeletions(t *testing.T) {
 	for i := 1000; i < 1900; i++ {
 		tr.Delete(key(i))
 	}
-	k, _, ok, err := tr.SeekFloor(key(1895))
+	k, _, ok, err := seekFloor(tr, key(1895))
 	if err != nil || !ok {
 		t.Fatal(err, ok)
 	}

@@ -1,51 +1,10 @@
 package btree
 
 import (
-	"bytes"
 	"fmt"
 
 	"aion/internal/pagecache"
 )
-
-// Get returns a copy of the value stored under key.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	pid := t.root
-	for {
-		p, err := t.pc.Get(pid)
-		if err != nil {
-			return nil, false, err
-		}
-		if isLeaf(p) {
-			i, exact := search(p, key)
-			if !exact {
-				t.pc.Release(pid)
-				return nil, false, nil
-			}
-			v := append([]byte(nil), leafCellVal(p, slotOff(p, i))...)
-			t.pc.Release(pid)
-			return v, true, nil
-		}
-		next := childFor(p, key)
-		t.pc.Release(pid)
-		pid = next
-	}
-}
-
-// childFor picks the child page that covers key in an internal page.
-func childFor(p []byte, key []byte) pagecache.PageID {
-	i, exact := search(p, key)
-	if exact {
-		return pagecache.PageID(intCellChild(p, slotOff(p, i)))
-	}
-	// i is the first cell with key greater than target; the covering child
-	// is the one before it (or the leftmost child).
-	if i == 0 {
-		return pagecache.PageID(extra(p))
-	}
-	return pagecache.PageID(intCellChild(p, slotOff(p, i-1)))
-}
 
 type splitResult struct {
 	sep   []byte
@@ -113,8 +72,7 @@ func (t *Tree) insert(pid pagecache.PageID, key, val []byte) (*splitResult, bool
 		return split, !exact, err
 	}
 
-	childIdx, _ := searchChildIdx(p, key)
-	child := childAt(p, childIdx)
+	child := childAt(p, searchChildIdx(p, key))
 	split, added, err := t.insert(child, key, val)
 	if err != nil || split == nil {
 		return nil, added, err
@@ -137,12 +95,12 @@ func (t *Tree) insert(pid pagecache.PageID, key, val []byte) (*splitResult, bool
 
 // searchChildIdx returns the child index (0..nkeys) covering key: 0 is the
 // leftmost child, i>0 means the child of cell i-1.
-func searchChildIdx(p []byte, key []byte) (int, bool) {
+func searchChildIdx(p []byte, key []byte) int {
 	i, exact := search(p, key)
 	if exact {
-		return i + 1, true
+		i++
 	}
-	return i, false
+	return i
 }
 
 func childAt(p []byte, idx int) pagecache.PageID {
@@ -275,125 +233,8 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 			t.pc.Release(pid)
 			return exact, nil
 		}
-		next := childFor(p, key)
+		next := childAt(p, searchChildIdx(p, key))
 		t.pc.Release(pid)
 		pid = next
 	}
-}
-
-// Scan calls fn for each entry with low <= key < high in key order. A nil
-// low starts at the smallest key; a nil high scans to the end. The key and
-// value slices passed to fn alias page memory and are only valid during the
-// callback; fn must copy them to retain. Scanning stops early when fn
-// returns false.
-func (t *Tree) Scan(low, high []byte, fn func(k, v []byte) bool) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.scanLocked(low, high, fn)
-}
-
-func (t *Tree) scanLocked(low, high []byte, fn func(k, v []byte) bool) error {
-	// Descend to the leaf covering low.
-	pid := t.root
-	for {
-		p, err := t.pc.Get(pid)
-		if err != nil {
-			return err
-		}
-		if isLeaf(p) {
-			start := 0
-			if low != nil {
-				start, _ = search(p, low)
-			}
-			// Walk this leaf and then follow next pointers.
-			for {
-				n := nKeys(p)
-				for i := start; i < n; i++ {
-					off := slotOff(p, i)
-					k := leafCellKey(p, off)
-					if high != nil && bytes.Compare(k, high) >= 0 {
-						t.pc.Release(pid)
-						return nil
-					}
-					if !fn(k, leafCellVal(p, off)) {
-						t.pc.Release(pid)
-						return nil
-					}
-				}
-				next := pagecache.PageID(extra(p))
-				t.pc.Release(pid)
-				if next == 0 {
-					return nil
-				}
-				pid = next
-				p, err = t.pc.Get(pid)
-				if err != nil {
-					return err
-				}
-				start = 0
-			}
-		}
-		var next pagecache.PageID
-		if low == nil {
-			next = pagecache.PageID(extra(p))
-		} else {
-			next = childFor(p, low)
-		}
-		t.pc.Release(pid)
-		pid = next
-	}
-}
-
-// SeekFloor returns copies of the largest entry with key <= target, if any.
-func (t *Tree) SeekFloor(target []byte) (k, v []byte, ok bool, err error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.floor(t.root, target)
-}
-
-func (t *Tree) floor(pid pagecache.PageID, target []byte) (k, v []byte, ok bool, err error) {
-	p, err := t.pc.Get(pid)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if isLeaf(p) {
-		i, exact := search(p, target)
-		if !exact {
-			i-- // largest key strictly below target
-		}
-		if i < 0 {
-			t.pc.Release(pid)
-			return nil, nil, false, nil
-		}
-		off := slotOff(p, i)
-		k = append([]byte(nil), leafCellKey(p, off)...)
-		v = append([]byte(nil), leafCellVal(p, off)...)
-		t.pc.Release(pid)
-		return k, v, true, nil
-	}
-	idx, _ := searchChildIdx(p, target)
-	for ; idx >= 0; idx-- {
-		child := childAt(p, idx)
-		k, v, ok, err = t.floor(child, target)
-		if err != nil || ok {
-			t.pc.Release(pid)
-			return k, v, ok, err
-		}
-		// The chosen subtree held nothing <= target (possible after
-		// deletions); fall back to the previous subtree, whose keys are
-		// all smaller.
-	}
-	t.pc.Release(pid)
-	return nil, nil, false, nil
-}
-
-// First returns copies of the smallest entry, if any.
-func (t *Tree) First() (k, v []byte, ok bool, err error) {
-	err = t.Scan(nil, nil, func(key, val []byte) bool {
-		k = append([]byte(nil), key...)
-		v = append([]byte(nil), val...)
-		ok = true
-		return false
-	})
-	return k, v, ok, err
 }

@@ -77,10 +77,11 @@ func ParseKeyRel(k []byte) (model.RelID, model.Timestamp, bool) {
 	return model.RelID(id), ts, ok
 }
 
-// KeyNeighPrefix encodes the (aId) prefix for scanning all neighbours of a:
-// every key of a lies in [KeyNeighPrefix(a), KeyNeighPrefix(a+1)).
-func KeyNeighPrefix(a model.NodeID) []byte {
-	return appendUint(make([]byte, 0, 9), uint64(a))
+// AppendKeyNeighPrefix appends the (aId) prefix all neighbourhood keys of a
+// start with, at most 9 bytes: every key of a lies in [prefix(a), prefix(a+1)),
+// and the bare prefix sorts below them all.
+func AppendKeyNeighPrefix(buf []byte, a model.NodeID) []byte {
+	return appendUint(buf, uint64(a))
 }
 
 // AppendKeyNeigh4 appends a neighbourhood key, (aId, bId, ts, relId), to

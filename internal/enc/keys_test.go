@@ -70,7 +70,7 @@ func TestNeighKeysLieInPrefixRange(t *testing.T) {
 		if a == -1 {
 			a-- // the largest key component: a+1 wraps to 0, as it did with fixed-width keys
 		}
-		lo, hi := KeyNeighPrefix(a), KeyNeighPrefix(a+1)
+		lo, hi := AppendKeyNeighPrefix(nil, a), AppendKeyNeighPrefix(nil, a+1)
 		k := KeyNeigh4(a, model.NodeID(x[1]), model.Timestamp(x[2]), model.RelID(x[3]))
 		in := bytes.HasPrefix(k, lo) && bytes.Compare(lo, k) <= 0 && bytes.Compare(k, hi) < 0
 		// and a key of any other node lies outside
@@ -121,7 +121,7 @@ func TestKeyEncodingGolden(t *testing.T) {
 		{"KeyNode(14999, 202499)", KeyNode(14999, 202499), "023a9703031703"},
 		{"KeyRel(1<<32, TSInfinity)", KeyRel(1<<32, model.TSInfinity), "050100000000087fffffffffffffff"},
 		{"KeyRel(7, -1)", KeyRel(7, -1), "010708ffffffffffffffff"},
-		{"KeyNeighPrefix(300)", KeyNeighPrefix(300), "02012c"},
+		{"KeyNeighPrefix(300)", AppendKeyNeighPrefix(nil, 300), "02012c"},
 		{"KeyNeigh4(300, 0, 70000, 1<<56)", KeyNeigh4(300, 0, 70000, 1<<56), "02012c0003011170080100000000000000"},
 		{"NeighValue(false)", NeighValue(false), "00"},
 		{"NeighValue(true)", NeighValue(true), "01"},
@@ -176,8 +176,8 @@ func FuzzParseKeys(f *testing.F) {
 		if ok != bytes.Equal(k, KeyNeigh4(a, b, nts, rel)) || !ok && (a != 0 || b != 0 || nts != 0 || rel != 0) {
 			t.Fatalf("ParseKeyNeigh4(%x) = (%d, %d, %d, %d, %v)", k, a, b, nts, rel, ok)
 		}
-		if ok && !bytes.HasPrefix(k, KeyNeighPrefix(a)) {
-			t.Fatalf("key %x of node %d lacks the prefix %x", k, a, KeyNeighPrefix(a))
+		if ok && !bytes.HasPrefix(k, AppendKeyNeighPrefix(nil, a)) {
+			t.Fatalf("key %x of node %d lacks the prefix %x", k, a, AppendKeyNeighPrefix(nil, a))
 		}
 		_ = ParseNeighValue(k)
 	})

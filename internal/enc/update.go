@@ -94,6 +94,13 @@ func PeekTS(b []byte) (model.Timestamp, error) {
 	return 0, fmt.Errorf("enc: bad update record header")
 }
 
+// PeekState reports, from the header byte of a non-empty record produced by
+// AppendUpdate, whether it is a tombstone or a delta; a record that is
+// neither carries the entity's full state.
+func PeekState(b []byte) (deleted, delta bool) {
+	return b[0]&headerDeletedBit != 0, b[0]&headerDeltaBit != 0
+}
+
 // DecodeUpdate decodes a record produced by AppendUpdate.
 func (c *Codec) DecodeUpdate(b []byte) (model.Update, error) {
 	var u model.Update

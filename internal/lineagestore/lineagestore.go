@@ -23,6 +23,8 @@
 package lineagestore
 
 import (
+	"cmp"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,7 +53,8 @@ type Options struct {
 	// materialization; 0 means DefaultChainThreshold, negative disables
 	// materialization entirely (pure delta chains, the Fig 11 "32" end).
 	ChainThreshold int
-	// IndexCachePages is the per-tree page cache budget.
+	// IndexCachePages is the page cache budget per tree; the four trees pool
+	// theirs, so that whichever is read most holds most of the 4 × pages.
 	IndexCachePages int
 	// FS is the filesystem the index files live on; nil means the real OS
 	// filesystem (used by the crash-recovery tests to inject faults).
@@ -83,6 +86,7 @@ type Store struct {
 	out   *btree.Tree // KeyNeigh4(src, tgt, ts, r) -> NeighValue(deleted)
 	in    *btree.Tree // KeyNeigh4(tgt, src, ts, r) -> NeighValue(deleted)
 	pcs   [4]*pagecache.Cache
+	pool  *pagecache.Pool // the four caches' one page budget
 
 	lastTS      model.Timestamp
 	atLastTS    uint64 // updates applied at lastTS
@@ -112,7 +116,8 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 			opts.Dir = dir
 		}
 	}
-	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, lastTS: -1}
+	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, lastTS: -1,
+		pool: pagecache.NewPool(len(indexFiles) * opts.IndexCachePages)}
 	s.readCheckpoint() // before the trees: a corruption wipe must remove it
 	if err := s.openTrees(); err != nil {
 		// Corrupt index files: wipe and start empty.
@@ -135,7 +140,7 @@ func (s *Store) openTrees() error {
 		if err == nil && sz%pagecache.PageSize != 0 {
 			return errors.Join(fmt.Errorf("lineagestore: open %s: truncated mid-page (%d bytes)", name, sz), s.closeTrees())
 		}
-		pc, err := pagecache.OpenFS(s.fs, path, s.opts.IndexCachePages)
+		pc, err := s.pool.OpenFS(s.fs, path)
 		if err == nil {
 			var tree *btree.Tree
 			if tree, err = btree.Open(pc); err == nil {
@@ -336,7 +341,7 @@ func (s *Store) indexLocked(u model.Update) error {
 	case model.OpAddNode, model.OpDeleteNode:
 		return s.putVersion(s.nodes, 0, u)
 	case model.OpUpdateNode:
-		return s.putNodeDelta(u)
+		return putDelta(s, &nodeLineage, int64(u.NodeID), u)
 	case model.OpAddRel, model.OpDeleteRel:
 		if err := s.putVersion(s.rels, 0, u); err != nil {
 			return err
@@ -346,7 +351,7 @@ func (s *Store) indexLocked(u model.Update) error {
 		}
 		return s.putNeigh(s.in, u.Tgt, u.Src, u)
 	case model.OpUpdateRel:
-		return s.putRelDelta(u)
+		return putDelta(s, &relLineage, int64(u.RelID), u)
 	}
 	return fmt.Errorf("lineagestore: unknown op %v", u.Kind)
 }
@@ -375,62 +380,67 @@ func (s *Store) putNeigh(tree *btree.Tree, a, b model.NodeID, u model.Update) er
 	return tree.Put(key, s.scratch[len(key):])
 }
 
-// putNodeDelta stores a node modification, materializing the full state
-// when the delta chain reaches the threshold.
-func (s *Store) putNodeDelta(u model.Update) error {
-	prevPos, n, err := s.reconstructNodeLocked(u.NodeID, u.TS)
+// chainHead reads the head bytes of id's newest record at or before ts in
+// tree: its delta-chain position, and whether the entity is live there (the
+// record is its own and not a tombstone). Nothing is decoded.
+func (s *Store) chainHead(tree *btree.Tree, id int64, ts model.Timestamp) (pos int, live bool, err error) {
+	c := tree.Cursor()
+	defer c.Close()
+	if !c.SeekFloor(enc.AppendKeyNode(s.scratch[:0], model.NodeID(id), ts)) {
+		return 0, false, c.Err()
+	}
+	kid, _, pos, rec, err := cell(&c)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
-	if n == nil {
-		return fmt.Errorf("lineagestore: %w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
-	}
-	pos := prevPos + 1
-	if s.opts.ChainThreshold > 0 && pos >= s.opts.ChainThreshold {
-		// Materialize: fold the delta into the reconstructed state and
-		// store it as a full record (chain position resets to 0).
-		u.ApplyToNode(n)
-		m := model.AddNode(u.TS, n.ID, n.Labels, n.Props)
-		return s.putVersion(s.nodes, 0, m)
-	}
-	return s.putVersion(s.nodes, pos, u)
+	deleted, _ := enc.PeekState(rec)
+	return pos, kid == id && !deleted, nil
 }
 
-// putRelDelta stores a relationship modification, materializing on
-// threshold like putNodeDelta.
-func (s *Store) putRelDelta(u model.Update) error {
-	prevPos, r, err := s.reconstructRelLocked(u.RelID, u.TS)
+// putDelta stores a modification of entity id as the next link of its delta
+// chain, or — when the chain reaches the threshold — folded into the
+// reconstructed state as a full record, which restarts the chain at 0.
+func putDelta[E comparable](s *Store, l *lineage[E], id int64, u model.Update) error {
+	tree := l.tree(s)
+	pos, live, err := s.chainHead(tree, id, u.TS)
+	if err == nil && !live {
+		err = fmt.Errorf("lineagestore: %w: %s %d at ts %d", model.ErrNotFound, l.name, id, u.TS)
+	}
 	if err != nil {
 		return err
 	}
-	if r == nil {
-		return fmt.Errorf("lineagestore: %w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
+	if pos++; s.opts.ChainThreshold > 0 && pos >= s.opts.ChainThreshold {
+		vs, err := history(context.Background(), s, l, id, u.TS, u.TS)
+		if err != nil || len(vs) != 1 {
+			return cmp.Or(err, errCorrupt)
+		}
+		l.fold(u, vs[0])
+		u, pos = l.full(u.TS, vs[0]), 0
 	}
-	pos := prevPos + 1
-	if s.opts.ChainThreshold > 0 && pos >= s.opts.ChainThreshold {
-		u.ApplyToRel(r)
-		m := model.AddRel(u.TS, r.ID, r.Src, r.Tgt, r.Label, r.Props)
-		return s.putVersion(s.rels, 0, m)
-	}
-	return s.putVersion(s.rels, pos, u)
+	return s.putVersion(tree, pos, u)
 }
 
 // Stats reports store counters for the benchmark harness.
 type Stats struct {
 	Updates    uint64
 	IndexBytes int64
-	CaughtUp   uint64 // re-applied by CatchUp at Open: 0 after a clean Close
+	CaughtUp   uint64          // re-applied by CatchUp at Open: 0 after a clean Close
+	Cache      pagecache.Stats // page accesses of the four trees, summed
 }
 
 // Stats returns the store's counters and footprint.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Stats{
-		Updates:    s.updateCount,
-		IndexBytes: s.DiskBytes(),
-		CaughtUp:   s.caughtUp,
+	st := Stats{Updates: s.updateCount, IndexBytes: s.DiskBytes(), CaughtUp: s.caughtUp}
+	for _, pc := range s.pcs {
+		if pc == nil { // a failed Wipe left no trees
+			continue
+		}
+		c := pc.Stats()
+		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions = st.Cache.Hits+c.Hits, st.Cache.Misses+c.Misses, st.Cache.Evictions+c.Evictions
 	}
+	return st
 }
 
 // DiskBytes reports the total on-disk footprint of the four indexes and

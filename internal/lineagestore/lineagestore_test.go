@@ -1,7 +1,10 @@
 package lineagestore
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"aion/internal/enc"
@@ -487,4 +490,125 @@ func TestApplyAddRelAllocations(t *testing.T) {
 	if rels, err := s.GetRelationships(1, model.Outgoing, batch[0].TS, batch[0].TS); err != nil || len(rels) != 51 {
 		t.Errorf("node 1 has %d out-relationships (%v), want 51", len(rels), err)
 	}
+}
+
+// TestReadAllocations pins what a cached read allocates, so that a key built
+// on the heap, a map or a copied cell shows up here: a point read allocates
+// its answer — the version, its label slice and property map, what the
+// decoder builds them from, the result slice — and nothing for the descent;
+// collecting a node's live relationships allocates nothing at all.
+func TestReadAllocations(t *testing.T) {
+	s := openStore(t, Options{})
+	defer s.Close()
+	apply(t, s, model.AddNode(1, 1, []string{"A"}, model.Properties{"k": model.IntValue(1)}))
+	for i := 0; i < 12; i++ { // two relationships to each of six neighbours
+		apply(t, s, model.AddNode(model.Timestamp(2+i), model.NodeID(2+i), nil, nil),
+			model.AddRel(model.Timestamp(2+i), model.RelID(i), 1, model.NodeID(2+i%6), "R", nil))
+	}
+	apply(t, s, model.DeleteRel(20, 3, 1, 5), model.UpdateNode(21, 1, nil, nil, model.Properties{"k": model.IntValue(2)}, nil))
+	ctx := context.Background()
+	point := testing.AllocsPerRun(100, func() {
+		if ns, err := s.GetNodeContext(ctx, 1, 5, 5); err != nil || len(ns) != 1 {
+			t.Fatal(ns, err)
+		}
+	})
+	if point > 6 {
+		t.Errorf("a cached point read allocates %.0f times, want at most 6", point)
+	}
+	ids := make([]model.RelID, 0, 16)
+	live := testing.AllocsPerRun(100, func() {
+		if got, err := s.incident(ctx, ids, 1, model.Both, 30, true); err != nil || len(got) != 11 {
+			t.Fatal(got, err)
+		}
+	})
+	if live != 0 {
+		t.Errorf("collecting a node's live relationships allocates %.0f times, want 0", live)
+	}
+}
+
+// cancelAfter is a context whose Err turns Canceled after a number of calls:
+// it cancels a read at its n-th cooperative check, wherever that is.
+type cancelAfter struct {
+	context.Context
+	left *atomic.Int64
+}
+
+func (c cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledReadsReleaseEverything cancels the three multi-cursor reads at
+// every one of their cancellation points, while a writer keeps applying
+// batches, and requires that no read leaves a page pinned or a tree locked:
+// afterwards the caches hold no pin and the writer still gets through.
+func TestCancelledReadsReleaseEverything(t *testing.T) {
+	s := openStore(t, Options{})
+	defer s.Close()
+	const hub, spokes = 0, 3 * cancelStride
+	var us []model.Update
+	for i := 0; i <= spokes; i++ {
+		us = append(us, model.AddNode(1, model.NodeID(i), nil, nil))
+	}
+	for i := 1; i <= spokes; i++ {
+		us = append(us, model.AddRel(2, model.RelID(i), hub, model.NodeID(i), "R", nil))
+	}
+	for ts := 3; ts < 3+4*cancelStride; ts++ { // a history long enough to stride
+		us = append(us, model.UpdateNode(model.Timestamp(ts), hub, nil, nil, model.Properties{"k": model.IntValue(int64(ts))}, nil))
+	}
+	if err := s.ApplyBatch(us); err != nil {
+		t.Fatal(err)
+	}
+	last := us[len(us)-1].TS
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		var err error
+		for ts := last + 1; err == nil; ts++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+				err = s.ApplyBatch([]model.Update{model.UpdateNode(ts, 1, nil, nil, model.Properties{"k": model.IntValue(int64(ts))}, nil)})
+			}
+		}
+		done <- err
+	}()
+	reads := map[string]func(ctx context.Context) error{
+		"relationships": func(ctx context.Context) error {
+			_, err := s.GetRelationshipsContext(ctx, hub, model.Both, 2, last)
+			return err
+		},
+		"expand":  func(ctx context.Context) error { _, err := s.ExpandContext(ctx, 1, model.Both, 2, last); return err }, // a spoke, the hub, every spoke
+		"history": func(ctx context.Context) error { _, err := s.GetNodeContext(ctx, hub, 0, last); return err },
+	}
+	for name, read := range reads {
+		points := 0
+		for ; ; points++ {
+			left := new(atomic.Int64)
+			left.Store(int64(points))
+			err := read(cancelAfter{context.Background(), left})
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s cancelled at check %d: %v", name, points, err)
+			}
+		}
+		if points < 3 {
+			t.Errorf("%s ran through only %d cancellation points", name, points)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i, pc := range s.pcs {
+		if n := pc.Pinned(); n != 0 {
+			t.Errorf("%s: %d pages left pinned", indexFiles[i], n)
+		}
+	}
+	apply(t, s, model.AddNode(us[len(us)-1].TS+1<<20, spokes+1, nil, nil)) // every tree lock is free
 }

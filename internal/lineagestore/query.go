@@ -1,6 +1,7 @@
 package lineagestore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -15,117 +16,193 @@ import (
 // sparse enough that the check never shows up in a scan profile.
 const cancelStride = 256
 
-// errCorruptKey reports an index key no enc.Key* function can have written:
-// tree pages carry no checksum, so a read may meet one.
-var errCorruptKey = errors.New("lineagestore: corrupt index key")
-
-// reconstructNode rebuilds the node state valid at ts by walking the delta
-// chain backwards from the newest version <= ts to the nearest materialized
-// record, then folding forward (Sec 4.4). It returns the chain position of
-// the newest record and the state (nil if the node is absent at ts). Thanks
-// to the materialization threshold the walk is bounded.
-func (s *Store) reconstructNode(id model.NodeID, ts model.Timestamp) (int, *model.Node, error) {
-	var chain []model.Update
-	newestPos := 0
-	seekTS := ts
-	for {
-		k, v, ok, err := s.nodes.SeekFloor(enc.KeyNode(id, seekTS))
-		if err != nil {
-			return 0, nil, err
-		}
-		if !ok {
-			return 0, nil, nil
-		}
-		kid, kts, ok := enc.ParseKeyNode(k)
-		if !ok {
-			return 0, nil, errCorruptKey
-		}
-		if kid != id {
-			return 0, nil, nil
-		}
-		u, err := s.codec.DecodeUpdate(v[1:])
-		if err != nil {
-			return 0, nil, err
-		}
-		if len(chain) == 0 {
-			newestPos = int(v[0])
-			if u.Kind == model.OpDeleteNode {
-				return newestPos, nil, nil // tombstone is the latest <= ts
-			}
-		}
-		chain = append(chain, u)
-		if u.Kind == model.OpAddNode || kts == 0 {
-			break // materialized record (or chain start) reached
-		}
-		seekTS = kts - 1
+// strided is the cooperative check of a loop's n-th pass: ctx's error every
+// cancelStride passes, nil in between.
+func strided(ctx context.Context, n int) error {
+	if n%cancelStride != 0 {
+		return nil
 	}
-	// Fold forward (chain is newest-first).
-	base := chain[len(chain)-1]
-	n := &model.Node{ID: id, Valid: model.Interval{Start: base.TS, End: model.TSInfinity}}
-	base.ApplyToNode(n)
-	for i := len(chain) - 2; i >= 0; i-- {
-		chain[i].ApplyToNode(n)
-		n.Valid.Start = chain[i].TS
-	}
-	return newestPos, n, nil
+	return ctx.Err()
 }
 
-// reconstructRel is the relationship analogue of reconstructNode.
-func (s *Store) reconstructRel(id model.RelID, ts model.Timestamp) (int, *model.Rel, error) {
-	var chain []model.Update
-	newestPos := 0
-	seekTS := ts
-	for {
-		k, v, ok, err := s.rels.SeekFloor(enc.KeyRel(id, seekTS))
+// errCorrupt reports an index entry the write path cannot have left — a key
+// no enc.Key* function writes, a value too short for its head bytes, a delta
+// chain that does not lead back to a full record: tree pages carry no
+// checksum, so a read may meet one.
+var errCorrupt = errors.New("lineagestore: corrupt index entry")
+
+// lineage is what differs between the two version trees — which tree, and
+// how its records become entity versions — so that one chain walker and one
+// delta writer serve nodes and relationships alike.
+type lineage[E comparable] struct {
+	name  string
+	tree  func(*Store) *btree.Tree
+	fresh func(id int64, base model.Update) E // a version holding only base's state; it takes over base's property map
+	fold  func(model.Update, E)               // applies a delta in place
+	clone func(E) E
+	valid func(E) *model.Interval
+	full  func(model.Timestamp, E) model.Update // the materialized record of a version
+}
+
+var nodeLineage = lineage[*model.Node]{
+	name: "node",
+	tree: func(s *Store) *btree.Tree { return s.nodes },
+	fresh: func(id int64, base model.Update) *model.Node {
+		n := &model.Node{ID: model.NodeID(id), Props: base.SetProps, Valid: model.Interval{Start: base.TS, End: model.TSInfinity}}
+		base.SetProps = nil
+		base.ApplyToNode(n)
+		return n
+	},
+	fold:  model.Update.ApplyToNode,
+	clone: (*model.Node).Clone,
+	valid: func(n *model.Node) *model.Interval { return &n.Valid },
+	full: func(ts model.Timestamp, n *model.Node) model.Update {
+		return model.AddNode(ts, n.ID, n.Labels, n.Props)
+	},
+}
+
+var relLineage = lineage[*model.Rel]{
+	name: "rel",
+	tree: func(s *Store) *btree.Tree { return s.rels },
+	fresh: func(id int64, base model.Update) *model.Rel {
+		r := &model.Rel{ID: model.RelID(id), Src: base.Src, Tgt: base.Tgt, Label: base.RelLabel, Props: base.SetProps,
+			Valid: model.Interval{Start: base.TS, End: model.TSInfinity}}
+		base.SetProps = nil
+		base.ApplyToRel(r)
+		return r
+	},
+	fold:  model.Update.ApplyToRel,
+	clone: (*model.Rel).Clone,
+	valid: func(r *model.Rel) *model.Interval { return &r.Valid },
+	full: func(ts model.Timestamp, r *model.Rel) model.Update {
+		return model.AddRel(ts, r.ID, r.Src, r.Tgt, r.Label, r.Props)
+	},
+}
+
+// cell parses the version-tree cell under c: the entity and timestamp of its
+// key, the delta-chain position and the update record of its value. The
+// record aliases the page.
+func cell(c *btree.Cursor) (id int64, ts model.Timestamp, pos int, rec []byte, err error) {
+	nid, ts, ok := enc.ParseKeyNode(c.Key())
+	v := c.Value()
+	if !ok || len(v) < 2 {
+		return 0, 0, 0, nil, errCorrupt
+	}
+	return int64(nid), ts, int(v[0]), v[1:], nil
+}
+
+// versions appends to out the versions of entity id that overlap [start, end)
+// — with start == end, the one valid at that instant — in one pass over c:
+// a single descent to the newest record at or before start, back along the
+// delta chain to the full record it hangs from, forward folding the deltas
+// (Sec 4.4), and on across the records inside the window. A version starts
+// at its record's timestamp and ends at the entity's next record, whatever
+// its kind ("the end time can be inferred by updates that follow", Sec 4.2):
+// the cell the walk stops on. c may sit anywhere; the caller closes it.
+func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btree.Cursor, id int64, start, end model.Timestamp, out []E) ([]E, error) {
+	var (
+		kb        [18]byte
+		cur, none E
+	)
+	if c.SeekFloor(enc.AppendKeyNode(kb[:0], model.NodeID(id), start)) {
+		kid, kts, _, rec, err := cell(c)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		if !ok {
-			return 0, nil, nil
-		}
-		kid, kts, ok := enc.ParseKeyRel(k)
-		if !ok {
-			return 0, nil, errCorruptKey
-		}
-		if kid != id {
-			return 0, nil, nil
-		}
-		u, err := s.codec.DecodeUpdate(v[1:])
-		if err != nil {
-			return 0, nil, err
-		}
-		if len(chain) == 0 {
-			newestPos = int(v[0])
-			if u.Kind == model.OpDeleteRel {
-				return newestPos, nil, nil
+		if deleted, delta := enc.PeekState(rec); kid == id && !deleted {
+			back := 0
+			for ; delta && kts != 0; back++ {
+				if err := strided(ctx, back+1); err != nil {
+					return nil, err
+				}
+				if !c.Prev() {
+					return nil, cmp.Or(c.Err(), errCorrupt)
+				}
+				if kid, kts, _, rec, err = cell(c); err != nil || kid != id {
+					return nil, errCorrupt
+				}
+				_, delta = enc.PeekState(rec)
+			}
+			u, err := s.codec.DecodeUpdate(rec)
+			if err != nil {
+				return nil, err
+			}
+			cur = l.fresh(id, u)
+			for ; back > 0; back-- {
+				if err := strided(ctx, back); err != nil {
+					return nil, err
+				}
+				if !c.Next() {
+					return nil, cmp.Or(c.Err(), errCorrupt)
+				}
+				if u, err = s.codec.DecodeUpdate(c.Value()[1:]); err != nil {
+					return nil, err
+				}
+				l.fold(u, cur)
+				l.valid(cur).Start = u.TS
 			}
 		}
-		chain = append(chain, u)
-		if u.Kind == model.OpAddRel || kts == 0 {
+	}
+	window := model.Interval{Start: start, End: end}
+	for n := 1; c.Next(); n++ {
+		if err := strided(ctx, n); err != nil {
+			return nil, err
+		}
+		kid, kts, _, rec, err := cell(c)
+		if err != nil {
+			return nil, err
+		}
+		if kid != id {
 			break
 		}
-		seekTS = kts - 1
+		if cur != none {
+			l.valid(cur).End = kts
+		}
+		if kts >= end {
+			break
+		}
+		if cur != none && l.valid(cur).Overlaps(window) {
+			out = append(out, cur)
+		}
+		deleted, delta := enc.PeekState(rec)
+		switch {
+		case deleted:
+			cur = none
+		case !delta: // insertion, re-insertion, or materialized state
+			u, err := s.codec.DecodeUpdate(rec)
+			if err != nil {
+				return nil, err
+			}
+			cur = l.fresh(id, u)
+		case cur != none:
+			u, err := s.codec.DecodeUpdate(rec)
+			if err != nil {
+				return nil, err
+			}
+			cur = l.clone(cur)
+			*l.valid(cur) = model.Interval{Start: kts, End: model.TSInfinity}
+			l.fold(u, cur)
+		}
 	}
-	base := chain[len(chain)-1]
-	r := &model.Rel{ID: id, Src: base.Src, Tgt: base.Tgt, Label: base.RelLabel,
-		Valid: model.Interval{Start: base.TS, End: model.TSInfinity}}
-	base.ApplyToRel(r)
-	for i := len(chain) - 2; i >= 0; i-- {
-		chain[i].ApplyToRel(r)
-		r.Valid.Start = chain[i].TS
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
-	return newestPos, r, nil
+	if cur != none && (start == end || l.valid(cur).Overlaps(window)) {
+		out = append(out, cur)
+	}
+	return out, nil
 }
 
-// reconstructNodeLocked / reconstructRelLocked are used on the write path
-// (the caller already holds the write lock; the trees have their own
-// locks, so these simply alias the read-path reconstruction).
-func (s *Store) reconstructNodeLocked(id model.NodeID, ts model.Timestamp) (int, *model.Node, error) {
-	return s.reconstructNode(id, ts)
-}
-
-func (s *Store) reconstructRelLocked(id model.RelID, ts model.Timestamp) (int, *model.Rel, error) {
-	return s.reconstructRel(id, ts)
+// history is the Table 1 call on one entity: its versions between start
+// (inclusive) and end (exclusive), or with start == end the single version
+// valid at that instant, if any. One descent, one cursor.
+func history[E comparable](ctx context.Context, s *Store, l *lineage[E], id int64, start, end model.Timestamp) ([]E, error) {
+	if end < start {
+		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
+	}
+	c := l.tree(s).Cursor()
+	defer c.Close()
+	return versions(ctx, s, l, &c, id, start, end, nil)
 }
 
 // GetNode returns the node's history between start (inclusive) and end
@@ -135,97 +212,10 @@ func (s *Store) GetNode(id model.NodeID, start, end model.Timestamp) ([]*model.N
 	return s.GetNodeContext(context.Background(), id, start, end)
 }
 
-// GetNodeContext is GetNode honouring ctx cancellation: the version range
-// scan checks ctx every cancelStride entries.
+// GetNodeContext is GetNode honouring ctx cancellation: the walk over the
+// window's records checks ctx every cancelStride entries.
 func (s *Store) GetNodeContext(ctx context.Context, id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
-	if end < start {
-		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
-	}
-	_, cur, err := s.reconstructNode(id, start)
-	if err != nil {
-		return nil, err
-	}
-	if start == end {
-		if cur == nil {
-			return nil, nil
-		}
-		s.closeNodeInterval(id, cur)
-		return []*model.Node{cur}, nil
-	}
-	var out []*model.Node
-	emit := func(v *model.Node, until model.Timestamp) {
-		v.Valid.End = until
-		if v.Valid.Valid() && v.Valid.Overlaps(model.Interval{Start: start, End: end}) {
-			out = append(out, v)
-		}
-	}
-	scanned := 0
-	err = s.nodes.Scan(enc.KeyNode(id, start+1), enc.KeyNode(id, end), func(k, v []byte) bool {
-		if scanned++; scanned%cancelStride == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-		}
-		u, derr := s.codec.DecodeUpdate(v[1:])
-		if derr != nil {
-			err = derr
-			return false
-		}
-		switch u.Kind {
-		case model.OpDeleteNode:
-			if cur != nil {
-				emit(cur, u.TS)
-				cur = nil
-			}
-		case model.OpAddNode: // insertion, re-insertion, or materialized state
-			if cur != nil {
-				emit(cur, u.TS)
-			}
-			n := &model.Node{ID: id, Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
-			u.ApplyToNode(n)
-			cur = n
-		case model.OpUpdateNode:
-			if cur != nil {
-				emit(cur, u.TS)
-				next := cur.Clone()
-				next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
-				u.ApplyToNode(next)
-				cur = next
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cur != nil {
-		s.closeNodeInterval(id, cur)
-		if cur.Valid.Valid() && cur.Valid.Overlaps(model.Interval{Start: start, End: end}) {
-			out = append(out, cur)
-		}
-	}
-	return out, nil
-}
-
-// closeNodeInterval fixes a version's open end time by probing for the next
-// update past it ("the end time can be inferred by updates that follow",
-// Sec 4.2).
-func (s *Store) closeNodeInterval(id model.NodeID, n *model.Node) {
-	s.nodes.Scan(enc.KeyNode(id, n.Valid.Start+1), enc.KeyNode(id, model.TSInfinity), func(k, v []byte) bool {
-		if _, ts, ok := enc.ParseKeyNode(k); ok {
-			n.Valid.End = ts
-		}
-		return false
-	})
-}
-
-func (s *Store) closeRelInterval(id model.RelID, r *model.Rel) {
-	s.rels.Scan(enc.KeyRel(id, r.Valid.Start+1), enc.KeyRel(id, model.TSInfinity), func(k, v []byte) bool {
-		if _, ts, ok := enc.ParseKeyRel(k); ok {
-			r.Valid.End = ts
-		}
-		return false
-	})
+	return history(ctx, s, &nodeLineage, int64(id), start, end)
 }
 
 // GetRelationship returns the relationship's history between start and end
@@ -236,140 +226,85 @@ func (s *Store) GetRelationship(id model.RelID, start, end model.Timestamp) ([]*
 
 // GetRelationshipContext is GetRelationship honouring ctx cancellation.
 func (s *Store) GetRelationshipContext(ctx context.Context, id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
-	if end < start {
-		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
-	}
-	_, cur, err := s.reconstructRel(id, start)
-	if err != nil {
-		return nil, err
-	}
-	if start == end {
-		if cur == nil {
-			return nil, nil
-		}
-		s.closeRelInterval(id, cur)
-		return []*model.Rel{cur}, nil
-	}
-	var out []*model.Rel
-	emit := func(v *model.Rel, until model.Timestamp) {
-		v.Valid.End = until
-		if v.Valid.Valid() && v.Valid.Overlaps(model.Interval{Start: start, End: end}) {
-			out = append(out, v)
-		}
-	}
-	scanned := 0
-	err = s.rels.Scan(enc.KeyRel(id, start+1), enc.KeyRel(id, end), func(k, v []byte) bool {
-		if scanned++; scanned%cancelStride == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-		}
-		u, derr := s.codec.DecodeUpdate(v[1:])
-		if derr != nil {
-			err = derr
-			return false
-		}
-		switch u.Kind {
-		case model.OpDeleteRel:
-			if cur != nil {
-				emit(cur, u.TS)
-				cur = nil
-			}
-		case model.OpAddRel:
-			if cur != nil {
-				emit(cur, u.TS)
-			}
-			r := &model.Rel{ID: id, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel,
-				Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
-			u.ApplyToRel(r)
-			cur = r
-		case model.OpUpdateRel:
-			if cur != nil {
-				emit(cur, u.TS)
-				next := cur.Clone()
-				next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
-				u.ApplyToRel(next)
-				cur = next
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cur != nil {
-		s.closeRelInterval(id, cur)
-		if cur.Valid.Valid() && cur.Valid.Overlaps(model.Interval{Start: start, End: end}) {
-			out = append(out, cur)
-		}
-	}
-	return out, nil
+	return history(ctx, s, &relLineage, int64(id), start, end)
 }
 
-// liveRelsAt returns the ids of the relationships incident to a node in
-// the given direction that are live at ts, via a range scan over the
-// neighbour indexes (Sec 4.4).
-func (s *Store) liveRelsAt(ctx context.Context, id model.NodeID, d model.Direction, ts model.Timestamp) ([]model.RelID, error) {
-	live := map[model.RelID]bool{}
-	var order []model.RelID
-	scanned := 0
-	var cerr error
-	scan := func(tree *btree.Tree) error {
-		err := tree.Scan(enc.KeyNeighPrefix(id), enc.KeyNeighPrefix(id+1), func(k, v []byte) bool {
-			if scanned++; scanned%cancelStride == 0 {
-				if cerr = ctx.Err(); cerr != nil {
-					return false
-				}
-			}
-			_, _, ets, rel, ok := enc.ParseKeyNeigh4(k)
-			if !ok {
-				cerr = errCorruptKey
-				return false
-			}
-			if ets > ts {
-				return true // later event; skip (entries per neighbour are time-ordered)
-			}
-			if enc.ParseNeighValue(v) {
-				if live[rel] {
-					live[rel] = false
-				}
-			} else {
-				if !live[rel] {
-					live[rel] = true
-					order = append(order, rel)
-				}
-			}
-			return true
-		})
-		if cerr != nil {
-			return cerr
+// member is one relationship of a neighbour group: the entries of a
+// neighbour index that share both endpoints.
+type member struct {
+	rel  model.RelID
+	live bool
+}
+
+// appendGroup appends the group's relationships to dst, all or the live ones.
+func appendGroup(dst []model.RelID, group []member, liveOnly bool) []model.RelID {
+	for _, m := range group {
+		if m.live || !liveOnly {
+			dst = append(dst, m.rel)
 		}
-		return err
 	}
+	return dst
+}
+
+// scanNeighbours appends to dst, in index order, the relationships tree holds
+// for node a with an event at or before through — only those live at through
+// when liveOnly. A node's entries are contiguous and grouped by neighbour, a
+// relationship's all lie in one group in time order, so each group resolves
+// in a slice that rarely leaves the stack. skipLoops leaves out a's
+// self-loops: the other index holds the same entries for them.
+func scanNeighbours(ctx context.Context, tree *btree.Tree, dst []model.RelID, a model.NodeID, through model.Timestamp, liveOnly, skipLoops bool) ([]model.RelID, error) {
+	var (
+		kb    [9]byte
+		gb    [8]member
+		group = gb[:0]
+		nb    model.NodeID // the group's neighbour
+	)
+	c := tree.Cursor()
+	defer c.Close()
+	c.SeekFloor(enc.AppendKeyNeighPrefix(kb[:0], a)) // the bare prefix sorts just below a's first entry
+	for n := 1; c.Next(); n++ {
+		if err := strided(ctx, n); err != nil {
+			return nil, err
+		}
+		ka, b, ets, rel, ok := enc.ParseKeyNeigh4(c.Key())
+		if !ok {
+			return nil, errCorrupt
+		}
+		if ka != a {
+			break
+		}
+		if b != nb {
+			dst, group, nb = appendGroup(dst, group, liveOnly), group[:0], b
+		}
+		if ets > through || skipLoops && b == a {
+			continue // entries per neighbour are time-ordered, the next neighbour's start over
+		}
+		live, i := !enc.ParseNeighValue(c.Value()), 0
+		for i < len(group) && group[i].rel != rel {
+			i++
+		}
+		if i < len(group) {
+			group[i].live = live
+		} else if live || !liveOnly {
+			group = append(group, member{rel, live})
+		}
+	}
+	return appendGroup(dst, group, liveOnly), c.Err()
+}
+
+// incident is scanNeighbours over the index or indexes direction d names
+// (Sec 4.4): out first, each relationship once.
+func (s *Store) incident(ctx context.Context, dst []model.RelID, id model.NodeID, d model.Direction, through model.Timestamp, liveOnly bool) ([]model.RelID, error) {
+	var err error
 	if d == model.Outgoing || d == model.Both {
-		if err := scan(s.out); err != nil {
+		if dst, err = scanNeighbours(ctx, s.out, dst, id, through, liveOnly, false); err != nil {
 			return nil, err
 		}
 	}
 	if d == model.Incoming || d == model.Both {
-		if err := scan(s.in); err != nil {
-			return nil, err
-		}
+		dst, err = scanNeighbours(ctx, s.in, dst, id, through, liveOnly, d == model.Both)
 	}
-	var out []model.RelID
-	seen := map[model.RelID]bool{}
-	for i, r := range order {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if live[r] && !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return dst, err
 }
 
 // GetRelationships returns a node's (in/out) relationship history between
@@ -381,89 +316,34 @@ func (s *Store) GetRelationships(id model.NodeID, d model.Direction, start, end 
 }
 
 // GetRelationshipsContext is GetRelationships honouring ctx cancellation:
-// both the neighbour-index collection scans and the per-relationship
-// version loops are cancellation points.
+// both the neighbour-index scans and the per-relationship version walks are
+// cancellation points. The candidates — live at the instant, or with any
+// event before end — come from the neighbour indexes; their versions are
+// then read through one cursor on the relationship tree, one descent each,
+// into one backing slice.
 func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
 	if end < start {
 		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
 	}
-	if start == end {
-		ids, err := s.liveRelsAt(ctx, id, d, start)
-		if err != nil {
+	var idb [16]model.RelID
+	// At an instant: the relationships live then. Over a window: those with any event before its end.
+	ids, err := s.incident(ctx, idb[:0], id, d, max(start, end-1), start == end)
+	if err != nil || len(ids) == 0 {
+		return nil, err
+	}
+	out, flat := make([][]*model.Rel, 0, len(ids)), make([]*model.Rel, 0, len(ids))
+	c := s.rels.Cursor()
+	defer c.Close()
+	for i, rid := range ids {
+		if err := strided(ctx, i); err != nil {
 			return nil, err
 		}
-		var out [][]*model.Rel
-		for i, rid := range ids {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			vs, err := s.GetRelationshipContext(ctx, rid, start, start)
-			if err != nil {
-				return nil, err
-			}
-			if len(vs) > 0 {
-				out = append(out, vs)
-			}
-		}
-		return out, nil
-	}
-	// Range: any relationship with an event before end whose validity
-	// overlaps the window.
-	candidates := map[model.RelID]bool{}
-	var order []model.RelID
-	scanned := 0
-	var cerr error
-	collect := func(tree *btree.Tree) error {
-		err := tree.Scan(enc.KeyNeighPrefix(id), enc.KeyNeighPrefix(id+1), func(k, v []byte) bool {
-			if scanned++; scanned%cancelStride == 0 {
-				if cerr = ctx.Err(); cerr != nil {
-					return false
-				}
-			}
-			_, _, ets, rel, ok := enc.ParseKeyNeigh4(k)
-			if !ok {
-				cerr = errCorruptKey
-				return false
-			}
-			if ets >= end {
-				return true
-			}
-			if !candidates[rel] {
-				candidates[rel] = true
-				order = append(order, rel)
-			}
-			return true
-		})
-		if cerr != nil {
-			return cerr
-		}
-		return err
-	}
-	if d == model.Outgoing || d == model.Both {
-		if err := collect(s.out); err != nil {
+		n := len(flat)
+		if flat, err = versions(ctx, s, &relLineage, &c, int64(rid), start, end, flat); err != nil {
 			return nil, err
 		}
-	}
-	if d == model.Incoming || d == model.Both {
-		if err := collect(s.in); err != nil {
-			return nil, err
-		}
-	}
-	var out [][]*model.Rel
-	for i, rid := range order {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		vs, err := s.GetRelationshipContext(ctx, rid, start, end)
-		if err != nil {
-			return nil, err
-		}
-		if len(vs) > 0 {
-			out = append(out, vs)
+		if len(flat) > n {
+			out = append(out, flat[n:len(flat):len(flat)])
 		}
 	}
 	return out, nil
@@ -482,49 +362,53 @@ func (s *Store) Expand(id model.NodeID, d model.Direction, hops int, ts model.Ti
 func (s *Store) ExpandContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
 	result := make([][]*model.Node, hops)
 	queue := []model.NodeID{id}
-	for hop := 0; hop < hops; hop++ {
+	for hop := 0; hop < hops && len(queue) > 0; hop++ {
 		visited := map[model.NodeID]bool{} // S: visited in current hop
 		var next []model.NodeID
 		for _, cid := range queue {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			relIDs, err := s.liveRelsAt(ctx, cid, d, ts)
+			rels, err := s.GetRelationshipsContext(ctx, cid, d, ts, ts)
 			if err != nil {
 				return nil, err
 			}
-			for _, rid := range relIDs {
-				_, r, err := s.reconstructRel(rid, ts)
-				if err != nil {
-					return nil, err
-				}
-				if r == nil {
-					continue
-				}
-				nid := r.Tgt
-				if d == model.Incoming || (d == model.Both && r.Tgt == cid && r.Src != cid) {
-					nid = r.Src
-				} else if d == model.Both && r.Src == cid {
-					nid = r.Tgt
-				}
-				if visited[nid] {
-					continue
-				}
-				visited[nid] = true
-				_, n, err := s.reconstructNode(nid, ts)
-				if err != nil {
-					return nil, err
-				}
-				if n != nil {
-					result[hop] = append(result[hop], n)
-					next = append(next, nid)
-				}
+			if result[hop], next, err = s.expandOne(ctx, cid, d, ts, rels, visited, result[hop], next); err != nil {
+				return nil, err
 			}
 		}
 		queue = next
-		if len(queue) == 0 {
-			break
-		}
 	}
 	return result, nil
+}
+
+// expandOne appends to nodes the states at ts of cid's neighbours over rels
+// that this hop has not visited yet and that exist then — their validity
+// left open, as in the snapshot the TimeStore would expand in — and their
+// ids to next, reading them through one cursor on the node tree.
+func (s *Store) expandOne(ctx context.Context, cid model.NodeID, d model.Direction, ts model.Timestamp, rels [][]*model.Rel,
+	visited map[model.NodeID]bool, nodes []*model.Node, next []model.NodeID) ([]*model.Node, []model.NodeID, error) {
+	c := s.nodes.Cursor()
+	defer c.Close()
+	for _, vs := range rels {
+		r := vs[0]
+		nid := r.Tgt
+		if d == model.Incoming || (d == model.Both && r.Tgt == cid && r.Src != cid) {
+			nid = r.Src
+		}
+		if visited[nid] {
+			continue
+		}
+		visited[nid] = true
+		n := len(nodes)
+		var err error
+		if nodes, err = versions(ctx, s, &nodeLineage, &c, int64(nid), ts, ts, nodes); err != nil {
+			return nil, nil, err
+		}
+		if len(nodes) > n {
+			nodes[n].Valid.End = model.TSInfinity // as a snapshot at ts reports it
+			next = append(next, nid)
+		}
+	}
+	return nodes, next, nil
 }

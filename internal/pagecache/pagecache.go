@@ -61,6 +61,7 @@ func (m *memBackend) WriteAt(p []byte, off int64) (int, error) {
 func (m *memBackend) Close() error { return nil }
 
 type frame struct {
+	owner *Cache
 	id    PageID
 	data  []byte
 	dirty bool
@@ -76,15 +77,30 @@ type Stats struct {
 	Hits, Misses, Evictions uint64
 }
 
-// Cache is an LRU page cache. All methods are safe for concurrent use, but
-// the byte slices handed out by Get are only stable while the page is
-// pinned: callers must Release pages when done.
+// Pool is a page budget: one LRU ring, one capacity and one mutex over the
+// frames of every cache opened on it, so that several files share their
+// memory by recency rather than by a fixed split.
+type Pool struct {
+	mu       sync.Mutex
+	lru      frame // the LRU ring's sentinel: next = most, prev = least recently used
+	capacity int
+	resident int // frames held, over all the pool's caches
+}
+
+// NewPool returns a budget of capacityPages pages (at least 8).
+func NewPool(capacityPages int) *Pool {
+	p := &Pool{capacity: max(capacityPages, 8)}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
+}
+
+// Cache is an LRU page cache over one backing file. All methods are safe for
+// concurrent use, but the byte slices handed out by Get are only stable while
+// the page is pinned: callers must Release pages when done.
 type Cache struct {
-	mu        sync.Mutex
+	pool      *Pool // its mutex guards every field below
 	backend   Backend
 	frames    map[PageID]*frame
-	lru       frame // the LRU ring's sentinel: next = most, prev = least recently used
-	capacity  int
 	pageCount uint64
 	stats     Stats
 	isFile    bool
@@ -92,13 +108,18 @@ type Cache struct {
 }
 
 // Open creates or opens a file-backed cache holding at most capacityPages
-// pages in memory.
+// pages in memory, a budget of its own.
 func Open(path string, capacityPages int) (*Cache, error) {
 	return OpenFS(vfs.OS, path, capacityPages)
 }
 
 // OpenFS is Open on an explicit filesystem.
 func OpenFS(fs vfs.FS, path string, capacityPages int) (*Cache, error) {
+	return NewPool(capacityPages).OpenFS(fs, path)
+}
+
+// OpenFS opens a file-backed cache whose pages count against the pool.
+func (p *Pool) OpenFS(fs vfs.FS, path string) (*Cache, error) {
 	f, err := fs.OpenFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pagecache: open: %w", err)
@@ -107,70 +128,55 @@ func OpenFS(fs vfs.FS, path string, capacityPages int) (*Cache, error) {
 	if err != nil {
 		return nil, errors.Join(fmt.Errorf("pagecache: stat: %w", err), f.Close())
 	}
-	c := newCache(f, capacityPages)
-	c.isFile = true
-	c.pageCount = uint64(size) / PageSize
-	return c, nil
+	return &Cache{pool: p, backend: f, frames: make(map[PageID]*frame), isFile: true, pageCount: uint64(size) / PageSize}, nil
 }
 
 // OpenMem creates a memory-backed cache (for tests and in-memory stores).
 func OpenMem(capacityPages int) *Cache {
-	return newCache(&memBackend{}, capacityPages)
-}
-
-func newCache(b Backend, capacityPages int) *Cache {
-	if capacityPages < 8 {
-		capacityPages = 8
-	}
-	c := &Cache{
-		backend:  b,
-		frames:   make(map[PageID]*frame, capacityPages),
-		capacity: capacityPages,
-	}
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
-	return c
+	return &Cache{pool: NewPool(capacityPages), backend: &memBackend{}, frames: make(map[PageID]*frame)}
 }
 
 // PageCount returns the number of allocated pages.
 func (c *Cache) PageCount() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
 	return c.pageCount
 }
 
 // Stats returns a snapshot of the hit/miss/eviction counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
 	return c.stats
 }
 
 // DiskBytes reports the size of the backing storage in bytes.
 func (c *Cache) DiskBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
 	return int64(c.pageCount) * PageSize
 }
 
 // Allocate appends a zeroed page and returns it pinned.
 func (c *Cache) Allocate() (PageID, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := PageID(c.pageCount)
-	c.pageCount++
-	if err := c.evictLocked(); err != nil {
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
+	data, err := c.pool.makeRoom()
+	if err != nil {
 		return 0, nil, err
 	}
-	fr := &frame{id: id, data: make([]byte, PageSize), dirty: true, pins: 1}
-	c.frames[id] = fr
-	return id, fr.data, nil
+	clear(data)
+	id := PageID(c.pageCount)
+	c.pageCount++
+	c.hold(&frame{owner: c, id: id, data: data, dirty: true, pins: 1})
+	return id, data, nil
 }
 
 // Get returns the page's data, pinned. The caller must Release it. The
 // slice may be written; call MarkDirty before Release to persist changes.
 func (c *Cache) Get(id PageID) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
 	if fr, ok := c.frames[id]; ok {
 		c.stats.Hits++
 		c.pin(fr)
@@ -180,16 +186,22 @@ func (c *Cache) Get(id PageID) ([]byte, error) {
 	if id >= PageID(c.pageCount) {
 		return nil, fmt.Errorf("pagecache: page %d out of range (count %d)", id, c.pageCount)
 	}
-	if err := c.evictLocked(); err != nil {
+	data, err := c.pool.makeRoom()
+	if err != nil {
 		return nil, err
 	}
-	data := make([]byte, PageSize)
-	if _, err := c.backend.ReadAt(data, int64(id)*PageSize); err != nil && err != io.EOF {
+	n, err := c.backend.ReadAt(data, int64(id)*PageSize)
+	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("pagecache: read page %d: %w", id, err)
 	}
-	fr := &frame{id: id, data: data, pins: 1}
-	c.frames[id] = fr
+	clear(data[n:]) // a page past the file's end reads as zeroes, whatever the buffer held
+	c.hold(&frame{owner: c, id: id, data: data, pins: 1})
 	return data, nil
+}
+
+func (c *Cache) hold(fr *frame) {
+	c.frames[fr.id] = fr
+	c.pool.resident++
 }
 
 func (c *Cache) pin(fr *frame) {
@@ -208,8 +220,8 @@ func (fr *frame) unlink() {
 // MarkDirty records that the page's contents changed and must be written
 // back. The page must currently be pinned.
 func (c *Cache) MarkDirty(id PageID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
 	if fr, ok := c.frames[id]; ok {
 		fr.dirty = true
 	}
@@ -217,40 +229,48 @@ func (c *Cache) MarkDirty(id PageID) {
 
 // Release unpins a page obtained from Get or Allocate.
 func (c *Cache) Release(id PageID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
 	fr, ok := c.frames[id]
 	if !ok || fr.pins == 0 {
 		return
 	}
 	fr.pins--
 	if fr.pins == 0 {
-		fr.prev, fr.next = &c.lru, c.lru.next
+		fr.prev, fr.next = &c.pool.lru, c.pool.lru.next
 		fr.prev.next, fr.next.prev = fr, fr
 	}
 }
 
-// evictLocked makes room for one more frame by writing back and dropping
-// the least recently used unpinned frame, if the cache is full.
-func (c *Cache) evictLocked() error {
-	for len(c.frames) >= c.capacity {
-		fr := c.lru.prev
-		if fr == &c.lru {
+// makeRoom returns a page buffer for one more frame: while the pool is full
+// it writes back and drops the least recently used unpinned frame, whichever
+// cache owns it, and hands on the last such frame's buffer; otherwise a new one.
+func (p *Pool) makeRoom() ([]byte, error) {
+	var data []byte
+	for p.resident >= p.capacity {
+		fr := p.lru.prev
+		if fr == &p.lru {
 			// Everything pinned: allow temporary over-capacity rather
 			// than deadlock.
-			return nil
+			break
 		}
+		c := fr.owner
 		if fr.dirty {
 			if _, err := c.backend.WriteAt(fr.data, int64(fr.id)*PageSize); err != nil {
 				c.failed = err
-				return fmt.Errorf("pagecache: writeback page %d: %w", fr.id, err)
+				return nil, fmt.Errorf("pagecache: writeback page %d: %w", fr.id, err)
 			}
 		}
 		fr.unlink()
 		delete(c.frames, fr.id)
 		c.stats.Evictions++
+		p.resident--
+		data = fr.data
 	}
-	return nil
+	if data == nil {
+		data = make([]byte, PageSize)
+	}
+	return data, nil
 }
 
 // Flush writes back all dirty frames (and fsyncs file backends).
@@ -260,8 +280,8 @@ func (c *Cache) evictLocked() error {
 // the kernel will never retry, so continuing would persist a tree whose
 // pages are silently inconsistent.
 func (c *Cache) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
 	return c.flushLocked()
 }
 
@@ -289,12 +309,32 @@ func (c *Cache) flushLocked() error {
 	return nil
 }
 
-// Close flushes and closes the backing storage.
+// Close flushes, returns the cache's frames to the pool's budget and closes
+// the backing storage.
 func (c *Cache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.flushLocked(); err != nil {
-		return errors.Join(err, c.backend.Close())
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
+	err := c.flushLocked()
+	for _, fr := range c.frames {
+		if fr.next != nil {
+			fr.unlink()
+		}
 	}
-	return c.backend.Close()
+	c.pool.resident -= len(c.frames)
+	clear(c.frames)
+	return errors.Join(err, c.backend.Close())
+}
+
+// Pinned returns how many of the cache's pages are pinned: zero whenever no
+// tree operation or cursor is in flight.
+func (c *Cache) Pinned() int {
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
+	n := 0
+	for _, fr := range c.frames {
+		if fr.pins > 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -1,8 +1,11 @@
 package pagecache
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
+
+	"aion/internal/vfs"
 )
 
 func TestAllocateGetRoundTrip(t *testing.T) {
@@ -201,5 +204,107 @@ func TestEvictionFollowsLastRelease(t *testing.T) {
 		if cached := c.Stats().Hits == before+1; cached != want.cached {
 			t.Errorf("page %d cached = %v, want %v", want.id, cached, want.cached)
 		}
+	}
+}
+
+// TestPoolSharesOneBudget: caches opened on one pool evict each other's least
+// recently used pages, hold no more than the budget together, read evicted
+// pages back intact (the frame's buffer is reused, never its contents), and
+// give their share back when closed.
+func TestPoolSharesOneBudget(t *testing.T) {
+	fs, pool := vfs.NewFaultFS(), NewPool(8)
+	var cs [2]*Cache
+	for i := range cs {
+		c, err := pool.OpenFS(fs, fmt.Sprintf("c%d.idx", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs[i] = c
+	}
+	for p := 0; p < 12; p++ { // 24 pages through a budget of 8
+		for i, c := range cs {
+			id, data, err := c.Allocate()
+			if err != nil || id != PageID(p) {
+				t.Fatal(id, err)
+			}
+			for j := range data {
+				data[j] = byte(16*i + p)
+			}
+			c.Release(id)
+		}
+	}
+	if pool.resident != 8 || len(cs[0].frames)+len(cs[1].frames) != 8 {
+		t.Fatalf("the pool holds %d frames (%d + %d), want its budget of 8", pool.resident, len(cs[0].frames), len(cs[1].frames))
+	}
+	if ev := cs[0].Stats().Evictions + cs[1].Stats().Evictions; ev != 16 {
+		t.Errorf("%d evictions, want 16", ev)
+	}
+	// cs[1]'s reads push cs[0]'s pages out: the budget goes where the use is.
+	for round := 0; round < 2; round++ {
+		for p := 0; p < 8; p++ {
+			data, err := cs[1].Get(PageID(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data[0] != byte(16+p) || data[PageSize-1] != byte(16+p) {
+				t.Fatalf("page %d of the second cache reads %d..%d, want %d", p, data[0], data[PageSize-1], 16+p)
+			}
+			cs[1].Release(PageID(p))
+		}
+	}
+	if len(cs[0].frames) != 0 || len(cs[1].frames) != 8 {
+		t.Errorf("after reading only the second cache the frames are %d + %d, want 0 + 8", len(cs[0].frames), len(cs[1].frames))
+	}
+	if st := cs[1].Stats(); st.Hits != 8 {
+		t.Errorf("the second pass over 8 resident pages hit %d times, want 8", st.Hits)
+	}
+	if err := cs[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pool.resident != 0 || pool.lru.next != &pool.lru {
+		t.Errorf("a closed cache left %d frames in the pool", pool.resident)
+	}
+	if data, err := cs[0].Get(3); err != nil || data[7] != 3 {
+		t.Errorf("the first cache after the second closed: %v", err)
+	}
+	cs[0].Release(3)
+	if err := cs[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMissReusesTheEvictedBuffer: at capacity a miss and an Allocate take
+// over the evicted frame's page buffer — Allocate zeroes it, a read past the
+// file's end zeroes the tail — instead of allocating another.
+func TestMissReusesTheEvictedBuffer(t *testing.T) {
+	c := OpenMem(8)
+	defer c.Close()
+	for i := 0; i < 16; i++ {
+		id, data, err := c.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[100] != 0 {
+			t.Fatalf("allocated page %d is not zeroed", id)
+		}
+		for j := range data {
+			data[j] = 0xee
+		}
+		c.Release(id)
+	}
+	next := PageID(0)
+	allocs := testing.AllocsPerRun(64, func() {
+		data, err := c.Get(next % 16)
+		if err != nil || data[100] != 0xee {
+			t.Fatal(err)
+		}
+		c.Release(next % 16)
+		next++ // a cyclic scan of twice the capacity always misses
+	})
+	if allocs > 1 { // the frame; not the 4 KiB buffer
+		t.Errorf("a miss at capacity allocates %.0f times, want 1", allocs)
+	}
+	if st := c.Stats(); st.Hits != 0 {
+		t.Errorf("%d hits, the test meant every read to miss", st.Hits)
 	}
 }

@@ -1,7 +1,9 @@
 package system
 
 import (
+	"context"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -265,5 +267,48 @@ func BenchmarkDisk(b *testing.B) {
 	}
 	if per := float64(lineage) / float64(updates); per > lineageBudget {
 		b.Fatalf("the LineageStore trees take %.1f bytes per update, over the budget of %d", per, lineageBudget)
+	}
+}
+
+// expandGetsBudget is BenchmarkExpand1's ceiling on page-cache accesses per
+// returned relationship: half of what the read path cost when every link of
+// an entity's locality was a descent of its own (6.916, measured at the
+// commit before the cursor).
+const expandGetsBudget = 6.916 / 2
+
+// BenchmarkExpand1 is point-history's expand class on the LineageStore alone:
+// the outgoing relationships of a uniformly drawn node at a uniformly drawn
+// commit timestamp of the benchmark-shaped store. Beside ns/op it reports
+// nanoseconds and page-cache accesses (hits + misses: a count, exact for a
+// fixed -benchtime Nx) per returned relationship, and fails over the budget.
+// make expand-budget runs it.
+func BenchmarkExpand1(b *testing.B) {
+	opts, _ := loadBenchmarkShape(b)
+	s, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ls, last := s.Aion.LineageStore(), int64(s.Aion.TimeStore().LatestTimestamp())
+	nodes := int64(datagen.MustPreset("DBLP", 20).Nodes)
+	rng, ctx, rels := rand.New(rand.NewSource(1)), context.Background(), 0
+	before := ls.Stats().Cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := model.Timestamp(1 + rng.Int63n(last))
+		hs, err := ls.GetRelationshipsContext(ctx, model.NodeID(rng.Int63n(nodes)), model.Outgoing, at, at)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rels += len(hs)
+	}
+	b.StopTimer()
+	after := ls.Stats().Cache
+	gets := float64(after.Hits+after.Misses-before.Hits-before.Misses) / float64(max(rels, 1))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(rels, 1)), "ns/rel")
+	b.ReportMetric(gets, "gets/rel")
+	b.ReportMetric(float64(rels)/float64(b.N), "rels/op")
+	if b.N > 1000 && gets > expandGetsBudget {
+		b.Fatalf("an expand costs %.2f page-cache accesses per returned relationship, over the budget of %.2f", gets, float64(expandGetsBudget))
 	}
 }
