@@ -8,15 +8,15 @@ import (
 
 // Cursor is the tree's one read primitive: a position among the leaf cells
 // that one root-to-leaf descent establishes and Prev and Next then move.
-// From Tree.Cursor to Close it holds the tree's read lock — writers wait,
-// other readers do not — and, while positioned, the pin of exactly one leaf,
-// plus the root's from its first descent on, since every later one starts
-// there. Key and Value alias that leaf: they are valid until the cursor next
-// moves or closes, and the caller copies what it keeps. A goroutine must not
-// open a second cursor on the same tree while one is open (a writer queued
-// between the two read locks would deadlock both), and must Close on every
-// path. After an I/O error the cursor holds no leaf, every move reports
-// false, and Err returns the error.
+// From Tree.Cursor to Close it holds the tree's read lock — writers wait (a
+// long reader lets them in with Yield), other readers do not — and, while
+// positioned, the pin of exactly one leaf, plus the root's from its first
+// descent on, since every later one starts there. Key and Value alias that
+// leaf: they are valid until the cursor next moves, yields or closes, and the
+// caller copies what it keeps. A goroutine must not open a second cursor on
+// the same tree while one is open (a writer queued between the two read locks
+// would deadlock both), and must Close on every path. After an I/O error the
+// cursor holds no leaf, every move reports false, and Err returns the error.
 type Cursor struct {
 	t    *Tree
 	pid  pagecache.PageID
@@ -39,6 +39,14 @@ func (c *Cursor) Close() {
 		c.t.pc.Release(c.t.root)
 	}
 	c.t.mu.RUnlock()
+}
+
+// Yield lets a waiting writer in: it drops the pins and the read lock, takes
+// the lock again and leaves the cursor unpositioned.
+func (c *Cursor) Yield() {
+	c.Close()
+	*c = Cursor{t: c.t, err: c.err}
+	c.t.mu.RLock()
 }
 
 // Err returns the error that stopped the cursor, if any.
@@ -146,9 +154,13 @@ func (c *Cursor) Next() bool {
 	return true
 }
 
+// aboveAll sorts after every key a tree can hold.
+var aboveAll = bytes.Repeat([]byte{0xff}, MaxKeyLen+1)
+
 // Prev moves to the preceding cell and reports whether there is one. Leaves
 // link forwards only: stepping off a leaf's first cell costs one descent,
-// for the largest key below it.
+// for the largest key below it — below everything when Next ran off the tree
+// onto an empty last leaf, which has no cell to step from.
 func (c *Cursor) Prev() bool {
 	if c.page == nil || c.idx < 0 {
 		return false
@@ -157,8 +169,11 @@ func (c *Cursor) Prev() bool {
 		c.idx--
 		return true
 	}
-	old := c.pid // stays pinned through the descent: the bound aliases it
-	if !c.descend(c.t.root, c.Key(), true) {
+	old, bound := c.pid, aboveAll // old stays pinned through the descent: the bound aliases it
+	if nKeys(c.page) > 0 {
+		bound = c.Key()
+	}
+	if !c.descend(c.t.root, bound, true) {
 		if c.err != nil {
 			c.unpin()
 		} else {

@@ -123,6 +123,110 @@ func TestCursorMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCursorPrevFromAnEmptyTail empties the tree's last leaves — deletes do
+// not rebalance, so the chain still ends in them — runs Next off the end and
+// steps back: Prev must find the largest key left, with no cell to start
+// from; and on a tree emptied altogether there is nothing either way.
+func TestCursorPrevFromAnEmptyTail(t *testing.T) {
+	pc := pagecache.OpenMem(16)
+	tr, err := Open(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, kept = 4000, 3000
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := kept; i < n; i++ {
+		tr.Delete(key(i))
+	}
+	// A dead slot of an emptied leaf still points at its old cell; point it
+	// at an empty key instead, so that a Prev that reads it goes astray.
+	for pid := tr.root; ; {
+		p, err := pc.Get(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := pagecache.PageID(extra(p)) // an internal page's leftmost child, a leaf's successor
+		if isLeaf(p) && nKeys(p) == 0 {
+			clear(p[pageSize-8:])
+			setSlotOff(p, 0, pageSize-8)
+			pc.MarkDirty(pid)
+		}
+		pc.Release(pid)
+		if isLeaf(p) && next == 0 {
+			break
+		}
+		pid = next
+	}
+	c := tr.Cursor()
+	if !c.SeekFloor(key(kept - 10)) {
+		t.Fatal("no floor")
+	}
+	steps := 0
+	for c.Next() {
+		steps++
+	}
+	if steps != 9 {
+		t.Fatalf("%d cells after the floor, want 9", steps)
+	}
+	if !c.Prev() || !bytes.Equal(c.Key(), key(kept-1)) || !bytes.Equal(c.Value(), val(kept-1)) {
+		t.Fatalf("Prev from the empty tail: %v", c.Err())
+	}
+	if c.Next() || !c.Prev() || !bytes.Equal(c.Key(), key(kept-1)) {
+		t.Fatal("a second round trip over the empty tail")
+	}
+	c.Close()
+
+	for i := 0; i < kept; i++ {
+		tr.Delete(key(i))
+	}
+	c = tr.Cursor()
+	if c.SeekFloor(key(5)) || c.Next() || c.Prev() || c.Next() || c.Err() != nil {
+		t.Fatalf("a cursor moved on an empty tree: %v", c.Err())
+	}
+	c.Close()
+	if n := pc.Pinned(); n != 0 {
+		t.Fatalf("%d pages left pinned", n)
+	}
+}
+
+// TestCursorYield: a yielded cursor lets a writer through, holds no page
+// while it waits, and seeks again afterwards.
+func TestCursorYield(t *testing.T) {
+	pc := pagecache.OpenMem(64)
+	tr, _ := Open(pc)
+	for i := 0; i < 2000; i++ {
+		tr.Put(key(i), val(i))
+	}
+	c := tr.Cursor()
+	defer c.Close()
+	if !c.SeekFloor(key(1000)) {
+		t.Fatal("no floor")
+	}
+	put := make(chan error)
+	go func() { put <- tr.Put(key(5000), val(5000)) }()
+	for done := false; !done; {
+		select {
+		case err := <-put:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+			c.Yield()
+		}
+	}
+	if n := pc.Pinned(); n != 0 {
+		t.Fatalf("a yielded cursor pins %d pages", n)
+	}
+	if c.Next() || !c.SeekFloor(key(9999)) || !bytes.Equal(c.Key(), key(5000)) {
+		t.Fatal("the cursor after Yield")
+	}
+}
+
 // TestCursorReleasesOnEveryExit drives the cursor's early exits — a Scan
 // callback returning false, a read error mid-descent and mid-chain, a cursor
 // closed where it stands — and requires that each leaves no page pinned and
@@ -234,5 +338,31 @@ func TestCursorReadAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("a cached cursor read allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestSequentialSplitKeepsPagesFull verifies the rightmost-append split
+// optimization: ascending inserts should fill pages near 100 % rather than
+// the 50 % a half-split would leave.
+func TestSequentialSplitKeepsPagesFull(t *testing.T) {
+	pc := pagecache.OpenMem(1 << 16)
+	tr, _ := Open(pc)
+	payload := 0
+	for i := 0; i < 30000; i++ {
+		k := key(i) // ascending
+		v := val(i)
+		tr.Put(k, v)
+		payload += len(k) + len(v) + 4 + 2
+	}
+	fill := float64(payload) / float64(tr.DiskBytes())
+	if fill < 0.85 {
+		t.Errorf("sequential fill factor = %.2f, want >= 0.85", fill)
+	}
+	// And the data is still correct.
+	for i := 0; i < 30000; i += 997 {
+		v, ok, _ := tr.Get(key(i))
+		if !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("get %d after sequential load", i)
+		}
 	}
 }

@@ -40,41 +40,32 @@ func readUint(k []byte) (v uint64, rest []byte, ok bool) {
 	return v, k[n:], true
 }
 
-// AppendKeyNode appends a LineageStore node key, (nodeId, ts), to b.
-func AppendKeyNode(b []byte, id model.NodeID, ts model.Timestamp) []byte {
+// AppendKeyVersion appends a version-tree key, (entityId, ts), to b. The
+// node tree and the relationship tree share this one format — KeyNode and
+// KeyRel are its typed spellings — so one chain walker reads both.
+func AppendKeyVersion(b []byte, id int64, ts model.Timestamp) []byte {
 	return appendUint(appendUint(b, uint64(id)), uint64(ts))
 }
 
-// KeyNode encodes a LineageStore node key: (nodeId, ts).
-func KeyNode(id model.NodeID, ts model.Timestamp) []byte {
-	return AppendKeyNode(make([]byte, 0, 18), id, ts)
-}
-
-// ParseKeyNode decodes a key written by KeyNode; ok is false, and the rest
-// zero, for bytes KeyNode cannot have written.
-func ParseKeyNode(k []byte) (id model.NodeID, ts model.Timestamp, ok bool) {
+// ParseKeyVersion decodes a key written by AppendKeyVersion; ok is false, and
+// the rest zero, for bytes it cannot have written.
+func ParseKeyVersion(k []byte) (id int64, ts model.Timestamp, ok bool) {
 	a, k, _ := readUint(k)
 	t, k, ok := readUint(k)
 	if !ok || len(k) != 0 {
 		return 0, 0, false
 	}
-	return model.NodeID(a), model.Timestamp(t), true
+	return int64(a), model.Timestamp(t), true
 }
 
-// AppendKeyRel appends a LineageStore relationship key, (relId, ts), to b.
-func AppendKeyRel(b []byte, id model.RelID, ts model.Timestamp) []byte {
-	return AppendKeyNode(b, model.NodeID(id), ts)
+// KeyNode encodes a LineageStore node key: (nodeId, ts).
+func KeyNode(id model.NodeID, ts model.Timestamp) []byte {
+	return AppendKeyVersion(make([]byte, 0, 18), int64(id), ts)
 }
 
 // KeyRel encodes a LineageStore relationship key: (relId, ts).
 func KeyRel(id model.RelID, ts model.Timestamp) []byte {
-	return KeyNode(model.NodeID(id), ts)
-}
-
-// ParseKeyRel decodes a key written by KeyRel, like ParseKeyNode.
-func ParseKeyRel(k []byte) (model.RelID, model.Timestamp, bool) {
-	id, ts, ok := ParseKeyNode(k)
-	return model.RelID(id), ts, ok
+	return AppendKeyVersion(make([]byte, 0, 18), int64(id), ts)
 }
 
 // AppendKeyNeighPrefix appends the (aId) prefix all neighbourhood keys of a

@@ -86,13 +86,12 @@ func TestNeighKeysLieInPrefixRange(t *testing.T) {
 func TestKeyParseRoundTrip(t *testing.T) {
 	for _, a := range keyEdges {
 		for _, b := range keyEdges {
-			id, ts, ok := ParseKeyNode(KeyNode(model.NodeID(a), model.Timestamp(b)))
-			if !ok || uint64(id) != a || uint64(ts) != b {
-				t.Errorf("node key (%d, %d) parsed as (%d, %d, %v)", a, b, id, ts, ok)
-			}
-			rid, rts, ok := ParseKeyRel(KeyRel(model.RelID(a), model.Timestamp(b)))
-			if !ok || uint64(rid) != a || uint64(rts) != b {
-				t.Errorf("rel key (%d, %d) parsed as (%d, %d, %v)", a, b, rid, rts, ok)
+			// The two version trees share one key format.
+			for _, k := range [][]byte{KeyNode(model.NodeID(a), model.Timestamp(b)), KeyRel(model.RelID(a), model.Timestamp(b))} {
+				id, ts, ok := ParseKeyVersion(k)
+				if !ok || uint64(id) != a || uint64(ts) != b {
+					t.Errorf("version key (%d, %d) = %x parsed as (%d, %d, %v)", a, b, k, id, ts, ok)
+				}
 			}
 			x, y, nts, rel, ok := ParseKeyNeigh4(KeyNeigh4(model.NodeID(a), model.NodeID(b), model.Timestamp(a), model.RelID(b)))
 			if !ok || uint64(x) != a || uint64(y) != b || uint64(nts) != a || uint64(rel) != b {
@@ -164,13 +163,12 @@ func FuzzParseKeys(f *testing.F) {
 	f.Add(KeyNeigh4(300, 0, 70000, 1<<56))
 	f.Add(KeyNeigh4(-1, 1, math.MinInt64, 2))
 	f.Fuzz(func(t *testing.T, k []byte) {
-		id, ts, ok := ParseKeyNode(k)
-		if ok != bytes.Equal(k, KeyNode(id, ts)) || !ok && (id != 0 || ts != 0) {
-			t.Fatalf("ParseKeyNode(%x) = (%d, %d, %v)", k, id, ts, ok)
+		id, ts, ok := ParseKeyVersion(k)
+		if ok != bytes.Equal(k, AppendKeyVersion(nil, id, ts)) || !ok && (id != 0 || ts != 0) {
+			t.Fatalf("ParseKeyVersion(%x) = (%d, %d, %v)", k, id, ts, ok)
 		}
-		rid, rts, rok := ParseKeyRel(k)
-		if rok != ok || uint64(rid) != uint64(id) || rts != ts {
-			t.Fatalf("ParseKeyRel(%x) = (%d, %d, %v), ParseKeyNode (%d, %d, %v)", k, rid, rts, rok, id, ts, ok)
+		if ok && !(bytes.Equal(k, KeyNode(model.NodeID(id), ts)) && bytes.Equal(k, KeyRel(model.RelID(id), ts))) {
+			t.Fatalf("KeyNode and KeyRel of (%d, %d) are not the version key %x", id, ts, k)
 		}
 		a, b, nts, rel, ok := ParseKeyNeigh4(k)
 		if ok != bytes.Equal(k, KeyNeigh4(a, b, nts, rel)) || !ok && (a != 0 || b != 0 || nts != 0 || rel != 0) {

@@ -339,11 +339,11 @@ func (s *Store) ApplyBatch(us []model.Update) error {
 func (s *Store) indexLocked(u model.Update) error {
 	switch u.Kind {
 	case model.OpAddNode, model.OpDeleteNode:
-		return s.putVersion(s.nodes, 0, u)
+		return s.putVersion(s.nodes, int64(u.NodeID), 0, u)
 	case model.OpUpdateNode:
 		return putDelta(s, &nodeLineage, int64(u.NodeID), u)
 	case model.OpAddRel, model.OpDeleteRel:
-		if err := s.putVersion(s.rels, 0, u); err != nil {
+		if err := s.putVersion(s.rels, int64(u.RelID), 0, u); err != nil {
 			return err
 		}
 		if err := s.putNeigh(s.out, u.Src, u.Tgt, u); err != nil {
@@ -356,14 +356,11 @@ func (s *Store) indexLocked(u model.Update) error {
 	return fmt.Errorf("lineagestore: unknown op %v", u.Kind)
 }
 
-// putVersion stores u in the nodes or the rels tree as a version record with
-// the given delta-chain position. Key and record are built in the one
-// store-owned buffer; the tree copies them into its page.
-func (s *Store) putVersion(tree *btree.Tree, chainPos int, u model.Update) error {
-	key := enc.AppendKeyNode(s.scratch[:0], u.NodeID, u.TS)
-	if tree == s.rels {
-		key = enc.AppendKeyRel(s.scratch[:0], u.RelID, u.TS)
-	}
+// putVersion stores u in the nodes or the rels tree as entity id's version
+// record with the given delta-chain position. Key and record are built in the
+// one store-owned buffer; the tree copies them into its page.
+func (s *Store) putVersion(tree *btree.Tree, id int64, chainPos int, u model.Update) error {
+	key := enc.AppendKeyVersion(s.scratch[:0], id, u.TS)
 	buf, err := s.codec.AppendUpdate(append(key, byte(chainPos)), u)
 	if err != nil {
 		return err
@@ -386,7 +383,7 @@ func (s *Store) putNeigh(tree *btree.Tree, a, b model.NodeID, u model.Update) er
 func (s *Store) chainHead(tree *btree.Tree, id int64, ts model.Timestamp) (pos int, live bool, err error) {
 	c := tree.Cursor()
 	defer c.Close()
-	if !c.SeekFloor(enc.AppendKeyNode(s.scratch[:0], model.NodeID(id), ts)) {
+	if !c.SeekFloor(enc.AppendKeyVersion(s.scratch[:0], id, ts)) {
 		return 0, false, c.Err()
 	}
 	kid, _, pos, rec, err := cell(&c)
@@ -417,7 +414,7 @@ func putDelta[E comparable](s *Store, l *lineage[E], id int64, u model.Update) e
 		l.fold(u, vs[0])
 		u, pos = l.full(u.TS, vs[0]), 0
 	}
-	return s.putVersion(tree, pos, u)
+	return s.putVersion(tree, id, pos, u)
 }
 
 // Stats reports store counters for the benchmark harness.

@@ -52,7 +52,7 @@ func rewriteAsParent(t *testing.T, path string, neigh bool) {
 			}
 			perr = out.Put(fixedWidth(uint64(a), uint64(b), uint64(ts), uint64(rel)), append(fixedWidth(uint64(rel)), v...))
 		} else {
-			id, ts, ok := enc.ParseKeyNode(k)
+			id, ts, ok := enc.ParseKeyVersion(k)
 			if !ok {
 				t.Fatalf("%s holds the key %x", path, k)
 			}

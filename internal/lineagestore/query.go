@@ -83,12 +83,12 @@ var relLineage = lineage[*model.Rel]{
 // key, the delta-chain position and the update record of its value. The
 // record aliases the page.
 func cell(c *btree.Cursor) (id int64, ts model.Timestamp, pos int, rec []byte, err error) {
-	nid, ts, ok := enc.ParseKeyNode(c.Key())
+	id, ts, ok := enc.ParseKeyVersion(c.Key())
 	v := c.Value()
 	if !ok || len(v) < 2 {
 		return 0, 0, 0, nil, errCorrupt
 	}
-	return int64(nid), ts, int(v[0]), v[1:], nil
+	return id, ts, int(v[0]), v[1:], nil
 }
 
 // versions appends to out the versions of entity id that overlap [start, end)
@@ -104,7 +104,7 @@ func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btr
 		kb        [18]byte
 		cur, none E
 	)
-	if c.SeekFloor(enc.AppendKeyNode(kb[:0], model.NodeID(id), start)) {
+	if c.SeekFloor(enc.AppendKeyVersion(kb[:0], id, start)) {
 		kid, kts, _, rec, err := cell(c)
 		if err != nil {
 			return nil, err
@@ -320,7 +320,7 @@ func (s *Store) GetRelationships(id model.NodeID, d model.Direction, start, end 
 // cancellation points. The candidates — live at the instant, or with any
 // event before end — come from the neighbour indexes; their versions are
 // then read through one cursor on the relationship tree, one descent each,
-// into one backing slice.
+// into one backing slice, the cursor yielding to the writer every cancelStride.
 func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
 	if end < start {
 		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
@@ -337,6 +337,9 @@ func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d 
 	for i, rid := range ids {
 		if err := strided(ctx, i); err != nil {
 			return nil, err
+		}
+		if i%cancelStride == cancelStride-1 {
+			c.Yield() // a hub must not hold the cascade out of the tree for its whole length
 		}
 		n := len(flat)
 		if flat, err = versions(ctx, s, &relLineage, &c, int64(rid), start, end, flat); err != nil {
@@ -390,7 +393,10 @@ func (s *Store) expandOne(ctx context.Context, cid model.NodeID, d model.Directi
 	visited map[model.NodeID]bool, nodes []*model.Node, next []model.NodeID) ([]*model.Node, []model.NodeID, error) {
 	c := s.nodes.Cursor()
 	defer c.Close()
-	for _, vs := range rels {
+	for i, vs := range rels {
+		if i%cancelStride == cancelStride-1 {
+			c.Yield() // as in GetRelationshipsContext
+		}
 		r := vs[0]
 		nid := r.Tgt
 		if d == model.Incoming || (d == model.Both && r.Tgt == cid && r.Src != cid) {

@@ -261,3 +261,52 @@ func TestReadsMatchTheReferenceModel(t *testing.T) {
 		}
 	}
 }
+
+// TestHubReadsMatchTheReferenceModel: a node with more relationships than a
+// multi-entity read keeps its cursor for — it yields the tree every
+// cancelStride entities — is read like any other.
+func TestHubReadsMatchTheReferenceModel(t *testing.T) {
+	s := openStore(t, Options{IndexCachePages: 2})
+	defer s.Close()
+	const hub, spokes = 0, 3*cancelStride + 7
+	var us []model.Update
+	for i := 0; i <= spokes; i++ {
+		us = append(us, model.AddNode(1, model.NodeID(i), []string{"N"}, nil))
+	}
+	ends := func(i int) (src, tgt model.NodeID) { // every third relationship points at the hub
+		if i%3 == 0 {
+			return model.NodeID(i), hub
+		}
+		return hub, model.NodeID(i)
+	}
+	for i := 1; i <= spokes; i++ {
+		src, tgt := ends(i)
+		us = append(us, model.AddRel(2, model.RelID(i), src, tgt, "R", nil))
+	}
+	for i := 1; i <= spokes; i += 5 {
+		src, tgt := ends(i)
+		us = append(us, model.UpdateRel(3, model.RelID(i), src, tgt, model.Properties{"w": model.IntValue(int64(i))}, nil))
+	}
+	for i := 2; i <= spokes; i += 7 {
+		src, tgt := ends(i)
+		us = append(us, model.DeleteRel(4, model.RelID(i), src, tgt))
+	}
+	m := &refmodel.Model{}
+	m.Apply(us...)
+	if err := s.ApplyBatch(us); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []model.Direction{model.Outgoing, model.Incoming, model.Both} {
+		for _, w := range [][2]model.Timestamp{{2, 2}, {4, 4}, {0, 5}, {3, 4}} {
+			got, err := s.GetRelationships(hub, d, w[0], w[1])
+			if want := m.GetRelationships(hub, d, w[0], w[1]); err != nil || !slices.EqualFunc(got, want, sameRels) {
+				t.Fatalf("GetRelationships(hub, %v, %d, %d): %d relationships (%v), the model says %d", d, w[0], w[1], len(got), err, len(want))
+			}
+		}
+		got, err := s.Expand(1, d, 2, 4) // a spoke, the hub, every spoke
+		if want := m.Expand(1, d, 2, 4); err != nil || !slices.EqualFunc(got, want, sameNodes) {
+			t.Fatalf("Expand(1, %v, 2, 4) = %s (%v), the model says %s", d,
+				showNodes(slices.Concat(got...)), err, showNodes(slices.Concat(want...)))
+		}
+	}
+}
