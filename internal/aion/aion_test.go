@@ -1,7 +1,9 @@
 package aion
 
 import (
+	"errors"
 	"os"
+	"reflect"
 	"testing"
 
 	"aion/internal/model"
@@ -338,5 +340,54 @@ func TestCloseReleasesDescriptors(t *testing.T) {
 	}
 	if got := openFDs(t); got > start {
 		t.Errorf("%d descriptors open after 50 Open/Close rounds, %d before", got, start)
+	}
+}
+
+// TestRejectedBatchLeavesStatsAlone: a batch the TimeStore rejects for its
+// timestamps reaches no store, so it must not move the planner histograms or
+// the entity catalog either — in particular a rejected node deletion must not
+// drop the node's catalog entry, or the accepted deletion that follows counts
+// no labels. The store that saw the rejected batch and one that never did
+// stay equal, before and after that deletion.
+func TestRejectedBatchLeavesStatsAlone(t *testing.T) {
+	seen, never := openDB(t, Options{}), openDB(t, Options{})
+	same := func(when string) {
+		t.Helper()
+		a, b := seen.stats, never.stats
+		if a.nodes != b.nodes || a.rels != b.rels || !reflect.DeepEqual(a.nodeLabels, b.nodeLabels) || !reflect.DeepEqual(a.relTypes, b.relTypes) ||
+			!reflect.DeepEqual(a.outPattern, b.outPattern) || !reflect.DeepEqual(a.inPattern, b.inPattern) {
+			t.Errorf("%s: statistics %+v, a store that never saw the rejected batch has %+v", when, a, b)
+		}
+		if !reflect.DeepEqual(seen.catalog.nodeLabels, never.catalog.nodeLabels) || !reflect.DeepEqual(seen.catalog.relTypes, never.catalog.relTypes) {
+			t.Errorf("%s: the entity catalogs differ", when)
+		}
+	}
+	for _, db := range []*DB{seen, never} {
+		if err := db.ApplyBatch(socialUpdates()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := []model.Update{
+		model.DeleteRel(5, 8, 8, 9),
+		model.DeleteNode(5, 9),
+		model.AddNode(5, 50, []string{"Ghost"}, nil),
+		model.UpdateNode(5, 0, []string{"Ghost"}, []string{"Person"}, nil, nil),
+	}
+	if err := seen.ApplyBatch(stale); !errors.Is(err, model.ErrNonMonotonic) {
+		t.Fatalf("a batch at ts 5 after ts 22: %v, want it rejected as non-monotonic", err)
+	}
+	if err := seen.Err(); err != nil {
+		t.Fatalf("the rejection stuck: %v", err)
+	}
+	same("after the rejection")
+	for _, db := range []*DB{seen, never} {
+		err := db.ApplyBatch([]model.Update{model.DeleteRel(23, 8, 8, 9), model.DeleteRel(23, 9, 9, 0), model.DeleteNode(24, 9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("after an accepted deletion of the node")
+	if got := seen.Stats().NodesWithLabel("Person"); got != 9 {
+		t.Errorf("%d Person nodes after one of ten was deleted", got)
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"aion/internal/enc"
 	"aion/internal/lineagestore"
+	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
 	"aion/internal/timestore"
@@ -95,10 +96,11 @@ type Options struct {
 	// FS is the filesystem every store lives on; nil means the real OS
 	// filesystem (used by the crash-recovery tests to inject faults).
 	FS vfs.FS
-	// Host is the attached host database's committed graph, filled in by
-	// internal/system and passed to the TimeStore (timestore.Options.Host);
-	// it is a hand-over, not a setting, and Open drops the reference.
-	Host *timestore.HostGraph
+	// Host is the attached host database's Committed method, filled in by
+	// internal/system and passed to the TimeStore (timestore.Options.Host),
+	// which then borrows the host's graph instead of keeping its own; not a
+	// setting.
+	Host func() (*memgraph.Graph, model.Timestamp, uint64)
 }
 
 // DB is an Aion hybrid temporal store instance.
@@ -151,8 +153,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	db := &DB{opts: opts, strings: strings, codec: enc.NewCodec(strings),
 		stats: NewGraphStats(), catalog: newEntityCatalog()}
-	db.opts.Host = nil // the TimeStore's from here on, or nobody's
-	if err := db.openStores(fs, opts.Host); err != nil {
+	if err := db.openStores(fs); err != nil {
 		return nil, errors.Join(err, db.closeStores())
 	}
 	if opts.Mode == SyncHybrid {
@@ -165,7 +166,7 @@ func Open(opts Options) (*DB, error) {
 
 // openStores opens the temporal stores over db.strings and brings the
 // LineageStore to the TimeStore's end; Open closes what an error leaves open.
-func (db *DB) openStores(fs vfs.FS, host *timestore.HostGraph) (err error) {
+func (db *DB) openStores(fs vfs.FS) (err error) {
 	opts := db.opts
 	if opts.Mode != SyncLineageOnly {
 		db.ts, err = timestore.Open(db.codec, timestore.Options{
@@ -177,7 +178,7 @@ func (db *DB) openStores(fs vfs.FS, host *timestore.HostGraph) (err error) {
 			GraphStoreBytes:    opts.GraphStoreBytes,
 			ParallelIO:         opts.ParallelIO,
 			FS:                 opts.FS,
-			Host:               host,
+			Host:               opts.Host,
 		})
 		if err != nil {
 			return err
@@ -194,7 +195,9 @@ func (db *DB) openStores(fs vfs.FS, host *timestore.HostGraph) (err error) {
 		}
 	}
 	if db.ts != nil {
-		db.rebuildStatsFromLatest()
+		if err := db.rebuildStatsFromLatest(); err != nil {
+			return err
+		}
 	}
 	if db.ts != nil && db.ls != nil {
 		// The TimeStore log is the authoritative copy: the LineageStore
@@ -217,9 +220,12 @@ func (db *DB) openStores(fs vfs.FS, host *timestore.HostGraph) (err error) {
 }
 
 // rebuildStatsFromLatest repopulates the planner histograms and the entity
-// catalog from the recovered latest graph after a reopen.
-func (db *DB) rebuildStatsFromLatest() {
-	latest := db.ts.GraphStore().Latest()
+// catalog from the graph at the recovered log's end after a reopen.
+func (db *DB) rebuildStatsFromLatest() error {
+	latest, err := db.ts.Latest()
+	if err != nil {
+		return err
+	}
 	db.catalog.mu.Lock()
 	defer db.catalog.mu.Unlock()
 	latest.ForEachNode(func(n *model.Node) bool {
@@ -232,6 +238,7 @@ func (db *DB) rebuildStatsFromLatest() {
 		db.catalog.relTypes[r.ID] = r.Label
 		return true
 	})
+	return nil
 }
 
 // cascadeItem is one unit of background work: a batch to index, plus an
@@ -297,21 +304,18 @@ func (db *DB) ApplyBatch(us []model.Update) error {
 	if err := db.Err(); err != nil {
 		return fmt.Errorf("aion: ingestion stopped by an earlier failure: %w", err)
 	}
+	if db.ts != nil {
+		if err := db.appendTimeStore(us); err != nil {
+			return err
+		}
+	}
+	// Only now: a batch the TimeStore rejected for its timestamps reached no
+	// store, and must not have moved the histograms or the catalog either.
 	db.updateStats(us)
 	switch db.opts.Mode {
 	case SyncHybrid:
-		if err := db.appendTimeStore(us); err != nil {
-			return err
-		}
 		db.queue <- cascadeItem{batch: append([]model.Update(nil), us...)}
-	case SyncBoth:
-		if err := db.appendTimeStore(us); err != nil {
-			return err
-		}
-		return db.ls.ApplyBatch(us)
-	case SyncTimeStoreOnly:
-		return db.appendTimeStore(us)
-	case SyncLineageOnly:
+	case SyncBoth, SyncLineageOnly:
 		return db.ls.ApplyBatch(us)
 	}
 	return nil

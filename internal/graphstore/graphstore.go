@@ -1,16 +1,12 @@
 // Package graphstore implements the GraphStore (Sec 5.1): an in-memory
-// Least-Recently-Used cache of graph snapshots keyed by timestamp. It also
-// maintains the latest graph version in memory, HTAP-style, by having the
-// owner apply all committed updates synchronously — which allows fast
-// snapshot replication without expensive read transactions against the host
-// database. Snapshots are handed out as Copy-on-Write clones (Sec 5.2) so
-// callers can replay updates forward without disturbing cached state.
+// Least-Recently-Used cache of graph snapshots keyed by timestamp. Snapshots
+// are handed out as Copy-on-Write clones (Sec 5.2) so callers can replay
+// updates forward without disturbing cached state.
 //
-// The paper's latest graph is the one in-memory copy of the current version
-// (Neo4j's own copy is on-disk records). When a host database is attached,
-// this store's latest is therefore a copy-on-write handle on the host's
-// committed graph (SetLatest), not a second set of entity objects; see
-// DESIGN.md, "Resident graphs: who owns what".
+// The paper's GraphStore also "maintains the latest graph version in memory"
+// because Neo4j's own copy is on-disk records. Here the host database's
+// committed graph is that one in-memory copy, and the TimeStore borrows it
+// where it needs it; see DESIGN.md, "Resident graphs: who owns what".
 package graphstore
 
 import (
@@ -36,8 +32,7 @@ type Stats struct {
 	Snapshots               int
 }
 
-// Store is the LRU snapshot cache plus the synchronously maintained latest
-// graph. All methods are safe for concurrent use.
+// Store is the LRU snapshot cache. All methods are safe for concurrent use.
 type Store struct {
 	mu       sync.Mutex
 	capacity int64 // byte budget for cached snapshots
@@ -45,55 +40,16 @@ type Store struct {
 	entries  map[model.Timestamp]*entry
 	order    []model.Timestamp // sorted, for floor lookups
 	lru      *list.List        // front = most recently used
-	latest   *memgraph.Graph
 	stats    Stats
 }
 
 // New creates a GraphStore with the given snapshot byte budget.
 func New(capacityBytes int64) *Store {
-	return NewWithLatest(capacityBytes, memgraph.New())
-}
-
-// NewWithLatest creates a GraphStore whose latest graph is pre-seeded with
-// a recovered state (used on reopen, when the latest graph is rebuilt from
-// the newest snapshot plus the log tail).
-func NewWithLatest(capacityBytes int64, latest *memgraph.Graph) *Store {
 	return &Store{
 		capacity: capacityBytes,
 		entries:  make(map[model.Timestamp]*entry),
 		lru:      list.New(),
-		latest:   latest,
 	}
-}
-
-// ApplyToLatest folds a committed update into the latest in-memory graph.
-func (s *Store) ApplyToLatest(u model.Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest.Apply(u)
-}
-
-// SetLatest replaces the latest graph with g, which the store owns from here
-// on: the caller guarantees g is the state every update applied so far adds
-// up to. Clones handed out earlier keep the graph they were cloned from.
-func (s *Store) SetLatest(g *memgraph.Graph) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.latest = g
-}
-
-// Latest returns a CoW clone of the latest graph version.
-func (s *Store) Latest() *memgraph.Graph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest.Clone()
-}
-
-// LatestTimestamp returns the timestamp of the latest applied update.
-func (s *Store) LatestTimestamp() model.Timestamp {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest.Timestamp()
 }
 
 // Put caches a snapshot under its own timestamp, evicting least recently
@@ -112,8 +68,8 @@ func (s *Store) PutOwned(g *memgraph.Graph) { s.put(g) }
 var sizeOf = (*memgraph.Graph).ApproxBytes
 
 func (s *Store) put(g *memgraph.Graph) {
-	// Sized before the lock: s.mu is the mutex every synchronous append takes
-	// (ApplyToLatest), and the walk is as long as the graph is large.
+	// Sized before the lock: s.mu is the mutex every cache lookup takes, and
+	// the walk is as long as the graph is large.
 	ts, bytes := g.Timestamp(), sizeOf(g)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -206,29 +162,6 @@ func (s *Store) Floor(ts model.Timestamp) (*memgraph.Graph, model.Timestamp, boo
 	s.stats.Hits++
 	s.lru.MoveToFront(e.elem)
 	return e.g.Clone(), snapTS, true
-}
-
-// LatestNode returns the current version of a node from the latest graph
-// without cloning. The returned node must not be mutated.
-func (s *Store) LatestNode(id model.NodeID) *model.Node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest.Node(id)
-}
-
-// LatestRel returns the current version of a relationship from the latest
-// graph without cloning. The returned value must not be mutated.
-func (s *Store) LatestRel(id model.RelID) *model.Rel {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest.Rel(id)
-}
-
-// LatestCounts returns the node and relationship counts of the latest graph.
-func (s *Store) LatestCounts() (nodes, rels int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest.NodeCount(), s.latest.RelCount()
 }
 
 // Stats returns a snapshot of the cache counters.

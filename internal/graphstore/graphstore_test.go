@@ -104,31 +104,6 @@ func TestLRUOrderingKeepsHotEntries(t *testing.T) {
 	}
 }
 
-func TestLatestGraphMaintenance(t *testing.T) {
-	s := New(1 << 20)
-	if err := s.ApplyToLatest(model.AddNode(1, 0, nil, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ApplyToLatest(model.AddNode(2, 1, nil, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ApplyToLatest(model.AddRel(3, 0, 0, 1, "R", nil)); err != nil {
-		t.Fatal(err)
-	}
-	g := s.Latest()
-	if g.NodeCount() != 2 || g.RelCount() != 1 {
-		t.Fatalf("latest = %d/%d", g.NodeCount(), g.RelCount())
-	}
-	if s.LatestTimestamp() != 3 {
-		t.Errorf("latest ts = %d", s.LatestTimestamp())
-	}
-	// Mutating the returned clone must not corrupt the maintained copy.
-	g.Apply(model.AddNode(4, 9, nil, nil))
-	if s.Latest().NodeCount() != 2 {
-		t.Error("latest graph corrupted by caller")
-	}
-}
-
 func TestPutReplaceSameTimestamp(t *testing.T) {
 	s := New(1 << 20)
 	s.Put(snapshotAt(t, 10, 1))
@@ -147,25 +122,27 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		g := memgraph.New()
 		for i := 0; i < 500; i++ {
-			s.ApplyToLatest(model.AddNode(model.Timestamp(i+1), model.NodeID(i), nil, nil))
+			if err := g.Apply(model.AddNode(model.Timestamp(i+1), model.NodeID(i), nil, nil)); err != nil {
+				t.Error(err)
+				return
+			}
 			if i%50 == 0 {
-				g := s.Latest()
-				g.SetTimestamp(model.Timestamp(i + 1))
 				s.Put(g)
 			}
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		g := s.Latest()
-		_ = g.NodeCount()
-		s.Floor(model.Timestamp(i * 2))
-		s.LatestCounts()
-		s.LatestNode(model.NodeID(i))
+		if g, at, ok := s.Floor(model.Timestamp(i * 2)); ok && g.NodeCount() != int(at) {
+			t.Errorf("the graph cached at %d holds %d nodes", at, g.NodeCount())
+		}
+		s.Holds(model.Timestamp(i))
+		s.Stats()
 	}
 	<-done
-	if n, _ := s.LatestCounts(); n != 500 {
-		t.Errorf("nodes = %d", n)
+	if g, ok := s.Get(451); !ok || g.NodeCount() != 451 {
+		t.Errorf("the last graph put is not cached whole")
 	}
 }
 
@@ -273,11 +250,11 @@ func TestRebaseSwapsTheGraphOnly(t *testing.T) {
 }
 
 // Admission sizes a graph by walking every entity; s.mu is the mutex every
-// synchronous append takes (ApplyToLatest). The walk therefore runs before
-// the lock: probed from inside it, the mutex is free and a commit goes
-// through, for Put and PutOwned alike — whatever the graph's size, a
-// committer waits for the map insert only.
-func TestAdmissionSizesOutsideTheCommitLock(t *testing.T) {
+// lookup takes — and the snapshot worker admits while queries read. The walk
+// therefore runs before the lock: probed from inside it, the mutex is free and
+// a lookup goes through, for Put and PutOwned alike — whatever the graph's
+// size, a reader waits for the map insert only.
+func TestAdmissionSizesOutsideTheLock(t *testing.T) {
 	s := New(1 << 30)
 	walk := sizeOf
 	defer func() { sizeOf = walk }()
@@ -289,16 +266,14 @@ func TestAdmissionSizesOutsideTheCommitLock(t *testing.T) {
 			return walk(g)
 		}
 		s.mu.Unlock()
-		if err := s.ApplyToLatest(model.AddNode(1, model.NodeID(walks), nil, nil)); err != nil {
-			t.Error(err)
-		}
+		s.Holds(10)
 		return walk(g)
 	}
 	a, b := snapshotAt(t, 10, 15000), snapshotAt(t, 20, 15000)
 	s.Put(a)
 	s.PutOwned(b)
-	if nodes, _ := s.LatestCounts(); walks != 2 || nodes != 2 {
-		t.Fatalf("%d sizing walks, %d commits through them; want 2 and 2", walks, nodes)
+	if walks != 2 {
+		t.Fatalf("%d sizing walks, want 2", walks)
 	}
 	if st := s.Stats(); st.Snapshots != 2 || st.Bytes != a.ApproxBytes()+b.ApproxBytes() {
 		t.Fatalf("stats %+v after two admissions of %d and %d bytes", st, a.ApproxBytes(), b.ApproxBytes())

@@ -225,8 +225,10 @@ func (g *Graph) ownAdj(id model.NodeID) {
 // (Sec 5.2, "Aion uses Copy-on-Write similar to Tegra").
 func (g *Graph) Clone() *Graph {
 	atomic.StoreUint32(&g.cow, 1) // both sides must now copy before writing
-	c := *g
-	return &c
+	// Field by field: a copy of *g would read cow plainly while another reader
+	// clones the same graph (two holders of hostdb's read lock).
+	return &Graph{nodes: g.nodes, rels: g.rels, out: g.out, in: g.in, owned: g.owned, cow: 1,
+		nodeCount: g.nodeCount, relCount: g.relCount, ts: g.ts}
 }
 
 // Apply folds one graph update into the snapshot, enforcing the update

@@ -3,6 +3,7 @@ package memgraph
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"aion/internal/model"
@@ -167,6 +168,28 @@ func TestCloneOfCloneChain(t *testing.T) {
 	if c1.Node(8) != nil || c2.Node(8) != nil {
 		t.Error("root mutation leaked into clones")
 	}
+}
+
+// TestConcurrentClones: readers may clone one graph at the same time — two
+// holders of hostdb's read lock do — and each clone is whole. Run under -race:
+// a clone that copied the struct would read the flag the other one stores.
+func TestConcurrentClones(t *testing.T) {
+	g := smallGraph(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 100; k++ {
+				if c := g.Clone(); c.NodeCount() != 3 || c.RelCount() != 3 || c.Timestamp() != g.Timestamp() {
+					t.Error("a concurrent clone is not the graph it was taken from")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	mustApply(t, g, model.AddNode(30, 9, nil, nil)) // the original copies before it writes
 }
 
 func TestForEachIteration(t *testing.T) {

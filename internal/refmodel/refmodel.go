@@ -1,9 +1,10 @@
 // Package refmodel is the brute-force reference model of the temporal LPG:
 // the update stream held in memory, every Table 1 call answered by replaying
 // it from zero. It exists to be obviously right, not fast, and only tests
-// import it. This is the first slice of the one oracle ROADMAP item 1 asks
-// for: it answers what the LineageStore answers, under the LineageStore's
-// present contract, which it states here once.
+// import it. This is the one oracle ROADMAP item 1 asks for, two slices of
+// it so far: what the LineageStore answers, under the LineageStore's present
+// contract, which it states here once; and what the TimeStore answers — the
+// LPG at a timestamp (Graph) and the updates of a range (Diff).
 //
 // Interval contract. Validity is closed-open, [Start, End), in commit
 // timestamps. Every update of an entity starts a version: Valid.Start is that
@@ -37,6 +38,65 @@ type Model struct{ us []model.Update }
 
 // Apply appends updates; timestamps must not decrease.
 func (m *Model) Apply(us ...model.Update) { m.us = append(m.us, us...) }
+
+// Diff returns the updates with start <= timestamp < end, in commit order.
+func (m *Model) Diff(start, end model.Timestamp) []model.Update {
+	var out []model.Update
+	for _, u := range m.us {
+		if start <= u.TS && u.TS < end {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// Graph returns the LPG valid at ts — every update with a timestamp up to ts
+// applied from zero — as the insertions that build it, all stamped ts: nodes
+// by id, then relationships by id, each with the labels (in the order they
+// were added) and properties it has then. That is the form a snapshot is
+// exported and persisted in, so the two compare record for record.
+func (m *Model) Graph(ts model.Timestamp) []model.Update {
+	nodes, rels := map[model.NodeID]*model.Node{}, map[model.RelID]*model.Rel{}
+	for _, u := range m.us {
+		if u.TS > ts {
+			break
+		}
+		switch u.Kind {
+		case model.OpAddNode:
+			nodes[u.NodeID] = &model.Node{ID: u.NodeID}
+			u.ApplyToNode(nodes[u.NodeID])
+		case model.OpUpdateNode:
+			u.ApplyToNode(nodes[u.NodeID])
+		case model.OpDeleteNode:
+			delete(nodes, u.NodeID)
+		case model.OpAddRel:
+			rels[u.RelID] = &model.Rel{ID: u.RelID, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel}
+			u.ApplyToRel(rels[u.RelID])
+		case model.OpUpdateRel:
+			u.ApplyToRel(rels[u.RelID])
+		case model.OpDeleteRel:
+			delete(rels, u.RelID)
+		}
+	}
+	out := make([]model.Update, 0, len(nodes)+len(rels))
+	for _, id := range sortedKeys(nodes) {
+		out = append(out, model.AddNode(ts, id, nodes[id].Labels, nodes[id].Props))
+	}
+	for _, id := range sortedKeys(rels) {
+		r := rels[id]
+		out = append(out, model.AddRel(ts, id, r.Src, r.Tgt, r.Label, r.Props))
+	}
+	return out
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // in keeps the versions the contract selects for [start, end).
 func in[E any](vs []E, valid func(E) model.Interval, start, end model.Timestamp) []E {

@@ -99,17 +99,54 @@ const residentBudget = 320
 // entities with the latest graph, 86.6 when every loaded graph held its own.
 const cacheHeapBudget = 45
 
+// writeHeapBudget is BenchmarkResident's ceiling, in MiB, on what 65 536
+// single-statement commits add to the live heap: 17.6 with the host's
+// graph the only one the commits are applied to, 30.0 when the
+// TimeStore applied each to a graph of its own and the policy snapshots cloned
+// from that one kept the second set of objects alive.
+const writeHeapBudget = 24
+
+// writeCycle commits ingest-commit's four statements, one commit each: create
+// a node, set a property on one of the first 512, create a relationship from
+// the new node, delete it.
+func writeCycle(s *System, i int, nodes int64) error {
+	var created model.NodeID
+	var rel model.RelID
+	steps := []func(tx *hostdb.Tx) (err error){
+		func(tx *hostdb.Tx) (err error) {
+			created, err = tx.CreateNode([]string{"Bench"}, model.Properties{"k": model.IntValue(int64(i))})
+			return err
+		},
+		func(tx *hostdb.Tx) error {
+			return tx.SetNodeProps(model.NodeID(i%512), model.Properties{"w": model.IntValue(int64(i))}, nil)
+		},
+		func(tx *hostdb.Tx) (err error) {
+			rel, err = tx.CreateRel(created, model.NodeID(int64(i)*7919%nodes), "BENCH", nil)
+			return err
+		},
+		func(tx *hostdb.Tx) error { return tx.DeleteRel(rel) },
+	}
+	for _, step := range steps {
+		if _, err := s.Host.Run(step); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // BenchmarkResident reports what a reopened benchmark-shaped store keeps on
 // the heap before it serves anything: benchmark/'s heap_live_mb minus the
 // harness (its script, recorder and oracle) and whatever serving adds.
 // make heap-budget turns the profile into the by-owner table. A second phase
 // then reads a snapshot at every timestamp of the newest quarter, oldest
 // first, as snapshot-asof's closing pass does, and reports what the cached
-// graphs hold on top.
+// graphs hold on top. A third runs ingest-commit's write cycle for four policy
+// intervals of single-statement commits and reports what they leave behind.
 func BenchmarkResident(b *testing.B) {
 	opts, updates := loadBenchmarkShape(b)
 	opts.Aion.GraphStoreBytes = 48 << 20
-	var base, open, read runtime.MemStats
+	opts.SyncCommits = false // the third phase's 131 072 fsyncs would be most of the run, and hold no heap
+	var base, open, read, wrote runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		runtime.GC()
 		runtime.GC()
@@ -144,20 +181,38 @@ func BenchmarkResident(b *testing.B) {
 		st := ts.Stats()
 		b.Logf("cached graphs: %d holding %.1f accounted MiB; %d entity versions loaded, %d of them the latest graph's objects",
 			st.GraphStore.Snapshots, float64(st.GraphStore.Bytes)/(1<<20), st.LoadedEntities, st.SharedEntities)
+		nodes, _ := s.Host.Counts()
+		for c := 0; c < 4*16384/4; c++ {
+			if err := writeCycle(s, c, int64(nodes)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Aion.WaitSync(); err != nil {
+			b.Fatal(err)
+		}
+		ts.WaitSnapshots()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&wrote)
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
 	live := float64(open.HeapAlloc - base.HeapAlloc)
 	cache := (float64(read.HeapAlloc) - float64(open.HeapAlloc)) / (1 << 20)
+	write := (float64(wrote.HeapAlloc) - float64(read.HeapAlloc)) / (1 << 20)
 	b.ReportMetric(live/(1<<20), "heap-MiB")
 	b.ReportMetric(live/float64(updates), "heap-B/update")
 	b.ReportMetric(cache, "cache-heap-MiB")
+	b.ReportMetric(write, "write-heap-MiB")
 	if live/float64(updates) > residentBudget {
 		b.Fatalf("an open store keeps %.1f heap bytes per update, over the budget of %d", live/float64(updates), residentBudget)
 	}
 	if cache > cacheHeapBudget {
 		b.Fatalf("the cached graphs of the newest quarter keep %.1f MiB on the heap, over the budget of %d", cache, cacheHeapBudget)
+	}
+	if write > writeHeapBudget {
+		b.Fatalf("65 536 single-statement commits add %.1f MiB to the live heap, over the budget of %d", write, writeHeapBudget)
 	}
 }
 

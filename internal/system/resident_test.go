@@ -1,14 +1,16 @@
 package system
 
-// One resident current graph: the host's committed graph and the TimeStore's
-// latest are one set of entity objects. These tests pin the sharing (pointer
-// identity between hostdb.View and the GraphStore's latest), every moment the
-// hand-over may and may not happen, and that sharing changes nothing a query
-// or a snapshot file can observe.
+// One resident current graph: the host's committed graph is the only one, and
+// the TimeStore borrows it. These tests pin that every graph a policy snapshot
+// caches is made of the host's own entity objects, that a commit applies once
+// and copies nothing, when the host's graph may and may not be taken, and that
+// none of it changes what a query or a snapshot file can observe.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -31,9 +33,16 @@ type residentSys struct {
 	t       *testing.T
 	fs      *vfs.FaultFS
 	replica bool
+	seal    int // aion.Options.PartitionEvery
 	*System
 	mu      sync.Mutex
 	commits [][]model.Update
+	// hostAt[ts] is a handle on the host's committed graph as of commit ts, for
+	// every ts after born — the clock this process life opened at — that ended
+	// a group-commit round or a shipment: the only states a policy snapshot
+	// may be of.
+	born   model.Timestamp
+	hostAt map[model.Timestamp]*memgraph.Graph
 }
 
 // residentSnapshotEvery is the operation snapshot policy of these stores:
@@ -43,11 +52,12 @@ const residentSnapshotEvery = 48
 func (r *residentSys) open() {
 	r.t.Helper()
 	s, err := Open(Options{Dir: "sys", SyncCommits: true, FS: r.fs, Replica: r.replica,
-		Aion: aion.Options{SnapshotEveryOps: residentSnapshotEvery, ParallelIO: 1}})
+		Aion: aion.Options{SnapshotEveryOps: residentSnapshotEvery, PartitionEvery: r.seal, ParallelIO: 1}})
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	r.System = s
+	r.born, r.hostAt = s.Host.Clock(), map[model.Timestamp]*memgraph.Graph{}
 	s.Host.OnCommit(func(ts model.Timestamp, us []model.Update) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
@@ -55,6 +65,9 @@ func (r *residentSys) open() {
 			r.t.Errorf("listener saw commit %d after %d commits", ts, len(r.commits))
 		}
 		r.commits = append(r.commits, us)
+		if g, clock, _ := s.Host.Committed(); clock == ts {
+			r.hostAt[ts] = g
+		}
 	})
 }
 
@@ -115,34 +128,73 @@ func stageMix(tx *hostdb.Tx, host *hostdb.DB, seed, n int) error {
 	return nil
 }
 
-// unshared counts the live entities whose object in the host's committed
-// graph is not the very object the TimeStore's latest graph holds.
-func (r *residentSys) unshared() (unshared, total int) {
+// shipper returns the function that ships to f's host, as one shipment,
+// everything p's host has made durable since the last call.
+func shipper(t *testing.T, p, f *residentSys) func() {
+	var strOff, txnOff int64
+	return func() {
+		t.Helper()
+		_, txnDurable := p.Host.DurableExtents()
+		str, err := p.Host.ReadStringsRaw(strOff, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, next, err := p.Host.TxnFrames(txnOff, txnDurable, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Host.ApplyShipment(str, frames); err != nil {
+			t.Fatal(err)
+		}
+		strOff, txnOff = strOff+int64(len(str)), next
+	}
+}
+
+// unshared counts, over the graphs the GraphStore holds at the policy
+// elements' timestamps, the entities whose object is not the one the host's
+// committed graph held at that commit. Graphs of an earlier process life are
+// left out: their host is gone.
+func (r *residentSys) unshared() (unshared, total, graphs int) {
+	r.t.Helper()
+	r.Aion.TimeStore().WaitSnapshots()
 	gs := r.Aion.TimeStore().GraphStore()
-	r.Host.View(func(g *memgraph.Graph) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.chainElements() {
+		g, cached := gs.Get(e.at)
+		if !cached || e.at <= r.born {
+			continue
+		}
+		host := r.hostAt[e.at]
+		if host == nil {
+			r.t.Errorf("the graph cached at %d is of a state inside a group-commit round", e.at)
+			continue
+		}
+		graphs++
 		g.ForEachNode(func(n *model.Node) bool {
 			total++
-			if gs.LatestNode(n.ID) != n {
+			if host.Node(n.ID) != n {
 				unshared++
 			}
 			return true
 		})
 		g.ForEachRel(func(rel *model.Rel) bool {
 			total++
-			if gs.LatestRel(rel.ID) != rel {
+			if host.Rel(rel.ID) != rel {
 				unshared++
 			}
 			return true
 		})
-	})
-	return unshared, total
+	}
+	return unshared, total, graphs
 }
 
-// wantOneGraph asserts every entity is shared.
+// wantOneGraph asserts every cached policy snapshot holds the host's objects
+// and nothing else.
 func (r *residentSys) wantOneGraph(label string) {
 	r.t.Helper()
-	if un, total := r.unshared(); un != 0 || total == 0 {
-		r.t.Errorf("%s: %d of %d entities are not shared between the host's graph and the TimeStore's latest", label, un, total)
+	if un, total, graphs := r.unshared(); un != 0 || graphs == 0 {
+		r.t.Errorf("%s: %d of the %d entities in %d cached policy snapshots are not the host's own objects", label, un, total, graphs)
 	}
 }
 
@@ -150,7 +202,7 @@ func (r *residentSys) wantOneGraph(label string) {
 // change: Aion has every commit, every policy snapshot file is placed at a
 // commit boundary (its position is the last update of a commit that exists),
 // GetGraph at every commit timestamp equals a replay of the commits from
-// zero, and the TimeStore never refused a hand-over.
+// zero, and the TimeStore never found the host diverged.
 func (r *residentSys) verify(label string) {
 	r.t.Helper()
 	if err := r.Aion.WaitSync(); err != nil {
@@ -166,7 +218,7 @@ func (r *residentSys) verify(label string) {
 	}
 	st := ts.Stats()
 	if st.LatestMismatches != 0 || st.SnapshotErrors != 0 {
-		r.t.Errorf("%s: %d refused hand-overs, %d snapshot errors (%s)", label, st.LatestMismatches, st.SnapshotErrors, st.LastSnapshotError)
+		r.t.Errorf("%s: %d pulls refused as diverged, %d snapshot errors (%s)", label, st.LatestMismatches, st.SnapshotErrors, st.LastSnapshotError)
 	}
 	elems := r.chainElements()
 	for _, e := range elems {
@@ -200,23 +252,25 @@ func (r *residentSys) verify(label string) {
 	}
 }
 
-func (r *residentSys) adoptions() uint64 { return r.Aion.TimeStore().Stats().LatestAdoptions }
-
-// commitUntilAdopted takes single-operation commits until the write path
-// hands the graph over.
-func (r *residentSys) commitUntilAdopted(seed int) {
-	r.t.Helper()
-	before := r.adoptions()
-	for i := 0; r.adoptions() == before; i++ {
-		if i > 1<<12 {
-			r.t.Fatal("no hand-over in 4096 commits")
-		}
-		r.commit(seed+i, 1)
-	}
-}
-
 func TestOneResidentGraph(t *testing.T) {
-	t.Run("clean reopen installs the host's graph", func(t *testing.T) {
+	t.Run("single commits", func(t *testing.T) {
+		r := newResidentSys(t, false)
+		opened := r.Aion.TimeStore().Stats().LatestPulls
+		for i := 0; i < 300; i++ {
+			r.commit(i, 1+i%4)
+		}
+		r.wantOneGraph("single commits")
+		// One pull a snapshot: each was due at the end of a commit that was its
+		// own round (the last may still wait for its boundary), and nothing
+		// else needed a graph.
+		st := r.Aion.TimeStore().Stats()
+		if elems, pulls := len(r.chainElements()), int(st.LatestPulls-opened); elems < 5 || pulls < elems || pulls > elems+1 || st.SnapshotsOverdue != 0 {
+			t.Errorf("%d policy snapshots from %d pulls, %d intervals overdue", elems, pulls, st.SnapshotsOverdue)
+		}
+		r.verify("single commits")
+	})
+
+	t.Run("clean reopen loads nothing", func(t *testing.T) {
 		r := newResidentSys(t, false)
 		for i := 0; i < 60; i++ {
 			r.commit(i, 4)
@@ -226,18 +280,19 @@ func TestOneResidentGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.open()
-		// One install by recovery (the logs agree), one hand-over by reconcile.
-		if got := r.adoptions(); got != 2 {
-			t.Errorf("clean reopen: %d adoptions, want 2 (recover's install and reconcile's)", got)
+		// The planner statistics were rebuilt from the host's graph: the logs
+		// agree, so no element was read to build one.
+		if st := r.Aion.TimeStore().Stats(); st.LoadedEntities != 0 || st.LatestPulls != 1 {
+			t.Errorf("clean reopen: %d entity versions loaded, %d pulls; want 0 and 1", st.LoadedEntities, st.LatestPulls)
 		}
-		if st := r.Aion.TimeStore().Stats(); st.LatestPrivateUpdates != 0 {
-			t.Errorf("clean reopen: %d private updates", st.LatestPrivateUpdates)
+		for i := 60; i < 120; i++ {
+			r.commit(i, 4)
 		}
 		r.wantOneGraph("clean reopen")
 		r.verify("clean reopen")
 	})
 
-	t.Run("crash-lagged reopen builds, reconciles, then adopts", func(t *testing.T) {
+	t.Run("crash-lagged reopen reconciles", func(t *testing.T) {
 		r := newResidentSys(t, false)
 		for i := 0; i < 40; i++ {
 			r.commit(i, 4)
@@ -251,41 +306,17 @@ func TestOneResidentGraph(t *testing.T) {
 		r.fs.Crash()
 		_ = r.Close()
 		r.open()
-		// The TimeStore's log ends before the host's: recovery must have built
-		// its own latest, and only reconcile's hand-over joined the two.
-		if got := r.adoptions(); got != 1 {
-			t.Errorf("crash-lagged reopen: %d adoptions, want 1 (reconcile's only)", got)
+		// The TimeStore's log ended before the host's: the host's graph was
+		// refused as the log's end — ahead, not diverged — and reconcile fed the
+		// rest, which verify checks.
+		if got, want := r.Aion.LatestTimestamp(), r.Host.Clock(); got != want {
+			t.Fatalf("after reconcile aion is at %d, the host at %d", got, want)
+		}
+		for i := 55; i < 110; i++ {
+			r.commit(i, 4)
 		}
 		r.wantOneGraph("crash-lagged reopen")
 		r.verify("crash-lagged reopen")
-	})
-
-	t.Run("single commits re-adopt past the threshold", func(t *testing.T) {
-		r := newResidentSys(t, false)
-		for i := 0; i < 50; i++ {
-			r.commit(i, 8)
-		}
-		r.commitUntilAdopted(1000) // start from a fresh hand-over
-		r.wantOneGraph("after a hand-over")
-		var vectors int
-		r.Host.View(func(g *memgraph.Graph) { vectors = int(g.MaxNodeID()) + int(g.MaxRelID()) })
-		from := r.Aion.TimeStore().Stats().Updates
-		for i := 0; r.Aion.TimeStore().Stats().Updates == from; i++ {
-			r.commit(2000+i, 1)
-		}
-		if un, _ := r.unshared(); un == 0 {
-			t.Fatal("a commit below the threshold left nothing private: the threshold is not being exercised")
-		}
-		r.commitUntilAdopted(3000)
-		took := int(r.Aion.TimeStore().Stats().Updates - from)
-		if want := (vectors + handOverFraction - 1) / handOverFraction; took != want {
-			t.Errorf("re-adopted after %d updates, want %d (1/%d of %d vector slots)", took, want, handOverFraction, vectors)
-		}
-		if st := r.Aion.TimeStore().Stats(); st.LatestPrivateUpdates != 0 {
-			t.Errorf("%d private updates right after a hand-over", st.LatestPrivateUpdates)
-		}
-		r.wantOneGraph("after re-adoption")
-		r.verify("single commits")
 	})
 
 	t.Run("concurrent committers, snapshots and readers", func(t *testing.T) {
@@ -293,7 +324,6 @@ func TestOneResidentGraph(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			r.commit(i, 8)
 		}
-		before := r.adoptions()
 		var stop atomic.Bool
 		var readers sync.WaitGroup
 		for i := 0; i < 2; i++ {
@@ -340,13 +370,12 @@ func TestOneResidentGraph(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		if r.adoptions() == before {
-			t.Error("no hand-over during 400 concurrent commits")
+		// 800 updates at a snapshot every 48: whatever the rounds were, a due
+		// snapshot waited at most for its round's last call.
+		if st := r.Aion.TimeStore().Stats(); st.Snapshots < 4 || st.SnapshotsOverdue != 0 {
+			t.Errorf("%d policy snapshots during 400 concurrent commits, %d intervals overdue", st.Snapshots, st.SnapshotsOverdue)
 		}
-		st := r.Aion.TimeStore().Stats()
-		if un, _ := r.unshared(); uint64(un) > st.LatestPrivateUpdates {
-			t.Errorf("%d unshared entities, but only %d updates since the last hand-over", un, st.LatestPrivateUpdates)
-		}
+		r.wantOneGraph("concurrent committers")
 		r.verify("concurrent committers")
 	})
 
@@ -357,8 +386,8 @@ func TestOneResidentGraph(t *testing.T) {
 		}
 		// Pairs race to delete the same relationship: one of each pair aborts
 		// after its first update (a node it created) was applied, inside group-
-		// commit rounds whose other members commit — and the graph is small, so
-		// a hand-over falls due every few rounds.
+		// commit rounds whose other members commit — and a snapshot falls due
+		// every few rounds.
 		aborted := 0
 		for round := 0; round < 40; round++ {
 			var victim model.RelID
@@ -401,62 +430,116 @@ func TestOneResidentGraph(t *testing.T) {
 		if got := r.Host.Stats().Conflicts; int(got) != aborted {
 			t.Errorf("%d conflicts counted, %d provoked", got, aborted)
 		}
-		r.commitUntilAdopted(5000)
-		r.wantOneGraph("after aborts and a hand-over")
+		r.wantOneGraph("after aborts")
 		r.verify("conflict-aborted transactions")
 	})
 
 	t.Run("follower fed by ApplyShipment", func(t *testing.T) {
 		p, f := newResidentSys(t, false), newResidentSys(t, true)
-		var strOff, txnOff int64
-		ship := func() {
-			t.Helper()
-			_, txnDurable := p.Host.DurableExtents()
-			str, err := p.Host.ReadStringsRaw(strOff, 1<<30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames, next, err := p.Host.TxnFrames(txnOff, txnDurable, 1<<30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Host.ApplyShipment(str, frames); err != nil {
-				t.Fatal(err)
-			}
-			strOff, txnOff = strOff+int64(len(str)), next
-		}
+		ship := shipper(t, p, f)
 		for i := 0; i < 30; i++ {
 			p.commit(i, 6)
 		}
-		ship() // one shipment of 30 commits: only its last listener call may adopt
-		if got := f.adoptions(); got != 1 {
-			t.Errorf("first shipment: %d adoptions on the follower, want 1", got)
+		// One shipment of 30 commits, several policy intervals long: only its
+		// last listener call finds the host where the log ends, so the follower
+		// takes one snapshot, there, where the primary took one per interval.
+		ship()
+		f.Aion.TimeStore().WaitSnapshots()
+		if elems := f.chainElements(); len(elems) != 0 {
+			t.Errorf("first shipment: the follower placed %d snapshots inside it", len(elems))
 		}
-		f.wantOneGraph("follower after its first shipment")
-		for i := 30; i < 90; i++ {
+		p.commit(30, 6)
+		ship()
+		f.Aion.TimeStore().WaitSnapshots()
+		if elems := f.chainElements(); len(elems) != 1 || elems[0].at != 30 {
+			t.Errorf("after the shipment that followed: the follower's policy elements are %v, want one at commit 30", elems)
+		}
+		for i := 31; i < 90; i++ {
 			p.commit(i, 6)
 			if i%7 == 0 {
 				ship()
 			}
 		}
 		ship()
-		before := f.adoptions()
-		for i := 0; f.adoptions() == before; i++ {
-			if i > 1<<12 {
-				t.Fatal("no hand-over on the follower in 4096 shipments")
-			}
-			p.commit(6000+i, 1)
-			ship()
-		}
-		f.wantOneGraph("follower after a re-adoption")
+		f.wantOneGraph("follower")
 		f.verify("follower")
+		p.wantOneGraph("primary")
 		p.verify("primary")
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
 		f.open()
-		f.wantOneGraph("follower reopened")
 		f.verify("follower reopened")
+	})
+
+	t.Run("a commit applies once and copies no vector", func(t *testing.T) {
+		commits := 40000
+		if testing.Short() {
+			commits = 4000
+		}
+		const nodes, every = 20000, 8192
+		s, err := Open(Options{Dir: "sys", InMemoryHost: true, FS: vfs.NewFaultFS(),
+			Aion: aion.Options{SnapshotEveryOps: every, ParallelIO: 1, GraphStoreBytes: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.Host.Run(func(tx *hostdb.Tx) error {
+			for i := 0; i < nodes; i++ {
+				if _, err := tx.CreateNode([]string{"P"}, model.Properties{"v": model.IntValue(0)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		commit := func() {
+			k++
+			if _, err := s.Host.Run(func(tx *hostdb.Tx) error {
+				return tx.SetNodeProps(model.NodeID(k*7919%nodes), model.Properties{"v": model.IntValue(int64(k))}, nil)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := s.Aion.TimeStore()
+		commit() // the boundary the bulk load's due snapshot was waiting for
+		ts.WaitSnapshots()
+
+		// A window with no snapshot due: nobody asks for the host's graph, so
+		// nothing marks it shared and no commit copies its vectors — one copy
+		// of the node vectors alone is 8 bytes a slot, a hundred times the
+		// bound. What a commit does allocate — staging, two log records, the
+		// one new node version, the cascade's copy of the batch — does not
+		// depend on the graph's size.
+		const window, commitBytes = 2000, 16 << 10
+		var before, after runtime.MemStats
+		pulls := ts.Stats().LatestPulls
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(window, commit)
+		runtime.ReadMemStats(&after)
+		if err := s.Aion.WaitSync(); err != nil {
+			t.Fatal(err)
+		}
+		perCommit := float64(after.TotalAlloc-before.TotalAlloc) / (window + 1)
+		t.Logf("a single-update commit allocates %.0f bytes in %.0f objects", perCommit, allocs)
+		if got := ts.Stats().LatestPulls - pulls; got != 0 || perCommit > commitBytes || nodes*8 < 8*commitBytes {
+			t.Errorf("%d pulls in a window with no snapshot due; %.0f bytes allocated per commit, over the bound of %d", got, perCommit, commitBytes)
+		}
+
+		// Over many policy intervals: one pull — one vector copy, by the host,
+		// at its next write — for each snapshot taken.
+		from := ts.Stats()
+		for i := 0; i < commits; i++ {
+			commit()
+		}
+		ts.WaitSnapshots()
+		st := ts.Stats()
+		taken, pulled := st.Snapshots-from.Snapshots, int(st.LatestPulls-from.LatestPulls)
+		if want := (window + 1 + commits) / every; taken != want || pulled != taken || st.LatestMismatches != 0 {
+			t.Errorf("%d commits: %d policy snapshots (want %d) from %d pulls, %d mismatches", commits, taken, want, pulled, st.LatestMismatches)
+		}
 	})
 }
 
@@ -464,7 +547,8 @@ func TestOneResidentGraph(t *testing.T) {
 // the host's is fine. The host has acknowledged the commit and the listener
 // has nobody to tell, so Aion must remember: Err reports the failure, later
 // commits are refused instead of being appended on top of the hole, the
-// graphs are not joined across it, and a reopen repairs it from the host log.
+// host's graph is not taken for a state past it, and a reopen repairs it from
+// the host log.
 func TestFailedIngestIsSticky(t *testing.T) {
 	hostFS, aionFS := vfs.NewFaultFS(), vfs.NewFaultFS()
 	opts := Options{Dir: "sys", SyncCommits: true, FS: hostFS,
@@ -488,7 +572,7 @@ func TestFailedIngestIsSticky(t *testing.T) {
 	if err := s.Aion.Err(); err != nil {
 		t.Fatal(err)
 	}
-	adoptions := s.Aion.TimeStore().Stats().LatestAdoptions
+	pulls := s.Aion.TimeStore().Stats().LatestPulls
 
 	aionFS.SetFailAfter(aionFS.Ops() + 1) // the TimeStore's next write fails: ENOSPC
 	commit(5)                             // the host's commit succeeds regardless
@@ -497,7 +581,7 @@ func TestFailedIngestIsSticky(t *testing.T) {
 	}
 	aionFS.SetFailAfter(0) // the disk has room again
 	for k := int64(6); k < 40; k++ {
-		commit(k) // far past the hand-over threshold of a 40-node graph
+		commit(k)
 	}
 	if got := s.Aion.LatestTimestamp(); got != 5 {
 		t.Errorf("aion at ts %d: commits were appended on top of the hole at 6", got)
@@ -505,9 +589,9 @@ func TestFailedIngestIsSticky(t *testing.T) {
 	if err := s.Aion.ApplyBatch([]model.Update{model.AddNode(41, 99, nil, nil)}); !errors.Is(err, vfs.ErrInjected) {
 		t.Errorf("ApplyBatch after the failure = %v, want it refused with the first failure", err)
 	}
-	if st := s.Aion.TimeStore().Stats(); st.LatestAdoptions != adoptions || st.LatestMismatches != 0 {
-		t.Errorf("hand-overs went on after the failure: %d adoptions (were %d), %d mismatches",
-			st.LatestAdoptions, adoptions, st.LatestMismatches)
+	if st := s.Aion.TimeStore().Stats(); st.LatestPulls != pulls || st.LatestMismatches != 0 {
+		t.Errorf("the host's graph was asked for after the failure: %d pulls (were %d), %d mismatches",
+			st.LatestPulls, pulls, st.LatestMismatches)
 	}
 	if err := s.Close(); !errors.Is(err, vfs.ErrInjected) {
 		t.Errorf("Close = %v, want the sticky failure reported", err)
@@ -529,18 +613,24 @@ func TestFailedIngestIsSticky(t *testing.T) {
 	}
 }
 
-// chainElement is one policy element on disk: its file and its position.
+// chainElement is one element file on disk: its path and its position.
 type chainElement struct {
 	name string
 	at   model.Timestamp
 	seq  int
 }
 
-// chainElements lists the policy elements on disk, fulls and deltas, oldest
-// first.
+// chainElements lists the active segment's policy elements of a store that
+// never sealed, fulls and deltas, oldest first.
 func (r *residentSys) chainElements() []chainElement {
+	return r.chainElementsIn("sys/aion/timestore/p-1")
+}
+
+// chainElementsIn lists the element files of one segment directory in
+// position order.
+func (r *residentSys) chainElementsIn(dir string) []chainElement {
 	r.t.Helper()
-	names, err := r.fs.ReadDir("sys/aion/timestore/p-1")
+	names, err := r.fs.ReadDir(dir)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -549,14 +639,16 @@ func (r *residentSys) chainElements() []chainElement {
 		if !strings.HasSuffix(name, ".dsnap") {
 			continue
 		}
-		e := chainElement{name: name}
+		var at uint64 // two's complement: the entry of all history is at -1
+		e := chainElement{name: filepath.Join(dir, name)}
 		_, pos, _ := strings.Cut(name, "-")
-		if _, err := fmt.Sscanf(pos, "%16x-%8x.dsnap", &e.at, &e.seq); err != nil || !(strings.HasPrefix(name, "full-") || strings.HasPrefix(name, "delta-")) {
+		if _, err := fmt.Sscanf(pos, "%16x-%8x.dsnap", &at, &e.seq); err != nil || !(strings.HasPrefix(name, "full-") || strings.HasPrefix(name, "delta-")) {
 			r.t.Fatalf("chain file %q: %v", name, err)
 		}
+		e.at = model.Timestamp(at)
 		out = append(out, e)
 	}
-	slices.SortFunc(out, func(a, b chainElement) int { return int(a.at - b.at) })
+	slices.SortFunc(out, func(a, b chainElement) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq)) })
 	return out
 }
 
@@ -630,7 +722,7 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 	r.mu.Lock()
 	commits := r.commits
 	r.mu.Unlock()
-	gs := ts.GraphStore()
+	gs, latest := ts.GraphStore(), r.Host.Current()
 	for _, at := range elems {
 		g, ok := gs.Get(at)
 		if !ok {
@@ -645,7 +737,7 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 		unshared, want, total := 0, 0, 0
 		g.ForEachNode(func(n *model.Node) bool {
 			total++
-			if gs.LatestNode(n.ID) != n {
+			if latest.Node(n.ID) != n {
 				unshared++
 			}
 			if touched[int64(n.ID)<<1] {
@@ -655,7 +747,7 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 		})
 		g.ForEachRel(func(rel *model.Rel) bool {
 			total++
-			if gs.LatestRel(rel.ID) != rel {
+			if latest.Rel(rel.ID) != rel {
 				unshared++
 			}
 			if touched[int64(rel.ID)<<1|1] {

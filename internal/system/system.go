@@ -8,12 +8,10 @@ package system
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"aion/internal/aion"
 	"aion/internal/hostdb"
 	"aion/internal/model"
-	"aion/internal/timestore"
 	"aion/internal/vfs"
 )
 
@@ -44,20 +42,7 @@ type Options struct {
 type System struct {
 	Host *hostdb.DB
 	Aion *aion.DB
-
-	// The hand-over rule's two numbers (handOver): the updates Aion ingested
-	// since its latest graph was last the host's, and the length of the
-	// host's entity vectors at that hand-over. Atomic only because a
-	// promotion can let a local commit's listener overlap a shipment's.
-	private, vectorLen atomic.Int64
 }
-
-// handOverFraction is the rule for when the write path hands the host's graph
-// over again: once the updates ingested since the last hand-over reach 1/8 of
-// the entity vectors' length. A hand-over costs each side one copy of those
-// vectors at its next write, so the copying is amortised O(1) per update, and
-// the entity objects the two graphs do not share stay under 1/8 of the graph.
-const handOverFraction = 8
 
 // Open creates or reopens a combined system and registers the event
 // listener.
@@ -78,12 +63,9 @@ func Open(opts Options) (*System, error) {
 	if aopts.Dir == "" && opts.Dir != "" {
 		aopts.Dir = opts.Dir + "/aion"
 	}
-	// Offer the TimeStore the graph the host just recovered: if its own log
-	// ends where the host's does it installs this one instead of building a
-	// second set of the same entities.
-	if g, clock, updates := host.Committed(); updates > 0 {
-		aopts.Host = &timestore.HostGraph{Graph: g, TS: clock, Updates: updates}
-	}
+	// The host's committed graph is the one resident current graph: the
+	// TimeStore applies nothing and borrows this one where it needs a graph.
+	aopts.Host = host.Committed
 	s.Aion, err = aion.Open(aopts)
 	if err != nil {
 		host.Close()
@@ -94,44 +76,14 @@ func Open(opts Options) (*System, error) {
 		host.Close()
 		return nil, fmt.Errorf("system: reconcile host and temporal store: %w", err)
 	}
-	// reconcile has just established that both sit at the host's clock.
-	s.handOver(host.Clock())
-	host.OnCommit(func(ts model.Timestamp, us []model.Update) {
+	host.OnCommit(func(_ model.Timestamp, us []model.Update) {
 		// The listener runs in the after-commit phase and has nobody to
 		// return an error to: Aion keeps the first failed ingest (Err reports
 		// it, every later batch is refused with it), so nothing is ever fed
-		// on top of a hole, and the graphs are never joined across one.
-		if s.Aion.ApplyBatch(us) != nil {
-			return
-		}
-		if s.private.Add(int64(len(us)))*handOverFraction >= s.vectorLen.Load() {
-			s.handOver(ts)
-		}
+		// on top of a hole.
+		_ = s.Aion.ApplyBatch(us)
 	})
 	return s, nil
-}
-
-// handOver makes the TimeStore's latest graph a copy-on-write handle on the
-// host's committed graph, so one set of entity objects serves both. at is the
-// commit Aion has just ingested through; the two graphs are the same state
-// only when that is also the host's clock. Inside a group-commit round (or a
-// shipment) it is not until the last listener call — the host applies the
-// whole round before the first — so a hand-over due mid-round waits for that
-// call, which the same round always reaches.
-func (s *System) handOver(at model.Timestamp) {
-	ts := s.Aion.TimeStore()
-	if ts == nil || s.Aion.Err() != nil {
-		return
-	}
-	g, clock, updates := s.Host.Committed()
-	if updates == 0 || clock != at {
-		return
-	}
-	// A refusal (the TimeStore counts it) is not retried at the next commit:
-	// every attempt costs the host a copy of its entity vectors.
-	ts.AdoptLatest(g, clock)
-	s.private.Store(0)
-	s.vectorLen.Store(int64(g.MaxNodeID()) + int64(g.MaxRelID()))
 }
 
 // reconcile replays onto Aion every transaction the host made durable but

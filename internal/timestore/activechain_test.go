@@ -6,6 +6,7 @@ package timestore
 // neighbour), the guard on that shortcut, and the catalogue bugfix.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,7 +25,11 @@ import (
 func policySnapshot(s *Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g, act := s.gs.Latest(), s.active()
+	g, err := s.latestLocked(context.Background())
+	if err != nil {
+		return err
+	}
+	act := s.active()
 	at := fence{pos: position{ts: g.Timestamp(), seq: s.seq}, off: act.log.Size()}
 	return s.persistSnapshot(act, g, at, act.deltaBase(at.pos, s.opts.DeltaChainLength))
 }
@@ -138,10 +143,10 @@ func TestActiveChainRule(t *testing.T) {
 	}
 	o.check(delta, "one-entry cache after reopen")
 	hosted := opts
-	hosted.Host = hostOf(t, us)
+	hosted.Host = hostOf(t, us).Committed
 	delta = reopened(t, delta, hosted)
-	if st := delta.Stats(); st.LatestAdoptions != 1 {
-		t.Errorf("reopen on the host's graph: %d adoptions, want 1", st.LatestAdoptions)
+	if st := delta.Stats(); delta.own != nil || st.LoadedEntities != 0 {
+		t.Errorf("reopened on a host the store built a graph of its own: %d entity versions loaded", st.LoadedEntities)
 	}
 	o.check(delta, "reopened on the host's graph")
 }
@@ -376,7 +381,10 @@ func TestSupersededElementFileRemoved(t *testing.T) {
 	act := s.active()
 	base := act.elems()[0]
 	at := fence{pos: position{ts: 4}, off: act.log.Size()}
-	err := s.persistSnapshot(act, s.gs.Latest(), at, &base)
+	g, err := s.latestLocked(context.Background())
+	if err == nil {
+		err = s.persistSnapshot(act, g, at, &base)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -172,7 +172,7 @@ func verifyRecovered(t *testing.T, k int, torn bool, codec *enc.Codec, st *Store
 			t.Fatalf("k=%d torn=%v: reference apply: %v", k, torn, err)
 		}
 	}
-	got := st.gs.Latest()
+	got := latestOf(t, st)
 	if got.NodeCount() != ref.NodeCount() || got.RelCount() != ref.RelCount() {
 		t.Fatalf("k=%d torn=%v: recovered graph %d nodes/%d rels, want %d/%d",
 			k, torn, got.NodeCount(), got.RelCount(), ref.NodeCount(), ref.RelCount())

@@ -204,8 +204,8 @@ func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g, ref *memg
 // and that base is complete too, only the deltas from there on are read, and
 // applied to near — which, a CoW clone of a cached graph, keeps sharing every
 // entity they leave alone with it. Every entity version the files do produce
-// is shared with ref, a handle on the latest graph (nil: none yet), where
-// that holds it too.
+// is shared with ref, a handle on the committed graph (nil: recovery, which
+// builds that graph), where that holds it too.
 func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j int, near, ref *memgraph.Graph) (*memgraph.Graph, error) {
 	from, g := j, memgraph.New()
 	//aionlint:ignore ctxloop backward walk is bounded by DeltaChainLength steps, each at most one record read
@@ -254,10 +254,11 @@ func elemComplete(seg *segment, e chainElem) (bool, error) {
 // for it (nil: none): the graph is also cached for the next reader when it is
 // complete at its timestamp. Caller holds sealMu (either mode).
 func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
-	// One O(1) handle on the latest graph serves the load and the rebase: what
-	// a loaded graph has in common with it is held once ("Sharing with the
-	// latest graph", DESIGN.md).
-	ref := s.gs.Latest()
+	// One O(1) handle on the committed graph serves the load and the rebase:
+	// what a loaded graph has in common with it is held once ("Sharing with the
+	// current graph", DESIGN.md). Any state of it serves — entities are
+	// immutable — so the handle is not checked against the log's end.
+	ref, _, _ := s.pull()
 	g, err := s.loadElem(ctx, seg, chain, j, near, ref)
 	if err != nil {
 		return nil, err

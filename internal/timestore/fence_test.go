@@ -186,7 +186,7 @@ func (o *fenceOracle) check(s *Store, label string) {
 // holds a node that the latest graph holds with equal content and a later
 // start.
 func (o *fenceOracle) wantYoungerTwins(s *Store) {
-	latest := s.gs.Latest()
+	latest := latestOf(o.t, s)
 	for _, seg := range s.segs {
 		for _, e := range seg.elems() {
 			at, twin := o.graphAt(e.pos.ts), false
@@ -241,7 +241,9 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 		t.Fatal(err, aerr)
 	}
 	s.bytesSinceSnap = act.log.Size() - from
-	s.gs = graphstore.NewWithLatest(opts.GraphStoreBytes, latest)
+	s.own = &ownGraph{g: latest, updates: s.updateCount}
+	s.committed = s.own.Committed
+	s.gs = graphstore.New(opts.GraphStoreBytes)
 	s.sealEntry = base
 	go s.snapshotWorker()
 	return s
@@ -261,7 +263,7 @@ func (o *fenceOracle) recoveredState(s *Store) recovered {
 	act := s.active()
 	return recovered{Updates: s.Stats().Updates, Count: act.count, MinTS: act.minTS, LastTS: s.lastTS, Seq: s.seq,
 		BytesSinceSnap: s.bytesSinceSnap, Fences: append([]fence(nil), act.fences...),
-		Latest: o.digest(s.gs.Latest().Export())}
+		Latest: o.digest(latestOf(o.t, s).Export())}
 }
 
 // reopenExact closes s and reopens it twice — with the decode-everything

@@ -546,9 +546,13 @@ func (s *Store) doSeal() error {
 	}
 	if cerr != nil {
 		s.recordCompactError(cerr)
-		// The next segment still needs its entry state: the latest graph is
-		// exactly the sealed end (the new active log is empty).
-		end = s.gs.Latest()
+		// The next segment still needs its entry state: the log's end is
+		// exactly the sealed end (the new active log is empty). A seal runs
+		// ahead of a commit the host already holds, so a hosted store
+		// materialises it; failing that too, the next seal has no entry.
+		if end, err = s.latestLocked(context.Background()); err != nil {
+			s.recordCompactError(err)
+		}
 	}
 	s.sealEntry = end
 	return nil

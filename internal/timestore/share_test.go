@@ -58,15 +58,15 @@ func TestLoadedElementSharesWithLatest(t *testing.T) {
 			if loaded != 2*n-1 || shared != want {
 				t.Errorf("loading the full produced %d entities, %d of them the latest graph's; want %d and %d", loaded, shared, 2*n-1, want)
 			}
-			same := 0
+			same, latest := 0, latestOf(t, s)
 			g.ForEachNode(func(x *model.Node) bool {
-				if x == s.gs.LatestNode(x.ID) {
+				if x == latest.Node(x.ID) {
 					same++
 				}
 				return true
 			})
 			g.ForEachRel(func(x *model.Rel) bool {
-				if x == s.gs.LatestRel(x.ID) {
+				if x == latest.Rel(x.ID) {
 					same++
 				}
 				return true

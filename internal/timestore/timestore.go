@@ -77,21 +77,14 @@ type Options struct {
 	// FS is the filesystem the store persists through. nil means the real
 	// OS filesystem; crash tests substitute a vfs.FaultFS.
 	FS vfs.FS
-	// Host is the committed graph of the host database this store is attached
-	// to, handed over by internal/system — not a setting. When the log Open
-	// recovers ends exactly where the host's does, recovery installs this
-	// graph as the latest instead of building its own from the newest
-	// snapshot and the log tail. Open drops the reference either way.
-	Host *HostGraph
-}
-
-// HostGraph is a host database's committed graph as hostdb.Committed returns
-// it: a CoW clone the receiver owns, the commit timestamp it is complete at,
-// and the number of updates committed since genesis.
-type HostGraph struct {
-	Graph   *memgraph.Graph
-	TS      model.Timestamp
-	Updates uint64
+	// Host is the host database this store is attached to, as internal/system
+	// wires it — not a setting: hostdb.DB.Committed, which returns a CoW clone
+	// of the committed graph the receiver owns, the commit timestamp it is
+	// complete at and the number of updates committed since genesis. A hosted
+	// store keeps no current graph of its own: where it needs the graph at its
+	// log's end it asks here (pullLocked). nil means stand-alone: the store
+	// applies every append to a graph of its own and asks that one.
+	Host func() (g *memgraph.Graph, clock model.Timestamp, updates uint64)
 }
 
 // DefaultSnapshotEveryBytes is the log-bytes snapshot policy applied when
@@ -154,13 +147,22 @@ type Store struct {
 	encBuf         []byte       // append-path scratch, guarded by mu (Sec 5.3)
 
 	// loadedEntities counts the entity versions element files have produced,
-	// sharedEntities those of them that are the latest graph's own objects.
+	// sharedEntities those of them that are the committed graph's own objects.
 	loadedEntities, sharedEntities atomic.Uint64
 
-	// adoptions and mismatches count AdoptLatest's outcomes; privateUpdates
-	// is how many updates the latest graph has applied on its own since it
-	// was last the host's. Guarded by mu.
-	adoptions, mismatches, privateUpdates uint64
+	// committed returns the committed graph — Options.Host, or own.Committed —
+	// with the clock and update count it is complete at (call it through
+	// pull, which counts); own is the graph a stand-alone store applies every
+	// append to, nil when a host is attached.
+	committed func() (*memgraph.Graph, model.Timestamp, uint64)
+	own       *ownGraph
+	pulls     atomic.Uint64
+	// pending is the graph a due policy snapshot captured at the end of the
+	// last batch, waiting for the next timestamp boundary to name its log
+	// offset; nil when none is waiting. mismatches counts the captures refused
+	// at a round's last call. Both guarded by mu.
+	pending    *memgraph.Graph
+	mismatches uint64
 
 	// snapErrs / lastSnapErr surface background persistSnapshot failures,
 	// which would otherwise vanish silently off the commit path.
@@ -190,9 +192,10 @@ type snapJob struct {
 }
 
 // Open creates or reopens a TimeStore in opts.Dir using the shared codec.
-// Reopening rebuilds the in-memory latest graph from the newest
+// Reopening a stand-alone store rebuilds its in-memory graph from the newest
 // materialization plus the log tail (the paper's recovery path: replay the
-// transaction log from the last persisted state).
+// transaction log from the last persisted state); one attached to a host
+// (Options.Host) has the host's.
 func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	opts.defaults()
 	fs := vfs.OrOS(opts.FS)
@@ -378,14 +381,12 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 
 // recover rebuilds all derived state from the sources of truth a crash
 // cannot corrupt: each segment's tail-repaired log, the seal markers, and
-// the element files' self-describing headers (openSegments). The newest
-// surviving element of the active chain — else the sealed end state —
-// seeds the latest in-memory graph and the log from that element's offset
-// on is decoded and applied on top; every frame of the active log is still
-// walked, to count the records and lay the fences. When a host's graph is
-// on offer the whole log is walked that way first, and if it ends where the
-// host does — same last timestamp, same number of updates since genesis —
-// that graph is the latest and nothing is loaded or decoded.
+// the element files' self-describing headers (openSegments). Every frame of
+// the active log is walked, to count the records and lay the fences — off a
+// peek at its timestamp where nothing needs the update. A hosted store needs
+// none: it loads and decodes nothing. A stand-alone one seeds its own graph
+// from the newest surviving element of the active chain — else the sealed end
+// state — and decodes and applies the log from that element's offset on.
 func (s *Store) recover() (err error) {
 	ctx := context.Background()
 	if s.segs, err = openSegments(s.fs, s.opts.Dir); err != nil {
@@ -402,13 +403,9 @@ func (s *Store) recover() (err error) {
 	if len(chain) > 0 {
 		from = chain[len(chain)-1].logOff
 	}
-	host := s.opts.Host
-	s.opts.Host = nil
-	// The records before peeked are counted and fenced off a peek at their
-	// timestamp, not decoded: those before from are inside the seeding element
-	// already, and the host's graph, if it is taken, holds them all.
-	peeked := from
-	if host != nil {
+	s.committed = s.opts.Host
+	peeked := from // the records before it are inside the seeding element already
+	if s.committed != nil {
 		peeked = act.log.Size()
 	}
 	var aerr error
@@ -425,65 +422,101 @@ func (s *Store) recover() (err error) {
 	if err = errors.Join(err, aerr); err != nil {
 		return err
 	}
-	var latest *memgraph.Graph
-	if host != nil && host.TS == s.lastTS && host.Updates == s.updateCount {
-		latest = host.Graph
-		latest.SetTimestamp(s.lastTS)
-		s.adoptions = 1
-	} else {
+	if s.committed == nil {
+		latest := base.Clone()
 		if len(chain) > 0 {
 			if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil, nil); err != nil {
 				return err
 			}
-		} else {
-			latest = base.Clone()
 		}
 		err = s.replayWal(ctx, act.log, s.opts.ParallelIO, from, logEnd, func(off int64, u model.Update) bool {
-			if off >= peeked {
-				s.advanceLocked(u.TS, off)
-			}
+			s.advanceLocked(u.TS, off)
 			aerr = latest.Apply(u)
 			return aerr == nil
 		})
 		if err = errors.Join(err, aerr); err != nil {
 			return err
 		}
+		s.own = &ownGraph{g: latest, updates: s.updateCount}
+		s.committed = s.own.Committed
 	}
 	// Seed the log-bytes policy with the replay debt actually carried past
 	// the seeding element, so a reopened store keeps its bounded recovery
 	// window instead of accruing another full budget first.
 	s.bytesSinceSnap = act.log.Size() - from
-	// Install the recovered graph as the GraphStore's latest (cheaper than
-	// re-applying every update through the store).
-	s.gs = graphstore.NewWithLatest(s.opts.GraphStoreBytes, latest)
+	s.gs = graphstore.New(s.opts.GraphStoreBytes)
 	s.sealEntry = base
 	// Everything Open created (a segment directory, its log) and derivation
 	// deleted reaches the directory before the store takes a write.
 	return s.syncSegmentNames(act)
 }
 
-// AdoptLatest makes g — a CoW clone of the host's committed graph, complete
-// at commit timestamp ts — this store's latest graph, so the two share every
-// entity object instead of each holding the objects its own applies built.
-// The caller must know both sit at the same commit boundary; the store still
-// checks what it can and refuses (counting a mismatch in Stats) when ts is
-// not its last timestamp or the node and relationship counts differ from its
-// own latest: a host and an Aion that have diverged. Policy snapshots and
-// cached graphs cloned from the previous latest are unaffected.
-func (s *Store) AdoptLatest(g *memgraph.Graph, ts model.Timestamp) bool {
+// ownGraph is what a stand-alone store has in a host's place: the graph
+// every append is applied to, behind the signature of hostdb.DB.Committed. Its
+// lock is a leaf — a query takes it under sealMu while an append holds s.mu.
+type ownGraph struct {
+	mu      sync.Mutex
+	g       *memgraph.Graph
+	updates uint64
+}
+
+func (o *ownGraph) apply(u model.Update) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.updates++
+	return o.g.Apply(u)
+}
+
+// Committed returns a CoW clone of the graph, its timestamp and the number of
+// updates applied since genesis.
+func (o *ownGraph) Committed() (*memgraph.Graph, model.Timestamp, uint64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.g.Clone(), o.g.Timestamp(), o.updates
+}
+
+// pull asks for the committed graph: an O(1) handle for the caller, and for
+// whoever is asked a copy of its entity vectors at its next write — which is
+// why every call is counted.
+func (s *Store) pull() (*memgraph.Graph, model.Timestamp, uint64) {
+	s.pulls.Add(1)
+	return s.committed()
+}
+
+// pullLocked pulls the committed graph and takes it only when it is the
+// state at the log's end: complete at the last timestamp, the same number of
+// updates since genesis (two empty stores agree whatever their clocks say).
+// Otherwise the graph is dropped — nil — and clock says which way the two
+// differ: a host is ahead inside a group-commit round or a shipment until the
+// round's last listener call, and while reconcile has a crash-lagged log to
+// catch up. The graph is the caller's own handle, sharing every entity object
+// with the host's; it carries the store's position, whatever stamp an aborted
+// commit left on the host's.
+func (s *Store) pullLocked() (g *memgraph.Graph, clock model.Timestamp) {
+	g, clock, updates := s.pull()
+	if updates != s.updateCount || (clock != s.lastTS && updates > 0) {
+		return nil, clock
+	}
+	g.SetTimestamp(s.lastTS)
+	return g, clock
+}
+
+// latestLocked returns the graph at the log's end, private to the caller: the
+// committed graph when that is where it sits — always, stand-alone — and
+// otherwise materialised from the chain and the log like any GetGraph. Caller
+// holds s.mu and not sealMu.
+func (s *Store) latestLocked(ctx context.Context) (*memgraph.Graph, error) {
+	if g, _ := s.pullLocked(); g != nil {
+		return g, nil
+	}
+	return s.GetGraphContext(ctx, s.lastTS)
+}
+
+// Latest returns the graph at the log's end, private to the caller.
+func (s *Store) Latest() (*memgraph.Graph, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if nodes, rels := s.gs.LatestCounts(); ts != s.lastTS || g.NodeCount() != nodes || g.RelCount() != rels {
-		s.mismatches++
-		return false
-	}
-	// The host stamps its graph with its clock; name the position the way
-	// this store's own latest would, whatever the clone carried.
-	g.SetTimestamp(ts)
-	s.gs.SetLatest(g)
-	s.adoptions++
-	s.privateUpdates = 0
-	return true
+	return s.latestLocked(context.Background())
 }
 
 // Append writes one committed update: AppendBatch of a single update.
@@ -497,9 +530,10 @@ func (s *Store) Append(u model.Update) error {
 // single AppendBatch — one log lock, one write syscall — instead of one
 // Append per update. Timestamps are validated up front so a mid-batch
 // monotonicity violation rejects the batch before anything reaches the
-// log. The snapshot policy is still evaluated per update (a bulk load can
+// log. The snapshot policy is still evaluated per timestamp (a bulk load can
 // legitimately cross several policy boundaries); the trigger is an O(1)
 // CoW clone handed to the background worker, so it costs the batch nothing.
+// A hosted store applies nothing here: the host has the batch already.
 func (s *Store) AppendBatch(us []model.Update) error {
 	if len(us) == 0 {
 		return nil
@@ -547,59 +581,75 @@ func (s *Store) AppendBatch(us []model.Update) error {
 		return err
 	}
 	for i, u := range us {
-		// Timestamp boundary: the latest graph is complete at s.lastTS — the
-		// only moment a policy snapshot may capture it. Capturing mid-
-		// timestamp would poison the GraphStore with a state no (ts) query
-		// key can name.
-		if u.TS > s.lastTS && s.active().count > 0 {
-			s.maybeSnapshotLocked(offs[i])
+		// Timestamp boundary: the position of the graph captured when the last
+		// timestamp ended now has a log offset, this record's.
+		if u.TS > s.lastTS && s.pending != nil && s.active().count > 0 {
+			s.scheduleSnapshotLocked(offs[i])
 		}
+		s.pending = nil // no longer the log's end
 		s.advanceLocked(u.TS, offs[i])
-		if err := s.gs.ApplyToLatest(u); err != nil {
-			return err
+		if s.own != nil {
+			if err := s.own.apply(u); err != nil {
+				return err
+			}
 		}
 		s.opsSinceSnap++
 		s.bytesSinceSnap += int64(len(payloads[i]))
-		s.privateUpdates++
+		// The end of a timestamp, as far as this batch can tell (the next one
+		// may continue it, and the capture is dropped): the committed graph is
+		// complete at s.lastTS — the only state a policy snapshot may capture;
+		// mid-timestamp would poison the GraphStore with a state no (ts) query
+		// key can name.
+		if (i+1 == len(us) || us[i+1].TS > u.TS) && s.snapshotDueLocked() {
+			s.captureSnapshotLocked()
+		}
 	}
 	return nil
 }
 
-// maybeSnapshotLocked runs the snapshot policy (operation- or log-bytes-
-// based, Sec 4.3) and schedules an asynchronous snapshot when a configured
-// trigger is due. It is called at timestamp boundaries, so the captured
-// graph is always complete at its timestamp — the invariant every
-// GraphStore entry carries. off is the log offset just past the latest
-// graph's position: that of the record about to be counted.
-func (s *Store) maybeSnapshotLocked(off int64) {
-	if (s.opts.SnapshotEveryOps > 0 && s.opsSinceSnap >= s.opts.SnapshotEveryOps) ||
-		(s.opts.SnapshotEveryBytes > 0 && s.bytesSinceSnap >= s.opts.SnapshotEveryBytes) {
-		s.scheduleSnapshotLocked(off)
+// snapshotDueLocked runs the snapshot policy (operation- or log-bytes-based,
+// Sec 4.3): a configured trigger is due and the snapshot worker has room.
+// While its queue is full the trigger is deferred — the policy counters are
+// left untouched, so the very next append retries — keeping snapshot density
+// close to the policy even during bulk loads.
+func (s *Store) snapshotDueLocked() bool {
+	return ((s.opts.SnapshotEveryOps > 0 && s.opsSinceSnap >= s.opts.SnapshotEveryOps) ||
+		(s.opts.SnapshotEveryBytes > 0 && s.bytesSinceSnap >= s.opts.SnapshotEveryBytes)) &&
+		len(s.snapCh) < cap(s.snapCh)
+}
+
+// captureSnapshotLocked pulls the graph of a due policy snapshot into
+// s.pending. The snapshot is of the state at the log's end, but its position
+// has a log offset only once the next timestamp opens — and by then a host has
+// moved on — so the graph is captured here and scheduled there. Inside a
+// group-commit round (or a shipment) the host applied the whole round before
+// the first listener call and is ahead until the last: the pull is refused,
+// the policy stays due, and the capture waits for that call. Refused although
+// the batch was the host's newest commit, host and log have diverged.
+func (s *Store) captureSnapshotLocked() {
+	var clock model.Timestamp
+	if s.pending, clock = s.pullLocked(); s.pending == nil && clock <= s.lastTS {
+		s.mismatches++
 	}
 }
 
-// scheduleSnapshotLocked hands the latest graph to the background snapshot
-// worker (a CoW clone, so the commit path pays O(1)). While the worker's
-// queue is full the trigger is deferred — the policy counters are left
-// untouched, so the very next append retries — keeping snapshot density
-// close to the policy even during bulk loads.
+// scheduleSnapshotLocked hands s.pending — the committed graph at s.lastTS, a
+// CoW clone, so the commit path pays O(1) — to the background snapshot
+// worker. off is the log offset just past that position: that of the record
+// about to be counted.
 func (s *Store) scheduleSnapshotLocked(off int64) {
-	if len(s.snapCh) == cap(s.snapCh) {
-		return // worker busy; retry on the next append
-	}
-	g := s.gs.Latest()
 	s.opsSinceSnap = 0
 	s.bytesSinceSnap = 0
 	s.snapWG.Add(1)
-	at := fence{pos: position{ts: g.Timestamp(), seq: s.seq}, off: off}
-	s.snapCh <- snapJob{seg: s.active(), g: g, at: at} // cannot block: single producer under s.mu saw room
+	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: off}
+	s.snapCh <- snapJob{seg: s.active(), g: s.pending, at: at} // cannot block: single producer under s.mu saw room at the capture
 }
 
 // WaitSnapshots blocks until all in-flight background snapshots are
 // persisted (used by tests and benchmarks).
 func (s *Store) WaitSnapshots() { s.snapWG.Wait() }
 
-// CreateSnapshot forces an eager snapshot of the latest graph.
+// CreateSnapshot forces an eager snapshot of the graph at the log's end.
 func (s *Store) CreateSnapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -611,8 +661,12 @@ func (s *Store) CreateSnapshot() error {
 	// appended so far is in it, so replay resumes at the log's end. It is
 	// always a full: written out of turn, possibly in front of queued policy
 	// jobs, it must not depend on a base staying where it was.
-	g, act := s.gs.Latest(), s.active()
-	at := fence{pos: position{ts: g.Timestamp(), seq: s.seq}, off: act.log.Size()}
+	g, err := s.latestLocked(context.Background())
+	if err != nil {
+		return err
+	}
+	act := s.active()
+	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: act.log.Size()}
 	if err := s.persistSnapshot(act, g, at, nil); err != nil {
 		return err
 	}
@@ -644,7 +698,7 @@ type Stats struct {
 	ReplayedUpdates uint64
 	// LoadedEntities counts the entity versions that loading chain elements
 	// has produced — a record of a full, the result of a delta record —
-	// recovery's included; SharedEntities those for which the latest graph's
+	// recovery's included; SharedEntities those for which the committed graph's
 	// own object was installed instead of a new one.
 	LoadedEntities uint64
 	SharedEntities uint64
@@ -657,16 +711,19 @@ type Stats struct {
 	// eager); LastSnapshotError is the most recent failure's message.
 	SnapshotErrors    uint64
 	LastSnapshotError string
-	// LatestAdoptions counts the times the latest graph became a handle on
-	// the host's (Open installing Options.Host, then every AdoptLatest),
-	// LatestMismatches the hand-overs AdoptLatest refused, and
-	// LatestPrivateUpdates the updates the latest graph has applied on its
-	// own since the last adoption — the bound on how many entity objects it
-	// does not share with the host right now.
-	LatestAdoptions      uint64
-	LatestMismatches     uint64
-	LatestPrivateUpdates uint64
-	GraphStore           graphstore.Stats
+	// LatestPulls counts the times the committed graph was asked for — by a
+	// due policy snapshot, an eager one, Latest, a snapshot miss — each of
+	// which costs its owner one copy of its entity vectors. LatestMismatches
+	// counts the due policy snapshots it was refused for although the batch
+	// just appended was the host's newest commit: host and log have diverged.
+	// SnapshotsOverdue is how many whole policy intervals have gone by since
+	// a snapshot fell due without one being taken — 0 in a healthy store; a
+	// host whose graph is refused every time shows here, as does a snapshot
+	// worker that cannot keep up.
+	LatestPulls      uint64
+	LatestMismatches uint64
+	SnapshotsOverdue int64
+	GraphStore       graphstore.Stats
 }
 
 // Stats returns a snapshot of the store's counters and on-disk footprint.
@@ -691,11 +748,17 @@ func (s *Store) Stats() Stats {
 		SnapshotErrors:    s.snapErrs.Load(),
 		LastSnapshotError: lastErr,
 
-		LatestAdoptions:      s.adoptions,
-		LatestMismatches:     s.mismatches,
-		LatestPrivateUpdates: s.privateUpdates,
-		GraphStore:           s.gs.Stats(),
+		LatestPulls:      s.pulls.Load(),
+		LatestMismatches: s.mismatches,
+		GraphStore:       s.gs.Stats(),
 	}
+	if n := s.opts.SnapshotEveryOps; n > 0 {
+		st.SnapshotsOverdue = int64(s.opsSinceSnap/n) - 1
+	}
+	if n := s.opts.SnapshotEveryBytes; n > 0 {
+		st.SnapshotsOverdue = max(st.SnapshotsOverdue, s.bytesSinceSnap/n-1)
+	}
+	st.SnapshotsOverdue = max(st.SnapshotsOverdue, 0)
 	for _, g := range s.segs {
 		var chainBytes int64
 		for _, e := range g.elems() {

@@ -207,8 +207,8 @@ func TestEquivalenceActiveDeltaChain(t *testing.T) {
 		}
 		st.Opts.GraphStoreBytes = 1 // the cache keeps its newest entry only
 		cold := st.Reopen(t)
-		if cmp.GraphDigest(t, cold.GraphStore().Latest()) != want[maxTS] {
-			t.Fatalf("%s: the latest graph recovered from the chain and the log tail differs from a replay from zero", st.name())
+		if g, err := cold.Latest(); err != nil || cmp.GraphDigest(t, g) != want[maxTS] {
+			t.Fatalf("%s: the latest graph recovered from the chain and the log tail differs from a replay from zero (%v)", st.name(), err)
 		}
 		for ts := maxTS; ts >= 0; ts-- {
 			check("cold", cold, ts)
@@ -216,12 +216,14 @@ func TestEquivalenceActiveDeltaChain(t *testing.T) {
 		if err := cold.Close(); err != nil {
 			t.Fatal(err)
 		}
-		st.Opts.Host = &timestore.HostGraph{Graph: ref.Clone(), TS: maxTS, Updates: uint64(len(us))}
+		st.Opts.Host = func() (*memgraph.Graph, model.Timestamp, uint64) { return ref.Clone(), maxTS, uint64(len(us)) }
 		hosted := st.Reopen(t)
-		if got := hosted.Stats().LatestAdoptions; got != 1 {
-			t.Fatalf("%s: reopen on the host's graph adopted it %d times, want 1", st.name(), got)
+		g, err := hosted.Latest()
+		if hst := hosted.Stats(); err != nil || hst.LatestPulls != 1 || hst.LoadedEntities != 0 {
+			t.Fatalf("%s: reopened on a host, Latest took its graph %d times after loading %d entity versions (%v); want 1 and 0",
+				st.name(), hst.LatestPulls, hst.LoadedEntities, err)
 		}
-		if cmp.GraphDigest(t, hosted.GraphStore().Latest()) != want[maxTS] {
+		if cmp.GraphDigest(t, g) != want[maxTS] {
 			t.Fatalf("%s: the latest graph taken from the host differs from a replay from zero", st.name())
 		}
 		for ts := maxTS; ts >= 0; ts -= 7 {
