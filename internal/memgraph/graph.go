@@ -5,7 +5,7 @@
 // neighbourhood access. Neighbourhood vectors store relationship IDs only;
 // endpoints are resolved with an O(1) lookup in the relationship vector
 // (one of the paper's memory optimizations). Snapshots support cheap
-// Copy-on-Write cloning à la Tegra.
+// Copy-on-Write cloning à la Tegra, by the 256-entry chunk (vec.go).
 package memgraph
 
 import (
@@ -29,14 +29,11 @@ const (
 // per the paper, parallel updates are key-partitioned at the execution
 // layer and reads precede writes for analytics.
 type Graph struct {
-	nodes []*model.Node
-	rels  []*model.Rel
-	out   [][]model.RelID
-	in    [][]model.RelID
-	// owned marks adjacency lists this graph may mutate in place; lists of
-	// a CoW clone are copied on first write.
-	owned []bool
-	// cow is 1 while the entity vectors are shared with a clone
+	nodes vec[*model.Node]
+	rels  vec[*model.Rel]
+	out   vec[[]model.RelID]
+	in    vec[[]model.RelID]
+	// cow is 1 while the vectors' directories are shared with a clone
 	// parent/child. Accessed atomically so concurrent readers may Clone
 	// the same snapshot; mutation (Apply) still requires external
 	// synchronization against both Clone and other Applies.
@@ -64,45 +61,23 @@ func (g *Graph) NodeCount() int { return g.nodeCount }
 // RelCount returns the number of live relationships.
 func (g *Graph) RelCount() int { return g.relCount }
 
-// MaxNodeID returns the exclusive upper bound of the sparse node id domain.
-func (g *Graph) MaxNodeID() model.NodeID { return model.NodeID(len(g.nodes)) }
-
-// MaxRelID returns the exclusive upper bound of the sparse rel id domain.
-func (g *Graph) MaxRelID() model.RelID { return model.RelID(len(g.rels)) }
+// MaxNodeID returns the exclusive upper bound of the sparse node id domain:
+// the largest node id the graph has seen + 1.
+func (g *Graph) MaxNodeID() model.NodeID { return model.NodeID(g.nodes.n) }
 
 // Node returns the node with the given id, or nil if absent.
-func (g *Graph) Node(id model.NodeID) *model.Node {
-	if id < 0 || int(id) >= len(g.nodes) {
-		return nil
-	}
-	return g.nodes[id]
-}
+func (g *Graph) Node(id model.NodeID) *model.Node { return g.nodes.get(int(id)) }
 
 // Rel returns the relationship with the given id, or nil if absent.
-func (g *Graph) Rel(id model.RelID) *model.Rel {
-	if id < 0 || int(id) >= len(g.rels) {
-		return nil
-	}
-	return g.rels[id]
-}
+func (g *Graph) Rel(id model.RelID) *model.Rel { return g.rels.get(int(id)) }
 
 // Out returns the outgoing relationship ids of a node. The slice must not
 // be mutated.
-func (g *Graph) Out(id model.NodeID) []model.RelID {
-	if id < 0 || int(id) >= len(g.out) {
-		return nil
-	}
-	return g.out[id]
-}
+func (g *Graph) Out(id model.NodeID) []model.RelID { return g.out.get(int(id)) }
 
 // In returns the incoming relationship ids of a node. The slice must not
 // be mutated.
-func (g *Graph) In(id model.NodeID) []model.RelID {
-	if id < 0 || int(id) >= len(g.in) {
-		return nil
-	}
-	return g.in[id]
-}
+func (g *Graph) In(id model.NodeID) []model.RelID { return g.in.get(int(id)) }
 
 // Degree returns the number of incident relationships in the direction.
 func (g *Graph) Degree(id model.NodeID, d model.Direction) int {
@@ -120,7 +95,7 @@ func (g *Graph) Degree(id model.NodeID, d model.Direction) int {
 func (g *Graph) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.Rel, nb model.NodeID) bool) {
 	if d == model.Outgoing || d == model.Both {
 		for _, rid := range g.Out(id) {
-			r := g.rels[rid]
+			r := g.Rel(rid)
 			if !fn(r, r.Tgt) {
 				return
 			}
@@ -128,7 +103,7 @@ func (g *Graph) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.
 	}
 	if d == model.Incoming || d == model.Both {
 		for _, rid := range g.In(id) {
-			r := g.rels[rid]
+			r := g.Rel(rid)
 			if !fn(r, r.Src) {
 				return
 			}
@@ -139,85 +114,27 @@ func (g *Graph) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.
 // ForEachNode invokes fn for every live node in id order; it stops early if
 // fn returns false.
 func (g *Graph) ForEachNode(fn func(n *model.Node) bool) {
-	for _, n := range g.nodes {
-		if n != nil && !fn(n) {
-			return
-		}
-	}
+	g.nodes.each(func(n *model.Node) bool { return n == nil || fn(n) })
 }
 
 // ForEachRel invokes fn for every live relationship in id order; it stops
 // early if fn returns false.
 func (g *Graph) ForEachRel(fn func(r *model.Rel) bool) {
-	for _, r := range g.rels {
-		if r != nil && !fn(r) {
-			return
-		}
-	}
+	g.rels.each(func(r *model.Rel) bool { return r == nil || fn(r) })
 }
 
-func (g *Graph) growNodes(id model.NodeID) {
-	// Vectors are resized according to the maximum node id seen (Sec 5.2).
-	if int(id) < len(g.nodes) {
-		return
-	}
-	n := int(id) + 1
-	if n < 2*len(g.nodes) {
-		n = 2 * len(g.nodes)
-	}
-	nodes := make([]*model.Node, n)
-	copy(nodes, g.nodes)
-	g.nodes = nodes
-	out := make([][]model.RelID, n)
-	copy(out, g.out)
-	g.out = out
-	in := make([][]model.RelID, n)
-	copy(in, g.in)
-	g.in = in
-	owned := make([]bool, n)
-	copy(owned, g.owned)
-	for i := len(g.owned); i < n; i++ {
-		owned[i] = true
-	}
-	g.owned = owned
-}
-
-func (g *Graph) growRels(id model.RelID) {
-	if int(id) < len(g.rels) {
-		return
-	}
-	n := int(id) + 1
-	if n < 2*len(g.rels) {
-		n = 2 * len(g.rels)
-	}
-	rels := make([]*model.Rel, n)
-	copy(rels, g.rels)
-	g.rels = rels
-}
-
-// ensureEntityVectorsOwned copies the top-level entity vectors if they are
-// shared with a CoW sibling; adjacency lists stay shared per-node until
-// individually written.
-func (g *Graph) ensureEntityVectorsOwned() {
+// unshare gives each vector a directory of its own if they are shared with a
+// CoW sibling: the first write after a Clone copies n/256 chunk pointers, and
+// each write then copies the chunk it touches (vec.slot).
+func (g *Graph) unshare() {
 	if atomic.LoadUint32(&g.cow) == 0 {
 		return
 	}
-	g.nodes = append([]*model.Node(nil), g.nodes...)
-	g.rels = append([]*model.Rel(nil), g.rels...)
-	g.out = append([][]model.RelID(nil), g.out...)
-	g.in = append([][]model.RelID(nil), g.in...)
-	g.owned = make([]bool, len(g.nodes))
+	g.nodes.unshare()
+	g.rels.unshare()
+	g.out.unshare()
+	g.in.unshare()
 	atomic.StoreUint32(&g.cow, 0)
-}
-
-// ownAdj makes node id's adjacency lists privately writable.
-func (g *Graph) ownAdj(id model.NodeID) {
-	if g.owned[id] {
-		return
-	}
-	g.out[id] = append([]model.RelID(nil), g.out[id]...)
-	g.in[id] = append([]model.RelID(nil), g.in[id]...)
-	g.owned[id] = true
 }
 
 // Clone returns a copy-on-write snapshot copy: O(1) until either side
@@ -227,7 +144,7 @@ func (g *Graph) Clone() *Graph {
 	atomic.StoreUint32(&g.cow, 1) // both sides must now copy before writing
 	// Field by field: a copy of *g would read cow plainly while another reader
 	// clones the same graph (two holders of hostdb's read lock).
-	return &Graph{nodes: g.nodes, rels: g.rels, out: g.out, in: g.in, owned: g.owned, cow: 1,
+	return &Graph{nodes: g.nodes, rels: g.rels, out: g.out, in: g.in, cow: 1,
 		nodeCount: g.nodeCount, relCount: g.relCount, ts: g.ts}
 }
 
@@ -248,12 +165,11 @@ func (g *Graph) Apply(u model.Update) error {
 // creation time, which is at most Timestamp(), where a loaded one carries the
 // stamp of its record.
 func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error) {
-	g.ensureEntityVectorsOwned()
+	g.unshare()
 	at := max(g.ts, u.TS) // Timestamp() once u is applied
 	switch u.Kind {
 	case model.OpAddNode:
-		g.growNodes(u.NodeID)
-		if g.nodes[u.NodeID] != nil {
+		if g.Node(u.NodeID) != nil {
 			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrExists, u.NodeID, u.TS)
 		}
 		// An add names its entity's whole content, so the reference is asked
@@ -263,10 +179,7 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 			n = &model.Node{ID: u.NodeID, Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
 			u.ApplyToNode(n)
 		}
-		g.nodes[u.NodeID] = n
-		g.ownAdj(u.NodeID)
-		g.out[u.NodeID] = g.out[u.NodeID][:0]
-		g.in[u.NodeID] = g.in[u.NodeID][:0]
+		g.nodes.set(int(u.NodeID), n) // its adjacency lists are empty: it did not exist
 		g.nodeCount++
 
 	case model.OpDeleteNode:
@@ -274,10 +187,10 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 		if n == nil {
 			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
 		}
-		if len(g.out[u.NodeID]) > 0 || len(g.in[u.NodeID]) > 0 {
+		if len(g.Out(u.NodeID)) > 0 || len(g.In(u.NodeID)) > 0 {
 			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrHasRels, u.NodeID, u.TS)
 		}
-		g.nodes[u.NodeID] = nil
+		g.nodes.set(int(u.NodeID), nil)
 		g.nodeCount--
 
 	case model.OpUpdateNode:
@@ -290,14 +203,13 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 		if r := ref.sameNode(u.NodeID, at, c.Labels, c.Props); r != nil {
 			c, shared = r, true
 		}
-		g.nodes[u.NodeID] = c
+		g.nodes.set(int(u.NodeID), c)
 
 	case model.OpAddRel:
 		if g.Node(u.Src) == nil || g.Node(u.Tgt) == nil {
 			return false, fmt.Errorf("%w: rel %d (%d->%d) at ts %d", model.ErrDangling, u.RelID, u.Src, u.Tgt, u.TS)
 		}
-		g.growRels(u.RelID)
-		if g.rels[u.RelID] != nil {
+		if g.Rel(u.RelID) != nil {
 			return false, fmt.Errorf("%w: rel %d at ts %d", model.ErrExists, u.RelID, u.TS)
 		}
 		r := ref.sameRel(u.RelID, at, u.Src, u.Tgt, u.RelLabel, u.SetProps)
@@ -306,13 +218,13 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 				Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
 			u.ApplyToRel(r)
 		}
-		g.rels[u.RelID] = r
-		var refOut, refIn [][]model.RelID
+		g.rels.set(int(u.RelID), r)
+		var refOut, refIn *vec[[]model.RelID]
 		if ref != nil {
-			refOut, refIn = ref.out, ref.in
+			refOut, refIn = &ref.out, &ref.in
 		}
-		g.appendAdj(g.out, refOut, u.Src, u.RelID)
-		g.appendAdj(g.in, refIn, u.Tgt, u.RelID)
+		appendAdj(&g.out, refOut, u.Src, u.RelID)
+		appendAdj(&g.in, refIn, u.Tgt, u.RelID)
 		g.relCount++
 
 	case model.OpDeleteRel:
@@ -320,11 +232,9 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 		if r == nil {
 			return false, fmt.Errorf("%w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
 		}
-		g.rels[u.RelID] = nil
-		g.ownAdj(r.Src)
-		g.out[r.Src] = removeRelID(g.out[r.Src], u.RelID)
-		g.ownAdj(r.Tgt)
-		g.in[r.Tgt] = removeRelID(g.in[r.Tgt], u.RelID)
+		g.rels.set(int(u.RelID), nil)
+		removeAdj(&g.out, r.Src, u.RelID)
+		removeAdj(&g.in, r.Tgt, u.RelID)
 		g.relCount--
 
 	case model.OpUpdateRel:
@@ -337,7 +247,7 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 		if s := ref.sameRel(u.RelID, at, c.Src, c.Tgt, c.Label, c.Props); s != nil {
 			c, shared = s, true
 		}
-		g.rels[u.RelID] = c
+		g.rels.set(int(u.RelID), c)
 
 	default:
 		return false, fmt.Errorf("memgraph: unknown op %v", u.Kind)
@@ -376,18 +286,52 @@ func (ref *Graph) sameRel(id model.RelID, at model.Timestamp, src, tgt model.Nod
 // appendAdj appends rid to node id's list in lists (g.out or g.in). While the
 // list grows the way the reference's did — refLists is its vector of the same
 // direction, nil without a reference — it stays a prefix of that list, on the
-// same array: nothing is allocated or copied, and the node's lists are marked
-// un-owned, as after Clone, so the next write that departs copies them first.
-func (g *Graph) appendAdj(lists, refLists [][]model.RelID, id model.NodeID, rid model.RelID) {
-	if int(id) < len(refLists) {
-		l, r := lists[id], refLists[id]
+// same array: nothing is allocated or copied, and the list is marked un-owned,
+// as in a copied chunk, so the next write that departs copies it first.
+func appendAdj(lists, refLists *vec[[]model.RelID], id model.NodeID, rid model.RelID) {
+	c, j := lists.slot(int(id))
+	l := c.v[j]
+	if refLists != nil {
+		r := refLists.get(int(id))
 		if k := len(l); k < len(r) && r[k] == rid && (k == 0 || &l[0] == &r[0]) {
-			lists[id], g.owned[id] = r[:k+1], false
+			c.v[j] = r[:k+1]
+			c.own(j, false)
 			return
 		}
 	}
-	g.ownAdj(id)
-	lists[id] = append(lists[id], rid)
+	if !c.owns(j) {
+		l = l[:len(l):len(l)] // so append copies it to an array of the graph's own
+		c.own(j, true)
+	}
+	c.v[j] = append(l, rid)
+}
+
+// removeAdj removes rid from node id's list in lists, copying the list first
+// unless the graph may mutate it in place.
+func removeAdj(lists *vec[[]model.RelID], id model.NodeID, rid model.RelID) {
+	c, j := lists.slot(int(id))
+	if !c.owns(j) {
+		c.v[j] = slices.Clone(c.v[j])
+		c.own(j, true)
+	}
+	if i := slices.Index(c.v[j], rid); i >= 0 {
+		c.v[j] = slices.Delete(c.v[j], i, i+1)
+	}
+}
+
+// ShareChunks makes g hold ref's chunk wherever the two hold the same entries:
+// the same entity objects, or the same adjacency arrays at the same lengths —
+// what ApplyShared leaves wherever g's content is ref's — so that g keeps none
+// of its own copies of them alive. ref must be a handle nobody writes, such as
+// a Clone: then neither it nor the graph it was cloned from writes those
+// chunks in place again, and g copies one before it writes to it.
+func (g *Graph) ShareChunks(ref *Graph) {
+	g.unshare()
+	g.nodes.adopt(&ref.nodes, func(a, b *model.Node) bool { return a == b })
+	g.rels.adopt(&ref.rels, func(a, b *model.Rel) bool { return a == b })
+	sameList := func(a, b []model.RelID) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	g.out.adopt(&ref.out, sameList)
+	g.in.adopt(&ref.in, sameList)
 }
 
 // nextVersion is n.Clone() for the node update u about to be applied to the
@@ -412,31 +356,19 @@ func (g *Graph) ApplyAll(us []model.Update) error {
 	return nil
 }
 
-func removeRelID(s []model.RelID, id model.RelID) []model.RelID {
-	for i, x := range s {
-		if x == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
 // Export re-expresses the snapshot as a sequence of insertion updates (all
 // stamped with the snapshot timestamp), the form in which TimeStore
 // serializes snapshots to disk.
 func (g *Graph) Export() []model.Update {
 	us := make([]model.Update, 0, g.nodeCount+g.relCount)
-	for _, n := range g.nodes {
-		if n != nil {
-			us = append(us, model.AddNode(g.ts, n.ID, n.Labels, n.Props))
-		}
-	}
-	for _, r := range g.rels {
-		if r != nil {
-			u := model.AddRel(g.ts, r.ID, r.Src, r.Tgt, r.Label, r.Props)
-			us = append(us, u)
-		}
-	}
+	g.ForEachNode(func(n *model.Node) bool {
+		us = append(us, model.AddNode(g.ts, n.ID, n.Labels, n.Props))
+		return true
+	})
+	g.ForEachRel(func(r *model.Rel) bool {
+		us = append(us, model.AddRel(g.ts, r.ID, r.Src, r.Tgt, r.Label, r.Props))
+		return true
+	})
 	return us
 }
 
@@ -444,10 +376,7 @@ func (g *Graph) Export() []model.Update {
 // paper's Table 3 accounting constants plus property payloads.
 func (g *Graph) ApproxBytes() int64 {
 	var b int64
-	for _, n := range g.nodes {
-		if n == nil {
-			continue
-		}
+	g.ForEachNode(func(n *model.Node) bool {
 		b += NodeBytes
 		for _, l := range n.Labels {
 			b += int64(len(l))
@@ -455,16 +384,15 @@ func (g *Graph) ApproxBytes() int64 {
 		for k, v := range n.Props {
 			b += int64(len(k) + v.ApproxBytes())
 		}
-	}
-	for _, r := range g.rels {
-		if r == nil {
-			continue
-		}
+		return true
+	})
+	g.ForEachRel(func(r *model.Rel) bool {
 		b += RelBytes
 		for k, v := range r.Props {
 			b += int64(len(k) + v.ApproxBytes())
 		}
-	}
+		return true
+	})
 	// One entry in the out-vector and one in the in-vector per rel.
 	b += 2 * NeighEntryBytes * int64(g.relCount)
 	return b
@@ -484,13 +412,11 @@ func (g *Graph) BuildDenseMap() *DenseMap {
 		ToDense:  make(map[model.NodeID]int32, g.nodeCount),
 		ToSparse: make([]model.NodeID, 0, g.nodeCount),
 	}
-	for _, n := range g.nodes {
-		if n == nil {
-			continue
-		}
+	g.ForEachNode(func(n *model.Node) bool {
 		dm.ToDense[n.ID] = int32(len(dm.ToSparse))
 		dm.ToSparse = append(dm.ToSparse, n.ID)
-	}
+		return true
+	})
 	return dm
 }
 

@@ -20,8 +20,9 @@ func liveHeap() uint64 {
 // TestResidentBytesPerEntity bounds what one entity of the benchmark-shaped
 // graph (two int properties on every node, one string property on every
 // second relationship) really costs on the heap, beside the 96 B that ApproxBytes books for
-// it. Measured 404 B with the 40-byte model.Value and 710 B with the
-// 104-byte one of PR 18, which this budget (the measurement + 10 %) rejects:
+// it. Measured 397 B with the 40-byte model.Value in chunked vectors (404 B
+// in vectors that doubled as they grew) and 710 B with a 104-byte value,
+// which this budget (the measurement + 10 %) rejects:
 // 67 500 of the 120 000 entities carry a property map whose single 8-slot
 // group is 8 + 8 × (16 + sizeof(Value)) bytes — 456 B (a 480 B size class)
 // against 968 B (1 024 B).

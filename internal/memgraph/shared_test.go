@@ -19,7 +19,13 @@ import (
 // exportBytes is g's Export as the bytes a snapshot file would hold.
 func exportBytes(t *testing.T, codec *enc.Codec, g *Graph) string {
 	t.Helper()
-	payloads, _, err := codec.EncodeUpdates(nil, g.Export())
+	return updateBytes(t, codec, g.Export())
+}
+
+// updateBytes is us as the bytes a log or snapshot file would hold.
+func updateBytes(t *testing.T, codec *enc.Codec, us []model.Update) string {
+	t.Helper()
+	payloads, _, err := codec.EncodeUpdates(nil, us)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +169,20 @@ func allLive(live []model.NodeID, ids ...model.NodeID) bool {
 		}
 	}
 	return true
+}
+
+// sharedChunks counts the chunks g holds that are ref's.
+func sharedChunks(g, ref *Graph) int {
+	return sameChunks(&g.nodes, &ref.nodes) + sameChunks(&g.rels, &ref.rels) + sameChunks(&g.out, &ref.out) + sameChunks(&g.in, &ref.in)
+}
+
+func sameChunks[T any](v, ref *vec[T]) (n int) {
+	for k := range min(len(v.dir), len(ref.dir)) {
+		if c := v.dir[k].c; c != nil && c == ref.dir[k].c {
+			n++
+		}
+	}
+	return n
 }
 
 // applyShared folds us into g beside ref and returns how many of the entity
@@ -348,8 +368,9 @@ func TestApplySharedTellsIncarnationsApart(t *testing.T) {
 }
 
 // Loading a full that the reference holds entirely allocates the graph's
-// vectors and nothing per entity: no node, no property map, no label slice,
-// no adjacency list — those are the reference's.
+// chunks and nothing per entity: no node, no property map, no label slice, no
+// adjacency list — those are the reference's. ShareChunks then trades every
+// chunk for the reference's own.
 func TestApplySharedOfEqualFullAllocatesVectorsOnly(t *testing.T) {
 	const nodes, rels = 2000, 8000
 	ref := New()
@@ -368,19 +389,26 @@ func TestApplySharedOfEqualFullAllocatesVectorsOnly(t *testing.T) {
 			t.Fatalf("%d of %d entities shared", got, nodes+rels)
 		}
 	})
-	// Five vectors doubling from 1 to 2 048 and 8 192 slots, and the graph.
-	if allocs > 80 {
-		t.Errorf("loading %d shared entities allocates %.0f times, want O(vectors)", nodes+rels, allocs)
+	// One chunk per 256 ids of each of the four vectors (56), and the graph and
+	// its directories growing (19).
+	if want := (3*nodes+rels)/chunkLen + 24; allocs > float64(want) {
+		t.Errorf("loading %d shared entities allocates %.0f times, want at most %d: O(chunks)", nodes+rels, allocs, want)
 	}
 	for id := model.NodeID(0); id < nodes; id++ {
 		if &g.Out(id)[0] != &ref.Out(id)[0] || &g.In(id)[0] != &ref.In(id)[0] {
 			t.Fatalf("node %d's adjacency lists are copies", id)
 		}
 	}
-	// The lists are the reference's until written, then private.
-	before := slices.Clone(ref.Out(0))
-	mustApply(t, g, model.AddRel(3, rels, 0, 1, "R", nil), model.DeleteRel(4, 0, 0, 0))
-	if !slices.Equal(ref.Out(0), before) || len(ref.In(1)) != len(g.In(1))-1 {
-		t.Error("a write to the loaded graph reached the reference's adjacency lists")
+	g.ShareChunks(ref)
+	if got, want := sharedChunks(g, ref), 3*((nodes+chunkLen-1)/chunkLen)+(rels+chunkLen-1)/chunkLen; got != want {
+		t.Fatalf("after ShareChunks %d chunks are the reference's, want all %d", got, want)
+	}
+	// The chunks and lists are the reference's until written, then private.
+	before, exported := slices.Clone(ref.Out(0)), exportBytes(t, enc.NewCodec(strstore.NewMem()), ref)
+	mustApply(t, g, model.AddRel(3, rels, 0, 1, "R", nil), model.DeleteRel(4, 0, 0, 0),
+		model.UpdateNode(4, 1, nil, nil, model.Properties{"n": model.IntValue(-1)}, nil))
+	if !slices.Equal(ref.Out(0), before) || len(ref.In(1)) != len(g.In(1))-1 ||
+		exportBytes(t, enc.NewCodec(strstore.NewMem()), ref) != exported {
+		t.Error("a write to the loaded graph reached the reference")
 	}
 }

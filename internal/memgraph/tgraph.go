@@ -14,10 +14,10 @@ import (
 // of the respective lists, so data is ordered by timestamp and history
 // access costs are logarithmic.
 type TGraph struct {
-	nodes [][]*model.Node // version chains, ordered by Valid.Start
-	rels  [][]*model.Rel
-	out   [][]NeighEvent
-	in    [][]NeighEvent
+	nodes vec[[]*model.Node] // version chains, ordered by Valid.Start
+	rels  vec[[]*model.Rel]
+	out   vec[[]NeighEvent]
+	in    vec[[]NeighEvent]
 	span  model.Interval // the time range the temporal graph covers
 }
 
@@ -35,36 +35,10 @@ func NewTGraph(span model.Interval) *TGraph { return &TGraph{span: span} }
 // Span returns the time range the temporal graph covers.
 func (tg *TGraph) Span() model.Interval { return tg.span }
 
-func (tg *TGraph) growNodes(id model.NodeID) {
-	if int(id) < len(tg.nodes) {
-		return
-	}
-	n := int(id) + 1
-	if n < 2*len(tg.nodes) {
-		n = 2 * len(tg.nodes)
-	}
-	nodes := make([][]*model.Node, n)
-	copy(nodes, tg.nodes)
-	tg.nodes = nodes
-	out := make([][]NeighEvent, n)
-	copy(out, tg.out)
-	tg.out = out
-	in := make([][]NeighEvent, n)
-	copy(in, tg.in)
-	tg.in = in
-}
-
-func (tg *TGraph) growRels(id model.RelID) {
-	if int(id) < len(tg.rels) {
-		return
-	}
-	n := int(id) + 1
-	if n < 2*len(tg.rels) {
-		n = 2 * len(tg.rels)
-	}
-	rels := make([][]*model.Rel, n)
-	copy(rels, tg.rels)
-	tg.rels = rels
+// push appends x to entry i's list in v.
+func push[T any](v *vec[[]T], i int, x T) {
+	c, j := v.slot(i)
+	c.v[j] = append(c.v[j], x)
 }
 
 // Apply appends one update to the version chains. Updates must arrive in
@@ -73,13 +47,12 @@ func (tg *TGraph) growRels(id model.RelID) {
 func (tg *TGraph) Apply(u model.Update) error {
 	switch u.Kind {
 	case model.OpAddNode:
-		tg.growNodes(u.NodeID)
 		if last := tg.lastNode(u.NodeID); last != nil && last.Valid.End == model.TSInfinity {
 			return fmt.Errorf("%w: node %d at ts %d", model.ErrExists, u.NodeID, u.TS)
 		}
 		n := &model.Node{ID: u.NodeID, Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
 		u.ApplyToNode(n)
-		tg.nodes[u.NodeID] = append(tg.nodes[u.NodeID], n)
+		push(&tg.nodes, int(u.NodeID), n)
 
 	case model.OpDeleteNode:
 		last := tg.lastNode(u.NodeID)
@@ -97,21 +70,18 @@ func (tg *TGraph) Apply(u model.Update) error {
 		next := nextVersion(last, u)
 		next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
 		u.ApplyToNode(next)
-		tg.nodes[u.NodeID] = append(tg.nodes[u.NodeID], next)
+		push(&tg.nodes, int(u.NodeID), next)
 
 	case model.OpAddRel:
-		tg.growRels(u.RelID)
-		tg.growNodes(u.Src)
-		tg.growNodes(u.Tgt)
 		if last := tg.lastRel(u.RelID); last != nil && last.Valid.End == model.TSInfinity {
 			return fmt.Errorf("%w: rel %d at ts %d", model.ErrExists, u.RelID, u.TS)
 		}
 		r := &model.Rel{ID: u.RelID, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel,
 			Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
 		u.ApplyToRel(r)
-		tg.rels[u.RelID] = append(tg.rels[u.RelID], r)
-		tg.out[u.Src] = append(tg.out[u.Src], NeighEvent{Rel: u.RelID, TS: u.TS, Added: true})
-		tg.in[u.Tgt] = append(tg.in[u.Tgt], NeighEvent{Rel: u.RelID, TS: u.TS, Added: true})
+		push(&tg.rels, int(u.RelID), r)
+		push(&tg.out, int(u.Src), NeighEvent{Rel: u.RelID, TS: u.TS, Added: true})
+		push(&tg.in, int(u.Tgt), NeighEvent{Rel: u.RelID, TS: u.TS, Added: true})
 
 	case model.OpDeleteRel:
 		last := tg.lastRel(u.RelID)
@@ -119,8 +89,8 @@ func (tg *TGraph) Apply(u model.Update) error {
 			return fmt.Errorf("%w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
 		}
 		last.Valid.End = u.TS
-		tg.out[last.Src] = append(tg.out[last.Src], NeighEvent{Rel: u.RelID, TS: u.TS, Added: false})
-		tg.in[last.Tgt] = append(tg.in[last.Tgt], NeighEvent{Rel: u.RelID, TS: u.TS, Added: false})
+		push(&tg.out, int(last.Src), NeighEvent{Rel: u.RelID, TS: u.TS, Added: false})
+		push(&tg.in, int(last.Tgt), NeighEvent{Rel: u.RelID, TS: u.TS, Added: false})
 
 	case model.OpUpdateRel:
 		last := tg.lastRel(u.RelID)
@@ -131,7 +101,7 @@ func (tg *TGraph) Apply(u model.Update) error {
 		next := last.Clone()
 		next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
 		u.ApplyToRel(next)
-		tg.rels[u.RelID] = append(tg.rels[u.RelID], next)
+		push(&tg.rels, int(u.RelID), next)
 
 	default:
 		return fmt.Errorf("memgraph: unknown op %v", u.Kind)
@@ -143,18 +113,18 @@ func (tg *TGraph) Apply(u model.Update) error {
 }
 
 func (tg *TGraph) lastNode(id model.NodeID) *model.Node {
-	if int(id) >= len(tg.nodes) || len(tg.nodes[id]) == 0 {
+	vs := tg.nodes.get(int(id))
+	if len(vs) == 0 {
 		return nil
 	}
-	vs := tg.nodes[id]
 	return vs[len(vs)-1]
 }
 
 func (tg *TGraph) lastRel(id model.RelID) *model.Rel {
-	if int(id) >= len(tg.rels) || len(tg.rels[id]) == 0 {
+	vs := tg.rels.get(int(id))
+	if len(vs) == 0 {
 		return nil
 	}
-	vs := tg.rels[id]
 	return vs[len(vs)-1]
 }
 
@@ -162,10 +132,7 @@ func (tg *TGraph) lastRel(id model.RelID) *model.Rel {
 // by start time, so the lookup is a binary search (logarithmic history
 // access).
 func (tg *TGraph) NodeAt(id model.NodeID, ts model.Timestamp) *model.Node {
-	if int(id) >= len(tg.nodes) {
-		return nil
-	}
-	vs := tg.nodes[id]
+	vs := tg.nodes.get(int(id))
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].Valid.Start > ts })
 	if i == 0 {
 		return nil
@@ -178,10 +145,7 @@ func (tg *TGraph) NodeAt(id model.NodeID, ts model.Timestamp) *model.Node {
 
 // RelAt returns the relationship version valid at ts, or nil.
 func (tg *TGraph) RelAt(id model.RelID, ts model.Timestamp) *model.Rel {
-	if int(id) >= len(tg.rels) {
-		return nil
-	}
-	vs := tg.rels[id]
+	vs := tg.rels.get(int(id))
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].Valid.Start > ts })
 	if i == 0 {
 		return nil
@@ -194,11 +158,8 @@ func (tg *TGraph) RelAt(id model.RelID, ts model.Timestamp) *model.Rel {
 
 // NodeHistory returns all versions of a node overlapping [start, end).
 func (tg *TGraph) NodeHistory(id model.NodeID, start, end model.Timestamp) []*model.Node {
-	if int(id) >= len(tg.nodes) {
-		return nil
-	}
 	var hist []*model.Node
-	for _, v := range tg.nodes[id] {
+	for _, v := range tg.nodes.get(int(id)) {
 		if v.Valid.Overlaps(model.Interval{Start: start, End: end}) {
 			hist = append(hist, v)
 		}
@@ -208,11 +169,8 @@ func (tg *TGraph) NodeHistory(id model.NodeID, start, end model.Timestamp) []*mo
 
 // RelHistory returns all versions of a relationship overlapping [start, end).
 func (tg *TGraph) RelHistory(id model.RelID, start, end model.Timestamp) []*model.Rel {
-	if int(id) >= len(tg.rels) {
-		return nil
-	}
 	var hist []*model.Rel
-	for _, v := range tg.rels[id] {
+	for _, v := range tg.rels.get(int(id)) {
 		if v.Valid.Overlaps(model.Interval{Start: start, End: end}) {
 			hist = append(hist, v)
 		}
@@ -223,9 +181,6 @@ func (tg *TGraph) RelHistory(id model.RelID, start, end model.Timestamp) []*mode
 // RelsAt returns the relationships incident to a node in the given
 // direction that are live at ts.
 func (tg *TGraph) RelsAt(id model.NodeID, d model.Direction, ts model.Timestamp) []*model.Rel {
-	if int(id) >= len(tg.nodes) {
-		return nil
-	}
 	var out []*model.Rel
 	seen := map[model.RelID]bool{}
 	collect := func(events []NeighEvent) {
@@ -243,66 +198,59 @@ func (tg *TGraph) RelsAt(id model.NodeID, d model.Direction, ts model.Timestamp)
 		}
 	}
 	if d == model.Outgoing || d == model.Both {
-		collect(tg.out[id])
+		collect(tg.out.get(int(id)))
 	}
 	if d == model.Incoming || d == model.Both {
-		collect(tg.in[id]) // seen is shared so self-loops are not doubled
+		collect(tg.in.get(int(id))) // seen is shared so self-loops are not doubled
 	}
 	return out
 }
 
 // ForEachNodeVersion invokes fn for every node version in the graph.
 func (tg *TGraph) ForEachNodeVersion(fn func(n *model.Node) bool) {
-	for _, vs := range tg.nodes {
-		for _, v := range vs {
-			if !fn(v) {
-				return
-			}
-		}
-	}
+	eachVersion(&tg.nodes, fn)
 }
 
 // ForEachRelVersion invokes fn for every relationship version in the graph.
 func (tg *TGraph) ForEachRelVersion(fn func(r *model.Rel) bool) {
-	for _, vs := range tg.rels {
-		for _, v := range vs {
-			if !fn(v) {
-				return
+	eachVersion(&tg.rels, fn)
+}
+
+// eachVersion calls fn with every version of every chain in v, in id order,
+// until fn returns false.
+func eachVersion[T any](v *vec[[]T], fn func(x T) bool) {
+	v.each(func(vs []T) bool {
+		for _, x := range vs {
+			if !fn(x) {
+				return false
 			}
 		}
-	}
+		return true
+	})
 }
 
 // VersionCounts returns the total number of node and relationship versions.
 func (tg *TGraph) VersionCounts() (nodes, rels int) {
-	for _, vs := range tg.nodes {
-		nodes += len(vs)
-	}
-	for _, vs := range tg.rels {
-		rels += len(vs)
-	}
+	tg.ForEachNodeVersion(func(*model.Node) bool { nodes++; return true })
+	tg.ForEachRelVersion(func(*model.Rel) bool { rels++; return true })
 	return nodes, rels
 }
 
 // Snapshot materializes the regular LPG valid at ts.
 func (tg *TGraph) Snapshot(ts model.Timestamp) *Graph {
 	g := New()
-	for _, vs := range tg.nodes {
-		for _, v := range vs {
-			if v.Valid.Contains(ts) {
-				_ = g.Apply(model.AddNode(v.Valid.Start, v.ID, v.Labels, v.Props))
-				break
-			}
+	tg.ForEachNodeVersion(func(v *model.Node) bool {
+		if v.Valid.Contains(ts) {
+			_ = g.Apply(model.AddNode(v.Valid.Start, v.ID, v.Labels, v.Props))
 		}
-	}
-	for _, vs := range tg.rels {
-		for _, v := range vs {
-			if v.Valid.Contains(ts) {
-				_ = g.Apply(model.AddRel(v.Valid.Start, v.ID, v.Src, v.Tgt, v.Label, v.Props))
-				break
-			}
+		return true
+	})
+	tg.ForEachRelVersion(func(v *model.Rel) bool {
+		if v.Valid.Contains(ts) {
+			_ = g.Apply(model.AddRel(v.Valid.Start, v.ID, v.Src, v.Tgt, v.Label, v.Props))
 		}
-	}
+		return true
+	})
 	g.SetTimestamp(ts)
 	return g
 }

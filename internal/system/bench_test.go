@@ -95,16 +95,18 @@ const residentBudget = 320
 
 // cacheHeapBudget is BenchmarkResident's ceiling, in MiB, on what the snapshot
 // cache adds to the live heap once the newest quarter of history has been read
-// through benchmark/'s 48 MiB GraphStore: 14.5 with loaded graphs sharing their
-// entities with the latest graph, 86.6 when every loaded graph held its own.
-const cacheHeapBudget = 45
+// through benchmark/'s 48 MiB GraphStore: 8.0 with loaded graphs holding the
+// latest graph's chunks wherever they hold the same entries, 14.5 when every
+// loaded graph held vectors of its own (and 86.6 when it held its own
+// entities too).
+const cacheHeapBudget = 11
 
 // writeHeapBudget is BenchmarkResident's ceiling, in MiB, on what 65 536
-// single-statement commits add to the live heap: 17.6 with the host's
-// graph the only one the commits are applied to, 30.0 when the
-// TimeStore applied each to a graph of its own and the policy snapshots cloned
-// from that one kept the second set of objects alive.
-const writeHeapBudget = 24
+// single-statement commits add to the live heap: 14.7 with a pull costing the
+// host the chunks it next writes, 17.5 when it cost a copy of the host's
+// vectors that the policy snapshot then kept (and 30.0 when the TimeStore
+// applied each commit to a graph of its own).
+const writeHeapBudget = 16.5
 
 // writeCycle commits ingest-commit's four statements, one commit each: create
 // a node, set a property on one of the first 512, create a relationship from
@@ -209,10 +211,10 @@ func BenchmarkResident(b *testing.B) {
 		b.Fatalf("an open store keeps %.1f heap bytes per update, over the budget of %d", live/float64(updates), residentBudget)
 	}
 	if cache > cacheHeapBudget {
-		b.Fatalf("the cached graphs of the newest quarter keep %.1f MiB on the heap, over the budget of %d", cache, cacheHeapBudget)
+		b.Fatalf("the cached graphs of the newest quarter keep %.1f MiB on the heap, over the budget of %v", cache, cacheHeapBudget)
 	}
 	if write > writeHeapBudget {
-		b.Fatalf("65 536 single-statement commits add %.1f MiB to the live heap, over the budget of %d", write, writeHeapBudget)
+		b.Fatalf("65 536 single-statement commits add %.1f MiB to the live heap, over the budget of %v", write, writeHeapBudget)
 	}
 }
 

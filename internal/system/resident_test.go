@@ -528,8 +528,8 @@ func TestOneResidentGraph(t *testing.T) {
 			t.Errorf("%d pulls in a window with no snapshot due; %.0f bytes allocated per commit, over the bound of %d", got, perCommit, commitBytes)
 		}
 
-		// Over many policy intervals: one pull — one vector copy, by the host,
-		// at its next write — for each snapshot taken.
+		// Over many policy intervals: one pull — paid by the host at its next
+		// write — for each snapshot taken.
 		from := ts.Stats()
 		for i := 0; i < commits; i++ {
 			commit()
@@ -539,6 +539,27 @@ func TestOneResidentGraph(t *testing.T) {
 		taken, pulled := st.Snapshots-from.Snapshots, int(st.LatestPulls-from.LatestPulls)
 		if want := (window + 1 + commits) / every; taken != want || pulled != taken || st.LatestMismatches != 0 {
 			t.Errorf("%d commits: %d policy snapshots (want %d) from %d pulls, %d mismatches", commits, taken, want, pulled, st.LatestMismatches)
+		}
+
+		// What a pull costs the committer: its next commit copies the vectors'
+		// directories and the chunks it writes — a few KiB — where a copy of
+		// the vectors themselves is 8 bytes a node slot, and 24 twice more.
+		const pulledBytes = 64 << 10
+		var worst uint64
+		for round := 0; round < 16; round++ {
+			pulled, _, _ := s.Host.Committed() // what a pull takes
+			snaps := ts.Stats().Snapshots
+			runtime.ReadMemStats(&before)
+			commit()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(pulled)
+			if ts.WaitSnapshots(); ts.Stats().Snapshots != snaps {
+				continue // the snapshot worker's allocations are not the commit's
+			}
+			worst = max(worst, after.TotalAlloc-before.TotalAlloc)
+		}
+		if worst > pulledBytes {
+			t.Errorf("the commit after a pull allocates up to %d bytes, over the bound of %d: it copies the vectors", worst, pulledBytes)
 		}
 	})
 }

@@ -263,6 +263,7 @@ func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chain
 	if err != nil {
 		return nil, err
 	}
+	g.ShareChunks(ref)
 	complete, err := elemComplete(seg, chain[j])
 	if err != nil {
 		return nil, err
@@ -293,6 +294,7 @@ func (s *Store) rebaseRun(ctx context.Context, chain []chainElem, j int, g, ref 
 			return err
 		}
 		g.SetTimestamp(chain[k].pos.ts)
+		g.ShareChunks(ref)
 		s.gs.Rebase(g)
 	}
 	return nil

@@ -476,8 +476,8 @@ func (o *ownGraph) Committed() (*memgraph.Graph, model.Timestamp, uint64) {
 }
 
 // pull asks for the committed graph: an O(1) handle for the caller, and for
-// whoever is asked a copy of its entity vectors at its next write — which is
-// why every call is counted.
+// whoever is asked a copy of its vectors' directories and of every chunk it
+// next writes — which is why every call is counted.
 func (s *Store) pull() (*memgraph.Graph, model.Timestamp, uint64) {
 	s.pulls.Add(1)
 	return s.committed()
@@ -713,7 +713,8 @@ type Stats struct {
 	LastSnapshotError string
 	// LatestPulls counts the times the committed graph was asked for — by a
 	// due policy snapshot, an eager one, Latest, a snapshot miss — each of
-	// which costs its owner one copy of its entity vectors. LatestMismatches
+	// which costs its owner, at its next write, a copy of its vectors'
+	// directories and of each chunk that write touches. LatestMismatches
 	// counts the due policy snapshots it was refused for although the batch
 	// just appended was the host's newest commit: host and log have diverged.
 	// SnapshotsOverdue is how many whole policy intervals have gone by since

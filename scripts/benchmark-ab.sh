@@ -5,8 +5,9 @@
 #   scripts/benchmark-ab.sh PARENT-REF [WORKLOAD|all] [PAIRS] [ALLOWED-FIELD ...]
 #   SEED=7 RUN_SECONDS=20 scripts/benchmark-ab.sh HEAD~1 point-history 10
 # Each pair runs `bash benchmark/run.sh -seed S -seconds N [-workload W]`
-# untraced once in a copy of the parent's committed files (parent-tree.sh) and
-# once here, the parent first in odd pairs and the change first in even ones.
+# untraced once in a copy of the parent's committed files (parent-tree.sh,
+# which removes the copies of other parents) and once here, the parent first
+# in odd pairs and the change first in even ones.
 # Every pair's `# exact:` counters must match between the sides (fields named
 # after PAIRS may differ); then, per workload and gated metric: each side's
 # median and quartiles, the change's wins/losses/ties over the pairs, and a

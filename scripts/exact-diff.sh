@@ -4,9 +4,9 @@
 # deterministic `# exact:` counters field by field, per workload.
 #   scripts/exact-diff.sh PARENT-REF [ALLOWED-FIELD ...]
 # Exits non-zero when a field that is not allowed to move differs. The
-# parent's committed files are copied under .bench_build/ (parent-tree.sh);
-# both trees build into the one .bench_build/ (Go's cache is content-
-# addressed, so they share it).
+# parent's committed files are copied under .bench_build/, and the copies of
+# other parents removed (parent-tree.sh); both trees build into the one
+# .bench_build/ (Go's cache is content-addressed, so they share it).
 set -euo pipefail
 parent=${1:?usage: exact-diff.sh PARENT-REF [ALLOWED-FIELD ...]}
 shift

@@ -2,14 +2,22 @@
 #
 # parent_tree REF prints a directory under .bench_build/ holding the committed
 # files of REF, materialised with `git archive | tar -x` — a plain copy, like
-# the fresh directory the PR driver runs the benchmark in, and unlike a `git
+# the fresh directory a clean checkout runs the benchmark in, and unlike a `git
 # worktree` it needs no write access to .git. The directory is named after the
-# commit, so it is extracted once and reused by later runs.
+# commit, so it is extracted once and reused by later runs; every other
+# tree-* directory there is a stale parent of an earlier run, and is removed
+# (named on stderr with its size).
 parent_tree() {
-	local root sha dir
+	local root sha dir old
 	root=$(git rev-parse --show-toplevel)
 	sha=$(git -C "$root" rev-parse --verify "$1^{commit}")
 	dir=$root/.bench_build/tree-$sha
+	for old in "$root"/.bench_build/tree-*; do
+		if [[ -d $old && $old != "$dir" ]]; then
+			echo "removing stale parent tree $old ($(du -sh "$old" | cut -f1))" >&2
+			rm -rf "$old"
+		fi
+	done
 	if [[ ! -e $dir/.extracted ]]; then
 		rm -rf "$dir"
 		mkdir -p "$dir"
