@@ -74,9 +74,10 @@ benchmark-ab:
 
 # Concurrent serving-path stress under the race detector: mixed
 # reader/writer bolt clients against an undersized admission limit, plus the
-# engine-level writer/reader mix and the cancellation suite.
+# engine-level writer/reader mix, the cancellation suite and entity reads
+# waiting for the cascade while the store closes.
 stress:
-	$(GO) test -race -count=2 -run 'Stress|Concurrent|Cancel|Deadline|Overload|Drain|Panic|Replica' ./internal/bolt/ ./internal/cypher/ ./internal/hostdb/ ./internal/system/
+	$(GO) test -race -count=2 -run 'Stress|Concurrent|Cancel|Deadline|Overload|Drain|Panic|Replica' ./internal/aion/ ./internal/bolt/ ./internal/cypher/ ./internal/hostdb/ ./internal/system/
 	$(GO) test -race -count=1 ./internal/replica/
 
 # Replication smoke over real TCP: a primary and two follower servers, one

@@ -110,7 +110,7 @@ func TestGlobalQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tg.RelAt(5, 21) == nil || tg.RelAt(5, 22) != nil {
+	if tg.Snapshot(21).Rel(5) == nil || tg.Snapshot(22).Rel(5) != nil {
 		t.Error("temporal graph rel 5 lifetime")
 	}
 	win, err := db.GetWindow(15, 23)
@@ -130,10 +130,10 @@ func TestPlannerHeuristic(t *testing.T) {
 	db.WaitSync()
 	// Ring of 10 nodes, avg degree 1: 1 hop touches ~2/10 < 30% ->
 	// lineage; 8 hops touch ~9/10 -> timestore.
-	if c := db.PlanExpand(1, model.Outgoing, 22); c != ChoseLineage {
+	if c := db.PlanExpand(1, model.Outgoing); c != ChoseLineage {
 		t.Errorf("1-hop plan = %v", c)
 	}
-	if c := db.PlanExpand(8, model.Outgoing, 22); c != ChoseTimeStore {
+	if c := db.PlanExpand(8, model.Outgoing); c != ChoseTimeStore {
 		t.Errorf("8-hop plan = %v", c)
 	}
 	// Both paths return the same frontier.
@@ -167,31 +167,6 @@ func TestExpandPicksStoreAndAgrees(t *testing.T) {
 	}
 }
 
-func TestLineageLagFallback(t *testing.T) {
-	// In hybrid mode with the cascade not yet drained, queries must fall
-	// back to the TimeStore and still return correct answers.
-	db := openDB(t, Options{AsyncQueueDepth: 4096})
-	us := socialUpdates()
-	// Apply updates one by one without waiting.
-	for _, u := range us {
-		if err := db.Apply(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Immediately query; whichever store answers must be right.
-	ns, err := db.GetNode(0, 21, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ns) != 1 || !ns[0].HasLabel("VIP") {
-		t.Error("fallback query wrong")
-	}
-	db.WaitSync()
-	if db.LineageStore().AppliedThrough() != 22 {
-		t.Errorf("cascade incomplete: %d", db.LineageStore().AppliedThrough())
-	}
-}
-
 func TestSyncModes(t *testing.T) {
 	for _, mode := range []SyncMode{SyncBoth, SyncTimeStoreOnly, SyncLineageOnly} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -216,6 +191,30 @@ func TestSyncModes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLineageOnlyGlobalQueriesFail covers the ErrNoStore paths.
+func TestLineageOnlyGlobalQueriesFail(t *testing.T) {
+	db := openDB(t, Options{Mode: SyncLineageOnly})
+	db.Apply(model.AddNode(1, 0, nil, nil))
+	if _, err := db.GetDiff(0, 10); err != ErrNoStore {
+		t.Errorf("GetDiff: %v", err)
+	}
+	if _, err := db.GetGraph(0, 10, 1); err != ErrNoStore {
+		t.Errorf("GetGraph: %v", err)
+	}
+	if _, err := db.GetWindow(0, 10); err != ErrNoStore {
+		t.Errorf("GetWindow: %v", err)
+	}
+	if _, err := db.GetTemporalGraph(0, 10); err != ErrNoStore {
+		t.Errorf("GetTemporalGraph: %v", err)
+	}
+	if err := db.ScanGraphs(0, 10, 1, nil); err != ErrNoStore {
+		t.Errorf("ScanGraphs: %v", err)
+	}
+	if _, err := db.ExpandViaTimeStore(0, model.Outgoing, 1, 1); err != ErrNoStore {
+		t.Errorf("ExpandViaTimeStore: %v", err)
 	}
 }
 

@@ -10,18 +10,19 @@ import (
 )
 
 // ErrNoStore is returned when a query needs a store that this instance was
-// not configured with (e.g. global queries in lineage-only mode).
+// not configured with: a global query in SyncLineageOnly mode, an entity read
+// in SyncTimeStoreOnly mode.
 var ErrNoStore = errors.New("aion: required temporal store not configured")
 
-// cancelStride is how many items pass between cooperative ctx checks in
-// the API-level result-assembly loops; the stores bound their own scans.
-const cancelStride = 1024
+// errClosed is returned by writes, and by LineageStore reads, after Close.
+var errClosed = errors.New("aion: store closed")
 
 // The read API comes in pairs following the database/sql convention:
 // Xxx(...) is shorthand for XxxContext(context.Background(), ...), and the
 // Context variant observes cancellation cooperatively through both stores —
 // the TimeStore's snapshot-load/log-replay pipelines and the LineageStore's
-// B+Tree range scans all stop within a bounded stride of the context firing.
+// B+Tree range scans all stop within a bounded stride of the context firing,
+// and a read waiting for the cascade stops waiting.
 
 // StoreChoice identifies which temporal store the planner picked.
 type StoreChoice int
@@ -41,22 +42,23 @@ func (c StoreChoice) String() string {
 	return "TimeStore"
 }
 
-// lineageAvailable reports whether the LineageStore can serve a query up to
-// ts: it exists and has absorbed every update at or before ts. Because the
-// cascade is asynchronous, the LineageStore may lag; in that rare case the
-// TimeStore serves the query instead (Sec 5.1).
-func (db *DB) lineageAvailable(ts model.Timestamp) bool {
+// fromLineage runs read, a LineageStore read at ts, once the store holds every
+// update at or before ts (awaitCascade) and only while it is open.
+func fromLineage[T any](ctx context.Context, db *DB, ts model.Timestamp, read func() (T, error)) (T, error) {
+	var none T
 	if db.ls == nil {
-		return false
+		return none, ErrNoStore
 	}
-	if db.opts.Mode != SyncHybrid {
-		return true
+	if err := db.awaitCascade(ctx, ts); err != nil {
+		return none, err
 	}
-	latest := db.ts.LatestTimestamp()
-	if ts > latest {
-		ts = latest
+	db.reading.RLock()
+	defer db.reading.RUnlock()
+	if db.closed.Load() {
+		return none, errClosed
 	}
-	return db.ls.AppliedThrough() >= ts
+	db.decided.lineage.Add(1)
+	return read()
 }
 
 // GetNode returns a node's history between the given timestamps (Table 1).
@@ -66,33 +68,9 @@ func (db *DB) GetNode(id model.NodeID, start, end model.Timestamp) ([]*model.Nod
 
 // GetNodeContext is GetNode honouring ctx cancellation.
 func (db *DB) GetNodeContext(ctx context.Context, id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
-	if db.lineageAvailable(end) {
-		db.decided.lineage.Add(1)
+	return fromLineage(ctx, db, end, func() ([]*model.Node, error) {
 		return db.ls.GetNodeContext(ctx, id, start, end)
-	}
-	db.decided.time.Add(1)
-	return db.tsGetNode(ctx, id, start, end)
-}
-
-func (db *DB) tsGetNode(ctx context.Context, id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
-	if db.ts == nil {
-		return nil, ErrNoStore
-	}
-	if start == end {
-		g, err := db.ts.GetGraphContext(ctx, start)
-		if err != nil {
-			return nil, err
-		}
-		if n := g.Node(id); n != nil {
-			return []*model.Node{n}, nil
-		}
-		return nil, nil
-	}
-	tg, err := db.ts.GetTemporalGraphContext(ctx, start, end)
-	if err != nil {
-		return nil, err
-	}
-	return tg.NodeHistory(id, start, end), nil
+	})
 }
 
 // GetRelationship returns a relationship's history between the given
@@ -103,33 +81,9 @@ func (db *DB) GetRelationship(id model.RelID, start, end model.Timestamp) ([]*mo
 
 // GetRelationshipContext is GetRelationship honouring ctx cancellation.
 func (db *DB) GetRelationshipContext(ctx context.Context, id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
-	if db.lineageAvailable(end) {
-		db.decided.lineage.Add(1)
+	return fromLineage(ctx, db, end, func() ([]*model.Rel, error) {
 		return db.ls.GetRelationshipContext(ctx, id, start, end)
-	}
-	db.decided.time.Add(1)
-	return db.tsGetRelationship(ctx, id, start, end)
-}
-
-func (db *DB) tsGetRelationship(ctx context.Context, id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
-	if db.ts == nil {
-		return nil, ErrNoStore
-	}
-	if start == end {
-		g, err := db.ts.GetGraphContext(ctx, start)
-		if err != nil {
-			return nil, err
-		}
-		if r := g.Rel(id); r != nil {
-			return []*model.Rel{r}, nil
-		}
-		return nil, nil
-	}
-	tg, err := db.ts.GetTemporalGraphContext(ctx, start, end)
-	if err != nil {
-		return nil, err
-	}
-	return tg.RelHistory(id, start, end), nil
+	})
 }
 
 // GetRelationships returns a node's (in/out) relationship history (Table 1).
@@ -139,90 +93,17 @@ func (db *DB) GetRelationships(id model.NodeID, d model.Direction, start, end mo
 
 // GetRelationshipsContext is GetRelationships honouring ctx cancellation.
 func (db *DB) GetRelationshipsContext(ctx context.Context, id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
-	if db.lineageAvailable(end) {
-		db.decided.lineage.Add(1)
+	return fromLineage(ctx, db, end, func() ([][]*model.Rel, error) {
 		return db.ls.GetRelationshipsContext(ctx, id, d, start, end)
-	}
-	db.decided.time.Add(1)
-	if db.ts == nil {
-		return nil, ErrNoStore
-	}
-	if start == end {
-		g, err := db.ts.GetGraphContext(ctx, start)
-		if err != nil {
-			return nil, err
-		}
-		var out [][]*model.Rel
-		g.Neighbours(id, d, func(r *model.Rel, _ model.NodeID) bool {
-			out = append(out, []*model.Rel{r})
-			return true
-		})
-		return out, nil
-	}
-	tg, err := db.ts.GetTemporalGraphContext(ctx, start, end)
-	if err != nil {
-		return nil, err
-	}
-	// Collect per-relationship histories: rels live at the window start
-	// plus rels created inside the window whose endpoint matches.
-	seen := map[model.RelID]bool{}
-	var out [][]*model.Rel
-	addRel := func(rid model.RelID) {
-		if !seen[rid] {
-			seen[rid] = true
-			if h := tg.RelHistory(rid, start, end); len(h) > 0 {
-				out = append(out, h)
-			}
-		}
-	}
-	for i, r := range tg.RelsAt(id, d, start) {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		addRel(r.ID)
-	}
-	diff, err := db.ts.GetDiffContext(ctx, start+1, end)
-	if err != nil {
-		return nil, err
-	}
-	for i, u := range diff {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if u.Kind != model.OpAddRel {
-			continue
-		}
-		switch d {
-		case model.Outgoing:
-			if u.Src == id {
-				addRel(u.RelID)
-			}
-		case model.Incoming:
-			if u.Tgt == id {
-				addRel(u.RelID)
-			}
-		default:
-			if u.Src == id || u.Tgt == id {
-				addRel(u.RelID)
-			}
-		}
-	}
-	return out, nil
+	})
 }
 
 // PlanExpand returns the store the planner would choose for an n-hop
 // expansion, applying the Sec 5.1 heuristic: less than 30 % of the graph
-// estimated to be accessed selects the LineageStore.
-func (db *DB) PlanExpand(hops int, d model.Direction, ts model.Timestamp) StoreChoice {
-	frac := db.stats.EstimateExpandFraction(hops, d)
-	if frac < SelectivityThreshold && db.lineageAvailable(ts) {
-		return ChoseLineage
-	}
-	if db.ts == nil {
+// estimated to be accessed selects the LineageStore (if there is one; if
+// there is no TimeStore, the LineageStore in any case).
+func (db *DB) PlanExpand(hops int, d model.Direction) StoreChoice {
+	if db.ts == nil || db.ls != nil && db.stats.EstimateExpandFraction(hops, d) < SelectivityThreshold {
 		return ChoseLineage
 	}
 	return ChoseTimeStore
@@ -237,14 +118,13 @@ func (db *DB) Expand(id model.NodeID, d model.Direction, hops int, ts model.Time
 
 // ExpandContext is Expand honouring ctx cancellation.
 func (db *DB) ExpandContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
-	switch db.PlanExpand(hops, d, ts) {
-	case ChoseLineage:
-		db.decided.lineage.Add(1)
-		return db.ls.ExpandContext(ctx, id, d, hops, ts)
-	default:
+	if db.PlanExpand(hops, d) == ChoseTimeStore {
 		db.decided.time.Add(1)
 		return db.expandViaTimeStore(ctx, id, d, hops, ts)
 	}
+	return fromLineage(ctx, db, ts, func() ([][]*model.Node, error) {
+		return db.ls.ExpandContext(ctx, id, d, hops, ts)
+	})
 }
 
 // ExpandViaTimeStore materializes a full snapshot and walks it — the

@@ -5,12 +5,17 @@
 //
 // On the write path Aion updates only the TimeStore synchronously;
 // background workers cascade outstanding updates to the LineageStore off
-// the transaction critical path (Sec 5.1). When the LineageStore lags
-// behind a query's timestamp, Aion transparently falls back to the
-// TimeStore at a performance penalty.
+// the transaction critical path (Sec 5.1). The LineageStore is the one store
+// that answers the entity reads (GetNode, GetRelationship, GetRelationships,
+// and Expand when the planner picks it): a read that finds the cascade behind
+// its timestamp waits for it. This departs from Sec 5.1, where the TimeStore
+// serves such a read instead: a materialised graph knows neither when the
+// version it holds began nor when it ended, so it cannot report the
+// validity intervals the LineageStore reports.
 package aion
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -113,8 +118,15 @@ type DB struct {
 	stats   *GraphStats
 	catalog *entityCatalog
 
-	queue chan cascadeItem
+	queue chan []model.Update
 	wg    sync.WaitGroup
+	// queued and cascaded count the batches handed to the cascade worker and
+	// those it has finished; moved is broadcast after each one.
+	queued, cascaded atomic.Uint64
+	moved            signal
+	// reading is held shared by every LineageStore read and exclusively by
+	// Close while it closes the stores.
+	reading sync.RWMutex
 	// failed is the first error that left a hole in what the stores hold: a
 	// failed background cascade or a failed synchronous TimeStore append.
 	failed  atomic.Pointer[error]
@@ -157,7 +169,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, errors.Join(err, db.closeStores())
 	}
 	if opts.Mode == SyncHybrid {
-		db.queue = make(chan cascadeItem, opts.AsyncQueueDepth)
+		db.queue = make(chan []model.Update, opts.AsyncQueueDepth)
 		db.wg.Add(1)
 		go db.cascadeWorker()
 	}
@@ -241,26 +253,72 @@ func (db *DB) rebuildStatsFromLatest() error {
 	return nil
 }
 
-// cascadeItem is one unit of background work: a batch to index, plus an
-// optional channel closed once the batch (and everything before it) has
-// been applied.
-type cascadeItem struct {
-	batch []model.Update
-	done  chan struct{}
-}
-
 // cascadeWorker applies queued update batches to the LineageStore in the
 // background (stage 2 of Sec 5.1).
 func (db *DB) cascadeWorker() {
 	defer db.wg.Done()
-	for item := range db.queue {
-		if len(item.batch) > 0 {
-			if err := db.ls.ApplyBatch(item.batch); err != nil {
+	for batch := range db.queue {
+		if len(batch) > 0 {
+			if err := db.ls.ApplyBatch(batch); err != nil {
 				db.fail(err)
 			}
 		}
-		if item.done != nil {
-			close(item.done)
+		db.cascaded.Add(1)
+		db.moved.broadcast()
+	}
+}
+
+// signal wakes every goroutine waiting on it: the channel wait returns is
+// closed by the next broadcast.
+type signal struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+func (s *signal) wait() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch == nil {
+		s.ch = make(chan struct{})
+	}
+	return s.ch
+}
+
+func (s *signal) broadcast() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch != nil {
+		close(s.ch)
+		s.ch = nil
+	}
+}
+
+// awaitCascade returns once the LineageStore holds every update at or before
+// ts that an ApplyBatch has returned: at once outside hybrid mode or when the
+// cascade has nothing pending, else when it has applied an update past ts.
+// After a sticky failure only a read at or below what the cascade applied is
+// served; a later one gets Err.
+func (db *DB) awaitCascade(ctx context.Context, ts model.Timestamp) error {
+	var moved <-chan struct{}
+	for {
+		if err := db.Err(); err != nil {
+			if ts <= db.ls.AppliedThrough() {
+				return nil
+			}
+			return err
+		}
+		if db.cascaded.Load() == db.queued.Load() || db.ls.AppliedThrough() > ts {
+			return nil
+		}
+		if moved == nil {
+			moved = db.moved.wait() // and check again: a batch finished from now on closes it
+			continue
+		}
+		select {
+		case <-moved:
+			moved = nil
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 }
@@ -299,7 +357,7 @@ func (db *DB) Apply(u model.Update) error { return db.ApplyBatch([]model.Update{
 // caller's path in hybrid mode.
 func (db *DB) ApplyBatch(us []model.Update) error {
 	if db.closed.Load() {
-		return errors.New("aion: store closed")
+		return errClosed
 	}
 	if err := db.Err(); err != nil {
 		return fmt.Errorf("aion: ingestion stopped by an earlier failure: %w", err)
@@ -314,7 +372,8 @@ func (db *DB) ApplyBatch(us []model.Update) error {
 	db.updateStats(us)
 	switch db.opts.Mode {
 	case SyncHybrid:
-		db.queue <- cascadeItem{batch: append([]model.Update(nil), us...)}
+		db.queued.Add(1)
+		db.queue <- append([]model.Update(nil), us...)
 	case SyncBoth, SyncLineageOnly:
 		return db.ls.ApplyBatch(us)
 	}
@@ -374,16 +433,15 @@ func (db *DB) updateStats(us []model.Update) {
 	}
 }
 
-// WaitSync blocks until the LineageStore has absorbed every update queued
-// so far (used by tests and benchmarks; production queries fall back to the
-// TimeStore instead of waiting).
+// WaitSync blocks until the LineageStore holds every update an ApplyBatch
+// has returned — the wait an entity read makes, at the latest timestamp —
+// and returns Err.
 func (db *DB) WaitSync() error {
-	if db.opts.Mode != SyncHybrid {
-		return db.Err()
+	if db.ls != nil {
+		if err := db.awaitCascade(context.Background(), db.LatestTimestamp()); err != nil {
+			return err
+		}
 	}
-	done := make(chan struct{})
-	db.queue <- cascadeItem{done: done} // FIFO: fires after all prior batches
-	<-done
 	return db.Err()
 }
 
@@ -436,9 +494,10 @@ func (db *DB) Flush() error {
 	return db.ls.Flush()
 }
 
-// Close drains the background queue, flushes, and closes all stores: the
-// TimeStore first, so the log prefix the LineageStore's checkpoint names is
-// durable before the checkpoint is.
+// Close drains the background queue, lets the LineageStore reads under way
+// finish (later ones fail), flushes, and closes all stores: the TimeStore
+// first, so the log prefix the LineageStore's checkpoint names is durable
+// before the checkpoint is.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
@@ -447,6 +506,8 @@ func (db *DB) Close() error {
 		close(db.queue)
 		db.wg.Wait()
 	}
+	db.reading.Lock()
+	defer db.reading.Unlock()
 	return errors.Join(db.closeStores(), db.Err())
 }
 

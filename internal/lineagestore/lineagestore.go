@@ -102,7 +102,7 @@ type Store struct {
 // derived data — every record it holds is reconstructible from the
 // TimeStore log — so if the index files are corrupt (a crash tore B+Tree
 // pages mid-flush) Open resets them to empty instead of failing: the owner
-// rebuilds or re-cascades, and queries fall back to the TimeStore meanwhile.
+// rebuilds or re-cascades.
 func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	opts.defaults()
 	if opts.Dir == "" {
@@ -173,11 +173,13 @@ func (s *Store) closeTrees() error {
 // store empty. Used for corruption recovery and by CatchUp when the indexes
 // cannot be trusted.
 func (s *Store) Wipe() error {
+	err := s.invalidate()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.invalidateLocked(); err != nil {
+	if err != nil {
 		return err
 	}
+	s.clean.Store(false)
 	// Close errors are ignored deliberately: the indexes are corrupt and
 	// about to be deleted, so a failed final flush carries no information.
 	_ = s.closeTrees()
@@ -230,21 +232,19 @@ func (s *Store) publishLocked() error {
 	return vfs.PublishFile(s.fs, filepath.Join(s.opts.Dir, checkpointName), b)
 }
 
-// invalidateLocked removes the checkpoint, durably, before the caller dirties
-// its first tree page since Open (a dirty page may be evicted to disk at once).
-func (s *Store) invalidateLocked() error {
+// invalidate removes the checkpoint, durably, before the caller dirties its
+// first tree page since Open (a dirty page may be evicted to disk at once). It
+// runs before the caller takes s.mu, so readers never wait on its fsync; it is
+// idempotent, and the caller clears clean under s.mu only once it succeeded —
+// a failure leaves clean set, and the next writer tries again.
+func (s *Store) invalidate() error {
 	if !s.clean.Load() {
 		return nil
 	}
 	if err := s.fs.Remove(filepath.Join(s.opts.Dir, checkpointName)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	//aionlint:ignore lockio once per open, and s.mu must be held: a reader let through meanwhile would see AppliedThrough lag for the length of an fsync and fall back to the TimeStore
-	if err := s.fs.SyncDir(s.opts.Dir); err != nil {
-		return err
-	}
-	s.clean.Store(false)
-	return nil
+	return s.fs.SyncDir(s.opts.Dir)
 }
 
 // CatchUp brings the store to the end of its owner's log at Open: logged is
@@ -300,8 +300,7 @@ func (s *Store) holdsData() bool {
 
 // AppliedThrough returns the newest timestamp the store has absorbed. As
 // LineageStore is updated asynchronously off the commit path (Sec 5.1), it
-// may lag the TimeStore; Aion falls back to the TimeStore for queries past
-// this point.
+// may lag the TimeStore; a read past this point waits for the cascade.
 func (s *Store) AppliedThrough() model.Timestamp {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -315,9 +314,12 @@ func (s *Store) Apply(u model.Update) error { return s.ApplyBatch([]model.Update
 // failure past the monotonicity check bars the checkpoint until a Wipe: that
 // update is missing or half there, and a later one may still apply.
 func (s *Store) ApplyBatch(us []model.Update) error {
+	err := s.invalidate()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.invalidateLocked()
+	if err == nil {
+		s.clean.Store(false)
+	}
 	for i := 0; err == nil && i < len(us); i++ {
 		u := us[i]
 		if u.TS < s.lastTS {

@@ -3,12 +3,10 @@ package lineagestore
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"aion/internal/enc"
-	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
 )
@@ -304,81 +302,6 @@ func TestDeltaOnMissingEntityFails(t *testing.T) {
 	}
 	if err := s.Apply(model.UpdateRel(1, 99, 0, 0, nil, nil)); err == nil {
 		t.Error("delta for missing rel must fail")
-	}
-}
-
-// TestCrossCheckAgainstTemporalGraph drives LineageStore and the in-memory
-// TGraph with the same random update stream and verifies point lookups
-// agree at every timestamp — the core correctness property of the store.
-func TestCrossCheckAgainstTemporalGraph(t *testing.T) {
-	s := openStore(t, Options{ChainThreshold: 3})
-	tg := memgraph.NewTGraph(model.Interval{Start: 0, End: model.TSInfinity})
-	rng := rand.New(rand.NewSource(11))
-
-	const nodes = 30
-	ts := model.Timestamp(1)
-	var updates []model.Update
-	add := func(u model.Update) {
-		if err := tg.Apply(u); err != nil {
-			return // invalid op against current state; skip
-		}
-		if err := s.Apply(u); err != nil {
-			t.Fatalf("lineage rejected %v: %v", u, err)
-		}
-		updates = append(updates, u)
-		ts++
-	}
-	for i := 0; i < nodes; i++ {
-		add(model.AddNode(ts, model.NodeID(i), nil, nil))
-	}
-	nextRel := model.RelID(0)
-	liveRels := map[model.RelID][2]model.NodeID{}
-	for step := 0; step < 600; step++ {
-		switch rng.Intn(5) {
-		case 0, 1, 2:
-			src := model.NodeID(rng.Intn(nodes))
-			tgt := model.NodeID(rng.Intn(nodes))
-			add(model.AddRel(ts, nextRel, src, tgt, "R", nil))
-			liveRels[nextRel] = [2]model.NodeID{src, tgt}
-			nextRel++
-		case 3:
-			for rid, ends := range liveRels {
-				add(model.DeleteRel(ts, rid, ends[0], ends[1]))
-				delete(liveRels, rid)
-				break
-			}
-		case 4:
-			id := model.NodeID(rng.Intn(nodes))
-			add(model.UpdateNode(ts, id, nil, nil,
-				model.Properties{"step": model.IntValue(int64(step))}, nil))
-		}
-	}
-
-	// Compare states at a sample of timestamps.
-	for probe := model.Timestamp(0); probe < ts; probe += 17 {
-		for id := model.NodeID(0); id < nodes; id++ {
-			want := tg.NodeAt(id, probe)
-			got, err := s.GetNode(id, probe, probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (want == nil) != (len(got) == 0) {
-				t.Fatalf("ts %d node %d: presence mismatch (tg %v, lineage %d)",
-					probe, id, want != nil, len(got))
-			}
-			if want != nil && !want.Props.Equal(got[0].Props) {
-				t.Fatalf("ts %d node %d: props %v vs %v", probe, id, want.Props, got[0].Props)
-			}
-			// Out-degree cross-check.
-			wantRels := tg.RelsAt(id, model.Outgoing, probe)
-			gotRels, err := s.GetRelationships(id, model.Outgoing, probe, probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(wantRels) != len(gotRels) {
-				t.Fatalf("ts %d node %d: out-degree %d vs %d", probe, id, len(wantRels), len(gotRels))
-			}
-		}
 	}
 }
 

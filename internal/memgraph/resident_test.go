@@ -62,7 +62,9 @@ func TestPropertyUpdateSharesLabels(t *testing.T) {
 	if err := tg.Apply(u); err != nil {
 		t.Fatal(err)
 	}
-	if vs := tg.NodeHistory(0, 0, model.TSInfinity); &vs[0].Labels[0] != &vs[1].Labels[0] {
+	var vs []*model.Node
+	tg.ForEachNodeVersion(func(n *model.Node) bool { vs = append(vs, n); return true })
+	if &vs[0].Labels[0] != &vs[1].Labels[0] {
 		t.Error("TGraph: a property-only version should share its predecessor's labels")
 	}
 }
@@ -95,7 +97,7 @@ func TestLabelEditCopiesOnWrite(t *testing.T) {
 		}
 	}
 	for ts, want := range map[model.Timestamp][]string{1: {"A", "B"}, 2: {"A", "B"}, 3: {"B"}} {
-		if got := tg.NodeAt(0, ts).Labels; !reflect.DeepEqual(got, want) {
+		if got := tg.Snapshot(ts).Node(0).Labels; !reflect.DeepEqual(got, want) {
 			t.Errorf("labels at %d = %v, want %v", ts, got, want)
 		}
 	}

@@ -2,31 +2,21 @@ package memgraph
 
 import (
 	"fmt"
-	"sort"
 
 	"aion/internal/model"
 )
 
 // TGraph is the temporal variant of the dynamic LPG (Sec 5.2): the node and
 // relationship vectors store lists of entity versions instead of single
-// objects, and the in-/out-neighbourhood vectors store the full
-// neighbourhood history. Every modification is a record append at the end
-// of the respective lists, so data is ordered by timestamp and history
-// access costs are logarithmic.
+// objects. Every modification is a record append at the end of the
+// respective list, so data is ordered by timestamp. It is read whole — by
+// version (ForEachNodeVersion, ForEachRelVersion) or as the LPG at an instant
+// (Snapshot); the Sec 5.2 neighbourhood-history vectors are not kept, since
+// per-entity history reads are the LineageStore's.
 type TGraph struct {
 	nodes vec[[]*model.Node] // version chains, ordered by Valid.Start
 	rels  vec[[]*model.Rel]
-	out   vec[[]NeighEvent]
-	in    vec[[]NeighEvent]
 	span  model.Interval // the time range the temporal graph covers
-}
-
-// NeighEvent is one adjacency history record: relationship rid appeared
-// (Added=true) or disappeared at TS.
-type NeighEvent struct {
-	Rel   model.RelID
-	TS    model.Timestamp
-	Added bool
 }
 
 // NewTGraph returns an empty temporal graph covering the given span.
@@ -80,8 +70,6 @@ func (tg *TGraph) Apply(u model.Update) error {
 			Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
 		u.ApplyToRel(r)
 		push(&tg.rels, int(u.RelID), r)
-		push(&tg.out, int(u.Src), NeighEvent{Rel: u.RelID, TS: u.TS, Added: true})
-		push(&tg.in, int(u.Tgt), NeighEvent{Rel: u.RelID, TS: u.TS, Added: true})
 
 	case model.OpDeleteRel:
 		last := tg.lastRel(u.RelID)
@@ -89,8 +77,6 @@ func (tg *TGraph) Apply(u model.Update) error {
 			return fmt.Errorf("%w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
 		}
 		last.Valid.End = u.TS
-		push(&tg.out, int(last.Src), NeighEvent{Rel: u.RelID, TS: u.TS, Added: false})
-		push(&tg.in, int(last.Tgt), NeighEvent{Rel: u.RelID, TS: u.TS, Added: false})
 
 	case model.OpUpdateRel:
 		last := tg.lastRel(u.RelID)
@@ -126,84 +112,6 @@ func (tg *TGraph) lastRel(id model.RelID) *model.Rel {
 		return nil
 	}
 	return vs[len(vs)-1]
-}
-
-// NodeAt returns the node version valid at ts, or nil. Versions are ordered
-// by start time, so the lookup is a binary search (logarithmic history
-// access).
-func (tg *TGraph) NodeAt(id model.NodeID, ts model.Timestamp) *model.Node {
-	vs := tg.nodes.get(int(id))
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].Valid.Start > ts })
-	if i == 0 {
-		return nil
-	}
-	if v := vs[i-1]; v.Valid.Contains(ts) {
-		return v
-	}
-	return nil
-}
-
-// RelAt returns the relationship version valid at ts, or nil.
-func (tg *TGraph) RelAt(id model.RelID, ts model.Timestamp) *model.Rel {
-	vs := tg.rels.get(int(id))
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].Valid.Start > ts })
-	if i == 0 {
-		return nil
-	}
-	if v := vs[i-1]; v.Valid.Contains(ts) {
-		return v
-	}
-	return nil
-}
-
-// NodeHistory returns all versions of a node overlapping [start, end).
-func (tg *TGraph) NodeHistory(id model.NodeID, start, end model.Timestamp) []*model.Node {
-	var hist []*model.Node
-	for _, v := range tg.nodes.get(int(id)) {
-		if v.Valid.Overlaps(model.Interval{Start: start, End: end}) {
-			hist = append(hist, v)
-		}
-	}
-	return hist
-}
-
-// RelHistory returns all versions of a relationship overlapping [start, end).
-func (tg *TGraph) RelHistory(id model.RelID, start, end model.Timestamp) []*model.Rel {
-	var hist []*model.Rel
-	for _, v := range tg.rels.get(int(id)) {
-		if v.Valid.Overlaps(model.Interval{Start: start, End: end}) {
-			hist = append(hist, v)
-		}
-	}
-	return hist
-}
-
-// RelsAt returns the relationships incident to a node in the given
-// direction that are live at ts.
-func (tg *TGraph) RelsAt(id model.NodeID, d model.Direction, ts model.Timestamp) []*model.Rel {
-	var out []*model.Rel
-	seen := map[model.RelID]bool{}
-	collect := func(events []NeighEvent) {
-		for _, e := range events {
-			if e.TS > ts {
-				break // events are time-ordered
-			}
-			if seen[e.Rel] {
-				continue
-			}
-			if r := tg.RelAt(e.Rel, ts); r != nil {
-				seen[e.Rel] = true
-				out = append(out, r)
-			}
-		}
-	}
-	if d == model.Outgoing || d == model.Both {
-		collect(tg.out.get(int(id)))
-	}
-	if d == model.Incoming || d == model.Both {
-		collect(tg.in.get(int(id))) // seen is shared so self-loops are not doubled
-	}
-	return out
 }
 
 // ForEachNodeVersion invokes fn for every node version in the graph.

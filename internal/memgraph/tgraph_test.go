@@ -31,69 +31,85 @@ func evolvingTGraph(t *testing.T) *TGraph {
 	return tg
 }
 
+// versionsOf lists every version of node (rel false) or relationship id.
+func versionsOf(tg *TGraph, id int64, rel bool) []model.Interval {
+	var out []model.Interval
+	if rel {
+		tg.ForEachRelVersion(func(r *model.Rel) bool {
+			if int64(r.ID) == id {
+				out = append(out, r.Valid)
+			}
+			return true
+		})
+		return out
+	}
+	tg.ForEachNodeVersion(func(n *model.Node) bool {
+		if int64(n.ID) == id {
+			out = append(out, n.Valid)
+		}
+		return true
+	})
+	return out
+}
+
 func TestNodeAtVersions(t *testing.T) {
 	tg := evolvingTGraph(t)
-	if tg.NodeAt(1, 2) == nil {
+	if tg.Snapshot(2).Node(1) == nil {
 		t.Fatal("node 1 must exist at ts 2..")
 	}
-	if tg.NodeAt(1, 1) != nil {
+	if tg.Snapshot(1).Node(1) != nil {
 		t.Error("node 1 must not exist before creation")
 	}
-	v1 := tg.NodeAt(1, 3)
+	v1 := tg.Snapshot(3).Node(1)
 	if v1.Props["v"].Int() != 1 {
 		t.Errorf("version at ts 3 has v=%v", v1.Props["v"])
 	}
-	v2 := tg.NodeAt(1, 5)
+	v2 := tg.Snapshot(5).Node(1)
 	if v2.Props["v"].Int() != 2 {
 		t.Errorf("version at ts 5 has v=%v", v2.Props["v"])
 	}
-	if tg.NodeAt(2, 9) != nil {
+	if tg.Snapshot(9).Node(2) != nil {
 		t.Error("deleted node visible")
 	}
-	if tg.NodeAt(2, 8) == nil {
+	if tg.Snapshot(8).Node(2) == nil {
 		t.Error("node 2 must be visible just before deletion")
 	}
 }
 
 func TestRelAtAndHistory(t *testing.T) {
 	tg := evolvingTGraph(t)
-	if tg.RelAt(0, 4) == nil || tg.RelAt(0, 5) == nil {
+	if tg.Snapshot(4).Rel(0) == nil || tg.Snapshot(5).Rel(0) == nil {
 		t.Error("rel 0 live in [4,6)")
 	}
-	if tg.RelAt(0, 6) != nil {
+	if tg.Snapshot(6).Rel(0) != nil {
 		t.Error("rel 0 deleted at 6")
 	}
-	if tg.RelAt(0, 3) != nil {
+	if tg.Snapshot(3).Rel(0) != nil {
 		t.Error("rel 0 not yet created at 3")
 	}
-	h := tg.RelHistory(0, 0, model.TSInfinity)
-	if len(h) != 1 || h[0].Valid.Start != 4 || h[0].Valid.End != 6 {
+	if h := versionsOf(tg, 0, true); len(h) != 1 || h[0] != (model.Interval{Start: 4, End: 6}) {
 		t.Errorf("rel history = %+v", h)
 	}
-	nh := tg.NodeHistory(1, 0, model.TSInfinity)
-	if len(nh) != 2 {
-		t.Errorf("node 1 has %d versions, want 2", len(nh))
-	}
-	if len(tg.NodeHistory(1, 0, 3)) != 1 {
-		t.Error("range-bounded history")
+	if h := versionsOf(tg, 1, false); len(h) != 2 || h[0] != (model.Interval{Start: 2, End: 5}) || h[1] != (model.Interval{Start: 5, End: model.TSInfinity}) {
+		t.Errorf("node 1 versions = %+v, want [2,5) and [5,inf)", h)
 	}
 }
 
 func TestRelsAtTimeline(t *testing.T) {
 	tg := evolvingTGraph(t)
-	if rels := tg.RelsAt(0, model.Outgoing, 4); len(rels) != 1 || rels[0].ID != 0 {
+	if rels := tg.Snapshot(4).Out(0); len(rels) != 1 || rels[0] != 0 {
 		t.Errorf("ts 4: %v", rels)
 	}
-	if rels := tg.RelsAt(0, model.Outgoing, 6); len(rels) != 0 {
+	if rels := tg.Snapshot(6).Out(0); len(rels) != 0 {
 		t.Errorf("ts 6 (rel 0 deleted, rel 1 not yet): %v", rels)
 	}
-	if rels := tg.RelsAt(0, model.Outgoing, 7); len(rels) != 1 || rels[0].ID != 1 {
+	if rels := tg.Snapshot(7).Out(0); len(rels) != 1 || rels[0] != 1 {
 		t.Errorf("ts 7: %v", rels)
 	}
-	if rels := tg.RelsAt(1, model.Incoming, 4); len(rels) != 1 {
+	if rels := tg.Snapshot(4).In(1); len(rels) != 1 {
 		t.Errorf("incoming at 4: %v", rels)
 	}
-	if rels := tg.RelsAt(1, model.Incoming, 8); len(rels) != 0 {
+	if rels := tg.Snapshot(8).In(1); len(rels) != 0 {
 		t.Errorf("incoming at 8: %v", rels)
 	}
 }
@@ -155,8 +171,7 @@ func TestTGraphConstraints(t *testing.T) {
 	if err := tg.Apply(model.AddNode(5, 0, nil, nil)); err != nil {
 		t.Errorf("re-insert after delete: %v", err)
 	}
-	h := tg.NodeHistory(0, 0, model.TSInfinity)
-	if len(h) != 2 || h[0].Valid.Overlaps(h[1].Valid) {
+	if h := versionsOf(tg, 0, false); len(h) != 2 || h[0].Overlaps(h[1]) {
 		t.Errorf("re-inserted history: %+v", h)
 	}
 }
@@ -169,7 +184,7 @@ func TestTGraphReinsertedRelVisibility(t *testing.T) {
 	tg.Apply(model.DeleteRel(4, 0, 0, 1))
 	tg.Apply(model.AddRel(6, 0, 0, 1, "R", nil))
 	for ts, want := range map[model.Timestamp]int{1: 0, 2: 1, 3: 1, 4: 0, 5: 0, 6: 1, 7: 1} {
-		if rels := tg.RelsAt(0, model.Outgoing, ts); len(rels) != want {
+		if rels := tg.Snapshot(ts).Out(0); len(rels) != want {
 			t.Errorf("ts %d: %d rels, want %d", ts, len(rels), want)
 		}
 	}
@@ -179,7 +194,10 @@ func TestSelfLoopNotDoubled(t *testing.T) {
 	tg := NewTGraph(model.Interval{Start: 0, End: model.TSInfinity})
 	tg.Apply(model.AddNode(1, 0, nil, nil))
 	tg.Apply(model.AddRel(2, 0, 0, 0, "SELF", nil))
-	if rels := tg.RelsAt(0, model.Both, 2); len(rels) != 1 {
-		t.Errorf("self loop counted %d times", len(rels))
+	if g := tg.Snapshot(2); g.RelCount() != 1 || len(g.Out(0)) != 1 || len(g.In(0)) != 1 {
+		t.Errorf("self loop: %d relationships, out %v, in %v; want one, once each way", g.RelCount(), g.Out(0), g.In(0))
+	}
+	if _, r := tg.VersionCounts(); r != 1 {
+		t.Errorf("self loop has %d versions", r)
 	}
 }

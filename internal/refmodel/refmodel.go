@@ -17,8 +17,7 @@
 // own Start, unclipped. A deleted entity has no version until it is created
 // again. The stream carries at most one update per entity and timestamp: the
 // LineageStore keys a version by (entity, timestamp), so two changes of one
-// entity in one commit collapse there. (The TimeStore fallback reports ranged
-// intervals differently; reconciling the two is the rest of item 1.)
+// entity in one commit collapse there.
 //
 // Order contract. GetRelationships lists relationships as the neighbour
 // indexes do: outgoing before incoming (a self-loop once, among the

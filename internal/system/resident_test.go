@@ -258,6 +258,10 @@ func TestOneResidentGraph(t *testing.T) {
 		opened := r.Aion.TimeStore().Stats().LatestPulls
 		for i := 0; i < 300; i++ {
 			r.commit(i, 1+i%4)
+			// A snapshot due while the worker's queue is full is deferred, an
+			// interval overdue; keep the queue empty so none is, however few
+			// CPUs the worker gets.
+			r.Aion.TimeStore().WaitSnapshots()
 		}
 		r.wantOneGraph("single commits")
 		// One pull a snapshot: each was due at the end of a commit that was its
@@ -684,6 +688,10 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 	r := newResidentSys(t, false)
 	for i := 0; i < 150; i++ {
 		r.commit(i, 4)
+		// A policy snapshot due while the worker's queue is full is deferred;
+		// waiting keeps the queue empty, so every due snapshot is written
+		// however few CPUs the worker gets.
+		r.Aion.TimeStore().WaitSnapshots()
 	}
 	r.verify("loaded")
 	if err := r.Close(); err != nil {
@@ -694,7 +702,7 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 	for _, e := range r.chainElements() {
 		elems = append(elems, e.at)
 	}
-	if len(elems) < 3 { // a dozen, fewer when the snapshot worker fell behind the commits
+	if len(elems) < 3 { // a dozen: 600 operations, one due every 48
 		t.Fatalf("%d policy elements, want at least 3", len(elems))
 	}
 	ts := r.Aion.TimeStore()

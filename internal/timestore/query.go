@@ -348,12 +348,11 @@ func (s *Store) GetWindowContext(ctx context.Context, start, end model.Timestamp
 	if err != nil {
 		return nil, err
 	}
-	return WindowFromTemporal(tg, start, end), nil
+	return windowFromTemporal(tg, start, end), nil
 }
 
-// WindowFromTemporal projects a temporal graph onto its window union graph
-// (shared with the aion package's planner-driven path).
-func WindowFromTemporal(tg *memgraph.TGraph, start, end model.Timestamp) *memgraph.Graph {
+// windowFromTemporal projects a temporal graph onto its window union graph.
+func windowFromTemporal(tg *memgraph.TGraph, start, end model.Timestamp) *memgraph.Graph {
 	win := model.Interval{Start: start, End: end}
 	g := memgraph.New()
 	// Last version of each node present in the window.

@@ -258,16 +258,16 @@ func TestGetTemporalGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seeded with state at ts 2 (two nodes), then updates at ts 3..5.
-	if tg.NodeAt(0, 2) == nil || tg.NodeAt(1, 2) == nil {
+	if g := tg.Snapshot(2); g.Node(0) == nil || g.Node(1) == nil {
 		t.Error("seed state missing")
 	}
-	if tg.RelAt(0, 3) == nil || tg.RelAt(0, 5) != nil {
+	if tg.Snapshot(3).Rel(0) == nil || tg.Snapshot(5).Rel(0) != nil {
 		t.Error("rel 0 lifetime wrong")
 	}
-	if tg.RelAt(1, 5) != nil {
+	if tg.Snapshot(5).Rel(1) != nil || tg.Snapshot(6).Rel(1) != nil {
 		t.Error("update at end bound (ts 6) must be excluded")
 	}
-	if n := tg.NodeAt(0, 4); n == nil || n.Props["x"].Int() != 1 {
+	if n := tg.Snapshot(4).Node(0); n == nil || n.Props["x"].Int() != 1 {
 		t.Error("node version update missing")
 	}
 }
