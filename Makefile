@@ -151,7 +151,7 @@ restart-sweep:
 # leaves on the live heap after 4 x 16 384 single-statement commits: 14.7,
 # 17.5 when a pull cost the host a copy of its vectors; over 16.5 MiB fails
 # both.
-HEAP_OWNERS = system\.Open$$|hostdb\.Open$$|aion\.Open$$|timestore\.Open$$|lineagestore\.Open$$|rebuildStatsFromLatest$$|pagecache\.|strstore\.
+HEAP_OWNERS = system\.Open$$|hostdb\.Open$$|aion\.Open$$|timestore\.Open$$|lineagestore\.Open$$|pagecache\.|strstore\.
 heap-budget:
 	@mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench BenchmarkResident -benchtime 1x -memprofilerate 4096 ./internal/system/ -resident.profile=$(CURDIR)/.bench_build/heap.pprof

@@ -16,7 +16,8 @@
 // With -debug-addr (off by default; bind it to loopback) the server also
 // answers HTTP there: /debug/pprof/ is net/http/pprof — `go tool pprof
 // http://ADDR/debug/pprof/heap` is the running store's heap by owner — and
-// /debug/vars is expvar, with every store's Stats under "aion.*".
+// /debug/vars is expvar, with every store's Stats under "aion.*" and the
+// planner's counters and decisions under "aion.planner".
 package main
 
 import (
@@ -186,6 +187,12 @@ func serveDebug(addr string, sys *system.System, srv *bolt.Server) (*http.Server
 	expvar.Publish("aion.bolt", expvar.Func(func() any { return srv.Metrics() }))
 	expvar.Publish("aion.timestore", expvar.Func(func() any { return sys.Aion.TimeStore().Stats() }))
 	expvar.Publish("aion.lineagestore", expvar.Func(func() any { return sys.Aion.LineageStore().Stats() }))
+	expvar.Publish("aion.planner", expvar.Func(func() any {
+		st := sys.Aion.Stats()
+		lineage, timeStore := sys.Aion.PlannerDecisions()
+		return map[string]any{"nodes": st.Nodes(), "rels": st.Rels(), "avg_degree": st.AvgDegree(),
+			"decisions": map[string]int64{"lineage": lineage, "timestore": timeStore}}
+	}))
 	expvar.Publish("aion.ingest_error", expvar.Func(func() any {
 		if err := sys.Aion.Err(); err != nil {
 			return err.Error()

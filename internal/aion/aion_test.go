@@ -3,7 +3,6 @@ package aion
 import (
 	"errors"
 	"os"
-	"reflect"
 	"testing"
 
 	"aion/internal/model"
@@ -228,20 +227,26 @@ func TestStatsTracking(t *testing.T) {
 	if st.Rels() != 9 { // 10 created, 1 deleted
 		t.Errorf("rels = %d", st.Rels())
 	}
-	if st.NodesWithLabel("Person") != 10 {
-		t.Errorf("Person = %d", st.NodesWithLabel("Person"))
+	if st.AvgDegree() != 0.9 {
+		t.Errorf("average degree = %v, want 9 relationships over 10 nodes", st.AvgDegree())
 	}
-	if st.NodesWithLabel("VIP") != 1 {
-		t.Errorf("VIP = %d", st.NodesWithLabel("VIP"))
+	// A label edit moves neither counter; deleting a node's relationships and
+	// then the node moves both.
+	err := db.ApplyBatch([]model.Update{
+		model.UpdateNode(23, 1, []string{"VIP"}, []string{"Person"}, nil, nil),
+		model.DeleteRel(24, 9, 9, 0),
+		model.DeleteRel(24, 8, 8, 9),
+		model.DeleteNode(25, 9),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.RelsWithType("KNOWS") != 9 {
-		t.Errorf("KNOWS = %d", st.RelsWithType("KNOWS"))
+	if st.Nodes() != 9 || st.Rels() != 7 || st.AvgDegree() != 7.0/9 {
+		t.Errorf("after a node and its two relationships were deleted: %d nodes, %d rels, average degree %v; want 9, 7, 7/9",
+			st.Nodes(), st.Rels(), st.AvgDegree())
 	}
-	if est := st.EstimatePattern("Person", "KNOWS", "Person"); est != 9 {
-		t.Errorf("pattern estimate = %d", est)
-	}
-	if est := st.EstimatePattern("City", "KNOWS", ""); est != 0 {
-		t.Errorf("absent label estimate = %d", est)
+	if empty := openDB(t, Options{}); empty.Stats().AvgDegree() != 0 || empty.Stats().EstimateExpandFraction(3, model.Both) != 0 {
+		t.Error("an empty store must estimate no degree and no reach")
 	}
 }
 
@@ -343,22 +348,17 @@ func TestCloseReleasesDescriptors(t *testing.T) {
 }
 
 // TestRejectedBatchLeavesStatsAlone: a batch the TimeStore rejects for its
-// timestamps reaches no store, so it must not move the planner histograms or
-// the entity catalog either — in particular a rejected node deletion must not
-// drop the node's catalog entry, or the accepted deletion that follows counts
-// no labels. The store that saw the rejected batch and one that never did
-// stay equal, before and after that deletion.
+// timestamps reaches no store, so it must not move the planner's counters
+// either. The store that saw the rejected batch and one that never did stay
+// equal, before and after an accepted deletion.
 func TestRejectedBatchLeavesStatsAlone(t *testing.T) {
 	seen, never := openDB(t, Options{}), openDB(t, Options{})
 	same := func(when string) {
 		t.Helper()
-		a, b := seen.stats, never.stats
-		if a.nodes != b.nodes || a.rels != b.rels || !reflect.DeepEqual(a.nodeLabels, b.nodeLabels) || !reflect.DeepEqual(a.relTypes, b.relTypes) ||
-			!reflect.DeepEqual(a.outPattern, b.outPattern) || !reflect.DeepEqual(a.inPattern, b.inPattern) {
-			t.Errorf("%s: statistics %+v, a store that never saw the rejected batch has %+v", when, a, b)
-		}
-		if !reflect.DeepEqual(seen.catalog.nodeLabels, never.catalog.nodeLabels) || !reflect.DeepEqual(seen.catalog.relTypes, never.catalog.relTypes) {
-			t.Errorf("%s: the entity catalogs differ", when)
+		a, b := seen.Stats(), never.Stats()
+		if a.Nodes() != b.Nodes() || a.Rels() != b.Rels() {
+			t.Errorf("%s: %d nodes and %d rels counted, a store that never saw the rejected batch has %d and %d",
+				when, a.Nodes(), a.Rels(), b.Nodes(), b.Rels())
 		}
 	}
 	for _, db := range []*DB{seen, never} {
@@ -386,7 +386,7 @@ func TestRejectedBatchLeavesStatsAlone(t *testing.T) {
 		}
 	}
 	same("after an accepted deletion of the node")
-	if got := seen.Stats().NodesWithLabel("Person"); got != 9 {
-		t.Errorf("%d Person nodes after one of ten was deleted", got)
+	if st := seen.Stats(); st.Nodes() != 9 || st.Rels() != 7 {
+		t.Errorf("%d nodes and %d rels after one of ten nodes and two of nine rels were deleted", st.Nodes(), st.Rels())
 	}
 }

@@ -115,8 +115,7 @@ type DB struct {
 	codec   *enc.Codec
 	ts      *timestore.Store
 	ls      *lineagestore.Store
-	stats   *GraphStats
-	catalog *entityCatalog
+	stats   GraphStats
 
 	queue chan []model.Update
 	wg    sync.WaitGroup
@@ -163,8 +162,7 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{opts: opts, strings: strings, codec: enc.NewCodec(strings),
-		stats: NewGraphStats(), catalog: newEntityCatalog()}
+	db := &DB{opts: opts, strings: strings, codec: enc.NewCodec(strings)}
 	if err := db.openStores(fs); err != nil {
 		return nil, errors.Join(err, db.closeStores())
 	}
@@ -207,9 +205,12 @@ func (db *DB) openStores(fs vfs.FS) (err error) {
 		}
 	}
 	if db.ts != nil {
-		if err := db.rebuildStatsFromLatest(); err != nil {
+		latest, err := db.ts.Latest()
+		if err != nil {
 			return err
 		}
+		db.stats.nodes.Store(int64(latest.NodeCount()))
+		db.stats.rels.Store(int64(latest.RelCount()))
 	}
 	if db.ts != nil && db.ls != nil {
 		// The TimeStore log is the authoritative copy: the LineageStore
@@ -229,28 +230,6 @@ func (db *DB) openStores(fs vfs.FS) (err error) {
 	// vanishes entirely at a crash, stranding the (surviving) TimeStore log
 	// with dangling string refs.
 	return fs.SyncDir(opts.Dir)
-}
-
-// rebuildStatsFromLatest repopulates the planner histograms and the entity
-// catalog from the graph at the recovered log's end after a reopen.
-func (db *DB) rebuildStatsFromLatest() error {
-	latest, err := db.ts.Latest()
-	if err != nil {
-		return err
-	}
-	db.catalog.mu.Lock()
-	defer db.catalog.mu.Unlock()
-	latest.ForEachNode(func(n *model.Node) bool {
-		db.stats.OnAddNode(n.Labels)
-		db.catalog.nodeLabels[n.ID] = append([]string(nil), n.Labels...)
-		return true
-	})
-	latest.ForEachRel(func(r *model.Rel) bool {
-		db.stats.OnAddRel(r.Label, db.catalog.nodeLabels[r.Src], db.catalog.nodeLabels[r.Tgt])
-		db.catalog.relTypes[r.ID] = r.Label
-		return true
-	})
-	return nil
 }
 
 // cascadeWorker applies queued update batches to the LineageStore in the
@@ -368,8 +347,8 @@ func (db *DB) ApplyBatch(us []model.Update) error {
 		}
 	}
 	// Only now: a batch the TimeStore rejected for its timestamps reached no
-	// store, and must not have moved the histograms or the catalog either.
-	db.updateStats(us)
+	// store, and must not move the planner's counters either.
+	db.stats.apply(us)
 	switch db.opts.Mode {
 	case SyncHybrid:
 		db.queued.Add(1)
@@ -378,59 +357,6 @@ func (db *DB) ApplyBatch(us []model.Update) error {
 		return db.ls.ApplyBatch(us)
 	}
 	return nil
-}
-
-// entityCatalog remembers each live entity's labels/type so that deletions
-// and pattern histograms can be maintained in update order without
-// consulting the (possibly not-yet-updated) latest graph.
-type entityCatalog struct {
-	mu         sync.Mutex
-	nodeLabels map[model.NodeID][]string
-	relTypes   map[model.RelID]string
-}
-
-func newEntityCatalog() *entityCatalog {
-	return &entityCatalog{
-		nodeLabels: make(map[model.NodeID][]string),
-		relTypes:   make(map[model.RelID]string),
-	}
-}
-
-// updateStats maintains the planner histograms (Sec 5.1 cardinality
-// estimation) as updates stream in.
-func (db *DB) updateStats(us []model.Update) {
-	c := db.catalog
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, u := range us {
-		switch u.Kind {
-		case model.OpAddNode:
-			db.stats.OnAddNode(u.AddLabels)
-			c.nodeLabels[u.NodeID] = append([]string(nil), u.AddLabels...)
-		case model.OpDeleteNode:
-			db.stats.OnDeleteNode(c.nodeLabels[u.NodeID])
-			delete(c.nodeLabels, u.NodeID)
-		case model.OpUpdateNode:
-			db.stats.OnNodeLabels(u.AddLabels, u.DelLabels)
-			labels := c.nodeLabels[u.NodeID]
-			for _, l := range u.DelLabels {
-				for i, x := range labels {
-					if x == l {
-						labels = append(labels[:i], labels[i+1:]...)
-						break
-					}
-				}
-			}
-			labels = append(labels, u.AddLabels...)
-			c.nodeLabels[u.NodeID] = labels
-		case model.OpAddRel:
-			db.stats.OnAddRel(u.RelLabel, c.nodeLabels[u.Src], c.nodeLabels[u.Tgt])
-			c.relTypes[u.RelID] = u.RelLabel
-		case model.OpDeleteRel:
-			db.stats.OnDeleteRel(c.relTypes[u.RelID], c.nodeLabels[u.Src], c.nodeLabels[u.Tgt])
-			delete(c.relTypes, u.RelID)
-		}
-	}
 }
 
 // WaitSync blocks until the LineageStore holds every update an ApplyBatch
@@ -446,7 +372,7 @@ func (db *DB) WaitSync() error {
 }
 
 // Stats returns the planner's graph statistics.
-func (db *DB) Stats() *GraphStats { return db.stats }
+func (db *DB) Stats() *GraphStats { return &db.stats }
 
 // TimeStore exposes the underlying TimeStore (nil in lineage-only mode).
 func (db *DB) TimeStore() *timestore.Store { return db.ts }

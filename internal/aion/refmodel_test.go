@@ -1,6 +1,8 @@
 package aion
 
 import (
+	"cmp"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -132,6 +134,119 @@ func TestEntityReadsMatchTheReferenceModel(t *testing.T) {
 				t.Errorf("%d reads answered by the LineageStore and %d by the TimeStore, want all by the LineageStore", lineage, timeStore)
 			}
 			t.Logf("%d updates over %d nodes and %d relationships", len(h.Updates), h.Nodes, h.Rels)
+		})
+	}
+}
+
+// countsMatch compares the planner's counters with the live entities of the
+// model's graph at ts.
+func countsMatch(t *testing.T, db *DB, m *refmodel.Model, ts model.Timestamp, when string) {
+	t.Helper()
+	var nodes, rels int64
+	for _, u := range m.Graph(ts) {
+		if u.Kind == model.OpAddNode {
+			nodes++
+		} else {
+			rels++
+		}
+	}
+	if st := db.Stats(); st.Nodes() != nodes || st.Rels() != rels {
+		t.Fatalf("%s: the planner counts %d nodes and %d relationships, the model's graph at %d has %d and %d",
+			when, st.Nodes(), st.Rels(), ts, nodes, rels)
+	}
+}
+
+// sameStates reports whether two hops hold the same nodes in the same states
+// — ids, labels in order, properties — in any order, intervals aside.
+func sameStates(a, b []*model.Node) bool {
+	byID := func(x, y *model.Node) int { return cmp.Compare(x.ID, y.ID) }
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, byID)
+	slices.SortFunc(b, byID)
+	return slices.EqualFunc(a, b, func(x, y *model.Node) bool {
+		return x.ID == y.ID && slices.Equal(x.Labels, y.Labels) && x.Props.Equal(y.Props)
+	})
+}
+
+// expandMatches compares every route of an expand from id at ts, for hops 1
+// to 3, with the model's Alg 1: the LineageStore's with each version's
+// interval and in the model's order; the TimeStore's by node state per hop,
+// because a materialised graph neither knows when a version began nor keeps
+// the neighbour indexes' order; and the planner's like the route it picks.
+func expandMatches(t *testing.T, db *DB, m *refmodel.Model, id model.NodeID, d model.Direction, ts model.Timestamp, viaStores bool) {
+	t.Helper()
+	want := m.Expand(id, d, 3, ts)
+	check := func(route string, got [][]*model.Node, err error, hops int, same func(a, b []*model.Node) bool) {
+		t.Helper()
+		if err != nil || !slices.EqualFunc(got, want[:hops], same) {
+			t.Fatalf("%s(%d, %v, %d, %d) = %s (%v), the model says %s", route, id, d, hops, ts,
+				refmodel.ShowNodes(slices.Concat(got...)), err, refmodel.ShowNodes(slices.Concat(want[:hops]...)))
+		}
+	}
+	for hops := 1; hops <= 3; hops++ {
+		got, err := db.Expand(id, d, hops, ts)
+		if db.PlanExpand(hops, d) == ChoseLineage {
+			check("Expand, on the LineageStore,", got, err, hops, refmodel.SameNodes)
+		} else {
+			check("Expand, on the TimeStore,", got, err, hops, sameStates)
+		}
+		if !viaStores {
+			continue
+		}
+		got, err = db.LineageStore().Expand(id, d, hops, ts)
+		check("LineageStore().Expand", got, err, hops, refmodel.SameNodes)
+		got, err = db.ExpandViaTimeStore(id, d, hops, ts)
+		check("ExpandViaTimeStore", got, err, hops, sameStates)
+	}
+}
+
+// TestExpandMatchesTheReferenceModel: the planner routes an expand by two
+// counters the update stream moves — after every commit, after a rejected
+// batch and after a reopen they are the model's live node and relationship
+// counts — and whichever store it picks, and each store asked directly,
+// answers what the model's Alg 1 does at every commit timestamp. The history
+// grows from a handful of nodes, so the planner picks each store.
+func TestExpandMatchesTheReferenceModel(t *testing.T) {
+	for _, mode := range []SyncMode{SyncHybrid, SyncBoth} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := Options{Dir: t.TempDir(), Mode: mode, SnapshotEveryOps: 64}
+			db := openDB(t, opts)
+			h, m, starts := refmodel.NewHistory(11), &refmodel.Model{}, rand.New(rand.NewSource(11))
+			const commits = 30
+			for h.TS < commits {
+				us := h.Commit(20)
+				if err := db.ApplyBatch(us); err != nil {
+					t.Fatal(err)
+				}
+				m.Apply(us...)
+				countsMatch(t, db, m, h.TS, "after a commit")
+				// Read at once, no WaitSync: a LineageStore route waits for the cascade.
+				expandMatches(t, db, m, us[0].NodeID, directions[h.TS%3], h.TS, false)
+			}
+			stale := []model.Update{model.AddNode(1, h.Nodes, nil, nil), model.DeleteRel(1, 0, 0, 0)}
+			if err := db.ApplyBatch(stale); !errors.Is(err, model.ErrNonMonotonic) || db.Err() != nil {
+				t.Fatalf("a batch at ts 1 after ts %d: %v (sticky: %v), want it rejected as non-monotonic", h.TS, err, db.Err())
+			}
+			countsMatch(t, db, m, h.TS, "after a rejected batch")
+			if err := db.WaitSync(); err != nil {
+				t.Fatal(err)
+			}
+			for ts := model.Timestamp(1); ts <= h.TS; ts++ {
+				for i := 0; i < 3; i++ {
+					id := model.NodeID(starts.Int63n(int64(h.Nodes)))
+					expandMatches(t, db, m, id, directions[i], ts, true)
+				}
+			}
+			if lineage, timeStore := db.PlannerDecisions(); lineage == 0 || timeStore == 0 {
+				t.Errorf("the planner sent %d expands to the LineageStore and %d to the TimeStore, want both routes taken", lineage, timeStore)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db = openDB(t, opts)
+			countsMatch(t, db, m, h.TS, "after a reopen")
+			t.Logf("%d updates over %d nodes and %d relationships; %d live nodes, %d live relationships",
+				len(h.Updates), h.Nodes, h.Rels, db.Stats().Nodes(), db.Stats().Rels())
 		})
 	}
 }

@@ -1,193 +1,59 @@
 package aion
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"aion/internal/model"
 )
 
-// GraphStats tracks the base statistics Aion's planner uses for cardinality
-// estimation (Sec 5.1): the number of nodes and relationships, nodes per
-// label, relationships per type, and relationships per (:Label)-[:Type]->()
-// pattern. Derived cardinalities for complex patterns use the min rule:
-// #((:A)-[:R]->(:B)) = min(#((:A)-[:R]->()), #(()-[:R]->(:B))).
+// GraphStats is what Aion's planner estimates an expand's reach from (Sec
+// 5.1): the number of live nodes and relationships, moved by the update
+// stream. Sec 5.1 also keeps label, type and pattern histograms; nothing here
+// routes by them, and the host's resident graph holds every label and type
+// should a planner need them, so they are not kept a second time.
 type GraphStats struct {
-	mu         sync.RWMutex
-	nodes      int64
-	rels       int64
-	nodeLabels map[string]int64
-	relTypes   map[string]int64
-	outPattern map[string]int64 // "label|type" -> #((:label)-[:type]->())
-	inPattern  map[string]int64 // "label|type" -> #(()-[:type]->(:label))
-	degreeSum  int64            // == rels; kept for clarity of AvgDegree
+	nodes, rels atomic.Int64
 }
 
-// NewGraphStats returns empty statistics.
-func NewGraphStats() *GraphStats {
-	return &GraphStats{
-		nodeLabels: make(map[string]int64),
-		relTypes:   make(map[string]int64),
-		outPattern: make(map[string]int64),
-		inPattern:  make(map[string]int64),
+// apply moves the counters by one batch's creations and deletions.
+func (s *GraphStats) apply(us []model.Update) {
+	var nodes, rels int64
+	for _, u := range us {
+		switch u.Kind {
+		case model.OpAddNode:
+			nodes++
+		case model.OpDeleteNode:
+			nodes--
+		case model.OpAddRel:
+			rels++
+		case model.OpDeleteRel:
+			rels--
+		}
 	}
-}
-
-func patternKey(label, relType string) string { return label + "|" + relType }
-
-// OnAddNode records a node insertion.
-func (s *GraphStats) OnAddNode(labels []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nodes++
-	for _, l := range labels {
-		s.nodeLabels[l]++
-	}
-}
-
-// OnDeleteNode records a node deletion.
-func (s *GraphStats) OnDeleteNode(labels []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nodes--
-	for _, l := range labels {
-		s.nodeLabels[l]--
-	}
-}
-
-// OnNodeLabels records a label delta on an existing node.
-func (s *GraphStats) OnNodeLabels(added, removed []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, l := range added {
-		s.nodeLabels[l]++
-	}
-	for _, l := range removed {
-		s.nodeLabels[l]--
-	}
-}
-
-// OnAddRel records a relationship insertion; srcLabels and tgtLabels are
-// the endpoint labels at insertion time (for the pattern histograms).
-func (s *GraphStats) OnAddRel(relType string, srcLabels, tgtLabels []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rels++
-	s.degreeSum++
-	s.relTypes[relType]++
-	for _, l := range srcLabels {
-		s.outPattern[patternKey(l, relType)]++
-	}
-	for _, l := range tgtLabels {
-		s.inPattern[patternKey(l, relType)]++
-	}
-}
-
-// OnDeleteRel records a relationship deletion.
-func (s *GraphStats) OnDeleteRel(relType string, srcLabels, tgtLabels []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rels--
-	s.degreeSum--
-	s.relTypes[relType]--
-	for _, l := range srcLabels {
-		s.outPattern[patternKey(l, relType)]--
-	}
-	for _, l := range tgtLabels {
-		s.inPattern[patternKey(l, relType)]--
-	}
+	s.nodes.Add(nodes)
+	s.rels.Add(rels)
 }
 
 // Nodes returns the tracked node count.
-func (s *GraphStats) Nodes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nodes
-}
+func (s *GraphStats) Nodes() int64 { return s.nodes.Load() }
 
 // Rels returns the tracked relationship count.
-func (s *GraphStats) Rels() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rels
-}
-
-// NodesWithLabel returns the number of nodes carrying a label.
-func (s *GraphStats) NodesWithLabel(label string) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nodeLabels[label]
-}
-
-// RelsWithType returns the number of relationships of a type.
-func (s *GraphStats) RelsWithType(relType string) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.relTypes[relType]
-}
+func (s *GraphStats) Rels() int64 { return s.rels.Load() }
 
 // AvgDegree returns the average out-degree |E| / |V|.
 func (s *GraphStats) AvgDegree() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.nodes == 0 {
+	nodes := s.nodes.Load()
+	if nodes == 0 {
 		return 0
 	}
-	return float64(s.rels) / float64(s.nodes)
-}
-
-// EstimatePattern derives the cardinality of (:a)-[:r]->(:b) with the min
-// rule. Empty strings are wildcards.
-func (s *GraphStats) EstimatePattern(aLabel, relType, bLabel string) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	est := s.rels
-	if relType != "" {
-		est = minI64(est, s.relTypes[relType])
-	}
-	if aLabel != "" {
-		if relType != "" {
-			est = minI64(est, s.outPattern[patternKey(aLabel, relType)])
-		} else {
-			est = minI64(est, s.sumOutLocked(aLabel))
-		}
-	}
-	if bLabel != "" {
-		if relType != "" {
-			est = minI64(est, s.inPattern[patternKey(bLabel, relType)])
-		} else {
-			est = minI64(est, s.sumInLocked(bLabel))
-		}
-	}
-	return est
-}
-
-func (s *GraphStats) sumOutLocked(label string) int64 {
-	var n int64
-	for k, v := range s.outPattern {
-		if len(k) > len(label) && k[:len(label)] == label && k[len(label)] == '|' {
-			n += v
-		}
-	}
-	return n
-}
-
-func (s *GraphStats) sumInLocked(label string) int64 {
-	var n int64
-	for k, v := range s.inPattern {
-		if len(k) > len(label) && k[:len(label)] == label && k[len(label)] == '|' {
-			n += v
-		}
-	}
-	return n
+	return float64(s.rels.Load()) / float64(nodes)
 }
 
 // EstimateExpandFraction estimates the fraction of the graph an n-hop
 // expansion from a single node touches: frontier growth by the average
 // degree, capped at the full graph.
 func (s *GraphStats) EstimateExpandFraction(hops int, dir model.Direction) float64 {
-	s.mu.RLock()
-	nodes := s.nodes
-	s.mu.RUnlock()
+	nodes := s.nodes.Load()
 	if nodes == 0 {
 		return 0
 	}
@@ -204,16 +70,5 @@ func (s *GraphStats) EstimateExpandFraction(hops int, dir model.Direction) float
 			return 1.0
 		}
 	}
-	f := touched / float64(nodes)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
-func minI64(a, b int64) int64 {
-	if b < a {
-		return b
-	}
-	return a
+	return touched / float64(nodes)
 }

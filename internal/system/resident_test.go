@@ -258,10 +258,6 @@ func TestOneResidentGraph(t *testing.T) {
 		opened := r.Aion.TimeStore().Stats().LatestPulls
 		for i := 0; i < 300; i++ {
 			r.commit(i, 1+i%4)
-			// A snapshot due while the worker's queue is full is deferred, an
-			// interval overdue; keep the queue empty so none is, however few
-			// CPUs the worker gets.
-			r.Aion.TimeStore().WaitSnapshots()
 		}
 		r.wantOneGraph("single commits")
 		// One pull a snapshot: each was due at the end of a commit that was its
@@ -284,7 +280,7 @@ func TestOneResidentGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.open()
-		// The planner statistics were rebuilt from the host's graph: the logs
+		// The planner's counters were seeded from the host's graph: the logs
 		// agree, so no element was read to build one.
 		if st := r.Aion.TimeStore().Stats(); st.LoadedEntities != 0 || st.LatestPulls != 1 {
 			t.Errorf("clean reopen: %d entity versions loaded, %d pulls; want 0 and 1", st.LoadedEntities, st.LatestPulls)
@@ -688,10 +684,6 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 	r := newResidentSys(t, false)
 	for i := 0; i < 150; i++ {
 		r.commit(i, 4)
-		// A policy snapshot due while the worker's queue is full is deferred;
-		// waiting keeps the queue empty, so every due snapshot is written
-		// however few CPUs the worker gets.
-		r.Aion.TimeStore().WaitSnapshots()
 	}
 	r.verify("loaded")
 	if err := r.Close(); err != nil {

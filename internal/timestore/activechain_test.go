@@ -17,6 +17,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/vfs"
 )
 
 // policySnapshot persists, synchronously, what the snapshot worker would for
@@ -42,8 +43,7 @@ func policySnapshotNow(t *testing.T, s *Store) {
 }
 
 // appendSettled appends us one by one, letting the snapshot worker finish
-// after each, so no policy trigger is ever deferred behind a busy worker and
-// the chain's positions are a function of the history alone.
+// after each, so every element is written and cached before the next append.
 func appendSettled(t *testing.T, s *Store, us []model.Update) {
 	t.Helper()
 	for _, u := range us {
@@ -149,6 +149,61 @@ func TestActiveChainRule(t *testing.T) {
 		t.Errorf("reopened on a host the store built a graph of its own: %d entity versions loaded", st.LoadedEntities)
 	}
 	o.check(delta, "reopened on the host's graph")
+}
+
+// holdFS is a FaultFS on which no chain element can be created until release
+// is closed: a snapshot worker as far behind as a test likes.
+type holdFS struct {
+	*vfs.FaultFS
+	release chan struct{}
+}
+
+func (fs holdFS) Create(path string) (vfs.File, error) {
+	if strings.HasSuffix(path, ".dsnap.tmp") {
+		<-fs.release
+	}
+	return fs.FaultFS.Create(path)
+}
+
+// TestBusyWorkerMovesNoElement: where a policy element lands depends on the
+// update stream alone. A store whose worker can write no element for six
+// policy intervals — commits outrunning it, as a bulk load's do — ends with
+// the chain, element for element, of a store whose worker finished each
+// element before the next commit.
+func TestBusyWorkerMovesNoElement(t *testing.T) {
+	const every = 40
+	free := openStore(t, Options{SnapshotEveryOps: every, DeltaChainLength: 2})
+	fs := holdFS{FaultFS: vfs.NewFaultFS(), release: make(chan struct{})}
+	held := openStore(t, Options{Dir: "ts", FS: fs, SnapshotEveryOps: every, DeltaChainLength: 2})
+	release := func() {
+		select {
+		case <-fs.release:
+		default:
+			close(fs.release)
+		}
+	}
+	t.Cleanup(release) // before held's Close, which waits for the worker
+	for _, us := range commitsOf(fenceHistory(13, 7*every)) {
+		if err := free.AppendBatch(us); err != nil {
+			t.Fatal(err)
+		}
+		free.WaitSnapshots()
+		if err := held.AppendBatch(us); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	held.WaitSnapshots()
+	fc, hc := free.active().elems(), held.active().elems()
+	if len(fc) < 6 || len(hc) != len(fc) {
+		t.Fatalf("%d elements written by the held worker, %d by the free one, want the same number and at least 6", len(hc), len(fc))
+	}
+	for i, e := range hc {
+		e.path = fc[i].path
+		if e != fc[i] {
+			t.Errorf("element %d: the held worker wrote %+v, the free one %+v", i, e, fc[i])
+		}
+	}
 }
 
 // replayedBy returns how many updates fn's queries applied on top of a base.

@@ -92,7 +92,7 @@ func openCrashTS(fs vfs.FS, codec *enc.Codec) (*Store, error) {
 // reapWorker shuts down the idle background snapshot worker of a store
 // whose filesystem has crashed (Close would fail on the stale handles).
 func reapWorker(st *Store) {
-	close(st.snapCh)
+	st.snaps.close()
 	<-st.workerDone
 }
 

@@ -209,7 +209,7 @@ func (o *fenceOracle) wantYoungerTwins(s *Store) {
 func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	t.Helper()
 	opts.defaults()
-	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, snapCh: make(chan snapJob, 2),
+	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, snaps: newSnapQueue(),
 		workerDone: make(chan struct{}), framePool: pool.NewBytes(frameBatchBytes + 4096)}
 	ctx := context.Background()
 	var err error

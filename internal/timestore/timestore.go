@@ -175,9 +175,59 @@ type Store struct {
 	// Asynchronous snapshot pipeline: policy-triggered snapshots are
 	// serialized off the commit path by a background worker (Sec 5.1:
 	// "background workers ... insert new snapshots into the GraphStore").
-	snapCh     chan snapJob
+	snaps      *snapQueue
 	snapWG     sync.WaitGroup
 	workerDone chan struct{}
+}
+
+// snapQueue hands policy snapshots to the worker. It has no bound: a snapshot
+// falls due, is captured and is queued where the update stream says, however
+// far behind the worker is, so the chain's element positions depend on the
+// stream alone and the commit path never waits. What a backlog holds is CoW
+// clones, each the directories of a graph and the chunks written since it.
+type snapQueue struct {
+	mu     sync.Mutex
+	ready  sync.Cond
+	jobs   []snapJob
+	closed bool
+}
+
+func newSnapQueue() *snapQueue {
+	q := &snapQueue{}
+	q.ready.L = &q.mu
+	return q
+}
+
+func (q *snapQueue) put(j snapJob) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.jobs = append(q.jobs, j)
+	q.ready.Signal()
+}
+
+// take returns the oldest job, waiting for one; false once the queue is
+// closed and empty.
+func (q *snapQueue) take() (snapJob, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.jobs) == 0 && !q.closed {
+		q.ready.Wait()
+	}
+	if len(q.jobs) == 0 {
+		return snapJob{}, false
+	}
+	j := q.jobs[0]
+	q.jobs[0] = snapJob{} // the worker's copy is the graph's last reference
+	q.jobs = q.jobs[1:]
+	return j, true
+}
+
+// close lets the worker exit once it has taken every queued job.
+func (q *snapQueue) close() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
+	q.ready.Broadcast()
 }
 
 // snapJob carries a CoW graph clone to the snapshot worker together with
@@ -217,7 +267,7 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 		opts:       opts,
 		fs:         fs,
 		codec:      codec,
-		snapCh:     make(chan snapJob, 2),
+		snaps:      newSnapQueue(),
 		workerDone: make(chan struct{}),
 		framePool:  pool.NewBytes(frameBatchBytes + 4096),
 	}
@@ -239,7 +289,11 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 // their timestamp: once published, the cache owns them without another clone.
 func (s *Store) snapshotWorker() {
 	defer close(s.workerDone)
-	for j := range s.snapCh {
+	for {
+		j, ok := s.snaps.take()
+		if !ok {
+			return
+		}
 		if s.persistSnapshot(j.seg, j.g, j.at, j.seg.deltaBase(j.at.pos, s.opts.DeltaChainLength)) == nil {
 			s.gs.PutOwned(j.g)
 		}
@@ -608,14 +662,10 @@ func (s *Store) AppendBatch(us []model.Update) error {
 }
 
 // snapshotDueLocked runs the snapshot policy (operation- or log-bytes-based,
-// Sec 4.3): a configured trigger is due and the snapshot worker has room.
-// While its queue is full the trigger is deferred — the policy counters are
-// left untouched, so the very next append retries — keeping snapshot density
-// close to the policy even during bulk loads.
+// Sec 4.3): a configured trigger is due.
 func (s *Store) snapshotDueLocked() bool {
-	return ((s.opts.SnapshotEveryOps > 0 && s.opsSinceSnap >= s.opts.SnapshotEveryOps) ||
-		(s.opts.SnapshotEveryBytes > 0 && s.bytesSinceSnap >= s.opts.SnapshotEveryBytes)) &&
-		len(s.snapCh) < cap(s.snapCh)
+	return (s.opts.SnapshotEveryOps > 0 && s.opsSinceSnap >= s.opts.SnapshotEveryOps) ||
+		(s.opts.SnapshotEveryBytes > 0 && s.bytesSinceSnap >= s.opts.SnapshotEveryBytes)
 }
 
 // captureSnapshotLocked pulls the graph of a due policy snapshot into
@@ -642,7 +692,7 @@ func (s *Store) scheduleSnapshotLocked(off int64) {
 	s.bytesSinceSnap = 0
 	s.snapWG.Add(1)
 	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: off}
-	s.snapCh <- snapJob{seg: s.active(), g: s.pending, at: at} // cannot block: single producer under s.mu saw room at the capture
+	s.snaps.put(snapJob{seg: s.active(), g: s.pending, at: at})
 }
 
 // WaitSnapshots blocks until all in-flight background snapshots are
@@ -719,8 +769,7 @@ type Stats struct {
 	// just appended was the host's newest commit: host and log have diverged.
 	// SnapshotsOverdue is how many whole policy intervals have gone by since
 	// a snapshot fell due without one being taken — 0 in a healthy store; a
-	// host whose graph is refused every time shows here, as does a snapshot
-	// worker that cannot keep up.
+	// host whose graph is refused every time shows here.
 	LatestPulls      uint64
 	LatestMismatches uint64
 	SnapshotsOverdue int64
@@ -823,10 +872,10 @@ func (s *Store) Flush() error {
 // goroutine or a descriptor.
 func (s *Store) Close() error {
 	err := s.Flush()
-	if s.snapCh != nil {
-		close(s.snapCh)
+	if s.snaps != nil {
+		s.snaps.close()
 		<-s.workerDone
-		s.snapCh = nil
+		s.snaps = nil
 	}
 	for _, g := range s.segs {
 		err = errors.Join(err, g.log.Close())
