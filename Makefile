@@ -86,15 +86,17 @@ stress:
 replica-smoke:
 	$(GO) test -race -count=1 -run 'TestReplicationOverTCP|TestRouterFallback|TestFollowerReconnectBackoff' -v ./internal/replica/
 
-# A short run of the record-decoder fuzzers (recovery feeds the update
-# decoder torn log tails; chain recovery feeds the delta-header decoder
-# arbitrary .dsnap prefixes; LineageStore reads feed the key parsers B+Tree
-# pages that carry no checksum): long enough to exercise the mutators, short
-# enough for CI.
+# A short run of the decoders' fuzzers (recovery feeds the update and block
+# decoders torn log tails; chain recovery feeds the delta-header decoder and
+# the element reader arbitrary .dsnap bytes; LineageStore reads feed the key
+# parsers B+Tree pages that carry no checksum): long enough to exercise the
+# mutators, short enough for CI — the whole target stays under a minute.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeUpdates -fuzztime 30s ./internal/enc/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeDelta -fuzztime 15s ./internal/enc/
-	$(GO) test -run '^$$' -fuzz FuzzParseKeys -fuzztime 10s ./internal/enc/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeUpdates -fuzztime 12s ./internal/enc/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 12s ./internal/enc/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeDelta -fuzztime 6s ./internal/enc/
+	$(GO) test -run '^$$' -fuzz FuzzParseKeys -fuzztime 5s ./internal/enc/
+	$(GO) test -run '^$$' -fuzz FuzzReadElement -fuzztime 8s ./internal/timestore/
 
 # The failover gate: the kill/partition × protocol-point promotion sweep
 # plus the seeded replication chaos soak, across a bounded seed set under
@@ -166,9 +168,11 @@ heap-budget:
 # records, host log, TimeStore log, fulls and deltas, LineageStore trees,
 # string tables — in bytes and bytes per update, accounted the way
 # benchmark/'s disk_bytes is — plus one row per LineageStore tree (bytes,
-# entries, mean key and value bytes, fill). It fails when the TimeStore chain
-# (fulls + deltas) is over 60 B/update or holds a file the catalogue does not
-# count, or when the four LineageStore trees are over 75 B/update.
+# entries, mean key and value bytes, fill). It fails when the TimeStore log is
+# over 14.5 B/update or its chain (fulls + deltas) over 29 — one length+CRC
+# frame a record creeping back in crosses either — or the chain holds a file
+# the catalogue does not count, or when the four LineageStore trees are over
+# 75 B/update.
 disk-budget:
 	$(GO) test -run '^$$' -bench BenchmarkDisk -benchtime 1x ./internal/system/
 

@@ -1,19 +1,19 @@
 package enc
 
-import "aion/internal/model"
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+
+	"aion/internal/model"
+)
 
 // DecodeUpdates decodes a batch of update records produced by AppendUpdate,
-// appending the results to dst. It is the entry point the TimeStore's
-// parallel pipelines use: one worker call amortizes the dispatch cost over
-// a whole frame batch, and the codec is safe for concurrent decoding, so
+// appending the results to dst. The codec is safe for concurrent decoding, so
 // batches may be decoded on many workers at once. On error the updates
 // decoded so far are returned alongside it.
 func (c *Codec) DecodeUpdates(dst []model.Update, payloads [][]byte) ([]model.Update, error) {
-	if cap(dst)-len(dst) < len(payloads) {
-		grown := make([]model.Update, len(dst), len(dst)+len(payloads))
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, len(payloads))
 	for _, p := range payloads {
 		u, err := c.DecodeUpdate(p)
 		if err != nil {
@@ -24,31 +24,72 @@ func (c *Codec) DecodeUpdates(dst []model.Update, payloads [][]byte) ([]model.Up
 	return dst, nil
 }
 
-// EncodeUpdates is the batch encoder symmetric with DecodeUpdates: it
-// encodes every update into one shared backing buffer (grown from buf, so
-// append paths can recycle their scratch) and returns per-update payload
-// slices aliasing it. The write-path callers — the host's group-commit
-// leader and the TimeStore's AppendBatch — hand the payloads straight to
-// wal.AppendBatch, so a whole transaction batch is encoded and logged with
-// zero per-update allocations. The payload slices are valid until the
-// backing buffer is reused; on error nothing is returned.
+// Block format — the TimeStore's unit of framing, the payload of a log frame
+// and of each record frame of a chain element alike:
 //
-// Because appending can reallocate the backing array, payload slices are
-// carved out only after every update is encoded.
-func (c *Codec) EncodeUpdates(buf []byte, us []model.Update) (payloads [][]byte, backing []byte, err error) {
-	buf = buf[:0]
-	ends := make([]int, len(us))
-	for i, u := range us {
+//	count uvarint | count × record
+//
+// The records follow each other with no length prefix: the AppendUpdate
+// format delimits itself. A block is never empty.
+
+// minRecordLen is the shortest record there is, a node tombstone: header, ts
+// and id, a byte each. A block of n records holds at least 3n bytes after its
+// count.
+const minRecordLen = 3
+
+// AppendBlock encodes us as one block onto buf and returns the extended slice.
+func (c *Codec) AppendBlock(buf []byte, us []model.Update) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, uint64(len(us)))
+	for _, u := range us {
+		var err error
 		if buf, err = c.AppendUpdate(buf, u); err != nil {
-			return nil, buf, err
+			return nil, err
 		}
-		ends[i] = len(buf)
 	}
-	payloads = make([][]byte, len(us))
-	start := 0
-	for i, end := range ends {
-		payloads[i] = buf[start:end:end]
-		start = end
+	return buf, nil
+}
+
+// BlockCount returns the number of records block b declares and the records
+// themselves, decoding none. A count the bytes cannot hold is an error, so a
+// caller may size a buffer by it.
+func BlockCount(b []byte) (int, []byte, error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n == 0 || n > uint64(len(b)-w)/minRecordLen {
+		return 0, nil, fmt.Errorf("enc: bad block count")
 	}
-	return payloads, buf, nil
+	return int(n), b[w:], nil
+}
+
+// PeekBlock returns a block's record count and its first record's timestamp
+// without decoding: what recovery needs to number the records of a log frame,
+// which all share that timestamp.
+func PeekBlock(b []byte) (int, model.Timestamp, error) {
+	n, recs, err := BlockCount(b)
+	if err != nil {
+		return 0, 0, err
+	}
+	ts, err := PeekTS(recs)
+	return n, ts, err
+}
+
+// DecodeBlock decodes block b, appending its records to dst. A count the
+// records do not match — fewer whole records than it declares, or bytes after
+// the last — is an error; the updates decoded so far are returned with it.
+func (c *Codec) DecodeBlock(dst []model.Update, b []byte) ([]model.Update, error) {
+	n, rest, err := BlockCount(b)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		var u model.Update
+		if u, rest, err = c.decodeNext(rest); err != nil {
+			return dst, err
+		}
+		dst = append(dst, u)
+	}
+	if len(rest) != 0 {
+		return dst, fmt.Errorf("enc: %d bytes after the %d records of a block", len(rest), n)
+	}
+	return dst, nil
 }

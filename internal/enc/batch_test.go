@@ -1,6 +1,8 @@
 package enc
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -80,9 +82,10 @@ func TestDecodeUpdatesConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEncodeUpdatesRoundTrip checks the batch encoder against both the
-// per-update encoder (byte identity) and the batch decoder (symmetry).
-func TestEncodeUpdatesRoundTrip(t *testing.T) {
+// TestBlockRoundTrip checks the block encoder against the per-update encoder
+// (a block is its count and the records back to back) and the block decoder
+// (symmetry, appending to a prefilled dst), and the two peeks against both.
+func TestBlockRoundTrip(t *testing.T) {
 	c := newCodec()
 	us := []model.Update{
 		model.AddNode(1, 1, []string{"A"}, model.Properties{"x": model.IntValue(9)}),
@@ -91,51 +94,63 @@ func TestEncodeUpdatesRoundTrip(t *testing.T) {
 		model.DeleteRel(4, 1, 1, 1),
 		model.DeleteNode(5, 1),
 	}
-	payloads, backing, err := c.EncodeUpdates(nil, us)
+	block, err := c.AppendBlock([]byte("prefix"), us)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(payloads) != len(us) {
-		t.Fatalf("encoded %d payloads, want %d", len(payloads), len(us))
-	}
-	total := 0
-	for i, u := range us {
-		single, err := c.EncodeUpdate(u)
-		if err != nil {
+	block = block[len("prefix"):]
+	want := []byte{byte(len(us))}
+	for _, u := range us {
+		if want, err = c.AppendUpdate(want, u); err != nil {
 			t.Fatal(err)
 		}
-		if string(payloads[i]) != string(single) {
-			t.Fatalf("payload %d differs from EncodeUpdate", i)
-		}
-		total += len(single)
 	}
-	if len(backing) != total {
-		t.Fatalf("backing is %d bytes, want %d", len(backing), total)
+	if !bytes.Equal(block, want) {
+		t.Fatalf("block %x, want the count and the records: %x", block, want)
 	}
-	got, err := c.DecodeUpdates(nil, payloads)
-	if err != nil {
-		t.Fatal(err)
+	if n, ts, err := PeekBlock(block); n != len(us) || ts != 1 || err != nil {
+		t.Fatalf("PeekBlock = %d, %d, %v", n, ts, err)
 	}
-	for i, u := range got {
+	got, err := c.DecodeBlock(us[:1:1], block)
+	if err != nil || len(got) != 1+len(us) {
+		t.Fatalf("decoded %d updates after the prefix, err %v", len(got)-1, err)
+	}
+	for i, u := range got[1:] {
 		if u.Kind != us[i].Kind || u.TS != us[i].TS {
 			t.Fatalf("update %d decoded as %+v, want %+v", i, u, us[i])
 		}
 	}
-	// Reusing the backing buffer must not allocate per update.
-	payloads2, _, err := c.EncodeUpdates(backing, us)
-	if err != nil || len(payloads2) != len(us) {
-		t.Fatalf("reuse: %d payloads, err %v", len(payloads2), err)
-	}
 }
 
-func TestEncodeUpdatesEmptyAndError(t *testing.T) {
+// TestBlockRejectsCountMismatch: a block decodes only when its count names
+// exactly the records that follow it — one more, one fewer, a torn last
+// record, a byte past the last one, and the empty block all fail — and an
+// encoder error fails the whole block.
+func TestBlockRejectsCountMismatch(t *testing.T) {
 	c := newCodec()
-	payloads, _, err := c.EncodeUpdates(nil, nil)
-	if err != nil || len(payloads) != 0 {
-		t.Fatalf("empty batch: %v %v", payloads, err)
+	us := []model.Update{model.AddNode(1, 1, nil, nil), model.AddNode(1, 2, []string{"N"}, nil)}
+	block, err := c.AppendBlock(nil, us)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := block[1:]
+	for name, b := range map[string][]byte{
+		"count one more":  append([]byte{3}, recs...),
+		"count one fewer": append([]byte{1}, recs...),
+		"torn record":     block[:len(block)-1],
+		"trailing byte":   append(slices.Clip(block), 0),
+		"empty block":     {0},
+		"no count":        nil,
+	} {
+		if got, err := c.DecodeBlock(nil, b); err == nil {
+			t.Errorf("%s: decoded %d updates without error", name, len(got))
+		}
+	}
+	if _, _, err := PeekBlock([]byte{200, 1}); err == nil {
+		t.Error("a count the bytes cannot hold passed PeekBlock")
 	}
 	bad := []model.Update{model.AddNode(1, 1, nil, nil), {Kind: model.OpKind(99)}}
-	if _, _, err := c.EncodeUpdates(nil, bad); err == nil {
-		t.Fatal("unknown op kind must fail the whole batch")
+	if _, err := c.AppendBlock(nil, bad); err == nil {
+		t.Fatal("unknown op kind must fail the whole block")
 	}
 }

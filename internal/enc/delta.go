@@ -7,19 +7,18 @@ import (
 	"aion/internal/model"
 )
 
-// Delta snapshot records: the header frame of the .dsnap chain files that
-// sealed TimeStore partitions store their full and differential snapshots
-// in (ROADMAP item 1, after DeltaGraph's hierarchical delta snapshots).
-// A chain file is a framed sequence of records in the same len+CRC framing
-// as full snapshots; record 0 is the header encoded here, records 1..Count
-// are ordinary update records (AppendUpdate format). The header makes every
-// chain file self-describing: recovery derives the whole partition chain
+// Delta snapshot records: the header frame of the .dsnap chain files the
+// TimeStore stores its full and differential snapshots in (after DeltaGraph's
+// hierarchical delta snapshots). A chain file is a sequence of len+CRC
+// frames; frame 0 is the header encoded here, every later one a block
+// (batch.go) of up to 256 update records, Count of them in all. The header
+// makes every chain file self-describing: recovery derives the whole chain
 // from the headers alone (derive-don't-trust), so the file name is only a
 // convenience that must agree with the header.
 
 // deltaMagic identifies a delta-snapshot header record ("Aion Delta
-// Snapshot v1").
-var deltaMagic = [4]byte{'A', 'D', 'S', '1'}
+// Snapshot v2": v1's record frames held one record each).
+var deltaMagic = [4]byte{'A', 'D', 'S', '2'}
 
 // DeltaKind distinguishes the two chain element flavours.
 type DeltaKind uint8

@@ -30,7 +30,7 @@ func FuzzDecodeDelta(f *testing.F) {
 		f.Add(AppendDeltaHeader(nil, h))
 	}
 	f.Add([]byte{})
-	f.Add([]byte{'A', 'D', 'S', '1'})
+	f.Add([]byte{'A', 'D', 'S', '2'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -2,6 +2,7 @@ package enc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -60,15 +61,7 @@ func FuzzDecodeUpdates(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		st := strstore.NewMem()
-		// Populate the string table so small refs in mutated records
-		// resolve and decoding reaches past the ref-lookup guards.
-		for _, s := range []string{"Person", "Org", "City", "KNOWS", "s", "i", "f", "ia", "b", "w", "x"} {
-			if _, err := st.Intern(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c := NewCodec(st)
+		c := fuzzCodec(t)
 		u, err := c.DecodeUpdate(b)
 		if _, berr := c.DecodeUpdates(nil, [][]byte{b, b}); (berr == nil) != (err == nil) {
 			t.Fatalf("DecodeUpdates disagrees with DecodeUpdate: %v vs %v", berr, err)
@@ -97,6 +90,81 @@ func FuzzDecodeUpdates(f *testing.F) {
 			t.Fatalf("round-trip not canonical:\n  first  %x\n  second %x", enc1, enc2)
 		}
 	})
+}
+
+// FuzzDecodeBlock is the block leg of `make fuzz-smoke`: a TimeStore log
+// frame or element frame whose CRC happens to match damaged bytes reaches
+// DecodeBlock as it is. On any input it must fail closed: no panic; a count
+// the bytes cannot hold rejected before anything is reserved for it, and no
+// more update slots reserved than the input has bytes; and a block it accepts
+// holds exactly its count's records, re-encodes canonically, and stops
+// decoding once its count is one more or one fewer or a byte follows it.
+func FuzzDecodeBlock(f *testing.F) {
+	seedCodec := NewCodec(strstore.NewMem())
+	for _, us := range [][]model.Update{seedUpdates(), seedUpdates()[5:]} {
+		b, err := seedCodec.AppendBlock(nil, us)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1, 2, 3})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c := fuzzCodec(t)
+		us, err := c.DecodeBlock(nil, b)
+		n, _, cerr := BlockCount(b)
+		if cerr == nil && n*minRecordLen > len(b) {
+			t.Fatalf("BlockCount accepted %d records in %d bytes", n, len(b))
+		}
+		if cerr != nil && (err == nil || len(us) > 0) {
+			t.Fatalf("a block BlockCount rejects (%v) decoded %d updates, err %v", cerr, len(us), err)
+		}
+		if cap(us) > len(b) {
+			t.Fatalf("reserved %d update slots for a %d-byte block", cap(us), len(b))
+		}
+		if err != nil {
+			return
+		}
+		if len(us) != n {
+			t.Fatalf("a block of %d records decoded to %d updates", n, len(us))
+		}
+		enc1, err := c.AppendBlock(nil, us)
+		if err != nil {
+			t.Fatalf("re-encode of a decoded block: %v", err)
+		}
+		us2, err := c.DecodeBlock(nil, enc1)
+		if err != nil {
+			t.Fatalf("decode of a re-encoded block: %v", err)
+		}
+		if enc2, err := c.AppendBlock(nil, us2); err != nil || !bytes.Equal(enc1, enc2) {
+			t.Fatalf("block round trip not canonical (%v):\n  first  %x\n  second %x", err, enc1, enc2)
+		}
+		recs := enc1[len(binary.AppendUvarint(nil, uint64(n))):]
+		for _, bad := range [][]byte{
+			append(binary.AppendUvarint(nil, uint64(n+1)), recs...),
+			append(binary.AppendUvarint(nil, uint64(n-1)), recs...),
+			append(enc1, 0),
+		} {
+			if _, err := c.DecodeBlock(nil, bad); err == nil {
+				t.Fatalf("block %x decoded although its count does not match its records", bad)
+			}
+		}
+	})
+}
+
+// fuzzCodec is a codec whose string table resolves the seeds' small refs, so
+// decoding reaches past the ref-lookup guards.
+func fuzzCodec(t *testing.T) *Codec {
+	st := strstore.NewMem()
+	for _, s := range []string{"Person", "Org", "City", "KNOWS", "s", "i", "f", "ia", "b", "w", "x"} {
+		if _, err := st.Intern(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewCodec(st)
 }
 
 // TestDecodeTruncatedValidRecords truncates real records at every length:

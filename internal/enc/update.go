@@ -101,17 +101,26 @@ func PeekState(b []byte) (deleted, delta bool) {
 	return b[0]&headerDeletedBit != 0, b[0]&headerDeltaBit != 0
 }
 
-// DecodeUpdate decodes a record produced by AppendUpdate.
+// DecodeUpdate decodes a record produced by AppendUpdate; bytes after the
+// record are ignored.
 func (c *Codec) DecodeUpdate(b []byte) (model.Update, error) {
+	u, _, err := c.decodeNext(b)
+	return u, err
+}
+
+// decodeNext decodes the record at the front of b and returns the bytes after
+// it: the format delimits itself, so records concatenate with no length
+// prefix (a block, batch.go).
+func (c *Codec) decodeNext(b []byte) (model.Update, []byte, error) {
 	var u model.Update
 	if len(b) < 1 {
-		return u, fmt.Errorf("enc: empty update record")
+		return u, nil, fmt.Errorf("enc: empty update record")
 	}
 	h := b[0]
 	b = b[1:]
 	ts, w := binary.Uvarint(b)
 	if w <= 0 {
-		return u, fmt.Errorf("enc: bad ts")
+		return u, nil, fmt.Errorf("enc: bad ts")
 	}
 	b = b[w:]
 	u.TS = model.Timestamp(ts)
@@ -133,63 +142,57 @@ func (c *Codec) DecodeUpdate(b []byte) (model.Update, error) {
 	case TypeNode:
 		id, err := readID()
 		if err != nil {
-			return u, err
+			return u, nil, err
 		}
 		u.NodeID = model.NodeID(id)
 		switch {
 		case deleted:
 			u.Kind = model.OpDeleteNode
+			return u, b, nil
 		case delta:
 			u.Kind = model.OpUpdateNode
 		default:
 			u.Kind = model.OpAddNode
 		}
-		if deleted {
-			return u, nil
+		if u.AddLabels, u.DelLabels, b, err = c.readLabels(b); err != nil {
+			return u, nil, err
 		}
-		var err2 error
-		u.AddLabels, u.DelLabels, b, err2 = c.readLabels(b)
-		if err2 != nil {
-			return u, err2
-		}
-		u.SetProps, u.DelProps, _, err2 = c.readProps(b)
-		return u, err2
+		u.SetProps, u.DelProps, b, err = c.readProps(b)
+		return u, b, err
 	case TypeRel:
 		id, err := readID()
 		if err != nil {
-			return u, err
+			return u, nil, err
 		}
 		u.RelID = model.RelID(id)
 		src, err := readID()
 		if err != nil {
-			return u, err
+			return u, nil, err
 		}
 		tgt, err := readID()
 		if err != nil {
-			return u, err
+			return u, nil, err
 		}
 		u.Src, u.Tgt = model.NodeID(src), model.NodeID(tgt)
 		switch {
 		case deleted:
 			u.Kind = model.OpDeleteRel
-			return u, nil
+			return u, b, nil
 		case delta:
 			u.Kind = model.OpUpdateRel
 		default:
 			u.Kind = model.OpAddRel
 			ref, _, rest, err := readRef(b)
 			if err != nil {
-				return u, err
+				return u, nil, err
 			}
 			b = rest
-			u.RelLabel, err = c.Strings.Lookup(ref)
-			if err != nil {
-				return u, err
+			if u.RelLabel, err = c.Strings.Lookup(ref); err != nil {
+				return u, nil, err
 			}
 		}
-		var err2 error
-		u.SetProps, u.DelProps, _, err2 = c.readProps(b)
-		return u, err2
+		u.SetProps, u.DelProps, b, err = c.readProps(b)
+		return u, b, err
 	}
-	return u, fmt.Errorf("enc: unknown entity type %d", typ)
+	return u, nil, fmt.Errorf("enc: unknown entity type %d", typ)
 }

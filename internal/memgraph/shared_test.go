@@ -5,7 +5,6 @@ package memgraph
 // Valid.Start, which stays at or before the graph's own time.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -22,14 +21,14 @@ func exportBytes(t *testing.T, codec *enc.Codec, g *Graph) string {
 	return updateBytes(t, codec, g.Export())
 }
 
-// updateBytes is us as the bytes a log or snapshot file would hold.
+// updateBytes is us as the block a log or snapshot frame would hold.
 func updateBytes(t *testing.T, codec *enc.Codec, us []model.Update) string {
 	t.Helper()
-	payloads, _, err := codec.EncodeUpdates(nil, us)
+	b, err := codec.AppendBlock(nil, us)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(bytes.Join(payloads, nil))
+	return string(b)
 }
 
 // fingerprint is everything of g a reader can reach: its Export, and every

@@ -220,13 +220,15 @@ func BenchmarkResident(b *testing.B) {
 	}
 }
 
-// chainBudget is BenchmarkDisk's ceiling on the TimeStore's chain — its
-// policy fulls and deltas — in bytes per loaded update: with four deltas
-// between fulls the shape measures 43 (every element a full: 106).
+// logBudget and chainBudget are BenchmarkDisk's ceilings on the TimeStore's
+// log and on its chain — its policy fulls and deltas — in bytes per loaded
+// update: with one length+CRC frame per block the shape measures 13.6 and
+// 27.5 (one frame per record: 21.6 and 42.7; every element a full: 106).
 // lineageBudget is its ceiling on the LineageStore's four trees: 58.4 with
 // compact keys and one-byte neighbour values (fixed-width keys: 121.9).
 const (
-	chainBudget   = 60
+	logBudget     = 14.5
+	chainBudget   = 29
 	lineageBudget = 75
 )
 
@@ -258,9 +260,9 @@ func logTreeRow(b *testing.B, dir, name string, updates int) {
 // BenchmarkDisk is BenchmarkResident's twin for the disk: what the loaded,
 // cleanly closed benchmark-shaped store occupies, by owner, accounted the way
 // benchmark/'s disk_bytes is, with one row per LineageStore tree. It fails
-// when the TimeStore chain or the LineageStore's trees are over their budget,
-// or when the chain directory holds an element file the catalogue does not
-// count. make disk-budget runs it.
+// when the TimeStore log, its chain or the LineageStore's trees are over
+// their budget, or when the chain directory holds an element file the
+// catalogue does not count. make disk-budget runs it.
 func BenchmarkDisk(b *testing.B) {
 	opts, updates := loadBenchmarkShape(b)
 	s, err := Open(opts)
@@ -318,9 +320,13 @@ func BenchmarkDisk(b *testing.B) {
 	}
 	b.Logf("%-20s %11d B %8.1f B/update over %d updates, %d policy elements (%d deltas)",
 		"total", total, float64(total)/float64(updates), updates, len(elems), ts.DeltaSnapshots)
-	chain := float64(fulls+deltas) / float64(updates)
+	log, chain := float64(ts.LogBytes)/float64(updates), float64(fulls+deltas)/float64(updates)
 	b.ReportMetric(float64(total)/float64(updates), "disk-B/update")
+	b.ReportMetric(log, "log-B/update")
 	b.ReportMetric(chain, "chain-B/update")
+	if log > logBudget {
+		b.Fatalf("the TimeStore log takes %.1f bytes per update, over the budget of %v", log, logBudget)
+	}
 	if chain > chainBudget {
 		b.Fatalf("the TimeStore chain takes %.1f bytes per update, over the budget of %d", chain, chainBudget)
 	}

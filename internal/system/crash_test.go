@@ -12,6 +12,7 @@ package system
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/timestore"
 	"aion/internal/vfs"
 )
 
@@ -284,6 +286,100 @@ func runSysCrashCase(t *testing.T, txns [][]sysOp, k int, torn bool) {
 	verifySystem(t, k, torn, s2, res)
 	if err := s2.Close(); err != nil {
 		t.Fatalf("k=%d torn=%v: clean close after recovery: %v", k, torn, err)
+	}
+}
+
+// TestTornCommitIsAllOrNothing: the power fails in the middle of the fsync
+// that would make a six-update commit durable in the TimeStore's log, after
+// the host's log made it durable. Half the commit's bytes reach the disk; the
+// reopened TimeStore holds none of its updates, and system.Open reconciles
+// the commit whole from the host's log.
+func TestTornCommitIsAllOrNothing(t *testing.T) {
+	fs := vfs.NewFaultFS()
+	s, err := openCrashSys(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var commits [][]model.Update
+	s.Host.OnCommit(func(_ model.Timestamp, us []model.Update) { commits = append(commits, us) })
+	commit := func(first, n int) {
+		t.Helper()
+		tx := s.Host.Begin()
+		for i := first; i < first+n; i++ {
+			if _, err := stageOp(tx, sysOp{kind: 0, node: model.NodeID(i), val: int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		commit(1+2*i, 2)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const log = "sys/aion/timestore/p-1/updates.log"
+	synced, err := fs.Stat(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit(11, 6) // interns nothing new: the log's fsync is the next mutating operation
+	if err := s.Aion.WaitSync(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := fs.Stat(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.SetTornSync(true)
+	fs.SetFailAfter(fs.Ops() + 1)
+	if err := s.Aion.TimeStore().Flush(); err == nil {
+		t.Fatal("the TimeStore's log synced over a failing disk")
+	}
+	fs.Crash()
+	_ = s.Close()
+	if torn, err := fs.Stat(log); err != nil || torn <= synced || torn >= written {
+		t.Fatalf("the log holds %d bytes after the crash (%v), want a part of the commit's %d past %d", torn, err, written-synced, synced)
+	}
+
+	strs, err := strstore.OpenFS(fs, "sys/aion/strings.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := timestore.Open(enc.NewCodec(strs), timestore.Options{Dir: "sys/aion/timestore", FS: fs, SnapshotEveryOps: 1 << 30, ParallelIO: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ts.Stats().Updates; got != 10 {
+		t.Errorf("the TimeStore recovered %d updates, want the 10 before the torn commit and none of its 6", got)
+	}
+	if err := errors.Join(ts.Close(), strs.Close()); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = openCrashSys(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec, err := s.Aion.TimeStore().GetDiff(0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []model.Update
+	for _, us := range commits {
+		want = append(want, us...)
+	}
+	cmp := enc.NewCodec(strstore.NewMem())
+	if len(rec) != len(want) || s.Aion.LatestTimestamp() != 6 {
+		t.Fatalf("reconciled to %d updates through %d, want %d through 6", len(rec), s.Aion.LatestTimestamp(), len(want))
+	}
+	for i, u := range rec {
+		if !bytes.Equal(encodeSysU(t, cmp, want[i]), encodeSysU(t, cmp, u)) {
+			t.Fatalf("reconciled update %d = %v, want %v", i, u, want[i])
+		}
 	}
 }
 

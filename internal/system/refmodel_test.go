@@ -232,7 +232,26 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 			t.Fatalf("%s: GetGraph(%d) differs from the model", label, at)
 		}
 	}
-	for _, w := range [][2]model.Timestamp{{0, last + 1}, {last / 3, 2 * last / 3}} {
+	// GetGraphs over the whole history: each step the graph at its timestamp.
+	graphs, err := ts.GetGraphs(1, last, 1)
+	if err != nil || len(graphs) != int(last) {
+		t.Fatalf("%s: GetGraphs(1, %d, 1): %d graphs, %v", label, last, len(graphs), err)
+	}
+	for i, g := range graphs {
+		if at := model.Timestamp(i + 1); exportDigest(t, codec, g.Export()) != exportDigest(t, codec, m.Graph(at)) {
+			t.Fatalf("%s: GetGraphs' step at %d differs from the model", label, at)
+		}
+	}
+	// GetDiff from every element's position on, and a window from every
+	// commit — so from every fence — on.
+	windows := [][2]model.Timestamp{{0, last + 1}, {last / 3, 2 * last / 3}}
+	for _, e := range r.elements() {
+		windows = append(windows, [2]model.Timestamp{e.at, last + 1}, [2]model.Timestamp{e.at + 1, last + 1})
+	}
+	for at := model.Timestamp(1); at <= last; at++ {
+		windows = append(windows, [2]model.Timestamp{at, min(at+2, last+1)})
+	}
+	for _, w := range windows {
 		us, err := ts.GetDiff(w[0], w[1])
 		if err != nil {
 			t.Fatalf("%s: GetDiff(%d, %d): %v", label, w[0], w[1], err)
@@ -259,12 +278,13 @@ func (r *residentSys) elements() []chainElement {
 	}
 }
 
-// decodeElements reads every element file of the closed store r back with
-// nothing but the frame format, the delta header and the update codec — a
-// full from an empty graph, a delta on the graph of the element before it,
-// which must be the base it names — and requires the model's graph at its
-// position.
-func (r *residentSys) decodeElements(label string, digests *enc.Codec) {
+// decodeFiles reads every file of the closed store r's TimeStore back with
+// nothing but the frame layout, the delta header, the block codec and the
+// update codec. Each element — a full from an empty graph, a delta on the
+// graph of the element before it, which must be the base it names — must hold
+// the model's graph at its position. Each segment log — its marker, then one
+// frame per commit — must hold, segment after segment, the whole history.
+func (r *residentSys) decodeFiles(label string, digests *enc.Codec) {
 	t := r.t
 	t.Helper()
 	m, commits := r.modelOf()
@@ -274,14 +294,47 @@ func (r *residentSys) decodeElements(label string, digests *enc.Codec) {
 	}
 	defer strs.Close()
 	codec := enc.NewCodec(strs)
+	blocks := func(path string, frames [][]byte) []model.Update {
+		t.Helper()
+		var us []model.Update
+		for _, f := range frames {
+			if us, err = codec.DecodeBlock(us, f); err != nil {
+				t.Fatalf("%s: %s: %v", label, path, err)
+			}
+		}
+		return us
+	}
+	var logged []model.Update
+	for n := 1; ; n++ {
+		path := fmt.Sprintf("sys/aion/timestore/p-%d/updates.log", n)
+		if _, err := r.fs.Stat(path); err != nil {
+			break
+		}
+		frames := readFrames(t, r.fs, path)
+		if string(frames[0]) != "ATL2" {
+			t.Fatalf("%s: %s opens with %q, not the format marker", label, path, frames[0])
+		}
+		for _, f := range frames[1:] {
+			us := blocks(path, [][]byte{f})
+			if at := us[0].TS; at < 1 || int(at) > len(commits) || len(us) != len(commits[at-1]) ||
+				slices.ContainsFunc(us, func(u model.Update) bool { return u.TS != at }) {
+				t.Fatalf("%s: %s holds a frame of %d records from %d on that is not one whole commit", label, path, len(us), at)
+			}
+			logged = append(logged, us...)
+		}
+	}
+	if exportDigest(t, digests, logged) != exportDigest(t, digests, m.Diff(0, model.Timestamp(len(commits))+1)) {
+		t.Errorf("%s: the segment logs hold another history than the model's", label)
+	}
 	var g *memgraph.Graph
 	var prev enc.DeltaHeader
 	fulls, deltas := 0, 0
 	for _, e := range r.elements() {
 		frames := readFrames(t, r.fs, e.name)
 		hdr, err := enc.DecodeDeltaHeader(frames[0])
-		if err != nil || hdr.TS != e.at || int(hdr.Seq) != e.seq || int(hdr.Count) != len(frames)-1 {
-			t.Fatalf("%s: %s: header %+v, %d records: %v", label, e.name, hdr, len(frames)-1, err)
+		us := blocks(e.name, frames[1:])
+		if err != nil || hdr.TS != e.at || int(hdr.Seq) != e.seq || int(hdr.Count) != len(us) {
+			t.Fatalf("%s: %s: header %+v, %d records: %v", label, e.name, hdr, len(us), err)
 		}
 		// Every element is complete at its timestamp: the last update of a
 		// commit, or the state before all history.
@@ -294,11 +347,7 @@ func (r *residentSys) decodeElements(label string, digests *enc.Codec) {
 		} else if deltas++; g == nil || hdr.BaseTS != prev.TS || hdr.BaseSeq != prev.Seq {
 			t.Fatalf("%s: %s is a delta on (%d, %d), the element before it is at (%d, %d)", label, e.name, hdr.BaseTS, hdr.BaseSeq, prev.TS, prev.Seq)
 		}
-		us, err := codec.DecodeUpdates(nil, frames[1:])
-		if err == nil {
-			err = g.ApplyAll(us)
-		}
-		if err != nil {
+		if err := g.ApplyAll(us); err != nil {
 			t.Fatalf("%s: %s: %v", label, e.name, err)
 		}
 		g.SetTimestamp(hdr.TS)
@@ -312,8 +361,8 @@ func (r *residentSys) decodeElements(label string, digests *enc.Codec) {
 	}
 }
 
-// readFrames splits a frame file — [len u32 | crc u32 | payload]* — into its
-// checked payloads.
+// readFrames splits a frame file — [len u32 | crc u32 | payload]*, an element
+// or a segment log — into its checked payloads.
 func readFrames(t *testing.T, fs vfs.FS, path string) (frames [][]byte) {
 	t.Helper()
 	f, err := fs.Open(path)
@@ -340,7 +389,7 @@ func readFrames(t *testing.T, fs vfs.FS, path string) (frames [][]byte) {
 		frames, b = append(frames, b[8:8+n]), b[8+n:]
 	}
 	if len(frames) == 0 {
-		t.Fatalf("%s: no header frame", path)
+		t.Fatalf("%s: no first frame", path)
 	}
 	return frames
 }
@@ -432,6 +481,6 @@ func TestHostedGraphsMatchTheReferenceModel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.decodeElements("primary", digests)
-	f.decodeElements("follower", digests)
+	p.decodeFiles("primary", digests)
+	f.decodeFiles("follower", digests)
 }

@@ -89,28 +89,10 @@ func Open(opts Options) (*System, error) {
 // reconcile replays onto Aion every transaction the host made durable but
 // Aion had not yet synced when the process stopped. The host's transaction
 // log is the source of truth: Flush syncs it before the temporal store, so
-// after a crash the host is always at or ahead of Aion. The boundary commit
-// needs care — Aion's TimeStore appends per update, so the newest recovered
-// timestamp may cover only a prefix of its commit; the remainder is re-fed.
+// after a crash the host is always at or ahead of Aion. A commit reaches the
+// TimeStore's log as one frame, so Aion holds each commit whole or not at all.
 func (s *System) reconcile() error {
-	last := s.Aion.LatestTimestamp()
-	have := 0
-	if last > 0 {
-		if ts := s.Aion.TimeStore(); ts != nil {
-			us, err := ts.GetDiff(last, last+1)
-			if err != nil {
-				return err
-			}
-			have = len(us)
-		}
-	}
-	return s.Host.ReplayCommitted(last-1, func(cts model.Timestamp, us []model.Update) error {
-		if cts == last {
-			if have >= len(us) {
-				return nil
-			}
-			us = us[have:]
-		}
+	return s.Host.ReplayCommitted(s.Aion.LatestTimestamp(), func(_ model.Timestamp, us []model.Update) error {
 		return s.Aion.ApplyBatch(us)
 	})
 }

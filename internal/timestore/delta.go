@@ -50,7 +50,7 @@ func (s *Store) compactPartition(ctx context.Context, p *segment, entry *memgrap
 	// chain[0] is the entry full: the state *before* the segment's first
 	// update. It shares its position with the previous segment's end, so a
 	// materialization never needs to cross segments.
-	if err := emit(enc.DeltaFull, p.entry, position{}, 0, g.Export()); err != nil {
+	if err := emit(enc.DeltaFull, p.entry, position{}, logStart, g.Export()); err != nil {
 		return nil, err
 	}
 	prev := p.entry
@@ -74,9 +74,11 @@ func (s *Store) compactPartition(ctx context.Context, p *segment, entry *memgrap
 		return nil
 	}
 	var derr error
-	err := s.replayWal(ctx, p.log, 1, 0, logEnd, func(off int64, u model.Update) bool {
-		// Cut only at timestamp boundaries: every element is complete at
-		// its timestamp, so a sealed element's graph can always be cached.
+	err := s.replayWal(ctx, p.log, 1, logStart, logEnd, func(off int64, u model.Update) bool {
+		// Cut only at timestamp boundaries — a frame holds one timestamp, so
+		// off is where u's frame, and the cut, starts: every element is
+		// complete at its timestamp, so a sealed element's graph can always
+		// be cached.
 		if len(seg) >= segTarget && u.TS > cur.ts {
 			if derr = cut(cur, off); derr != nil {
 				return false
@@ -114,8 +116,8 @@ func (s *Store) compactPartition(ctx context.Context, p *segment, entry *memgrap
 }
 
 // writeChainElem publishes one element file in g's directory — frame 0 is
-// the delta header, frames 1..Count are update records — and returns its
-// catalogue entry for the caller to place.
+// the delta header, every later frame a block of up to frameBatchRecords
+// update records — and returns its catalogue entry for the caller to place.
 func (s *Store) writeChainElem(g *segment, kind enc.DeltaKind, pos, base position, logOff int64, us []model.Update) (chainElem, error) {
 	hdr := enc.DeltaHeader{
 		Kind: kind, TS: pos.ts, Seq: pos.seq,
@@ -135,21 +137,12 @@ func (s *Store) writeChainElem(g *segment, kind enc.DeltaKind, pos, base positio
 
 // readChainHeader reads and validates only frame 0 of a chain file (cheap:
 // recovery derivation opens every chain file this way).
-func readChainHeader(fs vfs.FS, path string) (hdr enc.DeltaHeader, err error) {
-	f, err := fs.Open(path)
+func readChainHeader(fs vfs.FS, path string) (enc.DeltaHeader, error) {
+	frames, err := readFrames(fs, path, true)
 	if err != nil {
-		return hdr, err
+		return enc.DeltaHeader{}, err
 	}
-	defer vfs.CloseChecked(f, &err)
-	fr, err := newFrameReader(f, path, 512)
-	if err != nil {
-		return hdr, err
-	}
-	payload, err := fr.readFrame()
-	if err != nil {
-		return hdr, err
-	}
-	return enc.DecodeDeltaHeader(payload)
+	return enc.DecodeDeltaHeader(frames[0])
 }
 
 // applyChainFile streams elem's update records into g, sharing with ref (nil:
@@ -208,7 +201,7 @@ func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g, ref *memg
 // builds that graph), where that holds it too.
 func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j int, near, ref *memgraph.Graph) (*memgraph.Graph, error) {
 	from, g := j, memgraph.New()
-	//aionlint:ignore ctxloop backward walk is bounded by DeltaChainLength steps, each at most one record read
+	//aionlint:ignore ctxloop backward walk is bounded by DeltaChainLength steps, each at most one log frame read
 	for ; chain[from].kind == enc.DeltaDiff; from-- {
 		base := chain[from-1]
 		if near == nil || base.pos.ts != near.Timestamp() {
@@ -236,17 +229,18 @@ func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j
 // that the graph at e is the one the GraphStore keys by that timestamp (the
 // cache key carries no sequence). Policy snapshots and compaction cut only at
 // timestamp boundaries; an eager snapshot may sit mid-timestamp, and is
-// complete only if the record right after it — the one at its logOff, the
-// only one read — carries a later timestamp or does not exist.
+// complete only if the frame right after it — the one at its logOff, the only
+// one read, whose records share one timestamp — carries a later timestamp or
+// does not exist.
 func elemComplete(seg *segment, e chainElem) (bool, error) {
 	if e.logOff >= seg.log.Size() {
 		return true, nil
 	}
-	rec, err := seg.log.ReadAt(e.logOff)
+	frame, err := seg.log.ReadAt(e.logOff)
 	if err != nil {
 		return false, err
 	}
-	ts, err := enc.PeekTS(rec)
+	_, ts, err := enc.PeekBlock(frame)
 	return ts > e.pos.ts, err
 }
 
@@ -389,8 +383,9 @@ func compactUpdates(us []model.Update) []model.Update {
 
 // mergeIntoAdd folds a later update b into a pending add: the add's labels
 // and props become the post-b state (Apply's order within one update is
-// del-labels-then-add-labels and set-props-then-del-props, so b's deletes
-// strike a's adds first, then b's own adds/sets land).
+// del-labels-then-add-labels and set-props-then-del-props, so b's label
+// deletes strike a's labels before b's own land, and b's property sets land
+// before b's deletes strike them).
 func mergeIntoAdd(add *model.Update, b model.Update) {
 	add.AddLabels = append(minusStrs(add.AddLabels, b.DelLabels), b.AddLabels...)
 	add.SetProps = mergeProps(add.SetProps, b.SetProps, b.DelProps)
@@ -400,7 +395,7 @@ func mergeIntoAdd(add *model.Update, b model.Update) {
 // update equals applying a then b:
 //
 //	labels: del = aDel ∪ bDel;  add = (aAdd − bDel) ∪ bAdd
-//	props:  set = (aSet − bDel) overlaid by bSet;  del = (aDel − keys(bSet)) ∪ bDel
+//	props:  set = (aSet overlaid by bSet) − bDel;  del = (aDel − keys(bSet)) ∪ bDel
 func mergeUpdates(a *model.Update, b model.Update) {
 	a.AddLabels = append(minusStrs(a.AddLabels, b.DelLabels), b.AddLabels...)
 	a.DelLabels = append(a.DelLabels, b.DelLabels...)
@@ -436,7 +431,8 @@ func minusStrs(a, del []string) []string {
 	return out
 }
 
-// mergeProps applies (set bSet, del bDel) on top of base, returning the
+// mergeProps applies (set bSet, then del bDel — Apply's order, so a key an
+// update both sets and deletes ends deleted) on top of base, returning the
 // surviving set map.
 func mergeProps(base, bSet model.Properties, bDel []string) model.Properties {
 	if base == nil && bSet == nil {
@@ -446,11 +442,11 @@ func mergeProps(base, bSet model.Properties, bDel []string) model.Properties {
 	if out == nil {
 		out = model.Properties{}
 	}
-	for _, k := range bDel {
-		delete(out, k)
-	}
 	for k, v := range bSet {
 		out[k] = v
+	}
+	for _, k := range bDel {
+		delete(out, k)
 	}
 	return out
 }

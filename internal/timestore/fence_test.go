@@ -204,8 +204,9 @@ func (o *fenceOracle) wantYoungerTwins(s *Store) {
 }
 
 // openDecodingAll is Open with the recovery that decodes every record of the
-// active log, whatever the newest element covers: the reference the
-// tail-only recovery must be indistinguishable from.
+// active log, whatever the newest element covers, and numbers a frame's
+// records by decoding them: the reference the peek-only walk and tail-only
+// replay must be indistinguishable from.
 func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	t.Helper()
 	opts.defaults()
@@ -222,7 +223,7 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	}
 	act := s.active()
 	s.lastTS, s.seq = act.entry.ts, act.entry.seq
-	latest, from := base.Clone(), int64(0)
+	latest, from := base.Clone(), logStart
 	if chain := act.elems(); len(chain) > 0 {
 		if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil, nil); err != nil {
 			t.Fatal(err)
@@ -230,17 +231,31 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 		from = chain[len(chain)-1].logOff
 	}
 	var aerr error
-	err = s.replayWal(ctx, act.log, opts.ParallelIO, 0, logEnd, func(off int64, u model.Update) bool {
-		s.advanceLocked(u.TS, off)
-		if off >= from {
+	var frame []model.Update // the records of the frame at off
+	off, tailFrames := int64(-1), int64(0)
+	advance := func() {
+		if len(frame) > 0 {
+			s.advanceLocked(frame[0].TS, off, len(frame))
+		}
+	}
+	err = s.replayWal(ctx, act.log, opts.ParallelIO, logStart, logEnd, func(at int64, u model.Update) bool {
+		if at != off {
+			advance()
+			if off, frame = at, frame[:0]; at >= from {
+				tailFrames++
+			}
+		}
+		frame = append(frame, u)
+		if at >= from {
 			aerr = latest.Apply(u)
 		}
 		return aerr == nil
 	})
+	advance()
 	if err != nil || aerr != nil {
 		t.Fatal(err, aerr)
 	}
-	s.bytesSinceSnap = act.log.Size() - from
+	s.bytesSinceSnap = act.log.Size() - from - tailFrames*frameHdrLen
 	s.own = &ownGraph{g: latest, updates: s.updateCount}
 	s.committed = s.own.Committed
 	s.gs = graphstore.New(opts.GraphStoreBytes)
@@ -288,11 +303,15 @@ func (o *fenceOracle) reopenExact(s *Store, open func() *Store, openRef func() *
 	if got := o.recoveredState(s); !reflect.DeepEqual(got, want) {
 		t.Errorf("tail-only recovery derived\n %+v\nthe decode-everything recovery\n %+v", got, want)
 	}
-	act, from, tail := s.active(), int64(0), int64(0)
+	act, from, tail := s.active(), logStart, int64(0)
 	if chain := act.elems(); len(chain) > 0 {
 		from = chain[len(chain)-1].logOff
 	}
-	if _, err := act.log.Scan(from, func(int64, []byte) bool { tail++; return true }); err != nil {
+	if _, err := act.log.Scan(from, func(_ int64, frame []byte) bool {
+		n, _, err := enc.BlockCount(frame)
+		tail += int64(n)
+		return err == nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if decoded.Load() != tail {
@@ -350,7 +369,7 @@ func TestFenceScanMatchesBruteForce(t *testing.T) {
 					stage = i / 30
 					s = o.reopenExact(s, open, openRef)
 					chain := s.active().elems()
-					skipped = skipped || (len(chain) > 0 && chain[len(chain)-1].logOff > 0)
+					skipped = skipped || (len(chain) > 0 && chain[len(chain)-1].logOff > logStart)
 				}
 			}
 			if !skipped {

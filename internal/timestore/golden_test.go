@@ -92,20 +92,20 @@ func digestFiles(t *testing.T, pattern string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenOnDiskBytes pins the one persisted-element format: a fixed
-// update sequence must produce these exact full-/delta- .dsnap bytes in a
-// sealed segment's chain (TestParallelSnapshotBytesIdentical extends that to
-// every worker count), digests computed on the commit before the snapshot
-// I/O was collapsed to one frame-file writer, so "format unchanged" is
-// checked rather than asserted. The third digest that commit pinned, of the
-// header-less active .snap, is retired with that format: an active segment's
-// snapshot is now a headered full, so instead an eager snapshot taken at the
-// sealed segment's end position must equal that segment's end full byte for
-// byte, name included (same graph, same log, hence the same logOff too).
+// TestGoldenOnDiskBytes pins the one persisted-element format — an ADS2
+// header frame, then one frame per block of up to 256 records: a fixed update
+// sequence must produce these exact full-/delta- .dsnap bytes in a sealed
+// segment's chain (TestParallelSnapshotBytesIdentical extends that to every
+// worker count), and the segment log these exact bytes — the ATL2 marker,
+// then one block frame per Append. An eager snapshot taken at the sealed
+// segment's end position in an active segment fed the same appends must equal
+// that segment's end full byte for byte, name included (same graph, same log,
+// hence the same logOff too).
 func TestGoldenOnDiskBytes(t *testing.T) {
 	const (
-		wantFull  = "9174d9addd5f328e971ca949afb536681b92bdfa104e156e5859dea6fe036d8b"
-		wantDelta = "f6bd3ef6c0373c1bcc6b229fb78dd4696f4e2498109aa293f8364037132f9cab"
+		wantFull  = "4a5ab2a460b77e198300cc1f16e12795789edb210d0faa0934102f17ff1a77c4"
+		wantDelta = "25ea352e19927da9469932a4d3d87e08c4432a76314c55d5eb7d11c2d20e09c1"
+		wantLog   = "1c812437d7b29b23066f598b7ea1bfca57411049a188010341ffdca607625846"
 	)
 	us := goldenUpdates()
 	pdir := t.TempDir()
@@ -126,11 +126,16 @@ func TestGoldenOnDiskBytes(t *testing.T) {
 	if got := digestFiles(t, filepath.Join(pdir, "p-1", "delta-*.dsnap")); got != wantDelta {
 		t.Errorf("delta .dsnap digest %s, want %s", got, wantDelta)
 	}
+	if got := digestFiles(t, filepath.Join(pdir, "p-1", "updates.log")); got != wantLog {
+		t.Errorf("segment log digest %s, want %s", got, wantLog)
+	}
 
 	dir := t.TempDir()
 	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
-	if err := s.AppendBatch(us[:p.segs[0].count]); err != nil {
-		t.Fatal(err)
+	for _, u := range us[:p.segs[0].count] {
+		if err := s.Append(u); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.CreateSnapshot(); err != nil {
 		t.Fatal(err)
@@ -144,19 +149,17 @@ func TestGoldenOnDiskBytes(t *testing.T) {
 
 // TestGoldenActiveChain pins the bytes of an active segment's chain, beside
 // the sealed chain's above: the golden history under a 90-operation policy
-// and a two-delta chain is full, delta, delta, full, and there is no new
-// format behind that. The fulls-only twin's digest was computed on the commit
-// before the active chain wrote deltas, with that commit's default options,
-// so its directory stands for "a store written by the parent": the twin must
-// still produce it, the two stores' fulls are the same files byte for byte,
-// and reopened with today's defaults the parent's directory answers every
-// timestamp the way the delta store does, keeps its files, and takes a delta
-// as its next policy element.
+// and a two-delta chain is full, delta, delta, full. Its fulls-only twin
+// (DeltaChainLength < 0) is pinned too: the two stores' fulls are the same
+// files byte for byte, and reopened with the default chain the twin's
+// directory answers every timestamp the way the delta store does, keeps its
+// files, and takes a delta as its next policy element — deltas are a policy,
+// not a format.
 func TestGoldenActiveChain(t *testing.T) {
 	const (
-		wantParent = "dcd45f5c7bc40f7a839628af1d1407a7223fcfa11fd726b1afc371b499bf12dd"
-		wantFull   = "a8d8281220a8b5bbacbdbab9773dd2a26d15e34d80c20a2a1254a27befa3ebfe"
-		wantDelta  = "252a9b03914819053f1b59024a9305528cba41d9d78faf5d02a23f322c798022"
+		wantFullsOnly = "2286ef327ce1f376420118da8d67592e09217dc3a2eae3826a5468f36fd3a782"
+		wantFull      = "f23395212c2eea4287fb56f1b31ca0b6f27481830c8ef75bfef725809d14d289"
+		wantDelta     = "83b99598b6757044970525078c9ead9526236cd758724aee67fcfaf02e1d0ac6"
 	)
 	us := goldenUpdates()
 	dir, pdir := t.TempDir(), t.TempDir()
@@ -168,8 +171,8 @@ func TestGoldenActiveChain(t *testing.T) {
 	if got := elemKinds(s.active().elems()); got != "fddf" {
 		t.Fatalf("active chain %s, want fddf", got)
 	}
-	if got := digestFiles(t, filepath.Join(pdir, "p-1", "*.dsnap")); got != wantParent {
-		t.Errorf("fulls-only chain digest %s, want the parent's %s", got, wantParent)
+	if got := digestFiles(t, filepath.Join(pdir, "p-1", "*.dsnap")); got != wantFullsOnly {
+		t.Errorf("fulls-only chain digest %s, want %s", got, wantFullsOnly)
 	}
 	if got := digestFiles(t, filepath.Join(dir, "p-1", "full-*.dsnap")); got != wantFull {
 		t.Errorf("active full .dsnap digest %s, want %s", got, wantFull)
@@ -186,13 +189,13 @@ func TestGoldenActiveChain(t *testing.T) {
 
 	p = reopened(t, p, Options{Dir: pdir, SnapshotEveryOps: 90})
 	if got := elemKinds(p.active().elems()); got != "ffff" {
-		t.Fatalf("the parent's chain reopens as %s, want ffff", got)
+		t.Fatalf("the fulls-only chain reopens as %s, want ffff", got)
 	}
 	maxTS := us[len(us)-1].TS
 	o := &fenceOracle{t: t, codec: p.codec}
 	for ts := model.Timestamp(0); ts <= maxTS; ts++ {
 		if o.digest(mustGraph(t, p, ts).Export()) != o.digest(mustGraph(t, s, ts).Export()) {
-			t.Fatalf("GetGraph(%d) differs between the parent's directory and the delta store", ts)
+			t.Fatalf("GetGraph(%d) differs between the fulls-only directory and the delta store", ts)
 		}
 	}
 	var more []model.Update
@@ -201,10 +204,10 @@ func TestGoldenActiveChain(t *testing.T) {
 	}
 	appendSettled(t, p, more)
 	if got := elemKinds(p.active().elems()); got != "ffffd" {
-		t.Errorf("the parent's chain continues as %s, want ffffd", got)
+		t.Errorf("the fulls-only chain continues as %s, want ffffd", got)
 	}
-	if got := digestFiles(t, filepath.Join(pdir, "p-1", "full-*.dsnap")); got != wantParent {
-		t.Errorf("the parent's element files changed: digest %s, want %s", got, wantParent)
+	if got := digestFiles(t, filepath.Join(pdir, "p-1", "full-*.dsnap")); got != wantFullsOnly {
+		t.Errorf("the fulls-only element files changed: digest %s, want %s", got, wantFullsOnly)
 	}
 	if g := mustGraph(t, p, maxTS+100); g.NodeCount() != 100+mustGraph(t, s, maxTS).NodeCount() {
 		t.Errorf("GetGraph past the new delta has %d nodes", g.NodeCount())

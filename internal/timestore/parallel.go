@@ -1,13 +1,14 @@
 // Frame-file and replay pipelines. Every persisted materialization — a
 // full- or delta- .dsnap chain element of any segment — is one kind of file:
 // a sequence of [len u32 | crc u32 | payload] frames, the first holding the
-// element's DeltaHeader and the rest update records in the Fig 3 format.
-// One writer produces them and one reader consumes them; log replay is the
-// third pipeline. All three run
-// on pool.RunOrdered — a sequential reader/writer on the order-sensitive
-// edge, Options.ParallelIO workers on the CPU-heavy encode/CRC/decode
-// middle — so a worker count of 1 is the same code running inline, with
-// identical bytes and order.
+// element's DeltaHeader and each later one a block (enc.AppendBlock) of up to
+// frameBatchRecords update records in the Fig 3 format. A segment log's
+// frames are blocks too, one per AppendBatch run of records at one timestamp.
+// One writer produces element files and one reader consumes them; log replay
+// is the third pipeline. All three run on pool.RunOrdered — a sequential
+// reader/writer on the order-sensitive edge, Options.ParallelIO workers on
+// the CPU-heavy encode/decode middle — so a worker count of 1 is the same
+// code running inline, with identical bytes and order.
 package timestore
 
 import (
@@ -20,6 +21,7 @@ import (
 	"math"
 	"path/filepath"
 
+	"aion/internal/enc"
 	"aion/internal/model"
 	"aion/internal/pool"
 	"aion/internal/vfs"
@@ -27,78 +29,85 @@ import (
 )
 
 const (
-	// frameBatchRecords is the number of records grouped into one pipeline
-	// job: large enough to amortize channel hand-off, small enough to keep
-	// every worker busy near the end of a file.
+	// frameBatchRecords is the number of records an element frame holds, and
+	// how many records a pipeline job gathers whole frames up to: large
+	// enough to amortize channel hand-off, small enough to keep every worker
+	// busy near the end of a file.
 	frameBatchRecords = 256
 	// frameBatchBytes caps a job's payload bytes so huge records do not
-	// inflate pipeline memory (in-flight jobs are bounded by the stage).
+	// inflate pipeline memory (in-flight jobs are bounded by the stage); a
+	// frame over either cap is a job of its own.
 	frameBatchBytes = 256 << 10
 	// replayReadahead is the log scan's chunk size during replay.
 	replayReadahead = 1 << 20
 	// frameHdrLen is the size of a frame's length+CRC header.
 	frameHdrLen = 8
+	// headFrameMax bounds an element's header frame: an enc.DeltaHeader is at
+	// most 65 bytes.
+	headFrameMax = 128
 )
 
-// frameBatch is one pipeline job: a pooled buffer of concatenated record
-// payloads plus per-record metadata. ends[i] is the end offset of record i
-// within buf; sums carries the file frames' CRCs (verified by the workers);
-// offs carries log offsets during replay (the WAL scan verifies its own
-// CRCs, so sums is nil there).
+// frameBatch is one pipeline job: whole frames, each a block, with the record
+// count each declares, their sum and, during replay, each one's log offset.
 type frameBatch struct {
-	buf  *[]byte
-	ends []int
-	sums []uint32
-	offs []int64
+	frames  [][]byte
+	counts  []int
+	records int
+	offs    []int64
 }
 
-// release returns the batch buffer to the scratch pool.
-func (b *frameBatch) release(s *Store) {
-	*b.buf = (*b.buf)[:0]
-	s.framePool.Put(b.buf)
-}
-
-// decode is the worker stage shared by the file reader and log replay:
-// verify the frame CRCs (when the batch carries them) and decode the
-// records in order. The decoded updates do not alias the batch buffer,
-// which is released here.
-func (b *frameBatch) decode(s *Store, path string) ([]model.Update, error) {
-	defer b.release(s)
-	buf := *b.buf
-	payloads := make([][]byte, len(b.ends))
-	start := 0
-	for i, end := range b.ends {
-		payloads[i] = buf[start:end]
-		if b.sums != nil && crc32.ChecksumIEEE(payloads[i]) != b.sums[i] {
-			return nil, fmt.Errorf("timestore: frame checksum mismatch in %s", path)
+// batchFrames hands frames — with their log offsets, nil for an element
+// file — to emit in order, as jobs of whole frames up to frameBatchRecords
+// records or frameBatchBytes bytes. It reports false once emit refuses one.
+func batchFrames(frames [][]byte, offs []int64, emit func(frameBatch) bool) bool {
+	for start := 0; start < len(frames); {
+		var b frameBatch
+		end, size := start, 0
+		for ; end < len(frames) && b.records < frameBatchRecords && size < frameBatchBytes; end++ {
+			n, _, _ := enc.BlockCount(frames[end]) // a bad count fails the block's decode
+			b.counts = append(b.counts, n)
+			b.records, size = b.records+n, size+len(frames[end])
+		}
+		b.frames = frames[start:end]
+		if offs != nil {
+			b.offs = offs[start:end]
+		}
+		if !emit(b) {
+			return false
 		}
 		start = end
 	}
-	return s.codec.DecodeUpdates(make([]model.Update, 0, len(payloads)), payloads)
+	return true
 }
 
-// decodedBatch is a replay worker's output: updates in record order plus
-// the log offset of each.
-type decodedBatch struct {
-	us   []model.Update
-	offs []int64
+// decode is the worker stage shared by the element reader and log replay:
+// each frame's block, in order. The decoded updates do not alias the frames.
+func (b frameBatch) decode(s *Store, path string) ([]model.Update, error) {
+	us := make([]model.Update, 0, b.records)
+	for _, f := range b.frames {
+		var err error
+		if us, err = s.codec.DecodeBlock(us, f); err != nil {
+			return nil, fmt.Errorf("timestore: frame in %s: %w", path, err)
+		}
+	}
+	return us, nil
 }
 
-// sealFrame fills the header slot reserved at buf[start:] with the length
-// and CRC of the payload that follows it (everything up to len(buf)).
-func sealFrame(buf []byte, start int) {
-	payload := buf[start+frameHdrLen:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+// sealFrame fills the header slot at the front of frame with the length and
+// CRC of the payload that follows it.
+func sealFrame(frame []byte) {
+	payload := frame[frameHdrLen:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 }
 
 // writeFrameFile writes path as the header frame hdr followed by one frame
-// per update, and returns the bytes written. Update slices
-// are encoded and framed by ParallelIO workers; the consumer streams the
-// finished chunks to one bufio writer in emission order, so the file bytes
-// do not depend on the worker count. The records hold string refs, so the
-// string table is synced before the file is; the file is fsynced before
-// close so a publishing rename only ever exposes durable bytes.
+// per frameBatchRecords updates, and returns the bytes written. Update slices
+// are encoded into blocks and framed by ParallelIO workers; the consumer
+// streams the finished frames to one bufio writer in emission order, so the
+// file bytes do not depend on the worker count. The records hold string refs,
+// so the string table is synced before the file is; the file is fsynced
+// before close so a publishing rename only ever exposes durable bytes.
 func (s *Store) writeFrameFile(path string, hdr []byte, us []model.Update) (written int64, err error) {
 	f, err := s.fs.Create(path)
 	if err != nil {
@@ -107,7 +116,7 @@ func (s *Store) writeFrameFile(path string, hdr []byte, us []model.Update) (writ
 	defer vfs.CloseChecked(f, &err)
 	w := bufio.NewWriterSize(&vfs.SeqWriter{F: f}, 1<<16)
 	fb := append(make([]byte, frameHdrLen, frameHdrLen+len(hdr)), hdr...)
-	sealFrame(fb, 0)
+	sealFrame(fb)
 	if _, err := w.Write(fb); err != nil {
 		return 0, err
 	}
@@ -125,17 +134,12 @@ func (s *Store) writeFrameFile(path string, hdr []byte, us []model.Update) (writ
 		},
 		func(batch []model.Update) (*[]byte, error) {
 			bp := s.framePool.Get()
-			buf := *bp
-			for _, u := range batch {
-				start := len(buf)
-				buf = append(buf, make([]byte, frameHdrLen)...)
-				var err error
-				if buf, err = s.codec.AppendUpdate(buf, u); err != nil {
-					s.framePool.Put(bp)
-					return nil, err
-				}
-				sealFrame(buf, start)
+			buf, err := s.codec.AppendBlock(append(*bp, make([]byte, frameHdrLen)...), batch)
+			if err != nil {
+				s.framePool.Put(bp)
+				return nil, err
 			}
+			sealFrame(buf)
 			*bp = buf
 			return bp, nil
 		},
@@ -175,125 +179,63 @@ func (s *Store) publishFrameFile(path string, hdr []byte, us []model.Update) (in
 	return n, s.fs.SyncDir(filepath.Dir(path))
 }
 
-// frameReader reads frames sequentially from one file, tracking how many
-// bytes the file still holds so a corrupt length field is rejected before
-// anything is allocated for it.
-type frameReader struct {
-	r    *bufio.Reader
-	left int64
-	path string
-}
-
-func newFrameReader(f vfs.File, path string, bufSize int) (*frameReader, error) {
-	sr, err := vfs.NewReader(f)
+// readFrames reads the element file at path in one read and splits it into
+// its frames' payloads, every checksum verified — only the header frame, off
+// the file's first headFrameMax bytes, when head is set. A length that runs
+// past the bytes read is corruption, reported before anything is allocated
+// for it.
+func readFrames(fs vfs.FS, path string, head bool) (frames [][]byte, err error) {
+	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
-	}
-	return &frameReader{r: bufio.NewReaderSize(sr, bufSize), left: sr.Size(), path: path}, nil
-}
-
-// appendFrame appends the next frame's payload to buf and returns its CRC
-// for the caller to verify; io.EOF (with buf unchanged) marks a clean end of
-// file. A length field that runs past the file end is corruption, reported
-// before any byte is allocated for it.
-func (fr *frameReader) appendFrame(buf []byte) ([]byte, uint32, error) {
-	var h [frameHdrLen]byte
-	if _, err := io.ReadFull(fr.r, h[:]); err != nil {
-		if err == io.EOF {
-			return buf, 0, io.EOF
-		}
-		return buf, 0, fmt.Errorf("timestore: frame header in %s: %w", fr.path, err)
-	}
-	fr.left -= frameHdrLen
-	n := int64(binary.LittleEndian.Uint32(h[:4]))
-	if n > fr.left {
-		return buf, 0, fmt.Errorf("timestore: corrupt frame in %s: length %d exceeds the %d bytes left in the file",
-			fr.path, n, fr.left)
-	}
-	fr.left -= n
-	start := len(buf)
-	buf = growBytes(buf, int(n))
-	if _, err := io.ReadFull(fr.r, buf[start:]); err != nil {
-		return buf[:start], 0, fmt.Errorf("timestore: frame body in %s: %w", fr.path, err)
-	}
-	return buf, binary.LittleEndian.Uint32(h[4:]), nil
-}
-
-// readFrame reads one whole frame and verifies its checksum (the header
-// frame; record frames are verified on the worker stage).
-func (fr *frameReader) readFrame() ([]byte, error) {
-	payload, sum, err := fr.appendFrame(nil)
-	if err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("timestore: frame checksum mismatch in %s", fr.path)
-	}
-	return payload, nil
-}
-
-// readFrameFile streams path's update records to apply, batch by batch in
-// file order, observing ctx cancellation between batches: sequential frame
-// reader → CRC+decode workers → in-order apply on the calling goroutine.
-// The file's first frame is handed to header before any record is read.
-func (s *Store) readFrameFile(ctx context.Context, path string, header func([]byte) error, apply func([]model.Update) error) (err error) {
-	f, err := s.fs.Open(path)
-	if err != nil {
-		return err
 	}
 	defer vfs.CloseChecked(f, &err)
-	fr, err := newFrameReader(f, path, 1<<16)
+	size, err := f.Size()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	payload, err := fr.readFrame()
+	if head {
+		size = min(size, headFrameMax)
+	}
+	b := make([]byte, size)
+	if _, err := f.ReadAt(b, 0); err != nil && err != io.EOF {
+		return nil, err
+	}
+	for len(b) > 0 && !(head && len(frames) == 1) {
+		if len(b) < frameHdrLen || int64(binary.LittleEndian.Uint32(b)) > int64(len(b)-frameHdrLen) {
+			return nil, fmt.Errorf("timestore: corrupt frame in %s: its length runs past the %d bytes left", path, len(b))
+		}
+		payload := b[frameHdrLen : frameHdrLen+binary.LittleEndian.Uint32(b)]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
+			return nil, fmt.Errorf("timestore: frame checksum mismatch in %s", path)
+		}
+		frames, b = append(frames, payload), b[frameHdrLen+len(payload):]
+	}
+	if len(frames) == 0 {
+		return nil, fmt.Errorf("timestore: %s holds no header frame", path)
+	}
+	return frames, nil
+}
+
+// readFrameFile streams path's update records to apply, job by job in file
+// order, observing ctx cancellation between jobs: the file read and its
+// frames checked → decode workers → in-order apply on the calling goroutine.
+// The file's first frame is handed to header before any record is decoded.
+func (s *Store) readFrameFile(ctx context.Context, path string, header func([]byte) error, apply func([]model.Update) error) error {
+	frames, err := readFrames(s.fs, path, false)
+	if err == nil {
+		err = header(frames[0])
+	}
 	if err != nil {
-		return err
-	}
-	if err := header(payload); err != nil {
 		return err
 	}
 	return pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
 		func(emit func(frameBatch) bool) error {
-			for eof := false; !eof; {
-				b := frameBatch{buf: s.framePool.Get()}
-				buf := *b.buf
-				for len(b.ends) < frameBatchRecords && len(buf) < frameBatchBytes {
-					var sum uint32
-					var err error
-					buf, sum, err = fr.appendFrame(buf)
-					if err == io.EOF {
-						eof = true
-						break
-					}
-					if err != nil {
-						b.release(s)
-						return err
-					}
-					b.ends = append(b.ends, len(buf))
-					b.sums = append(b.sums, sum)
-				}
-				*b.buf = buf
-				if len(b.ends) == 0 {
-					b.release(s)
-					break
-				}
-				if !emit(b) {
-					return nil
-				}
-			}
+			batchFrames(frames[1:], nil, emit)
 			return nil
 		},
 		func(b frameBatch) ([]model.Update, error) { return b.decode(s, path) },
 		apply)
-}
-
-// growBytes extends b by n zero bytes, reallocating only when needed.
-func growBytes(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b[:len(b)+n]
-	}
-	return append(b, make([]byte, n)...)
 }
 
 // replayDecoded, when a test sets it, is told how many log records each
@@ -303,59 +245,59 @@ var replayDecoded func(records int)
 // logEnd as replayWal's upper bound means the log's end when the scan starts.
 const logEnd = math.MaxInt64
 
-// replayWal streams l's decoded updates at offsets [from, to) in commit order,
-// stopping early when fn returns false or ctx is cancelled (checked once
-// per batch, so a runaway range scan stops within one batch of the
-// deadline). It is the shared replay engine of recover, ScanDiff, and
-// therefore GetGraph/GetGraphs, for every segment's log alike: the WAL is
-// scanned with readahead batches, record decoding runs on `workers`
-// workers, and fn (fence laying, graph apply) stays in order on the calling
-// goroutine. Callers that already run on a pool worker (the scatter-gather
-// over sealed segments) or replay a segment once (compaction) pass 1, so
-// they do not nest a second pool.
+// replayWal streams l's decoded updates at offsets [from, to) — frame
+// boundaries — in commit order, each with its frame's offset, stopping early
+// when fn returns false or ctx is cancelled (checked once per job, so a
+// runaway range scan stops within one job of the deadline). It is the shared
+// replay engine of recover, ScanDiff, and therefore GetGraph/GetGraphs, for
+// every segment's log alike: the WAL is scanned with readahead, whole frames
+// are cut into jobs, decoding runs on `workers` workers, and fn (graph apply,
+// chain cuts) stays in order on the calling goroutine. Callers that already
+// run on a pool worker (the scatter-gather over sealed segments) or replay a
+// segment once (compaction) pass 1, so they do not nest a second pool.
 func (s *Store) replayWal(ctx context.Context, l *wal.Log, workers int, from, to int64, fn func(off int64, u model.Update) bool) error {
+	type decoded struct {
+		frameBatch
+		us []model.Update
+	}
 	return pool.RunOrderedCtx(ctx, workers,
 		func(emit func(frameBatch) bool) error {
 			stopped := false
-			_, err := l.ScanRange(from, to, replayReadahead, func(frames []wal.Frame) bool {
-				// Frames alias the scan's readahead buffer, so each job
-				// copies its records into a pooled batch buffer before the
-				// scan moves on.
-				for len(frames) > 0 {
-					n := min(frameBatchRecords, len(frames))
-					b := frameBatch{buf: s.framePool.Get()}
-					buf := *b.buf
-					for _, fr := range frames[:n] {
-						buf = append(buf, fr.Payload...)
-						b.ends = append(b.ends, len(buf))
-						b.offs = append(b.offs, fr.Off)
-					}
-					*b.buf = buf
-					frames = frames[n:]
-					if !emit(b) {
-						stopped = true
-						return false
-					}
+			_, err := l.ScanRange(from, to, replayReadahead, func(chunk []wal.Frame) bool {
+				// The frames alias the scan's readahead buffer: the jobs get a
+				// copy of the chunk's, in one allocation.
+				size := 0
+				for _, fr := range chunk {
+					size += len(fr.Payload)
 				}
-				return true
+				buf, frames, offs := make([]byte, 0, size), make([][]byte, len(chunk)), make([]int64, len(chunk))
+				for i, fr := range chunk {
+					buf = append(buf, fr.Payload...)
+					frames[i], offs[i] = buf[len(buf)-len(fr.Payload):], fr.Off
+				}
+				stopped = !batchFrames(frames, offs, emit)
+				return !stopped
 			})
 			if stopped {
 				return nil
 			}
 			return err
 		},
-		func(b frameBatch) (decodedBatch, error) {
-			us, err := b.decode(s, "")
+		func(b frameBatch) (decoded, error) {
+			us, err := b.decode(s, l.Path())
 			if replayDecoded != nil {
 				replayDecoded(len(us))
 			}
-			return decodedBatch{us: us, offs: b.offs}, err
+			return decoded{b, us}, err
 		},
-		func(d decodedBatch) error {
-			for i, u := range d.us {
-				if !fn(d.offs[i], u) {
-					return pool.ErrStop
+		func(d decoded) error {
+			for i, n := range d.counts {
+				for _, u := range d.us[:n] {
+					if !fn(d.offs[i], u) {
+						return pool.ErrStop
+					}
 				}
+				d.us = d.us[n:]
 			}
 			return nil
 		})

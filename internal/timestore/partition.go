@@ -98,6 +98,8 @@ type segment struct {
 	maxTS  model.Timestamp // timestamp of its last update (sealed only)
 	endSeq uint32          // seq of the last update, at maxTS (sealed only)
 	count  uint64          // updates in the log
+	// nextFence is the count the active log's next fence waits for.
+	nextFence uint64
 
 	// mu guards the two lists that turn a stream position into a log
 	// offset. It is a leaf lock — after Store.mu and sealMu, no I/O under
@@ -108,9 +110,9 @@ type segment struct {
 	// segment whose compaction is pending or failed: reads then replay its
 	// log from the entry.
 	chain []chainElem
-	// fences holds the fence of the active log's first record and of every
-	// fenceStride-th after it; memory only, laid by appends and by
-	// recovery's replay, dropped when the segment seals.
+	// fences holds the fence of the active log's first frame and of every
+	// frame that opens a stride (advanceLocked); memory only, laid by appends
+	// and by recovery's walk, dropped when the segment seals.
 	fences []fence
 }
 
@@ -167,7 +169,7 @@ func (g *segment) deltaBase(pos position, maxRun int) *chainElem {
 // begins: the latest of the segment's entry, its chain's floor element and
 // its stride fences' floor.
 func (g *segment) startFence(from position) fence {
-	start := fence{pos: g.entry}
+	start := fence{pos: g.entry, off: logStart}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if i := chainFloor(g.chain, from); i >= 0 {
@@ -327,11 +329,23 @@ func openSegments(fs vfs.FS, dir string) ([]*segment, error) {
 	}
 }
 
+// logMarker is the first record of every segment log that holds any ("Aion
+// TimeStore Log v2"), written with the log's first frame: the frames after it
+// are blocks, one per AppendBatch run of records at one timestamp. A log
+// without it holds one record per frame, the format before blocks, which
+// this reader would misparse.
+const logMarker = "ATL2"
+
+// logStart is the offset of a segment log's first frame, past the marker —
+// also where an empty log ends, as far as a position is concerned.
+const logStart = frameHdrLen + int64(len(logMarker))
+
 // openSegment opens directory p-n, whose history starts after entry: sealed
 // when its marker is there, else the active segment — created when absent
 // (a fresh store, a seal opening its successor, or a seal that crashed
 // after its marker). Either way the log is opened, which repairs a torn
-// tail, and the chain derived from the element files actually on disk.
+// tail, and refused unless empty or opening with the format marker, and the
+// chain derived from the element files actually on disk.
 func openSegment(fs vfs.FS, dir string, n int, entry position) (*segment, error) {
 	g := &segment{dir: filepath.Join(dir, partDirName(n)), entry: entry}
 	m, err := readPartMarker(fs, filepath.Join(g.dir, partMarkerName))
@@ -351,7 +365,16 @@ func openSegment(fs vfs.FS, dir string, n int, entry position) (*segment, error)
 	if g.log, err = wal.OpenFS(fs, filepath.Join(g.dir, "updates.log")); err != nil {
 		return nil, fmt.Errorf("timestore: segment %s log: %w", g.dir, err)
 	}
-	if err := deriveChain(fs, g); err != nil {
+	var first []byte
+	if g.log.Size() > 0 {
+		if first, err = g.log.ReadAt(0); err == nil && string(first) != logMarker {
+			err = fmt.Errorf("timestore: %s holds one record per frame, the log format before blocks; there is no migration — delete %s and rebuild it from the host log", g.log.Path(), dir)
+		}
+	}
+	if err == nil {
+		err = deriveChain(fs, g)
+	}
+	if err != nil {
 		return nil, errors.Join(err, g.log.Close())
 	}
 	return g, nil
@@ -391,7 +414,7 @@ func deriveChain(fs vfs.FS, g *segment) error {
 			continue // the log, the marker
 		}
 		hdr, herr := readChainHeader(fs, full)
-		if herr != nil || hdr.Kind != kind || hdr.TS != pos.ts || hdr.Seq != pos.seq || hdr.LogOff > g.log.Size() {
+		if herr != nil || hdr.Kind != kind || hdr.TS != pos.ts || hdr.Seq != pos.seq || hdr.LogOff < logStart || hdr.LogOff > max(g.log.Size(), logStart) {
 			// Torn, corrupt, misnamed, or ahead of the durable log:
 			// useless or unsafe to keep.
 			if err := fs.Remove(full); err != nil {
@@ -456,7 +479,7 @@ func chainComplete(g *segment, chain []chainElem) bool {
 		return false
 	}
 	first, last := chain[0], chain[len(chain)-1]
-	return first.kind == enc.DeltaFull && first.pos == g.entry && first.logOff == 0 && last.pos == g.end()
+	return first.kind == enc.DeltaFull && first.pos == g.entry && first.logOff == logStart && last.pos == g.end()
 }
 
 // --- sealing -----------------------------------------------------------------

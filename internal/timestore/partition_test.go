@@ -19,6 +19,7 @@ import (
 	"aion/internal/model"
 	"aion/internal/strstore"
 	"aion/internal/vfs"
+	"aion/internal/wal"
 )
 
 func openCrashSealTS(fs vfs.FS, codec *enc.Codec) (*Store, error) {
@@ -292,5 +293,45 @@ func TestOpenRejectsLegacyLayout(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "p-1")); !os.IsNotExist(err) {
 		t.Errorf("Open started a fresh segment beside the legacy log (stat: %v)", err)
+	}
+}
+
+// TestOpenRejectsPerRecordFrames: a segment log written before block frames —
+// one wal record per update, no format marker — fails Open with the
+// documented error naming the directory, and is left as it was, instead of
+// having its records misparsed as blocks.
+func TestOpenRejectsPerRecordFrames(t *testing.T) {
+	dir := t.TempDir()
+	codec := enc.NewCodec(strstore.NewMem())
+	if err := os.MkdirAll(filepath.Join(dir, "p-1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "p-1", "updates.log")
+	log, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range chainUpdates(3) {
+		rec, err := codec.EncodeUpdate(u)
+		if err == nil {
+			_, err = log.Append(rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(codec, Options{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "no migration") || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("Open over per-record log frames: %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Errorf("Open changed the log it refused (%v)", err)
 	}
 }

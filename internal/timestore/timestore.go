@@ -168,8 +168,8 @@ type Store struct {
 	// which would otherwise vanish silently off the commit path.
 	snapErrs    atomic.Uint64
 	lastSnapErr atomic.Value // string
-	// framePool recycles the (de)serialization pipelines' batch buffers
-	// (Sec 5.3: reusable byte buffers on the critical path).
+	// framePool recycles the element writer's frame buffers (Sec 5.3:
+	// reusable byte buffers on the critical path).
 	framePool *pool.Bytes
 
 	// Asynchronous snapshot pipeline: policy-triggered snapshots are
@@ -333,11 +333,14 @@ func (s *Store) writeSnapshot(seg *segment, g *memgraph.Graph, at fence, base *c
 	if base == nil {
 		return s.writeChainElem(seg, enc.DeltaFull, at.pos, position{}, at.off, g.Export())
 	}
-	// Counting the window first (a read and a checksum, no decode) is cheaper
-	// than growing a slice of 144-byte updates to its size.
+	// Counting the window first (a read and a count prefix per frame, no
+	// decode) is cheaper than growing a slice of 144-byte updates to its size.
 	n := 0
 	_, err := seg.log.ScanRange(base.logOff, at.off, replayReadahead, func(frames []wal.Frame) bool {
-		n += len(frames)
+		for _, fr := range frames {
+			c, _, _ := enc.BlockCount(fr.Payload) // a bad count fails the replay below
+			n += c
+		}
 		return true
 	})
 	window := make([]model.Update, 0, n) // fresh from the decoder: compactUpdates may own it
@@ -353,34 +356,36 @@ func (s *Store) writeSnapshot(seg *segment, g *memgraph.Graph, at fence, base *c
 	return s.writeChainElem(seg, enc.DeltaDiff, at.pos, base.pos, at.off, compactUpdates(window))
 }
 
-// fenceStride is how many active-log records share one fence. A lookup
-// discards at most fenceStride-1 decoded records before the one it wants:
-// at 128 that is half of one replay decode batch (frameBatchRecords) inside
-// a readahead chunk the scan reads and checksums anyway, while the list
-// costs 24 B per 128 updates of memory and a lock once per 128 appends.
+// fenceStride is how many active-log records share one fence at least. Fences
+// sit at frame starts only, the first frame at least fenceStride records past
+// the previous fence, so a lookup discards fewer than fenceStride records plus
+// one frame before the one it wants: at 128 that is half of one replay job
+// (frameBatchRecords), while the list costs 24 B per 128 updates of memory
+// and a lock once per 128 appended records.
 // A constant in production; a variable only so tests can shrink it.
 var fenceStride = 128
 
-// advanceLocked moves the stream position past one record of the active
-// log at timestamp ts and log offset off — fencing it when it opens a
-// stride — and counts it. It is the one bookkeeping step shared by
-// AppendBatch and recovery's replay, so both lay identical fences. Caller
-// holds s.mu (or is Open, before the store is shared).
-func (s *Store) advanceLocked(ts model.Timestamp, off int64) {
+// advanceLocked moves the stream position past one frame of the active log —
+// n records at timestamp ts, at log offset off — fencing the frame when it
+// opens a stride, and counts its records. It is the one bookkeeping step
+// shared by AppendBatch and recovery's walk, so both lay identical fences.
+// Caller holds s.mu (or is Open, before the store is shared).
+func (s *Store) advanceLocked(ts model.Timestamp, off int64, n int) {
 	act := s.active()
 	cur := position{ts: s.lastTS, seq: s.seq}
-	if act.count%uint64(fenceStride) == 0 {
+	if act.count >= act.nextFence {
 		act.mu.Lock()
 		act.fences = append(act.fences, fence{pos: cur, off: off})
 		act.mu.Unlock()
+		act.nextFence = act.count + uint64(fenceStride)
 	}
 	if act.count == 0 {
 		act.minTS = ts
 	}
 	cur = cur.next(ts)
-	s.lastTS, s.seq = cur.ts, cur.seq
-	s.updateCount++
-	act.count++
+	s.lastTS, s.seq = cur.ts, cur.seq+uint32(n-1)
+	s.updateCount += uint64(n)
+	act.count += uint64(n)
 }
 
 // recoverSealed walks the sealed segments (oldest first), carrying the
@@ -414,7 +419,7 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 		// plain replay.
 		var n uint64
 		var aerr error
-		err := s.replayWal(ctx, p.log, 1, 0, logEnd, func(_ int64, u model.Update) bool {
+		err := s.replayWal(ctx, p.log, 1, logStart, logEnd, func(_ int64, u model.Update) bool {
 			n++
 			aerr = g.Apply(u)
 			return aerr == nil
@@ -436,11 +441,12 @@ func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
 // recover rebuilds all derived state from the sources of truth a crash
 // cannot corrupt: each segment's tail-repaired log, the seal markers, and
 // the element files' self-describing headers (openSegments). Every frame of
-// the active log is walked, to count the records and lay the fences — off a
-// peek at its timestamp where nothing needs the update. A hosted store needs
-// none: it loads and decodes nothing. A stand-alone one seeds its own graph
-// from the newest surviving element of the active chain — else the sealed end
-// state — and decodes and applies the log from that element's offset on.
+// the active log is walked, to count its records and lay the fences, off its
+// count prefix and its first record's timestamp: nothing is decoded. A hosted
+// store needs no more: it loads and decodes nothing. A stand-alone one seeds
+// its own graph from the newest surviving element of the active chain — else
+// the sealed end state — and decodes and applies the log from that element's
+// offset on.
 func (s *Store) recover() (err error) {
 	ctx := context.Background()
 	if s.segs, err = openSegments(s.fs, s.opts.Dir); err != nil {
@@ -453,29 +459,29 @@ func (s *Store) recover() (err error) {
 	act := s.active()
 	s.lastTS, s.seq = act.entry.ts, act.entry.seq
 	chain := act.elems()
-	var from int64 // active-log offset the replay applies from
+	from := logStart // active-log offset the replay applies from
 	if len(chain) > 0 {
 		from = chain[len(chain)-1].logOff
 	}
-	s.committed = s.opts.Host
-	peeked := from // the records before it are inside the seeding element already
-	if s.committed != nil {
-		peeked = act.log.Size()
-	}
-	var aerr error
-	_, err = act.log.Scan(0, func(off int64, rec []byte) bool {
-		if off >= peeked {
-			return false
-		}
+	var perr error
+	_, err = act.log.Scan(logStart, func(off int64, frame []byte) bool {
+		var n int
 		var ts model.Timestamp
-		if ts, aerr = enc.PeekTS(rec); aerr == nil {
-			s.advanceLocked(ts, off)
+		if n, ts, perr = enc.PeekBlock(frame); perr == nil {
+			s.advanceLocked(ts, off, n)
 		}
-		return aerr == nil
+		if off >= from {
+			// The replay debt carried past the seeding element, so a reopened
+			// store keeps its bounded recovery window instead of accruing
+			// another full log-bytes budget first.
+			s.bytesSinceSnap += int64(len(frame))
+		}
+		return perr == nil
 	})
-	if err = errors.Join(err, aerr); err != nil {
+	if err = errors.Join(err, perr); err != nil {
 		return err
 	}
+	s.committed = s.opts.Host
 	if s.committed == nil {
 		latest := base.Clone()
 		if len(chain) > 0 {
@@ -483,8 +489,8 @@ func (s *Store) recover() (err error) {
 				return err
 			}
 		}
-		err = s.replayWal(ctx, act.log, s.opts.ParallelIO, from, logEnd, func(off int64, u model.Update) bool {
-			s.advanceLocked(u.TS, off)
+		var aerr error
+		err = s.replayWal(ctx, act.log, s.opts.ParallelIO, from, logEnd, func(_ int64, u model.Update) bool {
 			aerr = latest.Apply(u)
 			return aerr == nil
 		})
@@ -494,10 +500,6 @@ func (s *Store) recover() (err error) {
 		s.own = &ownGraph{g: latest, updates: s.updateCount}
 		s.committed = s.own.Committed
 	}
-	// Seed the log-bytes policy with the replay debt actually carried past
-	// the seeding element, so a reopened store keeps its bounded recovery
-	// window instead of accruing another full budget first.
-	s.bytesSinceSnap = act.log.Size() - from
 	s.gs = graphstore.New(s.opts.GraphStoreBytes)
 	s.sealEntry = base
 	// Everything Open created (a segment directory, its log) and derivation
@@ -514,11 +516,11 @@ type ownGraph struct {
 	updates uint64
 }
 
-func (o *ownGraph) apply(u model.Update) error {
+func (o *ownGraph) apply(us []model.Update) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.updates++
-	return o.g.Apply(u)
+	o.updates += uint64(len(us))
+	return o.g.ApplyAll(us)
 }
 
 // Committed returns a CoW clone of the graph, its timestamp and the number of
@@ -579,15 +581,17 @@ func (s *Store) Append(u model.Update) error {
 }
 
 // AppendBatch appends a batch of updates under one lock acquisition (the
-// paper batches transactions for ingestion performance, Sec 6.4): the whole
-// batch is encoded with the batch encoder and written to the log with a
-// single AppendBatch — one log lock, one write syscall — instead of one
-// Append per update. Timestamps are validated up front so a mid-batch
-// monotonicity violation rejects the batch before anything reaches the
-// log. The snapshot policy is still evaluated per timestamp (a bulk load can
-// legitimately cross several policy boundaries); the trigger is an O(1)
-// CoW clone handed to the background worker, so it costs the batch nothing.
-// A hosted store applies nothing here: the host has the batch already.
+// paper batches transactions for ingestion performance, Sec 6.4): each run of
+// the batch's records at one timestamp is encoded as one block, and the
+// blocks go to the log with a single AppendBatch — one log lock, one write
+// syscall — as one frame each. A hosted commit is one timestamp, so one frame
+// with one length and CRC, and a torn write drops all of it or none.
+// Timestamps are validated up front so a mid-batch monotonicity violation
+// rejects the batch before anything reaches the log. The snapshot policy is
+// still evaluated per timestamp (a bulk load can legitimately cross several
+// policy boundaries); the trigger is an O(1) CoW clone handed to the
+// background worker, so it costs the batch nothing. A hosted store applies
+// nothing here: the host has the batch already.
 func (s *Store) AppendBatch(us []model.Update) error {
 	if len(us) == 0 {
 		return nil
@@ -617,9 +621,19 @@ func (s *Store) AppendBatch(us []model.Update) error {
 			return err
 		}
 	}
-	payloads, buf, err := s.codec.EncodeUpdates(s.encBuf, us)
-	if err != nil {
-		return err
+	// A payload stays valid when appending moves buf: the bytes it names are
+	// not written again.
+	var runs [][]model.Update
+	var payloads [][]byte
+	buf := s.encBuf[:0]
+	for lo, hi := 0, 1; hi <= len(us); hi++ {
+		if hi == len(us) || us[hi].TS != us[lo].TS {
+			start, err := len(buf), error(nil)
+			if buf, err = s.codec.AppendBlock(buf, us[lo:hi]); err != nil {
+				return err
+			}
+			runs, payloads, lo = append(runs, us[lo:hi]), append(payloads, buf[start:]), hi
+		}
 	}
 	s.encBuf = buf[:0]
 	// Encoding may have interned new strings into the table's user-space
@@ -630,31 +644,37 @@ func (s *Store) AppendBatch(us []model.Update) error {
 	if err := s.codec.Strings.Flush(); err != nil {
 		return err
 	}
-	offs, err := s.active().log.AppendBatch(payloads)
+	frames := payloads
+	if s.active().log.Size() == 0 {
+		frames = append([][]byte{[]byte(logMarker)}, payloads...) // in front of the log's first frame
+	}
+	offs, err := s.active().log.AppendBatch(frames)
 	if err != nil {
 		return err
 	}
-	for i, u := range us {
+	offs = offs[len(frames)-len(payloads):]
+	for i, run := range runs {
+		ts := run[0].TS
 		// Timestamp boundary: the position of the graph captured when the last
-		// timestamp ended now has a log offset, this record's.
-		if u.TS > s.lastTS && s.pending != nil && s.active().count > 0 {
+		// timestamp ended now has a log offset, this frame's.
+		if ts > s.lastTS && s.pending != nil && s.active().count > 0 {
 			s.scheduleSnapshotLocked(offs[i])
 		}
 		s.pending = nil // no longer the log's end
-		s.advanceLocked(u.TS, offs[i])
+		s.advanceLocked(ts, offs[i], len(run))
 		if s.own != nil {
-			if err := s.own.apply(u); err != nil {
+			if err := s.own.apply(run); err != nil {
 				return err
 			}
 		}
-		s.opsSinceSnap++
+		s.opsSinceSnap += len(run)
 		s.bytesSinceSnap += int64(len(payloads[i]))
 		// The end of a timestamp, as far as this batch can tell (the next one
 		// may continue it, and the capture is dropped): the committed graph is
 		// complete at s.lastTS — the only state a policy snapshot may capture;
 		// mid-timestamp would poison the GraphStore with a state no (ts) query
 		// key can name.
-		if (i+1 == len(us) || us[i+1].TS > u.TS) && s.snapshotDueLocked() {
+		if s.snapshotDueLocked() {
 			s.captureSnapshotLocked()
 		}
 	}
@@ -716,7 +736,7 @@ func (s *Store) CreateSnapshot() error {
 		return err
 	}
 	act := s.active()
-	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: act.log.Size()}
+	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: max(act.log.Size(), logStart)}
 	if err := s.persistSnapshot(act, g, at, nil); err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ package vfs
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -209,15 +208,6 @@ func (w *SeqWriter) Write(p []byte) (int, error) {
 	n, err := w.F.WriteAt(p, w.Off)
 	w.Off += int64(n)
 	return n, err
-}
-
-// NewReader returns a sequential reader over the file's current contents.
-func NewReader(f File) (*io.SectionReader, error) {
-	size, err := f.Size()
-	if err != nil {
-		return nil, fmt.Errorf("vfs: size of %s: %w", f.Name(), err)
-	}
-	return io.NewSectionReader(f, 0, size), nil
 }
 
 // dirOf groups in-memory namespace entries the way SyncDir scopes them.
