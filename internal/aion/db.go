@@ -78,11 +78,9 @@ type Options struct {
 	Mode SyncMode
 	// ChainThreshold is LineageStore's delta materialization threshold.
 	ChainThreshold int
-	// SnapshotEveryOps is TimeStore's operation-based snapshot policy.
+	// SnapshotEveryOps is the TimeStore's snapshot policy: a snapshot every
+	// this many updates (0: timestore.DefaultSnapshotEveryOps; < 0: none).
 	SnapshotEveryOps int
-	// SnapshotEveryBytes is TimeStore's log-bytes snapshot policy (the
-	// default when no policy is set; see timestore.Options).
-	SnapshotEveryBytes int64
 	// PartitionEvery seals the TimeStore's active partition after this
 	// many updates (<= 0 disables partitioning: one monolithic log).
 	PartitionEvery int
@@ -93,8 +91,6 @@ type Options struct {
 	DeltaChainLength int
 	// GraphStoreBytes is the snapshot cache budget.
 	GraphStoreBytes int64
-	// AsyncQueueDepth bounds the background cascade queue (batches).
-	AsyncQueueDepth int
 	// ParallelIO is the worker count of the TimeStore's snapshot
 	// (de)serialization and replay pipelines (<= 0: GOMAXPROCS; 1: inline).
 	ParallelIO int
@@ -149,9 +145,6 @@ func Open(opts Options) (*DB, error) {
 			opts.Dir = dir
 		}
 	}
-	if opts.AsyncQueueDepth <= 0 {
-		opts.AsyncQueueDepth = 1024
-	}
 	fs := vfs.OrOS(opts.FS)
 	for _, sub := range []string{"timestore", "lineage"} {
 		if err := vfs.MkdirAll(fs, filepath.Join(opts.Dir, sub)); err != nil {
@@ -167,7 +160,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, errors.Join(err, db.closeStores())
 	}
 	if opts.Mode == SyncHybrid {
-		db.queue = make(chan []model.Update, opts.AsyncQueueDepth)
+		db.queue = make(chan []model.Update, cascadeQueueDepth)
 		db.wg.Add(1)
 		go db.cascadeWorker()
 	}
@@ -180,15 +173,14 @@ func (db *DB) openStores(fs vfs.FS) (err error) {
 	opts := db.opts
 	if opts.Mode != SyncLineageOnly {
 		db.ts, err = timestore.Open(db.codec, timestore.Options{
-			Dir:                filepath.Join(opts.Dir, "timestore"),
-			SnapshotEveryOps:   opts.SnapshotEveryOps,
-			SnapshotEveryBytes: opts.SnapshotEveryBytes,
-			PartitionEvery:     opts.PartitionEvery,
-			DeltaChainLength:   opts.DeltaChainLength,
-			GraphStoreBytes:    opts.GraphStoreBytes,
-			ParallelIO:         opts.ParallelIO,
-			FS:                 opts.FS,
-			Host:               opts.Host,
+			Dir:              filepath.Join(opts.Dir, "timestore"),
+			SnapshotEveryOps: opts.SnapshotEveryOps,
+			PartitionEvery:   opts.PartitionEvery,
+			DeltaChainLength: opts.DeltaChainLength,
+			GraphStoreBytes:  opts.GraphStoreBytes,
+			ParallelIO:       opts.ParallelIO,
+			FS:               opts.FS,
+			Host:             opts.Host,
 		})
 		if err != nil {
 			return err
@@ -231,6 +223,12 @@ func (db *DB) openStores(fs vfs.FS) (err error) {
 	// with dangling string refs.
 	return fs.SyncDir(opts.Dir)
 }
+
+// cascadeQueueDepth bounds the batches queued for the cascade worker: deep
+// enough that a burst of commits does not wait for the LineageStore, bounded
+// so a cascade that falls behind for good makes commits wait rather than
+// holding every batch since in memory.
+const cascadeQueueDepth = 1024
 
 // cascadeWorker applies queued update batches to the LineageStore in the
 // background (stage 2 of Sec 5.1).

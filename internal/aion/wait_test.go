@@ -19,7 +19,7 @@ import (
 // hybrid cascade can have caught up, waits for the cascade and is answered by
 // the LineageStore, validity interval included.
 func TestHybridLagReadsWait(t *testing.T) {
-	db := openDB(t, Options{AsyncQueueDepth: 4096})
+	db := openDB(t, Options{})
 	for i := 0; i < 50; i++ {
 		u := model.AddNode(model.Timestamp(i+1), model.NodeID(i), nil, model.Properties{"i": model.IntValue(int64(i))})
 		if err := db.Apply(u); err != nil {
@@ -38,7 +38,7 @@ func TestHybridLagReadsWait(t *testing.T) {
 // TestLineageLagReadsWait: with a whole history queued behind the cascade, a
 // read at ts 21 returns only once the LineageStore has applied past it.
 func TestLineageLagReadsWait(t *testing.T) {
-	db := openDB(t, Options{AsyncQueueDepth: 4096})
+	db := openDB(t, Options{})
 	for _, u := range socialUpdates() {
 		if err := db.Apply(u); err != nil {
 			t.Fatal(err)

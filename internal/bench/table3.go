@@ -34,11 +34,11 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// neo4jInMemoryBytes models the paper's Neo4j in-memory measurement
+// neo4jResidentBytes models the paper's Neo4j in-memory measurement
 // ("measured as in [54] with additional bytes for JVM object headers"):
 // node and relationship record footprints plus object headers, slightly
 // above Aion's compact vectors.
-func neo4jInMemoryBytes(g *memgraph.Graph) int64 {
+func neo4jResidentBytes(g *memgraph.Graph) int64 {
 	// Record footprint plus a 16-byte JVM object header and reference
 	// padding; Aion's packed vectors (60 B / 68 B + 4 B adjacency entries)
 	// come out a few percent smaller, matching the Table 3 shape.
@@ -87,7 +87,7 @@ func RunTable3(c Config) ([]Table3Row, error) {
 			Rels:          g.RelCount(),
 			AvgDegree:     float64(g.RelCount()) / float64(g.NodeCount()),
 			Directed:      ds.Spec.Directed,
-			Neo4jBytes:    neo4jInMemoryBytes(g),
+			Neo4jBytes:    neo4jResidentBytes(g),
 			AionBytes:     g.ApproxBytes(),
 			ResidentBytes: resident,
 		}

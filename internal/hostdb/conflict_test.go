@@ -12,7 +12,7 @@ import (
 // relationship; the second commit must abort and leave the graph
 // consistent.
 func TestCommitConflictAborts(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	var rel model.RelID
 	db.Run(func(tx *Tx) error {
 		a, _ := tx.CreateNode(nil, nil)
@@ -43,7 +43,7 @@ func TestCommitConflictAborts(t *testing.T) {
 // TestConflictRollbackRestoresPrefix verifies a commit whose later update
 // conflicts rolls back its earlier (already applied) updates.
 func TestConflictRollbackRestoresPrefix(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	var node model.NodeID
 	db.Run(func(tx *Tx) error {
 		node, _ = tx.CreateNode(nil, nil)
@@ -85,7 +85,7 @@ func TestConflictRollbackRestoresPrefix(t *testing.T) {
 // TestConflictListenerNotFired ensures aborted commits never reach the
 // after-commit listeners (Aion must only see committed state).
 func TestConflictListenerNotFired(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	var node model.NodeID
 	db.Run(func(tx *Tx) error {
 		node, _ = tx.CreateNode(nil, nil)
@@ -104,7 +104,7 @@ func TestConflictListenerNotFired(t *testing.T) {
 
 // TestOverlayReadYourWrites exercises the overlay view accessors.
 func TestOverlayReadYourWrites(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	var a, b model.NodeID
 	var r model.RelID
 	db.Run(func(tx *Tx) error {
@@ -154,7 +154,7 @@ func TestOverlayReadYourWrites(t *testing.T) {
 // a node is allowed once its last incident rel is staged-deleted, and
 // refused if a staged rel still points at it.
 func TestDeleteNodeCountsStagedRels(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	var a, b model.NodeID
 	var r model.RelID
 	db.Run(func(tx *Tx) error {

@@ -158,12 +158,8 @@ func (db *DB) ObserveEpoch(epoch uint64) (uint64, bool, error) {
 }
 
 // persistEpoch writes the epoch file atomically (tmp + fsync + rename +
-// dir fsync). Callers hold fence.mu. In-memory databases keep the state in
-// RAM only.
+// dir fsync). Callers hold fence.mu.
 func (db *DB) persistEpoch(epoch uint64, role byte) error {
-	if db.opts.InMemory || db.opts.Dir == "" {
-		return nil
-	}
 	buf := make([]byte, epochFileLen)
 	copy(buf, epochMagic)
 	binary.LittleEndian.PutUint64(buf[4:], epoch)
@@ -208,18 +204,16 @@ func (db *DB) initFence() error {
 	if db.opts.Replica {
 		role = RoleReplica
 	}
-	if !db.opts.InMemory && db.opts.Dir != "" {
-		epoch, persisted, err := loadEpoch(db.fs, db.opts.Dir)
-		if err != nil {
-			return err
-		}
-		db.fence.epoch.Store(epoch)
-		switch persisted {
-		case persistPromoted:
-			role = RolePrimary
-		case persistFenced:
-			role = RoleFenced
-		}
+	epoch, persisted, err := loadEpoch(db.fs, db.opts.Dir)
+	if err != nil {
+		return err
+	}
+	db.fence.epoch.Store(epoch)
+	switch persisted {
+	case persistPromoted:
+		role = RolePrimary
+	case persistFenced:
+		role = RoleFenced
 	}
 	db.fence.role.Store(int32(role))
 	return nil

@@ -42,11 +42,9 @@ type CommitListener func(commitTS model.Timestamp, updates []model.Update)
 
 // Options configures a host database.
 type Options struct {
-	// Dir is the storage directory; empty means a fresh temp dir.
+	// Dir is the storage directory; empty means a fresh temp dir ("host" on
+	// a caller-supplied FS).
 	Dir string
-	// InMemory disables the record store and transaction log persistence
-	// (for benchmarks isolating compute).
-	InMemory bool
 	// SyncCommits fsyncs the transaction log on every commit, as Neo4j
 	// does for durability. Ingestion benchmarks enable it so the baseline
 	// carries a realistic per-commit cost.
@@ -112,62 +110,62 @@ type DB struct {
 }
 
 // Open creates or reopens a host database. Reopening replays the retained
-// transaction log to rebuild the current graph.
-func Open(opts Options) (*DB, error) {
-	if opts.Dir == "" && !opts.InMemory {
+// transaction log to rebuild the current graph. An Open that fails closes
+// every file it opened.
+func Open(opts Options) (_ *DB, err error) {
+	if opts.Dir == "" {
 		if opts.FS != nil {
 			opts.Dir = "host"
-		} else {
-			dir, err := vfs.MkdirTemp("", "aion-hostdb-*")
-			if err != nil {
-				return nil, err
-			}
-			opts.Dir = dir
+		} else if opts.Dir, err = vfs.MkdirTemp("", "aion-hostdb-*"); err != nil {
+			return nil, err
 		}
 	}
 	db := &DB{opts: opts, fs: vfs.OrOS(opts.FS), current: memgraph.New()}
-	if opts.InMemory {
-		db.strings = strstore.NewMem()
-		db.codec = enc.NewCodec(db.strings)
-		if err := db.initFence(); err != nil {
-			return nil, err
-		}
-		return db, nil
-	}
 	if err := db.initFence(); err != nil {
 		return nil, err
 	}
-	var err error
-	db.strings, err = strstore.OpenFS(db.fs, filepath.Join(opts.Dir, "host-strings.db"))
-	if err != nil {
+	var opened []func() error // what a failed Open closes again
+	defer func() {
+		if err != nil {
+			for _, c := range opened {
+				err = errors.Join(err, c())
+			}
+		}
+	}()
+	if db.strings, err = strstore.OpenFS(db.fs, filepath.Join(opts.Dir, "host-strings.db")); err != nil {
 		return nil, err
 	}
+	opened = append(opened, db.strings.Close)
 	db.codec = enc.NewCodec(db.strings)
-	db.txnLog, err = wal.OpenFS(db.fs, filepath.Join(opts.Dir, "neostore.transaction.db"))
-	if err != nil {
+	if db.txnLog, err = wal.OpenFS(db.fs, filepath.Join(opts.Dir, "neostore.transaction.db")); err != nil {
 		return nil, err
 	}
+	opened = append(opened, db.txnLog.Close)
 	if db.nodeStore, err = openRecordStore(db.fs, filepath.Join(opts.Dir, "neostore.nodestore.db"), NodeRecordBytes); err != nil {
 		return nil, err
 	}
+	opened = append(opened, db.nodeStore.pc.Close)
 	if db.relStore, err = openRecordStore(db.fs, filepath.Join(opts.Dir, "neostore.relationshipstore.db"), RelRecordBytes); err != nil {
 		return nil, err
 	}
+	opened = append(opened, db.relStore.pc.Close)
 	if db.propStore, err = openRecordStore(db.fs, filepath.Join(opts.Dir, "neostore.propertystore.db"), PropRecordBytes); err != nil {
 		return nil, err
 	}
+	opened = append(opened, db.propStore.pc.Close)
 	// Recovery: replay the transaction log, one record per committed
 	// transaction (a torn trailing commit was already truncated by the
-	// WAL's tail repair, so commits are recovered atomically).
+	// WAL's tail repair, so commits are recovered atomically). A commit that
+	// passed its CRC but does not decode or apply fails the Open: stopping
+	// there would drop every later commit the log still holds.
+	var rerr error
 	_, err = db.txnLog.Scan(0, func(off int64, payload []byte) bool {
-		us, derr := db.decodeCommit(payload)
-		if derr != nil {
-			err = derr
+		var us []model.Update
+		if us, rerr = db.decodeCommit(payload); rerr != nil {
 			return false
 		}
 		for _, u := range us {
-			if aerr := db.current.Apply(u); aerr != nil {
-				err = aerr
+			if rerr = db.current.Apply(u); rerr != nil {
 				return false
 			}
 			db.accountRecords(u)
@@ -184,7 +182,7 @@ func Open(opts Options) (*DB, error) {
 		}
 		return true
 	})
-	if err != nil {
+	if err = errors.Join(err, rerr); err != nil {
 		return nil, fmt.Errorf("hostdb: recovery: %w", err)
 	}
 	// Persist the directory entries of freshly created files: without this
@@ -237,6 +235,11 @@ func (db *DB) decodeCommit(payload []byte) ([]model.Update, error) {
 		return nil, fmt.Errorf("hostdb: bad commit record header")
 	}
 	b := payload[w:]
+	// Each update takes at least its 4-byte length: a count the bytes cannot
+	// hold is refused before it sizes an allocation.
+	if n > uint64(len(b)/4) {
+		return nil, fmt.Errorf("hostdb: commit record claims %d updates in %d bytes", n, len(b))
+	}
 	us := make([]model.Update, 0, n)
 	for i := uint64(0); i < n; i++ {
 		if len(b) < 4 {
@@ -275,9 +278,6 @@ func peekCommitTS(payload []byte) (model.Timestamp, error) {
 // uses it at startup to re-feed Aion with transactions the host made
 // durable but Aion had not yet synced when the machine crashed.
 func (db *DB) ReplayCommitted(after model.Timestamp, fn func(ts model.Timestamp, us []model.Update) error) error {
-	if db.txnLog == nil {
-		return nil
-	}
 	var ferr error
 	_, err := db.txnLog.Scan(0, func(off int64, payload []byte) bool {
 		ts, perr := peekCommitTS(payload) // decode only what is delivered
@@ -302,15 +302,10 @@ func (db *DB) Flush() error {
 	if err := db.strings.Sync(); err != nil {
 		return err
 	}
-	if db.txnLog != nil {
-		if err := db.txnLog.Sync(); err != nil {
-			return err
-		}
+	if err := db.txnLog.Sync(); err != nil {
+		return err
 	}
 	for _, rs := range []*recordStore{db.nodeStore, db.relStore, db.propStore} {
-		if rs == nil {
-			continue
-		}
 		if err := rs.pc.Flush(); err != nil {
 			return err
 		}
@@ -339,9 +334,6 @@ func openRecordStore(fs vfs.FS, path string, recordSize int64) (*recordStore, er
 
 // writeAt stamps the record slot for id (in-use flag + payload position).
 func (rs *recordStore) writeAt(id int64) {
-	if rs == nil {
-		return
-	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	off := id * rs.size
@@ -364,21 +356,11 @@ func (rs *recordStore) writeAt(id int64) {
 
 // appendRecord allocates the next chain slot (property records).
 func (rs *recordStore) appendRecord() {
-	if rs == nil {
-		return
-	}
 	rs.mu.Lock()
 	id := rs.next
 	rs.next++
 	rs.mu.Unlock()
 	rs.writeAt(id)
-}
-
-func (rs *recordStore) close() error {
-	if rs == nil {
-		return nil
-	}
-	return rs.pc.Close()
 }
 
 // accountRecords tracks the fixed-size record bytes a change consumes and
@@ -491,9 +473,7 @@ func (db *DB) Storage() StorageBreakdown {
 		PropRecords: db.recordBytes.props,
 	}
 	db.recordBytes.Unlock()
-	if db.txnLog != nil {
-		b.TxnLog = db.txnLog.Size()
-	}
+	b.TxnLog = db.txnLog.Size()
 	b.Strings = db.strings.DiskBytes()
 	return b
 }
@@ -538,21 +518,8 @@ func (db *DB) IndexAndMetadataBytes() int64 {
 
 // Close flushes and closes the database.
 func (db *DB) Close() error {
-	var firstErr error
-	if db.txnLog != nil {
-		if err := db.txnLog.Close(); err != nil {
-			firstErr = err
-		}
-	}
-	for _, rs := range []*recordStore{db.nodeStore, db.relStore, db.propStore} {
-		if err := rs.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := db.strings.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return errors.Join(db.txnLog.Close(), db.nodeStore.pc.Close(), db.relStore.pc.Close(),
+		db.propStore.pc.Close(), db.strings.Close())
 }
 
 // --- transactions -----------------------------------------------------------
@@ -934,7 +901,7 @@ func (db *DB) commitBatch(batch []*commitReq) {
 	// One strings-sync + one log-sync covers every sub-batch appended
 	// above: the record bytes hold positional refs into the string table,
 	// so the table must be durable before the log records are.
-	if durErr == nil && db.txnLog != nil && len(applied) > 0 && db.opts.SyncCommits {
+	if durErr == nil && len(applied) > 0 && db.opts.SyncCommits {
 		if durErr = db.strings.Sync(); durErr == nil {
 			db.stats.fsyncs.Add(1)
 			if durErr = db.txnLog.Sync(); durErr == nil {
@@ -1025,7 +992,7 @@ func (db *DB) applyAndAppend(batch []*commitReq) ([][]model.Update, error) {
 	}
 	db.mu.Unlock()
 
-	if db.txnLog == nil || len(applied) == 0 {
+	if len(applied) == 0 {
 		return applied, nil
 	}
 	recs := make([][]byte, 0, len(applied))
@@ -1086,16 +1053,14 @@ func (db *DB) rollbackPrefix(applied []model.Update, batchApplied [][]model.Upda
 // rebuildFromLog reconstructs the current graph from the transaction log.
 func (db *DB) rebuildFromLog() {
 	g := memgraph.New()
-	if db.txnLog != nil {
-		db.txnLog.Scan(0, func(off int64, payload []byte) bool {
-			if us, err := db.decodeCommit(payload); err == nil {
-				for _, u := range us {
-					_ = g.Apply(u)
-				}
+	db.txnLog.Scan(0, func(off int64, payload []byte) bool {
+		if us, err := db.decodeCommit(payload); err == nil {
+			for _, u := range us {
+				_ = g.Apply(u)
 			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 	db.current = g
 }
 

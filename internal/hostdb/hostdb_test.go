@@ -3,16 +3,19 @@ package hostdb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"os"
 	"sync"
 	"testing"
 
 	"aion/internal/model"
+	"aion/internal/vfs"
 	"aion/internal/wal"
 )
 
 func openDB(t *testing.T, opts Options) *DB {
 	t.Helper()
-	if opts.Dir == "" && !opts.InMemory {
+	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
 	}
 	db, err := Open(opts)
@@ -57,7 +60,7 @@ func TestBasicTransaction(t *testing.T) {
 }
 
 func TestRollback(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	tx := db.Begin()
 	tx.CreateNode(nil, nil)
 	tx.Rollback()
@@ -70,7 +73,7 @@ func TestRollback(t *testing.T) {
 }
 
 func TestCommitTimestampsMonotonic(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	var last model.Timestamp
 	for i := 0; i < 10; i++ {
 		ts, err := db.Run(func(tx *Tx) error {
@@ -88,7 +91,7 @@ func TestCommitTimestampsMonotonic(t *testing.T) {
 }
 
 func TestListenersReceiveStampedUpdates(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	var mu sync.Mutex
 	var got []model.Update
 	var gotTS model.Timestamp
@@ -117,7 +120,7 @@ func TestListenersReceiveStampedUpdates(t *testing.T) {
 }
 
 func TestConstraintsSurfaceAtOperationTime(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	db.Run(func(tx *Tx) error {
 		a, _ := tx.CreateNode(nil, nil)
 		b, _ := tx.CreateNode(nil, nil)
@@ -137,7 +140,7 @@ func TestConstraintsSurfaceAtOperationTime(t *testing.T) {
 }
 
 func TestDeleteFlow(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	var rel model.RelID
 	db.Run(func(tx *Tx) error {
 		a, _ := tx.CreateNode(nil, nil)
@@ -161,7 +164,7 @@ func TestDeleteFlow(t *testing.T) {
 }
 
 func TestConcurrentWriters(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	const writers = 8
 	const perWriter = 50
 	var wg sync.WaitGroup
@@ -233,6 +236,59 @@ func TestRecoveryFromTxnLog(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesAnUndecodableCommit: a log frame that passes its CRC but
+// does not decode fails the reopen instead of silently ending the replay,
+// which would drop every commit logged after it.
+func TestRecoveryRefusesAnUndecodableCommit(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := db.Run(func(tx *Tx) error {
+			_, err := tx.CreateNode([]string{"P"}, nil)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.txnLog.Append([]byte{1}); err != nil { // one update announced, none there
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(Options{Dir: dir}); err == nil {
+		db.Close()
+		t.Fatal("a log with an undecodable commit reopened without an error")
+	}
+}
+
+// failSyncDirFS is the OS filesystem with every directory sync failing.
+type failSyncDirFS struct{ vfs.FS }
+
+func (failSyncDirFS) SyncDir(string) error { return vfs.ErrInjected }
+
+// TestFailedOpenClosesItsFiles: an Open that fails at its last step — after
+// the string table, the transaction log and the three record stores are open
+// — must close all of them.
+func TestFailedOpenClosesItsFiles(t *testing.T) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no descriptor table to count: %v", err)
+	}
+	dir := t.TempDir()
+	for i := 0; i < 50; i++ {
+		if _, err := Open(Options{Dir: dir, FS: failSyncDirFS{vfs.OS}}); !errors.Is(err, vfs.ErrInjected) {
+			t.Fatalf("round %d: Open = %v, want the injected fault", i, err)
+		}
+	}
+	if after, _ := os.ReadDir("/proc/self/fd"); len(after) > len(ents) {
+		t.Errorf("%d descriptors open after 50 failed Opens, %d before", len(after), len(ents))
+	}
+}
+
 func TestStorageBreakdown(t *testing.T) {
 	db := openDB(t, Options{})
 	db.Run(func(tx *Tx) error {
@@ -260,7 +316,7 @@ func TestStorageBreakdown(t *testing.T) {
 }
 
 func TestEmptyCommitIsNoop(t *testing.T) {
-	db := openDB(t, Options{InMemory: true})
+	db := openDB(t, Options{})
 	before := db.Clock()
 	tx := db.Begin()
 	ts, err := tx.Commit()

@@ -37,11 +37,8 @@ func (db *DB) IsReplica() bool { return db.opts.Replica }
 // afterwards. Capturing in the other order could expose a log record whose
 // refs point past the shipped strings prefix.
 func (db *DB) DurableExtents() (strBytes, txnBytes int64) {
-	if db.txnLog != nil {
-		txnBytes = db.txnLog.SyncedSize()
-	}
-	strBytes = db.strings.SyncedSize()
-	return strBytes, txnBytes
+	txnBytes = db.txnLog.SyncedSize()
+	return db.strings.SyncedSize(), txnBytes
 }
 
 // ReadStringsRaw returns up to max bytes of whole string-table records
@@ -74,9 +71,6 @@ func (db *DB) TailCRC(strTo, txnTo, strMax, txnMax int64) (strLen, txnLen int64,
 		txnLen = txnMax
 	}
 	if txnLen > 0 {
-		if db.txnLog == nil {
-			return 0, 0, 0, 0, errors.New("hostdb: no transaction log for tail CRC")
-		}
 		b, rerr := db.txnLog.ReadRange(txnTo-txnLen, txnTo)
 		if rerr != nil {
 			return 0, 0, 0, 0, rerr
@@ -97,9 +91,6 @@ func (db *DB) TailCRC(strTo, txnTo, strMax, txnMax int64) (strLen, txnLen int64,
 // maxBytes.
 func (db *DB) TxnFrames(from, to int64, maxBytes int) (frames [][]byte, next int64, err error) {
 	next = from
-	if db.txnLog == nil {
-		return nil, next, nil
-	}
 	durable := min(to, db.txnLog.SyncedSize())
 	if from >= durable {
 		return nil, next, nil
@@ -189,26 +180,24 @@ func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, 
 		commits = append(commits, us)
 	}
 
-	if db.txnLog != nil {
-		// Push the shipped string bytes to the OS before the log records
-		// that reference them: the fsync pair below orders durability under
-		// power loss, and this flush keeps the same ordering when only the
-		// process dies (completed writes survive, buffers do not).
-		if err := db.strings.Flush(); err != nil {
-			return 0, err
-		}
-		if _, err := db.txnLog.AppendBatch(frames); err != nil {
-			return 0, fmt.Errorf("hostdb: apply shipment append: %w", err)
-		}
-		if err := db.strings.Sync(); err != nil {
-			return 0, err
-		}
-		db.stats.fsyncs.Add(1)
-		if err := db.txnLog.Sync(); err != nil {
-			return 0, err
-		}
-		db.stats.fsyncs.Add(1)
+	// Push the shipped string bytes to the OS before the log records that
+	// reference them: the fsync pair below orders durability under power
+	// loss, and this flush keeps the same ordering when only the process dies
+	// (completed writes survive, buffers do not).
+	if err := db.strings.Flush(); err != nil {
+		return 0, err
 	}
+	if _, err := db.txnLog.AppendBatch(frames); err != nil {
+		return 0, fmt.Errorf("hostdb: apply shipment append: %w", err)
+	}
+	if err := db.strings.Sync(); err != nil {
+		return 0, err
+	}
+	db.stats.fsyncs.Add(1)
+	if err := db.txnLog.Sync(); err != nil {
+		return 0, err
+	}
+	db.stats.fsyncs.Add(1)
 
 	db.mu.Lock()
 	for _, us := range commits {

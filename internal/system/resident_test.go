@@ -478,7 +478,7 @@ func TestOneResidentGraph(t *testing.T) {
 			commits = 4000
 		}
 		const nodes, every = 20000, 8192
-		s, err := Open(Options{Dir: "sys", InMemoryHost: true, FS: vfs.NewFaultFS(),
+		s, err := Open(Options{Dir: "sys", FS: vfs.NewFaultFS(),
 			Aion: aion.Options{SnapshotEveryOps: every, ParallelIO: 1, GraphStoreBytes: 1}})
 		if err != nil {
 			t.Fatal(err)

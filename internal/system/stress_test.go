@@ -14,7 +14,7 @@ import (
 // TestStressConcurrentCommitsWithSnapshots drives the combined system the
 // way a live deployment is loaded: many synchronous committers race
 // through the host's group-commit pipeline while the after-commit listener
-// feeds Aion, a tiny log-bytes snapshot threshold keeps the background
+// feeds Aion, a dense operation-count snapshot policy keeps the background
 // snapshot worker constantly triggering, and readers query temporal graphs
 // at random recent timestamps. Run under the race detector via `make
 // stress`. Asserts commit timestamps stay dense and unique and Aion
@@ -29,10 +29,10 @@ func TestStressConcurrentCommitsWithSnapshots(t *testing.T) {
 		SyncCommits: true,
 		FS:          vfs.NewFaultFS(),
 		Aion: aion.Options{
-			// A near-minimal threshold so the snapshot trigger fires
-			// throughout the run, racing the committers and readers.
-			SnapshotEveryBytes: 256,
-			ParallelIO:         1,
+			// A snapshot every 20 commits, so the trigger fires throughout
+			// the run, racing the committers and readers.
+			SnapshotEveryOps: 20,
+			ParallelIO:       1,
 		},
 	})
 	if err != nil {

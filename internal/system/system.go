@@ -21,8 +21,6 @@ type Options struct {
 	Dir string
 	// Aion tunes the temporal store; Dir is filled in automatically.
 	Aion aion.Options
-	// InMemoryHost keeps the host's record store and txn log in memory.
-	InMemoryHost bool
 	// DisableTemporal runs the bare host without Aion attached (the
 	// baseline for the Fig 9 ingestion-overhead normalization).
 	DisableTemporal bool
@@ -47,8 +45,8 @@ type System struct {
 // Open creates or reopens a combined system and registers the event
 // listener.
 func Open(opts Options) (*System, error) {
-	host, err := hostdb.Open(hostdb.Options{Dir: opts.Dir, InMemory: opts.InMemoryHost,
-		SyncCommits: opts.SyncCommits, Replica: opts.Replica, FS: opts.FS})
+	host, err := hostdb.Open(hostdb.Options{Dir: opts.Dir, SyncCommits: opts.SyncCommits,
+		Replica: opts.Replica, FS: opts.FS})
 	if err != nil {
 		return nil, err
 	}

@@ -232,7 +232,7 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	}
 	var aerr error
 	var frame []model.Update // the records of the frame at off
-	off, tailFrames := int64(-1), int64(0)
+	off := int64(-1)
 	advance := func() {
 		if len(frame) > 0 {
 			s.advanceLocked(frame[0].TS, off, len(frame))
@@ -241,9 +241,7 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	err = s.replayWal(ctx, act.log, opts.ParallelIO, logStart, logEnd, func(at int64, u model.Update) bool {
 		if at != off {
 			advance()
-			if off, frame = at, frame[:0]; at >= from {
-				tailFrames++
-			}
+			off, frame = at, frame[:0]
 		}
 		frame = append(frame, u)
 		if at >= from {
@@ -255,7 +253,6 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	if err != nil || aerr != nil {
 		t.Fatal(err, aerr)
 	}
-	s.bytesSinceSnap = act.log.Size() - from - tailFrames*frameHdrLen
 	s.own = &ownGraph{g: latest, updates: s.updateCount}
 	s.committed = s.own.Committed
 	s.gs = graphstore.New(opts.GraphStoreBytes)
@@ -269,7 +266,6 @@ type recovered struct {
 	Updates, Count uint64
 	MinTS, LastTS  model.Timestamp
 	Seq            uint32
-	BytesSinceSnap int64
 	Fences         []fence
 	Latest         string // the recovered latest graph
 }
@@ -277,8 +273,7 @@ type recovered struct {
 func (o *fenceOracle) recoveredState(s *Store) recovered {
 	act := s.active()
 	return recovered{Updates: s.Stats().Updates, Count: act.count, MinTS: act.minTS, LastTS: s.lastTS, Seq: s.seq,
-		BytesSinceSnap: s.bytesSinceSnap, Fences: append([]fence(nil), act.fences...),
-		Latest: o.digest(latestOf(o.t, s).Export())}
+		Fences: append([]fence(nil), act.fences...), Latest: o.digest(latestOf(o.t, s).Export())}
 }
 
 // reopenExact closes s and reopens it twice — with the decode-everything

@@ -551,7 +551,7 @@ func (s *Store) doSeal() error {
 	old.sealed, old.maxTS, old.endSeq = true, m.maxTS, m.endSeq
 	s.segs = append(s.segs, next)
 	s.sealMu.Unlock()
-	s.opsSinceSnap, s.bytesSinceSnap = 0, 0
+	s.opsSinceSnap = 0
 	for _, e := range policy {
 		if err := s.fs.Remove(e.path); err != nil {
 			return err

@@ -12,8 +12,8 @@
 // chain: a full materialization, then up to Options.DeltaChainLength
 // differential elements, each the net effect of the log since its
 // predecessor. The last directory is the active segment: appends land in
-// its log, snapshots governed by a user-defined policy (operation- or
-// log-bytes-based) join its chain as that rule's next element, and a sparse
+// its log, a snapshot every Options.SnapshotEveryOps updates (the policy)
+// joins its chain as that rule's next element, and a sparse
 // in-memory fence list (laid again from the log at Open) turns a stream
 // position into a log offset. Once it holds Options.PartitionEvery updates
 // a marker file seals it, its chain is recompacted at cuts of its own
@@ -44,18 +44,10 @@ import (
 type Options struct {
 	// Dir is the directory the segment directories live under.
 	Dir string
-	// SnapshotEveryOps triggers a snapshot after this many updates
-	// (operation-based policy, the paper's default). <= 0 disables.
+	// SnapshotEveryOps is the snapshot policy (operation-based, the paper's
+	// default): a snapshot after this many updates. 0 means
+	// DefaultSnapshotEveryOps; < 0 takes no policy snapshots.
 	SnapshotEveryOps int
-	// SnapshotEveryBytes triggers a snapshot after this many log bytes have
-	// been appended since the previous snapshot. <= 0 disables. This is the
-	// store's default policy when no other is configured: unlike the
-	// operation count, log bytes track both how much replay a reopen would
-	// pay and how much work the snapshot itself avoids, so heavy updates
-	// (many properties) snapshot proportionally more often than no-op-sized
-	// ones, and the trigger cost stays off the ingest path (the background
-	// worker does the serialization either way).
-	SnapshotEveryBytes int64
 	// GraphStoreBytes is the byte budget of the in-memory snapshot cache.
 	GraphStoreBytes int64
 	// ParallelIO is the worker count of the snapshot (de)serialization and
@@ -87,13 +79,12 @@ type Options struct {
 	Host func() (g *memgraph.Graph, clock model.Timestamp, updates uint64)
 }
 
-// DefaultSnapshotEveryBytes is the log-bytes snapshot policy applied when
-// no policy is configured: snapshot after ~4 MiB of new log bytes.
-const DefaultSnapshotEveryBytes = 4 << 20
+// DefaultSnapshotEveryOps is the snapshot policy of a store that sets none.
+const DefaultSnapshotEveryOps = 16384
 
 func (o *Options) defaults() {
-	if o.SnapshotEveryOps == 0 && o.SnapshotEveryBytes == 0 {
-		o.SnapshotEveryBytes = DefaultSnapshotEveryBytes
+	if o.SnapshotEveryOps == 0 {
+		o.SnapshotEveryOps = DefaultSnapshotEveryOps
 	}
 	if o.GraphStoreBytes <= 0 {
 		o.GraphStoreBytes = 256 << 20
@@ -132,12 +123,11 @@ type Store struct {
 	// recovers).
 	sealErr error
 
-	lastTS         model.Timestamp
-	seq            uint32
-	opsSinceSnap   int
-	bytesSinceSnap int64
-	updateCount    uint64
-	snapshotCount  atomic.Int64
+	lastTS        model.Timestamp
+	seq           uint32
+	opsSinceSnap  int
+	updateCount   uint64
+	snapshotCount atomic.Int64
 	// replayed counts updates applied on top of a base materialization
 	// (log records and chain deltas) — the work snapshots could not avoid.
 	// The equivalence harness asserts bounded replay with it.
@@ -470,12 +460,6 @@ func (s *Store) recover() (err error) {
 		if n, ts, perr = enc.PeekBlock(frame); perr == nil {
 			s.advanceLocked(ts, off, n)
 		}
-		if off >= from {
-			// The replay debt carried past the seeding element, so a reopened
-			// store keeps its bounded recovery window instead of accruing
-			// another full log-bytes budget first.
-			s.bytesSinceSnap += int64(len(frame))
-		}
 		return perr == nil
 	})
 	if err = errors.Join(err, perr); err != nil {
@@ -668,7 +652,6 @@ func (s *Store) AppendBatch(us []model.Update) error {
 			}
 		}
 		s.opsSinceSnap += len(run)
-		s.bytesSinceSnap += int64(len(payloads[i]))
 		// The end of a timestamp, as far as this batch can tell (the next one
 		// may continue it, and the capture is dropped): the committed graph is
 		// complete at s.lastTS — the only state a policy snapshot may capture;
@@ -681,11 +664,9 @@ func (s *Store) AppendBatch(us []model.Update) error {
 	return nil
 }
 
-// snapshotDueLocked runs the snapshot policy (operation- or log-bytes-based,
-// Sec 4.3): a configured trigger is due.
+// snapshotDueLocked runs the snapshot policy (operation-based, Sec 4.3).
 func (s *Store) snapshotDueLocked() bool {
-	return (s.opts.SnapshotEveryOps > 0 && s.opsSinceSnap >= s.opts.SnapshotEveryOps) ||
-		(s.opts.SnapshotEveryBytes > 0 && s.bytesSinceSnap >= s.opts.SnapshotEveryBytes)
+	return s.opts.SnapshotEveryOps > 0 && s.opsSinceSnap >= s.opts.SnapshotEveryOps
 }
 
 // captureSnapshotLocked pulls the graph of a due policy snapshot into
@@ -709,7 +690,6 @@ func (s *Store) captureSnapshotLocked() {
 // about to be counted.
 func (s *Store) scheduleSnapshotLocked(off int64) {
 	s.opsSinceSnap = 0
-	s.bytesSinceSnap = 0
 	s.snapWG.Add(1)
 	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: off}
 	s.snaps.put(snapJob{seg: s.active(), g: s.pending, at: at})
@@ -741,7 +721,6 @@ func (s *Store) CreateSnapshot() error {
 		return err
 	}
 	s.opsSinceSnap = 0
-	s.bytesSinceSnap = 0
 	return nil
 }
 
@@ -823,12 +802,8 @@ func (s *Store) Stats() Stats {
 		GraphStore:       s.gs.Stats(),
 	}
 	if n := s.opts.SnapshotEveryOps; n > 0 {
-		st.SnapshotsOverdue = int64(s.opsSinceSnap/n) - 1
+		st.SnapshotsOverdue = max(int64(s.opsSinceSnap/n)-1, 0)
 	}
-	if n := s.opts.SnapshotEveryBytes; n > 0 {
-		st.SnapshotsOverdue = max(st.SnapshotsOverdue, s.bytesSinceSnap/n-1)
-	}
-	st.SnapshotsOverdue = max(st.SnapshotsOverdue, 0)
 	for _, g := range s.segs {
 		var chainBytes int64
 		for _, e := range g.elems() {

@@ -385,67 +385,25 @@ func TestScanDiffEarlyStop(t *testing.T) {
 	}
 }
 
-// TestSnapshotPolicyLogBytes drives the log-bytes policy (the store's
-// default trigger): snapshots must land roughly every SnapshotEveryBytes of
-// appended log, and a reopened store must carry its replay debt forward
-// instead of resetting the budget.
-func TestSnapshotPolicyLogBytes(t *testing.T) {
-	dir := t.TempDir()
-	codec := enc.NewCodec(strstore.NewMem())
-	s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: -1, SnapshotEveryBytes: 64})
-	if err != nil {
-		t.Fatal(err)
+// TestSnapshotPolicyDefaults pins the one policy's settings: an unset
+// SnapshotEveryOps means DefaultSnapshotEveryOps (16 384 updates, what the
+// benchmark runs), so a history one policy interval long takes one snapshot,
+// and a negative one takes none, however long the log grows.
+func TestSnapshotPolicyDefaults(t *testing.T) {
+	if DefaultSnapshotEveryOps != 16384 {
+		t.Fatalf("DefaultSnapshotEveryOps = %d, want 16384", DefaultSnapshotEveryOps)
 	}
-	if err := s.AppendBatch(chainUpdates(20)); err != nil {
-		t.Fatal(err)
-	}
-	s.WaitSnapshots()
-	st := s.Stats()
-	if st.Snapshots < 2 {
-		t.Errorf("log-bytes policy created %d snapshots, want >= 2", st.Snapshots)
-	}
-	if st.LogBytes < 64*int64(st.Snapshots) {
-		t.Errorf("snapshot density above policy: %d snapshots from %d log bytes", st.Snapshots, st.LogBytes)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the replay debt past the newest snapshot seeds the policy
-	// counter, so one more append (crossing the 64-byte budget together
-	// with the recovered tail) must schedule a snapshot promptly.
-	r, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: -1, SnapshotEveryBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	base := r.Stats().Snapshots
-	ts := r.LatestTimestamp()
-	for i := 0; i < 12; i++ {
-		ts++
-		if err := r.Append(model.AddNode(ts, model.NodeID(1000+i), []string{"N"}, nil)); err != nil {
+	us := chainUpdates(DefaultSnapshotEveryOps/2 + 8) // an interval and a few updates past it
+	for _, tc := range []struct{ every, want int }{{0, 1}, {-1, 0}} {
+		s := openStore(t, Options{SnapshotEveryOps: tc.every})
+		if err := s.AppendBatch(us); err != nil {
 			t.Fatal(err)
 		}
-	}
-	r.WaitSnapshots()
-	if got := r.Stats().Snapshots; got <= base {
-		t.Errorf("no snapshot after reopen + appends (still %d)", got)
-	}
-}
-
-// TestDefaultPolicyIsLogBytes pins the defaulting rule: with no policy
-// configured, the store adopts the log-bytes trigger.
-func TestDefaultPolicyIsLogBytes(t *testing.T) {
-	var o Options
-	o.defaults()
-	if o.SnapshotEveryBytes != DefaultSnapshotEveryBytes || o.SnapshotEveryOps != 0 {
-		t.Fatalf("defaults: %+v", o)
-	}
-	// An explicit ops policy suppresses the bytes default.
-	o = Options{SnapshotEveryOps: 100}
-	o.defaults()
-	if o.SnapshotEveryBytes != 0 {
-		t.Fatalf("ops policy must not add a bytes default: %+v", o)
+		s.WaitSnapshots()
+		if st := s.Stats(); st.Snapshots != tc.want || st.SnapshotsOverdue != 0 {
+			t.Errorf("SnapshotEveryOps %d: %d policy snapshots over %d updates (%d intervals overdue), want %d",
+				tc.every, st.Snapshots, len(us), st.SnapshotsOverdue, tc.want)
+		}
 	}
 }
 
