@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build test race vet lint cover loc bench-smoke benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget disk-budget expand-budget
+.PHONY: build examples test race vet lint cover loc bench-smoke benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget disk-budget expand-budget
 
 build:
 	$(GO) build ./...
+
+# Runs every program under examples/ end to end; fails on the first non-zero
+# exit. (The aviation and window examples' output is also pinned byte for byte
+# by golden tests under go test.)
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 test:
 	$(GO) test ./...

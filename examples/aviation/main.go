@@ -1,30 +1,44 @@
 // Aviation: the Fig 2 temporal-path example. An aviation network's flights
-// are relationships whose validity interval [departure, arrival) carries
-// the times; the earliest-arrival and latest-departure paths between
-// airports are computed with a single scan over the time-ordered
-// relationships rather than joins across snapshots.
+// are relationships created at their departure and deleted at their arrival,
+// so each one's validity interval [departure, arrival) carries the times. The
+// flights are read off the store's diff of the whole history (algo.Hops), and
+// the earliest-arrival and latest-departure paths between airports are
+// computed with a single scan over the time-ordered hops rather than joins
+// across snapshots.
 //
 // Run with: go run ./examples/aviation
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
+	"os"
+	"slices"
 
+	"aion/internal/aion"
 	"aion/internal/algo"
-	"aion/internal/memgraph"
 	"aion/internal/model"
 )
 
 func main() {
+	dir, err := os.MkdirTemp("", "aion-aviation-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	db, err := aion.Open(aion.Options{Dir: dir})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+
 	// Fig 2's network: airports 0..4; the orange earliest-arrival path
 	// 0 -> 4 -> 3 -> 1 and the blue latest-departure alternative via 2.
-	tg := memgraph.NewTGraph(model.Interval{Start: 0, End: model.TSInfinity})
+	var us []model.Update
 	for i := 0; i < 5; i++ {
-		if err := tg.Apply(model.AddNode(0, model.NodeID(i), []string{"Airport"},
-			model.Properties{"code": model.StringValue(fmt.Sprintf("AP%d", i))})); err != nil {
-			log.Fatal(err)
-		}
+		us = append(us, model.AddNode(0, model.NodeID(i), []string{"Airport"},
+			model.Properties{"code": model.StringValue(fmt.Sprintf("AP%d", i))}))
 	}
 	type flight struct {
 		id       model.RelID
@@ -39,35 +53,23 @@ func main() {
 		{4, 3, 1, 5, 7},   // AP3 -> AP1, dep 5 arr 7
 		{5, 3, 1, 10, 13}, // AP3 -> AP1, dep 10 arr 13
 	}
-	// Apply in event-time order (adds at departure, deletes at arrival).
-	type ev struct {
-		ts  model.Timestamp
-		add bool
-		f   flight
-	}
-	var evs []ev
 	for _, f := range flights {
-		evs = append(evs, ev{f.dep, true, f}, ev{f.arr, false, f})
+		us = append(us, model.AddRel(f.dep, f.id, f.src, f.tgt, "FLIGHT", nil),
+			model.DeleteRel(f.arr, f.id, f.src, f.tgt))
 	}
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].ts < evs[j-1].ts; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
+	// Commit in event-time order (adds at departure, deletes at arrival).
+	slices.SortStableFunc(us, func(a, b model.Update) int { return cmp.Compare(a.TS, b.TS) })
+	if err := db.ApplyBatch(us); err != nil {
+		log.Fatal(err)
 	}
-	for _, e := range evs {
-		var err error
-		if e.add {
-			err = tg.Apply(model.AddRel(e.ts, e.f.id, e.f.src, e.f.tgt, "FLIGHT", nil))
-		} else {
-			err = tg.Apply(model.DeleteRel(e.ts, e.f.id, e.f.src, e.f.tgt))
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	diff, err := db.GetDiff(0, 14)
+	if err != nil {
+		log.Fatal(err)
 	}
+	hops := algo.Hops(diff)
 
 	// Earliest arrival from AP0 starting at t=0.
-	arr, prev := algo.EarliestArrival(tg, 0, 0)
+	arr, prev := algo.EarliestArrival(hops, 0, 0)
 	fmt.Println("earliest arrivals from AP0 (start t=0):")
 	for id := model.NodeID(0); id < 5; id++ {
 		if t, ok := arr[id]; ok {
@@ -84,7 +86,7 @@ func main() {
 	}
 
 	// Latest departure to still reach AP1 by t=13.
-	dep, next := algo.LatestDeparture(tg, 1, 13)
+	dep, next := algo.LatestDeparture(hops, 1, 13)
 	fmt.Println("latest departures to reach AP1 by t=13:")
 	for id := model.NodeID(0); id < 5; id++ {
 		if t, ok := dep[id]; ok {

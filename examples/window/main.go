@@ -11,13 +11,19 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"aion/internal/aion"
 	"aion/internal/model"
 )
 
 func main() {
-	db, err := aion.Open(aion.Options{SnapshotEveryOps: 500})
+	dir, err := os.MkdirTemp("", "aion-window-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	db, err := aion.Open(aion.Options{Dir: dir, SnapshotEveryOps: 500})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"aion/internal/algo"
 	"aion/internal/model"
 )
 
@@ -105,12 +106,12 @@ func TestGlobalQueries(t *testing.T) {
 	if len(diff) != 10 {
 		t.Errorf("diff [11,21) = %d", len(diff))
 	}
-	tg, err := db.GetTemporalGraph(1, 23)
+	all, err := db.GetDiff(1, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tg.Snapshot(21).Rel(5) == nil || tg.Snapshot(22).Rel(5) != nil {
-		t.Error("temporal graph rel 5 lifetime")
+	if hops := algo.Hops(all); len(hops) != 1 || hops[0] != (algo.PathHop{Rel: 5, From: 5, To: 6, Departure: 16, Arrival: 22}) {
+		t.Errorf("hops = %+v, want relationship 5 over [16, 22)", hops)
 	}
 	win, err := db.GetWindow(15, 23)
 	if err != nil {
@@ -205,9 +206,6 @@ func TestLineageOnlyGlobalQueriesFail(t *testing.T) {
 	}
 	if _, err := db.GetWindow(0, 10); err != ErrNoStore {
 		t.Errorf("GetWindow: %v", err)
-	}
-	if _, err := db.GetTemporalGraph(0, 10); err != ErrNoStore {
-		t.Errorf("GetTemporalGraph: %v", err)
 	}
 	if err := db.ScanGraphs(0, 10, 1, nil); err != ErrNoStore {
 		t.Errorf("ScanGraphs: %v", err)

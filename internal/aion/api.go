@@ -265,7 +265,9 @@ func (db *DB) GetGraphContext(ctx context.Context, start, end, step model.Timest
 	return db.ts.GetGraphsContext(ctx, start, end, step)
 }
 
-// GetWindow filters graph history by a time window (Table 1).
+// GetWindow filters graph history by a time window (Table 1): every entity
+// with a version in [start, end), in its last state before end; the graph at
+// start when start == end, and empty when end < start.
 func (db *DB) GetWindow(start, end model.Timestamp) (*memgraph.Graph, error) {
 	return db.GetWindowContext(context.Background(), start, end)
 }
@@ -276,19 +278,6 @@ func (db *DB) GetWindowContext(ctx context.Context, start, end model.Timestamp) 
 		return nil, ErrNoStore
 	}
 	return db.ts.GetWindowContext(ctx, start, end)
-}
-
-// GetTemporalGraph creates a temporal graph over [start, end) (Table 1).
-func (db *DB) GetTemporalGraph(start, end model.Timestamp) (*memgraph.TGraph, error) {
-	return db.GetTemporalGraphContext(context.Background(), start, end)
-}
-
-// GetTemporalGraphContext is GetTemporalGraph honouring ctx cancellation.
-func (db *DB) GetTemporalGraphContext(ctx context.Context, start, end model.Timestamp) (*memgraph.TGraph, error) {
-	if db.ts == nil {
-		return nil, ErrNoStore
-	}
-	return db.ts.GetTemporalGraphContext(ctx, start, end)
 }
 
 // FilterBitemporal applies the application-time filter of Sec 4.5 to

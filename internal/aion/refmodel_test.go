@@ -7,8 +7,10 @@ import (
 	"slices"
 	"testing"
 
+	"aion/internal/enc"
 	"aion/internal/model"
 	"aion/internal/refmodel"
+	"aion/internal/strstore"
 )
 
 var directions = []model.Direction{model.Outgoing, model.Incoming, model.Both}
@@ -249,4 +251,78 @@ func TestExpandMatchesTheReferenceModel(t *testing.T) {
 				len(h.Updates), h.Nodes, h.Rels, db.Stats().Nodes(), db.Stats().Rels())
 		})
 	}
+}
+
+// digest encodes updates record by record, label and key lists sorted (a
+// snapshot stores them so): equal digests are the same updates.
+func digest(t *testing.T, codec *enc.Codec, us []model.Update) string {
+	t.Helper()
+	var b []byte
+	for _, u := range us {
+		u.AddLabels, u.DelLabels, u.DelProps = slices.Clone(u.AddLabels), slices.Clone(u.DelLabels), slices.Clone(u.DelProps)
+		u.Normalize()
+		var err error
+		if b, err = codec.AppendUpdate(append(b, '|'), u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return string(b)
+}
+
+// TestGlobalDoorsMatchTheReferenceModel: aion.DB's own global reads — GetGraph
+// at a point and as a series, GetDiff and GetWindow — answer what the model
+// does: right after each commit, while the cascade runs, from the first, a
+// random and the newest commit on; and once it has drained, from every commit
+// timestamp, over the inverted window, the point and windows of growing
+// width up to the whole suffix.
+func TestGlobalDoorsMatchTheReferenceModel(t *testing.T) {
+	db := openDB(t, Options{SnapshotEveryOps: 64})
+	codec := enc.NewCodec(strstore.NewMem())
+	h, m, starts := refmodel.NewHistory(13), &refmodel.Model{}, rand.New(rand.NewSource(13))
+	check := func(a, b model.Timestamp, when string) {
+		t.Helper()
+		diff, err := db.GetDiff(a, b)
+		if err != nil || digest(t, codec, diff) != digest(t, codec, m.Diff(a, b)) {
+			t.Fatalf("%s: GetDiff(%d, %d) differs from the model (%v)", when, a, b, err)
+		}
+		w, err := db.GetWindow(a, b)
+		if err != nil || digest(t, codec, w.Export()) != digest(t, codec, m.Window(a, b)) {
+			t.Fatalf("%s: GetWindow(%d, %d) differs from the model (%v)", when, a, b, err)
+		}
+	}
+	for h.TS < 30 {
+		us := h.Commit(20)
+		if err := db.ApplyBatch(us); err != nil {
+			t.Fatal(err)
+		}
+		m.Apply(us...)
+		gs, err := db.GetGraph(h.TS, h.TS, 1)
+		if err != nil || len(gs) != 1 || digest(t, codec, gs[0].Export()) != digest(t, codec, m.Graph(h.TS)) {
+			t.Fatalf("GetGraph(%d, %d, 1) right after the commit differs from the model (%v)", h.TS, h.TS, err)
+		}
+		for _, a := range []model.Timestamp{0, model.Timestamp(starts.Int63n(int64(h.TS) + 1)), h.TS} {
+			check(a, h.TS+1, "right after a commit")
+		}
+	}
+	if err := db.WaitSync(); err != nil {
+		t.Fatal(err)
+	}
+	last := h.TS
+	for _, step := range []model.Timestamp{1, 3} {
+		series, err := db.GetGraph(0, last, step)
+		if err != nil || len(series) != int(last/step)+1 {
+			t.Fatalf("GetGraph(0, %d, %d): %d graphs, %v", last, step, len(series), err)
+		}
+		for i, g := range series {
+			if at := model.Timestamp(i) * step; digest(t, codec, g.Export()) != digest(t, codec, m.Graph(at)) {
+				t.Fatalf("GetGraph(0, %d, %d)'s step at %d differs from the model", last, step, at)
+			}
+		}
+	}
+	for a := model.Timestamp(0); a <= last+1; a++ {
+		for _, b := range []model.Timestamp{a - 1, a, a + 1, a + 3, a + 8, last + 1} {
+			check(a, min(b, last+1), "drained")
+		}
+	}
+	t.Logf("%d updates over %d nodes and %d relationships", len(h.Updates), h.Nodes, h.Rels)
 }

@@ -1,9 +1,9 @@
 package algo
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"aion/internal/memgraph"
 	"aion/internal/model"
 )
 
@@ -14,27 +14,6 @@ import (
 // scan over relationships ordered by time, instead of expensive joins
 // across snapshots (TeGraph's one-pass model).
 
-// temporalEdge is a flattened relationship version.
-type temporalEdge struct {
-	src, tgt model.NodeID
-	dep, arr model.Timestamp
-	rel      model.RelID
-}
-
-func collectEdges(tg *memgraph.TGraph) []temporalEdge {
-	var edges []temporalEdge
-	tg.ForEachRelVersion(func(r *model.Rel) bool {
-		if r.Valid.End == model.TSInfinity {
-			return true // still open: no arrival time, unusable as a hop
-		}
-		edges = append(edges, temporalEdge{
-			src: r.Src, tgt: r.Tgt, dep: r.Valid.Start, arr: r.Valid.End, rel: r.ID,
-		})
-		return true
-	})
-	return edges
-}
-
 // PathHop is one relationship on a temporal path.
 type PathHop struct {
 	Rel       model.RelID
@@ -43,48 +22,72 @@ type PathHop struct {
 	Arrival   model.Timestamp
 }
 
-// EarliestArrival computes, for every node, the earliest time one can
-// arrive there when starting from src no earlier than startTime. The scan
-// processes relationships in departure order; an edge is usable when its
-// departure is no earlier than the current earliest arrival at its source.
-// The returned map contains only reachable nodes; paths maps each reached
-// node to its incoming hop, from which a full path can be reconstructed.
-func EarliestArrival(tg *memgraph.TGraph, src model.NodeID, startTime model.Timestamp) (map[model.NodeID]model.Timestamp, map[model.NodeID]PathHop) {
-	edges := collectEdges(tg)
-	sort.Slice(edges, func(i, j int) bool { return edges[i].dep < edges[j].dep })
-	arr := map[model.NodeID]model.Timestamp{src: startTime}
-	prev := map[model.NodeID]PathHop{}
-	for _, e := range edges {
-		at, ok := arr[e.src]
-		if !ok || e.dep < at {
+// Hops reads the flights of a diff (a GetDiff answer, in commit order): every
+// relationship version that opens inside it — an AddRel or UpdateRel — and
+// closes at the next update of its id in it, departing at the one and
+// arriving at the other. A version still open at the diff's end has no
+// arrival, and one opened before the diff has no departure in it: neither is
+// a hop. Hops come in arrival order, ties in commit order.
+func Hops(diff []model.Update) []PathHop {
+	var hops []PathHop
+	open := map[model.RelID]PathHop{}
+	for _, u := range diff {
+		if u.Kind.IsNodeOp() {
 			continue
 		}
-		if cur, ok := arr[e.tgt]; !ok || e.arr < cur {
-			arr[e.tgt] = e.arr
-			prev[e.tgt] = PathHop{Rel: e.rel, From: e.src, To: e.tgt, Departure: e.dep, Arrival: e.arr}
+		if h, ok := open[u.RelID]; ok {
+			h.Arrival = u.TS
+			hops = append(hops, h)
+			delete(open, u.RelID)
+		}
+		if u.Kind != model.OpDeleteRel {
+			open[u.RelID] = PathHop{Rel: u.RelID, From: u.Src, To: u.Tgt, Departure: u.TS}
+		}
+	}
+	return hops
+}
+
+// EarliestArrival computes, for every node, the earliest time one can
+// arrive there when starting from src no earlier than startTime. The scan
+// processes hops in departure order; a hop is usable when its departure is
+// no earlier than the current earliest arrival at its source. The returned
+// map contains only reachable nodes; paths maps each reached node to its
+// incoming hop, from which a full path can be reconstructed.
+func EarliestArrival(hops []PathHop, src model.NodeID, startTime model.Timestamp) (map[model.NodeID]model.Timestamp, map[model.NodeID]PathHop) {
+	hops = slices.Clone(hops)
+	slices.SortStableFunc(hops, func(a, b PathHop) int { return cmp.Compare(a.Departure, b.Departure) })
+	arr := map[model.NodeID]model.Timestamp{src: startTime}
+	prev := map[model.NodeID]PathHop{}
+	for _, h := range hops {
+		at, ok := arr[h.From]
+		if !ok || h.Departure < at {
+			continue
+		}
+		if cur, ok := arr[h.To]; !ok || h.Arrival < cur {
+			arr[h.To] = h.Arrival
+			prev[h.To] = h
 		}
 	}
 	return arr, prev
 }
 
 // LatestDeparture computes, for every node, the latest time one can leave
-// it and still reach tgt no later than deadline. The scan processes
-// relationships in decreasing arrival order; an edge is usable when its
-// arrival is no later than the latest departure already known at its
-// target.
-func LatestDeparture(tg *memgraph.TGraph, tgt model.NodeID, deadline model.Timestamp) (map[model.NodeID]model.Timestamp, map[model.NodeID]PathHop) {
-	edges := collectEdges(tg)
-	sort.Slice(edges, func(i, j int) bool { return edges[i].arr > edges[j].arr })
+// it and still reach tgt no later than deadline. The scan processes hops in
+// decreasing arrival order; a hop is usable when its arrival is no later
+// than the latest departure already known at its target.
+func LatestDeparture(hops []PathHop, tgt model.NodeID, deadline model.Timestamp) (map[model.NodeID]model.Timestamp, map[model.NodeID]PathHop) {
+	hops = slices.Clone(hops)
+	slices.SortStableFunc(hops, func(a, b PathHop) int { return cmp.Compare(b.Arrival, a.Arrival) })
 	dep := map[model.NodeID]model.Timestamp{tgt: deadline}
 	next := map[model.NodeID]PathHop{}
-	for _, e := range edges {
-		at, ok := dep[e.tgt]
-		if !ok || e.arr > at {
+	for _, h := range hops {
+		at, ok := dep[h.To]
+		if !ok || h.Arrival > at {
 			continue
 		}
-		if cur, ok := dep[e.src]; !ok || e.dep > cur {
-			dep[e.src] = e.dep
-			next[e.src] = PathHop{Rel: e.rel, From: e.src, To: e.tgt, Departure: e.dep, Arrival: e.arr}
+		if cur, ok := dep[h.From]; !ok || h.Departure > cur {
+			dep[h.From] = h.Departure
+			next[h.From] = h
 		}
 	}
 	return dep, next

@@ -3,6 +3,7 @@ package cypher
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"aion/internal/algo"
@@ -584,65 +585,41 @@ func procIncPageRank(ctx context.Context, e *Engine, args []model.Value) (*Resul
 }
 
 // procEarliestArrival: aion.temporal.earliestArrival(src, startTime, from,
-// to) -> (node, arrival) over the temporal graph in [from, to).
+// to) -> (node, arrival) over the hops of [from, to).
 func procEarliestArrival(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 4, "aion.temporal.earliestArrival"); err != nil {
-		return nil, err
-	}
-	tg, err := e.Sys.Aion.GetTemporalGraphContext(ctx, model.Timestamp(args[2].Int()), model.Timestamp(args[3].Int()))
-	if err != nil {
-		return nil, err
-	}
-	arr, _ := algo.EarliestArrival(tg, model.NodeID(args[0].Int()), model.Timestamp(args[1].Int()))
-	res := &Result{Columns: []string{"node", "arrival"}}
-	ids := make([]model.NodeID, 0, len(arr))
-	scanned := 0
-	for id := range arr {
-		if scanned++; scanned%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i, id := range ids {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		res.Rows = append(res.Rows, []Val{
-			ScalarVal(model.IntValue(int64(id))),
-			ScalarVal(model.IntValue(int64(arr[id]))),
-		})
-	}
-	return res, nil
+	return temporalPath(ctx, e, args, "aion.temporal.earliestArrival", "arrival", algo.EarliestArrival)
 }
 
 // procLatestDeparture: aion.temporal.latestDeparture(tgt, deadline, from,
 // to) -> (node, departure).
 func procLatestDeparture(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 4, "aion.temporal.latestDeparture"); err != nil {
+	return temporalPath(ctx, e, args, "aion.temporal.latestDeparture", "departure", algo.LatestDeparture)
+}
+
+// temporalPath is the body of the two temporal-path procedures: solve runs
+// from node args[0] at time args[1] over the hops of the diff [args[2],
+// args[3]), and every node it reaches is a row (node, time) in id order.
+func temporalPath(ctx context.Context, e *Engine, args []model.Value, name, column string,
+	solve func([]algo.PathHop, model.NodeID, model.Timestamp) (map[model.NodeID]model.Timestamp, map[model.NodeID]algo.PathHop)) (*Result, error) {
+	if err := argN(args, 4, name); err != nil {
 		return nil, err
 	}
-	tg, err := e.Sys.Aion.GetTemporalGraphContext(ctx, model.Timestamp(args[2].Int()), model.Timestamp(args[3].Int()))
+	diff, err := e.Sys.Aion.GetDiffContext(ctx, model.Timestamp(args[2].Int()), model.Timestamp(args[3].Int()))
 	if err != nil {
 		return nil, err
 	}
-	dep, _ := algo.LatestDeparture(tg, model.NodeID(args[0].Int()), model.Timestamp(args[1].Int()))
-	res := &Result{Columns: []string{"node", "departure"}}
-	ids := make([]model.NodeID, 0, len(dep))
-	scanned := 0
-	for id := range dep {
-		if scanned++; scanned%cancelStride == 0 {
+	times, _ := solve(algo.Hops(diff), model.NodeID(args[0].Int()), model.Timestamp(args[1].Int()))
+	ids := make([]model.NodeID, 0, len(times))
+	for id := range times {
+		if len(ids)%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	res := &Result{Columns: []string{"node", column}}
 	for i, id := range ids {
 		if i%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -651,7 +628,7 @@ func procLatestDeparture(ctx context.Context, e *Engine, args []model.Value) (*R
 		}
 		res.Rows = append(res.Rows, []Val{
 			ScalarVal(model.IntValue(int64(id))),
-			ScalarVal(model.IntValue(int64(dep[id]))),
+			ScalarVal(model.IntValue(int64(times[id]))),
 		})
 	}
 	return res, nil

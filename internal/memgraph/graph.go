@@ -346,6 +346,26 @@ func nextVersion(n *model.Node, u model.Update) *model.Node {
 	return &c
 }
 
+// Unite folds u into g the way a window gathers history (timestore's
+// GetWindow): a deletion retires nothing, and a creation under an id g still
+// holds replaces the held version — a relationship leaves its old endpoints'
+// lists first, a node keeps its lists. Anything else is Apply.
+func (g *Graph) Unite(u model.Update) error {
+	switch {
+	case u.Kind == model.OpDeleteNode || u.Kind == model.OpDeleteRel:
+		return nil
+	case u.Kind == model.OpAddNode && g.Node(u.NodeID) != nil:
+		g.unshare()
+		g.nodes.set(int(u.NodeID), nil)
+		g.nodeCount--
+	case u.Kind == model.OpAddRel && g.Rel(u.RelID) != nil:
+		if err := g.Apply(model.DeleteRel(u.TS, u.RelID, 0, 0)); err != nil {
+			return err
+		}
+	}
+	return g.Apply(u)
+}
+
 // ApplyAll folds a batch of updates, stopping at the first error.
 func (g *Graph) ApplyAll(us []model.Update) error {
 	for _, u := range us {

@@ -1,10 +1,11 @@
 // Package refmodel is the brute-force reference model of the temporal LPG:
 // the update stream held in memory, every Table 1 call answered by replaying
 // it from zero. It exists to be obviously right, not fast, and only tests
-// import it. This is the one oracle ROADMAP item 1 asks for, two slices of
-// it so far: what the LineageStore answers, under the LineageStore's present
-// contract, which it states here once; and what the TimeStore answers — the
-// LPG at a timestamp (Graph) and the updates of a range (Diff).
+// import it. It is the one oracle every store answers to: the LineageStore's
+// entity reads, under the contract it states here once; and the TimeStore's
+// global reads — the LPG at a timestamp (Graph), the updates of a range
+// (Diff), a window's union graph (Window) and the relationship versions a
+// range holds whole, the hops of a temporal path (ClosedRels).
 //
 // Interval contract. Validity is closed-open, [Start, End), in commit
 // timestamps. Every update of an entity starts a version: Valid.Start is that
@@ -33,10 +34,19 @@ import (
 )
 
 // Model is an update stream in commit order.
-type Model struct{ us []model.Update }
+type Model struct {
+	us []model.Update
+	// nodes and rels cache every version of every entity for the reads that
+	// hand out copies of them, Window and ClosedRels; Apply drops them.
+	nodes map[model.NodeID][]*model.Node
+	rels  map[model.RelID][]*model.Rel
+}
 
 // Apply appends updates; timestamps must not decrease.
-func (m *Model) Apply(us ...model.Update) { m.us = append(m.us, us...) }
+func (m *Model) Apply(us ...model.Update) {
+	m.us = append(m.us, us...)
+	m.nodes, m.rels = nil, nil
+}
 
 // Diff returns the updates with start <= timestamp < end, in commit order.
 func (m *Model) Diff(start, end model.Timestamp) []model.Update {
@@ -97,6 +107,50 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
+// Window returns the window [start, end) in Graph's form: the last version of
+// every entity with a version in it under the contract's selection — so the
+// point window at t is Graph(t) — stamped with the window's last instant,
+// end-1, or t for the point window. A window that ends before it starts is
+// empty.
+func (m *Model) Window(start, end model.Timestamp) []model.Update {
+	if end < start {
+		return nil
+	}
+	at := max(start, end-1)
+	nodes, rels := m.everyVersion()
+	var out []model.Update
+	for _, id := range sortedKeys(nodes) {
+		if vs := in(nodes[id], func(n *model.Node) model.Interval { return n.Valid }, start, end); len(vs) > 0 {
+			n := vs[len(vs)-1]
+			out = append(out, model.AddNode(at, id, slices.Clone(n.Labels), n.Props.Clone()))
+		}
+	}
+	for _, id := range sortedKeys(rels) {
+		if vs := in(rels[id], func(r *model.Rel) model.Interval { return r.Valid }, start, end); len(vs) > 0 {
+			r := vs[len(vs)-1]
+			out = append(out, model.AddRel(at, id, r.Src, r.Tgt, r.Label, r.Props.Clone()))
+		}
+	}
+	return out
+}
+
+// ClosedRels returns copies of the relationship versions that begin and end
+// inside [from, to) — from <= Start and End < to — by End, then id: the hops a
+// temporal path may take over the range.
+func (m *Model) ClosedRels(from, to model.Timestamp) []*model.Rel {
+	_, rels := m.everyVersion()
+	var out []*model.Rel
+	for _, id := range sortedKeys(rels) {
+		for _, r := range rels[id] {
+			if from <= r.Valid.Start && r.Valid.End < to {
+				out = append(out, r.Clone())
+			}
+		}
+	}
+	slices.SortStableFunc(out, func(a, b *model.Rel) int { return cmp.Compare(a.Valid.End, b.Valid.End) })
+	return out
+}
+
 // in keeps the versions the contract selects for [start, end).
 func in[E any](vs []E, valid func(E) model.Interval, start, end model.Timestamp) []E {
 	var out []E
@@ -112,58 +166,73 @@ func in[E any](vs []E, valid func(E) model.Interval, start, end model.Timestamp)
 	return out
 }
 
-// nodeVersions replays every version node id ever had.
-func (m *Model) nodeVersions(id model.NodeID) []*model.Node {
-	var vs []*model.Node
-	var cur *model.Node // the live version; nil while the node does not exist
+// versions replays every version each entity ever had, oldest first, from
+// the updates keep admits.
+func (m *Model) versions(keep func(u model.Update) bool) (map[model.NodeID][]*model.Node, map[model.RelID][]*model.Rel) {
+	nodes, rels := map[model.NodeID][]*model.Node{}, map[model.RelID][]*model.Rel{}
 	for _, u := range m.us {
-		if !u.Kind.IsNodeOp() || u.NodeID != id {
+		if !keep(u) {
 			continue
 		}
-		var next *model.Node
-		switch {
-		case u.Kind == model.OpAddNode:
-			next = &model.Node{ID: id}
-		case u.Kind == model.OpUpdateNode && cur != nil:
-			next = cur.Clone()
+		if u.Kind.IsNodeOp() {
+			vs := nodes[u.NodeID]
+			var cur, next *model.Node // the live version, nil while the node does not exist; the one u opens
+			if len(vs) > 0 && vs[len(vs)-1].Valid.End == model.TSInfinity {
+				cur = vs[len(vs)-1]
+				cur.Valid.End = u.TS
+			}
+			switch {
+			case u.Kind == model.OpAddNode:
+				next = &model.Node{ID: u.NodeID}
+			case u.Kind == model.OpUpdateNode && cur != nil:
+				next = cur.Clone()
+			}
+			if next != nil {
+				next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
+				u.ApplyToNode(next)
+				nodes[u.NodeID] = append(vs, next)
+			}
+			continue
 		}
-		if cur != nil {
+		vs := rels[u.RelID]
+		var cur, next *model.Rel
+		if len(vs) > 0 && vs[len(vs)-1].Valid.End == model.TSInfinity {
+			cur = vs[len(vs)-1]
 			cur.Valid.End = u.TS
 		}
-		if cur = next; next != nil {
+		switch {
+		case u.Kind == model.OpAddRel:
+			next = &model.Rel{ID: u.RelID, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel}
+		case u.Kind == model.OpUpdateRel && cur != nil:
+			next = cur.Clone()
+		}
+		if next != nil {
 			next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
-			u.ApplyToNode(next)
-			vs = append(vs, next)
+			u.ApplyToRel(next)
+			rels[u.RelID] = append(vs, next)
 		}
 	}
-	return vs
+	return nodes, rels
+}
+
+// nodeVersions replays every version node id ever had.
+func (m *Model) nodeVersions(id model.NodeID) []*model.Node {
+	nodes, _ := m.versions(func(u model.Update) bool { return u.Kind.IsNodeOp() && u.NodeID == id })
+	return nodes[id]
 }
 
 // relVersions replays every version relationship id ever had.
 func (m *Model) relVersions(id model.RelID) []*model.Rel {
-	var vs []*model.Rel
-	var cur *model.Rel
-	for _, u := range m.us {
-		if u.Kind.IsNodeOp() || u.RelID != id {
-			continue
-		}
-		var next *model.Rel
-		switch {
-		case u.Kind == model.OpAddRel:
-			next = &model.Rel{ID: id, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel}
-		case u.Kind == model.OpUpdateRel && cur != nil:
-			next = cur.Clone()
-		}
-		if cur != nil {
-			cur.Valid.End = u.TS
-		}
-		if cur = next; next != nil {
-			next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
-			u.ApplyToRel(next)
-			vs = append(vs, next)
-		}
+	_, rels := m.versions(func(u model.Update) bool { return !u.Kind.IsNodeOp() && u.RelID == id })
+	return rels[id]
+}
+
+// everyVersion is versions of the whole stream, cached until the next Apply.
+func (m *Model) everyVersion() (map[model.NodeID][]*model.Node, map[model.RelID][]*model.Rel) {
+	if m.nodes == nil {
+		m.nodes, m.rels = m.versions(func(model.Update) bool { return true })
 	}
-	return vs
+	return m.nodes, m.rels
 }
 
 // GetNode returns node id's versions in [start, end), or with start == end

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"aion/internal/algo"
 	"aion/internal/enc"
 	"aion/internal/hostdb"
 	"aion/internal/memgraph"
@@ -198,7 +199,10 @@ func exportDigest(t *testing.T, codec *enc.Codec, us []model.Update) string {
 // matchModel checks r's TimeStore against the model of every commit taken so
 // far — more may be landing meanwhile: each policy snapshot the GraphStore
 // holds, first, while it is still the graph the worker handed over; GetGraph
-// at every commit timestamp; GetDiff over the whole history and a window.
+// at every commit timestamp; GetDiff over the whole history, a third of it,
+// from every element on and two commits from every commit on, with GetWindow
+// and the diff's hops over each of these, the two-commit ones from every third
+// commit only; and the point and inverted windows at every fifth commit.
 func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 	t := r.t
 	t.Helper()
@@ -259,10 +263,43 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 		if exportDigest(t, codec, us) != exportDigest(t, codec, m.Diff(w[0], w[1])) {
 			t.Errorf("%s: GetDiff(%d, %d) differs from the model", label, w[0], w[1])
 		}
+		if w[1]-w[0] > 2 || w[0]%3 == 0 {
+			r.matchWindow(label, codec, m, w[0], w[1], us)
+		}
+	}
+	// The point window at a commit is its graph; the inverted one is empty.
+	for at := model.Timestamp(1); at <= last; at += 5 {
+		r.matchWindow(label, codec, m, at, at, nil)
+		r.matchWindow(label, codec, m, at, at-1, nil)
 	}
 	if st := ts.Stats(); st.LatestMismatches != 0 || st.SnapshotErrors != 0 || st.CompactErrors != 0 {
 		t.Errorf("%s: %d mismatches, %d snapshot errors (%s), %d compaction errors (%s)", label,
 			st.LatestMismatches, st.SnapshotErrors, st.LastSnapshotError, st.CompactErrors, st.LastCompactError)
+	}
+}
+
+// matchWindow checks GetWindow(a, b), and the hops of diff — the store's
+// GetDiff(a, b) — against the model.
+func (r *residentSys) matchWindow(label string, codec *enc.Codec, m *refmodel.Model, a, b model.Timestamp, diff []model.Update) {
+	t := r.t
+	t.Helper()
+	w, err := r.Aion.TimeStore().GetWindow(a, b)
+	if err != nil {
+		t.Fatalf("%s: GetWindow(%d, %d): %v", label, a, b, err)
+	}
+	if exportDigest(t, codec, w.Export()) != exportDigest(t, codec, m.Window(a, b)) {
+		t.Errorf("%s: GetWindow(%d, %d) differs from the model", label, a, b)
+	}
+	var want []algo.PathHop
+	for _, rel := range m.ClosedRels(a, b) { // by arrival, then id
+		want = append(want, algo.PathHop{Rel: rel.ID, From: rel.Src, To: rel.Tgt, Departure: rel.Valid.Start, Arrival: rel.Valid.End})
+	}
+	hops := algo.Hops(diff)
+	slices.SortFunc(hops, func(x, y algo.PathHop) int {
+		return cmp.Or(cmp.Compare(x.Arrival, y.Arrival), cmp.Compare(x.Rel, y.Rel))
+	})
+	if !slices.Equal(hops, want) {
+		t.Errorf("%s: the hops of GetDiff(%d, %d) are not the model's closed relationship versions", label, a, b)
 	}
 }
 

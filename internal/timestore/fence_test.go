@@ -13,6 +13,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/pool"
+	"aion/internal/refmodel"
 	"aion/internal/strstore"
 	"aion/internal/vfs"
 )
@@ -121,6 +122,8 @@ func (o *fenceOracle) check(s *Store, label string) {
 	t := o.t
 	ctx := context.Background()
 	maxTS := o.us[len(o.us)-1].TS
+	m := &refmodel.Model{}
+	m.Apply(o.us...)
 	scan := func(from position, end model.Timestamp) string {
 		var got []model.Update
 		s.sealMu.RLock()
@@ -170,15 +173,7 @@ func (o *fenceOracle) check(s *Store, label string) {
 			t.Fatalf("%s: GetGraph(%d) differs from the brute-force graph", label, ts)
 		}
 
-		tg, err := s.GetTemporalGraph(ts, ts+4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for at := ts; at < ts+4; at++ {
-			if o.digest(tg.Snapshot(at).Export()) != o.digest(o.graphAt(at).Export()) {
-				t.Fatalf("%s: GetTemporalGraph(%d, %d) at %d differs from the brute-force graph", label, ts, ts+4, at)
-			}
-		}
+		checkWindow(t, s, o.codec, m, ts, ts+4, label)
 	}
 }
 

@@ -280,108 +280,41 @@ func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Ti
 	return emitThrough(end)
 }
 
-// GetTemporalGraph builds the temporal LPG over [start, end): the state at
-// start seeds the initial versions, and every update in the interval
-// appends to the version chains (Table 1).
-func (s *Store) GetTemporalGraph(start, end model.Timestamp) (*memgraph.TGraph, error) {
-	return s.GetTemporalGraphContext(context.Background(), start, end)
-}
-
-// GetTemporalGraphContext is GetTemporalGraph honouring ctx cancellation.
-// It holds the segment set stable for the whole build (one RLock via the
-// *Locked internals — the public GetGraph/ScanDiff pair would re-acquire
-// it, and a writer queued between the two acquisitions would deadlock the
-// second).
-func (s *Store) GetTemporalGraphContext(ctx context.Context, start, end model.Timestamp) (*memgraph.TGraph, error) {
-	s.sealMu.RLock()
-	defer s.sealMu.RUnlock()
-	base, err := s.getGraphLocked(ctx, start)
-	if err != nil {
-		return nil, err
-	}
-	tg := memgraph.NewTGraph(model.Interval{Start: start, End: end})
-	// Seed versions keep their original start times (as far as the base
-	// snapshot preserved them), so consumers can tell carried-over
-	// entities from ones created inside the interval.
-	var aerr error
-	base.ForEachNode(func(n *model.Node) bool {
-		aerr = tg.Apply(model.AddNode(n.Valid.Start, n.ID, n.Labels, n.Props))
-		return aerr == nil
-	})
-	if aerr != nil {
-		return nil, aerr
-	}
-	base.ForEachRel(func(r *model.Rel) bool {
-		aerr = tg.Apply(model.AddRel(r.Valid.Start, r.ID, r.Src, r.Tgt, r.Label, r.Props))
-		return aerr == nil
-	})
-	if aerr != nil {
-		return nil, aerr
-	}
-	if start+1 < end {
-		err = s.scanFromLocked(ctx, position{ts: start, seq: seqComplete}, end, func(u model.Update) bool {
-			if e := tg.Apply(u); e != nil {
-				aerr = e
-				return false
-			}
-			return true
-		})
-	}
-	if aerr != nil {
-		return nil, aerr
-	}
-	return tg, err
-}
-
 // GetWindow filters the graph history by a time window (Table 1): a
-// consistent graph containing every entity present at some point within
-// [start, end), including connections of the present nodes that were valid
-// at start even if untouched inside the window. Entities take their last
-// state within the window.
+// consistent graph of every entity with a version in [start, end), each in
+// its last state before end. It is one pass over a copy-on-write clone of the
+// graph at start: every update inside the window is united into it
+// (memgraph.Graph.Unite), so adjacency lists hold the base's order, then the
+// log's, and two calls answer alike. A point window, start == end, is the
+// graph at start; a window that ends before it starts is empty.
 func (s *Store) GetWindow(start, end model.Timestamp) (*memgraph.Graph, error) {
 	return s.GetWindowContext(context.Background(), start, end)
 }
 
 // GetWindowContext is GetWindow honouring ctx cancellation.
 func (s *Store) GetWindowContext(ctx context.Context, start, end model.Timestamp) (*memgraph.Graph, error) {
-	tg, err := s.GetTemporalGraphContext(ctx, start, end)
+	if end < start {
+		return memgraph.New(), nil
+	}
+	s.sealMu.RLock()
+	defer s.sealMu.RUnlock()
+	g, err := s.getGraphLocked(ctx, start)
 	if err != nil {
 		return nil, err
 	}
-	return windowFromTemporal(tg, start, end), nil
-}
-
-// windowFromTemporal projects a temporal graph onto its window union graph.
-func windowFromTemporal(tg *memgraph.TGraph, start, end model.Timestamp) *memgraph.Graph {
-	win := model.Interval{Start: start, End: end}
-	g := memgraph.New()
-	// Last version of each node present in the window.
-	lastNode := map[model.NodeID]*model.Node{}
-	tg.ForEachNodeVersion(func(n *model.Node) bool {
-		if n.Valid.Overlaps(win) {
-			lastNode[n.ID] = n
+	var uerr error
+	err = s.scanFromLocked(ctx, position{ts: start, seq: seqComplete}, end, func(u model.Update) bool {
+		if uerr = g.Unite(u); uerr != nil {
+			uerr = fmt.Errorf("timestore: window: %w", uerr)
 		}
-		return true
+		return uerr == nil
 	})
-	for _, n := range lastNode {
-		// Preserve the version's true start time so window consumers can
-		// distinguish carried-over entities from ones created inside.
-		_ = g.Apply(model.AddNode(n.Valid.Start, n.ID, n.Labels, n.Props))
+	if err == nil {
+		err = uerr
 	}
-	// Relationships present in the window whose endpoints survive.
-	lastRel := map[model.RelID]*model.Rel{}
-	tg.ForEachRelVersion(func(r *model.Rel) bool {
-		if r.Valid.Overlaps(win) {
-			lastRel[r.ID] = r
-		}
-		return true
-	})
-	for _, r := range lastRel {
-		if lastNode[r.Src] == nil || lastNode[r.Tgt] == nil {
-			continue
-		}
-		_ = g.Apply(model.AddRel(r.Valid.Start, r.ID, r.Src, r.Tgt, r.Label, r.Props))
+	if err != nil {
+		return nil, err
 	}
-	g.SetTimestamp(end - 1)
-	return g
+	g.SetTimestamp(max(start, end-1))
+	return g, nil
 }

@@ -8,11 +8,13 @@ package timestore
 // reopen.
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"aion/internal/algo"
 	"aion/internal/enc"
 	"aion/internal/model"
 	"aion/internal/refmodel"
@@ -81,11 +83,45 @@ func feedHistory(t *testing.T, s *Store, seed int64, n int) *refmodel.History {
 	return h
 }
 
+// hopsMatch reports whether hops, as algo.Hops reads them off the diff
+// [from, to), are the model's relationship versions closed in that range.
+func hopsMatch(m *refmodel.Model, hops []algo.PathHop, from, to model.Timestamp) bool {
+	var want []algo.PathHop
+	for _, r := range m.ClosedRels(from, to) { // by arrival, then id
+		want = append(want, algo.PathHop{Rel: r.ID, From: r.Src, To: r.Tgt, Departure: r.Valid.Start, Arrival: r.Valid.End})
+	}
+	hops = slices.Clone(hops)
+	slices.SortFunc(hops, func(a, b algo.PathHop) int {
+		return cmp.Or(cmp.Compare(a.Arrival, b.Arrival), cmp.Compare(a.Rel, b.Rel))
+	})
+	return slices.Equal(hops, want)
+}
+
+// checkWindow holds GetWindow(a, b) and the hops of GetDiff(a, b) to the
+// model.
+func checkWindow(t *testing.T, s *Store, codec *enc.Codec, m *refmodel.Model, a, b model.Timestamp, label string) {
+	t.Helper()
+	w, err := s.GetWindow(a, b)
+	if err != nil {
+		t.Fatalf("%s: GetWindow(%d, %d): %v", label, a, b, err)
+	}
+	if modelDigest(t, codec, w.Export()) != modelDigest(t, codec, m.Window(a, b)) {
+		t.Fatalf("%s: GetWindow(%d, %d) differs from the model", label, a, b)
+	}
+	diff, err := s.GetDiff(a, b)
+	if err != nil {
+		t.Fatalf("%s: GetDiff(%d, %d): %v", label, a, b, err)
+	}
+	if !hopsMatch(m, algo.Hops(diff), a, b) {
+		t.Fatalf("%s: the hops of GetDiff(%d, %d) are not the model's closed relationship versions", label, a, b)
+	}
+}
+
 // checkGlobalReads holds s's global reads to the model of h at every commit
 // timestamp: GetGraph and GetGraphs against Model.Graph, GetDiff from every
-// element's and every fence's position against Model.Diff, and a scan from
-// every stream position — a frame's inner records included — against the
-// stream's suffix.
+// element's and every fence's position against Model.Diff, a scan from every
+// stream position — a frame's inner records included — against the stream's
+// suffix, and GetWindow and GetDiff's hops from every timestamp.
 func checkGlobalReads(t *testing.T, s *Store, h *refmodel.History, label string) {
 	t.Helper()
 	codec := enc.NewCodec(strstore.NewMem())
@@ -143,6 +179,17 @@ func checkGlobalReads(t *testing.T, s *Store, h *refmodel.History, label string)
 		}
 		if modelDigest(t, codec, got) != modelDigest(t, codec, want) {
 			t.Fatalf("%s: the scan from update %d %+v differs from the stream", label, i, p)
+		}
+	}
+	// From every timestamp: the inverted window, the point, and windows of
+	// growing width, the widest beyond a policy interval; from every fourth one
+	// the whole suffix. Every pair would decode the log cubically often.
+	for a := model.Timestamp(0); a <= last+1; a++ {
+		for _, w := range []model.Timestamp{-1, 0, 1, 2, 3, 5, 8, 13} {
+			checkWindow(t, s, codec, m, a, min(a+w, last+1), label)
+		}
+		if a%4 == 0 {
+			checkWindow(t, s, codec, m, a, last+1, label)
 		}
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"aion/internal/algo"
 	"aion/internal/enc"
+	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
 	"aion/internal/vfs"
@@ -196,8 +199,59 @@ func TestGetGraphsSeries(t *testing.T) {
 // chunks those updates write, not a copy of the vectors (4.3 MB a step when
 // the vector was the copy-on-write unit).
 func TestGetGraphsStepCopiesChunks(t *testing.T) {
-	const nodes, steps = 50000, 20
-	s := openStore(t, Options{SnapshotEveryOps: 1 << 30})
+	s, steps := chunkHistory(t)
+	allocated := func(end model.Timestamp) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		graphs, err := s.GetGraphs(1, end, 1)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(graphs) != int(end) {
+			t.Fatalf("GetGraphs(1, %d, 1): %d graphs, %v", end, len(graphs), err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(1) // loads the base and caches it
+	base := allocated(1)
+	series := allocated(1 + model.Timestamp(steps))
+	// Four directories of 196 chunks (12.5 KiB) and the seven chunks the three
+	// updates write (30 KiB) measure 46 KiB a step.
+	if perStep := (int64(series) - int64(base)) / int64(steps); perStep > 64<<10 {
+		t.Errorf("a GetGraphs step over 100000 entities allocates %d bytes, over the bound of %d: it copies the vectors", perStep, 64<<10)
+	}
+}
+
+// A window three updates past a cached base is the base's clone with them
+// united: beyond what GetGraph pays for the base it allocates what a GetGraphs
+// step does, not a copy of every entity.
+func TestGetWindowCopiesChunks(t *testing.T) {
+	s, _ := chunkHistory(t)
+	allocated := func(read func() (*memgraph.Graph, error)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := read()
+		runtime.ReadMemStats(&after)
+		if err != nil || g.NodeCount() != 50000 {
+			t.Fatalf("%d nodes, %v", g.NodeCount(), err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base := func() (*memgraph.Graph, error) { return s.GetGraph(1) }
+	window := func() (*memgraph.Graph, error) { return s.GetWindow(1, 3) }
+	allocated(window) // loads the base and caches it, and fills the scan's buffer pool
+	beyond := int64(allocated(window)) - int64(allocated(base))
+	t.Logf("a window three updates past its base allocates %d bytes beyond it", beyond)
+	if beyond > 64<<10 {
+		t.Errorf("a window three updates past its base allocates %d bytes beyond it, over the bound of %d: it copies the entities", beyond, 64<<10)
+	}
+}
+
+// chunkHistory is a store of 50000 nodes in a ring of relationships at ts 1,
+// snapshotted there, then steps timestamps of three updates each: a property,
+// a relationship and a deletion.
+func chunkHistory(t *testing.T) (s *Store, steps int) {
+	const nodes = 50000
+	steps = 20
+	s = openStore(t, Options{SnapshotEveryOps: 1 << 30})
 	var us []model.Update
 	for i := 0; i < nodes; i++ {
 		us = append(us, model.AddNode(1, model.NodeID(i), []string{"N"}, nil))
@@ -220,27 +274,13 @@ func TestGetGraphsStepCopiesChunks(t *testing.T) {
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
-	allocated := func(end model.Timestamp) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		graphs, err := s.GetGraphs(1, end, 1)
-		runtime.ReadMemStats(&after)
-		if err != nil || len(graphs) != int(end) {
-			t.Fatalf("GetGraphs(1, %d, 1): %d graphs, %v", end, len(graphs), err)
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	allocated(1) // loads the base and caches it
-	base := allocated(1)
-	series := allocated(1 + steps)
-	// Four directories of 196 chunks (12.5 KiB) and the seven chunks the three
-	// updates write (30 KiB) measure 46 KiB a step.
-	if perStep := (int64(series) - int64(base)) / steps; perStep > 64<<10 {
-		t.Errorf("a GetGraphs step over %d entities allocates %d bytes, over the bound of %d: it copies the vectors", 2*nodes, perStep, 64<<10)
-	}
+	return s, steps
 }
 
-func TestGetTemporalGraph(t *testing.T) {
+// A diff's hops are the relationship versions it opens and closes: rel 0
+// flies [3, 5); rel 1, created at 6, is past [2, 6) and still open in [2, 7);
+// and a diff from 4 on lacks rel 0's departure.
+func TestGetDiffHops(t *testing.T) {
 	s := openStore(t, Options{SnapshotEveryOps: 4})
 	us := []model.Update{
 		model.AddNode(1, 0, nil, nil),
@@ -253,22 +293,18 @@ func TestGetTemporalGraph(t *testing.T) {
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
-	tg, err := s.GetTemporalGraph(2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seeded with state at ts 2 (two nodes), then updates at ts 3..5.
-	if g := tg.Snapshot(2); g.Node(0) == nil || g.Node(1) == nil {
-		t.Error("seed state missing")
-	}
-	if tg.Snapshot(3).Rel(0) == nil || tg.Snapshot(5).Rel(0) != nil {
-		t.Error("rel 0 lifetime wrong")
-	}
-	if tg.Snapshot(5).Rel(1) != nil || tg.Snapshot(6).Rel(1) != nil {
-		t.Error("update at end bound (ts 6) must be excluded")
-	}
-	if n := tg.Snapshot(4).Node(0); n == nil || n.Props["x"].Int() != 1 {
-		t.Error("node version update missing")
+	rel0 := []algo.PathHop{{Rel: 0, From: 0, To: 1, Departure: 3, Arrival: 5}}
+	for _, w := range []struct {
+		from, to model.Timestamp
+		want     []algo.PathHop
+	}{{2, 6, rel0}, {2, 7, rel0}, {3, 5, nil}, {4, 7, nil}} {
+		diff, err := s.GetDiff(w.from, w.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hops := algo.Hops(diff); !slices.Equal(hops, w.want) {
+			t.Errorf("hops of [%d, %d) = %+v, want %+v", w.from, w.to, hops, w.want)
+		}
 	}
 }
 
@@ -297,6 +333,83 @@ func TestGetWindow(t *testing.T) {
 	// Rel 0 was valid at window start (present), rel 1 created inside.
 	if g.RelCount() != 2 {
 		t.Errorf("window rels = %d, want 2", g.RelCount())
+	}
+}
+
+// A point window is the graph at its instant, and a window that ends before
+// it starts is empty.
+func TestGetWindowDegenerate(t *testing.T) {
+	s := openStore(t, Options{SnapshotEveryOps: 100})
+	if err := s.AppendBatch([]model.Update{
+		model.AddNode(1, 0, nil, nil),
+		model.AddNode(2, 1, nil, nil),
+		model.AddNode(3, 2, nil, nil),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		start, end, at model.Timestamp
+		nodes          []model.NodeID
+	}{
+		{2, 2, 2, []model.NodeID{0, 1}},
+		{2, 3, 2, []model.NodeID{0, 1}},
+		{2, 4, 3, []model.NodeID{0, 1, 2}},
+		{0, 0, 0, nil},
+		{5, 5, 5, []model.NodeID{0, 1, 2}},
+		{3, 2, 0, nil},
+		{9, 1, 0, nil},
+	} {
+		g, err := s.GetWindow(w.start, w.end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes []model.NodeID
+		g.ForEachNode(func(n *model.Node) bool {
+			nodes = append(nodes, n.ID)
+			return true
+		})
+		if !slices.Equal(nodes, w.nodes) || len(nodes) > 0 && g.Timestamp() != w.at {
+			t.Errorf("GetWindow(%d, %d) = %v at %d, want %v at %d", w.start, w.end, nodes, g.Timestamp(), w.nodes, w.at)
+		}
+	}
+}
+
+// Two calls for the same window answer the same graph, adjacency lists in the
+// same order: the base's, then the log's.
+func TestGetWindowIsDeterministic(t *testing.T) {
+	s := openStore(t, Options{SnapshotEveryOps: 100})
+	us := []model.Update{model.AddNode(1, 0, []string{"Hub"}, nil)}
+	for i := 1; i <= 128; i++ {
+		us = append(us, model.AddNode(1, model.NodeID(i), nil, nil))
+	}
+	for i := 0; i < 128; i++ { // a spoke a timestamp, out and back
+		ts, spoke := model.Timestamp(2+i/32), model.NodeID(1+i)
+		us = append(us, model.AddRel(ts, model.RelID(2*i), 0, spoke, "R", nil), model.AddRel(ts, model.RelID(2*i+1), spoke, 0, "R", nil))
+	}
+	if err := s.AppendBatch(us); err != nil {
+		t.Fatal(err)
+	}
+	codec := enc.NewCodec(strstore.NewMem())
+	first, err := s.GetWindow(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 5; call++ {
+		g, err := s.GetWindow(2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if modelDigest(t, codec, g.Export()) != modelDigest(t, codec, first.Export()) {
+			t.Fatalf("call %d: another export", call)
+		}
+		for id := model.NodeID(0); id <= 128; id++ {
+			if !slices.Equal(g.Out(id), first.Out(id)) || !slices.Equal(g.In(id), first.In(id)) {
+				t.Fatalf("call %d: node %d lists out %v, in %v; the first call %v, %v", call, id, g.Out(id), g.In(id), first.Out(id), first.In(id))
+			}
+		}
+	}
+	if out := first.Out(0); len(out) != 96 || !slices.IsSorted(out) {
+		t.Errorf("the hub lists %d relationships out, %v; want the 96 of [2, 5) in log order", len(out), out)
 	}
 }
 
