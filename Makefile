@@ -158,12 +158,14 @@ restart-sweep:
 # second phase is the cached-graphs row: cache-heap-MiB, what reading the
 # newest quarter of history through a 48 MiB GraphStore adds to the live heap
 # (with how many entity versions were loaded and how many of them are the
-# latest graph's own objects): 8.0, 14.5 when a loaded graph held vectors of
-# its own; over 11 MiB fails the benchmark and the target. Its third phase is
-# the write row: write-heap-MiB, what ingest-commit's four-statement cycle
-# leaves on the live heap after 4 x 16 384 single-statement commits: 14.7,
-# 17.5 when a pull cost the host a copy of its vectors; over 16.5 MiB fails
-# both.
+# latest graph's own objects): 6.95, 8.0 with a 40-byte model.Value, 14.5 when
+# a loaded graph held vectors of its own; over 7.6 MiB fails the benchmark and
+# the target. Its third phase is the write row: write-heap-MiB, what
+# ingest-commit's four-statement cycle leaves on the live heap after 4 x 16 384
+# single-statement commits: 10.8, 13.1 with a 40-byte Value, 17.5 when a pull
+# cost the host a copy of its vectors; over 11.9 MiB fails both. The first
+# row, heap-MiB, is 37.1 (47.8 with a 40-byte Value); over 211 B per update
+# fails.
 HEAP_OWNERS = system\.Open$$|hostdb\.Open$$|aion\.Open$$|timestore\.Open$$|lineagestore\.Open$$|pagecache\.|strstore\.
 heap-budget:
 	@mkdir -p .bench_build

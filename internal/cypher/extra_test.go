@@ -123,6 +123,20 @@ func TestArithmeticInReturn(t *testing.T) {
 	}
 }
 
+// A boolean is not a number: it adds 0 to a float, not the 4.9e-324 its
+// payload word reads as float bits.
+func TestBoolAddsNothingToAFloat(t *testing.T) {
+	e := newEngine(t)
+	mustQuery(t, e, `CREATE (n:B {w: true})`, nil)
+	res := mustQuery(t, e, `MATCH (n:B) RETURN 0.0 + true, 0.0 + n.w`, nil)
+	if got := res.Rows[0][0].S.Float(); got != 0 {
+		t.Errorf("0.0 + true = %v, want 0", got)
+	}
+	if got := res.Rows[0][1].S.Float(); got != 0 {
+		t.Errorf("0.0 + n.w = %v, want 0", got)
+	}
+}
+
 func TestSharedVarJoinAcrossPatterns(t *testing.T) {
 	e := newEngine(t)
 	mustQuery(t, e, `CREATE (a:J)-[:X]->(b:J), (c:J)`, nil)

@@ -20,14 +20,14 @@ func liveHeap() uint64 {
 // TestResidentBytesPerEntity bounds what one entity of the benchmark-shaped
 // graph (two int properties on every node, one string property on every
 // second relationship) really costs on the heap, beside the 96 B that ApproxBytes books for
-// it. Measured 397 B with the 40-byte model.Value in chunked vectors (404 B
-// in vectors that doubled as they grew) and 710 B with a 104-byte value,
-// which this budget (the measurement + 10 %) rejects:
+// it. Measured 289 B with the 16-byte model.Value in chunked vectors, 397 B
+// with a 40-byte value and 710 B with a 104-byte one; this budget (the
+// measurement + 10 %) rejects both:
 // 67 500 of the 120 000 entities carry a property map whose single 8-slot
-// group is 8 + 8 × (16 + sizeof(Value)) bytes — 456 B (a 480 B size class)
-// against 968 B (1 024 B).
+// group is 8 + 8 × (16 + sizeof(Value)) bytes — 264 B (a 288 B size class)
+// against 456 B (480 B) and 968 B (1 024 B).
 func TestResidentBytesPerEntity(t *testing.T) {
-	const budget = 444
+	const budget = 318
 	us := datagen.BenchmarkShape(1)
 	before := liveHeap()
 	g := New()

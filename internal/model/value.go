@@ -6,6 +6,7 @@ package model
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -35,25 +36,12 @@ const (
 	KindStringArray
 )
 
+var kindNames = [...]string{"null", "int", "float", "bool", "string", "int[]", "float[]", "string[]"}
+
 // String returns the kind name.
 func (k ValueKind) String() string {
-	switch k {
-	case KindNull:
-		return "null"
-	case KindInt:
-		return "int"
-	case KindFloat:
-		return "float"
-	case KindBool:
-		return "bool"
-	case KindString:
-		return "string"
-	case KindIntArray:
-		return "int[]"
-	case KindFloatArray:
-		return "float[]"
-	case KindStringArray:
-		return "string[]"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return "unknown"
 }
@@ -62,13 +50,23 @@ func (k ValueKind) String() string {
 // Values are immutable once constructed; arrays must not be mutated by the
 // caller after being passed in.
 //
-// Scalars and strings are inline and the array payloads sit behind one
-// pointer, nil for every other kind: 40 bytes, pinned by TestValueSize,
-// because a Go map allocates slots eight at a time and every entity that
-// carries a property pays eight of these per resident copy.
+// Two words, pinned by TestValueSize, because a Go map allocates slots eight
+// at a time and every entity that carries a property pays eight of these per
+// resident copy. num holds an int, a float's bits or a bool; b names the
+// kind: nil for null, a package-level sentinel for the other scalars (no
+// allocation), and one immutable box for a string or an array. The leading
+// zero-length func array makes == a compile error, since it would compare
+// box pointers rather than contents; use Equal.
 type Value struct {
+	_   [0]func()
+	num uint64
+	b   *box
+}
+
+// box holds a Value's kind and, for a string or an array, its payload: 32
+// bytes. Scalar kinds share the sentinels below.
+type box struct {
 	kind ValueKind
-	num  uint64 // int, float bits, or bool
 	str  string
 	arr  *arrays
 }
@@ -80,14 +78,21 @@ type arrays struct {
 	sa []string
 }
 
+var (
+	intBox   = &box{kind: KindInt}
+	floatBox = &box{kind: KindFloat}
+	boolBox  = &box{kind: KindBool}
+	noBox    box // what a null Value's accessors read
+)
+
 // NullValue returns the null value.
 func NullValue() Value { return Value{} }
 
 // IntValue returns an integer value.
-func IntValue(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
+func IntValue(v int64) Value { return Value{num: uint64(v), b: intBox} }
 
 // FloatValue returns a float value.
-func FloatValue(v float64) Value { return Value{kind: KindFloat, num: math.Float64bits(v)} }
+func FloatValue(v float64) Value { return Value{num: math.Float64bits(v), b: floatBox} }
 
 // BoolValue returns a boolean value.
 func BoolValue(v bool) Value {
@@ -95,63 +100,84 @@ func BoolValue(v bool) Value {
 	if v {
 		n = 1
 	}
-	return Value{kind: KindBool, num: n}
+	return Value{num: n, b: boolBox}
 }
 
 // StringValue returns a string value.
-func StringValue(v string) Value { return Value{kind: KindString, str: v} }
+func StringValue(v string) Value { return Value{b: &box{kind: KindString, str: v}} }
 
 // IntArrayValue returns an integer-array value. The slice is retained.
-func IntArrayValue(v []int64) Value { return Value{kind: KindIntArray, arr: &arrays{ia: v}} }
+func IntArrayValue(v []int64) Value { return arrayValue(KindIntArray, arrays{ia: v}) }
 
 // FloatArrayValue returns a float-array value. The slice is retained.
-func FloatArrayValue(v []float64) Value {
-	return Value{kind: KindFloatArray, arr: &arrays{fa: v}}
-}
+func FloatArrayValue(v []float64) Value { return arrayValue(KindFloatArray, arrays{fa: v}) }
 
 // StringArrayValue returns a string-array value. The slice is retained.
-func StringArrayValue(v []string) Value {
-	return Value{kind: KindStringArray, arr: &arrays{sa: v}}
+func StringArrayValue(v []string) Value { return arrayValue(KindStringArray, arrays{sa: v}) }
+
+// arrayBox is an array Value's one allocation: its box and the payload the
+// box points at.
+type arrayBox struct {
+	box
+	a arrays
+}
+
+func arrayValue(k ValueKind, a arrays) Value {
+	ab := &arrayBox{box: box{kind: k}, a: a}
+	ab.arr = &ab.a
+	return Value{b: &ab.box}
+}
+
+// box returns the value's box, an empty one for null.
+func (v Value) box() *box {
+	if v.b == nil {
+		return &noBox
+	}
+	return v.b
 }
 
 // Kind reports the value's type.
-func (v Value) Kind() ValueKind { return v.kind }
+func (v Value) Kind() ValueKind { return v.box().kind }
 
 // IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.b == nil }
 
 // Int returns the integer payload, truncating floats toward zero (the
 // mirror of Float's int conversion); every other kind yields zero.
 func (v Value) Int() int64 {
-	switch v.kind {
-	case KindInt:
+	switch v.b {
+	case intBox:
 		return int64(v.num)
-	case KindFloat:
+	case floatBox:
 		return int64(math.Float64frombits(v.num))
 	}
 	return 0
 }
 
-// Float returns the float payload, converting ints for convenience.
+// Float returns the float payload, converting ints; every other kind yields
+// zero.
 func (v Value) Float() float64 {
-	if v.kind == KindInt {
+	switch v.b {
+	case intBox:
 		return float64(int64(v.num))
+	case floatBox:
+		return math.Float64frombits(v.num)
 	}
-	return math.Float64frombits(v.num)
+	return 0
 }
 
 // Bool returns the boolean payload.
 func (v Value) Bool() bool { return v.num != 0 }
 
 // Str returns the string payload.
-func (v Value) Str() string { return v.str }
+func (v Value) Str() string { return v.box().str }
 
 // payload returns the array payloads, all nil for a kind that has none.
 func (v Value) payload() arrays {
-	if v.arr == nil {
-		return arrays{}
+	if a := v.box().arr; a != nil {
+		return *a
 	}
-	return *v.arr
+	return arrays{}
 }
 
 // IntArray returns the integer-array payload. Callers must not mutate it.
@@ -165,32 +191,27 @@ func (v Value) StringArray() []string { return v.payload().sa }
 
 // Equal reports deep equality of two values.
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
+	a, b := v.box(), o.box()
+	if a.kind != b.kind {
 		return false
 	}
-	switch v.kind {
-	case KindNull:
-		return true
-	case KindInt, KindFloat, KindBool:
-		return v.num == o.num
+	switch a.kind {
 	case KindString:
-		return v.str == o.str
-	case KindIntArray:
-		return slices.Equal(v.IntArray(), o.IntArray())
-	case KindFloatArray:
-		return slices.Equal(v.FloatArray(), o.FloatArray())
-	case KindStringArray:
-		return slices.Equal(v.StringArray(), o.StringArray())
+		return a.str == b.str
+	case KindIntArray, KindFloatArray, KindStringArray:
+		x, y := a.arr, b.arr
+		return slices.Equal(x.ia, y.ia) && slices.Equal(x.fa, y.fa) && slices.Equal(x.sa, y.sa)
 	}
-	return false
+	return v.num == o.num
 }
 
 // Compare orders two comparable values (ints, floats, strings, bools).
 // Mixed int/float comparisons are performed as floats. It returns -1, 0, or
 // +1; incomparable kinds compare by kind id so sorting is total.
 func (v Value) Compare(o Value) int {
+	vk, wk := v.Kind(), o.Kind()
 	numeric := func(k ValueKind) bool { return k == KindInt || k == KindFloat }
-	if numeric(v.kind) && numeric(o.kind) {
+	if numeric(vk) && numeric(wk) {
 		a, b := v.Float(), o.Float()
 		switch {
 		case a < b:
@@ -200,15 +221,15 @@ func (v Value) Compare(o Value) int {
 		}
 		return 0
 	}
-	if v.kind != o.kind {
-		if v.kind < o.kind {
+	if vk != wk {
+		if vk < wk {
 			return -1
 		}
 		return 1
 	}
-	switch v.kind {
+	switch vk {
 	case KindString:
-		return strings.Compare(v.str, o.str)
+		return strings.Compare(v.Str(), o.Str())
 	case KindBool:
 		switch {
 		case v.num < o.num:
@@ -222,7 +243,7 @@ func (v Value) Compare(o Value) int {
 
 // String renders the value for display and debugging.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "null"
 	case KindInt:
@@ -232,7 +253,7 @@ func (v Value) String() string {
 	case KindBool:
 		return strconv.FormatBool(v.num != 0)
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.Str())
 	case KindIntArray:
 		return fmt.Sprintf("%v", v.IntArray())
 	case KindFloatArray:
@@ -246,13 +267,11 @@ func (v Value) String() string {
 // ApproxBytes estimates the in-memory footprint of the value payload. Used
 // by the Table 3 memory accounting.
 func (v Value) ApproxBytes() int {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
-		return 16 + len(v.str)
-	case KindIntArray:
-		return 24 + 8*len(v.IntArray())
-	case KindFloatArray:
-		return 24 + 8*len(v.FloatArray())
+		return 16 + len(v.Str())
+	case KindIntArray, KindFloatArray:
+		return 24 + 8*(len(v.IntArray())+len(v.FloatArray()))
 	case KindStringArray:
 		n := 24
 		for _, s := range v.StringArray() {
@@ -270,27 +289,7 @@ type Properties map[string]Value
 
 // Clone returns a shallow copy of the property map (values are immutable, so
 // a shallow copy is an independent snapshot).
-func (p Properties) Clone() Properties {
-	if p == nil {
-		return nil
-	}
-	c := make(Properties, len(p))
-	for k, v := range p {
-		c[k] = v
-	}
-	return c
-}
+func (p Properties) Clone() Properties { return maps.Clone(p) }
 
 // Equal reports whether two property maps hold the same entries.
-func (p Properties) Equal(o Properties) bool {
-	if len(p) != len(o) {
-		return false
-	}
-	for k, v := range p {
-		ov, ok := o[k]
-		if !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
-}
+func (p Properties) Equal(o Properties) bool { return maps.EqualFunc(p, o, Value.Equal) }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -10,18 +11,24 @@ import (
 
 // TestValueSize pins the layout: Value is the element type of every
 // Properties map, and a Go map allocates eight slots at a time, so a byte
-// here is eight bytes per property-carrying entity per resident graph.
-// This is the only file in the repository that imports unsafe.
+// here is eight bytes per property-carrying entity per resident graph. Two
+// words put a map group of eight slots at 8 + 8 × (16 + 16) = 264 B, in the
+// 288 B size class; the 40-byte layout before it needed 456 B, class 480.
+// Value must also stay non-comparable: == would compare box pointers, not
+// strings. This is the only file in the repository that imports unsafe.
 func TestValueSize(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got > 40 {
-		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 40", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16", got)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Fatal("Value is comparable; == would compare boxes, not contents")
 	}
 }
 
 var sinkValue Value
 
-// Scalars and strings are built without touching the heap; an array value
-// costs the one object that holds its slice header.
+// Null and the scalars point at a shared sentinel and touch no heap; a
+// string or an array costs the one box that holds it.
 func TestValueConstructorAllocs(t *testing.T) {
 	s, ia, fa, sa := "hi", []int64{1}, []float64{1}, []string{"a"}
 	for _, c := range []struct {
@@ -33,7 +40,7 @@ func TestValueConstructorAllocs(t *testing.T) {
 		{"int", func() Value { return IntValue(7) }, 0},
 		{"float", func() Value { return FloatValue(1.5) }, 0},
 		{"bool", func() Value { return BoolValue(true) }, 0},
-		{"string", func() Value { return StringValue(s) }, 0},
+		{"string", func() Value { return StringValue(s) }, 1},
 		{"int[]", func() Value { return IntArrayValue(ia) }, 1},
 		{"float[]", func() Value { return FloatArrayValue(fa) }, 1},
 		{"string[]", func() Value { return StringArrayValue(sa) }, 1},
@@ -83,7 +90,10 @@ var goldenValues = []struct {
 // which there returned the raw payload word for every kind (float1.5 gave
 // 4609434218613702656 and true gave 1); the rows below are the fixed
 // accessor: floats truncate, non-numeric kinds are 0, and NaN's row says
-// "arch" because Go leaves int64(NaN) to the implementation.
+// "arch" because Go leaves int64(NaN) to the implementation. Float()
+// likewise answered with the raw payload word, so true's Float-bits cell
+// read 1 (4.9e-324, which Cypher's 0.0 + true returned); it now reads 0, as
+// for every kind that is not a number.
 // Columns: Kind IsNull Int Float-bits Bool Str IntArray FloatArray
 // StringArray String ApproxBytes.
 var goldenAccessors = []string{
@@ -98,7 +108,7 @@ var goldenAccessors = []string{
 	`float false 0 8000000000000000 true "" []int64(nil) []float64(nil) []string(nil) -0 8`,
 	`float false arch 7ff8000000000001 true "" []int64(nil) []float64(nil) []string(nil) NaN 8`,
 	`float false 42 4045000000000000 true "" []int64(nil) []float64(nil) []string(nil) 42 8`,
-	`bool false 0 1 true "" []int64(nil) []float64(nil) []string(nil) true 8`,
+	`bool false 0 0 true "" []int64(nil) []float64(nil) []string(nil) true 8`,
 	`bool false 0 0 false "" []int64(nil) []float64(nil) []string(nil) false 8`,
 	`string false 0 0 false "" []int64(nil) []float64(nil) []string(nil) "" 16`,
 	`string false 0 0 false "hi" []int64(nil) []float64(nil) []string(nil) "hi" 18`,

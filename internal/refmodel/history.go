@@ -2,6 +2,7 @@ package refmodel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -34,6 +35,7 @@ type History struct {
 	degree   map[model.NodeID]int
 	born     map[int64]model.Update // each entity's first creation, by EntityKey
 	touched  map[int64]bool         // entity keys changed in the current commit
+	kinds    int                    // otherKind's turn
 }
 
 // NewHistory returns an empty history drawn from seed.
@@ -48,7 +50,45 @@ func (h *History) props() model.Properties {
 	if h.Rand.Intn(3) == 0 {
 		p["n"] = model.IntValue(h.Rand.Int63n(1000))
 	}
+	if h.Rand.Intn(3) == 0 {
+		p["k"] = h.otherKind()
+	}
 	return p
+}
+
+// otherKind returns a value of the next kind in turn that props does not
+// otherwise draw, edge cases included: −0, the empty string, empty arrays. No
+// array holds a NaN, which would make it unequal to itself.
+func (h *History) otherKind() model.Value {
+	h.kinds++
+	n := h.Rand.Intn(4) // array length; 0 is the empty array
+	switch h.kinds % 7 {
+	case 0:
+		return model.FloatValue(h.Rand.NormFloat64())
+	case 1:
+		return model.FloatValue(math.Copysign(0, -1))
+	case 2:
+		return model.BoolValue(h.Rand.Intn(2) == 0)
+	case 3:
+		return model.StringValue("")
+	case 4:
+		a := make([]int64, n)
+		for i := range a {
+			a[i] = h.Rand.Int63() - h.Rand.Int63()
+		}
+		return model.IntArrayValue(a)
+	case 5:
+		a := make([]float64, n)
+		for i := range a {
+			a[i] = h.Rand.NormFloat64()
+		}
+		return model.FloatArrayValue(a)
+	}
+	a := make([]string, n)
+	for i := range a {
+		a[i] = strings.Repeat("y", h.Rand.Intn(3))
+	}
+	return model.StringArrayValue(a)
 }
 
 // pick draws a key of m; map order must not reach the history.

@@ -89,26 +89,26 @@ func BenchmarkReopen(b *testing.B) {
 var residentProfile = flag.String("resident.profile", "", "BenchmarkResident: write a heap profile at the measurement point to this file")
 
 // residentBudget is BenchmarkResident's ceiling in live heap bytes per loaded
-// update: one resident copy of the current graph measures 248, 10 % under the
-// budget (two copies measured 514, and a per-entity label map beside the one
-// copy 273), so a second copy of the graph or of its labels creeping back in
-// fails the benchmark.
-const residentBudget = 272
+// update: one resident copy of the current graph measures 192, 10 % under the
+// budget (248 with a 40-byte model.Value, two copies 514, and a per-entity
+// label map beside the one copy 273), so a wider Value or a second copy of
+// the graph or of its labels creeping back in fails the benchmark.
+const residentBudget = 211
 
 // cacheHeapBudget is BenchmarkResident's ceiling, in MiB, on what the snapshot
 // cache adds to the live heap once the newest quarter of history has been read
-// through benchmark/'s 48 MiB GraphStore: 8.0 with loaded graphs holding the
-// latest graph's chunks wherever they hold the same entries, 14.5 when every
-// loaded graph held vectors of its own (and 86.6 when it held its own
-// entities too).
-const cacheHeapBudget = 11
+// through benchmark/'s 48 MiB GraphStore: 6.95 with loaded graphs holding the
+// latest graph's chunks wherever they hold the same entries (8.0 with a
+// 40-byte model.Value), 14.5 when every loaded graph held vectors of its own
+// (and 86.6 when it held its own entities too).
+const cacheHeapBudget = 7.6
 
 // writeHeapBudget is BenchmarkResident's ceiling, in MiB, on what 65 536
-// single-statement commits add to the live heap: 14.7 with a pull costing the
-// host the chunks it next writes, 17.5 when it cost a copy of the host's
-// vectors that the policy snapshot then kept (and 30.0 when the TimeStore
-// applied each commit to a graph of its own).
-const writeHeapBudget = 16.5
+// single-statement commits add to the live heap: 10.8 with a pull costing the
+// host the chunks it next writes (13.1 with a 40-byte model.Value), 17.5 when
+// it cost a copy of the host's vectors that the policy snapshot then kept (and
+// 30.0 when the TimeStore applied each commit to a graph of its own).
+const writeHeapBudget = 11.9
 
 // writeCycle commits ingest-commit's four statements, one commit each: create
 // a node, set a property on one of the first 512, create a relationship from

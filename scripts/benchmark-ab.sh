@@ -17,6 +17,14 @@
 # parent spread wider than the bound leaves the metric unresolved. A null A/A
 # of the working tree is `PARENT=$(git stash create)` after `git add -A`. Raw
 # values stay in .bench_build/ab/.
+# Every run appends one row per workload and gated metric to the checked-in
+# BENCH_trajectory.json (one JSON object a line): the PR (one past the newest
+# "PR N:" subject in the parent's history), the commit measured (null for a
+# tree with uncommitted changes, whose git tree hash is always recorded), the
+# parent, seed, pairs and seconds, both sides' median and quartiles, the
+# wins/losses/ties and verdict, the change's eight exact counters and the
+# box: CPUs, CPU model, Go version and how many synchronous 4 KiB writes one
+# second holds.
 set -euo pipefail
 parent=${1:?usage: benchmark-ab.sh PARENT-REF [WORKLOAD|all] [PAIRS] [ALLOWED-FIELD ...]}
 workload=${2:-all}
@@ -56,16 +64,34 @@ for ((p = 1; p <= pairs; p++)); do
 done
 echo "exact counters: identical on all $pairs pairs${*:+ (allowed to differ: $*)}"
 
+# What the trajectory rows say about the runs: which trees, and which box.
+fsync_probe() {
+	local f=$build/fsync-probe
+	timeout 1 dd if=/dev/zero of="$f" bs=4096 count=1000000 oflag=dsync 2>/dev/null || true
+	echo $(($(stat -c %s "$f") / 4096))
+	rm -f "$f"
+}
+pr=$(git -C "$root" log -50 --format=%s "$parent" | awk '!n && /^PR [0-9]+:/ {sub(/:.*/, ""); n = $2 + 1} END {if (n) print n}')
+snap=$(git -C "$root" stash create)
+commit=null
+[[ -n $snap ]] || commit="\"$(git -C "$root" rev-parse HEAD)\""
+cpu=$(awk -F': *' '/^model name/ {print $2; exit}' /proc/cpuinfo | tr -d '"\\')
+box=$(printf '{"nproc":%d,"cpu":"%s","go":"%s","fsync_per_s":%d}' "$(nproc)" "$cpu" "$(go env GOVERSION)" "$(fsync_probe)")
+
 # The direction of each gated metric comes from BENCHMARK.json's end_to_end
 # list (pretty-printed: one "name"/"better" per line).
-awk '
-	FNR==NR {
+: >"$out/rows.json"
+awk -v spec="$root/BENCHMARK.json" -v exact="$out/change-$pairs.exact" -v rows="$out/rows.json" \
+	-v pr="${pr:-null}" -v commit="$commit" -v tree="$(git -C "$root" rev-parse "${snap:-HEAD}^{tree}")" \
+	-v parent="$(git -C "$root" rev-parse --verify "$parent^{commit}")" -v seed="$seed" -v seconds="$seconds" -v box="$box" '
+	FILENAME==spec {
 		if (/"end_to_end"/) e2e=1; else if (/"per_layer"/) e2e=0
 		if (e2e && /"name"/) {split($0,q,"\""); name=q[4]}
 		if (e2e && /"better"/) {split($0,q,"\""); better[name]=q[4]}
 		if (e2e && /"bound"/) {split($0,q,/[:,]/); bound[name]=q[2]+0}
 		next
 	}
+	FILENAME==exact {ex[$1]=ex[$1] (ex[$1]=="" ? "" : ",") "\""$2"\":"$3; next}
 	{v[$1,$3,$4,$2]=$5; keys[$3" "$4]=1; if ($2>n) n=$2}
 	function quartile(a, cnt, f,   pos, lo) {
 		pos=(cnt-1)*f; lo=int(pos)
@@ -100,8 +126,18 @@ awk '
 				sprintf("%.4f [%.4f, %.4f]",P["med"],P["q1"],P["q3"]),
 				sprintf("%.4f [%.4f, %.4f]",C["med"],C["q1"],C["q3"]),
 				P["med"] ? 100*(C["med"]-P["med"])/P["med"] : 0, win"/"loss"/"tie, verdict
+			printf "{\"pr\":%s,\"source\":\"scripts/benchmark-ab.sh\",\"commit\":%s,\"tree\":\"%s\",\"parent\":\"%s\",\"seed\":%d,\"pairs\":%d,\"seconds\":%d,\"workload\":\"%s\",\"metric\":\"%s\",\"parent_median\":%.10g,\"parent_q1\":%.10g,\"parent_q3\":%.10g,\"change_median\":%.10g,\"change_q1\":%.10g,\"change_q3\":%.10g,\"wins\":%d,\"losses\":%d,\"ties\":%d,\"verdict\":\"%s\",\"exact\":{%s},\"box\":%s}\n",
+				pr, commit, tree, parent, seed, n, seconds, w, m, P["med"], P["q1"], P["q3"], C["med"], C["q1"], C["q3"],
+				win, loss, tie, verdict, ex[w], box >rows
 		}
 		exit bad
-	}' "$root/BENCHMARK.json" "$out/values.txt" >"$out/report.txt" || status=$?
+	}' "$root/BENCHMARK.json" "$out/change-$pairs.exact" "$out/values.txt" >"$out/report.txt" || status=$?
 (read -r header; echo "$header"; sort) <"$out/report.txt"
+traj=$root/BENCH_trajectory.json
+{
+	if [[ -f $traj ]]; then grep '^{' "$traj" || true; fi
+	sort "$out/rows.json"
+} | sed 's/,$//' | awk 'BEGIN {print "["} NR > 1 {print prev ","} {prev = $0} END {if (NR) print prev; print "]"}' >"$traj.tmp"
+mv "$traj.tmp" "$traj"
+echo "appended $(wc -l <"$out/rows.json") rows to BENCH_trajectory.json"
 exit "${status:-0}"
