@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"aion/internal/memgraph"
 	"aion/internal/model"
 )
 
@@ -41,7 +42,7 @@ func TestCommitConflictAborts(t *testing.T) {
 }
 
 // TestConflictRollbackRestoresPrefix verifies a commit whose later update
-// conflicts rolls back its earlier (already applied) updates.
+// conflicts leaves no trace of its earlier updates.
 func TestConflictRollbackRestoresPrefix(t *testing.T) {
 	db := openDB(t, Options{})
 	var node model.NodeID
@@ -49,9 +50,9 @@ func TestConflictRollbackRestoresPrefix(t *testing.T) {
 		node, _ = tx.CreateNode(nil, nil)
 		return nil
 	})
-	// tx adds a node (applies cleanly) and then deletes `node`;
+	// tx adds a node (which would apply cleanly) and then deletes `node`;
 	// concurrently another commit deletes `node` first, so tx's delete
-	// conflicts and its created node must be rolled back.
+	// conflicts and its created node must never appear.
 	tx := db.Begin()
 	if _, err := tx.CreateNode([]string{"Mine"}, nil); err != nil {
 		t.Fatal(err)
@@ -150,7 +151,7 @@ func TestOverlayReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestDeleteNodeCountsStagedRels checks the relDelta bookkeeping: deleting
+// TestDeleteNodeCountsStagedRels checks the degree bookkeeping: deleting
 // a node is allowed once its last incident rel is staged-deleted, and
 // refused if a staged rel still points at it.
 func TestDeleteNodeCountsStagedRels(t *testing.T) {
@@ -222,12 +223,45 @@ func osStat(dir, name string) (int64, error) {
 	return st.Size(), nil
 }
 
-// TestAbortedCommitLeavesTheGraphAtTheClock pins the graph's timestamp after
-// a conflict: the aborted transaction's partial apply and its compensating
-// deletes carry the timestamp the commit would have got, and Committed must
-// never hand out a graph stamped with it. Both undo branches are covered: the
-// structural one (the applied prefix only created entities) and the rebuild
-// from the log (the prefix updated a pre-existing entity).
+// conflictRound commits two nodes, keep and doomed; stages prefix and doomed's
+// deletion in one transaction; commits doomed's deletion in another; and then
+// commits the first, which must abort. beforeAbort, unless nil, runs just
+// before that commit. It returns keep.
+func conflictRound(t testing.TB, db *DB, prefix func(tx *Tx, keep model.NodeID) error, beforeAbort func()) model.NodeID {
+	var keep, doomed model.NodeID
+	if _, err := db.Run(func(tx *Tx) error {
+		keep, _ = tx.CreateNode(nil, model.Properties{"k": model.IntValue(1)})
+		var err error
+		doomed, err = tx.CreateNode(nil, nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if err := prefix(tx, keep); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.DeleteNode(doomed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Run(func(other *Tx) error { return other.DeleteNode(doomed) }); err != nil {
+		t.Fatal(err)
+	}
+	if beforeAbort != nil {
+		beforeAbort()
+	}
+	if _, err := tx.Commit(); err == nil {
+		t.Fatal("commit must conflict")
+	}
+	return keep
+}
+
+// TestAbortedCommitLeavesTheGraphAtTheClock: a transaction that conflicts at
+// commit writes nothing — whether its prefix only created entities or updated
+// one that was there before. The graph stays stamped at the clock, every node
+// is the very object it was before the abort (so whatever shares the host's
+// objects keeps sharing them), and an abort costs what the transaction holds,
+// not what the history holds.
 func TestAbortedCommitLeavesTheGraphAtTheClock(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -237,31 +271,21 @@ func TestAbortedCommitLeavesTheGraphAtTheClock(t *testing.T) {
 			_, err := tx.CreateNode([]string{"Mine"}, nil)
 			return err
 		}},
-		{"rebuildFromLog", func(tx *Tx, keep model.NodeID) error {
+		{"update of a pre-existing node", func(tx *Tx, keep model.NodeID) error {
 			return tx.SetNodeProps(keep, model.Properties{"k": model.IntValue(2)}, nil)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := openDB(t, Options{})
-			var keep, doomed model.NodeID
-			db.Run(func(tx *Tx) error {
-				keep, _ = tx.CreateNode(nil, model.Properties{"k": model.IntValue(1)})
-				doomed, _ = tx.CreateNode(nil, nil)
-				return nil
+			before := map[model.NodeID]*model.Node{}
+			keep := conflictRound(t, db, tc.prefix, func() {
+				db.View(func(g *memgraph.Graph) {
+					g.ForEachNode(func(n *model.Node) bool {
+						before[n.ID] = n
+						return true
+					})
+				})
 			})
-			tx := db.Begin()
-			if err := tc.prefix(tx, keep); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.DeleteNode(doomed); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := db.Run(func(other *Tx) error { return other.DeleteNode(doomed) }); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tx.Commit(); err == nil {
-				t.Fatal("commit must conflict")
-			}
 			g, clock, updates := db.Committed()
 			if g.Timestamp() != clock || clock != db.Clock() || clock != 2 {
 				t.Errorf("after the abort the graph is stamped %d, Committed says %d, the clock is %d (want 2)",
@@ -272,6 +296,28 @@ func TestAbortedCommitLeavesTheGraphAtTheClock(t *testing.T) {
 			}
 			if n := g.Node(keep); n == nil || n.Props["k"].Int() != 1 || g.NodeCount() != 1 {
 				t.Errorf("aborted transaction left a trace: node %v, %d nodes", n, g.NodeCount())
+			}
+			for id, n := range before {
+				if g.Node(id) != n {
+					t.Errorf("node %d is another object after the abort", id)
+				}
+			}
+
+			for _, history := range []int{100, 2000} {
+				db := openDB(t, Options{})
+				for i := 0; i < history; i++ {
+					if _, err := db.Run(func(tx *Tx) error {
+						_, err := tx.CreateNode([]string{"H"}, model.Properties{"i": model.IntValue(int64(i))})
+						return err
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				allocs := testing.AllocsPerRun(5, func() { conflictRound(t, db, tc.prefix, nil) })
+				t.Logf("after %d commits: %.0f allocations a conflict round", history, allocs)
+				if allocs > 100 {
+					t.Errorf("after %d commits a conflict round allocates %.0f objects, want at most 100", history, allocs)
+				}
 			}
 		})
 	}

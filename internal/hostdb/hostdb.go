@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -169,16 +170,7 @@ func Open(opts Options) (_ *DB, err error) {
 				return false
 			}
 			db.accountRecords(u)
-			db.updates++
-			if u.TS > db.clock {
-				db.clock = u.TS
-			}
-			if u.Kind.IsNodeOp() && u.NodeID >= db.nextNode {
-				db.nextNode = u.NodeID + 1
-			}
-			if !u.Kind.IsNodeOp() && u.RelID >= db.nextRel {
-				db.nextRel = u.RelID + 1
-			}
+			db.advance(u)
 		}
 		return true
 	})
@@ -192,6 +184,18 @@ func Open(opts Options) (_ *DB, err error) {
 		return nil, fmt.Errorf("hostdb: sync dir: %w", err)
 	}
 	return db, nil
+}
+
+// advance moves the update count, the clock and the id allocators past u, a
+// logged update just applied; the caller holds db.mu and db.idMu, or is Open.
+func (db *DB) advance(u model.Update) {
+	db.updates++
+	db.clock = max(db.clock, u.TS)
+	if u.Kind.IsNodeOp() {
+		db.nextNode = max(db.nextNode, u.NodeID+1)
+	} else {
+		db.nextRel = max(db.nextRel, u.RelID+1)
+	}
 }
 
 // commandEnvelope emulates the fixed per-command byte weight of Neo4j's log
@@ -530,28 +534,129 @@ var ErrRolledBack = errors.New("hostdb: transaction finished")
 // Tx is a read-write transaction. Reads see the committed graph plus the
 // transaction's own staged writes, implemented as an overlay over the
 // current graph — no snapshot is cloned, which keeps Begin/Commit O(staged
-// changes) instead of O(graph). Not safe for concurrent use; run one
-// goroutine per transaction.
+// changes) instead of O(graph). Each write is checked when it is staged, and
+// the whole transaction again at commit against the graph it then lands on;
+// a transaction that fails the second check aborts without touching the
+// graph. Not safe for concurrent use; run one goroutine per transaction.
 type Tx struct {
 	db      *DB
 	updates []model.Update
 	done    bool
 
-	// Overlay: staged entity states (nil value = staged deletion) and the
-	// staged incident-relationship count delta per node (for the
-	// delete-node validation).
-	nodes    map[model.NodeID]*model.Node
-	rels     map[model.RelID]*model.Rel
-	relDelta map[model.NodeID]int
+	// Overlay: staged entity states (nil value = staged deletion), read
+	// through by Node and Rel, and the staged writes' effect that stage
+	// checks the next write against.
+	nodes  map[model.NodeID]*model.Node
+	rels   map[model.RelID]*model.Rel
+	staged pending
 }
 
 // Begin starts a transaction whose reads see the currently committed graph
 // plus its own writes.
 func (db *DB) Begin() *Tx {
 	return &Tx{db: db,
-		nodes:    make(map[model.NodeID]*model.Node),
-		rels:     make(map[model.RelID]*model.Rel),
-		relDelta: make(map[model.NodeID]int),
+		nodes:  make(map[model.NodeID]*model.Node),
+		rels:   make(map[model.RelID]*model.Rel),
+		staged: newPending(),
+	}
+}
+
+// pending is what a run of updates does to a graph it has not been applied
+// to: the entities it creates or deletes and each node's degree change. check
+// holds the run's next updates to the preconditions memgraph.Graph.Apply
+// enforces (ErrExists, ErrNotFound, ErrHasRels, ErrDangling) on the graph with
+// the run so far applied, so a run that passes applies without an error. It
+// copies no entity.
+type pending struct {
+	nodes  map[model.NodeID]bool   // created (true) or deleted (false)
+	rels   map[model.RelID]relEnds // created, or deleted (the zero value)
+	degree map[model.NodeID]int    // incident relationships added minus removed
+}
+
+// relEnds is a relationship's endpoints; live is false once it is deleted.
+type relEnds struct {
+	src, tgt model.NodeID
+	live     bool
+}
+
+func newPending() pending {
+	return pending{nodes: map[model.NodeID]bool{}, rels: map[model.RelID]relEnds{}, degree: map[model.NodeID]int{}}
+}
+
+func (p *pending) node(g *memgraph.Graph, id model.NodeID) bool {
+	if live, ok := p.nodes[id]; ok {
+		return live
+	}
+	return g.Node(id) != nil
+}
+
+func (p *pending) rel(g *memgraph.Graph, id model.RelID) relEnds {
+	if e, ok := p.rels[id]; ok {
+		return e
+	}
+	if r := g.Rel(id); r != nil {
+		return relEnds{src: r.Src, tgt: r.Tgt, live: true}
+	}
+	return relEnds{}
+}
+
+// check returns the first precondition us break, in order, on g with p's
+// updates applied; the updates before it are added to p.
+func (p *pending) check(g *memgraph.Graph, us ...model.Update) error {
+	for _, u := range us {
+		switch u.Kind {
+		case model.OpAddNode:
+			if p.node(g, u.NodeID) {
+				return fmt.Errorf("%w: node %d", model.ErrExists, u.NodeID)
+			}
+			p.nodes[u.NodeID] = true
+		case model.OpDeleteNode:
+			if !p.node(g, u.NodeID) {
+				return fmt.Errorf("%w: node %d", model.ErrNotFound, u.NodeID)
+			}
+			if g.Degree(u.NodeID, model.Both)+p.degree[u.NodeID] > 0 {
+				return fmt.Errorf("%w: node %d", model.ErrHasRels, u.NodeID)
+			}
+			p.nodes[u.NodeID] = false
+		case model.OpUpdateNode:
+			if !p.node(g, u.NodeID) {
+				return fmt.Errorf("%w: node %d", model.ErrNotFound, u.NodeID)
+			}
+		case model.OpAddRel:
+			if !p.node(g, u.Src) || !p.node(g, u.Tgt) {
+				return fmt.Errorf("%w: rel %d (%d->%d)", model.ErrDangling, u.RelID, u.Src, u.Tgt)
+			}
+			if p.rel(g, u.RelID).live {
+				return fmt.Errorf("%w: rel %d", model.ErrExists, u.RelID)
+			}
+			p.rels[u.RelID] = relEnds{src: u.Src, tgt: u.Tgt, live: true}
+			p.degree[u.Src]++
+			p.degree[u.Tgt]++
+		case model.OpDeleteRel:
+			e := p.rel(g, u.RelID)
+			if !e.live {
+				return fmt.Errorf("%w: rel %d", model.ErrNotFound, u.RelID)
+			}
+			p.rels[u.RelID] = relEnds{}
+			p.degree[e.src]--
+			p.degree[e.tgt]--
+		case model.OpUpdateRel:
+			if !p.rel(g, u.RelID).live {
+				return fmt.Errorf("%w: rel %d", model.ErrNotFound, u.RelID)
+			}
+		default:
+			return fmt.Errorf("hostdb: unknown op %v", u.Kind)
+		}
+	}
+	return nil
+}
+
+// apply folds u, which a pending check admitted, into the current graph under
+// db.mu. Apply fails only on a precondition the check holds, so an error here
+// is a broken invariant, not an input to handle.
+func (db *DB) apply(u model.Update) {
+	if err := db.current.Apply(u); err != nil {
+		panic(fmt.Sprintf("hostdb: %v failed after its check passed: %v", u, err))
 	}
 }
 
@@ -565,83 +670,59 @@ func (db *DB) View(fn func(g *memgraph.Graph)) {
 	fn(db.current)
 }
 
-// committedNode reads a node from the committed graph.
-func (tx *Tx) committedNode(id model.NodeID) *model.Node {
-	tx.db.mu.RLock()
-	defer tx.db.mu.RUnlock()
-	return tx.db.current.Node(id)
+// node and rel read an entity from g, the committed graph, as the
+// transaction sees it; db.mu is held.
+func (tx *Tx) node(g *memgraph.Graph, id model.NodeID) *model.Node {
+	if n, ok := tx.nodes[id]; ok {
+		return n
+	}
+	return g.Node(id)
 }
 
-func (tx *Tx) committedRel(id model.RelID) *model.Rel {
-	tx.db.mu.RLock()
-	defer tx.db.mu.RUnlock()
-	return tx.db.current.Rel(id)
+func (tx *Tx) rel(g *memgraph.Graph, id model.RelID) *model.Rel {
+	if r, ok := tx.rels[id]; ok {
+		return r
+	}
+	return g.Rel(id)
 }
 
-func (tx *Tx) committedDegree(id model.NodeID) int {
-	tx.db.mu.RLock()
-	defer tx.db.mu.RUnlock()
-	return len(tx.db.current.Out(id)) + len(tx.db.current.In(id))
-}
-
-// stage validates one update against the transaction's view (overlay over
-// the committed graph) so violations surface at operation time, like
-// Neo4j's API, then records it for commit.
+// stage checks one update against the transaction's view (overlay over the
+// committed graph) so violations surface at operation time, like Neo4j's
+// API, then records it for commit. A relationship's deletion or update takes
+// its endpoints from the view.
 func (tx *Tx) stage(u model.Update) error {
 	if tx.done {
 		return ErrRolledBack
 	}
+	tx.db.mu.RLock()
+	defer tx.db.mu.RUnlock()
+	g := tx.db.current
+	if err := tx.staged.check(g, u); err != nil {
+		return err
+	}
 	switch u.Kind {
 	case model.OpAddNode:
-		if tx.Node(u.NodeID) != nil {
-			return fmt.Errorf("%w: node %d", model.ErrExists, u.NodeID)
-		}
 		n := &model.Node{ID: u.NodeID, Valid: model.Interval{Start: 0, End: model.TSInfinity}}
 		u.ApplyToNode(n)
 		tx.nodes[u.NodeID] = n
 	case model.OpDeleteNode:
-		if tx.Node(u.NodeID) == nil {
-			return fmt.Errorf("%w: node %d", model.ErrNotFound, u.NodeID)
-		}
-		if tx.committedDegree(u.NodeID)+tx.relDelta[u.NodeID] > 0 {
-			return fmt.Errorf("%w: node %d", model.ErrHasRels, u.NodeID)
-		}
 		tx.nodes[u.NodeID] = nil
 	case model.OpUpdateNode:
-		n := tx.Node(u.NodeID)
-		if n == nil {
-			return fmt.Errorf("%w: node %d", model.ErrNotFound, u.NodeID)
-		}
-		c := n.Clone()
+		c := tx.node(g, u.NodeID).Clone()
 		u.ApplyToNode(c)
 		tx.nodes[u.NodeID] = c
 	case model.OpAddRel:
-		if tx.Node(u.Src) == nil || tx.Node(u.Tgt) == nil {
-			return fmt.Errorf("%w: rel %d (%d->%d)", model.ErrDangling, u.RelID, u.Src, u.Tgt)
-		}
-		if tx.Rel(u.RelID) != nil {
-			return fmt.Errorf("%w: rel %d", model.ErrExists, u.RelID)
-		}
 		r := &model.Rel{ID: u.RelID, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel,
 			Valid: model.Interval{Start: 0, End: model.TSInfinity}}
 		u.ApplyToRel(r)
 		tx.rels[u.RelID] = r
-		tx.relDelta[u.Src]++
-		tx.relDelta[u.Tgt]++
 	case model.OpDeleteRel:
-		r := tx.Rel(u.RelID)
-		if r == nil {
-			return fmt.Errorf("%w: rel %d", model.ErrNotFound, u.RelID)
-		}
+		r := tx.rel(g, u.RelID)
+		u.Src, u.Tgt = r.Src, r.Tgt
 		tx.rels[u.RelID] = nil
-		tx.relDelta[r.Src]--
-		tx.relDelta[r.Tgt]--
 	case model.OpUpdateRel:
-		r := tx.Rel(u.RelID)
-		if r == nil {
-			return fmt.Errorf("%w: rel %d", model.ErrNotFound, u.RelID)
-		}
-		c := r.Clone()
+		c := tx.rel(g, u.RelID).Clone()
+		u.Src, u.Tgt = c.Src, c.Tgt
 		u.ApplyToRel(c)
 		tx.rels[u.RelID] = c
 	}
@@ -671,9 +752,7 @@ func (tx *Tx) CreateRel(src, tgt model.NodeID, label string, props model.Propert
 // the allocator is bumped past it). Fails if the id is taken.
 func (tx *Tx) CreateNodeWithID(id model.NodeID, labels []string, props model.Properties) error {
 	tx.db.idMu.Lock()
-	if id >= tx.db.nextNode {
-		tx.db.nextNode = id + 1
-	}
+	tx.db.nextNode = max(tx.db.nextNode, id+1)
 	tx.db.idMu.Unlock()
 	return tx.stage(model.AddNode(0, id, labels, props))
 }
@@ -681,9 +760,7 @@ func (tx *Tx) CreateNodeWithID(id model.NodeID, labels []string, props model.Pro
 // CreateRelWithID adds a relationship under a caller-chosen id.
 func (tx *Tx) CreateRelWithID(id model.RelID, src, tgt model.NodeID, label string, props model.Properties) error {
 	tx.db.idMu.Lock()
-	if id >= tx.db.nextRel {
-		tx.db.nextRel = id + 1
-	}
+	tx.db.nextRel = max(tx.db.nextRel, id+1)
 	tx.db.idMu.Unlock()
 	return tx.stage(model.AddRel(0, id, src, tgt, label, props))
 }
@@ -695,11 +772,7 @@ func (tx *Tx) DeleteNode(id model.NodeID) error {
 
 // DeleteRel removes a relationship.
 func (tx *Tx) DeleteRel(id model.RelID) error {
-	r := tx.Rel(id)
-	if r == nil {
-		return fmt.Errorf("%w: rel %d", model.ErrNotFound, id)
-	}
-	return tx.stage(model.DeleteRel(0, id, r.Src, r.Tgt))
+	return tx.stage(model.DeleteRel(0, id, 0, 0))
 }
 
 // SetNodeProps sets and/or deletes node properties.
@@ -714,54 +787,39 @@ func (tx *Tx) SetNodeLabels(id model.NodeID, add, remove []string) error {
 
 // SetRelProps sets and/or deletes relationship properties.
 func (tx *Tx) SetRelProps(id model.RelID, set model.Properties, del []string) error {
-	r := tx.Rel(id)
-	if r == nil {
-		return fmt.Errorf("%w: rel %d", model.ErrNotFound, id)
-	}
-	return tx.stage(model.UpdateRel(0, id, r.Src, r.Tgt, set, del))
+	return tx.stage(model.UpdateRel(0, id, 0, 0, set, del))
 }
 
 // Node reads a node through the transaction (read-your-writes).
 func (tx *Tx) Node(id model.NodeID) *model.Node {
-	if n, ok := tx.nodes[id]; ok {
-		return n
-	}
-	return tx.committedNode(id)
+	tx.db.mu.RLock()
+	defer tx.db.mu.RUnlock()
+	return tx.node(tx.db.current, id)
 }
 
 // Rel reads a relationship through the transaction.
 func (tx *Tx) Rel(id model.RelID) *model.Rel {
-	if r, ok := tx.rels[id]; ok {
-		return r
-	}
-	return tx.committedRel(id)
+	tx.db.mu.RLock()
+	defer tx.db.mu.RUnlock()
+	return tx.rel(tx.db.current, id)
 }
 
 // IncidentRels lists the relationships incident to a node as seen by the
 // transaction (committed minus staged deletions plus staged creations).
 func (tx *Tx) IncidentRels(id model.NodeID) []model.RelID {
-	var out []model.RelID
 	tx.db.mu.RLock()
-	out = append(out, tx.db.current.Out(id)...)
-	out = append(out, tx.db.current.In(id)...)
+	out := slices.Concat(tx.db.current.Out(id), tx.db.current.In(id))
 	tx.db.mu.RUnlock()
-	kept := out[:0]
-	for _, rid := range out {
-		if r, staged := tx.rels[rid]; staged && r == nil {
-			continue // staged deletion
-		}
-		kept = append(kept, rid)
-	}
-	committed := map[model.RelID]bool{}
-	for _, rid := range kept {
-		committed[rid] = true
-	}
+	out = slices.DeleteFunc(out, func(rid model.RelID) bool {
+		r, staged := tx.rels[rid]
+		return staged && r == nil
+	})
 	for rid, r := range tx.rels {
-		if r != nil && !committed[rid] && (r.Src == id || r.Tgt == id) {
-			kept = append(kept, rid)
+		if r != nil && (r.Src == id || r.Tgt == id) && !slices.Contains(out, rid) {
+			out = append(out, rid)
 		}
 	}
-	return kept
+	return out
 }
 
 // Rollback abandons the transaction.
@@ -955,10 +1013,11 @@ func (db *DB) commitBatch(batch []*commitReq) {
 }
 
 // applyAndAppend runs one sub-batch through apply and the WAL append,
-// without syncing. Each transaction conflict-checks against the state left
-// by the ones before it (queue order = commit order); a conflict aborts
-// only the offending transaction, whose partial application is rolled
-// back, and the sub-batch continues. Every committed transaction is framed
+// without syncing. Under db.mu each transaction is checked whole against the
+// current graph, which already holds the ones before it (queue order =
+// commit order), and only then applied. A transaction that fails the check
+// aborts without writing anything — not to the graph, its timestamp or the
+// clock — and the sub-batch continues. Every committed transaction is framed
 // as ONE log record (encodeCommit), so the WAL's tail repair drops a torn
 // commit wholesale and recovery never resurrects half a transaction; a
 // torn batch write leaves a valid record prefix, so a suffix transaction
@@ -967,23 +1026,16 @@ func (db *DB) applyAndAppend(batch []*commitReq) ([][]model.Update, error) {
 	applied := make([][]model.Update, 0, len(batch))
 	db.mu.Lock()
 	for _, req := range batch {
-		ts := db.clock + 1
-		for i := range req.updates {
-			req.updates[i].TS = ts
-		}
-		n := 0
-		var err error
-		for _, u := range req.updates {
-			if err = db.current.Apply(u); err != nil {
-				break
-			}
-			n++
-		}
-		if err != nil {
-			db.rollbackPrefix(req.updates[:n], applied)
+		p := newPending()
+		if err := p.check(db.current, req.updates...); err != nil {
 			req.err = fmt.Errorf("hostdb: commit conflict: %w", err)
 			db.stats.conflicts.Add(1)
 			continue
+		}
+		ts := db.clock + 1
+		for i := range req.updates {
+			req.updates[i].TS = ts
+			db.apply(req.updates[i])
 		}
 		db.clock = ts
 		db.updates += uint64(len(req.updates))
@@ -1016,52 +1068,6 @@ func (db *DB) applyAndAppend(batch []*commitReq) ([][]model.Update, error) {
 		return applied, err
 	}
 	return applied, nil
-}
-
-// rollbackPrefix undoes a partially applied update prefix in reverse order.
-// batchApplied holds the current group-commit round's already-applied
-// transactions, whose records are not yet in the log: when the structural
-// undo has to fall back to rebuilding from the log, they are re-applied on
-// top so the rebuilt graph matches the committed state. Either way the graph
-// is back at the clock: the aborted updates (and the compensating deletes)
-// carried the timestamp the transaction would have got, and no reader of
-// Current or Committed may see a graph stamped with a commit that never was.
-func (db *DB) rollbackPrefix(applied []model.Update, batchApplied [][]model.Update) {
-	defer func() { db.current.SetTimestamp(db.clock) }() // a closure: rebuildFromLog replaces db.current
-	for i := len(applied) - 1; i >= 0; i-- {
-		u := applied[i]
-		switch u.Kind {
-		case model.OpAddNode:
-			_ = db.current.Apply(model.DeleteNode(u.TS, u.NodeID))
-		case model.OpAddRel:
-			_ = db.current.Apply(model.DeleteRel(u.TS, u.RelID, u.Src, u.Tgt))
-		default:
-			// Deletions and updates of pre-existing entities cannot be
-			// rolled back structurally without their prior state; rebuild
-			// from scratch via the log in that rare case.
-			db.rebuildFromLog()
-			for _, us := range batchApplied {
-				for _, bu := range us {
-					_ = db.current.Apply(bu)
-				}
-			}
-			return
-		}
-	}
-}
-
-// rebuildFromLog reconstructs the current graph from the transaction log.
-func (db *DB) rebuildFromLog() {
-	g := memgraph.New()
-	db.txnLog.Scan(0, func(off int64, payload []byte) bool {
-		if us, err := db.decodeCommit(payload); err == nil {
-			for _, u := range us {
-				_ = g.Apply(u)
-			}
-		}
-		return true
-	})
-	db.current = g
 }
 
 // Run executes fn inside a transaction, committing on success and rolling

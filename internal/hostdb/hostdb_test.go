@@ -70,6 +70,25 @@ func TestRollback(t *testing.T) {
 	if n, _ := db.Counts(); n != 0 {
 		t.Error("rolled-back write persisted")
 	}
+	// A relationship's deletion or update on a finished transaction is
+	// refused as such, whether or not the relationship exists.
+	var rel model.RelID
+	if _, err := db.Run(func(tx *Tx) error {
+		a, _ := tx.CreateNode(nil, nil)
+		var err error
+		rel, err = tx.CreateRel(a, a, "R", nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []model.RelID{rel, rel + 1} {
+		if err := tx.DeleteRel(id); err != ErrRolledBack {
+			t.Errorf("DeleteRel(%d) after rollback: %v", id, err)
+		}
+		if err := tx.SetRelProps(id, model.Properties{"k": model.IntValue(1)}, nil); err != ErrRolledBack {
+			t.Errorf("SetRelProps(%d) after rollback: %v", id, err)
+		}
+	}
 }
 
 func TestCommitTimestampsMonotonic(t *testing.T) {

@@ -1,0 +1,263 @@
+package hostdb
+
+import (
+	"errors"
+	"runtime"
+	"slices"
+	"testing"
+
+	"aion/internal/memgraph"
+	"aion/internal/model"
+	"aion/internal/refmodel"
+	"aion/internal/vfs"
+)
+
+// stageUpdate stages one update of a refmodel.History through the
+// transaction API.
+func stageUpdate(tx *Tx, u model.Update) error {
+	switch u.Kind {
+	case model.OpAddNode:
+		return tx.CreateNodeWithID(u.NodeID, u.AddLabels, u.SetProps)
+	case model.OpUpdateNode:
+		if len(u.AddLabels)+len(u.DelLabels) > 0 {
+			if err := tx.SetNodeLabels(u.NodeID, u.AddLabels, u.DelLabels); err != nil {
+				return err
+			}
+		}
+		return tx.SetNodeProps(u.NodeID, u.SetProps, u.DelProps)
+	case model.OpDeleteNode:
+		return tx.DeleteNode(u.NodeID)
+	case model.OpAddRel:
+		return tx.CreateRelWithID(u.RelID, u.Src, u.Tgt, u.RelLabel, u.SetProps)
+	case model.OpUpdateRel:
+		return tx.SetRelProps(u.RelID, u.SetProps, u.DelProps)
+	default:
+		return tx.DeleteRel(u.RelID)
+	}
+}
+
+// spoil stages, on the entity u changes, the write that u makes fail: the
+// creation of what u creates, an update of what u deletes. It fails where the
+// write fails already, on the committed graph g, or where u leaves nothing to
+// spoil.
+func spoil(tx *Tx, g *memgraph.Graph, u model.Update) error {
+	touch := model.Properties{"doomed": model.BoolValue(true)}
+	switch u.Kind {
+	case model.OpAddNode:
+		return tx.CreateNodeWithID(u.NodeID, nil, nil)
+	case model.OpDeleteNode:
+		return tx.SetNodeProps(u.NodeID, touch, nil)
+	case model.OpAddRel:
+		if g.Node(u.Src) == nil || g.Node(u.Tgt) == nil {
+			return model.ErrDangling
+		}
+		return tx.CreateRelWithID(u.RelID, u.Src, u.Tgt, "R", nil)
+	case model.OpDeleteRel:
+		return tx.SetRelProps(u.RelID, touch, nil)
+	}
+	return model.ErrExists // an update conflicts with nothing
+}
+
+// doomed is a transaction that the winner of its round, committed ahead of
+// it, makes abort.
+type doomed struct {
+	kind string
+	tx   *Tx
+	err  chan error
+}
+
+// doom stages, against the committed graph g, the transactions that the
+// commit us — queued ahead of them — makes abort: one written against the
+// state us then changes, three that create, update or delete an entity us
+// leaves alone before they write what us spoils, and one that deletes a node
+// us gives a relationship, after deleting the relationships it had.
+func doom(db *DB, g *memgraph.Graph, us []model.Update, round int) []doomed {
+	touched := map[int64]bool{}
+	for _, u := range us {
+		touched[u.EntityKey()] = true
+	}
+	var live []model.NodeID
+	g.ForEachNode(func(n *model.Node) bool {
+		if !touched[int64(n.ID)<<1] {
+			live = append(live, n.ID)
+		}
+		return true
+	})
+	var rels []model.RelID
+	g.ForEachRel(func(r *model.Rel) bool {
+		if !touched[int64(r.ID)<<1|1] {
+			rels = append(rels, r.ID)
+		}
+		return true
+	})
+	var out []doomed
+	// try stages prefix and then spoils the first update of us, from the
+	// round's offset on, that can be spoiled.
+	try := func(kind string, prefix func(tx *Tx) error) {
+		for i := range us {
+			tx := db.Begin()
+			if prefix(tx) == nil && spoil(tx, g, us[(round+i)%len(us)]) == nil {
+				out = append(out, doomed{kind: kind, tx: tx})
+				return
+			}
+			tx.Rollback()
+		}
+	}
+	none := func(*Tx) error { return nil }
+	try("stale", none)
+	try("creating prefix", func(tx *Tx) error { return tx.CreateNodeWithID(model.NodeID(1<<20+round), []string{"Doomed"}, nil) })
+	if len(live) > 0 {
+		n := live[round%len(live)]
+		try("updating prefix", func(tx *Tx) error { return tx.SetNodeProps(n, model.Properties{"doomed": model.IntValue(1)}, nil) })
+	}
+	if len(rels) > 0 {
+		r := rels[round%len(rels)]
+		try("deleting prefix", func(tx *Tx) error { return tx.DeleteRel(r) })
+	}
+	for _, u := range us {
+		if u.Kind != model.OpAddRel || g.Node(u.Src) == nil {
+			continue
+		}
+		tx := db.Begin()
+		ok := true
+		incident := map[model.RelID]bool{}
+		for _, r := range slices.Concat(g.Out(u.Src), g.In(u.Src)) {
+			if !incident[r] {
+				incident[r] = true
+				ok = ok && tx.DeleteRel(r) == nil
+			}
+		}
+		if ok && tx.DeleteNode(u.Src) == nil {
+			out = append(out, doomed{kind: "has rels", tx: tx})
+			break
+		}
+		tx.Rollback()
+	}
+	return out
+}
+
+// TestConcurrentAbortsMatchTheReferenceModel commits a seeded
+// refmodel.History through Tx, a transaction per commit, and races each
+// commit against transactions it dooms, each committed from a goroutine of
+// its own into the same group-commit round: see doom. A listener holds every
+// round's leader until the next round is queued, so every doomed transaction
+// is queued behind its winner and the whole round commits as one batch. After
+// every round the host's graph is the model's at the host's clock, and every
+// doomed transaction aborted and counted as a conflict.
+func TestConcurrentAbortsMatchTheReferenceModel(t *testing.T) {
+	db, err := Open(Options{FS: vfs.NewFaultFS(), SyncCommits: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	applied, release, stop := make(chan model.Timestamp), make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop) }) // frees a held leader when the test fails
+	db.OnCommit(func(ts model.Timestamp, _ []model.Update) {
+		select {
+		case applied <- ts:
+			select {
+			case <-release:
+			case <-stop:
+			}
+		case <-stop:
+		}
+	})
+	commit := func(tx *Tx) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := tx.Commit()
+			done <- err
+		}()
+		return done
+	}
+	// queue commits tx from a goroutine and waits until it is in the queue.
+	queue := func(tx *Tx) chan error {
+		db.qmu.Lock()
+		n := len(db.queue)
+		db.qmu.Unlock()
+		done := commit(tx)
+		for {
+			db.qmu.Lock()
+			queued := len(db.queue) > n
+			db.qmu.Unlock()
+			if queued {
+				return done
+			}
+			runtime.Gosched()
+		}
+	}
+	stageAll := func(us []model.Update) *Tx {
+		tx := db.Begin()
+		for _, u := range us {
+			if err := stageUpdate(tx, u); err != nil {
+				t.Fatalf("staging %v: %v", u, err)
+			}
+		}
+		return tx
+	}
+
+	const rounds = 80
+	h, m := refmodel.NewHistory(3), &refmodel.Model{}
+	us := h.Commit(8)
+	m.Apply(us...)
+	winners := []chan error{commit(stageAll(us))} // the first leader, nothing to race
+	var all []doomed
+	for round := 1; ; round++ {
+		if ts := <-applied; ts != h.TS || db.Clock() != h.TS {
+			t.Fatalf("round %d: the listener holds commit %d at clock %d, want %d", round, ts, db.Clock(), h.TS)
+		}
+		g := db.Current()
+		if got, want := g.Export(), m.Graph(h.TS); g.Timestamp() != h.TS || !slices.EqualFunc(got, want, sameUpdate) {
+			t.Fatalf("round %d: the host's graph at %d (%d entities) is not the model's (%d entities)",
+				round, g.Timestamp(), len(got), len(want))
+		}
+		if round == rounds {
+			release <- struct{}{}
+			break
+		}
+		us := h.Commit(8)
+		m.Apply(us...)
+		w := stageAll(us)
+		ds := doom(db, g, us, round)
+		winners = append(winners, queue(w))
+		for i := range ds {
+			ds[i].err = queue(ds[i].tx)
+		}
+		all = append(all, ds...)
+		release <- struct{}{}
+	}
+	for i, w := range winners {
+		if err := <-w; err != nil {
+			t.Fatalf("commit %d: %v", i+1, err)
+		}
+	}
+	kinds, hasRels := map[string]int{}, 0
+	for _, d := range all {
+		err := <-d.err
+		if err == nil {
+			t.Fatalf("a doomed transaction (%s) committed", d.kind)
+		}
+		kinds[d.kind]++
+		if errors.Is(err, model.ErrHasRels) {
+			hasRels++
+		}
+	}
+	t.Logf("%d rounds, doomed transactions by kind: %v (%d aborted on ErrHasRels)", rounds, kinds, hasRels)
+	for _, k := range []string{"stale", "creating prefix", "updating prefix", "deleting prefix", "has rels"} {
+		if kinds[k] < 5 {
+			t.Errorf("%d doomed transactions of kind %q, want at least 5", kinds[k], k)
+		}
+	}
+	if hasRels == 0 {
+		t.Error("no doomed transaction aborted on ErrHasRels")
+	}
+	if st := db.Stats(); st.Conflicts != int64(len(all)) || st.Commits != rounds {
+		t.Errorf("stats count %d conflicts and %d commits, want %d and %d", st.Conflicts, st.Commits, len(all), rounds)
+	}
+}
+
+// sameUpdate compares two updates of a graph's export.
+func sameUpdate(x, y model.Update) bool {
+	return x.TS == y.TS && x.Kind == y.Kind && x.NodeID == y.NodeID && x.RelID == y.RelID && x.Src == y.Src &&
+		x.Tgt == y.Tgt && x.RelLabel == y.RelLabel && slices.Equal(x.AddLabels, y.AddLabels) && x.SetProps.Equal(y.SetProps)
+}

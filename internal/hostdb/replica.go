@@ -24,10 +24,6 @@ import (
 // their primary's log stream.
 var ErrReplicaReadOnly = errors.New("hostdb: replica is read-only")
 
-// IsReplica reports whether this database was opened as a replication
-// follower.
-func (db *DB) IsReplica() bool { return db.opts.Replica }
-
 // DurableExtents returns the fsync-covered sizes of the string table and
 // transaction log — the byte watermarks replication may ship up to.
 //
@@ -124,14 +120,19 @@ func (db *DB) TxnFrames(from, to int64, maxBytes int) (frames [][]byte, next int
 // Order of operations is the crash-safety contract:
 //
 //  1. append the string bytes (log records hold positional refs into them);
-//  2. decode and validate EVERY frame before touching the log, so a
-//     corrupt or non-monotonic shipment is rejected wholesale;
+//  2. decode and check EVERY frame before touching the log: timestamps
+//     strictly increasing from the clock, and every update admitted by the
+//     check a commit runs (pending), over the graph with the shipment's
+//     earlier updates applied — so a corrupt, non-monotonic or
+//     inapplicable shipment is rejected wholesale and leaves the log, the
+//     clock and the graph as they were;
 //  3. append the frames to the follower's own transaction log;
 //  4. fsync strings, then the log — durability BEFORE visibility, so the
 //     watermark this call advances only ever covers bytes that survive a
 //     crash;
-//  5. apply the updates to the in-memory graph and fire commit listeners
-//     (the follower's Aion instance ingests here), in commit order.
+//  5. apply the updates to the in-memory graph, which (2) makes
+//     infallible, and fire commit listeners (the follower's Aion instance
+//     ingests here), in commit order.
 //
 // A crash between (3) and (4) is repaired by the WAL's tail repair on
 // reopen; a crash after (4) is replayed by Open's recovery scan. Either
@@ -160,11 +161,14 @@ func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, 
 		return db.Clock(), nil
 	}
 
-	// Validate the whole batch up front: decodable, non-empty, and commit
-	// timestamps strictly increasing from the follower's clock. A failure
-	// here is divergence — the caller must fail stop, not skip.
+	// Check the whole batch up front: decodable, non-empty, commit timestamps
+	// strictly increasing from the follower's clock, and applicable in order.
+	// A failure here is divergence — the caller must fail stop, not skip.
+	// Only ApplyShipment writes a replica's graph (a promotion stops the
+	// stream first), so the graph checked is the one applied to below.
 	clock := db.Clock()
 	commits := make([][]model.Update, 0, len(frames))
+	p := newPending()
 	for i, payload := range frames {
 		us, err := db.decodeCommit(payload)
 		if err != nil {
@@ -175,6 +179,12 @@ func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, 
 		}
 		if us[0].TS <= clock {
 			return 0, fmt.Errorf("hostdb: shipment frame %d: commit ts %d not above clock %d", i, us[0].TS, clock)
+		}
+		db.mu.RLock()
+		err = p.check(db.current, us...)
+		db.mu.RUnlock()
+		if err != nil {
+			return 0, fmt.Errorf("hostdb: shipment frame %d: %w", i, err)
 		}
 		clock = us[0].TS
 		commits = append(commits, us)
@@ -200,33 +210,15 @@ func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, 
 	db.stats.fsyncs.Add(1)
 
 	db.mu.Lock()
-	for _, us := range commits {
-		for _, u := range us {
-			if err := db.current.Apply(u); err != nil {
-				// The primary applied this exact update sequence; failure
-				// here means the follower's graph diverged. Fail stop.
-				db.mu.Unlock()
-				return 0, fmt.Errorf("hostdb: shipment apply ts %d: %w", u.TS, err)
-			}
-			db.updates++
-			if u.TS > db.clock {
-				db.clock = u.TS
-			}
-		}
-	}
-	db.mu.Unlock()
 	db.idMu.Lock()
 	for _, us := range commits {
 		for _, u := range us {
-			if u.Kind.IsNodeOp() && u.NodeID >= db.nextNode {
-				db.nextNode = u.NodeID + 1
-			}
-			if !u.Kind.IsNodeOp() && u.RelID >= db.nextRel {
-				db.nextRel = u.RelID + 1
-			}
+			db.apply(u)
+			db.advance(u)
 		}
 	}
 	db.idMu.Unlock()
+	db.mu.Unlock()
 	for _, us := range commits {
 		for _, u := range us {
 			db.accountRecords(u)
