@@ -136,13 +136,14 @@ seal-sweep:
 	$(GO) test -race -count=1 ./internal/tstest/
 	$(GO) run ./cmd/aion-bench -exp history -scale 500 -globalops 12 -json BENCH_seal.json -baseline BENCH_baseline.json
 
-# The restart gate: the two-generation checkpoint crash sweep, the tests that
-# the disk alone selects the catch-up path, the lineage-only watermark and
-# failed-Open leak tests and the tail-only TimeStore recovery property, all
-# under the race detector, then one timed reopen of the benchmark's dataset
-# shape.
+# The restart gate: the two-generation checkpoint crash sweep, the power cut at
+# every mutating operation inside Close (a bare host and a system, commits not
+# synced), the tests that the disk alone selects the catch-up path, the
+# lineage-only watermark and failed-Open leak tests and the tail-only TimeStore
+# recovery property, all under the race detector, then one timed reopen of the
+# benchmark's dataset shape.
 restart-sweep:
-	$(GO) test -race -count=1 -run 'TestCrashSweepRestart' ./internal/system/
+	$(GO) test -race -count=1 -run 'TestCrashSweepRestart|TestCrashSweepClose' ./internal/system/ ./internal/hostdb/
 	$(GO) test -race -count=1 -run 'TestReopenCatchesUp|TestSkippedApplyBarsTheCheckpoint|TestLineageOnlyKeepsItsWatermark|TestFailedOpenReleasesEverything|TestCloseReleasesDescriptors' ./internal/aion/
 	$(GO) test -race -count=1 -run 'TestInvalidationPrecedesTheFirstWrite|TestFenceScanMatchesBruteForce|TestReplayCommittedDecodesOnly|TestFailedOpenClosesItsFiles' ./internal/lineagestore/ ./internal/timestore/ ./internal/hostdb/
 	$(GO) test -run '^$$' -bench BenchmarkReopen -benchtime 1x ./internal/system/
@@ -162,10 +163,15 @@ restart-sweep:
 # a loaded graph held vectors of its own; over 7.6 MiB fails the benchmark and
 # the target. Its third phase is the write row: write-heap-MiB, what
 # ingest-commit's four-statement cycle leaves on the live heap after 4 x 16 384
-# single-statement commits: 10.8, 13.1 with a 40-byte Value, 17.5 when a pull
-# cost the host a copy of its vectors; over 11.9 MiB fails both. The first
-# row, heap-MiB, is 37.1 (47.8 with a 40-byte Value); over 211 B per update
-# fails.
+# single-statement commits, the record-store pages they stamp included: 12.6
+# (10.8 when replay had filled the record caches, 17.5 when a pull cost the
+# host a copy of its vectors); over 13.9 MiB fails both. The first row,
+# heap-MiB, is 33.2 (37.1 with replay filling the record caches and a box per
+# decoded string, 47.8 with a 40-byte Value on top); over 189 B per update
+# fails, and so does a sum of the first and third rows over 47 MiB (45.8).
+# Replay stamps no record slot, so hostdb.Open holds no record-store page: the
+# target fails when pagecache's makeRoom under it holds over 0.5 MB (2.2 when
+# replay refilled the record caches).
 HEAP_OWNERS = system\.Open$$|hostdb\.Open$$|aion\.Open$$|timestore\.Open$$|lineagestore\.Open$$|pagecache\.|strstore\.
 heap-budget:
 	@mkdir -p .bench_build
@@ -174,6 +180,8 @@ heap-budget:
 	@cat .bench_build/heap-owners.txt
 	@awk '/hostdb\.Open$$/ {h = $$1 + 0} /timestore\.Open$$/ {t = $$1 + 0} \
 		END {if (h > 10 && t > 10) {printf "heap-budget: two resident copies of the current graph: hostdb.Open %.1f MB, timestore.Open %.1f MB\n", h, t; exit 1}}' .bench_build/heap-owners.txt
+	@$(GO) tool pprof -sample_index=inuse_space -unit=mb -top -focus='hostdb\.Open$$' -show='pagecache\.\(\*Pool\)\.makeRoom$$' .bench_build/heap.pprof \
+		| awk '/makeRoom$$/ {m = $$1 + 0} END {if (m > 0.5) {printf "heap-budget: replay filled the record caches: hostdb.Open holds %.2f MB of pages\n", m; exit 1}}'
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=12 .bench_build/heap.pprof
 
 # The disk twin of heap-budget: BenchmarkDisk loads the benchmark's dataset

@@ -228,11 +228,11 @@ func (c *Codec) readValue(b []byte, k model.ValueKind) (model.Value, []byte, err
 		if err != nil {
 			return model.Value{}, nil, err
 		}
-		s, err := c.Strings.Lookup(id)
+		v, err := c.Strings.LookupValue(id) // the table's box: a string decodes without allocating
 		if err != nil {
 			return model.Value{}, nil, err
 		}
-		return model.StringValue(s), rest, nil
+		return v, rest, nil
 	case model.KindIntArray:
 		n, w := binary.Uvarint(b)
 		if w <= 0 || n > uint64(len(b)) { // each element needs >= 1 byte

@@ -197,3 +197,31 @@ func TestValueEncodingGolden(t *testing.T) {
 		t.Errorf("re-encoding the decoded update: %x (%v), want %x", again, err, b)
 	}
 }
+
+// decodeStringAllocs is what decoding a relationship with one string property
+// allocates: its property map. The string's box is the string table's,
+// shared by every decode; with a box of its own per decode it was one more.
+const decodeStringAllocs = 2
+
+// TestStringDecodesShareTheTablesBox decodes an update that carries a string
+// property: it allocates no box for the string, and two decodes of it return
+// equal values that share one.
+func TestStringDecodesShareTheTablesBox(t *testing.T) {
+	c := newCodec()
+	b, err := c.EncodeUpdate(model.AddRel(3, 1, 0, 2, "CITES", model.Properties{"w": model.StringValue("value-0-of-property-chain")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var u model.Update
+	if got := testing.AllocsPerRun(100, func() { u, _ = c.DecodeUpdate(b) }); got != decodeStringAllocs {
+		t.Errorf("decoding an update with a string property allocates %v times, want %d", got, decodeStringAllocs)
+	}
+	v, err := c.DecodeUpdate(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := func(v model.Value) uintptr { return reflect.ValueOf(v).FieldByName("b").Pointer() }
+	if x, y := u.SetProps["w"], v.SetProps["w"]; !x.Equal(y) || x.Str() != "value-0-of-property-chain" || box(x) != box(y) {
+		t.Errorf("two decodes of one string: %v and %v in boxes %#x and %#x, want equal values in one box", x, y, box(x), box(y))
+	}
+}

@@ -22,7 +22,7 @@ func TestDecodeCommitBoundsTheCount(t *testing.T) {
 		rec = append(rec, make([]byte, 7-len(rec))...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := db.decodeCommit(rec)
+		_, err := db.decodeCommit(nil, rec)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("a 7-byte record claiming %d updates decoded", n)
@@ -34,7 +34,9 @@ func TestDecodeCommitBoundsTheCount(t *testing.T) {
 }
 
 // FuzzDecodeCommit feeds decodeCommit arbitrary bytes, as a follower's
-// ApplyShipment does: it must never panic, and on every record it accepts
+// ApplyShipment does: it must never panic, it must accept the record's update
+// section — all that Open's decode workers are handed — exactly when it
+// accepts the record, with as many updates, and on every record it accepts
 // peekCommitTS — what ReplayCommitted skips by — must name the first update's
 // timestamp (-1 for an empty commit).
 func FuzzDecodeCommit(f *testing.F) {
@@ -56,7 +58,10 @@ func FuzzDecodeCommit(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		us, err := db.decodeCommit(rec)
+		us, err := db.decodeCommit(nil, rec)
+		if sec, serr := db.decodeCommit(nil, updateSection(rec)); (serr == nil) != (err == nil) || len(sec) != len(us) {
+			t.Fatalf("the update section decodes to %d updates (%v), the record to %d (%v)", len(sec), serr, len(us), err)
+		}
 		if err != nil {
 			return
 		}

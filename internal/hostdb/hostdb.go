@@ -24,6 +24,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/pagecache"
+	"aion/internal/pool"
 	"aion/internal/strstore"
 	"aion/internal/vfs"
 	"aion/internal/wal"
@@ -156,27 +157,44 @@ func Open(opts Options) (_ *DB, err error) {
 	opened = append(opened, db.propStore.pc.Close)
 	// Recovery: replay the transaction log, one record per committed
 	// transaction (a torn trailing commit was already truncated by the
-	// WAL's tail repair, so commits are recovered atomically). A commit that
+	// WAL's tail repair, so commits are recovered atomically). Workers decode
+	// a copy of each readahead chunk's update sections; the updates are
+	// applied in log order here, and stamp no record slot. A commit that
 	// passed its CRC but does not decode or apply fails the Open: stopping
 	// there would drop every later commit the log still holds.
-	var rerr error
-	_, err = db.txnLog.Scan(0, func(off int64, payload []byte) bool {
-		var us []model.Update
-		if us, rerr = db.decodeCommit(payload); rerr != nil {
-			return false
-		}
-		for _, u := range us {
-			if rerr = db.current.Apply(u); rerr != nil {
-				return false
+	err = pool.RunOrdered(pool.DefaultWorkers(),
+		func(emit func([][]byte) bool) error {
+			_, err := db.txnLog.ScanBatch(0, 0, func(frames []wal.Frame) bool {
+				job := make([][]byte, len(frames))
+				for i, fr := range frames {
+					job[i] = slices.Clone(updateSection(fr.Payload))
+				}
+				return emit(job)
+			})
+			return err
+		},
+		func(job [][]byte) (us []model.Update, err error) {
+			for _, sec := range job {
+				if us, err = db.decodeCommit(us, sec); err != nil {
+					return nil, err
+				}
 			}
-			db.accountRecords(u)
-			db.advance(u)
-		}
-		return true
-	})
-	if err = errors.Join(err, rerr); err != nil {
+			return us, nil
+		},
+		func(us []model.Update) error {
+			for _, u := range us {
+				if err := db.current.Apply(u); err != nil {
+					return err
+				}
+				db.countRecords(u)
+				db.advance(u)
+			}
+			return nil
+		})
+	if err != nil {
 		return nil, fmt.Errorf("hostdb: recovery: %w", err)
 	}
+	db.propStore.next = db.recordBytes.props / PropRecordBytes
 	// Persist the directory entries of freshly created files: without this
 	// a crash right after Open can lose the files' names even though their
 	// content was synced.
@@ -232,8 +250,21 @@ func (db *DB) encodeCommit(us []model.Update) ([]byte, error) {
 	return append(buf, make([]byte, commandEnvelope*len(us))...), nil
 }
 
-// decodeCommit is the inverse of encodeCommit (the filler is ignored).
-func (db *DB) decodeCommit(payload []byte) ([]model.Update, error) {
+// updateSection returns the front of a commit record that decodeCommit reads:
+// the count and the length-prefixed updates, without the before-images and
+// filler. A record that decodeCommit refuses is refused on its section too.
+func updateSection(payload []byte) []byte {
+	n, w := binary.Uvarint(payload)
+	end := max(w, 0)
+	for i := uint64(0); w > 0 && i < n && end+4 <= len(payload); i++ {
+		end += 4 + int(binary.LittleEndian.Uint32(payload[end:]))
+	}
+	return payload[:min(end, len(payload))]
+}
+
+// decodeCommit appends a commit record's updates to us: the inverse of
+// encodeCommit (the filler is ignored).
+func (db *DB) decodeCommit(us []model.Update, payload []byte) ([]model.Update, error) {
 	n, w := binary.Uvarint(payload)
 	if w <= 0 {
 		return nil, fmt.Errorf("hostdb: bad commit record header")
@@ -244,7 +275,7 @@ func (db *DB) decodeCommit(payload []byte) ([]model.Update, error) {
 	if n > uint64(len(b)/4) {
 		return nil, fmt.Errorf("hostdb: commit record claims %d updates in %d bytes", n, len(b))
 	}
-	us := make([]model.Update, 0, n)
+	us = slices.Grow(us, int(n))
 	for i := uint64(0); i < n; i++ {
 		if len(b) < 4 {
 			return nil, fmt.Errorf("hostdb: commit record cut short (update %d/%d)", i, n)
@@ -287,7 +318,7 @@ func (db *DB) ReplayCommitted(after model.Timestamp, fn func(ts model.Timestamp,
 		ts, perr := peekCommitTS(payload) // decode only what is delivered
 		if ferr = perr; ferr == nil && ts > after {
 			var us []model.Update
-			if us, ferr = db.decodeCommit(payload); ferr == nil {
+			if us, ferr = db.decodeCommit(nil, payload); ferr == nil {
 				ferr = fn(ts, us)
 			}
 		}
@@ -367,47 +398,36 @@ func (rs *recordStore) appendRecord() {
 	rs.writeAt(id)
 }
 
-// accountRecords tracks the fixed-size record bytes a change consumes and
-// writes the record slots through the page cache, so every commit pays a
-// realistic store-file cost (relationship commands also rewrite both
-// endpoint node records, per Neo4j's neighbour-chain format).
-func (db *DB) accountRecords(u model.Update) {
+// countRecords adds the fixed-size record bytes a change consumes to the
+// counters Storage reports: a deletion carries no properties.
+func (db *DB) countRecords(u model.Update) {
 	db.recordBytes.Lock()
 	switch u.Kind {
 	case model.OpAddNode:
 		db.recordBytes.nodes += NodeRecordBytes
-		db.recordBytes.props += int64(len(u.SetProps)) * PropRecordBytes
 	case model.OpAddRel:
 		db.recordBytes.rels += RelRecordBytes
-		db.recordBytes.props += int64(len(u.SetProps)) * PropRecordBytes
-	case model.OpUpdateNode, model.OpUpdateRel:
-		db.recordBytes.props += int64(len(u.SetProps)) * PropRecordBytes
 	}
+	db.recordBytes.props += int64(len(u.SetProps)) * PropRecordBytes
 	db.recordBytes.Unlock()
+}
 
+// accountRecords counts a committed change's record bytes and writes its
+// record slots through the page cache, so every commit pays a realistic
+// store-file cost (relationship commands also rewrite both endpoint node
+// records, per Neo4j's neighbour-chain format).
+func (db *DB) accountRecords(u model.Update) {
+	db.countRecords(u)
 	switch u.Kind {
-	case model.OpAddNode:
+	case model.OpAddNode, model.OpDeleteNode:
 		db.nodeStore.writeAt(int64(u.NodeID))
-		for range u.SetProps {
-			db.propStore.appendRecord()
-		}
-	case model.OpAddRel:
+	case model.OpAddRel, model.OpDeleteRel:
 		db.relStore.writeAt(int64(u.RelID))
 		db.nodeStore.writeAt(int64(u.Src))
 		db.nodeStore.writeAt(int64(u.Tgt))
-		for range u.SetProps {
-			db.propStore.appendRecord()
-		}
-	case model.OpDeleteNode:
-		db.nodeStore.writeAt(int64(u.NodeID))
-	case model.OpDeleteRel:
-		db.relStore.writeAt(int64(u.RelID))
-		db.nodeStore.writeAt(int64(u.Src))
-		db.nodeStore.writeAt(int64(u.Tgt))
-	case model.OpUpdateNode, model.OpUpdateRel:
-		for range u.SetProps {
-			db.propStore.appendRecord()
-		}
+	}
+	for range u.SetProps {
+		db.propStore.appendRecord()
 	}
 }
 
@@ -520,10 +540,12 @@ func (db *DB) IndexAndMetadataBytes() int64 {
 	return int64(nodes)*24 + int64(rels)*8 + 64<<10
 }
 
-// Close flushes and closes the database.
+// Close flushes and closes the database, in Flush's order: the string table
+// first (log records hold positional refs into it), then the transaction log,
+// then the record store files.
 func (db *DB) Close() error {
-	return errors.Join(db.txnLog.Close(), db.nodeStore.pc.Close(), db.relStore.pc.Close(),
-		db.propStore.pc.Close(), db.strings.Close())
+	return errors.Join(db.strings.Close(), db.txnLog.Close(), db.nodeStore.pc.Close(),
+		db.relStore.pc.Close(), db.propStore.pc.Close())
 }
 
 // --- transactions -----------------------------------------------------------

@@ -383,7 +383,7 @@ func TestReplayCommittedDecodesOnlyWhatItDelivers(t *testing.T) {
 			if model.Timestamp(i+1) <= after {
 				_, w := binary.Uvarint(p)
 				p[w+4] |= 0b11 // neither TypeNode nor TypeRel
-				if _, err := db.decodeCommit(p); err == nil {
+				if _, err := db.decodeCommit(nil, p); err == nil {
 					t.Fatal("poisoned commit still decodes")
 				}
 			}

@@ -170,7 +170,7 @@ func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, 
 	commits := make([][]model.Update, 0, len(frames))
 	p := newPending()
 	for i, payload := range frames {
-		us, err := db.decodeCommit(payload)
+		us, err := db.decodeCommit(nil, payload)
 		if err != nil {
 			return 0, fmt.Errorf("hostdb: shipment frame %d: %w", i, err)
 		}

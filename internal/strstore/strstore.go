@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aion/internal/model"
 	"aion/internal/vfs"
 )
 
@@ -25,14 +26,15 @@ type Ref uint32
 // MaxRef bounds the id space, leaving the top bits free for caller flags.
 const MaxRef = 1<<28 - 1
 
-// Store is an append-only interned string table. It is safe for concurrent
-// use; the read paths (Lookup, and Intern of an already-known string) are
-// lock-free so the TimeStore's parallel encode/decode workers do not
-// serialize on the table. When constructed with a backing file, every new
-// string is appended durably (length-prefixed) so the table can be reloaded.
+// Store is an append-only interned string table, each string held as the one
+// string model.Value every decode of it shares. It is safe for concurrent use;
+// the read paths (the lookups, and Intern of a known string) are lock-free so
+// the TimeStore's parallel encode/decode workers do not serialize on the
+// table. When constructed with a backing file, every new string is appended
+// durably (length-prefixed) so the table can be reloaded.
 type Store struct {
 	mu       sync.Mutex   // serializes interning of new strings and file state
-	byID     atomic.Value // []string; append-only, republished on growth
+	byID     atomic.Value // []model.Value; append-only, republished on growth
 	ids      sync.Map     // string -> Ref; written once per string
 	w        *bufio.Writer
 	f        vfs.File
@@ -46,7 +48,7 @@ type Store struct {
 // NewMem creates an in-memory store with no persistence.
 func NewMem() *Store {
 	s := &Store{}
-	s.byID.Store([]string(nil))
+	s.byID.Store([]model.Value(nil))
 	return s
 }
 
@@ -70,7 +72,7 @@ func OpenFS(fs vfs.FS, path string) (*Store, error) {
 	s := &Store{f: f}
 	r := bufio.NewReader(io.NewSectionReader(f, 0, size))
 	var lenBuf [4]byte
-	var byID []string
+	var byID []model.Value
 	var off int64
 	for off+4 <= size {
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -86,7 +88,7 @@ func OpenFS(fs vfs.FS, path string) (*Store, error) {
 		}
 		str := string(b)
 		s.ids.Store(str, Ref(len(byID)))
-		byID = append(byID, str)
+		byID = append(byID, model.StringValue(str))
 		off += 4 + n
 	}
 	if off < size {
@@ -112,8 +114,8 @@ func (st *Store) RepairedBytes() int64 {
 	return st.repaired
 }
 
-func (st *Store) table() []string {
-	t, _ := st.byID.Load().([]string)
+func (st *Store) table() []model.Value {
+	t, _ := st.byID.Load().([]model.Value)
 	return t
 }
 
@@ -155,7 +157,7 @@ func (st *Store) Intern(s string) (Ref, error) {
 	// Appends are serialized under mu and concurrent readers never index
 	// past the length of the header they loaded, so appending in place
 	// (when capacity allows) and republishing the longer header is safe.
-	st.byID.Store(append(cur, s))
+	st.byID.Store(append(cur, model.StringValue(s)))
 	st.ids.Store(s, id)
 	return id, nil
 }
@@ -172,9 +174,16 @@ func (st *Store) MustIntern(s string) Ref {
 
 // Lookup resolves a reference back to its string without locking.
 func (st *Store) Lookup(r Ref) (string, error) {
+	v, err := st.LookupValue(r)
+	return v.Str(), err
+}
+
+// LookupValue resolves a reference to the table's string Value for it without
+// locking or allocating: every caller shares the one immutable box.
+func (st *Store) LookupValue(r Ref) (model.Value, error) {
 	t := st.table()
 	if int(r) >= len(t) {
-		return "", fmt.Errorf("strstore: dangling ref %d (table size %d)", r, len(t))
+		return model.Value{}, fmt.Errorf("strstore: dangling ref %d (table size %d)", r, len(t))
 	}
 	return t[r], nil
 }
@@ -370,7 +379,7 @@ func (st *Store) AppendRaw(chunk []byte) error {
 	}
 	for _, s := range recs {
 		st.ids.Store(s, Ref(len(cur)))
-		cur = append(cur, s)
+		cur = append(cur, model.StringValue(s))
 	}
 	st.byID.Store(cur)
 	return nil
@@ -405,7 +414,7 @@ func (st *Store) Close() error {
 func (st *Store) DiskBytes() int64 {
 	var n int64
 	for _, s := range st.table() {
-		n += 4 + int64(len(s))
+		n += 4 + int64(len(s.Str()))
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -89,11 +89,14 @@ func BenchmarkReopen(b *testing.B) {
 var residentProfile = flag.String("resident.profile", "", "BenchmarkResident: write a heap profile at the measurement point to this file")
 
 // residentBudget is BenchmarkResident's ceiling in live heap bytes per loaded
-// update: one resident copy of the current graph measures 192, 10 % under the
-// budget (248 with a 40-byte model.Value, two copies 514, and a per-entity
-// label map beside the one copy 273), so a wider Value or a second copy of
-// the graph or of its labels creeping back in fails the benchmark.
-const residentBudget = 211
+// update: one resident copy of the current graph, its decoded strings sharing
+// the string table's boxes and no record-store page read back by replay,
+// measures 171.8, 10 % under the budget (192 with replay refilling the record
+// caches and a box per decoded string, 248 with a 40-byte model.Value on top,
+// two copies 514, and a per-entity label map beside the one copy 273), so a
+// wider Value or a second copy of the graph or of its labels creeping back in
+// fails the benchmark.
+const residentBudget = 189
 
 // cacheHeapBudget is BenchmarkResident's ceiling, in MiB, on what the snapshot
 // cache adds to the live heap once the newest quarter of history has been read
@@ -104,11 +107,19 @@ const residentBudget = 211
 const cacheHeapBudget = 7.6
 
 // writeHeapBudget is BenchmarkResident's ceiling, in MiB, on what 65 536
-// single-statement commits add to the live heap: 10.8 with a pull costing the
-// host the chunks it next writes (13.1 with a 40-byte model.Value), 17.5 when
-// it cost a copy of the host's vectors that the policy snapshot then kept (and
-// 30.0 when the TimeStore applied each commit to a graph of its own).
-const writeHeapBudget = 11.9
+// single-statement commits add to the live heap: 12.6 with a pull costing the
+// host the chunks it next writes. The record-store pages these commits stamp
+// are theirs to bring in: it was 10.8 while replay at open had already filled
+// the record caches, 13.1 then with a 40-byte model.Value, 17.5 when a pull
+// cost a copy of the host's vectors that the policy snapshot then kept, and
+// 30.0 when the TimeStore applied each commit to a graph of its own.
+const writeHeapBudget = 13.9
+
+// openWriteBudget is BenchmarkResident's ceiling, in MiB, on the open store
+// and the commits together, where moving the record pages from one row to the
+// other nets out: 45.8, and 47.9 with replay filling the record caches and a
+// box per decoded string — which alone, at +1.6, crosses it.
+const openWriteBudget = 47
 
 // writeCycle commits ingest-commit's four statements, one commit each: create
 // a node, set a property on one of the first 512, create a relationship from
@@ -217,6 +228,9 @@ func BenchmarkResident(b *testing.B) {
 	}
 	if write > writeHeapBudget {
 		b.Fatalf("65 536 single-statement commits add %.1f MiB to the live heap, over the budget of %v", write, writeHeapBudget)
+	}
+	if sum := live/(1<<20) + write; sum > openWriteBudget {
+		b.Fatalf("the open store and 65 536 commits keep %.1f MiB on the heap, over the budget of %v", sum, openWriteBudget)
 	}
 }
 

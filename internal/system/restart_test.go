@@ -18,9 +18,11 @@ import (
 	"strings"
 	"testing"
 
+	"aion/internal/aion"
 	"aion/internal/enc"
 	"aion/internal/lineagestore"
 	"aion/internal/model"
+	"aion/internal/refmodel"
 	"aion/internal/strstore"
 	"aion/internal/vfs"
 )
@@ -223,6 +225,77 @@ func TestCrashSweepRestart(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatalf("%s: clean close after recovery: %v", label, err)
 			}
+		}
+	}
+}
+
+// TestCrashSweepClose is the hostdb Close sweep through a whole system: a
+// seeded history committed with SyncCommits off, then a power cut at every
+// mutating operation inside system.Close, in both fault modes. Every reopen
+// recovers a prefix of the commits — the host's graph is the model's at its
+// clock — and reconciles Aion to it: the TimeStore ends at the host's clock
+// with the model's graph there.
+func TestCrashSweepClose(t *testing.T) {
+	open := func(fs vfs.FS) (*System, error) {
+		return Open(Options{Dir: "sys", FS: fs, Aion: aion.Options{SnapshotEveryOps: 1 << 30, ParallelIO: 1}})
+	}
+	load := func() (*vfs.FaultFS, *System, *refmodel.Model) {
+		fs := vfs.NewFaultFS()
+		s, err := open(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &refmodel.Model{}
+		s.Host.OnCommit(func(_ model.Timestamp, us []model.Update) { m.Apply(us...) })
+		h := newHistorian(3)
+		for range 40 {
+			if _, err := s.Host.Run(h.stage); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fs, s, m
+	}
+	codec := enc.NewCodec(strstore.NewMem())
+	verify := func(label string, fs vfs.FS, m *refmodel.Model) {
+		t.Helper()
+		s, err := open(fs)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", label, err)
+		}
+		defer s.Close()
+		clock := s.Host.Clock()
+		want := exportDigest(t, codec, m.Graph(clock))
+		if exportDigest(t, codec, s.Host.Current().Export()) != want {
+			t.Fatalf("%s: the host's graph at %d is not the model's", label, clock)
+		}
+		if got := s.Aion.LatestTimestamp(); got != clock {
+			t.Fatalf("%s: aion at %d, the host at %d", label, got, clock)
+		}
+		if clock == 0 {
+			return
+		}
+		g, err := s.Aion.TimeStore().GetGraph(clock)
+		if err != nil || exportDigest(t, codec, g.Export()) != want {
+			t.Fatalf("%s: aion's graph at %d is not the model's (%v)", label, clock, err)
+		}
+	}
+
+	fs, s, m := load()
+	from := fs.Ops()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	to := fs.Ops()
+	verify("clean close", fs, m)
+	t.Logf("sweeping %d fault indexes inside Close × 2 modes", to-from)
+	for _, torn := range []bool{false, true} {
+		for k := from + 1; k <= to; k++ {
+			fs, s, m := load()
+			fs.SetTornSync(torn)
+			fs.SetFailAfter(k)
+			_ = s.Close()
+			fs.Crash()
+			verify(fmt.Sprintf("Close k=%d torn=%v", k-from, torn), fs, m)
 		}
 	}
 }

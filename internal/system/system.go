@@ -7,6 +7,7 @@
 package system
 
 import (
+	"errors"
 	"fmt"
 
 	"aion/internal/aion"
@@ -109,16 +110,13 @@ func (s *System) Flush() error {
 	return nil
 }
 
-// Close shuts down both components.
+// Close shuts down both components in Flush's order, the host first: every
+// commit already reached Aion through the listener, so a crash between the
+// two leaves the host ahead, never Aion.
 func (s *System) Close() error {
-	var firstErr error
+	err := s.Host.Close()
 	if s.Aion != nil {
-		if err := s.Aion.Close(); err != nil {
-			firstErr = err
-		}
+		err = errors.Join(err, s.Aion.Close())
 	}
-	if err := s.Host.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return err
 }
