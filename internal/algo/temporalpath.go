@@ -36,8 +36,10 @@ func Hops(diff []model.Update) []PathHop {
 			continue
 		}
 		if h, ok := open[u.RelID]; ok {
-			h.Arrival = u.TS
-			hops = append(hops, h)
+			if h.Departure < u.TS { // a version a commit opens and closes is empty: no hop
+				h.Arrival = u.TS
+				hops = append(hops, h)
+			}
 			delete(open, u.RelID)
 		}
 		if u.Kind != model.OpDeleteRel {

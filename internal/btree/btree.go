@@ -26,7 +26,7 @@ const (
 
 	flagLeaf = 0x01
 
-	metaMagic = 0x41494f4e42545233 // "AIONBTR3"
+	metaMagic = 0x41494f4e42545234 // "AIONBTR4"
 
 	// MaxKeyLen and MaxValLen bound entry sizes so that at least two
 	// cells always fit in a page, which the split logic requires.
@@ -144,22 +144,31 @@ func setSlotOff(p []byte, i, off int) {
 	binary.BigEndian.PutUint16(p[headerSize+i*slotSize:], uint16(off))
 }
 
-// leaf cell: klen u16 | vlen u16 | key | value
-func leafCellKey(p []byte, off int) []byte {
-	klen := int(binary.BigEndian.Uint16(p[off:]))
-	return p[off+4 : off+4+klen]
+// leaf cell: klen uvarint | vlen uvarint | key | value. Under MaxKeyLen and
+// MaxValLen each length takes one or two bytes.
+func leafCellSize(klen, vlen int) int { return uvarintLen(klen) + uvarintLen(vlen) + klen + vlen }
+
+func uvarintLen(n int) int {
+	if n < 1<<7 {
+		return 1
+	}
+	return 2
 }
 
-func leafCellVal(p []byte, off int) []byte {
-	klen := int(binary.BigEndian.Uint16(p[off:]))
-	vlen := int(binary.BigEndian.Uint16(p[off+2:]))
-	return p[off+4+klen : off+4+klen+vlen]
+// leafCell returns the key and value of the leaf cell at off.
+func leafCell(p []byte, off int) (key, val []byte) {
+	klen, off := cellLen(p, off)
+	vlen, off := cellLen(p, off)
+	return p[off : off+klen], p[off+klen : off+klen+vlen]
 }
 
-func leafCellSize(p []byte, off int) int {
-	klen := int(binary.BigEndian.Uint16(p[off:]))
-	vlen := int(binary.BigEndian.Uint16(p[off+2:]))
-	return 4 + klen + vlen
+// cellLen reads the one- or two-byte length at off and returns the offset
+// after it.
+func cellLen(p []byte, off int) (int, int) {
+	if b := int(p[off]); b < 0x80 {
+		return b, off + 1
+	}
+	return int(p[off]&0x7f) | int(p[off+1])<<7, off + 2
 }
 
 // internal cell: klen u16 | child u64 | key
@@ -181,15 +190,16 @@ func freeSpace(p []byte) int {
 // search returns the index of the first slot whose key is >= key, and
 // whether an exact match was found at that index.
 func search(p []byte, key []byte) (int, bool) {
-	keyOff := 10 // internal cell: klen | child | key
-	if isLeaf(p) {
-		keyOff = 4 // leaf cell: klen | vlen | key
-	}
+	leaf := isLeaf(p)
 	lo, hi := 0, nKeys(p)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		off := slotOff(p, mid)
-		k := p[off+keyOff : off+keyOff+int(binary.BigEndian.Uint16(p[off:]))]
+		var k []byte
+		if leaf {
+			k, _ = leafCell(p, slotOff(p, mid))
+		} else {
+			k = intCellKey(p, slotOff(p, mid))
+		}
 		switch bytes.Compare(k, key) {
 		case -1:
 			lo = mid + 1
@@ -222,12 +232,10 @@ func removeSlot(p []byte, i int) {
 
 // writeLeafCell appends a leaf cell to the cell area and returns its offset.
 func writeLeafCell(p []byte, key, val []byte) int {
-	size := 4 + len(key) + len(val)
-	off := cellStart(p) - size
-	binary.BigEndian.PutUint16(p[off:], uint16(len(key)))
-	binary.BigEndian.PutUint16(p[off+2:], uint16(len(val)))
-	copy(p[off+4:], key)
-	copy(p[off+4+len(key):], val)
+	off := cellStart(p) - leafCellSize(len(key), len(val))
+	n := off + binary.PutUvarint(p[off:], uint64(len(key)))
+	n += binary.PutUvarint(p[n:], uint64(len(val)))
+	copy(p[n+copy(p[n:], key):], val)
 	setCellStartRaw(p, off)
 	return off
 }
@@ -255,7 +263,8 @@ func compact(p []byte) {
 	for i, n := 0, nKeys(p); i < n; i++ {
 		off := slotOff(old[:], i)
 		if leaf {
-			off = writeLeafCell(p, leafCellKey(old[:], off), leafCellVal(old[:], off))
+			k, v := leafCell(old[:], off)
+			off = writeLeafCell(p, k, v)
 		} else {
 			off = writeIntCell(p, intCellKey(old[:], off), intCellChild(old[:], off))
 		}

@@ -2,10 +2,12 @@ package btree
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"aion/internal/pagecache"
@@ -421,7 +423,7 @@ func TestLeafRewriteAllocations(t *testing.T) {
 	}
 	defer tr.pc.Release(tr.root)
 	k, v := []byte("k-000-padding"), []byte{0}
-	for i := 0; freeSpace(p) >= 4+len(k)+len(v)+slotSize; i++ {
+	for i := 0; freeSpace(p) >= leafCellSize(len(k), len(v))+slotSize; i++ {
 		copy(k[2:], fmt.Sprintf("%03d", 2*i))
 		insertSlot(p, i, writeLeafCell(p, k, v))
 	}
@@ -442,5 +444,28 @@ func TestLeafRewriteAllocations(t *testing.T) {
 	})
 	if n > 6 {
 		t.Errorf("a leaf split of %d cells allocates %.0f times, want at most 6", nKeys(full), n)
+	}
+}
+
+// TestLeafPageGolden pins a leaf page's bytes: a disk format (the AIONBTR4
+// trees). The header — flags, key count, cell start, next leaf — and the slot
+// directory lead; each cell, packed from the page end, is klen uvarint | vlen
+// uvarint | key | value.
+func TestLeafPageGolden(t *testing.T) {
+	p := make([]byte, pageSize)
+	initPage(p, true)
+	setExtra(p, 7)
+	insertSlot(p, 0, writeLeafCell(p, []byte("b"), []byte("value")))
+	insertSlot(p, 0, writeLeafCell(p, []byte("a"), bytes.Repeat([]byte{0xee}, 130))) // a two-byte vlen
+	head := hex.EncodeToString(p[:headerSize+2*slotSize])
+	cells := hex.EncodeToString(p[cellStart(p):])
+	if want := "0100020f7200000000000000070f720ff8"; head != want {
+		t.Errorf("header and slots %s, want %s", head, want)
+	}
+	if want := "01820161" + strings.Repeat("ee", 130) + "010562" + hex.EncodeToString([]byte("value")); cells != want {
+		t.Errorf("cells %s, want %s", cells, want)
+	}
+	if k, v := leafCell(p, slotOff(p, 1)); string(k) != "b" || string(v) != "value" {
+		t.Errorf("cell 1 reads back as %q, %q", k, v)
 	}
 }

@@ -53,10 +53,16 @@ func (c *Cursor) Yield() {
 func (c *Cursor) Err() error { return c.err }
 
 // Key returns the current cell's key; the cursor must be on a cell.
-func (c *Cursor) Key() []byte { return leafCellKey(c.page, slotOff(c.page, c.idx)) }
+func (c *Cursor) Key() []byte {
+	k, _ := leafCell(c.page, slotOff(c.page, c.idx))
+	return k
+}
 
 // Value returns the current cell's value; the cursor must be on a cell.
-func (c *Cursor) Value() []byte { return leafCellVal(c.page, slotOff(c.page, c.idx)) }
+func (c *Cursor) Value() []byte {
+	_, v := leafCell(c.page, slotOff(c.page, c.idx))
+	return v
+}
 
 func (c *Cursor) unpin() {
 	if c.page != nil {

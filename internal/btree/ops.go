@@ -58,7 +58,7 @@ func (t *Tree) insert(pid pagecache.PageID, key, val []byte) (*splitResult, bool
 			// Replace: drop the old slot (leaking its cell) and insert.
 			removeSlot(p, i)
 		}
-		need := 4 + len(key) + len(val) + slotSize
+		need := leafCellSize(len(key), len(val)) + slotSize
 		if freeSpace(p) < need {
 			compact(p)
 		}
@@ -125,8 +125,7 @@ func (t *Tree) splitLeaf(pid pagecache.PageID, p []byte, insertAt int, key, val 
 		if i > insertAt {
 			i--
 		}
-		off := slotOff(old[:], i)
-		return leafCellKey(old[:], off), leafCellVal(old[:], off)
+		return leafCell(old[:], slotOff(old[:], i))
 	}
 	mid := (n + 1) / 2
 	if insertAt == n {

@@ -3,7 +3,9 @@ package enc
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"aion/internal/model"
@@ -183,4 +185,62 @@ func TestDecodeTruncatedValidRecords(t *testing.T) {
 	for cut := 0; cut < len(full); cut++ {
 		_, _ = c.DecodeUpdate(full[:cut]) // must not panic
 	}
+}
+
+// FuzzDecodeVersion (a leg of `make fuzz-smoke`): a LineageStore read decodes
+// version values off B+Tree pages that carry no checksum. On any bytes, id
+// and ts DecodeVersion must return an error or an update, never panic, and
+// allocate at most in proportion to its input. It must agree with
+// DecodeUpdate on the record that puts ts and id back, and what it accepts
+// must re-encode canonically.
+func FuzzDecodeVersion(f *testing.F) {
+	seedCodec := NewCodec(strstore.NewMem())
+	for _, u := range seedUpdates() {
+		b, err := seedCodec.AppendVersion(nil, u)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b, int64(u.NodeID+model.NodeID(u.RelID)), int64(u.TS))
+	}
+	f.Add([]byte{}, int64(0), int64(0))
+	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}, int64(-1), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, b []byte, id, ts int64) {
+		c := fuzzCodec(t)
+		u, err := c.DecodeVersion(b, id, model.Timestamp(ts))
+		// The fewest bytes of three decodes: the fuzzing worker allocates too.
+		n := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _ = c.DecodeVersion(b, id, model.Timestamp(ts))
+			runtime.ReadMemStats(&after)
+			n = min(n, after.TotalAlloc-before.TotalAlloc)
+		}
+		if n > 4096+64*uint64(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), n)
+		}
+		var full []byte
+		if len(b) > 0 {
+			full = binary.AppendUvarint(binary.AppendUvarint([]byte{b[0]}, uint64(ts)), uint64(id))
+			full = append(full, b[1:]...)
+		}
+		whole, uerr := c.DecodeUpdate(full)
+		if (uerr == nil) != (err == nil) || err == nil && !updatesEqual(u, whole) {
+			t.Fatalf("DecodeVersion = %v, %v; DecodeUpdate of the whole record = %v, %v", u, err, whole, uerr)
+		}
+		if err != nil {
+			return
+		}
+		enc1, err := c.AppendVersion(nil, u)
+		if err != nil {
+			t.Fatalf("re-encode of decoded version %v: %v", u, err)
+		}
+		u2, err := c.DecodeVersion(enc1, id, model.Timestamp(ts))
+		if err != nil {
+			t.Fatalf("decode of re-encoded version %v: %v", u, err)
+		}
+		if enc2, err := c.AppendVersion(nil, u2); err != nil || !bytes.Equal(enc1, enc2) {
+			t.Fatalf("version round trip not canonical (%v):\n  first  %x\n  second %x", err, enc1, enc2)
+		}
+	})
 }

@@ -108,7 +108,7 @@ func TestKeyParseRoundTrip(t *testing.T) {
 }
 
 // TestKeyEncodingGolden pins the bytes of every key kind and both neighbour
-// values: they are a disk format (the LineageStore's ALC2 trees).
+// values: they are a disk format (the LineageStore's trees since ALC2).
 func TestKeyEncodingGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string

@@ -5,15 +5,21 @@ import (
 	"fmt"
 
 	"aion/internal/model"
+	"aion/internal/strstore"
 )
 
-// Update record wire format (used by the TimeStore log and, re-keyed, by the
-// LineageStore values):
+// Update record wire format (the TimeStore log, .dsnap elements, shipments):
 //
-//	header(1) | ts uvarint | ids... | labels | props
+//	header(1) | ts uvarint | id uvarint | body
 //
-// The header packs the entity type and the deleted/delta state per Fig 3.
-// Deleted entities require space only for their ID and timestamp.
+// and the LineageStore's version value, whose key holds the id and ts:
+//
+//	header(1) | body
+//
+// A relationship's body starts with src and tgt (uvarints); then, unless the
+// record is a tombstone, come a node's labels or an inserted relationship's
+// label ref, and the props. The header packs the entity type and the
+// deleted/delta state per Fig 3.
 
 func headerFor(u model.Update) byte {
 	var h byte
@@ -34,47 +40,44 @@ func headerFor(u model.Update) byte {
 
 // AppendUpdate encodes u onto buf and returns the extended slice.
 func (c *Codec) AppendUpdate(buf []byte, u model.Update) ([]byte, error) {
-	buf = append(buf, headerFor(u))
-	buf = binary.AppendUvarint(buf, uint64(u.TS))
+	id := uint64(u.RelID)
+	if u.Kind.IsNodeOp() {
+		id = uint64(u.NodeID)
+	}
+	buf = binary.AppendUvarint(binary.AppendUvarint(append(buf, headerFor(u)), uint64(u.TS)), id)
+	return c.appendBody(buf, u)
+}
+
+// AppendVersion encodes u as a LineageStore version value: AppendUpdate's
+// record without the timestamp and the entity id its key holds.
+func (c *Codec) AppendVersion(buf []byte, u model.Update) ([]byte, error) {
+	return c.appendBody(append(buf, headerFor(u)), u)
+}
+
+// appendBody encodes what follows the header, ts and id of u's record.
+func (c *Codec) appendBody(buf []byte, u model.Update) ([]byte, error) {
+	if !u.Kind.IsNodeOp() {
+		buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(u.Src)), uint64(u.Tgt))
+	}
 	var err error
 	switch u.Kind {
 	case model.OpAddNode, model.OpUpdateNode:
-		buf = binary.AppendUvarint(buf, uint64(u.NodeID))
 		if buf, err = c.appendLabels(buf, u.AddLabels, u.DelLabels); err != nil {
 			return nil, err
 		}
-		if buf, err = c.appendProps(buf, u.SetProps, u.DelProps); err != nil {
-			return nil, err
-		}
-	case model.OpDeleteNode:
-		buf = binary.AppendUvarint(buf, uint64(u.NodeID))
 	case model.OpAddRel:
-		buf = binary.AppendUvarint(buf, uint64(u.RelID))
-		buf = binary.AppendUvarint(buf, uint64(u.Src))
-		buf = binary.AppendUvarint(buf, uint64(u.Tgt))
 		r, err := c.Strings.Intern(u.RelLabel)
 		if err != nil {
 			return nil, err
 		}
 		buf = c.appendRef(buf, r, 0)
-		if buf, err = c.appendProps(buf, u.SetProps, u.DelProps); err != nil {
-			return nil, err
-		}
+	case model.OpDeleteNode, model.OpDeleteRel:
+		return buf, nil
 	case model.OpUpdateRel:
-		buf = binary.AppendUvarint(buf, uint64(u.RelID))
-		buf = binary.AppendUvarint(buf, uint64(u.Src))
-		buf = binary.AppendUvarint(buf, uint64(u.Tgt))
-		if buf, err = c.appendProps(buf, u.SetProps, u.DelProps); err != nil {
-			return nil, err
-		}
-	case model.OpDeleteRel:
-		buf = binary.AppendUvarint(buf, uint64(u.RelID))
-		buf = binary.AppendUvarint(buf, uint64(u.Src))
-		buf = binary.AppendUvarint(buf, uint64(u.Tgt))
 	default:
 		return nil, fmt.Errorf("enc: unknown op kind %v", u.Kind)
 	}
-	return buf, nil
+	return c.appendProps(buf, u.SetProps, u.DelProps)
 }
 
 // EncodeUpdate encodes u into a fresh buffer.
@@ -95,8 +98,8 @@ func PeekTS(b []byte) (model.Timestamp, error) {
 }
 
 // PeekState reports, from the header byte of a non-empty record produced by
-// AppendUpdate, whether it is a tombstone or a delta; a record that is
-// neither carries the entity's full state.
+// AppendUpdate or AppendVersion, whether it is a tombstone or a delta; a
+// record that is neither carries the entity's full state.
 func PeekState(b []byte) (deleted, delta bool) {
 	return b[0]&headerDeletedBit != 0, b[0]&headerDeltaBit != 0
 }
@@ -108,42 +111,51 @@ func (c *Codec) DecodeUpdate(b []byte) (model.Update, error) {
 	return u, err
 }
 
+// DecodeVersion decodes a value produced by AppendVersion as entity id's
+// update at ts; bytes after it are ignored.
+func (c *Codec) DecodeVersion(b []byte, id int64, ts model.Timestamp) (model.Update, error) {
+	if len(b) < 1 {
+		return model.Update{}, fmt.Errorf("enc: empty version record")
+	}
+	u, _, err := c.decodeBody(b[0], b[1:], id, ts)
+	return u, err
+}
+
 // decodeNext decodes the record at the front of b and returns the bytes after
 // it: the format delimits itself, so records concatenate with no length
 // prefix (a block, batch.go).
 func (c *Codec) decodeNext(b []byte) (model.Update, []byte, error) {
-	var u model.Update
 	if len(b) < 1 {
-		return u, nil, fmt.Errorf("enc: empty update record")
+		return model.Update{}, nil, fmt.Errorf("enc: empty update record")
 	}
-	h := b[0]
-	b = b[1:]
-	ts, w := binary.Uvarint(b)
-	if w <= 0 {
-		return u, nil, fmt.Errorf("enc: bad ts")
+	ts, rest, err := readUvarint(b[1:], "ts")
+	if err != nil {
+		return model.Update{}, nil, err
 	}
-	b = b[w:]
-	u.TS = model.Timestamp(ts)
+	id, rest, err := readUvarint(rest, "id")
+	if err != nil {
+		return model.Update{}, nil, err
+	}
+	return c.decodeBody(b[0], rest, int64(id), model.Timestamp(ts))
+}
 
-	typ := EntityType(h & headerTypeMask)
+func readUvarint(b []byte, what string) (uint64, []byte, error) {
+	v, w := binary.Uvarint(b)
+	if w <= 0 {
+		return 0, nil, fmt.Errorf("enc: bad %s", what)
+	}
+	return v, b[w:], nil
+}
+
+// decodeBody decodes the body after header h as entity id's update at ts and
+// returns the bytes after it.
+func (c *Codec) decodeBody(h byte, b []byte, id int64, ts model.Timestamp) (model.Update, []byte, error) {
+	u := model.Update{TS: ts}
 	deleted := h&headerDeletedBit != 0
 	delta := h&headerDeltaBit != 0
-
-	readID := func() (int64, error) {
-		v, w := binary.Uvarint(b)
-		if w <= 0 {
-			return 0, fmt.Errorf("enc: bad id")
-		}
-		b = b[w:]
-		return int64(v), nil
-	}
-
-	switch typ {
+	var err error
+	switch EntityType(h & headerTypeMask) {
 	case TypeNode:
-		id, err := readID()
-		if err != nil {
-			return u, nil, err
-		}
 		u.NodeID = model.NodeID(id)
 		switch {
 		case deleted:
@@ -157,20 +169,13 @@ func (c *Codec) decodeNext(b []byte) (model.Update, []byte, error) {
 		if u.AddLabels, u.DelLabels, b, err = c.readLabels(b); err != nil {
 			return u, nil, err
 		}
-		u.SetProps, u.DelProps, b, err = c.readProps(b)
-		return u, b, err
 	case TypeRel:
-		id, err := readID()
-		if err != nil {
-			return u, nil, err
-		}
 		u.RelID = model.RelID(id)
-		src, err := readID()
-		if err != nil {
+		var src, tgt uint64
+		if src, b, err = readUvarint(b, "id"); err != nil {
 			return u, nil, err
 		}
-		tgt, err := readID()
-		if err != nil {
+		if tgt, b, err = readUvarint(b, "id"); err != nil {
 			return u, nil, err
 		}
 		u.Src, u.Tgt = model.NodeID(src), model.NodeID(tgt)
@@ -182,17 +187,17 @@ func (c *Codec) decodeNext(b []byte) (model.Update, []byte, error) {
 			u.Kind = model.OpUpdateRel
 		default:
 			u.Kind = model.OpAddRel
-			ref, _, rest, err := readRef(b)
-			if err != nil {
+			var ref strstore.Ref
+			if ref, _, b, err = readRef(b); err != nil {
 				return u, nil, err
 			}
-			b = rest
 			if u.RelLabel, err = c.Strings.Lookup(ref); err != nil {
 				return u, nil, err
 			}
 		}
-		u.SetProps, u.DelProps, b, err = c.readProps(b)
-		return u, b, err
+	default:
+		return u, nil, fmt.Errorf("enc: unknown entity type %d", h&headerTypeMask)
 	}
-	return u, nil, fmt.Errorf("enc: unknown entity type %d", typ)
+	u.SetProps, u.DelProps, b, err = c.readProps(b)
+	return u, b, err
 }

@@ -91,11 +91,18 @@ func doom(db *DB, g *memgraph.Graph, us []model.Update, round int) []doomed {
 		}
 		return true
 	})
+	dropped := map[model.RelID]bool{} // created by us and deleted again: nothing to spoil or give
+	for _, u := range us {
+		dropped[u.RelID] = dropped[u.RelID] || u.Kind == model.OpDeleteRel
+	}
 	var out []doomed
 	// try stages prefix and then spoils the first update of us, from the
 	// round's offset on, that can be spoiled.
 	try := func(kind string, prefix func(tx *Tx) error) {
 		for i := range us {
+			if u := us[(round+i)%len(us)]; u.Kind == model.OpAddRel && dropped[u.RelID] {
+				continue
+			}
 			tx := db.Begin()
 			if prefix(tx) == nil && spoil(tx, g, us[(round+i)%len(us)]) == nil {
 				out = append(out, doomed{kind: kind, tx: tx})
@@ -116,7 +123,7 @@ func doom(db *DB, g *memgraph.Graph, us []model.Update, round int) []doomed {
 		try("deleting prefix", func(tx *Tx) error { return tx.DeleteRel(r) })
 	}
 	for _, u := range us {
-		if u.Kind != model.OpAddRel || g.Node(u.Src) == nil {
+		if u.Kind != model.OpAddRel || dropped[u.RelID] || g.Node(u.Src) == nil {
 			continue
 		}
 		tx := db.Begin()

@@ -81,8 +81,8 @@ type Store struct {
 	fs    vfs.FS
 	codec *enc.Codec
 
-	nodes *btree.Tree // KeyNode(id, ts)            -> [chainPos][update record]
-	rels  *btree.Tree // KeyRel(id, ts)             -> [chainPos][update record]
+	nodes *btree.Tree // KeyNode(id, ts)            -> [chainPos][version record]
+	rels  *btree.Tree // KeyRel(id, ts)             -> [chainPos][version record]
 	out   *btree.Tree // KeyNeigh4(src, tgt, ts, r) -> NeighValue(deleted)
 	in    *btree.Tree // KeyNeigh4(tgt, src, ts, r) -> NeighValue(deleted)
 	pcs   [4]*pagecache.Cache
@@ -199,7 +199,7 @@ func (s *Store) Wipe() error {
 // The checkpoint file: magic | lastTS | atLastTS | updateCount | crc.
 const (
 	checkpointName  = "checkpoint"
-	checkpointMagic = "ALC2" // ALC1: fixed-width keys; CatchUp rebuilds such trees
+	checkpointMagic = "ALC3" // ALC1: fixed-width keys; ALC2: 4-byte cell lengths, values repeating their key; CatchUp rebuilds such trees
 	checkpointLen   = 4 + 8*3 + 4
 )
 
@@ -359,11 +359,12 @@ func (s *Store) indexLocked(u model.Update) error {
 }
 
 // putVersion stores u in the nodes or the rels tree as entity id's version
-// record with the given delta-chain position. Key and record are built in the
-// one store-owned buffer; the tree copies them into its page.
+// record with the given delta-chain position; the key holds id and u.TS, the
+// record neither. Key and record are built in the one store-owned buffer; the
+// tree copies them into its page.
 func (s *Store) putVersion(tree *btree.Tree, id int64, chainPos int, u model.Update) error {
 	key := enc.AppendKeyVersion(s.scratch[:0], id, u.TS)
-	buf, err := s.codec.AppendUpdate(append(key, byte(chainPos)), u)
+	buf, err := s.codec.AppendVersion(append(key, byte(chainPos)), u)
 	if err != nil {
 		return err
 	}
@@ -381,32 +382,43 @@ func (s *Store) putNeigh(tree *btree.Tree, a, b model.NodeID, u model.Update) er
 
 // chainHead reads the head bytes of id's newest record at or before ts in
 // tree: its delta-chain position, and whether the entity is live there (the
-// record is its own and not a tombstone). Nothing is decoded.
-func (s *Store) chainHead(tree *btree.Tree, id int64, ts model.Timestamp) (pos int, live bool, err error) {
+// record is its own and not a tombstone). A live record at ts itself holds an
+// earlier change of the same commit: only that one is decoded, into same.
+func (s *Store) chainHead(tree *btree.Tree, id int64, ts model.Timestamp) (pos int, live bool, same *model.Update, err error) {
 	c := tree.Cursor()
 	defer c.Close()
 	if !c.SeekFloor(enc.AppendKeyVersion(s.scratch[:0], id, ts)) {
-		return 0, false, c.Err()
+		return 0, false, nil, c.Err()
 	}
-	kid, _, pos, rec, err := cell(&c)
+	kid, kts, pos, rec, err := cell(&c)
 	if err != nil {
-		return 0, false, err
+		return 0, false, nil, err
 	}
 	deleted, _ := enc.PeekState(rec)
-	return pos, kid == id && !deleted, nil
+	if live = kid == id && !deleted; live && kts == ts {
+		u, err := s.codec.DecodeVersion(rec, id, ts)
+		return pos, live, &u, err
+	}
+	return pos, live, nil, nil
 }
 
 // putDelta stores a modification of entity id as the next link of its delta
 // chain, or — when the chain reaches the threshold — folded into the
-// reconstructed state as a full record, which restarts the chain at 0.
+// reconstructed state as a full record, which restarts the chain at 0. A
+// change in the commit of the chain's head shares its key: the head takes it
+// in and keeps its kind and chain position.
 func putDelta[E comparable](s *Store, l *lineage[E], id int64, u model.Update) error {
 	tree := l.tree(s)
-	pos, live, err := s.chainHead(tree, id, u.TS)
+	pos, live, same, err := s.chainHead(tree, id, u.TS)
 	if err == nil && !live {
 		err = fmt.Errorf("lineagestore: %w: %s %d at ts %d", model.ErrNotFound, l.name, id, u.TS)
 	}
 	if err != nil {
 		return err
+	}
+	if same != nil {
+		model.MergeUpdates(same, u)
+		return s.putVersion(tree, id, pos, *same)
 	}
 	if pos++; s.opts.ChainThreshold > 0 && pos >= s.opts.ChainThreshold {
 		vs, err := history(context.Background(), s, l, id, u.TS, u.TS)

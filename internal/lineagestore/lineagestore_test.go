@@ -3,6 +3,7 @@ package lineagestore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -534,4 +535,36 @@ func TestCancelledReadsReleaseEverything(t *testing.T) {
 		}
 	}
 	apply(t, s, model.AddNode(us[len(us)-1].TS+1<<20, spokes+1, nil, nil)) // every tree lock is free
+}
+
+// TestVersionValueGolden pins the bytes the version trees store under an
+// entity's key (id, ts): a disk format (the ALC3 trees). A value is the
+// delta-chain position, then enc.AppendVersion's record — the header and the
+// body, with neither the id nor the timestamp the key holds.
+func TestVersionValueGolden(t *testing.T) {
+	s := openStore(t, Options{})
+	defer s.Close()
+	apply(t, s, model.AddNode(3, 300, []string{"Person"}, model.Properties{"n": model.IntValue(-1)}),
+		model.UpdateNode(4, 300, nil, nil, model.Properties{"n": model.IntValue(2)}, nil),
+		model.AddRel(5, 7, 300, 1, "KNOWS", nil),
+		model.DeleteRel(6, 7, 300, 1))
+	for _, c := range []struct {
+		name string
+		tree func() ([]byte, bool, error)
+		want string
+	}{
+		// pos | header | labels: count, ref "Person" | props: count, ref "n" (int), varint -1
+		{"node 300 at 3", func() ([]byte, bool, error) { return s.nodes.Get(enc.KeyNode(300, 3)) }, "00000100000000010000000101"},
+		// pos 1 | delta header | no labels | props: count, ref "n" (int), varint 2
+		{"node 300 at 4", func() ([]byte, bool, error) { return s.nodes.Get(enc.KeyNode(300, 4)) }, "010800010000000104"},
+		// pos | header | src 300, tgt 1 | ref "KNOWS" | no props
+		{"rel 7 at 5", func() ([]byte, bool, error) { return s.rels.Get(enc.KeyRel(7, 5)) }, "0001ac02010000000200"},
+		// pos | tombstone header | src 300, tgt 1
+		{"rel 7 at 6", func() ([]byte, bool, error) { return s.rels.Get(enc.KeyRel(7, 6)) }, "0005ac0201"},
+	} {
+		v, ok, err := c.tree()
+		if got := fmt.Sprintf("%x", v); err != nil || !ok || got != c.want {
+			t.Errorf("%s: %s (%v, %v), want %s", c.name, got, ok, err, c.want)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package lineagestore_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -77,11 +78,28 @@ func rewriteAsParent(t *testing.T, path string, neigh bool) {
 	}
 }
 
-// TestParentFormatIsRebuilt: a cleanly closed store of the commit before the
-// compact keys — fixed-width trees under an ALC1 checkpoint — needs no
-// migration. Open does not accept the checkpoint, finds trees that hold data
-// without one, and rebuilds them from the TimeStore log; the store then
-// answers exactly like one that never held the old format.
+// withCheckpointMagic rewrites the checkpoint of the store at lineage to carry
+// magic, with a CRC that matches.
+func withCheckpointMagic(t *testing.T, lineage, magic string) {
+	t.Helper()
+	cp, err := os.ReadFile(filepath.Join(lineage, "checkpoint"))
+	if err != nil || len(cp) != 32 || string(cp[:4]) != "ALC3" {
+		t.Fatalf("checkpoint %q, %v", cp, err)
+	}
+	copy(cp, magic)
+	binary.BigEndian.PutUint32(cp[28:], crc32.ChecksumIEEE(cp[:28]))
+	if err := os.WriteFile(filepath.Join(lineage, "checkpoint"), cp, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParentFormatIsRebuilt: a cleanly closed store of an older format needs
+// no migration. ALC1 is the commit before the compact keys: fixed-width trees
+// under an ALC1 checkpoint. ALC2 is the commit before uvarint cell lengths and
+// version records without their key: every tree's meta says AIONBTR3. Open
+// accepts neither checkpoint, finds trees that hold data without one (ALC1) or
+// cannot open them (ALC2), and rebuilds them from the TimeStore log, once;
+// the store then answers exactly like one that never held the old format.
 func TestParentFormatIsRebuilt(t *testing.T) {
 	var us []model.Update
 	ts := model.Timestamp(1)
@@ -110,59 +128,75 @@ func TestParentFormatIsRebuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	old, fresh := t.TempDir(), t.TempDir()
-	load(old)
-	load(fresh)
-
-	lineage := filepath.Join(old, "lineage")
-	for _, f := range []struct {
+	trees := []struct {
 		name  string
 		neigh bool
-	}{{"nodes.idx", false}, {"rels.idx", false}, {"out.idx", true}, {"in.idx", true}} {
-		rewriteAsParent(t, filepath.Join(lineage, f.name), f.neigh)
-	}
-	cp, err := os.ReadFile(filepath.Join(lineage, "checkpoint"))
-	if err != nil || len(cp) != 32 || string(cp[:4]) != "ALC2" {
-		t.Fatalf("checkpoint %q, %v", cp, err)
-	}
-	copy(cp, "ALC1")
-	binary.BigEndian.PutUint32(cp[28:], crc32.ChecksumIEEE(cp[:28]))
-	if err := os.WriteFile(filepath.Join(lineage, "checkpoint"), cp, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	}{{"nodes.idx", false}, {"rels.idx", false}, {"out.idx", true}, {"in.idx", true}}
+	for _, parent := range []struct {
+		magic   string
+		rewrite func(t *testing.T, path string, neigh bool)
+	}{
+		{"ALC1", rewriteAsParent},
+		{"ALC2", func(t *testing.T, path string, _ bool) {
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err == nil {
+				_, err = f.WriteAt([]byte("AIONBTR3"), 0) // the meta page's magic
+				err = errors.Join(err, f.Close())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(parent.magic, func(t *testing.T) {
+			old, fresh := t.TempDir(), t.TempDir()
+			load(old)
+			load(fresh)
+			lineage := filepath.Join(old, "lineage")
+			for _, f := range trees {
+				parent.rewrite(t, filepath.Join(lineage, f.name), f.neigh)
+			}
+			withCheckpointMagic(t, lineage, parent.magic)
 
-	reopen := func(dir string, caughtUp uint64) *aion.DB {
-		db, err := aion.Open(aion.Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		if st := db.LineageStore().Stats(); st.CaughtUp != caughtUp || st.Updates != uint64(len(us)) {
-			t.Fatalf("%s reopened with %+v, want %d of %d updates caught up", dir, st, caughtUp, len(us))
-		}
-		return db
-	}
-	got, want := reopen(old, uint64(len(us))).LineageStore(), reopen(fresh, 0).LineageStore()
-	if got.DiskBytes() != want.DiskBytes()-32 { // the rebuilt store has no checkpoint until its Close
-		t.Errorf("rebuilt trees take %d bytes, fresh ones %d", got.DiskBytes(), want.DiskBytes()-32)
-	}
-	for _, at := range [][2]model.Timestamp{{250, 250}, {ts, ts}, {0, ts}, {600, 1000}} {
-		for id := 0; id < 300; id += 7 {
-			gn, gerr := got.GetNode(model.NodeID(id), at[0], at[1])
-			wn, werr := want.GetNode(model.NodeID(id), at[0], at[1])
-			if gerr != nil || werr != nil || !reflect.DeepEqual(gn, wn) {
-				t.Fatalf("GetNode(%d, %v) = %v, %v; a fresh store says %v, %v", id, at, gn, gerr, wn, werr)
-			}
-			for _, d := range []model.Direction{model.Outgoing, model.Incoming, model.Both} {
-				gr, gerr := got.GetRelationships(model.NodeID(id), d, at[0], at[1])
-				wr, werr := want.GetRelationships(model.NodeID(id), d, at[0], at[1])
-				if gerr != nil || werr != nil || !reflect.DeepEqual(gr, wr) {
-					t.Fatalf("GetRelationships(%d, %v, %v) = %v, %v; a fresh store says %v, %v", id, d, at, gr, gerr, wr, werr)
+			reopen := func(dir string, caughtUp uint64) *aion.DB {
+				db, err := aion.Open(aion.Options{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if d == model.Both && at[0] == 0 && len(wr) == 0 {
-					t.Fatalf("node %d has no relationship history: the comparison is vacuous", id)
+				if st := db.LineageStore().Stats(); st.CaughtUp != caughtUp || st.Updates != uint64(len(us)) {
+					db.Close()
+					t.Fatalf("%s reopened with %+v, want %d of %d updates caught up", dir, st, caughtUp, len(us))
+				}
+				return db
+			}
+			if err := reopen(old, uint64(len(us))).Close(); err != nil { // the one rebuild
+				t.Fatal(err)
+			}
+			gdb, wdb := reopen(old, 0), reopen(fresh, 0)
+			t.Cleanup(func() { gdb.Close(); wdb.Close() })
+			got, want := gdb.LineageStore(), wdb.LineageStore()
+			if got.DiskBytes() != want.DiskBytes() {
+				t.Errorf("rebuilt trees take %d bytes, fresh ones %d", got.DiskBytes(), want.DiskBytes())
+			}
+			for _, at := range [][2]model.Timestamp{{250, 250}, {ts, ts}, {0, ts}, {600, 1000}} {
+				for id := 0; id < 300; id += 7 {
+					gn, gerr := got.GetNode(model.NodeID(id), at[0], at[1])
+					wn, werr := want.GetNode(model.NodeID(id), at[0], at[1])
+					if gerr != nil || werr != nil || !reflect.DeepEqual(gn, wn) {
+						t.Fatalf("GetNode(%d, %v) = %v, %v; a fresh store says %v, %v", id, at, gn, gerr, wn, werr)
+					}
+					for _, d := range []model.Direction{model.Outgoing, model.Incoming, model.Both} {
+						gr, gerr := got.GetRelationships(model.NodeID(id), d, at[0], at[1])
+						wr, werr := want.GetRelationships(model.NodeID(id), d, at[0], at[1])
+						if gerr != nil || werr != nil || !reflect.DeepEqual(gr, wr) {
+							t.Fatalf("GetRelationships(%d, %v, %v) = %v, %v; a fresh store says %v, %v", id, d, at, gr, gerr, wr, werr)
+						}
+						if d == model.Both && at[0] == 0 && len(wr) == 0 {
+							t.Fatalf("node %d has no relationship history: the comparison is vacuous", id)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }

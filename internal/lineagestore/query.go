@@ -80,8 +80,8 @@ var relLineage = lineage[*model.Rel]{
 }
 
 // cell parses the version-tree cell under c: the entity and timestamp of its
-// key, the delta-chain position and the update record of its value. The
-// record aliases the page.
+// key, the delta-chain position and the version record of its value, which
+// enc.DecodeVersion completes with the first two. The record aliases the page.
 func cell(c *btree.Cursor) (id int64, ts model.Timestamp, pos int, rec []byte, err error) {
 	id, ts, ok := enc.ParseKeyVersion(c.Key())
 	v := c.Value()
@@ -123,7 +123,7 @@ func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btr
 				}
 				_, delta = enc.PeekState(rec)
 			}
-			u, err := s.codec.DecodeUpdate(rec)
+			u, err := s.codec.DecodeVersion(rec, id, kts)
 			if err != nil {
 				return nil, err
 			}
@@ -135,11 +135,14 @@ func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btr
 				if !c.Next() {
 					return nil, cmp.Or(c.Err(), errCorrupt)
 				}
-				if u, err = s.codec.DecodeUpdate(c.Value()[1:]); err != nil {
+				if _, kts, _, rec, err = cell(c); err != nil {
+					return nil, err
+				}
+				if u, err = s.codec.DecodeVersion(rec, id, kts); err != nil {
 					return nil, err
 				}
 				l.fold(u, cur)
-				l.valid(cur).Start = u.TS
+				l.valid(cur).Start = kts
 			}
 		}
 	}
@@ -169,13 +172,13 @@ func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btr
 		case deleted:
 			cur = none
 		case !delta: // insertion, re-insertion, or materialized state
-			u, err := s.codec.DecodeUpdate(rec)
+			u, err := s.codec.DecodeVersion(rec, id, kts)
 			if err != nil {
 				return nil, err
 			}
 			cur = l.fresh(id, u)
 		case cur != none:
-			u, err := s.codec.DecodeUpdate(rec)
+			u, err := s.codec.DecodeVersion(rec, id, kts)
 			if err != nil {
 				return nil, err
 			}
@@ -279,15 +282,14 @@ func scanNeighbours(ctx context.Context, tree *btree.Tree, dst []model.RelID, a 
 		if ets > through || skipLoops && b == a {
 			continue // entries per neighbour are time-ordered, the next neighbour's start over
 		}
-		live, i := !enc.ParseNeighValue(c.Value()), 0
+		i := 0
 		for i < len(group) && group[i].rel != rel {
 			i++
 		}
-		if i < len(group) {
-			group[i].live = live
-		} else if live || !liveOnly {
-			group = append(group, member{rel, live})
+		if i == len(group) { // a relationship's place is its first entry's, a tombstone's too
+			group = append(group, member{rel: rel})
 		}
+		group[i].live = !enc.ParseNeighValue(c.Value())
 	}
 	return appendGroup(dst, group, liveOnly), c.Err()
 }

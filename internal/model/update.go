@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -164,6 +165,57 @@ func (u Update) ApplyToRel(r *Rel) {
 	for _, k := range u.DelProps {
 		delete(r.Props, k)
 	}
+}
+
+// MergeUpdates folds b, a later change of the same entity, into a, so that
+// applying a equals applying a and then b. An insertion stays one, with the
+// labels and properties the entity has after b, and keeps its timestamp; a
+// delta takes b's, and
+//
+//	labels: del = aDel ∪ bDel;  add = (aAdd − bDel) ∪ bAdd
+//	props:  set = (aSet overlaid by bSet) − bDel;  del = (aDel − keys(bSet)) ∪ bDel
+//
+// (Apply's order within one update is del-labels-then-add-labels and
+// set-props-then-del-props, so b's label deletes strike a's labels before b's
+// own land, and b's property sets land before b's deletes strike them.) a's
+// slices and map are reused: they must alias nothing the caller still reads.
+func MergeUpdates(a *Update, b Update) {
+	a.AddLabels = append(minusStrs(a.AddLabels, b.DelLabels), b.AddLabels...)
+	a.SetProps = mergeProps(a.SetProps, b.SetProps, b.DelProps)
+	if a.Kind == OpAddNode || a.Kind == OpAddRel {
+		return
+	}
+	a.DelLabels = append(a.DelLabels, b.DelLabels...)
+	a.DelProps = append(slices.DeleteFunc(a.DelProps, func(k string) bool {
+		_, set := b.SetProps[k]
+		return set
+	}), b.DelProps...)
+	a.TS = b.TS
+}
+
+// minusStrs returns a without any element of del (order preserved).
+func minusStrs(a, del []string) []string {
+	return slices.DeleteFunc(a, func(s string) bool { return slices.Contains(del, s) })
+}
+
+// mergeProps applies (set bSet, then del bDel — Apply's order, so a key an
+// update both sets and deletes ends deleted) on top of base, returning the
+// surviving set map.
+func mergeProps(base, bSet Properties, bDel []string) Properties {
+	if base == nil && bSet == nil {
+		return nil
+	}
+	out := base
+	if out == nil {
+		out = Properties{}
+	}
+	for k, v := range bSet {
+		out[k] = v
+	}
+	for _, k := range bDel {
+		delete(out, k)
+	}
+	return out
 }
 
 // Validation errors returned by stream checkers and stores.

@@ -17,8 +17,9 @@ import (
 // commit), self-loops, label edits, a few hot entities updated often enough
 // to cross any delta-chain threshold many times over, and property values long
 // enough that a B+Tree leaf holds a dozen records — so chains straddle leaf
-// splits. A commit changes an entity at most once, as the Model's contract
-// requires.
+// splits. A seeded share of commits changes one entity twice: a node created
+// and then updated or updated twice, a relationship created and then updated
+// or deleted.
 type History struct {
 	Rand    *rand.Rand
 	TS      model.Timestamp // the newest commit's
@@ -113,6 +114,13 @@ func (h *History) emit(u model.Update) bool {
 		return false
 	}
 	h.touched[key] = true
+	h.record(u)
+	return true
+}
+
+// record appends u at the current commit's timestamp.
+func (h *History) record(u model.Update) {
+	key := u.EntityKey()
 	own := func(u model.Update) model.Update { // a copy no store can alias
 		u.AddLabels, u.SetProps = slices.Clone(u.AddLabels), u.SetProps.Clone()
 		return u
@@ -124,7 +132,34 @@ func (h *History) emit(u model.Update) bool {
 	}
 	u.TS = h.TS
 	h.Updates = append(h.Updates, u)
-	return true
+}
+
+// again changes, a second time, an entity the commit so far (us) created or
+// updated, by one of four patterns drawn: a node created, then updated; a node
+// or relationship updated, then updated; a relationship created, then
+// updated; a relationship created under a fresh id (above fresh), then
+// deleted. It reports whether us held a candidate.
+func (h *History) again(us []model.Update, fresh model.RelID) bool {
+	pattern, at := h.Rand.Intn(4), h.Rand.Intn(len(us)+1)
+	for i := range us {
+		u := us[(at+i)%len(us)]
+		switch {
+		case pattern == 0 && u.Kind == model.OpAddNode, pattern == 1 && u.Kind == model.OpUpdateNode:
+			h.record(model.UpdateNode(0, u.NodeID, []string{"Y"}, nil, h.props(), []string{"n"}))
+		case pattern == 1 && u.Kind == model.OpUpdateRel, pattern == 2 && u.Kind == model.OpAddRel:
+			h.record(model.UpdateRel(0, u.RelID, u.Src, u.Tgt, h.props(), []string{"k"}))
+		case pattern == 3 && u.Kind == model.OpAddRel && u.RelID >= fresh:
+			h.record(model.DeleteRel(0, u.RelID, u.Src, u.Tgt))
+			h.degree[u.Src]--
+			h.degree[u.Tgt]--
+			h.deadRel[u.RelID] = h.rels[u.RelID]
+			delete(h.rels, u.RelID)
+		default:
+			continue
+		}
+		return true
+	}
+	return false
 }
 
 // Commit appends one commit of up to n updates, at the timestamp after the
@@ -132,8 +167,11 @@ func (h *History) emit(u model.Update) bool {
 func (h *History) Commit(n int) []model.Update {
 	h.TS++
 	h.touched = map[int64]bool{}
-	from := len(h.Updates)
+	from, fresh := len(h.Updates), h.Rels
 	for i := 0; i < n; i++ {
+		if i == n-1 && i > 0 && h.Rand.Intn(3) == 0 && h.again(h.Updates[from:], fresh) {
+			break
+		}
 		switch r := h.Rand.Intn(100); {
 		case r < 12 || len(h.nodes) < 4: // a new node, or a deleted one back
 			id := h.Nodes

@@ -16,9 +16,9 @@
 // a range query returns, oldest first, every version with Start < end and
 // start < End, so a version that began before the window is reported with its
 // own Start, unclipped. A deleted entity has no version until it is created
-// again. The stream carries at most one update per entity and timestamp: the
-// LineageStore keys a version by (entity, timestamp), so two changes of one
-// entity in one commit collapse there.
+// again. A commit that changes an entity twice opens one version, with the
+// state after both changes; one that creates and deletes it opens none: no
+// version is empty.
 //
 // Order contract. GetRelationships lists relationships as the neighbour
 // indexes do: outgoing before incoming (a self-loop once, among the
@@ -179,7 +179,9 @@ func (m *Model) versions(keep func(u model.Update) bool) (map[model.NodeID][]*mo
 			var cur, next *model.Node // the live version, nil while the node does not exist; the one u opens
 			if len(vs) > 0 && vs[len(vs)-1].Valid.End == model.TSInfinity {
 				cur = vs[len(vs)-1]
-				cur.Valid.End = u.TS
+				if cur.Valid.End = u.TS; cur.Valid.Start == u.TS { // opened by this commit: u replaces it
+					vs = vs[:len(vs)-1]
+				}
 			}
 			switch {
 			case u.Kind == model.OpAddNode:
@@ -190,15 +192,18 @@ func (m *Model) versions(keep func(u model.Update) bool) (map[model.NodeID][]*mo
 			if next != nil {
 				next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
 				u.ApplyToNode(next)
-				nodes[u.NodeID] = append(vs, next)
+				vs = append(vs, next)
 			}
+			nodes[u.NodeID] = vs
 			continue
 		}
 		vs := rels[u.RelID]
 		var cur, next *model.Rel
 		if len(vs) > 0 && vs[len(vs)-1].Valid.End == model.TSInfinity {
 			cur = vs[len(vs)-1]
-			cur.Valid.End = u.TS
+			if cur.Valid.End = u.TS; cur.Valid.Start == u.TS {
+				vs = vs[:len(vs)-1]
+			}
 		}
 		switch {
 		case u.Kind == model.OpAddRel:
@@ -209,8 +214,9 @@ func (m *Model) versions(keep func(u model.Update) bool) (map[model.NodeID][]*mo
 		if next != nil {
 			next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
 			u.ApplyToRel(next)
-			rels[u.RelID] = append(vs, next)
+			vs = append(vs, next)
 		}
+		rels[u.RelID] = vs
 	}
 	return nodes, rels
 }

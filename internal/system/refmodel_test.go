@@ -39,10 +39,13 @@ type historian struct {
 	deg   map[model.NodeID]int
 	// gone holds deleted entities, as the add that would restore them.
 	gone []model.Update
-	// touched holds the entities the transaction being staged has changed: the
-	// LineageStore keys a version by (entity, timestamp), so a commit changes
-	// an entity at most once (refmodel's stream contract).
+	// touched holds the entities the transaction being staged has changed, to
+	// change each at most once — but when twice is set, a third of the
+	// transactions end with a second change of an entity they created or
+	// updated: staged lists those.
 	touched map[int64]bool
+	twice   bool
+	staged  []model.Update
 }
 
 func newHistorian(seed int64) *historian {
@@ -55,14 +58,30 @@ var historyLabels = []string{"Person", "Author", "Venue", "Draft"}
 // a few hub nodes, property and label edits, deletions, and re-creations of
 // deleted entities under their old id with equal content.
 func (h *historian) stage(tx *hostdb.Tx) error {
-	h.touched = map[int64]bool{}
+	h.touched, h.staged = map[int64]bool{}, h.staged[:0]
 	for n := 1 + h.rng.Intn(5); n > 0; n-- {
 		k := h.rng.Intn(100)
 		if err := h.op(tx, k); err != nil {
 			return err
 		}
 	}
-	return nil
+	if !h.twice || len(h.staged) == 0 || h.rng.Intn(3) != 0 {
+		return nil
+	}
+	// A node created or updated, updated again; a relationship created, then
+	// updated or deleted.
+	switch u := h.staged[h.rng.Intn(len(h.staged))]; {
+	case u.Kind.IsNodeOp():
+		return tx.SetNodeProps(u.NodeID, model.Properties{"again": model.IntValue(int64(u.Kind))}, []string{"v"})
+	case h.rng.Intn(2) == 0:
+		return tx.SetRelProps(u.RelID, model.Properties{"again": model.BoolValue(true)}, []string{"w"})
+	default:
+		r := h.rels[u.RelID]
+		delete(h.rels, r.ID)
+		h.deg[r.Src]--
+		h.deg[r.Tgt]--
+		return tx.DeleteRel(r.ID)
+	}
 }
 
 // first reports whether the transaction has not changed the entity with
@@ -83,6 +102,7 @@ func (h *historian) op(tx *hostdb.Tx, k int) error {
 		id, err := tx.CreateNode(labels, model.Properties{"name": model.StringValue(fmt.Sprint("n", k)), "v": model.IntValue(int64(k))})
 		h.nodes = append(h.nodes, id)
 		firstNode(id)
+		h.staged = append(h.staged, model.AddNode(0, id, nil, nil))
 		return err
 	case k < 45: // the first four nodes are hubs: parallel edges pile up between them
 		src, tgt := h.nodes[h.rng.Intn(4)], pick()
@@ -95,9 +115,11 @@ func (h *historian) op(tx *hostdb.Tx, k int) error {
 		h.deg[src]++
 		h.deg[tgt]++
 		firstRel(id)
+		h.staged = append(h.staged, model.AddRel(0, id, src, tgt, "", nil))
 		return err
 	case k < 60:
 		if id := pick(); firstNode(id) {
+			h.staged = append(h.staged, model.UpdateNode(0, id, nil, nil, nil, nil))
 			return tx.SetNodeProps(id, model.Properties{"v": model.IntValue(int64(k))}, []string{"name"})
 		}
 	case k < 70:
@@ -272,6 +294,7 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 		r.matchWindow(label, codec, m, at, at, nil)
 		r.matchWindow(label, codec, m, at, at-1, nil)
 	}
+	r.matchEntities(label, m, last)
 	if st := ts.Stats(); st.LatestMismatches != 0 || st.SnapshotErrors != 0 || st.CompactErrors != 0 {
 		t.Errorf("%s: %d mismatches, %d snapshot errors (%s), %d compaction errors (%s)", label,
 			st.LatestMismatches, st.SnapshotErrors, st.LastSnapshotError, st.CompactErrors, st.LastCompactError)
@@ -300,6 +323,49 @@ func (r *residentSys) matchWindow(label string, codec *enc.Codec, m *refmodel.Mo
 	})
 	if !slices.Equal(hops, want) {
 		t.Errorf("%s: the hops of GetDiff(%d, %d) are not the model's closed relationship versions", label, a, b)
+	}
+}
+
+// matchEntities checks r's LineageStore against the model of the commits
+// through last: every entity's versions over the whole history and at last. A
+// version that ends after last ends in a commit the model has not seen yet, so
+// both sides' are left open.
+func (r *residentSys) matchEntities(label string, m *refmodel.Model, last model.Timestamp) {
+	t := r.t
+	t.Helper()
+	ls := r.Aion.LineageStore()
+	open := func(v *model.Interval) {
+		if v.End > last {
+			v.End = model.TSInfinity
+		}
+	}
+	nodes, rels := map[model.NodeID]bool{}, map[model.RelID]bool{}
+	for _, u := range m.Diff(0, last+1) {
+		if u.Kind.IsNodeOp() {
+			nodes[u.NodeID] = true
+		} else {
+			rels[u.RelID] = true
+		}
+	}
+	for _, at := range [][2]model.Timestamp{{0, last + 1}, {last, last}} {
+		for id := range nodes {
+			got, err := ls.GetNode(id, at[0], at[1])
+			for _, n := range got {
+				open(&n.Valid)
+			}
+			if want := m.GetNode(id, at[0], at[1]); err != nil || !refmodel.SameNodes(got, want) {
+				t.Fatalf("%s: GetNode(%d, %d, %d) = %s (%v), the model says %s", label, id, at[0], at[1], refmodel.ShowNodes(got), err, refmodel.ShowNodes(want))
+			}
+		}
+		for id := range rels {
+			got, err := ls.GetRelationship(id, at[0], at[1])
+			for _, r := range got {
+				open(&r.Valid)
+			}
+			if want := m.GetRelationship(id, at[0], at[1]); err != nil || !refmodel.SameRels(got, want) {
+				t.Fatalf("%s: GetRelationship(%d, %d, %d) = %s (%v), the model says %s", label, id, at[0], at[1], refmodel.ShowRels(got), err, refmodel.ShowRels(want))
+			}
+		}
 	}
 }
 
@@ -444,6 +510,7 @@ func TestHostedGraphsMatchTheReferenceModel(t *testing.T) {
 
 	// Single commits: every commit its own round.
 	h := newHistorian(1)
+	h.twice = true
 	for i := 0; i < 150; i++ {
 		p.run(h)
 		if i%13 == 0 {
@@ -456,6 +523,7 @@ func TestHostedGraphsMatchTheReferenceModel(t *testing.T) {
 		wg.Add(1)
 		go func(h *historian) {
 			defer wg.Done()
+			h.twice = true
 			for i := 0; i < 60; i++ {
 				p.run(h)
 			}

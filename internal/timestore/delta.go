@@ -347,10 +347,8 @@ func compactUpdates(us []model.Update) []model.Update {
 			a.add = u
 		case model.OpUpdateNode, model.OpUpdateRel:
 			switch {
-			case a.add != nil:
-				mergeIntoAdd(a.add, *u)
-			case a.upd != nil:
-				mergeUpdates(a.upd, *u)
+			case a.add != nil || a.upd != nil: // an insertion takes it in and stays one
+				model.MergeUpdates(cmp.Or(a.add, a.upd), *u)
 			default:
 				a.upd = u
 			}
@@ -377,76 +375,6 @@ func compactUpdates(us []model.Update) []model.Update {
 	for i, u := range net {
 		u.Normalize()
 		out[i] = *u
-	}
-	return out
-}
-
-// mergeIntoAdd folds a later update b into a pending add: the add's labels
-// and props become the post-b state (Apply's order within one update is
-// del-labels-then-add-labels and set-props-then-del-props, so b's label
-// deletes strike a's labels before b's own land, and b's property sets land
-// before b's deletes strike them).
-func mergeIntoAdd(add *model.Update, b model.Update) {
-	add.AddLabels = append(minusStrs(add.AddLabels, b.DelLabels), b.AddLabels...)
-	add.SetProps = mergeProps(add.SetProps, b.SetProps, b.DelProps)
-}
-
-// mergeUpdates folds update b into update a so that applying the merged
-// update equals applying a then b:
-//
-//	labels: del = aDel ∪ bDel;  add = (aAdd − bDel) ∪ bAdd
-//	props:  set = (aSet overlaid by bSet) − bDel;  del = (aDel − keys(bSet)) ∪ bDel
-func mergeUpdates(a *model.Update, b model.Update) {
-	a.AddLabels = append(minusStrs(a.AddLabels, b.DelLabels), b.AddLabels...)
-	a.DelLabels = append(a.DelLabels, b.DelLabels...)
-	a.SetProps = mergeProps(a.SetProps, b.SetProps, b.DelProps)
-	keep := a.DelProps[:0]
-	for _, k := range a.DelProps {
-		if _, set := b.SetProps[k]; !set {
-			keep = append(keep, k)
-		}
-	}
-	a.DelProps = append(keep, b.DelProps...)
-	a.TS = b.TS
-}
-
-// minusStrs returns a without any element of del (order preserved).
-func minusStrs(a, del []string) []string {
-	if len(del) == 0 || len(a) == 0 {
-		return a
-	}
-	out := a[:0]
-	for _, s := range a {
-		drop := false
-		for _, d := range del {
-			if s == d {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// mergeProps applies (set bSet, then del bDel — Apply's order, so a key an
-// update both sets and deletes ends deleted) on top of base, returning the
-// surviving set map.
-func mergeProps(base, bSet model.Properties, bDel []string) model.Properties {
-	if base == nil && bSet == nil {
-		return nil
-	}
-	out := base
-	if out == nil {
-		out = model.Properties{}
-	}
-	for k, v := range bSet {
-		out[k] = v
-	}
-	for _, k := range bDel {
-		delete(out, k)
 	}
 	return out
 }

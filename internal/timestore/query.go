@@ -1,6 +1,7 @@
 package timestore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -285,7 +286,8 @@ func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Ti
 // its last state before end. It is one pass over a copy-on-write clone of the
 // graph at start: every update inside the window is united into it
 // (memgraph.Graph.Unite), so adjacency lists hold the base's order, then the
-// log's, and two calls answer alike. A point window, start == end, is the
+// log's, and two calls answer alike — except one that its commit goes on to
+// delete the entity after, which opened no version. A point window, start == end, is the
 // graph at start; a window that ends before it starts is empty.
 func (s *Store) GetWindow(start, end model.Timestamp) (*memgraph.Graph, error) {
 	return s.GetWindowContext(context.Background(), start, end)
@@ -302,19 +304,42 @@ func (s *Store) GetWindowContext(ctx context.Context, start, end model.Timestamp
 	if err != nil {
 		return nil, err
 	}
+	var commit []model.Update // the commit being read
 	var uerr error
 	err = s.scanFromLocked(ctx, position{ts: start, seq: seqComplete}, end, func(u model.Update) bool {
-		if uerr = g.Unite(u); uerr != nil {
-			uerr = fmt.Errorf("timestore: window: %w", uerr)
+		if len(commit) > 0 && commit[0].TS != u.TS {
+			uerr, commit = uniteCommit(g, commit), commit[:0]
 		}
+		commit = append(commit, u)
 		return uerr == nil
 	})
 	if err == nil {
-		err = uerr
+		err = cmp.Or(uerr, uniteCommit(g, commit))
 	}
 	if err != nil {
 		return nil, err
 	}
 	g.SetTimestamp(max(start, end-1))
 	return g, nil
+}
+
+// uniteCommit unites the updates of one commit into g, all but those the
+// commit goes on to delete the entity after: the deletion ends the version
+// such an update opens before it begins, and no version is empty.
+func uniteCommit(g *memgraph.Graph, us []model.Update) error {
+	deleted := map[int64]int{} // the index of each entity's last deletion
+	for i, u := range us {
+		if u.Kind == model.OpDeleteNode || u.Kind == model.OpDeleteRel {
+			deleted[u.EntityKey()] = i
+		}
+	}
+	for i, u := range us {
+		if j, ok := deleted[u.EntityKey()]; ok && j > i {
+			continue
+		}
+		if err := g.Unite(u); err != nil {
+			return fmt.Errorf("timestore: window: %w", err)
+		}
+	}
+	return nil
 }
