@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build examples test race vet lint cover loc bench-smoke benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget disk-budget expand-budget
+.PHONY: build examples test race vet lint cover loc bench-smoke paper benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget disk-budget expand-budget
 
 build:
 	$(GO) build ./...
@@ -47,13 +47,19 @@ loc:
 	@echo "without internal/refmodel $$($(LOC_FILES) ! -path 'internal/refmodel/*' | xargs cat | wc -l)"
 
 # One iteration of the read-path micro-benchmarks (enough to catch
-# regressions in the pipeline wiring without a full benchmark run), the
-# commit-throughput suite (group-commit pipeline vs serialised committers),
-# and a machine-readable BENCH_smoke.json snapshot at the repo root.
+# regressions in the pipeline wiring without a full benchmark run) and the
+# commit-throughput suite (group-commit pipeline vs serialised committers).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SnapshotLoad|GetGraph$$' -benchtime 1x ./internal/timestore/
 	$(GO) test -run '^$$' -bench 'CommitThroughput' -benchtime 100x ./internal/hostdb/
-	$(GO) run ./cmd/aion-bench -exp write -writeops 50 -committers 1,16 -json BENCH_smoke.json
+
+# The paper's figures and tables, every experiment of cmd/aion-bench at the
+# default 1/1000 scale: each comparison warmed, then five timed rounds in
+# alternating order, medians reported. Every printed table also lands in
+# BENCH_paper.json (title, columns, rows; numeric cells as numbers), the
+# CI-visible artifact. About 2 minutes on a 2-vCPU box.
+paper:
+	$(GO) run ./cmd/aion-bench -exp all -json BENCH_paper.json
 
 # A one-second pass of the frozen end-to-end benchmark (benchmark/, the
 # command BENCHMARK.json names): ~50 s including its build; exits non-zero
@@ -129,13 +135,10 @@ failover-sweep:
 
 # The partitioned-history gate: the seal crash sweeps and the cross-store
 # equivalence harness (partitioned vs monolithic, byte-identical results)
-# under the race detector, then the history-depth benchmark with its
-# machine-readable artifact, compared (informationally) against the
-# checked-in baseline.
+# under the race detector. The history-depth sweep runs in `make paper`.
 seal-sweep:
 	$(GO) test -race -count=1 -run 'TestCrashSweepSeal|TestRecoveryDropsOrphanDeltas' ./internal/timestore/
 	$(GO) test -race -count=1 ./internal/tstest/
-	$(GO) run ./cmd/aion-bench -exp history -scale 500 -globalops 12 -json BENCH_seal.json -baseline BENCH_baseline.json
 
 # The restart gate: the two-generation checkpoint crash sweep, the power cut at
 # every mutating operation inside Close (a bare host and a system, commits not

@@ -177,35 +177,36 @@ func BenchmarkExtensionIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSnapshotPolicy sweeps the TimeStore snapshot interval —
-// the design decision Sec 4.3 leaves to a user policy — showing the
-// trade-off between snapshot storage and GetGraph latency.
-func BenchmarkAblationSnapshotPolicy(b *testing.B) {
+// BenchmarkAblationTimeStoreSweep runs the stand-alone TimeStore option
+// sweep — no snapshots, three snapshot intervals (the design decision Sec 4.3
+// leaves to a user policy), a one-worker pipeline and a partitioned store —
+// and reports GetGraph over the whole history with and without snapshots.
+func BenchmarkAblationTimeStoreSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := bench.RunSnapshotPolicyAblation(benchConfig(b)); err != nil {
+		rows, err := bench.RunHistory(benchConfig(b), dirFactory(b))
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportMetric(rows[0].Millis[len(rows[0].Millis)-1], "no-snapshot-ms")
+		b.ReportMetric(rows[2].Millis[len(rows[2].Millis)-1], "snapshot-n/8-ms")
 	}
 }
 
-// BenchmarkAblationPlannerThreshold sweeps the 30 % store-selection
-// heuristic of Sec 5.1 to show where the LineageStore/TimeStore crossover
-// actually falls.
+// BenchmarkAblationPlannerThreshold runs Fig 8, whose planner column puts
+// the 30 % store-selection heuristic of Sec 5.1 beside the measured
+// LineageStore/TimeStore crossover, and reports the crossover's hop count on
+// the largest dataset.
 func BenchmarkAblationPlannerThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := bench.RunPlannerThresholdAblation(benchConfig(b)); err != nil {
+		rows, err := bench.RunFig8(benchConfig(b), dirFactory(b), []int{1, 2, 4, 8}, 5)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationParallelIO sweeps the snapshot/replay pipeline worker
-// count (Options.ParallelIO), comparing the inline pipeline (1 worker)
-// against the multi-core (de)serialization stages.
-func BenchmarkAblationParallelIO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.RunParallelIOAblation(benchConfig(b)); err != nil {
-			b.Fatal(err)
+		for _, r := range rows[len(rows)-4:] {
+			if r.Time > r.Lineage {
+				b.ReportMetric(float64(r.Hops), "crossover-hops")
+				break
+			}
 		}
 	}
 }

@@ -8,12 +8,12 @@
 //	aion-bench -exp table3,fig6,fig11
 //
 // Experiments: table3, table4, fig6, fig7, fig8, fig9, fig10, fig11,
-// fig12, fig13, fig14, ext (incremental SSSP/colouring extension), write
-// (commit-throughput sweep with the group-commit ablation).
+// fig12, fig13, fig14, ext (incremental SSSP/colouring extension), history
+// (the stand-alone TimeStore option sweep), write (commit-throughput sweep
+// with the group-commit ablation).
 //
-// -json <path> additionally writes every recorded measurement as a
-// machine-readable BENCH_*.json report (name, ops/sec, p50/p99 latency,
-// fsync counters).
+// -json <path> additionally writes every printed table — title, columns and
+// rows, numeric cells as numbers — as one JSON report.
 package main
 
 import (
@@ -33,14 +33,12 @@ func main() {
 		scale    = flag.Int("scale", 1000, "dataset scale divisor vs Table 3 (100 = larger, slower)")
 		datasets = flag.String("datasets", "", "comma-separated dataset subset (default: first four)")
 		seed     = flag.Int64("seed", 42, "workload generation seed")
-		pointOps = flag.Int("pointops", 20000, "point queries per system (paper: 1M)")
-		globals  = flag.Int("globalops", 20, "snapshot retrievals per system (paper: 100)")
+		pointOps = flag.Int("pointops", 5000, "point queries per system and run (paper: 1M)")
+		globals  = flag.Int("globalops", 5, "snapshot retrievals per system and run (paper: 100)")
 		workdir  = flag.String("dir", "", "working directory for store files (default: temp)")
-		jsonPath = flag.String("json", "", "write machine-readable results to this JSON file")
-		writeOps = flag.Int("writeops", 200, "commits per committer in the write-path suite")
+		jsonPath = flag.String("json", "", "write every printed table to this JSON file")
+		writeOps = flag.Int("writeops", 100, "commits per committer in the write-path suite")
 		writeCs  = flag.String("committers", "", "comma-separated committer counts for the write suite (default 1,4,16,64)")
-		syncOnly = flag.Bool("synconly", false, "write suite: measure only synchronous (durable) commits")
-		baseline = flag.String("baseline", "", "BENCH_*.json file to compare this run's records against (informational)")
 	)
 	flag.Parse()
 
@@ -116,9 +114,6 @@ func main() {
 				wc.Committers = append(wc.Committers, n)
 			}
 		}
-		if *syncOnly {
-			wc.SyncModes = []bool{true}
-		}
 		_, err := bench.RunWritePath(cfg, mkdir, wc)
 		return err
 	})
@@ -130,14 +125,7 @@ func main() {
 		if err := report.WriteFile(nil, *jsonPath); err != nil {
 			fail(err)
 		}
-		fmt.Printf("\nwrote %d result(s) to %s\n", len(report.Records()), *jsonPath)
-	}
-	if *baseline != "" {
-		if err := report.CompareBaseline(nil, *baseline, os.Stdout); err != nil {
-			// Informational only: a missing or stale baseline must not fail
-			// the bench run that would regenerate it.
-			fmt.Fprintln(os.Stderr, "aion-bench: baseline comparison skipped:", err)
-		}
+		fmt.Printf("\nwrote %d table(s) to %s\n", len(report.Tables()), *jsonPath)
 	}
 }
 

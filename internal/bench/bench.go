@@ -1,22 +1,27 @@
 // Package bench implements the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (Sec 6). Each experiment
 // builds its workload with internal/datagen (scaled-down synthetic stand-ins
-// for the Table 3 datasets), runs the same measurement protocol the paper
-// describes, and prints rows/series in the paper's shape. Absolute numbers
-// differ from the paper's AWS testbed; the comparisons (who wins, by what
-// factor, where the crossovers fall) are the reproduction target.
+// for the Table 3 datasets), times every comparison with one measurement
+// (measure: warmed, alternated, repeated, medians) and prints rows/series in
+// the paper's shape. Absolute numbers differ from the paper's AWS testbed; the
+// comparisons (who wins, by what factor, where the crossovers fall) are the
+// reproduction target.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
 	"aion/internal/aion"
 	"aion/internal/datagen"
+	"aion/internal/hostdb"
 	"aion/internal/model"
+	"aion/internal/system"
 )
 
 // Config tunes the harness globally.
@@ -29,14 +34,14 @@ type Config struct {
 	Datasets []string
 	// Seed for dataset generation.
 	Seed int64
-	// PointOps is the number of point queries per system (paper: 1 M).
+	// PointOps is the number of point queries per system and run (paper: 1 M).
 	PointOps int
-	// GlobalOps is the number of snapshot retrievals (paper: 100).
+	// GlobalOps is the number of snapshot retrievals per system and run
+	// (paper: 100).
 	GlobalOps int
 	// Out receives the printed tables.
 	Out io.Writer
-	// Report, when non-nil, accumulates machine-readable Records for the
-	// -json output alongside the printed tables.
+	// Report, when non-nil, gathers every printed table for the -json output.
 	Report *Report
 }
 
@@ -52,10 +57,10 @@ func (c *Config) Defaults() {
 		c.Seed = 42
 	}
 	if c.PointOps <= 0 {
-		c.PointOps = 20000
+		c.PointOps = 5000
 	}
 	if c.GlobalOps <= 0 {
-		c.GlobalOps = 20
+		c.GlobalOps = 5
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
@@ -71,16 +76,55 @@ func (c *Config) genDataset(name string, opts datagen.Options) *datagen.Dataset 
 	return datagen.Generate(spec, opts)
 }
 
-// aionOptsForServing configures Aion for a serving system sized to the
-// workload (hybrid mode, snapshots every eighth of the load).
-func aionOptsForServing(nUpdates int) aion.Options {
-	return aion.Options{SnapshotEveryOps: nUpdates/8 + 1}
+// rounds is how many timed runs of each side measure takes.
+const rounds = 5
+
+// side is one system's, or one setting's, run of a measured operation. It
+// returns how long the operation took: all of the call (timed), or the part a
+// side with a set-up of its own timed itself.
+type side func() (time.Duration, error)
+
+// timed is the side that times all of fn.
+func timed(fn func() error) side {
+	return func() (time.Duration, error) {
+		start := time.Now()
+		err := fn()
+		return time.Since(start), err
+	}
 }
 
-// openAionTemp opens an Aion store (synchronous both-store mode, suited to
-// measurement determinism) in a fresh temp dir and loads the dataset.
-func openAionTemp(c Config, ds *datagen.Dataset) (*aion.DB, error) {
-	db, err := aion.Open(aion.Options{Mode: aion.SyncBoth,
+// measure is the harness's one measurement. It runs every side once untimed,
+// to fill the caches, pools and lazily built state a run leaves behind, then
+// rounds timed runs of each, the side that goes first rotating from round to
+// round, and returns each side's median. So no side pays a cold start that the
+// others do not, and none always runs right after another's.
+func measure(sides ...side) ([]time.Duration, error) {
+	runs := make([][]time.Duration, len(sides))
+	for r := -1; r < rounds; r++ {
+		for i := range sides {
+			k := (max(r, 0) + i) % len(sides)
+			d, err := sides[k]()
+			if err != nil {
+				return nil, err
+			}
+			if r >= 0 {
+				runs[k] = append(runs[k], d)
+			}
+		}
+	}
+	med := make([]time.Duration, len(sides))
+	for k, ds := range runs {
+		slices.Sort(ds)
+		med[k] = ds[len(ds)/2]
+	}
+	return med, nil
+}
+
+// loadAion opens a stand-alone Aion store in dir — both stores synchronous,
+// so no measurement races the cascade — and loads ds into it, with a policy
+// snapshot every eighth of the load, all persisted before it returns.
+func loadAion(dir string, ds *datagen.Dataset) (*aion.DB, error) {
+	db, err := aion.Open(aion.Options{Dir: dir, Mode: aion.SyncBoth,
 		SnapshotEveryOps: len(ds.Updates)/8 + 1})
 	if err != nil {
 		return nil, err
@@ -93,11 +137,91 @@ func openAionTemp(c Config, ds *datagen.Dataset) (*aion.DB, error) {
 	return db, nil
 }
 
-// timeIt measures fn.
-func timeIt(fn func()) time.Duration {
+// loadHosted opens a host with Aion on it and replays ds through host
+// transactions of batch updates each, committed by writers goroutines (1: in
+// order). It returns the system and how long the replay took.
+func loadHosted(opts system.Options, ds *datagen.Dataset, batch, writers int) (*system.System, time.Duration, error) {
+	sys, err := system.Open(opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	batches := make(chan []model.Update, writers) // the next batch ready for each writer
+	go func() {
+		for lo := 0; lo < len(ds.Updates); lo += batch {
+			batches <- ds.Updates[lo:min(lo+batch, len(ds.Updates))]
+		}
+		close(batches)
+	}()
+	errs := make(chan error, writers)
 	start := time.Now()
-	fn()
-	return time.Since(start)
+	for w := 0; w < writers; w++ {
+		go func() {
+			var err error
+			for b := range batches { // drained to the end, so the feeder exits
+				if err == nil {
+					_, err = sys.Host.Run(func(tx *hostdb.Tx) error { return replayBatch(tx, b) })
+				}
+			}
+			errs <- err
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		err = errors.Join(err, <-errs)
+	}
+	took := time.Since(start)
+	if err != nil {
+		sys.Close()
+		return nil, 0, err
+	}
+	return sys, took, nil
+}
+
+// replayBatch re-issues a generated update batch through a transaction.
+// Generated ids are dense and line up with the host's id allocator when
+// batches arrive in order; out-of-order arrival only reorders timestamps,
+// which is harmless for a throughput measurement, so conflicts (an endpoint
+// not yet created by another writer's batch) are tolerated by retry-free
+// skipping.
+func replayBatch(tx *hostdb.Tx, batch []model.Update) error {
+	for _, u := range batch {
+		var err error
+		switch u.Kind {
+		case model.OpAddNode:
+			if tx.Node(u.NodeID) != nil {
+				continue // created by a reordered batch
+			}
+			err = tx.CreateNodeWithID(u.NodeID, u.AddLabels, u.SetProps)
+		case model.OpAddRel:
+			if tx.Node(u.Src) == nil || tx.Node(u.Tgt) == nil || tx.Rel(u.RelID) != nil {
+				continue // endpoint committed by a later batch; skip
+			}
+			err = tx.CreateRelWithID(u.RelID, u.Src, u.Tgt, u.RelLabel, u.SetProps)
+		case model.OpUpdateNode:
+			if tx.Node(u.NodeID) == nil {
+				continue
+			}
+			err = tx.SetNodeProps(u.NodeID, u.SetProps, u.DelProps)
+		case model.OpUpdateRel:
+			if tx.Rel(u.RelID) == nil {
+				continue
+			}
+			err = tx.SetRelProps(u.RelID, u.SetProps, u.DelProps)
+		case model.OpDeleteRel:
+			if tx.Rel(u.RelID) == nil {
+				continue
+			}
+			err = tx.DeleteRel(u.RelID)
+		case model.OpDeleteNode:
+			if tx.Node(u.NodeID) == nil {
+				continue
+			}
+			err = tx.DeleteNode(u.NodeID)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // opsPerSec converts a run into a throughput figure.
@@ -117,7 +241,18 @@ func randTimestamps(rng *rand.Rand, n int, maxTS model.Timestamp) []model.Timest
 	return out
 }
 
-// table is a simple column-aligned printer.
+// randRelQueries draws n random (relationship, timestamp) point queries.
+func randRelQueries(rng *rand.Rand, ds *datagen.Dataset, n int) ([]model.RelID, []model.Timestamp) {
+	ids := make([]model.RelID, n)
+	tss := randTimestamps(rng, n, ds.MaxTS)
+	for i := range ids {
+		ids[i] = ds.RelIDs[rng.Intn(len(ds.RelIDs))]
+	}
+	return ids, tss
+}
+
+// table is a simple column-aligned printer; units go in the headers, so every
+// measured cell is a plain number.
 type table struct {
 	header []string
 	rows   [][]string
@@ -125,29 +260,22 @@ type table struct {
 
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) print(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n== %s ==\n", title)
+// emit prints t under title and adds it to the report, if one is attached.
+func (c *Config) emit(t *table, title string) {
+	c.Report.add(title, t)
+	fmt.Fprintf(c.Out, "\n== %s ==\n", title)
 	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	for _, r := range append([][]string{t.header}, t.rows...) {
+		for i, cell := range r {
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
+	for _, r := range append([][]string{t.header}, t.rows...) {
+		parts := make([]string, len(r))
+		for i, cell := range r {
+			parts[i] = fmt.Sprintf("%-*s", widths[i], cell)
 		}
-		fmt.Fprintln(w, strings.Join(parts, "  "))
-	}
-	line(t.header)
-	for _, r := range t.rows {
-		line(r)
+		fmt.Fprintln(c.Out, strings.TrimRight(strings.Join(parts, "  "), " "))
 	}
 }
 
@@ -155,5 +283,6 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func fi(v int64) string   { return fmt.Sprintf("%d", v) }
 func mb(bytes int64) string {
-	return fmt.Sprintf("%.1f MB", float64(bytes)/(1<<20))
+	return fmt.Sprintf("%.2f", float64(bytes)/(1<<20))
 }
+func ms(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()*1000) }

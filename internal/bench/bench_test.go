@@ -2,8 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tiny returns a config small enough for unit-test latency.
@@ -206,17 +208,90 @@ func TestRunFig14(t *testing.T) {
 	}
 }
 
-func TestEstimateHopCoverageGrowsWithHops(t *testing.T) {
-	c := tiny(t, nil)
-	one, err := EstimateHopCoverage(c, "DBLP", 1, 5)
+func TestRunExtensionIncremental(t *testing.T) {
+	var out bytes.Buffer
+	c := tiny(t, &out)
+	c.Datasets = []string{"DBLP"}
+	rows, err := RunExtensionIncremental(c, []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := EstimateHopCoverage(c, "DBLP", 4, 5)
+	if len(rows) != 2 || rows[0].Algorithm != "SSSP" || rows[1].Algorithm != "COLOR" {
+		t.Fatalf("rows = %+v", rows)
+	}
+}
+
+func TestRunHistory(t *testing.T) {
+	var out bytes.Buffer
+	rows, err := RunHistory(tiny(t, &out), dirFactory(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if four < one {
-		t.Errorf("coverage must grow with hops: %v vs %v", one, four)
+	if len(rows) != 6 || rows[0].Snapshots != 0 || rows[3].Snapshots <= rows[1].Snapshots {
+		t.Fatalf("rows = %+v: want six layouts, none of the first's snapshots and more the shorter the interval", rows)
+	}
+	for _, r := range rows {
+		if len(r.Millis) != len(historyDepths) || r.DiskBytes <= 0 {
+			t.Errorf("row %+v", r)
+		}
+	}
+}
+
+func TestRunWritePath(t *testing.T) {
+	var out bytes.Buffer
+	rows, err := RunWritePath(tiny(t, &out), dirFactory(t), WriteConfig{Committers: []int{2}, OpsPerCommitter: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].FsyncsPerCommit[0] < 1 || rows[1].FsyncsPerCommit[0] != 0 {
+		t.Fatalf("rows = %+v: want a durable and an async level, a durable serialised commit fsyncing", rows)
+	}
+}
+
+// TestMeasureReadsTheWarmCost: two sides whose first call costs 50 times what
+// each later one does — and a cold start, paid by whichever side runs first,
+// that the two share — both read the warm cost, in either order; and the side
+// that goes first rotates.
+func TestMeasureReadsTheWarmCost(t *testing.T) {
+	const warm, cold = time.Millisecond, 50 * time.Millisecond
+	for _, sharedCold := range []bool{false, true} {
+		for _, swap := range []bool{false, true} {
+			shared := false
+			var order []int
+			fake := func(k int) side {
+				first := true
+				return func() (time.Duration, error) {
+					order = append(order, k)
+					own := first
+					first = false
+					if sharedCold {
+						own, shared = !shared, true
+					}
+					if own {
+						return cold, nil
+					}
+					return time.Duration(k+1) * warm, nil
+				}
+			}
+			listed := []int{0, 1}
+			if swap {
+				listed = []int{1, 0}
+			}
+			d, err := measure(fake(listed[0]), fake(listed[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range listed {
+				if want := time.Duration(k+1) * warm; d[i] != want {
+					t.Errorf("shared cold start %v, listed %v: side %d's median is %v, want its warm cost %v", sharedCold, listed, k, d[i], want)
+				}
+			}
+			if len(order) != 2*(rounds+1) {
+				t.Fatalf("%d calls, want each side's warm-up and %d timed rounds", len(order), rounds)
+			}
+			if want := append(slices.Clone(listed), listed[1], listed[0]); !slices.Equal(order[2:6], want) {
+				t.Errorf("call order %v: the first side does not rotate", order)
+			}
+		}
 	}
 }

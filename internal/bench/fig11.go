@@ -6,7 +6,6 @@ import (
 	"aion/internal/datagen"
 	"aion/internal/enc"
 	"aion/internal/lineagestore"
-	"aion/internal/model"
 	"aion/internal/strstore"
 )
 
@@ -23,7 +22,8 @@ type Fig11Row struct {
 
 // RunFig11 regenerates Fig 11 on the DBLP workload: every relationship
 // receives 32 new properties at discrete times, then random point lookups
-// measure reconstruction throughput for thresholds {32, 16, 8, 4, 2, 1}.
+// measure reconstruction throughput for thresholds {32, 16, 8, 4, 2, 1}, one
+// store each, all measured together.
 func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int) ([]Fig11Row, error) {
 	c.Defaults()
 	if len(thresholds) == 0 {
@@ -34,22 +34,24 @@ func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int)
 	}
 	ds := c.genDataset("DBLP", datagen.Options{})
 	chain := ds.PropertyUpdateChain(chainLen)
+	ops := max(c.PointOps, 2000)
+	ids, tss := randRelQueries(rand.New(rand.NewSource(c.Seed)), ds, ops)
 
-	var rows []Fig11Row
-	var baseBytes int64
-	t := &table{header: []string{"chain threshold", "throughput (ops/s)", "storage", "normalized storage"}}
-	for _, th := range thresholds {
+	stores := make([]*lineagestore.Store, len(thresholds))
+	sides := make([]side, len(thresholds))
+	for i, th := range thresholds {
 		storeTh := th
 		if th >= chainLen {
 			storeTh = -1 // never materialize
 		}
 		ls, err := lineagestore.Open(enc.NewCodec(strstore.NewMem()), lineagestore.Options{
-			Dir:            dir(f1(float64(th))),
+			Dir:            dir(fi(int64(th))),
 			ChainThreshold: storeTh,
 		})
 		if err != nil {
 			return nil, err
 		}
+		defer ls.Close()
 		if err := ls.ApplyBatch(ds.Updates); err != nil {
 			return nil, err
 		}
@@ -59,41 +61,28 @@ func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int)
 		if err := ls.Flush(); err != nil {
 			return nil, err
 		}
-
-		rng := rand.New(rand.NewSource(c.Seed))
-		ops := c.PointOps
-		if ops < 2000 {
-			ops = 2000
-		}
-		// Warm the page cache so the measurement reflects steady state.
-		for i := 0; i < 500; i++ {
-			rid := ds.RelIDs[rng.Intn(len(ds.RelIDs))]
-			ls.GetRelationship(rid, ds.MaxTS, ds.MaxTS)
-		}
-		ids := make([]model.RelID, ops)
-		tss := randTimestamps(rng, ops, ds.MaxTS)
-		for i := range ids {
-			ids[i] = ds.RelIDs[rng.Intn(len(ds.RelIDs))]
-		}
-		dur := timeIt(func() {
-			for i := range ids {
-				if _, err := ls.GetRelationship(ids[i], tss[i], tss[i]); err != nil {
-					panic(err)
+		stores[i] = ls
+		sides[i] = timed(func() error {
+			for k := range ids {
+				if _, err := ls.GetRelationship(ids[k], tss[k], tss[k]); err != nil {
+					return err
 				}
 			}
+			return nil
 		})
-		row := Fig11Row{
-			Threshold:    th,
-			OpsPerSec:    opsPerSec(ops, dur),
-			StorageBytes: ls.DiskBytes(),
-		}
-		if baseBytes == 0 {
-			baseBytes = row.StorageBytes
-		}
-		row.StorageOverhead = float64(row.StorageBytes) / float64(baseBytes)
+	}
+	d, err := measure(sides...)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Fig11Row
+	t := &table{header: []string{"chain threshold", "throughput (ops/s)", "storage (MB)", "normalized storage"}}
+	for i, th := range thresholds {
+		row := Fig11Row{Threshold: th, OpsPerSec: opsPerSec(ops, d[i]), StorageBytes: stores[i].DiskBytes()}
+		row.StorageOverhead = float64(row.StorageBytes) / float64(stores[0].DiskBytes())
 		rows = append(rows, row)
 		t.add(fi(int64(th)), f1(row.OpsPerSec), mb(row.StorageBytes), f2(row.StorageOverhead))
 	}
-	t.print(c.Out, "Fig 11: materialization strategy (history length of deltas)")
+	c.emit(t, "Fig 11: materialization strategy (history length of deltas)")
 	return rows, nil
 }

@@ -6,10 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aion/internal/aion"
 	"aion/internal/bolt"
 	"aion/internal/cypher"
 	"aion/internal/datagen"
-	"aion/internal/hostdb"
 	"aion/internal/model"
 	"aion/internal/system"
 )
@@ -23,42 +23,27 @@ type Fig13Row struct {
 	Writes20 float64
 }
 
-// startBoltSystem loads a dataset into a host+Aion system and serves it
-// over Bolt, returning the address and a shutdown func.
+// startBoltSystem loads a dataset into a host+Aion system (hybrid mode,
+// snapshots every eighth of the load) and serves it over Bolt, returning the
+// address and a shutdown func.
 func startBoltSystem(c Config, name, dir string) (*datagen.Dataset, string, func(), error) {
 	ds := c.genDataset(name, datagen.Options{})
-	sys, err := system.Open(system.Options{
-		Dir:  dir,
-		Aion: aionOptsForServing(len(ds.Updates)),
-	})
+	sys, _, err := loadHosted(system.Options{Dir: dir,
+		Aion: aion.Options{SnapshotEveryOps: len(ds.Updates)/8 + 1}}, ds, 2000, 1)
 	if err != nil {
-		return nil, "", nil, err
-	}
-	const batch = 2000
-	for lo := 0; lo < len(ds.Updates); lo += batch {
-		hi := lo + batch
-		if hi > len(ds.Updates) {
-			hi = len(ds.Updates)
-		}
-		b := ds.Updates[lo:hi]
-		if _, err := sys.Host.Run(func(tx *hostdb.Tx) error { return replayBatch(tx, b) }); err != nil {
-			sys.Close()
-			return nil, "", nil, err
-		}
-	}
-	if err := sys.Aion.WaitSync(); err != nil {
-		sys.Close()
 		return nil, "", nil, err
 	}
 	// Take the post-load snapshot now so the policy does not fire (and
 	// steal CPU from the background worker) in the middle of a short
 	// measurement pass.
-	if err := sys.Aion.TimeStore().CreateSnapshot(); err != nil {
+	if err = sys.Aion.WaitSync(); err == nil {
+		err = sys.Aion.TimeStore().CreateSnapshot()
+	}
+	if err != nil {
 		sys.Close()
 		return nil, "", nil, err
 	}
-	engine := cypher.NewEngine(sys)
-	srv := bolt.NewServer(engine)
+	srv := bolt.NewServer(cypher.NewEngine(sys))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		sys.Close()
@@ -85,85 +70,76 @@ func RunFig13(c Config, dir func(string) string, clients, opsPerClient int) ([]F
 		if err != nil {
 			return nil, err
 		}
-		row := Fig13Row{Dataset: name}
-		for _, pct := range []int{0, 10, 20} {
-			qps, err := boltMixedWorkload(ds, addr, clients, opsPerClient, pct, c.Seed)
-			if err != nil {
-				shutdown()
-				return nil, err
-			}
-			switch pct {
-			case 0:
-				row.ReadOnly = qps
-			case 10:
-				row.Writes10 = qps
-			case 20:
-				row.Writes20 = qps
-			}
+		mix := func(writePct int) side {
+			return timed(func() error { return boltMixedWorkload(ds, addr, clients, opsPerClient, writePct, c.Seed) })
 		}
+		d, err := measure(mix(0), mix(10), mix(20))
+		shutdown()
+		if err != nil {
+			return nil, err
+		}
+		total := clients * opsPerClient
+		row := Fig13Row{Dataset: name, ReadOnly: opsPerSec(total, d[0]),
+			Writes10: opsPerSec(total, d[1]), Writes20: opsPerSec(total, d[2])}
 		rows = append(rows, row)
 		t.add(name, f1(row.ReadOnly), f1(row.Writes10), f1(row.Writes20))
-		shutdown()
 	}
-	t.print(c.Out, "Fig 13: transactions using Bolt (32-thread analogue)")
+	c.emit(t, "Fig 13: transactions using Bolt (32-thread analogue)")
 	return rows, nil
 }
 
-func boltMixedWorkload(ds *datagen.Dataset, addr string, clients, opsPerClient, writePct int, seed int64) (float64, error) {
+func boltMixedWorkload(ds *datagen.Dataset, addr string, clients, opsPerClient, writePct int, seed int64) error {
 	var wg sync.WaitGroup
 	var failed atomic.Int64
-	totalOps := clients * opsPerClient
-	dur := timeIt(func() {
-		for w := 0; w < clients; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				cl, err := bolt.Dial(addr)
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cl, err := bolt.Dial(addr)
+			if err != nil {
+				failed.Add(1)
+				return
+			}
+			defer cl.Close()
+			rng := rand.New(rand.NewSource(seed + int64(w)))
+			for i := 0; i < opsPerClient; i++ {
+				if rng.Intn(100) < writePct {
+					// Write: create a node or update a property.
+					if rng.Intn(2) == 0 {
+						_, _, _, err = cl.Run(`CREATE (n:Client {w: $w})`,
+							map[string]model.Value{"w": model.IntValue(int64(w))})
+					} else {
+						id := rng.Int63n(int64(ds.Spec.Nodes))
+						_, _, _, err = cl.Run(
+							`MATCH (n) WHERE id(n) = $id SET n.touched = $i`,
+							map[string]model.Value{
+								"id": model.IntValue(id),
+								"i":  model.IntValue(int64(i)),
+							})
+					}
+				} else {
+					// Read: temporal entity at an arbitrary time point.
+					id := rng.Int63n(int64(ds.Spec.Nodes))
+					ts := rng.Int63n(int64(ds.MaxTS)) + 1
+					_, _, _, err = cl.Run(
+						`USE GDB FOR SYSTEM_TIME AS OF $ts MATCH (n) WHERE id(n) = $id RETURN n`,
+						map[string]model.Value{
+							"ts": model.IntValue(ts),
+							"id": model.IntValue(id),
+						})
+				}
 				if err != nil {
 					failed.Add(1)
 					return
 				}
-				defer cl.Close()
-				rng := rand.New(rand.NewSource(seed + int64(w)))
-				for i := 0; i < opsPerClient; i++ {
-					if rng.Intn(100) < writePct {
-						// Write: create a node or update a property.
-						if rng.Intn(2) == 0 {
-							_, _, _, err = cl.Run(`CREATE (n:Client {w: $w})`,
-								map[string]model.Value{"w": model.IntValue(int64(w))})
-						} else {
-							id := rng.Int63n(int64(ds.Spec.Nodes))
-							_, _, _, err = cl.Run(
-								`MATCH (n) WHERE id(n) = $id SET n.touched = $i`,
-								map[string]model.Value{
-									"id": model.IntValue(id),
-									"i":  model.IntValue(int64(i)),
-								})
-						}
-					} else {
-						// Read: temporal entity at an arbitrary time point.
-						id := rng.Int63n(int64(ds.Spec.Nodes))
-						ts := rng.Int63n(int64(ds.MaxTS)) + 1
-						_, _, _, err = cl.Run(
-							`USE GDB FOR SYSTEM_TIME AS OF $ts MATCH (n) WHERE id(n) = $id RETURN n`,
-							map[string]model.Value{
-								"ts": model.IntValue(ts),
-								"id": model.IntValue(id),
-							})
-					}
-					if err != nil {
-						failed.Add(1)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	})
-	if n := failed.Load(); n > 0 {
-		return 0, fmt.Errorf("bench: %d bolt clients failed", n)
+			}
+		}(w)
 	}
-	return opsPerSec(totalOps, dur), nil
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		return fmt.Errorf("bench: %d bolt clients failed", n)
+	}
+	return nil
 }
 
 // Fig14Row is one Algorithm(#snapshots) point of Fig 14: incremental
@@ -184,8 +160,12 @@ func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig14R
 	if len(snapshotCounts) == 0 {
 		snapshotCounts = []int{10, 100}
 	}
+	procs := map[string]string{
+		"AVG": `CALL aion.incremental.avg('w', %d, %d, %d)`,
+		"BFS": `CALL aion.incremental.bfs(0, %d, %d, %d)`,
+	}
 	var rows []Fig14Row
-	t := &table{header: []string{"Algorithm(#snapshots)", "Dataset", "incremental (s)", "recompute (s)", "speedup"}}
+	t := &table{header: []string{"Algorithm(#snapshots)", "Dataset", "incremental (ms)", "recompute (ms)", "speedup (x)"}}
 	for _, name := range c.Datasets {
 		ds, addr, shutdown, err := startBoltSystem(c, name, dir(name))
 		if err != nil {
@@ -199,59 +179,35 @@ func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig14R
 		maxTS := int64(ds.MaxTS)
 		half := maxTS / 2
 		for _, snaps := range snapshotCounts {
-			step := (maxTS - half) / int64(snaps)
-			if step < 1 {
-				step = 1
-			}
+			step := max((maxTS-half)/int64(snaps), 1)
 			for _, alg := range []string{"AVG", "BFS"} {
-				var proc string
-				switch alg {
-				case "AVG":
-					proc = fmt.Sprintf(`CALL aion.incremental.avg('w', %d, %d, %d)`, half, maxTS, step)
-				case "BFS":
-					proc = fmt.Sprintf(`CALL aion.incremental.bfs(0, %d, %d, %d)`, half, maxTS, step)
+				call := func(from, to, step int64) error {
+					_, _, _, err := cl.Run(fmt.Sprintf(procs[alg], from, to, step), nil)
+					return err
 				}
-				incSec := timeIt(func() {
-					if _, _, _, err2 := cl.Run(proc, nil); err2 != nil {
-						err = err2
-					}
-				}).Seconds()
-				if err != nil {
-					cl.Close()
-					shutdown()
-					return nil, err
-				}
-				// Recompute baseline: one full procedure call per snapshot
-				// (step spanning the whole window => no reuse).
-				fullSec := timeIt(func() {
+				// Recompute: one full procedure call per snapshot (a step
+				// spanning the whole window, so nothing is reused).
+				d, err := measure(timed(func() error { return call(half, maxTS, step) }), timed(func() error {
 					for ts := half; ts <= maxTS; ts += step {
-						var q string
-						switch alg {
-						case "AVG":
-							q = fmt.Sprintf(`CALL aion.incremental.avg('w', %d, %d, %d)`, ts, ts, 1)
-						case "BFS":
-							q = fmt.Sprintf(`CALL aion.incremental.bfs(0, %d, %d, %d)`, ts, ts, 1)
-						}
-						if _, _, _, err2 := cl.Run(q, nil); err2 != nil {
-							err = err2
-							return
+						if err := call(ts, ts, 1); err != nil {
+							return err
 						}
 					}
-				}).Seconds()
+					return nil
+				}))
 				if err != nil {
 					cl.Close()
 					shutdown()
 					return nil, err
 				}
-				row := Fig14Row{Dataset: name, Algorithm: alg, Snapshots: snaps,
-					Speedup: fullSec / incSec}
+				row := Fig14Row{Dataset: name, Algorithm: alg, Snapshots: snaps, Speedup: d[1].Seconds() / d[0].Seconds()}
 				rows = append(rows, row)
-				t.add(fmt.Sprintf("%s(%d)", alg, snaps), name, f2(incSec), f2(fullSec), f1(row.Speedup)+"x")
+				t.add(fmt.Sprintf("%s(%d)", alg, snaps), name, ms(d[0]), ms(d[1]), f1(row.Speedup))
 			}
 		}
 		cl.Close()
 		shutdown()
 	}
-	t.print(c.Out, "Fig 14: incremental speedup with procedures over Bolt")
+	c.emit(t, "Fig 14: incremental speedup with procedures over Bolt")
 	return rows, nil
 }

@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
-	"time"
 
-	"aion/internal/aion"
 	"aion/internal/baselines/gradoop"
 	"aion/internal/baselines/raphtory"
 	"aion/internal/datagen"
-	"aion/internal/model"
 )
 
 // Fig6Row is one bar pair of Fig 6: point-query throughput (random
@@ -21,69 +17,49 @@ type Fig6Row struct {
 	RaphtoryLoadedFrac float64
 }
 
-// loadSystems loads one dataset into Aion (hybrid) and the two baselines.
-func loadSystems(c Config, name string, dir string) (*datagen.Dataset, *aion.DB, *raphtory.Graph, *gradoop.Engine, error) {
-	ds := c.genDataset(name, datagen.Options{})
-	db, err := aion.Open(aion.Options{Dir: dir, Mode: aion.SyncBoth,
-		SnapshotEveryOps: len(ds.Updates)/8 + 1})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if err := db.ApplyBatch(ds.Updates); err != nil {
-		db.Close()
-		return nil, nil, nil, nil, err
-	}
-	db.TimeStore().WaitSnapshots() // settle background snapshots before measuring
-	r := raphtory.New()
-	r.IngestAll(ds.Updates)
-	g := gradoop.New()
-	g.LoadAll(ds.Updates)
-	return ds, db, r, g, nil
-}
-
 // RunFig6 regenerates Fig 6: fetching random relationships.
 func RunFig6(c Config, dir func(string) string) ([]Fig6Row, error) {
 	c.Defaults()
 	var rows []Fig6Row
-	t := &table{header: []string{"Dataset", "Aion (ops/s)", "Raphtory (ops/s)", "Raphtory loaded"}}
+	t := &table{header: []string{"Dataset", "Aion (ops/s)", "Raphtory (ops/s)", "Raphtory loaded (%)"}}
 	for _, name := range c.Datasets {
-		ds, db, raph, _, err := loadSystems(c, name, dir(name))
+		ds := c.genDataset(name, datagen.Options{})
+		db, err := loadAion(dir(name), ds)
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(c.Seed))
-		// Random (relID, ts) pairs; the same sequence drives both systems.
-		ids := make([]model.RelID, c.PointOps)
-		tss := randTimestamps(rng, c.PointOps, ds.MaxTS)
-		for i := range ids {
-			ids[i] = ds.RelIDs[rng.Intn(len(ds.RelIDs))]
-		}
-
+		raph := raphtory.New()
+		raph.IngestAll(ds.Updates)
+		// The same random (relID, ts) pairs drive both systems.
+		ids, tss := randRelQueries(rand.New(rand.NewSource(c.Seed)), ds, c.PointOps)
 		ls := db.LineageStore()
-		aionDur := timeIt(func() {
+		d, err := measure(timed(func() error {
 			for i := range ids {
 				if _, err := ls.GetRelationship(ids[i], tss[i], tss[i]); err != nil {
-					panic(err)
+					return err
 				}
 			}
-		})
-		raphDur := timeIt(func() {
+			return nil
+		}), timed(func() error {
 			for i := range ids {
 				raph.GetRelationship(ids[i], tss[i])
 			}
-		})
+			return nil
+		}))
+		db.Close()
+		if err != nil {
+			return nil, err
+		}
 		row := Fig6Row{
 			Dataset:            name,
-			AionOpsPerSec:      opsPerSec(c.PointOps, aionDur),
-			RaphtoryOpsPerSec:  opsPerSec(c.PointOps, raphDur),
+			AionOpsPerSec:      opsPerSec(c.PointOps, d[0]),
+			RaphtoryOpsPerSec:  opsPerSec(c.PointOps, d[1]),
 			RaphtoryLoadedFrac: raph.LoadedFraction(),
 		}
 		rows = append(rows, row)
-		t.add(name, f1(row.AionOpsPerSec), f1(row.RaphtoryOpsPerSec),
-			fmt.Sprintf("%.0f%%", 100*row.RaphtoryLoadedFrac))
-		db.Close()
+		t.add(name, f1(row.AionOpsPerSec), f1(row.RaphtoryOpsPerSec), f1(100*row.RaphtoryLoadedFrac))
 	}
-	t.print(c.Out, "Fig 6: fetching random relationships (point queries)")
+	c.emit(t, "Fig 6: fetching random relationships (point queries)")
 	return rows, nil
 }
 
@@ -99,45 +75,44 @@ type Fig7Row struct {
 func RunFig7(c Config, dir func(string) string) ([]Fig7Row, error) {
 	c.Defaults()
 	var rows []Fig7Row
-	t := &table{header: []string{"Dataset", "Aion (s)", "Raphtory (s)", "Gradoop (s)", "Aion vs Raph", "Aion vs Gradoop"}}
+	t := &table{header: []string{"Dataset", "Aion (ms)", "Raphtory (ms)", "Gradoop (ms)", "Aion vs Raph (x)", "Aion vs Gradoop (x)"}}
 	for _, name := range c.Datasets {
-		ds, db, raph, grad, err := loadSystems(c, name, dir(name))
+		ds := c.genDataset(name, datagen.Options{})
+		db, err := loadAion(dir(name), ds)
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(c.Seed + 1))
-		tss := randTimestamps(rng, c.GlobalOps, ds.MaxTS)
-
+		raph, grad := raphtory.New(), gradoop.New()
+		raph.IngestAll(ds.Updates)
+		grad.LoadAll(ds.Updates)
+		tss := randTimestamps(rand.New(rand.NewSource(c.Seed+1)), c.GlobalOps, ds.MaxTS)
 		ts := db.TimeStore()
-		var aionDur, raphDur, gradDur time.Duration
-		aionDur = timeIt(func() {
+		d, err := measure(timed(func() error {
 			for _, q := range tss {
 				if _, err := ts.GetGraph(q); err != nil {
-					panic(err)
+					return err
 				}
 			}
-		})
-		raphDur = timeIt(func() {
+			return nil
+		}), timed(func() error {
 			for _, q := range tss {
 				raph.Snapshot(q)
 			}
-		})
-		gradDur = timeIt(func() {
+			return nil
+		}), timed(func() error {
 			for _, q := range tss {
 				grad.Snapshot(q)
 			}
-		})
-		row := Fig7Row{
-			Dataset:     name,
-			AionSec:     aionDur.Seconds(),
-			RaphtorySec: raphDur.Seconds(),
-			GradoopSec:  gradDur.Seconds(),
-		}
-		rows = append(rows, row)
-		t.add(name, f2(row.AionSec), f2(row.RaphtorySec), f2(row.GradoopSec),
-			f1(row.RaphtorySec/row.AionSec)+"x", f1(row.GradoopSec/row.AionSec)+"x")
+			return nil
+		}))
 		db.Close()
+		if err != nil {
+			return nil, err
+		}
+		row := Fig7Row{Dataset: name, AionSec: d[0].Seconds(), RaphtorySec: d[1].Seconds(), GradoopSec: d[2].Seconds()}
+		rows = append(rows, row)
+		t.add(name, ms(d[0]), ms(d[1]), ms(d[2]), f1(row.RaphtorySec/row.AionSec), f1(row.GradoopSec/row.AionSec))
 	}
-	t.print(c.Out, "Fig 7: fetching random snapshots (global queries)")
+	c.emit(t, "Fig 7: fetching random snapshots (global queries)")
 	return rows, nil
 }

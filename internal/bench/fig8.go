@@ -4,18 +4,22 @@ import (
 	"fmt"
 	"math/rand"
 
+	"aion/internal/baselines/raphtory"
 	"aion/internal/datagen"
 	"aion/internal/model"
 )
 
 // Fig8Row is one Dataset(#hops) group of Fig 8: n-hop throughput for
-// Raphtory, LineageStore, and TimeStore.
+// Raphtory, LineageStore, and TimeStore, beside the fraction of the graph the
+// planner estimates the expansion touches (Sec 5.1 routes it to the TimeStore
+// from 30 % on).
 type Fig8Row struct {
 	Dataset  string
 	Hops     int
 	Raphtory float64 // ops/s
 	Lineage  float64
 	Time     float64
+	Estimate float64 // aion.GraphStats.EstimateExpandFraction
 }
 
 // RunFig8 regenerates Fig 8: n-hop graph accesses starting from random
@@ -26,86 +30,62 @@ func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop in
 		hopsList = []int{1, 2, 4, 8}
 	}
 	if queriesPerHop <= 0 {
-		queriesPerHop = 10
+		queriesPerHop = 5
 	}
 	var rows []Fig8Row
-	t := &table{header: []string{"Dataset(#hops)", "Raphtory (ops/s)", "LineageStore (ops/s)", "TimeStore (ops/s)"}}
+	t := &table{header: []string{"Dataset(#hops)", "Raphtory (ops/s)", "LineageStore (ops/s)", "TimeStore (ops/s)", "planner est. fraction"}}
 	for _, name := range c.Datasets {
-		ds, db, raph, _, err := loadSystems(c, name, dir(name))
+		ds := c.genDataset(name, datagen.Options{})
+		db, err := loadAion(dir(name), ds)
 		if err != nil {
 			return nil, err
 		}
+		raph := raphtory.New()
+		raph.IngestAll(ds.Updates)
 		rng := rand.New(rand.NewSource(c.Seed + 2))
-		maxNode := model.NodeID(ds.Spec.Nodes)
 		starts := make([]model.NodeID, queriesPerHop)
 		tss := make([]model.Timestamp, queriesPerHop)
 		for i := range starts {
-			starts[i] = model.NodeID(rng.Int63n(int64(maxNode)))
+			starts[i] = model.NodeID(rng.Int63n(int64(ds.Spec.Nodes)))
 			tss[i] = model.Timestamp(rng.Int63n(int64(ds.MaxTS)) + 1)
 		}
+		ls := db.LineageStore()
 		for _, hops := range hopsList {
-			raphDur := timeIt(func() {
+			d, err := measure(timed(func() error {
 				for i := range starts {
 					raph.NHop(starts[i], model.Outgoing, hops, tss[i])
 				}
-			})
-			ls := db.LineageStore()
-			lsDur := timeIt(func() {
+				return nil
+			}), timed(func() error {
 				for i := range starts {
 					if _, err := ls.Expand(starts[i], model.Outgoing, hops, tss[i]); err != nil {
-						panic(err)
+						return err
 					}
 				}
-			})
-			tsDur := timeIt(func() {
+				return nil
+			}), timed(func() error {
 				for i := range starts {
 					if _, err := db.ExpandViaTimeStore(starts[i], model.Outgoing, hops, tss[i]); err != nil {
-						panic(err)
+						return err
 					}
 				}
-			})
-			row := Fig8Row{
-				Dataset:  name,
-				Hops:     hops,
-				Raphtory: opsPerSec(queriesPerHop, raphDur),
-				Lineage:  opsPerSec(queriesPerHop, lsDur),
-				Time:     opsPerSec(queriesPerHop, tsDur),
+				return nil
+			}))
+			if err != nil {
+				db.Close()
+				return nil, err
+			}
+			row := Fig8Row{Dataset: name, Hops: hops,
+				Raphtory: opsPerSec(queriesPerHop, d[0]),
+				Lineage:  opsPerSec(queriesPerHop, d[1]),
+				Time:     opsPerSec(queriesPerHop, d[2]),
+				Estimate: db.Stats().EstimateExpandFraction(hops, model.Outgoing),
 			}
 			rows = append(rows, row)
-			t.add(fmt.Sprintf("%s(%d)", name, hops),
-				f2(row.Raphtory), f2(row.Lineage), f2(row.Time))
+			t.add(fmt.Sprintf("%s(%d)", name, hops), f2(row.Raphtory), f2(row.Lineage), f2(row.Time), fmt.Sprintf("%.3f", row.Estimate))
 		}
 		db.Close()
 	}
-	t.print(c.Out, "Fig 8: n-hop graph accesses")
+	c.emit(t, "Fig 8: n-hop graph accesses")
 	return rows, nil
-}
-
-// EstimateHopCoverage reports, for a dataset, the average fraction of the
-// graph an n-hop query touches — the quantity behind the 30 % heuristic of
-// Sec 6.3.
-func EstimateHopCoverage(c Config, name string, hops int, samples int) (float64, error) {
-	c.Defaults()
-	ds := c.genDataset(name, datagen.Options{})
-	_ = ds
-	db, err := openAionTemp(c, ds)
-	if err != nil {
-		return 0, err
-	}
-	defer db.Close()
-	rng := rand.New(rand.NewSource(c.Seed + 3))
-	total := 0.0
-	for i := 0; i < samples; i++ {
-		start := model.NodeID(rng.Int63n(int64(ds.Spec.Nodes)))
-		res, err := db.ExpandViaTimeStore(start, model.Outgoing, hops, ds.MaxTS)
-		if err != nil {
-			return 0, err
-		}
-		touched := 0
-		for _, hop := range res {
-			touched += len(hop)
-		}
-		total += float64(touched) / float64(ds.Spec.Nodes)
-	}
-	return total / float64(samples), nil
 }

@@ -1,20 +1,7 @@
 package bench
 
-// RunHistory measures GetGraph latency as a function of history depth —
-// how far back in time the queried snapshot lies — for three TimeStore
-// layouts: a monolithic log with no snapshots (replay from genesis, the
-// O(history) baseline), a monolithic log with periodic full snapshots,
-// and a partitioned store with per-partition delta chains. The
-// partitioned layout's claim is that latency stays flat regardless of
-// depth because a query replays at most one partition's chain segment.
-//
-// The snapshot cache is squeezed to a token budget so each query pays
-// the real materialization cost of its storage structure rather than
-// hitting a previously cached graph.
-
 import (
 	"fmt"
-	"time"
 
 	"aion/internal/datagen"
 	"aion/internal/enc"
@@ -23,104 +10,118 @@ import (
 	"aion/internal/timestore"
 )
 
-// historyConfig is one storage layout under measurement.
-type historyConfig struct {
-	label string
-	opts  timestore.Options
+// HistoryRow is one layout of the stand-alone TimeStore sweep: what its
+// policy wrote, and GetGraph's latency at each depth of history.
+type HistoryRow struct {
+	Config    string
+	Snapshots int
+	DiskBytes int64
+	Millis    []float64 // per query, at each of historyDepths
+	Replayed  float64   // log updates replayed per query
 }
 
-func historyConfigs(n int) []historyConfig {
-	return []historyConfig{
-		{"mono-nosnap", timestore.Options{SnapshotEveryOps: 1 << 30}},
-		{"mono-snap", timestore.Options{SnapshotEveryOps: n/8 + 1}},
-		{"partitioned", timestore.Options{
-			SnapshotEveryOps: n/8 + 1,
-			PartitionEvery:   n/16 + 1,
-			DeltaChainLength: 4,
-		}},
-	}
-}
+// historyDepths are how far back the sweep's queries reach, as fractions of
+// the loaded history.
+var historyDepths = []float64{0.10, 0.50, 1.00}
 
-// RunHistory runs the history-depth experiment on the first configured
-// dataset and returns the printed table.
-func RunHistory(c Config, mkdir func(string) string) (*table, error) {
+// RunHistory is the stand-alone TimeStore option sweep. Each layout loads the
+// first dataset; then GetGraph is timed at three depths of history:
+//   - no snapshots: replay from genesis, the O(history) baseline;
+//   - operation-based policy snapshots at three intervals (Sec 4.3 leaves the
+//     interval to a user policy: fewer snapshots save disk but lengthen the
+//     replay);
+//   - the middle interval with a one-worker snapshot pipeline
+//     (Options.ParallelIO; the default is one worker per core);
+//   - the middle interval partitioned, with per-partition delta chains, whose
+//     claim is a latency flat in depth: a query replays at most one
+//     partition's chain segment.
+//
+// The snapshot cache is squeezed to a token budget so each query pays the real
+// materialization cost of its layout.
+func RunHistory(c Config, mkdir func(string) string) ([]HistoryRow, error) {
 	c.Defaults()
-	name := c.Datasets[0]
-	ds := c.genDataset(name, datagen.Options{})
+	ds := c.genDataset(c.Datasets[0], datagen.Options{})
 	n := len(ds.Updates)
-	depths := []float64{0.10, 0.25, 0.50, 0.75, 1.00}
-
-	tb := &table{header: []string{"config", "depth", "p50 us", "p99 us", "replayed/op", "disk"}}
-	for _, hc := range historyConfigs(n) {
-		opts := hc.opts
-		opts.Dir = mkdir("history-" + hc.label)
+	layouts := []struct {
+		label string
+		opts  timestore.Options
+	}{
+		{"no snapshots", timestore.Options{SnapshotEveryOps: 1 << 30}},
+		{"snapshot every n/2", timestore.Options{SnapshotEveryOps: n/2 + 1}},
+		{"snapshot every n/8", timestore.Options{SnapshotEveryOps: n/8 + 1}},
+		{"snapshot every n/32", timestore.Options{SnapshotEveryOps: n/32 + 1}},
+		{"n/8, 1 IO worker", timestore.Options{SnapshotEveryOps: n/8 + 1, ParallelIO: 1}},
+		{"n/8, partitioned", timestore.Options{SnapshotEveryOps: n/8 + 1, PartitionEvery: n/16 + 1, DeltaChainLength: 4}},
+	}
+	header := []string{"config", "snapshots", "disk (MB)"}
+	for _, depth := range historyDepths {
+		header = append(header, fmt.Sprintf("GetGraph at %.0f%% (ms)", depth*100))
+	}
+	t := &table{header: append(header, "replayed/op")}
+	var rows []HistoryRow
+	for _, l := range layouts {
+		opts := l.opts
+		opts.Dir = mkdir("history")
 		opts.GraphStoreBytes = 4096 // effectively uncached: pay the real cost
 		st, err := timestore.Open(enc.NewCodec(strstore.NewMem()), opts)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < n; i += 256 {
-			j := i + 256
-			if j > n {
-				j = n
-			}
-			if err := st.AppendBatch(ds.Updates[i:j]); err != nil {
-				st.Close()
-				return nil, err
-			}
+		row, err := historyRow(c, st, ds)
+		if cerr := st.Close(); err == nil {
+			err = cerr
 		}
-		if err := st.Flush(); err != nil {
-			st.Close()
+		if err != nil {
 			return nil, err
 		}
-		st.WaitSnapshots()
-		maxTS := st.LatestTimestamp()
-
-		for _, depth := range depths {
-			ts0 := model.Timestamp(float64(maxTS) * depth)
-			if ts0 < 1 {
-				ts0 = 1
-			}
-			lats := make([]time.Duration, 0, c.GlobalOps)
-			base := st.Stats().ReplayedUpdates
-			for i := 0; i < c.GlobalOps; i++ {
-				// Step the timestamp so no two queries share a cache slot.
-				ts := ts0 - model.Timestamp(i)
-				if ts < 1 {
-					ts = 1
-				}
-				var gerr error
-				lats = append(lats, timeIt(func() { _, gerr = st.GetGraph(ts) }))
-				if gerr != nil {
-					st.Close()
-					return nil, gerr
-				}
-			}
-			replayed := float64(st.Stats().ReplayedUpdates-base) / float64(len(lats))
-			p50 := percentileMicros(lats, 0.50)
-			p99 := percentileMicros(lats, 0.99)
-			tb.add(hc.label, fmt.Sprintf("%.0f%%", depth*100), f1(p50), f1(p99),
-				f1(replayed), mb(st.DiskBytes()))
-			c.record(Record{
-				Name:      fmt.Sprintf("history/%s/depth=%.0f%%", hc.label, depth*100),
-				Ops:       len(lats),
-				OpsPerSec: opsPerSec(len(lats), sum(lats)),
-				P50Micros: p50,
-				P99Micros: p99,
-			})
+		row.Config = l.label
+		rows = append(rows, row)
+		cells := []string{l.label, fi(int64(row.Snapshots)), mb(row.DiskBytes)}
+		for _, v := range row.Millis {
+			cells = append(cells, fmt.Sprintf("%.3f", v))
 		}
-		if err := st.Close(); err != nil {
-			return nil, err
-		}
+		t.add(append(cells, f1(row.Replayed))...)
 	}
-	tb.print(c.Out, fmt.Sprintf("GetGraph latency vs history depth (%s, %d updates)", name, n))
-	return tb, nil
+	c.emit(t, fmt.Sprintf("TimeStore sweep: GetGraph latency vs history depth (%s, %d updates)", c.Datasets[0], n))
+	return rows, nil
 }
 
-func sum(lats []time.Duration) time.Duration {
-	var t time.Duration
-	for _, l := range lats {
-		t += l
+// historyRow loads ds into st in batches of 256 and measures GetGraph at each
+// depth: GlobalOps queries a run, their timestamps stepped so no two share a
+// cache slot.
+func historyRow(c Config, st *timestore.Store, ds *datagen.Dataset) (HistoryRow, error) {
+	for lo := 0; lo < len(ds.Updates); lo += 256 {
+		if err := st.AppendBatch(ds.Updates[lo:min(lo+256, len(ds.Updates))]); err != nil {
+			return HistoryRow{}, err
+		}
 	}
-	return t
+	if err := st.Flush(); err != nil {
+		return HistoryRow{}, err
+	}
+	st.WaitSnapshots()
+	maxTS := st.LatestTimestamp()
+	sides := make([]side, len(historyDepths))
+	for i, depth := range historyDepths {
+		ts0 := max(model.Timestamp(float64(maxTS)*depth), 1)
+		sides[i] = timed(func() error {
+			for k := 0; k < c.GlobalOps; k++ {
+				if _, err := st.GetGraph(max(ts0-model.Timestamp(k), 1)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	before := st.Stats().ReplayedUpdates
+	d, err := measure(sides...)
+	if err != nil {
+		return HistoryRow{}, err
+	}
+	queries := (rounds + 1) * len(sides) * c.GlobalOps
+	row := HistoryRow{Snapshots: st.Stats().Snapshots, DiskBytes: st.DiskBytes(),
+		Replayed: float64(st.Stats().ReplayedUpdates-before) / float64(queries)}
+	for _, v := range d {
+		row.Millis = append(row.Millis, v.Seconds()*1000/float64(c.GlobalOps))
+	}
+	return row, nil
 }

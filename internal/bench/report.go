@@ -3,157 +3,72 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"aion/internal/vfs"
 )
 
-// Record is one machine-readable benchmark measurement. The write-path
-// suite fills every field; read-path experiments that record fill the
-// subset that applies (fsync counters are write-path only).
-type Record struct {
-	// Name identifies the measurement, e.g. "commit/c=16/sync/pipeline".
-	Name      string  `json:"name"`
-	Ops       int     `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
-	// Fsyncs is the total fsync count the run issued (host Stats
-	// counters); FsyncsPerCommit is Fsyncs/Ops. Group commit's whole
-	// point is driving the latter below 1 under concurrency.
-	Fsyncs          int64   `json:"fsyncs"`
-	FsyncsPerCommit float64 `json:"fsyncs_per_commit"`
-	Committers      int     `json:"committers,omitempty"`
-	SyncCommits     bool    `json:"sync_commits,omitempty"`
-	GroupCommit     bool    `json:"group_commit,omitempty"`
-}
-
-// Report accumulates Records across experiments for the -json output.
-// Safe for concurrent Add.
+// Report gathers every table the harness prints, for the -json output: the
+// printed table is the record. Safe for concurrent use.
 type Report struct {
-	mu      sync.Mutex
-	records []Record
+	mu     sync.Mutex
+	tables []Table
 }
 
-// Add appends one measurement.
-func (r *Report) Add(rec Record) {
+// Table is one printed table: its title, its column headers and its rows,
+// each cell a number where the printed cell is one and its text otherwise.
+type Table struct {
+	Title   string   `json:"title"`
+	Columns []string `json:"columns"`
+	Rows    [][]any  `json:"rows"`
+}
+
+func (r *Report) add(title string, t *table) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.records = append(r.records, rec)
-}
-
-// Records returns a copy of everything recorded so far.
-func (r *Report) Records() []Record {
-	if r == nil {
-		return nil
+	out := Table{Title: title, Columns: t.header}
+	for _, row := range t.rows {
+		cells := make([]any, len(row))
+		for i, cell := range row {
+			cells[i] = cell
+			if v, err := strconv.ParseFloat(cell, 64); err == nil {
+				cells[i] = v
+			}
+		}
+		out.Rows = append(out.Rows, cells)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Record, len(r.records))
-	copy(out, r.records)
-	return out
+	r.tables = append(r.tables, out)
 }
 
-// reportFile is the on-disk shape of a BENCH_*.json file.
-type reportFile struct {
-	GeneratedAt string   `json:"generated_at"`
-	Results     []Record `json:"results"`
+// Tables returns a copy of every table gathered so far.
+func (r *Report) Tables() []Table {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]Table(nil), r.tables...)
 }
 
 // WriteFile writes the report as indented JSON through the vfs seam.
 func (r *Report) WriteFile(fs vfs.FS, path string) (err error) {
 	fs = vfs.OrOS(fs)
-	body := reportFile{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Results:     r.Records(),
-	}
-	data, err := json.MarshalIndent(body, "", "  ")
+	data, err := json.MarshalIndent(struct {
+		GeneratedAt string  `json:"generated_at"`
+		Tables      []Table `json:"tables"`
+	}{time.Now().UTC().Format(time.RFC3339), r.Tables()}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("bench: marshal report: %w", err)
 	}
-	data = append(data, '\n')
 	f, err := fs.Create(path)
 	if err != nil {
 		return fmt.Errorf("bench: create report: %w", err)
 	}
 	defer vfs.CloseChecked(f, &err)
-	if _, err := f.WriteAt(data, 0); err != nil {
+	if _, err := f.WriteAt(append(data, '\n'), 0); err != nil {
 		return fmt.Errorf("bench: write report: %w", err)
 	}
 	return nil
-}
-
-// record adds rec to the config's report, if one is attached.
-func (c *Config) record(rec Record) { c.Report.Add(rec) }
-
-// CompareBaseline prints a ratio comparison of this report against a
-// previously written BENCH_*.json file, matching records by name. It is
-// informational, not a gate: regressions print, nothing fails — the CI
-// runner decides what to do with the output.
-func (r *Report) CompareBaseline(fs vfs.FS, path string, w io.Writer) error {
-	fs = vfs.OrOS(fs)
-	f, err := fs.Open(path)
-	if err != nil {
-		return fmt.Errorf("bench: open baseline: %w", err)
-	}
-	defer vfs.CloseChecked(f, &err)
-	size, err := fs.Stat(path)
-	if err != nil {
-		return fmt.Errorf("bench: stat baseline: %w", err)
-	}
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil {
-		return fmt.Errorf("bench: read baseline: %w", err)
-	}
-	var base reportFile
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench: parse baseline: %w", err)
-	}
-	byName := make(map[string]Record, len(base.Results))
-	for _, rec := range base.Results {
-		byName[rec.Name] = rec
-	}
-	fmt.Fprintf(w, "\n== vs baseline %s (%s) ==\n", path, base.GeneratedAt)
-	matched := 0
-	for _, rec := range r.Records() {
-		b, ok := byName[rec.Name]
-		if !ok || b.OpsPerSec <= 0 || rec.OpsPerSec <= 0 {
-			continue
-		}
-		matched++
-		ratio := rec.OpsPerSec / b.OpsPerSec
-		marker := ""
-		if ratio < 0.8 {
-			marker = "  <-- slower"
-		}
-		fmt.Fprintf(w, "%-45s %8.2fx ops/sec (p50 %6.1fus vs %6.1fus)%s\n",
-			rec.Name, ratio, rec.P50Micros, b.P50Micros, marker)
-	}
-	if matched == 0 {
-		fmt.Fprintln(w, "(no overlapping records)")
-	}
-	return nil
-}
-
-// percentileMicros returns the p-th percentile (0 < p <= 1) of the given
-// latencies in microseconds. Sorts its argument in place.
-func percentileMicros(lats []time.Duration, p float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := int(p*float64(len(lats))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	return float64(lats[idx].Nanoseconds()) / 1e3
 }

@@ -71,7 +71,7 @@ func neo4jResidentBytes(g *memgraph.Graph) int64 {
 func RunTable3(c Config) ([]Table3Row, error) {
 	c.Defaults()
 	var rows []Table3Row
-	t := &table{header: []string{"Dataset", "Domain", "|V|", "|E|", "|E|/|V|", "Directed", "Neo4j (mem)", "Aion (accounted)", "Aion (resident)"}}
+	t := &table{header: []string{"Dataset", "Domain", "|V|", "|E|", "|E|/|V|", "Directed", "Neo4j mem (MB)", "Aion accounted (MB)", "Aion resident (MB)"}}
 	for _, name := range c.Datasets {
 		ds := c.genDataset(name, datagen.Options{})
 		before := liveHeap()
@@ -99,6 +99,6 @@ func RunTable3(c Config) ([]Table3Row, error) {
 		t.add(row.Dataset, row.Domain, fi(int64(row.Nodes)), fi(int64(row.Rels)),
 			f1(row.AvgDegree), dir, mb(row.Neo4jBytes), mb(row.AionBytes), mb(row.ResidentBytes))
 	}
-	t.print(c.Out, fmt.Sprintf("Table 3: evaluation datasets (scale 1/%d)", c.Scale))
+	c.emit(t, fmt.Sprintf("Table 3: evaluation datasets (scale 1/%d)", c.Scale))
 	return rows, nil
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"aion/internal/baselines/gradoop"
 	"aion/internal/baselines/raphtory"
@@ -56,75 +57,69 @@ func RunTable4(c Config, dir func(string) string) ([]Table4Row, error) {
 	c.Defaults()
 	name := c.Datasets[0]
 
-	measure := func(cycles int) (aionT, raphT, gradT float64, err error) {
+	// measure3 times the three systems' point lookups over one history.
+	measure3 := func(cycles int) ([]time.Duration, error) {
 		ds := datagen.Generate(datagen.MustPreset(name, c.Scale*4), datagen.Options{Seed: c.Seed})
-		extra := churn(ds, cycles)
-		all := append(append([]model.Update(nil), ds.Updates...), extra...)
-
+		all := append(append([]model.Update(nil), ds.Updates...), churn(ds, cycles)...)
 		ls, err := lineagestore.Open(enc.NewCodec(strstore.NewMem()),
 			lineagestore.Options{Dir: dir(fmt.Sprintf("t4-%d", cycles))})
 		if err != nil {
-			return 0, 0, 0, err
+			return nil, err
 		}
+		defer ls.Close()
 		if err := ls.ApplyBatch(all); err != nil {
-			return 0, 0, 0, err
+			return nil, err
 		}
-		raph := raphtory.New()
+		raph, grad := raphtory.New(), gradoop.New()
 		raph.IngestAll(all)
-		grad := gradoop.New()
 		grad.LoadAll(all)
-
-		rng := rand.New(rand.NewSource(c.Seed))
 		const ops = 2000
-		ids := make([]model.RelID, ops)
-		tss := randTimestamps(rng, ops, ds.MaxTS)
-		for i := range ids {
-			ids[i] = ds.RelIDs[rng.Intn(len(ds.RelIDs))]
-		}
-		aionT = timeIt(func() {
+		ids, tss := randRelQueries(rand.New(rand.NewSource(c.Seed)), ds, ops)
+		return measure(timed(func() error {
 			for i := range ids {
-				ls.GetRelationship(ids[i], tss[i], tss[i])
+				if _, err := ls.GetRelationship(ids[i], tss[i], tss[i]); err != nil {
+					return err
+				}
 			}
-		}).Seconds()
-		raphT = timeIt(func() {
+			return nil
+		}), timed(func() error {
 			for i := range ids {
 				raph.GetRelationship(ids[i], tss[i])
 			}
-		}).Seconds()
-		gradOps := ops / 20 // full scans: keep the run short
-		gradT = timeIt(func() {
-			for i := 0; i < gradOps; i++ {
+			return nil
+		}), timed(func() error {
+			for i := range ids[:ops/20] { // full scans: keep the run short
 				grad.GetRelationship(ids[i], tss[i])
 			}
-		}).Seconds() * 20
-		return aionT, raphT, gradT, nil
+			return nil
+		}))
 	}
-
-	a1, r1, g1, err := measure(1) // |U| history
+	d1, err := measure3(1) // |U| history
 	if err != nil {
 		return nil, err
 	}
-	a3, r3, g3, err := measure(3) // 3|U| history
+	d3, err := measure3(3) // 3|U| history
 	if err != nil {
 		return nil, err
 	}
+	scale := func(i int) float64 { return d3[i].Seconds() / d1[i].Seconds() }
 
 	rows := []Table4Row{
 		{System: "Aion", Space: "2|U| + k|G|", RelRetrieval: "log(|U_R|)",
-			SnapshotCost: "|G| + delta(|U|)", Persistent: true, MeasuredScale: a3 / a1},
+			SnapshotCost: "|G| + delta(|U|)", Persistent: true, MeasuredScale: scale(0)},
 		{System: "Raphtory", Space: "|U|", RelRetrieval: "2|U_R^n|",
-			SnapshotCost: "|U|", Persistent: false, MeasuredScale: r3 / r1},
+			SnapshotCost: "|U|", Persistent: false, MeasuredScale: scale(1)},
 		{System: "Gradoop", Space: "|U|", RelRetrieval: "|U_R|",
-			SnapshotCost: "|U|", Persistent: false, MeasuredScale: g3 / g1},
+			SnapshotCost: "|U|", Persistent: false, MeasuredScale: scale(2)},
 	}
-	t := &table{header: []string{"System", "Space", "Rel retrieval", "Snapshot retrieval", "Persistent", "measured 3x-history scale"}}
+	t := &table{header: []string{"System", "Space", "Rel retrieval", "Snapshot retrieval", "Persistent", "measured 3x-history scale (x)"}}
 	for _, r := range rows {
 		p := "no"
 		if r.Persistent {
 			p = "yes"
 		}
-		t.add(r.System, r.Space, r.RelRetrieval, r.SnapshotCost, p, f2(r.MeasuredScale)+"x")
+		t.add(r.System, r.Space, r.RelRetrieval, r.SnapshotCost, p, f2(r.MeasuredScale))
 	}
-	t.print(c.Out, fmt.Sprintf("Table 4: storage and retrieval costs (measured on %s)", name))
+	c.emit(t, fmt.Sprintf("Table 4: storage and retrieval costs (measured on %s)", name))
 	return rows, nil
 }

@@ -14,77 +14,75 @@ type WriteConfig struct {
 	// Committers are the concurrency levels to sweep (default 1/4/16/64).
 	Committers []int
 	// OpsPerCommitter is the number of transactions each committer runs
-	// at every level (default 200).
+	// at every level (default 100).
 	OpsPerCommitter int
-	// SyncModes selects which SyncCommits settings to measure
-	// (default both: durable commits first, then async).
-	SyncModes []bool
 }
 
-func (w *WriteConfig) defaults() {
-	if len(w.Committers) == 0 {
-		w.Committers = []int{1, 4, 16, 64}
-	}
-	if w.OpsPerCommitter <= 0 {
-		w.OpsPerCommitter = 200
-	}
-	if len(w.SyncModes) == 0 {
-		w.SyncModes = []bool{true, false}
-	}
+// WriteRow is one level of the commit-throughput suite: the serialised
+// committers ([0]) against the group-commit pipeline ([1]).
+type WriteRow struct {
+	Committers      int
+	SyncCommits     bool
+	OpsPerSec       [2]float64
+	FsyncsPerCommit [2]float64
 }
 
-// RunWritePath measures host commit throughput across committer counts,
-// with SyncCommits on/off and the group-commit pipeline on/off. "off" is a
+// RunWritePath measures host commit throughput across committer counts, with
+// SyncCommits on and off, the group-commit pipeline off against on. "off" is a
 // harness shim, not a host option: committers are serialised by a mutex
 // around Commit, so every round of the one production commit path is a
 // one-transaction group — one log append and, when synchronous, two fsyncs
-// per transaction, the pre-pipeline cost. Each transaction
-// creates one node with a small property — the smallest realistic commit,
-// which maximises per-commit overhead and therefore isolates what the
-// pipeline coalesces.
-func RunWritePath(cfg Config, mkdir func(string) string, wc WriteConfig) ([]Record, error) {
+// per transaction, the pre-pipeline cost. Each transaction creates one node
+// with a small property — the smallest realistic commit, which maximises
+// per-commit overhead and therefore isolates what the pipeline coalesces.
+// Every run commits into a fresh store; only the commits are timed.
+func RunWritePath(cfg Config, mkdir func(string) string, wc WriteConfig) ([]WriteRow, error) {
 	cfg.Defaults()
-	wc.defaults()
-
-	t := &table{header: []string{"committers", "sync", "pipeline", "ops/s",
-		"p50 us", "p99 us", "fsyncs", "fsync/commit"}}
-	var out []Record
-	for _, syncMode := range wc.SyncModes {
-		for _, pipeline := range []bool{false, true} {
-			for _, c := range wc.Committers {
-				rec, err := runCommitLoad(mkdir, c, wc.OpsPerCommitter, syncMode, pipeline)
-				if err != nil {
-					return nil, err
+	if len(wc.Committers) == 0 {
+		wc.Committers = []int{1, 4, 16, 64}
+	}
+	if wc.OpsPerCommitter <= 0 {
+		wc.OpsPerCommitter = 100
+	}
+	t := &table{header: []string{"committers", "sync", "off (ops/s)", "pipeline (ops/s)", "off fsync/commit", "pipeline fsync/commit"}}
+	var rows []WriteRow
+	for _, syncMode := range []bool{true, false} {
+		for _, c := range wc.Committers {
+			row := WriteRow{Committers: c, SyncCommits: syncMode}
+			load := func(pipeline int) side {
+				return func() (time.Duration, error) {
+					took, fsyncs, err := runCommitLoad(mkdir, c, wc.OpsPerCommitter, syncMode, pipeline == 1)
+					row.FsyncsPerCommit[pipeline] = float64(fsyncs) / float64(c*wc.OpsPerCommitter)
+					return took, err
 				}
-				out = append(out, rec)
-				cfg.record(rec)
-				t.add(fi(int64(c)), onOff(syncMode), onOff(pipeline),
-					f1(rec.OpsPerSec), f1(rec.P50Micros), f1(rec.P99Micros),
-					fi(rec.Fsyncs), f2(rec.FsyncsPerCommit))
 			}
+			d, err := measure(load(0), load(1))
+			if err != nil {
+				return nil, err
+			}
+			for i := range d {
+				row.OpsPerSec[i] = opsPerSec(c*wc.OpsPerCommitter, d[i])
+			}
+			rows = append(rows, row)
+			mode := "off"
+			if syncMode {
+				mode = "on"
+			}
+			t.add(fi(int64(c)), mode, f1(row.OpsPerSec[0]), f1(row.OpsPerSec[1]),
+				f2(row.FsyncsPerCommit[0]), f2(row.FsyncsPerCommit[1]))
 		}
 	}
-	t.print(cfg.Out, "Commit throughput (host write path, group-commit ablation)")
-	return out, nil
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
+	cfg.emit(t, "Commit throughput (host write path, group-commit ablation)")
+	return rows, nil
 }
 
 // runCommitLoad opens a fresh host store and drives committers concurrent
-// goroutines, each committing ops single-node transactions, returning the
-// aggregate throughput and latency figures.
-func runCommitLoad(mkdir func(string) string, committers, ops int, syncCommits, pipeline bool) (Record, error) {
-	db, err := hostdb.Open(hostdb.Options{
-		Dir:         mkdir("write"),
-		SyncCommits: syncCommits,
-	})
+// goroutines, each committing ops single-node transactions, returning how
+// long the commits took and how many fsyncs they issued.
+func runCommitLoad(mkdir func(string) string, committers, ops int, syncCommits, pipeline bool) (time.Duration, int64, error) {
+	db, err := hostdb.Open(hostdb.Options{Dir: mkdir("write"), SyncCommits: syncCommits})
 	if err != nil {
-		return Record{}, err
+		return 0, 0, err
 	}
 	defer db.Close()
 	commit := (*hostdb.Tx).Commit
@@ -96,8 +94,6 @@ func runCommitLoad(mkdir func(string) string, committers, ops int, syncCommits, 
 			return tx.Commit()
 		}
 	}
-
-	lats := make([][]time.Duration, committers)
 	errs := make([]error, committers)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -105,9 +101,7 @@ func runCommitLoad(mkdir func(string) string, committers, ops int, syncCommits, 
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			mine := make([]time.Duration, 0, ops)
 			for i := 0; i < ops; i++ {
-				t0 := time.Now()
 				tx := db.Begin()
 				if _, err := tx.CreateNode([]string{"Bench"},
 					model.Properties{"w": model.IntValue(int64(w*ops + i))}); err != nil {
@@ -119,39 +113,15 @@ func runCommitLoad(mkdir func(string) string, committers, ops int, syncCommits, 
 					errs[w] = err
 					return
 				}
-				mine = append(mine, time.Since(t0))
 			}
-			lats[w] = mine
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	took := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return Record{}, fmt.Errorf("bench: commit load (c=%d): %w", committers, err)
+			return 0, 0, fmt.Errorf("bench: commit load (c=%d): %w", committers, err)
 		}
 	}
-
-	all := make([]time.Duration, 0, committers*ops)
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	st := db.Stats()
-	total := committers * ops
-	rec := Record{
-		Name: fmt.Sprintf("commit/c=%d/sync=%s/pipeline=%s",
-			committers, onOff(syncCommits), onOff(pipeline)),
-		Ops:         total,
-		OpsPerSec:   opsPerSec(total, elapsed),
-		P50Micros:   percentileMicros(all, 0.50),
-		P99Micros:   percentileMicros(all, 0.99),
-		Fsyncs:      st.Fsyncs,
-		Committers:  committers,
-		SyncCommits: syncCommits,
-		GroupCommit: pipeline,
-	}
-	if total > 0 {
-		rec.FsyncsPerCommit = float64(st.Fsyncs) / float64(total)
-	}
-	return rec, nil
+	return took, db.Stats().Fsyncs, nil
 }

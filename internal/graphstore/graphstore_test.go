@@ -117,6 +117,26 @@ func TestPutReplaceSameTimestamp(t *testing.T) {
 	}
 }
 
+// TestAdmitKeepsTheCachedGraph: a query's copy admitted after the snapshot
+// worker's graph at the same timestamp leaves the worker's objects cached, and
+// is cached itself where nothing was.
+func TestAdmitKeepsTheCachedGraph(t *testing.T) {
+	s := New(1 << 20)
+	owned := snapshotAt(t, 10, 3)
+	s.PutOwned(owned)
+	s.Admit(snapshotAt(t, 10, 3))
+	s.Admit(snapshotAt(t, 20, 5))
+	if got, _ := s.Get(10); got.Node(0) != owned.Node(0) {
+		t.Error("an admitted copy displaced the graph cached at its timestamp")
+	}
+	if got, ok := s.Get(20); !ok || got.NodeCount() != 5 {
+		t.Error("an admitted graph with no rival is not cached")
+	}
+	if st := s.Stats(); st.Snapshots != 2 || st.Bytes != owned.ApproxBytes()+snapshotAt(t, 20, 5).ApproxBytes() {
+		t.Errorf("stats %+v", st)
+	}
+}
+
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	s := New(1 << 20)
 	done := make(chan struct{})

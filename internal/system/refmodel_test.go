@@ -272,7 +272,12 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 	// commit — so from every fence — on.
 	windows := [][2]model.Timestamp{{0, last + 1}, {last / 3, 2 * last / 3}}
 	for _, e := range r.elements() {
-		windows = append(windows, [2]model.Timestamp{e.at, last + 1}, [2]model.Timestamp{e.at + 1, last + 1})
+		// With a committer writing, the snapshot at last can be placed (the next
+		// commit opens its position) after the model was taken: a window from
+		// e.at+1 would then start past the model's history.
+		if e.at < last {
+			windows = append(windows, [2]model.Timestamp{e.at, last + 1}, [2]model.Timestamp{e.at + 1, last + 1})
+		}
 	}
 	for at := model.Timestamp(1); at <= last; at++ {
 		windows = append(windows, [2]model.Timestamp{at, min(at+2, last+1)})

@@ -246,7 +246,10 @@ func elemComplete(seg *segment, e chainElem) (bool, error) {
 
 // materializeElem is loadElem for a query, near being the GraphStore's floor
 // for it (nil: none): the graph is also cached for the next reader when it is
-// complete at its timestamp. Caller holds sealMu (either mode).
+// complete at its timestamp and nothing is cached there yet — the snapshot
+// worker publishes the element's file before its graph, and a reader's copy,
+// shared with a later committed graph, holds private objects for whatever
+// changed in between. Caller holds sealMu (either mode).
 func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
 	// One O(1) handle on the committed graph serves the load and the rebase:
 	// what a loaded graph has in common with it is held once ("Sharing with the
@@ -263,7 +266,7 @@ func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chain
 		return nil, err
 	}
 	if complete {
-		s.gs.Put(g) // caches a CoW clone; g itself stays the caller's
+		s.gs.Admit(g) // caches a CoW clone; g itself stays the caller's
 	}
 	return g, s.rebaseRun(ctx, chain, j, g, ref)
 }

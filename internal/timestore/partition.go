@@ -507,7 +507,7 @@ func (s *Store) sealActiveLocked() error {
 func (s *Store) doSeal() error {
 	// No snapshot write may race the seal, and no new job can be scheduled
 	// while s.mu is held.
-	s.snapWG.Wait()
+	s.snaps.wait()
 	old := s.active()
 	m := partMarker{
 		minTS: old.minTS, maxTS: s.lastTS,

@@ -166,7 +166,6 @@ type Store struct {
 	// serialized off the commit path by a background worker (Sec 5.1:
 	// "background workers ... insert new snapshots into the GraphStore").
 	snaps      *snapQueue
-	snapWG     sync.WaitGroup
 	workerDone chan struct{}
 }
 
@@ -175,16 +174,20 @@ type Store struct {
 // far behind the worker is, so the chain's element positions depend on the
 // stream alone and the commit path never waits. What a backlog holds is CoW
 // clones, each the directories of a graph and the chunks written since it.
+// It also counts the jobs not yet persisted, for wait: a sync.WaitGroup may
+// not be waited on while a committer adds to it from zero.
 type snapQueue struct {
-	mu     sync.Mutex
-	ready  sync.Cond
-	jobs   []snapJob
-	closed bool
+	mu      sync.Mutex
+	ready   sync.Cond // a job was put, or the queue closed
+	idle    sync.Cond // pending fell to zero
+	jobs    []snapJob
+	pending int // jobs put and not yet done
+	closed  bool
 }
 
 func newSnapQueue() *snapQueue {
 	q := &snapQueue{}
-	q.ready.L = &q.mu
+	q.ready.L, q.idle.L = &q.mu, &q.mu
 	return q
 }
 
@@ -192,7 +195,27 @@ func (q *snapQueue) put(j snapJob) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.jobs = append(q.jobs, j)
+	q.pending++
 	q.ready.Signal()
+}
+
+// done marks the job take returned last as persisted (or failed).
+func (q *snapQueue) done() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.pending--; q.pending == 0 {
+		q.idle.Broadcast()
+	}
+}
+
+// wait blocks until no job is pending: every job put before the call is done,
+// and any put meanwhile too.
+func (q *snapQueue) wait() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.pending > 0 {
+		q.idle.Wait()
+	}
 }
 
 // take returns the oldest job, waiting for one; false once the queue is
@@ -287,7 +310,7 @@ func (s *Store) snapshotWorker() {
 		if s.persistSnapshot(j.seg, j.g, j.at, j.seg.deltaBase(j.at.pos, s.opts.DeltaChainLength)) == nil {
 			s.gs.PutOwned(j.g)
 		}
-		s.snapWG.Done()
+		s.snaps.done()
 	}
 }
 
@@ -690,14 +713,13 @@ func (s *Store) captureSnapshotLocked() {
 // about to be counted.
 func (s *Store) scheduleSnapshotLocked(off int64) {
 	s.opsSinceSnap = 0
-	s.snapWG.Add(1)
 	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: off}
 	s.snaps.put(snapJob{seg: s.active(), g: s.pending, at: at})
 }
 
 // WaitSnapshots blocks until all in-flight background snapshots are
-// persisted (used by tests and benchmarks).
-func (s *Store) WaitSnapshots() { s.snapWG.Wait() }
+// persisted (used by tests and benchmarks), appends landing meanwhile or not.
+func (s *Store) WaitSnapshots() { s.snaps.wait() }
 
 // CreateSnapshot forces an eager snapshot of the graph at the log's end.
 func (s *Store) CreateSnapshot() error {
@@ -851,7 +873,7 @@ func (s *Store) GraphStore() *graphstore.Store { return s.gs }
 // so a log byte must never become durable ahead of the strings it
 // references.
 func (s *Store) Flush() error {
-	s.snapWG.Wait()
+	s.snaps.wait()
 	if err := s.codec.Strings.Sync(); err != nil {
 		return err
 	}
@@ -867,11 +889,8 @@ func (s *Store) Flush() error {
 // goroutine or a descriptor.
 func (s *Store) Close() error {
 	err := s.Flush()
-	if s.snaps != nil {
-		s.snaps.close()
-		<-s.workerDone
-		s.snaps = nil
-	}
+	s.snaps.close()
+	<-s.workerDone
 	for _, g := range s.segs {
 		err = errors.Join(err, g.log.Close())
 	}

@@ -163,6 +163,40 @@ func TestSnapshotPolicyOperations(t *testing.T) {
 	}
 }
 
+// TestWaitSnapshotsWhileAppending: a caller may wait for the snapshot worker
+// while a committer keeps scheduling snapshots — a sync.WaitGroup behind
+// WaitSnapshots panics ("reused before previous Wait has returned") when an
+// append adds to it from zero during a Wait — and every wait still returns
+// with nothing it could see pending.
+func TestWaitSnapshotsWhileAppending(t *testing.T) {
+	s := openStore(t, Options{SnapshotEveryOps: 1, FS: vfs.NewFaultFS(), Dir: "ts", ParallelIO: 1})
+	var stop atomic.Bool
+	waiters := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		go func() {
+			defer func() { waiters <- struct{}{} }()
+			for !stop.Load() {
+				s.WaitSnapshots()
+			}
+		}()
+	}
+	var err error
+	for i := 0; i < 1000 && err == nil; i++ {
+		err = s.Append(model.AddNode(model.Timestamp(i+1), model.NodeID(i), nil, nil))
+	}
+	stop.Store(true)
+	for w := 0; w < 4; w++ {
+		<-waiters
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.WaitSnapshots()
+	if st := s.Stats(); st.Snapshots < 100 {
+		t.Errorf("%d snapshots of 1000 appends at one a timestamp", st.Snapshots)
+	}
+}
+
 func TestGetGraphsSeries(t *testing.T) {
 	s := openStore(t, Options{SnapshotEveryOps: 6})
 	if err := s.AppendBatch(chainUpdates(10)); err != nil {
