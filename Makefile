@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build examples test race vet lint cover loc bench-smoke paper benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke seal-sweep failover-sweep restart-sweep heap-budget disk-budget expand-budget
+.PHONY: build examples test race vet lint cover loc bench-smoke paper benchmark-smoke benchmark-ab exact-diff fuzz-smoke stress replica-smoke timestore-sweep failover-sweep restart-sweep heap-budget disk-budget expand-budget
 
 build:
 	$(GO) build ./...
@@ -133,11 +133,12 @@ failover-sweep:
 	done
 	@grep -c '^=== RUN' FAILOVER_sweep.txt | xargs -I{} echo "failover sweep: {} scenario runs, all passed (see FAILOVER_sweep.txt)"
 
-# The partitioned-history gate: the seal crash sweeps and the cross-store
-# equivalence harness (partitioned vs monolithic, byte-identical results)
-# under the race detector. The history-depth sweep runs in `make paper`.
-seal-sweep:
-	$(GO) test -race -count=1 -run 'TestCrashSweepSeal|TestRecoveryDropsOrphanDeltas' ./internal/timestore/
+# The TimeStore gate: the crash sweep, orphan-delta recovery and the
+# cross-store equivalence harness (delta chains vs fulls only, byte-identical
+# results, its own crash sweep) under the race detector. The history-depth
+# sweep runs in `make paper`.
+timestore-sweep:
+	$(GO) test -race -count=1 -run 'TestCrashSweepTimeStore|TestRecoveryDropsOrphanDeltas' ./internal/timestore/
 	$(GO) test -race -count=1 ./internal/tstest/
 
 # The restart gate: the two-generation checkpoint crash sweep, the power cut at

@@ -179,8 +179,7 @@ func BenchmarkExtensionIncremental(b *testing.B) {
 
 // BenchmarkAblationTimeStoreSweep runs the stand-alone TimeStore option
 // sweep — no snapshots, three snapshot intervals (the design decision Sec 4.3
-// leaves to a user policy), a one-worker pipeline and a partitioned store —
-// and reports GetGraph over the whole history with and without snapshots.
+// leaves to a user policy) and a one-worker pipeline — and reports GetGraph over the whole history with and without snapshots.
 func BenchmarkAblationTimeStoreSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.RunHistory(benchConfig(b), dirFactory(b))

@@ -81,14 +81,6 @@ type Options struct {
 	// SnapshotEveryOps is the TimeStore's snapshot policy: a snapshot every
 	// this many updates (0: timestore.DefaultSnapshotEveryOps; < 0: none).
 	SnapshotEveryOps int
-	// PartitionEvery seals the TimeStore's active partition after this
-	// many updates (<= 0 disables partitioning: one monolithic log).
-	PartitionEvery int
-	// DeltaChainLength bounds the differential-snapshot run between full
-	// materializations in every TimeStore chain — the policy snapshots of
-	// the active partition and each sealed partition's compacted chain (0:
-	// timestore default; < 0: full snapshots only).
-	DeltaChainLength int
 	// GraphStoreBytes is the snapshot cache budget.
 	GraphStoreBytes int64
 	// ParallelIO is the worker count of the TimeStore's snapshot
@@ -175,8 +167,6 @@ func (db *DB) openStores(fs vfs.FS) (err error) {
 		db.ts, err = timestore.Open(db.codec, timestore.Options{
 			Dir:              filepath.Join(opts.Dir, "timestore"),
 			SnapshotEveryOps: opts.SnapshotEveryOps,
-			PartitionEvery:   opts.PartitionEvery,
-			DeltaChainLength: opts.DeltaChainLength,
 			GraphStoreBytes:  opts.GraphStoreBytes,
 			ParallelIO:       opts.ParallelIO,
 			FS:               opts.FS,

@@ -227,8 +227,8 @@ func TestRunHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 || rows[0].Snapshots != 0 || rows[3].Snapshots <= rows[1].Snapshots {
-		t.Fatalf("rows = %+v: want six layouts, none of the first's snapshots and more the shorter the interval", rows)
+	if len(rows) != 5 || rows[0].Snapshots != 0 || rows[3].Snapshots <= rows[1].Snapshots {
+		t.Fatalf("rows = %+v: want five layouts, none of the first's snapshots and more the shorter the interval", rows)
 	}
 	for _, r := range rows {
 		if len(r.Millis) != len(historyDepths) || r.DiskBytes <= 0 {

@@ -31,10 +31,7 @@ var historyDepths = []float64{0.10, 0.50, 1.00}
 //     interval to a user policy: fewer snapshots save disk but lengthen the
 //     replay);
 //   - the middle interval with a one-worker snapshot pipeline
-//     (Options.ParallelIO; the default is one worker per core);
-//   - the middle interval partitioned, with per-partition delta chains, whose
-//     claim is a latency flat in depth: a query replays at most one
-//     partition's chain segment.
+//     (Options.ParallelIO; the default is one worker per core).
 //
 // The snapshot cache is squeezed to a token budget so each query pays the real
 // materialization cost of its layout.
@@ -51,7 +48,6 @@ func RunHistory(c Config, mkdir func(string) string) ([]HistoryRow, error) {
 		{"snapshot every n/8", timestore.Options{SnapshotEveryOps: n/8 + 1}},
 		{"snapshot every n/32", timestore.Options{SnapshotEveryOps: n/32 + 1}},
 		{"n/8, 1 IO worker", timestore.Options{SnapshotEveryOps: n/8 + 1, ParallelIO: 1}},
-		{"n/8, partitioned", timestore.Options{SnapshotEveryOps: n/8 + 1, PartitionEvery: n/16 + 1, DeltaChainLength: 4}},
 	}
 	header := []string{"config", "snapshots", "disk (MB)"}
 	for _, depth := range historyDepths {

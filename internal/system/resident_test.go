@@ -33,7 +33,6 @@ type residentSys struct {
 	t       *testing.T
 	fs      *vfs.FaultFS
 	replica bool
-	seal    int // aion.Options.PartitionEvery
 	*System
 	mu      sync.Mutex
 	commits [][]model.Update
@@ -52,7 +51,7 @@ const residentSnapshotEvery = 48
 func (r *residentSys) open() {
 	r.t.Helper()
 	s, err := Open(Options{Dir: "sys", SyncCommits: true, FS: r.fs, Replica: r.replica,
-		Aion: aion.Options{SnapshotEveryOps: residentSnapshotEvery, PartitionEvery: r.seal, ParallelIO: 1}})
+		Aion: aion.Options{SnapshotEveryOps: residentSnapshotEvery, ParallelIO: 1}})
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -641,16 +640,11 @@ type chainElement struct {
 	seq  int
 }
 
-// chainElements lists the active segment's policy elements of a store that
-// never sealed, fulls and deltas, oldest first.
-func (r *residentSys) chainElements() []chainElement {
-	return r.chainElementsIn("sys/aion/timestore/p-1")
-}
-
-// chainElementsIn lists the element files of one segment directory in
+// chainElements lists the chain's element files, fulls and deltas, in
 // position order.
-func (r *residentSys) chainElementsIn(dir string) []chainElement {
+func (r *residentSys) chainElements() []chainElement {
 	r.t.Helper()
+	const dir = "sys/aion/timestore/p-1"
 	names, err := r.fs.ReadDir(dir)
 	if err != nil {
 		r.t.Fatal(err)

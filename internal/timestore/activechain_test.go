@@ -1,7 +1,7 @@
 package timestore
 
-// The active segment's chain follows the sealed chains' rule: between fulls
-// the snapshot worker writes differential elements. These tests pin the rule
+// The chain's rule: between fulls the snapshot worker writes differential
+// elements. These tests pin the rule
 // itself, the read path across delta elements (from disk, and from a cached
 // neighbour), the guard on that shortcut, and the catalogue bugfix.
 
@@ -30,9 +30,8 @@ func policySnapshot(s *Store) error {
 	if err != nil {
 		return err
 	}
-	act := s.active()
-	at := fence{pos: position{ts: g.Timestamp(), seq: s.seq}, off: act.log.Size()}
-	return s.persistSnapshot(act, g, at, act.deltaBase(at.pos, s.opts.DeltaChainLength))
+	at := fence{pos: position{ts: g.Timestamp(), seq: s.seq}, off: s.seg.log.Size()}
+	return s.persistSnapshot(g, at, s.seg.deltaBase(at.pos, s.opts.DeltaChainLength))
 }
 
 func policySnapshotNow(t *testing.T, s *Store) {
@@ -81,7 +80,7 @@ func elemKinds(chain []chainElem) string {
 	return string(b)
 }
 
-// TestActiveChainRule drives one seeded history through an active-only store
+// TestActiveChainRule drives one seeded history through a store
 // with a two-delta chain and through its fulls-only twin: the policy puts
 // both chains' elements at the same positions, every one the end of a
 // timestamp; the first holds full, delta, delta, full, … with every delta
@@ -98,7 +97,7 @@ func TestActiveChainRule(t *testing.T) {
 	appendSettled(t, delta, us)
 	appendSettled(t, fulls, us)
 
-	dc, fc := delta.active().elems(), fulls.active().elems()
+	dc, fc := delta.seg.elems(), fulls.seg.elems()
 	if len(dc) < 9 || len(dc) != len(fc) {
 		t.Fatalf("%d elements against the twin's %d, want the same number and at least 9", len(dc), len(fc))
 	}
@@ -138,7 +137,7 @@ func TestActiveChainRule(t *testing.T) {
 	cold := opts
 	cold.GraphStoreBytes = 1 // the cache keeps its newest entry only
 	delta = reopened(t, delta, cold)
-	if got := elemKinds(delta.active().elems()); got != wantKinds {
+	if got := elemKinds(delta.seg.elems()); got != wantKinds {
 		t.Errorf("chain kinds %s after reopen, want %s", got, wantKinds)
 	}
 	o.check(delta, "one-entry cache after reopen")
@@ -194,7 +193,7 @@ func TestBusyWorkerMovesNoElement(t *testing.T) {
 	}
 	release()
 	held.WaitSnapshots()
-	fc, hc := free.active().elems(), held.active().elems()
+	fc, hc := free.seg.elems(), held.seg.elems()
 	if len(fc) < 6 || len(hc) != len(fc) {
 		t.Fatalf("%d elements written by the held worker, %d by the free one, want the same number and at least 6", len(hc), len(fc))
 	}
@@ -245,7 +244,7 @@ func TestCachedNeighbourMaterialization(t *testing.T) {
 	defer func() { s.Close() }()
 	appendSettled(t, s, us)
 	s = reopened(t, s, opts) // an empty cache
-	chain := s.active().elems()
+	chain := s.seg.elems()
 	if got := elemKinds(chain[:5]); got != "fdddf" {
 		t.Fatalf("chain starts %s, want fdddf", got)
 	}
@@ -290,7 +289,7 @@ func TestRunSharesWhateverTheMissOrder(t *testing.T) {
 	defer func() { s.Close() }()
 	appendSettled(t, s, us)
 	s = reopened(t, s, opts) // an empty cache
-	chain := s.active().elems()
+	chain := s.seg.elems()
 	if got := elemKinds(chain[:5]); got != "fdddf" {
 		t.Fatalf("chain starts %s, want fdddf", got)
 	}
@@ -350,7 +349,7 @@ func TestShortcutNeedsACompleteBase(t *testing.T) {
 	step(11)
 	policySnapshotNow(t, s) // delta at (11,0) on (9,0)
 	step(12)
-	chain := s.active().elems()
+	chain := s.seg.elems()
 	if got := elemKinds(chain); got != "fdfd" || chain[1].base != chain[0].pos || chain[3].base != chain[2].pos {
 		t.Fatalf("chain %s with bases %+v, %+v", got, chain[1].base, chain[3].base)
 	}
@@ -433,12 +432,11 @@ func TestSupersededElementFileRemoved(t *testing.T) {
 	// The other direction cannot come from the worker (deltaBase yields a full
 	// where an element already sits), so hand persistSnapshot the base.
 	s.mu.Lock()
-	act := s.active()
-	base := act.elems()[0]
-	at := fence{pos: position{ts: 4}, off: act.log.Size()}
+	base := s.seg.elems()[0]
+	at := fence{pos: position{ts: 4}, off: s.seg.log.Size()}
 	g, err := s.latestLocked(context.Background())
 	if err == nil {
-		err = s.persistSnapshot(act, g, at, &base)
+		err = s.persistSnapshot(g, at, &base)
 	}
 	s.mu.Unlock()
 	if err != nil {

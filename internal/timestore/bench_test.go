@@ -94,7 +94,7 @@ func parallelLevels() []struct {
 func BenchmarkSnapshotLoad(b *testing.B) {
 	s, _, _ := buildBenchStore(b)
 	s.WaitSnapshots()
-	chain := s.active().elems()
+	chain := s.seg.elems()
 	if len(chain) != 1 {
 		b.Fatalf("expected 1 snapshot element, found %d", len(chain))
 	}
@@ -103,7 +103,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			s.opts.ParallelIO = lvl.par
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g, err := s.loadElem(context.Background(), s.active(), chain, 0, nil, nil)
+				g, err := s.loadElem(context.Background(), chain, 0, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,7 +167,7 @@ func BenchmarkGetDiff(b *testing.B) {
 // updates in commits of 2 000, a snapshot due every 16 384 operations, taken
 // before the first commit that finds it due, as the policy takes it — with the
 // worker's work done inline so the timer sees nothing else. chain=-1 writes
-// every element as a full, the cost before the active chain took deltas;
+// every element as a full, the cost before the chain took deltas;
 // chain=4 is the default. The disk the deltas save must not be bought with
 // ingest time: the second must not take longer than the first.
 func BenchmarkPolicyPersist(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"aion/internal/enc"
 	"aion/internal/memgraph"
 )
 
@@ -76,8 +77,8 @@ func corruptFrameLen(t *testing.T, path string, off int) {
 // TestCorruptFrameLengthRejectedBeforeAllocation is the regression for the
 // readers trusting a frame's length field: one flipped bit in a .dsnap used
 // to ask for up to 4 GiB before any check. The length is now bounded by the
-// bytes left in the file, and the error names the file — for an active
-// segment's snapshot and a sealed segment's chain element alike.
+// bytes left in the file, and the error names the file — for a full and a
+// delta element alike.
 func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 	const maxAlloc = 32 << 20
 	check := func(t *testing.T, path string, load func() error) {
@@ -91,19 +92,24 @@ func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 		}
 	}
 	for _, par := range []int{1, 4} {
-		for _, sealEvery := range []int{0, 60} {
-			t.Run(fmt.Sprintf("sealEvery=%d/P%d", sealEvery, par), func(t *testing.T) {
+		for _, kind := range []enc.DeltaKind{enc.DeltaFull, enc.DeltaDiff} {
+			t.Run(fmt.Sprintf("kind=%s/P%d", kind, par), func(t *testing.T) {
 				s := openStore(t, Options{SnapshotEveryOps: 1 << 30, GraphStoreBytes: 1,
-					PartitionEvery: sealEvery, DeltaChainLength: 1, ParallelIO: par})
-				for _, u := range propUpdates(50) {
-					if err := s.Append(u); err != nil {
-						t.Fatal(err)
-					}
+					DeltaChainLength: 1, ParallelIO: par})
+				us := propUpdates(50)
+				if err := s.AppendBatch(us[:60]); err != nil {
+					t.Fatal(err)
 				}
 				snapshotNow(t, s)
-				chain := s.segs[0].elems()
-				if s.segs[0].sealed != (sealEvery > 0) || len(chain) == 0 {
-					t.Fatalf("segment p-1: sealed=%v with %d elements", s.segs[0].sealed, len(chain))
+				if kind == enc.DeltaDiff {
+					if err := s.AppendBatch(us[60:]); err != nil {
+						t.Fatal(err)
+					}
+					policySnapshotNow(t, s)
+				}
+				chain := s.seg.elems()
+				if len(chain) == 0 || chain[len(chain)-1].kind != kind {
+					t.Fatalf("chain %s does not end in a %s", elemKinds(chain), kind)
 				}
 				// A record frame: skip the header frame, whose length is intact.
 				elem := chain[len(chain)-1]

@@ -182,8 +182,8 @@ func verifyRecovered(t *testing.T, k int, torn bool, codec *enc.Codec, st *Store
 	}
 	// A delta survives only right behind its base; an orphan is dropped and
 	// the log covers what it held.
-	for i, e := range st.active().elems() {
-		if e.kind == enc.DeltaDiff && (i == 0 || e.base != st.active().elems()[i-1].pos) {
+	for i, e := range st.seg.elems() {
+		if e.kind == enc.DeltaDiff && (i == 0 || e.base != st.seg.elems()[i-1].pos) {
 			t.Fatalf("k=%d torn=%v: recovered chain keeps delta %s without its base", k, torn, e.path)
 		}
 	}

@@ -1,14 +1,12 @@
-// Chain elements: writing, loading, and the compaction of a sealed
-// segment's chain (DeltaGraph-style hierarchical delta snapshots, PAPERS.md
-// arXiv:1207.5777). Every chain, active or sealed, is fulls with up to
-// DeltaChainLength *differential* snapshots between them, each holding the
-// updates since the previous element compacted to their net effect. The
-// active chain grows one policy snapshot at a time (persistSnapshot); a
-// sealed segment's log is replayed once and cut at timestamp boundaries of
-// its own, each cut emitting the rule's next element. GetGraph(ts) then loads
-// the nearest full — or starts from a cached graph that sits at one of the
-// run's elements — and applies at most DeltaChainLength deltas plus a bounded
-// log tail, instead of replaying from a distant snapshot.
+// Chain elements: writing, loading, and the net-effect compaction of a delta
+// (DeltaGraph-style differential snapshots, PAPERS.md arXiv:1207.5777). The
+// chain is fulls with up to DeltaChainLength *differential* snapshots between
+// them, each holding the updates since the previous element compacted to
+// their net effect; it grows one policy snapshot at a time
+// (persistSnapshot). GetGraph(ts) then loads the nearest full — or starts
+// from a cached graph that sits at one of the run's elements — and applies at
+// most DeltaChainLength deltas plus a bounded log tail, instead of replaying
+// from a distant snapshot.
 package timestore
 
 import (
@@ -24,107 +22,16 @@ import (
 	"aion/internal/vfs"
 )
 
-// compactPartition replays sealed segment p's log once on top of its entry
-// state (which it takes ownership of and mutates into the end state,
-// returned), writing the full/delta chain as it goes and installing it when
-// complete. The log and marker are cross-checked: the replay must end
-// exactly at the marker's end position.
-func (s *Store) compactPartition(ctx context.Context, p *segment, entry *memgraph.Graph) (*memgraph.Graph, error) {
-	segs := 2 * (s.opts.DeltaChainLength + 1)
-	if s.opts.DeltaChainLength < 0 {
-		segs = 2 // fulls only
-	}
-	segTarget := int(p.count) / segs
-	if segTarget < 1 {
-		segTarget = 1
-	}
-	var elems []chainElem
-	g := entry
-	emit := func(kind enc.DeltaKind, pos, base position, off int64, us []model.Update) error {
-		e, err := s.writeChainElem(p, kind, pos, base, off, us)
-		if err == nil {
-			elems = append(elems, e)
-		}
-		return err
-	}
-	// chain[0] is the entry full: the state *before* the segment's first
-	// update. It shares its position with the previous segment's end, so a
-	// materialization never needs to cross segments.
-	if err := emit(enc.DeltaFull, p.entry, position{}, logStart, g.Export()); err != nil {
-		return nil, err
-	}
-	prev := p.entry
-	cur := p.entry
-	deltas := 0
-	var seg []model.Update
-	cut := func(pos position, off int64) error {
-		if s.opts.DeltaChainLength < 0 || deltas >= s.opts.DeltaChainLength {
-			if err := emit(enc.DeltaFull, pos, position{}, off, g.Export()); err != nil {
-				return err
-			}
-			deltas = 0
-		} else {
-			if err := emit(enc.DeltaDiff, pos, prev, off, compactUpdates(seg)); err != nil {
-				return err
-			}
-			deltas++
-		}
-		prev = pos
-		seg = seg[:0]
-		return nil
-	}
-	var derr error
-	err := s.replayWal(ctx, p.log, 1, logStart, logEnd, func(off int64, u model.Update) bool {
-		// Cut only at timestamp boundaries — a frame holds one timestamp, so
-		// off is where u's frame, and the cut, starts: every element is
-		// complete at its timestamp, so a sealed element's graph can always
-		// be cached.
-		if len(seg) >= segTarget && u.TS > cur.ts {
-			if derr = cut(cur, off); derr != nil {
-				return false
-			}
-		}
-		if aerr := g.Apply(u); aerr != nil {
-			derr = aerr
-			return false
-		}
-		cur = cur.next(u.TS)
-		seg = append(seg, u)
-		return true
-	})
-	if err == nil {
-		err = derr
-	}
-	if err != nil {
-		return nil, err
-	}
-	endPos := p.end()
-	if cur != endPos {
-		return nil, fmt.Errorf("timestore: segment %s log ends at (%d,%d), marker says (%d,%d)",
-			p.dir, cur.ts, cur.seq, endPos.ts, endPos.seq)
-	}
-	if prev != endPos {
-		if err := cut(endPos, p.log.Size()); err != nil {
-			return nil, err
-		}
-	}
-	g.SetTimestamp(p.maxTS)
-	p.mu.Lock()
-	p.chain = elems
-	p.mu.Unlock()
-	return g, nil
-}
-
-// writeChainElem publishes one element file in g's directory — frame 0 is
+// writeChainElem publishes one element file in the segment directory — frame 0 is
 // the delta header, every later frame a block of up to frameBatchRecords
 // update records — and returns its catalogue entry for the caller to place.
-func (s *Store) writeChainElem(g *segment, kind enc.DeltaKind, pos, base position, logOff int64, us []model.Update) (chainElem, error) {
+func (s *Store) writeChainElem(kind enc.DeltaKind, pos, base position, logOff int64, us []model.Update) (chainElem, error) {
 	hdr := enc.DeltaHeader{
 		Kind: kind, TS: pos.ts, Seq: pos.seq,
 		BaseTS: base.ts, BaseSeq: base.seq,
 		LogOff: logOff, Count: uint64(len(us)),
 	}
-	path := filepath.Join(g.dir, chainFileName(kind, pos))
+	path := filepath.Join(s.seg.dir, chainFileName(kind, pos))
 	n, err := s.publishFrameFile(path, enc.AppendDeltaHeader(nil, hdr), us)
 	if err != nil {
 		return chainElem{}, err
@@ -190,7 +97,7 @@ func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g, ref *memg
 	return err
 }
 
-// loadElem builds a private graph at seg's chain[j] from the element files:
+// loadElem builds a private graph at chain[j] from the element files:
 // the nearest full at or before j, then every delta up to j. near, unless
 // nil, is a private graph complete at its timestamp that may stand in for
 // the head of that run: when it sits at the base of one of the run's deltas,
@@ -199,7 +106,7 @@ func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g, ref *memg
 // entity they leave alone with it. Every entity version the files do produce
 // is shared with ref, a handle on the committed graph (nil: recovery, which
 // builds that graph), where that holds it too.
-func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j int, near, ref *memgraph.Graph) (*memgraph.Graph, error) {
+func (s *Store) loadElem(ctx context.Context, chain []chainElem, j int, near, ref *memgraph.Graph) (*memgraph.Graph, error) {
 	from, g := j, memgraph.New()
 	//aionlint:ignore ctxloop backward walk is bounded by DeltaChainLength steps, each at most one log frame read
 	for ; chain[from].kind == enc.DeltaDiff; from-- {
@@ -207,7 +114,7 @@ func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j
 		if near == nil || base.pos.ts != near.Timestamp() {
 			continue
 		}
-		ok, err := elemComplete(seg, base)
+		ok, err := s.elemComplete(base)
 		if err != nil {
 			return nil, err
 		}
@@ -227,16 +134,16 @@ func (s *Store) loadElem(ctx context.Context, seg *segment, chain []chainElem, j
 
 // elemComplete reports whether e covers every update at its timestamp, so
 // that the graph at e is the one the GraphStore keys by that timestamp (the
-// cache key carries no sequence). Policy snapshots and compaction cut only at
-// timestamp boundaries; an eager snapshot may sit mid-timestamp, and is
+// cache key carries no sequence). Policy snapshots sit only at timestamp
+// boundaries; an eager snapshot may sit mid-timestamp, and is
 // complete only if the frame right after it — the one at its logOff, the only
 // one read, whose records share one timestamp — carries a later timestamp or
 // does not exist.
-func elemComplete(seg *segment, e chainElem) (bool, error) {
-	if e.logOff >= seg.log.Size() {
+func (s *Store) elemComplete(e chainElem) (bool, error) {
+	if e.logOff >= s.seg.log.Size() {
 		return true, nil
 	}
-	frame, err := seg.log.ReadAt(e.logOff)
+	frame, err := s.seg.log.ReadAt(e.logOff)
 	if err != nil {
 		return false, err
 	}
@@ -249,19 +156,19 @@ func elemComplete(seg *segment, e chainElem) (bool, error) {
 // complete at its timestamp and nothing is cached there yet — the snapshot
 // worker publishes the element's file before its graph, and a reader's copy,
 // shared with a later committed graph, holds private objects for whatever
-// changed in between. Caller holds sealMu (either mode).
-func (s *Store) materializeElem(ctx context.Context, seg *segment, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
+// changed in between.
+func (s *Store) materializeElem(ctx context.Context, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
 	// One O(1) handle on the committed graph serves the load and the rebase:
 	// what a loaded graph has in common with it is held once ("Sharing with the
 	// current graph", DESIGN.md). Any state of it serves — entities are
 	// immutable — so the handle is not checked against the log's end.
 	ref, _, _ := s.pull()
-	g, err := s.loadElem(ctx, seg, chain, j, near, ref)
+	g, err := s.loadElem(ctx, chain, j, near, ref)
 	if err != nil {
 		return nil, err
 	}
 	g.ShareChunks(ref)
-	complete, err := elemComplete(seg, chain[j])
+	complete, err := s.elemComplete(chain[j])
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +204,7 @@ func (s *Store) rebaseRun(ctx context.Context, chain []chainElem, j int, g, ref 
 	return nil
 }
 
-// --- segment compaction ------------------------------------------------------
+// --- delta compaction --------------------------------------------------------
 
 // entAcc folds one entity's updates within a window to their net effect,
 // as pointers into the window. At most one of each survives: del (a
@@ -330,8 +237,8 @@ func emitPhase(k model.OpKind) int {
 // its end graph through memgraph.Apply, in emitPhase order and by entity ID
 // within a phase. It owns us: later updates are merged into earlier ones in
 // place, so the label slices and property maps must alias nothing the caller
-// still reads — true of updates fresh from the decoder, which is where both
-// callers (seal compaction, the snapshot worker) get theirs.
+// still reads — true of updates fresh from the decoder, which is where its
+// caller, the snapshot worker, gets them.
 func compactUpdates(us []model.Update) []model.Update {
 	slot := make(map[int64]int32, len(us)/2) // entity key → index into accs
 	accs := make([]entAcc, 0, len(us)/2)

@@ -126,12 +126,10 @@ func (o *fenceOracle) check(s *Store, label string) {
 	m.Apply(o.us...)
 	scan := func(from position, end model.Timestamp) string {
 		var got []model.Update
-		s.sealMu.RLock()
-		err := s.scanFromLocked(ctx, from, end, func(u model.Update) bool {
+		err := s.scanFrom(ctx, from, end, func(u model.Update) bool {
 			got = append(got, u)
 			return true
 		})
-		s.sealMu.RUnlock()
 		if err != nil {
 			t.Fatalf("%s: scan from %+v: %v", label, from, err)
 		}
@@ -155,9 +153,7 @@ func (o *fenceOracle) check(s *Store, label string) {
 		// the base it chose; records the fence walk discards before that
 		// base position are not replay. Resolving the base first also
 		// warms the cache, so chain deltas are not counted below.
-		s.sealMu.RLock()
-		_, base, err := s.basePosLocked(ctx, ts)
-		s.sealMu.RUnlock()
+		_, base, err := s.basePos(ctx, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,24 +178,22 @@ func (o *fenceOracle) check(s *Store, label string) {
 // start.
 func (o *fenceOracle) wantYoungerTwins(s *Store) {
 	latest := latestOf(o.t, s)
-	for _, seg := range s.segs {
-		for _, e := range seg.elems() {
-			at, twin := o.graphAt(e.pos.ts), false
-			at.ForEachNode(func(n *model.Node) bool {
-				l := latest.Node(n.ID)
-				twin = l != nil && l.Valid.Start > e.pos.ts && l.Props.Equal(n.Props)
-				return !twin
-			})
-			if twin {
-				return
-			}
+	for _, e := range s.seg.elems() {
+		at, twin := o.graphAt(e.pos.ts), false
+		at.ForEachNode(func(n *model.Node) bool {
+			l := latest.Node(n.ID)
+			twin = l != nil && l.Valid.Start > e.pos.ts && l.Props.Equal(n.Props)
+			return !twin
+		})
+		if twin {
+			return
 		}
 	}
 	o.t.Fatal("no chain element holds a node the latest graph holds again, equal and younger")
 }
 
 // openDecodingAll is Open with the recovery that decodes every record of the
-// active log, whatever the newest element covers, and numbers a frame's
+// log, whatever the newest element covers, and numbers a frame's
 // records by decoding them: the reference the peek-only walk and tail-only
 // replay must be indistinguishable from.
 func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
@@ -209,18 +203,14 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 		workerDone: make(chan struct{}), framePool: pool.NewBytes(frameBatchBytes + 4096)}
 	ctx := context.Background()
 	var err error
-	if s.segs, err = openSegments(s.fs, opts.Dir); err != nil {
+	if s.seg, err = openSegment(s.fs, opts.Dir); err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.recoverSealed(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	act := s.active()
-	s.lastTS, s.seq = act.entry.ts, act.entry.seq
-	latest, from := base.Clone(), logStart
-	if chain := act.elems(); len(chain) > 0 {
-		if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil, nil); err != nil {
+	s.lastTS, s.seq = genesis.ts, genesis.seq
+	latest, from := memgraph.New(), logStart
+	latest.SetTimestamp(genesis.ts)
+	if chain := s.seg.elems(); len(chain) > 0 {
+		if latest, err = s.loadElem(ctx, chain, len(chain)-1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		from = chain[len(chain)-1].logOff
@@ -233,7 +223,7 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 			s.advanceLocked(frame[0].TS, off, len(frame))
 		}
 	}
-	err = s.replayWal(ctx, act.log, opts.ParallelIO, logStart, logEnd, func(at int64, u model.Update) bool {
+	err = s.replayWal(ctx, logStart, logEnd, func(at int64, u model.Update) bool {
 		if at != off {
 			advance()
 			off, frame = at, frame[:0]
@@ -251,24 +241,22 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	s.own = &ownGraph{g: latest, updates: s.updateCount}
 	s.committed = s.own.Committed
 	s.gs = graphstore.New(opts.GraphStoreBytes)
-	s.sealEntry = base
 	go s.snapshotWorker()
 	return s
 }
 
-// recovered is everything Open derives from the active log.
+// recovered is everything Open derives from the log.
 type recovered struct {
 	Updates, Count uint64
-	MinTS, LastTS  model.Timestamp
+	LastTS         model.Timestamp
 	Seq            uint32
 	Fences         []fence
 	Latest         string // the recovered latest graph
 }
 
 func (o *fenceOracle) recoveredState(s *Store) recovered {
-	act := s.active()
-	return recovered{Updates: s.Stats().Updates, Count: act.count, MinTS: act.minTS, LastTS: s.lastTS, Seq: s.seq,
-		Fences: append([]fence(nil), act.fences...), Latest: o.digest(latestOf(o.t, s).Export())}
+	return recovered{Updates: s.Stats().Updates, Count: s.seg.count, LastTS: s.lastTS, Seq: s.seq,
+		Fences: append([]fence(nil), s.seg.fences...), Latest: o.digest(latestOf(o.t, s).Export())}
 }
 
 // reopenExact closes s and reopens it twice — with the decode-everything
@@ -293,11 +281,11 @@ func (o *fenceOracle) reopenExact(s *Store, open func() *Store, openRef func() *
 	if got := o.recoveredState(s); !reflect.DeepEqual(got, want) {
 		t.Errorf("tail-only recovery derived\n %+v\nthe decode-everything recovery\n %+v", got, want)
 	}
-	act, from, tail := s.active(), logStart, int64(0)
-	if chain := act.elems(); len(chain) > 0 {
+	seg, from, tail := s.seg, logStart, int64(0)
+	if chain := seg.elems(); len(chain) > 0 {
 		from = chain[len(chain)-1].logOff
 	}
-	if _, err := act.log.Scan(from, func(_ int64, frame []byte) bool {
+	if _, err := seg.log.Scan(from, func(_ int64, frame []byte) bool {
 		n, _, err := enc.BlockCount(frame)
 		tail += int64(n)
 		return err == nil
@@ -306,13 +294,13 @@ func (o *fenceOracle) reopenExact(s *Store, open func() *Store, openRef func() *
 	}
 	if decoded.Load() != tail {
 		t.Errorf("Open decoded %d log records, %d lie at or past the newest element's logOff %d (of %d in the log)",
-			decoded.Load(), tail, from, act.count)
+			decoded.Load(), tail, from, seg.count)
 	}
 	return s
 }
 
 // TestFenceScanMatchesBruteForce drives seeded histories through appends,
-// policy and eager mid-timestamp snapshots, seals and reopens at a fence
+// policy and eager mid-timestamp snapshots and reopens at a fence
 // stride of 2 or 3, and checks every read path against a brute-force
 // filter over the appended slice. The fourth run's history ends in re-creations
 // (recreateTail): its latest graph holds nodes equal to, and younger than, the
@@ -331,14 +319,14 @@ func TestFenceScanMatchesBruteForce(t *testing.T) {
 			dir := t.TempDir()
 			codec := enc.NewCodec(strstore.NewMem())
 			open := func() *Store {
-				s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 25, PartitionEvery: 50})
+				s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 25})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return s
 			}
 			openRef := func() *Store {
-				return openDecodingAll(t, codec, Options{Dir: dir, SnapshotEveryOps: 25, PartitionEvery: 50})
+				return openDecodingAll(t, codec, Options{Dir: dir, SnapshotEveryOps: 25})
 			}
 			s := open()
 			defer func() { s.Close() }()
@@ -358,7 +346,7 @@ func TestFenceScanMatchesBruteForce(t *testing.T) {
 				if i/30 > stage {
 					stage = i / 30
 					s = o.reopenExact(s, open, openRef)
-					chain := s.active().elems()
+					chain := s.seg.elems()
 					skipped = skipped || (len(chain) > 0 && chain[len(chain)-1].logOff > logStart)
 				}
 			}
@@ -366,17 +354,14 @@ func TestFenceScanMatchesBruteForce(t *testing.T) {
 				t.Fatal("no reopen found an element to start the decode after")
 			}
 			s.WaitSnapshots()
-			if got := len(s.SealedBounds()); got < 2 {
-				t.Fatalf("%d seals, want at least 2", got)
-			}
 			midTS := false
-			for _, e := range s.active().elems() {
+			for _, e := range s.seg.elems() {
 				for i := 0; i+1 < len(us); i++ {
 					midTS = midTS || (o.pos[i] == e.pos && us[i+1].TS == e.pos.ts)
 				}
 			}
 			if !midTS {
-				t.Fatal("no mid-timestamp snapshot survives in the active segment")
+				t.Fatal("no mid-timestamp snapshot survives in the chain")
 			}
 			if recreate {
 				o.wantYoungerTwins(s)

@@ -106,7 +106,7 @@ func FuzzReadElement(f *testing.F) {
 	if err := policySnapshot(seed); err != nil { // a delta on it
 		f.Fatal(err)
 	}
-	for _, e := range seed.active().elems() {
+	for _, e := range seed.seg.elems() {
 		b, err := os.ReadFile(e.path)
 		if err != nil {
 			f.Fatal(err)

@@ -92,64 +92,44 @@ func digestFiles(t *testing.T, pattern string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenOnDiskBytes pins the one persisted-element format — an ADS2
-// header frame, then one frame per block of up to 256 records: a fixed update
-// sequence must produce these exact full-/delta- .dsnap bytes in a sealed
-// segment's chain (TestParallelSnapshotBytesIdentical extends that to every
-// worker count), and the segment log these exact bytes — the ATL2 marker,
-// then one block frame per Append. An eager snapshot taken at the sealed
-// segment's end position in an active segment fed the same appends must equal
-// that segment's end full byte for byte, name included (same graph, same log,
-// hence the same logOff too).
+// TestGoldenOnDiskBytes pins the segment log's bytes — the ATL2 marker, then
+// one block frame per Append — for a fixed prefix of the golden sequence, and
+// the bytes of an eager full taken at its end, name included: an ADS2 header
+// frame, then one frame per block of up to 256 records
+// (TestParallelSnapshotBytesIdentical extends that to every worker count).
+// The prefix ends where a store of the sealing layout closed its first
+// segment, and the two digests are that segment's log and end full.
 func TestGoldenOnDiskBytes(t *testing.T) {
 	const (
-		wantFull  = "4a5ab2a460b77e198300cc1f16e12795789edb210d0faa0934102f17ff1a77c4"
-		wantDelta = "25ea352e19927da9469932a4d3d87e08c4432a76314c55d5eb7d11c2d20e09c1"
-		wantLog   = "1c812437d7b29b23066f598b7ea1bfca57411049a188010341ffdca607625846"
+		wantEndFull = "406284a2cb63c5f2696f1a0560a40eab188fab0c31c0a779c3646424b5a59e9d"
+		wantLog     = "1c812437d7b29b23066f598b7ea1bfca57411049a188010341ffdca607625846"
 	)
 	us := goldenUpdates()
-	pdir := t.TempDir()
-	p := openStore(t, Options{Dir: pdir, SnapshotEveryOps: 1 << 30,
-		PartitionEvery: len(us) - 30, DeltaChainLength: 2})
-	for _, u := range us {
-		if err := p.Append(u); err != nil {
-			t.Fatal(err)
-		}
+	n := len(us) - 30 // the prefix runs on to the end of a timestamp
+	for us[n].TS == us[n-1].TS {
+		n++
 	}
-	if st := p.Stats(); st.SealedPartitions != 1 || st.CompactErrors != 0 {
-		t.Fatalf("%d sealed segments, %d compaction errors (%s)",
-			st.SealedPartitions, st.CompactErrors, st.LastCompactError)
-	}
-	if got := digestFiles(t, filepath.Join(pdir, "p-1", "full-*.dsnap")); got != wantFull {
-		t.Errorf("full .dsnap digest %s, want %s", got, wantFull)
-	}
-	if got := digestFiles(t, filepath.Join(pdir, "p-1", "delta-*.dsnap")); got != wantDelta {
-		t.Errorf("delta .dsnap digest %s, want %s", got, wantDelta)
-	}
-	if got := digestFiles(t, filepath.Join(pdir, "p-1", "updates.log")); got != wantLog {
-		t.Errorf("segment log digest %s, want %s", got, wantLog)
-	}
-
 	dir := t.TempDir()
 	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
-	for _, u := range us[:p.segs[0].count] {
+	for _, u := range us[:n] {
 		if err := s.Append(u); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if got := digestFiles(t, filepath.Join(dir, "p-1", "updates.log")); got != wantLog {
+		t.Errorf("segment log digest %s, want %s", got, wantLog)
+	}
 	if err := s.CreateSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	chain := p.segs[0].elems()
-	end := filepath.Base(chain[len(chain)-1].path)
-	if got, want := digestFiles(t, filepath.Join(dir, "p-1", "*.dsnap")), digestFiles(t, filepath.Join(pdir, "p-1", end)); got != want {
-		t.Errorf("the active segment's snapshot differs from the sealed end full %s", end)
+	if got := digestFiles(t, filepath.Join(dir, "p-1", "*.dsnap")); got != wantEndFull {
+		t.Errorf("eager full .dsnap digest %s, want %s", got, wantEndFull)
 	}
 }
 
-// TestGoldenActiveChain pins the bytes of an active segment's chain, beside
-// the sealed chain's above: the golden history under a 90-operation policy
-// and a two-delta chain is full, delta, delta, full. Its fulls-only twin
+// TestGoldenActiveChain pins the bytes of a policy chain: the golden history
+// under a 90-operation policy and a two-delta chain is full, delta, delta,
+// full. Its fulls-only twin
 // (DeltaChainLength < 0) is pinned too: the two stores' fulls are the same
 // files byte for byte, and reopened with the default chain the twin's
 // directory answers every timestamp the way the delta store does, keeps its
@@ -168,19 +148,19 @@ func TestGoldenActiveChain(t *testing.T) {
 	defer func() { p.Close() }()
 	appendSettled(t, s, us)
 	appendSettled(t, p, us)
-	if got := elemKinds(s.active().elems()); got != "fddf" {
-		t.Fatalf("active chain %s, want fddf", got)
+	if got := elemKinds(s.seg.elems()); got != "fddf" {
+		t.Fatalf("policy chain %s, want fddf", got)
 	}
 	if got := digestFiles(t, filepath.Join(pdir, "p-1", "*.dsnap")); got != wantFullsOnly {
 		t.Errorf("fulls-only chain digest %s, want %s", got, wantFullsOnly)
 	}
 	if got := digestFiles(t, filepath.Join(dir, "p-1", "full-*.dsnap")); got != wantFull {
-		t.Errorf("active full .dsnap digest %s, want %s", got, wantFull)
+		t.Errorf("policy full .dsnap digest %s, want %s", got, wantFull)
 	}
 	if got := digestFiles(t, filepath.Join(dir, "p-1", "delta-*.dsnap")); got != wantDelta {
-		t.Errorf("active delta .dsnap digest %s, want %s", got, wantDelta)
+		t.Errorf("policy delta .dsnap digest %s, want %s", got, wantDelta)
 	}
-	for _, e := range s.active().elems() {
+	for _, e := range s.seg.elems() {
 		if name := filepath.Base(e.path); e.kind == enc.DeltaFull &&
 			digestFiles(t, e.path) != digestFiles(t, filepath.Join(pdir, "p-1", name)) {
 			t.Errorf("%s differs from the fulls-only twin's", name)
@@ -188,7 +168,7 @@ func TestGoldenActiveChain(t *testing.T) {
 	}
 
 	p = reopened(t, p, Options{Dir: pdir, SnapshotEveryOps: 90})
-	if got := elemKinds(p.active().elems()); got != "ffff" {
+	if got := elemKinds(p.seg.elems()); got != "ffff" {
 		t.Fatalf("the fulls-only chain reopens as %s, want ffff", got)
 	}
 	maxTS := us[len(us)-1].TS
@@ -203,7 +183,7 @@ func TestGoldenActiveChain(t *testing.T) {
 		more = append(more, model.AddNode(maxTS+1+model.Timestamp(i), model.NodeID(1000+i), []string{"Late"}, nil))
 	}
 	appendSettled(t, p, more)
-	if got := elemKinds(p.active().elems()); got != "ffffd" {
+	if got := elemKinds(p.seg.elems()); got != "ffffd" {
 		t.Errorf("the fulls-only chain continues as %s, want ffffd", got)
 	}
 	if got := digestFiles(t, filepath.Join(pdir, "p-1", "full-*.dsnap")); got != wantFullsOnly {

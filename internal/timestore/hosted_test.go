@@ -132,7 +132,7 @@ func TestDueSnapshotWaitsForTheRoundsLastCall(t *testing.T) {
 		last := round[len(round)-1]
 		roundEnd[position{ts: last[0].TS, seq: uint32(len(last) - 1)}] = true
 	}
-	st, chain := s.Stats(), s.active().elems()
+	st, chain := s.Stats(), s.seg.elems()
 	if len(chain) < 5 || st.LatestMismatches != 0 || st.SnapshotErrors != 0 {
 		t.Fatalf("%d chain elements, %d mismatches, %d snapshot errors", len(chain), st.LatestMismatches, st.SnapshotErrors)
 	}
@@ -175,7 +175,7 @@ func TestDivergedHostIsCountedAndReported(t *testing.T) {
 	}
 	s.WaitSnapshots()
 	st := s.Stats()
-	if st.Snapshots != 0 || len(s.active().elems()) != 0 {
+	if st.Snapshots != 0 || len(s.seg.elems()) != 0 {
 		t.Errorf("%d snapshots taken from a host that holds other updates than the log", st.Snapshots)
 	}
 	if st.LatestMismatches == 0 || st.SnapshotsOverdue != int64(fed/every-1) {

@@ -1,9 +1,9 @@
 // Frame-file and replay pipelines. Every persisted materialization — a
-// full- or delta- .dsnap chain element of any segment — is one kind of file:
+// full- or delta- .dsnap chain element — is one kind of file:
 // a sequence of [len u32 | crc u32 | payload] frames, the first holding the
 // element's DeltaHeader and each later one a block (enc.AppendBlock) of up to
-// frameBatchRecords update records in the Fig 3 format. A segment log's
-// frames are blocks too, one per AppendBatch run of records at one timestamp.
+// frameBatchRecords update records in the Fig 3 format. The log's frames
+// are blocks too, one per AppendBatch run of records at one timestamp.
 // One writer produces element files and one reader consumes them; log replay
 // is the third pipeline. All three run on pool.RunOrdered — a sequential
 // reader/writer on the order-sensitive edge, Options.ParallelIO workers on
@@ -245,22 +245,21 @@ var replayDecoded func(records int)
 // logEnd as replayWal's upper bound means the log's end when the scan starts.
 const logEnd = math.MaxInt64
 
-// replayWal streams l's decoded updates at offsets [from, to) — frame
+// replayWal streams the log's decoded updates at offsets [from, to) — frame
 // boundaries — in commit order, each with its frame's offset, stopping early
 // when fn returns false or ctx is cancelled (checked once per job, so a
 // runaway range scan stops within one job of the deadline). It is the shared
-// replay engine of recover, ScanDiff, and therefore GetGraph/GetGraphs, for
-// every segment's log alike: the WAL is scanned with readahead, whole frames
-// are cut into jobs, decoding runs on `workers` workers, and fn (graph apply,
-// chain cuts) stays in order on the calling goroutine. Callers that already
-// run on a pool worker (the scatter-gather over sealed segments) or replay a
-// segment once (compaction) pass 1, so they do not nest a second pool.
-func (s *Store) replayWal(ctx context.Context, l *wal.Log, workers int, from, to int64, fn func(off int64, u model.Update) bool) error {
+// replay engine of recover, the snapshot worker's deltas, ScanDiff, and
+// therefore GetGraph/GetGraphs: the WAL is scanned with readahead, whole
+// frames are cut into jobs, decoding runs on Options.ParallelIO workers, and
+// fn (graph apply) stays in order on the calling goroutine.
+func (s *Store) replayWal(ctx context.Context, from, to int64, fn func(off int64, u model.Update) bool) error {
+	l := s.seg.log
 	type decoded struct {
 		frameBatch
 		us []model.Update
 	}
-	return pool.RunOrderedCtx(ctx, workers,
+	return pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
 		func(emit func(frameBatch) bool) error {
 			stopped := false
 			_, err := l.ScanRange(from, to, replayReadahead, func(chunk []wal.Frame) bool {

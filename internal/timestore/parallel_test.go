@@ -40,10 +40,10 @@ func propUpdates(n int) []model.Update {
 }
 
 // snapshotFiles lists every element file under the store directory dir, in
-// segment then position order.
+// file-name order.
 func snapshotFiles(t testing.TB, dir string) []string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "p-*", "*.dsnap"))
+	files, err := filepath.Glob(filepath.Join(dir, "p-1", "*.dsnap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,9 @@ func snapshotFiles(t testing.TB, dir string) []string {
 
 // TestParallelSnapshotBytesIdentical is the worker-count property test: the
 // same update sequence persisted with 1 (inline), 2, 4 and 8 pipeline
-// workers must produce byte-identical files — the active segment's snapshot
-// and every full-/delta- element of a sealed segment's chain alike
-// (workers reorder work, never bytes).
+// workers must produce byte-identical files — an eager snapshot and every
+// full-/delta- element of a policy chain alike (workers reorder work, never
+// bytes).
 func TestParallelSnapshotBytesIdentical(t *testing.T) {
 	us := propUpdates(500)
 	// write returns name -> bytes of every persisted materialization.
@@ -86,21 +86,20 @@ func TestParallelSnapshotBytesIdentical(t *testing.T) {
 			t.Fatalf("ParallelIO=%d produced %d snapshot files, want 1", par, len(out))
 		}
 
-		// Chain files: one sealed segment whose mid-chain and end fulls
-		// span several pipeline batches (> frameBatchRecords records).
+		// Chain files: a policy chain whose fulls and delta span several
+		// pipeline batches (> frameBatchRecords records).
 		pdir := t.TempDir()
-		p := openStore(t, Options{Dir: pdir, SnapshotEveryOps: 1 << 30,
-			PartitionEvery: 900, DeltaChainLength: 1, ParallelIO: par})
+		p := openStore(t, Options{Dir: pdir, SnapshotEveryOps: 300, DeltaChainLength: 1, ParallelIO: par})
 		for _, u := range us {
 			if err := p.Append(u); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if st := p.Stats(); st.SealedPartitions != 1 || st.DeltaSnapshots == 0 || st.CompactErrors != 0 {
-			t.Fatalf("ParallelIO=%d: %d sealed, %d deltas, %d compaction errors (%s)", par,
-				st.SealedPartitions, st.DeltaSnapshots, st.CompactErrors, st.LastCompactError)
+		p.WaitSnapshots()
+		if got := elemKinds(p.seg.elems()); got != "fdf" {
+			t.Fatalf("ParallelIO=%d: policy chain %s, want fdf", par, got)
 		}
-		collect("sealed/", pdir)
+		collect("chain/", pdir)
 		return out
 	}
 	inline := write(1)
@@ -133,11 +132,11 @@ func TestParallelLoadRoundTrip(t *testing.T) {
 		if err := s.CreateSnapshot(); err != nil {
 			t.Fatal(err)
 		}
-		chain := s.active().elems()
+		chain := s.seg.elems()
 		lastTS := us[len(us)-1].TS
 		for _, loadPar := range []int{1, 4} {
 			s.opts.ParallelIO = loadPar
-			g, err := s.loadElem(context.Background(), s.active(), chain, 0, nil, nil)
+			g, err := s.loadElem(context.Background(), chain, 0, nil, nil)
 			if err != nil {
 				t.Fatalf("write par=%d load par=%d: %v", par, loadPar, err)
 			}

@@ -7,7 +7,6 @@ import (
 
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/pool"
 )
 
 // The query API comes in pairs following the database/sql convention:
@@ -17,14 +16,11 @@ import (
 // global query) stop within one readahead batch of the context firing and
 // return ctx.Err().
 //
-// Every public entry point takes sealMu.RLock exactly once for its whole
-// walk and delegates to *Locked internals, so the segment set it routes
-// over cannot change mid-query (a seal takes the write side). The
-// internals therefore must never re-enter a public method.
+// A query takes no store lock: the segment is fixed at Open, and its chain
+// and fences are read under their leaf lock (segment.elems, startFence).
 
 // GetDiff returns all graph updates with start <= ts < end in commit order
-// (Table 1). History before the sealed boundary is gathered from the sealed
-// segments' logs in parallel (scatter-gather); the active tail is streamed.
+// (Table 1), streamed off the log from the fence nearest start.
 func (s *Store) GetDiff(start, end model.Timestamp) ([]model.Update, error) {
 	return s.GetDiffContext(context.Background(), start, end)
 }
@@ -50,9 +46,7 @@ func (s *Store) ScanDiffContext(ctx context.Context, start, end model.Timestamp,
 	if start >= end {
 		return nil
 	}
-	s.sealMu.RLock()
-	defer s.sealMu.RUnlock()
-	return s.scanFromLocked(ctx, position{ts: start - 1, seq: seqComplete}, end, fn)
+	return s.scanFrom(ctx, position{ts: start - 1, seq: seqComplete}, end, fn)
 }
 
 // before orders two stream positions.
@@ -63,68 +57,15 @@ func (p position) before(q position) bool {
 	return p.seq < q.seq
 }
 
-// scanFromLocked streams every update strictly after position from and with
-// timestamp < end to fn in commit order. The sealed segments overlapping
-// the range are read as a scatter-gather: pool workers walk them
-// concurrently, one worker each (nesting another pool per segment would
-// oversubscribe), while the consumer hands the collected runs to fn in
-// segment order — a sealed segment is bounded by PartitionEvery, so holding
-// its run is too. The active segment, unbounded in a store that never
-// seals, follows streamed. Caller holds sealMu (either mode).
-func (s *Store) scanFromLocked(ctx context.Context, from position, end model.Timestamp, fn func(u model.Update) bool) error {
-	var overlap []*segment
-	for _, g := range s.segs[:len(s.segs)-1] {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if from.before(g.end()) && g.minTS < end {
-			overlap = append(overlap, g)
-		}
-	}
-	stopped := false
-	if len(overlap) > 0 {
-		err := pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
-			func(emit func(*segment) bool) error {
-				for _, g := range overlap {
-					if !emit(g) {
-						return nil
-					}
-				}
-				return nil
-			},
-			func(g *segment) ([]model.Update, error) {
-				var out []model.Update // decoded updates do not alias the scan's buffers
-				err := s.scanSegment(ctx, g, 1, from, end, func(u model.Update) bool {
-					out = append(out, u)
-					return true
-				})
-				return out, err
-			},
-			func(us []model.Update) error {
-				for _, u := range us {
-					if !fn(u) {
-						stopped = true
-						return pool.ErrStop
-					}
-				}
-				return nil
-			})
-		if err != nil || stopped {
-			return err
-		}
-	}
-	return s.scanSegment(ctx, s.active(), s.opts.ParallelIO, from, end, fn)
-}
-
-// scanSegment is the one walk over a segment's log, sealed or active: from
-// g.startFence(from) it numbers every record off the fence's position and
-// hands those strictly after from, up to the first with timestamp >= end,
-// to fn. Records at or before from (at most a fence stride, or the head of
-// a chain cut) are discarded unseen — fn counts only what it applies.
-func (s *Store) scanSegment(ctx context.Context, g *segment, workers int, from position, end model.Timestamp, fn func(u model.Update) bool) error {
-	start := g.startFence(from)
+// scanFrom is the one walk over the log: from the segment's startFence for
+// from it numbers every record off the fence's position and hands those
+// strictly after from, up to the first with timestamp >= end, to fn. Records
+// at or before from (at most a fence stride, or the head of a chain element's
+// window) are discarded unseen — fn counts only what it applies.
+func (s *Store) scanFrom(ctx context.Context, from position, end model.Timestamp, fn func(u model.Update) bool) error {
+	start := s.seg.startFence(from)
 	cur := start.pos
-	return s.replayWal(ctx, g.log, workers, start.off, logEnd, func(_ int64, u model.Update) bool {
+	return s.replayWal(ctx, start.off, logEnd, func(_ int64, u model.Update) bool {
 		if u.TS >= end {
 			return false
 		}
@@ -137,10 +78,9 @@ func (s *Store) scanSegment(ctx context.Context, g *segment, workers int, from p
 }
 
 // GetGraph materializes the LPG snapshot valid at ts: fetch the closest
-// base at or before ts — a cached graph or a segment's chain element — and
-// apply the forward changes from the owning log (Sec 4.3). A timestamp
-// inside a sealed segment replays only that segment's chain tail, never the
-// whole history. The returned graph is private to the caller.
+// base at or before ts — a cached graph or a chain element — and apply the
+// forward changes from the log (Sec 4.3). The returned graph is private to
+// the caller.
 func (s *Store) GetGraph(ts model.Timestamp) (*memgraph.Graph, error) {
 	return s.GetGraphContext(context.Background(), ts)
 }
@@ -148,18 +88,12 @@ func (s *Store) GetGraph(ts model.Timestamp) (*memgraph.Graph, error) {
 // GetGraphContext is GetGraph honouring ctx cancellation: both halves of
 // the materialization (base load, log replay) are cancellation points.
 func (s *Store) GetGraphContext(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, error) {
-	s.sealMu.RLock()
-	defer s.sealMu.RUnlock()
-	return s.getGraphLocked(ctx, ts)
-}
-
-func (s *Store) getGraphLocked(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, error) {
-	g, pos, err := s.basePosLocked(ctx, ts)
+	g, pos, err := s.basePos(ctx, ts)
 	if err != nil {
 		return nil, err
 	}
 	var derr error
-	err = s.scanFromLocked(ctx, pos, ts+1, func(u model.Update) bool {
+	err = s.scanFrom(ctx, pos, ts+1, func(u model.Update) bool {
 		if aerr := g.Apply(u); aerr != nil {
 			derr = fmt.Errorf("timestore: replay: %w", aerr)
 			return false
@@ -177,22 +111,22 @@ func (s *Store) getGraphLocked(ctx context.Context, ts model.Timestamp) (*memgra
 	return g, nil
 }
 
-// basePosLocked returns a mutable graph at the closest base position <= ts
+// basePos returns a mutable graph at the closest base position <= ts
 // together with that exact position: the later of the in-memory GraphStore's
 // floor and the newest chain element on disk — falling back to the empty
-// graph before all history. Caller holds sealMu (either mode).
+// graph before all history.
 //
 // Graphs enter the GraphStore only when complete at their timestamp (the
 // cache key carries no sequence), so a cached hit is always position
 // (ts, seqComplete), and it wins over an element at the same timestamp.
-func (s *Store) basePosLocked(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, position, error) {
+func (s *Store) basePos(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, position, error) {
 	cached, cachedTS, ok := s.gs.Floor(ts)
 	best := position{ts: -1, seq: seqComplete}
 	if ok {
 		best.ts = cachedTS
 	}
-	if seg, chain, j := s.floorElem(ts); j >= 0 && best.before(chain[j].pos) {
-		g, err := s.materializeElem(ctx, seg, chain, j, cached)
+	if chain, j := s.floorElem(ts); j >= 0 && best.before(chain[j].pos) {
+		g, err := s.materializeElem(ctx, chain, j, cached)
 		return g, chain[j].pos, err
 	}
 	if ok {
@@ -238,9 +172,7 @@ func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Ti
 	if end < start {
 		return fmt.Errorf("timestore: end %d before start %d", end, start)
 	}
-	s.sealMu.RLock()
-	defer s.sealMu.RUnlock()
-	g, pos, err := s.basePosLocked(ctx, start)
+	g, pos, err := s.basePos(ctx, start)
 	if err != nil {
 		return err
 	}
@@ -261,7 +193,7 @@ func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Ti
 		return nil
 	}
 	var derr error
-	err = s.scanFromLocked(ctx, pos, end+1, func(u model.Update) bool {
+	err = s.scanFrom(ctx, pos, end+1, func(u model.Update) bool {
 		if derr = emitThrough(u.TS - 1); derr != nil || stopped {
 			return false
 		}
@@ -298,15 +230,13 @@ func (s *Store) GetWindowContext(ctx context.Context, start, end model.Timestamp
 	if end < start {
 		return memgraph.New(), nil
 	}
-	s.sealMu.RLock()
-	defer s.sealMu.RUnlock()
-	g, err := s.getGraphLocked(ctx, start)
+	g, err := s.GetGraphContext(ctx, start)
 	if err != nil {
 		return nil, err
 	}
 	var commit []model.Update // the commit being read
 	var uerr error
-	err = s.scanFromLocked(ctx, position{ts: start, seq: seqComplete}, end, func(u model.Update) bool {
+	err = s.scanFrom(ctx, position{ts: start, seq: seqComplete}, end, func(u model.Update) bool {
 		if len(commit) > 0 && commit[0].TS != u.TS {
 			uerr, commit = uniteCommit(g, commit), commit[:0]
 		}

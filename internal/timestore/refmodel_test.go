@@ -3,9 +3,9 @@ package timestore
 // The global reads of a stand-alone TimeStore held to internal/refmodel: a
 // seeded history whose log frames come in every shape AppendBatch makes —
 // batches spanning several timestamps, timestamps spanning several batches —
-// read back through fences laid every few records, policy elements, an eager
-// element in the middle of a timestamp and a seal, before and after a clean
-// reopen.
+// read back through fences laid every few records, policy fulls and deltas
+// and an eager element in the middle of a timestamp, before and after a
+// clean reopen.
 
 import (
 	"cmp"
@@ -142,13 +142,11 @@ func checkGlobalReads(t *testing.T, s *Store, h *refmodel.History, label string)
 		}
 	}
 	var from []model.Timestamp
-	for _, seg := range s.segs {
-		for _, e := range seg.elems() {
-			from = append(from, e.pos.ts, e.pos.ts+1)
-		}
-		for _, f := range seg.fences {
-			from = append(from, f.pos.ts, f.pos.ts+1)
-		}
+	for _, e := range s.seg.elems() {
+		from = append(from, e.pos.ts, e.pos.ts+1)
+	}
+	for _, f := range s.seg.fences {
+		from = append(from, f.pos.ts, f.pos.ts+1)
 	}
 	for _, a := range from {
 		for _, b := range []model.Timestamp{a + 2, last + 1} {
@@ -168,12 +166,10 @@ func checkGlobalReads(t *testing.T, s *Store, h *refmodel.History, label string)
 				want = append(want, u)
 			}
 		}
-		s.sealMu.RLock()
-		err := s.scanFromLocked(context.Background(), p, p.ts+3, func(u model.Update) bool {
+		err := s.scanFrom(context.Background(), p, p.ts+3, func(u model.Update) bool {
 			got = append(got, u)
 			return true
 		})
-		s.sealMu.RUnlock()
 		if err != nil {
 			t.Fatalf("%s: scan from %+v: %v", label, p, err)
 		}
@@ -196,22 +192,19 @@ func checkGlobalReads(t *testing.T, s *Store, h *refmodel.History, label string)
 
 // TestGlobalReadsMatchTheReferenceModel: every global read of a stand-alone
 // store fed in every frame shape, with a fence every five records, small
-// policy intervals, one seal and an eager element mid-timestamp, equals the
+// policy intervals, delta elements and an eager one mid-timestamp, equals the
 // model's — live, and after a clean reopen with a one-entry cache, so every
 // base comes from the files.
 func TestGlobalReadsMatchTheReferenceModel(t *testing.T) {
 	defer func(old int) { fenceStride = old }(fenceStride)
 	fenceStride = 5
 	const n = 600
-	opts := Options{Dir: t.TempDir(), SnapshotEveryOps: 24, PartitionEvery: n * 11 / 20, DeltaChainLength: 2, ParallelIO: 2}
+	opts := Options{Dir: t.TempDir(), SnapshotEveryOps: 24, DeltaChainLength: 2, ParallelIO: 2}
 	s := openBare(t, enc.NewCodec(strstore.NewMem()), opts)
 	defer func() { s.Close() }()
 	h := feedHistory(t, s, 5, n)
-	if got := len(s.SealedBounds()); got != 1 {
-		t.Fatalf("%d seals, want 1", got)
-	}
-	if len(s.active().fences) < 10 || s.Stats().DeltaSnapshots == 0 {
-		t.Fatalf("%d fences and %d deltas in the active segment: too few to check", len(s.active().fences), s.Stats().DeltaSnapshots)
+	if len(s.seg.fences) < 10 || s.Stats().DeltaSnapshots == 0 {
+		t.Fatalf("%d fences and %d deltas in the chain: too few to check", len(s.seg.fences), s.Stats().DeltaSnapshots)
 	}
 	checkGlobalReads(t, s, h, "live")
 	opts.GraphStoreBytes = 1

@@ -5,21 +5,18 @@
 // an arbitrary timestamp fetches the closest materialization and replays
 // the forward changes from the log.
 //
-// On disk the store is a run of segment directories p-1/ … p-N/
-// (partition.go), each holding updates.log and a chain of .dsnap elements
-// — one file format, whose header carries the element's stream position,
-// its base and the log offset replay resumes at. One rule shapes every
-// chain: a full materialization, then up to Options.DeltaChainLength
-// differential elements, each the net effect of the log since its
-// predecessor. The last directory is the active segment: appends land in
-// its log, a snapshot every Options.SnapshotEveryOps updates (the policy)
-// joins its chain as that rule's next element, and a sparse
-// in-memory fence list (laid again from the log at Open) turns a stream
-// position into a log offset. Once it holds Options.PartitionEvery updates
-// a marker file seals it, its chain is recompacted at cuts of its own
-// (delta.go), and p-(N+1)/ takes over; a store that never seals is exactly
-// p-1/. There is no migration: Open rejects a directory written before this
-// layout, and reads any chain written since, one of fulls only included.
+// On disk the store is one segment directory, p-1/ (segment.go), holding
+// updates.log and a chain of .dsnap elements — one file format, whose header
+// carries the element's stream position, its base and the log offset replay
+// resumes at. One rule shapes the chain: a full materialization, then up to
+// Options.DeltaChainLength differential elements, each the net effect of the
+// log since its predecessor (delta.go). Appends land in the log, a snapshot
+// every Options.SnapshotEveryOps updates (the policy) joins the chain as that
+// rule's next element, and a sparse in-memory fence list (laid again from the
+// log at Open) turns a stream position into a log offset. There is no
+// migration: Open rejects a directory written before this layout — a
+// top-level log, or sealed segments — and reads any chain written since, one
+// of fulls only included.
 package timestore
 
 import (
@@ -42,7 +39,7 @@ import (
 
 // Options configures a TimeStore.
 type Options struct {
-	// Dir is the directory the segment directories live under.
+	// Dir is the directory the segment directory lives under.
 	Dir string
 	// SnapshotEveryOps is the snapshot policy (operation-based, the paper's
 	// default): a snapshot after this many updates. 0 means
@@ -56,15 +53,9 @@ type Options struct {
 	// filesystem operation in program order), with identical behaviour and
 	// on-disk bytes.
 	ParallelIO int
-	// PartitionEvery seals the active segment once it holds at least this
-	// many updates (the seal lands on the next timestamp boundary, so a
-	// segment always ends at a complete timestamp). <= 0 (the default)
-	// never seals: the whole history stays in p-1.
-	PartitionEvery int
-	// DeltaChainLength is the number of differential snapshots between full
-	// ones in a segment's chain, the active segment's (policy snapshots) and
-	// a sealed one's (compaction) alike. 0 picks the default (4); < 0
-	// disables deltas (every chain element is a full materialization).
+	// DeltaChainLength is the number of differential policy snapshots
+	// between full ones in the chain. 0 picks the default (4); < 0 disables
+	// deltas (every chain element is a full materialization).
 	DeltaChainLength int
 	// FS is the filesystem the store persists through. nil means the real
 	// OS filesystem; crash tests substitute a vfs.FaultFS.
@@ -107,21 +98,10 @@ type Store struct {
 	codec *enc.Codec
 	gs    *graphstore.Store
 
-	// sealMu serializes changes of the segment set against readers: queries
-	// take the read side for their whole walk, a seal takes the write side
-	// for its switch in memory. Lock order is s.mu, sealMu, then one
-	// segment's leaf lock.
-	sealMu sync.RWMutex
-	// segs are the segments, oldest first; all but the last are sealed
-	// (guarded by sealMu for readers; all writers also hold s.mu).
-	segs []*segment
-	// sealEntry is a private graph at the active segment's entry, the base
-	// the next seal's compaction replays on. Guarded by s.mu.
-	sealEntry *memgraph.Graph
-	// sealErr makes a failed seal sticky: the disk may be a step ahead of
-	// memory, so subsequent writes fail fast (reads keep working; reopen
-	// recovers).
-	sealErr error
+	// seg is the segment every append lands in and every read walks. It is
+	// set once by Open; its chain and fences have their own leaf lock, so
+	// readers take no store lock. Lock order is s.mu, then seg.mu.
+	seg *segment
 
 	lastTS        model.Timestamp
 	seq           uint32
@@ -131,10 +111,8 @@ type Store struct {
 	// replayed counts updates applied on top of a base materialization
 	// (log records and chain deltas) — the work snapshots could not avoid.
 	// The equivalence harness asserts bounded replay with it.
-	replayed       atomic.Uint64
-	compactErrs    atomic.Uint64
-	lastCompactErr atomic.Value // string
-	encBuf         []byte       // append-path scratch, guarded by mu (Sec 5.3)
+	replayed atomic.Uint64
+	encBuf   []byte // append-path scratch, guarded by mu (Sec 5.3)
 
 	// loadedEntities counts the entity versions element files have produced,
 	// sharedEntities those of them that are the committed graph's own objects.
@@ -244,14 +222,13 @@ func (q *snapQueue) close() {
 }
 
 // snapJob carries a CoW graph clone to the snapshot worker together with
-// the segment it belongs to and its fence there: the exact position —
+// its fence in the log: the exact position —
 // (timestamp, seq) of the last update it contains — and the log offset just
 // past it. Timestamps alone are ambiguous: more updates at the same
 // timestamp may land after the snapshot is scheduled.
 type snapJob struct {
-	seg *segment
-	g   *memgraph.Graph
-	at  fence
+	g  *memgraph.Graph
+	at fence
 }
 
 // Open creates or reopens a TimeStore in opts.Dir using the shared codec.
@@ -276,6 +253,9 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	if _, err := fs.Stat(filepath.Join(opts.Dir, "updates.log")); err == nil {
 		return nil, fmt.Errorf("timestore: %s holds a top-level updates.log, the layout before segment directories; there is no migration — delete the directory and rebuild it from the host log", opts.Dir)
 	}
+	if err := checkUnsealed(fs, opts.Dir); err != nil {
+		return nil, err
+	}
 	s := &Store{
 		opts:       opts,
 		fs:         fs,
@@ -286,8 +266,8 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	}
 	if err := s.recover(); err != nil {
 		err = fmt.Errorf("timestore: recover: %w", err)
-		for _, g := range s.segs {
-			err = errors.Join(err, g.log.Close())
+		if s.seg != nil {
+			err = errors.Join(err, s.seg.log.Close())
 		}
 		return nil, err
 	}
@@ -307,27 +287,27 @@ func (s *Store) snapshotWorker() {
 		if !ok {
 			return
 		}
-		if s.persistSnapshot(j.seg, j.g, j.at, j.seg.deltaBase(j.at.pos, s.opts.DeltaChainLength)) == nil {
+		if s.persistSnapshot(j.g, j.at, s.seg.deltaBase(j.at.pos, s.opts.DeltaChainLength)) == nil {
 			s.gs.PutOwned(j.g)
 		}
 		s.snaps.done()
 	}
 }
 
-// persistSnapshot publishes the state g at fence at as an element of seg's
+// persistSnapshot publishes the state g at fence at as an element of the
 // chain, the one path behind policy and eager snapshots: a full
 // materialization of g, or — when the caller names the base the chain calls
 // for there (segment.deltaBase; the snapshot worker only) — a delta. It must
-// not take s.mu or sealMu: a bulk AppendBatch holds s.mu for its whole batch,
+// not take s.mu: a bulk AppendBatch holds s.mu for its whole batch,
 // and policy snapshots must keep landing concurrently (the chain and the
 // GraphStore have their own locks, a delta's window is read the way queries
 // read the log; the counters are atomic). Snapshot loss is tolerable (the log
 // still covers the range), but never silent: a failure is counted, surfaced
 // through Stats, and returned.
-func (s *Store) persistSnapshot(seg *segment, g *memgraph.Graph, at fence, base *chainElem) error {
-	e, err := s.writeSnapshot(seg, g, at, base)
+func (s *Store) persistSnapshot(g *memgraph.Graph, at fence, base *chainElem) error {
+	e, err := s.writeSnapshot(g, at, base)
 	if err == nil {
-		if old := seg.insert(e); old != "" { // the other kind's file name at this position
+		if old := s.seg.insert(e); old != "" { // the other kind's file name at this position
 			err = s.fs.Remove(old)
 		}
 	}
@@ -342,14 +322,14 @@ func (s *Store) persistSnapshot(seg *segment, g *memgraph.Graph, at fence, base 
 
 // writeSnapshot writes g in full, or the net effect of the log window between
 // base's fence and at — nothing past at.off is read — as a delta on base.
-func (s *Store) writeSnapshot(seg *segment, g *memgraph.Graph, at fence, base *chainElem) (chainElem, error) {
+func (s *Store) writeSnapshot(g *memgraph.Graph, at fence, base *chainElem) (chainElem, error) {
 	if base == nil {
-		return s.writeChainElem(seg, enc.DeltaFull, at.pos, position{}, at.off, g.Export())
+		return s.writeChainElem(enc.DeltaFull, at.pos, position{}, at.off, g.Export())
 	}
 	// Counting the window first (a read and a count prefix per frame, no
 	// decode) is cheaper than growing a slice of 144-byte updates to its size.
 	n := 0
-	_, err := seg.log.ScanRange(base.logOff, at.off, replayReadahead, func(frames []wal.Frame) bool {
+	_, err := s.seg.log.ScanRange(base.logOff, at.off, replayReadahead, func(frames []wal.Frame) bool {
 		for _, fr := range frames {
 			c, _, _ := enc.BlockCount(fr.Payload) // a bad count fails the replay below
 			n += c
@@ -358,7 +338,7 @@ func (s *Store) writeSnapshot(seg *segment, g *memgraph.Graph, at fence, base *c
 	})
 	window := make([]model.Update, 0, n) // fresh from the decoder: compactUpdates may own it
 	if err == nil {
-		err = s.replayWal(context.Background(), seg.log, s.opts.ParallelIO, base.logOff, at.off, func(_ int64, u model.Update) bool {
+		err = s.replayWal(context.Background(), base.logOff, at.off, func(_ int64, u model.Update) bool {
 			window = append(window, u)
 			return true
 		})
@@ -366,10 +346,10 @@ func (s *Store) writeSnapshot(seg *segment, g *memgraph.Graph, at fence, base *c
 	if err != nil {
 		return chainElem{}, err
 	}
-	return s.writeChainElem(seg, enc.DeltaDiff, at.pos, base.pos, at.off, compactUpdates(window))
+	return s.writeChainElem(enc.DeltaDiff, at.pos, base.pos, at.off, compactUpdates(window))
 }
 
-// fenceStride is how many active-log records share one fence at least. Fences
+// fenceStride is how many log records share one fence at least. Fences
 // sit at frame starts only, the first frame at least fenceStride records past
 // the previous fence, so a lookup discards fewer than fenceStride records plus
 // one frame before the one it wants: at 128 that is half of one replay job
@@ -378,106 +358,47 @@ func (s *Store) writeSnapshot(seg *segment, g *memgraph.Graph, at fence, base *c
 // A constant in production; a variable only so tests can shrink it.
 var fenceStride = 128
 
-// advanceLocked moves the stream position past one frame of the active log —
+// advanceLocked moves the stream position past one frame of the log —
 // n records at timestamp ts, at log offset off — fencing the frame when it
 // opens a stride, and counts its records. It is the one bookkeeping step
 // shared by AppendBatch and recovery's walk, so both lay identical fences.
 // Caller holds s.mu (or is Open, before the store is shared).
 func (s *Store) advanceLocked(ts model.Timestamp, off int64, n int) {
-	act := s.active()
+	g := s.seg
 	cur := position{ts: s.lastTS, seq: s.seq}
-	if act.count >= act.nextFence {
-		act.mu.Lock()
-		act.fences = append(act.fences, fence{pos: cur, off: off})
-		act.mu.Unlock()
-		act.nextFence = act.count + uint64(fenceStride)
-	}
-	if act.count == 0 {
-		act.minTS = ts
+	if g.count >= g.nextFence {
+		g.mu.Lock()
+		g.fences = append(g.fences, fence{pos: cur, off: off})
+		g.mu.Unlock()
+		g.nextFence = g.count + uint64(fenceStride)
 	}
 	cur = cur.next(ts)
 	s.lastTS, s.seq = cur.ts, cur.seq+uint32(n-1)
 	s.updateCount += uint64(n)
-	act.count += uint64(n)
-}
-
-// recoverSealed walks the sealed segments (oldest first), carrying the
-// running end-state graph forward: a segment with a complete chain loads
-// its end element; one without (crash mid-compaction, or an orphan-dropped
-// chain) replays its log from the previous end and recompacts the chain —
-// self-healing, with compaction failures recorded rather than fatal.
-// Returns the state at the last sealed position, the active segment's
-// entry.
-func (s *Store) recoverSealed(ctx context.Context) (*memgraph.Graph, error) {
-	g := memgraph.New()
-	g.SetTimestamp(-1)
-	for _, p := range s.segs[:len(s.segs)-1] {
-		s.updateCount += p.count
-		if chain := p.elems(); chain != nil {
-			ng, err := s.loadElem(ctx, p, chain, len(chain)-1, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			g = ng
-			continue
-		}
-		end, cerr := s.compactPartition(ctx, p, g.Clone())
-		if cerr == nil {
-			g = end
-			continue
-		}
-		s.recordCompactError(cerr)
-		// The chain could not be rebuilt; derive the end state (and verify
-		// the log against the marker, which compaction normally does) by
-		// plain replay.
-		var n uint64
-		var aerr error
-		err := s.replayWal(ctx, p.log, 1, logStart, logEnd, func(_ int64, u model.Update) bool {
-			n++
-			aerr = g.Apply(u)
-			return aerr == nil
-		})
-		if err == nil {
-			err = aerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		if n != p.count {
-			return nil, fmt.Errorf("timestore: segment %s log holds %d updates, marker says %d", p.dir, n, p.count)
-		}
-		g.SetTimestamp(p.maxTS)
-	}
-	return g, nil
+	g.count += uint64(n)
 }
 
 // recover rebuilds all derived state from the sources of truth a crash
-// cannot corrupt: each segment's tail-repaired log, the seal markers, and
-// the element files' self-describing headers (openSegments). Every frame of
-// the active log is walked, to count its records and lay the fences, off its
-// count prefix and its first record's timestamp: nothing is decoded. A hosted
-// store needs no more: it loads and decodes nothing. A stand-alone one seeds
-// its own graph from the newest surviving element of the active chain — else
-// the sealed end state — and decodes and applies the log from that element's
-// offset on.
+// cannot corrupt: the tail-repaired log and the element files'
+// self-describing headers (openSegment). Every frame of the log is walked, to
+// count its records and lay the fences, off its count prefix and its first
+// record's timestamp: nothing is decoded. A hosted store needs no more: it
+// loads and decodes nothing. A stand-alone one seeds its own graph from the
+// newest surviving element of the chain — else the empty graph — and decodes
+// and applies the log from that element's offset on.
 func (s *Store) recover() (err error) {
 	ctx := context.Background()
-	if s.segs, err = openSegments(s.fs, s.opts.Dir); err != nil {
+	if s.seg, err = openSegment(s.fs, s.opts.Dir); err != nil {
 		return err
 	}
-	base, err := s.recoverSealed(ctx)
-	if err != nil {
-		return err
-	}
-	act := s.active()
-	s.lastTS, s.seq = act.entry.ts, act.entry.seq
-	chain := act.elems()
-	from := logStart // active-log offset the replay applies from
+	s.lastTS, s.seq = genesis.ts, genesis.seq
+	chain := s.seg.elems()
+	from := logStart // log offset the replay applies from
 	if len(chain) > 0 {
 		from = chain[len(chain)-1].logOff
 	}
 	var perr error
-	_, err = act.log.Scan(logStart, func(off int64, frame []byte) bool {
+	_, err = s.seg.log.Scan(logStart, func(off int64, frame []byte) bool {
 		var n int
 		var ts model.Timestamp
 		if n, ts, perr = enc.PeekBlock(frame); perr == nil {
@@ -490,14 +411,15 @@ func (s *Store) recover() (err error) {
 	}
 	s.committed = s.opts.Host
 	if s.committed == nil {
-		latest := base.Clone()
+		latest := memgraph.New()
+		latest.SetTimestamp(genesis.ts)
 		if len(chain) > 0 {
-			if latest, err = s.loadElem(ctx, act, chain, len(chain)-1, nil, nil); err != nil {
+			if latest, err = s.loadElem(ctx, chain, len(chain)-1, nil, nil); err != nil {
 				return err
 			}
 		}
 		var aerr error
-		err = s.replayWal(ctx, act.log, s.opts.ParallelIO, from, logEnd, func(_ int64, u model.Update) bool {
+		err = s.replayWal(ctx, from, logEnd, func(_ int64, u model.Update) bool {
 			aerr = latest.Apply(u)
 			return aerr == nil
 		})
@@ -508,15 +430,14 @@ func (s *Store) recover() (err error) {
 		s.committed = s.own.Committed
 	}
 	s.gs = graphstore.New(s.opts.GraphStoreBytes)
-	s.sealEntry = base
-	// Everything Open created (a segment directory, its log) and derivation
+	// Everything Open created (the segment directory, its log) and derivation
 	// deleted reaches the directory before the store takes a write.
-	return s.syncSegmentNames(act)
+	return s.syncSegmentNames()
 }
 
 // ownGraph is what a stand-alone store has in a host's place: the graph
 // every append is applied to, behind the signature of hostdb.DB.Committed. Its
-// lock is a leaf — a query takes it under sealMu while an append holds s.mu.
+// lock is a leaf — a query takes it while an append holds s.mu.
 type ownGraph struct {
 	mu      sync.Mutex
 	g       *memgraph.Graph
@@ -567,7 +488,7 @@ func (s *Store) pullLocked() (g *memgraph.Graph, clock model.Timestamp) {
 // latestLocked returns the graph at the log's end, private to the caller: the
 // committed graph when that is where it sits — always, stand-alone — and
 // otherwise materialised from the chain and the log like any GetGraph. Caller
-// holds s.mu and not sealMu.
+// holds s.mu.
 func (s *Store) latestLocked(ctx context.Context) (*memgraph.Graph, error) {
 	if g, _ := s.pullLocked(); g != nil {
 		return g, nil
@@ -605,9 +526,6 @@ func (s *Store) AppendBatch(us []model.Update) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sealErr != nil {
-		return s.sealErr
-	}
 	if us[0].TS < 0 {
 		return fmt.Errorf("timestore: %w: negative ts %d", model.ErrNonMonotonic, us[0].TS)
 	}
@@ -617,16 +535,6 @@ func (s *Store) AppendBatch(us []model.Update) error {
 			return fmt.Errorf("timestore: %w: ts %d after %d", model.ErrNonMonotonic, u.TS, last)
 		}
 		last = u.TS
-	}
-	// The seal trigger is evaluated once, before the batch reaches the log:
-	// the log write is a single call, so a mid-batch seal would strand the
-	// batch's tail inside the sealed segment. Sealing only at a strict
-	// timestamp boundary guarantees every later record's timestamp exceeds
-	// the sealed boundary, so a segment owns its timestamps outright.
-	if s.opts.PartitionEvery > 0 && s.active().count >= uint64(s.opts.PartitionEvery) && us[0].TS > s.lastTS {
-		if err := s.sealActiveLocked(); err != nil {
-			return err
-		}
 	}
 	// A payload stays valid when appending moves buf: the bytes it names are
 	// not written again.
@@ -652,10 +560,10 @@ func (s *Store) AppendBatch(us []model.Update) error {
 		return err
 	}
 	frames := payloads
-	if s.active().log.Size() == 0 {
+	if s.seg.log.Size() == 0 {
 		frames = append([][]byte{[]byte(logMarker)}, payloads...) // in front of the log's first frame
 	}
-	offs, err := s.active().log.AppendBatch(frames)
+	offs, err := s.seg.log.AppendBatch(frames)
 	if err != nil {
 		return err
 	}
@@ -664,7 +572,7 @@ func (s *Store) AppendBatch(us []model.Update) error {
 		ts := run[0].TS
 		// Timestamp boundary: the position of the graph captured when the last
 		// timestamp ended now has a log offset, this frame's.
-		if ts > s.lastTS && s.pending != nil && s.active().count > 0 {
+		if ts > s.lastTS && s.pending != nil && s.seg.count > 0 {
 			s.scheduleSnapshotLocked(offs[i])
 		}
 		s.pending = nil // no longer the log's end
@@ -714,7 +622,7 @@ func (s *Store) captureSnapshotLocked() {
 func (s *Store) scheduleSnapshotLocked(off int64) {
 	s.opsSinceSnap = 0
 	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: off}
-	s.snaps.put(snapJob{seg: s.active(), g: s.pending, at: at})
+	s.snaps.put(snapJob{g: s.pending, at: at})
 }
 
 // WaitSnapshots blocks until all in-flight background snapshots are
@@ -737,9 +645,8 @@ func (s *Store) CreateSnapshot() error {
 	if err != nil {
 		return err
 	}
-	act := s.active()
-	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: max(act.log.Size(), logStart)}
-	if err := s.persistSnapshot(act, g, at, nil); err != nil {
+	at := fence{pos: position{ts: s.lastTS, seq: s.seq}, off: max(s.seg.log.Size(), logStart)}
+	if err := s.persistSnapshot(g, at, nil); err != nil {
 		return err
 	}
 	s.opsSinceSnap = 0
@@ -752,16 +659,9 @@ type Stats struct {
 	Snapshots     int // snapshots persisted since Open
 	LogBytes      int64
 	IndexBytes    int64 // always 0: the fences are memory-only; kept for the consumers that report it
-	SnapshotBytes int64 // the active segment's chain files, fulls and deltas
-	// SealedPartitions is the number of sealed (immutable) segments;
-	// DeltaSnapshots counts the differential elements across all chains, the
-	// active one's included; SealedLogBytes / ChainBytes are the sealed
-	// segments' on-disk footprints (SealedLogBytes is also folded into
-	// LogBytes).
-	SealedPartitions int
-	DeltaSnapshots   int
-	SealedLogBytes   int64
-	ChainBytes       int64
+	SnapshotBytes int64 // the chain files, fulls and deltas
+	// DeltaSnapshots counts the chain's differential elements.
+	DeltaSnapshots int
 	// ReplayedUpdates counts updates applied on top of a base
 	// materialization while answering queries — the replay work snapshots
 	// and chains could not avoid. The equivalence harness asserts bounded
@@ -773,11 +673,6 @@ type Stats struct {
 	// own object was installed instead of a new one.
 	LoadedEntities uint64
 	SharedEntities uint64
-	// CompactErrors counts failed segment compactions (the segment stays
-	// readable via log replay and recompaction retries at reopen);
-	// LastCompactError is the most recent failure's message.
-	CompactErrors    uint64
-	LastCompactError string
 	// SnapshotErrors counts failed snapshot persists (background or
 	// eager); LastSnapshotError is the most recent failure's message.
 	SnapshotErrors    uint64
@@ -798,24 +693,19 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the store's counters and on-disk footprint.
-// Element sizes are catalogued with the chains, so collecting stats never
-// stats a file while holding s.mu (which would stall the append path), and
-// s.mu alone keeps the segment set still (a seal holds it too), so Stats
-// never touches sealMu either.
+// Element sizes are catalogued with the chain, so collecting stats never
+// stats a file while holding s.mu (which would stall the append path).
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lastErr, _ := s.lastSnapErr.Load().(string)
-	lastCompact, _ := s.lastCompactErr.Load().(string)
 	st := Stats{
 		Updates:           s.updateCount,
 		Snapshots:         int(s.snapshotCount.Load()),
-		SealedPartitions:  len(s.segs) - 1,
+		LogBytes:          s.seg.log.Size(),
 		ReplayedUpdates:   s.replayed.Load(),
 		LoadedEntities:    s.loadedEntities.Load(),
 		SharedEntities:    s.sharedEntities.Load(),
-		CompactErrors:     s.compactErrs.Load(),
-		LastCompactError:  lastCompact,
 		SnapshotErrors:    s.snapErrs.Load(),
 		LastSnapshotError: lastErr,
 
@@ -826,30 +716,20 @@ func (s *Store) Stats() Stats {
 	if n := s.opts.SnapshotEveryOps; n > 0 {
 		st.SnapshotsOverdue = max(int64(s.opsSinceSnap/n)-1, 0)
 	}
-	for _, g := range s.segs {
-		var chainBytes int64
-		for _, e := range g.elems() {
-			chainBytes += e.size
-			if e.kind == enc.DeltaDiff {
-				st.DeltaSnapshots++
-			}
-		}
-		st.LogBytes += g.log.Size()
-		if g.sealed {
-			st.SealedLogBytes += g.log.Size()
-			st.ChainBytes += chainBytes
-		} else {
-			st.SnapshotBytes = chainBytes
+	for _, e := range s.seg.elems() {
+		st.SnapshotBytes += e.size
+		if e.kind == enc.DeltaDiff {
+			st.DeltaSnapshots++
 		}
 	}
 	return st
 }
 
-// DiskBytes reports the total on-disk footprint (logs + indexes + snapshots
-// + sealed chains) for the Fig 10 storage experiment.
+// DiskBytes reports the total on-disk footprint (log + indexes + snapshots)
+// for the Fig 10 storage experiment.
 func (s *Store) DiskBytes() int64 {
 	st := s.Stats()
-	return st.LogBytes + st.IndexBytes + st.SnapshotBytes + st.ChainBytes
+	return st.LogBytes + st.IndexBytes + st.SnapshotBytes
 }
 
 // LatestTimestamp returns the newest committed timestamp (0 when nothing
@@ -877,22 +757,16 @@ func (s *Store) Flush() error {
 	if err := s.codec.Strings.Sync(); err != nil {
 		return err
 	}
-	s.sealMu.RLock()
-	log := s.active().log
-	s.sealMu.RUnlock()
-	return log.Sync()
+	return s.seg.log.Sync()
 }
 
-// Close flushes and closes the store, every segment's log included. The
-// background snapshot worker is reaped and every log is closed even when
-// the flush fails (e.g. on a failed filesystem), so Close never leaks the
-// goroutine or a descriptor.
+// Close flushes and closes the store, its log included. The background
+// snapshot worker is reaped and the log is closed even when the flush fails
+// (e.g. on a failed filesystem), so Close never leaks the goroutine or a
+// descriptor.
 func (s *Store) Close() error {
 	err := s.Flush()
 	s.snaps.close()
 	<-s.workerDone
-	for _, g := range s.segs {
-		err = errors.Join(err, g.log.Close())
-	}
-	return err
+	return errors.Join(err, s.seg.log.Close())
 }

@@ -580,10 +580,11 @@ func (f failSyncFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestCloseReleasesDescriptors opens, fills and closes a sealing store
-// repeatedly — the last time over a filesystem whose fsync fails, so Close's
-// flush errors — and checks that the process holds no more descriptors than
-// when it started: Close must close every segment's log on every path.
+// TestCloseReleasesDescriptors opens, fills and closes a store whose policy
+// writes snapshots repeatedly — the last time over a filesystem whose fsync
+// fails, so Close's flush errors — and checks that the process holds no more
+// descriptors than when it started: Close must close the log and every
+// element file on every path.
 func TestCloseReleasesDescriptors(t *testing.T) {
 	openFDs := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -597,14 +598,14 @@ func TestCloseReleasesDescriptors(t *testing.T) {
 	us := chainUpdates(20)
 	start := openFDs()
 	for i := 0; i <= 50; i++ {
-		s, err := Open(enc.NewCodec(strstore.NewMem()), Options{Dir: t.TempDir(), FS: fs, PartitionEvery: 10})
+		s, err := Open(enc.NewCodec(strstore.NewMem()), Options{Dir: t.TempDir(), FS: fs, SnapshotEveryOps: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := s.AppendBatch(us[:12]); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AppendBatch(us[12:]); err != nil { // seals the first 12
+		if err := s.AppendBatch(us[12:]); err != nil { // schedules a policy snapshot of the first 12
 			t.Fatal(err)
 		}
 		failSync.Store(i == 50)

@@ -1,11 +1,11 @@
 package tstest
 
-// Cross-configuration equivalence: a partitioned store (sealed segments +
-// delta chains) and a monolithic store (one log + full snapshots) driven
-// through the identical workload must be observationally indistinguishable
-// — byte-identical GetGraph, GetDiff, and ScanGraphs at every commit
-// timestamp, before and after reopen, after a crash at every fault index,
-// and under concurrent readers while seals are in flight.
+// Cross-configuration equivalence: a store writing delta chains and a store
+// writing full snapshots only, driven through the identical workload, must be
+// observationally indistinguishable — byte-identical GetGraph, GetDiff, and
+// ScanGraphs at every commit timestamp, before and after reopen, after a
+// crash at every fault index, and under concurrent readers while policy
+// snapshots are in flight.
 
 import (
 	"fmt"
@@ -19,120 +19,132 @@ import (
 	"aion/internal/timestore"
 )
 
-// monoOpts is the reference configuration: one log and full snapshots only.
+// monoOpts is the reference configuration: full snapshots only.
 func monoOpts() timestore.Options {
 	return timestore.Options{SnapshotEveryOps: 50, DeltaChainLength: -1}
 }
 
-func partOpts() timestore.Options {
-	return timestore.Options{SnapshotEveryOps: 35, PartitionEvery: 80, DeltaChainLength: 2}
+// chainOpts writes a full, then two deltas, one policy snapshot every 35
+// updates.
+func chainOpts() timestore.Options {
+	return timestore.Options{SnapshotEveryOps: 35, DeltaChainLength: 2}
 }
 
-// TestEquivalenceAcrossSeals is the core harness run: 600 updates cross
-// several seal boundaries in the partitioned store, and every commit
-// timestamp is compared across configurations.
+// dueAt returns the timestamp of every every-th update of us: where the
+// operation policy falls due, so the chain elements sit at or just past them.
+func dueAt(us []model.Update, every int) []model.Timestamp {
+	var out []model.Timestamp
+	for i := every; i < len(us); i += every {
+		out = append(out, us[i].TS)
+	}
+	return out
+}
+
+// TestEquivalenceAcrossSeals is the core harness run: 600 updates lay a
+// chain of fulls and deltas in one store and of fulls only in the other, and
+// every commit timestamp is compared across configurations.
 func TestEquivalenceAcrossSeals(t *testing.T) {
 	us := GenWorkload(7, 600)
 	maxTS := us[len(us)-1].TS
 	cmp := NewComparator()
 
 	mono := OpenStore(t, monoOpts())
-	part := OpenStore(t, partOpts())
+	chain := OpenStore(t, chainOpts())
 	Drive(t, mono, us, 20)
-	Drive(t, part, us, 20)
-
-	bounds := part.SealedBounds()
-	if len(bounds) < 3 {
-		t.Fatalf("partitioned store sealed %d partitions, want >= 3", len(bounds))
-	}
-	if st := part.Stats(); st.SealedPartitions != len(bounds) || st.DeltaSnapshots == 0 {
-		t.Fatalf("stats report %d sealed / %d deltas, want %d sealed and deltas > 0",
-			st.SealedPartitions, st.DeltaSnapshots, len(bounds))
+	Drive(t, chain, us, 20)
+	mono.WaitSnapshots()
+	chain.WaitSnapshots()
+	if st := chain.Stats(); st.DeltaSnapshots < 5 || st.SnapshotErrors != 0 {
+		t.Fatalf("chain store wrote %d deltas with %d snapshot errors, want >= 5 and none", st.DeltaSnapshots, st.SnapshotErrors)
 	}
 
-	// Every commit timestamp, including 0 (before history) and boundaries.
+	// Every commit timestamp, including 0 (before history).
 	for ts := model.Timestamp(0); ts <= maxTS; ts++ {
-		AssertSameGraph(t, cmp, mono, part, ts)
+		AssertSameGraph(t, cmp, mono, chain, ts)
 	}
-	// Diff windows: the full history, plus windows straddling every seal
-	// boundary, plus seeded random windows.
-	AssertSameDiff(t, cmp, mono, part, 0, maxTS+1)
-	for _, b := range bounds {
-		AssertSameDiff(t, cmp, mono, part, b-3, b+4)
-		AssertSameDiff(t, cmp, mono, part, b, b+1)
+	// Diff windows: the full history, plus windows straddling every point a
+	// policy snapshot fell due, plus seeded random windows.
+	AssertSameDiff(t, cmp, mono, chain, 0, maxTS+1)
+	due := dueAt(us, chain.Opts.SnapshotEveryOps)
+	for _, b := range due {
+		AssertSameDiff(t, cmp, mono, chain, b-3, b+4)
+		AssertSameDiff(t, cmp, mono, chain, b, b+1)
 	}
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 25; i++ {
 		a := model.Timestamp(rng.Int63n(int64(maxTS)))
 		b := a + 1 + model.Timestamp(rng.Int63n(int64(maxTS-a)+1))
-		AssertSameDiff(t, cmp, mono, part, a, b)
+		AssertSameDiff(t, cmp, mono, chain, a, b)
 	}
-	// Snapshot series across the whole history and dense across two seals.
-	AssertSameScan(t, cmp, mono, part, 1, maxTS+1, 7)
-	AssertSameScan(t, cmp, mono, part, bounds[0]-2, bounds[1]+3, 1)
+	// Snapshot series across the whole history and dense across two
+	// elements.
+	AssertSameScan(t, cmp, mono, chain, 1, maxTS+1, 7)
+	AssertSameScan(t, cmp, mono, chain, due[0]-2, due[1]+3, 1)
 
 	if err := mono.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Close(); err != nil {
+	if err := chain.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEquivalenceColdReopen reopens the partitioned store (recovery path:
-// partitions re-derived from directory state) and re-verifies equivalence
-// against a monolithic reference, then asserts the bounded-replay
-// contract: a graph query landing in an old partition replays only that
-// partition's chain, not the history before it.
+// TestEquivalenceColdReopen reopens the chain store (recovery path: the
+// chain re-derived from directory state) and re-verifies equivalence against
+// a fulls-only reference, then asserts the bounded-replay contract: a graph
+// query deep in history on a cold cache loads the nearest full and replays
+// at most its deltas and one policy interval of log, not the history before
+// it.
 func TestEquivalenceColdReopen(t *testing.T) {
 	us := GenWorkload(21, 600)
 	maxTS := us[len(us)-1].TS
 	cmp := NewComparator()
 
 	mono := OpenStore(t, monoOpts())
-	part := OpenStore(t, partOpts())
+	chain := OpenStore(t, chainOpts())
 	Drive(t, mono, us, 20)
-	Drive(t, part, us, 20)
-	if err := part.Close(); err != nil {
+	Drive(t, chain, us, 20)
+	if err := chain.Close(); err != nil {
 		t.Fatal(err)
 	}
-	part = part.Reopen(t)
+	chain = chain.Reopen(t)
 
-	bounds := part.SealedBounds()
-	if len(bounds) < 4 {
-		t.Fatalf("reopened store reports %d sealed partitions, want >= 4", len(bounds))
+	if st := chain.Stats(); st.DeltaSnapshots < 5 {
+		t.Fatalf("reopened store reports %d deltas, want >= 5", st.DeltaSnapshots)
 	}
 	for ts := model.Timestamp(0); ts <= maxTS; ts += 3 {
-		AssertSameGraph(t, cmp, mono, part, ts)
+		AssertSameGraph(t, cmp, mono, chain, ts)
 	}
-	AssertSameGraph(t, cmp, mono, part, maxTS)
-	AssertSameDiff(t, cmp, mono, part, 0, maxTS+1)
+	AssertSameGraph(t, cmp, mono, chain, maxTS)
+	AssertSameDiff(t, cmp, mono, chain, 0, maxTS+1)
 
-	// Bounded replay: query the middle of the fourth partition. At least
-	// three partitions of history precede it, so a from-genesis replay
-	// would apply >= 3*PartitionEvery updates; the partition-local chain
-	// bounds it by roughly one partition's worth.
-	every := part.Opts.PartitionEvery
-	ts := bounds[2] + (bounds[3]-bounds[2])/2
+	// Bounded replay: query two thirds into history on a cold cache. A
+	// from-genesis replay would apply >= 10 policy intervals of updates; the
+	// chain bounds it by DeltaChainLength deltas plus about one interval of
+	// log.
+	if err := chain.Close(); err != nil {
+		t.Fatal(err)
+	}
+	chain.Opts.GraphStoreBytes = 1
+	chain = chain.Reopen(t)
+	every := chain.Opts.SnapshotEveryOps
+	ts := us[len(us)*2/3].TS
 	naive := 0
 	for _, u := range us {
 		if u.TS <= ts {
 			naive++
 		}
 	}
-	if naive < 3*every {
+	if naive < 10*every {
 		t.Fatalf("query ts %d has only %d preceding updates, want >= %d for a meaningful bound",
-			ts, naive, 3*every)
+			ts, naive, 10*every)
 	}
-	base := part.Stats().ReplayedUpdates
-	if _, err := part.GetGraph(ts); err != nil {
+	base := chain.Stats().ReplayedUpdates
+	if _, err := chain.GetGraph(ts); err != nil {
 		t.Fatal(err)
 	}
-	replayed := int(part.Stats().ReplayedUpdates - base)
-	// Upper bound only: the graphstore may already hold a nearby base, in
-	// which case replay is even shorter. What must never happen is a
-	// replay proportional to the full preceding history.
-	if limit := 2 * every; replayed > limit {
+	replayed := int(chain.Stats().ReplayedUpdates - base)
+	if limit := (chain.Opts.DeltaChainLength + 2) * every; replayed > limit {
 		t.Fatalf("GetGraph(%d) replayed %d updates, want <= %d (naive replay: %d)",
 			ts, replayed, limit, naive)
 	}
@@ -140,14 +152,14 @@ func TestEquivalenceColdReopen(t *testing.T) {
 	if err := mono.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.Close(); err != nil {
+	if err := chain.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEquivalenceActiveDeltaChain is the differential test of the active
-// chain's deltas: one seeded history through a store that never seals and
-// writes two deltas between fulls, and through its fulls-only twin. GetGraph
+// TestEquivalenceActiveDeltaChain is the differential test of the chain's
+// deltas: one seeded history through a store that writes two deltas between
+// fulls, and through its fulls-only twin. GetGraph
 // at every commit timestamp equals a replay from zero in both — with the
 // cache warm (ascending, so most misses find their neighbour cached) and
 // after a reopen with a one-entry cache (descending, so every element loads
@@ -177,8 +189,8 @@ func TestEquivalenceActiveDeltaChain(t *testing.T) {
 	Drive(t, deltas, us, 20)
 	Drive(t, fulls, us, 20)
 	ds, fs := deltas.Stats(), fulls.Stats()
-	if ds.DeltaSnapshots == 0 || ds.SnapshotErrors != 0 || ds.SealedPartitions != 0 {
-		t.Fatalf("delta store: %d deltas, %d snapshot errors (%s), %d sealed", ds.DeltaSnapshots, ds.SnapshotErrors, ds.LastSnapshotError, ds.SealedPartitions)
+	if ds.DeltaSnapshots == 0 || ds.SnapshotErrors != 0 {
+		t.Fatalf("delta store: %d deltas, %d snapshot errors (%s)", ds.DeltaSnapshots, ds.SnapshotErrors, ds.LastSnapshotError)
 	}
 	if fs.DeltaSnapshots != 0 || fs.SnapshotErrors != 0 || ds.SnapshotBytes >= fs.SnapshotBytes {
 		t.Fatalf("fulls-only twin: %d deltas, %d snapshot errors; chains of %d bytes (deltas) and %d (fulls)", fs.DeltaSnapshots, fs.SnapshotErrors, ds.SnapshotBytes, fs.SnapshotBytes)
@@ -252,23 +264,25 @@ func driveFaulty(st *Store, us []model.Update) (attempted, durable int) {
 	return attempted, durable
 }
 
-// TestCrashEquivalenceSweep crashes the partitioned store at every
-// mutating-operation fault index, reopens it, and checks the recovered
-// state against a clean monolithic store fed the recovered prefix: the
-// two must agree byte-for-byte on graphs and diffs. This catches recovery
-// bugs that preserve a consistent-looking but wrong history.
+// TestCrashEquivalenceSweep crashes a store whose snapshot worker writes
+// policy deltas at every mutating-operation fault index, reopens it, and
+// checks the recovered state against a clean fulls-only store fed the
+// recovered prefix: the two must agree byte-for-byte on graphs and diffs.
+// This catches recovery bugs that preserve a consistent-looking but wrong
+// history.
 func TestCrashEquivalenceSweep(t *testing.T) {
-	us := GenWorkload(11, 120)
+	us := GenWorkload(11, 160)
 	maxTS := us[len(us)-1].TS
-	sweepOpts := timestore.Options{SnapshotEveryOps: 1 << 30, PartitionEvery: 30, DeltaChainLength: 1, ParallelIO: 1}
+	sweepOpts := timestore.Options{SnapshotEveryOps: 10, DeltaChainLength: 1, ParallelIO: 1}
 
 	// Fault-free run measures the op count to sweep.
 	probe := OpenStore(t, sweepOpts)
 	if att, _ := driveFaulty(probe, us); att != len(us) {
 		t.Fatalf("fault-free run stopped after %d/%d updates", att, len(us))
 	}
-	if len(probe.SealedBounds()) < 3 {
-		t.Fatalf("sweep workload sealed %d partitions, want >= 3", len(probe.SealedBounds()))
+	probe.WaitSnapshots()
+	if st := probe.Stats(); st.DeltaSnapshots < 3 || st.SnapshotErrors != 0 {
+		t.Fatalf("sweep workload wrote %d deltas with %d snapshot errors, want >= 3 and none", st.DeltaSnapshots, st.SnapshotErrors)
 	}
 	if err := probe.Close(); err != nil {
 		t.Fatal(err)
@@ -286,15 +300,15 @@ func TestCrashEquivalenceSweep(t *testing.T) {
 
 func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, maxTS model.Timestamp, opts timestore.Options, k int, torn bool) {
 	t.Helper()
-	part := OpenStore(t, opts)
-	part.FS.SetTornSync(torn)
-	part.FS.SetFailAfter(int64(k))
-	attempted, durable := driveFaulty(part, us)
-	_ = part.Close() // reaps the worker; errors expected on a failed FS
-	part.FS.Crash()
-	part = part.Reopen(t)
+	chain := OpenStore(t, opts)
+	chain.FS.SetTornSync(torn)
+	chain.FS.SetFailAfter(int64(k))
+	attempted, durable := driveFaulty(chain, us)
+	_ = chain.Close() // reaps the worker; errors expected on a failed FS
+	chain.FS.Crash()
+	chain = chain.Reopen(t)
 
-	rec, err := part.GetDiff(0, maxTS+1)
+	rec, err := chain.GetDiff(0, maxTS+1)
 	if err != nil {
 		t.Fatalf("k=%d torn=%v: GetDiff after recovery: %v", k, torn, err)
 	}
@@ -308,38 +322,38 @@ func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, m
 		}
 	}
 
-	// A clean monolithic store fed the recovered prefix is the oracle.
+	// A clean store fed the recovered prefix, fulls only, is the oracle.
 	mono := OpenStore(t, timestore.Options{SnapshotEveryOps: 1 << 30, ParallelIO: 1})
 	if len(rec) > 0 {
 		if err := mono.AppendBatch(rec); err != nil {
 			t.Fatalf("k=%d torn=%v: oracle append: %v", k, torn, err)
 		}
 	}
-	if lp, lm := part.LatestTimestamp(), mono.LatestTimestamp(); lp != lm {
+	if lp, lm := chain.LatestTimestamp(), mono.LatestTimestamp(); lp != lm {
 		t.Fatalf("k=%d torn=%v: latest ts %d vs oracle %d", k, torn, lp, lm)
 	}
 	for ts := model.Timestamp(0); ts <= maxTS; ts += maxTS/5 + 1 {
-		AssertSameGraph(t, cmp, mono, part, ts)
+		AssertSameGraph(t, cmp, mono, chain, ts)
 	}
-	AssertSameGraph(t, cmp, mono, part, maxTS)
+	AssertSameGraph(t, cmp, mono, chain, maxTS)
 	if err := mono.Close(); err != nil {
 		t.Fatalf("k=%d torn=%v: oracle close: %v", k, torn, err)
 	}
-	if err := part.Close(); err != nil {
+	if err := chain.Close(); err != nil {
 		t.Fatalf("k=%d torn=%v: close recovered store: %v", k, torn, err)
 	}
 }
 
 // TestConcurrentReadersDuringSeal runs graph and diff readers against the
-// store while the writer drives it across many seal boundaries. Run under
-// -race this checks the seal's reader-exclusion; the count assertions
-// check readers never observe a half-sealed hybrid (lost or duplicated
-// updates at any watermark).
+// store while the writer drives it across many policy snapshots, each a full
+// or a delta the worker writes and catalogues beside the readers. Run under
+// -race this checks the chain's leaf lock; the count assertions check readers
+// never observe a half-catalogued chain (lost or duplicated updates at any
+// watermark).
 func TestConcurrentReadersDuringSeal(t *testing.T) {
 	const total = 400
 	st := OpenStore(t, timestore.Options{
-		SnapshotEveryOps: 60,
-		PartitionEvery:   25,
+		SnapshotEveryOps: 25,
 		DeltaChainLength: 1,
 	})
 
@@ -402,8 +416,9 @@ func TestConcurrentReadersDuringSeal(t *testing.T) {
 		t.Error(err)
 	}
 
-	if got := len(st.SealedBounds()); got < 10 {
-		t.Fatalf("writer sealed %d partitions, want >= 10 for meaningful contention", got)
+	st.WaitSnapshots()
+	if got := st.Stats().Snapshots; got < 10 {
+		t.Fatalf("writer's policy took %d snapshots, want >= 10 for meaningful contention", got)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

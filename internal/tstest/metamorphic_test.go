@@ -4,9 +4,8 @@ package tstest
 // queries regardless of physical layout. The central one is diff
 // composition — GetDiff over [ts1, ts2) must equal the concatenation of
 // GetDiff over [ts1, tm) and [tm, ts2) for ANY midpoint tm, including
-// midpoints sitting exactly on a partition seal boundary, where the two
-// halves are served by different storage structures (sealed chain + log
-// vs active log).
+// midpoints sitting where a policy snapshot fell due, where the two halves
+// start their walks from different chain elements.
 
 import (
 	"math/rand"
@@ -17,7 +16,7 @@ import (
 )
 
 func timestoreOptsForComposition() timestore.Options {
-	return timestore.Options{SnapshotEveryOps: 40, PartitionEvery: 60, DeltaChainLength: 2}
+	return timestore.Options{SnapshotEveryOps: 40, DeltaChainLength: 2}
 }
 
 // composeDiff concatenates the two half-window diffs through the
@@ -47,19 +46,19 @@ func assertComposes(t *testing.T, cmp *Comparator, st *Store, ts1, tm, ts2 model
 	}
 }
 
-// TestDiffComposition checks the composition property on a partitioned
-// store for random windows and midpoints, then forces every seal boundary
-// (and boundary+1, the first timestamp of the next partition) to serve as
-// the midpoint of a window straddling it.
+// TestDiffComposition checks the composition property on a delta-chain
+// store for random windows and midpoints, then forces every point a policy
+// snapshot fell due (and the timestamp after it) to serve as the midpoint of
+// a window straddling it.
 func TestDiffComposition(t *testing.T) {
 	us := GenWorkload(13, 400)
 	maxTS := us[len(us)-1].TS
 	cmp := NewComparator()
 	st := OpenStore(t, timestoreOptsForComposition())
 	Drive(t, st, us, 25)
-	bounds := st.SealedBounds()
-	if len(bounds) < 3 {
-		t.Fatalf("workload sealed %d partitions, want >= 3", len(bounds))
+	st.WaitSnapshots()
+	if got := st.Stats().Snapshots; got < 5 {
+		t.Fatalf("workload's policy took %d snapshots, want >= 5", got)
 	}
 
 	rng := rand.New(rand.NewSource(17))
@@ -70,10 +69,9 @@ func TestDiffComposition(t *testing.T) {
 		assertComposes(t, cmp, st, ts1, tm, ts2)
 	}
 
-	// Midpoints pinned to seal boundaries: the lower half ends exactly at
-	// the sealed partition's max timestamp, the upper half starts in the
-	// next partition (or the active log).
-	for _, b := range bounds {
+	// Midpoints pinned to the policy's due points: the lower half ends at or
+	// just before a chain element, the upper half starts at or past it.
+	for _, b := range dueAt(us, st.Opts.SnapshotEveryOps) {
 		for _, tm := range []model.Timestamp{b, b + 1} {
 			assertComposes(t, cmp, st, 0, tm, maxTS+1)
 			assertComposes(t, cmp, st, b-5, tm, b+6)

@@ -1,11 +1,10 @@
 // Package tstest is the TimeStore cross-configuration equivalence harness:
-// it drives differently-configured stores (partitioned vs monolithic,
+// it drives differently-configured stores (delta chains vs fulls only,
 // different snapshot policies) through identical seeded workloads and
 // asserts byte-identical observable results — GetGraph, GetDiff,
-// ScanGraphs — at every commit timestamp. Partitioning, delta chains, and
-// snapshot placement are pure accelerators; any observable divergence
-// between configurations is a bug, and this package is the oracle that
-// says so.
+// ScanGraphs — at every commit timestamp. Delta chains and snapshot
+// placement are pure accelerators; any observable divergence between
+// configurations is a bug, and this package is the oracle that says so.
 //
 // Byte identity is checked through a shared comparator codec: each store
 // interns strings into its own table, so raw encodings differ across
@@ -30,7 +29,7 @@ import (
 // GenWorkload builds a deterministic, valid update stream from the seed:
 // node/rel inserts, property updates, rel deletes, with occasionally
 // repeated timestamps (exercising per-timestamp sequence numbers) and
-// timestamps advancing by 0 or 1 so seal boundaries land mid-stream.
+// timestamps advancing by 0 or 1 so policy snapshots land mid-stream.
 func GenWorkload(seed int64, n int) []model.Update {
 	rng := rand.New(rand.NewSource(seed))
 	type relInfo struct {
@@ -287,10 +286,7 @@ func scanDigests(tb testing.TB, cmp *Comparator, st *Store, start, end, step mod
 	return out
 }
 
-// name labels a store by its partitioning and chain config in failure messages.
+// name labels a store by its policy and chain config in failure messages.
 func (s *Store) name() string {
-	if s.Opts.PartitionEvery > 0 {
-		return fmt.Sprintf("partitioned(every=%d,chain=%d)", s.Opts.PartitionEvery, s.Opts.DeltaChainLength)
-	}
-	return fmt.Sprintf("monolithic(chain=%d)", s.Opts.DeltaChainLength)
+	return fmt.Sprintf("store(every=%d,chain=%d)", s.Opts.SnapshotEveryOps, s.Opts.DeltaChainLength)
 }
