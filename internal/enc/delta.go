@@ -10,8 +10,10 @@ import (
 // Delta snapshot records: the header frame of the .dsnap chain files the
 // TimeStore stores its full and differential snapshots in (after DeltaGraph's
 // hierarchical delta snapshots). A chain file is a sequence of len+CRC
-// frames; frame 0 is the header encoded here, every later one a block
-// (batch.go) of up to 256 update records, Count of them in all. The header
+// frames; frame 0 is the header encoded here. In a full every later frame is
+// a block (batch.go) of up to 256 update records, Count of them in all; a
+// delta is its header alone, and its records are the Count records of the
+// TimeStore log between its base's LogOff and its own. The header
 // makes every chain file self-describing: recovery derives the whole chain
 // from the headers alone (derive-don't-trust), so the file name is only a
 // convenience that must agree with the header.
@@ -26,8 +28,8 @@ type DeltaKind uint8
 const (
 	// DeltaFull is a complete graph materialization at the header position.
 	DeltaFull DeltaKind = 0
-	// DeltaDiff is a differential snapshot: the compacted updates that turn
-	// the base element's graph into this element's graph.
+	// DeltaDiff is a differential snapshot: the log window whose updates
+	// turn the base element's graph into this element's graph.
 	DeltaDiff DeltaKind = 1
 )
 
@@ -45,7 +47,7 @@ func (k DeltaKind) String() string {
 // applies on top of (unused for DeltaFull); LogOff is the partition-log
 // offset of the first record NOT covered by the element, so replay past
 // the element starts there; Count is the number of update records that
-// follow the header in the file.
+// follow the header in a full's file, or that a delta's log window holds.
 type DeltaHeader struct {
 	Kind    DeltaKind
 	TS      model.Timestamp

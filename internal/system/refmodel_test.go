@@ -375,10 +375,12 @@ func (r *residentSys) matchEntities(label string, m *refmodel.Model, last model.
 
 // decodeFiles reads every file of the closed store r's TimeStore back with
 // nothing but the frame layout, the delta header, the block codec and the
-// update codec. Each element — a full from an empty graph, a delta on the
-// graph of the element before it, which must be the base it names — must hold
-// the model's graph at its position. The log — its marker, then one frame per
-// commit — must hold the whole history.
+// update codec. The log — its marker, then one frame per commit — must hold
+// the whole history. Each full, from an empty graph, must hold the model's
+// graph at its position. Each delta must be its header alone, naming the
+// element before it as its base; its window — the log's frames from the
+// base's logOff to its own — must hold Count records, and the model's graph at
+// the base with the window applied must be the model's graph at its position.
 func (r *residentSys) decodeFiles(label string, digests *enc.Codec) {
 	t := r.t
 	t.Helper()
@@ -401,11 +403,16 @@ func (r *residentSys) decodeFiles(label string, digests *enc.Codec) {
 	}
 	var logged []model.Update
 	path := "sys/aion/timestore/p-1/updates.log"
-	frames := readFrames(t, r.fs, path)
-	if string(frames[0]) != "ATL2" {
-		t.Fatalf("%s: %s opens with %q, not the format marker", label, path, frames[0])
+	logFrames := readFrames(t, r.fs, path)
+	if string(logFrames[0]) != "ATL2" {
+		t.Fatalf("%s: %s opens with %q, not the format marker", label, path, logFrames[0])
 	}
-	for _, f := range frames[1:] {
+	// Frame i of the log starts at offs[i]; offs[len(logFrames)] is its end.
+	offs := make([]int64, len(logFrames)+1)
+	for i, f := range logFrames {
+		offs[i+1] = offs[i] + 8 + int64(len(f))
+	}
+	for _, f := range logFrames[1:] {
 		us := blocks(path, [][]byte{f})
 		if at := us[0].TS; at < 1 || int(at) > len(commits) || len(us) != len(commits[at-1]) ||
 			slices.ContainsFunc(us, func(u model.Update) bool { return u.TS != at }) {
@@ -416,15 +423,13 @@ func (r *residentSys) decodeFiles(label string, digests *enc.Codec) {
 	if exportDigest(t, digests, logged) != exportDigest(t, digests, m.Diff(0, model.Timestamp(len(commits))+1)) {
 		t.Errorf("%s: the log holds another history than the model's", label)
 	}
-	var g *memgraph.Graph
 	var prev enc.DeltaHeader
 	fulls, deltas := 0, 0
 	for _, e := range r.chainElements() {
 		frames := readFrames(t, r.fs, e.name)
 		hdr, err := enc.DecodeDeltaHeader(frames[0])
-		us := blocks(e.name, frames[1:])
-		if err != nil || hdr.TS != e.at || int(hdr.Seq) != e.seq || int(hdr.Count) != len(us) {
-			t.Fatalf("%s: %s: header %+v, %d records: %v", label, e.name, hdr, len(us), err)
+		if err != nil || hdr.TS != e.at || int(hdr.Seq) != e.seq {
+			t.Fatalf("%s: %s: header %+v: %v", label, e.name, hdr, err)
 		}
 		// Every element is complete at its timestamp: the last update of a
 		// commit, or the state before all history.
@@ -432,10 +437,27 @@ func (r *residentSys) decodeFiles(label string, digests *enc.Codec) {
 			t.Errorf("%s: %s is not placed at the end of a commit", label, e.name)
 			continue
 		}
+		g := memgraph.New()
+		var us []model.Update
 		if hdr.Kind == enc.DeltaFull {
-			g, fulls = memgraph.New(), fulls+1
-		} else if deltas++; g == nil || hdr.BaseTS != prev.TS || hdr.BaseSeq != prev.Seq {
-			t.Fatalf("%s: %s is a delta on (%d, %d), the element before it is at (%d, %d)", label, e.name, hdr.BaseTS, hdr.BaseSeq, prev.TS, prev.Seq)
+			fulls++
+			us = blocks(e.name, frames[1:])
+		} else {
+			deltas++
+			if fulls == 0 || hdr.BaseTS != prev.TS || hdr.BaseSeq != prev.Seq {
+				t.Fatalf("%s: %s is a delta on (%d, %d), the element before it is at (%d, %d)", label, e.name, hdr.BaseTS, hdr.BaseSeq, prev.TS, prev.Seq)
+			}
+			lo, hi := slices.Index(offs, prev.LogOff), slices.Index(offs, hdr.LogOff)
+			if len(frames) != 1 || lo < 1 || hi < lo {
+				t.Fatalf("%s: %s holds %d frames and names the window [%d, %d), not its header alone and a window of the log's frames", label, e.name, len(frames), prev.LogOff, hdr.LogOff)
+			}
+			if err := g.ApplyAll(m.Graph(prev.TS)); err != nil {
+				t.Fatalf("%s: the model's graph at %d: %v", label, prev.TS, err)
+			}
+			us = blocks(path, logFrames[lo:hi])
+		}
+		if int(hdr.Count) != len(us) {
+			t.Errorf("%s: %s counts %d records, its records are %d", label, e.name, hdr.Count, len(us))
 		}
 		if err := g.ApplyAll(us); err != nil {
 			t.Fatalf("%s: %s: %v", label, e.name, err)

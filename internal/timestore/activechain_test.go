@@ -7,6 +7,8 @@ package timestore
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -445,31 +447,101 @@ func TestSupersededElementFileRemoved(t *testing.T) {
 	check("delta over full", d4, f3)
 }
 
-// TestCompactUpdatesAllocs pins compaction's cost model: it merges its
-// input in place, so a window the size of the benchmark's policy interval
-// costs a handful of allocations — the map, the accumulators, the output —
-// not several per update.
-func TestCompactUpdatesAllocs(t *testing.T) {
-	const nodes = 6000
-	var us []model.Update
-	for round := 0; round < 3; round++ {
-		for i := 0; i < nodes; i++ {
-			props := model.Properties{"v": model.IntValue(int64(round)), "w": model.IntValue(int64(i))}
-			if round == 0 {
-				us = append(us, model.AddNode(1, model.NodeID(i), []string{"N"}, props))
-			} else {
-				us = append(us, model.UpdateNode(model.Timestamp(1+round), model.NodeID(i), nil, nil, props, nil))
-			}
+// TestOpenDropsRecordCarryingDelta pins the format rule: a delta is its
+// header frame alone, and the log window it names is its records. A delta
+// written before that carries records behind its header, and its Count counts
+// those, not its window; there is no migration. Open removes it — here one
+// whose records are its whole window, which applied would even build the
+// right graph — its dependants, orphans now, go with it, and the log answers
+// every read they served.
+func TestOpenDropsRecordCarryingDelta(t *testing.T) {
+	us := fenceHistory(7, 400)
+	opts := Options{Dir: t.TempDir(), SnapshotEveryOps: 40, DeltaChainLength: 3}
+	s := openBare(t, enc.NewCodec(strstore.NewMem()), opts)
+	defer func() { s.Close() }()
+	appendSettled(t, s, us)
+	chain := s.seg.elems()
+	if got := elemKinds(chain[:5]); got != "fdddf" {
+		t.Fatalf("chain starts %s, want fdddf", got)
+	}
+	old := chain[1]
+	var window []model.Update
+	if err := s.replayWal(context.Background(), chain[0].logOff, old.logOff, func(_ int64, u model.Update) bool {
+		window = append(window, u)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hdr := enc.DeltaHeader{Kind: enc.DeltaDiff, TS: old.pos.ts, Seq: old.pos.seq, BaseTS: old.base.ts, BaseSeq: old.base.seq,
+		LogOff: old.logOff, Count: uint64(len(window))}
+	if _, err := s.publishFrameFile(old.path, enc.AppendDeltaHeader(nil, hdr), window); err != nil {
+		t.Fatal(err)
+	}
+	s = reopened(t, s, opts)
+	if got := s.seg.elems(); len(got) != len(chain)-3 || got[0] != chain[0] || got[1].pos != chain[4].pos {
+		t.Errorf("chain after reopen %s, want the first run's full alone and everything from %+v on", elemKinds(got), chain[4].pos)
+	}
+	for _, e := range chain[1:4] {
+		if _, err := os.Stat(e.path); !os.IsNotExist(err) {
+			t.Errorf("%s is still on disk (stat: %v)", e.path, err)
 		}
 	}
-	var out []model.Update
-	// Re-running over the merged-into input is stable here: property
-	// overwrites land on keys the first run already merged in.
-	allocs := testing.AllocsPerRun(5, func() { out = compactUpdates(us) })
-	if len(out) != nodes || out[0].Kind != model.OpAddNode || out[0].SetProps["v"].Int() != 2 {
-		t.Fatalf("compacted to %d updates, first %+v", len(out), out[0])
+	o := &fenceOracle{t: t, us: us, pos: streamPositions(us), codec: s.codec}
+	o.check(s, "reopened without the record-carrying delta")
+}
+
+// TestBadWindowCountFailsTheDelta: the snapshot worker counts a delta's
+// window off its frames' count prefixes and decodes nothing, so a count
+// prefix the block codec refuses — in a frame whose checksum holds — must
+// fail the persist rather than be written into the header: the error is
+// returned and counted, and no element is published.
+func TestBadWindowCountFailsTheDelta(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30, DeltaChainLength: 2})
+	us := propUpdates(20)
+	if err := s.AppendBatch(us[:10]); err != nil {
+		t.Fatal(err)
 	}
-	if allocs > 64 {
-		t.Errorf("compacting %d updates allocated %.0f times, budget 64", len(us), allocs)
+	policySnapshotNow(t, s) // a full
+	if err := s.AppendBatch(us[10:]); err != nil {
+		t.Fatal(err)
+	}
+	var offs []int64
+	if _, err := s.seg.log.Scan(s.seg.elems()[0].logOff, func(off int64, _ []byte) bool {
+		offs = append(offs, off)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The window's second frame gets a block count of zero, re-sealed.
+	f, err := os.OpenFile(s.seg.log.Path(), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, frameHdrLen)
+	if _, err := f.ReadAt(frame, offs[1]); err != nil {
+		t.Fatal(err)
+	}
+	frame = append(frame, make([]byte, binary.LittleEndian.Uint32(frame))...)
+	if _, err := f.ReadAt(frame[frameHdrLen:], offs[1]+frameHdrLen); err != nil {
+		t.Fatal(err)
+	}
+	frame[frameHdrLen] = 0
+	sealFrame(frame)
+	_, err = f.WriteAt(frame, offs[1])
+	if err = errors.Join(err, f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if err := policySnapshot(s); err == nil || !strings.Contains(err.Error(), "bad block count") {
+		t.Errorf("a delta over a bad block count persisted: %v", err)
+	}
+	if st := s.Stats(); st.SnapshotErrors != 1 || st.Snapshots != 1 || !strings.Contains(st.LastSnapshotError, "bad block count") {
+		t.Errorf("Stats: %d snapshot errors (%q), %d snapshots; want 1 error and the full alone", st.SnapshotErrors, st.LastSnapshotError, st.Snapshots)
+	}
+	if got := elemKinds(s.seg.elems()); got != "f" {
+		t.Errorf("chain %s, want the full alone", got)
+	}
+	if files := snapshotFiles(t, dir); len(files) != 1 {
+		t.Errorf("element files %v, want the full's alone", files)
 	}
 }

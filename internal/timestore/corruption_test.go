@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,11 +75,35 @@ func corruptFrameLen(t *testing.T, path string, off int) {
 	}
 }
 
+// writeHeaderFile rewrites the element file at path as the one frame of hdr:
+// what a header-only delta holds, mutated as a test likes.
+func writeHeaderFile(t *testing.T, path string, hdr enc.DeltaHeader) {
+	t.Helper()
+	fb := append(make([]byte, frameHdrLen), enc.AppendDeltaHeader(nil, hdr)...)
+	sealFrame(fb)
+	if err := os.WriteFile(path, fb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// derived is the catalogue entry derivation makes of hdr at path.
+func derived(hdr enc.DeltaHeader, path string) chainElem {
+	return chainElem{
+		kind: hdr.Kind, pos: position{ts: hdr.TS, seq: hdr.Seq},
+		base:   position{ts: hdr.BaseTS, seq: hdr.BaseSeq},
+		logOff: hdr.LogOff, count: hdr.Count, path: path,
+	}
+}
+
 // TestCorruptFrameLengthRejectedBeforeAllocation is the regression for the
 // readers trusting a frame's length field: one flipped bit in a .dsnap used
 // to ask for up to 4 GiB before any check. The length is now bounded by the
-// bytes left in the file, and the error names the file — for a full and a
-// delta element alike.
+// bytes left in the file, and the error names the file — for a full's record
+// frame and for either kind's header frame. A delta holds its header alone,
+// so its subtests also mutate the window that header names: a logOff inside
+// a frame, at another frame boundary or before the base's, a Count one off
+// and another base each fail closed, re-derived as recovery would derive
+// them, where the true header applies to the oracle's graph.
 func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 	const maxAlloc = 32 << 20
 	check := func(t *testing.T, path string, load func() error) {
@@ -108,21 +133,82 @@ func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 					policySnapshotNow(t, s)
 				}
 				chain := s.seg.elems()
-				if len(chain) == 0 || chain[len(chain)-1].kind != kind {
+				k := len(chain) - 1
+				if k < 0 || chain[k].kind != kind {
 					t.Fatalf("chain %s does not end in a %s", elemKinds(chain), kind)
 				}
-				// A record frame: skip the header frame, whose length is intact.
-				elem := chain[len(chain)-1]
+				elem := chain[k]
 				b, err := os.ReadFile(elem.path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				corruptFrameLen(t, elem.path, frameHdrLen+int(binary.LittleEndian.Uint32(b)))
-				check(t, elem.path, func() error {
-					return s.applyChainFile(context.Background(), elem, memgraph.New(), nil, false)
-				})
-				// The header frame itself, as recovery's derivation reads it.
+				o := &fenceOracle{t: t, us: us, pos: streamPositions(us), codec: s.codec}
+				// apply returns the reader's error; a chain it accepts must
+				// build the history's graph.
+				apply := func(chain []chainElem) error {
+					t.Helper()
+					g := memgraph.New()
+					for j := range chain {
+						if err := s.applyChainFile(context.Background(), chain, j, g, nil, false); err != nil {
+							return err
+						}
+					}
+					g.SetTimestamp(chain[k].pos.ts)
+					if o.digest(g.Export()) != o.digest(o.graphAt(chain[k].pos.ts).Export()) {
+						t.Errorf("the chain ending in %+v built another graph than the history's at %d", chain[k], chain[k].pos.ts)
+					}
+					return nil
+				}
+				if kind == enc.DeltaDiff {
+					if int64(len(b)) != headerFrameLen(derivedHeader(t, b)) {
+						t.Fatalf("a delta of %d bytes is more than its header frame", len(b))
+					}
+					if err := apply(chain); err != nil {
+						t.Fatalf("the delta as written: %v", err)
+					}
+					hdr, base := derivedHeader(t, b), chain[k-1]
+					var frameOffs []int64
+					if _, err := s.seg.log.Scan(base.logOff, func(off int64, _ []byte) bool {
+						frameOffs = append(frameOffs, off) // the window's frames: the delta ends the log
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					for name, mutate := range map[string]func(h *enc.DeltaHeader){
+						"logOff inside a frame": func(h *enc.DeltaHeader) { h.LogOff-- },
+						"logOff a frame short":  func(h *enc.DeltaHeader) { h.LogOff = frameOffs[len(frameOffs)-2] },
+						"window a frame short": func(h *enc.DeltaHeader) { // its one record off the count too
+							h.LogOff, h.Count = frameOffs[len(frameOffs)-1], h.Count-1
+						},
+						"logOff before its base": func(h *enc.DeltaHeader) { h.LogOff = base.logOff - 1 },
+						"logOff past the log":    func(h *enc.DeltaHeader) { h.LogOff = s.seg.log.Size() + 1 },
+						"count one more":         func(h *enc.DeltaHeader) { h.Count++ },
+						"count one less":         func(h *enc.DeltaHeader) { h.Count-- },
+						"base another position":  func(h *enc.DeltaHeader) { h.BaseSeq++ },
+						"base the genesis":       func(h *enc.DeltaHeader) { h.BaseTS = -1 },
+					} {
+						m := hdr
+						mutate(&m)
+						writeHeaderFile(t, elem.path, m)
+						mutated := slices.Clone(chain)
+						mutated[k] = derived(m, elem.path)
+						if err := apply(mutated); err == nil {
+							t.Errorf("%s: a delta with header %+v applied", name, m)
+						}
+					}
+					writeHeaderFile(t, elem.path, hdr)
+				} else {
+					// A record frame: skip the header frame, whose length is intact.
+					corruptFrameLen(t, elem.path, frameHdrLen+int(binary.LittleEndian.Uint32(b)))
+					check(t, elem.path, func() error {
+						return s.applyChainFile(context.Background(), chain, k, memgraph.New(), nil, false)
+					})
+				}
+				// The header frame itself, as every reader reads it.
 				corruptFrameLen(t, elem.path, 0)
+				check(t, elem.path, func() error {
+					return s.applyChainFile(context.Background(), chain, k, memgraph.New(), nil, false)
+				})
 				check(t, elem.path, func() error {
 					_, err := readChainHeader(s.fs, elem.path)
 					return err
@@ -130,4 +216,14 @@ func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 			})
 		}
 	}
+}
+
+// derivedHeader decodes the header frame at the front of an element file.
+func derivedHeader(t *testing.T, b []byte) enc.DeltaHeader {
+	t.Helper()
+	hdr, err := enc.DecodeDeltaHeader(b[frameHdrLen : frameHdrLen+binary.LittleEndian.Uint32(b)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hdr
 }

@@ -1,20 +1,20 @@
-// Chain elements: writing, loading, and the net-effect compaction of a delta
-// (DeltaGraph-style differential snapshots, PAPERS.md arXiv:1207.5777). The
-// chain is fulls with up to DeltaChainLength *differential* snapshots between
-// them, each holding the updates since the previous element compacted to
-// their net effect; it grows one policy snapshot at a time
-// (persistSnapshot). GetGraph(ts) then loads the nearest full — or starts
-// from a cached graph that sits at one of the run's elements — and applies at
-// most DeltaChainLength deltas plus a bounded log tail, instead of replaying
-// from a distant snapshot.
+// Chain elements: writing, loading and applying them (DeltaGraph-style
+// differential snapshots, PAPERS.md arXiv:1207.5777). The chain is fulls with
+// up to DeltaChainLength *differential* snapshots between them; it grows one
+// policy snapshot at a time (persistSnapshot). A delta stores no records: its
+// file is its header alone, and the log window it names — from its base's
+// logOff to its own — is its records, kept once, in updates.log, the way
+// DeltaGraph keeps the events between two snapshots once, as an eventlist.
+// GetGraph(ts) then loads the nearest full — or starts from a cached graph
+// that sits at one of the run's elements — and replays at most
+// DeltaChainLength windows plus a bounded log tail, instead of replaying from
+// a distant snapshot.
 package timestore
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"path/filepath"
-	"slices"
 
 	"aion/internal/enc"
 	"aion/internal/memgraph"
@@ -22,14 +22,16 @@ import (
 	"aion/internal/vfs"
 )
 
-// writeChainElem publishes one element file in the segment directory — frame 0 is
-// the delta header, every later frame a block of up to frameBatchRecords
-// update records — and returns its catalogue entry for the caller to place.
-func (s *Store) writeChainElem(kind enc.DeltaKind, pos, base position, logOff int64, us []model.Update) (chainElem, error) {
+// writeChainElem publishes one element file in the segment directory — frame
+// 0 is the delta header, every later frame a block of up to frameBatchRecords
+// of a full's records; a delta's header counts the records of its window
+// and nothing follows it — and returns its catalogue entry for the caller to
+// place.
+func (s *Store) writeChainElem(kind enc.DeltaKind, pos, base position, logOff int64, count uint64, us []model.Update) (chainElem, error) {
 	hdr := enc.DeltaHeader{
 		Kind: kind, TS: pos.ts, Seq: pos.seq,
 		BaseTS: base.ts, BaseSeq: base.seq,
-		LogOff: logOff, Count: uint64(len(us)),
+		LogOff: logOff, Count: count,
 	}
 	path := filepath.Join(s.seg.dir, chainFileName(kind, pos))
 	n, err := s.publishFrameFile(path, enc.AppendDeltaHeader(nil, hdr), us)
@@ -38,8 +40,15 @@ func (s *Store) writeChainElem(kind enc.DeltaKind, pos, base position, logOff in
 	}
 	return chainElem{
 		kind: kind, pos: pos, base: base,
-		logOff: logOff, count: hdr.Count, path: path, size: n,
+		logOff: logOff, count: count, path: path, size: n,
 	}, nil
+}
+
+// headerFrameLen is the size of the one frame a delta file holds: its
+// header, whose encoding is canonical (enc.DecodeDeltaHeader rejects any
+// other), framed.
+func headerFrameLen(hdr enc.DeltaHeader) int64 {
+	return frameHdrLen + int64(len(enc.AppendDeltaHeader(nil, hdr)))
 }
 
 // readChainHeader reads and validates only frame 0 of a chain file (cheap:
@@ -52,47 +61,76 @@ func readChainHeader(fs vfs.FS, path string) (enc.DeltaHeader, error) {
 	return enc.DecodeDeltaHeader(frames[0])
 }
 
-// applyChainFile streams elem's update records into g, sharing with ref (nil:
-// nothing to share with) every entity version they produce that ref holds too
-// (memgraph.ApplyShared). countReplay marks delta applications
-// (materialization work the chain could not avoid) for the ReplayedUpdates
-// stat; full loads are snapshot loads, not replay.
-func (s *Store) applyChainFile(ctx context.Context, elem chainElem, g, ref *memgraph.Graph, countReplay bool) error {
+// applyChainFile applies chain[k] to g — a full's records, or a delta's log
+// window, onto g at the delta's base chain[k-1] — sharing with ref (nil:
+// nothing to share with) every entity version they produce that ref holds
+// too (memgraph.ApplyShared). A delta fails closed: it must name chain[k-1]
+// as its base, and its window must hold Count records and end at its
+// position. countReplay marks delta applications (materialization work the
+// chain could not avoid) for the ReplayedUpdates stat; full loads are
+// snapshot loads, not replay.
+func (s *Store) applyChainFile(ctx context.Context, chain []chainElem, k int, g, ref *memgraph.Graph, countReplay bool) error {
+	elem := chain[k]
+	frames, err := readFrames(s.fs, elem.path, false)
+	if err != nil {
+		return err
+	}
+	hdr, err := enc.DecodeDeltaHeader(frames[0])
+	if err != nil {
+		return err
+	}
+	if hdr.Kind != elem.kind || hdr.TS != elem.pos.ts || hdr.Seq != elem.pos.seq || hdr.Count != elem.count || hdr.LogOff != elem.logOff {
+		return fmt.Errorf("timestore: chain file %s header changed since derivation", elem.path)
+	}
 	var applied, loaded, shared uint64
-	err := s.readFrameFile(ctx, elem.path,
-		func(payload []byte) error {
-			hdr, err := enc.DecodeDeltaHeader(payload)
-			if err != nil {
-				return err
-			}
-			if hdr.Kind != elem.kind || hdr.TS != elem.pos.ts || hdr.Seq != elem.pos.seq || hdr.Count != elem.count {
-				return fmt.Errorf("timestore: chain file %s header changed since derivation", elem.path)
-			}
-			return nil
-		},
-		func(us []model.Update) error {
+	apply := func(u model.Update) error {
+		same, err := g.ApplyShared(u, ref)
+		if err != nil {
+			return fmt.Errorf("timestore: chain apply %s: %w", elem.path, err)
+		}
+		if same {
+			shared++
+		}
+		if u.Kind != model.OpDeleteNode && u.Kind != model.OpDeleteRel {
+			loaded++
+		}
+		applied++
+		return nil
+	}
+	var end position // where the records applied end
+	if elem.kind == enc.DeltaFull {
+		end = elem.pos
+		err = s.decodeFrames(ctx, elem.path, frames[1:], func(us []model.Update) error {
 			for _, u := range us {
-				same, err := g.ApplyShared(u, ref)
-				if err != nil {
-					return fmt.Errorf("timestore: chain apply %s: %w", elem.path, err)
+				if err := apply(u); err != nil {
+					return err
 				}
-				if same {
-					shared++
-				}
-				if u.Kind != model.OpDeleteNode && u.Kind != model.OpDeleteRel {
-					loaded++
-				}
-			}
-			applied += uint64(len(us))
-			if countReplay {
-				s.replayed.Add(uint64(len(us)))
 			}
 			return nil
 		})
+	} else {
+		if len(frames) != 1 || k == 0 || chain[k-1].pos != elem.base || elem.logOff > s.seg.log.Size() {
+			return fmt.Errorf("timestore: delta %s is not a header on the element before it naming a window of the log", elem.path)
+		}
+		base := chain[k-1]
+		end = base.pos
+		var aerr error
+		err = s.replayWal(ctx, base.logOff, elem.logOff, func(_ int64, u model.Update) bool {
+			end = end.next(u.TS)
+			aerr = apply(u)
+			return aerr == nil
+		})
+		if err == nil {
+			err = aerr
+		}
+	}
 	s.loadedEntities.Add(loaded)
 	s.sharedEntities.Add(shared)
-	if err == nil && applied != elem.count {
-		err = fmt.Errorf("timestore: chain file %s holds %d records, header says %d", elem.path, applied, elem.count)
+	if countReplay {
+		s.replayed.Add(applied)
+	}
+	if err == nil && (applied != elem.count || end != elem.pos) {
+		err = fmt.Errorf("timestore: chain file %s: %d records ending at %+v, header says %d ending at %+v", elem.path, applied, end, elem.count, elem.pos)
 	}
 	return err
 }
@@ -124,7 +162,7 @@ func (s *Store) loadElem(ctx context.Context, chain []chainElem, j int, near, re
 		}
 	}
 	for k := from; k <= j; k++ {
-		if err := s.applyChainFile(ctx, chain[k], g, ref, chain[k].kind == enc.DeltaDiff); err != nil {
+		if err := s.applyChainFile(ctx, chain, k, g, ref, chain[k].kind == enc.DeltaDiff); err != nil {
 			return nil, err
 		}
 	}
@@ -194,7 +232,7 @@ func (s *Store) rebaseRun(ctx context.Context, chain []chainElem, j int, g, ref 
 	}
 	g = g.Clone() // the caller's graph stays at chain[j]
 	for k := j + 1; k <= last; k++ {
-		if err := s.applyChainFile(ctx, chain[k], g, ref, true); err != nil {
+		if err := s.applyChainFile(ctx, chain, k, g, ref, true); err != nil {
 			return err
 		}
 		g.SetTimestamp(chain[k].pos.ts)
@@ -202,89 +240,4 @@ func (s *Store) rebaseRun(ctx context.Context, chain []chainElem, j int, g, ref 
 		s.gs.Rebase(g)
 	}
 	return nil
-}
-
-// --- delta compaction --------------------------------------------------------
-
-// entAcc folds one entity's updates within a window to their net effect,
-// as pointers into the window. At most one of each survives: del (a
-// pre-existing entity deleted in the window), add (an entity created — or
-// deleted-and-recreated — in the window, with later updates merged in), upd (a
-// pre-existing entity modified). del+add together encode
-// delete-then-recreate.
-type entAcc struct {
-	del, add, upd *model.Update
-}
-
-// emitPhase orders a compacted window so that memgraph.Apply's referential
-// constraints hold: rel deletes, node deletes, node adds/updates, rel
-// adds/updates (a node is deleted only after its rels, a rel added only
-// after its endpoints).
-func emitPhase(k model.OpKind) int {
-	switch {
-	case k == model.OpDeleteRel:
-		return 0
-	case k == model.OpDeleteNode:
-		return 1
-	case k.IsNodeOp():
-		return 2
-	}
-	return 3
-}
-
-// compactUpdates reduces a window of the update stream to its net effect:
-// the minimal-ish update list that transforms the window's entry graph into
-// its end graph through memgraph.Apply, in emitPhase order and by entity ID
-// within a phase. It owns us: later updates are merged into earlier ones in
-// place, so the label slices and property maps must alias nothing the caller
-// still reads — true of updates fresh from the decoder, which is where its
-// caller, the snapshot worker, gets them.
-func compactUpdates(us []model.Update) []model.Update {
-	slot := make(map[int64]int32, len(us)/2) // entity key → index into accs
-	accs := make([]entAcc, 0, len(us)/2)
-	for i := range us {
-		u := &us[i]
-		k := u.EntityKey()
-		ai, seen := slot[k]
-		if !seen {
-			ai = int32(len(accs))
-			slot[k] = ai
-			accs = append(accs, entAcc{})
-		}
-		a := &accs[ai]
-		switch u.Kind {
-		case model.OpAddNode, model.OpAddRel:
-			a.add = u
-		case model.OpUpdateNode, model.OpUpdateRel:
-			switch {
-			case a.add != nil || a.upd != nil: // an insertion takes it in and stays one
-				model.MergeUpdates(cmp.Or(a.add, a.upd), *u)
-			default:
-				a.upd = u
-			}
-		case model.OpDeleteNode, model.OpDeleteRel:
-			if a.add != nil {
-				a.add = nil // created and destroyed within the window
-			} else {
-				a.upd, a.del = nil, u
-			}
-		}
-	}
-	net := make([]*model.Update, 0, len(accs))
-	for _, a := range accs {
-		for _, u := range [...]*model.Update{a.del, a.add, a.upd} {
-			if u != nil {
-				net = append(net, u)
-			}
-		}
-	}
-	slices.SortFunc(net, func(a, b *model.Update) int {
-		return cmp.Or(cmp.Compare(emitPhase(a.Kind), emitPhase(b.Kind)), cmp.Compare(a.EntityKey(), b.EntityKey()))
-	})
-	out := make([]model.Update, len(net))
-	for i, u := range net {
-		u.Normalize()
-		out[i] = *u
-	}
-	return out
 }

@@ -139,7 +139,7 @@ func TestGoldenActiveChain(t *testing.T) {
 	const (
 		wantFullsOnly = "2286ef327ce1f376420118da8d67592e09217dc3a2eae3826a5468f36fd3a782"
 		wantFull      = "f23395212c2eea4287fb56f1b31ca0b6f27481830c8ef75bfef725809d14d289"
-		wantDelta     = "83b99598b6757044970525078c9ead9526236cd758724aee67fcfaf02e1d0ac6"
+		wantDelta     = "a9c642fefa3cf8d54b04b1b27d94be1222fbd5d3b850d96e6501926452897eb7"
 	)
 	us := goldenUpdates()
 	dir, pdir := t.TempDir(), t.TempDir()

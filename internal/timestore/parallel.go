@@ -1,9 +1,11 @@
 // Frame-file and replay pipelines. Every persisted materialization — a
 // full- or delta- .dsnap chain element — is one kind of file:
 // a sequence of [len u32 | crc u32 | payload] frames, the first holding the
-// element's DeltaHeader and each later one a block (enc.AppendBlock) of up to
-// frameBatchRecords update records in the Fig 3 format. The log's frames
-// are blocks too, one per AppendBatch run of records at one timestamp.
+// element's DeltaHeader and, in a full, each later one a block
+// (enc.AppendBlock) of up to frameBatchRecords update records in the Fig 3
+// format; a delta holds its header alone, its records being its log window.
+// The log's frames are blocks too, one per AppendBatch run of records at one
+// timestamp.
 // One writer produces element files and one reader consumes them; log replay
 // is the third pipeline. All three run on pool.RunOrdered — a sequential
 // reader/writer on the order-sensitive edge, Options.ParallelIO workers on
@@ -217,21 +219,14 @@ func readFrames(fs vfs.FS, path string, head bool) (frames [][]byte, err error) 
 	return frames, nil
 }
 
-// readFrameFile streams path's update records to apply, job by job in file
-// order, observing ctx cancellation between jobs: the file read and its
-// frames checked → decode workers → in-order apply on the calling goroutine.
-// The file's first frame is handed to header before any record is decoded.
-func (s *Store) readFrameFile(ctx context.Context, path string, header func([]byte) error, apply func([]model.Update) error) error {
-	frames, err := readFrames(s.fs, path, false)
-	if err == nil {
-		err = header(frames[0])
-	}
-	if err != nil {
-		return err
-	}
+// decodeFrames streams the update records of frames — an element file's
+// block frames, read from path — to apply, job by job in file order,
+// observing ctx cancellation between jobs: decode workers → in-order apply on
+// the calling goroutine.
+func (s *Store) decodeFrames(ctx context.Context, path string, frames [][]byte, apply func([]model.Update) error) error {
 	return pool.RunOrderedCtx(ctx, s.opts.ParallelIO,
 		func(emit func(frameBatch) bool) error {
-			batchFrames(frames[1:], nil, emit)
+			batchFrames(frames, nil, emit)
 			return nil
 		},
 		func(b frameBatch) ([]model.Update, error) { return b.decode(s, path) },
@@ -249,8 +244,8 @@ const logEnd = math.MaxInt64
 // boundaries — in commit order, each with its frame's offset, stopping early
 // when fn returns false or ctx is cancelled (checked once per job, so a
 // runaway range scan stops within one job of the deadline). It is the shared
-// replay engine of recover, the snapshot worker's deltas, ScanDiff, and
-// therefore GetGraph/GetGraphs: the WAL is scanned with readahead, whole
+// replay engine of recover, a delta's window, ScanDiff, and therefore
+// GetGraph/GetGraphs: the WAL is scanned with readahead, whole
 // frames are cut into jobs, decoding runs on Options.ParallelIO workers, and
 // fn (graph apply) stays in order on the calling goroutine.
 func (s *Store) replayWal(ctx context.Context, from, to int64, fn func(off int64, u model.Update) bool) error {

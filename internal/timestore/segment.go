@@ -60,7 +60,7 @@ type chainElem struct {
 	pos    position // complete through this position
 	base   position // for DeltaDiff: the element this delta applies on
 	logOff int64    // log offset of the first uncovered record
-	count  uint64   // update records in the file
+	count  uint64   // update records in the file, or a delta's window
 	path   string
 	size   int64 // file bytes
 }
@@ -257,10 +257,11 @@ func openSegment(fs vfs.FS, dir string) (*segment, error) {
 // deriveChain rebuilds g.chain from the element files present in g.dir,
 // trusting only their self-describing headers. Leftover *.tmp files are
 // removed; so is any file whose header is unreadable or disagrees with its
-// name, any element placed past the end of the tail-repaired log — a
-// snapshot the background worker persisted before the log bytes it covers
-// were ever fsynced, which would resurrect updates that were never durably
-// logged — and any delta whose base element is not the previously accepted
+// name, any delta longer than its header frame (written before deltas were
+// header-only: there is no migration), any element placed past the end of
+// the tail-repaired log — a snapshot the background worker persisted before
+// the log bytes it covers were ever fsynced, which would resurrect updates
+// that were never durably logged — and any delta whose base element is not the previously accepted
 // element — the orphaned-delta case: a crash (or a deleted mid-chain full)
 // leaves deltas whose base is gone, and applying one to the wrong base
 // would silently corrupt materialization. What survives is the chain; the
@@ -286,18 +287,21 @@ func deriveChain(fs vfs.FS, g *segment) error {
 			continue // the log
 		}
 		hdr, herr := readChainHeader(fs, full)
-		if herr != nil || hdr.Kind != kind || hdr.TS != pos.ts || hdr.Seq != pos.seq || hdr.LogOff < logStart || hdr.LogOff > max(g.log.Size(), logStart) {
-			// Torn, corrupt, misnamed, or ahead of the durable log:
-			// useless or unsafe to keep.
+		size, err := fs.Stat(full)
+		if err != nil {
+			return err
+		}
+		if herr != nil || hdr.Kind != kind || hdr.TS != pos.ts || hdr.Seq != pos.seq || hdr.LogOff < logStart || hdr.LogOff > max(g.log.Size(), logStart) ||
+			(kind == enc.DeltaDiff && size != headerFrameLen(hdr)) {
+			// Torn, corrupt, misnamed, ahead of the durable log, or a delta
+			// that carries records — the format before header-only deltas,
+			// whose Count is a compacted count, not its window's: useless or
+			// unsafe to keep.
 			if err := fs.Remove(full); err != nil {
 				return err
 			}
 			removed = true
 			continue
-		}
-		size, err := fs.Stat(full)
-		if err != nil {
-			return err
 		}
 		cands = append(cands, chainElem{
 			kind: kind, pos: pos,

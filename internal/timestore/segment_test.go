@@ -151,7 +151,7 @@ func TestRecoveryDropsElementAheadOfLog(t *testing.T) {
 	}
 	snapshotNow(t, s)
 	keep := s.seg.elems()[0]
-	ahead, err := s.writeChainElem(enc.DeltaFull, position{ts: 5}, position{}, keep.logOff+1, nil)
+	ahead, err := s.writeChainElem(enc.DeltaFull, position{ts: 5}, position{}, keep.logOff+1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

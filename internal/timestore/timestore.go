@@ -9,14 +9,16 @@
 // updates.log and a chain of .dsnap elements — one file format, whose header
 // carries the element's stream position, its base and the log offset replay
 // resumes at. One rule shapes the chain: a full materialization, then up to
-// Options.DeltaChainLength differential elements, each the net effect of the
-// log since its predecessor (delta.go). Appends land in the log, a snapshot
+// Options.DeltaChainLength differential elements, each a header alone that
+// names the log window since its predecessor — the window, read from
+// updates.log, is its records (delta.go). Appends land in the log, a snapshot
 // every Options.SnapshotEveryOps updates (the policy) joins the chain as that
 // rule's next element, and a sparse in-memory fence list (laid again from the
 // log at Open) turns a stream position into a log offset. There is no
 // migration: Open rejects a directory written before this layout — a
-// top-level log, or sealed segments — and reads any chain written since, one
-// of fulls only included.
+// top-level log, or sealed segments — drops any delta that carries records
+// (the format before header-only deltas), and reads any chain written since,
+// one of fulls only included.
 package timestore
 
 import (
@@ -300,10 +302,10 @@ func (s *Store) snapshotWorker() {
 // for there (segment.deltaBase; the snapshot worker only) — a delta. It must
 // not take s.mu: a bulk AppendBatch holds s.mu for its whole batch,
 // and policy snapshots must keep landing concurrently (the chain and the
-// GraphStore have their own locks, a delta's window is read the way queries
-// read the log; the counters are atomic). Snapshot loss is tolerable (the log
-// still covers the range), but never silent: a failure is counted, surfaced
-// through Stats, and returned.
+// GraphStore have their own locks, a delta's window is counted off the log
+// the way queries read it; the counters are atomic). Snapshot loss is
+// tolerable (the log still covers the range), but never silent: a failure is
+// counted, surfaced through Stats, and returned.
 func (s *Store) persistSnapshot(g *memgraph.Graph, at fence, base *chainElem) error {
 	e, err := s.writeSnapshot(g, at, base)
 	if err == nil {
@@ -320,33 +322,32 @@ func (s *Store) persistSnapshot(g *memgraph.Graph, at fence, base *chainElem) er
 	return nil
 }
 
-// writeSnapshot writes g in full, or the net effect of the log window between
-// base's fence and at — nothing past at.off is read — as a delta on base.
+// writeSnapshot writes g in full, or — on base — a delta: the header naming
+// the log window between base's fence and at, which holds its records.
+// Nothing past at.off is read, and nothing is decoded: the window's records
+// are counted off its frames' count prefixes, and a bad one fails the write.
 func (s *Store) writeSnapshot(g *memgraph.Graph, at fence, base *chainElem) (chainElem, error) {
 	if base == nil {
-		return s.writeChainElem(enc.DeltaFull, at.pos, position{}, at.off, g.Export())
+		us := g.Export()
+		return s.writeChainElem(enc.DeltaFull, at.pos, position{}, at.off, uint64(len(us)), us)
 	}
-	// Counting the window first (a read and a count prefix per frame, no
-	// decode) is cheaper than growing a slice of 144-byte updates to its size.
-	n := 0
+	var n uint64
+	var cerr error
 	_, err := s.seg.log.ScanRange(base.logOff, at.off, replayReadahead, func(frames []wal.Frame) bool {
 		for _, fr := range frames {
-			c, _, _ := enc.BlockCount(fr.Payload) // a bad count fails the replay below
-			n += c
+			c, _, err := enc.BlockCount(fr.Payload)
+			if err != nil {
+				cerr = fmt.Errorf("timestore: delta window frame at %d of %s: %w", fr.Off, s.seg.log.Path(), err)
+				return false
+			}
+			n += uint64(c)
 		}
 		return true
 	})
-	window := make([]model.Update, 0, n) // fresh from the decoder: compactUpdates may own it
-	if err == nil {
-		err = s.replayWal(context.Background(), base.logOff, at.off, func(_ int64, u model.Update) bool {
-			window = append(window, u)
-			return true
-		})
-	}
-	if err != nil {
+	if err = errors.Join(err, cerr); err != nil {
 		return chainElem{}, err
 	}
-	return s.writeChainElem(enc.DeltaDiff, at.pos, base.pos, at.off, compactUpdates(window))
+	return s.writeChainElem(enc.DeltaDiff, at.pos, base.pos, at.off, n, nil)
 }
 
 // fenceStride is how many log records share one fence at least. Fences
