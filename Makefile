@@ -105,8 +105,9 @@ replica-smoke:
 # decoders torn log tails; chain recovery feeds the delta-header decoder and
 # the element reader arbitrary .dsnap bytes; LineageStore reads feed the key
 # parsers and the version decoder B+Tree pages that carry no checksum; a follower decodes the host's
-# commit records off the network): long enough to exercise the mutators,
-# short enough for CI — the whole target stays under a minute.
+# commit records off the network; a LineageStore Open trusts its checkpoint
+# file): long enough to exercise the mutators, short enough for CI — the whole
+# target stays under a minute.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUpdates -fuzztime 10s ./internal/enc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 10s ./internal/enc/
@@ -115,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeVersion -fuzztime 5s ./internal/enc/
 	$(GO) test -run '^$$' -fuzz FuzzReadElement -fuzztime 8s ./internal/timestore/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCommit -fuzztime 4s ./internal/hostdb/
+	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 3s ./internal/lineagestore/
 
 # The failover gate: the kill/partition × protocol-point promotion sweep
 # plus the seeded replication chaos soak, across a bounded seed set under
@@ -195,12 +197,13 @@ heap-budget:
 # string tables — in bytes and bytes per update, accounted the way
 # benchmark/'s disk_bytes is — plus one row per LineageStore tree (bytes,
 # entries, mean key and value bytes, fill) and Aion's share of the host's
-# records and log. It fails when the TimeStore log is over 14.5 B/update or its
-# chain (fulls + deltas) over 29 — one length+CRC frame a record creeping back
-# in crosses either — or the chain holds a file the catalogue does not count,
-# when the four LineageStore trees are over 52.3 B/update — 4-byte cell lengths
-# or version records that repeat their key cross it — or when Aion adds over
-# 40 % to the host.
+# records and log. It fails when the TimeStore log is over 10.5 B/update or its
+# chain (fulls + deltas) over 13.5 — 4-byte string refs creeping back in cross
+# either — or the chain holds a file the catalogue does not count, when the
+# four LineageStore trees are over 45.5 B/update — 4-byte refs, 4-byte cell
+# lengths or version records that repeat their key cross it — when Aion adds
+# over 33 % to the host, or when the host's records and log are not exactly the
+# bytes of the Neo4j store it emulates (7 177 500 + 38 720 016).
 disk-budget:
 	$(GO) test -v -run '^$$' -bench BenchmarkDisk -benchtime 1x ./internal/system/
 

@@ -13,7 +13,8 @@
 // with the group-commit ablation).
 //
 // -json <path> additionally writes every printed table — title, columns and
-// rows, numeric cells as numbers — as one JSON report.
+// rows, numeric cells as numbers — as one JSON report. It exits non-zero when
+// Aion's Fig 10 storage overhead on a dataset is over the paper's 41 %.
 package main
 
 import (
@@ -96,7 +97,8 @@ func main() {
 	run("fig8", func() error { _, err := bench.RunFig8(cfg, mkdir, nil, 0); return err })
 	run("table4", func() error { _, err := bench.RunTable4(cfg, mkdir); return err })
 	run("fig9", func() error { _, err := bench.RunFig9(cfg, mkdir, 1000, 8); return err })
-	run("fig10", func() error { _, err := bench.RunFig10(cfg, mkdir); return err })
+	var fig10 []bench.Fig10Row
+	run("fig10", func() (err error) { fig10, err = bench.RunFig10(cfg, mkdir); return err })
 	run("fig11", func() error { _, err := bench.RunFig11(cfg, mkdir, nil, 32); return err })
 	run("fig12", func() error { _, err := bench.RunFig12(cfg, []int{10, 100}); return err })
 	run("fig13", func() error { _, err := bench.RunFig13(cfg, mkdir, 8, 100); return err })
@@ -126,6 +128,11 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("\nwrote %d table(s) to %s\n", len(report.Tables()), *jsonPath)
+	}
+	for _, r := range fig10 { // the paper's Fig 10: Aion adds 29–41 % to Neo4j's storage
+		if r.OverheadRatio > 0.41 {
+			fail(fmt.Errorf("Fig 10: Aion adds %.1f %% to Neo4j's storage on %s, over the paper's 41 %%", 100*r.OverheadRatio, r.Dataset))
+		}
 	}
 }
 

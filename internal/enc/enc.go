@@ -2,13 +2,14 @@
 // (Sec 4.2, Fig 3). Records come in two flavours: fully materialized graph
 // entities and deltas from the last update. The first byte (the header)
 // carries the entity type (node, relationship, or neighbourhood) and state
-// (deleted / delta). Strings are replaced by 4-byte references into a string
-// store; a label reference reserves its most significant bit to mark
-// deletion, and a property reference reserves its top bits for state
-// (deleted) and the value's data type.
+// (deleted / delta). Strings are replaced by references into a string store,
+// flagged with a label's deleted bit, or a property's deleted bit or value
+// type: Fig 3's fixed 4 bytes, flags on top, in the host's records
+// (NewFixedRefCodec), and uvarint(id<<4 | flags) in Aion's stores (NewCodec).
 package enc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -37,22 +38,27 @@ const (
 	headerDeltaBit   = 0b0000_1000
 )
 
-// Reference flag layout. A 4-byte string reference keeps the low 28 bits for
-// the string id (strstore.MaxRef); label refs use bit 31 for "deleted";
-// property refs use bit 31 for "deleted" and bits 30..28 for the value type.
+// Reference flags: the deleted bit or a 3-bit value type, beside the id that
+// fits the low 28 bits (strstore.MaxRef) — uvarint(id<<refFlagBits | flags),
+// or a fixed ref's big-endian flags<<fixedFlagShift | id.
 const (
-	refDeletedBit = 1 << 31
-	refTypeShift  = 28
-	refIDMask     = strstore.MaxRef
+	refDeletedBit  = 1 << 3
+	refFlagBits    = 4
+	fixedFlagShift = 32 - refFlagBits
 )
 
 // Codec encodes and decodes temporal records against a shared string store.
 type Codec struct {
-	Strings *strstore.Store
+	Strings   *strstore.Store
+	fixedRefs bool // 4-byte refs, as Fig 3 and the host's Neo4j store lay them out
 }
 
-// NewCodec returns a codec over the given string store.
+// NewCodec returns a codec over the given string store with uvarint refs.
 func NewCodec(s *strstore.Store) *Codec { return &Codec{Strings: s} }
+
+// NewFixedRefCodec is NewCodec with Fig 3's 4-byte refs: the host's codec,
+// which keeps the width of the Neo4j store it emulates.
+func NewFixedRefCodec(s *strstore.Store) *Codec { return &Codec{Strings: s, fixedRefs: true} }
 
 func valueTypeTag(k model.ValueKind) (uint32, error) {
 	switch k {
@@ -95,17 +101,36 @@ func kindFromTag(tag uint32) model.ValueKind {
 }
 
 func (c *Codec) appendRef(buf []byte, r strstore.Ref, flags uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(r)|flags)
-	return append(buf, b[:]...)
+	if c.fixedRefs {
+		return binary.BigEndian.AppendUint32(buf, flags<<fixedFlagShift|uint32(r))
+	}
+	return binary.AppendUvarint(buf, uint64(r)<<refFlagBits|uint64(flags))
 }
 
-func readRef(b []byte) (id strstore.Ref, flags uint32, rest []byte, err error) {
-	if len(b) < 4 {
-		return 0, 0, nil, fmt.Errorf("enc: short ref")
+// readRef reads a ref and its flags; a uvarint must be minimal and name an id <= MaxRef.
+func (c *Codec) readRef(b []byte) (strstore.Ref, uint32, []byte, error) {
+	if c.fixedRefs {
+		if len(b) < 4 {
+			return 0, 0, nil, fmt.Errorf("enc: short ref")
+		}
+		v := binary.BigEndian.Uint32(b)
+		return strstore.Ref(v & strstore.MaxRef), v >> fixedFlagShift, b[4:], nil
 	}
-	v := binary.BigEndian.Uint32(b)
-	return strstore.Ref(v & refIDMask), v &^ refIDMask, b[4:], nil
+	v, rest, err := readUvarint(b, "ref")
+	if err == nil && v>>refFlagBits > strstore.MaxRef {
+		err = fmt.Errorf("enc: ref %d past the id space", v>>refFlagBits)
+	}
+	return strstore.Ref(v >> refFlagBits), uint32(v & (1<<refFlagBits - 1)), rest, err
+}
+
+// readString reads an unflagged ref as the string table's value for it.
+func (c *Codec) readString(b []byte) (model.Value, []byte, error) {
+	id, flags, rest, err := c.readRef(b)
+	if err != nil || flags != 0 {
+		return model.Value{}, nil, cmp.Or(err, fmt.Errorf("enc: flags %#x on a string ref", flags))
+	}
+	v, err := c.Strings.LookupValue(id) // the table's box: a string decodes without allocating
+	return v, rest, err
 }
 
 // appendLabels encodes the label set: count, then refs (deleted labels get
@@ -129,24 +154,25 @@ func (c *Codec) appendLabels(buf []byte, added, removed []string) ([]byte, error
 	return buf, nil
 }
 
+// readLabels refuses a typed label ref, and an added label after a removed one.
 func (c *Codec) readLabels(b []byte) (added, removed []string, rest []byte, err error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return nil, nil, nil, fmt.Errorf("enc: bad label count")
+	n, b, err := readUvarint(b, "label count")
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	b = b[w:]
 	for i := uint64(0); i < n; i++ {
-		var id strstore.Ref
-		var flags uint32
-		id, flags, b, err = readRef(b)
+		id, flags, rest, err := c.readRef(b)
 		if err != nil {
 			return nil, nil, nil, err
+		}
+		if flags&^refDeletedBit != 0 || flags == 0 && len(removed) > 0 {
+			return nil, nil, nil, fmt.Errorf("enc: label ref flags %#x out of place", flags)
 		}
 		s, err := c.Strings.Lookup(id)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		if flags&refDeletedBit != 0 {
+		if b = rest; flags != 0 {
 			removed = append(removed, s)
 		} else {
 			added = append(added, s)
@@ -208,78 +234,55 @@ func (c *Codec) appendValue(buf []byte, v model.Value) ([]byte, error) {
 func (c *Codec) readValue(b []byte, k model.ValueKind) (model.Value, []byte, error) {
 	switch k {
 	case model.KindInt:
-		x, w := binary.Varint(b)
-		if w <= 0 {
-			return model.Value{}, nil, fmt.Errorf("enc: bad int")
-		}
-		return model.IntValue(x), b[w:], nil
+		x, rest, err := readVarint(b)
+		return model.IntValue(x), rest, err
 	case model.KindFloat:
 		if len(b) < 8 {
 			return model.Value{}, nil, fmt.Errorf("enc: short float")
 		}
 		return model.FloatValue(math.Float64frombits(binary.BigEndian.Uint64(b))), b[8:], nil
 	case model.KindBool:
-		if len(b) < 1 {
-			return model.Value{}, nil, fmt.Errorf("enc: short bool")
+		if len(b) < 1 || b[0] > 1 {
+			return model.Value{}, nil, fmt.Errorf("enc: bad bool")
 		}
 		return model.BoolValue(b[0] != 0), b[1:], nil
 	case model.KindString:
-		id, _, rest, err := readRef(b)
-		if err != nil {
-			return model.Value{}, nil, err
-		}
-		v, err := c.Strings.LookupValue(id) // the table's box: a string decodes without allocating
-		if err != nil {
-			return model.Value{}, nil, err
-		}
-		return v, rest, nil
+		return c.readString(b)
 	case model.KindIntArray:
-		n, w := binary.Uvarint(b)
-		if w <= 0 || n > uint64(len(b)) { // each element needs >= 1 byte
+		n, b, err := readUvarint(b, "array len")
+		if err != nil || n > uint64(len(b)) { // each element needs >= 1 byte
 			return model.Value{}, nil, fmt.Errorf("enc: bad array len")
 		}
-		b = b[w:]
 		a := make([]int64, n)
 		for i := range a {
-			x, w := binary.Varint(b)
-			if w <= 0 {
-				return model.Value{}, nil, fmt.Errorf("enc: bad int elem")
+			if a[i], b, err = readVarint(b); err != nil {
+				return model.Value{}, nil, err
 			}
-			a[i], b = x, b[w:]
 		}
 		return model.IntArrayValue(a), b, nil
 	case model.KindFloatArray:
-		n, w := binary.Uvarint(b)
-		if w <= 0 || n > uint64(len(b))/8 { // overflow-safe bound
+		n, b, err := readUvarint(b, "array len")
+		if err != nil || n > uint64(len(b))/8 { // overflow-safe bound
 			return model.Value{}, nil, fmt.Errorf("enc: bad array len")
 		}
-		b = b[w:]
 		a := make([]float64, n)
 		for i := range a {
-			if len(b) < 8 {
-				return model.Value{}, nil, fmt.Errorf("enc: short float elem")
-			}
 			a[i] = math.Float64frombits(binary.BigEndian.Uint64(b))
 			b = b[8:]
 		}
 		return model.FloatArrayValue(a), b, nil
 	case model.KindStringArray:
-		n, w := binary.Uvarint(b)
-		if w <= 0 || n > uint64(len(b))/4 { // each ref is 4 bytes; overflow-safe
+		n, b, err := readUvarint(b, "array len")
+		if err != nil || n > uint64(len(b)) { // each ref needs >= 1 byte
 			return model.Value{}, nil, fmt.Errorf("enc: bad array len")
 		}
-		b = b[w:]
 		a := make([]string, n)
 		for i := range a {
-			id, _, rest, err := readRef(b)
+			v, rest, err := c.readString(b)
 			if err != nil {
 				return model.Value{}, nil, err
 			}
-			s, err := c.Strings.Lookup(id)
-			if err != nil {
-				return model.Value{}, nil, err
-			}
-			a[i], b = s, rest
+			a[i], b = v.Str(), rest
 		}
 		return model.StringArrayValue(a), b, nil
 	}
@@ -308,7 +311,7 @@ func (c *Codec) appendProps(buf []byte, set model.Properties, del []string) ([]b
 		if err != nil {
 			return nil, err
 		}
-		buf = c.appendRef(buf, r, tag<<refTypeShift)
+		buf = c.appendRef(buf, r, tag)
 		buf, err = c.appendValue(buf, v)
 		if err != nil {
 			return nil, err
@@ -324,16 +327,16 @@ func (c *Codec) appendProps(buf []byte, set model.Properties, del []string) ([]b
 	return buf, nil
 }
 
+// readProps refuses what appendProps never writes: unsorted keys, a set
+// property after a deletion, a deletion with a type.
 func (c *Codec) readProps(b []byte) (set model.Properties, del []string, rest []byte, err error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return nil, nil, nil, fmt.Errorf("enc: bad prop count")
+	n, b, err := readUvarint(b, "prop count")
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	b = b[w:]
+	prev := ""
 	for i := uint64(0); i < n; i++ {
-		var id strstore.Ref
-		var flags uint32
-		id, flags, b, err = readRef(b)
+		id, flags, rest, err := c.readRef(b)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -341,20 +344,21 @@ func (c *Codec) readProps(b []byte) (set model.Properties, del []string, rest []
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		if flags&refDeletedBit != 0 {
-			del = append(del, key)
+		if flags == refDeletedBit {
+			del, b = append(del, key), rest
 			continue
 		}
-		kind := kindFromTag((flags >> refTypeShift) & 0b111)
+		if flags&refDeletedBit != 0 || len(del) > 0 || len(set) > 0 && key <= prev {
+			return nil, nil, nil, fmt.Errorf("enc: property %q out of order or with flags %#x", key, flags)
+		}
 		var v model.Value
-		v, b, err = c.readValue(b, kind)
-		if err != nil {
+		if v, b, err = c.readValue(rest, kindFromTag(flags)); err != nil {
 			return nil, nil, nil, err
 		}
 		if set == nil {
 			set = make(model.Properties)
 		}
-		set[key] = v
+		set[key], prev = v, key
 	}
 	return set, del, b, nil
 }

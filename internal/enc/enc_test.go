@@ -2,10 +2,13 @@ package enc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"aion/internal/model"
@@ -28,8 +31,10 @@ func rtUpdate(t *testing.T, c *Codec, u model.Update) model.Update {
 }
 
 func updatesEqual(a, b model.Update) bool {
-	a.Normalize()
-	b.Normalize()
+	for _, u := range []*model.Update{&a, &b} { // sorted copies: the callers' slices keep their order
+		u.AddLabels, u.DelLabels, u.DelProps = slices.Clone(u.AddLabels), slices.Clone(u.DelLabels), slices.Clone(u.DelProps)
+		u.Normalize()
+	}
 	if a.TS != b.TS || a.Kind != b.Kind || a.NodeID != b.NodeID ||
 		a.RelID != b.RelID || a.Src != b.Src || a.Tgt != b.Tgt || a.RelLabel != b.RelLabel {
 		return false
@@ -158,11 +163,12 @@ func TestStringInterningSharesRefs(t *testing.T) {
 	}
 }
 
-// TestValueEncodingGolden pins the encoded bytes of every value kind to
-// those the 104-byte model.Value of PR 18 (6d1dc8a) produced: the in-memory
-// layout of a Value must never reach the disk.
+// TestValueEncodingGolden pins the encoded bytes of every value kind. The
+// fixed-ref codec's are those the 104-byte model.Value of PR 18 (6d1dc8a)
+// produced — the in-memory layout of a Value must never reach the disk, and
+// the host's records never change; the compact codec's differ from them in the
+// refs alone, a byte each here.
 func TestValueEncodingGolden(t *testing.T) {
-	const golden = "00050901000000000b200000010110000002800000000000000050000003023ff8000000000000fff0000000000000500000040000000005ffffffffffffffffff0140000006030203ffffffffffffffffff014000000700100000087ff8000000000001300000090000000a6000000b030000000c0000000d0000000a6000000e00"
 	u := model.AddNode(5, 9, []string{"L"}, model.Properties{
 		"b":   model.BoolValue(true),
 		"f":   model.FloatValue(math.Copysign(0, -1)),
@@ -176,25 +182,33 @@ func TestValueEncodingGolden(t *testing.T) {
 		"sa":  model.StringArrayValue([]string{"x", "", "neo"}),
 		"sa0": model.StringArrayValue(nil),
 	})
-	c := newCodec()
-	b, err := c.EncodeUpdate(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(b); got != golden {
-		t.Fatalf("encoded bytes changed:\n got %s\nwant %s", got, golden)
-	}
-	dec, err := c.DecodeUpdate(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range u.SetProps {
-		if got := dec.SetProps[k]; got.Kind() != v.Kind() || got.String() != v.String() {
-			t.Errorf("%s decoded as %v %v, want %v %v", k, got.Kind(), got, v.Kind(), v)
+	for _, c := range []struct {
+		name   string
+		codec  *Codec
+		golden string
+	}{
+		{"fixed", NewFixedRefCodec(strstore.NewMem()), "00050901000000000b200000010110000002800000000000000050000003023ff8000000000000fff0000000000000500000040000000005ffffffffffffffffff0140000006030203ffffffffffffffffff014000000700100000087ff8000000000001300000090000000a6000000b030000000c0000000d0000000a6000000e00"},
+		{"compact", newCodec(), "00050901000b120121800000000000000035023ff8000000000000fff0000000000000450050ffffffffffffffffff0164030203ffffffffffffffffff01740081017ff80000000000019301a001b60103c001d001a001e60100"},
+	} {
+		b, err := c.codec.EncodeUpdate(u)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if again, err := c.EncodeUpdate(dec); err != nil || !bytes.Equal(again, b) {
-		t.Errorf("re-encoding the decoded update: %x (%v), want %x", again, err, b)
+		if got := hex.EncodeToString(b); got != c.golden {
+			t.Fatalf("%s: encoded bytes changed:\n got %s\nwant %s", c.name, got, c.golden)
+		}
+		dec, err := c.codec.DecodeUpdate(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range u.SetProps {
+			if got := dec.SetProps[k]; got.Kind() != v.Kind() || got.String() != v.String() {
+				t.Errorf("%s: %s decoded as %v %v, want %v %v", c.name, k, got.Kind(), got, v.Kind(), v)
+			}
+		}
+		if again, err := c.codec.EncodeUpdate(dec); err != nil || !bytes.Equal(again, b) {
+			t.Errorf("%s: re-encoding the decoded update: %x (%v), want %x", c.name, again, err, b)
+		}
 	}
 }
 
@@ -223,5 +237,43 @@ func TestStringDecodesShareTheTablesBox(t *testing.T) {
 	box := func(v model.Value) uintptr { return reflect.ValueOf(v).FieldByName("b").Pointer() }
 	if x, y := u.SetProps["w"], v.SetProps["w"]; !x.Equal(y) || x.Str() != "value-0-of-property-chain" || box(x) != box(y) {
 		t.Errorf("two decodes of one string: %v and %v in boxes %#x and %#x, want equal values in one box", x, y, box(x), box(y))
+	}
+}
+
+// TestRefsFailClosed: a record whose refs the encoder would not have written
+// is a decode error — a ref that is not the minimal uvarint, an id past
+// strstore.MaxRef, a label ref carrying a type tag, and a relationship label,
+// string value or string-array element carrying any flag — while the same
+// record with the ref as the encoder writes it decodes.
+func TestRefsFailClosed(t *testing.T) {
+	c := fuzzCodec(t) // "Person" is ref 0, "s" ref 4, "x" ref 10
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+	node := []byte{0x00, 5, 1}      // node 1 at ts 5
+	rel := []byte{0x01, 5, 4, 1, 2} // relationship 4 at ts 5, from 1 to 2
+	noProps := []byte{0}
+	for _, tc := range []struct {
+		name      string
+		good, bad []byte
+	}{
+		{"non-minimal ref", cat(node, []byte{1, 0x00}, noProps), cat(node, []byte{1, 0x80, 0x00}, noProps)},
+		{"id past MaxRef", nil, cat(node, []byte{1}, uv((strstore.MaxRef+1)<<4), noProps)}, // MaxRef itself: below
+		{"id that truncates to a table's ref", cat(node, []byte{1}, uv(0), noProps), cat(node, []byte{1}, uv(1<<32<<4), noProps)},
+		{"label ref with a type", cat(node, []byte{1}, uv(0|refDeletedBit), noProps), cat(node, []byte{1}, uv(0|3), noProps)},
+		{"relationship label with a flag", cat(rel, uv(0), noProps), cat(rel, uv(0|refDeletedBit), noProps)},
+		{"string value with the deleted bit", cat(node, []byte{0, 1}, uv(4<<4|3), uv(10<<4)), cat(node, []byte{0, 1}, uv(4<<4|3), uv(10<<4|refDeletedBit))},
+		{"string value with a type", cat(node, []byte{0, 1}, uv(4<<4|3), uv(10<<4)), cat(node, []byte{0, 1}, uv(4<<4|3), uv(10<<4|3))},
+		{"string-array element with a flag", cat(node, []byte{0, 1}, uv(4<<4|6), []byte{2}, uv(10<<4), uv(0)), cat(node, []byte{0, 1}, uv(4<<4|6), []byte{2}, uv(10<<4), uv(0|1))},
+	} {
+		if _, err := c.DecodeUpdate(tc.good); tc.good != nil && err != nil {
+			t.Errorf("%s: the well-formed record %x: %v", tc.name, tc.good, err)
+		}
+		if u, err := c.DecodeUpdate(tc.bad); err == nil {
+			t.Errorf("%s: %x decoded to %v", tc.name, tc.bad, u)
+		}
+	}
+	// MaxRef is a ref the parser accepts and no table this small resolves.
+	if _, err := c.DecodeUpdate(cat(node, []byte{1}, uv(strstore.MaxRef<<4), noProps)); err == nil || !strings.Contains(err.Error(), "dangling") {
+		t.Errorf("ref MaxRef fails as %v, want a lookup past the table", err)
 	}
 }

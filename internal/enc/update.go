@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"aion/internal/model"
-	"aion/internal/strstore"
 )
 
 // Update record wire format (the TimeStore log, .dsnap elements, shipments):
@@ -139,12 +138,19 @@ func (c *Codec) decodeNext(b []byte) (model.Update, []byte, error) {
 	return c.decodeBody(b[0], rest, int64(id), model.Timestamp(ts))
 }
 
+// readUvarint reads a minimal uvarint: each record decodes from one encoding.
 func readUvarint(b []byte, what string) (uint64, []byte, error) {
 	v, w := binary.Uvarint(b)
-	if w <= 0 {
+	if w <= 0 || w > 1 && b[w-1] == 0 {
 		return 0, nil, fmt.Errorf("enc: bad %s", what)
 	}
 	return v, b[w:], nil
+}
+
+// readVarint is readUvarint for a zig-zag varint.
+func readVarint(b []byte) (int64, []byte, error) {
+	v, rest, err := readUvarint(b, "int")
+	return int64(v>>1) ^ -int64(v&1), rest, err
 }
 
 // decodeBody decodes the body after header h as entity id's update at ts and
@@ -153,6 +159,9 @@ func (c *Codec) decodeBody(h byte, b []byte, id int64, ts model.Timestamp) (mode
 	u := model.Update{TS: ts}
 	deleted := h&headerDeletedBit != 0
 	delta := h&headerDeltaBit != 0
+	if h&^(headerTypeMask|headerDeletedBit|headerDeltaBit) != 0 || deleted && delta {
+		return u, nil, fmt.Errorf("enc: bad header %#x", h)
+	}
 	var err error
 	switch EntityType(h & headerTypeMask) {
 	case TypeNode:
@@ -187,13 +196,11 @@ func (c *Codec) decodeBody(h byte, b []byte, id int64, ts model.Timestamp) (mode
 			u.Kind = model.OpUpdateRel
 		default:
 			u.Kind = model.OpAddRel
-			var ref strstore.Ref
-			if ref, _, b, err = readRef(b); err != nil {
+			var label model.Value
+			if label, b, err = c.readString(b); err != nil {
 				return u, nil, err
 			}
-			if u.RelLabel, err = c.Strings.Lookup(ref); err != nil {
-				return u, nil, err
-			}
+			u.RelLabel = label.Str()
 		}
 	default:
 		return u, nil, fmt.Errorf("enc: unknown entity type %d", h&headerTypeMask)

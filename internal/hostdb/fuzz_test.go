@@ -16,7 +16,7 @@ import (
 // first, a 7-byte record claiming 2^40 updates ends the process with an
 // out-of-memory error no caller can recover from.
 func TestDecodeCommitBoundsTheCount(t *testing.T) {
-	db := &DB{codec: enc.NewCodec(strstore.NewMem())}
+	db := &DB{codec: enc.NewFixedRefCodec(strstore.NewMem())}
 	for _, n := range []uint64{1 << 16, 1 << 40} {
 		rec := binary.AppendUvarint(nil, n)
 		rec = append(rec, make([]byte, 7-len(rec))...)
@@ -40,7 +40,7 @@ func TestDecodeCommitBoundsTheCount(t *testing.T) {
 // peekCommitTS — what ReplayCommitted skips by — must name the first update's
 // timestamp (-1 for an empty commit).
 func FuzzDecodeCommit(f *testing.F) {
-	db := &DB{codec: enc.NewCodec(strstore.NewMem())}
+	db := &DB{codec: enc.NewFixedRefCodec(strstore.NewMem())}
 	for _, us := range [][]model.Update{
 		{model.AddNode(1, 0, []string{"P"}, model.Properties{"k": model.IntValue(1)})},
 		{model.AddNode(7, 1, nil, nil), model.AddRel(7, 0, 0, 1, "R", model.Properties{"w": model.FloatValue(0.5)})},

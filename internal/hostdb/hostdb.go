@@ -138,7 +138,7 @@ func Open(opts Options) (_ *DB, err error) {
 		return nil, err
 	}
 	opened = append(opened, db.strings.Close)
-	db.codec = enc.NewCodec(db.strings)
+	db.codec = enc.NewFixedRefCodec(db.strings)
 	if db.txnLog, err = wal.OpenFS(db.fs, filepath.Join(opts.Dir, "neostore.transaction.db")); err != nil {
 		return nil, err
 	}

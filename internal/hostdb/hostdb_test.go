@@ -2,9 +2,12 @@ package hostdb
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -444,5 +447,53 @@ func TestTxnFramesStopAtTheCapturedExtent(t *testing.T) {
 	_, now := db.DurableExtents()
 	if frames, next, err = db.TxnFrames(next, now, 1<<20); err != nil || len(frames) != 1 || next != now {
 		t.Fatalf("resuming: %d frames up to %d (%v), want the second commit up to %d", len(frames), next, err, now)
+	}
+}
+
+// TestCommitRecordGolden pins the bytes of one commit record in the
+// transaction log: the count, the length-prefixed updates, their before-images
+// and the command envelopes, every string ref the 4 bytes of the Neo4j store
+// the host emulates. The log and the records are the denominator of Aion's
+// disk share, so they keep their bytes whatever Aion's own stores write.
+func TestCommitRecordGolden(t *testing.T) {
+	const (
+		// count 2 | len, node 0 at ts 1: labels "Person" "Pilot", props
+		// "age" (int) 36, "name" (string) "ada", "tags" (string array) "x"
+		// "ada" | len, rel 0 at ts 1: src 0, tgt 0, label "KNOWS", props
+		// "since" (float) 1.5 — each ref 4 bytes, its flags in the top 4 bits
+		wantSection = "02270000000001000200000000000000010300000002483000000300000004600000050200000006000000041600000001010000000000000701100000083ff8000000000000"
+		// the section, the before-images and the envelopes
+		wantDigest = "ba4c8752f5cdbde2ec1b48d15197f2d678c83e69e9e1903dd58abdf2a5479f99"
+	)
+	dir := t.TempDir()
+	db := openDB(t, Options{Dir: dir})
+	if _, err := db.Run(func(tx *Tx) error {
+		a, err := tx.CreateNode([]string{"Person", "Pilot"}, model.Properties{
+			"name": model.StringValue("ada"), "tags": model.StringArrayValue([]string{"x", "ada"}), "age": model.IntValue(36)})
+		if err != nil {
+			return err
+		}
+		_, err = tx.CreateRel(a, a, "KNOWS", model.Properties{"since": model.FloatValue(1.5)})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(filepath.Join(dir, "neostore.transaction.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	rec, err := log.ReadAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(updateSection(rec)); got != wantSection {
+		t.Errorf("the commit record's updates are %s, want %s", got, wantSection)
+	}
+	if sum := sha256.Sum256(rec); hex.EncodeToString(sum[:]) != wantDigest {
+		t.Errorf("the %d-byte commit record's digest is %x, want %s", len(rec), sum, wantDigest)
 	}
 }

@@ -199,7 +199,7 @@ func (s *Store) Wipe() error {
 // The checkpoint file: magic | lastTS | atLastTS | updateCount | crc.
 const (
 	checkpointName  = "checkpoint"
-	checkpointMagic = "ALC3" // ALC1: fixed-width keys; ALC2: 4-byte cell lengths, values repeating their key; CatchUp rebuilds such trees
+	checkpointMagic = "ALC4" // ALC1: fixed-width keys; ALC2: 4-byte cell lengths, values repeating their key; ALC3: 4-byte refs; CatchUp rebuilds such trees
 	checkpointLen   = 4 + 8*3 + 4
 )
 

@@ -538,7 +538,7 @@ func TestCancelledReadsReleaseEverything(t *testing.T) {
 }
 
 // TestVersionValueGolden pins the bytes the version trees store under an
-// entity's key (id, ts): a disk format (the ALC3 trees). A value is the
+// entity's key (id, ts): a disk format (the ALC4 trees). A value is the
 // delta-chain position, then enc.AppendVersion's record — the header and the
 // body, with neither the id nor the timestamp the key holds.
 func TestVersionValueGolden(t *testing.T) {
@@ -554,11 +554,11 @@ func TestVersionValueGolden(t *testing.T) {
 		want string
 	}{
 		// pos | header | labels: count, ref "Person" | props: count, ref "n" (int), varint -1
-		{"node 300 at 3", func() ([]byte, bool, error) { return s.nodes.Get(enc.KeyNode(300, 3)) }, "00000100000000010000000101"},
+		{"node 300 at 3", func() ([]byte, bool, error) { return s.nodes.Get(enc.KeyNode(300, 3)) }, "00000100011001"},
 		// pos 1 | delta header | no labels | props: count, ref "n" (int), varint 2
-		{"node 300 at 4", func() ([]byte, bool, error) { return s.nodes.Get(enc.KeyNode(300, 4)) }, "010800010000000104"},
+		{"node 300 at 4", func() ([]byte, bool, error) { return s.nodes.Get(enc.KeyNode(300, 4)) }, "010800011004"},
 		// pos | header | src 300, tgt 1 | ref "KNOWS" | no props
-		{"rel 7 at 5", func() ([]byte, bool, error) { return s.rels.Get(enc.KeyRel(7, 5)) }, "0001ac02010000000200"},
+		{"rel 7 at 5", func() ([]byte, bool, error) { return s.rels.Get(enc.KeyRel(7, 5)) }, "0001ac02012000"},
 		// pos | tombstone header | src 300, tgt 1
 		{"rel 7 at 6", func() ([]byte, bool, error) { return s.rels.Get(enc.KeyRel(7, 6)) }, "0005ac0201"},
 	} {

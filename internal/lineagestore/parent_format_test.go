@@ -14,6 +14,7 @@ import (
 	"aion/internal/enc"
 	"aion/internal/model"
 	"aion/internal/pagecache"
+	"aion/internal/strstore"
 )
 
 // fixedWidth is the key encoding of the trees an ALC1 checkpoint vouches for:
@@ -26,10 +27,9 @@ func fixedWidth(parts ...uint64) []byte {
 	return b
 }
 
-// rewriteAsParent replaces the tree file at path with one holding the same
-// entries under the parent commit's encoding: fixed-width keys, and for the
-// neighbour trees the 9-byte value that repeats the relationship id.
-func rewriteAsParent(t *testing.T, path string, neigh bool) {
+// rewriteTree replaces the tree file at path with one holding each entry
+// (k, v) as the entry conv returns for it.
+func rewriteTree(t *testing.T, path string, conv func(k, v []byte) ([]byte, []byte)) {
 	t.Helper()
 	open := func(p string) (*pagecache.Cache, *btree.Tree) {
 		pc, err := pagecache.Open(p, 64)
@@ -46,19 +46,7 @@ func rewriteAsParent(t *testing.T, path string, neigh bool) {
 	newPC, out := open(path + ".parent")
 	var perr error
 	err := old.Scan(nil, nil, func(k, v []byte) bool {
-		if neigh {
-			a, b, ts, rel, ok := enc.ParseKeyNeigh4(k)
-			if !ok {
-				t.Fatalf("%s holds the key %x", path, k)
-			}
-			perr = out.Put(fixedWidth(uint64(a), uint64(b), uint64(ts), uint64(rel)), append(fixedWidth(uint64(rel)), v...))
-		} else {
-			id, ts, ok := enc.ParseKeyVersion(k)
-			if !ok {
-				t.Fatalf("%s holds the key %x", path, k)
-			}
-			perr = out.Put(fixedWidth(uint64(id), uint64(ts)), v)
-		}
+		perr = out.Put(conv(k, v))
 		return perr == nil
 	})
 	if err != nil || perr != nil || out.Len() != old.Len() || old.Len() == 0 {
@@ -78,12 +66,67 @@ func rewriteAsParent(t *testing.T, path string, neigh bool) {
 	}
 }
 
+// rewriteAsParent replaces the tree file at path with one holding the same
+// entries under the ALC1 encoding: fixed-width keys, and for the neighbour
+// trees the 9-byte value that repeats the relationship id.
+func rewriteAsParent(t *testing.T, path string, neigh bool) {
+	t.Helper()
+	rewriteTree(t, path, func(k, v []byte) ([]byte, []byte) {
+		if neigh {
+			a, b, ts, rel, ok := enc.ParseKeyNeigh4(k)
+			if !ok {
+				t.Fatalf("%s holds the key %x", path, k)
+			}
+			return fixedWidth(uint64(a), uint64(b), uint64(ts), uint64(rel)), append(fixedWidth(uint64(rel)), v...)
+		}
+		id, ts, ok := enc.ParseKeyVersion(k)
+		if !ok {
+			t.Fatalf("%s holds the key %x", path, k)
+		}
+		return fixedWidth(uint64(id), uint64(ts)), v
+	})
+}
+
+// rewriteWithFixedRefs replaces a version tree's file at path with one holding
+// the same entries under the ALC3 encoding: each record's string refs 4 bytes
+// wide, resolved against the store's string table (the neighbour trees hold
+// none).
+func rewriteWithFixedRefs(t *testing.T, path string, neigh bool) {
+	t.Helper()
+	if neigh {
+		return
+	}
+	strs, err := strstore.Open(filepath.Join(filepath.Dir(path), "..", "strings.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer strs.Close()
+	compact, fixed := enc.NewCodec(strs), enc.NewFixedRefCodec(strs)
+	grew := false
+	rewriteTree(t, path, func(k, v []byte) ([]byte, []byte) {
+		id, ts, ok := enc.ParseKeyVersion(k)
+		u, err := compact.DecodeVersion(v[1:], id, ts)
+		if !ok || err != nil {
+			t.Fatalf("%s holds %x → %x (%v)", path, k, v, err)
+		}
+		w, err := fixed.AppendVersion(v[:1:1], u) // the chain position, then the record
+		if err != nil {
+			t.Fatal(err)
+		}
+		grew = grew || len(w) > len(v)
+		return k, w
+	})
+	if !grew {
+		t.Fatalf("%s holds no record with a string ref", path)
+	}
+}
+
 // withCheckpointMagic rewrites the checkpoint of the store at lineage to carry
 // magic, with a CRC that matches.
 func withCheckpointMagic(t *testing.T, lineage, magic string) {
 	t.Helper()
 	cp, err := os.ReadFile(filepath.Join(lineage, "checkpoint"))
-	if err != nil || len(cp) != 32 || string(cp[:4]) != "ALC3" {
+	if err != nil || len(cp) != 32 || string(cp[:4]) != "ALC4" {
 		t.Fatalf("checkpoint %q, %v", cp, err)
 	}
 	copy(cp, magic)
@@ -96,10 +139,12 @@ func withCheckpointMagic(t *testing.T, lineage, magic string) {
 // TestParentFormatIsRebuilt: a cleanly closed store of an older format needs
 // no migration. ALC1 is the commit before the compact keys: fixed-width trees
 // under an ALC1 checkpoint. ALC2 is the commit before uvarint cell lengths and
-// version records without their key: every tree's meta says AIONBTR3. Open
-// accepts neither checkpoint, finds trees that hold data without one (ALC1) or
-// cannot open them (ALC2), and rebuilds them from the TimeStore log, once;
-// the store then answers exactly like one that never held the old format.
+// version records without their key: every tree's meta says AIONBTR3. ALC3 is
+// the commit before compact refs: version records whose refs are 4 bytes wide.
+// Open accepts none of these checkpoints, finds trees that hold data without
+// one (ALC1, ALC3) or cannot open them (ALC2), and rebuilds them from the
+// TimeStore log, once; the store then answers exactly like one that never held
+// the old format.
 func TestParentFormatIsRebuilt(t *testing.T) {
 	var us []model.Update
 	ts := model.Timestamp(1)
@@ -147,6 +192,7 @@ func TestParentFormatIsRebuilt(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"ALC3", rewriteWithFixedRefs},
 	} {
 		t.Run(parent.magic, func(t *testing.T) {
 			old, fresh := t.TempDir(), t.TempDir()

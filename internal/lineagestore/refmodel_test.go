@@ -71,7 +71,7 @@ func TestReadsMatchTheReferenceModel(t *testing.T) {
 				h, m := refmodel.NewHistory(seed), &refmodel.Model{}
 				const commits = 36
 				for h.TS < commits {
-					us := h.Commit(40)
+					us := h.Commit(52)
 					if err := s.ApplyBatch(us); err != nil {
 						t.Fatal(err)
 					}

@@ -1,7 +1,8 @@
 // Package strstore implements the string store of Sec 4.2: instead of
 // storing label and property-key strings inline in disk records, records
-// hold a 4-byte reference into an append-only interned string table,
-// substantially lowering record sizes for repeated strings.
+// hold a reference into an append-only interned string table, substantially
+// lowering record sizes for repeated strings — 4 bytes in the host's records,
+// a uvarint of one byte or more in Aion's (package enc).
 package strstore
 
 import (
@@ -17,13 +18,13 @@ import (
 	"aion/internal/vfs"
 )
 
-// Ref is a 4-byte reference to an interned string. Per the paper the most
-// significant bits of a reference are reserved for state flags by callers
-// (e.g. label present/deleted, property type tags), so the store itself only
-// hands out refs that fit in the low 28 bits.
+// Ref is a reference to an interned string. Per the paper four bits of a
+// reference are reserved for state flags by callers (e.g. label
+// present/deleted, property type tags), so the store itself only hands out
+// refs that fit in 28 bits.
 type Ref uint32
 
-// MaxRef bounds the id space, leaving the top bits free for caller flags.
+// MaxRef bounds the id space, leaving four bits of 32 free for caller flags.
 const MaxRef = 1<<28 - 1
 
 // Store is an append-only interned string table, each string held as the one

@@ -404,7 +404,7 @@ func (r *residentSys) decodeFiles(label string, digests *enc.Codec) {
 	var logged []model.Update
 	path := "sys/aion/timestore/p-1/updates.log"
 	logFrames := readFrames(t, r.fs, path)
-	if string(logFrames[0]) != "ATL2" {
+	if string(logFrames[0]) != "ATL3" {
 		t.Fatalf("%s: %s opens with %q, not the format marker", label, path, logFrames[0])
 	}
 	// Frame i of the log starts at offs[i]; offs[len(logFrames)] is its end.

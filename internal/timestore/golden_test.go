@@ -92,7 +92,7 @@ func digestFiles(t *testing.T, pattern string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenOnDiskBytes pins the segment log's bytes — the ATL2 marker, then
+// TestGoldenOnDiskBytes pins the segment log's bytes — the ATL3 marker, then
 // one block frame per Append — for a fixed prefix of the golden sequence, and
 // the bytes of an eager full taken at its end, name included: an ADS2 header
 // frame, then one frame per block of up to 256 records
@@ -101,8 +101,8 @@ func digestFiles(t *testing.T, pattern string) string {
 // segment, and the two digests are that segment's log and end full.
 func TestGoldenOnDiskBytes(t *testing.T) {
 	const (
-		wantEndFull = "406284a2cb63c5f2696f1a0560a40eab188fab0c31c0a779c3646424b5a59e9d"
-		wantLog     = "1c812437d7b29b23066f598b7ea1bfca57411049a188010341ffdca607625846"
+		wantEndFull = "77fbb5bdeb713a7891c7fbe84427624c0c9c30c0a7de315430dbc68f63eaa5d3"
+		wantLog     = "0f2f2dd40c87eb8829eb60551b456efa70884f9e56b344e79809bab12c00750c"
 	)
 	us := goldenUpdates()
 	n := len(us) - 30 // the prefix runs on to the end of a timestamp
@@ -137,9 +137,9 @@ func TestGoldenOnDiskBytes(t *testing.T) {
 // not a format.
 func TestGoldenActiveChain(t *testing.T) {
 	const (
-		wantFullsOnly = "2286ef327ce1f376420118da8d67592e09217dc3a2eae3826a5468f36fd3a782"
-		wantFull      = "f23395212c2eea4287fb56f1b31ca0b6f27481830c8ef75bfef725809d14d289"
-		wantDelta     = "a9c642fefa3cf8d54b04b1b27d94be1222fbd5d3b850d96e6501926452897eb7"
+		wantFullsOnly = "ef68e6f7d4a9b5dc27e5d0afe337384c66f749d01daa547717b3180be651ed20"
+		wantFull      = "59a49c1b422908ae7d7a12dcce8ec1a3ffb8701f69aff4a170a5346500e3bc43"
+		wantDelta     = "2b74a844aa39d26b89854d9a0962ebf8d9e9b3696048b41fae5890f3743ae55e"
 	)
 	us := goldenUpdates()
 	dir, pdir := t.TempDir(), t.TempDir()

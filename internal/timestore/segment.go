@@ -198,11 +198,12 @@ func parseChainName(name string) (enc.DeltaKind, position, bool) {
 }
 
 // logMarker is the first record of the segment log once it holds any ("Aion
-// TimeStore Log v2"), written with the log's first frame: the frames after it
-// are blocks, one per AppendBatch run of records at one timestamp. A log
-// without it holds one record per frame, the format before blocks, which
-// this reader would misparse.
-const logMarker = "ATL2"
+// TimeStore Log v3"), written with the log's first frame: the frames after it
+// are blocks, one per AppendBatch run of records at one timestamp, whose refs
+// are flagged uvarints. A log marked ATL2 holds 4-byte refs; a log without a
+// marker holds one record per frame, the format before blocks. This reader
+// would misparse either.
+const logMarker = "ATL3"
 
 // logStart is the offset of the segment log's first frame, past the marker —
 // also where an empty log ends, as far as a position is concerned.
@@ -242,7 +243,7 @@ func openSegment(fs vfs.FS, dir string) (*segment, error) {
 	var first []byte
 	if g.log.Size() > 0 {
 		if first, err = g.log.ReadAt(0); err == nil && string(first) != logMarker {
-			err = fmt.Errorf("timestore: %s holds one record per frame, the log format before blocks; there is no migration — delete %s and rebuild it from the host log", g.log.Path(), dir)
+			err = fmt.Errorf("timestore: %s holds an older log format (ATL2: 4-byte string refs; no marker: one record per frame); there is no migration — delete %s and rebuild it from the host log", g.log.Path(), dir)
 		}
 	}
 	if err == nil {

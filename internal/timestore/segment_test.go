@@ -4,6 +4,7 @@ package timestore
 // a deletion left behind, and the layouts it refuses.
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -248,6 +249,40 @@ func TestOpenRejectsPerRecordFrames(t *testing.T) {
 	_, err = Open(codec, Options{Dir: dir})
 	if err == nil || !strings.Contains(err.Error(), "no migration") || !strings.Contains(err.Error(), dir) {
 		t.Fatalf("Open over per-record log frames: %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Errorf("Open changed the log it refused (%v)", err)
+	}
+}
+
+// TestOpenRejectsFixedRefLog: a segment log of the format before compact refs
+// — the ATL2 marker, then blocks whose refs are 4 bytes wide — fails Open with
+// the documented error naming the directory, and is left as it was, instead of
+// having its refs misparsed as uvarints.
+func TestOpenRejectsFixedRefLog(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "p-1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "p-1", "updates.log")
+	log, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := enc.NewFixedRefCodec(strstore.NewMem()).AppendBlock(nil, chainUpdates(3)[:1])
+	if err == nil {
+		_, err = log.AppendBatch([][]byte{[]byte("ATL2"), block})
+	}
+	if err = errors.Join(err, log.Close()); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(enc.NewCodec(strstore.NewMem()), Options{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "ATL2") || !strings.Contains(err.Error(), "no migration") || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("Open over an ATL2 log: %v", err)
 	}
 	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
 		t.Errorf("Open changed the log it refused (%v)", err)
