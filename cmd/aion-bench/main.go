@@ -29,19 +29,32 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "aion-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// mkdirFailed carries mkdir's error out of an experiment to run's recover.
+type mkdirFailed struct{ error }
+
+// run parses args and runs the experiments they name. Every failure comes
+// back as an error, so the temp directory's deferred removal always runs.
+func run(args []string) (err error) {
+	flags := flag.NewFlagSet("aion-bench", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments to run (or 'all')")
-		scale    = flag.Int("scale", 1000, "dataset scale divisor vs Table 3 (100 = larger, slower)")
-		datasets = flag.String("datasets", "", "comma-separated dataset subset (default: first four)")
-		seed     = flag.Int64("seed", 42, "workload generation seed")
-		pointOps = flag.Int("pointops", 5000, "point queries per system and run (paper: 1M)")
-		globals  = flag.Int("globalops", 5, "snapshot retrievals per system and run (paper: 100)")
-		workdir  = flag.String("dir", "", "working directory for store files (default: temp)")
-		jsonPath = flag.String("json", "", "write every printed table to this JSON file")
-		writeOps = flag.Int("writeops", 100, "commits per committer in the write-path suite")
-		writeCs  = flag.String("committers", "", "comma-separated committer counts for the write suite (default 1,4,16,64)")
+		exp      = flags.String("exp", "all", "comma-separated experiments to run (or 'all')")
+		scale    = flags.Int("scale", 1000, "dataset scale divisor vs Table 3 (100 = larger, slower)")
+		datasets = flags.String("datasets", "", "comma-separated dataset subset (default: first four)")
+		seed     = flags.Int64("seed", 42, "workload generation seed")
+		pointOps = flags.Int("pointops", 5000, "point queries per system and run (paper: 1M)")
+		globals  = flags.Int("globalops", 5, "snapshot retrievals per system and run (paper: 100)")
+		workdir  = flags.String("dir", "", "working directory for store files (default: temp)")
+		jsonPath = flags.String("json", "", "write every printed table to this JSON file")
+		writeOps = flags.Int("writeops", 100, "commits per committer in the write-path suite")
+		writeCs  = flags.String("committers", "", "comma-separated committer counts for the write suite (default 1,4,16,64)")
 	)
-	flag.Parse()
+	flags.Parse(args)
 
 	report := &bench.Report{}
 	cfg := bench.Config{
@@ -58,18 +71,25 @@ func main() {
 
 	base := *workdir
 	if base == "" {
-		var err error
-		base, err = vfs.MkdirTemp("", "aion-bench-*")
-		if err != nil {
-			fail(err)
+		if base, err = vfs.MkdirTemp("", "aion-bench-*"); err != nil {
+			return err
 		}
 		//aionlint:ignore vfsseam operator scratch cleanup of a temp dir this process created; store files are never removed through this path
 		defer os.RemoveAll(base)
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			mf, ok := p.(mkdirFailed)
+			if !ok {
+				panic(p)
+			}
+			err = mf.error
+		}
+	}()
 	mkdir := func(name string) string {
 		d, err := vfs.MkdirTemp(base, strings.ReplaceAll(name, "/", "_")+"-*")
 		if err != nil {
-			fail(err)
+			panic(mkdirFailed{err})
 		}
 		return d
 	}
@@ -80,32 +100,32 @@ func main() {
 	}
 	all := want["all"]
 	ran := 0
-	run := func(name string, fn func() error) {
-		if !all && !want[name] {
+	experiment := func(name string, fn func() error) {
+		if err != nil || !all && !want[name] {
 			return
 		}
 		ran++
 		fmt.Printf("\n--- running %s ---\n", name)
-		if err := fn(); err != nil {
-			fail(fmt.Errorf("%s: %w", name, err))
+		if err = fn(); err != nil {
+			err = fmt.Errorf("%s: %w", name, err)
 		}
 	}
 
-	run("table3", func() error { _, err := bench.RunTable3(cfg); return err })
-	run("fig6", func() error { _, err := bench.RunFig6(cfg, mkdir); return err })
-	run("fig7", func() error { _, err := bench.RunFig7(cfg, mkdir); return err })
-	run("fig8", func() error { _, err := bench.RunFig8(cfg, mkdir, nil, 0); return err })
-	run("table4", func() error { _, err := bench.RunTable4(cfg, mkdir); return err })
-	run("fig9", func() error { _, err := bench.RunFig9(cfg, mkdir, 1000, 8); return err })
+	experiment("table3", func() error { _, err := bench.RunTable3(cfg); return err })
+	experiment("fig6", func() error { _, err := bench.RunFig6(cfg, mkdir); return err })
+	experiment("fig7", func() error { _, err := bench.RunFig7(cfg, mkdir); return err })
+	experiment("fig8", func() error { _, err := bench.RunFig8(cfg, mkdir, nil, 0); return err })
+	experiment("table4", func() error { _, err := bench.RunTable4(cfg, mkdir); return err })
+	experiment("fig9", func() error { _, err := bench.RunFig9(cfg, mkdir, 1000, 8); return err })
 	var fig10 []bench.Fig10Row
-	run("fig10", func() (err error) { fig10, err = bench.RunFig10(cfg, mkdir); return err })
-	run("fig11", func() error { _, err := bench.RunFig11(cfg, mkdir, nil, 32); return err })
-	run("fig12", func() error { _, err := bench.RunFig12(cfg, []int{10, 100}); return err })
-	run("fig13", func() error { _, err := bench.RunFig13(cfg, mkdir, 8, 100); return err })
-	run("fig14", func() error { _, err := bench.RunFig14(cfg, mkdir, []int{10}); return err })
-	run("ext", func() error { _, err := bench.RunExtensionIncremental(cfg, []int{10, 100}); return err })
-	run("history", func() error { _, err := bench.RunHistory(cfg, mkdir); return err })
-	run("write", func() error {
+	experiment("fig10", func() (err error) { fig10, err = bench.RunFig10(cfg, mkdir); return err })
+	experiment("fig11", func() error { _, err := bench.RunFig11(cfg, mkdir, nil, 32); return err })
+	experiment("fig12", func() error { _, err := bench.RunFig12(cfg, []int{10, 100}); return err })
+	experiment("fig13", func() error { _, err := bench.RunFig13(cfg, mkdir, 8, 100); return err })
+	experiment("fig14", func() error { _, err := bench.RunFig14(cfg, mkdir, []int{10}); return err })
+	experiment("ext", func() error { _, err := bench.RunExtensionIncremental(cfg, []int{10, 100}); return err })
+	experiment("history", func() error { _, err := bench.RunHistory(cfg, mkdir); return err })
+	experiment("write", func() error {
 		wc := bench.WriteConfig{OpsPerCommitter: *writeOps}
 		if *writeCs != "" {
 			for _, s := range strings.Split(*writeCs, ",") {
@@ -120,23 +140,22 @@ func main() {
 		return err
 	})
 
+	if err != nil {
+		return err
+	}
 	if ran == 0 {
-		fail(fmt.Errorf("unknown experiment(s) %q", *exp))
+		return fmt.Errorf("unknown experiment(s) %q", *exp)
 	}
 	if *jsonPath != "" {
 		if err := report.WriteFile(nil, *jsonPath); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Printf("\nwrote %d table(s) to %s\n", len(report.Tables()), *jsonPath)
 	}
 	for _, r := range fig10 { // the paper's Fig 10: Aion adds 29–41 % to Neo4j's storage
 		if r.OverheadRatio > 0.41 {
-			fail(fmt.Errorf("Fig 10: Aion adds %.1f %% to Neo4j's storage on %s, over the paper's 41 %%", 100*r.OverheadRatio, r.Dataset))
+			return fmt.Errorf("Fig 10: Aion adds %.1f %% to Neo4j's storage on %s, over the paper's 41 %%", 100*r.OverheadRatio, r.Dataset)
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "aion-bench:", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -42,7 +43,7 @@ func TestServeDebug(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Aion.Expand(0, model.Outgoing, 1, sys.Aion.LatestTimestamp()); err != nil {
+	if _, err := sys.Aion.ExpandContext(context.Background(), 0, model.Outgoing, 1, sys.Aion.LatestTimestamp()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "aion-audit-*")
 	if err != nil {
 		log.Fatal(err)
@@ -30,7 +32,7 @@ func main() {
 	defer sys.Close()
 	engine := cypher.NewEngine(sys)
 	must := func(q string, params map[string]model.Value) *cypher.Result {
-		res, err := engine.Query(q, params)
+		res, err := engine.QueryContext(ctx, q, params)
 		if err != nil {
 			log.Fatalf("%s: %v", q, err)
 		}
@@ -67,7 +69,7 @@ func main() {
 
 	// Audit question 3: the full change history of the corrected record,
 	// via the LineageStore (one row per version with validity interval).
-	versions, err := sys.Aion.GetNode(1, 0, model.TSInfinity)
+	versions, err := sys.Aion.GetNodeContext(ctx, 1, 0, model.TSInfinity)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func main() {
 	// Data repair: restore the state of the whole graph as of commit 2
 	// into a fresh in-memory snapshot (the "restore data to a previous
 	// version" use case).
-	snapshot, err := sys.Aion.GraphAt(2)
+	snapshot, err := sys.Aion.GraphAtContext(ctx, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

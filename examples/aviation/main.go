@@ -11,6 +11,7 @@ package main
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -62,7 +63,7 @@ func main() {
 	if err := db.ApplyBatch(us); err != nil {
 		log.Fatal(err)
 	}
-	diff, err := db.GetDiff(0, 14)
+	diff, err := db.GetDiffContext(context.Background(), 0, 14)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "aion-window-*")
 	if err != nil {
 		log.Fatal(err)
@@ -82,7 +84,7 @@ func main() {
 		end := model.Timestamp(1000 * (week + 1))
 		// The window prunes everything not active in [start, end) while
 		// keeping it a consistent graph.
-		win, err := db.GetWindow(start, end)
+		win, err := db.GetWindowContext(ctx, start, end)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,7 +98,7 @@ func main() {
 			return true
 		})
 		// Contrast: the full graph up to the window end keeps growing.
-		full, err := db.GraphAt(end - 1)
+		full, err := db.GraphAtContext(ctx, end-1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -109,7 +111,7 @@ func main() {
 
 	// Who drove the spike? Expand the busiest product's window
 	// neighbourhood.
-	win, _ := db.GetWindow(3000, 4000)
+	win, _ := db.GetWindowContext(ctx, 3000, 4000)
 	best, bestDeg := model.NodeID(-1), 0
 	win.ForEachNode(func(n *model.Node) bool {
 		if n.HasLabel("Product") {

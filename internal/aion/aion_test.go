@@ -1,6 +1,7 @@
 package aion
 
 import (
+	"context"
 	"errors"
 	"os"
 	"testing"
@@ -47,6 +48,7 @@ func socialUpdates() []model.Update {
 }
 
 func TestHybridEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{})
 	if err := db.ApplyBatch(socialUpdates()); err != nil {
 		t.Fatal(err)
@@ -55,23 +57,23 @@ func TestHybridEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Point query via LineageStore.
-	ns, err := db.GetNode(0, 15, 15)
+	ns, err := db.GetNodeContext(ctx, 0, 15, 15)
 	if err != nil || len(ns) != 1 {
 		t.Fatalf("GetNode: %v %v", ns, err)
 	}
 	if ns[0].HasLabel("VIP") {
 		t.Error("VIP label must not be visible at ts 15")
 	}
-	ns, _ = db.GetNode(0, 21, 21)
+	ns, _ = db.GetNodeContext(ctx, 0, 21, 21)
 	if len(ns) != 1 || !ns[0].HasLabel("VIP") {
 		t.Error("VIP label must be visible at ts 21")
 	}
 	// Rels and their deletion.
-	rels, _ := db.GetRelationships(5, model.Outgoing, 21, 21)
+	rels, _ := db.GetRelationshipsContext(ctx, 5, model.Outgoing, 21, 21)
 	if len(rels) != 1 {
 		t.Errorf("node 5 out-rels at 21: %d", len(rels))
 	}
-	rels, _ = db.GetRelationships(5, model.Outgoing, 22, 22)
+	rels, _ = db.GetRelationshipsContext(ctx, 5, model.Outgoing, 22, 22)
 	if len(rels) != 0 {
 		t.Errorf("node 5 out-rels at 22: %d", len(rels))
 	}
@@ -83,37 +85,38 @@ func TestHybridEndToEnd(t *testing.T) {
 }
 
 func TestGlobalQueries(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{SnapshotEveryOps: 8})
 	if err := db.ApplyBatch(socialUpdates()); err != nil {
 		t.Fatal(err)
 	}
-	g, err := db.GraphAt(20)
+	g, err := db.GraphAtContext(ctx, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NodeCount() != 10 || g.RelCount() != 10 {
 		t.Errorf("graph at 20: %d/%d", g.NodeCount(), g.RelCount())
 	}
-	g, _ = db.GraphAt(22)
+	g, _ = db.GraphAtContext(ctx, 22)
 	if g.RelCount() != 9 {
 		t.Errorf("graph at 22 rels = %d", g.RelCount())
 	}
-	series, err := db.GetGraph(5, 20, 5)
+	series, err := db.GetGraphContext(ctx, 5, 20, 5)
 	if err != nil || len(series) != 4 {
 		t.Fatalf("series: %d %v", len(series), err)
 	}
-	diff, _ := db.GetDiff(11, 21)
+	diff, _ := db.GetDiffContext(ctx, 11, 21)
 	if len(diff) != 10 {
 		t.Errorf("diff [11,21) = %d", len(diff))
 	}
-	all, err := db.GetDiff(1, 23)
+	all, err := db.GetDiffContext(ctx, 1, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hops := algo.Hops(all); len(hops) != 1 || hops[0] != (algo.PathHop{Rel: 5, From: 5, To: 6, Departure: 16, Arrival: 22}) {
 		t.Errorf("hops = %+v, want relationship 5 over [16, 22)", hops)
 	}
-	win, err := db.GetWindow(15, 23)
+	win, err := db.GetWindowContext(ctx, 15, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +126,7 @@ func TestGlobalQueries(t *testing.T) {
 }
 
 func TestPlannerHeuristic(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{})
 	if err := db.ApplyBatch(socialUpdates()); err != nil {
 		t.Fatal(err)
@@ -137,11 +141,11 @@ func TestPlannerHeuristic(t *testing.T) {
 		t.Errorf("8-hop plan = %v", c)
 	}
 	// Both paths return the same frontier.
-	viaLS, err := db.LineageStore().Expand(0, model.Outgoing, 3, 20)
+	viaLS, err := db.LineageStore().ExpandContext(ctx, 0, model.Outgoing, 3, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTS, err := db.ExpandViaTimeStore(0, model.Outgoing, 3, 20)
+	viaTS, err := db.ExpandViaTimeStore(ctx, 0, model.Outgoing, 3, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +161,7 @@ func TestExpandPicksStoreAndAgrees(t *testing.T) {
 	db := openDB(t, Options{})
 	db.ApplyBatch(socialUpdates())
 	db.WaitSync()
-	res, err := db.Expand(0, model.Both, 2, 20)
+	res, err := db.ExpandContext(context.Background(), 0, model.Both, 2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +172,7 @@ func TestExpandPicksStoreAndAgrees(t *testing.T) {
 }
 
 func TestSyncModes(t *testing.T) {
+	ctx := context.Background()
 	for _, mode := range []SyncMode{SyncBoth, SyncTimeStoreOnly, SyncLineageOnly} {
 		t.Run(mode.String(), func(t *testing.T) {
 			db := openDB(t, Options{Mode: mode})
@@ -175,18 +180,18 @@ func TestSyncModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if mode != SyncTimeStoreOnly {
-				ns, err := db.LineageStore().GetNode(0, 21, 21)
+				ns, err := db.LineageStore().GetNodeContext(ctx, 0, 21, 21)
 				if err != nil || len(ns) != 1 {
 					t.Errorf("lineage query: %v %v", ns, err)
 				}
 			}
 			if mode != SyncLineageOnly {
-				g, err := db.GraphAt(22)
+				g, err := db.GraphAtContext(ctx, 22)
 				if err != nil || g.NodeCount() != 10 {
 					t.Errorf("timestore query: %v", err)
 				}
 			} else {
-				if _, err := db.GraphAt(22); err != ErrNoStore {
+				if _, err := db.GraphAtContext(ctx, 22); err != ErrNoStore {
 					t.Errorf("lineage-only global query must fail with ErrNoStore, got %v", err)
 				}
 			}
@@ -196,21 +201,22 @@ func TestSyncModes(t *testing.T) {
 
 // TestLineageOnlyGlobalQueriesFail covers the ErrNoStore paths.
 func TestLineageOnlyGlobalQueriesFail(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{Mode: SyncLineageOnly})
 	db.Apply(model.AddNode(1, 0, nil, nil))
-	if _, err := db.GetDiff(0, 10); err != ErrNoStore {
+	if _, err := db.GetDiffContext(ctx, 0, 10); err != ErrNoStore {
 		t.Errorf("GetDiff: %v", err)
 	}
-	if _, err := db.GetGraph(0, 10, 1); err != ErrNoStore {
+	if _, err := db.GetGraphContext(ctx, 0, 10, 1); err != ErrNoStore {
 		t.Errorf("GetGraph: %v", err)
 	}
-	if _, err := db.GetWindow(0, 10); err != ErrNoStore {
+	if _, err := db.GetWindowContext(ctx, 0, 10); err != ErrNoStore {
 		t.Errorf("GetWindow: %v", err)
 	}
-	if err := db.ScanGraphs(0, 10, 1, nil); err != ErrNoStore {
+	if err := db.ScanGraphsContext(ctx, 0, 10, 1, nil); err != ErrNoStore {
 		t.Errorf("ScanGraphs: %v", err)
 	}
-	if _, err := db.ExpandViaTimeStore(0, model.Outgoing, 1, 1); err != ErrNoStore {
+	if _, err := db.ExpandViaTimeStore(ctx, 0, model.Outgoing, 1, 1); err != ErrNoStore {
 		t.Errorf("ExpandViaTimeStore: %v", err)
 	}
 }
@@ -278,6 +284,7 @@ func TestDiskBytesReported(t *testing.T) {
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -301,11 +308,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if db2.LatestTimestamp() != 22 {
 		t.Errorf("reopened latest ts = %d", db2.LatestTimestamp())
 	}
-	g, err := db2.GraphAt(22)
+	g, err := db2.GraphAtContext(ctx, 22)
 	if err != nil || g.NodeCount() != 10 || g.RelCount() != 9 {
 		t.Errorf("reopened graph: %v", err)
 	}
-	ns, err := db2.GetNode(0, 21, 21)
+	ns, err := db2.GetNodeContext(ctx, 0, 21, 21)
 	if err != nil || len(ns) != 1 || !ns[0].HasLabel("VIP") {
 		t.Errorf("reopened point query: %v %v", ns, err)
 	}

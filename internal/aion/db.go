@@ -76,8 +76,6 @@ type Options struct {
 	Dir string
 	// Mode selects the write-path synchronization (default SyncHybrid).
 	Mode SyncMode
-	// ChainThreshold is LineageStore's delta materialization threshold.
-	ChainThreshold int
 	// SnapshotEveryOps is the TimeStore's snapshot policy: a snapshot every
 	// this many updates (0: timestore.DefaultSnapshotEveryOps; < 0: none).
 	SnapshotEveryOps int
@@ -178,9 +176,8 @@ func (db *DB) openStores(fs vfs.FS) (err error) {
 	}
 	if opts.Mode != SyncTimeStoreOnly {
 		db.ls, err = lineagestore.Open(db.codec, lineagestore.Options{
-			Dir:            filepath.Join(opts.Dir, "lineage"),
-			ChainThreshold: opts.ChainThreshold,
-			FS:             opts.FS,
+			Dir: filepath.Join(opts.Dir, "lineage"),
+			FS:  opts.FS,
 		})
 		if err != nil {
 			return err
@@ -201,7 +198,7 @@ func (db *DB) openStores(fs vfs.FS) (err error) {
 		// its index files may lag or lead the durable log undetectably).
 		end := db.ts.LatestTimestamp() + 1
 		err := db.ls.CatchUp(db.ts.Stats().Updates, func(from model.Timestamp, fn func(model.Update) bool) error {
-			return db.ts.ScanDiff(from, end, fn)
+			return db.ts.ScanDiffContext(context.Background(), from, end, fn)
 		})
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package aion
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -59,15 +60,16 @@ func evolvedDB(t *testing.T, mode SyncMode) *DB {
 // the same nodes, labels, properties and degrees in both directions (Sec 5.1:
 // the two stores are two views of one history).
 func TestFallbackPathsAgreeWithLineage(t *testing.T) {
+	ctx := context.Background()
 	db := evolvedDB(t, SyncBoth)
 	maxTS := db.LatestTimestamp()
 	for probe := model.Timestamp(1); probe <= maxTS; probe += 7 {
-		g, err := db.GraphAt(probe)
+		g, err := db.GraphAtContext(ctx, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for id := model.NodeID(0); id < 12; id++ {
-			viaLS, err := db.LineageStore().GetNode(id, probe, probe)
+			viaLS, err := db.LineageStore().GetNodeContext(ctx, id, probe, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +85,7 @@ func TestFallbackPathsAgreeWithLineage(t *testing.T) {
 				dir  model.Direction
 				want []model.RelID
 			}{{model.Outgoing, g.Out(id)}, {model.Incoming, g.In(id)}} {
-				rels, err := db.LineageStore().GetRelationships(id, d.dir, probe, probe)
+				rels, err := db.LineageStore().GetRelationshipsContext(ctx, id, d.dir, probe, probe)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,16 +103,17 @@ func TestFallbackPathsAgreeWithLineage(t *testing.T) {
 // version, with its interval, of every node and every relationship that ever
 // existed.
 func TestHistoryFallbackAgrees(t *testing.T) {
+	ctx := context.Background()
 	db := evolvedDB(t, SyncBoth)
 	maxTS := db.LatestTimestamp()
-	diff, err := db.GetDiff(0, model.TSInfinity)
+	diff, err := db.GetDiffContext(ctx, 0, model.TSInfinity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var m refmodel.Model
 	m.Apply(diff...)
 	for id := model.NodeID(0); id < 12; id++ {
-		viaLS, err := db.LineageStore().GetNode(id, 1, maxTS)
+		viaLS, err := db.LineageStore().GetNodeContext(ctx, id, 1, maxTS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +128,7 @@ func TestHistoryFallbackAgrees(t *testing.T) {
 			continue
 		}
 		seen[u.RelID] = true
-		viaLS, err := db.LineageStore().GetRelationship(u.RelID, 1, maxTS)
+		viaLS, err := db.LineageStore().GetRelationshipContext(ctx, u.RelID, 1, maxTS)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package aion
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -19,14 +20,15 @@ var directions = []model.Direction{model.Outgoing, model.Incoming, model.Both}
 // GetRelationship over [start, end) — at start when start == end — for the
 // given entities with the reference model's answers.
 func readsMatch(t *testing.T, db *DB, m *refmodel.Model, nodes []model.NodeID, rels []model.RelID, start, end model.Timestamp) {
+	ctx := context.Background()
 	t.Helper()
 	for _, id := range nodes {
-		got, err := db.GetNode(id, start, end)
+		got, err := db.GetNodeContext(ctx, id, start, end)
 		if want := m.GetNode(id, start, end); err != nil || !refmodel.SameNodes(got, want) {
 			t.Fatalf("GetNode(%d, %d, %d) = %s (%v), the model says %s", id, start, end, refmodel.ShowNodes(got), err, refmodel.ShowNodes(want))
 		}
 		for _, d := range directions {
-			got, err := db.GetRelationships(id, d, start, end)
+			got, err := db.GetRelationshipsContext(ctx, id, d, start, end)
 			if want := m.GetRelationships(id, d, start, end); err != nil || !slices.EqualFunc(got, want, refmodel.SameRels) {
 				t.Fatalf("GetRelationships(%d, %v, %d, %d) = %s (%v), the model says %s", id, d, start, end,
 					refmodel.ShowRels(slices.Concat(got...)), err, refmodel.ShowRels(slices.Concat(want...)))
@@ -34,7 +36,7 @@ func readsMatch(t *testing.T, db *DB, m *refmodel.Model, nodes []model.NodeID, r
 		}
 	}
 	for _, id := range rels {
-		got, err := db.GetRelationship(id, start, end)
+		got, err := db.GetRelationshipContext(ctx, id, start, end)
 		if want := m.GetRelationship(id, start, end); err != nil || !refmodel.SameRels(got, want) {
 			t.Fatalf("GetRelationship(%d, %d, %d) = %s (%v), the model says %s", id, start, end, refmodel.ShowRels(got), err, refmodel.ShowRels(want))
 		}
@@ -49,6 +51,7 @@ func readsMatch(t *testing.T, db *DB, m *refmodel.Model, nodes []model.NodeID, r
 // holds began nor when it ends, so a TimeStore-only store answers none of
 // these reads.
 func TestEntityReadsMatchTheReferenceModel(t *testing.T) {
+	ctx := context.Background()
 	t.Run("versions at 10, 38 and 47", func(t *testing.T) {
 		us := []model.Update{
 			model.AddNode(10, 0, []string{"N"}, model.Properties{"v": model.IntValue(10)}),
@@ -72,7 +75,7 @@ func TestEntityReadsMatchTheReferenceModel(t *testing.T) {
 				}
 			}
 			for _, w := range windows {
-				ns, err := db.GetNode(0, w.start, w.end)
+				ns, err := db.GetNodeContext(ctx, 0, w.start, w.end)
 				if mode == SyncTimeStoreOnly {
 					if err != ErrNoStore {
 						t.Errorf("%v: GetNode(0, %d, %d) = %s, %v; want ErrNoStore", mode, w.start, w.end, refmodel.ShowNodes(ns), err)
@@ -84,10 +87,10 @@ func TestEntityReadsMatchTheReferenceModel(t *testing.T) {
 				}
 			}
 			if mode == SyncTimeStoreOnly {
-				if _, err := db.GetRelationship(0, 40, 50); err != ErrNoStore {
+				if _, err := db.GetRelationshipContext(ctx, 0, 40, 50); err != ErrNoStore {
 					t.Errorf("%v: GetRelationship: %v, want ErrNoStore", mode, err)
 				}
-				if _, err := db.GetRelationships(0, model.Both, 40, 50); err != ErrNoStore {
+				if _, err := db.GetRelationshipsContext(ctx, 0, model.Both, 40, 50); err != ErrNoStore {
 					t.Errorf("%v: GetRelationships: %v, want ErrNoStore", mode, err)
 				}
 			}
@@ -176,6 +179,7 @@ func sameStates(a, b []*model.Node) bool {
 // because a materialised graph neither knows when a version began nor keeps
 // the neighbour indexes' order; and the planner's like the route it picks.
 func expandMatches(t *testing.T, db *DB, m *refmodel.Model, id model.NodeID, d model.Direction, ts model.Timestamp, viaStores bool) {
+	ctx := context.Background()
 	t.Helper()
 	want := m.Expand(id, d, 3, ts)
 	check := func(route string, got [][]*model.Node, err error, hops int, same func(a, b []*model.Node) bool) {
@@ -186,7 +190,7 @@ func expandMatches(t *testing.T, db *DB, m *refmodel.Model, id model.NodeID, d m
 		}
 	}
 	for hops := 1; hops <= 3; hops++ {
-		got, err := db.Expand(id, d, hops, ts)
+		got, err := db.ExpandContext(ctx, id, d, hops, ts)
 		if db.PlanExpand(hops, d) == ChoseLineage {
 			check("Expand, on the LineageStore,", got, err, hops, refmodel.SameNodes)
 		} else {
@@ -195,9 +199,9 @@ func expandMatches(t *testing.T, db *DB, m *refmodel.Model, id model.NodeID, d m
 		if !viaStores {
 			continue
 		}
-		got, err = db.LineageStore().Expand(id, d, hops, ts)
+		got, err = db.LineageStore().ExpandContext(ctx, id, d, hops, ts)
 		check("LineageStore().Expand", got, err, hops, refmodel.SameNodes)
-		got, err = db.ExpandViaTimeStore(id, d, hops, ts)
+		got, err = db.ExpandViaTimeStore(ctx, id, d, hops, ts)
 		check("ExpandViaTimeStore", got, err, hops, sameStates)
 	}
 }
@@ -276,16 +280,17 @@ func digest(t *testing.T, codec *enc.Codec, us []model.Update) string {
 // timestamp, over the inverted window, the point and windows of growing
 // width up to the whole suffix.
 func TestGlobalDoorsMatchTheReferenceModel(t *testing.T) {
+	ctx := context.Background()
 	db := openDB(t, Options{SnapshotEveryOps: 64})
 	codec := enc.NewCodec(strstore.NewMem())
 	h, m, starts := refmodel.NewHistory(13), &refmodel.Model{}, rand.New(rand.NewSource(13))
 	check := func(a, b model.Timestamp, when string) {
 		t.Helper()
-		diff, err := db.GetDiff(a, b)
+		diff, err := db.GetDiffContext(ctx, a, b)
 		if err != nil || digest(t, codec, diff) != digest(t, codec, m.Diff(a, b)) {
 			t.Fatalf("%s: GetDiff(%d, %d) differs from the model (%v)", when, a, b, err)
 		}
-		w, err := db.GetWindow(a, b)
+		w, err := db.GetWindowContext(ctx, a, b)
 		if err != nil || digest(t, codec, w.Export()) != digest(t, codec, m.Window(a, b)) {
 			t.Fatalf("%s: GetWindow(%d, %d) differs from the model (%v)", when, a, b, err)
 		}
@@ -296,7 +301,7 @@ func TestGlobalDoorsMatchTheReferenceModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Apply(us...)
-		gs, err := db.GetGraph(h.TS, h.TS, 1)
+		gs, err := db.GetGraphContext(ctx, h.TS, h.TS, 1)
 		if err != nil || len(gs) != 1 || digest(t, codec, gs[0].Export()) != digest(t, codec, m.Graph(h.TS)) {
 			t.Fatalf("GetGraph(%d, %d, 1) right after the commit differs from the model (%v)", h.TS, h.TS, err)
 		}
@@ -309,7 +314,7 @@ func TestGlobalDoorsMatchTheReferenceModel(t *testing.T) {
 	}
 	last := h.TS
 	for _, step := range []model.Timestamp{1, 3} {
-		series, err := db.GetGraph(0, last, step)
+		series, err := db.GetGraphContext(ctx, 0, last, step)
 		if err != nil || len(series) != int(last/step)+1 {
 			t.Fatalf("GetGraph(0, %d, %d): %d graphs, %v", last, step, len(series), err)
 		}

@@ -1,6 +1,7 @@
 package aion
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -37,6 +38,7 @@ func loadAndClose(t *testing.T, opts Options) uint64 {
 // file and a checkpoint ahead of the recovered log each rebuild from the
 // whole log. Every reopened store must answer like the original.
 func TestReopenCatchesUpFromWhatTheDiskSays(t *testing.T) {
+	ctx := context.Background()
 	lineage := func(dir, name string) string { return filepath.Join(dir, "lineage", name) }
 	cases := []struct {
 		name    string
@@ -113,11 +115,11 @@ func TestReopenCatchesUpFromWhatTheDiskSays(t *testing.T) {
 			if got, want := db.LineageStore().AppliedThrough(), db.TimeStore().LatestTimestamp(); got != want {
 				t.Errorf("AppliedThrough = %d, TimeStore at %d", got, want)
 			}
-			ns, err := db.GetNode(0, 21, 21)
+			ns, err := db.GetNodeContext(ctx, 0, 21, 21)
 			if err != nil || len(ns) != 1 || !ns[0].HasLabel("VIP") {
 				t.Errorf("GetNode(0) at 21 = %v, %v", ns, err)
 			}
-			rels, err := db.GetRelationships(4, model.Outgoing, 21, 21)
+			rels, err := db.GetRelationshipsContext(ctx, 4, model.Outgoing, 21, 21)
 			if err != nil || len(rels) != 1 {
 				t.Errorf("node 4 out-rels at 21 = %v, %v", rels, err)
 			}
@@ -201,7 +203,7 @@ func TestSkippedApplyBarsTheCheckpoint(t *testing.T) {
 		t.Errorf("reopen caught up %d of %d updates, want a rebuild of all %d", st.CaughtUp, st.Updates, logged+2)
 	}
 	for id := model.NodeID(1000); id <= 1001; id++ {
-		if vs, err := db.LineageStore().GetNode(id, 0, next+2); err != nil || len(vs) != 1 {
+		if vs, err := db.LineageStore().GetNodeContext(context.Background(), id, 0, next+2); err != nil || len(vs) != 1 {
 			t.Errorf("node %d in the rebuilt LineageStore: %v, %v", id, vs, err)
 		}
 	}

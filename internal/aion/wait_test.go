@@ -25,7 +25,7 @@ func TestHybridLagReadsWait(t *testing.T) {
 		if err := db.Apply(u); err != nil {
 			t.Fatal(err)
 		}
-		ns, err := db.GetNode(u.NodeID, u.TS, u.TS)
+		ns, err := db.GetNodeContext(context.Background(), u.NodeID, u.TS, u.TS)
 		if err != nil || len(ns) != 1 || ns[0].Props["i"].Int() != int64(i) || ns[0].Valid != (model.Interval{Start: u.TS, End: model.TSInfinity}) {
 			t.Fatalf("node %d read right after its write: %v, %v", i, ns, err)
 		}
@@ -44,7 +44,7 @@ func TestLineageLagReadsWait(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ns, err := db.GetNode(0, 21, 21)
+	ns, err := db.GetNodeContext(context.Background(), 0, 21, 21)
 	if err != nil || len(ns) != 1 || !ns[0].HasLabel("VIP") || ns[0].Valid != (model.Interval{Start: 21, End: model.TSInfinity}) {
 		t.Errorf("GetNode(0) at 21 = %v, %v", ns, err)
 	}
@@ -117,7 +117,7 @@ func TestAppliedReadsSkipTheInvalidationFsync(t *testing.T) {
 	<-parked
 	done := make(chan error, 1)
 	go func() {
-		ns, err := db.GetNode(0, 21, 21)
+		ns, err := db.GetNodeContext(context.Background(), 0, 21, 21)
 		if err == nil && (len(ns) != 1 || !ns[0].HasLabel("VIP")) {
 			err = fmt.Errorf("GetNode(0) at 21 = %v", ns)
 		}
@@ -151,7 +151,7 @@ func TestCancelledReadStopsWaiting(t *testing.T) {
 		t.Errorf("GetRelationships at 23 under a cancelled context: %v", err)
 	}
 	close(release)
-	if ns, err := db.GetNode(100, 23, 23); err != nil || len(ns) != 1 {
+	if ns, err := db.GetNodeContext(context.Background(), 100, 23, 23); err != nil || len(ns) != 1 {
 		t.Errorf("GetNode(100) at 23 once released: %v, %v", ns, err)
 	}
 	if lineage, _ := db.PlannerDecisions(); lineage != 1 {
@@ -163,6 +163,7 @@ func TestCancelledReadStopsWaiting(t *testing.T) {
 // WaitSyncs in a loop, race Close. Each read is answered right or fails with
 // the store closed; none panics, and Close waits for those under way.
 func TestConcurrentReadsAndClose(t *testing.T) {
+	ctx := context.Background()
 	release := make(chan struct{})
 	hook, parked := hold(release)
 	db := heldCascade(t, hook)
@@ -178,19 +179,19 @@ func TestConcurrentReadsAndClose(t *testing.T) {
 				switch i % 4 {
 				case 0:
 					var ns []*model.Node
-					if ns, err = db.GetNode(100, 23, 23); err == nil && len(ns) != 1 {
+					if ns, err = db.GetNodeContext(ctx, 100, 23, 23); err == nil && len(ns) != 1 {
 						err = fmt.Errorf("GetNode(100) at 23 = %v", ns)
 					}
 				case 1:
 					var rs [][]*model.Rel
-					if rs, err = db.GetRelationships(4, model.Outgoing, 21, 21); err == nil && len(rs) != 1 {
+					if rs, err = db.GetRelationshipsContext(ctx, 4, model.Outgoing, 21, 21); err == nil && len(rs) != 1 {
 						err = fmt.Errorf("node 4's out-relationships at 21 = %v", rs)
 					}
 				case 2:
-					_, err = db.GetRelationship(0, 11, 23)
+					_, err = db.GetRelationshipContext(ctx, 0, 11, 23)
 				case 3:
 					if err = db.WaitSync(); err == nil {
-						_, err = db.GetNode(0, 0, 23)
+						_, err = db.GetNodeContext(ctx, 0, 0, 23)
 					}
 				}
 				if errors.Is(err, errClosed) {
@@ -217,7 +218,7 @@ func TestConcurrentReadsAndClose(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if _, err := db.GetNode(0, 21, 21); !errors.Is(err, errClosed) {
+	if _, err := db.GetNodeContext(ctx, 0, 21, 21); !errors.Is(err, errClosed) {
 		t.Errorf("GetNode after Close: %v, want the store closed", err)
 	}
 }
@@ -226,8 +227,9 @@ func TestConcurrentReadsAndClose(t *testing.T) {
 // what it applied returns the sticky error instead of waiting for ever, and a
 // read at or below it is served.
 func TestReadsAfterACascadeFailure(t *testing.T) {
+	ctx := context.Background()
 	db := heldCascade(t, func() error { return vfs.ErrInjected })
-	if _, err := db.GetNode(100, 23, 23); !errors.Is(err, vfs.ErrInjected) {
+	if _, err := db.GetNodeContext(ctx, 100, 23, 23); !errors.Is(err, vfs.ErrInjected) {
 		t.Errorf("GetNode at 23 after the cascade failed there: %v, want the injected fault", err)
 	}
 	if err := db.WaitSync(); !errors.Is(err, vfs.ErrInjected) {
@@ -237,7 +239,7 @@ func TestReadsAfterACascadeFailure(t *testing.T) {
 		t.Fatalf("the LineageStore applied through %d, want 22", got)
 	}
 	for _, ts := range []model.Timestamp{21, 22} {
-		if ns, err := db.GetNode(0, ts, ts); err != nil || len(ns) != 1 || !ns[0].HasLabel("VIP") {
+		if ns, err := db.GetNodeContext(ctx, 0, ts, ts); err != nil || len(ns) != 1 || !ns[0].HasLabel("VIP") {
 			t.Errorf("GetNode(0) at %d: %v, %v", ts, ns, err)
 		}
 	}

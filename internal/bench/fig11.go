@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 
 	"aion/internal/datagen"
@@ -64,7 +65,7 @@ func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int)
 		stores[i] = ls
 		sides[i] = timed(func() error {
 			for k := range ids {
-				if _, err := ls.GetRelationship(ids[k], tss[k], tss[k]); err != nil {
+				if _, err := ls.GetRelationshipContext(context.Background(), ids[k], tss[k], tss[k]); err != nil {
 					return err
 				}
 			}

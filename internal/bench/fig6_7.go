@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 
 	"aion/internal/baselines/gradoop"
@@ -35,7 +36,7 @@ func RunFig6(c Config, dir func(string) string) ([]Fig6Row, error) {
 		ls := db.LineageStore()
 		d, err := measure(timed(func() error {
 			for i := range ids {
-				if _, err := ls.GetRelationship(ids[i], tss[i], tss[i]); err != nil {
+				if _, err := ls.GetRelationshipContext(context.Background(), ids[i], tss[i], tss[i]); err != nil {
 					return err
 				}
 			}
@@ -89,7 +90,7 @@ func RunFig7(c Config, dir func(string) string) ([]Fig7Row, error) {
 		ts := db.TimeStore()
 		d, err := measure(timed(func() error {
 			for _, q := range tss {
-				if _, err := ts.GetGraph(q); err != nil {
+				if _, err := ts.GetGraphContext(context.Background(), q); err != nil {
 					return err
 				}
 			}

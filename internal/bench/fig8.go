@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -58,14 +59,14 @@ func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop in
 				return nil
 			}), timed(func() error {
 				for i := range starts {
-					if _, err := ls.Expand(starts[i], model.Outgoing, hops, tss[i]); err != nil {
+					if _, err := ls.ExpandContext(context.Background(), starts[i], model.Outgoing, hops, tss[i]); err != nil {
 						return err
 					}
 				}
 				return nil
 			}), timed(func() error {
 				for i := range starts {
-					if _, err := db.ExpandViaTimeStore(starts[i], model.Outgoing, hops, tss[i]); err != nil {
+					if _, err := db.ExpandViaTimeStore(context.Background(), starts[i], model.Outgoing, hops, tss[i]); err != nil {
 						return err
 					}
 				}

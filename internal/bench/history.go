@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"aion/internal/datagen"
@@ -101,7 +102,7 @@ func historyRow(c Config, st *timestore.Store, ds *datagen.Dataset) (HistoryRow,
 		ts0 := max(model.Timestamp(float64(maxTS)*depth), 1)
 		sides[i] = timed(func() error {
 			for k := 0; k < c.GlobalOps; k++ {
-				if _, err := st.GetGraph(max(ts0-model.Timestamp(k), 1)); err != nil {
+				if _, err := st.GetGraphContext(context.Background(), max(ts0-model.Timestamp(k), 1)); err != nil {
 					return err
 				}
 			}

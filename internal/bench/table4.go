@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -77,7 +78,7 @@ func RunTable4(c Config, dir func(string) string) ([]Table4Row, error) {
 		ids, tss := randRelQueries(rand.New(rand.NewSource(c.Seed)), ds, ops)
 		return measure(timed(func() error {
 			for i := range ids {
-				if _, err := ls.GetRelationship(ids[i], tss[i], tss[i]); err != nil {
+				if _, err := ls.GetRelationshipContext(context.Background(), ids[i], tss[i], tss[i]); err != nil {
 					return err
 				}
 			}

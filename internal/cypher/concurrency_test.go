@@ -13,6 +13,7 @@ import (
 // query concurrently. Run under -race this checks the engine's concurrency
 // contract directly, without the bolt layer in between.
 func TestConcurrentWritersAndReaders(t *testing.T) {
+	ctx := context.Background()
 	e := newEngine(t)
 	const (
 		writers   = 4
@@ -27,7 +28,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				q := fmt.Sprintf("CREATE (n:C {w: %d, i: %d})", wi, i)
-				if _, err := e.Query(q, nil); err != nil {
+				if _, err := e.QueryContext(ctx, q, nil); err != nil {
 					errs <- fmt.Errorf("writer %d: %w", wi, err)
 					return
 				}
@@ -39,7 +40,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func(ri int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				res, err := e.Query("MATCH (n:C) RETURN count(*)", nil)
+				res, err := e.QueryContext(ctx, "MATCH (n:C) RETURN count(*)", nil)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", ri, err)
 					return

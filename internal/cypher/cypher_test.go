@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func newEngine(t *testing.T) *Engine {
 
 func mustQuery(t *testing.T, e *Engine, q string, params map[string]model.Value) *Result {
 	t.Helper()
-	res, err := e.Query(q, params)
+	res, err := e.QueryContext(context.Background(), q, params)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -248,7 +249,7 @@ func TestDetachDelete(t *testing.T) {
 
 func TestWriteOnHistoricalVersionRejected(t *testing.T) {
 	e := seed(t)
-	_, err := e.Query(`USE GDB FOR SYSTEM_TIME AS OF 1 MATCH (n) SET n.x = 1`, nil)
+	_, err := e.QueryContext(context.Background(), `USE GDB FOR SYSTEM_TIME AS OF 1 MATCH (n) SET n.x = 1`, nil)
 	if err == nil || !strings.Contains(err.Error(), "historical") {
 		t.Errorf("historical write must be rejected, got %v", err)
 	}
@@ -268,6 +269,7 @@ func TestApplicationTimeFilter(t *testing.T) {
 }
 
 func TestProcedures(t *testing.T) {
+	ctx := context.Background()
 	e := seed(t)
 	res := mustQuery(t, e, `CALL aion.diff(1, 100)`, nil)
 	if len(res.Rows) < 5 {
@@ -288,10 +290,10 @@ func TestProcedures(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Errorf("expand rows = %d", len(res.Rows))
 	}
-	if _, err := e.Query(`CALL nope.nope()`, nil); err == nil {
+	if _, err := e.QueryContext(ctx, `CALL nope.nope()`, nil); err == nil {
 		t.Error("unknown procedure must fail")
 	}
-	if _, err := e.Query(`CALL aion.expand(0, 'out', 2, 3) YIELD nothere`, nil); err == nil {
+	if _, err := e.QueryContext(ctx, `CALL aion.expand(0, 'out', 2, 3) YIELD nothere`, nil); err == nil {
 		t.Error("unknown yield column must fail")
 	}
 }

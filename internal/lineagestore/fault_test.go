@@ -1,6 +1,7 @@
 package lineagestore
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -59,7 +60,7 @@ func TestOpenResetsTruncatedIndex(t *testing.T) {
 	}
 	// The reset store is fully usable: re-apply and query.
 	applyChain(t, s2, 64)
-	n, err := s2.GetNode(model.NodeID(7), 64, 65)
+	n, err := s2.GetNodeContext(context.Background(), model.NodeID(7), 64, 65)
 	if err != nil || len(n) == 0 {
 		t.Fatalf("GetNode after reset+reapply: %v %v", n, err)
 	}
@@ -129,6 +130,7 @@ func (f *failOnceFS) Remove(path string) error {
 // that is still on disk. (The crash sweeps cannot see this order: they stop
 // the disk for good at the fault, so nothing later reaches it.)
 func TestInvalidationPrecedesTheFirstWrite(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	codec := enc.NewCodec(strstore.NewMem())
 	s, err := Open(codec, Options{Dir: dir})
@@ -160,7 +162,7 @@ func TestInvalidationPrecedesTheFirstWrite(t *testing.T) {
 	if got := s.Stats(); s.AppliedThrough() != 10 || got.Updates != 10 {
 		t.Fatalf("reopened at ts %d with %d updates, want the checkpoint's 10 and 10", s.AppliedThrough(), got.Updates)
 	}
-	if vs, err := s.GetNode(10, 0, 20); err != nil || len(vs) != 0 {
+	if vs, err := s.GetNodeContext(ctx, 10, 0, 20); err != nil || len(vs) != 0 {
 		t.Fatalf("the failed apply reached the index file: %v, %v", vs, err)
 	}
 	// The fault was transient: the same apply now goes through and the next
@@ -179,7 +181,7 @@ func TestInvalidationPrecedesTheFirstWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if vs, err := s.GetNode(10, 0, 20); s.AppliedThrough() != 11 || err != nil || len(vs) != 1 {
+	if vs, err := s.GetNodeContext(ctx, 10, 0, 20); s.AppliedThrough() != 11 || err != nil || len(vs) != 1 {
 		t.Fatalf("after the retry: applied through %d, node 10 = %v, %v", s.AppliedThrough(), vs, err)
 	}
 }

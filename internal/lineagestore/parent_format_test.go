@@ -1,6 +1,7 @@
 package lineagestore_test
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -146,6 +147,7 @@ func withCheckpointMagic(t *testing.T, lineage, magic string) {
 // TimeStore log, once; the store then answers exactly like one that never held
 // the old format.
 func TestParentFormatIsRebuilt(t *testing.T) {
+	ctx := context.Background()
 	var us []model.Update
 	ts := model.Timestamp(1)
 	for i := 0; i < 300; i++ { // enough for the trees to be more than a leaf
@@ -226,14 +228,14 @@ func TestParentFormatIsRebuilt(t *testing.T) {
 			}
 			for _, at := range [][2]model.Timestamp{{250, 250}, {ts, ts}, {0, ts}, {600, 1000}} {
 				for id := 0; id < 300; id += 7 {
-					gn, gerr := got.GetNode(model.NodeID(id), at[0], at[1])
-					wn, werr := want.GetNode(model.NodeID(id), at[0], at[1])
+					gn, gerr := got.GetNodeContext(ctx, model.NodeID(id), at[0], at[1])
+					wn, werr := want.GetNodeContext(ctx, model.NodeID(id), at[0], at[1])
 					if gerr != nil || werr != nil || !reflect.DeepEqual(gn, wn) {
 						t.Fatalf("GetNode(%d, %v) = %v, %v; a fresh store says %v, %v", id, at, gn, gerr, wn, werr)
 					}
 					for _, d := range []model.Direction{model.Outgoing, model.Incoming, model.Both} {
-						gr, gerr := got.GetRelationships(model.NodeID(id), d, at[0], at[1])
-						wr, werr := want.GetRelationships(model.NodeID(id), d, at[0], at[1])
+						gr, gerr := got.GetRelationshipsContext(ctx, model.NodeID(id), d, at[0], at[1])
+						wr, werr := want.GetRelationshipsContext(ctx, model.NodeID(id), d, at[0], at[1])
 						if gerr != nil || werr != nil || !reflect.DeepEqual(gr, wr) {
 							t.Fatalf("GetRelationships(%d, %v, %v) = %v, %v; a fresh store says %v, %v", id, d, at, gr, gerr, wr, werr)
 						}

@@ -208,26 +208,16 @@ func history[E comparable](ctx context.Context, s *Store, l *lineage[E], id int6
 	return versions(ctx, s, l, &c, id, start, end, nil)
 }
 
-// GetNode returns the node's history between start (inclusive) and end
-// (exclusive), one entry per version (Table 1). With start == end it
-// returns the single version valid at that instant, if any.
-func (s *Store) GetNode(id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
-	return s.GetNodeContext(context.Background(), id, start, end)
-}
-
-// GetNodeContext is GetNode honouring ctx cancellation: the walk over the
-// window's records checks ctx every cancelStride entries.
+// GetNodeContext returns the node's history between start (inclusive) and
+// end (exclusive), one entry per version (Table 1). With start == end it
+// returns the single version valid at that instant, if any. The walk over
+// the window's records checks ctx every cancelStride entries.
 func (s *Store) GetNodeContext(ctx context.Context, id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
 	return history(ctx, s, &nodeLineage, int64(id), start, end)
 }
 
-// GetRelationship returns the relationship's history between start and end
-// (Table 1); start == end returns the single version at that instant.
-func (s *Store) GetRelationship(id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
-	return s.GetRelationshipContext(context.Background(), id, start, end)
-}
-
-// GetRelationshipContext is GetRelationship honouring ctx cancellation.
+// GetRelationshipContext returns the relationship's history between start
+// and end (Table 1); start == end returns the single version at that instant.
 func (s *Store) GetRelationshipContext(ctx context.Context, id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
 	return history(ctx, s, &relLineage, int64(id), start, end)
 }
@@ -309,16 +299,11 @@ func (s *Store) incident(ctx context.Context, dst []model.RelID, id model.NodeID
 	return dst, err
 }
 
-// GetRelationships returns a node's (in/out) relationship history between
-// start and end (Table 1): one inner slice per incident relationship,
+// GetRelationshipsContext returns a node's (in/out) relationship history
+// between start and end (Table 1): one inner slice per incident relationship,
 // holding its versions in the interval. With start == end it returns the
-// relationships live at that instant, one version each.
-func (s *Store) GetRelationships(id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
-	return s.GetRelationshipsContext(context.Background(), id, d, start, end)
-}
-
-// GetRelationshipsContext is GetRelationships honouring ctx cancellation:
-// both the neighbour-index scans and the per-relationship version walks are
+// relationships live at that instant, one version each. Both the
+// neighbour-index scans and the per-relationship version walks are
 // cancellation points. The candidates — live at the instant, or with any
 // event before end — come from the neighbour indexes; their versions are
 // then read through one cursor on the relationship tree, one descent each,
@@ -354,16 +339,11 @@ func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d 
 	return out, nil
 }
 
-// Expand implements Alg 1: the n-hop neighbourhood of a node at time t,
-// translated directly to index lookups. The result holds one slice per hop
-// with per-hop deduplication, exactly as in the paper's pseudocode.
-func (s *Store) Expand(id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
-	return s.ExpandContext(context.Background(), id, d, hops, ts)
-}
-
-// ExpandContext is Expand honouring ctx cancellation: the frontier loop
-// checks ctx before expanding each node, so even a densely connected
-// neighbourhood stops within one node's worth of index lookups.
+// ExpandContext implements Alg 1: the n-hop neighbourhood of a node at time
+// t, translated directly to index lookups. The result holds one slice per hop
+// with per-hop deduplication, exactly as in the paper's pseudocode. The
+// frontier loop checks ctx before expanding each node, so even a densely
+// connected neighbourhood stops within one node's worth of index lookups.
 func (s *Store) ExpandContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
 	result := make([][]*model.Node, hops)
 	queue := []model.NodeID{id}

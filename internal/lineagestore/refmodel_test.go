@@ -1,6 +1,7 @@
 package lineagestore
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -14,17 +15,18 @@ import (
 // ever created, each node's relationships in all three directions, two-hop
 // expands of a few nodes; and ranged histories over random windows.
 func sweep(t *testing.T, s *Store, m *refmodel.Model, h *refmodel.History, last model.Timestamp) {
+	ctx := context.Background()
 	t.Helper()
 	dirs := []model.Direction{model.Outgoing, model.Incoming, model.Both}
 	check := func(start, end model.Timestamp, expands int) {
 		t.Helper()
 		for id := model.NodeID(0); id < h.Nodes; id++ {
-			got, err := s.GetNode(id, start, end)
+			got, err := s.GetNodeContext(ctx, id, start, end)
 			if want := m.GetNode(id, start, end); err != nil || !refmodel.SameNodes(got, want) {
 				t.Fatalf("GetNode(%d, %d, %d) = %s (%v), the model says %s", id, start, end, refmodel.ShowNodes(got), err, refmodel.ShowNodes(want))
 			}
 			for _, d := range dirs {
-				got, err := s.GetRelationships(id, d, start, end)
+				got, err := s.GetRelationshipsContext(ctx, id, d, start, end)
 				want := m.GetRelationships(id, d, start, end)
 				if err != nil || !slices.EqualFunc(got, want, refmodel.SameRels) {
 					t.Fatalf("GetRelationships(%d, %v, %d, %d) = %s (%v), the model says %s", id, d, start, end,
@@ -33,14 +35,14 @@ func sweep(t *testing.T, s *Store, m *refmodel.Model, h *refmodel.History, last 
 			}
 		}
 		for id := model.RelID(0); id < h.Rels; id++ {
-			got, err := s.GetRelationship(id, start, end)
+			got, err := s.GetRelationshipContext(ctx, id, start, end)
 			if want := m.GetRelationship(id, start, end); err != nil || !refmodel.SameRels(got, want) {
 				t.Fatalf("GetRelationship(%d, %d, %d) = %s (%v), the model says %s", id, start, end, refmodel.ShowRels(got), err, refmodel.ShowRels(want))
 			}
 		}
 		for ; expands > 0; expands-- {
 			id, d := model.NodeID(h.Rand.Int63n(int64(h.Nodes))), dirs[h.Rand.Intn(3)]
-			got, err := s.Expand(id, d, 2, start)
+			got, err := s.ExpandContext(ctx, id, d, 2, start)
 			if want := m.Expand(id, d, 2, start); err != nil || !slices.EqualFunc(got, want, refmodel.SameNodes) {
 				t.Fatalf("Expand(%d, %v, 2, %d) = %s (%v), the model says %s", id, d, start,
 					refmodel.ShowNodes(slices.Concat(got...)), err, refmodel.ShowNodes(slices.Concat(want...)))
@@ -96,6 +98,7 @@ func TestReadsMatchTheReferenceModel(t *testing.T) {
 // multi-entity read keeps its cursor for — it yields the tree every
 // cancelStride entities — is read like any other.
 func TestHubReadsMatchTheReferenceModel(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{IndexCachePages: 2})
 	defer s.Close()
 	const hub, spokes = 0, 3*cancelStride + 7
@@ -128,12 +131,12 @@ func TestHubReadsMatchTheReferenceModel(t *testing.T) {
 	}
 	for _, d := range []model.Direction{model.Outgoing, model.Incoming, model.Both} {
 		for _, w := range [][2]model.Timestamp{{2, 2}, {4, 4}, {0, 5}, {3, 4}} {
-			got, err := s.GetRelationships(hub, d, w[0], w[1])
+			got, err := s.GetRelationshipsContext(ctx, hub, d, w[0], w[1])
 			if want := m.GetRelationships(hub, d, w[0], w[1]); err != nil || !slices.EqualFunc(got, want, refmodel.SameRels) {
 				t.Fatalf("GetRelationships(hub, %v, %d, %d): %d relationships (%v), the model says %d", d, w[0], w[1], len(got), err, len(want))
 			}
 		}
-		got, err := s.Expand(1, d, 2, 4) // a spoke, the hub, every spoke
+		got, err := s.ExpandContext(ctx, 1, d, 2, 4) // a spoke, the hub, every spoke
 		if want := m.Expand(1, d, 2, 4); err != nil || !slices.EqualFunc(got, want, refmodel.SameNodes) {
 			t.Fatalf("Expand(1, %v, 2, 4) = %s (%v), the model says %s", d,
 				refmodel.ShowNodes(slices.Concat(got...)), err, refmodel.ShowNodes(slices.Concat(want...)))

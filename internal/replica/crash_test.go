@@ -19,6 +19,7 @@ package replica
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -91,11 +92,11 @@ func verifyConverged(t *testing.T, tag string, p *system.System, pfs vfs.FS, pdi
 		t.Fatalf("%s: follower aion: %v", tag, err)
 	}
 	clock := p.Host.Clock()
-	pu, err := p.Aion.TimeStore().GetDiff(0, clock+1)
+	pu, err := p.Aion.TimeStore().GetDiffContext(context.Background(), 0, clock+1)
 	if err != nil {
 		t.Fatalf("%s: primary GetDiff: %v", tag, err)
 	}
-	fu, err := f.Aion.TimeStore().GetDiff(0, clock+1)
+	fu, err := f.Aion.TimeStore().GetDiffContext(context.Background(), 0, clock+1)
 	if err != nil {
 		t.Fatalf("%s: follower GetDiff: %v", tag, err)
 	}

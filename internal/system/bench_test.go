@@ -187,7 +187,7 @@ func BenchmarkResident(b *testing.B) {
 		ts := s.Aion.TimeStore()
 		last := ts.LatestTimestamp()
 		for at := last - last/4 + 1; at <= last; at++ {
-			if _, err := ts.GetGraph(at); err != nil {
+			if _, err := ts.GetGraphContext(context.Background(), at); err != nil {
 				b.Fatal(err)
 			}
 		}

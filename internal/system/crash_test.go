@@ -12,6 +12,7 @@ package system
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -236,7 +237,7 @@ func verifySystem(t *testing.T, k int, torn bool, s *System, res sysDriveResult)
 			t.Fatalf("k=%d torn=%v: aion at ts %d, host at %d", k, torn, got, m)
 		}
 	}
-	rec, err := s.Aion.TimeStore().GetDiff(0, model.Timestamp(m)+1)
+	rec, err := s.Aion.TimeStore().GetDiffContext(context.Background(), 0, model.Timestamp(m)+1)
 	if err != nil {
 		t.Fatalf("k=%d torn=%v: aion GetDiff: %v", k, torn, err)
 	}
@@ -253,7 +254,7 @@ func verifySystem(t *testing.T, k int, torn bool, s *System, res sysDriveResult)
 		if got := s.Aion.LineageStore().AppliedThrough(); got != model.Timestamp(m) {
 			t.Fatalf("k=%d torn=%v: lineage applied through %d, want %d", k, torn, got, m)
 		}
-		g, err := s.Aion.TimeStore().GetGraph(model.Timestamp(m))
+		g, err := s.Aion.TimeStore().GetGraphContext(context.Background(), model.Timestamp(m))
 		if err != nil {
 			t.Fatalf("k=%d torn=%v: aion GetGraph: %v", k, torn, err)
 		}
@@ -364,7 +365,7 @@ func TestTornCommitIsAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rec, err := s.Aion.TimeStore().GetDiff(0, 7)
+	rec, err := s.Aion.TimeStore().GetDiffContext(context.Background(), 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ package system
 // bytes are simply never written.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestProcessKillRecoversAckedCommits(t *testing.T) {
 	}
 	// The per-txn strings must have survived: read one back through the
 	// temporal store.
-	vs, err := s2.Aion.GetNode(model.NodeID(txns), 0, model.TSInfinity)
+	vs, err := s2.Aion.GetNodeContext(context.Background(), model.NodeID(txns), 0, model.TSInfinity)
 	if err != nil {
 		t.Fatal(err)
 	}

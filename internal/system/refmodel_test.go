@@ -8,6 +8,7 @@ package system
 
 import (
 	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -225,6 +226,7 @@ func exportDigest(t *testing.T, codec *enc.Codec, us []model.Update) string {
 // and the diff's hops over each of these, the two-commit ones from every third
 // commit only; and the point and inverted windows at every fifth commit.
 func (r *residentSys) matchModel(label string, codec *enc.Codec) {
+	ctx := context.Background()
 	t := r.t
 	t.Helper()
 	if err := r.Aion.WaitSync(); err != nil {
@@ -249,7 +251,7 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 		t.Errorf("%s: no policy snapshot of this process life is cached", label)
 	}
 	for at := model.Timestamp(1); at <= last; at++ {
-		g, err := ts.GetGraph(at)
+		g, err := ts.GetGraphContext(ctx, at)
 		if err != nil {
 			t.Fatalf("%s: GetGraph(%d): %v", label, at, err)
 		}
@@ -258,7 +260,7 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 		}
 	}
 	// GetGraphs over the whole history: each step the graph at its timestamp.
-	graphs, err := ts.GetGraphs(1, last, 1)
+	graphs, err := ts.GetGraphsContext(ctx, 1, last, 1)
 	if err != nil || len(graphs) != int(last) {
 		t.Fatalf("%s: GetGraphs(1, %d, 1): %d graphs, %v", label, last, len(graphs), err)
 	}
@@ -282,7 +284,7 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 		windows = append(windows, [2]model.Timestamp{at, min(at+2, last+1)})
 	}
 	for _, w := range windows {
-		us, err := ts.GetDiff(w[0], w[1])
+		us, err := ts.GetDiffContext(context.Background(), w[0], w[1])
 		if err != nil {
 			t.Fatalf("%s: GetDiff(%d, %d): %v", label, w[0], w[1], err)
 		}
@@ -310,7 +312,7 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 func (r *residentSys) matchWindow(label string, codec *enc.Codec, m *refmodel.Model, a, b model.Timestamp, diff []model.Update) {
 	t := r.t
 	t.Helper()
-	w, err := r.Aion.TimeStore().GetWindow(a, b)
+	w, err := r.Aion.TimeStore().GetWindowContext(context.Background(), a, b)
 	if err != nil {
 		t.Fatalf("%s: GetWindow(%d, %d): %v", label, a, b, err)
 	}
@@ -335,6 +337,7 @@ func (r *residentSys) matchWindow(label string, codec *enc.Codec, m *refmodel.Mo
 // version that ends after last ends in a commit the model has not seen yet, so
 // both sides' are left open.
 func (r *residentSys) matchEntities(label string, m *refmodel.Model, last model.Timestamp) {
+	ctx := context.Background()
 	t := r.t
 	t.Helper()
 	ls := r.Aion.LineageStore()
@@ -353,7 +356,7 @@ func (r *residentSys) matchEntities(label string, m *refmodel.Model, last model.
 	}
 	for _, at := range [][2]model.Timestamp{{0, last + 1}, {last, last}} {
 		for id := range nodes {
-			got, err := ls.GetNode(id, at[0], at[1])
+			got, err := ls.GetNodeContext(ctx, id, at[0], at[1])
 			for _, n := range got {
 				open(&n.Valid)
 			}
@@ -362,7 +365,7 @@ func (r *residentSys) matchEntities(label string, m *refmodel.Model, last model.
 			}
 		}
 		for id := range rels {
-			got, err := ls.GetRelationship(id, at[0], at[1])
+			got, err := ls.GetRelationshipContext(ctx, id, at[0], at[1])
 			for _, r := range got {
 				open(&r.Valid)
 			}

@@ -8,6 +8,7 @@ package system
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -238,7 +239,7 @@ func (r *residentSys) verify(label string) {
 		if err := ref.ApplyAll(us); err != nil {
 			r.t.Fatalf("%s: reference replay: %v", label, err)
 		}
-		g, err := ts.GetGraph(model.Timestamp(i + 1))
+		g, err := ts.GetGraphContext(context.Background(), model.Timestamp(i+1))
 		if err != nil {
 			r.t.Fatalf("%s: GetGraph(%d): %v", label, i+1, err)
 		}
@@ -331,7 +332,7 @@ func TestOneResidentGraph(t *testing.T) {
 				defer readers.Done()
 				for !stop.Load() {
 					if ts := r.Aion.LatestTimestamp(); ts > 0 {
-						if _, err := r.Aion.TimeStore().GetGraph(ts - ts%3); err != nil {
+						if _, err := r.Aion.TimeStore().GetGraphContext(context.Background(), ts-ts%3); err != nil {
 							t.Error(err)
 							return
 						}
@@ -624,7 +625,7 @@ func TestFailedIngestIsSticky(t *testing.T) {
 	if err := s.Aion.Err(); err != nil {
 		t.Fatalf("reopened store still failed: %v", err)
 	}
-	g, err := s.Aion.TimeStore().GetGraph(40)
+	g, err := s.Aion.TimeStore().GetGraphContext(context.Background(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,7 +721,7 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 			default:
 			}
 		}
-		if _, err := ts.GetGraph(at); err != nil {
+		if _, err := ts.GetGraphContext(context.Background(), at); err != nil {
 			t.Fatal(err)
 		}
 	}

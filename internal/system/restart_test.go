@@ -13,6 +13,7 @@ package system
 // freshly built from the recovered log.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -31,6 +32,7 @@ import (
 // every node's neighbourhood history over [0, end), as read through ls, for
 // the entities the update stream us names.
 func lineageDigest(t *testing.T, label string, ls *lineagestore.Store, us []model.Update, end model.Timestamp) string {
+	ctx := context.Background()
 	t.Helper()
 	nodes, rels := map[model.NodeID]bool{}, map[model.RelID]bool{}
 	for _, u := range us {
@@ -52,13 +54,13 @@ func lineageDigest(t *testing.T, label string, ls *lineagestore.Store, us []mode
 	}
 	sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
 	for _, id := range nodeIDs {
-		vs, err := ls.GetNode(id, 0, end)
+		vs, err := ls.GetNodeContext(ctx, id, 0, end)
 		check(err)
 		for _, n := range vs {
 			fmt.Fprintf(&b, "n%v;", *n)
 		}
 		for _, d := range []model.Direction{model.Outgoing, model.Incoming} {
-			hist, err := ls.GetRelationships(id, d, 0, end)
+			hist, err := ls.GetRelationshipsContext(ctx, id, d, 0, end)
 			check(err)
 			lines := make([]string, len(hist))
 			for i, versions := range hist {
@@ -76,7 +78,7 @@ func lineageDigest(t *testing.T, label string, ls *lineagestore.Store, us []mode
 	}
 	sort.Slice(relIDs, func(i, j int) bool { return relIDs[i] < relIDs[j] })
 	for _, id := range relIDs {
-		vs, err := ls.GetRelationship(id, 0, end)
+		vs, err := ls.GetRelationshipContext(ctx, id, 0, end)
 		check(err)
 		for _, r := range vs {
 			fmt.Fprintf(&b, "r%v;", *r)
@@ -95,7 +97,7 @@ func verifyLineage(t *testing.T, label string, s *System) {
 	}
 	ts, ls := s.Aion.TimeStore(), s.Aion.LineageStore()
 	end := ts.LatestTimestamp() + 1
-	rec, err := ts.GetDiff(0, end)
+	rec, err := ts.GetDiffContext(context.Background(), 0, end)
 	if err != nil {
 		t.Fatalf("%s: GetDiff: %v", label, err)
 	}
@@ -274,7 +276,7 @@ func TestCrashSweepClose(t *testing.T) {
 		if clock == 0 {
 			return
 		}
-		g, err := s.Aion.TimeStore().GetGraph(clock)
+		g, err := s.Aion.TimeStore().GetGraphContext(context.Background(), clock)
 		if err != nil || exportDigest(t, codec, g.Export()) != want {
 			t.Fatalf("%s: aion's graph at %d is not the model's (%v)", label, clock, err)
 		}

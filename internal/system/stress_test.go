@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,6 +21,7 @@ import (
 // stress`. Asserts commit timestamps stay dense and unique and Aion
 // converges to exactly the host's committed stream.
 func TestStressConcurrentCommitsWithSnapshots(t *testing.T) {
+	ctx := context.Background()
 	const (
 		committers = 6
 		perWorker  = 30
@@ -48,7 +50,7 @@ func TestStressConcurrentCommitsWithSnapshots(t *testing.T) {
 			defer readers.Done()
 			for !stop.Load() {
 				if ts := s.Aion.LatestTimestamp(); ts > 0 {
-					if g, err := s.Aion.TimeStore().GetGraph(ts); err == nil {
+					if g, err := s.Aion.TimeStore().GetGraphContext(ctx, ts); err == nil {
 						_ = g.NodeCount()
 					}
 				}
@@ -107,7 +109,7 @@ func TestStressConcurrentCommitsWithSnapshots(t *testing.T) {
 	if got := s.Aion.LatestTimestamp(); got != model.Timestamp(total) {
 		t.Fatalf("aion at ts %d, host committed through %d", got, total)
 	}
-	g, err := s.Aion.TimeStore().GetGraph(model.Timestamp(total))
+	g, err := s.Aion.TimeStore().GetGraphContext(ctx, model.Timestamp(total))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"testing"
 
 	"aion/internal/aion"
@@ -9,6 +10,7 @@ import (
 )
 
 func TestCommitFlowsIntoAion(t *testing.T) {
+	ctx := context.Background()
 	sys, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -30,16 +32,16 @@ func TestCommitFlowsIntoAion(t *testing.T) {
 	}
 	// The committed changes are visible in both temporal stores at the
 	// commit timestamp.
-	g, err := sys.Aion.GraphAt(ts)
+	g, err := sys.Aion.GraphAtContext(ctx, ts)
 	if err != nil || g.NodeCount() != 2 || g.RelCount() != 1 {
 		t.Fatalf("timestore: %v (%d/%d)", err, g.NodeCount(), g.RelCount())
 	}
-	ns, err := sys.Aion.GetNode(a, ts, ts)
+	ns, err := sys.Aion.GetNodeContext(ctx, a, ts, ts)
 	if err != nil || len(ns) != 1 {
 		t.Fatalf("lineagestore: %v %v", ns, err)
 	}
 	// And absent before the commit.
-	g0, _ := sys.Aion.GraphAt(ts - 1)
+	g0, _ := sys.Aion.GraphAtContext(ctx, ts-1)
 	if g0.NodeCount() != 0 {
 		t.Error("pre-commit state must be empty")
 	}
@@ -92,7 +94,7 @@ func TestLineageOnlyMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := sys.Aion.LineageStore().GetNode(id, ts, ts)
+	ns, err := sys.Aion.LineageStore().GetNodeContext(context.Background(), id, ts, ts)
 	if err != nil || len(ns) != 1 {
 		t.Fatalf("lineage-only: %v %v", ns, err)
 	}
@@ -118,7 +120,7 @@ func TestManyCommitsOrdering(t *testing.T) {
 	if err := sys.Aion.Err(); err != nil {
 		t.Fatalf("cascade error (ordering violated?): %v", err)
 	}
-	g, _ := sys.Aion.GraphAt(200)
+	g, _ := sys.Aion.GraphAtContext(context.Background(), 200)
 	if g.NodeCount() != 200 {
 		t.Errorf("nodes = %d", g.NodeCount())
 	}

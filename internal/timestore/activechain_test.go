@@ -216,7 +216,7 @@ func replayedBy(s *Store, fn func()) uint64 {
 
 func mustGraph(t *testing.T, s *Store, ts model.Timestamp) *memgraph.Graph {
 	t.Helper()
-	g, err := s.GetGraph(ts)
+	g, err := s.GetGraphContext(context.Background(), ts)
 	if err != nil {
 		t.Fatalf("GetGraph(%d): %v", ts, err)
 	}

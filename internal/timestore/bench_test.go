@@ -125,7 +125,7 @@ func BenchmarkGetGraph(b *testing.B) {
 			s.opts.ParallelIO = lvl.par
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g, err := s.GetGraph(lastTS)
+				g, err := s.GetGraphContext(context.Background(), lastTS)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -147,7 +147,7 @@ func BenchmarkGetDiff(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				err := s.ScanDiff(midTS, lastTS, func(model.Update) bool {
+				err := s.ScanDiffContext(context.Background(), midTS, lastTS, func(model.Update) bool {
 					n++
 					return true
 				})

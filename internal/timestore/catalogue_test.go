@@ -1,6 +1,7 @@
 package timestore
 
 import (
+	"context"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -178,7 +179,7 @@ func TestChainFloor(t *testing.T) {
 			}
 		}
 		for ts, want := range st.cached {
-			g, err := s.GetGraph(ts)
+			g, err := s.GetGraphContext(context.Background(), ts)
 			if err != nil {
 				t.Fatal(err)
 			}

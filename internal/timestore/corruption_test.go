@@ -45,7 +45,7 @@ func TestDamagedSnapshotSurfacesError(t *testing.T) {
 			}
 			// A query below the cached (newest) snapshot must load an older
 			// one from disk and see the damage.
-			if _, err := s.GetGraph(6); err == nil {
+			if _, err := s.GetGraphContext(context.Background(), 6); err == nil {
 				t.Error("a damaged snapshot must surface an error")
 			}
 		})

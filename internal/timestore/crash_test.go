@@ -11,6 +11,7 @@ package timestore
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -152,7 +153,7 @@ func encodeU(t *testing.T, codec *enc.Codec, u model.Update) []byte {
 func verifyRecovered(t *testing.T, k int, torn bool, codec *enc.Codec, st *Store, us []model.Update, res driveResult) {
 	t.Helper()
 	maxTS := us[len(us)-1].TS
-	rec, err := st.GetDiff(0, maxTS+1)
+	rec, err := st.GetDiffContext(context.Background(), 0, maxTS+1)
 	if err != nil {
 		t.Fatalf("k=%d torn=%v: GetDiff after recovery: %v", k, torn, err)
 	}
@@ -304,7 +305,7 @@ func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 		t.Fatal("previous snapshot vanished")
 	}
 	// The old snapshot is still loadable and queries through it succeed.
-	g, err := st2.GetGraph(firstSnapTS)
+	g, err := st2.GetGraphContext(context.Background(), firstSnapTS)
 	if err != nil {
 		t.Fatalf("GetGraph through the surviving snapshot: %v", err)
 	}
@@ -312,7 +313,7 @@ func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 		t.Error("snapshot-based graph is empty")
 	}
 	// All 120 updates were flushed before the crash, so recovery is total.
-	rec, err := st2.GetDiff(0, us[len(us)-1].TS+1)
+	rec, err := st2.GetDiffContext(context.Background(), 0, us[len(us)-1].TS+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func (o *fenceOracle) check(s *Store, label string) {
 		}
 	}
 	for ts := model.Timestamp(0); ts <= maxTS+1; ts++ {
-		diff, err := s.GetDiff(ts, ts+3)
+		diff, err := s.GetDiffContext(context.Background(), ts, ts+3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func (o *fenceOracle) check(s *Store, label string) {
 			t.Fatal(err)
 		}
 		before := s.Stats().ReplayedUpdates
-		g, err := s.GetGraph(ts)
+		g, err := s.GetGraphContext(context.Background(), ts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package timestore
 
 import (
+	"context"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -246,7 +247,7 @@ func TestOpenHostedLoadsNothing(t *testing.T) {
 				t.Errorf("Latest is the host's graph: %v (%d pulls, %d mismatches), want %v", shared, st.LatestPulls, st.LatestMismatches, tc.shared)
 			}
 			// Fences and positions are laid the same either way.
-			at, err := s.GetGraph(25)
+			at, err := s.GetGraphContext(context.Background(), 25)
 			if err != nil || at.NodeCount() != 25 {
 				t.Errorf("GetGraph(25) = %v nodes, %v", at.NodeCount(), err)
 			}

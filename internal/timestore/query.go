@@ -9,23 +9,21 @@ import (
 	"aion/internal/model"
 )
 
-// The query API comes in pairs following the database/sql convention:
-// Xxx(...) is shorthand for XxxContext(context.Background(), ...), and the
-// Context variant observes cancellation and deadlines cooperatively — the
-// log-replay and snapshot-load loops (the two unbounded parts of any
-// global query) stop within one readahead batch of the context firing and
-// return ctx.Err().
+// Every query takes a ctx and observes it at a bounded stride: one readahead
+// batch of log replay or snapshot load.
 //
 // A query takes no store lock: the segment is fixed at Open, and its chain
 // and fences are read under their leaf lock (segment.elems, startFence).
 
-// GetDiff returns all graph updates with start <= ts < end in commit order
-// (Table 1), streamed off the log from the fence nearest start.
+// GetDiff is GetDiffContext with context.Background(). It is the one read
+// twin left: the frozen benchmark (benchmark/scratch.go) calls it, and
+// ROADMAP item 9(iii) retires it with the next change to that benchmark.
 func (s *Store) GetDiff(start, end model.Timestamp) ([]model.Update, error) {
 	return s.GetDiffContext(context.Background(), start, end)
 }
 
-// GetDiffContext is GetDiff honouring ctx cancellation.
+// GetDiffContext returns all graph updates with start <= ts < end in commit
+// order (Table 1), streamed off the log from the fence nearest start.
 func (s *Store) GetDiffContext(ctx context.Context, start, end model.Timestamp) ([]model.Update, error) {
 	var out []model.Update
 	err := s.ScanDiffContext(ctx, start, end, func(u model.Update) bool {
@@ -35,13 +33,8 @@ func (s *Store) GetDiffContext(ctx context.Context, start, end model.Timestamp) 
 	return out, err
 }
 
-// ScanDiff streams the updates with start <= ts < end to fn in commit
-// order, stopping early if fn returns false.
-func (s *Store) ScanDiff(start, end model.Timestamp, fn func(u model.Update) bool) error {
-	return s.ScanDiffContext(context.Background(), start, end, fn)
-}
-
-// ScanDiffContext is ScanDiff honouring ctx cancellation.
+// ScanDiffContext streams the updates with start <= ts < end to fn in
+// commit order, stopping early if fn returns false.
 func (s *Store) ScanDiffContext(ctx context.Context, start, end model.Timestamp, fn func(u model.Update) bool) error {
 	if start >= end {
 		return nil
@@ -77,16 +70,10 @@ func (s *Store) scanFrom(ctx context.Context, from position, end model.Timestamp
 	})
 }
 
-// GetGraph materializes the LPG snapshot valid at ts: fetch the closest
-// base at or before ts — a cached graph or a chain element — and apply the
-// forward changes from the log (Sec 4.3). The returned graph is private to
-// the caller.
-func (s *Store) GetGraph(ts model.Timestamp) (*memgraph.Graph, error) {
-	return s.GetGraphContext(context.Background(), ts)
-}
-
-// GetGraphContext is GetGraph honouring ctx cancellation: both halves of
-// the materialization (base load, log replay) are cancellation points.
+// GetGraphContext materializes the LPG snapshot valid at ts: fetch the
+// closest base at or before ts — a cached graph or a chain element — and
+// apply the forward changes from the log (Sec 4.3). Both halves are
+// cancellation points. The returned graph is private to the caller.
 func (s *Store) GetGraphContext(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, error) {
 	g, pos, err := s.basePos(ctx, ts)
 	if err != nil {
@@ -135,15 +122,10 @@ func (s *Store) basePos(ctx context.Context, ts model.Timestamp) (*memgraph.Grap
 	return memgraph.New(), best, nil
 }
 
-// GetGraphs returns a series of snapshots at start, start+step, ..., built
-// incrementally with one base fetch and a single range scan (Table 1:
+// GetGraphsContext returns a series of snapshots at start, start+step, ...,
+// built incrementally with one base fetch and a single range scan (Table 1:
 // "getGraph(1993, 2023, 1-year) returns thirty snapshots"). The series
 // covers timestamps start <= ts <= end.
-func (s *Store) GetGraphs(start, end model.Timestamp, step model.Timestamp) ([]*memgraph.Graph, error) {
-	return s.GetGraphsContext(context.Background(), start, end, step)
-}
-
-// GetGraphsContext is GetGraphs honouring ctx cancellation.
 func (s *Store) GetGraphsContext(ctx context.Context, start, end model.Timestamp, step model.Timestamp) ([]*memgraph.Graph, error) {
 	var out []*memgraph.Graph
 	err := s.ScanGraphsContext(ctx, start, end, step, func(g *memgraph.Graph) bool {
@@ -156,15 +138,10 @@ func (s *Store) GetGraphsContext(ctx context.Context, start, end model.Timestamp
 	return out, nil
 }
 
-// ScanGraphs is the lazy variant of GetGraphs (footnote 4: "snapshots can
-// be computed eagerly or lazily depending on the application"): each
-// snapshot is handed to fn as it materializes and may be retained only by
-// cloning; iteration stops early when fn returns false.
-func (s *Store) ScanGraphs(start, end, step model.Timestamp, fn func(g *memgraph.Graph) bool) error {
-	return s.ScanGraphsContext(context.Background(), start, end, step, fn)
-}
-
-// ScanGraphsContext is ScanGraphs honouring ctx cancellation.
+// ScanGraphsContext is the lazy variant of GetGraphsContext (footnote 4:
+// "snapshots can be computed eagerly or lazily depending on the
+// application"): each snapshot is handed to fn as it materializes and may be
+// retained only by cloning; iteration stops early when fn returns false.
 func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Timestamp, fn func(g *memgraph.Graph) bool) error {
 	if step <= 0 {
 		return fmt.Errorf("timestore: step must be positive")
@@ -213,7 +190,7 @@ func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Ti
 	return emitThrough(end)
 }
 
-// GetWindow filters the graph history by a time window (Table 1): a
+// GetWindowContext filters the graph history by a time window (Table 1): a
 // consistent graph of every entity with a version in [start, end), each in
 // its last state before end. It is one pass over a copy-on-write clone of the
 // graph at start: every update inside the window is united into it
@@ -221,11 +198,6 @@ func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Ti
 // log's, and two calls answer alike — except one that its commit goes on to
 // delete the entity after, which opened no version. A point window, start == end, is the
 // graph at start; a window that ends before it starts is empty.
-func (s *Store) GetWindow(start, end model.Timestamp) (*memgraph.Graph, error) {
-	return s.GetWindowContext(context.Background(), start, end)
-}
-
-// GetWindowContext is GetWindow honouring ctx cancellation.
 func (s *Store) GetWindowContext(ctx context.Context, start, end model.Timestamp) (*memgraph.Graph, error) {
 	if end < start {
 		return memgraph.New(), nil

@@ -101,14 +101,14 @@ func hopsMatch(m *refmodel.Model, hops []algo.PathHop, from, to model.Timestamp)
 // model.
 func checkWindow(t *testing.T, s *Store, codec *enc.Codec, m *refmodel.Model, a, b model.Timestamp, label string) {
 	t.Helper()
-	w, err := s.GetWindow(a, b)
+	w, err := s.GetWindowContext(context.Background(), a, b)
 	if err != nil {
 		t.Fatalf("%s: GetWindow(%d, %d): %v", label, a, b, err)
 	}
 	if modelDigest(t, codec, w.Export()) != modelDigest(t, codec, m.Window(a, b)) {
 		t.Fatalf("%s: GetWindow(%d, %d) differs from the model", label, a, b)
 	}
-	diff, err := s.GetDiff(a, b)
+	diff, err := s.GetDiffContext(context.Background(), a, b)
 	if err != nil {
 		t.Fatalf("%s: GetDiff(%d, %d): %v", label, a, b, err)
 	}
@@ -128,7 +128,7 @@ func checkGlobalReads(t *testing.T, s *Store, h *refmodel.History, label string)
 	m := &refmodel.Model{}
 	m.Apply(h.Updates...)
 	last := h.TS
-	graphs, err := s.GetGraphs(0, last, 1)
+	graphs, err := s.GetGraphsContext(context.Background(), 0, last, 1)
 	if err != nil || len(graphs) != int(last)+1 {
 		t.Fatalf("%s: GetGraphs(0, %d, 1): %d graphs, %v", label, last, len(graphs), err)
 	}
@@ -150,7 +150,7 @@ func checkGlobalReads(t *testing.T, s *Store, h *refmodel.History, label string)
 	}
 	for _, a := range from {
 		for _, b := range []model.Timestamp{a + 2, last + 1} {
-			diff, err := s.GetDiff(a, b)
+			diff, err := s.GetDiffContext(context.Background(), a, b)
 			if err != nil {
 				t.Fatalf("%s: GetDiff(%d, %d): %v", label, a, b, err)
 			}

@@ -1,6 +1,7 @@
 package timestore
 
 import (
+	"context"
 	"testing"
 
 	"aion/internal/memgraph"
@@ -8,16 +9,17 @@ import (
 )
 
 func TestScanGraphsMatchesEager(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{SnapshotEveryOps: 6})
 	if err := s.AppendBatch(chainUpdates(10)); err != nil {
 		t.Fatal(err)
 	}
-	eager, err := s.GetGraphs(2, 18, 4)
+	eager, err := s.GetGraphsContext(ctx, 2, 18, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lazyCounts [][2]int
-	err = s.ScanGraphs(2, 18, 4, func(g *memgraph.Graph) bool {
+	err = s.ScanGraphsContext(ctx, 2, 18, 4, func(g *memgraph.Graph) bool {
 		lazyCounts = append(lazyCounts, [2]int{g.NodeCount(), g.RelCount()})
 		return true
 	})
@@ -39,7 +41,7 @@ func TestScanGraphsEarlyStop(t *testing.T) {
 	s := openStore(t, Options{})
 	s.AppendBatch(chainUpdates(10))
 	n := 0
-	err := s.ScanGraphs(1, 19, 1, func(g *memgraph.Graph) bool {
+	err := s.ScanGraphsContext(context.Background(), 1, 19, 1, func(g *memgraph.Graph) bool {
 		n++
 		return n < 3
 	})
@@ -52,12 +54,13 @@ func TestScanGraphsEarlyStop(t *testing.T) {
 }
 
 func TestScanGraphsValidation(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{})
 	s.AppendBatch(chainUpdates(3))
-	if err := s.ScanGraphs(0, 5, 0, func(*memgraph.Graph) bool { return true }); err == nil {
+	if err := s.ScanGraphsContext(ctx, 0, 5, 0, func(*memgraph.Graph) bool { return true }); err == nil {
 		t.Error("zero step must fail")
 	}
-	if err := s.ScanGraphs(5, 0, 1, func(*memgraph.Graph) bool { return true }); err == nil {
+	if err := s.ScanGraphsContext(ctx, 5, 0, 1, func(*memgraph.Graph) bool { return true }); err == nil {
 		t.Error("inverted range must fail")
 	}
 }
@@ -66,7 +69,7 @@ func TestScanGraphsRetainRequiresClone(t *testing.T) {
 	s := openStore(t, Options{})
 	s.AppendBatch(chainUpdates(6))
 	var retained []*memgraph.Graph
-	s.ScanGraphs(1, 6, 1, func(g *memgraph.Graph) bool {
+	s.ScanGraphsContext(context.Background(), 1, 6, 1, func(g *memgraph.Graph) bool {
 		retained = append(retained, g.Clone())
 		return true
 	})

@@ -4,6 +4,7 @@ package timestore
 // a deletion left behind, and the layouts it refuses.
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -23,6 +24,7 @@ import (
 // corrupts materialization) and a stray tmp, and the log answers for what
 // they held: the diff is untouched and a graph inside their range is whole.
 func TestRecoveryDropsOrphanDeltas(t *testing.T) {
+	ctx := context.Background()
 	us := genWorkload(120)
 	codec := enc.NewCodec(strstore.NewMem())
 	fs := vfs.NewFaultFS()
@@ -44,7 +46,7 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 		t.Fatalf("chain %s has no mid-chain full with deltas on it", elemKinds(chain))
 	}
 	maxTS := us[len(us)-1].TS
-	before, err := st.GetDiff(0, maxTS+1)
+	before, err := st.GetDiffContext(ctx, 0, maxTS+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 		}
 	}
 	// The store's contents are untouched.
-	after, err := st2.GetDiff(0, maxTS+1)
+	after, err := st2.GetDiffContext(ctx, 0, maxTS+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestRecoveryDropsElementAheadOfLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = reopen(s)
-	if g, err := s.GetGraph(19); err != nil || len(s.seg.elems()) != 0 || g.RelCount() != 8 {
+	if g, err := s.GetGraphContext(context.Background(), 19); err != nil || len(s.seg.elems()) != 0 || g.RelCount() != 8 {
 		t.Fatalf("after losing the log tail: %d elements, graph %v (err %v); want none and the 8 rels still logged",
 			len(s.seg.elems()), g, err)
 	}

@@ -1,6 +1,7 @@
 package timestore
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 // rewrote every entity after the snapshot; either way every read answers what
 // a replay from zero does, and the counters say which it was.
 func TestLoadedElementSharesWithLatest(t *testing.T) {
+	ctx := context.Background()
 	const n = 40
 	var built []model.Update
 	for i := 0; i < n; i++ {
@@ -45,7 +47,7 @@ func TestLoadedElementSharesWithLatest(t *testing.T) {
 			}
 
 			before := s.Stats()
-			g, err := s.GetGraph(2)
+			g, err := s.GetGraphContext(ctx, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +79,7 @@ func TestLoadedElementSharesWithLatest(t *testing.T) {
 			if o.digest(g.Export()) != o.digest(o.graphAt(2).Export()) {
 				t.Error("GetGraph(2) differs from a replay from zero")
 			}
-			if _, err := s.GetGraph(2); err != nil || s.Stats().LoadedEntities != st.LoadedEntities {
+			if _, err := s.GetGraphContext(ctx, 2); err != nil || s.Stats().LoadedEntities != st.LoadedEntities {
 				t.Errorf("a cache hit loaded entities (%v)", err)
 			}
 			o.check(s, "shared")

@@ -1,6 +1,7 @@
 package timestore
 
 import (
+	"context"
 	"errors"
 	"os"
 	"runtime"
@@ -46,12 +47,13 @@ func chainUpdates(n int) []model.Update {
 }
 
 func TestAppendAndGetDiff(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{SnapshotEveryOps: 1 << 30})
 	us := chainUpdates(10)
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
-	diff, err := s.GetDiff(3, 7)
+	diff, err := s.GetDiffContext(ctx, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +65,11 @@ func TestAppendAndGetDiff(t *testing.T) {
 			t.Errorf("diff leaked ts %d", u.TS)
 		}
 	}
-	all, _ := s.GetDiff(0, model.TSInfinity)
+	all, _ := s.GetDiffContext(ctx, 0, model.TSInfinity)
 	if len(all) != len(us) {
 		t.Errorf("full diff = %d, want %d", len(all), len(us))
 	}
-	empty, _ := s.GetDiff(7, 3)
+	empty, _ := s.GetDiffContext(ctx, 7, 3)
 	if len(empty) != 0 {
 		t.Error("inverted range must be empty")
 	}
@@ -94,7 +96,7 @@ func TestGetGraphAtEveryTimestamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ts := model.Timestamp(0); ts <= 19; ts++ {
-		g, err := s.GetGraph(ts)
+		g, err := s.GetGraphContext(context.Background(), ts)
 		if err != nil {
 			t.Fatalf("GetGraph(%d): %v", ts, err)
 		}
@@ -117,6 +119,7 @@ func TestGetGraphAtEveryTimestamp(t *testing.T) {
 }
 
 func TestGetGraphWithDeletions(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{SnapshotEveryOps: 3})
 	us := []model.Update{
 		model.AddNode(1, 0, nil, nil),
@@ -129,15 +132,15 @@ func TestGetGraphWithDeletions(t *testing.T) {
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
-	g4, _ := s.GetGraph(4)
+	g4, _ := s.GetGraphContext(ctx, 4)
 	if g4.RelCount() != 0 || g4.NodeCount() != 2 {
 		t.Errorf("ts 4: %d/%d", g4.NodeCount(), g4.RelCount())
 	}
-	g5, _ := s.GetGraph(5)
+	g5, _ := s.GetGraphContext(ctx, 5)
 	if g5.NodeCount() != 1 {
 		t.Errorf("ts 5: %d nodes", g5.NodeCount())
 	}
-	g6, _ := s.GetGraph(6)
+	g6, _ := s.GetGraphContext(ctx, 6)
 	if g6.NodeCount() != 2 || !g6.Node(1).HasLabel("Reborn") {
 		t.Error("re-inserted node missing")
 	}
@@ -198,11 +201,12 @@ func TestWaitSnapshotsWhileAppending(t *testing.T) {
 }
 
 func TestGetGraphsSeries(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{SnapshotEveryOps: 6})
 	if err := s.AppendBatch(chainUpdates(10)); err != nil {
 		t.Fatal(err)
 	}
-	graphs, err := s.GetGraphs(2, 18, 4) // ts 2, 6, 10, 14, 18
+	graphs, err := s.GetGraphsContext(ctx, 2, 18, 4) // ts 2, 6, 10, 14, 18
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +218,16 @@ func TestGetGraphsSeries(t *testing.T) {
 		if g.Timestamp() != ts {
 			t.Errorf("series[%d] ts = %d, want %d", i, g.Timestamp(), ts)
 		}
-		ref, _ := s.GetGraph(ts)
+		ref, _ := s.GetGraphContext(ctx, ts)
 		if g.NodeCount() != ref.NodeCount() || g.RelCount() != ref.RelCount() {
 			t.Errorf("series[%d] %d/%d, direct %d/%d",
 				i, g.NodeCount(), g.RelCount(), ref.NodeCount(), ref.RelCount())
 		}
 	}
-	if _, err := s.GetGraphs(0, 10, 0); err == nil {
+	if _, err := s.GetGraphsContext(ctx, 0, 10, 0); err == nil {
 		t.Error("zero step must fail")
 	}
-	if _, err := s.GetGraphs(10, 0, 1); err == nil {
+	if _, err := s.GetGraphsContext(ctx, 10, 0, 1); err == nil {
 		t.Error("inverted range must fail")
 	}
 }
@@ -237,7 +241,7 @@ func TestGetGraphsStepCopiesChunks(t *testing.T) {
 	allocated := func(end model.Timestamp) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		graphs, err := s.GetGraphs(1, end, 1)
+		graphs, err := s.GetGraphsContext(context.Background(), 1, end, 1)
 		runtime.ReadMemStats(&after)
 		if err != nil || len(graphs) != int(end) {
 			t.Fatalf("GetGraphs(1, %d, 1): %d graphs, %v", end, len(graphs), err)
@@ -258,6 +262,7 @@ func TestGetGraphsStepCopiesChunks(t *testing.T) {
 // united: beyond what GetGraph pays for the base it allocates what a GetGraphs
 // step does, not a copy of every entity.
 func TestGetWindowCopiesChunks(t *testing.T) {
+	ctx := context.Background()
 	s, _ := chunkHistory(t)
 	allocated := func(read func() (*memgraph.Graph, error)) uint64 {
 		var before, after runtime.MemStats
@@ -269,8 +274,8 @@ func TestGetWindowCopiesChunks(t *testing.T) {
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	base := func() (*memgraph.Graph, error) { return s.GetGraph(1) }
-	window := func() (*memgraph.Graph, error) { return s.GetWindow(1, 3) }
+	base := func() (*memgraph.Graph, error) { return s.GetGraphContext(ctx, 1) }
+	window := func() (*memgraph.Graph, error) { return s.GetWindowContext(ctx, 1, 3) }
 	allocated(window) // loads the base and caches it, and fills the scan's buffer pool
 	beyond := int64(allocated(window)) - int64(allocated(base))
 	t.Logf("a window three updates past its base allocates %d bytes beyond it", beyond)
@@ -332,7 +337,7 @@ func TestGetDiffHops(t *testing.T) {
 		from, to model.Timestamp
 		want     []algo.PathHop
 	}{{2, 6, rel0}, {2, 7, rel0}, {3, 5, nil}, {4, 7, nil}} {
-		diff, err := s.GetDiff(w.from, w.to)
+		diff, err := s.GetDiffContext(context.Background(), w.from, w.to)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +361,7 @@ func TestGetWindow(t *testing.T) {
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
-	g, err := s.GetWindow(3, 7)
+	g, err := s.GetWindowContext(context.Background(), 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +398,7 @@ func TestGetWindowDegenerate(t *testing.T) {
 		{3, 2, 0, nil},
 		{9, 1, 0, nil},
 	} {
-		g, err := s.GetWindow(w.start, w.end)
+		g, err := s.GetWindowContext(context.Background(), w.start, w.end)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,6 +416,7 @@ func TestGetWindowDegenerate(t *testing.T) {
 // Two calls for the same window answer the same graph, adjacency lists in the
 // same order: the base's, then the log's.
 func TestGetWindowIsDeterministic(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, Options{SnapshotEveryOps: 100})
 	us := []model.Update{model.AddNode(1, 0, []string{"Hub"}, nil)}
 	for i := 1; i <= 128; i++ {
@@ -424,12 +430,12 @@ func TestGetWindowIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	codec := enc.NewCodec(strstore.NewMem())
-	first, err := s.GetWindow(2, 5)
+	first, err := s.GetWindowContext(ctx, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for call := 0; call < 5; call++ {
-		g, err := s.GetWindow(2, 5)
+		g, err := s.GetWindowContext(ctx, 2, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,6 +454,7 @@ func TestGetWindowIsDeterministic(t *testing.T) {
 }
 
 func TestRecoveryAfterReopen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	codec := enc.NewCodec(strstore.NewMem())
 	s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 7})
@@ -469,7 +476,7 @@ func TestRecoveryAfterReopen(t *testing.T) {
 	if s2.LatestTimestamp() != 19 {
 		t.Errorf("recovered ts = %d", s2.LatestTimestamp())
 	}
-	g, err := s2.GetGraph(19)
+	g, err := s2.GetGraphContext(ctx, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,12 +487,12 @@ func TestRecoveryAfterReopen(t *testing.T) {
 	if err := s2.Append(model.AddNode(20, 10, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := s2.GetGraph(20)
+	g2, _ := s2.GetGraphContext(ctx, 20)
 	if g2.NodeCount() != 11 {
 		t.Error("append after recovery")
 	}
 	// Historical queries still work.
-	g5, err := s2.GetGraph(5)
+	g5, err := s2.GetGraphContext(ctx, 5)
 	if err != nil || g5.NodeCount() != 5 {
 		t.Errorf("historical query after reopen: %v nodes=%d", err, g5.NodeCount())
 	}
@@ -510,7 +517,7 @@ func TestRecoveryWithoutClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	diff, err := s2.GetDiff(0, model.TSInfinity)
+	diff, err := s2.GetDiffContext(context.Background(), 0, model.TSInfinity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +530,7 @@ func TestScanDiffEarlyStop(t *testing.T) {
 	s := openStore(t, Options{})
 	s.AppendBatch(chainUpdates(10))
 	n := 0
-	s.ScanDiff(0, model.TSInfinity, func(u model.Update) bool {
+	s.ScanDiffContext(context.Background(), 0, model.TSInfinity, func(u model.Update) bool {
 		n++
 		return n < 3
 	})

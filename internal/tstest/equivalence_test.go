@@ -8,6 +8,7 @@ package tstest
 // snapshots are in flight.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -140,7 +141,7 @@ func TestEquivalenceColdReopen(t *testing.T) {
 			ts, naive, 10*every)
 	}
 	base := chain.Stats().ReplayedUpdates
-	if _, err := chain.GetGraph(ts); err != nil {
+	if _, err := chain.GetGraphContext(context.Background(), ts); err != nil {
 		t.Fatal(err)
 	}
 	replayed := int(chain.Stats().ReplayedUpdates - base)
@@ -197,7 +198,7 @@ func TestEquivalenceActiveDeltaChain(t *testing.T) {
 	}
 	check := func(label string, st *Store, ts model.Timestamp) {
 		t.Helper()
-		g, err := st.GetGraph(ts)
+		g, err := st.GetGraphContext(context.Background(), ts)
 		if err != nil {
 			t.Fatalf("%s: %s GetGraph(%d): %v", label, st.name(), ts, err)
 		}
@@ -308,7 +309,7 @@ func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, m
 	chain.FS.Crash()
 	chain = chain.Reopen(t)
 
-	rec, err := chain.GetDiff(0, maxTS+1)
+	rec, err := chain.GetDiffContext(context.Background(), 0, maxTS+1)
 	if err != nil {
 		t.Fatalf("k=%d torn=%v: GetDiff after recovery: %v", k, torn, err)
 	}
@@ -374,7 +375,7 @@ func TestConcurrentReadersDuringSeal(t *testing.T) {
 				}
 				ts := model.Timestamp(1 + rng.Int63n(w))
 				// One node per timestamp: the graph at ts has exactly ts nodes.
-				g, err := st.GetGraph(ts)
+				g, err := st.GetGraphContext(context.Background(), ts)
 				if err != nil {
 					errCh <- err
 					return
@@ -383,7 +384,7 @@ func TestConcurrentReadersDuringSeal(t *testing.T) {
 					errCh <- errCount{"GetGraph", int64(ts), int64(g.NodeCount()), int64(ts)}
 					return
 				}
-				us, err := st.GetDiff(1, ts+1)
+				us, err := st.GetDiffContext(context.Background(), 1, ts+1)
 				if err != nil {
 					errCh <- err
 					return

@@ -8,6 +8,7 @@ package tstest
 // start their walks from different chain elements.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,12 +23,13 @@ func timestoreOptsForComposition() timestore.Options {
 // composeDiff concatenates the two half-window diffs through the
 // comparator so the result is directly comparable to the full window.
 func composeDiff(t *testing.T, cmp *Comparator, st *Store, ts1, tm, ts2 model.Timestamp) string {
+	ctx := context.Background()
 	t.Helper()
-	lo, err := st.GetDiff(ts1, tm)
+	lo, err := st.GetDiffContext(ctx, ts1, tm)
 	if err != nil {
 		t.Fatalf("GetDiff(%d,%d): %v", ts1, tm, err)
 	}
-	hi, err := st.GetDiff(tm, ts2)
+	hi, err := st.GetDiffContext(ctx, tm, ts2)
 	if err != nil {
 		t.Fatalf("GetDiff(%d,%d): %v", tm, ts2, err)
 	}
@@ -36,7 +38,7 @@ func composeDiff(t *testing.T, cmp *Comparator, st *Store, ts1, tm, ts2 model.Ti
 
 func assertComposes(t *testing.T, cmp *Comparator, st *Store, ts1, tm, ts2 model.Timestamp) {
 	t.Helper()
-	full, err := st.GetDiff(ts1, ts2)
+	full, err := st.GetDiffContext(context.Background(), ts1, ts2)
 	if err != nil {
 		t.Fatalf("GetDiff(%d,%d): %v", ts1, ts2, err)
 	}
@@ -90,18 +92,19 @@ func TestDiffComposition(t *testing.T) {
 // TestScanDiffMatchesGetDiff: streaming and collecting forms of the same
 // query must agree, and early termination must be a strict prefix.
 func TestScanDiffMatchesGetDiff(t *testing.T) {
+	ctx := context.Background()
 	us := GenWorkload(29, 300)
 	maxTS := us[len(us)-1].TS
 	cmp := NewComparator()
 	st := OpenStore(t, timestoreOptsForComposition())
 	Drive(t, st, us, 25)
 
-	all, err := st.GetDiff(0, maxTS+1)
+	all, err := st.GetDiffContext(context.Background(), 0, maxTS+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var scanned []model.Update
-	if err := st.ScanDiff(0, maxTS+1, func(u model.Update) bool {
+	if err := st.ScanDiffContext(ctx, 0, maxTS+1, func(u model.Update) bool {
 		scanned = append(scanned, u)
 		return true
 	}); err != nil {
@@ -114,7 +117,7 @@ func TestScanDiffMatchesGetDiff(t *testing.T) {
 	// Early stop after half the stream: strict prefix, no error.
 	var prefix []model.Update
 	limit := len(all) / 2
-	if err := st.ScanDiff(0, maxTS+1, func(u model.Update) bool {
+	if err := st.ScanDiffContext(ctx, 0, maxTS+1, func(u model.Update) bool {
 		prefix = append(prefix, u)
 		return len(prefix) < limit
 	}); err != nil {

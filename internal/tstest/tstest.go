@@ -13,6 +13,7 @@
 package tstest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -215,11 +216,11 @@ func Drive(tb testing.TB, st *Store, us []model.Update, flushEvery int) {
 // graphs at ts.
 func AssertSameGraph(tb testing.TB, cmp *Comparator, a, b *Store, ts model.Timestamp) {
 	tb.Helper()
-	ga, err := a.GetGraph(ts)
+	ga, err := a.GetGraphContext(context.Background(), ts)
 	if err != nil {
 		tb.Fatalf("tstest: %s GetGraph(%d): %v", a.name(), ts, err)
 	}
-	gb, err := b.GetGraph(ts)
+	gb, err := b.GetGraphContext(context.Background(), ts)
 	if err != nil {
 		tb.Fatalf("tstest: %s GetGraph(%d): %v", b.name(), ts, err)
 	}
@@ -234,11 +235,11 @@ func AssertSameGraph(tb testing.TB, cmp *Comparator, a, b *Store, ts model.Times
 // streams for [start, end).
 func AssertSameDiff(tb testing.TB, cmp *Comparator, a, b *Store, start, end model.Timestamp) {
 	tb.Helper()
-	ua, err := a.GetDiff(start, end)
+	ua, err := a.GetDiffContext(context.Background(), start, end)
 	if err != nil {
 		tb.Fatalf("tstest: %s GetDiff(%d,%d): %v", a.name(), start, end, err)
 	}
-	ub, err := b.GetDiff(start, end)
+	ub, err := b.GetDiffContext(context.Background(), start, end)
 	if err != nil {
 		tb.Fatalf("tstest: %s GetDiff(%d,%d): %v", b.name(), start, end, err)
 	}
@@ -276,7 +277,7 @@ func AssertSameScan(tb testing.TB, cmp *Comparator, a, b *Store, start, end, ste
 func scanDigests(tb testing.TB, cmp *Comparator, st *Store, start, end, step model.Timestamp) []string {
 	tb.Helper()
 	var out []string
-	err := st.ScanGraphs(start, end, step, func(g *memgraph.Graph) bool {
+	err := st.ScanGraphsContext(context.Background(), start, end, step, func(g *memgraph.Graph) bool {
 		out = append(out, cmp.GraphDigest(tb, g))
 		return true
 	})
