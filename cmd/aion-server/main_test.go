@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"aion/internal/bolt"
@@ -58,10 +60,16 @@ func TestServeDebug(t *testing.T) {
 			AvgDegree   float64 `json:"avg_degree"`
 			Decisions   map[string]int64
 		} `json:"aion.planner"`
-		TimeStore struct{ Updates uint64 } `json:"aion.timestore"`
+		TimeStore    struct{ Updates uint64 } `json:"aion.timestore"`
+		LineageStore struct {
+			Cache map[string]any
+		} `json:"aion.lineagestore"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := vars.LineageStore.Cache["Frames"]; !ok {
+		t.Errorf("aion.lineagestore publishes no Cache.Frames: %v", vars.LineageStore.Cache)
 	}
 	p := vars.Planner
 	if p.Nodes != 5 || p.Rels != 1 || p.AvgDegree != 0.2 || vars.TimeStore.Updates != 6 {
@@ -71,5 +79,30 @@ func TestServeDebug(t *testing.T) {
 	// LineageStore.
 	if p.Decisions["lineage"] != 1 || p.Decisions["timestore"] != 0 {
 		t.Errorf("aion.planner decisions after one 1-hop expand: %v", p.Decisions)
+	}
+}
+
+// TestServeOnAMissingDirectory: -dir names a directory two levels below one
+// that exists; opening the store creates it, and the server serves from it.
+func TestServeOnAMissingDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a", "b")
+	sys, err := system.Open(system.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv := bolt.NewServer(cypher.NewEngine(sys), bolt.Options{})
+	defer srv.Close()
+	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Host.Run(func(tx *hostdb.Tx) error {
+		_, err := tx.CreateNode([]string{"P"}, nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+		t.Fatalf("the storage directory: %v", err)
 	}
 }

@@ -5,9 +5,10 @@
 //
 // Pages are slotted: a 13-byte header, a sorted slot directory growing
 // upward, and variable-size cells growing downward from the page end.
-// Leaves are singly linked left-to-right for range scans. Deletes drop
-// slots without rebalancing (the temporal stores are append-mostly); dead
-// cell space is reclaimed by compaction when an insert needs room.
+// Leaves are singly linked left-to-right for range scans. The temporal
+// stores only append, so there is no delete; a replacing Put drops the old
+// slot and leaks its cell, which compaction reclaims when an insert needs
+// room. Reads take pages with Get, writes with GetMut.
 package btree
 
 import (
@@ -59,11 +60,9 @@ func Open(pc *pagecache.Cache) (*Tree, error) {
 			return nil, err
 		}
 		initPage(root, true)
-		pc.MarkDirty(rootID)
 		pc.Release(rootID)
 		t.meta, t.root = metaID, rootID
 		t.writeMeta(meta)
-		pc.MarkDirty(metaID)
 		pc.Release(metaID)
 		return t, nil
 	}
@@ -96,12 +95,11 @@ func (t *Tree) writeMeta(meta []byte) {
 func (t *Tree) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	meta, err := t.pc.Get(t.meta)
+	meta, err := t.pc.GetMut(t.meta)
 	if err != nil {
 		return err
 	}
 	t.writeMeta(meta)
-	t.pc.MarkDirty(t.meta)
 	t.pc.Release(t.meta)
 	return t.pc.Flush()
 }
@@ -178,10 +176,6 @@ func intCellKey(p []byte, off int) []byte {
 }
 
 func intCellChild(p []byte, off int) uint64 { return binary.BigEndian.Uint64(p[off+2:]) }
-
-func intCellSize(p []byte, off int) int {
-	return 10 + int(binary.BigEndian.Uint16(p[off:]))
-}
 
 func freeSpace(p []byte) int {
 	return cellStart(p) - headerSize - nKeys(p)*slotSize

@@ -155,31 +155,6 @@ func TestScanEarlyStopAndFullScan(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := newTree(t)
-	for i := 0; i < 500; i++ {
-		tr.Put(key(i), val(i))
-	}
-	for i := 0; i < 500; i += 2 {
-		ok, err := tr.Delete(key(i))
-		if err != nil || !ok {
-			t.Fatalf("delete %d: %v %v", i, ok, err)
-		}
-	}
-	if ok, _ := tr.Delete(key(0)); ok {
-		t.Error("double delete must report missing")
-	}
-	for i := 0; i < 500; i++ {
-		_, ok, _ := tr.Get(key(i))
-		if (i%2 == 0) == ok {
-			t.Fatalf("key %d presence wrong: %v", i, ok)
-		}
-	}
-	if tr.Len() != 250 {
-		t.Errorf("Len = %d, want 250", tr.Len())
-	}
-}
-
 // seekFloor returns copies of the largest entry with key <= target.
 func seekFloor(tr *Tree, target []byte) (k, v []byte, ok bool, err error) {
 	c := tr.Cursor()
@@ -224,11 +199,9 @@ func TestSeekFloorAfterDeletions(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		tr.Put(key(i), val(i))
 	}
-	// Delete a whole band so the floor search has to backtrack across
+	// Empty a whole band so the floor search has to backtrack across
 	// subtrees.
-	for i := 1000; i < 1900; i++ {
-		tr.Delete(key(i))
-	}
+	dropKeys(t, tr, key(1000), key(1900))
 	k, _, ok, err := seekFloor(tr, key(1895))
 	if err != nil || !ok {
 		t.Fatal(err, ok)
@@ -332,14 +305,14 @@ func TestOutOfCoreSmallCache(t *testing.T) {
 
 // TestRandomizedAgainstReferenceModel drives the tree with a random op mix
 // and cross-checks every result against a plain map (property-based model
-// test of the Put/Get/Delete/Scan invariants).
+// test of the Put/Get/Scan invariants).
 func TestRandomizedAgainstReferenceModel(t *testing.T) {
 	tr := newTree(t)
 	ref := map[string]string{}
 	rng := rand.New(rand.NewSource(99))
 	for step := 0; step < 20000; step++ {
 		k := key(rng.Intn(3000))
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0, 1: // put
 			v := val(rng.Intn(1 << 20))
 			if err := tr.Put(k, v); err != nil {
@@ -355,16 +328,6 @@ func TestRandomizedAgainstReferenceModel(t *testing.T) {
 			if ok != wantOK || (ok && string(v) != want) {
 				t.Fatalf("step %d: get %s = %q/%v, want %q/%v", step, k, v, ok, want, wantOK)
 			}
-		case 3: // delete
-			ok, err := tr.Delete(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, wantOK := ref[string(k)]
-			if ok != wantOK {
-				t.Fatalf("step %d: delete %s = %v, want %v", step, k, ok, wantOK)
-			}
-			delete(ref, string(k))
 		}
 	}
 	if int(tr.Len()) != len(ref) {
@@ -417,7 +380,7 @@ func BenchmarkGet(b *testing.B) {
 // separator and the split result.
 func TestLeafRewriteAllocations(t *testing.T) {
 	tr := newTree(t)
-	p, err := tr.pc.Get(tr.root)
+	p, err := tr.pc.GetMut(tr.root)
 	if err != nil {
 		t.Fatal(err)
 	}

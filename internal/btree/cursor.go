@@ -124,7 +124,7 @@ func (c *Cursor) descend(pid pagecache.PageID, target []byte, strict bool) bool 
 	}
 	found := false
 	for ; i >= 0 && !found && c.err == nil; i-- {
-		// A subtree may hold nothing that small (deletes do not rebalance):
+		// A subtree may hold nothing that small (an empty leaf: pages are never rebalanced):
 		// the one before it then holds only smaller keys.
 		found = c.descend(childAt(p, i), target, strict)
 	}

@@ -38,7 +38,6 @@ func (t *Tree) Put(key, val []byte) error {
 		setExtra(root, uint64(t.root))
 		off := writeIntCell(root, split.sep, uint64(split.right))
 		insertSlot(root, 0, off)
-		t.pc.MarkDirty(newRootID)
 		t.pc.Release(newRootID)
 		t.root = newRootID
 	}
@@ -53,6 +52,10 @@ func (t *Tree) insert(pid pagecache.PageID, key, val []byte) (*splitResult, bool
 	defer t.pc.Release(pid)
 
 	if isLeaf(p) {
+		if p, err = t.pc.GetMut(pid); err != nil {
+			return nil, false, err
+		}
+		defer t.pc.Release(pid)
 		i, exact := search(p, key)
 		if exact {
 			// Replace: drop the old slot (leaking its cell) and insert.
@@ -65,7 +68,6 @@ func (t *Tree) insert(pid pagecache.PageID, key, val []byte) (*splitResult, bool
 		if freeSpace(p) >= need {
 			off := writeLeafCell(p, key, val)
 			insertSlot(p, i, off)
-			t.pc.MarkDirty(pid)
 			return nil, !exact, nil
 		}
 		split, err := t.splitLeaf(pid, p, i, key, val)
@@ -78,6 +80,10 @@ func (t *Tree) insert(pid pagecache.PageID, key, val []byte) (*splitResult, bool
 		return nil, added, err
 	}
 	// Insert the promoted separator into this internal page.
+	if p, err = t.pc.GetMut(pid); err != nil {
+		return nil, added, err
+	}
+	defer t.pc.Release(pid)
 	i, _ := search(p, split.sep)
 	need := 10 + len(split.sep) + slotSize
 	if freeSpace(p) < need {
@@ -86,7 +92,6 @@ func (t *Tree) insert(pid pagecache.PageID, key, val []byte) (*splitResult, bool
 	if freeSpace(p) >= need {
 		off := writeIntCell(p, split.sep, uint64(split.right))
 		insertSlot(p, i, off)
-		t.pc.MarkDirty(pid)
 		return nil, added, nil
 	}
 	up, err := t.splitInternal(pid, p, i, split)
@@ -152,8 +157,6 @@ func (t *Tree) splitLeaf(pid pagecache.PageID, p []byte, insertAt int, key, val 
 		k, v := cell(i)
 		insertSlotAtEnd(right, i-mid, writeLeafCell(right, k, v))
 	}
-	t.pc.MarkDirty(pid)
-	t.pc.MarkDirty(rightID)
 	sep, _ := cell(mid)
 	return &splitResult{sep: append([]byte(nil), sep...), right: rightID}, nil
 }
@@ -206,34 +209,5 @@ func (t *Tree) splitInternal(pid pagecache.PageID, p []byte, insertAt int, pendi
 	for i, c := range all[mid+1:] {
 		insertSlotAtEnd(right, i, writeIntCell(right, c.k, c.child))
 	}
-	t.pc.MarkDirty(pid)
-	t.pc.MarkDirty(rightID)
 	return &splitResult{sep: promoted.k, right: rightID}, nil
-}
-
-// Delete removes key, reporting whether it was present. Pages are not
-// rebalanced; space is reclaimed lazily by compaction.
-func (t *Tree) Delete(key []byte) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pid := t.root
-	for {
-		p, err := t.pc.Get(pid)
-		if err != nil {
-			return false, err
-		}
-		if isLeaf(p) {
-			i, exact := search(p, key)
-			if exact {
-				removeSlot(p, i)
-				t.pc.MarkDirty(pid)
-				t.count--
-			}
-			t.pc.Release(pid)
-			return exact, nil
-		}
-		next := childAt(p, searchChildIdx(p, key))
-		t.pc.Release(pid)
-		pid = next
-	}
 }

@@ -13,10 +13,11 @@ import (
 
 // TestCursorMatchesReference cross-checks the cursor — SeekFloor, then Prev
 // and Next walks off that position — against a sorted reference slice under
-// random inserts and deletes. Deleting whole bands leaves empty leaves, which
-// the floor must fall back across and Next must skip; targets below the
-// first key and at the tree's last key come up by construction. The small
-// cache makes every descent evict, and no operation may leave a page pinned.
+// random inserts. Emptying whole bands of leaves by hand (dropKeys) leaves
+// empty leaves, which the floor must fall back across and Next must skip;
+// targets below the first key and at the tree's last key come up by
+// construction. The small cache makes every write evict, and no operation
+// may leave a page pinned.
 func TestCursorMatchesReference(t *testing.T) {
 	pc := pagecache.OpenMem(16)
 	tr, err := Open(pc)
@@ -91,21 +92,21 @@ func TestCursorMatchesReference(t *testing.T) {
 	}
 	for step := 0; step < 8000; step++ {
 		switch r := rng.Intn(16); {
-		case r < 8:
+		case r < 11:
 			k, v := randKey(), randKey()
 			if err := tr.Put(k, v); err != nil {
 				t.Fatal(err)
 			}
 			present[string(k)] = string(v)
-		case r < 11:
-			k := randKey()
-			tr.Delete(k)
-			delete(present, string(k))
 		case r == 11 && step%7 == 0: // empty a band of neighbouring leaves
 			keys := sorted()
 			lo := rng.Intn(len(keys) + 1)
-			for _, k := range keys[lo:min(lo+300, len(keys))] {
-				tr.Delete([]byte(k))
+			band := keys[lo:min(lo+300, len(keys))]
+			if len(band) == 0 {
+				break
+			}
+			dropKeys(t, tr, []byte(band[0]), []byte(band[len(band)-1]+"\x00"))
+			for _, k := range band {
 				delete(present, k)
 			}
 		case r == 12:
@@ -123,9 +124,9 @@ func TestCursorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCursorPrevFromAnEmptyTail empties the tree's last leaves — deletes do
-// not rebalance, so the chain still ends in them — runs Next off the end and
-// steps back: Prev must find the largest key left, with no cell to start
+// TestCursorPrevFromAnEmptyTail empties the tree's last leaves — pages are
+// never rebalanced, so the chain still ends in them — runs Next off the end
+// and steps back: Prev must find the largest key left, with no cell to start
 // from; and on a tree emptied altogether there is nothing either way.
 func TestCursorPrevFromAnEmptyTail(t *testing.T) {
 	pc := pagecache.OpenMem(16)
@@ -139,13 +140,11 @@ func TestCursorPrevFromAnEmptyTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := kept; i < n; i++ {
-		tr.Delete(key(i))
-	}
+	dropKeys(t, tr, key(kept), nil)
 	// A dead slot of an emptied leaf still points at its old cell; point it
 	// at an empty key instead, so that a Prev that reads it goes astray.
 	for pid := tr.root; ; {
-		p, err := pc.Get(pid)
+		p, err := pc.GetMut(pid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +152,6 @@ func TestCursorPrevFromAnEmptyTail(t *testing.T) {
 		if isLeaf(p) && nKeys(p) == 0 {
 			clear(p[pageSize-8:])
 			setSlotOff(p, 0, pageSize-8)
-			pc.MarkDirty(pid)
 		}
 		pc.Release(pid)
 		if isLeaf(p) && next == 0 {
@@ -180,9 +178,7 @@ func TestCursorPrevFromAnEmptyTail(t *testing.T) {
 	}
 	c.Close()
 
-	for i := 0; i < kept; i++ {
-		tr.Delete(key(i))
-	}
+	dropKeys(t, tr, nil, nil)
 	c = tr.Cursor()
 	if c.SeekFloor(key(5)) || c.Next() || c.Prev() || c.Next() || c.Err() != nil {
 		t.Fatalf("a cursor moved on an empty tree: %v", c.Err())
@@ -311,14 +307,51 @@ type flakyFile struct {
 	fs *flakyFS
 }
 
-func (f flakyFile) ReadAt(p []byte, off int64) (int, error) {
+func (f flakyFile) View(off, n int64) ([]byte, error) {
 	if f.fs.reads == 0 {
-		return 0, errFlaky
+		return nil, errFlaky
 	}
 	if f.fs.reads > 0 {
 		f.fs.reads--
 	}
-	return f.File.ReadAt(p, off)
+	return f.File.View(off, n)
+}
+
+// dropKeys removes the cells with lo <= key < hi (nil: unbounded) from the
+// leaf chain by hand, slots only, as a delete that never rebalances would:
+// the trees have no delete, but the cursor must still cross empty leaves.
+func dropKeys(t *testing.T, tr *Tree, lo, hi []byte) {
+	t.Helper()
+	pid := tr.root
+	for { // down the leftmost spine to the first leaf
+		p, err := tr.pc.Get(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, next := isLeaf(p), pagecache.PageID(extra(p))
+		tr.pc.Release(pid)
+		if leaf {
+			break
+		}
+		pid = next
+	}
+	for pid != 0 {
+		p, err := tr.pc.GetMut(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i, _ := search(p, lo)
+		j := nKeys(p)
+		if hi != nil {
+			j, _ = search(p, hi)
+		}
+		for ; j > i; j-- {
+			removeSlot(p, i)
+		}
+		next := pagecache.PageID(extra(p))
+		tr.pc.Release(pid)
+		pid = next
+	}
 }
 
 // TestCursorReadAllocatesNothing pins the point of the cursor: a floor read

@@ -123,6 +123,9 @@ func Open(opts Options) (_ *DB, err error) {
 		}
 	}
 	db := &DB{opts: opts, fs: vfs.OrOS(opts.FS), current: memgraph.New()}
+	if err := vfs.MkdirAll(db.fs, opts.Dir); err != nil {
+		return nil, err
+	}
 	if err := db.initFence(); err != nil {
 		return nil, err
 	}
@@ -380,12 +383,11 @@ func (rs *recordStore) writeAt(id int64) {
 		}
 		rs.pc.Release(pid)
 	}
-	data, err := rs.pc.Get(pageID)
+	data, err := rs.pc.GetMut(pageID)
 	if err != nil {
 		return
 	}
 	data[off%pagecache.PageSize] = 1 // in-use flag
-	rs.pc.MarkDirty(pageID)
 	rs.pc.Release(pageID)
 }
 

@@ -53,8 +53,9 @@ type Options struct {
 	// materialization; 0 means DefaultChainThreshold, negative disables
 	// materialization entirely (pure delta chains, the Fig 11 "32" end).
 	ChainThreshold int
-	// IndexCachePages is the page cache budget per tree; the four trees pool
-	// theirs, so that whichever is read most holds most of the 4 × pages.
+	// IndexCachePages is the dirty-page budget per tree; the four trees pool
+	// theirs, so that whichever is written most holds most of the 4 × pages.
+	// Clean pages are read from the files' mappings and count against none.
 	IndexCachePages int
 	// FS is the filesystem the index files live on; nil means the real OS
 	// filesystem (used by the crash-recovery tests to inject faults).
@@ -436,7 +437,7 @@ type Stats struct {
 	Updates    uint64
 	IndexBytes int64
 	CaughtUp   uint64          // re-applied by CatchUp at Open: 0 after a clean Close
-	Cache      pagecache.Stats // page accesses of the four trees, summed
+	Cache      pagecache.Stats // page accesses and frames held of the four trees, summed
 }
 
 // Stats returns the store's counters and footprint.
@@ -450,6 +451,7 @@ func (s *Store) Stats() Stats {
 		}
 		c := pc.Stats()
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions = st.Cache.Hits+c.Hits, st.Cache.Misses+c.Misses, st.Cache.Evictions+c.Evictions
+		st.Cache.Frames += c.Frames
 	}
 	return st
 }

@@ -75,7 +75,6 @@ func TestReopenSeesFlushedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(data, []byte("page-zero"))
-	c.MarkDirty(id)
 	c.Release(id)
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)

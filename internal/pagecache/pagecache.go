@@ -1,15 +1,17 @@
-// Package pagecache implements a fixed-size-page LRU buffer pool over a
-// backing file, the substrate beneath Aion's B+Trees. It stands in for the
-// Neo4j page cache the paper builds on: B+Tree pages are read through the
-// cache, dirtied in place, and written back on eviction or flush, which
-// gives the trees out-of-core behaviour with bounded memory.
+// Package pagecache is the page cache beneath Aion's B+Trees, standing in
+// for the Neo4j page cache the paper builds on, which lives off the JVM heap.
+// A clean page has one copy, the kernel's: Get serves it from a read-only
+// view of the file (a shared mapping on an OS file). Only a page a writer
+// writes gets a heap frame, from GetMut or Allocate, and only until its
+// writeback on eviction or flush; an LRU over those frames bounds them, which
+// gives the trees out-of-core writes with bounded memory.
 package pagecache
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
+	"sync/atomic"
 
 	"aion/internal/vfs"
 )
@@ -20,66 +22,29 @@ const PageSize = 4096
 // PageID identifies a page by its index in the backing file.
 type PageID uint64
 
-// Backend is the random-access storage under the cache. *os.File satisfies
-// it; memBackend provides an in-memory variant for tests and benchmarks.
-type Backend interface {
-	io.ReaderAt
-	io.WriterAt
-	Close() error
-}
-
-// memBackend is a growable in-memory Backend.
-type memBackend struct {
-	mu   sync.Mutex
-	data []byte
-}
-
-func (m *memBackend) ReadAt(p []byte, off int64) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if off >= int64(len(m.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, m.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (m *memBackend) WriteAt(p []byte, off int64) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if need := off + int64(len(p)); need > int64(len(m.data)) {
-		grown := make([]byte, need)
-		copy(grown, m.data)
-		m.data = grown
-	}
-	return copy(m.data[off:], p), nil
-}
-
-func (m *memBackend) Close() error { return nil }
-
+// frame is a dirty page: one a writer holds or has written and that is not
+// yet written back.
 type frame struct {
 	owner *Cache
 	id    PageID
 	data  []byte
-	dirty bool
 	pins  int
 	// prev and next link the unpinned frames into the LRU ring; both nil
 	// while pinned. The links live in the frame so that pinning and
-	// unpinning a cached page relinks and allocates nothing.
+	// unpinning a held page relinks and allocates nothing.
 	prev, next *frame
 }
 
-// Stats reports cache effectiveness counters.
+// Stats reports cache counters. Every Get is a hit; a GetMut is a hit when
+// the page has a frame and a miss when it copies the page into one.
 type Stats struct {
 	Hits, Misses, Evictions uint64
+	Frames                  int // frames held now: dirty pages
 }
 
-// Pool is a page budget: one LRU ring, one capacity and one mutex over the
-// frames of every cache opened on it, so that several files share their
-// memory by recency rather than by a fixed split.
+// Pool is a budget of dirty pages: one LRU ring, one capacity and one mutex
+// over the frames of every cache opened on it, so that several files share
+// their memory by recency rather than by a fixed split.
 type Pool struct {
 	mu       sync.Mutex
 	lru      frame // the LRU ring's sentinel: next = most, prev = least recently used
@@ -94,21 +59,25 @@ func NewPool(capacityPages int) *Pool {
 	return p
 }
 
-// Cache is an LRU page cache over one backing file. All methods are safe for
-// concurrent use, but the byte slices handed out by Get are only stable while
-// the page is pinned: callers must Release pages when done.
+// Cache is the page cache of one file. All methods are safe for concurrent
+// use, provided a page's readers (Get) exclude its writers (GetMut,
+// Allocate), as a tree's lock makes them: a view page is the file's bytes,
+// which a writeback of a frame changes. A slice from Get or GetMut is stable
+// until its Release.
 type Cache struct {
-	pool      *Pool // its mutex guards every field below
-	backend   Backend
-	frames    map[PageID]*frame
-	pageCount uint64
-	stats     Stats
-	isFile    bool
-	failed    error // sticky: first writeback/sync error; later writes fail-stop
+	pool   *Pool // its mutex guards frames and failed
+	file   vfs.File
+	frames map[PageID]*frame
+	failed error // sticky: first writeback/sync error; later writes fail-stop
+
+	// Read without the mutex by a Get on a frameless cache.
+	nframes                 atomic.Int64 // len(frames)
+	pageCount               atomic.Uint64
+	hits, misses, evictions atomic.Uint64
 }
 
 // Open creates or opens a file-backed cache holding at most capacityPages
-// pages in memory, a budget of its own.
+// dirty pages in memory, a budget of its own.
 func Open(path string, capacityPages int) (*Cache, error) {
 	return OpenFS(vfs.OS, path, capacityPages)
 }
@@ -118,7 +87,7 @@ func OpenFS(fs vfs.FS, path string, capacityPages int) (*Cache, error) {
 	return NewPool(capacityPages).OpenFS(fs, path)
 }
 
-// OpenFS opens a file-backed cache whose pages count against the pool.
+// OpenFS opens a file-backed cache whose frames count against the pool.
 func (p *Pool) OpenFS(fs vfs.FS, path string) (*Cache, error) {
 	f, err := fs.OpenFile(path)
 	if err != nil {
@@ -128,36 +97,33 @@ func (p *Pool) OpenFS(fs vfs.FS, path string) (*Cache, error) {
 	if err != nil {
 		return nil, errors.Join(fmt.Errorf("pagecache: stat: %w", err), f.Close())
 	}
-	return &Cache{pool: p, backend: f, frames: make(map[PageID]*frame), isFile: true, pageCount: uint64(size) / PageSize}, nil
+	c := &Cache{pool: p, file: f, frames: make(map[PageID]*frame)}
+	c.pageCount.Store(uint64(size) / PageSize)
+	return c, nil
 }
 
-// OpenMem creates a memory-backed cache (for tests and in-memory stores).
+// OpenMem opens a cache over a file of its own in-memory filesystem (for
+// tests and benchmarks).
 func OpenMem(capacityPages int) *Cache {
-	return &Cache{pool: NewPool(capacityPages), backend: &memBackend{}, frames: make(map[PageID]*frame)}
+	c, err := OpenFS(vfs.NewFaultFS(), "mem.idx", capacityPages)
+	if err != nil {
+		panic(err) // a fresh FaultFS has no fault armed
+	}
+	return c
 }
 
 // PageCount returns the number of allocated pages.
-func (c *Cache) PageCount() uint64 {
-	c.pool.mu.Lock()
-	defer c.pool.mu.Unlock()
-	return c.pageCount
-}
+func (c *Cache) PageCount() uint64 { return c.pageCount.Load() }
 
-// Stats returns a snapshot of the hit/miss/eviction counters.
+// Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
-	c.pool.mu.Lock()
-	defer c.pool.mu.Unlock()
-	return c.stats
+	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(), Frames: int(c.nframes.Load())}
 }
 
 // DiskBytes reports the size of the backing storage in bytes.
-func (c *Cache) DiskBytes() int64 {
-	c.pool.mu.Lock()
-	defer c.pool.mu.Unlock()
-	return int64(c.pageCount) * PageSize
-}
+func (c *Cache) DiskBytes() int64 { return int64(c.pageCount.Load()) * PageSize }
 
-// Allocate appends a zeroed page and returns it pinned.
+// Allocate appends a zeroed page and returns its frame, pinned.
 func (c *Cache) Allocate() (PageID, []byte, error) {
 	c.pool.mu.Lock()
 	defer c.pool.mu.Unlock()
@@ -166,42 +132,80 @@ func (c *Cache) Allocate() (PageID, []byte, error) {
 		return 0, nil, err
 	}
 	clear(data)
-	id := PageID(c.pageCount)
-	c.pageCount++
-	c.hold(&frame{owner: c, id: id, data: data, dirty: true, pins: 1})
+	id := PageID(c.pageCount.Load())
+	c.pageCount.Add(1)
+	c.hold(&frame{owner: c, id: id, data: data, pins: 1})
 	return id, data, nil
 }
 
-// Get returns the page's data, pinned. The caller must Release it. The
-// slice may be written; call MarkDirty before Release to persist changes.
+// Get returns the page's bytes for reading: its frame's, pinned, if it has
+// one, else the file's own through the view, with no copy and no pin. The
+// caller must Release it either way and must not write it (GetMut writes).
 func (c *Cache) Get(id PageID) ([]byte, error) {
+	c.hits.Add(1)
+	if c.nframes.Load() != 0 {
+		c.pool.mu.Lock()
+		if fr, ok := c.frames[id]; ok {
+			c.pin(fr)
+			c.pool.mu.Unlock()
+			return fr.data, nil
+		}
+		c.pool.mu.Unlock()
+	}
+	return c.view(id)
+}
+
+// view reads a page that has no frame, and so is on file, from the view.
+func (c *Cache) view(id PageID) ([]byte, error) {
+	if n := c.pageCount.Load(); uint64(id) >= n {
+		return nil, fmt.Errorf("pagecache: page %d out of range (count %d)", id, n)
+	}
+	p, err := c.file.View(int64(id)*PageSize, PageSize)
+	if err != nil {
+		return nil, fmt.Errorf("pagecache: read page %d: %w", id, err)
+	}
+	return p, nil
+}
+
+// GetMut returns the page's frame, pinned, for writing in place: the page
+// is copied from the file into a new frame unless it has one. The frame is
+// dirty from here until its writeback.
+func (c *Cache) GetMut(id PageID) ([]byte, error) {
 	c.pool.mu.Lock()
 	defer c.pool.mu.Unlock()
 	if fr, ok := c.frames[id]; ok {
-		c.stats.Hits++
+		c.hits.Add(1)
 		c.pin(fr)
 		return fr.data, nil
 	}
-	c.stats.Misses++
-	if id >= PageID(c.pageCount) {
-		return nil, fmt.Errorf("pagecache: page %d out of range (count %d)", id, c.pageCount)
+	src, err := c.view(id)
+	if err != nil {
+		return nil, err
 	}
 	data, err := c.pool.makeRoom()
 	if err != nil {
 		return nil, err
 	}
-	n, err := c.backend.ReadAt(data, int64(id)*PageSize)
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("pagecache: read page %d: %w", id, err)
-	}
-	clear(data[n:]) // a page past the file's end reads as zeroes, whatever the buffer held
+	c.misses.Add(1)
+	copy(data, src)
 	c.hold(&frame{owner: c, id: id, data: data, pins: 1})
 	return data, nil
 }
 
 func (c *Cache) hold(fr *frame) {
 	c.frames[fr.id] = fr
+	c.nframes.Add(1)
 	c.pool.resident++
+}
+
+// drop forgets a frame that is written back.
+func (c *Cache) drop(fr *frame) {
+	if fr.next != nil {
+		fr.unlink()
+	}
+	delete(c.frames, fr.id)
+	c.nframes.Add(-1)
+	c.pool.resident--
 }
 
 func (c *Cache) pin(fr *frame) {
@@ -217,26 +221,20 @@ func (fr *frame) unlink() {
 	fr.prev, fr.next = nil, nil
 }
 
-// MarkDirty records that the page's contents changed and must be written
-// back. The page must currently be pinned.
-func (c *Cache) MarkDirty(id PageID) {
-	c.pool.mu.Lock()
-	defer c.pool.mu.Unlock()
-	if fr, ok := c.frames[id]; ok {
-		fr.dirty = true
-	}
-}
-
-// Release unpins a page obtained from Get or Allocate.
+// Release unpins a page obtained from Get, GetMut or Allocate. A page served
+// from the view holds no pin; a frame's last Release queues it for
+// writeback.
 func (c *Cache) Release(id PageID) {
+	if c.nframes.Load() == 0 {
+		return
+	}
 	c.pool.mu.Lock()
 	defer c.pool.mu.Unlock()
 	fr, ok := c.frames[id]
 	if !ok || fr.pins == 0 {
 		return
 	}
-	fr.pins--
-	if fr.pins == 0 {
+	if fr.pins--; fr.pins == 0 {
 		fr.prev, fr.next = &c.pool.lru, c.pool.lru.next
 		fr.prev.next, fr.next.prev = fr, fr
 	}
@@ -255,16 +253,12 @@ func (p *Pool) makeRoom() ([]byte, error) {
 			break
 		}
 		c := fr.owner
-		if fr.dirty {
-			if _, err := c.backend.WriteAt(fr.data, int64(fr.id)*PageSize); err != nil {
-				c.failed = err
-				return nil, fmt.Errorf("pagecache: writeback page %d: %w", fr.id, err)
-			}
+		if _, err := c.file.WriteAt(fr.data, int64(fr.id)*PageSize); err != nil {
+			c.failed = err
+			return nil, fmt.Errorf("pagecache: writeback page %d: %w", fr.id, err)
 		}
-		fr.unlink()
-		delete(c.frames, fr.id)
-		c.stats.Evictions++
-		p.resident--
+		c.drop(fr)
+		c.evictions.Add(1)
 		data = fr.data
 	}
 	if data == nil {
@@ -273,7 +267,9 @@ func (p *Pool) makeRoom() ([]byte, error) {
 	return data, nil
 }
 
-// Flush writes back all dirty frames (and fsyncs file backends).
+// Flush writes back every frame, fsyncs the file and drops the frames
+// nobody pins: their pages are read from the file from then on. A pinned
+// frame stays, since its writer may not be done with it.
 //
 // After any writeback or sync failure the cache fails stop: later Flushes
 // return the original error. A failed fsync may have dropped dirty pages
@@ -290,42 +286,35 @@ func (c *Cache) flushLocked() error {
 		return fmt.Errorf("pagecache: cache failed: %w", c.failed)
 	}
 	for _, fr := range c.frames {
-		if !fr.dirty {
-			continue
-		}
-		if _, err := c.backend.WriteAt(fr.data, int64(fr.id)*PageSize); err != nil {
+		if _, err := c.file.WriteAt(fr.data, int64(fr.id)*PageSize); err != nil {
 			c.failed = err
 			return fmt.Errorf("pagecache: flush page %d: %w", fr.id, err)
 		}
-		fr.dirty = false
-	}
-	if f, ok := c.backend.(interface{ Sync() error }); ok && c.isFile {
-		//aionlint:ignore lockio an explicit durability point (tree Flush, Close), never the page-access path; the one-mutex cache keeps write-back and fsync one step so c.failed covers both
-		if err := f.Sync(); err != nil {
-			c.failed = err
-			return fmt.Errorf("pagecache: sync: %w", err)
+		if fr.pins == 0 {
+			c.drop(fr)
 		}
+	}
+	//aionlint:ignore lockio an explicit durability point (tree Flush, Close), never the page-access path; the one-mutex cache keeps write-back and fsync one step so c.failed covers both
+	if err := c.file.Sync(); err != nil {
+		c.failed = err
+		return fmt.Errorf("pagecache: sync: %w", err)
 	}
 	return nil
 }
 
 // Close flushes, returns the cache's frames to the pool's budget and closes
-// the backing storage.
+// the file, which unmaps its views.
 func (c *Cache) Close() error {
 	c.pool.mu.Lock()
 	defer c.pool.mu.Unlock()
 	err := c.flushLocked()
 	for _, fr := range c.frames {
-		if fr.next != nil {
-			fr.unlink()
-		}
+		c.drop(fr)
 	}
-	c.pool.resident -= len(c.frames)
-	clear(c.frames)
-	return errors.Join(err, c.backend.Close())
+	return errors.Join(err, c.file.Close())
 }
 
-// Pinned returns how many of the cache's pages are pinned: zero whenever no
+// Pinned returns how many of the cache's frames are pinned: zero whenever no
 // tree operation or cursor is in flight.
 func (c *Cache) Pinned() int {
 	c.pool.mu.Lock()

@@ -16,7 +16,6 @@ func TestAllocateGetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(data, "hello page")
-	c.MarkDirty(id)
 	c.Release(id)
 
 	got, err := c.Get(id)
@@ -40,7 +39,6 @@ func TestEvictionWritesBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		data[0] = byte(i)
-		c.MarkDirty(id)
 		c.Release(id)
 		ids = append(ids, id)
 	}
@@ -70,7 +68,6 @@ func TestFileBackedPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(data, "durable")
-	c.MarkDirty(id)
 	c.Release(id)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -110,7 +107,6 @@ func TestPinPreventsEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[0] = 0xAB
-	c.MarkDirty(id)
 	// Keep the page pinned while churning through the cache.
 	for i := 0; i < 64; i++ {
 		id2, _, err := c.Allocate()
@@ -166,7 +162,7 @@ func TestGetReleaseOfCachedPageAllocatesNothing(t *testing.T) {
 	}
 }
 
-// The ring orders the unpinned frames by their last Release: a page touched
+// The ring orders the unpinned dirty frames by their last Release: a page touched
 // again outlives the ones released before it, a pinned one is never the
 // victim, and a page released twice in a row stays where it was.
 func TestEvictionFollowsLastRelease(t *testing.T) {
@@ -196,21 +192,16 @@ func TestEvictionFollowsLastRelease(t *testing.T) {
 		id     PageID
 		cached bool
 	}{{ids[0], true}, {ids[1], true}, {ids[4], true}, {ids[2], false}, {ids[3], false}} {
-		before := c.Stats().Hits
-		if _, err := c.Get(want.id); err != nil {
-			t.Fatal(err)
-		}
-		c.Release(want.id)
-		if cached := c.Stats().Hits == before+1; cached != want.cached {
+		if _, cached := c.frames[want.id]; cached != want.cached {
 			t.Errorf("page %d cached = %v, want %v", want.id, cached, want.cached)
 		}
 	}
 }
 
 // TestPoolSharesOneBudget: caches opened on one pool evict each other's least
-// recently used pages, hold no more than the budget together, read evicted
-// pages back intact (the frame's buffer is reused, never its contents), and
-// give their share back when closed.
+// recently used dirty pages, hold no more than the budget together, copy
+// evicted pages back intact (the frame's buffer is reused, never its
+// contents), and give their share back when closed.
 func TestPoolSharesOneBudget(t *testing.T) {
 	fs, pool := vfs.NewFaultFS(), NewPool(8)
 	var cs [2]*Cache
@@ -239,10 +230,10 @@ func TestPoolSharesOneBudget(t *testing.T) {
 	if ev := cs[0].Stats().Evictions + cs[1].Stats().Evictions; ev != 16 {
 		t.Errorf("%d evictions, want 16", ev)
 	}
-	// cs[1]'s reads push cs[0]'s pages out: the budget goes where the use is.
+	// cs[1]'s writes push cs[0]'s pages out: the budget goes where the use is.
 	for round := 0; round < 2; round++ {
 		for p := 0; p < 8; p++ {
-			data, err := cs[1].Get(PageID(p))
+			data, err := cs[1].GetMut(PageID(p))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,10 +244,10 @@ func TestPoolSharesOneBudget(t *testing.T) {
 		}
 	}
 	if len(cs[0].frames) != 0 || len(cs[1].frames) != 8 {
-		t.Errorf("after reading only the second cache the frames are %d + %d, want 0 + 8", len(cs[0].frames), len(cs[1].frames))
+		t.Errorf("after writing only the second cache the frames are %d + %d, want 0 + 8", len(cs[0].frames), len(cs[1].frames))
 	}
 	if st := cs[1].Stats(); st.Hits != 8 {
-		t.Errorf("the second pass over 8 resident pages hit %d times, want 8", st.Hits)
+		t.Errorf("the second pass over 8 held pages hit %d times, want 8", st.Hits)
 	}
 	if err := cs[1].Close(); err != nil {
 		t.Fatal(err)
@@ -273,11 +264,14 @@ func TestPoolSharesOneBudget(t *testing.T) {
 	}
 }
 
-// TestMissReusesTheEvictedBuffer: at capacity a miss and an Allocate take
-// over the evicted frame's page buffer — Allocate zeroes it, a read past the
-// file's end zeroes the tail — instead of allocating another.
+// TestMissReusesTheEvictedBuffer: at capacity a miss — a GetMut copying a
+// page into a frame — and an Allocate take over the evicted frame's page
+// buffer, which Allocate zeroes, instead of allocating another.
 func TestMissReusesTheEvictedBuffer(t *testing.T) {
-	c := OpenMem(8)
+	c, err := Open(filepath.Join(t.TempDir(), "pages.idx"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Close()
 	for i := 0; i < 16; i++ {
 		id, data, err := c.Allocate()
@@ -294,17 +288,17 @@ func TestMissReusesTheEvictedBuffer(t *testing.T) {
 	}
 	next := PageID(0)
 	allocs := testing.AllocsPerRun(64, func() {
-		data, err := c.Get(next % 16)
+		data, err := c.GetMut(next % 16)
 		if err != nil || data[100] != 0xee {
 			t.Fatal(err)
 		}
 		c.Release(next % 16)
-		next++ // a cyclic scan of twice the capacity always misses
+		next++ // a cyclic walk over twice the capacity always misses
 	})
 	if allocs > 1 { // the frame; not the 4 KiB buffer
 		t.Errorf("a miss at capacity allocates %.0f times, want 1", allocs)
 	}
 	if st := c.Stats(); st.Hits != 0 {
-		t.Errorf("%d hits, the test meant every read to miss", st.Hits)
+		t.Errorf("%d hits, the test meant every GetMut to miss", st.Hits)
 	}
 }

@@ -90,13 +90,15 @@ func BenchmarkReopen(b *testing.B) {
 var residentProfile = flag.String("resident.profile", "", "BenchmarkResident: write a heap profile at the measurement point to this file")
 
 // residentBudget is BenchmarkResident's ceiling in live heap bytes per loaded
-// update: one resident copy of the current graph, its decoded strings sharing
-// the string table's boxes and no record-store page read back by replay,
-// measures 171.8, 10 % under the budget (192 with replay refilling the record
+// update, measured after 20 000 expand reads: one resident copy of the
+// current graph, its decoded strings sharing the string table's boxes, no
+// record-store page read back by replay and no clean LineageStore page on the
+// heap measures 171.7, and the budget is that + 10 % (199.4 when the reads
+// left their pages in heap frames, 192 with replay refilling the record
 // caches and a box per decoded string, 248 with a 40-byte model.Value on top,
 // two copies 514, and a per-entity label map beside the one copy 273), so a
-// wider Value or a second copy of the graph or of its labels creeping back in
-// fails the benchmark.
+// wider Value, a second copy of the graph or of its labels, or tree pages
+// copied to the heap creeping back in fails the benchmark.
 const residentBudget = 189
 
 // cacheHeapBudget is BenchmarkResident's ceiling, in MiB, on what the snapshot
@@ -108,19 +110,21 @@ const residentBudget = 189
 const cacheHeapBudget = 7.6
 
 // writeHeapBudget is BenchmarkResident's ceiling, in MiB, on what 65 536
-// single-statement commits add to the live heap: 12.6 with a pull costing the
-// host the chunks it next writes. The record-store pages these commits stamp
-// are theirs to bring in: it was 10.8 while replay at open had already filled
-// the record caches, 13.1 then with a 40-byte model.Value, 17.5 when a pull
-// cost a copy of the host's vectors that the policy snapshot then kept, and
-// 30.0 when the TimeStore applied each commit to a graph of its own.
+// single-statement commits add to the live heap: 11.4 with a pull costing the
+// host the chunks it next writes. The record-store and LineageStore pages
+// these commits dirty are theirs to bring in: it was 12.6 while the expand
+// reads did not run first and a clean page kept its heap frame, 10.8 while
+// replay at open had already filled the record caches, 13.1 then with a
+// 40-byte model.Value, 17.5 when a pull cost a copy of the host's vectors
+// that the policy snapshot then kept, and 30.0 when the TimeStore applied
+// each commit to a graph of its own.
 const writeHeapBudget = 13.9
 
 // openWriteBudget is BenchmarkResident's ceiling, in MiB, on the open store
-// and the commits together, where moving the record pages from one row to the
-// other nets out: 45.8, and 47.9 with replay filling the record caches and a
-// box per decoded string — which alone, at +1.6, crosses it.
-const openWriteBudget = 47
+// and the commits together, where moving pages from one row to the other nets
+// out: 44.6, and the budget is that + 10 % (49.9 when the expand reads left
+// their pages in heap frames).
+const openWriteBudget = 49
 
 // writeCycle commits ingest-commit's four statements, one commit each: create
 // a node, set a property on one of the first 512, create a relationship from
@@ -151,9 +155,11 @@ func writeCycle(s *System, i int, nodes int64) error {
 }
 
 // BenchmarkResident reports what a reopened benchmark-shaped store keeps on
-// the heap before it serves anything: benchmark/'s heap_live_mb minus the
-// harness (its script, recorder and oracle) and whatever serving adds.
-// make heap-budget turns the profile into the by-owner table. A second phase
+// the heap once it has served point-history's 20 000 expand reads:
+// benchmark/'s heap_live_mb minus the harness (its script, recorder and
+// oracle). The reads must leave no LineageStore page frame behind, since a
+// clean page is the kernel's. make heap-budget turns the profile into the
+// by-owner table. A second phase
 // then reads a snapshot at every timestamp of the newest quarter, oldest
 // first, as snapshot-asof's closing pass does, and reports what the cached
 // graphs hold on top. A third runs ingest-commit's write cycle for four policy
@@ -170,6 +176,10 @@ func BenchmarkResident(b *testing.B) {
 		s, err := Open(opts)
 		if err != nil {
 			b.Fatal(err)
+		}
+		expandReads(b, s, 20000)
+		if fr := s.Aion.LineageStore().Stats().Cache.Frames; fr != 0 {
+			b.Fatalf("the LineageStore holds %d page frames after 20 000 expand reads: clean pages are the kernel's, read from the files' mappings", fr)
 		}
 		runtime.GC()
 		runtime.GC()
@@ -394,25 +404,15 @@ func BenchmarkDisk(b *testing.B) {
 // commit before the cursor).
 const expandGetsBudget = 6.916 / 2
 
-// BenchmarkExpand1 is point-history's expand class on the LineageStore alone:
-// the outgoing relationships of a uniformly drawn node at a uniformly drawn
-// commit timestamp of the benchmark-shaped store. Beside ns/op it reports
-// nanoseconds and page-cache accesses (hits + misses: a count, exact for a
-// fixed -benchtime Nx) per returned relationship, and fails over the budget.
-// make expand-budget runs it.
-func BenchmarkExpand1(b *testing.B) {
-	opts, _ := loadBenchmarkShape(b)
-	s, err := Open(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
+// expandReads runs point-history's expand class n times against the
+// LineageStore of the benchmark-shaped store s: the outgoing relationships of
+// a uniformly drawn node at a uniformly drawn commit timestamp. It returns
+// how many relationships the reads returned.
+func expandReads(b *testing.B, s *System, n int) int {
 	ls, last := s.Aion.LineageStore(), int64(s.Aion.TimeStore().LatestTimestamp())
 	nodes := int64(datagen.MustPreset("DBLP", 20).Nodes)
 	rng, ctx, rels := rand.New(rand.NewSource(1)), context.Background(), 0
-	before := ls.Stats().Cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < n; i++ {
 		at := model.Timestamp(1 + rng.Int63n(last))
 		hs, err := ls.GetRelationshipsContext(ctx, model.NodeID(rng.Int63n(nodes)), model.Outgoing, at, at)
 		if err != nil {
@@ -420,6 +420,24 @@ func BenchmarkExpand1(b *testing.B) {
 		}
 		rels += len(hs)
 	}
+	return rels
+}
+
+// BenchmarkExpand1 is point-history's expand class on the LineageStore alone
+// (expandReads). Beside ns/op it reports nanoseconds and page-cache accesses
+// (hits + misses: a count, exact for a fixed -benchtime Nx) per returned
+// relationship, and fails over the budget. make expand-budget runs it.
+func BenchmarkExpand1(b *testing.B) {
+	opts, _ := loadBenchmarkShape(b)
+	s, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ls := s.Aion.LineageStore()
+	before := ls.Stats().Cache
+	b.ResetTimer()
+	rels := expandReads(b, s, b.N)
 	b.StopTimer()
 	after := ls.Stats().Cache
 	gets := float64(after.Hits+after.Misses-before.Hits-before.Misses) / float64(max(rels, 1))

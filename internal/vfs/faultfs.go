@@ -301,6 +301,22 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// View returns [off, off+n) of the file's current contents, uncopied. A write
+// to that range changes the bytes under it; one that grows the file may move
+// the contents, leaving the view with the bytes it had. A handle from before
+// a Crash fails.
+func (f *memFile) View(off, n int64) ([]byte, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if err := f.check(); err != nil {
+		return nil, err
+	}
+	if off < 0 || off+n > int64(len(f.st.data)) {
+		return nil, fmt.Errorf("faultfs: view [%d, %d) of %s past its end (%d bytes)", off, off+n, f.name, len(f.st.data))
+	}
+	return f.st.data[off : off+n : off+n], nil
+}
+
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()

@@ -32,6 +32,11 @@ type File interface {
 	Size() (int64, error)
 	// Name returns the path the file was opened with.
 	Name() string
+	// View returns the file's bytes [off, off+n) read-only, without a copy
+	// where the platform allows: on an OS file a slice of a shared mapping,
+	// which later writes through any handle show. The range must lie within
+	// the file. The slice stays valid until Close and must never be written.
+	View(off, n int64) ([]byte, error)
 }
 
 // FS is a filesystem. Paths are interpreted exactly as the OS would; the
@@ -75,9 +80,12 @@ func OrOS(fs FS) FS {
 
 type osFS struct{}
 
-type osFile struct{ *os.File }
+type osFile struct {
+	*os.File
+	mapper // the views handed out; Close unmaps them before closing the file
+}
 
-func (f osFile) Size() (int64, error) {
+func (f *osFile) Size() (int64, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return 0, err
@@ -85,28 +93,16 @@ func (f osFile) Size() (int64, error) {
 	return st.Size(), nil
 }
 
-func (osFS) OpenFile(path string) (File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
-}
+func (osFS) OpenFile(path string) (File, error) { return openOS(path, os.O_CREATE|os.O_RDWR) }
+func (osFS) Create(path string) (File, error)   { return openOS(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC) }
+func (osFS) Open(path string) (File, error)     { return openOS(path, os.O_RDONLY) }
 
-func (osFS) Create(path string) (File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+func openOS(path string, flag int) (File, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return osFile{f}, nil
-}
-
-func (osFS) Open(path string) (File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
+	return &osFile{File: f}, nil
 }
 
 func (osFS) Remove(path string) error             { return os.Remove(path) }

@@ -13,7 +13,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -100,26 +100,14 @@ func (l *Log) RepairedBytes() int64 {
 	return l.repaired
 }
 
-// OpenTemp opens a log on a fresh temporary file under dir (or the system
-// temp dir if dir is empty); useful for benchmarks.
+// OpenTemp opens a log on a fresh temporary directory under dir (or the
+// system temp dir if dir is empty); useful for benchmarks.
 func OpenTemp(dir string) (*Log, error) {
-	//aionlint:ignore vfsseam benchmark-only scratch log on an explicitly throwaway file; durable stores open through OpenFS
-	f, err := os.CreateTemp(dir, "aion-wal-*.log")
+	dir, err := vfs.MkdirTemp(dir, "aion-wal-*")
 	if err != nil {
 		return nil, fmt.Errorf("wal: temp: %w", err)
 	}
-	return &Log{f: osTempFile{f}, path: f.Name()}, nil
-}
-
-// osTempFile adapts the CreateTemp handle to vfs.File.
-type osTempFile struct{ *os.File }
-
-func (f osTempFile) Size() (int64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
+	return Open(filepath.Join(dir, "wal.log"))
 }
 
 // Append writes one record and returns its offset. Header and payload go
