@@ -62,14 +62,25 @@ func TestServeDebug(t *testing.T) {
 		} `json:"aion.planner"`
 		TimeStore    struct{ Updates uint64 } `json:"aion.timestore"`
 		LineageStore struct {
-			Cache map[string]any
+			Trees []struct {
+				Name  string
+				Pages uint64
+				Bytes int64
+			}
 		} `json:"aion.lineagestore"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := vars.LineageStore.Cache["Frames"]; !ok {
-		t.Errorf("aion.lineagestore publishes no Cache.Frames: %v", vars.LineageStore.Cache)
+	// Each tree's row of make disk-budget: a meta page and a root leaf at least.
+	trees := vars.LineageStore.Trees
+	if len(trees) != 4 {
+		t.Fatalf("aion.lineagestore publishes %d trees, want 4: %+v", len(trees), trees)
+	}
+	for i, name := range []string{"nodes.idx", "rels.idx", "out.idx", "in.idx"} {
+		if tr := trees[i]; tr.Name != name || tr.Pages < 2 || tr.Bytes != int64(tr.Pages)*4096 {
+			t.Errorf("aion.lineagestore tree %d: %+v, want %s with its pages and bytes", i, tr, name)
+		}
 	}
 	p := vars.Planner
 	if p.Nodes != 5 || p.Rels != 1 || p.AvgDegree != 0.2 || vars.TimeStore.Updates != 6 {

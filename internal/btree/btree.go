@@ -56,21 +56,17 @@ func Open(pc *pagecache.Cache) (*Tree, error) {
 		}
 		rootID, root, err := pc.Allocate()
 		if err != nil {
-			pc.Release(metaID)
 			return nil, err
 		}
 		initPage(root, true)
-		pc.Release(rootID)
 		t.meta, t.root = metaID, rootID
 		t.writeMeta(meta)
-		pc.Release(metaID)
 		return t, nil
 	}
 	meta, err := pc.Get(0)
 	if err != nil {
 		return nil, err
 	}
-	defer pc.Release(0)
 	if binary.BigEndian.Uint64(meta) != metaMagic {
 		return nil, fmt.Errorf("btree: bad meta magic")
 	}
@@ -91,7 +87,7 @@ func (t *Tree) writeMeta(meta []byte) {
 	binary.BigEndian.PutUint64(meta[16:], t.count)
 }
 
-// Flush persists the metadata and all dirty pages.
+// Flush writes the metadata and makes every page written durable.
 func (t *Tree) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -100,7 +96,6 @@ func (t *Tree) Flush() error {
 		return err
 	}
 	t.writeMeta(meta)
-	t.pc.Release(t.meta)
 	return t.pc.Flush()
 }
 

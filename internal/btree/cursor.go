@@ -9,19 +9,18 @@ import (
 // Cursor is the tree's one read primitive: a position among the leaf cells
 // that one root-to-leaf descent establishes and Prev and Next then move.
 // From Tree.Cursor to Close it holds the tree's read lock — writers wait (a
-// long reader lets them in with Yield), other readers do not — and, while
-// positioned, the pin of exactly one leaf, plus the root's from its first
-// descent on, since every later one starts there. Key and Value alias that
-// leaf: they are valid until the cursor next moves, yields or closes, and the
-// caller copies what it keeps. A goroutine must not open a second cursor on
-// the same tree while one is open (a writer queued between the two read locks
-// would deadlock both), and must Close on every path. After an I/O error the
-// cursor holds no leaf, every move reports false, and Err returns the error.
+// long reader lets them in with Yield), other readers do not — and keeps the
+// root page from its first descent on, since every later one starts there.
+// Key and Value alias the current leaf: they are valid until the cursor next
+// moves, yields or closes, and the caller copies what it keeps. A goroutine
+// must not open a second cursor on the same tree while one is open (a writer
+// queued between the two read locks would deadlock both), and must Close on
+// every path. After an I/O error the cursor holds no leaf, every move reports
+// false, and Err returns the error.
 type Cursor struct {
 	t    *Tree
-	pid  pagecache.PageID
-	page []byte // the pinned leaf; nil while unpositioned
-	root []byte // the pinned root, once a descent has passed through it
+	page []byte // the current leaf; nil while unpositioned
+	root []byte // the root, once a descent has passed through it
 	idx  int    // -1: before the leaf's first cell; nKeys: past the tree's last
 	err  error
 }
@@ -32,17 +31,14 @@ func (t *Tree) Cursor() Cursor {
 	return Cursor{t: t}
 }
 
-// Close drops the pins and the read lock.
+// Close drops the read lock.
 func (c *Cursor) Close() {
-	c.unpin()
-	if c.root != nil {
-		c.t.pc.Release(c.t.root)
-	}
+	c.page, c.root = nil, nil
 	c.t.mu.RUnlock()
 }
 
-// Yield lets a waiting writer in: it drops the pins and the read lock, takes
-// the lock again and leaves the cursor unpositioned.
+// Yield lets a waiting writer in: it drops the read lock, takes it again and
+// leaves the cursor unpositioned.
 func (c *Cursor) Yield() {
 	c.Close()
 	*c = Cursor{t: c.t, err: c.err}
@@ -64,18 +60,11 @@ func (c *Cursor) Value() []byte {
 	return v
 }
 
-func (c *Cursor) unpin() {
-	if c.page != nil {
-		c.t.pc.Release(c.pid)
-		c.page = nil
-	}
-}
-
 // SeekFloor moves to the largest key <= target with one descent and reports
 // whether there is one. When there is none the cursor rests before the
 // tree's smallest key, so that Next yields it.
 func (c *Cursor) SeekFloor(target []byte) bool {
-	c.unpin()
+	c.page = nil
 	if c.err != nil || c.descend(c.t.root, target, false) {
 		return c.err == nil
 	}
@@ -86,17 +75,15 @@ func (c *Cursor) SeekFloor(target []byte) bool {
 			break
 		}
 		if isLeaf(p) {
-			c.pid, c.page, c.idx = pid, p, -1
+			c.page, c.idx = p, -1
 			break
 		}
-		left := pagecache.PageID(extra(p))
-		c.t.pc.Release(pid)
-		pid = left
+		pid = pagecache.PageID(extra(p))
 	}
 	return false
 }
 
-// descend pins the leaf under pid that holds the largest key <= target (or,
+// descend finds the leaf under pid that holds the largest key <= target (or,
 // when strict, < target) and points the cursor at that cell.
 func (c *Cursor) descend(pid pagecache.PageID, target []byte, strict bool) bool {
 	p := c.root
@@ -113,10 +100,9 @@ func (c *Cursor) descend(pid pagecache.PageID, target []byte, strict bool) bool 
 			i--
 		}
 		if i < 0 {
-			c.t.pc.Release(pid)
 			return false
 		}
-		c.pid, c.page, c.idx = pid, p, i
+		c.page, c.idx = p, i
 		return true
 	}
 	if exact && !strict {
@@ -130,8 +116,6 @@ func (c *Cursor) descend(pid pagecache.PageID, target []byte, strict bool) bool 
 	}
 	if pid == c.t.root {
 		c.root = p
-	} else {
-		c.t.pc.Release(pid)
 	}
 	return found
 }
@@ -149,12 +133,11 @@ func (c *Cursor) Next() bool {
 			return false
 		}
 		p, err := c.t.pc.Get(next)
-		c.unpin()
 		if err != nil {
-			c.err = err
+			c.page, c.err = nil, err
 			return false
 		}
-		c.pid, c.page, c.idx = next, p, -1
+		c.page, c.idx = p, -1
 	}
 	c.idx++
 	return true
@@ -175,19 +158,18 @@ func (c *Cursor) Prev() bool {
 		c.idx--
 		return true
 	}
-	old, bound := c.pid, aboveAll // old stays pinned through the descent: the bound aliases it
+	bound := aboveAll
 	if nKeys(c.page) > 0 {
 		bound = c.Key()
 	}
 	if !c.descend(c.t.root, bound, true) {
 		if c.err != nil {
-			c.unpin()
+			c.page = nil
 		} else {
 			c.idx = -1 // this was the tree's smallest key
 		}
 		return false
 	}
-	c.t.pc.Release(old)
 	return true
 }
 

@@ -38,7 +38,6 @@ func (t *Tree) Put(key, val []byte) error {
 		setExtra(root, uint64(t.root))
 		off := writeIntCell(root, split.sep, uint64(split.right))
 		insertSlot(root, 0, off)
-		t.pc.Release(newRootID)
 		t.root = newRootID
 	}
 	return nil
@@ -49,13 +48,11 @@ func (t *Tree) insert(pid pagecache.PageID, key, val []byte) (*splitResult, bool
 	if err != nil {
 		return nil, false, err
 	}
-	defer t.pc.Release(pid)
 
 	if isLeaf(p) {
 		if p, err = t.pc.GetMut(pid); err != nil {
 			return nil, false, err
 		}
-		defer t.pc.Release(pid)
 		i, exact := search(p, key)
 		if exact {
 			// Replace: drop the old slot (leaking its cell) and insert.
@@ -83,7 +80,6 @@ func (t *Tree) insert(pid pagecache.PageID, key, val []byte) (*splitResult, bool
 	if p, err = t.pc.GetMut(pid); err != nil {
 		return nil, added, err
 	}
-	defer t.pc.Release(pid)
 	i, _ := search(p, split.sep)
 	need := 10 + len(split.sep) + slotSize
 	if freeSpace(p) < need {
@@ -143,7 +139,6 @@ func (t *Tree) splitLeaf(pid pagecache.PageID, p []byte, insertAt int, key, val 
 	if err != nil {
 		return nil, err
 	}
-	defer t.pc.Release(rightID)
 	initPage(right, true)
 	setExtra(right, extra(p)) // chain: right inherits old next pointer
 	initPage(p, true)
@@ -195,7 +190,6 @@ func (t *Tree) splitInternal(pid pagecache.PageID, p []byte, insertAt int, pendi
 	if err != nil {
 		return nil, err
 	}
-	defer t.pc.Release(rightID)
 	initPage(right, false)
 	setExtra(right, promoted.child) // promoted key's child becomes right's leftmost
 

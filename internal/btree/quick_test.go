@@ -16,10 +16,9 @@ import (
 // random inserts. Emptying whole bands of leaves by hand (dropKeys) leaves
 // empty leaves, which the floor must fall back across and Next must skip;
 // targets below the first key and at the tree's last key come up by
-// construction. The small cache makes every write evict, and no operation
-// may leave a page pinned.
+// construction.
 func TestCursorMatchesReference(t *testing.T) {
-	pc := pagecache.OpenMem(16)
+	pc := pagecache.OpenMem()
 	tr, err := Open(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +117,6 @@ func TestCursorMatchesReference(t *testing.T) {
 		default:
 			probe(step, randKey())
 		}
-		if n := pc.Pinned(); n != 0 {
-			t.Fatalf("step %d left %d pages pinned", step, n)
-		}
 	}
 }
 
@@ -129,7 +125,7 @@ func TestCursorMatchesReference(t *testing.T) {
 // and steps back: Prev must find the largest key left, with no cell to start
 // from; and on a tree emptied altogether there is nothing either way.
 func TestCursorPrevFromAnEmptyTail(t *testing.T) {
-	pc := pagecache.OpenMem(16)
+	pc := pagecache.OpenMem()
 	tr, err := Open(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +149,6 @@ func TestCursorPrevFromAnEmptyTail(t *testing.T) {
 			clear(p[pageSize-8:])
 			setSlotOff(p, 0, pageSize-8)
 		}
-		pc.Release(pid)
 		if isLeaf(p) && next == 0 {
 			break
 		}
@@ -184,15 +179,12 @@ func TestCursorPrevFromAnEmptyTail(t *testing.T) {
 		t.Fatalf("a cursor moved on an empty tree: %v", c.Err())
 	}
 	c.Close()
-	if n := pc.Pinned(); n != 0 {
-		t.Fatalf("%d pages left pinned", n)
-	}
 }
 
-// TestCursorYield: a yielded cursor lets a writer through, holds no page
-// while it waits, and seeks again afterwards.
+// TestCursorYield: a yielded cursor lets a writer through and seeks again
+// afterwards.
 func TestCursorYield(t *testing.T) {
-	pc := pagecache.OpenMem(64)
+	pc := pagecache.OpenMem()
 	tr, _ := Open(pc)
 	for i := 0; i < 2000; i++ {
 		tr.Put(key(i), val(i))
@@ -215,9 +207,6 @@ func TestCursorYield(t *testing.T) {
 			c.Yield()
 		}
 	}
-	if n := pc.Pinned(); n != 0 {
-		t.Fatalf("a yielded cursor pins %d pages", n)
-	}
 	if c.Next() || !c.SeekFloor(key(9999)) || !bytes.Equal(c.Key(), key(5000)) {
 		t.Fatal("the cursor after Yield")
 	}
@@ -225,11 +214,10 @@ func TestCursorYield(t *testing.T) {
 
 // TestCursorReleasesOnEveryExit drives the cursor's early exits — a Scan
 // callback returning false, a read error mid-descent and mid-chain, a cursor
-// closed where it stands — and requires that each leaves no page pinned and
-// the tree lock free.
+// closed where it stands — and requires that each releases the tree lock.
 func TestCursorReleasesOnEveryExit(t *testing.T) {
 	back := &flakyFS{FS: vfs.NewFaultFS(), reads: -1}
-	pc, err := pagecache.OpenFS(back, "tree.idx", 8)
+	pc, err := pagecache.OpenFS(back, "tree.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +232,6 @@ func TestCursorReleasesOnEveryExit(t *testing.T) {
 	}
 	free := func(what string) {
 		t.Helper()
-		if n := pc.Pinned(); n != 0 {
-			t.Fatalf("%s left %d pages pinned", what, n)
-		}
 		if !tr.mu.TryLock() {
 			t.Fatalf("%s left the tree locked", what)
 		}
@@ -329,7 +314,6 @@ func dropKeys(t *testing.T, tr *Tree, lo, hi []byte) {
 			t.Fatal(err)
 		}
 		leaf, next := isLeaf(p), pagecache.PageID(extra(p))
-		tr.pc.Release(pid)
 		if leaf {
 			break
 		}
@@ -348,9 +332,7 @@ func dropKeys(t *testing.T, tr *Tree, lo, hi []byte) {
 		for ; j > i; j-- {
 			removeSlot(p, i)
 		}
-		next := pagecache.PageID(extra(p))
-		tr.pc.Release(pid)
-		pid = next
+		pid = pagecache.PageID(extra(p))
 	}
 }
 
@@ -378,7 +360,7 @@ func TestCursorReadAllocatesNothing(t *testing.T) {
 // optimization: ascending inserts should fill pages near 100 % rather than
 // the 50 % a half-split would leave.
 func TestSequentialSplitKeepsPagesFull(t *testing.T) {
-	pc := pagecache.OpenMem(1 << 16)
+	pc := pagecache.OpenMem()
 	tr, _ := Open(pc)
 	payload := 0
 	for i := 0; i < 30000; i++ {

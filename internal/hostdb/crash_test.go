@@ -1,6 +1,7 @@
 package hostdb
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -187,4 +188,62 @@ func TestCrashSweepGroupCommit(t *testing.T) {
 			runGroupCommitCrashCase(t, k, torn)
 		}
 	}
+}
+
+// TestRecordExtensionFailureFailsFlush: a record store whose file cannot be
+// extended drops the commit's slot write, and the next Flush reports it
+// instead of succeeding. The fault is armed on the node store's extension
+// write alone and disarmed after it, so nothing else fails.
+func TestRecordExtensionFailureFailsFlush(t *testing.T) {
+	fs := &extensionFaultFS{FaultFS: vfs.NewFaultFS(), path: "host/neostore.nodestore.db"}
+	db, err := Open(Options{FS: fs, SyncCommits: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fs.armed = true
+	if _, err := db.Run(func(tx *Tx) error {
+		_, err := tx.CreateNode([]string{"C"}, nil)
+		return err
+	}); err != nil {
+		t.Fatalf("the commit is durable before its record slots are written: %v", err)
+	}
+	if fs.armed {
+		t.Fatal("the commit extended no node store file")
+	}
+	if err := db.Flush(); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Flush after a failed record-store extension = %v, want the injected fault", err)
+	}
+}
+
+// extensionFaultFS fails the first WriteAt to path once armed, through the
+// FaultFS's own fault, and disarms it again.
+type extensionFaultFS struct {
+	*vfs.FaultFS
+	path  string
+	armed bool
+}
+
+func (fs *extensionFaultFS) OpenFile(path string) (vfs.File, error) {
+	f, err := fs.FaultFS.OpenFile(path)
+	if err != nil || path != fs.path {
+		return f, err
+	}
+	return extensionFaultFile{f, fs}, nil
+}
+
+type extensionFaultFile struct {
+	vfs.File
+	fs *extensionFaultFS
+}
+
+func (f extensionFaultFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fs.armed {
+		f.fs.armed = false
+		f.fs.SetFailAfter(f.fs.Ops() + 1)
+		defer f.fs.SetFailAfter(0)
+	}
+	return f.File.WriteAt(p, off)
 }

@@ -11,6 +11,7 @@
 package hostdb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -98,6 +99,8 @@ type DB struct {
 	nodeStore *recordStore
 	relStore  *recordStore
 	propStore *recordStore
+	// recordErr is the first failed record-slot write; Flush returns it.
+	recordErr atomic.Pointer[error]
 
 	recordBytes struct {
 		sync.Mutex
@@ -343,6 +346,9 @@ func (db *DB) Flush() error {
 	if err := db.txnLog.Sync(); err != nil {
 		return err
 	}
+	if err := db.recordErr.Load(); err != nil {
+		return fmt.Errorf("hostdb: record store: %w", *err)
+	}
 	for _, rs := range []*recordStore{db.nodeStore, db.relStore, db.propStore} {
 		if err := rs.pc.Flush(); err != nil {
 			return err
@@ -351,8 +357,8 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// recordStore writes fixed-size records at id*size offsets through a page
-// cache, emulating Neo4j's store files (constant-time lookups by record id,
+// recordStore writes fixed-size records at id*size offsets into its file's
+// pages, emulating Neo4j's store files (constant-time lookups by record id,
 // Sec 4.2). Only the write path matters for the host's cost model; reads go
 // through the in-memory graph.
 type recordStore struct {
@@ -363,7 +369,7 @@ type recordStore struct {
 }
 
 func openRecordStore(fs vfs.FS, path string, recordSize int64) (*recordStore, error) {
-	pc, err := pagecache.OpenFS(fs, path, 256)
+	pc, err := pagecache.OpenFS(fs, path)
 	if err != nil {
 		return nil, err
 	}
@@ -371,33 +377,31 @@ func openRecordStore(fs vfs.FS, path string, recordSize int64) (*recordStore, er
 }
 
 // writeAt stamps the record slot for id (in-use flag + payload position).
-func (rs *recordStore) writeAt(id int64) {
+func (rs *recordStore) writeAt(id int64) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	off := id * rs.size
 	pageID := pagecache.PageID(off / pagecache.PageSize)
 	for rs.pc.PageCount() <= uint64(pageID) {
-		pid, _, err := rs.pc.Allocate()
-		if err != nil {
-			return
+		if _, _, err := rs.pc.Allocate(); err != nil {
+			return err
 		}
-		rs.pc.Release(pid)
 	}
 	data, err := rs.pc.GetMut(pageID)
 	if err != nil {
-		return
+		return err
 	}
 	data[off%pagecache.PageSize] = 1 // in-use flag
-	rs.pc.Release(pageID)
+	return nil
 }
 
 // appendRecord allocates the next chain slot (property records).
-func (rs *recordStore) appendRecord() {
+func (rs *recordStore) appendRecord() error {
 	rs.mu.Lock()
 	id := rs.next
 	rs.next++
 	rs.mu.Unlock()
-	rs.writeAt(id)
+	return rs.writeAt(id)
 }
 
 // countRecords adds the fixed-size record bytes a change consumes to the
@@ -417,19 +421,22 @@ func (db *DB) countRecords(u model.Update) {
 // accountRecords counts a committed change's record bytes and writes its
 // record slots through the page cache, so every commit pays a realistic
 // store-file cost (relationship commands also rewrite both endpoint node
-// records, per Neo4j's neighbour-chain format).
+// records, per Neo4j's neighbour-chain format). The first write that fails
+// is kept for Flush.
 func (db *DB) accountRecords(u model.Update) {
 	db.countRecords(u)
+	var err error
 	switch u.Kind {
 	case model.OpAddNode, model.OpDeleteNode:
-		db.nodeStore.writeAt(int64(u.NodeID))
+		err = db.nodeStore.writeAt(int64(u.NodeID))
 	case model.OpAddRel, model.OpDeleteRel:
-		db.relStore.writeAt(int64(u.RelID))
-		db.nodeStore.writeAt(int64(u.Src))
-		db.nodeStore.writeAt(int64(u.Tgt))
+		err = cmp.Or(db.relStore.writeAt(int64(u.RelID)), db.nodeStore.writeAt(int64(u.Src)), db.nodeStore.writeAt(int64(u.Tgt)))
 	}
 	for range u.SetProps {
-		db.propStore.appendRecord()
+		err = cmp.Or(err, db.propStore.appendRecord())
+	}
+	if err != nil {
+		db.recordErr.CompareAndSwap(nil, &err)
 	}
 }
 

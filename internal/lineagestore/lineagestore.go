@@ -53,10 +53,6 @@ type Options struct {
 	// materialization; 0 means DefaultChainThreshold, negative disables
 	// materialization entirely (pure delta chains, the Fig 11 "32" end).
 	ChainThreshold int
-	// IndexCachePages is the dirty-page budget per tree; the four trees pool
-	// theirs, so that whichever is written most holds most of the 4 × pages.
-	// Clean pages are read from the files' mappings and count against none.
-	IndexCachePages int
 	// FS is the filesystem the index files live on; nil means the real OS
 	// filesystem (used by the crash-recovery tests to inject faults).
 	FS vfs.FS
@@ -65,9 +61,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.ChainThreshold == 0 {
 		o.ChainThreshold = DefaultChainThreshold
-	}
-	if o.IndexCachePages <= 0 {
-		o.IndexCachePages = 1024
 	}
 }
 
@@ -87,7 +80,6 @@ type Store struct {
 	out   *btree.Tree // KeyNeigh4(src, tgt, ts, r) -> NeighValue(deleted)
 	in    *btree.Tree // KeyNeigh4(tgt, src, ts, r) -> NeighValue(deleted)
 	pcs   [4]*pagecache.Cache
-	pool  *pagecache.Pool // the four caches' one page budget
 
 	lastTS      model.Timestamp
 	atLastTS    uint64 // updates applied at lastTS
@@ -117,8 +109,7 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 			opts.Dir = dir
 		}
 	}
-	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, lastTS: -1,
-		pool: pagecache.NewPool(len(indexFiles) * opts.IndexCachePages)}
+	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, lastTS: -1}
 	s.readCheckpoint() // before the trees: a corruption wipe must remove it
 	if err := s.openTrees(); err != nil {
 		// Corrupt index files: wipe and start empty.
@@ -141,7 +132,7 @@ func (s *Store) openTrees() error {
 		if err == nil && sz%pagecache.PageSize != 0 {
 			return errors.Join(fmt.Errorf("lineagestore: open %s: truncated mid-page (%d bytes)", name, sz), s.closeTrees())
 		}
-		pc, err := s.pool.OpenFS(s.fs, path)
+		pc, err := pagecache.OpenFS(s.fs, path)
 		if err == nil {
 			var tree *btree.Tree
 			if tree, err = btree.Open(pc); err == nil {
@@ -233,11 +224,12 @@ func (s *Store) publishLocked() error {
 	return vfs.PublishFile(s.fs, filepath.Join(s.opts.Dir, checkpointName), b)
 }
 
-// invalidate removes the checkpoint, durably, before the caller dirties its
-// first tree page since Open (a dirty page may be evicted to disk at once). It
-// runs before the caller takes s.mu, so readers never wait on its fsync; it is
-// idempotent, and the caller clears clean under s.mu only once it succeeded —
-// a failure leaves clean set, and the next writer tries again.
+// invalidate removes the checkpoint, durably, before the caller writes its
+// first tree page since Open (a page written is the file's, which the kernel
+// may write back at once). It runs before the caller takes s.mu, so readers
+// never wait on its fsync; it is idempotent, and the caller clears clean
+// under s.mu only once it succeeded — a failure leaves clean set, and the
+// next writer tries again.
 func (s *Store) invalidate() error {
 	if !s.clean.Load() {
 		return nil
@@ -437,7 +429,16 @@ type Stats struct {
 	Updates    uint64
 	IndexBytes int64
 	CaughtUp   uint64          // re-applied by CatchUp at Open: 0 after a clean Close
-	Cache      pagecache.Stats // page accesses and frames held of the four trees, summed
+	Cache      pagecache.Stats // page accesses of the four trees, summed
+	Trees      [4]TreeStats    // in indexFiles order
+}
+
+// TreeStats is one index tree's file: the pages and bytes of its row in
+// make disk-budget's table.
+type TreeStats struct {
+	Name  string
+	Pages uint64
+	Bytes int64
 }
 
 // Stats returns the store's counters and footprint.
@@ -445,13 +446,13 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := Stats{Updates: s.updateCount, IndexBytes: s.DiskBytes(), CaughtUp: s.caughtUp}
-	for _, pc := range s.pcs {
+	for i, pc := range s.pcs {
+		st.Trees[i].Name = indexFiles[i]
 		if pc == nil { // a failed Wipe left no trees
 			continue
 		}
-		c := pc.Stats()
-		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions = st.Cache.Hits+c.Hits, st.Cache.Misses+c.Misses, st.Cache.Evictions+c.Evictions
-		st.Cache.Frames += c.Frames
+		st.Cache.Hits += pc.Stats().Hits
+		st.Trees[i].Pages, st.Trees[i].Bytes = pc.PageCount(), pc.DiskBytes()
 	}
 	return st
 }

@@ -12,17 +12,15 @@ import (
 // succeeding.
 func TestFlushSyncFailStop(t *testing.T) {
 	fs := vfs.NewFaultFS()
-	c, err := OpenFS(fs, "d/pages.idx", 8)
+	c, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _, err := c.Allocate()
-	if err != nil {
+	if _, _, err := c.Allocate(); err != nil {
 		t.Fatal(err)
 	}
-	c.Release(id)
-	// Flush = one writeback + one fsync; fail the fsync.
-	fs.SetFailAfter(fs.Ops() + 2)
+	// Flush is one fsync; fail it.
+	fs.SetFailAfter(fs.Ops() + 1)
 	if err := c.Flush(); !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("flush must surface the injected fsync error, got %v", err)
 	}
@@ -35,38 +33,38 @@ func TestFlushSyncFailStop(t *testing.T) {
 	}
 }
 
-// TestWritebackFailStop: a failed eviction writeback poisons the cache too.
-func TestWritebackFailStop(t *testing.T) {
+// TestFailedAllocateFailsStop: a failed extension of the file leaves the page
+// count as it was, and poisons the cache: the next Flush fails with it even
+// though the disk has recovered.
+func TestFailedAllocateFailsStop(t *testing.T) {
 	fs := vfs.NewFaultFS()
-	c, err := OpenFS(fs, "d/pages.idx", 8)
+	c, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []PageID
 	for i := 0; i < 8; i++ {
-		id, _, err := c.Allocate()
-		if err != nil {
+		if _, _, err := c.Allocate(); err != nil {
 			t.Fatal(err)
 		}
-		c.Release(id)
-		ids = append(ids, id)
 	}
-	fs.SetFailAfter(fs.Ops() + 1) // next writeback fails
+	fs.SetFailAfter(fs.Ops() + 1) // the next extension fails
 	if _, _, err := c.Allocate(); !errors.Is(err, vfs.ErrInjected) {
-		t.Fatalf("allocate must surface the writeback error, got %v", err)
+		t.Fatalf("allocate must surface the extension error, got %v", err)
+	}
+	if n := c.PageCount(); n != 8 {
+		t.Errorf("a failed Allocate left %d pages, want 8", n)
 	}
 	fs.SetFailAfter(0)
-	if err := c.Flush(); err == nil {
-		t.Error("flush after failed writeback must fail-stop")
+	if err := c.Flush(); !errors.Is(err, vfs.ErrInjected) {
+		t.Errorf("flush after a failed extension = %v, want the injected error", err)
 	}
-	_ = ids
 }
 
 // TestReopenSeesFlushedPages: pages flushed through the vfs are visible on
 // reopen through the same FaultFS.
 func TestReopenSeesFlushedPages(t *testing.T) {
 	fs := vfs.NewFaultFS()
-	c, err := OpenFS(fs, "d/pages.idx", 8)
+	c, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +73,6 @@ func TestReopenSeesFlushedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(data, []byte("page-zero"))
-	c.Release(id)
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +80,7 @@ func TestReopenSeesFlushedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenFS(fs, "d/pages.idx", 8)
+	c2, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +92,6 @@ func TestReopenSeesFlushedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Release(id)
 	if string(got[:9]) != "page-zero" {
 		t.Errorf("page after reopen = %q", got[:9])
 	}

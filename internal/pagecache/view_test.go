@@ -12,23 +12,26 @@ import (
 	"aion/internal/vfs"
 )
 
-// onBoth runs a test over a cache on an OS file and over one on FaultFS.
-func onBoth(t *testing.T, capacity int, test func(t *testing.T, c *Cache)) {
+// onBoth runs a test over a cache on an OS file and over one on FaultFS,
+// handing it the filesystem and path too, for a second handle.
+func onBoth(t *testing.T, test func(t *testing.T, c *Cache, fs vfs.FS, path string)) {
 	t.Run("os", func(t *testing.T) {
-		c, err := Open(filepath.Join(t.TempDir(), "pages.idx"), capacity)
+		path := filepath.Join(t.TempDir(), "pages.idx")
+		c, err := OpenFS(vfs.OS, path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		test(t, c)
+		test(t, c, vfs.OS, path)
 	})
 	t.Run("faultfs", func(t *testing.T) {
-		c, err := OpenFS(vfs.NewFaultFS(), "d/pages.idx", capacity)
+		fs := vfs.NewFaultFS()
+		c, err := OpenFS(fs, "d/pages.idx")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		test(t, c)
+		test(t, c, fs, "d/pages.idx")
 	})
 }
 
@@ -43,7 +46,6 @@ func fill(t *testing.T, c *Cache, n int) {
 		for j := range data {
 			data[j] = byte(id)
 		}
-		c.Release(id)
 	}
 }
 
@@ -54,34 +56,39 @@ func readsAs(t *testing.T, c *Cache, id PageID, b byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Release(id)
 	if data[0] != b || data[PageSize-1] != b {
 		t.Fatalf("page %d reads %d..%d, want %d", id, data[0], data[PageSize-1], b)
 	}
 }
 
-// TestWrittenBackPagesReadThroughTheView: a page written back by eviction or
-// by Flush leaves no frame behind and reads back through the view with its
-// new bytes.
+// readsOnFile checks through a second handle on the file that the page reads
+// b throughout.
+func readsOnFile(t *testing.T, fs vfs.FS, path string, id PageID, b byte) {
+	t.Helper()
+	f, err := fs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data := make([]byte, PageSize)
+	if _, err := f.ReadAt(data, int64(id)*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if data[0] != b || data[PageSize-1] != b {
+		t.Fatalf("page %d reads %d..%d on file, want %d", id, data[0], data[PageSize-1], b)
+	}
+}
+
+// TestWrittenBackPagesReadThroughTheView: a page written through GetMut is
+// the file's page: Get and another handle's ReadAt see the write at once,
+// before any Flush, and after it.
 func TestWrittenBackPagesReadThroughTheView(t *testing.T) {
-	onBoth(t, 8, func(t *testing.T, c *Cache) {
-		fill(t, c, 24) // 16 evictions
-		if st := c.Stats(); st.Evictions != 16 || st.Frames != 8 {
-			t.Fatalf("after 24 allocations through a budget of 8: %+v", st)
-		}
-		for id := PageID(0); id < 16; id++ {
-			readsAs(t, c, id, byte(id))
-		}
-		if err := c.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if st := c.Stats(); st.Frames != 0 {
-			t.Fatalf("Flush left %d frames", st.Frames)
-		}
+	onBoth(t, func(t *testing.T, c *Cache, fs vfs.FS, path string) {
+		fill(t, c, 24)
 		for id := PageID(0); id < 24; id++ {
 			readsAs(t, c, id, byte(id))
+			readsOnFile(t, fs, path, id, byte(id))
 		}
-		// Rewrite two pages: one goes out by eviction, one by Flush.
 		for _, id := range []PageID{3, 20} {
 			data, err := c.GetMut(id)
 			if err != nil {
@@ -90,28 +97,87 @@ func TestWrittenBackPagesReadThroughTheView(t *testing.T) {
 			for j := range data {
 				data[j] = 0xa0 + byte(id)
 			}
-			c.Release(id)
+			readsAs(t, c, id, 0xa0+byte(id))
+			readsOnFile(t, fs, path, id, 0xa0+byte(id))
 		}
-		fill(t, c, 7) // page 3's frame is the oldest: the eighth frame evicts it
-		if _, held := c.frames[3]; held {
-			t.Fatal("page 3 kept its frame past the budget")
-		}
-		readsAs(t, c, 3, 0xa3)
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		readsAs(t, c, 20, 0xb4)
-		if st := c.Stats(); st.Frames != 0 || c.pool.resident != 0 {
-			t.Fatalf("after the last Flush: %+v, pool %d", st, c.pool.resident)
-		}
+		readsAs(t, c, 3, 0xa3)
+		readsOnFile(t, fs, path, 20, 0xb4)
 	})
+}
+
+// TestSliceTakenBeforeGrowthLandsInTheFile: a page held across Allocates that
+// grow the file — a leaf splitLeaf rewrites after allocating its sibling —
+// past the OS file's first mapping still writes the file's bytes.
+func TestSliceTakenBeforeGrowthLandsInTheFile(t *testing.T) {
+	onBoth(t, func(t *testing.T, c *Cache, fs vfs.FS, path string) {
+		fill(t, c, 2)
+		held, err := c.GetMut(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(t, c, 300) // past 1 MiB: the OS file is mapped again
+		for j := range held {
+			held[j] = 0xab
+		}
+		readsAs(t, c, 1, 0xab)
+		readsOnFile(t, fs, path, 1, 0xab)
+		readsOnFile(t, fs, path, 301, byte(301%256))
+	})
+}
+
+// TestCrashKeepsOnlyFlushedWrites: a write through the view is current, not
+// durable: a crash before Flush loses it, one after Flush keeps it.
+func TestCrashKeepsOnlyFlushedWrites(t *testing.T) {
+	fs := vfs.NewFaultFS()
+	c, err := OpenFS(fs, "d/pages.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, c, 2)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncDir("d"); err != nil {
+		t.Fatal(err)
+	}
+	write := func(id PageID, b byte) {
+		data, err := c.GetMut(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range data {
+			data[j] = b
+		}
+	}
+	write(0, 0xf0)
+	fs.Crash()
+	c, err = OpenFS(fs, "d/pages.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readsAs(t, c, 0, 0) // lost
+	write(1, 0xf1)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Crash()
+	if c, err = OpenFS(fs, "d/pages.idx"); err != nil {
+		t.Fatal(err)
+	}
+	readsAs(t, c, 1, 0xf1) // kept
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCrashedHandleFailsGet: a cache whose FaultFS crashed reads through a
 // stale handle, and its Get fails rather than serving the pre-crash bytes.
 func TestCrashedHandleFailsGet(t *testing.T) {
 	fs := vfs.NewFaultFS()
-	c, err := OpenFS(fs, "d/pages.idx", 8)
+	c, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +192,6 @@ func TestCrashedHandleFailsGet(t *testing.T) {
 	}
 	if _, err := c.GetMut(1); err == nil {
 		t.Fatal("GetMut through a handle from before the crash succeeded")
-	}
-	if c.Pinned() != 0 || c.Stats().Frames != 0 {
-		t.Fatal("a failed GetMut kept its frame")
 	}
 }
 
@@ -174,12 +237,12 @@ func TestCloseUnmapsTheFile(t *testing.T) {
 	}
 }
 
-// TestReadersRaceAWriter: readers of the pages on file race a writer that
-// appends pages, rewrites its own through GetMut, and evicts and flushes
-// them — growing the file past its mapping. Under -race this checks the
-// frameless path's atomics and the views' remapping.
+// TestReadersRaceAWriter: readers of some pages race a writer that appends
+// pages, rewrites its own through GetMut and flushes — growing the file past
+// its mapping. Under -race this checks the atomics and the views' remapping:
+// distinct pages need no lock between them.
 func TestReadersRaceAWriter(t *testing.T) {
-	onBoth(t, 8, func(t *testing.T, c *Cache) {
+	onBoth(t, func(t *testing.T, c *Cache, fs vfs.FS, path string) {
 		const onFile = 64
 		fill(t, c, onFile)
 		if err := c.Flush(); err != nil {
@@ -206,10 +269,8 @@ func TestReadersRaceAWriter(t *testing.T) {
 					}
 					if data[0] != byte(id) || data[PageSize-1] != byte(id) {
 						errs <- fmt.Errorf("page %d changed under a reader: %d..%d", id, data[0], data[PageSize-1])
-						c.Release(id)
 						return
 					}
-					c.Release(id)
 				}
 			}(r)
 		}
@@ -219,13 +280,11 @@ func TestReadersRaceAWriter(t *testing.T) {
 				t.Fatal(err)
 			}
 			data[0] = byte(i)
-			c.Release(id)
-			if i%10 == 9 { // rewrite a page of its own, framed or on file
+			if i%10 == 9 { // rewrite a page of its own
 				if data, err = c.GetMut(id - 5); err != nil {
 					t.Fatal(err)
 				}
 				data[1] = byte(i)
-				c.Release(id - 5)
 			}
 			if i%50 == 49 {
 				if err := c.Flush(); err != nil {
@@ -243,44 +302,41 @@ func TestReadersRaceAWriter(t *testing.T) {
 	})
 }
 
-// TestFramelessGetTakesNoMutex: on a cache that holds no frame a Get reads
-// the view with no copy, no allocation and no lock — it returns while the
-// pool's mutex is held — and its Release is a no-op.
+// TestFramelessGetTakesNoMutex: a Get or GetMut reads the view with no copy,
+// no allocation and no lock — it returns while the cache's mutex is held.
 func TestFramelessGetTakesNoMutex(t *testing.T) {
-	onBoth(t, 8, func(t *testing.T, c *Cache) {
+	onBoth(t, func(t *testing.T, c *Cache, _ vfs.FS, _ string) {
 		fill(t, c, 4)
-		if err := c.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		readsAs(t, c, 3, 3) // the OS file maps on its first read
 		allocs := testing.AllocsPerRun(100, func() {
 			for id := PageID(0); id < 4; id++ {
 				if _, err := c.Get(id); err != nil {
 					t.Fatal(err)
 				}
-				c.Release(id)
+				if _, err := c.GetMut(id); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("a frameless Get and Release allocate %.0f times, want 0", allocs)
+			t.Errorf("Get and GetMut allocate %.0f times, want 0", allocs)
 		}
-		c.pool.mu.Lock()
+		c.mu.Lock()
 		done := make(chan []byte)
 		go func() {
 			data, err := c.Get(2)
+			if err == nil {
+				_, err = c.GetMut(1)
+			}
 			if err != nil {
 				t.Error(err)
 			}
-			c.Release(2)
 			done <- data
 		}()
 		data := <-done
-		c.pool.mu.Unlock()
+		c.mu.Unlock()
 		if data[0] != 2 {
 			t.Errorf("page 2 reads %d", data[0])
-		}
-		if st := c.Stats(); st.Frames != 0 || st.Misses != 0 {
-			t.Errorf("reads made frames: %+v", st)
 		}
 	})
 }

@@ -17,20 +17,26 @@ var ErrInjected = errors.New("vfs: injected fault")
 //
 // Durability model (strictest reading of POSIX):
 //   - File contents are durable only up to the last successful Sync; a
-//     Crash reverts every file to its synced image.
+//     Crash reverts every file to its synced image. That covers writes
+//     through a View too: they are current at once, durable after Sync.
 //   - Namespace operations (create, rename, remove) are durable only after
 //     a successful SyncDir of the parent directory; a Crash reverts the
 //     namespace to its last dir-synced state. A file whose name was never
 //     dir-synced vanishes entirely, however much of its content was synced.
 //
+// A file is held as 4 KiB pages that never move, so that a view taken
+// before the file grows still writes the file's bytes, as a shared mapping
+// of an OS file does.
+//
 // Fault injection: every mutating operation (WriteAt, Sync, Truncate,
 // creation, Rename, Remove, SyncDir) increments an operation counter; once
 // the counter reaches the index set with SetFailAfter, that operation and
 // all later mutating operations fail with ErrInjected — the disk is gone,
-// which also exercises the stores' fail-stop paths. With SetTornSync(true)
-// the first failing Sync persists a deterministic prefix of the file's
-// unsynced writes — half the pending writes plus half the bytes of the
-// next — modelling a power cut in the middle of an fsync (the torn-write
+// which also exercises the stores' fail-stop paths. A write through a view
+// is no operation: the kernel, not a call, carries it to the disk. With
+// SetTornSync(true) the first failing Sync persists the first half of the
+// file's changed pages, in offset order, and the first half of the changed
+// bytes of the next — a power cut in the middle of an fsync (the torn-write
 // case WAL tail repair exists for).
 //
 // After Crash, handles opened before the crash return errors; the store
@@ -48,16 +54,65 @@ type FaultFS struct {
 }
 
 type fileState struct {
-	data    []byte // current contents
-	synced  []byte // contents as of the last successful Sync
-	pending []writeOp
+	data   pages // current contents
+	synced pages // contents as of the last successful Sync
 }
 
-type writeOp struct {
-	truncate bool
-	size     int64
-	off      int64
-	data     []byte
+// pageSize is the granularity a FaultFS file is held and torn at.
+const pageSize = 4096
+
+// pages is a file's contents: size bytes over ceil(size/pageSize) pages,
+// zero past size. A page is never reallocated while the file holds it.
+type pages struct {
+	size int64
+	p    [][]byte
+}
+
+// grow extends the contents to at least n bytes with zeros.
+func (c *pages) grow(n int64) {
+	for int64(len(c.p))*pageSize < n {
+		c.p = append(c.p, make([]byte, pageSize))
+	}
+	c.size = max(c.size, n)
+}
+
+func (c *pages) writeAt(b []byte, off int64) {
+	c.grow(off + int64(len(b)))
+	for len(b) > 0 {
+		n := copy(c.p[off/pageSize][off%pageSize:], b)
+		b, off = b[n:], off+int64(n)
+	}
+}
+
+func (c *pages) readAt(b []byte, off int64) int {
+	b = b[:min(int64(len(b)), max(c.size-off, 0))]
+	for n := 0; n < len(b); {
+		n += copy(b[n:], c.p[(off+int64(n))/pageSize][(off+int64(n))%pageSize:])
+	}
+	return len(b)
+}
+
+func (c *pages) truncate(size int64) {
+	if size < c.size { // keep zero past size
+		keep := (size + pageSize - 1) / pageSize
+		c.p, c.size = c.p[:keep], size
+		if size%pageSize != 0 {
+			clear(c.p[keep-1][size%pageSize:])
+		}
+	}
+	c.grow(size)
+}
+
+// copyFrom makes c a copy of src, reusing c's pages.
+func (c *pages) copyFrom(src *pages) {
+	for i, b := range src.p {
+		if i < len(c.p) {
+			copy(c.p[i], b)
+		} else {
+			c.p = append(c.p, append([]byte(nil), b...))
+		}
+	}
+	c.p, c.size = c.p[:len(src.p)], src.size
 }
 
 // NewFaultFS returns an empty fault-injecting filesystem with no faults
@@ -78,9 +133,9 @@ func (fs *FaultFS) SetFailAfter(n int64) {
 	fs.failAt = n
 }
 
-// SetTornSync makes the first failing Sync persist half of the file's
-// pending writes (plus half the bytes of the next), simulating a torn
-// fsync.
+// SetTornSync makes the first failing Sync persist the first half of the
+// file's changed pages and half the changed bytes of the next, simulating a
+// torn fsync.
 func (fs *FaultFS) SetTornSync(on bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -98,7 +153,8 @@ func (fs *FaultFS) Ops() int64 {
 // Crash simulates power loss: every file reverts to its last-synced
 // contents, the namespace reverts to its last dir-synced state, open
 // handles are invalidated, and faults are disarmed so the store can be
-// reopened against the surviving state.
+// reopened against the surviving state. A view from before the crash
+// writes pages no file holds any more.
 func (fs *FaultFS) Crash() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -106,7 +162,9 @@ func (fs *FaultFS) Crash() {
 	fs.failAt = 0
 	files := make(map[string]*fileState, len(fs.durable))
 	for name, st := range fs.durable {
-		ns := &fileState{data: cloneBytes(st.synced), synced: cloneBytes(st.synced)}
+		ns := &fileState{}
+		ns.data.copyFrom(&st.synced)
+		ns.synced.copyFrom(&st.synced)
 		files[name] = ns
 		fs.durable[name] = ns
 	}
@@ -121,31 +179,6 @@ func (fs *FaultFS) opGate() (bool, error) {
 		return fs.ops == fs.failAt, ErrInjected
 	}
 	return false, nil
-}
-
-func cloneBytes(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func applyWrite(buf []byte, off int64, p []byte) []byte {
-	if need := off + int64(len(p)); need > int64(len(buf)) {
-		buf = append(buf, make([]byte, need-int64(len(buf)))...)
-	}
-	copy(buf[off:], p)
-	return buf
-}
-
-func applyPending(buf []byte, op writeOp) []byte {
-	if op.truncate {
-		if op.size <= int64(len(buf)) {
-			return buf[:op.size]
-		}
-		return append(buf, make([]byte, op.size-int64(len(buf)))...)
-	}
-	return applyWrite(buf, op.off, op.data)
 }
 
 // --- FS interface -----------------------------------------------------------
@@ -175,12 +208,10 @@ func (fs *FaultFS) Create(path string) (File, error) {
 		st = &fileState{}
 		fs.files[path] = st
 	} else {
-		st.data = nil
-		st.pending = append(st.pending, writeOp{truncate: true})
+		st.data = pages{}
 	}
 	return &memFile{fs: fs, name: path, st: st, epoch: fs.epoch}, nil
 }
-
 func (fs *FaultFS) Open(path string) (File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -226,7 +257,7 @@ func (fs *FaultFS) Stat(path string) (int64, error) {
 	if !ok {
 		return 0, &os.PathError{Op: "stat", Path: path, Err: os.ErrNotExist}
 	}
-	return int64(len(st.data)), nil
+	return st.data.size, nil
 }
 
 func (fs *FaultFS) ReadDir(dir string) ([]string, error) {
@@ -291,30 +322,31 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	if err := f.check(); err != nil {
 		return 0, err
 	}
-	if off < 0 || off >= int64(len(f.st.data)) {
+	if off < 0 || off >= f.st.data.size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.st.data[off:])
-	if n < len(p) {
+	if n := f.st.data.readAt(p, off); n < len(p) {
 		return n, io.EOF
 	}
-	return n, nil
+	return len(p), nil
 }
 
-// View returns [off, off+n) of the file's current contents, uncopied. A write
-// to that range changes the bytes under it; one that grows the file may move
-// the contents, leaving the view with the bytes it had. A handle from before
-// a Crash fails.
+// View returns [off, off+n) of the file's current contents, uncopied and
+// writable: a write through it is a write to the file, seen at once by every
+// handle, durable after Sync. The range must lie within one 4 KiB page of
+// the file; the page stays the file's however the file grows. A handle from
+// before a Crash fails.
 func (f *memFile) View(off, n int64) ([]byte, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	if err := f.check(); err != nil {
 		return nil, err
 	}
-	if off < 0 || off+n > int64(len(f.st.data)) {
-		return nil, fmt.Errorf("faultfs: view [%d, %d) of %s past its end (%d bytes)", off, off+n, f.name, len(f.st.data))
+	if off < 0 || n <= 0 || off+n > f.st.data.size || off/pageSize != (off+n-1)/pageSize {
+		return nil, fmt.Errorf("faultfs: view [%d, %d) of %s is not within one page of its %d bytes", off, off+n, f.name, f.st.data.size)
 	}
-	return f.st.data[off : off+n : off+n], nil
+	o := off % pageSize
+	return f.st.data.p[off/pageSize][o : o+n : o+n], nil
 }
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
@@ -326,8 +358,7 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if _, err := f.fs.opGate(); err != nil {
 		return 0, fmt.Errorf("faultfs: write %s: %w", f.name, err)
 	}
-	f.st.data = applyWrite(f.st.data, off, p)
-	f.st.pending = append(f.st.pending, writeOp{off: off, data: cloneBytes(p)})
+	f.st.data.writeAt(p, off)
 	return len(p), nil
 }
 
@@ -344,26 +375,53 @@ func (f *memFile) Sync() error {
 		}
 		return fmt.Errorf("faultfs: sync %s: %w", f.name, err)
 	}
-	f.st.synced = cloneBytes(f.st.data)
-	f.st.pending = nil
+	f.st.synced.copyFrom(&f.st.data)
 	return nil
 }
 
-// tornSyncLocked persists half the pending writes plus half the bytes of
-// the next one: the deterministic power-cut-during-fsync image.
+// tornSyncLocked persists the first half of the pages that differ from the
+// synced image, in offset order, and the first half of the changed bytes of
+// the page after them: the deterministic power-cut-during-fsync image. A
+// shrink is not persisted; a persisted byte past the synced end extends the
+// file to it, zeros before it.
 func (f *memFile) tornSyncLocked() {
-	st := f.st
-	base := cloneBytes(st.synced)
-	k := len(st.pending) / 2
-	for _, op := range st.pending[:k] {
-		base = applyPending(base, op)
-	}
-	if k < len(st.pending) {
-		if op := st.pending[k]; !op.truncate && len(op.data) > 0 {
-			base = applyWrite(base, op.off, op.data[:len(op.data)/2])
+	cur, syn := &f.st.data, &f.st.synced
+	type span struct{ page, lo, hi int }
+	var changed []span
+	for i := range cur.p {
+		if lo, hi := changedBytes(cur, syn, i); lo < hi {
+			changed = append(changed, span{i, lo, hi})
 		}
 	}
-	st.synced = base
+	k := len(changed) / 2
+	for n, c := range changed[:min(k+1, len(changed))] {
+		if n == k { // the page the power cut tore: half its changed bytes
+			if c.hi = c.lo + (c.hi-c.lo)/2; c.lo == c.hi {
+				break
+			}
+		}
+		syn.grow(min(int64(c.page)*pageSize+int64(c.hi), cur.size))
+		copy(syn.p[c.page][c.lo:c.hi], cur.p[c.page][c.lo:c.hi])
+	}
+}
+
+// changedBytes returns the range [lo, hi) of page i in which the current
+// contents differ from the synced ones, counting every byte the synced image
+// lacks; lo == hi when none do.
+func changedBytes(cur, syn *pages, i int) (lo, hi int) {
+	base := int64(i) * pageSize
+	lo = pageSize
+	for j := 0; j < pageSize; j++ {
+		off := base + int64(j)
+		differs := off < cur.size && off >= syn.size
+		if !differs && i < len(syn.p) {
+			differs = cur.p[i][j] != syn.p[i][j]
+		}
+		if differs {
+			lo, hi = min(lo, j), j+1
+		}
+	}
+	return lo, max(hi, lo)
 }
 
 func (f *memFile) Truncate(size int64) error {
@@ -375,8 +433,7 @@ func (f *memFile) Truncate(size int64) error {
 	if _, err := f.fs.opGate(); err != nil {
 		return fmt.Errorf("faultfs: truncate %s: %w", f.name, err)
 	}
-	f.st.data = applyPending(f.st.data, writeOp{truncate: true, size: size})
-	f.st.pending = append(f.st.pending, writeOp{truncate: true, size: size})
+	f.st.data.truncate(size)
 	return nil
 }
 
@@ -386,7 +443,7 @@ func (f *memFile) Size() (int64, error) {
 	if err := f.check(); err != nil {
 		return 0, err
 	}
-	return int64(len(f.st.data)), nil
+	return f.st.data.size, nil
 }
 
 func (f *memFile) Close() error { return nil }

@@ -10,10 +10,10 @@ import (
 	"syscall"
 )
 
-// mapper serves an OS file's views from PROT_READ, MAP_SHARED mappings. A
-// view never moves: a file that outgrows the newest mapping is mapped again
-// at twice the length (at least 1 MiB of address space), and every mapping
-// stays until Close.
+// mapper serves an OS file's views from MAP_SHARED mappings, writable when
+// the file is. A view never moves: a file that outgrows the newest mapping
+// is mapped again at twice the length (at least 1 MiB of address space),
+// and every mapping stays until Close.
 type mapper struct {
 	cur  atomic.Pointer[[]byte] // the newest mapping, read without mu
 	mu   sync.Mutex
@@ -33,7 +33,11 @@ func (f *osFile) View(off, n int64) ([]byte, error) {
 			if m != nil {
 				length = 2 * int64(len(*m))
 			}
-			b, err := syscall.Mmap(int(f.Fd()), 0, int(max(length, off+n)), syscall.PROT_READ, syscall.MAP_SHARED)
+			prot := syscall.PROT_READ
+			if f.writable {
+				prot |= syscall.PROT_WRITE
+			}
+			b, err := syscall.Mmap(int(f.Fd()), 0, int(max(length, off+n)), prot, syscall.MAP_SHARED)
 			if err != nil {
 				return nil, fmt.Errorf("vfs: map %s: %w", f.Name(), err)
 			}

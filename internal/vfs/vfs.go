@@ -32,10 +32,13 @@ type File interface {
 	Size() (int64, error)
 	// Name returns the path the file was opened with.
 	Name() string
-	// View returns the file's bytes [off, off+n) read-only, without a copy
-	// where the platform allows: on an OS file a slice of a shared mapping,
-	// which later writes through any handle show. The range must lie within
-	// the file. The slice stays valid until Close and must never be written.
+	// View returns the file's bytes [off, off+n) without a copy where the
+	// platform allows: on an OS file a slice of a shared mapping, which
+	// writes through any handle show. On a file opened read-write a write
+	// to the slice is a write to the file, durable after Sync; on one
+	// opened read-only the slice must never be written. The range must lie
+	// within the file and, on FaultFS, within one 4 KiB page. The slice
+	// stays valid until Close, however the file grows.
 	View(off, n int64) ([]byte, error)
 }
 
@@ -82,7 +85,16 @@ type osFS struct{}
 
 type osFile struct {
 	*os.File
-	mapper // the views handed out; Close unmaps them before closing the file
+	mapper        // the views handed out; Close unmaps them before closing the file
+	writable bool // opened read-write: its views are too
+}
+
+// Sync makes the file durable, what was written through its views included.
+func (f *osFile) Sync() error {
+	if err := f.syncViews(); err != nil {
+		return err
+	}
+	return f.File.Sync()
 }
 
 func (f *osFile) Size() (int64, error) {
@@ -102,7 +114,7 @@ func openOS(path string, flag int) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &osFile{File: f}, nil
+	return &osFile{File: f, writable: flag&os.O_RDWR != 0}, nil
 }
 
 func (osFS) Remove(path string) error             { return os.Remove(path) }

@@ -137,21 +137,27 @@ func TestFaultFSFailAfter(t *testing.T) {
 	}
 }
 
-// TestFaultFSTornSync: a failing sync with torn mode persists a strict
-// prefix of the pending writes.
+// TestFaultFSTornSync: a failing sync with torn mode persists the first half
+// of the file's changed pages, in offset order — those written through a view
+// included — and the first half of the changed bytes of the next.
 func TestFaultFSTornSync(t *testing.T) {
 	fs := NewFaultFS()
 	fs.SetTornSync(true)
 	f, _ := fs.OpenFile("d/x") // op 1
 	fs.SyncDir("d")            // op 2: name durable
-	// Four pending writes of 4 bytes each.
-	for i := 0; i < 4; i++ { // ops 3-6
-		if _, err := f.WriteAt([]byte{byte(i), byte(i), byte(i), byte(i)}, int64(4*i)); err != nil {
+	// Four changed pages: three by WriteAt, page 0 through a view.
+	for i := 1; i < 4; i++ { // ops 3-5
+		if _, err := f.WriteAt([]byte{byte(i), byte(i), byte(i), byte(i)}, int64(pageSize*i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fs.SetFailAfter(7)
-	if err := f.Sync(); !errors.Is(err, ErrInjected) { // op 7: torn
+	v, err := f.View(0, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v[0] = 9
+	fs.SetFailAfter(6)
+	if err := f.Sync(); !errors.Is(err, ErrInjected) { // op 6: torn
 		t.Fatalf("sync must fail, got %v", err)
 	}
 	fs.Crash()
@@ -159,10 +165,61 @@ func TestFaultFSTornSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := g.Size()
-	// Half the writes (2 of 4) fully applied plus half of the next: 10 bytes.
-	if n != 10 {
-		t.Fatalf("torn sync persisted %d bytes, want 10", n)
+	// Pages 0 and 1 persisted, page 0 with its view write, and half of page
+	// 2, every byte of which extends the file.
+	if n, _ := g.Size(); n != 2*pageSize+pageSize/2 {
+		t.Fatalf("torn sync persisted %d bytes, want %d", n, 2*pageSize+pageSize/2)
+	}
+	b := make([]byte, 1)
+	if g.ReadAt(b, 0); b[0] != 9 {
+		t.Fatalf("page 0 reads %d after the torn sync, want the view's write", b[0])
+	}
+}
+
+// TestFaultFSViewIsTheFile: a write through a view is a write to the file,
+// seen at once by another handle and kept by a view taken before the file
+// grew; a crash before Sync loses it, one after keeps it.
+func TestFaultFSViewIsTheFile(t *testing.T) {
+	fs := NewFaultFS()
+	f, _ := fs.OpenFile("d/x")
+	fs.SyncDir("d")
+	if _, err := f.WriteAt(make([]byte, pageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	v, err := f.View(16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.View(pageSize-4, 8); err == nil {
+		t.Fatal("a view across a page boundary succeeded")
+	}
+	if _, err := f.WriteAt(make([]byte, 64*pageSize), pageSize); err != nil { // grow
+		t.Fatal(err)
+	}
+	copy(v, "new")
+	g, _ := fs.Open("d/x")
+	b := make([]byte, 3)
+	if g.ReadAt(b, 16); string(b) != "new" {
+		t.Fatalf("another handle reads %q, want the view's write", b)
+	}
+	fs.Crash()
+	g, _ = fs.Open("d/x")
+	if n, _ := g.Size(); n != 0 {
+		t.Fatalf("an unsynced file kept %d bytes through a crash", n)
+	}
+	f, _ = fs.OpenFile("d/x")
+	f.WriteAt(make([]byte, pageSize), 0)
+	v, _ = f.View(16, 8)
+	copy(v, "kept")
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	copy(v, "lost")
+	fs.Crash()
+	g, _ = fs.Open("d/x")
+	b = make([]byte, 4)
+	if g.ReadAt(b, 16); string(b) != "kept" {
+		t.Fatalf("after Sync and a crash the file reads %q, want kept", b)
 	}
 }
 
