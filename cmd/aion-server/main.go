@@ -10,8 +10,7 @@
 //
 //	aion-server -addr 127.0.0.1:7688 -dir /var/lib/aion-r1 -replica-of 127.0.0.1:7687
 //
-// Connect with cmd/aion-shell or the internal/bolt client (bolt.Router
-// routes reads across replicas with primary fallback).
+// Connect with cmd/aion-shell or the internal/bolt client.
 //
 // With -debug-addr (off by default; bind it to loopback) the server also
 // answers HTTP there: /debug/pprof/ is net/http/pprof — `go tool pprof

@@ -60,7 +60,11 @@ func TestServeDebug(t *testing.T) {
 			AvgDegree   float64 `json:"avg_degree"`
 			Decisions   map[string]int64
 		} `json:"aion.planner"`
-		TimeStore    struct{ Updates uint64 } `json:"aion.timestore"`
+		TimeStore struct {
+			Updates                               uint64
+			RepairedLogBytes, RepairedStringBytes *int64
+		} `json:"aion.timestore"`
+		Host         struct{ RepairedLogBytes, RepairedStringBytes *int64 } `json:"aion.hostdb"`
 		LineageStore struct {
 			Trees []struct {
 				Name  string
@@ -85,6 +89,15 @@ func TestServeDebug(t *testing.T) {
 	p := vars.Planner
 	if p.Nodes != 5 || p.Rels != 1 || p.AvgDegree != 0.2 || vars.TimeStore.Updates != 6 {
 		t.Errorf("aion.planner after a commit of five nodes and a relationship: %+v, timestore updates %d", p, vars.TimeStore.Updates)
+	}
+	// A store opened on an empty directory had no torn tail to repair.
+	for name, n := range map[string]*int64{
+		"aion.hostdb RepairedLogBytes": vars.Host.RepairedLogBytes, "aion.hostdb RepairedStringBytes": vars.Host.RepairedStringBytes,
+		"aion.timestore RepairedLogBytes": vars.TimeStore.RepairedLogBytes, "aion.timestore RepairedStringBytes": vars.TimeStore.RepairedStringBytes,
+	} {
+		if n == nil || *n != 0 {
+			t.Errorf("%s = %v, want a published 0", name, n)
+		}
 	}
 	// A 1-hop expand reaches an estimated 1.2 of 5 nodes, under 30 %: the
 	// LineageStore.

@@ -82,6 +82,22 @@ func main() {
 		fmt.Printf("  [%d, %s): code=%v\n", v.Valid.Start, end, v.Props["code"])
 	}
 
+	// Audit question 4 (Table 1's expand over time): once commit 5 links
+	// the patient to B02, which diagnoses did the patient link to at each
+	// commit?
+	must(`MATCH (p:Patient), (d:Diagnosis {code: 'B02'}) CREATE (p)-[:HAS]->(d)`, nil)
+	if err := sys.Aion.WaitSync(); err != nil {
+		log.Fatal(err)
+	}
+	series, err := sys.Aion.ExpandRangeContext(ctx, 0, model.Outgoing, 1, 1, 5, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("diagnoses linked to patient p1, per commit:")
+	for i, hops := range series {
+		fmt.Printf("  commit %d: %d\n", i+1, len(hops[0]))
+	}
+
 	// Data repair: restore the state of the whole graph as of commit 2
 	// into a fresh in-memory snapshot (the "restore data to a previous
 	// version" use case).

@@ -203,7 +203,7 @@ func TestSyncModes(t *testing.T) {
 func TestLineageOnlyGlobalQueriesFail(t *testing.T) {
 	ctx := context.Background()
 	db := openDB(t, Options{Mode: SyncLineageOnly})
-	db.Apply(model.AddNode(1, 0, nil, nil))
+	db.ApplyBatch([]model.Update{model.AddNode(1, 0, nil, nil)})
 	if _, err := db.GetDiffContext(ctx, 0, 10); err != ErrNoStore {
 		t.Errorf("GetDiff: %v", err)
 	}
@@ -212,9 +212,6 @@ func TestLineageOnlyGlobalQueriesFail(t *testing.T) {
 	}
 	if _, err := db.GetWindowContext(ctx, 0, 10); err != ErrNoStore {
 		t.Errorf("GetWindow: %v", err)
-	}
-	if err := db.ScanGraphsContext(ctx, 0, 10, 1, nil); err != ErrNoStore {
-		t.Errorf("ScanGraphs: %v", err)
 	}
 	if _, err := db.ExpandViaTimeStore(ctx, 0, model.Outgoing, 1, 1); err != ErrNoStore {
 		t.Errorf("ExpandViaTimeStore: %v", err)
@@ -251,25 +248,6 @@ func TestStatsTracking(t *testing.T) {
 	}
 	if empty := openDB(t, Options{}); empty.Stats().AvgDegree() != 0 || empty.Stats().EstimateExpandFraction(3, model.Both) != 0 {
 		t.Error("an empty store must estimate no degree and no reach")
-	}
-}
-
-func TestBitemporalFilter(t *testing.T) {
-	mk := func(start, end int64) *model.Node {
-		return &model.Node{Props: model.Properties{
-			model.AppStartKey: model.IntValue(start),
-			model.AppEndKey:   model.IntValue(end),
-		}}
-	}
-	nodes := []*model.Node{
-		mk(5, 10),
-		mk(1, 3),
-		mk(8, 20),
-		{Props: model.Properties{}}, // no app time: falls back to system time
-	}
-	got := FilterBitemporal(nodes, 4, 12)
-	if len(got) != 2 { // [5,10] contained; no-app-time kept
-		t.Fatalf("filtered = %d, want 2", len(got))
 	}
 }
 

@@ -146,7 +146,7 @@ func ExpandInGraph(g *memgraph.Graph, id model.NodeID, d model.Direction, hops i
 // ExpandRangeContext runs the n-hop expansion at each materialization step
 // in [start, end] (the full Table 1 expand signature with start, end, and
 // step): one [][]*model.Node result per step time. ctx is checked before
-// each step's expansion.
+// each step's expansion, and the steps never wrap past MaxInt64.
 func (db *DB) ExpandRangeContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, start, end, step model.Timestamp) ([][][]*model.Node, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("aion: step must be positive")
@@ -155,9 +155,13 @@ func (db *DB) ExpandRangeContext(ctx context.Context, id model.NodeID, d model.D
 		return nil, fmt.Errorf("aion: end %d before start %d", end, start)
 	}
 	var out [][][]*model.Node
-	for ts := start; ts <= end; ts += step {
-		if err := ctx.Err(); err != nil {
+	for steps := model.NewSteps(start, end, step); ; {
+		ts, ok, err := steps.Next(ctx)
+		if err != nil {
 			return nil, err
+		}
+		if !ok {
+			return out, nil
 		}
 		res, err := db.ExpandContext(ctx, id, d, hops, ts)
 		if err != nil {
@@ -165,16 +169,6 @@ func (db *DB) ExpandRangeContext(ctx context.Context, id model.NodeID, d model.D
 		}
 		out = append(out, res)
 	}
-	return out, nil
-}
-
-// ScanGraphsContext lazily materializes the snapshot series (footnote 4's
-// lazy variant of getGraph); fn must clone a snapshot to retain it.
-func (db *DB) ScanGraphsContext(ctx context.Context, start, end, step model.Timestamp, fn func(g *memgraph.Graph) bool) error {
-	if db.ts == nil {
-		return ErrNoStore
-	}
-	return db.ts.ScanGraphsContext(ctx, start, end, step, fn)
 }
 
 // GetDiffContext returns all graph updates between two time instances
@@ -208,7 +202,15 @@ func (db *DB) GetGraphContext(ctx context.Context, start, end, step model.Timest
 		}
 		return []*memgraph.Graph{g}, nil
 	}
-	return db.ts.GetGraphsContext(ctx, start, end, step)
+	var out []*memgraph.Graph
+	err := db.ts.ScanGraphsContext(ctx, start, end, step, func(g *memgraph.Graph) bool {
+		out = append(out, g.Clone())
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // GetWindowContext filters graph history by a time window (Table 1): every
@@ -219,25 +221,4 @@ func (db *DB) GetWindowContext(ctx context.Context, start, end model.Timestamp) 
 		return nil, ErrNoStore
 	}
 	return db.ts.GetWindowContext(ctx, start, end)
-}
-
-// FilterBitemporal applies the application-time filter of Sec 4.5 to
-// entities already filtered by system time: a valid (sub)graph is retrieved
-// first, then entities whose application-time interval is not contained in
-// [appStart, appEnd] are dropped. Entities without application time fall
-// back to system time (always kept, since system time already matched).
-func FilterBitemporal[E interface{ AppInterval() model.Interval }](es []E, appStart, appEnd model.Timestamp) []E {
-	var out []E
-	win := model.Interval{Start: appStart, End: appEnd + 1} // CONTAINED IN is closed
-	for _, e := range es {
-		iv := e.AppInterval()
-		if iv.Start == 0 && iv.End == model.TSInfinity {
-			out = append(out, e) // no app time set: fall back to system time
-			continue
-		}
-		if iv.Start >= win.Start && iv.End <= win.End {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -313,9 +313,6 @@ func (db *DB) appendTimeStore(us []model.Update) error {
 	return err
 }
 
-// Apply ingests one committed graph update.
-func (db *DB) Apply(u model.Update) error { return db.ApplyBatch([]model.Update{u}) }
-
 // ApplyBatch ingests a batch of committed updates (one transaction or an
 // ingestion batch). Per Sec 5.1 only the TimeStore is written on the
 // caller's path in hybrid mode.

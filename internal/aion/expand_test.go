@@ -2,9 +2,11 @@ package aion
 
 import (
 	"context"
+	"errors"
+	"math"
+	"sync/atomic"
 	"testing"
 
-	"aion/internal/memgraph"
 	"aion/internal/model"
 )
 
@@ -43,20 +45,48 @@ func TestExpandRange(t *testing.T) {
 	if _, err := db.ExpandRangeContext(ctx, 0, model.Outgoing, 2, 4, 2, 1); err == nil {
 		t.Error("inverted range must fail")
 	}
+	// A series whose end is MaxInt64 stops at its last step instead of
+	// wrapping back to negative time.
+	if series, err := db.ExpandRangeContext(ctx, 0, model.Outgoing, 1, 1, math.MaxInt64, 1<<62); err != nil || len(series) != 2 {
+		t.Errorf("series to MaxInt64: %v, %d steps, want 2", err, len(series))
+	}
+	// A series too long to finish stops at its context's deadline and
+	// returns no partial result, whichever check of ctx sees the deadline.
+	for n := int64(0); n < 20; n++ {
+		dctx := &errAfter{Context: ctx}
+		dctx.left.Store(n)
+		if series, err := db.ExpandRangeContext(dctx, 0, model.Outgoing, 1, 1, math.MaxInt64, 1); !errors.Is(err, context.DeadlineExceeded) || series != nil {
+			t.Errorf("deadline at ctx check %d: %v, %d steps; want the deadline and no series", n, err, len(series))
+		}
+	}
 }
 
+// errAfter is a context whose Err reports a passed deadline once it has
+// answered nil left times.
+type errAfter struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *errAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestScanGraphsThroughDB: GetGraph's series is one snapshot per step,
+// each the graph at its own timestamp.
 func TestScanGraphsThroughDB(t *testing.T) {
 	db := openDB(t, Options{})
 	db.ApplyBatch(socialUpdates())
-	n := 0
-	err := db.ScanGraphsContext(context.Background(), 1, 10, 1, func(g *memgraph.Graph) bool {
-		if g.NodeCount() != n+1 {
-			t.Errorf("snapshot %d has %d nodes", n, g.NodeCount())
+	graphs, err := db.GetGraphContext(context.Background(), 1, 10, 1)
+	if err != nil || len(graphs) != 10 {
+		t.Fatalf("series: %v, %d graphs", err, len(graphs))
+	}
+	for i, g := range graphs {
+		if g.NodeCount() != i+1 || g.Timestamp() != model.Timestamp(i+1) {
+			t.Errorf("snapshot %d has %d nodes at ts %d", i, g.NodeCount(), g.Timestamp())
 		}
-		n++
-		return true
-	})
-	if err != nil || n != 10 {
-		t.Fatalf("scan: %v n=%d", err, n)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"aion/internal/model"
-	"aion/internal/refmodel"
+	"aion/internal/testkit/refmodel"
 )
 
 // evolvedDB builds a store with creations, property updates, deletions and

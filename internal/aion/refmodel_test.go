@@ -10,8 +10,8 @@ import (
 
 	"aion/internal/enc"
 	"aion/internal/model"
-	"aion/internal/refmodel"
 	"aion/internal/strstore"
+	"aion/internal/testkit/refmodel"
 )
 
 var directions = []model.Direction{model.Outgoing, model.Incoming, model.Both}
@@ -45,7 +45,7 @@ func readsMatch(t *testing.T, db *DB, m *refmodel.Model, nodes []model.NodeID, r
 
 // TestEntityReadsMatchTheReferenceModel: the LineageStore is the one store
 // that answers GetNode, GetRelationship and GetRelationships, under
-// internal/refmodel's interval contract — also right after the commit a read
+// internal/testkit/refmodel's interval contract — also right after the commit a read
 // follows, before the hybrid cascade has caught up, where the read waits for
 // it. A graph the TimeStore materialises knows neither when the version it
 // holds began nor when it ends, so a TimeStore-only store answers none of
@@ -70,7 +70,7 @@ func TestEntityReadsMatchTheReferenceModel(t *testing.T) {
 		for _, mode := range []SyncMode{SyncHybrid, SyncBoth, SyncTimeStoreOnly} {
 			db := openDB(t, Options{Mode: mode})
 			for _, u := range us {
-				if err := db.Apply(u); err != nil {
+				if err := db.ApplyBatch([]model.Update{u}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -263,8 +263,7 @@ func digest(t *testing.T, codec *enc.Codec, us []model.Update) string {
 	t.Helper()
 	var b []byte
 	for _, u := range us {
-		u.AddLabels, u.DelLabels, u.DelProps = slices.Clone(u.AddLabels), slices.Clone(u.DelLabels), slices.Clone(u.DelProps)
-		u.Normalize()
+		u = refmodel.Normalize(u)
 		var err error
 		if b, err = codec.AppendUpdate(append(b, '|'), u); err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"aion/internal/model"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -140,7 +141,7 @@ func TestLineageOnlyKeepsItsWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ts := model.Timestamp(1); ts <= 5; ts++ {
-		if err := db.Apply(model.AddNode(ts, model.NodeID(ts), []string{"N"}, nil)); err != nil {
+		if err := db.ApplyBatch([]model.Update{model.AddNode(ts, model.NodeID(ts), []string{"N"}, nil)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,10 +152,10 @@ func TestLineageOnlyKeepsItsWatermark(t *testing.T) {
 	if got := db.LatestTimestamp(); got != 5 {
 		t.Errorf("reopened at ts %d, want 5", got)
 	}
-	if err := db.Apply(model.AddNode(2, 99, []string{"N"}, nil)); !errors.Is(err, model.ErrNonMonotonic) {
+	if err := db.ApplyBatch([]model.Update{model.AddNode(2, 99, []string{"N"}, nil)}); !errors.Is(err, model.ErrNonMonotonic) {
 		t.Errorf("Apply at ts 2 after reopening at 5: %v, want ErrNonMonotonic", err)
 	}
-	if err := db.Apply(model.AddNode(6, 6, []string{"N"}, nil)); err != nil {
+	if err := db.ApplyBatch([]model.Update{model.AddNode(6, 6, []string{"N"}, nil)}); err != nil {
 		t.Errorf("Apply at ts 6: %v", err)
 	}
 }
@@ -169,7 +170,7 @@ type removeFailFS struct {
 func (f removeFailFS) Remove(path string) error {
 	if path == f.path && *f.times > 0 {
 		*f.times--
-		return vfs.ErrInjected
+		return vfstest.ErrInjected
 	}
 	return f.FS.Remove(path)
 }
@@ -186,10 +187,10 @@ func TestSkippedApplyBarsTheCheckpoint(t *testing.T) {
 	fs := removeFailFS{FS: vfs.OS, path: filepath.Join(dir, "lineage", "checkpoint"), times: &once}
 	db := openDB(t, Options{Dir: dir, Mode: SyncBoth, FS: fs})
 	next := db.LatestTimestamp() + 1
-	if err := db.Apply(model.AddNode(next, 1000, []string{"N"}, nil)); !errors.Is(err, vfs.ErrInjected) {
+	if err := db.ApplyBatch([]model.Update{model.AddNode(next, 1000, []string{"N"}, nil)}); !errors.Is(err, vfstest.ErrInjected) {
 		t.Fatalf("Apply over an irremovable checkpoint: %v, want the injected fault", err)
 	}
-	if err := db.Apply(model.AddNode(next+1, 1001, []string{"N"}, nil)); err != nil {
+	if err := db.ApplyBatch([]model.Update{model.AddNode(next+1, 1001, []string{"N"}, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -224,7 +225,7 @@ func TestFailedOpenReleasesEverything(t *testing.T) {
 	fs := removeFailFS{FS: vfs.OS, path: filepath.Join(dir, "lineage", "nodes.idx"), times: &always}
 	fds, goroutines := openFDs(t), runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		if _, err := Open(Options{Dir: dir, FS: fs}); !errors.Is(err, vfs.ErrInjected) {
+		if _, err := Open(Options{Dir: dir, FS: fs}); !errors.Is(err, vfstest.ErrInjected) {
 			t.Fatalf("round %d: Open = %v, want the injected fault", i, err)
 		}
 	}

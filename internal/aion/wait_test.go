@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"aion/internal/model"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -22,7 +23,7 @@ func TestHybridLagReadsWait(t *testing.T) {
 	db := openDB(t, Options{})
 	for i := 0; i < 50; i++ {
 		u := model.AddNode(model.Timestamp(i+1), model.NodeID(i), nil, model.Properties{"i": model.IntValue(int64(i))})
-		if err := db.Apply(u); err != nil {
+		if err := db.ApplyBatch([]model.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 		ns, err := db.GetNodeContext(context.Background(), u.NodeID, u.TS, u.TS)
@@ -40,7 +41,7 @@ func TestHybridLagReadsWait(t *testing.T) {
 func TestLineageLagReadsWait(t *testing.T) {
 	db := openDB(t, Options{})
 	for _, u := range socialUpdates() {
-		if err := db.Apply(u); err != nil {
+		if err := db.ApplyBatch([]model.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +86,7 @@ func heldCascade(t *testing.T, hook func() error) *DB {
 	}
 	t.Cleanup(func() { _ = db.Close() })
 	armed.Store(&hook)
-	if err := db.Apply(model.AddNode(23, 100, []string{"N"}, nil)); err != nil {
+	if err := db.ApplyBatch([]model.Update{model.AddNode(23, 100, []string{"N"}, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -228,11 +229,11 @@ func TestConcurrentReadsAndClose(t *testing.T) {
 // read at or below it is served.
 func TestReadsAfterACascadeFailure(t *testing.T) {
 	ctx := context.Background()
-	db := heldCascade(t, func() error { return vfs.ErrInjected })
-	if _, err := db.GetNodeContext(ctx, 100, 23, 23); !errors.Is(err, vfs.ErrInjected) {
+	db := heldCascade(t, func() error { return vfstest.ErrInjected })
+	if _, err := db.GetNodeContext(ctx, 100, 23, 23); !errors.Is(err, vfstest.ErrInjected) {
 		t.Errorf("GetNode at 23 after the cascade failed there: %v, want the injected fault", err)
 	}
-	if err := db.WaitSync(); !errors.Is(err, vfs.ErrInjected) {
+	if err := db.WaitSync(); !errors.Is(err, vfstest.ErrInjected) {
 		t.Errorf("WaitSync: %v, want the injected fault", err)
 	}
 	if got := db.LineageStore().AppliedThrough(); got != 22 {
@@ -243,7 +244,7 @@ func TestReadsAfterACascadeFailure(t *testing.T) {
 			t.Errorf("GetNode(0) at %d: %v, %v", ts, ns, err)
 		}
 	}
-	if err := db.Close(); !errors.Is(err, vfs.ErrInjected) {
+	if err := db.Close(); !errors.Is(err, vfstest.ErrInjected) {
 		t.Errorf("Close: %v, want the injected fault", err)
 	}
 }

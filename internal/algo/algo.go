@@ -182,11 +182,6 @@ func pageRankFrom(c *csr.Graph, ranks []float64, opts PageRankOptions) ([]float6
 	return ranks, iters
 }
 
-// PageRankFrom exposes warm-start iteration for incremental execution.
-func PageRankFrom(c *csr.Graph, warm []float64, opts PageRankOptions) ([]float64, int) {
-	return pageRankFrom(c, warm, opts)
-}
-
 // PageRankDynamic runs PageRank directly on the dynamic in-memory graph
 // representation, without building a CSR projection first — the execution
 // mode Sec 5.2/6.7 uses for incremental analytics, where the projection

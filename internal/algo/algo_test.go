@@ -117,7 +117,7 @@ func TestPageRankWarmStartConverges(t *testing.T) {
 	g := buildGraph(t, 100, edges)
 	c := csr.Build(g, csr.Options{})
 	cold, coldIters := PageRank(c, PageRankOptions{Epsilon: 1e-8, MaxIter: 500})
-	warm, warmIters := PageRankFrom(c, append([]float64(nil), cold...), PageRankOptions{Epsilon: 1e-8, MaxIter: 500})
+	warm, warmIters := pageRankFrom(c, append([]float64(nil), cold...), PageRankOptions{Epsilon: 1e-8, MaxIter: 500})
 	if warmIters >= coldIters {
 		t.Errorf("warm start (%d iters) must beat cold start (%d)", warmIters, coldIters)
 	}
@@ -194,8 +194,8 @@ func TestCSRStructure(t *testing.T) {
 	if got := len(c.In(d2)); got != 2 {
 		t.Errorf("in degree of 2 = %d", got)
 	}
-	if c.EdgeCount() != 3 {
-		t.Errorf("edges = %d", c.EdgeCount())
+	if len(c.OutTargets) != 3 {
+		t.Errorf("edges = %d", len(c.OutTargets))
 	}
 }
 
@@ -217,7 +217,7 @@ func TestCSRParallelMatchesSerial(t *testing.T) {
 	g := buildGraph(t, 3000, edges)
 	serial := csr.Build(g, csr.Options{})
 	parallel := csr.Build(g, csr.Options{Parallel: true})
-	if serial.EdgeCount() != parallel.EdgeCount() || serial.N != parallel.N {
+	if len(serial.OutTargets) != len(parallel.OutTargets) || serial.N != parallel.N {
 		t.Fatal("shape mismatch")
 	}
 	for i := int32(0); i < int32(serial.N); i++ {

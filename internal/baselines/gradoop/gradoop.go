@@ -215,9 +215,6 @@ func (e *Engine) LoadAll(us []model.Update) {
 	}
 }
 
-// Rows returns the table sizes (node rows, rel rows).
-func (e *Engine) Rows() (int, int) { return len(e.nodes), len(e.rels) }
-
 // Snapshot materializes the graph at ts: a parallel scan-and-filter over
 // both tables, then the verification join that removes relationships whose
 // endpoints are not part of the produced subgraph.
@@ -334,17 +331,6 @@ func (e *Engine) GetRelationship(id model.RelID, ts model.Timestamp) *model.Rel 
 		if r.id == id && r.valid.Contains(ts) {
 			return &model.Rel{ID: r.id, Src: r.src, Tgt: r.tgt, Label: r.label,
 				Props: r.props, Valid: r.valid}
-		}
-	}
-	return nil
-}
-
-// GetNode returns the node version valid at ts via a full node-table scan.
-func (e *Engine) GetNode(id model.NodeID, ts model.Timestamp) *model.Node {
-	for i := range e.nodes {
-		n := decodeNodeRow(e.nodes[i])
-		if n.id == id && n.valid.Contains(ts) {
-			return &model.Node{ID: n.id, Labels: n.labels, Props: n.props, Valid: n.valid}
 		}
 	}
 	return nil

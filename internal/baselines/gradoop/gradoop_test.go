@@ -52,7 +52,7 @@ func TestSnapshotScanFilterJoin(t *testing.T) {
 	if g.Node(0).Props["x"].Int() != 9 {
 		t.Error("updated node version not selected")
 	}
-	if g.Node(0).Props["x"].IsNull() {
+	if g.Node(0).Props["x"].Kind() == model.KindNull {
 		t.Error("property missing")
 	}
 	// Before the update the old version rules.
@@ -90,4 +90,18 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 	if serial.NodeCount() != parallel.NodeCount() || serial.RelCount() != parallel.RelCount() {
 		t.Error("parallelism changed the result")
 	}
+}
+
+// Rows returns the table sizes (node rows, rel rows).
+func (e *Engine) Rows() (int, int) { return len(e.nodes), len(e.rels) }
+
+// GetNode returns the node version valid at ts via a full node-table scan.
+func (e *Engine) GetNode(id model.NodeID, ts model.Timestamp) *model.Node {
+	for i := range e.nodes {
+		n := decodeNodeRow(e.nodes[i])
+		if n.id == id && n.valid.Contains(ts) {
+			return &model.Node{ID: n.id, Labels: n.labels, Props: n.props, Valid: n.valid}
+		}
+	}
+	return nil
 }

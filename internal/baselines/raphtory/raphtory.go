@@ -51,7 +51,6 @@ type Graph struct {
 	adj        map[model.NodeID][]relEvent
 	rels       map[model.RelID]*relInfo
 	edgeKey    map[[2]model.NodeID]model.RelID // multigraph restriction
-	updates    int64
 	skipped    int64
 }
 
@@ -72,15 +71,12 @@ func (g *Graph) Ingest(u model.Update) {
 	case model.OpAddNode:
 		g.nodeEvents[u.NodeID] = append(g.nodeEvents[u.NodeID],
 			nodeEvent{ts: u.TS, added: true, props: u.SetProps})
-		g.updates++
 	case model.OpDeleteNode:
 		g.nodeEvents[u.NodeID] = append(g.nodeEvents[u.NodeID], nodeEvent{ts: u.TS})
-		g.updates++
 	case model.OpUpdateNode:
 		// Treated as a re-addition carrying the new property state.
 		g.nodeEvents[u.NodeID] = append(g.nodeEvents[u.NodeID],
 			nodeEvent{ts: u.TS, added: true, props: u.SetProps})
-		g.updates++
 	case model.OpAddRel:
 		key := [2]model.NodeID{u.Src, u.Tgt}
 		if existing, ok := g.edgeKey[key]; ok && existing != u.RelID {
@@ -99,7 +95,6 @@ func (g *Graph) Ingest(u model.Update) {
 		}{u.TS, true})
 		g.adj[u.Src] = append(g.adj[u.Src], relEvent{ts: u.TS, rel: u.RelID, other: u.Tgt, out: true, added: true})
 		g.adj[u.Tgt] = append(g.adj[u.Tgt], relEvent{ts: u.TS, rel: u.RelID, other: u.Src, added: true})
-		g.updates++
 	case model.OpDeleteRel:
 		ri := g.rels[u.RelID]
 		if ri == nil {
@@ -111,7 +106,6 @@ func (g *Graph) Ingest(u model.Update) {
 		}{u.TS, false})
 		g.adj[ri.src] = append(g.adj[ri.src], relEvent{ts: u.TS, rel: u.RelID, other: ri.tgt, out: true})
 		g.adj[ri.tgt] = append(g.adj[ri.tgt], relEvent{ts: u.TS, rel: u.RelID, other: ri.src})
-		g.updates++
 	case model.OpUpdateRel:
 		if ri := g.rels[u.RelID]; ri != nil {
 			if ri.props == nil {
@@ -120,7 +114,6 @@ func (g *Graph) Ingest(u model.Update) {
 			for k, v := range u.SetProps {
 				ri.props[k] = v
 			}
-			g.updates++
 		}
 	}
 }
@@ -131,13 +124,6 @@ func (g *Graph) IngestAll(us []model.Update) {
 		g.Ingest(u)
 	}
 }
-
-// Updates returns the number of stored updates; Skipped the number of
-// multigraph relationships dropped at load time.
-func (g *Graph) Updates() int64 { return g.updates }
-
-// Skipped reports dropped multigraph relationships.
-func (g *Graph) Skipped() int64 { return g.skipped }
 
 // LoadedFraction reports the fraction of relationship additions retained.
 func (g *Graph) LoadedFraction() float64 {

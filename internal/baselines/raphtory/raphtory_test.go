@@ -100,3 +100,6 @@ func TestNeighboursAndNHop(t *testing.T) {
 		t.Errorf("hop2: %v", hops[1])
 	}
 }
+
+// Skipped reports dropped multigraph relationships.
+func (g *Graph) Skipped() int64 { return g.skipped }

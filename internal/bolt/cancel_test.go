@@ -104,7 +104,7 @@ func TestQueryDeadlineMidScan(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != FailTimeout {
 		t.Fatalf("want FailTimeout, got %v", err)
 	}
-	if se.Retryable() {
+	if retryable(se) {
 		t.Error("timeout must not be retryable")
 	}
 	if elapsed > 2*timeout {
@@ -127,7 +127,7 @@ func TestQueryDeadlineMidScan(t *testing.T) {
 
 // TestOverloadShedsRetryable saturates a MaxConcurrent=1 server with a
 // blocking query and checks that the next query is shed immediately with a
-// retryable failure, and that RunRetry's backoff rides out the overload.
+// retryable failure, and that runRetry's backoff rides out the overload.
 func TestOverloadShedsRetryable(t *testing.T) {
 	started := make(chan struct{}, 1)
 	srv, addr, engine := startServerWith(t, Options{MaxConcurrent: 1})
@@ -149,7 +149,7 @@ func TestOverloadShedsRetryable(t *testing.T) {
 	}()
 	<-started // the slot is taken
 
-	c, err := Dial(addr)
+	c, err := dialRetry(addr, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestOverloadShedsRetryable(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != FailOverloaded {
 		t.Fatalf("want FailOverloaded, got %v", err)
 	}
-	if !se.Retryable() {
+	if !retryable(se) {
 		t.Fatal("overload shed must be retryable")
 	}
 
@@ -169,7 +169,7 @@ func TestOverloadShedsRetryable(t *testing.T) {
 		release()
 	}()
 	policy := RetryPolicy{MaxAttempts: 20, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
-	if _, _, _, err := c.RunRetry(policy, "MATCH (n) RETURN count(*)", nil, 0); err != nil {
+	if _, _, _, err := c.runRetry(policy, "MATCH (n) RETURN count(*)", nil, 0); err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}
 	wg.Wait()
@@ -197,7 +197,7 @@ func TestPanicIsolation(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != FailPanic {
 		t.Fatalf("want FailPanic, got %v", err)
 	}
-	if se.Retryable() {
+	if retryable(se) {
 		t.Error("panic must not be retryable")
 	}
 	if !strings.Contains(se.Msg, "injected failure") {
@@ -266,7 +266,7 @@ func TestGracefulDrain(t *testing.T) {
 		if se.Code != FailShuttingDown {
 			t.Errorf("want FailShuttingDown, got %v", err)
 		}
-		if !se.Retryable() {
+		if !retryable(se) {
 			t.Error("shutting-down must be retryable")
 		}
 	}

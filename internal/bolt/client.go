@@ -2,17 +2,12 @@ package bolt
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"syscall"
 	"time"
 
-	"aion/internal/clock"
 	"aion/internal/cypher"
 	"aion/internal/model"
 )
@@ -20,13 +15,9 @@ import (
 // Client is a Bolt session. It is not safe for concurrent use; open one
 // client per worker (as the paper pins one client thread per core).
 type Client struct {
-	addr string
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
-	// dial re-establishes the transport on RunRetry redials; set by
-	// DialVia, nil means net.Dial("tcp", addr).
-	dial func(addr string) (net.Conn, error)
 	// epoch is the server's fencing epoch as of the HELLO reply (zero when
 	// the server has no admin surface).
 	epoch uint64
@@ -54,27 +45,14 @@ func (c *Client) recvDeadline(d time.Duration) ([]byte, error) {
 	return c.recv()
 }
 
-// ServerEpoch returns the fencing epoch the server reported in the HELLO
-// handshake (or the last Status call), zero if it reported none.
-func (c *Client) ServerEpoch() uint64 { return c.epoch }
-
-// NoteEpoch raises the epoch this client gossips on its next Status call.
-// Routers call it with the highest epoch seen across the cluster before
-// probing, so a deposed primary hears about the reign that replaced it.
-func (c *Client) NoteEpoch(epoch uint64) {
-	if epoch > c.epoch {
-		c.epoch = epoch
-	}
-}
-
 // Summary carries the write counters of a completed query.
 type Summary struct {
 	NodesCreated, RelsCreated, PropsSet, NodesDeleted, RelsDeleted int
 	CommitTS                                                       model.Timestamp
 }
 
-// RetryPolicy controls RunRetry: full-jitter exponential backoff applied
-// only to failures the server marked retryable (overload, shutdown).
+// RetryPolicy is a full-jitter exponential backoff schedule: the
+// replication follower's reconnect loop sleeps on it.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (first attempt included).
 	// Values below 1 behave as 1.
@@ -85,16 +63,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff ceiling. Zero means no cap.
 	MaxDelay time.Duration
-	// Clock supplies the backoff sleeps; nil means the wall clock. Fault
-	// sweeps install clock.Fake so thousands of retry cycles run without
-	// wall-clock waits.
-	Clock clock.Clock
-}
-
-// sleepBackoff sleeps the full-jitter delay before retry number attempt
-// (0-based) on the policy's clock.
-func (p RetryPolicy) sleepBackoff(attempt int) {
-	_ = clock.OrReal(p.Clock).Sleep(context.Background(), p.Backoff(attempt))
 }
 
 // DefaultRetryPolicy suits a briefly overloaded server: up to 5 attempts
@@ -105,8 +73,6 @@ func DefaultRetryPolicy() RetryPolicy {
 
 // Backoff returns the sleep before retry number attempt (0-based): a
 // uniform random duration in [0, min(MaxDelay, BaseDelay·2^attempt)].
-// Exported so the replication follower can reuse the same full-jitter
-// schedule for its reconnect loop.
 func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	d := p.BaseDelay << uint(attempt)
 	if d <= 0 || (p.MaxDelay > 0 && d > p.MaxDelay) {
@@ -116,28 +82,6 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 		return 0
 	}
 	return time.Duration(rand.Int63n(int64(d) + 1))
-}
-
-// TransportRetryable reports whether err is a transport-level failure worth
-// retrying against a fresh connection: a refused or reset connection, a
-// broken pipe, an abrupt EOF mid-frame, or a network timeout. Typed server
-// FAILUREs are excluded — their own Retryable() governs them — as are
-// protocol and decode errors, which would just fail again.
-func TransportRetryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var se *ServerError
-	if errors.As(err, &se) {
-		return false
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.EPIPE) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
 }
 
 // Dial connects and performs the HELLO handshake.
@@ -156,7 +100,7 @@ func DialVia(addr string, dial func(addr string) (net.Conn, error)) (*Client, er
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{addr: addr, conn: conn, r: bufio.NewReaderSize(conn, 1<<16), w: bufio.NewWriterSize(conn, 1<<16), dial: dial}
+	c := &Client{conn: conn, r: bufio.NewReaderSize(conn, 1<<16), w: bufio.NewWriterSize(conn, 1<<16)}
 	hello := []byte{MsgHello}
 	hello = appendString(hello, "aion-go/1.0")
 	if err := c.send(hello); err != nil {
@@ -178,17 +122,6 @@ func DialVia(addr string, dial func(addr string) (net.Conn, error)) (*Client, er
 		c.epoch = binary.BigEndian.Uint64(frame[1:9])
 	}
 	return c, nil
-}
-
-// redial re-establishes the transport after a mid-stream failure, reusing
-// the dialer this client was created with.
-func (c *Client) redial() error {
-	nc, err := DialVia(c.addr, c.dial)
-	if err != nil {
-		return err
-	}
-	c.conn, c.r, c.w, c.epoch = nc.conn, nc.r, nc.w, nc.epoch
-	return nil
 }
 
 // Promote asks the server to take over as primary: it advances the fencing
@@ -215,10 +148,10 @@ func (c *Client) Promote() (uint64, error) {
 }
 
 // Status fetches the server's role, fencing epoch, and replication
-// watermark. Routers use it to re-resolve the primary after a failover.
-// The request carries the highest epoch this client has seen, so a status
-// probe also gossips the epoch forward — probing a deposed primary that
-// missed the failover is what fences it.
+// watermark; probing every node with it finds the primary after a failover.
+// The request carries the epoch this connection last saw from its server,
+// so it never fences; a peer that writes a STATUS frame with a higher epoch
+// fences a deposed primary that missed the failover (epoch gossip).
 func (c *Client) Status() (NodeStatus, error) {
 	req := binary.BigEndian.AppendUint64([]byte{MsgStatus}, c.epoch)
 	if err := c.send(req); err != nil {
@@ -359,90 +292,6 @@ func (c *Client) RunTimeout(query string, params map[string]model.Value, timeout
 			return nil, nil, nil, fmt.Errorf("bolt: unexpected frame 0x%x", frame[0])
 		}
 	}
-}
-
-// RunRetry is RunTimeout plus automatic retries on failures the server
-// marked retryable (overload shed, shutdown, replica lag) and on transport
-// failures (refused/reset connections, mid-stream disconnects), the latter
-// against a freshly dialed connection. Terminal failures — syntax errors,
-// timeouts, panics — are returned immediately; a server FAILURE leaves the
-// connection usable, so those retries reuse it.
-//
-// Caveat: a transport failure after the server received a write leaves the
-// write's fate unknown; retrying makes delivery at-least-once. Idempotent
-// statements (reads, MATCH-guarded writes) are safe; blind CREATEs may be
-// duplicated.
-func (c *Client) RunRetry(policy RetryPolicy, query string, params map[string]model.Value, timeout time.Duration) ([]string, [][]cypher.Val, *Summary, error) {
-	attempts := policy.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			policy.sleepBackoff(attempt - 1)
-		}
-		if c.conn == nil {
-			// Previous attempt lost the connection; redial before retrying.
-			if err := c.redial(); err != nil {
-				lastErr = err
-				if !TransportRetryable(err) {
-					return nil, nil, nil, err
-				}
-				continue
-			}
-		}
-		cols, rows, sum, err := c.RunTimeout(query, params, timeout)
-		if err == nil {
-			return cols, rows, sum, nil
-		}
-		lastErr = err
-		var se *ServerError
-		switch {
-		case errors.As(err, &se):
-			if !se.Retryable() {
-				return nil, nil, nil, err
-			}
-		case TransportRetryable(err) && c.addr != "":
-			// The connection is in an unknown protocol state; drop it and
-			// redial on the next attempt.
-			c.conn.Close()
-			c.conn = nil
-		default:
-			return nil, nil, nil, err
-		}
-	}
-	return nil, nil, nil, lastErr
-}
-
-// DialRetry is Dial with the policy's full-jitter backoff applied to
-// transport-level dial failures, for connecting to servers that may still
-// be starting up or briefly unreachable.
-func DialRetry(addr string, policy RetryPolicy) (*Client, error) {
-	return DialRetryVia(addr, policy, nil)
-}
-
-// DialRetryVia is DialRetry through a custom transport dialer.
-func DialRetryVia(addr string, policy RetryPolicy, dial func(addr string) (net.Conn, error)) (*Client, error) {
-	attempts := policy.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			policy.sleepBackoff(attempt - 1)
-		}
-		c, err := DialVia(addr, dial)
-		if err == nil {
-			return c, nil
-		}
-		lastErr = err
-		if !TransportRetryable(err) {
-			return nil, err
-		}
-	}
-	return nil, lastErr
 }
 
 func decodeSummary(b []byte) (*Summary, error) {

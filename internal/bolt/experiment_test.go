@@ -29,7 +29,7 @@ func TestShedVsQueueExperiment(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			srv, addr, _ := startServerWith(t, cfg.opts)
-			seedc, err := Dial(addr)
+			seedc, err := dialRetry(addr, RetryPolicy{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestShedVsQueueExperiment(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					c, err := Dial(addr)
+					c, err := dialRetry(addr, RetryPolicy{})
 					if err != nil {
 						t.Error(err)
 						return
@@ -59,7 +59,7 @@ func TestShedVsQueueExperiment(t *testing.T) {
 					for i := 0; i < perClient; i++ {
 						qb := time.Now()
 						// 150^2 = 22.5k pair extensions: ~20 ms of CPU.
-						_, _, _, err := c.RunRetry(policy, "MATCH (a), (b) RETURN count(*)", nil, 0)
+						_, _, _, err := c.runRetry(policy, "MATCH (a), (b) RETURN count(*)", nil, 0)
 						d := time.Since(qb)
 						if err != nil {
 							t.Error(err)

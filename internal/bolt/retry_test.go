@@ -1,9 +1,13 @@
 package bolt
 
-// Transport-failure retry coverage: the error classifier, DialRetry through
-// a flaky listener, and RunRetry redialing after a mid-stream disconnect.
+// The tests' retrying client, and its coverage: the error classifier,
+// dialRetry through a flaky listener, and runRetry redialing after a
+// mid-stream disconnect. No binary retries a statement, so the client is
+// test code: the overload, stress and experiment tests ride out shed
+// queries with it.
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -12,7 +16,116 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"aion/internal/clock"
+	"aion/internal/cypher"
+	"aion/internal/model"
 )
+
+// retryClient is a Client that retries: RunTimeout plus retries on
+// failures the server marked retryable and on transport failures, the
+// latter against a freshly dialed connection.
+type retryClient struct {
+	*Client
+	addr string
+}
+
+// retryable reports whether the same statement may succeed if retried
+// after a backoff.
+func retryable(se *ServerError) bool {
+	return se.Code == FailOverloaded || se.Code == FailShuttingDown || se.Code == FailReplicaLag
+}
+
+// transportRetryable reports whether err is a transport-level failure worth
+// retrying against a fresh connection: a refused or reset connection, a
+// broken pipe, an abrupt EOF mid-frame, or a network timeout. Typed server
+// FAILUREs are excluded — retryable governs them — as are protocol and
+// decode errors, which would just fail again.
+func transportRetryable(err error) bool {
+	if err == nil {
+		return false
+	}
+	var se *ServerError
+	if errors.As(err, &se) {
+		return false
+	}
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) ||
+		errors.Is(err, syscall.EPIPE) {
+		return true
+	}
+	var ne net.Error
+	return errors.As(err, &ne)
+}
+
+// sleepBackoff sleeps the policy's full-jitter delay before retry number
+// attempt (0-based).
+func sleepBackoff(p RetryPolicy, attempt int) {
+	_ = clock.Real{}.Sleep(context.Background(), p.Backoff(attempt))
+}
+
+// dialRetry is Dial with the policy's backoff applied to transport-level
+// dial failures.
+func dialRetry(addr string, policy RetryPolicy) (*retryClient, error) {
+	attempts := max(policy.MaxAttempts, 1)
+	var lastErr error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			sleepBackoff(policy, attempt-1)
+		}
+		c, err := Dial(addr)
+		if err == nil {
+			return &retryClient{Client: c, addr: addr}, nil
+		}
+		lastErr = err
+		if !transportRetryable(err) {
+			return nil, err
+		}
+	}
+	return nil, lastErr
+}
+
+// runRetry is RunTimeout with retries. A server FAILURE leaves the
+// connection usable, so its retries reuse it; a transport failure drops it
+// and the next attempt redials.
+func (c *retryClient) runRetry(policy RetryPolicy, query string, params map[string]model.Value, timeout time.Duration) ([]string, [][]cypher.Val, *Summary, error) {
+	attempts := max(policy.MaxAttempts, 1)
+	var lastErr error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			sleepBackoff(policy, attempt-1)
+		}
+		if c.conn == nil {
+			nc, err := Dial(c.addr)
+			if err != nil {
+				lastErr = err
+				if !transportRetryable(err) {
+					return nil, nil, nil, err
+				}
+				continue
+			}
+			c.conn, c.r, c.w, c.epoch = nc.conn, nc.r, nc.w, nc.epoch
+		}
+		cols, rows, sum, err := c.RunTimeout(query, params, timeout)
+		if err == nil {
+			return cols, rows, sum, nil
+		}
+		lastErr = err
+		var se *ServerError
+		switch {
+		case errors.As(err, &se):
+			if !retryable(se) {
+				return nil, nil, nil, err
+			}
+		case transportRetryable(err):
+			c.conn.Close()
+			c.conn = nil
+		default:
+			return nil, nil, nil, err
+		}
+	}
+	return nil, nil, nil, lastErr
+}
 
 func TestTransportRetryable(t *testing.T) {
 	cases := []struct {
@@ -34,8 +147,8 @@ func TestTransportRetryable(t *testing.T) {
 		{"plain error", errors.New("boom"), false},
 	}
 	for _, tc := range cases {
-		if got := TransportRetryable(tc.err); got != tc.want {
-			t.Errorf("%s: TransportRetryable(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
+		if got := transportRetryable(tc.err); got != tc.want {
+			t.Errorf("%s: transportRetryable(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
 		}
 	}
 }
@@ -107,9 +220,9 @@ func TestDialRetryThroughFlakyListener(t *testing.T) {
 	p := startFlakyProxy(t, addr)
 	p.reject.Store(3)
 	policy := RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}
-	c, err := DialRetry(p.addr(), policy)
+	c, err := dialRetry(p.addr(), policy)
 	if err != nil {
-		t.Fatalf("DialRetry through flaky listener: %v", err)
+		t.Fatalf("dialRetry through flaky listener: %v", err)
 	}
 	defer c.Close()
 	if _, _, _, err := c.RunTimeout("CREATE (n:R {x: 1})", nil, time.Second); err != nil {
@@ -119,11 +232,11 @@ func TestDialRetryThroughFlakyListener(t *testing.T) {
 	// With too few attempts the flakiness wins and the error is transport-
 	// classified, so callers know a retry could have helped.
 	p.reject.Store(5)
-	_, err = DialRetry(p.addr(), RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond})
+	_, err = dialRetry(p.addr(), RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond})
 	if err == nil {
-		t.Fatal("DialRetry succeeded against a rejecting listener")
+		t.Fatal("dialRetry succeeded against a rejecting listener")
 	}
-	if !TransportRetryable(err) {
+	if !transportRetryable(err) {
 		t.Fatalf("dial failure not transport-classified: %v", err)
 	}
 	p.reject.Store(0)
@@ -133,21 +246,21 @@ func TestRunRetryRedialsAfterDisconnect(t *testing.T) {
 	_, addr, _ := startServerWith(t, Options{})
 	p := startFlakyProxy(t, addr)
 	policy := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}
-	c, err := DialRetry(p.addr(), policy)
+	c, err := dialRetry(p.addr(), policy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, _, err := c.RunRetry(policy, "CREATE (n:R {x: 1})", nil, time.Second); err != nil {
+	if _, _, _, err := c.runRetry(policy, "CREATE (n:R {x: 1})", nil, time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	// Sever every live connection: the next RunRetry hits a transport
+	// Sever every live connection: the next runRetry hits a transport
 	// error, redials through the proxy, and still answers.
 	p.killAll()
-	_, rows, _, err := c.RunRetry(policy, "MATCH (n:R) RETURN n.x", nil, time.Second)
+	_, rows, _, err := c.runRetry(policy, "MATCH (n:R) RETURN n.x", nil, time.Second)
 	if err != nil {
-		t.Fatalf("RunRetry after disconnect: %v", err)
+		t.Fatalf("runRetry after disconnect: %v", err)
 	}
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows after redial, want 1", len(rows))

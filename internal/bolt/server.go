@@ -518,7 +518,7 @@ func (s *Server) serve(conn net.Conn) {
 				continue
 			}
 			// STATUS doubles as epoch gossip: a prober that has seen a
-			// higher epoch (a router that followed a failover) delivers it
+			// higher epoch (a client that followed a failover) delivers it
 			// here, which is how a partitioned-then-healed ex-primary
 			// learns it was deposed and fences itself.
 			if len(frame) >= 9 {

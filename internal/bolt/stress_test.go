@@ -29,7 +29,7 @@ func TestStressMixedWorkload(t *testing.T) {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := dialRetry(addr, RetryPolicy{})
 			if err != nil {
 				errs <- err
 				return
@@ -37,7 +37,7 @@ func TestStressMixedWorkload(t *testing.T) {
 			defer c.Close()
 			for i := 0; i < perWriter; i++ {
 				q := fmt.Sprintf("CREATE (n:S {w: %d, i: %d})", wi, i)
-				if _, _, _, err := c.RunRetry(policy, q, nil, 0); err != nil {
+				if _, _, _, err := c.runRetry(policy, q, nil, 0); err != nil {
 					errs <- fmt.Errorf("writer %d: %w", wi, err)
 					return
 				}
@@ -48,14 +48,14 @@ func TestStressMixedWorkload(t *testing.T) {
 		wg.Add(1)
 		go func(ri int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := dialRetry(addr, RetryPolicy{})
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer c.Close()
 			for i := 0; i < perReader; i++ {
-				_, rows, _, err := c.RunRetry(policy, "MATCH (n:S) RETURN count(*)", nil, time.Second)
+				_, rows, _, err := c.runRetry(policy, "MATCH (n:S) RETURN count(*)", nil, time.Second)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", ri, err)
 					return
@@ -75,12 +75,12 @@ func TestStressMixedWorkload(t *testing.T) {
 
 	// Every write must have landed exactly once despite retries: a shed RUN
 	// is rejected before execution, so retrying it cannot double-apply.
-	c, err := Dial(addr)
+	c, err := dialRetry(addr, RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, rows, _, err := c.RunRetry(policy, "MATCH (n:S) RETURN count(*)", nil, 0)
+	_, rows, _, err := c.runRetry(policy, "MATCH (n:S) RETURN count(*)", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,12 +97,6 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("bolt: server failure (%s): %s", failName(e.Code), e.Msg)
 }
 
-// Retryable reports whether the same statement may succeed if retried
-// after a backoff.
-func (e *ServerError) Retryable() bool {
-	return e.Code == FailOverloaded || e.Code == FailShuttingDown || e.Code == FailReplicaLag
-}
-
 func failName(code byte) string {
 	switch code {
 	case FailTimeout:

@@ -99,13 +99,6 @@ func (t *Tree) Flush() error {
 	return t.pc.Flush()
 }
 
-// Len returns the number of entries.
-func (t *Tree) Len() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.count
-}
-
 // DiskBytes reports the bytes consumed by the tree's pages.
 func (t *Tree) DiskBytes() int64 { return t.pc.DiskBytes() }
 

@@ -11,11 +11,21 @@ import (
 	"testing"
 
 	"aion/internal/pagecache"
+	"aion/internal/testkit/vfstest"
 )
+
+// memCache opens a page cache over a file of its own in-memory filesystem.
+func memCache() *pagecache.Cache {
+	c, err := pagecache.OpenFS(vfstest.NewFaultFS(), "mem.idx")
+	if err != nil {
+		panic(err) // a fresh FaultFS has no fault armed
+	}
+	return c
+}
 
 func newTree(t *testing.T) *Tree {
 	t.Helper()
-	tr, err := Open(pagecache.OpenMem())
+	tr, err := Open(memCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +280,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 
 func TestOutOfCoreSmallCache(t *testing.T) {
 	// The tree lives in its file: inserts and scans hold no page on the heap.
-	pc := pagecache.OpenMem()
+	pc := memCache()
 	tr, err := Open(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +359,7 @@ func TestRandomizedAgainstReferenceModel(t *testing.T) {
 }
 
 func BenchmarkPut(b *testing.B) {
-	tr, _ := Open(pagecache.OpenMem())
+	tr, _ := Open(memCache())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Put(key(i), val(i))
@@ -357,7 +367,7 @@ func BenchmarkPut(b *testing.B) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr, _ := Open(pagecache.OpenMem())
+	tr, _ := Open(memCache())
 	const n = 100000
 	for i := 0; i < n; i++ {
 		tr.Put(key(i), val(i))
@@ -426,4 +436,11 @@ func TestLeafPageGolden(t *testing.T) {
 	if k, v := leafCell(p, slotOff(p, 1)); string(k) != "b" || string(v) != "value" {
 		t.Errorf("cell 1 reads back as %q, %q", k, v)
 	}
+}
+
+// Len returns the number of entries.
+func (t *Tree) Len() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.count
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"aion/internal/pagecache"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -18,7 +19,7 @@ import (
 // targets below the first key and at the tree's last key come up by
 // construction.
 func TestCursorMatchesReference(t *testing.T) {
-	pc := pagecache.OpenMem()
+	pc := memCache()
 	tr, err := Open(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,7 @@ func TestCursorMatchesReference(t *testing.T) {
 // and steps back: Prev must find the largest key left, with no cell to start
 // from; and on a tree emptied altogether there is nothing either way.
 func TestCursorPrevFromAnEmptyTail(t *testing.T) {
-	pc := pagecache.OpenMem()
+	pc := memCache()
 	tr, err := Open(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +185,7 @@ func TestCursorPrevFromAnEmptyTail(t *testing.T) {
 // TestCursorYield: a yielded cursor lets a writer through and seeks again
 // afterwards.
 func TestCursorYield(t *testing.T) {
-	pc := pagecache.OpenMem()
+	pc := memCache()
 	tr, _ := Open(pc)
 	for i := 0; i < 2000; i++ {
 		tr.Put(key(i), val(i))
@@ -216,7 +217,7 @@ func TestCursorYield(t *testing.T) {
 // callback returning false, a read error mid-descent and mid-chain, a cursor
 // closed where it stands — and requires that each releases the tree lock.
 func TestCursorReleasesOnEveryExit(t *testing.T) {
-	back := &flakyFS{FS: vfs.NewFaultFS(), reads: -1}
+	back := &flakyFS{FS: vfstest.NewFaultFS(), reads: -1}
 	pc, err := pagecache.OpenFS(back, "tree.idx")
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +361,7 @@ func TestCursorReadAllocatesNothing(t *testing.T) {
 // optimization: ascending inserts should fill pages near 100 % rather than
 // the 50 % a half-split would leave.
 func TestSequentialSplitKeepsPagesFull(t *testing.T) {
-	pc := pagecache.OpenMem()
+	pc := memCache()
 	tr, _ := Open(pc)
 	payload := 0
 	for i := 0; i < 30000; i++ {

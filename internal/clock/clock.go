@@ -1,7 +1,7 @@
 // Package clock is the time seam for liveness and backoff logic: anything
 // that sleeps between retries, measures heartbeat silence, or stamps
 // last-contact times takes a Clock instead of calling the time package
-// directly, so the network-fault sweeps (internal/netfault and the failover
+// directly, so the network-fault sweeps (internal/testkit/netfault and the failover
 // harness) can run thousands of reconnect/backoff cycles deterministically
 // without wall-clock waits — the same way internal/vfs removes the real
 // disk from the crash sweeps.
@@ -9,22 +9,18 @@ package clock
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
-// Clock supplies the three operations the serving and replication paths
-// need from time: a current instant, a cancellable sleep, and a timer
-// channel. Implementations must be safe for concurrent use.
+// Clock supplies the two operations the serving and replication paths need
+// from time: a current instant and a cancellable sleep. Implementations must
+// be safe for concurrent use.
 type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time
 	// Sleep blocks for d or until ctx is done, whichever comes first.
 	// It returns ctx.Err() when the context ended the sleep early.
 	Sleep(ctx context.Context, d time.Duration) error
-	// After returns a channel that delivers the then-current time once d
-	// has elapsed.
-	After(d time.Duration) <-chan time.Time
 }
 
 // Real is the wall clock.
@@ -48,9 +44,6 @@ func (Real) Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // OrReal returns c, or the wall clock when c is nil — the idiom every
 // Clock-bearing option struct uses so its zero value keeps working.
 func OrReal(c Clock) Clock {
@@ -58,99 +51,4 @@ func OrReal(c Clock) Clock {
 		return Real{}
 	}
 	return c
-}
-
-// Fake is a manually advanced clock for deterministic tests: Sleep and
-// After block until Advance has moved the clock past their deadline, so a
-// test drives every backoff and heartbeat interval explicitly and a sweep
-// over thousands of fault points spends no wall-clock time sleeping.
-type Fake struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []*fakeWaiter
-}
-
-type fakeWaiter struct {
-	at time.Time
-	ch chan time.Time
-}
-
-// NewFake returns a fake clock starting at start.
-func NewFake(start time.Time) *Fake { return &Fake{now: start} }
-
-// Now implements Clock.
-func (f *Fake) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-// Advance moves the clock forward by d and releases every sleeper whose
-// deadline has passed.
-func (f *Fake) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	now := f.now
-	var remaining []*fakeWaiter
-	var due []*fakeWaiter
-	for _, w := range f.waiters {
-		if !w.at.After(now) {
-			due = append(due, w)
-		} else {
-			remaining = append(remaining, w)
-		}
-	}
-	f.waiters = remaining
-	f.mu.Unlock()
-	for _, w := range due {
-		w.ch <- now
-	}
-}
-
-// Sleepers reports how many Sleep/After calls are currently blocked —
-// tests use it to know when the code under test has reached its wait.
-func (f *Fake) Sleepers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.waiters)
-}
-
-// After implements Clock.
-func (f *Fake) After(d time.Duration) <-chan time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- f.now
-		return ch
-	}
-	f.waiters = append(f.waiters, &fakeWaiter{at: f.now.Add(d), ch: ch})
-	return ch
-}
-
-// Sleep implements Clock.
-func (f *Fake) Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	ch := f.After(d)
-	select {
-	case <-ctx.Done():
-		f.drop(ch)
-		return ctx.Err()
-	case <-ch:
-		return nil
-	}
-}
-
-// drop unregisters an abandoned waiter so cancelled sleeps don't pile up.
-func (f *Fake) drop(ch <-chan time.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, w := range f.waiters {
-		if w.ch == ch {
-			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-			return
-		}
-	}
 }

@@ -1,34 +1,37 @@
-package clock
+package clock_test
 
 import (
 	"context"
 	"testing"
 	"time"
+
+	"aion/internal/clock"
+	"aion/internal/testkit/clocktest"
 )
 
 func TestRealSleepCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := (Real{}).Sleep(ctx, time.Hour); err == nil {
+	if err := (clock.Real{}).Sleep(ctx, time.Hour); err == nil {
 		t.Fatal("cancelled sleep returned nil")
 	}
-	if err := (Real{}).Sleep(context.Background(), 0); err != nil {
+	if err := (clock.Real{}).Sleep(context.Background(), 0); err != nil {
 		t.Fatalf("zero sleep: %v", err)
 	}
 }
 
 func TestOrReal(t *testing.T) {
-	if _, ok := OrReal(nil).(Real); !ok {
+	if _, ok := clock.OrReal(nil).(clock.Real); !ok {
 		t.Fatal("OrReal(nil) is not the wall clock")
 	}
-	f := NewFake(time.Unix(0, 0))
-	if OrReal(f) != Clock(f) {
+	f := clocktest.NewFake(time.Unix(0, 0))
+	if clock.OrReal(f) != clock.Clock(f) {
 		t.Fatal("OrReal did not pass through the given clock")
 	}
 }
 
 func TestFakeAdvanceReleasesSleepers(t *testing.T) {
-	f := NewFake(time.Unix(1000, 0))
+	f := clocktest.NewFake(time.Unix(1000, 0))
 	done := make(chan error, 1)
 	go func() { done <- f.Sleep(context.Background(), 5*time.Second) }()
 	for f.Sleepers() == 0 {
@@ -55,7 +58,7 @@ func TestFakeAdvanceReleasesSleepers(t *testing.T) {
 }
 
 func TestFakeSleepCancelDropsWaiter(t *testing.T) {
-	f := NewFake(time.Unix(0, 0))
+	f := clocktest.NewFake(time.Unix(0, 0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- f.Sleep(ctx, time.Hour) }()
@@ -75,7 +78,7 @@ func TestFakeSleepCancelDropsWaiter(t *testing.T) {
 }
 
 func TestFakeAfterImmediate(t *testing.T) {
-	f := NewFake(time.Unix(0, 0))
+	f := clocktest.NewFake(time.Unix(0, 0))
 	select {
 	case <-f.After(0):
 	default:

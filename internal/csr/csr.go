@@ -120,6 +120,3 @@ func (c *Graph) Out(i int32) []int32 { return c.OutTargets[c.OutOffsets[i]:c.Out
 
 // In returns the dense in-neighbours of node i (not to be mutated).
 func (c *Graph) In(i int32) []int32 { return c.InTargets[c.InOffsets[i]:c.InOffsets[i+1]] }
-
-// EdgeCount returns the number of projected (directed) edges.
-func (c *Graph) EdgeCount() int64 { return int64(len(c.OutTargets)) }

@@ -28,8 +28,8 @@ func buildGraph(t *testing.T, n int, edges [][2]int) *memgraph.Graph {
 
 func TestEmptyGraph(t *testing.T) {
 	c := Build(memgraph.New(), Options{})
-	if c.N != 0 || c.EdgeCount() != 0 {
-		t.Errorf("empty projection: N=%d E=%d", c.N, c.EdgeCount())
+	if c.N != 0 || len(c.OutTargets) != 0 {
+		t.Errorf("empty projection: N=%d E=%d", c.N, len(c.OutTargets))
 	}
 }
 

@@ -2,8 +2,10 @@ package cypher
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"aion/internal/model"
 	"aion/internal/system"
@@ -265,6 +267,55 @@ func TestApplicationTimeFilter(t *testing.T) {
 		`USE GDB FOR SYSTEM_TIME AS OF 2 MATCH (n:Event) WHERE APPLICATION_TIME CONTAINED IN (1, 20) RETURN n.name`, nil)
 	if len(res.Rows) != 1 || res.Rows[0][0].S.Str() != "a" {
 		t.Errorf("bitemporal filter: %v", res.Rows)
+	}
+}
+
+// TestBitemporalFilter: APPLICATION_TIME CONTAINED IN (a, b) keeps a row
+// whose application-time interval lies in the closed range [a, b], and one
+// without application time, which falls back to system time. A bound of
+// MaxInt64 is an open end, not a wrap to MinInt64.
+func TestBitemporalFilter(t *testing.T) {
+	e := newEngine(t)
+	mustQuery(t, e, `CREATE (n:Event {name: 'in', __app_start: 5, __app_end: 10})`, nil)
+	mustQuery(t, e, `CREATE (n:Event {name: 'early', __app_start: 1, __app_end: 3})`, nil)
+	mustQuery(t, e, `CREATE (n:Event {name: 'late', __app_start: 8, __app_end: 20})`, nil)
+	mustQuery(t, e, `CREATE (n:Event {name: 'untimed'})`, nil)
+	e.Sys.Aion.WaitSync()
+	for _, tc := range []struct {
+		window string
+		want   []string
+	}{
+		{"(4, 12)", []string{"in", "untimed"}},
+		{"(4, 9223372036854775807)", []string{"in", "late", "untimed"}},
+	} {
+		res := mustQuery(t, e, `MATCH (n:Event) WHERE APPLICATION_TIME CONTAINED IN `+tc.window+` RETURN n.name ORDER BY n.name`, nil)
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, row[0].S.Str())
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("CONTAINED IN %s kept %v, want %v", tc.window, got, tc.want)
+		}
+	}
+}
+
+// TestIncrementalCallStopsAtItsDeadline: a step-1 series to MaxInt64 is
+// cut by its query's deadline, and never wraps into negative time.
+func TestIncrementalCallStopsAtItsDeadline(t *testing.T) {
+	e := seed(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	begin := time.Now()
+	_, err := e.QueryContext(ctx, `CALL aion.incremental.avg('age', 0, 9223372036854775807, 1)`, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("CALL to MaxInt64 returned %v, want the deadline", err)
+	}
+	if d := time.Since(begin); d > time.Second {
+		t.Fatalf("CALL took %v to notice its 100 ms deadline", d)
+	}
+	res := mustQuery(t, e, `CALL aion.incremental.avg('age', 1, 9223372036854775807, 4611686018427387904)`, nil)
+	if len(res.Rows) != 2 || res.Rows[1][0].S.Int() != 1+1<<62 {
+		t.Fatalf("a series of step 1<<62 from 1 to MaxInt64: %v, want rows at 1 and 1+1<<62", res.Rows)
 	}
 }
 

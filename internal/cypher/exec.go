@@ -308,7 +308,7 @@ func (ctx *execCtx) evalAppTime(env bindings, x AppTimeFilter) (model.Value, err
 	if err != nil {
 		return model.Value{}, err
 	}
-	win := model.Interval{Start: model.Timestamp(av.Int()), End: model.Timestamp(bv.Int()) + 1}
+	a, b := model.Timestamp(av.Int()), model.Timestamp(bv.Int())
 	for _, v := range env {
 		var iv model.Interval
 		switch {
@@ -322,7 +322,7 @@ func (ctx *execCtx) evalAppTime(env bindings, x AppTimeFilter) (model.Value, err
 		if iv.Start == 0 && iv.End == model.TSInfinity {
 			continue // unset: system time already filtered
 		}
-		if !(iv.Start >= win.Start && iv.End <= win.End) {
+		if !iv.ContainedIn(a, b) {
 			return model.BoolValue(false), nil
 		}
 	}

@@ -147,25 +147,16 @@ func procIncSSSP(ctx context.Context, e *Engine, args []model.Value) (*Result, e
 	if err := emit(start); err != nil {
 		return nil, err
 	}
-	prev := start
-	for _, ts := range snapshotTimes(start+step, end, step) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		diff, err := e.Sys.Aion.GetDiffContext(ctx, prev+1, ts+1)
-		if err != nil {
-			return nil, err
-		}
+	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
 		for _, u := range diff {
 			if err := g.Apply(u); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		s.ApplyDiff(g, diff)
-		if err := emit(ts); err != nil {
-			return nil, err
-		}
-		prev = ts
+		return emit(ts)
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -193,23 +184,17 @@ func procIncColoring(ctx context.Context, e *Engine, args []model.Value) (*Resul
 		})
 	}
 	emit(start)
-	prev := start
-	for _, ts := range snapshotTimes(start+step, end, step) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		diff, err := e.Sys.Aion.GetDiffContext(ctx, prev+1, ts+1)
-		if err != nil {
-			return nil, err
-		}
+	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
 		for _, u := range diff {
 			if err := g.Apply(u); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		c.ApplyDiff(g, diff)
 		emit(ts)
-		prev = ts
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -399,13 +384,35 @@ func procStats(ctx context.Context, e *Engine, args []model.Value) (*Result, err
 	}, nil
 }
 
-// snapshotTimes lists the timestamps start, start+step, ..., end.
-func snapshotTimes(start, end, step model.Timestamp) []model.Timestamp {
-	var out []model.Timestamp
-	for ts := start; ts <= end; ts += step {
-		out = append(out, ts)
+// eachStepDiff advances an incremental procedure along the series start,
+// start+step, ..., end: for each time ts after start, which the caller has
+// seeded its state at, it hands fn the updates of (prev, ts]. The series
+// never wraps past MaxInt64, and ctx is checked before every step, so the
+// query timeout stops a long series.
+func eachStepDiff(ctx context.Context, e *Engine, start, end, step model.Timestamp, fn func(ts model.Timestamp, diff []model.Update) error) error {
+	steps := model.NewSteps(start, end, step)
+	prev, _, err := steps.Next(ctx) // start itself
+	if err != nil {
+		return err
 	}
-	return out
+	for {
+		ts, ok, err := steps.Next(ctx)
+		if err != nil || !ok {
+			return err
+		}
+		hi := ts // GetDiff's exclusive end, ts+1 short of the wrap
+		if ts < model.TSInfinity {
+			hi++
+		}
+		diff, err := e.Sys.Aion.GetDiffContext(ctx, prev+1, hi)
+		if err != nil {
+			return err
+		}
+		if err := fn(ts, diff); err != nil {
+			return err
+		}
+		prev = ts
+	}
 }
 
 // procIncAvg: aion.incremental.avg(prop, start, end, step) -> (ts, avg,
@@ -435,18 +442,12 @@ func procIncAvg(ctx context.Context, e *Engine, args []model.Value) (*Result, er
 		})
 	}
 	emit(start)
-	prev := start
-	for _, ts := range snapshotTimes(start+step, end, step) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		diff, err := e.Sys.Aion.GetDiffContext(ctx, prev+1, ts+1)
-		if err != nil {
-			return nil, err
-		}
+	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
 		avg.ApplyDiff(diff)
 		emit(ts)
-		prev = ts
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -488,25 +489,16 @@ func procIncBFS(ctx context.Context, e *Engine, args []model.Value) (*Result, er
 	if err := emit(start); err != nil {
 		return nil, err
 	}
-	prev := start
-	for _, ts := range snapshotTimes(start+step, end, step) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		diff, err := e.Sys.Aion.GetDiffContext(ctx, prev+1, ts+1)
-		if err != nil {
-			return nil, err
-		}
+	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
 		for _, u := range diff {
 			if err := g.Apply(u); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		bfs.ApplyDiff(g, diff)
-		if err := emit(ts); err != nil {
-			return nil, err
-		}
-		prev = ts
+		return emit(ts)
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -562,24 +554,15 @@ func procIncPageRank(ctx context.Context, e *Engine, args []model.Value) (*Resul
 	if err := emit(start, pr.Run(g)); err != nil {
 		return nil, err
 	}
-	prev := start
-	for _, ts := range snapshotTimes(start+step, end, step) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		diff, err := e.Sys.Aion.GetDiffContext(ctx, prev+1, ts+1)
-		if err != nil {
-			return nil, err
-		}
+	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
 		for _, u := range diff {
 			if err := g.Apply(u); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		if err := emit(ts, pr.Run(g)); err != nil {
-			return nil, err
-		}
-		prev = ts
+		return emit(ts, pr.Run(g))
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -8,7 +8,7 @@ import (
 
 	"aion/internal/hostdb"
 	"aion/internal/model"
-	"aion/internal/refmodel"
+	"aion/internal/testkit/refmodel"
 )
 
 // stage puts the history's update u into tx.
@@ -93,7 +93,7 @@ func sameGraph(a, b []model.Update) bool {
 // TestWindowMatchesTheReferenceModel: FROM a TO b over a non-anchored pattern
 // matches the window [a+1, b) — its graph, or the graph at b when a+1 == b, or
 // nothing when a >= b — at every pair of commit timestamps, against
-// internal/refmodel's window.
+// internal/testkit/refmodel's window.
 func TestWindowMatchesTheReferenceModel(t *testing.T) {
 	e := newEngine(t)
 	m, last := commitHistory(t, e, 11, 24)

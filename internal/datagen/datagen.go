@@ -39,14 +39,6 @@ type Spec struct {
 	PaperRels  float64
 }
 
-// AvgDegree returns |E| / |V|.
-func (s Spec) AvgDegree() float64 {
-	if s.Nodes == 0 {
-		return 0
-	}
-	return float64(s.Rels) / float64(s.Nodes)
-}
-
 // presets lists the six Table 3 datasets at full scale (counts in units,
 // Rels already doubled for the undirected graphs, matching the paper's
 // treatment of DBLP and Orkut).
@@ -57,15 +49,6 @@ var presets = []Spec{
 	{Name: "LiveJournal", Domain: "social", Nodes: 4_800_000, Rels: 69_000_000, Directed: true, Skew: 1.8, PaperNodes: 4.8, PaperRels: 69},
 	{Name: "DBPedia", Domain: "hyperlink", Nodes: 18_000_000, Rels: 172_000_000, Directed: true, Skew: 2.1, Multigraph: true, PaperNodes: 18, PaperRels: 172},
 	{Name: "Orkut", Domain: "social", Nodes: 3_000_000, Rels: 234_000_000, Directed: false, Skew: 1.5, PaperNodes: 3, PaperRels: 234},
-}
-
-// Names returns the preset dataset names in Table 3 order.
-func Names() []string {
-	out := make([]string, len(presets))
-	for i, p := range presets {
-		out[i] = p.Name
-	}
-	return out
 }
 
 // Preset returns the named dataset spec scaled down by the given divisor
@@ -231,27 +214,4 @@ func (d *Dataset) PropertyUpdateChain(n int) []model.Update {
 	}
 	d.MaxTS = ts
 	return out
-}
-
-// BenchmarkShape is the update stream the frozen benchmark/ loads (its
-// genDataset, which nothing can import): the DBLP preset at scale 20, then
-// two int-property rounds over every node and one string-property round over
-// every second relationship, 202 500 updates in all. The property rounds
-// carry timestamp 0: a host transaction stamps them.
-func BenchmarkShape(seed int64) []model.Update {
-	g := Generate(MustPreset("DBLP", 20), Options{Seed: seed})
-	us := g.Updates
-	for _, key := range []string{"p0", "p1"} {
-		for id := 0; id < g.Spec.Nodes; id++ {
-			us = append(us, model.UpdateNode(0, model.NodeID(id), nil, nil,
-				model.Properties{key: model.IntValue(int64(id))}, nil))
-		}
-	}
-	for _, u := range g.Updates {
-		if u.Kind == model.OpAddRel && u.RelID%2 == 0 {
-			us = append(us, model.UpdateRel(0, u.RelID, u.Src, u.Tgt,
-				model.Properties{"w": model.StringValue("value-0-of-property-chain")}, nil))
-		}
-	}
-	return us
 }

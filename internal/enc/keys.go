@@ -86,11 +86,6 @@ func AppendKeyNeigh4(buf []byte, a, b model.NodeID, ts model.Timestamp, rel mode
 	return appendUint(appendUint(appendUint(appendUint(buf, uint64(a)), uint64(b)), uint64(ts)), uint64(rel))
 }
 
-// KeyNeigh4 encodes a neighbourhood key: (aId, bId, ts, relId).
-func KeyNeigh4(a, b model.NodeID, ts model.Timestamp, rel model.RelID) []byte {
-	return AppendKeyNeigh4(make([]byte, 0, 36), a, b, ts, rel)
-}
-
 // ParseKeyNeigh4 decodes a key written by KeyNeigh4; ok is false, and the
 // rest zero, for bytes KeyNeigh4 cannot have written.
 func ParseKeyNeigh4(k []byte) (a, b model.NodeID, ts model.Timestamp, rel model.RelID, ok bool) {

@@ -180,3 +180,8 @@ func FuzzParseKeys(f *testing.F) {
 		_ = ParseNeighValue(k)
 	})
 }
+
+// KeyNeigh4 encodes a neighbourhood key: (aId, bId, ts, relId).
+func KeyNeigh4(a, b model.NodeID, ts model.Timestamp, rel model.RelID) []byte {
+	return AppendKeyNeigh4(make([]byte, 0, 36), a, b, ts, rel)
+}

@@ -143,20 +143,6 @@ func (s *Store) Rebase(g *memgraph.Graph) {
 	}
 }
 
-// Get returns a CoW clone of the snapshot cached exactly at ts.
-func (s *Store) Get(ts model.Timestamp) (*memgraph.Graph, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[ts]
-	if !ok {
-		s.stats.Misses++
-		return nil, false
-	}
-	s.stats.Hits++
-	s.lru.MoveToFront(e.elem)
-	return e.g.Clone(), true
-}
-
 // Floor returns a CoW clone of the cached snapshot with the largest
 // timestamp <= ts, so the caller can replay forward changes to reach the
 // exact state (Sec 4.3).

@@ -23,11 +23,11 @@ func snapshotAt(t *testing.T, ts model.Timestamp, nodes int) *memgraph.Graph {
 func TestPutGetExact(t *testing.T) {
 	s := New(1 << 20)
 	s.Put(snapshotAt(t, 10, 5))
-	g, ok := s.Get(10)
-	if !ok || g.NodeCount() != 5 {
-		t.Fatalf("Get(10) = %v %v", g, ok)
+	g, at, ok := s.Floor(10)
+	if !ok || at != 10 || g.NodeCount() != 5 {
+		t.Fatalf("Floor(10) = %v %d %v", g, at, ok)
 	}
-	if _, ok := s.Get(11); ok {
+	if s.Holds(11) {
 		t.Error("missing ts must miss")
 	}
 }
@@ -57,11 +57,11 @@ func TestFloorSelectsClosestBelow(t *testing.T) {
 func TestReturnedSnapshotIsIsolated(t *testing.T) {
 	s := New(1 << 20)
 	s.Put(snapshotAt(t, 10, 2))
-	g1, _ := s.Get(10)
+	g1, _, _ := s.Floor(10)
 	if err := g1.Apply(model.AddNode(11, 99, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := s.Get(10)
+	g2, _, _ := s.Floor(10)
 	if g2.NodeCount() != 2 {
 		t.Error("cache must not observe caller mutations (CoW)")
 	}
@@ -82,7 +82,7 @@ func TestEvictionByBytes(t *testing.T) {
 		t.Errorf("bytes %d over budget %d", st.Bytes, budget)
 	}
 	// The most recently inserted snapshot must still be present.
-	if _, ok := s.Get(10); !ok {
+	if !s.Holds(10) {
 		t.Error("latest snapshot evicted")
 	}
 }
@@ -94,12 +94,12 @@ func TestLRUOrderingKeepsHotEntries(t *testing.T) {
 	s.Put(snapshotAt(t, 2, 50))
 	s.Put(snapshotAt(t, 3, 50))
 	// Touch ts=1 so it becomes most recently used.
-	s.Get(1)
+	s.Floor(1)
 	s.Put(snapshotAt(t, 4, 50)) // evicts ts=2 (LRU), not ts=1
-	if _, ok := s.Get(1); !ok {
+	if !s.Holds(1) {
 		t.Error("hot entry evicted")
 	}
-	if _, ok := s.Get(2); ok {
+	if s.Holds(2) {
 		t.Error("cold entry retained")
 	}
 }
@@ -108,8 +108,8 @@ func TestPutReplaceSameTimestamp(t *testing.T) {
 	s := New(1 << 20)
 	s.Put(snapshotAt(t, 10, 1))
 	s.Put(snapshotAt(t, 10, 7))
-	g, ok := s.Get(10)
-	if !ok || g.NodeCount() != 7 {
+	g, at, ok := s.Floor(10)
+	if !ok || at != 10 || g.NodeCount() != 7 {
 		t.Errorf("replacement: %d nodes", g.NodeCount())
 	}
 	if s.Stats().Snapshots != 1 {
@@ -126,10 +126,10 @@ func TestAdmitKeepsTheCachedGraph(t *testing.T) {
 	s.PutOwned(owned)
 	s.Admit(snapshotAt(t, 10, 3))
 	s.Admit(snapshotAt(t, 20, 5))
-	if got, _ := s.Get(10); got.Node(0) != owned.Node(0) {
+	if got, _, _ := s.Floor(10); got.Node(0) != owned.Node(0) {
 		t.Error("an admitted copy displaced the graph cached at its timestamp")
 	}
-	if got, ok := s.Get(20); !ok || got.NodeCount() != 5 {
+	if got, at, ok := s.Floor(20); !ok || at != 20 || got.NodeCount() != 5 {
 		t.Error("an admitted graph with no rival is not cached")
 	}
 	if st := s.Stats(); st.Snapshots != 2 || st.Bytes != owned.ApproxBytes()+snapshotAt(t, 20, 5).ApproxBytes() {
@@ -161,7 +161,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		s.Stats()
 	}
 	<-done
-	if g, ok := s.Get(451); !ok || g.NodeCount() != 451 {
+	if g, at, ok := s.Floor(451); !ok || at != 451 || g.NodeCount() != 451 {
 		t.Errorf("the last graph put is not cached whole")
 	}
 }
@@ -175,14 +175,14 @@ func TestPutOwnedIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.PutOwned(g)
-	c1, ok := s.Get(5)
-	if !ok || c1.NodeCount() != 1 {
+	c1, at, ok := s.Floor(5)
+	if !ok || at != 5 || c1.NodeCount() != 1 {
 		t.Fatal("PutOwned graph not cached")
 	}
 	if err := c1.Apply(model.AddNode(6, 1, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
-	c2, _ := s.Get(5)
+	c2, _, _ := s.Floor(5)
 	if c2.NodeCount() != 1 {
 		t.Errorf("mutating a handed-out clone leaked into the cache: %d nodes", c2.NodeCount())
 	}
@@ -225,7 +225,7 @@ func TestConcurrentPutAndFloor(t *testing.T) {
 						return
 					}
 				}
-				s.Get(model.Timestamp(i + 1))
+				s.Holds(model.Timestamp(i + 1))
 			}
 		}()
 	}
@@ -258,13 +258,13 @@ func TestRebaseSwapsTheGraphOnly(t *testing.T) {
 
 	s.Put(snapshotAt(t, 10, 4))
 	s.Rebase(g)
-	if got, _ := s.Get(10); got.Node(0) != g.Node(0) {
-		t.Error("Get(10) does not hold the rebased graph's entities")
+	if got, _, _ := s.Floor(10); got.Node(0) != g.Node(0) {
+		t.Error("Floor(10) does not hold the rebased graph's entities")
 	}
 	if err := g.Apply(model.AddNode(10, 99, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.Get(10); got.NodeCount() != 4 {
+	if got, _, _ := s.Floor(10); got.NodeCount() != 4 {
 		t.Errorf("a write to the caller's graph reached the cache: %d nodes", got.NodeCount())
 	}
 }

@@ -70,7 +70,7 @@ func TestConflictRollbackRestoresPrefix(t *testing.T) {
 	if nodes != 0 {
 		t.Errorf("rolled-back prefix leaked: %d nodes", nodes)
 	}
-	g := db.Current()
+	g, _, _ := db.Committed()
 	found := false
 	g.ForEachNode(func(n *model.Node) bool {
 		if n.HasLabel("Mine") {
@@ -120,7 +120,7 @@ func TestOverlayReadYourWrites(t *testing.T) {
 	if tx.Node(a).Props["k"].Int() != 2 {
 		t.Error("tx must see staged update")
 	}
-	if db.Current().Node(a).Props["k"].Int() != 1 {
+	if g, _, _ := db.Committed(); g.Node(a).Props["k"].Int() != 1 {
 		t.Error("staged update leaked")
 	}
 	// Staged deletion hides the rel from the tx.
@@ -146,7 +146,7 @@ func TestOverlayReadYourWrites(t *testing.T) {
 		t.Error("staged rel missing from IncidentRels")
 	}
 	tx.Rollback()
-	if db.Current().Rel(r) == nil {
+	if g, _, _ := db.Committed(); g.Rel(r) == nil {
 		t.Error("rollback must leave committed rel intact")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aion/internal/model"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -142,7 +143,7 @@ func verifyRecovered(t *testing.T, k int, torn bool, db *DB, acked map[int64]mod
 
 func runGroupCommitCrashCase(t *testing.T, k int, torn bool) {
 	t.Helper()
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	fs.SetTornSync(torn)
 	fs.SetFailAfter(int64(k))
 	var acked map[int64]model.Timestamp
@@ -165,7 +166,7 @@ func runGroupCommitCrashCase(t *testing.T, k int, torn bool) {
 // TestCrashSweepGroupCommit measures the fault-free workload's mutating-op
 // count, then crashes at every fault index in both modes.
 func TestCrashSweepGroupCommit(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	db, err := Open(Options{FS: fs, SyncCommits: true})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +196,7 @@ func TestCrashSweepGroupCommit(t *testing.T) {
 // instead of succeeding. The fault is armed on the node store's extension
 // write alone and disarmed after it, so nothing else fails.
 func TestRecordExtensionFailureFailsFlush(t *testing.T) {
-	fs := &extensionFaultFS{FaultFS: vfs.NewFaultFS(), path: "host/neostore.nodestore.db"}
+	fs := &extensionFaultFS{FaultFS: vfstest.NewFaultFS(), path: "host/neostore.nodestore.db"}
 	db, err := Open(Options{FS: fs, SyncCommits: true})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +214,7 @@ func TestRecordExtensionFailureFailsFlush(t *testing.T) {
 	if fs.armed {
 		t.Fatal("the commit extended no node store file")
 	}
-	if err := db.Flush(); !errors.Is(err, vfs.ErrInjected) {
+	if err := db.Flush(); !errors.Is(err, vfstest.ErrInjected) {
 		t.Fatalf("Flush after a failed record-store extension = %v, want the injected fault", err)
 	}
 }
@@ -221,7 +222,7 @@ func TestRecordExtensionFailureFailsFlush(t *testing.T) {
 // extensionFaultFS fails the first WriteAt to path once armed, through the
 // FaultFS's own fault, and disarms it again.
 type extensionFaultFS struct {
-	*vfs.FaultFS
+	*vfstest.FaultFS
 	path  string
 	armed bool
 }

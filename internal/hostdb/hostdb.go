@@ -456,13 +456,6 @@ func (db *DB) Clock() model.Timestamp {
 	return db.clock
 }
 
-// Current returns a CoW clone of the latest committed graph (a read
-// snapshot).
-func (db *DB) Current() *memgraph.Graph {
-	g, _, _ := db.Committed()
-	return g
-}
-
 // Committed returns a CoW clone of the committed graph together with the
 // commit timestamp it is complete at and the number of updates committed
 // since genesis, all read under one lock so the three describe one state.
@@ -511,7 +504,8 @@ func (db *DB) Storage() StorageBreakdown {
 	return b
 }
 
-// Stats is a snapshot of the commit pipeline's counters.
+// Stats is a snapshot of the commit pipeline's counters and of what Open
+// repaired.
 type Stats struct {
 	// Commits is the number of successfully committed non-empty
 	// transactions.
@@ -528,16 +522,22 @@ type Stats struct {
 	// coalescing ratio: 2.0 means no coalescing, < 1 means group commit is
 	// amortizing durability across concurrent transactions.
 	Fsyncs int64
+	// RepairedLogBytes and RepairedStringBytes are the torn-tail bytes Open
+	// cut from the transaction log and the string table: 0 after a clean
+	// close, an unsynced append's remains after a crash.
+	RepairedLogBytes, RepairedStringBytes int64
 }
 
-// Stats returns the commit pipeline counters.
+// Stats returns the commit pipeline counters and Open's repairs.
 func (db *DB) Stats() Stats {
 	return Stats{
-		Commits:   db.stats.commits.Load(),
-		Conflicts: db.stats.conflicts.Load(),
-		Batches:   db.stats.batches.Load(),
-		MaxBatch:  db.stats.maxBatch.Load(),
-		Fsyncs:    db.stats.fsyncs.Load(),
+		Commits:             db.stats.commits.Load(),
+		Conflicts:           db.stats.conflicts.Load(),
+		Batches:             db.stats.batches.Load(),
+		MaxBatch:            db.stats.maxBatch.Load(),
+		Fsyncs:              db.stats.fsyncs.Load(),
+		RepairedLogBytes:    db.txnLog.RepairedBytes(),
+		RepairedStringBytes: db.strings.RepairedBytes(),
 	}
 }
 

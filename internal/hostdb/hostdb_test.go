@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"aion/internal/model"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 	"aion/internal/wal"
 )
@@ -46,7 +47,7 @@ func TestBasicTransaction(t *testing.T) {
 		t.Fatal("transaction must see its own writes")
 	}
 	// Not visible outside before commit.
-	if db.Current().Node(a) != nil {
+	if g, _, _ := db.Committed(); g.Node(a) != nil {
 		t.Fatal("uncommitted write visible")
 	}
 	ts, err := tx.Commit()
@@ -56,7 +57,7 @@ func TestBasicTransaction(t *testing.T) {
 	if ts != 1 {
 		t.Errorf("first commit ts = %d", ts)
 	}
-	g := db.Current()
+	g, _, _ := db.Committed()
 	if g.Node(a) == nil || g.Rel(r) == nil {
 		t.Fatal("committed writes missing")
 	}
@@ -241,7 +242,7 @@ func TestRecoveryFromTxnLog(t *testing.T) {
 	if nodes != 2 || rels != 1 {
 		t.Fatalf("recovered counts %d/%d", nodes, rels)
 	}
-	if db2.Current().Node(0).Props["k"].Int() != 2 {
+	if g, _, _ := db2.Committed(); g.Node(0).Props["k"].Int() != 2 {
 		t.Error("recovered property value")
 	}
 	if db2.Clock() != 2 {
@@ -290,7 +291,7 @@ func TestRecoveryRefusesAnUndecodableCommit(t *testing.T) {
 // failSyncDirFS is the OS filesystem with every directory sync failing.
 type failSyncDirFS struct{ vfs.FS }
 
-func (failSyncDirFS) SyncDir(string) error { return vfs.ErrInjected }
+func (failSyncDirFS) SyncDir(string) error { return vfstest.ErrInjected }
 
 // TestFailedOpenClosesItsFiles: an Open that fails at its last step — after
 // the string table, the transaction log and the three record stores are open
@@ -302,7 +303,7 @@ func TestFailedOpenClosesItsFiles(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for i := 0; i < 50; i++ {
-		if _, err := Open(Options{Dir: dir, FS: failSyncDirFS{vfs.OS}}); !errors.Is(err, vfs.ErrInjected) {
+		if _, err := Open(Options{Dir: dir, FS: failSyncDirFS{vfs.OS}}); !errors.Is(err, vfstest.ErrInjected) {
 			t.Fatalf("round %d: Open = %v, want the injected fault", i, err)
 		}
 	}

@@ -9,7 +9,8 @@ import (
 
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/refmodel"
+	"aion/internal/testkit/refmodel"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -153,7 +154,7 @@ func doom(db *DB, g *memgraph.Graph, us []model.Update, round int) []doomed {
 // every round the host's graph is the model's at the host's clock, and every
 // doomed transaction aborted and counted as a conflict.
 func TestConcurrentAbortsMatchTheReferenceModel(t *testing.T) {
-	db, err := Open(Options{FS: vfs.NewFaultFS(), SyncCommits: true})
+	db, err := Open(Options{FS: vfstest.NewFaultFS(), SyncCommits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestConcurrentAbortsMatchTheReferenceModel(t *testing.T) {
 		if ts := <-applied; ts != h.TS || db.Clock() != h.TS {
 			t.Fatalf("round %d: the listener holds commit %d at clock %d, want %d", round, ts, db.Clock(), h.TS)
 		}
-		g := db.Current()
+		g, _, _ := db.Committed()
 		if got, want := g.Export(), m.Graph(h.TS); g.Timestamp() != h.TS || !slices.EqualFunc(got, want, sameUpdate) {
 			t.Fatalf("round %d: the host's graph at %d (%d entities) is not the model's (%d entities)",
 				round, g.Timestamp(), len(got), len(want))
@@ -287,8 +288,8 @@ func TestCrashSweepClose(t *testing.T) {
 		m.Apply(us...)
 		commits = append(commits, us)
 	}
-	load := func() (*vfs.FaultFS, *DB) {
-		fs := vfs.NewFaultFS()
+	load := func() (*vfstest.FaultFS, *DB) {
+		fs := vfstest.NewFaultFS()
 		db, err := Open(Options{FS: fs})
 		if err != nil {
 			t.Fatal(err)
@@ -312,7 +313,8 @@ func TestCrashSweepClose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", label, err)
 		}
-		if got, want := db.Current().Export(), m.Graph(db.Clock()); !slices.EqualFunc(got, want, sameUpdate) {
+		hg, _, _ := db.Committed()
+		if got, want := hg.Export(), m.Graph(db.Clock()); !slices.EqualFunc(got, want, sameUpdate) {
 			t.Fatalf("%s: the host's graph at %d (%d entities) is not the model's (%d entities)", label, db.Clock(), len(got), len(want))
 		}
 		return db

@@ -50,11 +50,12 @@ func TestFollowerRefusesAShipmentItCannotApply(t *testing.T) {
 	if _, err := f.ApplyShipment(nil, ours[:1]); err != nil {
 		t.Fatal(err)
 	}
-	size, clock, before := f.txnLog.Size(), f.Clock(), f.Current()
+	size := f.txnLog.Size()
+	before, clock, _ := f.Committed()
 	if _, err := f.ApplyShipment(nil, theirs[1:]); !errors.Is(err, model.ErrNotFound) {
 		t.Fatalf("a shipment deleting a node the follower lacks: %v, want ErrNotFound", err)
 	}
-	after := f.Current()
+	after, _, _ := f.Committed()
 	if f.txnLog.Size() != size || f.Clock() != clock || after.Timestamp() != before.Timestamp() ||
 		after.NodeCount() != 1 || after.Node(0) != before.Node(0) {
 		t.Fatalf("the refused shipment left a trace: log %d -> %d B, clock %d -> %d, %d nodes",

@@ -8,7 +8,7 @@ import (
 
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 )
 
 // TestStressGroupCommitConcurrency hammers the commit pipeline with many
@@ -26,7 +26,7 @@ func TestStressGroupCommitConcurrency(t *testing.T) {
 	// path — batch appends, the strings-sync + log-sync pair — while its
 	// microsecond fsyncs let the race detector interleave aggressively
 	// instead of idling on disk.
-	db, err := Open(Options{FS: vfs.NewFaultFS(), SyncCommits: true})
+	db, err := Open(Options{FS: vfstest.NewFaultFS(), SyncCommits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,6 @@ func NewColoring(g *memgraph.Graph) *Coloring {
 	return c
 }
 
-// Colors returns the colour vector indexed by sparse node id (-1 for
-// absent nodes). Callers must not mutate it.
-func (c *Coloring) Colors() []int32 { return c.color }
-
 // NumColors returns the number of distinct colours in use.
 func (c *Coloring) NumColors() int {
 	seen := map[int32]bool{}
@@ -117,17 +113,4 @@ func (c *Coloring) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 		// neighbour colours), so no cascade is needed — but neighbours
 		// queued earlier are still checked.
 	}
-}
-
-// Validate reports whether the colouring is proper on g (for tests).
-func (c *Coloring) Validate(g *memgraph.Graph) bool {
-	ok := true
-	g.ForEachRel(func(r *model.Rel) bool {
-		if r.Src != r.Tgt && c.color[r.Src] == c.color[r.Tgt] {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
 }

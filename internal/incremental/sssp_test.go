@@ -210,3 +210,16 @@ func TestColoringStaysProperUnderRandomEvolution(t *testing.T) {
 		}
 	}
 }
+
+// Validate reports whether the colouring is proper on g (for tests).
+func (c *Coloring) Validate(g *memgraph.Graph) bool {
+	ok := true
+	g.ForEachRel(func(r *model.Rel) bool {
+		if r.Src != r.Tgt && c.color[r.Src] == c.color[r.Tgt] {
+			ok = false
+			return false
+		}
+		return true
+	})
+	return ok
+}

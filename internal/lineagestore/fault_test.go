@@ -11,6 +11,7 @@ import (
 	"aion/internal/model"
 	"aion/internal/pagecache"
 	"aion/internal/strstore"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -119,7 +120,7 @@ type failOnceFS struct {
 func (f *failOnceFS) Remove(path string) error {
 	if path == f.path && !f.fired {
 		f.fired = true
-		return vfs.ErrInjected
+		return vfstest.ErrInjected
 	}
 	return f.FS.Remove(path)
 }
@@ -148,7 +149,7 @@ func TestInvalidationPrecedesTheFirstWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	extra := model.AddNode(11, 10, []string{"N"}, nil)
-	if err := s.Apply(extra); !errors.Is(err, vfs.ErrInjected) {
+	if err := s.Apply(extra); !errors.Is(err, vfstest.ErrInjected) {
 		t.Fatalf("Apply over an irremovable checkpoint: %v, want the injected fault", err)
 	}
 	if err := s.Close(); err != nil {

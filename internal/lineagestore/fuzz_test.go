@@ -9,6 +9,7 @@ import (
 	"aion/internal/enc"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -32,7 +33,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(append(good[:checkpointLen-1:checkpointLen-1], good[checkpointLen-1]^1))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fs := vfs.NewFaultFS()
+		fs := vfstest.NewFaultFS()
 		if err := vfs.MkdirAll(fs, "lineage"); err != nil {
 			t.Fatal(err)
 		}

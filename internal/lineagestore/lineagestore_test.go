@@ -10,6 +10,7 @@ import (
 	"aion/internal/enc"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/vfs"
 )
 
 func openStore(t *testing.T, opts Options) *Store {
@@ -316,7 +317,7 @@ func TestDeltaOnMissingEntityFails(t *testing.T) {
 func TestReopenPreservesHistory(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	strs, err := strstore.Open(dir + "/strings.db")
+	strs, err := strstore.OpenFS(vfs.OS, dir+"/strings.db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestReopenPreservesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	strs2, err := strstore.Open(dir + "/strings.db")
+	strs2, err := strstore.OpenFS(vfs.OS, dir+"/strings.db")
 	if err != nil {
 		t.Fatal(err)
 	}

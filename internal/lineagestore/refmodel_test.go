@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"aion/internal/model"
-	"aion/internal/refmodel"
+	"aion/internal/testkit/refmodel"
 )
 
 // sweep compares every LineageStore read with the reference model's: at every

@@ -224,3 +224,9 @@ func TestRepoClean(t *testing.T) {
 		}
 	}
 }
+
+// Run is RunTimed without the timings.
+func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
+	fs, _ := RunTimed(pkgs, analyzers)
+	return fs
+}

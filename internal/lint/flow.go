@@ -183,29 +183,6 @@ func NewFlow(targets []*Package) *Flow {
 // InTarget reports whether findings in p should be emitted.
 func (fl *Flow) InTarget(p *Package) bool { return fl.targetSet[p] }
 
-// Lookup finds a function by the last segment of its package path and its
-// bare name ("hostdb", "commitBatch") or method ("Store.Flush"); tests use
-// it to assert on edges and effects.
-func (fl *Flow) Lookup(pkgSeg, name string) *FuncInfo {
-	var found *FuncInfo
-	for fn, fi := range fl.Funcs {
-		if !pathHasSegment(fi.Pkg.ImportPath, pkgSeg) {
-			continue
-		}
-		n := fn.Name()
-		if recv := receiverTypeName(fn); recv != "" {
-			n = recv + "." + n
-		}
-		if n == name {
-			if found != nil {
-				return nil // ambiguous
-			}
-			found = fi
-		}
-	}
-	return found
-}
-
 // Effects returns fn's summary (the zero effect if fn has no body in the
 // module, e.g. a stdlib function).
 func (fl *Flow) Effects(fn *types.Func) *Effect {
@@ -714,7 +691,7 @@ func isStrstoreMethod(fn *types.Func, names ...string) bool {
 
 func foClassify(fn *types.Func) int {
 	switch {
-	case isStrstoreMethod(fn, "Intern", "MustIntern"):
+	case isStrstoreMethod(fn, "Intern"):
 		return foEvIntern
 	case isStrstoreMethod(fn, "Flush", "Sync", "Close"):
 		return foEvFlush

@@ -116,3 +116,26 @@ func TestFlowRecursionConverges(t *testing.T) {
 		t.Error("Recurse's summary lost the spawn made by its recursion partner")
 	}
 }
+
+// Lookup finds a function by the last segment of its package path and its
+// bare name ("hostdb", "commitBatch") or method ("Store.Flush"); tests use
+// it to assert on edges and effects.
+func (fl *Flow) Lookup(pkgSeg, name string) *FuncInfo {
+	var found *FuncInfo
+	for fn, fi := range fl.Funcs {
+		if !pathHasSegment(fi.Pkg.ImportPath, pkgSeg) {
+			continue
+		}
+		n := fn.Name()
+		if recv := receiverTypeName(fn); recv != "" {
+			n = recv + "." + n
+		}
+		if n == name {
+			if found != nil {
+				return nil // ambiguous
+			}
+			found = fi
+		}
+	}
+	return found
+}

@@ -113,15 +113,9 @@ type Timing struct {
 	Dur  time.Duration
 }
 
-// Run applies the analyzers to every package, resolves suppression
+// RunTimed applies the analyzers to every package, resolves suppression
 // directives, and returns all findings (suppressed ones included, marked)
-// sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	fs, _ := RunTimed(pkgs, analyzers)
-	return fs
-}
-
-// RunTimed is Run plus per-analyzer wall-clock timings. The module is
+// sorted by position, with per-analyzer wall-clock timings. The module is
 // type-checked once by the Loader and the flow layer is built once here;
 // every analyzer shares both, so the timings measure pure analysis.
 func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing) {

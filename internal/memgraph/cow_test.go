@@ -13,8 +13,8 @@ import (
 
 	"aion/internal/enc"
 	"aion/internal/model"
-	"aion/internal/refmodel"
 	"aion/internal/strstore"
+	"aion/internal/testkit/refmodel"
 )
 
 // cowFarNode is a node id far past the chunks the other ids fill.

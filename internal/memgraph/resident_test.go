@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"aion/internal/datagen"
 	"aion/internal/model"
+	"aion/internal/testkit/benchshape"
 )
 
 func liveHeap() uint64 {
@@ -28,7 +28,7 @@ func liveHeap() uint64 {
 // against 456 B (480 B) and 968 B (1 024 B).
 func TestResidentBytesPerEntity(t *testing.T) {
 	const budget = 318
-	us := datagen.BenchmarkShape(1)
+	us := benchshape.Updates(1)
 	before := liveHeap()
 	g := New()
 	if err := g.ApplyAll(us); err != nil {

@@ -2,7 +2,6 @@ package model
 
 import (
 	"math"
-	"sort"
 )
 
 // NodeID uniquely identifies a node.
@@ -31,8 +30,12 @@ func (iv Interval) Contains(t Timestamp) bool { return t >= iv.Start && t < iv.E
 // Overlaps reports whether two half-open intervals intersect.
 func (iv Interval) Overlaps(o Interval) bool { return iv.Start < o.End && o.Start < iv.End }
 
-// Valid reports the model constraint τs < τe.
-func (iv Interval) Valid() bool { return iv.Start < iv.End }
+// ContainedIn reports whether the interval lies inside the closed range
+// [a, b]: Start >= a and End <= b+1, computed without wrapping when b is
+// MaxInt64.
+func (iv Interval) ContainedIn(a, b Timestamp) bool {
+	return iv.Start >= a && (iv.End <= b || iv.End-1 == b)
+}
 
 // Direction selects which incident relationships of a node to traverse.
 type Direction uint8
@@ -57,17 +60,6 @@ func (d Direction) String() string {
 		return "BOTH"
 	}
 	return "?"
-}
-
-// Reverse flips Outgoing and Incoming; Both is its own reverse.
-func (d Direction) Reverse() Direction {
-	switch d {
-	case Outgoing:
-		return Incoming
-	case Incoming:
-		return Outgoing
-	}
-	return Both
 }
 
 // Application-time property keys used by the bitemporal model (Sec 3). The
@@ -106,10 +98,6 @@ func (n *Node) HasLabel(l string) bool {
 	return false
 }
 
-// SortLabels orders labels lexicographically, normalizing the set for
-// comparison and encoding.
-func (n *Node) SortLabels() { sort.Strings(n.Labels) }
-
 // AppInterval extracts the application-time interval from the node's
 // bitemporal properties, defaulting to [0, ∞) when unset (the system falls
 // back to system time per Sec 4.5).
@@ -132,14 +120,6 @@ func (r *Rel) Clone() *Rel {
 	c := *r
 	c.Props = r.Props.Clone()
 	return &c
-}
-
-// Other returns the endpoint opposite to id (for undirected traversal).
-func (r *Rel) Other(id NodeID) NodeID {
-	if r.Src == id {
-		return r.Tgt
-	}
-	return r.Src
 }
 
 // AppInterval extracts the application-time interval from the relationship's

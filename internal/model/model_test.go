@@ -1,7 +1,11 @@
 package model
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -40,7 +44,7 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if StringValue("hi").Str() != "hi" {
 		t.Error("Str accessor")
 	}
-	if !NullValue().IsNull() || IntValue(0).IsNull() {
+	if NullValue().Kind() != KindNull || IntValue(0).Kind() == KindNull {
 		t.Error("IsNull")
 	}
 }
@@ -98,17 +102,42 @@ func TestIntervalSemantics(t *testing.T) {
 	if iv.Contains(9) || iv.Contains(21) {
 		t.Error("outside")
 	}
-	if !iv.Valid() {
-		t.Error("valid interval")
+	if !iv.ContainedIn(10, 19) || iv.ContainedIn(11, 19) || iv.ContainedIn(10, 18) {
+		t.Error("CONTAINED IN is the closed range [a, b]")
 	}
-	if (Interval{5, 5}).Valid() {
-		t.Error("empty interval invalid")
+	if !(Interval{5, TSInfinity}).ContainedIn(1, math.MaxInt64) || !iv.ContainedIn(1, math.MaxInt64) {
+		t.Error("a closed range ending at MaxInt64 holds every interval that starts in it")
 	}
 	if !iv.Overlaps(Interval{19, 30}) {
 		t.Error("overlap at edge")
 	}
 	if iv.Overlaps(Interval{20, 30}) {
 		t.Error("touching intervals do not overlap")
+	}
+}
+
+// TestStepsNeverWrap: a series ending at MaxInt64 stops at its last step
+// instead of wrapping past it, and a done ctx stops it before a step.
+func TestStepsNeverWrap(t *testing.T) {
+	ctx := context.Background()
+	var got []Timestamp
+	for s := NewSteps(1, math.MaxInt64, 1<<62); ; {
+		ts, ok, err := s.Next(ctx)
+		if err != nil || !ok {
+			break
+		}
+		got = append(got, ts)
+	}
+	if len(got) != 2 || got[0] != 1 || got[1] != 1+1<<62 {
+		t.Fatalf("steps %v, want [1 %d]", got, Timestamp(1+1<<62))
+	}
+	if _, ok, _ := NewSteps(5, 4, 1).Next(ctx); ok {
+		t.Error("a series that ends before it starts must be empty")
+	}
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, ok, err := NewSteps(0, 10, 1).Next(done); ok || err == nil {
+		t.Error("a done ctx must stop the series")
 	}
 }
 
@@ -260,14 +289,10 @@ func TestValueApproxBytesMonotone(t *testing.T) {
 	}
 }
 
-func TestUpdateStringAndNormalize(t *testing.T) {
+func TestUpdateString(t *testing.T) {
 	u := AddNode(3, 9, []string{"B", "A"}, nil)
 	if u.String() == "" {
 		t.Error("String should render")
-	}
-	u.Normalize()
-	if u.AddLabels[0] != "A" {
-		t.Error("Normalize sorts labels")
 	}
 	r := DeleteRel(4, 2, 1, 2)
 	if r.String() == "" {
@@ -312,4 +337,40 @@ func TestRandomDeltaFoldMatchesDirectState(t *testing.T) {
 			t.Errorf("key %s: got %d want %d", k, n.Props[k].Int(), v)
 		}
 	}
+}
+
+// The helpers below are the tests' own: no binary needs them.
+
+// Reverse flips Outgoing and Incoming; Both is its own reverse.
+func (d Direction) Reverse() Direction {
+	switch d {
+	case Outgoing:
+		return Incoming
+	case Incoming:
+		return Outgoing
+	}
+	return Both
+}
+
+// Other returns the endpoint opposite to id (for undirected traversal).
+func (r *Rel) Other(id NodeID) NodeID {
+	if r.Src == id {
+		return r.Tgt
+	}
+	return r.Src
+}
+
+// SortLabels orders labels lexicographically, normalizing the set for
+// comparison and encoding.
+func (n *Node) SortLabels() { sort.Strings(n.Labels) }
+
+// ValidateStream checks the ordering constraint of Sec 3: updates must be
+// ordered by non-decreasing timestamps.
+func ValidateStream(us []Update) error {
+	for i := 1; i < len(us); i++ {
+		if us[i].TS < us[i-1].TS {
+			return fmt.Errorf("%w: position %d (ts %d after %d)", ErrNonMonotonic, i, us[i].TS, us[i-1].TS)
+		}
+	}
+	return nil
 }

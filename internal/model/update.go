@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // OpKind is the kind of a graph update operation (Sec 3: insert, delete, or
@@ -85,14 +84,6 @@ func (u Update) EntityKey() int64 {
 		return int64(u.NodeID) << 1
 	}
 	return int64(u.RelID)<<1 | 1
-}
-
-// Normalize sorts the delta slices so that two semantically equal updates
-// compare equal byte-wise after encoding.
-func (u *Update) Normalize() {
-	sort.Strings(u.AddLabels)
-	sort.Strings(u.DelLabels)
-	sort.Strings(u.DelProps)
 }
 
 // AddNode builds an insertion update for a node.
@@ -227,14 +218,3 @@ var (
 	ErrNonMonotonic    = errors.New("model: update timestamps not monotonic")
 	ErrInvalidInterval = errors.New("model: interval start must precede end")
 )
-
-// ValidateStream checks the ordering constraint of Sec 3: updates must be
-// ordered by non-decreasing timestamps.
-func ValidateStream(us []Update) error {
-	for i := 1; i < len(us); i++ {
-		if us[i].TS < us[i-1].TS {
-			return fmt.Errorf("%w: position %d (ts %d after %d)", ErrNonMonotonic, i, us[i].TS, us[i-1].TS)
-		}
-	}
-	return nil
-}

@@ -139,9 +139,6 @@ func (v Value) box() *box {
 // Kind reports the value's type.
 func (v Value) Kind() ValueKind { return v.box().kind }
 
-// IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.b == nil }
-
 // Int returns the integer payload, truncating floats toward zero (the
 // mirror of Float's int conversion); every other kind yields zero.
 func (v Value) Int() int64 {

@@ -192,7 +192,7 @@ func accessorRow(v Value) string {
 		i = "arch" // Go leaves int64(NaN) to the implementation
 	}
 	return fmt.Sprintf("%v %v %s %x %v %q %#v %#v %#v %s %d",
-		v.Kind(), v.IsNull(), i, math.Float64bits(v.Float()), v.Bool(), v.Str(),
+		v.Kind(), v.Kind() == KindNull, i, math.Float64bits(v.Float()), v.Bool(), v.Str(),
 		v.IntArray(), v.FloatArray(), v.StringArray(), v.String(), v.ApproxBytes())
 }
 

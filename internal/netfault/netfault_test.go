@@ -1,4 +1,6 @@
-package netfault
+// Tests of internal/testkit/netfault, kept at this path as an external test
+// package.
+package netfault_test
 
 import (
 	"bytes"
@@ -8,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aion/internal/testkit/netfault"
 )
 
 // echoServer accepts conns on l and echoes every byte back until EOF.
@@ -45,7 +49,7 @@ func echoServer(t *testing.T, l net.Listener) *sync.WaitGroup {
 }
 
 // startEcho spins up a fault-wrapped echo server and returns its address.
-func startEcho(t *testing.T, nw *Network) string {
+func startEcho(t *testing.T, nw *netfault.Network) string {
 	t.Helper()
 	l, err := nw.Listen("127.0.0.1:0")
 	if err != nil {
@@ -56,7 +60,7 @@ func startEcho(t *testing.T, nw *Network) string {
 	return l.Addr().String()
 }
 
-func dialEcho(t *testing.T, nw *Network, addr string) net.Conn {
+func dialEcho(t *testing.T, nw *netfault.Network, addr string) net.Conn {
 	t.Helper()
 	c, err := nw.Dialer(nil)(addr)
 	if err != nil {
@@ -67,7 +71,7 @@ func dialEcho(t *testing.T, nw *Network, addr string) net.Conn {
 }
 
 func TestCleanEcho(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
 	msg := []byte("hello temporal world")
@@ -89,15 +93,15 @@ func TestCleanEcho(t *testing.T) {
 }
 
 func TestScriptedDropSeversConn(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
-	nw.ScriptAt(1, Fault{Kind: Drop})
-	if _, err := c.Write([]byte("doomed")); !errors.Is(err, ErrSevered) {
+	nw.ScriptAt(1, netfault.Fault{Kind: netfault.Drop})
+	if _, err := c.Write([]byte("doomed")); !errors.Is(err, netfault.ErrSevered) {
 		t.Fatalf("write err = %v, want ErrSevered", err)
 	}
 	// The conn is dead in both directions.
-	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrSevered) {
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, netfault.ErrSevered) {
 		t.Fatalf("read err = %v, want ErrSevered", err)
 	}
 	if st := nw.Stats(); st.Injected["drop"] != 1 || st.Severed != 1 {
@@ -106,12 +110,12 @@ func TestScriptedDropSeversConn(t *testing.T) {
 }
 
 func TestScriptedTruncateTearsFrame(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
-	nw.ScriptAt(1, Fault{Kind: Truncate})
+	nw.ScriptAt(1, netfault.Fault{Kind: netfault.Truncate})
 	msg := []byte("0123456789")
-	if _, err := c.Write(msg); !errors.Is(err, ErrSevered) {
+	if _, err := c.Write(msg); !errors.Is(err, netfault.ErrSevered) {
 		t.Fatalf("write err = %v, want ErrSevered", err)
 	}
 	// The peer echoed the delivered prefix before seeing the close; a raw
@@ -123,10 +127,10 @@ func TestScriptedTruncateTearsFrame(t *testing.T) {
 }
 
 func TestScriptedDuplicateDelivers(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
-	nw.ScriptAt(1, Fault{Kind: Duplicate})
+	nw.ScriptAt(1, netfault.Fault{Kind: netfault.Duplicate})
 	msg := []byte("dup")
 	if _, err := c.Write(msg); err != nil {
 		t.Fatalf("write: %v", err)
@@ -142,10 +146,10 @@ func TestScriptedDuplicateDelivers(t *testing.T) {
 }
 
 func TestScriptedCorruptFlipsByte(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
-	nw.ScriptAt(1, Fault{Kind: Corrupt})
+	nw.ScriptAt(1, netfault.Fault{Kind: netfault.Corrupt})
 	msg := []byte("intact-bytes")
 	if _, err := c.Write(msg); err != nil {
 		t.Fatalf("write: %v", err)
@@ -170,10 +174,10 @@ func TestScriptedCorruptFlipsByte(t *testing.T) {
 }
 
 func TestHalfOpenSwallowsWrites(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
-	nw.ScriptAt(1, Fault{Kind: HalfOpen})
+	nw.ScriptAt(1, netfault.Fault{Kind: netfault.HalfOpen})
 	if _, err := c.Write([]byte("vanishes")); err != nil {
 		t.Fatalf("half-open write should report success, got %v", err)
 	}
@@ -192,7 +196,7 @@ func TestHalfOpenSwallowsWrites(t *testing.T) {
 }
 
 func TestPartitionBlackholesAndHealRequiresRedial(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
 	// Healthy first.
@@ -242,7 +246,7 @@ func TestPartitionBlackholesAndHealRequiresRedial(t *testing.T) {
 }
 
 func TestPartitionUnblocksParkedReader(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
 	c.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
@@ -265,11 +269,11 @@ func TestPartitionUnblocksParkedReader(t *testing.T) {
 }
 
 func TestSeverAllKillsWithError(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
 	nw.SeverAll(addr)
-	if _, err := c.Write([]byte("x")); !errors.Is(err, ErrSevered) {
+	if _, err := c.Write([]byte("x")); !errors.Is(err, netfault.ErrSevered) {
 		t.Fatalf("write err = %v, want ErrSevered", err)
 	}
 	// Unlike Partition, dialing still works: the node itself is up.
@@ -280,17 +284,28 @@ func TestSeverAllKillsWithError(t *testing.T) {
 }
 
 func TestSeededRatesAreDeterministic(t *testing.T) {
+	// One write per fresh pipe (a drop severs its pipe); the kind a write
+	// drew is the injection counter it raised.
 	run := func(seed int64) []string {
-		nw := New(seed)
-		nw.SetRate(Drop, 0.2)
-		nw.SetRate(Duplicate, 0.2)
+		nw := netfault.New(seed)
+		nw.SetRate(netfault.Drop, 0.2)
+		nw.SetRate(netfault.Duplicate, 0.2)
 		var kinds []string
+		before := map[string]uint64{}
 		for i := 0; i < 200; i++ {
-			if f, ok := nw.nextFault(); ok {
-				kinds = append(kinds, f.Kind.String())
-			} else {
-				kinds = append(kinds, "")
+			a, b := nw.Pipe("a", "b")
+			go io.Copy(io.Discard, b)
+			a.Write([]byte("x"))
+			a.Close()
+			b.Close()
+			after, kind := nw.Stats().Injected, ""
+			for k, n := range after {
+				if n != before[k] {
+					kind = k
+				}
 			}
+			kinds = append(kinds, kind)
+			before = after
 		}
 		return kinds
 	}
@@ -314,7 +329,7 @@ func TestSeededRatesAreDeterministic(t *testing.T) {
 }
 
 func TestPipeCarriesBytes(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	a, b := nw.Pipe("left", "right")
 	defer a.Close()
 	defer b.Close()
@@ -333,10 +348,10 @@ func TestPipeCarriesBytes(t *testing.T) {
 }
 
 func TestScriptedDelayHoldsChunk(t *testing.T) {
-	nw := New(1)
+	nw := netfault.New(1)
 	addr := startEcho(t, nw)
 	c := dialEcho(t, nw, addr)
-	nw.ScriptAt(1, Fault{Kind: Delay, Delay: 60 * time.Millisecond})
+	nw.ScriptAt(1, netfault.Fault{Kind: netfault.Delay, Delay: 60 * time.Millisecond})
 	start := time.Now()
 	if _, err := c.Write([]byte("slow")); err != nil {
 		t.Fatalf("write: %v", err)

@@ -4,14 +4,14 @@ import (
 	"errors"
 	"testing"
 
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 )
 
 // TestFlushSyncFailStop: an injected fsync failure surfaces from Flush and
 // every later Flush fails with the original error instead of silently
 // succeeding.
 func TestFlushSyncFailStop(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	c, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +21,7 @@ func TestFlushSyncFailStop(t *testing.T) {
 	}
 	// Flush is one fsync; fail it.
 	fs.SetFailAfter(fs.Ops() + 1)
-	if err := c.Flush(); !errors.Is(err, vfs.ErrInjected) {
+	if err := c.Flush(); !errors.Is(err, vfstest.ErrInjected) {
 		t.Fatalf("flush must surface the injected fsync error, got %v", err)
 	}
 	fs.SetFailAfter(0) // disk "recovers" — the cache must not
@@ -37,7 +37,7 @@ func TestFlushSyncFailStop(t *testing.T) {
 // count as it was, and poisons the cache: the next Flush fails with it even
 // though the disk has recovered.
 func TestFailedAllocateFailsStop(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	c, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)
@@ -48,14 +48,14 @@ func TestFailedAllocateFailsStop(t *testing.T) {
 		}
 	}
 	fs.SetFailAfter(fs.Ops() + 1) // the next extension fails
-	if _, _, err := c.Allocate(); !errors.Is(err, vfs.ErrInjected) {
+	if _, _, err := c.Allocate(); !errors.Is(err, vfstest.ErrInjected) {
 		t.Fatalf("allocate must surface the extension error, got %v", err)
 	}
 	if n := c.PageCount(); n != 8 {
 		t.Errorf("a failed Allocate left %d pages, want 8", n)
 	}
 	fs.SetFailAfter(0)
-	if err := c.Flush(); !errors.Is(err, vfs.ErrInjected) {
+	if err := c.Flush(); !errors.Is(err, vfstest.ErrInjected) {
 		t.Errorf("flush after a failed extension = %v, want the injected error", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestFailedAllocateFailsStop(t *testing.T) {
 // TestReopenSeesFlushedPages: pages flushed through the vfs are visible on
 // reopen through the same FaultFS.
 func TestReopenSeesFlushedPages(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	c, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)

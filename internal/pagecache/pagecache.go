@@ -67,16 +67,6 @@ func OpenFS(fs vfs.FS, path string) (*Cache, error) {
 	return c, nil
 }
 
-// OpenMem opens a cache over a file of its own in-memory filesystem (for
-// tests and benchmarks).
-func OpenMem() *Cache {
-	c, err := OpenFS(vfs.NewFaultFS(), "mem.idx")
-	if err != nil {
-		panic(err) // a fresh FaultFS has no fault armed
-	}
-	return c
-}
-
 // PageCount returns the number of allocated pages.
 func (c *Cache) PageCount() uint64 { return c.pageCount.Load() }
 

@@ -3,10 +3,21 @@ package pagecache
 import (
 	"path/filepath"
 	"testing"
+
+	"aion/internal/testkit/vfstest"
 )
 
+// memCache opens a cache over a file of its own in-memory filesystem.
+func memCache() *Cache {
+	c, err := OpenFS(vfstest.NewFaultFS(), "mem.idx")
+	if err != nil {
+		panic(err) // a fresh FaultFS has no fault armed
+	}
+	return c
+}
+
 func TestAllocateGetRoundTrip(t *testing.T) {
-	c := OpenMem()
+	c := memCache()
 	defer c.Close()
 	id, data, err := c.Allocate()
 	if err != nil {
@@ -56,7 +67,7 @@ func TestFileBackedPersistence(t *testing.T) {
 }
 
 func TestGetOutOfRange(t *testing.T) {
-	c := OpenMem()
+	c := memCache()
 	defer c.Close()
 	if _, err := c.Get(42); err == nil {
 		t.Error("out-of-range page must error")
@@ -66,7 +77,7 @@ func TestGetOutOfRange(t *testing.T) {
 // TestHitMissCounters: every Get and GetMut is a hit; nothing misses or is
 // evicted, since no page is read into the heap.
 func TestHitMissCounters(t *testing.T) {
-	c := OpenMem()
+	c := memCache()
 	defer c.Close()
 	id, _, _ := c.Allocate()
 	_, _ = c.Get(id)
@@ -82,7 +93,7 @@ func TestHitMissCounters(t *testing.T) {
 // Get and GetMut of a page already in the cache allocate nothing: each is a
 // slice of the mapped view, not a copy into a fresh buffer.
 func TestGetReleaseOfCachedPageAllocatesNothing(t *testing.T) {
-	c := OpenMem()
+	c := memCache()
 	defer c.Close()
 	var ids [3]PageID
 	for i := range ids {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -25,7 +26,7 @@ func onBoth(t *testing.T, test func(t *testing.T, c *Cache, fs vfs.FS, path stri
 		test(t, c, vfs.OS, path)
 	})
 	t.Run("faultfs", func(t *testing.T) {
-		fs := vfs.NewFaultFS()
+		fs := vfstest.NewFaultFS()
 		c, err := OpenFS(fs, "d/pages.idx")
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +132,7 @@ func TestSliceTakenBeforeGrowthLandsInTheFile(t *testing.T) {
 // TestCrashKeepsOnlyFlushedWrites: a write through the view is current, not
 // durable: a crash before Flush loses it, one after Flush keeps it.
 func TestCrashKeepsOnlyFlushedWrites(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	c, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestCrashKeepsOnlyFlushedWrites(t *testing.T) {
 // TestCrashedHandleFailsGet: a cache whose FaultFS crashed reads through a
 // stale handle, and its Get fails rather than serving the pre-crash bytes.
 func TestCrashedHandleFailsGet(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	c, err := OpenFS(fs, "d/pages.idx")
 	if err != nil {
 		t.Fatal(err)

@@ -54,9 +54,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]int64, capacity)}
 }
 
-// Len returns the number of queued elements.
-func (r *Ring) Len() int { return r.size }
-
 // Push enqueues v, growing the ring if full (growth is rare once the ring
 // is warm; the buffer is retained across uses).
 func (r *Ring) Push(v int64) {
@@ -81,57 +78,4 @@ func (r *Ring) Pop() (v int64, ok bool) {
 	r.head = (r.head + 1) % len(r.buf)
 	r.size--
 	return v, true
-}
-
-// Reset empties the ring, keeping its capacity.
-func (r *Ring) Reset() { r.head, r.tail, r.size = 0, 0, 0 }
-
-// Bitmap is a compact dense bitset used for visited/tagged marks during
-// graph algorithms (the roaring-bitmap role of Sec 5.3 for our dense id
-// domains). It is reusable across runs via Reset.
-type Bitmap struct {
-	words []uint64
-}
-
-// NewBitmap creates a bitmap able to hold n bits.
-func NewBitmap(n int) *Bitmap {
-	return &Bitmap{words: make([]uint64, (n+63)/64)}
-}
-
-// Grow ensures capacity for n bits.
-func (b *Bitmap) Grow(n int) {
-	need := (n + 63) / 64
-	for len(b.words) < need {
-		b.words = append(b.words, 0)
-	}
-}
-
-// Set marks bit i (growing as needed).
-func (b *Bitmap) Set(i int) {
-	b.Grow(i + 1)
-	b.words[i/64] |= 1 << (i % 64)
-}
-
-// Get reports bit i.
-func (b *Bitmap) Get(i int) bool {
-	w := i / 64
-	return w < len(b.words) && b.words[w]&(1<<(i%64)) != 0
-}
-
-// Reset clears all bits, keeping capacity.
-func (b *Bitmap) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int {
-	n := 0
-	for _, w := range b.words {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
 }

@@ -3,7 +3,6 @@ package pool
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestBytesReuse(t *testing.T) {
@@ -82,45 +81,8 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 	}
 }
 
-func TestBitmapBasics(t *testing.T) {
-	b := NewBitmap(10)
-	b.Set(3)
-	b.Set(64)
-	b.Set(200) // auto-grow
-	if !b.Get(3) || !b.Get(64) || !b.Get(200) {
-		t.Error("set bits missing")
-	}
-	if b.Get(4) || b.Get(1000) {
-		t.Error("unset bits present")
-	}
-	if b.Count() != 3 {
-		t.Errorf("count = %d", b.Count())
-	}
-	b.Reset()
-	if b.Count() != 0 || b.Get(3) {
-		t.Error("reset")
-	}
-}
+// Len returns the number of queued elements.
+func (r *Ring) Len() int { return r.size }
 
-func TestBitmapMatchesMap(t *testing.T) {
-	f := func(idxs []uint16) bool {
-		b := NewBitmap(8)
-		ref := map[int]bool{}
-		for _, i := range idxs {
-			b.Set(int(i))
-			ref[int(i)] = true
-		}
-		if b.Count() != len(ref) {
-			return false
-		}
-		for i := range ref {
-			if !b.Get(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
+// Reset empties the ring, keeping its capacity.
+func (r *Ring) Reset() { r.head, r.tail, r.size = 0, 0, 0 }

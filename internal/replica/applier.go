@@ -218,23 +218,6 @@ func (a *Applier) Apply(sh *Shipment) error {
 	return nil
 }
 
-// CheckTimestamp reports whether a read at ts may be served: nil when ts
-// is at or below the watermark on a healthy applier, a typed retryable
-// FAILURE otherwise.
-func (a *Applier) CheckTimestamp(ts model.Timestamp) error {
-	a.mu.Lock()
-	failed, wm := a.failed, a.watermark
-	a.mu.Unlock()
-	if failed != nil {
-		return &bolt.ServerError{Code: bolt.FailDiverged, Msg: failed.Error()}
-	}
-	if ts > wm {
-		return &bolt.ServerError{Code: bolt.FailReplicaLag,
-			Msg: fmt.Sprintf("replica: timestamp %d above replicated watermark %d", ts, wm)}
-	}
-	return nil
-}
-
 // latestOK reports whether a latest (non-temporal) read may be served:
 // the follower must have heard from the primary within DisconnectGrace
 // and lag it by at most StalenessBound commits.

@@ -29,6 +29,7 @@ import (
 	"aion/internal/model"
 	"aion/internal/strstore"
 	"aion/internal/system"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -125,7 +126,7 @@ func verifyConverged(t *testing.T, tag string, p *system.System, pfs vfs.FS, pdi
 func runFollowerCrashCase(t *testing.T, p *system.System, pfs vfs.FS, src *Source, k int, torn bool) {
 	t.Helper()
 	tag := fmt.Sprintf("k=%d torn=%v", k, torn)
-	ffs := vfs.NewFaultFS()
+	ffs := vfstest.NewFaultFS()
 	ffs.SetTornSync(torn)
 	ffs.SetFailAfter(int64(k))
 	var preWM model.Timestamp // highest watermark acked by a successful Apply
@@ -178,7 +179,7 @@ func runFollowerCrashCase(t *testing.T, p *system.System, pfs vfs.FS, src *Sourc
 // plain and torn-fsync modes against one long-lived primary.
 func TestCrashSweepFollower(t *testing.T) {
 	const txns = 18
-	pfs := vfs.NewFaultFS()
+	pfs := vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	for i := 0; i < txns; i++ {
@@ -189,7 +190,7 @@ func TestCrashSweepFollower(t *testing.T) {
 	src := NewSource(p.Host)
 
 	// Fault-free run measures the follower's mutating-op count N.
-	ffs := vfs.NewFaultFS()
+	ffs := vfstest.NewFaultFS()
 	f, err := openSys(ffs, "follower", true)
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +218,10 @@ func TestCrashSweepFollower(t *testing.T) {
 func runPrimaryCrashCase(t *testing.T, txns, k int, torn bool) {
 	t.Helper()
 	tag := fmt.Sprintf("k=%d torn=%v", k, torn)
-	pfs := vfs.NewFaultFS()
+	pfs := vfstest.NewFaultFS()
 	pfs.SetTornSync(torn)
 	pfs.SetFailAfter(int64(k))
-	ffs := vfs.NewFaultFS()
+	ffs := vfstest.NewFaultFS()
 	f, err := openSys(ffs, "follower", true)
 	if err != nil {
 		t.Fatalf("%s: follower open: %v", tag, err)
@@ -289,7 +290,7 @@ func runPrimaryCrashCase(t *testing.T, txns, k int, torn bool) {
 func TestCrashSweepPrimary(t *testing.T) {
 	const txns = 14
 	// Fault-free run measures the primary's mutating-op count N.
-	pfs := vfs.NewFaultFS()
+	pfs := vfstest.NewFaultFS()
 	p, err := openSys(pfs, "primary", false)
 	if err != nil {
 		t.Fatal(err)

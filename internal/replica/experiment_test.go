@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 )
 
 func TestReplicaCatchUpExperiment(t *testing.T) {
@@ -18,7 +18,7 @@ func TestReplicaCatchUpExperiment(t *testing.T) {
 		t.Skip("set AION_EXPERIMENT=1 to run")
 	}
 	const txns = 2000
-	pfs := vfs.NewFaultFS()
+	pfs := vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	start := time.Now()
@@ -33,7 +33,7 @@ func TestReplicaCatchUpExperiment(t *testing.T) {
 		txns, txnBytes, buildDur.Round(time.Millisecond), float64(txns)/buildDur.Seconds())
 
 	for _, cap := range []int{4 << 10, 64 << 10, 1 << 20} {
-		ffs := vfs.NewFaultFS()
+		ffs := vfstest.NewFaultFS()
 		f, err := openSys(ffs, "follower", true)
 		if err != nil {
 			t.Fatal(err)

@@ -20,8 +20,11 @@ package replica
 // reproducible; the sweep enumerates the protocol points deterministically.
 
 import (
+	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -29,12 +32,100 @@ import (
 	"aion/internal/cypher"
 	"aion/internal/hostdb"
 	"aion/internal/model"
-	"aion/internal/netfault"
 	"aion/internal/system"
+	"aion/internal/testkit/netfault"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
 var failoverSeed = flag.Int64("failover.seed", 1, "base seed for the failover sweep's fault networks")
+
+// primaryWriter sends writes to the cluster's primary, as a client must
+// across a failover: when a write fails because its node is fenced,
+// read-only or unreachable, it probes every node's STATUS, moves to the
+// writable node at the highest fencing epoch, and writes there.
+type primaryWriter struct {
+	nodes    []string
+	primary  string
+	dial     func(addr string) (net.Conn, error)
+	conn     *bolt.Client
+	resolves int // how often a failed write sent the writer looking
+}
+
+func (w *primaryWriter) open(addr string) (*bolt.Client, error) {
+	c, err := bolt.DialVia(addr, w.dial)
+	if err != nil {
+		return nil, err
+	}
+	c.OpTimeout = 250 * time.Millisecond // a blackholed node costs milliseconds
+	return c, nil
+}
+
+func (w *primaryWriter) write(query string) (*bolt.Summary, error) {
+	var err error
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			time.Sleep(time.Duration(round) * 5 * time.Millisecond)
+			w.resolves++
+			if err = w.resolve(); err != nil {
+				continue
+			}
+		}
+		if w.conn == nil {
+			if w.conn, err = w.open(w.primary); err != nil {
+				continue
+			}
+		}
+		var sum *bolt.Summary
+		if _, _, sum, err = w.conn.RunTimeout(query, nil, 500*time.Millisecond); err == nil {
+			return sum, nil
+		}
+		var se *bolt.ServerError
+		if errors.As(err, &se) && se.Code != bolt.FailFenced && se.Code != bolt.FailReadOnly {
+			return nil, err
+		}
+		w.close()
+	}
+	return nil, err
+}
+
+// resolve adopts the node that answers STATUS as primary at the highest
+// epoch any node reports; a zombie still calling itself primary at an
+// older epoch is never followed.
+func (w *primaryWriter) resolve() error {
+	var best string
+	var bestEpoch, maxEpoch uint64
+	for _, addr := range w.nodes {
+		c, err := w.open(addr)
+		if err != nil {
+			continue
+		}
+		st, err := c.Status()
+		c.Close()
+		if err != nil {
+			continue
+		}
+		maxEpoch = max(maxEpoch, st.Epoch)
+		if st.Role == "primary" && (best == "" || st.Epoch > bestEpoch) {
+			best, bestEpoch = addr, st.Epoch
+		}
+	}
+	if best == "" || bestEpoch < maxEpoch {
+		return fmt.Errorf("no primary at epoch %d among %d nodes", maxEpoch, len(w.nodes))
+	}
+	if best != w.primary {
+		w.close()
+		w.primary = best
+	}
+	return nil
+}
+
+func (w *primaryWriter) close() {
+	if w.conn != nil {
+		w.conn.Close()
+		w.conn = nil
+	}
+}
 
 // failNode is one cluster member: a system, its replication endpoints, and
 // a Bolt server listening through the fault network.
@@ -51,7 +142,7 @@ type failNode struct {
 
 func startFailNode(t *testing.T, nw *netfault.Network, name string, replica bool) *failNode {
 	t.Helper()
-	n := &failNode{name: name, fs: vfs.NewFaultFS()}
+	n := &failNode{name: name, fs: vfstest.NewFaultFS()}
 	n.sys = openNode(t, n.fs, name, replica)
 	t.Cleanup(func() { n.sys.Close() })
 	n.src = NewSource(n.sys.Host)
@@ -154,15 +245,13 @@ func runFailoverScenario(t *testing.T, mode string, pt sweepPoint, seed int64) {
 	f1.follow(t, nw, p.addr)
 	f2.follow(t, nw, p.addr)
 
-	policy := bolt.RetryPolicy{MaxAttempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 30 * time.Millisecond}
-	rt := bolt.NewRouterVia(p.addr, []string{f1.addr, f2.addr}, policy, nw.Dialer(nil))
-	rt.OpTimeout = 250 * time.Millisecond
-	defer rt.Close()
+	pw := &primaryWriter{nodes: []string{p.addr, f1.addr, f2.addr}, primary: p.addr, dial: nw.Dialer(nil)}
+	defer pw.close()
 
 	var acked []model.Timestamp
 	write := func(stage string) {
 		t.Helper()
-		_, _, sum, err := rt.Run("CREATE (n:W)", nil, 500*time.Millisecond)
+		sum, err := pw.write("CREATE (n:W)")
 		if err != nil {
 			t.Fatalf("%s write: %v", stage, err)
 		}
@@ -276,16 +365,16 @@ func runFailoverScenario(t *testing.T, mode string, pt sweepPoint, seed int64) {
 	}
 	other.follow(t, nw, surv.addr)
 
-	// The router discovers the new primary on its next write and keeps
-	// acking writes across the failover.
+	// The writer finds the new primary on its next write and keeps acking
+	// writes across the failover.
 	for i := 0; i < 3; i++ {
 		write("post-failover")
 	}
-	if rt.Failovers() == 0 {
-		t.Fatal("router never re-resolved the primary")
+	if pw.resolves == 0 {
+		t.Fatal("the writer never looked for the new primary")
 	}
-	if rt.Primary() != surv.addr {
-		t.Fatalf("router primary = %s, want %s (%s)", rt.Primary(), surv.addr, surv.name)
+	if pw.primary != surv.addr {
+		t.Fatalf("writer's primary = %s, want %s (%s)", pw.primary, surv.addr, surv.name)
 	}
 
 	// (c) byte-identical convergence of the survivors.
@@ -327,14 +416,30 @@ func runFailoverScenario(t *testing.T, mode string, pt sweepPoint, seed int64) {
 	}
 
 	// (b) heal the partition; the first contact carrying the new epoch
-	// fences the zombie (STATUS doubles as epoch gossip).
+	// fences the zombie: here a STATUS probe gossiping epoch 2 (STATUS
+	// doubles as epoch gossip), after a plain HELLO with no epoch.
 	nw.Heal(p.addr)
+	peer, err := nw.Dialer(nil)(p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range [][]byte{
+		{bolt.MsgHello, 0}, // no agent string, no epoch
+		binary.BigEndian.AppendUint64([]byte{bolt.MsgStatus}, 2),
+	} {
+		if err := bolt.WriteFrame(peer, frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bolt.ReadFrame(peer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peer.Close()
 	gz, err := bolt.DialVia(p.addr, nw.Dialer(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gz.Close()
-	gz.NoteEpoch(2)
 	st, err := gz.Status()
 	if err != nil {
 		t.Fatal(err)

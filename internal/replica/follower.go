@@ -23,8 +23,8 @@ type Follower struct {
 	Applier *Applier
 	// Addr is the primary's Bolt address.
 	Addr string
-	// Policy is the reconnect backoff schedule (bolt's full-jitter policy,
-	// the same one RunRetry uses). MaxAttempts bounds CONSECUTIVE failed
+	// Policy is the reconnect backoff schedule (bolt's full-jitter
+	// policy). MaxAttempts bounds CONSECUTIVE failed
 	// connection attempts; any applied shipment resets the count. Zero
 	// value takes bolt.DefaultRetryPolicy with unbounded attempts.
 	Policy bolt.RetryPolicy
@@ -241,7 +241,7 @@ func (f *Follower) stream(ctx context.Context, dial func(string) (net.Conn, erro
 			case bolt.FailFenced:
 				// The node we dialed has been fenced (it is not the primary
 				// anymore). Transient from our side: back off and redial —
-				// the operator or router will repoint us at the new primary.
+				// the operator will repoint us at the new primary.
 				return result(se)
 			}
 			return result(se)

@@ -45,7 +45,7 @@ func lagError(format string, args ...any) error {
 // bolt.Options.ReadGate. It enforces the serving contract:
 //
 //   - a poisoned (diverged) follower serves nothing;
-//   - writes are rejected with FailReadOnly (terminal here; routers send
+//   - writes are rejected with FailReadOnly (terminal here; clients send
 //     them to the primary);
 //   - temporal reads must lie entirely at or below the watermark — their
 //     answers are immutable history the follower already holds;
@@ -73,15 +73,7 @@ func (a *Applier) Gate(st *cypher.Statement, params map[string]model.Value) erro
 		switch x := e.(type) {
 		case cypher.Lit:
 			return x.V, nil
-		case *cypher.Lit:
-			return x.V, nil
 		case cypher.Param:
-			v, ok := params[x.Name]
-			if !ok {
-				return model.Value{}, fmt.Errorf("missing parameter $%s", x.Name)
-			}
-			return v, nil
-		case *cypher.Param:
 			v, ok := params[x.Name]
 			if !ok {
 				return model.Value{}, fmt.Errorf("missing parameter $%s", x.Name)

@@ -2,12 +2,11 @@ package replica
 
 // End-to-end replication over real TCP: a primary Bolt server ships its WAL
 // to two follower servers through the REPLICATE stream, followers serve
-// gated reads, a Router spreads reads across them with primary fallback,
-// and killed connections / refused dials reconnect with backoff.
+// gated reads, and killed connections / refused dials reconnect with
+// backoff.
 
 import (
 	"context"
-	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,7 @@ import (
 	"aion/internal/hostdb"
 	"aion/internal/model"
 	"aion/internal/system"
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 )
 
 func startNode(t *testing.T, sys *system.System, opts bolt.Options) (*bolt.Server, string) {
@@ -75,7 +74,7 @@ func TestReplicationOverTCP(t *testing.T) {
 	fastPolicy := bolt.RetryPolicy{MaxAttempts: 0, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}
 
 	// Primary with the REPLICATE handler installed.
-	p := openNode(t, vfs.NewFaultFS(), "primary", false)
+	p := openNode(t, vfstest.NewFaultFS(), "primary", false)
 	defer p.Close()
 	src := NewSource(p.Host)
 	psrv, paddr := startNode(t, p, bolt.Options{ReplicationHandler: src.ServeConn, Replication: src})
@@ -91,7 +90,7 @@ func TestReplicationOverTCP(t *testing.T) {
 	}
 	var followers []*fnode
 	for _, dir := range []string{"f1", "f2"} {
-		fsys := openNode(t, vfs.NewFaultFS(), dir, true)
+		fsys := openNode(t, vfstest.NewFaultFS(), dir, true)
 		defer fsys.Close()
 		app := NewApplier(fsys)
 		_, addr := startNode(t, fsys, bolt.Options{ReadGate: app.Gate, Replication: app})
@@ -108,18 +107,26 @@ func TestReplicationOverTCP(t *testing.T) {
 	}
 
 	// Reads are served by replicas; writes go to the primary and replicate.
-	rt := bolt.NewRouter(paddr, []string{followers[0].addr, followers[1].addr}, fastPolicy)
-	defer rt.Close()
-	cols, rows, _, err := rt.Run("MATCH (n:P) RETURN n", nil, time.Second)
+	fc, err := bolt.Dial(followers[0].addr)
 	if err != nil {
-		t.Fatalf("routed read: %v", err)
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	cols, rows, _, err := fc.RunTimeout("MATCH (n:P) RETURN n", nil, time.Second)
+	if err != nil {
+		t.Fatalf("replica read: %v", err)
 	}
 	if len(cols) == 0 || len(rows) == 0 {
-		t.Fatalf("routed read returned %d cols, %d rows", len(cols), len(rows))
+		t.Fatalf("replica read returned %d cols, %d rows", len(cols), len(rows))
 	}
+	pc, err := bolt.Dial(paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
 	preQueries := psrv.Metrics().Queries
-	if _, _, _, err := rt.Run("CREATE (n:W)", nil, time.Second); err != nil {
-		t.Fatalf("routed write: %v", err)
+	if _, _, _, err := pc.RunTimeout("CREATE (n:W)", nil, time.Second); err != nil {
+		t.Fatalf("primary write: %v", err)
 	}
 	if got := psrv.Metrics().Queries; got != preQueries+1 {
 		t.Fatalf("write did not reach the primary (%d queries, want %d)", got, preQueries+1)
@@ -130,11 +137,6 @@ func TestReplicationOverTCP(t *testing.T) {
 
 	// A write sent straight at a follower is rejected with the typed
 	// read-only code, and a read above its watermark with replica lag.
-	fc, err := bolt.Dial(followers[0].addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
 	_, _, _, err = fc.RunTimeout("CREATE (n:W)", nil, time.Second)
 	if se, ok := err.(*bolt.ServerError); !ok || se.Code != bolt.FailReadOnly {
 		t.Fatalf("follower write: %v", err)
@@ -170,87 +172,14 @@ func TestReplicationOverTCP(t *testing.T) {
 	}
 }
 
-func TestRouterFallback(t *testing.T) {
-	fastPolicy := bolt.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}
-	p := openNode(t, vfs.NewFaultFS(), "primary", false)
-	defer p.Close()
-	drive(t, p, 3)
-	src := NewSource(p.Host)
-	_, paddr := startNode(t, p, bolt.Options{ReplicationHandler: src.ServeConn, Replication: src})
-
-	// A stale follower that never connected: DisconnectGrace rejects its
-	// latest reads, so the router must fall back to the primary.
-	fsys := openNode(t, vfs.NewFaultFS(), "f-stale", true)
-	defer fsys.Close()
-	app := NewApplier(fsys)
-	app.DisconnectGrace = time.Minute
-	_, faddr := startNode(t, fsys, bolt.Options{ReadGate: app.Gate, Replication: app})
-
-	rt := bolt.NewRouter(paddr, []string{faddr}, fastPolicy)
-	defer rt.Close()
-	_, rows, _, err := rt.Run("MATCH (n:P) RETURN n", nil, time.Second)
-	if err != nil {
-		t.Fatalf("read with stale replica: %v", err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("primary fallback returned no rows")
-	}
-	if rt.Reroutes() == 0 {
-		t.Fatal("fallback not counted as a reroute")
-	}
-
-	// A dead replica address: dial fails, the surviving node answers.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-	rt2 := bolt.NewRouter(paddr, []string{deadAddr}, fastPolicy)
-	defer rt2.Close()
-	if _, _, _, err := rt2.Run("MATCH (n:P) RETURN n", nil, time.Second); err != nil {
-		t.Fatalf("read with dead replica: %v", err)
-	}
-	if rt2.Reroutes() == 0 {
-		t.Fatal("dead-replica fallback not counted as a reroute")
-	}
-
-	// Every replica refuses — one lagged, one fail-stopped diverged — and
-	// the primary must still answer, with one reroute per refusing replica.
-	dsys := openNode(t, vfs.NewFaultFS(), "f-diverged", true)
-	defer dsys.Close()
-	dapp := NewApplier(dsys)
-	dapp.MarkDiverged(errors.New("injected divergence"))
-	_, daddr := startNode(t, dsys, bolt.Options{ReadGate: dapp.Gate, Replication: dapp})
-	rt3 := bolt.NewRouter(paddr, []string{faddr, daddr}, fastPolicy)
-	defer rt3.Close()
-	_, rows, _, err = rt3.Run("MATCH (n:P) RETURN n", nil, time.Second)
-	if err != nil {
-		t.Fatalf("read with all replicas refusing: %v", err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("primary fallback returned no rows")
-	}
-	if got := rt3.Reroutes(); got < 2 {
-		t.Fatalf("reroutes = %d, want >= 2 (every replica refused)", got)
-	}
-	// Writes never touch the refusing replicas and need no failover.
-	if _, _, _, err := rt3.Run("CREATE (n:W)", nil, time.Second); err != nil {
-		t.Fatalf("write with all replicas refusing: %v", err)
-	}
-	if rt3.Failovers() != 0 {
-		t.Fatalf("failovers = %d on a healthy primary", rt3.Failovers())
-	}
-}
-
 func TestFollowerReconnectBackoff(t *testing.T) {
-	p := openNode(t, vfs.NewFaultFS(), "primary", false)
+	p := openNode(t, vfstest.NewFaultFS(), "primary", false)
 	defer p.Close()
 	drive(t, p, 5)
 	src := NewSource(p.Host)
 	_, paddr := startNode(t, p, bolt.Options{ReplicationHandler: src.ServeConn, Replication: src})
 
-	fsys := openNode(t, vfs.NewFaultFS(), "follower", true)
+	fsys := openNode(t, vfstest.NewFaultFS(), "follower", true)
 	defer fsys.Close()
 	app := NewApplier(fsys)
 	var calls atomic.Int32

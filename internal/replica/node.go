@@ -98,7 +98,7 @@ func (n *Node) FollowerErr() error {
 // PromoteNode implements bolt.Admin: stop the replication stream, advance
 // the fencing epoch past everything this node has observed, persist, and
 // flip writable. The new epoch then fences the old primary the moment it
-// hears it (HELLO, replicate request, or a router probing STATUS).
+// hears it (HELLO, replicate request, or a client probing STATUS).
 func (n *Node) PromoteNode() (uint64, error) {
 	if n.applier != nil {
 		if err := n.applier.Err(); err != nil {

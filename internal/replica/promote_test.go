@@ -10,7 +10,7 @@ import (
 	"aion/internal/hostdb"
 	"aion/internal/model"
 	"aion/internal/system"
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 )
 
 // commitValue commits one node with a fixed-length string property, so two
@@ -27,7 +27,7 @@ func commitValue(t *testing.T, s *system.System, id model.NodeID, v string) {
 }
 
 func TestPromoteNodeFlipsFollowerAndFencesOldPrimary(t *testing.T) {
-	pfs, ffs := vfs.NewFaultFS(), vfs.NewFaultFS()
+	pfs, ffs := vfstest.NewFaultFS(), vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	f := openNode(t, ffs, "follower", true)
@@ -85,7 +85,7 @@ func TestPromoteNodeFlipsFollowerAndFencesOldPrimary(t *testing.T) {
 }
 
 func TestAdmitRejectsDivergedRejoinByTailDigest(t *testing.T) {
-	pfs, ffs := vfs.NewFaultFS(), vfs.NewFaultFS()
+	pfs, ffs := vfstest.NewFaultFS(), vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	f := openNode(t, ffs, "follower", true)
@@ -130,7 +130,7 @@ func TestAdmitRejectsDivergedRejoinByTailDigest(t *testing.T) {
 }
 
 func TestAdmitFencesStalePrimaryOnHigherFollowerEpoch(t *testing.T) {
-	pfs, ffs := vfs.NewFaultFS(), vfs.NewFaultFS()
+	pfs, ffs := vfstest.NewFaultFS(), vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	f := openNode(t, ffs, "follower", true)
@@ -169,7 +169,7 @@ func TestAdmitFencesStalePrimaryOnHigherFollowerEpoch(t *testing.T) {
 }
 
 func TestApplyAfterPromotionStopsCleanlyWithoutPoisoning(t *testing.T) {
-	pfs, ffs := vfs.NewFaultFS(), vfs.NewFaultFS()
+	pfs, ffs := vfstest.NewFaultFS(), vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	f := openNode(t, ffs, "follower", true)

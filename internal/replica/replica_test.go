@@ -12,6 +12,7 @@ import (
 	"aion/internal/hostdb"
 	"aion/internal/model"
 	"aion/internal/system"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -142,7 +143,7 @@ func TestShipmentCodecRoundtrip(t *testing.T) {
 }
 
 func TestReplicationConvergence(t *testing.T) {
-	pfs, ffs := vfs.NewFaultFS(), vfs.NewFaultFS()
+	pfs, ffs := vfstest.NewFaultFS(), vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	f := openNode(t, ffs, "follower", true)
@@ -191,15 +192,15 @@ func TestReplicationConvergence(t *testing.T) {
 	if !errors.Is(err, hostdb.ErrReplicaReadOnly) {
 		t.Fatalf("replica write: %v", err)
 	}
-	if err := app.CheckTimestamp(app.Watermark()); err != nil {
+	asOf := "USE aion FOR SYSTEM_TIME AS OF $t MATCH (n:P) RETURN n"
+	at := func(ts model.Timestamp) map[string]model.Value {
+		return map[string]model.Value{"t": model.IntValue(int64(ts))}
+	}
+	if err := app.Gate(mustParse(t, asOf), at(app.Watermark())); err != nil {
 		t.Fatalf("read at watermark rejected: %v", err)
 	}
-	var se *bolt.ServerError
-	if err := app.CheckTimestamp(app.Watermark() + 1); !errors.As(err, &se) || se.Code != bolt.FailReplicaLag {
-		t.Fatalf("read above watermark: %v", err)
-	}
-	if se != nil && !se.Retryable() {
-		t.Fatal("FailReplicaLag must be retryable")
+	if got := gateCode(t, app.Gate(mustParse(t, asOf), at(app.Watermark()+1))); got != bolt.FailReplicaLag {
+		t.Fatalf("read above watermark = 0x%x, want FailReplicaLag", got)
 	}
 
 	// An idle pump round ships nothing and changes nothing.
@@ -212,7 +213,7 @@ func TestReplicationConvergence(t *testing.T) {
 }
 
 func TestApplierOffsetMismatchFailStop(t *testing.T) {
-	pfs, ffs := vfs.NewFaultFS(), vfs.NewFaultFS()
+	pfs, ffs := vfstest.NewFaultFS(), vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	f := openNode(t, ffs, "follower", true)
@@ -239,14 +240,13 @@ func TestApplierOffsetMismatchFailStop(t *testing.T) {
 	if err := app.Apply(good); err == nil {
 		t.Fatal("poisoned applier accepted a shipment")
 	}
-	var se *bolt.ServerError
-	if err := app.CheckTimestamp(0); !errors.As(err, &se) || se.Code != bolt.FailDiverged {
-		t.Fatalf("poisoned applier read: %v", err)
+	if got := gateCode(t, app.Gate(mustParse(t, "USE aion FOR SYSTEM_TIME AS OF 0 MATCH (n) RETURN n"), nil)); got != bolt.FailDiverged {
+		t.Fatalf("poisoned applier read = 0x%x, want FailDiverged", got)
 	}
 }
 
 func TestSourceRejectsFollowerAhead(t *testing.T) {
-	pfs := vfs.NewFaultFS()
+	pfs := vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	drive(t, p, 2)
@@ -279,7 +279,7 @@ func gateCode(t *testing.T, err error) byte {
 }
 
 func TestGate(t *testing.T) {
-	pfs, ffs := vfs.NewFaultFS(), vfs.NewFaultFS()
+	pfs, ffs := vfstest.NewFaultFS(), vfstest.NewFaultFS()
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	f := openNode(t, ffs, "follower", true)

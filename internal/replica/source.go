@@ -41,7 +41,7 @@ type Source struct {
 	HeartbeatInterval time.Duration
 
 	// Clock is the time source for poll sleeps and heartbeat pacing; nil
-	// means the wall clock. Fault sweeps install clock.Fake.
+	// means the wall clock; a test may install a clocktest.Fake.
 	Clock clock.Clock
 
 	framesShipped atomic.Uint64

@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"testing"
 
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 )
 
 // TestOpenRepairsTornTail: a crash mid-append leaves a partial
 // length-prefixed record; Open truncates it and the store reloads the
 // intact prefix, accepts new interns, and persists them.
 func TestOpenRepairsTornTail(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	s, err := OpenFS(fs, "d/strings.db")
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestOpenRepairsTornTail(t *testing.T) {
 // TestSyncFailStop: an injected fsync failure surfaces from Sync, and the
 // store refuses further interns and syncs.
 func TestSyncFailStop(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	s, err := OpenFS(fs, "d/strings.db")
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestSyncFailStop(t *testing.T) {
 	}
 	// Sync = bufio flush (one write) + fsync; fail the fsync.
 	fs.SetFailAfter(fs.Ops() + 2)
-	if err := s.Sync(); !errors.Is(err, vfs.ErrInjected) {
+	if err := s.Sync(); !errors.Is(err, vfstest.ErrInjected) {
 		t.Fatalf("sync must surface the injected error, got %v", err)
 	}
 	fs.SetFailAfter(0)
@@ -111,7 +111,7 @@ func TestSyncFailStop(t *testing.T) {
 // TestSyncSkipsWhenClean: Sync is a no-op with no outstanding appends (the
 // per-commit hot path relies on this).
 func TestSyncSkipsWhenClean(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	s, err := OpenFS(fs, "d/strings.db")
 	if err != nil {
 		t.Fatal(err)

@@ -53,10 +53,8 @@ func NewMem() *Store {
 	return s
 }
 
-// Open creates or reloads a persistent store backed by the given file.
-func Open(path string) (*Store, error) { return OpenFS(vfs.OS, path) }
-
-// OpenFS is Open on an explicit filesystem. Reloading validates the table
+// OpenFS creates or reloads a persistent store backed by the file at path
+// on fs. Reloading validates the table
 // as it goes: a record whose length prefix or body runs past the end of
 // the file is the torn tail of a crash mid-append, and is truncated away.
 // References are positional, so the table can only be cut at the end —
@@ -163,16 +161,6 @@ func (st *Store) Intern(s string) (Ref, error) {
 	return id, nil
 }
 
-// MustIntern is Intern for in-memory stores where appends cannot fail; it
-// panics on error.
-func (st *Store) MustIntern(s string) Ref {
-	r, err := st.Intern(s)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Lookup resolves a reference back to its string without locking.
 func (st *Store) Lookup(r Ref) (string, error) {
 	v, err := st.LookupValue(r)
@@ -187,11 +175,6 @@ func (st *Store) LookupValue(r Ref) (model.Value, error) {
 		return model.Value{}, fmt.Errorf("strstore: dangling ref %d (table size %d)", r, len(t))
 	}
 	return t[r], nil
-}
-
-// Len returns the number of interned strings.
-func (st *Store) Len() int {
-	return len(st.table())
 }
 
 // Flush writes buffered appends to the backing file. After any append or

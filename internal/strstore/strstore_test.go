@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"aion/internal/vfs"
 )
 
 func TestInternDedup(t *testing.T) {
@@ -49,7 +51,7 @@ func TestLookupDangling(t *testing.T) {
 
 func TestPersistenceReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "strings.db")
-	s, err := Open(path)
+	s, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestPersistenceReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(path)
+	s2, err := OpenFS(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,4 +143,19 @@ func TestConcurrentInternAndLookup(t *testing.T) {
 			t.Fatalf("ref %d resolves to %q, want %q", r, got, w)
 		}
 	}
+}
+
+// MustIntern is Intern for in-memory stores where appends cannot fail; it
+// panics on error.
+func (st *Store) MustIntern(s string) Ref {
+	r, err := st.Intern(s)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// Len returns the number of interned strings.
+func (st *Store) Len() int {
+	return len(st.table())
 }

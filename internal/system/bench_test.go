@@ -18,6 +18,7 @@ import (
 	"aion/internal/hostdb"
 	"aion/internal/model"
 	"aion/internal/pagecache"
+	"aion/internal/testkit/benchshape"
 )
 
 // loadBenchmarkShape builds and cleanly closes a store with the shape
@@ -27,7 +28,7 @@ import (
 // operation snapshot policy at 16 384. It returns the options the serving
 // phase reopens with and the number of updates loaded.
 func loadBenchmarkShape(b *testing.B) (Options, int) {
-	us := datagen.BenchmarkShape(1)
+	us := benchshape.Updates(1)
 	opts := Options{Dir: b.TempDir(), Aion: aion.Options{SnapshotEveryOps: 16384}}
 	s, err := Open(opts)
 	if err != nil {
@@ -288,16 +289,16 @@ func logTreeRow(b *testing.B, dir, name string, updates int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var keys, vals, heads float64
+	var n, keys, vals, heads float64
 	var lb [binary.MaxVarintLen64]byte
 	if err := tree.Scan(nil, nil, func(k, v []byte) bool {
-		keys, vals = keys+float64(len(k)), vals+float64(len(v))
+		n, keys, vals = n+1, keys+float64(len(k)), vals+float64(len(v))
 		heads += float64(2 + binary.PutUvarint(lb[:], uint64(len(k))) + binary.PutUvarint(lb[:], uint64(len(v)))) // slot, lengths
 		return true
 	}); err != nil {
 		b.Fatal(err)
 	}
-	n, size := float64(tree.Len()), float64(tree.DiskBytes())
+	size := float64(tree.DiskBytes())
 	b.Logf("  %-18s %11.0f B %8.1f B/update  %7.0f entries, key %4.1f B, value %4.1f B, fill %2.0f %%",
 		name, size, size/float64(updates), n, keys/n, vals/n, 100*(keys+vals+heads)/size)
 }

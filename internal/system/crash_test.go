@@ -22,6 +22,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/timestore"
 	"aion/internal/vfs"
 )
@@ -267,7 +268,7 @@ func verifySystem(t *testing.T, k int, torn bool, s *System, res sysDriveResult)
 
 func runSysCrashCase(t *testing.T, txns [][]sysOp, k int, torn bool) {
 	t.Helper()
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	fs.SetTornSync(torn)
 	fs.SetFailAfter(int64(k))
 	var res sysDriveResult
@@ -296,7 +297,7 @@ func runSysCrashCase(t *testing.T, txns [][]sysOp, k int, torn bool) {
 // reopened TimeStore holds none of its updates, and system.Open reconciles
 // the commit whole from the host's log.
 func TestTornCommitIsAllOrNothing(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	s, err := openCrashSys(fs)
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +397,7 @@ func TestCrashSweepSystem(t *testing.T) {
 	if total < 200 {
 		t.Fatalf("workload has only %d updates, want >= 200", total)
 	}
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	s, err := openCrashSys(fs)
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,14 @@ import (
 	"aion/internal/aion"
 	"aion/internal/enc"
 	"aion/internal/strstore"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
 // asFixedRefLog rewrites the TimeStore log of the closed system in fs to the
 // format before compact refs: the ATL2 marker, then the same blocks with every
 // string ref 4 bytes wide.
-func asFixedRefLog(t *testing.T, fs *vfs.FaultFS) {
+func asFixedRefLog(t *testing.T, fs *vfstest.FaultFS) {
 	t.Helper()
 	strs, err := strstore.OpenFS(fs, "sys/aion/strings.db")
 	if err != nil {
@@ -51,7 +52,7 @@ func asFixedRefLog(t *testing.T, fs *vfs.FaultFS) {
 // Aion from the host's log, which kept its format, and every read then answers
 // as the reference model does.
 func TestParentFormatAionIsRebuilt(t *testing.T) {
-	r := &residentSys{t: t, fs: vfs.NewFaultFS()}
+	r := &residentSys{t: t, fs: vfstest.NewFaultFS()}
 	r.open()
 	h := newHistorian(3)
 	for i := 0; i < 150; i++ {

@@ -19,11 +19,11 @@ import (
 
 	"aion/internal/aion"
 	"aion/internal/model"
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 )
 
 func TestProcessKillRecoversAckedCommits(t *testing.T) {
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	s, err := Open(Options{
 		Dir:         "sys",
 		SyncCommits: false, // no fsync ever: durability comes only from write ordering

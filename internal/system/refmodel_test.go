@@ -3,7 +3,7 @@ package system
 // The TimeStore half of the one oracle (ROADMAP item 1a): a hosted TimeStore
 // keeps no graph of its own, so every graph it hands out — materialised,
 // cached from a policy snapshot, or persisted in a .dsnap element — is checked
-// here against internal/refmodel's replay from zero, on a history that goes
+// here against internal/testkit/refmodel's replay from zero, on a history that goes
 // through every way commits reach it.
 
 import (
@@ -23,8 +23,9 @@ import (
 	"aion/internal/hostdb"
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/refmodel"
 	"aion/internal/strstore"
+	"aion/internal/testkit/refmodel"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -208,8 +209,7 @@ func exportDigest(t *testing.T, codec *enc.Codec, us []model.Update) string {
 	t.Helper()
 	var b []byte
 	for _, u := range us {
-		u.AddLabels = slices.Clone(u.AddLabels) // the graph's own slice: entities are immutable
-		u.Normalize()
+		u = refmodel.Normalize(u) // sorted copies: the graph's own slices are immutable
 		var err error
 		if b, err = codec.AppendUpdate(append(b, '|'), u); err != nil {
 			t.Fatal(err)
@@ -240,7 +240,7 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 	for at := r.born + 1; at <= last; at++ {
 		// Nothing has been read since the store opened, so whatever is cached
 		// came from the snapshot worker.
-		if g, ok := ts.GraphStore().Get(at); ok {
+		if g, ok := cachedAt(ts.GraphStore(), at); ok {
 			cached++
 			if exportDigest(t, codec, g.Export()) != exportDigest(t, codec, m.Graph(at)) {
 				t.Errorf("%s: the policy snapshot cached at %d differs from the model", label, at)
@@ -260,7 +260,7 @@ func (r *residentSys) matchModel(label string, codec *enc.Codec) {
 		}
 	}
 	// GetGraphs over the whole history: each step the graph at its timestamp.
-	graphs, err := ts.GetGraphsContext(ctx, 1, last, 1)
+	graphs, err := r.Aion.GetGraphContext(ctx, 1, last, 1)
 	if err != nil || len(graphs) != int(last) {
 		t.Fatalf("%s: GetGraphs(1, %d, 1): %d graphs, %v", label, last, len(graphs), err)
 	}
@@ -510,8 +510,8 @@ func readFrames(t *testing.T, fs vfs.FS, path string) (frames [][]byte) {
 }
 
 func TestHostedGraphsMatchTheReferenceModel(t *testing.T) {
-	p := &residentSys{t: t, fs: vfs.NewFaultFS()}
-	f := &residentSys{t: t, fs: vfs.NewFaultFS(), replica: true}
+	p := &residentSys{t: t, fs: vfstest.NewFaultFS()}
+	f := &residentSys{t: t, fs: vfstest.NewFaultFS(), replica: true}
 	p.open()
 	f.open()
 	defer func() { p.Close(); f.Close() }()

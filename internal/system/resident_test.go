@@ -20,11 +20,12 @@ import (
 	"testing"
 
 	"aion/internal/aion"
+	"aion/internal/graphstore"
 	"aion/internal/hostdb"
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/tstest"
-	"aion/internal/vfs"
+	"aion/internal/testkit/tstest"
+	"aion/internal/testkit/vfstest"
 )
 
 // residentSys is one system under TestOneResidentGraph plus every commit its
@@ -32,7 +33,7 @@ import (
 // transaction stamped ts.
 type residentSys struct {
 	t       *testing.T
-	fs      *vfs.FaultFS
+	fs      *vfstest.FaultFS
 	replica bool
 	*System
 	mu      sync.Mutex
@@ -72,7 +73,7 @@ func (r *residentSys) open() {
 }
 
 func newResidentSys(t *testing.T, replica bool) *residentSys {
-	r := &residentSys{t: t, fs: vfs.NewFaultFS(), replica: replica}
+	r := &residentSys{t: t, fs: vfstest.NewFaultFS(), replica: replica}
 	r.open()
 	t.Cleanup(func() { r.Close() })
 	return r
@@ -161,7 +162,7 @@ func (r *residentSys) unshared() (unshared, total, graphs int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range r.chainElements() {
-		g, cached := gs.Get(e.at)
+		g, cached := cachedAt(gs, e.at)
 		if !cached || e.at <= r.born {
 			continue
 		}
@@ -247,7 +248,7 @@ func (r *residentSys) verify(label string) {
 			r.t.Fatalf("%s: GetGraph(%d) differs from a replay from zero", label, i+1)
 		}
 	}
-	if cmp.GraphDigest(r.t, r.Host.Current()) != cmp.GraphDigest(r.t, ref) {
+	if cmp.GraphDigest(r.t, current(r.Host)) != cmp.GraphDigest(r.t, ref) {
 		r.t.Fatalf("%s: the host's graph differs from a replay from zero", label)
 	}
 }
@@ -478,7 +479,7 @@ func TestOneResidentGraph(t *testing.T) {
 			commits = 4000
 		}
 		const nodes, every = 20000, 8192
-		s, err := Open(Options{Dir: "sys", FS: vfs.NewFaultFS(),
+		s, err := Open(Options{Dir: "sys", FS: vfstest.NewFaultFS(),
 			Aion: aion.Options{SnapshotEveryOps: every, ParallelIO: 1, GraphStoreBytes: 1}})
 		if err != nil {
 			t.Fatal(err)
@@ -571,7 +572,7 @@ func TestOneResidentGraph(t *testing.T) {
 // host's graph is not taken for a state past it, and a reopen repairs it from
 // the host log.
 func TestFailedIngestIsSticky(t *testing.T) {
-	hostFS, aionFS := vfs.NewFaultFS(), vfs.NewFaultFS()
+	hostFS, aionFS := vfstest.NewFaultFS(), vfstest.NewFaultFS()
 	opts := Options{Dir: "sys", SyncCommits: true, FS: hostFS,
 		Aion: aion.Options{Dir: "aion", FS: aionFS, ParallelIO: 1}}
 	s, err := Open(opts)
@@ -597,7 +598,7 @@ func TestFailedIngestIsSticky(t *testing.T) {
 
 	aionFS.SetFailAfter(aionFS.Ops() + 1) // the TimeStore's next write fails: ENOSPC
 	commit(5)                             // the host's commit succeeds regardless
-	if err := s.Aion.Err(); !errors.Is(err, vfs.ErrInjected) {
+	if err := s.Aion.Err(); !errors.Is(err, vfstest.ErrInjected) {
 		t.Fatalf("after a failed TimeStore append Err() = %v, want the injected fault", err)
 	}
 	aionFS.SetFailAfter(0) // the disk has room again
@@ -607,14 +608,14 @@ func TestFailedIngestIsSticky(t *testing.T) {
 	if got := s.Aion.LatestTimestamp(); got != 5 {
 		t.Errorf("aion at ts %d: commits were appended on top of the hole at 6", got)
 	}
-	if err := s.Aion.ApplyBatch([]model.Update{model.AddNode(41, 99, nil, nil)}); !errors.Is(err, vfs.ErrInjected) {
+	if err := s.Aion.ApplyBatch([]model.Update{model.AddNode(41, 99, nil, nil)}); !errors.Is(err, vfstest.ErrInjected) {
 		t.Errorf("ApplyBatch after the failure = %v, want it refused with the first failure", err)
 	}
 	if st := s.Aion.TimeStore().Stats(); st.LatestPulls != pulls || st.LatestMismatches != 0 {
 		t.Errorf("the host's graph was asked for after the failure: %d pulls (were %d), %d mismatches",
 			st.LatestPulls, pulls, st.LatestMismatches)
 	}
-	if err := s.Close(); !errors.Is(err, vfs.ErrInjected) {
+	if err := s.Close(); !errors.Is(err, vfstest.ErrInjected) {
 		t.Errorf("Close = %v, want the sticky failure reported", err)
 	}
 
@@ -738,9 +739,9 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 	r.mu.Lock()
 	commits := r.commits
 	r.mu.Unlock()
-	gs, latest := ts.GraphStore(), r.Host.Current()
+	gs, latest := ts.GraphStore(), current(r.Host)
 	for _, at := range elems {
-		g, ok := gs.Get(at)
+		g, ok := cachedAt(gs, at)
 		if !ok {
 			t.Fatalf("the element at %d is not cached after it was read", at)
 		}
@@ -776,4 +777,16 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 		}
 	}
 	r.verify("after sharing")
+}
+
+// cachedAt returns the graph the GraphStore holds at exactly ts.
+func cachedAt(gs *graphstore.Store, ts model.Timestamp) (*memgraph.Graph, bool) {
+	g, at, ok := gs.Floor(ts)
+	return g, ok && at == ts
+}
+
+// current returns a read snapshot of the host's latest committed graph.
+func current(h *hostdb.DB) *memgraph.Graph {
+	g, _, _ := h.Committed()
+	return g
 }

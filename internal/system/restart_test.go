@@ -23,8 +23,9 @@ import (
 	"aion/internal/enc"
 	"aion/internal/lineagestore"
 	"aion/internal/model"
-	"aion/internal/refmodel"
 	"aion/internal/strstore"
+	"aion/internal/testkit/refmodel"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -107,7 +108,7 @@ func verifyLineage(t *testing.T, label string, s *System) {
 	if got := ls.Stats().Updates; got != uint64(len(rec)) {
 		t.Fatalf("%s: lineage holds %d updates, the log %d", label, got, len(rec))
 	}
-	ref, err := lineagestore.Open(enc.NewCodec(strstore.NewMem()), lineagestore.Options{FS: vfs.NewFaultFS()})
+	ref, err := lineagestore.Open(enc.NewCodec(strstore.NewMem()), lineagestore.Options{FS: vfstest.NewFaultFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +123,9 @@ func verifyLineage(t *testing.T, label string, s *System) {
 
 // generation1 runs the first half on a fresh FaultFS and stops before Close,
 // returning the open system, its drive result and the filesystem.
-func generation1(t *testing.T, txns [][]sysOp) (*vfs.FaultFS, *System, sysDriveResult) {
+func generation1(t *testing.T, txns [][]sysOp) (*vfstest.FaultFS, *System, sysDriveResult) {
 	t.Helper()
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	s, err := openCrashSys(fs)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +141,7 @@ func generation1(t *testing.T, txns [][]sysOp) (*vfs.FaultFS, *System, sysDriveR
 }
 
 // reopenAndVerify reopens after the crash and checks the whole contract.
-func reopenAndVerify(t *testing.T, label string, fs *vfs.FaultFS, res sysDriveResult) *System {
+func reopenAndVerify(t *testing.T, label string, fs *vfstest.FaultFS, res sysDriveResult) *System {
 	t.Helper()
 	s, err := openCrashSys(fs)
 	if err != nil {
@@ -241,8 +242,8 @@ func TestCrashSweepClose(t *testing.T) {
 	open := func(fs vfs.FS) (*System, error) {
 		return Open(Options{Dir: "sys", FS: fs, Aion: aion.Options{SnapshotEveryOps: 1 << 30, ParallelIO: 1}})
 	}
-	load := func() (*vfs.FaultFS, *System, *refmodel.Model) {
-		fs := vfs.NewFaultFS()
+	load := func() (*vfstest.FaultFS, *System, *refmodel.Model) {
+		fs := vfstest.NewFaultFS()
 		s, err := open(fs)
 		if err != nil {
 			t.Fatal(err)
@@ -267,7 +268,7 @@ func TestCrashSweepClose(t *testing.T) {
 		defer s.Close()
 		clock := s.Host.Clock()
 		want := exportDigest(t, codec, m.Graph(clock))
-		if exportDigest(t, codec, s.Host.Current().Export()) != want {
+		if exportDigest(t, codec, current(s.Host).Export()) != want {
 			t.Fatalf("%s: the host's graph at %d is not the model's", label, clock)
 		}
 		if got := s.Aion.LatestTimestamp(); got != clock {

@@ -9,7 +9,7 @@ import (
 
 	"aion/internal/aion"
 	"aion/internal/model"
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 )
 
 // TestStressConcurrentCommitsWithSnapshots drives the combined system the
@@ -29,7 +29,7 @@ func TestStressConcurrentCommitsWithSnapshots(t *testing.T) {
 	s, err := Open(Options{
 		Dir:         "sys",
 		SyncCommits: true,
-		FS:          vfs.NewFaultFS(),
+		FS:          vfstest.NewFaultFS(),
 		Aion: aion.Options{
 			// A snapshot every 20 commits, so the trigger fires throughout
 			// the run, racing the committers and readers.

@@ -1,5 +1,5 @@
 // Package netfault is a deterministic fault-injecting transport seam: it is
-// to connections what internal/vfs.FaultFS is to files. A Network wraps
+// to connections what vfstest.FaultFS is to files. A Network wraps
 // net.Conn, net.Listener, and dial functions so every replication and
 // serving test can run under injected network chaos — severed connections,
 // truncated or duplicated or corrupted chunks, delayed delivery, half-open

@@ -168,9 +168,10 @@ func in[E any](vs []E, valid func(E) model.Interval, start, end model.Timestamp)
 
 // versions replays every version each entity ever had, oldest first, from
 // the updates keep admits.
-func (m *Model) versions(keep func(u model.Update) bool) (map[model.NodeID][]*model.Node, map[model.RelID][]*model.Rel) {
+func (m *Model) versions(keep func(u *model.Update) bool) (map[model.NodeID][]*model.Node, map[model.RelID][]*model.Rel) {
 	nodes, rels := map[model.NodeID][]*model.Node{}, map[model.RelID][]*model.Rel{}
-	for _, u := range m.us {
+	for i := range m.us {
+		u := &m.us[i] // by pointer: an Update is too large to copy per read
 		if !keep(u) {
 			continue
 		}
@@ -223,20 +224,20 @@ func (m *Model) versions(keep func(u model.Update) bool) (map[model.NodeID][]*mo
 
 // nodeVersions replays every version node id ever had.
 func (m *Model) nodeVersions(id model.NodeID) []*model.Node {
-	nodes, _ := m.versions(func(u model.Update) bool { return u.Kind.IsNodeOp() && u.NodeID == id })
+	nodes, _ := m.versions(func(u *model.Update) bool { return u.Kind.IsNodeOp() && u.NodeID == id })
 	return nodes[id]
 }
 
 // relVersions replays every version relationship id ever had.
 func (m *Model) relVersions(id model.RelID) []*model.Rel {
-	_, rels := m.versions(func(u model.Update) bool { return !u.Kind.IsNodeOp() && u.RelID == id })
+	_, rels := m.versions(func(u *model.Update) bool { return !u.Kind.IsNodeOp() && u.RelID == id })
 	return rels[id]
 }
 
 // everyVersion is versions of the whole stream, cached until the next Apply.
 func (m *Model) everyVersion() (map[model.NodeID][]*model.Node, map[model.RelID][]*model.Rel) {
 	if m.nodes == nil {
-		m.nodes, m.rels = m.versions(func(model.Update) bool { return true })
+		m.nodes, m.rels = m.versions(func(*model.Update) bool { return true })
 	}
 	return m.nodes, m.rels
 }
@@ -264,7 +265,8 @@ func (m *Model) GetRelationships(id model.NodeID, d model.Direction, start, end 
 	}
 	var found []incident
 	seen := map[model.RelID]bool{}
-	for _, u := range m.us {
+	for i := range m.us {
+		u := &m.us[i]
 		if u.Kind != model.OpAddRel || seen[u.RelID] {
 			continue
 		}
@@ -328,4 +330,14 @@ func (m *Model) Expand(id model.NodeID, d model.Direction, hops int, ts model.Ti
 		queue = next
 	}
 	return result
+}
+
+// Normalize returns u with sorted copies of its label and deleted-property
+// slices, so that two semantically equal updates encode to the same bytes.
+func Normalize(u model.Update) model.Update {
+	for _, s := range []*[]string{&u.AddLabels, &u.DelLabels, &u.DelProps} {
+		*s = slices.Clone(*s)
+		slices.Sort(*s)
+	}
+	return u
 }

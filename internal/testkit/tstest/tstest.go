@@ -23,8 +23,8 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/timestore"
-	"aion/internal/vfs"
 )
 
 // GenWorkload builds a deterministic, valid update stream from the seed:
@@ -132,7 +132,7 @@ func (c *Comparator) GraphDigest(tb testing.TB, g *memgraph.Graph) string {
 type Store struct {
 	*timestore.Store
 	Codec *enc.Codec
-	FS    *vfs.FaultFS
+	FS    *vfstest.FaultFS
 	Opts  timestore.Options
 }
 
@@ -140,7 +140,7 @@ type Store struct {
 // to "ts" and ParallelIO to 2, so pipelines run concurrently but small.
 func OpenStore(tb testing.TB, opts timestore.Options) *Store {
 	tb.Helper()
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	st, err := openOn(fs, enc.NewCodec(strstore.NewMem()), &opts)
 	if err != nil {
 		tb.Fatalf("tstest: open: %v", err)
@@ -159,7 +159,7 @@ func (s *Store) Reopen(tb testing.TB) *Store {
 	return st
 }
 
-func openOn(fs *vfs.FaultFS, codec *enc.Codec, opts *timestore.Options) (*Store, error) {
+func openOn(fs *vfstest.FaultFS, codec *enc.Codec, opts *timestore.Options) (*Store, error) {
 	o := *opts
 	if o.Dir == "" {
 		o.Dir = "ts"
@@ -182,8 +182,8 @@ func Drive(tb testing.TB, st *Store, us []model.Update, flushEvery int) {
 	tb.Helper()
 	i := 0
 	for i < len(us) {
-		// Batch size cycles 1,1,1,5,1,1,1,5,... so both Append and
-		// AppendBatch paths are exercised deterministically.
+		// Batch sizes mix 1 and 5, so single-update and multi-update
+		// batches are both exercised deterministically.
 		n := 1
 		if (i/4)%2 == 1 {
 			n = 5
@@ -191,14 +191,8 @@ func Drive(tb testing.TB, st *Store, us []model.Update, flushEvery int) {
 		if i+n > len(us) {
 			n = len(us) - i
 		}
-		if n == 1 {
-			if err := st.Append(us[i]); err != nil {
-				tb.Fatalf("tstest: append %d: %v", i, err)
-			}
-		} else {
-			if err := st.AppendBatch(us[i : i+n]); err != nil {
-				tb.Fatalf("tstest: append batch at %d: %v", i, err)
-			}
+		if err := st.AppendBatch(us[i : i+n]); err != nil {
+			tb.Fatalf("tstest: append batch at %d: %v", i, err)
 		}
 		i += n
 		if flushEvery > 0 && i%flushEvery == 0 {

@@ -1,12 +1,17 @@
-package vfs
+// Package vfstest holds FaultFS, the in-memory vfs.FS the crash sweeps run
+// on. It is test support: no binary imports it.
+package vfstest
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
+
+	"aion/internal/vfs"
 )
 
 // ErrInjected is the error every injected fault returns.
@@ -183,7 +188,7 @@ func (fs *FaultFS) opGate() (bool, error) {
 
 // --- FS interface -----------------------------------------------------------
 
-func (fs *FaultFS) OpenFile(path string) (File, error) {
+func (fs *FaultFS) OpenFile(path string) (vfs.File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	st, ok := fs.files[path]
@@ -197,7 +202,7 @@ func (fs *FaultFS) OpenFile(path string) (File, error) {
 	return &memFile{fs: fs, name: path, st: st, epoch: fs.epoch}, nil
 }
 
-func (fs *FaultFS) Create(path string) (File, error) {
+func (fs *FaultFS) Create(path string) (vfs.File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if _, err := fs.opGate(); err != nil {
@@ -212,7 +217,7 @@ func (fs *FaultFS) Create(path string) (File, error) {
 	}
 	return &memFile{fs: fs, name: path, st: st, epoch: fs.epoch}, nil
 }
-func (fs *FaultFS) Open(path string) (File, error) {
+func (fs *FaultFS) Open(path string) (vfs.File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	st, ok := fs.files[path]
@@ -449,3 +454,6 @@ func (f *memFile) Size() (int64, error) {
 func (f *memFile) Close() error { return nil }
 
 func (f *memFile) Name() string { return f.name }
+
+// dirOf groups in-memory namespace entries the way SyncDir scopes them.
+func dirOf(path string) string { return filepath.Dir(path) }

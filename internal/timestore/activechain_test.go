@@ -19,6 +19,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -155,7 +156,7 @@ func TestActiveChainRule(t *testing.T) {
 // holdFS is a FaultFS on which no chain element can be created until release
 // is closed: a snapshot worker as far behind as a test likes.
 type holdFS struct {
-	*vfs.FaultFS
+	*vfstest.FaultFS
 	release chan struct{}
 }
 
@@ -174,7 +175,7 @@ func (fs holdFS) Create(path string) (vfs.File, error) {
 func TestBusyWorkerMovesNoElement(t *testing.T) {
 	const every = 40
 	free := openStore(t, Options{SnapshotEveryOps: every, DeltaChainLength: 2})
-	fs := holdFS{FaultFS: vfs.NewFaultFS(), release: make(chan struct{})}
+	fs := holdFS{FaultFS: vfstest.NewFaultFS(), release: make(chan struct{})}
 	held := openStore(t, Options{Dir: "ts", FS: fs, SnapshotEveryOps: every, DeltaChainLength: 2})
 	release := func() {
 		select {
@@ -305,8 +306,8 @@ func TestRunSharesWhateverTheMissOrder(t *testing.T) {
 	if after := s.GraphStore().Stats(); after.Snapshots != before.Snapshots+1 || after.Evictions != before.Evictions || after.Bytes <= before.Bytes {
 		t.Errorf("the cache went from %+v to %+v, want one more snapshot and nothing else moved", before, after)
 	}
-	g1, _ := s.GraphStore().Get(d1.pos.ts)
-	g3, _ := s.GraphStore().Get(d3.pos.ts)
+	g1, _, _ := s.GraphStore().Floor(d1.pos.ts)
+	g3, _, _ := s.GraphStore().Floor(d3.pos.ts)
 	if n := sharedNodes(g1, g3); n == 0 || n == g3.NodeCount() {
 		t.Errorf("the run's cached graphs share %d of %d nodes, want some and not all", n, g3.NodeCount())
 	}

@@ -6,11 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"aion/internal/datagen"
 	"aion/internal/enc"
 	"aion/internal/model"
 	"aion/internal/pool"
 	"aion/internal/strstore"
+	"aion/internal/testkit/benchshape"
 )
 
 // benchStoreUpdates is sized so the snapshot and the log tail each cover
@@ -171,7 +171,7 @@ func BenchmarkGetDiff(b *testing.B) {
 // chain=4 is the default. The disk the deltas save must not be bought with
 // ingest time: the second must not take longer than the first.
 func BenchmarkPolicyPersist(b *testing.B) {
-	us := datagen.BenchmarkShape(1)
+	us := benchshape.Updates(1)
 	for i := range us {
 		us[i].TS = model.Timestamp(i/2000 + 1)
 	}

@@ -192,8 +192,8 @@ func TestChainFloor(t *testing.T) {
 			if g.NodeCount() != nodes {
 				t.Errorf("%s: GetGraph(%d) has %d nodes, want %d", st.name, ts, g.NodeCount(), nodes)
 			}
-			if _, got := s.gs.Get(ts); got != want {
-				t.Errorf("%s: element at %d cached = %v, want %v", st.name, ts, got, want)
+			if _, at, ok := s.gs.Floor(ts); (ok && at == ts) != want {
+				t.Errorf("%s: element at %d cached = %v, want %v", st.name, ts, !want, want)
 			}
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -193,7 +194,7 @@ func verifyRecovered(t *testing.T, k int, torn bool, codec *enc.Codec, st *Store
 func runCrashCase(t *testing.T, us []model.Update, k int, torn bool) {
 	t.Helper()
 	codec := enc.NewCodec(strstore.NewMem())
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	fs.SetTornSync(torn)
 	fs.SetFailAfter(int64(k))
 	var res driveResult
@@ -217,7 +218,7 @@ func runCrashCase(t *testing.T, us []model.Update, k int, torn bool) {
 func TestCrashSweepTimeStore(t *testing.T) {
 	us := genWorkload(240)
 	codec := enc.NewCodec(strstore.NewMem())
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	st, err := openCrashTS(fs, codec)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +251,7 @@ func TestCrashSweepTimeStore(t *testing.T) {
 func TestCrashMidSnapshotKeepsPreviousSnapshots(t *testing.T) {
 	us := genWorkload(120)
 	codec := enc.NewCodec(strstore.NewMem())
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	st, err := openCrashTS(fs, codec)
 	if err != nil {
 		t.Fatal(err)

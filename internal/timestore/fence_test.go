@@ -13,8 +13,8 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/pool"
-	"aion/internal/refmodel"
 	"aion/internal/strstore"
+	"aion/internal/testkit/refmodel"
 	"aion/internal/vfs"
 )
 

@@ -15,7 +15,7 @@ import (
 	"aion/internal/model"
 	"aion/internal/pool"
 	"aion/internal/strstore"
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/wal"
 )
 
@@ -211,7 +211,7 @@ func FuzzReadElement(f *testing.F) {
 		seg: &segment{dir: "e", log: log}}
 	path := filepath.Join("e", chainFileName(enc.DeltaFull, position{ts: 1}))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fs := vfs.NewFaultFS()
+		fs := vfstest.NewFaultFS()
 		file, err := fs.Create(path)
 		if err == nil {
 			_, err = file.WriteAt(b, 0)

@@ -245,7 +245,7 @@ const logEnd = math.MaxInt64
 // when fn returns false or ctx is cancelled (checked once per job, so a
 // runaway range scan stops within one job of the deadline). It is the shared
 // replay engine of recover, a delta's window, ScanDiffContext, and therefore
-// GetGraphContext/GetGraphsContext: the WAL is scanned with readahead, whole
+// GetGraphContext/ScanGraphsContext: the WAL is scanned with readahead, whole
 // frames are cut into jobs, decoding runs on Options.ParallelIO workers, and
 // fn (graph apply) stays in order on the calling goroutine.
 func (s *Store) replayWal(ctx context.Context, from, to int64, fn func(off int64, u model.Update) bool) error {

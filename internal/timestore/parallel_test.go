@@ -325,7 +325,7 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 					}
 				case 1:
 					step := model.Timestamp(1 + hi/8)
-					if _, err := s.GetGraphsContext(ctx, 0, ts, step); err != nil {
+					if _, err := getGraphs(ctx, s, 0, ts, step); err != nil {
 						t.Errorf("GetGraphs(0,%d,%d): %v", ts, step, err)
 						return
 					}

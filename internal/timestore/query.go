@@ -122,24 +122,10 @@ func (s *Store) basePos(ctx context.Context, ts model.Timestamp) (*memgraph.Grap
 	return memgraph.New(), best, nil
 }
 
-// GetGraphsContext returns a series of snapshots at start, start+step, ...,
-// built incrementally with one base fetch and a single range scan (Table 1:
-// "getGraph(1993, 2023, 1-year) returns thirty snapshots"). The series
-// covers timestamps start <= ts <= end.
-func (s *Store) GetGraphsContext(ctx context.Context, start, end model.Timestamp, step model.Timestamp) ([]*memgraph.Graph, error) {
-	var out []*memgraph.Graph
-	err := s.ScanGraphsContext(ctx, start, end, step, func(g *memgraph.Graph) bool {
-		out = append(out, g.Clone())
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScanGraphsContext is the lazy variant of GetGraphsContext (footnote 4:
-// "snapshots can be computed eagerly or lazily depending on the
+// ScanGraphsContext materializes the snapshot series at start, start+step,
+// ..., up to end (Table 1: "getGraph(1993, 2023, 1-year) returns thirty
+// snapshots") with one base fetch and a single range scan, lazily (footnote
+// 4: "snapshots can be computed eagerly or lazily depending on the
 // application"): each snapshot is handed to fn as it materializes and may be
 // retained only by cloning; iteration stops early when fn returns false.
 func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Timestamp, fn func(g *memgraph.Graph) bool) error {
@@ -153,11 +139,11 @@ func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Ti
 	if err != nil {
 		return err
 	}
-	next := start
+	steps := model.NewSteps(start, end, step)
 	stopped := false
 	emitThrough := func(upTo model.Timestamp) error {
-		for next <= upTo && next <= end {
-			if cerr := ctx.Err(); cerr != nil {
+		for next, ok := steps.Peek(); ok && next <= upTo; next, ok = steps.Peek() {
+			if _, _, cerr := steps.Next(ctx); cerr != nil {
 				return cerr
 			}
 			g.SetTimestamp(next)
@@ -165,12 +151,15 @@ func (s *Store) ScanGraphsContext(ctx context.Context, start, end, step model.Ti
 				stopped = true
 				return nil
 			}
-			next += step
 		}
 		return nil
 	}
+	bound := end // the scan's exclusive bound, end+1 short of the wrap
+	if end < model.TSInfinity {
+		bound++
+	}
 	var derr error
-	err = s.scanFrom(ctx, pos, end+1, func(u model.Update) bool {
+	err = s.scanFrom(ctx, pos, bound, func(u model.Update) bool {
 		if derr = emitThrough(u.TS - 1); derr != nil || stopped {
 			return false
 		}

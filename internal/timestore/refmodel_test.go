@@ -1,6 +1,6 @@
 package timestore
 
-// The global reads of a stand-alone TimeStore held to internal/refmodel: a
+// The global reads of a stand-alone TimeStore held to internal/testkit/refmodel: a
 // seeded history whose log frames come in every shape AppendBatch makes —
 // batches spanning several timestamps, timestamps spanning several batches —
 // read back through fences laid every few records, policy fulls and deltas
@@ -17,8 +17,8 @@ import (
 	"aion/internal/algo"
 	"aion/internal/enc"
 	"aion/internal/model"
-	"aion/internal/refmodel"
 	"aion/internal/strstore"
+	"aion/internal/testkit/refmodel"
 )
 
 // modelDigest encodes updates record by record, label and key lists sorted (a
@@ -27,8 +27,7 @@ func modelDigest(t *testing.T, codec *enc.Codec, us []model.Update) string {
 	t.Helper()
 	var b []byte
 	for _, u := range us {
-		u.AddLabels, u.DelLabels, u.DelProps = slices.Clone(u.AddLabels), slices.Clone(u.DelLabels), slices.Clone(u.DelProps)
-		u.Normalize()
+		u = refmodel.Normalize(u)
 		var err error
 		if b, err = codec.AppendUpdate(append(b, '|'), u); err != nil {
 			t.Fatal(err)
@@ -128,7 +127,7 @@ func checkGlobalReads(t *testing.T, s *Store, h *refmodel.History, label string)
 	m := &refmodel.Model{}
 	m.Apply(h.Updates...)
 	last := h.TS
-	graphs, err := s.GetGraphsContext(context.Background(), 0, last, 1)
+	graphs, err := getGraphs(context.Background(), s, 0, last, 1)
 	if err != nil || len(graphs) != int(last)+1 {
 		t.Fatalf("%s: GetGraphs(0, %d, 1): %d graphs, %v", label, last, len(graphs), err)
 	}

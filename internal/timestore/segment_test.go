@@ -14,7 +14,7 @@ import (
 
 	"aion/internal/enc"
 	"aion/internal/strstore"
-	"aion/internal/vfs"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/wal"
 )
 
@@ -27,7 +27,7 @@ func TestRecoveryDropsOrphanDeltas(t *testing.T) {
 	ctx := context.Background()
 	us := genWorkload(120)
 	codec := enc.NewCodec(strstore.NewMem())
-	fs := vfs.NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	st, err := openCrashTS(fs, codec)
 	if err != nil {
 		t.Fatal(err)

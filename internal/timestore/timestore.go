@@ -60,7 +60,7 @@ type Options struct {
 	// deltas (every chain element is a full materialization).
 	DeltaChainLength int
 	// FS is the filesystem the store persists through. nil means the real
-	// OS filesystem; crash tests substitute a vfs.FaultFS.
+	// OS filesystem; crash tests substitute a vfstest.FaultFS.
 	FS vfs.FS
 	// Host is the host database this store is attached to, as internal/system
 	// wires it — not a setting: hostdb.DB.Committed, which returns a CoW clone
@@ -504,11 +504,6 @@ func (s *Store) Latest() (*memgraph.Graph, error) {
 	return s.latestLocked(context.Background())
 }
 
-// Append writes one committed update: AppendBatch of a single update.
-func (s *Store) Append(u model.Update) error {
-	return s.AppendBatch([]model.Update{u})
-}
-
 // AppendBatch appends a batch of updates under one lock acquisition (the
 // paper batches transactions for ingestion performance, Sec 6.4): each run of
 // the batch's records at one timestamp is encoded as one block, and the
@@ -691,6 +686,9 @@ type Stats struct {
 	LatestMismatches uint64
 	SnapshotsOverdue int64
 	GraphStore       graphstore.Stats
+	// RepairedLogBytes and RepairedStringBytes are the torn-tail bytes Open
+	// cut from the update log and the string table: 0 after a clean close.
+	RepairedLogBytes, RepairedStringBytes int64
 }
 
 // Stats returns a snapshot of the store's counters and on-disk footprint.
@@ -713,6 +711,9 @@ func (s *Store) Stats() Stats {
 		LatestPulls:      s.pulls.Load(),
 		LatestMismatches: s.mismatches,
 		GraphStore:       s.gs.Stats(),
+
+		RepairedLogBytes:    s.seg.log.RepairedBytes(),
+		RepairedStringBytes: s.codec.Strings.RepairedBytes(),
 	}
 	if n := s.opts.SnapshotEveryOps; n > 0 {
 		st.SnapshotsOverdue = max(int64(s.opsSinceSnap/n)-1, 0)

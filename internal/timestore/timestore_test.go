@@ -14,6 +14,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 )
 
@@ -172,7 +173,7 @@ func TestSnapshotPolicyOperations(t *testing.T) {
 // append adds to it from zero during a Wait — and every wait still returns
 // with nothing it could see pending.
 func TestWaitSnapshotsWhileAppending(t *testing.T) {
-	s := openStore(t, Options{SnapshotEveryOps: 1, FS: vfs.NewFaultFS(), Dir: "ts", ParallelIO: 1})
+	s := openStore(t, Options{SnapshotEveryOps: 1, FS: vfstest.NewFaultFS(), Dir: "ts", ParallelIO: 1})
 	var stop atomic.Bool
 	waiters := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -206,7 +207,7 @@ func TestGetGraphsSeries(t *testing.T) {
 	if err := s.AppendBatch(chainUpdates(10)); err != nil {
 		t.Fatal(err)
 	}
-	graphs, err := s.GetGraphsContext(ctx, 2, 18, 4) // ts 2, 6, 10, 14, 18
+	graphs, err := getGraphs(ctx, s, 2, 18, 4) // ts 2, 6, 10, 14, 18
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +225,10 @@ func TestGetGraphsSeries(t *testing.T) {
 				i, g.NodeCount(), g.RelCount(), ref.NodeCount(), ref.RelCount())
 		}
 	}
-	if _, err := s.GetGraphsContext(ctx, 0, 10, 0); err == nil {
+	if _, err := getGraphs(ctx, s, 0, 10, 0); err == nil {
 		t.Error("zero step must fail")
 	}
-	if _, err := s.GetGraphsContext(ctx, 10, 0, 1); err == nil {
+	if _, err := getGraphs(ctx, s, 10, 0, 1); err == nil {
 		t.Error("inverted range must fail")
 	}
 }
@@ -241,7 +242,7 @@ func TestGetGraphsStepCopiesChunks(t *testing.T) {
 	allocated := func(end model.Timestamp) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		graphs, err := s.GetGraphsContext(context.Background(), 1, end, 1)
+		graphs, err := getGraphs(context.Background(), s, 1, end, 1)
 		runtime.ReadMemStats(&after)
 		if err != nil || len(graphs) != int(end) {
 			t.Fatalf("GetGraphs(1, %d, 1): %d graphs, %v", end, len(graphs), err)
@@ -582,7 +583,7 @@ func (fs failSyncFS) OpenFile(path string) (vfs.File, error) {
 
 func (f failSyncFile) Sync() error {
 	if f.armed.Load() {
-		return vfs.ErrInjected
+		return vfstest.ErrInjected
 	}
 	return f.File.Sync()
 }
@@ -618,7 +619,7 @@ func TestCloseReleasesDescriptors(t *testing.T) {
 		failSync.Store(i == 50)
 		if err := s.Close(); (err != nil) != (i == 50) {
 			t.Fatalf("round %d: Close error = %v", i, err)
-		} else if i == 50 && !errors.Is(err, vfs.ErrInjected) {
+		} else if i == 50 && !errors.Is(err, vfstest.ErrInjected) {
 			t.Fatalf("Close over the failing filesystem returned %v", err)
 		}
 		failSync.Store(false)
@@ -626,4 +627,9 @@ func TestCloseReleasesDescriptors(t *testing.T) {
 	if got := openFDs(); got > start {
 		t.Errorf("%d descriptors open after 51 Open/Close rounds, %d before", got, start)
 	}
+}
+
+// Append writes one committed update: AppendBatch of a single update.
+func (s *Store) Append(u model.Update) error {
+	return s.AppendBatch([]model.Update{u})
 }

@@ -1,4 +1,4 @@
-package tstest
+package tstest_test
 
 // Cross-configuration equivalence: a store writing delta chains and a store
 // writing full snapshots only, driven through the identical workload, must be
@@ -17,6 +17,7 @@ import (
 
 	"aion/internal/memgraph"
 	"aion/internal/model"
+	"aion/internal/testkit/tstest"
 	"aion/internal/timestore"
 )
 
@@ -45,14 +46,14 @@ func dueAt(us []model.Update, every int) []model.Timestamp {
 // chain of fulls and deltas in one store and of fulls only in the other, and
 // every commit timestamp is compared across configurations.
 func TestEquivalenceAcrossSeals(t *testing.T) {
-	us := GenWorkload(7, 600)
+	us := tstest.GenWorkload(7, 600)
 	maxTS := us[len(us)-1].TS
-	cmp := NewComparator()
+	cmp := tstest.NewComparator()
 
-	mono := OpenStore(t, monoOpts())
-	chain := OpenStore(t, chainOpts())
-	Drive(t, mono, us, 20)
-	Drive(t, chain, us, 20)
+	mono := tstest.OpenStore(t, monoOpts())
+	chain := tstest.OpenStore(t, chainOpts())
+	tstest.Drive(t, mono, us, 20)
+	tstest.Drive(t, chain, us, 20)
 	mono.WaitSnapshots()
 	chain.WaitSnapshots()
 	if st := chain.Stats(); st.DeltaSnapshots < 5 || st.SnapshotErrors != 0 {
@@ -61,26 +62,26 @@ func TestEquivalenceAcrossSeals(t *testing.T) {
 
 	// Every commit timestamp, including 0 (before history).
 	for ts := model.Timestamp(0); ts <= maxTS; ts++ {
-		AssertSameGraph(t, cmp, mono, chain, ts)
+		tstest.AssertSameGraph(t, cmp, mono, chain, ts)
 	}
 	// Diff windows: the full history, plus windows straddling every point a
 	// policy snapshot fell due, plus seeded random windows.
-	AssertSameDiff(t, cmp, mono, chain, 0, maxTS+1)
+	tstest.AssertSameDiff(t, cmp, mono, chain, 0, maxTS+1)
 	due := dueAt(us, chain.Opts.SnapshotEveryOps)
 	for _, b := range due {
-		AssertSameDiff(t, cmp, mono, chain, b-3, b+4)
-		AssertSameDiff(t, cmp, mono, chain, b, b+1)
+		tstest.AssertSameDiff(t, cmp, mono, chain, b-3, b+4)
+		tstest.AssertSameDiff(t, cmp, mono, chain, b, b+1)
 	}
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 25; i++ {
 		a := model.Timestamp(rng.Int63n(int64(maxTS)))
 		b := a + 1 + model.Timestamp(rng.Int63n(int64(maxTS-a)+1))
-		AssertSameDiff(t, cmp, mono, chain, a, b)
+		tstest.AssertSameDiff(t, cmp, mono, chain, a, b)
 	}
 	// Snapshot series across the whole history and dense across two
 	// elements.
-	AssertSameScan(t, cmp, mono, chain, 1, maxTS+1, 7)
-	AssertSameScan(t, cmp, mono, chain, due[0]-2, due[1]+3, 1)
+	tstest.AssertSameScan(t, cmp, mono, chain, 1, maxTS+1, 7)
+	tstest.AssertSameScan(t, cmp, mono, chain, due[0]-2, due[1]+3, 1)
 
 	if err := mono.Close(); err != nil {
 		t.Fatal(err)
@@ -97,14 +98,14 @@ func TestEquivalenceAcrossSeals(t *testing.T) {
 // at most its deltas and one policy interval of log, not the history before
 // it.
 func TestEquivalenceColdReopen(t *testing.T) {
-	us := GenWorkload(21, 600)
+	us := tstest.GenWorkload(21, 600)
 	maxTS := us[len(us)-1].TS
-	cmp := NewComparator()
+	cmp := tstest.NewComparator()
 
-	mono := OpenStore(t, monoOpts())
-	chain := OpenStore(t, chainOpts())
-	Drive(t, mono, us, 20)
-	Drive(t, chain, us, 20)
+	mono := tstest.OpenStore(t, monoOpts())
+	chain := tstest.OpenStore(t, chainOpts())
+	tstest.Drive(t, mono, us, 20)
+	tstest.Drive(t, chain, us, 20)
 	if err := chain.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +115,10 @@ func TestEquivalenceColdReopen(t *testing.T) {
 		t.Fatalf("reopened store reports %d deltas, want >= 5", st.DeltaSnapshots)
 	}
 	for ts := model.Timestamp(0); ts <= maxTS; ts += 3 {
-		AssertSameGraph(t, cmp, mono, chain, ts)
+		tstest.AssertSameGraph(t, cmp, mono, chain, ts)
 	}
-	AssertSameGraph(t, cmp, mono, chain, maxTS)
-	AssertSameDiff(t, cmp, mono, chain, 0, maxTS+1)
+	tstest.AssertSameGraph(t, cmp, mono, chain, maxTS)
+	tstest.AssertSameDiff(t, cmp, mono, chain, 0, maxTS+1)
 
 	// Bounded replay: query two thirds into history on a cold cache. A
 	// from-genesis replay would apply >= 10 policy intervals of updates; the
@@ -168,9 +169,9 @@ func TestEquivalenceColdReopen(t *testing.T) {
 // latest graph whether the store rebuilds it from its newest element and the
 // log tail or is handed the host's.
 func TestEquivalenceActiveDeltaChain(t *testing.T) {
-	us := GenWorkload(33, 900)
+	us := tstest.GenWorkload(33, 900)
 	maxTS := us[len(us)-1].TS
-	cmp := NewComparator()
+	cmp := tstest.NewComparator()
 	ref, want := memgraph.New(), make([]string, maxTS+1)
 	for i, u := range us {
 		if err := ref.Apply(u); err != nil {
@@ -185,10 +186,10 @@ func TestEquivalenceActiveDeltaChain(t *testing.T) {
 			want[ts] = want[ts-1] // no commit at ts: the state before it
 		}
 	}
-	deltas := OpenStore(t, timestore.Options{SnapshotEveryOps: 30, DeltaChainLength: 2})
-	fulls := OpenStore(t, timestore.Options{SnapshotEveryOps: 30, DeltaChainLength: -1})
-	Drive(t, deltas, us, 20)
-	Drive(t, fulls, us, 20)
+	deltas := tstest.OpenStore(t, timestore.Options{SnapshotEveryOps: 30, DeltaChainLength: 2})
+	fulls := tstest.OpenStore(t, timestore.Options{SnapshotEveryOps: 30, DeltaChainLength: -1})
+	tstest.Drive(t, deltas, us, 20)
+	tstest.Drive(t, fulls, us, 20)
 	ds, fs := deltas.Stats(), fulls.Stats()
 	if ds.DeltaSnapshots == 0 || ds.SnapshotErrors != 0 {
 		t.Fatalf("delta store: %d deltas, %d snapshot errors (%s)", ds.DeltaSnapshots, ds.SnapshotErrors, ds.LastSnapshotError)
@@ -196,32 +197,32 @@ func TestEquivalenceActiveDeltaChain(t *testing.T) {
 	if fs.DeltaSnapshots != 0 || fs.SnapshotErrors != 0 || ds.SnapshotBytes >= fs.SnapshotBytes {
 		t.Fatalf("fulls-only twin: %d deltas, %d snapshot errors; chains of %d bytes (deltas) and %d (fulls)", fs.DeltaSnapshots, fs.SnapshotErrors, ds.SnapshotBytes, fs.SnapshotBytes)
 	}
-	check := func(label string, st *Store, ts model.Timestamp) {
+	check := func(label string, st *tstest.Store, ts model.Timestamp) {
 		t.Helper()
 		g, err := st.GetGraphContext(context.Background(), ts)
 		if err != nil {
-			t.Fatalf("%s: %s GetGraph(%d): %v", label, st.name(), ts, err)
+			t.Fatalf("%s: chain=%d GetGraph(%d): %v", label, st.Opts.DeltaChainLength, ts, err)
 		}
 		if ts > 0 && cmp.GraphDigest(t, g) != want[ts] {
-			t.Fatalf("%s: %s GetGraph(%d) differs from a replay from zero", label, st.name(), ts)
+			t.Fatalf("%s: chain=%d GetGraph(%d) differs from a replay from zero", label, st.Opts.DeltaChainLength, ts)
 		}
 	}
 	for ts := model.Timestamp(0); ts <= maxTS; ts++ {
 		check("warm", deltas, ts)
 		check("warm", fulls, ts)
 	}
-	AssertSameDiff(t, cmp, deltas, fulls, 0, maxTS+1)
-	AssertSameDiff(t, cmp, deltas, fulls, maxTS/3, 2*maxTS/3)
-	AssertSameScan(t, cmp, deltas, fulls, 1, maxTS+1, 5)
+	tstest.AssertSameDiff(t, cmp, deltas, fulls, 0, maxTS+1)
+	tstest.AssertSameDiff(t, cmp, deltas, fulls, maxTS/3, 2*maxTS/3)
+	tstest.AssertSameScan(t, cmp, deltas, fulls, 1, maxTS+1, 5)
 
-	for _, st := range []*Store{deltas, fulls} {
+	for _, st := range []*tstest.Store{deltas, fulls} {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 		st.Opts.GraphStoreBytes = 1 // the cache keeps its newest entry only
 		cold := st.Reopen(t)
 		if g, err := cold.Latest(); err != nil || cmp.GraphDigest(t, g) != want[maxTS] {
-			t.Fatalf("%s: the latest graph recovered from the chain and the log tail differs from a replay from zero (%v)", st.name(), err)
+			t.Fatalf("chain=%d: the latest graph recovered from the chain and the log tail differs from a replay from zero (%v)", st.Opts.DeltaChainLength, err)
 		}
 		for ts := maxTS; ts >= 0; ts-- {
 			check("cold", cold, ts)
@@ -233,11 +234,11 @@ func TestEquivalenceActiveDeltaChain(t *testing.T) {
 		hosted := st.Reopen(t)
 		g, err := hosted.Latest()
 		if hst := hosted.Stats(); err != nil || hst.LatestPulls != 1 || hst.LoadedEntities != 0 {
-			t.Fatalf("%s: reopened on a host, Latest took its graph %d times after loading %d entity versions (%v); want 1 and 0",
-				st.name(), hst.LatestPulls, hst.LoadedEntities, err)
+			t.Fatalf("chain=%d: reopened on a host, Latest took its graph %d times after loading %d entity versions (%v); want 1 and 0",
+				st.Opts.DeltaChainLength, hst.LatestPulls, hst.LoadedEntities, err)
 		}
 		if cmp.GraphDigest(t, g) != want[maxTS] {
-			t.Fatalf("%s: the latest graph taken from the host differs from a replay from zero", st.name())
+			t.Fatalf("chain=%d: the latest graph taken from the host differs from a replay from zero", st.Opts.DeltaChainLength)
 		}
 		for ts := maxTS; ts >= 0; ts -= 7 {
 			check("hosted", hosted, ts)
@@ -250,9 +251,9 @@ func TestEquivalenceActiveDeltaChain(t *testing.T) {
 
 // driveFaulty pushes the workload tolerating injected faults: appends are
 // fail-stop, flushes mark durability. Mirrors the timestore crash sweeps.
-func driveFaulty(st *Store, us []model.Update) (attempted, durable int) {
+func driveFaulty(st *tstest.Store, us []model.Update) (attempted, durable int) {
 	for i, u := range us {
-		if err := st.Append(u); err != nil {
+		if err := st.AppendBatch([]model.Update{u}); err != nil {
 			break
 		}
 		attempted = i + 1
@@ -272,12 +273,12 @@ func driveFaulty(st *Store, us []model.Update) (attempted, durable int) {
 // This catches recovery bugs that preserve a consistent-looking but wrong
 // history.
 func TestCrashEquivalenceSweep(t *testing.T) {
-	us := GenWorkload(11, 160)
+	us := tstest.GenWorkload(11, 160)
 	maxTS := us[len(us)-1].TS
 	sweepOpts := timestore.Options{SnapshotEveryOps: 10, DeltaChainLength: 1, ParallelIO: 1}
 
 	// Fault-free run measures the op count to sweep.
-	probe := OpenStore(t, sweepOpts)
+	probe := tstest.OpenStore(t, sweepOpts)
 	if att, _ := driveFaulty(probe, us); att != len(us) {
 		t.Fatalf("fault-free run stopped after %d/%d updates", att, len(us))
 	}
@@ -291,7 +292,7 @@ func TestCrashEquivalenceSweep(t *testing.T) {
 	n := int(probe.FS.Ops())
 	t.Logf("sweeping %d fault indexes × 2 modes with cross-store verification", n)
 
-	cmp := NewComparator()
+	cmp := tstest.NewComparator()
 	for _, torn := range []bool{false, true} {
 		for k := 1; k <= n; k++ {
 			runCrashEquivalenceCase(t, cmp, us, maxTS, sweepOpts, k, torn)
@@ -299,9 +300,9 @@ func TestCrashEquivalenceSweep(t *testing.T) {
 	}
 }
 
-func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, maxTS model.Timestamp, opts timestore.Options, k int, torn bool) {
+func runCrashEquivalenceCase(t *testing.T, cmp *tstest.Comparator, us []model.Update, maxTS model.Timestamp, opts timestore.Options, k int, torn bool) {
 	t.Helper()
-	chain := OpenStore(t, opts)
+	chain := tstest.OpenStore(t, opts)
 	chain.FS.SetTornSync(torn)
 	chain.FS.SetFailAfter(int64(k))
 	attempted, durable := driveFaulty(chain, us)
@@ -324,7 +325,7 @@ func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, m
 	}
 
 	// A clean store fed the recovered prefix, fulls only, is the oracle.
-	mono := OpenStore(t, timestore.Options{SnapshotEveryOps: 1 << 30, ParallelIO: 1})
+	mono := tstest.OpenStore(t, timestore.Options{SnapshotEveryOps: 1 << 30, ParallelIO: 1})
 	if len(rec) > 0 {
 		if err := mono.AppendBatch(rec); err != nil {
 			t.Fatalf("k=%d torn=%v: oracle append: %v", k, torn, err)
@@ -334,9 +335,9 @@ func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, m
 		t.Fatalf("k=%d torn=%v: latest ts %d vs oracle %d", k, torn, lp, lm)
 	}
 	for ts := model.Timestamp(0); ts <= maxTS; ts += maxTS/5 + 1 {
-		AssertSameGraph(t, cmp, mono, chain, ts)
+		tstest.AssertSameGraph(t, cmp, mono, chain, ts)
 	}
-	AssertSameGraph(t, cmp, mono, chain, maxTS)
+	tstest.AssertSameGraph(t, cmp, mono, chain, maxTS)
 	if err := mono.Close(); err != nil {
 		t.Fatalf("k=%d torn=%v: oracle close: %v", k, torn, err)
 	}
@@ -353,7 +354,7 @@ func runCrashEquivalenceCase(t *testing.T, cmp *Comparator, us []model.Update, m
 // watermark).
 func TestConcurrentReadersDuringSeal(t *testing.T) {
 	const total = 400
-	st := OpenStore(t, timestore.Options{
+	st := tstest.OpenStore(t, timestore.Options{
 		SnapshotEveryOps: 25,
 		DeltaChainLength: 1,
 	})
@@ -400,7 +401,7 @@ func TestConcurrentReadersDuringSeal(t *testing.T) {
 	for i := 1; i <= total; i++ {
 		u := model.AddNode(model.Timestamp(i), model.NodeID(i), []string{"N"},
 			model.Properties{"n": model.IntValue(int64(i))})
-		if err := st.Append(u); err != nil {
+		if err := st.AppendBatch([]model.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 		if i%16 == 0 {

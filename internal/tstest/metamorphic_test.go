@@ -1,4 +1,4 @@
-package tstest
+package tstest_test
 
 // Metamorphic query tests: properties that must hold between related
 // queries regardless of physical layout. The central one is diff
@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"aion/internal/model"
+	"aion/internal/testkit/tstest"
 	"aion/internal/timestore"
 )
 
@@ -22,7 +23,7 @@ func timestoreOptsForComposition() timestore.Options {
 
 // composeDiff concatenates the two half-window diffs through the
 // comparator so the result is directly comparable to the full window.
-func composeDiff(t *testing.T, cmp *Comparator, st *Store, ts1, tm, ts2 model.Timestamp) string {
+func composeDiff(t *testing.T, cmp *tstest.Comparator, st *tstest.Store, ts1, tm, ts2 model.Timestamp) string {
 	ctx := context.Background()
 	t.Helper()
 	lo, err := st.GetDiffContext(ctx, ts1, tm)
@@ -36,7 +37,7 @@ func composeDiff(t *testing.T, cmp *Comparator, st *Store, ts1, tm, ts2 model.Ti
 	return cmp.Digest(t, lo) + cmp.Digest(t, hi)
 }
 
-func assertComposes(t *testing.T, cmp *Comparator, st *Store, ts1, tm, ts2 model.Timestamp) {
+func assertComposes(t *testing.T, cmp *tstest.Comparator, st *tstest.Store, ts1, tm, ts2 model.Timestamp) {
 	t.Helper()
 	full, err := st.GetDiffContext(context.Background(), ts1, ts2)
 	if err != nil {
@@ -53,11 +54,11 @@ func assertComposes(t *testing.T, cmp *Comparator, st *Store, ts1, tm, ts2 model
 // snapshot fell due (and the timestamp after it) to serve as the midpoint of
 // a window straddling it.
 func TestDiffComposition(t *testing.T) {
-	us := GenWorkload(13, 400)
+	us := tstest.GenWorkload(13, 400)
 	maxTS := us[len(us)-1].TS
-	cmp := NewComparator()
-	st := OpenStore(t, timestoreOptsForComposition())
-	Drive(t, st, us, 25)
+	cmp := tstest.NewComparator()
+	st := tstest.OpenStore(t, timestoreOptsForComposition())
+	tstest.Drive(t, st, us, 25)
 	st.WaitSnapshots()
 	if got := st.Stats().Snapshots; got < 5 {
 		t.Fatalf("workload's policy took %d snapshots, want >= 5", got)
@@ -93,11 +94,11 @@ func TestDiffComposition(t *testing.T) {
 // query must agree, and early termination must be a strict prefix.
 func TestScanDiffMatchesGetDiff(t *testing.T) {
 	ctx := context.Background()
-	us := GenWorkload(29, 300)
+	us := tstest.GenWorkload(29, 300)
 	maxTS := us[len(us)-1].TS
-	cmp := NewComparator()
-	st := OpenStore(t, timestoreOptsForComposition())
-	Drive(t, st, us, 25)
+	cmp := tstest.NewComparator()
+	st := tstest.OpenStore(t, timestoreOptsForComposition())
+	tstest.Drive(t, st, us, 25)
 
 	all, err := st.GetDiffContext(context.Background(), 0, maxTS+1)
 	if err != nil {

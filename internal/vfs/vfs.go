@@ -1,7 +1,7 @@
 // Package vfs is the filesystem seam beneath Aion's stores. Every durable
 // component (wal, pagecache, strstore, timestore snapshots) performs its
 // I/O through the FS/File interfaces so that crash-consistency tests can
-// substitute FaultFS — a deterministic fault-injecting, power-loss-
+// substitute vfstest.FaultFS (internal/testkit/vfstest) — a deterministic fault-injecting, power-loss-
 // simulating filesystem — while production code runs on the OS passthrough
 // with zero behavioural change.
 //
@@ -217,6 +217,3 @@ func (w *SeqWriter) Write(p []byte) (int, error) {
 	w.Off += int64(n)
 	return n, err
 }
-
-// dirOf groups in-memory namespace entries the way SyncDir scopes them.
-func dirOf(path string) string { return filepath.Dir(path) }

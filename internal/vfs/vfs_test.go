@@ -1,4 +1,4 @@
-package vfs
+package vfs_test
 
 import (
 	"errors"
@@ -6,14 +6,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"aion/internal/testkit/vfstest"
+	"aion/internal/vfs"
 )
+
+// pageSize is the granularity a FaultFS file is held and torn at.
+const pageSize = 4096
 
 // TestOSRoundTrip exercises the passthrough: write, sync, reopen, read,
 // rename, dir listing.
 func TestOSRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.dat")
-	f, err := OS.OpenFile(path)
+	f, err := vfs.OS.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,20 +32,20 @@ func TestOSRoundTrip(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := OS.SyncDir(dir); err != nil {
+	if err := vfs.OS.SyncDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := OS.Stat(path); err != nil || n != 5 {
+	if n, err := vfs.OS.Stat(path); err != nil || n != 5 {
 		t.Fatalf("stat: %d %v", n, err)
 	}
-	if err := OS.Rename(path, filepath.Join(dir, "b.dat")); err != nil {
+	if err := vfs.OS.Rename(path, filepath.Join(dir, "b.dat")); err != nil {
 		t.Fatal(err)
 	}
-	names, err := OS.ReadDir(dir)
+	names, err := vfs.OS.ReadDir(dir)
 	if err != nil || len(names) != 1 || names[0] != "b.dat" {
 		t.Fatalf("readdir: %v %v", names, err)
 	}
-	g, err := OS.Open(filepath.Join(dir, "b.dat"))
+	g, err := vfs.OS.Open(filepath.Join(dir, "b.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +54,7 @@ func TestOSRoundTrip(t *testing.T) {
 	if _, err := g.ReadAt(buf, 0); err != nil || string(buf) != "hello" {
 		t.Fatalf("read: %q %v", buf, err)
 	}
-	if _, err := OS.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
+	if _, err := vfs.OS.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
 		t.Fatalf("missing stat err = %v", err)
 	}
 }
@@ -56,7 +62,7 @@ func TestOSRoundTrip(t *testing.T) {
 // TestFaultFSCrashDiscardsUnsynced: synced bytes survive a crash, unsynced
 // bytes do not.
 func TestFaultFSCrashDiscardsUnsynced(t *testing.T) {
-	fs := NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	f, _ := fs.OpenFile("d/x")
 	f.WriteAt([]byte("durable"), 0)
 	if err := f.Sync(); err != nil {
@@ -82,7 +88,7 @@ func TestFaultFSCrashDiscardsUnsynced(t *testing.T) {
 // TestFaultFSNamespaceDurability: a file created but never dir-synced
 // vanishes on crash; a rename is durable only after SyncDir.
 func TestFaultFSNamespaceDurability(t *testing.T) {
-	fs := NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	f, _ := fs.OpenFile("d/tmp")
 	f.WriteAt([]byte("abc"), 0)
 	f.Sync()
@@ -119,16 +125,16 @@ func TestFaultFSNamespaceDurability(t *testing.T) {
 // TestFaultFSFailAfter: the armed op and all later mutating ops fail;
 // reads keep working.
 func TestFaultFSFailAfter(t *testing.T) {
-	fs := NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	f, _ := fs.OpenFile("d/x") // op 1 (creation)
 	fs.SetFailAfter(3)
 	if _, err := f.WriteAt([]byte("a"), 0); err != nil { // op 2
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte("b"), 1); !errors.Is(err, ErrInjected) { // op 3
+	if _, err := f.WriteAt([]byte("b"), 1); !errors.Is(err, vfstest.ErrInjected) { // op 3
 		t.Fatalf("op 3 must fail injected, got %v", err)
 	}
-	if err := f.Sync(); !errors.Is(err, ErrInjected) { // op 4: sticky
+	if err := f.Sync(); !errors.Is(err, vfstest.ErrInjected) { // op 4: sticky
 		t.Fatalf("later ops must stay failed, got %v", err)
 	}
 	buf := make([]byte, 1)
@@ -141,7 +147,7 @@ func TestFaultFSFailAfter(t *testing.T) {
 // of the file's changed pages, in offset order — those written through a view
 // included — and the first half of the changed bytes of the next.
 func TestFaultFSTornSync(t *testing.T) {
-	fs := NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	fs.SetTornSync(true)
 	f, _ := fs.OpenFile("d/x") // op 1
 	fs.SyncDir("d")            // op 2: name durable
@@ -157,7 +163,7 @@ func TestFaultFSTornSync(t *testing.T) {
 	}
 	v[0] = 9
 	fs.SetFailAfter(6)
-	if err := f.Sync(); !errors.Is(err, ErrInjected) { // op 6: torn
+	if err := f.Sync(); !errors.Is(err, vfstest.ErrInjected) { // op 6: torn
 		t.Fatalf("sync must fail, got %v", err)
 	}
 	fs.Crash()
@@ -180,7 +186,7 @@ func TestFaultFSTornSync(t *testing.T) {
 // seen at once by another handle and kept by a view taken before the file
 // grew; a crash before Sync loses it, one after keeps it.
 func TestFaultFSViewIsTheFile(t *testing.T) {
-	fs := NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	f, _ := fs.OpenFile("d/x")
 	fs.SyncDir("d")
 	if _, err := f.WriteAt(make([]byte, pageSize), 0); err != nil {
@@ -227,7 +233,7 @@ func TestFaultFSViewIsTheFile(t *testing.T) {
 // nil, even across a crash); the os passthrough surfaces the second Close
 // as an error, the way *os.File does.
 func TestFaultFSDoubleClose(t *testing.T) {
-	fs := NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	f, err := fs.OpenFile("d/x")
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +249,7 @@ func TestFaultFSDoubleClose(t *testing.T) {
 		t.Fatalf("close of a stale handle is a no-op, got %v", err)
 	}
 
-	g, err := OS.OpenFile(filepath.Join(t.TempDir(), "a.dat"))
+	g, err := vfs.OS.OpenFile(filepath.Join(t.TempDir(), "a.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +265,14 @@ func TestFaultFSDoubleClose(t *testing.T) {
 // with the stale-handle error, and a stale Sync charges no op against the
 // fault budget — it dies on the epoch check before reaching the gate.
 func TestFaultFSSyncAfterCrash(t *testing.T) {
-	fs := NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	f, _ := fs.OpenFile("d/x")
 	f.WriteAt([]byte("abc"), 0)
 	f.Sync()
 	fs.SyncDir("d")
 	fs.Crash()
 	before := fs.Ops()
-	if err := f.Sync(); err == nil || errors.Is(err, ErrInjected) {
+	if err := f.Sync(); err == nil || errors.Is(err, vfstest.ErrInjected) {
 		t.Fatalf("stale sync = %v, want stale-handle error", err)
 	}
 	if _, err := f.ReadAt(make([]byte, 1), 0); err == nil {
@@ -295,7 +301,7 @@ func TestFaultFSSyncAfterCrash(t *testing.T) {
 // current namespace immediately, but the replacement is durable only
 // after SyncDir — a crash before it restores the old destination.
 func TestFaultFSRenameOverExisting(t *testing.T) {
-	fs := NewFaultFS()
+	fs := vfstest.NewFaultFS()
 	write := func(path, content string) {
 		f, err := fs.OpenFile(path)
 		if err != nil {
@@ -370,29 +376,29 @@ func TestFaultFSRenameOverExisting(t *testing.T) {
 func TestMkdirAll(t *testing.T) {
 	base := t.TempDir()
 	nested := filepath.Join(base, "a", "b", "c")
-	if err := MkdirAll(OS, nested); err != nil {
+	if err := vfs.MkdirAll(vfs.OS, nested); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(nested)
 	if err != nil || !st.IsDir() {
 		t.Fatalf("nested dir: %v %v", st, err)
 	}
-	if err := MkdirAll(OS, nested); err != nil {
+	if err := vfs.MkdirAll(vfs.OS, nested); err != nil {
 		t.Fatalf("MkdirAll must be idempotent: %v", err)
 	}
 	// A filesystem that wraps the OS one (a test's fault shim) inherits
 	// directory creation; it used to be silently skipped.
 	wrapped := filepath.Join(base, "w", "x")
-	if err := MkdirAll(struct{ FS }{OS}, wrapped); err != nil {
+	if err := vfs.MkdirAll(struct{ vfs.FS }{vfs.OS}, wrapped); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := os.Stat(wrapped); err != nil || !st.IsDir() {
 		t.Fatalf("dir under a wrapped OS filesystem: %v %v", st, err)
 	}
 
-	ffs := NewFaultFS()
+	ffs := vfstest.NewFaultFS()
 	ffs.SetFailAfter(1) // any charged op would fail
-	if err := MkdirAll(ffs, "x/y/z"); err != nil {
+	if err := vfs.MkdirAll(ffs, "x/y/z"); err != nil {
 		t.Fatalf("in-memory MkdirAll: %v", err)
 	}
 	if n := ffs.Ops(); n != 0 {
@@ -403,11 +409,11 @@ func TestMkdirAll(t *testing.T) {
 // TestMkdirTemp: fresh, writable, distinct directories.
 func TestMkdirTemp(t *testing.T) {
 	base := t.TempDir()
-	d1, err := MkdirTemp(base, "aion-test-*")
+	d1, err := vfs.MkdirTemp(base, "aion-test-*")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := MkdirTemp(base, "aion-test-*")
+	d2, err := vfs.MkdirTemp(base, "aion-test-*")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,27 +430,27 @@ func TestMkdirTemp(t *testing.T) {
 // both.
 func TestCloseChecked(t *testing.T) {
 	var err error
-	f, _ := NewFaultFS().OpenFile("d/x")
-	CloseChecked(f, &err)
+	f, _ := vfstest.NewFaultFS().OpenFile("d/x")
+	vfs.CloseChecked(f, &err)
 	if err != nil {
 		t.Fatalf("clean close set err: %v", err)
 	}
 
-	g, oerr := OS.OpenFile(filepath.Join(t.TempDir(), "a.dat"))
+	g, oerr := vfs.OS.OpenFile(filepath.Join(t.TempDir(), "a.dat"))
 	if oerr != nil {
 		t.Fatal(oerr)
 	}
 	if cerr := g.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}
-	CloseChecked(g, &err) // double close fails on the os passthrough
+	vfs.CloseChecked(g, &err) // double close fails on the os passthrough
 	if !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("failing close not captured: %v", err)
 	}
 
 	sentinel := errors.New("primary failure")
 	err = sentinel
-	CloseChecked(g, &err)
+	vfs.CloseChecked(g, &err)
 	if !errors.Is(err, sentinel) || !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("joined error lost a member: %v", err)
 	}
@@ -454,7 +460,7 @@ func TestCloseChecked(t *testing.T) {
 // count, the property the sweep harness relies on.
 func TestFaultFSOpsDeterministic(t *testing.T) {
 	run := func() int64 {
-		fs := NewFaultFS()
+		fs := vfstest.NewFaultFS()
 		f, _ := fs.OpenFile("d/x")
 		for i := 0; i < 10; i++ {
 			f.WriteAt([]byte("abc"), int64(3*i))

@@ -15,7 +15,6 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"aion/internal/vfs"
 )
@@ -38,7 +37,6 @@ type Log struct {
 	writeBuf []byte // reused append scratch, guarded by mu
 	repaired int64  // torn-tail bytes truncated by Open
 	failed   error  // sticky: first append/sync I/O error; later writes fail-stop
-	syncs    atomic.Int64
 }
 
 // Open creates or opens the log at path on the real filesystem.
@@ -368,7 +366,6 @@ func (l *Log) Sync() error {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	l.synced = l.size
-	l.syncs.Add(1)
 	return nil
 }
 
@@ -381,10 +378,6 @@ func (l *Log) SyncedSize() int64 {
 	defer l.mu.RUnlock()
 	return l.synced
 }
-
-// Syncs reports how many successful Sync calls the log has issued — the
-// denominator the group-commit benchmarks use for fsyncs-per-commit.
-func (l *Log) Syncs() int64 { return l.syncs.Load() }
 
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
