@@ -23,9 +23,9 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own analyzer suite (cmd/aionlint): vfs-seam, dropped
-# durability errors, cancellation-blind loops, fsync-under-lock, plus the
-# flow-aware layer — mixed atomics, lock-order cycles, string-flush
-# ordering before WAL appends, leak-shaped goroutines. Fails on any
+# durability errors, cancellation-blind loops, fsync-under-lock, untyped
+# atomics, plus the flow-aware layer — lock-order cycles and string-flush
+# ordering before WAL appends. Fails on any
 # unsuppressed finding; see README for the suppression syntax. The full
 # -v report (findings, suppressions with reasons, per-analyzer timings)
 # lands in aionlint.txt, the CI-visible artifact.
@@ -50,7 +50,7 @@ loc:
 	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
 	@n=$$($(LOC_FILES) ! -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "production $$n"; \
-	[ $$n -le 23138 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 22552 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 	@n=$$($(LOC_FILES) -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "testkit $$n"; \
 	[ $$n -le 2132 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }

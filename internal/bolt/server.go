@@ -23,10 +23,6 @@ type Options struct {
 	// QueryTimeout is the per-query deadline applied when the client does
 	// not request one in the RUN frame. Zero means no default deadline.
 	QueryTimeout time.Duration
-	// MaxQueryTimeout caps client-requested deadlines so a client cannot
-	// opt out of the server's protection by sending a huge value. Zero
-	// means client requests are taken as-is.
-	MaxQueryTimeout time.Duration
 	// MaxConcurrent bounds the number of queries executing at once; excess
 	// RUNs are shed immediately with a retryable FailOverloaded FAILURE
 	// rather than queued (queueing under overload only moves the wait from
@@ -35,21 +31,15 @@ type Options struct {
 	// DrainTimeout is how long Close waits for in-flight queries to finish
 	// before cancelling them. Zero means cancel immediately.
 	DrainTimeout time.Duration
-	// IdleTimeout closes a connection that sends no frame for this long.
-	// Zero means connections may idle forever.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response flush, so one stalled client
-	// cannot pin a serving goroutine. Zero means no write deadline.
-	WriteTimeout time.Duration
 	// ReadGate, when set, screens every parsed statement before execution.
 	// Replica servers use it to reject writes (FailReadOnly) and reads above
 	// the replicated watermark (FailReplicaLag). A *ServerError return is
 	// sent to the client with its code; any other error maps to FailGeneric.
 	ReadGate func(st *cypher.Statement, params map[string]model.Value) error
 	// ReplicationHandler, when set, takes over a connection whose client
-	// sends MsgReplicate after the handshake: the serve loop clears its
-	// deadlines and hands the connection (with its buffered reader/writer
-	// and the request frame) to the handler, which owns it until it returns.
+	// sends MsgReplicate after the handshake: the serve loop hands the
+	// connection (with its buffered reader/writer and the request frame) to
+	// the handler, which owns it until it returns.
 	// Primaries install the log-shipping source here.
 	ReplicationHandler func(conn net.Conn, r *bufio.Reader, w *bufio.Writer, req []byte)
 	// Replication, when set, contributes replication counters to Metrics.
@@ -348,15 +338,11 @@ func (s *Server) dropConn(conn net.Conn) {
 
 // queryContext derives the context one query runs under: the server base
 // context (cancelled at the end of drain) plus the effective deadline.
-// A client-requested timeout wins but is capped by MaxQueryTimeout;
-// otherwise the server default applies.
+// A client-requested timeout wins; otherwise the server default applies.
 func (s *Server) queryContext(reqTimeout time.Duration) (context.Context, context.CancelFunc) {
 	timeout := s.opts.QueryTimeout
 	if reqTimeout > 0 {
 		timeout = reqTimeout
-		if s.opts.MaxQueryTimeout > 0 && timeout > s.opts.MaxQueryTimeout {
-			timeout = s.opts.MaxQueryTimeout
-		}
 	}
 	if timeout <= 0 {
 		return context.WithCancel(s.baseCtx)
@@ -408,23 +394,11 @@ func (s *Server) serve(conn net.Conn) {
 	send := func(payload []byte) error {
 		return writeFrame(w, payload)
 	}
-	flush := func() error {
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		return w.Flush()
-	}
-	read := func() ([]byte, error) {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		return readFrame(r)
-	}
 	fail := func(code byte, msg string) error {
 		if err := send(appendFailure(code, msg)); err != nil {
 			return err
 		}
-		return flush()
+		return w.Flush()
 	}
 
 	// Handshake: expect HELLO, reply SUCCESS. A HELLO may carry the
@@ -433,7 +407,7 @@ func (s *Server) serve(conn net.Conn) {
 	// deposed the moment ANY peer from the new reign talks to it. The
 	// reply carries this node's epoch back when the admin surface is
 	// enabled.
-	frame, err := read()
+	frame, err := readFrame(r)
 	if err != nil || len(frame) == 0 || frame[0] != MsgHello {
 		return
 	}
@@ -449,7 +423,7 @@ func (s *Server) serve(conn net.Conn) {
 	if err := send(success); err != nil {
 		return
 	}
-	if err := flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return
 	}
 
@@ -466,7 +440,7 @@ func (s *Server) serve(conn net.Conn) {
 	defer finishStatement()
 
 	for {
-		frame, err := read()
+		frame, err := readFrame(r)
 		if err != nil || len(frame) == 0 {
 			return
 		}
@@ -481,9 +455,7 @@ func (s *Server) serve(conn net.Conn) {
 				continue
 			}
 			// The connection becomes a long-lived push stream owned by the
-			// replication source; idle deadlines no longer apply.
-			conn.SetReadDeadline(time.Time{})
-			conn.SetWriteDeadline(time.Time{})
+			// replication source.
 			s.opts.ReplicationHandler(conn, r, w, frame)
 			return
 		case MsgPromote:
@@ -507,7 +479,7 @@ func (s *Server) serve(conn net.Conn) {
 			}
 			s.promotions.Add(1)
 			payload := binary.BigEndian.AppendUint64([]byte{MsgSuccess}, epoch)
-			if send(payload) != nil || flush() != nil {
+			if send(payload) != nil || w.Flush() != nil {
 				return
 			}
 		case MsgStatus:
@@ -528,7 +500,7 @@ func (s *Server) serve(conn net.Conn) {
 			payload := binary.BigEndian.AppendUint64([]byte{MsgSuccess}, st.Epoch)
 			payload = appendString(payload, st.Role)
 			payload = binary.AppendVarint(payload, st.Watermark)
-			if send(payload) != nil || flush() != nil {
+			if send(payload) != nil || w.Flush() != nil {
 				return
 			}
 		case MsgRun:
@@ -604,7 +576,7 @@ func (s *Server) serve(conn net.Conn) {
 			if send(payload) != nil {
 				return
 			}
-			if flush() != nil {
+			if w.Flush() != nil {
 				return
 			}
 		case MsgPull:
@@ -627,7 +599,7 @@ func (s *Server) serve(conn net.Conn) {
 					return
 				}
 				if (i+1)%rowFlushStride == 0 {
-					if flush() != nil {
+					if w.Flush() != nil {
 						return
 					}
 				}
@@ -644,7 +616,7 @@ func (s *Server) serve(conn net.Conn) {
 			if send(payload) != nil {
 				return
 			}
-			if flush() != nil {
+			if w.Flush() != nil {
 				return
 			}
 			finishStatement()

@@ -120,14 +120,12 @@ func TestErrDropCorpus(t *testing.T) { checkCorpus(t, "errdrop/wal", []*Analyzer
 func TestCtxLoopCorpus(t *testing.T) { checkCorpus(t, "ctxloop/bolt", []*Analyzer{CtxLoop}) }
 func TestLockIOCorpus(t *testing.T)  { checkCorpus(t, "lockio/store", []*Analyzer{LockIO}) }
 
-// The flow-aware analyzers: atomicmix and flushorder each reproduce a
-// previously-shipped bug shape (the group-commit mixed counter; the PR 6
-// encode-then-append-without-Flush recovery bug, against the real wal,
-// strstore and enc packages).
+// atomicmix and flushorder each reproduce a previously-shipped bug shape
+// (the group-commit mixed counter; the encode-then-append-without-Flush
+// recovery bug, against the real wal, strstore and enc packages).
 func TestAtomicMixCorpus(t *testing.T)  { checkCorpus(t, "atomicmix/store", []*Analyzer{AtomicMix}) }
 func TestLockOrderCorpus(t *testing.T)  { checkCorpus(t, "lockorder/store", []*Analyzer{LockOrder}) }
 func TestFlushOrderCorpus(t *testing.T) { checkCorpus(t, "flushorder/store", []*Analyzer{FlushOrder}) }
-func TestGoLeakCorpus(t *testing.T)     { checkCorpus(t, "goleak/bolt", []*Analyzer{GoLeak}) }
 
 // Directive validation runs with no analyzers at all: malformed
 // suppressions are findings in their own right.
@@ -149,8 +147,6 @@ func TestPackageGates(t *testing.T) {
 	}{
 		{"errdrop/wal", "testdata/ungated/corpus1", ErrDrop},
 		{"ctxloop/bolt", "testdata/ungated/corpus2", CtxLoop},
-		// goleak shares ctxloop's serving-path gate.
-		{"goleak/bolt", "testdata/ungated/corpus3", GoLeak},
 	}
 	for _, c := range cases {
 		p, err := l.LoadDirAs(filepath.Join("testdata", filepath.FromSlash(c.dir)), c.as)

@@ -2,97 +2,48 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/types"
-	"sort"
 )
 
-// AtomicMix flags struct fields with mixed access disciplines: if any site
-// in the module passes a field's address to a sync/atomic function, every
-// other read and write of that field must be atomic too. A plain access —
-// even one made while holding a mutex — races against the atomic
-// accessors, because atomics do not honor the lock. This is exactly the
-// bug shape that survives ordinary review: the atomic sites look correct
-// in isolation, the plain sites look correct in isolation, and only a
-// whole-module view sees the mix. Fields of the typed sync/atomic wrappers
-// (atomic.Int64 and friends) are exempt: the compiler already rejects
-// plain arithmetic on them.
+// AtomicMix keeps every atomic in the module typed: no call into
+// sync/atomic's function API (atomic.AddInt64, atomic.LoadUint32, …). A
+// plain field handed to those functions can be read or written plainly
+// elsewhere — even under a mutex the atomic side never takes — and the
+// race only shows when both paths meet under -race. A typed atomic
+// (atomic.Int64, atomic.Bool, …) makes the mix a compile error, and
+// copying the struct that holds it a `go vet` copylocks error, so this
+// per-package rule closes the bug shape without a whole-module field
+// index.
 var AtomicMix = &Analyzer{
-	Code:    "atomicmix",
-	Doc:     "a field accessed via sync/atomic anywhere must never be read or written plainly elsewhere",
-	RunFlow: runAtomicMix,
+	Code: "atomicmix",
+	Doc:  "no sync/atomic function calls: use the typed atomics (atomic.Int64, atomic.Bool, ...) so plain access cannot compile",
+	Run:  runAtomicMix,
 }
 
-func runAtomicMix(fl *Flow) []Finding {
-	// Deterministic field order: sort by the first access position.
-	fields := make([]*types.Var, 0, len(fl.Fields))
-	for fv := range fl.Fields {
-		fields = append(fields, fv)
-	}
-	sort.Slice(fields, func(i, j int) bool {
-		return fl.Fields[fields[i]][0].Pos < fl.Fields[fields[j]][0].Pos
-	})
-
+func runAtomicMix(p *Package) []Finding {
 	var out []Finding
-	for _, fv := range fields {
-		accs := fl.Fields[fv]
-		var firstAtomic *FieldAccess
-		hasPlain := false
-		for i := range accs {
-			switch accs[i].Mode {
-			case AccessAtomic:
-				if firstAtomic == nil {
-					firstAtomic = &accs[i]
-				}
-			case AccessPlain:
-				hasPlain = true
+	for _, file := range p.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
 			}
-		}
-		if firstAtomic == nil || !hasPlain {
-			continue
-		}
-		atomicPos := firstAtomic.Pkg.Fset.Position(firstAtomic.Pos)
-		for i := range accs {
-			a := &accs[i]
-			if a.Mode != AccessPlain || !fl.InTarget(a.Pkg) {
-				continue
+			fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+				return true
 			}
-			kind := "read"
-			if a.Write {
-				kind = "written"
-			}
-			guard := ""
-			if a.Guarded {
-				guard = " (holding a mutex does not help: the atomic accessors do not take it)"
+			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+				return true // a typed atomic's method
 			}
 			out = append(out, Finding{
-				Pos:  a.Pkg.Fset.Position(a.Pos),
+				Pos:  p.Fset.Position(sel.Pos()),
 				Code: "atomicmix",
-				Message: fmt.Sprintf("field %s is accessed via sync/atomic at %s:%d but %s plainly here%s; use atomic ops everywhere",
-					fl.fieldID(fv), atomicPos.Filename, atomicPos.Line, kind, guard),
+				Message: fmt.Sprintf("atomic.%s on a plain value lets other code read or write it plainly; declare it as a typed atomic (atomic.Int64, atomic.Bool, ...) and use its methods",
+					fn.Name()),
 			})
-		}
+			return true
+		})
 	}
 	return out
-}
-
-// fieldID renders a field for messages, naming the owning struct when it
-// can be found among the module's named types: "memgraph.Graph.cow".
-func (fl *Flow) fieldID(v *types.Var) string {
-	for _, tn := range fl.namedTypes {
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == v {
-				if named, ok := tn.Type().(*types.Named); ok {
-					return typeID(named) + "." + v.Name()
-				}
-			}
-		}
-	}
-	if v.Pkg() != nil {
-		return lastSegment(v.Pkg().Path()) + "." + v.Name()
-	}
-	return v.Name()
 }

@@ -21,7 +21,9 @@ var ctxLoopPackages = []string{
 // bodies neither reference the ctx nor hand it to a helper. Only the
 // outermost offending loop is reported: an inner loop under an outer
 // loop that checks ctx each iteration has bounded staleness, which is
-// the same guarantee a strided check gives.
+// the same guarantee a strided check gives. A goroutine literal the
+// function launches is part of its body: a bare spinner started from the
+// serving path is a blind loop like any other.
 var CtxLoop = &Analyzer{
 	Code: "ctxloop",
 	Doc:  "serving-path loops in ctx-taking functions must observe cancellation (directly or via a ctx-aware helper)",

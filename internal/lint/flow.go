@@ -1,20 +1,16 @@
 package lint
 
 // This file is aionlint's flow-aware layer: a whole-module view computed
-// once and shared by every analyzer that needs to see across function and
-// package boundaries (atomicmix, lockorder, flushorder, goleak). It has
-// three parts:
+// once and shared by the analyzers that need to see across function and
+// package boundaries (lockorder, flushorder). It has two parts:
 //
 //   - a call graph over go/types: static calls, method calls, interface
 //     method calls resolved to every intra-module type that satisfies the
 //     interface, and local function values resolved to the functions
 //     assigned to them;
-//   - a per-struct-field access index classifying every field access as
-//     plain read/write, sync/atomic, or guarded (performed while a mutex
-//     acquired in the same function is held);
-//   - per-function effect summaries — locks acquired, fsyncs performed,
-//     goroutines spawned, exit-awareness, string-table dirtiness transfer
-//     — computed bottom-up over the call graph's SCC condensation.
+//   - per-function effect summaries — locks acquired and string-table
+//     dirtiness transfer — computed bottom-up over the call graph's SCC
+//     condensation.
 //
 // The layer is stdlib-only, like the rest of the engine: it works off the
 // Loader's type-checked packages, so building it costs no extra parsing
@@ -38,9 +34,6 @@ type FlowCall struct {
 	// goroutine func literal. Spawned calls do not contribute to the
 	// caller's lock or flush ordering.
 	Spawned bool
-	// Deferred marks `defer f()` calls; they are modeled at their source
-	// position (the same approximation lockio uses).
-	Deferred bool
 }
 
 // A FuncInfo is one declared function or method with a body.
@@ -63,47 +56,12 @@ func (fi *FuncInfo) Name() string {
 	return name
 }
 
-// Field access classification.
-const (
-	AccessPlain  = iota // ordinary read or write
-	AccessAtomic        // address passed to a sync/atomic function
-)
-
-// A FieldAccess is one access of a struct field somewhere in the module.
-type FieldAccess struct {
-	Pos   token.Pos
-	Pkg   *Package
-	Mode  int  // AccessPlain or AccessAtomic
-	Write bool // assignment target, ++/--, or address taken
-	// Guarded plain accesses happen while a mutex acquired in the same
-	// function is held. They are still racy against atomic accessors —
-	// atomics do not honor the mutex — but the report says so explicitly
-	// because the fix differs (move everything under the lock, or make
-	// everything atomic).
-	Guarded bool
-}
-
 // An Effect is a function's bottom-up summary over the call graph.
 type Effect struct {
 	// Locks is the set of lock IDs (see mutexID) the function may acquire
 	// during a call, directly or transitively, excluding spawned
 	// goroutines.
 	Locks map[string]bool
-	// Syncs reports whether an fsync-class call (Sync/SyncDir) is
-	// reachable.
-	Syncs bool
-	// Spawns reports whether the function may launch a goroutine.
-	Spawns bool
-	// ExitAware reports whether the function observes an exit signal:
-	// a context.Context value, a select statement, a channel receive, or
-	// a range over a channel — directly or via a callee.
-	ExitAware bool
-	// LoopForever reports whether the function contains (transitively) a
-	// condition-less for loop with no visible way out: no break, return,
-	// goto, select, channel receive/range, and no context reference.
-	LoopForever bool
-	// Interns reports whether a string-table Intern is reachable.
-	Interns bool
 	// StrTransfer is the function's transfer on the "freshly interned
 	// strings not yet flushed" abstract state: foID leaves it unchanged,
 	// foGen dirties it, foKill cleans it (a Flush/Sync after the last
@@ -131,7 +89,6 @@ type Flow struct {
 	All     []*Package
 
 	Funcs   map[*types.Func]*FuncInfo
-	Fields  map[*types.Var][]FieldAccess
 	effects map[*types.Func]*Effect
 
 	targetSet  map[*Package]bool
@@ -145,7 +102,6 @@ func NewFlow(targets []*Package) *Flow {
 	fl := &Flow{
 		Targets:    targets,
 		Funcs:      make(map[*types.Func]*FuncInfo),
-		Fields:     make(map[*types.Var][]FieldAccess),
 		effects:    make(map[*types.Func]*Effect),
 		targetSet:  make(map[*Package]bool),
 		ifaceCache: make(map[string][]*types.Func),
@@ -175,22 +131,12 @@ func NewFlow(targets []*Package) *Flow {
 	for _, fi := range fl.Funcs {
 		fl.resolveCalls(fi)
 	}
-	fl.indexFields()
 	fl.computeEffects()
 	return fl
 }
 
 // InTarget reports whether findings in p should be emitted.
 func (fl *Flow) InTarget(p *Package) bool { return fl.targetSet[p] }
-
-// Effects returns fn's summary (the zero effect if fn has no body in the
-// module, e.g. a stdlib function).
-func (fl *Flow) Effects(fn *types.Func) *Effect {
-	if e, ok := fl.effects[fn.Origin()]; ok {
-		return e
-	}
-	return &Effect{StrTransfer: foID}
-}
 
 // --- indexing ---------------------------------------------------------------
 
@@ -239,20 +185,19 @@ func (fl *Flow) resolveCalls(fi *FuncInfo) {
 	p := fi.Pkg
 	fnvals := localFuncValues(p, fi.Decl.Body)
 	var walk func(n ast.Node, spawned bool)
-	record := func(call *ast.CallExpr, spawned, deferred bool) {
+	record := func(call *ast.CallExpr, spawned bool) {
 		fi.Calls = append(fi.Calls, FlowCall{
-			Site:     call,
-			Pos:      call.Pos(),
-			Targets:  fl.resolveTargets(p, call, fnvals),
-			Spawned:  spawned,
-			Deferred: deferred,
+			Site:    call,
+			Pos:     call.Pos(),
+			Targets: fl.resolveTargets(p, call, fnvals),
+			Spawned: spawned,
 		})
 	}
 	walk = func(n ast.Node, spawned bool) {
 		ast.Inspect(n, func(m ast.Node) bool {
 			switch m := m.(type) {
 			case *ast.GoStmt:
-				record(m.Call, true, false)
+				record(m.Call, true)
 				for _, arg := range m.Call.Args {
 					walk(arg, spawned) // args evaluate on the caller's goroutine
 				}
@@ -261,7 +206,7 @@ func (fl *Flow) resolveCalls(fi *FuncInfo) {
 				}
 				return false
 			case *ast.DeferStmt:
-				record(m.Call, spawned, true)
+				record(m.Call, spawned)
 				for _, arg := range m.Call.Args {
 					walk(arg, spawned)
 				}
@@ -270,7 +215,7 @@ func (fl *Flow) resolveCalls(fi *FuncInfo) {
 				}
 				return false
 			case *ast.CallExpr:
-				record(m, spawned, false)
+				record(m, spawned)
 				return true
 			}
 			return true
@@ -414,162 +359,6 @@ func (fl *Flow) interfaceTargets(iface *types.Interface, method string) []*types
 	}
 	fl.ifaceCache[key] = out
 	return out
-}
-
-// --- field access index -----------------------------------------------------
-
-// indexFields records every struct-field access in All, classified as
-// atomic (address passed straight into a sync/atomic call) or plain, with
-// plain accesses additionally marked guarded when a mutex acquired in the
-// same function is held at that point.
-func (fl *Flow) indexFields() {
-	for _, p := range fl.All {
-		for _, file := range p.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fl.scanFieldAccesses(p, fd.Body)
-			}
-		}
-	}
-	for _, accs := range fl.Fields {
-		sort.Slice(accs, func(i, j int) bool { return accs[i].Pos < accs[j].Pos })
-	}
-}
-
-// scanFieldAccesses walks one function body in source order, tracking held
-// mutexes (for the guarded classification) and the set of selectors that
-// are atomic-call operands (so they are not double-counted as plain).
-func (fl *Flow) scanFieldAccesses(p *Package, body *ast.BlockStmt) {
-	held := make(map[string]bool)
-	atomicArgs := make(map[*ast.SelectorExpr]bool)
-	writes := make(map[*ast.SelectorExpr]bool)
-
-	// First pass: find atomic-call operands and write targets.
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isAtomicCall(p, n) {
-				for _, arg := range n.Args {
-					if ue, ok := arg.(*ast.UnaryExpr); ok && ue.Op == token.AND {
-						if sel, ok := ue.X.(*ast.SelectorExpr); ok {
-							atomicArgs[sel] = true
-						}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if sel, ok := lhs.(*ast.SelectorExpr); ok {
-					writes[sel] = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if sel, ok := n.X.(*ast.SelectorExpr); ok {
-				writes[sel] = true
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if sel, ok := n.X.(*ast.SelectorExpr); ok {
-					writes[sel] = true // aliased: treat as a write conservatively
-				}
-			}
-		}
-		return true
-	})
-
-	var walk func(n ast.Node, spawned bool)
-	walk = func(n ast.Node, spawned bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.GoStmt:
-				// The goroutine body runs without the caller's locks.
-				if lit, ok := m.Call.Fun.(*ast.FuncLit); ok {
-					for _, arg := range m.Call.Args {
-						walk(arg, spawned)
-					}
-					walk(lit.Body, true)
-					return false
-				}
-				return true
-			case *ast.CallExpr:
-				if sel, ok := m.Fun.(*ast.SelectorExpr); ok && isMutexMethod(p, sel) {
-					key := exprString(sel.X)
-					switch sel.Sel.Name {
-					case "Lock", "RLock":
-						held[key] = true
-					case "Unlock", "RUnlock":
-						delete(held, key)
-					}
-				}
-				return true
-			case *ast.DeferStmt:
-				if sel, ok := m.Call.Fun.(*ast.SelectorExpr); ok && isMutexMethod(p, sel) {
-					return false // deferred Unlock: lock held to function end
-				}
-				return true
-			case *ast.SelectorExpr:
-				fv := fieldVar(p, m)
-				if fv == nil || isAtomicTypedField(fv) {
-					return true
-				}
-				acc := FieldAccess{Pos: m.Sel.Pos(), Pkg: p, Write: writes[m]}
-				if atomicArgs[m] {
-					acc.Mode = AccessAtomic
-					acc.Write = false
-				} else {
-					acc.Mode = AccessPlain
-					acc.Guarded = len(held) > 0 && !spawned
-				}
-				fl.Fields[fv] = append(fl.Fields[fv], acc)
-				return true
-			}
-			return true
-		})
-	}
-	walk(body, false)
-}
-
-// fieldVar resolves sel to a struct field object, or nil.
-func fieldVar(p *Package, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := p.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-		return nil
-	}
-	if v, ok := p.Info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-		return v
-	}
-	return nil
-}
-
-// isAtomicTypedField reports whether v's type is declared in sync/atomic
-// (atomic.Int64 and friends): those are access-safe by construction, the
-// compiler rejects plain arithmetic on them.
-func isAtomicTypedField(v *types.Var) bool {
-	named, ok := v.Type().(*types.Named)
-	if !ok {
-		return false
-	}
-	pkg := named.Obj().Pkg()
-	return pkg != nil && pkg.Path() == "sync/atomic"
-}
-
-// isAtomicCall reports whether call invokes a function from sync/atomic.
-func isAtomicCall(p *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if fn, ok := p.Info.Uses[sel.Sel].(*types.Func); ok {
-		return fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-	}
-	// Fallback without type info: the conventional import name.
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "atomic"
 }
 
 // --- lock identity ----------------------------------------------------------
@@ -795,23 +584,7 @@ func (fl *Flow) condense() [][]*types.Func {
 func (fl *Flow) updateEffect(fi *FuncInfo) bool {
 	e := fl.effects[fi.Obj]
 	changed := false
-	set := func(dst *bool) {
-		if !*dst {
-			*dst = true
-			changed = true
-		}
-	}
 
-	// Local, body-derived components.
-	if localSyncCall(fi) {
-		set(&e.Syncs)
-	}
-	if localExitSignal(fi.Pkg, fi.Decl.Body) {
-		set(&e.ExitAware)
-	}
-	if localForeverLoop(fi.Pkg, fi.Decl.Body) {
-		set(&e.LoopForever)
-	}
 	for _, id := range localLockIDs(fi) {
 		if !e.Locks[id] {
 			e.Locks[id] = true
@@ -819,35 +592,14 @@ func (fl *Flow) updateEffect(fi *FuncInfo) bool {
 		}
 	}
 
-	// Call-derived components.
 	for _, c := range fi.Calls {
 		if c.Spawned {
-			set(&e.Spawns)
 			continue
 		}
 		for _, t := range c.Targets {
-			switch foClassify(t) {
-			case foEvIntern:
-				set(&e.Interns)
-			}
 			te := fl.effects[t]
 			if te == nil {
 				continue
-			}
-			if te.Syncs {
-				set(&e.Syncs)
-			}
-			if te.Spawns {
-				set(&e.Spawns)
-			}
-			if te.ExitAware {
-				set(&e.ExitAware)
-			}
-			if te.LoopForever {
-				set(&e.LoopForever)
-			}
-			if te.Interns {
-				set(&e.Interns)
 			}
 			for id := range te.Locks {
 				if !e.Locks[id] {
@@ -963,21 +715,6 @@ func (fl *Flow) foScan(fi *FuncInfo, report func(c FlowCall, via *types.Func)) f
 	return res
 }
 
-// localSyncCall reports whether fi's body makes a direct fsync-class call
-// (outside spawned goroutine literals).
-func localSyncCall(fi *FuncInfo) bool {
-	for _, c := range fi.Calls {
-		if c.Spawned {
-			continue
-		}
-		if sel, ok := c.Site.Fun.(*ast.SelectorExpr); ok &&
-			fsyncMethods[sel.Sel.Name] && callReturnsError(fi.Pkg, c.Site) {
-			return true
-		}
-	}
-	return false
-}
-
 // localLockIDs returns the type-level IDs of mutexes fi's body acquires
 // directly (outside spawned goroutine literals).
 func localLockIDs(fi *FuncInfo) []string {
@@ -998,111 +735,4 @@ func localLockIDs(fi *FuncInfo) []string {
 		}
 	}
 	return out
-}
-
-// localExitSignal reports whether body observes an exit signal directly: a
-// context value, a select, a channel receive, or a range over a channel.
-func localExitSignal(p *Package, body ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.SelectStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if isChanExpr(p, n.X) {
-				found = true
-			}
-		case *ast.Ident:
-			if isCtxObject(p, n) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-func isChanExpr(p *Package, e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isChan := tv.Type.Underlying().(*types.Chan)
-	return isChan
-}
-
-func isCtxObject(p *Package, id *ast.Ident) bool {
-	obj := p.Info.Uses[id]
-	if obj == nil {
-		obj = p.Info.Defs[id]
-	}
-	v, ok := obj.(*types.Var)
-	return ok && v.Type() != nil && v.Type().String() == "context.Context"
-}
-
-// localForeverLoop reports whether body contains a condition-less for loop
-// with no visible way out: no break/return/goto, no select, no channel
-// receive or channel range, and no context reference. Nested function
-// literals are excluded — a break inside a closure does not break the
-// loop, and a closure's channel ops run on its own schedule.
-func localForeverLoop(p *Package, body ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if fs, ok := n.(*ast.ForStmt); ok && fs.Cond == nil {
-			if !loopHasExit(p, fs.Body) {
-				found = true
-				return false
-			}
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-func loopHasExit(p *Package, body *ast.BlockStmt) bool {
-	has := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if has {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.BranchStmt:
-			if n.Tok == token.BREAK || n.Tok == token.GOTO {
-				has = true
-			}
-		case *ast.ReturnStmt:
-			has = true
-		case *ast.SelectStmt:
-			has = true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				has = true
-			}
-		case *ast.RangeStmt:
-			if isChanExpr(p, n.X) {
-				has = true
-			}
-		case *ast.Ident:
-			if isCtxObject(p, n) {
-				has = true
-			}
-		}
-		return !has
-	})
-	return has
 }

@@ -5,7 +5,7 @@ import "testing"
 // The testdata/flow corpus exercises the call-graph and effects layer
 // directly: these tests assert on resolved edges (direct calls, methods,
 // interface dispatch satisfied intra-module, function values) and on the
-// bottom-up summaries the flow-aware analyzers consume.
+// bottom-up lock summaries the flow-aware analyzers consume.
 
 func flowCorpus(t *testing.T) *Flow {
 	t.Helper()
@@ -75,23 +75,10 @@ func TestFlowSpawnMarking(t *testing.T) {
 	if !spawned {
 		t.Error("go Waiter(ctx) was not marked Spawned")
 	}
-	if !fl.Effects(fi.Obj).Spawns {
-		t.Error("Spawner's effect summary lost the spawn")
-	}
-}
-
-func TestFlowExitAndLoopEffects(t *testing.T) {
-	fl := flowCorpus(t)
-	waiter := fl.Lookup("flow", "Waiter")
-	spinner := fl.Lookup("flow", "Spinner")
-	if waiter == nil || spinner == nil {
-		t.Fatal("flow corpus lookups failed")
-	}
-	if e := fl.Effects(waiter.Obj); !e.ExitAware {
-		t.Error("Waiter receives from ctx.Done() but is not ExitAware")
-	}
-	if e := fl.Effects(spinner.Obj); !e.LoopForever || e.ExitAware {
-		t.Errorf("Spinner effects = LoopForever=%v ExitAware=%v; want true/false", e.LoopForever, e.ExitAware)
+	// A spawned call runs on another goroutine: the lock it takes is not
+	// the spawner's.
+	if e := fl.effects[fi.Obj]; len(e.Locks) != 0 {
+		t.Errorf("Spawner locks = %v; a spawned call's locks must not propagate", e.Locks)
 	}
 }
 
@@ -101,7 +88,7 @@ func TestFlowLockEffectPropagation(t *testing.T) {
 	if use == nil {
 		t.Fatal("Lookup(flow, UseBox) = nil")
 	}
-	if e := fl.Effects(use.Obj); !e.Locks["flow.Box.mu"] {
+	if e := fl.effects[use.Obj]; !e.Locks["flow.Box.mu"] {
 		t.Errorf("UseBox locks = %v; want flow.Box.mu via the Locked call", e.Locks)
 	}
 }
@@ -112,8 +99,8 @@ func TestFlowRecursionConverges(t *testing.T) {
 	if rec == nil {
 		t.Fatal("Lookup(flow, Recurse) = nil")
 	}
-	if e := fl.Effects(rec.Obj); !e.Spawns {
-		t.Error("Recurse's summary lost the spawn made by its recursion partner")
+	if e := fl.effects[rec.Obj]; !e.Locks["flow.Box.mu"] {
+		t.Errorf("Recurse locks = %v; want flow.Box.mu, taken by its recursion partner", e.Locks)
 	}
 }
 

@@ -17,22 +17,18 @@
 //   - lockio: fsync-class calls are not made while a mutex acquired in
 //     the same function is held — disk I/O under a lock is how the
 //     single-writer engine stalls readers.
+//   - atomicmix: no sync/atomic function calls; every atomic is typed, so
+//     plain access to it cannot compile.
 //
-// On top of those per-function rules sits a flow-aware layer (flow.go): an
-// intra-module call graph, a per-field access index, and bottom-up effect
-// summaries, shared by four whole-module analyzers:
+// On top of those per-package rules sits a flow-aware layer (flow.go): an
+// intra-module call graph and bottom-up effect summaries, shared by two
+// whole-module analyzers:
 //
-//   - atomicmix: a field accessed via sync/atomic anywhere is never read
-//     or written plainly elsewhere — mixed access is a data race even when
-//     the plain side holds a mutex.
 //   - lockorder: the mutex acquisition graph across call edges is acyclic;
 //     a cycle is a potential lock-order deadlock.
 //   - flushorder: every path appending records that reference freshly
 //     interned strings to a WAL is dominated by a string-table Flush — the
-//     PR 6 dangling-ref recovery bug class, generalized.
-//   - goleak: goroutines launched from ctx-taking serving-path functions
-//     have a visible exit path (ctx, select, channel), never a bare
-//     condition-less spin loop.
+//     dangling-ref recovery bug class, generalized.
 //
 // Findings carry stable analyzer codes and can be suppressed, with a
 // mandatory reason, by a comment on the offending line or the line above:
@@ -71,7 +67,7 @@ func (f Finding) String() string {
 // An Analyzer is one named rule. Per-package analyzers set Run, which
 // inspects a single type-checked package; flow-aware analyzers set
 // RunFlow, which sees the shared whole-module Flow layer (call graph,
-// field index, effect summaries) built once per lint run. Suppression
+// effect summaries) built once per lint run. Suppression
 // handling and sorting are the driver's job (Run on a Suite).
 type Analyzer struct {
 	Code    string // stable short code used in findings and ignore directives
@@ -83,7 +79,7 @@ type Analyzer struct {
 // All returns the full analyzer suite, sorted by code so listings and CI
 // diffs are stable.
 func All() []*Analyzer {
-	return []*Analyzer{AtomicMix, CtxLoop, ErrDrop, FlushOrder, GoLeak, LockIO, LockOrder, VFSSeam}
+	return []*Analyzer{AtomicMix, CtxLoop, ErrDrop, FlushOrder, LockIO, LockOrder, VFSSeam}
 }
 
 // ByCode resolves a comma-separated code list against the full suite.

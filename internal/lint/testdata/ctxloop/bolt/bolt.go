@@ -83,3 +83,26 @@ func nestedBad(ctx context.Context, xss [][]int) (int, error) {
 	}
 	return total, nil
 }
+
+func work() {}
+
+// A goroutine literal launched from a ctx-taking function is part of its
+// body: a bare spinner in it never observes ctx, and outlives the request,
+// the drain and the server.
+func spawns(ctx context.Context, queue chan int) {
+	go func() {
+		for { // want ctxloop
+			work()
+		}
+	}()
+	go func() { // clean: selects on ctx.Done
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case v := <-queue:
+				_ = v
+			}
+		}
+	}()
+}

@@ -1,6 +1,6 @@
 // Package flow is the call-graph/effects unit-test corpus: direct
 // calls, method calls, interface dispatch satisfied intra-module,
-// function values, goroutine spawns, lock effects and exit signals.
+// function values, goroutine spawns and lock effects.
 // flow_test.go asserts over the resolved edges and computed summaries;
 // there are no findings here.
 package flow
@@ -35,24 +35,18 @@ func CallValue() {
 // CallMethod is a direct method call.
 func CallMethod(b *Bell) { b.Ring() }
 
-// Waiter observes a context: exit-aware.
-func Waiter(ctx context.Context) {
+type Box struct{ mu sync.Mutex }
+
+// Waiter takes the box lock, then waits for ctx.
+func Waiter(ctx context.Context, b *Box) {
+	b.Locked()
 	<-ctx.Done()
 }
 
-// Spinner loops forever with no exit signal.
-func Spinner() {
-	for {
-		helper()
-	}
+// Spawner launches Waiter on a goroutine of its own.
+func Spawner(ctx context.Context, b *Box) {
+	go Waiter(ctx, b)
 }
-
-// Spawner launches a goroutine.
-func Spawner(ctx context.Context) {
-	go Waiter(ctx)
-}
-
-type Box struct{ mu sync.Mutex }
 
 // Locked acquires the box lock.
 func (b *Box) Locked() {
@@ -65,22 +59,21 @@ func (b *Box) Locked() {
 func UseBox(b *Box) { b.Locked() }
 
 // Recurse is mutually recursive with Recurse2: the SCC fixpoint must
-// still converge and carry helper's (empty) effects plus the spawn.
-func Recurse(n int) {
+// still converge and carry the lock Recurse2 takes.
+func Recurse(b *Box, n int) {
 	if n > 0 {
-		Recurse2(n - 1)
+		Recurse2(b, n-1)
 	}
 }
 
-func Recurse2(n int) {
-	go helper()
-	Recurse(n)
+func Recurse2(b *Box, n int) {
+	b.Locked()
+	Recurse(b, n)
 }
 
 var _ = CallIface
 var _ = CallValue
 var _ = CallMethod
 var _ = Spawner
-var _ = Spinner
 var _ = UseBox
 var _ = Recurse

@@ -33,11 +33,11 @@ type Graph struct {
 	rels  vec[*model.Rel]
 	out   vec[[]model.RelID]
 	in    vec[[]model.RelID]
-	// cow is 1 while the vectors' directories are shared with a clone
-	// parent/child. Accessed atomically so concurrent readers may Clone
-	// the same snapshot; mutation (Apply) still requires external
-	// synchronization against both Clone and other Applies.
-	cow uint32
+	// cow is set while the vectors' directories are shared with a clone
+	// parent/child. It is atomic so concurrent readers may Clone the same
+	// snapshot; mutation (Apply) still requires external synchronization
+	// against both Clone and other Applies.
+	cow atomic.Bool
 
 	nodeCount int
 	relCount  int
@@ -127,25 +127,25 @@ func (g *Graph) ForEachRel(fn func(r *model.Rel) bool) {
 // CoW sibling: the first write after a Clone copies n/256 chunk pointers, and
 // each write then copies the chunk it touches (vec.slot).
 func (g *Graph) unshare() {
-	if atomic.LoadUint32(&g.cow) == 0 {
+	if !g.cow.Load() {
 		return
 	}
 	g.nodes.unshare()
 	g.rels.unshare()
 	g.out.unshare()
 	g.in.unshare()
-	atomic.StoreUint32(&g.cow, 0)
+	g.cow.Store(false)
 }
 
 // Clone returns a copy-on-write snapshot copy: O(1) until either side
 // mutates, at which point the mutating side copies what it touches
 // (Sec 5.2, "Aion uses Copy-on-Write similar to Tegra").
 func (g *Graph) Clone() *Graph {
-	atomic.StoreUint32(&g.cow, 1) // both sides must now copy before writing
-	// Field by field: a copy of *g would read cow plainly while another reader
-	// clones the same graph (two holders of hostdb's read lock).
-	return &Graph{nodes: g.nodes, rels: g.rels, out: g.out, in: g.in, cow: 1,
+	g.cow.Store(true) // both sides must now copy before writing
+	c := &Graph{nodes: g.nodes, rels: g.rels, out: g.out, in: g.in,
 		nodeCount: g.nodeCount, relCount: g.relCount, ts: g.ts}
+	c.cow.Store(true)
+	return c
 }
 
 // Apply folds one graph update into the snapshot, enforcing the update
