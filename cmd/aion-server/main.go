@@ -15,8 +15,9 @@
 // With -debug-addr (off by default; bind it to loopback) the server also
 // answers HTTP there: /debug/pprof/ is net/http/pprof — `go tool pprof
 // http://ADDR/debug/pprof/heap` is the running store's heap by owner — and
-// /debug/vars is expvar, with every store's Stats under "aion.*" and the
-// planner's counters and decisions under "aion.planner".
+// /debug/vars is expvar, with every store's Stats under "aion.*", the
+// planner's counters and decisions under "aion.planner", and the Cypher
+// engine's statement cache (cached texts, hits, misses) under "aion.cypher".
 package main
 
 import (
@@ -103,7 +104,8 @@ func main() {
 	node := replica.NewNode(sys, applier)
 	srvOpts.Admin = node
 
-	srv := bolt.NewServer(cypher.NewEngine(sys), srvOpts)
+	eng := cypher.NewEngine(sys)
+	srv := bolt.NewServer(eng, srvOpts)
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fail(err)
@@ -113,7 +115,7 @@ func main() {
 		public = bound
 	}
 	if *debugAddr != "" {
-		dbg, at, err := serveDebug(*debugAddr, sys, srv)
+		dbg, at, err := serveDebug(*debugAddr, sys, eng, srv)
 		if err != nil {
 			fail(err)
 		}
@@ -177,7 +179,7 @@ serve:
 // their own (nothing else in the process serves http.DefaultServeMux, and
 // nothing should start to by accident). The published variables are the
 // existing Stats and Metrics accessors, evaluated at each request.
-func serveDebug(addr string, sys *system.System, srv *bolt.Server) (*http.Server, string, error) {
+func serveDebug(addr string, sys *system.System, eng *cypher.Engine, srv *bolt.Server) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("debug listener: %w", err)
@@ -191,6 +193,10 @@ func serveDebug(addr string, sys *system.System, srv *bolt.Server) (*http.Server
 		lineage, timeStore := sys.Aion.PlannerDecisions()
 		return map[string]any{"nodes": st.Nodes(), "rels": st.Rels(), "avg_degree": st.AvgDegree(),
 			"decisions": map[string]int64{"lineage": lineage, "timestore": timeStore}}
+	}))
+	expvar.Publish("aion.cypher", expvar.Func(func() any {
+		cached, hits, misses := eng.StatementCache()
+		return map[string]any{"cached": cached, "hits": hits, "misses": misses}
 	}))
 	expvar.Publish("aion.ingest_error", expvar.Func(func() any {
 		if err := sys.Aion.Err(); err != nil {

@@ -15,19 +15,25 @@ import (
 	"aion/internal/system"
 )
 
-// TestServeDebug reads /debug/vars from the debug listener after a commit and
-// an expand: the planner's counters and its decisions are published beside
-// the stores' Stats. expvar.Publish panics on a name published twice, so this
-// is the process's one call of serveDebug.
+// TestServeDebug reads /debug/vars from the debug listener after a commit, an
+// expand and one query text sent twice over the wire: the planner's counters
+// and decisions and the engine's statement cache are published beside the
+// stores' Stats. expvar.Publish panics on a name published twice, so this is
+// the process's one call of serveDebug.
 func TestServeDebug(t *testing.T) {
 	sys, err := system.Open(system.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	srv := bolt.NewServer(cypher.NewEngine(sys), bolt.Options{})
+	eng := cypher.NewEngine(sys)
+	srv := bolt.NewServer(eng, bolt.Options{})
 	defer srv.Close()
-	dbg, at, err := serveDebug("127.0.0.1:0", sys, srv)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbg, at, err := serveDebug("127.0.0.1:0", sys, eng, srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +54,16 @@ func TestServeDebug(t *testing.T) {
 	if _, err := sys.Aion.ExpandContext(context.Background(), 0, model.Outgoing, 1, sys.Aion.LatestTimestamp()); err != nil {
 		t.Fatal(err)
 	}
+	c, err := bolt.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for range 2 {
+		if _, _, _, err := c.Run("MATCH (n:P) RETURN count(*)", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	resp, err := http.Get("http://" + at + "/debug/vars")
 	if err != nil {
@@ -65,6 +81,7 @@ func TestServeDebug(t *testing.T) {
 			RepairedLogBytes, RepairedStringBytes *int64
 		} `json:"aion.timestore"`
 		Host         struct{ RepairedLogBytes, RepairedStringBytes *int64 } `json:"aion.hostdb"`
+		Cypher       struct{ Cached, Hits, Misses uint64 }                  `json:"aion.cypher"`
 		LineageStore struct {
 			Trees []struct {
 				Name  string
@@ -98,6 +115,9 @@ func TestServeDebug(t *testing.T) {
 		if n == nil || *n != 0 {
 			t.Errorf("%s = %v, want a published 0", name, n)
 		}
+	}
+	if cy := vars.Cypher; cy.Cached != 1 || cy.Hits < 1 || cy.Misses != 1 {
+		t.Errorf("aion.cypher after one text sent twice: %+v, want 1 cached, a hit and 1 miss", cy)
 	}
 	// A 1-hop expand reaches an estimated 1.2 of 5 nodes, under 30 %: the
 	// LineageStore.

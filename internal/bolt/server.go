@@ -353,8 +353,9 @@ func (s *Server) queryContext(reqTimeout time.Duration) (context.Context, contex
 // runQuery executes one statement with panic containment: a crash inside
 // the engine is converted to a FailPanic ServerError instead of unwinding
 // the connection goroutine (and with it the server). The statement is
-// parsed here (not in the engine) so the read gate can screen the AST
-// before any execution work happens.
+// prepared here (not in the engine) so the read gate screens the AST of
+// every request, a cached statement included, before any execution work
+// happens.
 func (s *Server) runQuery(ctx context.Context, query string, params map[string]model.Value) (res *cypher.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -363,7 +364,7 @@ func (s *Server) runQuery(ctx context.Context, query string, params map[string]m
 			err = &ServerError{Code: FailPanic, Msg: fmt.Sprintf("query panicked: %v", p)}
 		}
 	}()
-	st, err := cypher.Parse(query)
+	st, err := s.engine.Prepare(query)
 	if err != nil {
 		return nil, err
 	}

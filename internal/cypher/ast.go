@@ -151,7 +151,10 @@ type PathPattern struct {
 
 // --- statements -------------------------------------------------------------
 
-// Statement is a parsed query.
+// Statement is a parsed query. A statement from Engine.Prepare is shared by
+// every query that sends its text, concurrently, so execution treats every
+// statement as read-only: no field, slice or map reachable from it is ever
+// written after Parse returns it.
 type Statement struct {
 	Temporal TemporalClause
 	Match    *MatchStmt

@@ -61,6 +61,12 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("expected parse error for %q", q)
 		}
 	}
+	// An error names where the offending token starts: a string token at
+	// its opening quote, here the 'x' at 43.
+	q := "MATCH (n) WHERE n.k = 'abc' RETURN n LIMIT 'x'"
+	if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), "near position 43:") {
+		t.Errorf("parse %q: %v, want an error near position 43", q, err)
+	}
 }
 
 func TestParseTemporalForms(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"aion/internal/memgraph"
 	"aion/internal/model"
@@ -70,12 +71,27 @@ type Engine struct {
 	// side (concurrent with each other), MATCH-writes the write side
 	// (exclusive). Reads take neither.
 	writeMu sync.RWMutex
+
+	// stmts is Prepare's cache of parsed statements, keyed by the verbatim
+	// query text; hits and misses count its lookups.
+	stmtMu       sync.RWMutex
+	stmts        map[string]*Statement
+	hits, misses atomic.Uint64
 }
+
+// stmtCacheBound is how many texts Prepare caches, and stmtCacheMaxText the
+// longest text it caches. A miss that finds the cache full clears it, so
+// distinct literal texts cost a parse each, not memory; and a client cannot
+// pin 256 frames' worth of text and AST with 256 huge texts.
+const (
+	stmtCacheBound   = 256
+	stmtCacheMaxText = 4 << 10
+)
 
 // NewEngine creates an engine with the built-in temporal procedures
 // registered.
 func NewEngine(sys *system.System) *Engine {
-	e := &Engine{Sys: sys, procs: map[string]Proc{}}
+	e := &Engine{Sys: sys, procs: map[string]Proc{}, stmts: map[string]*Statement{}}
 	registerBuiltins(e)
 	return e
 }
@@ -83,15 +99,50 @@ func NewEngine(sys *system.System) *Engine {
 // Register adds a procedure.
 func (e *Engine) Register(name string, p Proc) { e.procs[name] = p }
 
-// QueryContext parses and executes one statement under ctx: pattern-match
+// QueryContext prepares and executes one statement under ctx: pattern-match
 // loops, temporal store scans, and procedures all observe cancellation
 // cooperatively and return ctx.Err() shortly after the context fires.
 func (e *Engine) QueryContext(c context.Context, q string, params map[string]model.Value) (*Result, error) {
-	st, err := Parse(q)
+	st, err := e.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
 	return e.ExecContext(c, st, params)
+}
+
+// Prepare returns the parsed statement for q, calling Parse only the first
+// time it sees that exact text; parse errors, and texts over 4 KiB, are not
+// cached. The statement is shared by every caller that sends the same text,
+// so it is read-only: nothing may write to it or to anything it references.
+func (e *Engine) Prepare(q string) (*Statement, error) {
+	e.stmtMu.RLock()
+	st, ok := e.stmts[q]
+	e.stmtMu.RUnlock()
+	if ok {
+		e.hits.Add(1)
+		return st, nil
+	}
+	e.misses.Add(1)
+	st, err := Parse(q)
+	if err != nil || len(q) > stmtCacheMaxText {
+		return st, err
+	}
+	e.stmtMu.Lock()
+	if len(e.stmts) >= stmtCacheBound {
+		clear(e.stmts)
+	}
+	e.stmts[q] = st
+	e.stmtMu.Unlock()
+	return st, nil
+}
+
+// StatementCache reports how many statements Prepare holds and how many of
+// its lookups hit and missed.
+func (e *Engine) StatementCache() (cached int, hits, misses uint64) {
+	e.stmtMu.RLock()
+	cached = len(e.stmts)
+	e.stmtMu.RUnlock()
+	return cached, e.hits.Load(), e.misses.Load()
 }
 
 // IsWrite reports whether st mutates the graph (and must therefore hold a

@@ -111,7 +111,7 @@ func lex(input string) ([]token, error) {
 				toks = append(toks, token{tokIdent, word, start})
 			}
 		case c == '\'' || c == '"':
-			quote := c
+			quote, start := c, i
 			i++
 			var sb strings.Builder
 			for i < n && input[i] != quote {
@@ -125,7 +125,7 @@ func lex(input string) ([]token, error) {
 				return nil, fmt.Errorf("cypher: unterminated string at %d", i)
 			}
 			i++
-			toks = append(toks, token{tokString, sb.String(), i})
+			toks = append(toks, token{tokString, sb.String(), start})
 		case c == '$':
 			start := i
 			i++

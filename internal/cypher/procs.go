@@ -52,7 +52,7 @@ func (e *Engine) execCall(ctx *execCtx, st *Statement) (*Result, error) {
 			}
 			idx = append(idx, found)
 		}
-		out := &Result{Columns: c.Yield}
+		out := &Result{Columns: slices.Clone(c.Yield)}
 		for _, row := range res.Rows {
 			pr := make([]Val, len(idx))
 			for i, j := range idx {

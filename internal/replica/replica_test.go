@@ -356,3 +356,36 @@ func TestGate(t *testing.T) {
 		t.Errorf("silent AS OF read = 0x%x, want ok", got)
 	}
 }
+
+// TestReplicaRefusesACachedWrite sends one write text twice to a follower's
+// server: the second RUN finds the statement in the engine's cache, and the
+// gate still screens it and refuses it with FailReadOnly.
+func TestReplicaRefusesACachedWrite(t *testing.T) {
+	f := openNode(t, vfstest.NewFaultFS(), "follower", true)
+	defer f.Close()
+	eng := cypher.NewEngine(f)
+	srv := bolt.NewServer(eng, bolt.Options{ReadGate: NewApplier(f).Gate})
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := bolt.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 1; i <= 2; i++ {
+		_, _, _, err := c.Run("CREATE (n:W)", nil)
+		var se *bolt.ServerError
+		if !errors.As(err, &se) || se.Code != bolt.FailReadOnly {
+			t.Fatalf("follower write %d: %v, want FailReadOnly", i, err)
+		}
+	}
+	if _, hits, misses := eng.StatementCache(); hits != 1 || misses != 1 {
+		t.Fatalf("%d hits, %d misses; want the second write served from the cache", hits, misses)
+	}
+	if m := srv.Metrics(); m.Rejected != 2 {
+		t.Fatalf("%d statements gate-rejected, want 2", m.Rejected)
+	}
+}
