@@ -13,11 +13,11 @@
 // Connect with cmd/aion-shell or the internal/bolt client.
 //
 // With -debug-addr (off by default; bind it to loopback) the server also
-// answers HTTP there: /debug/pprof/ is net/http/pprof — `go tool pprof
-// http://ADDR/debug/pprof/heap` is the running store's heap by owner — and
-// /debug/vars is expvar, with every store's Stats under "aion.*", the
-// planner's counters and decisions under "aion.planner", and the Cypher
-// engine's statement cache (cached texts, hits, misses) under "aion.cypher".
+// answers HTTP there: /metrics is the system's stats registry as one JSON
+// object, a key per component (the stores' Stats, the planner, the Cypher
+// statement cache, the server's admission counters, replication); /debug/pprof/
+// is net/http/pprof — `go tool pprof http://ADDR/debug/pprof/heap` is the
+// running store's heap by owner — and /debug/vars is expvar's memstats.
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -53,7 +54,7 @@ func main() {
 		replicaOf     = flag.String("replica-of", "", "primary address to replicate from; makes this node a read-only follower")
 		staleness     = flag.Int64("staleness-bound", 1000, "max commits a replica may lag before latest reads are rejected (0 = no bound)")
 		disconnGrace  = flag.Duration("disconnect-grace", 5*time.Second, "max heartbeat silence before a replica rejects latest reads (0 disables)")
-		debugAddr     = flag.String("debug-addr", "", "serve /debug/pprof/ and /debug/vars (expvar: the stores' Stats) over HTTP on this address; empty disables")
+		debugAddr     = flag.String("debug-addr", "", "serve /metrics (the stats registry), /debug/pprof/ and /debug/vars over HTTP on this address; empty disables")
 	)
 	flag.Parse()
 
@@ -83,9 +84,7 @@ func main() {
 	// Every node serves REPLICATE streams: after a PROMOTE the ex-follower
 	// is the shipping primary, and the Source refuses streams (FailFenced)
 	// while the node is not primary, so running it everywhere is safe.
-	src := replica.NewSource(sys.Host)
-	srvOpts.ReplicationHandler = src.ServeConn
-	srvOpts.Replication = src
+	srvOpts.ReplicationHandler = replica.NewSource(sys).ServeConn
 
 	var follower *replica.Follower
 	var applier *replica.Applier
@@ -96,7 +95,6 @@ func main() {
 		applier.StalenessBound = model.Timestamp(*staleness)
 		applier.DisconnectGrace = *disconnGrace
 		srvOpts.ReadGate = applier.Gate
-		srvOpts.Replication = applier
 		follower = &replica.Follower{Applier: applier, Addr: *replicaOf}
 	}
 	// The admin surface: PROMOTE/STATUS verbs and epoch gossip. Promotion
@@ -104,8 +102,7 @@ func main() {
 	node := replica.NewNode(sys, applier)
 	srvOpts.Admin = node
 
-	eng := cypher.NewEngine(sys)
-	srv := bolt.NewServer(eng, srvOpts)
+	srv := bolt.NewServer(cypher.NewEngine(sys), srvOpts)
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fail(err)
@@ -115,12 +112,12 @@ func main() {
 		public = bound
 	}
 	if *debugAddr != "" {
-		dbg, at, err := serveDebug(*debugAddr, sys, eng, srv)
+		dbg, at, err := serveDebug(*debugAddr, sys)
 		if err != nil {
 			fail(err)
 		}
 		defer dbg.Close()
-		fmt.Println("debug endpoints on http://" + at + "/debug/pprof/ and /debug/vars")
+		fmt.Println("debug endpoints on http://" + at + "/metrics, /debug/pprof/ and /debug/vars")
 	}
 	role := "primary"
 	if *replicaOf != "" {
@@ -168,43 +165,27 @@ serve:
 	m := srv.Metrics()
 	fmt.Printf("served %d queries (%d shed, %d timed out, %d panics contained, %d gate-rejected)\n",
 		m.Queries, m.Shed, m.Timeouts, m.Panics, m.Rejected)
-	if r := m.Replication; r != nil {
-		fmt.Printf("replication: %d frames shipped (%d B), %d applied (%d B), %d heartbeats, %d reconnects, watermark %d (lag %d)\n",
-			r.FramesShipped, r.BytesShipped, r.FramesApplied, r.BytesApplied,
-			r.Heartbeats, r.Reconnects, r.Watermark, r.WatermarkLag)
-	}
+	sys.Metrics.Do(func(kv expvar.KeyValue) {
+		if strings.HasPrefix(kv.Key, "replica.") {
+			fmt.Printf("%s: %s\n", kv.Key, kv.Value)
+		}
+	})
 }
 
-// serveDebug starts the HTTP debug listener: pprof and expvar on a mux of
-// their own (nothing else in the process serves http.DefaultServeMux, and
-// nothing should start to by accident). The published variables are the
-// existing Stats and Metrics accessors, evaluated at each request.
-func serveDebug(addr string, sys *system.System, eng *cypher.Engine, srv *bolt.Server) (*http.Server, string, error) {
+// serveDebug starts the HTTP debug listener on a mux of its own (nothing
+// else in the process serves http.DefaultServeMux, and nothing should start
+// to by accident): /metrics is sys.Metrics, evaluated at each request,
+// /debug/vars expvar's process-wide page (memstats, cmdline), and pprof.
+func serveDebug(addr string, sys *system.System) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("debug listener: %w", err)
 	}
-	expvar.Publish("aion.hostdb", expvar.Func(func() any { return sys.Host.Stats() }))
-	expvar.Publish("aion.bolt", expvar.Func(func() any { return srv.Metrics() }))
-	expvar.Publish("aion.timestore", expvar.Func(func() any { return sys.Aion.TimeStore().Stats() }))
-	expvar.Publish("aion.lineagestore", expvar.Func(func() any { return sys.Aion.LineageStore().Stats() }))
-	expvar.Publish("aion.planner", expvar.Func(func() any {
-		st := sys.Aion.Stats()
-		lineage, timeStore := sys.Aion.PlannerDecisions()
-		return map[string]any{"nodes": st.Nodes(), "rels": st.Rels(), "avg_degree": st.AvgDegree(),
-			"decisions": map[string]int64{"lineage": lineage, "timestore": timeStore}}
-	}))
-	expvar.Publish("aion.cypher", expvar.Func(func() any {
-		cached, hits, misses := eng.StatementCache()
-		return map[string]any{"cached": cached, "hits": hits, "misses": misses}
-	}))
-	expvar.Publish("aion.ingest_error", expvar.Func(func() any {
-		if err := sys.Aion.Err(); err != nil {
-			return err.Error()
-		}
-		return nil
-	}))
 	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		fmt.Fprintln(w, sys.Metrics.String())
+	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

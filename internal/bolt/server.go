@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"expvar"
 	"fmt"
 	"net"
 	"sync"
@@ -42,8 +43,6 @@ type Options struct {
 	// the handler, which owns it until it returns.
 	// Primaries install the log-shipping source here.
 	ReplicationHandler func(conn net.Conn, r *bufio.Reader, w *bufio.Writer, req []byte)
-	// Replication, when set, contributes replication counters to Metrics.
-	Replication Replicator
 	// Admin, when set, exposes the failover control surface: MsgPromote
 	// and MsgStatus frames are answered through it, and epochs carried in
 	// HELLO frames are folded into the node (fencing a stale primary).
@@ -74,43 +73,6 @@ type NodeStatus struct {
 	Watermark int64
 }
 
-// ReplicationMetrics is a snapshot of a node's replication counters. On a
-// primary the Shipped/heartbeat counters move; on a follower the Applied,
-// Reconnects, and watermark fields do.
-type ReplicationMetrics struct {
-	// FramesShipped / BytesShipped count transaction-log records (and their
-	// payload bytes) sent to followers.
-	FramesShipped uint64
-	BytesShipped  uint64
-	// FramesApplied / BytesApplied count records verified and applied on a
-	// follower.
-	FramesApplied uint64
-	BytesApplied  uint64
-	// Heartbeats counts keepalive frames sent (primary) or received
-	// (follower).
-	Heartbeats uint64
-	// Reconnects counts follower stream re-establishments after a dial
-	// failure or mid-stream disconnect.
-	Reconnects uint64
-	// Watermark is the follower's replicated-watermark timestamp: the
-	// highest commit it can serve.
-	Watermark int64
-	// WatermarkLag is the primary clock minus the watermark as of the last
-	// heartbeat — how far behind this follower is, in commit timestamps.
-	WatermarkLag int64
-	// Epoch is the node's fencing epoch.
-	Epoch uint64
-	// FencedStreams counts replication streams refused or terminated
-	// because this node is not (or no longer) the primary.
-	FencedStreams uint64
-}
-
-// Replicator exposes replication counters for the metrics surface; both the
-// primary-side source and the follower-side applier implement it.
-type Replicator interface {
-	ReplicationStats() ReplicationMetrics
-}
-
 // Metrics is a snapshot of the server's admission counters.
 type Metrics struct {
 	// Queries is the number of RUN statements admitted for execution.
@@ -126,9 +88,6 @@ type Metrics struct {
 	Rejected uint64
 	// Promotions counts successful MsgPromote commands served.
 	Promotions uint64
-	// Replication holds the node's replication counters when replication is
-	// configured, nil otherwise.
-	Replication *ReplicationMetrics
 }
 
 // Server serves temporal Cypher over the Bolt-like protocol. Each
@@ -174,8 +133,9 @@ type Server struct {
 	promotions atomic.Uint64
 }
 
-// NewServer creates a server over a Cypher engine. Options are variadic so
-// existing callers keep working; at most one Options value is used.
+// NewServer creates a server over a Cypher engine and adds its Metrics to the
+// engine's system registry as "bolt". Options are variadic so existing
+// callers keep working; at most one Options value is used.
 func NewServer(engine *cypher.Engine, opts ...Options) *Server {
 	var o Options
 	if len(opts) > 0 {
@@ -193,12 +153,13 @@ func NewServer(engine *cypher.Engine, opts ...Options) *Server {
 	if o.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, o.MaxConcurrent)
 	}
+	engine.Sys.Metrics.Set("bolt", expvar.Func(func() any { return s.Metrics() }))
 	return s
 }
 
 // Metrics returns a snapshot of the admission counters.
 func (s *Server) Metrics() Metrics {
-	m := Metrics{
+	return Metrics{
 		Queries:    s.queries.Load(),
 		Shed:       s.shed.Load(),
 		Timeouts:   s.timeouts.Load(),
@@ -206,11 +167,6 @@ func (s *Server) Metrics() Metrics {
 		Rejected:   s.rejected.Load(),
 		Promotions: s.promotions.Load(),
 	}
-	if s.opts.Replication != nil {
-		rm := s.opts.Replication.ReplicationStats()
-		m.Replication = &rm
-	}
-	return m
 }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and

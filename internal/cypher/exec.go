@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"context"
+	"expvar"
 	"fmt"
 	"sort"
 	"sync"
@@ -89,10 +90,16 @@ const (
 )
 
 // NewEngine creates an engine with the built-in temporal procedures
-// registered.
+// registered, and adds its statement cache (cached texts, hits, misses) to
+// sys.Metrics as "cypher".
 func NewEngine(sys *system.System) *Engine {
 	e := &Engine{Sys: sys, procs: map[string]Proc{}, stmts: map[string]*Statement{}}
 	registerBuiltins(e)
+	sys.Metrics.Set("cypher", expvar.Func(func() any {
+		e.stmtMu.RLock()
+		defer e.stmtMu.RUnlock()
+		return map[string]uint64{"cached": uint64(len(e.stmts)), "hits": e.hits.Load(), "misses": e.misses.Load()}
+	}))
 	return e
 }
 
@@ -134,15 +141,6 @@ func (e *Engine) Prepare(q string) (*Statement, error) {
 	e.stmts[q] = st
 	e.stmtMu.Unlock()
 	return st, nil
-}
-
-// StatementCache reports how many statements Prepare holds and how many of
-// its lookups hit and missed.
-func (e *Engine) StatementCache() (cached int, hits, misses uint64) {
-	e.stmtMu.RLock()
-	cached = len(e.stmts)
-	e.stmtMu.RUnlock()
-	return cached, e.hits.Load(), e.misses.Load()
 }
 
 // IsWrite reports whether st mutates the graph (and must therefore hold a

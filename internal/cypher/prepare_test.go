@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"context"
+	"expvar"
 	"fmt"
 	"go/ast"
 	goparser "go/parser"
@@ -16,6 +17,14 @@ import (
 
 	"aion/internal/model"
 )
+
+// statementCache reads Prepare's cache through the "cypher" entry NewEngine
+// added to the system's metrics registry: how many statements it holds, and
+// how many of its lookups hit and missed.
+func statementCache(e *Engine) (cached int, hits, misses uint64) {
+	m := e.Sys.Metrics.Get("cypher").(expvar.Func).Value().(map[string]uint64)
+	return int(m["cached"]), m["hits"], m["misses"]
+}
 
 // corpus returns every string literal in this package's test files that
 // parses as a statement: the texts the tests send, wherever they are spelt.
@@ -81,7 +90,7 @@ func TestCachedStatementsAreNotMutated(t *testing.T) {
 			}
 		}
 	}
-	if cached, _, misses := e.StatementCache(); cached != len(texts) || misses != uint64(len(texts)) {
+	if cached, _, misses := statementCache(e); cached != len(texts) || misses != uint64(len(texts)) {
 		t.Fatalf("cache holds %d statements after %d misses, want %d of each", cached, misses, len(texts))
 	}
 	for _, q := range texts {
@@ -140,7 +149,7 @@ func TestConcurrentCachedStatement(t *testing.T) {
 	if got := res.Rows[0][0].S.Int(); got != writers*each {
 		t.Fatalf("%d nodes created, want %d", got, writers*each)
 	}
-	if _, hits, misses := e.StatementCache(); misses != 3 || hits != (writers+readers)*each {
+	if _, hits, misses := statementCache(e); misses != 3 || hits != (writers+readers)*each {
 		t.Fatalf("%d hits, %d misses; want %d and 3", hits, misses, (writers+readers)*each)
 	}
 	for _, q := range []string{create, read} {
@@ -167,7 +176,7 @@ func TestStatementCacheBound(t *testing.T) {
 			t.Fatalf("Prepare(%q) = %p, %v; want the cached %p", q, st, err, first)
 		}
 	}
-	if cached, hits, misses := e.StatementCache(); cached != 1 || hits != 2 || misses != 1 {
+	if cached, hits, misses := statementCache(e); cached != 1 || hits != 2 || misses != 1 {
 		t.Fatalf("after one text three times: %d cached, %d hits, %d misses; want 1, 2, 1", cached, hits, misses)
 	}
 
@@ -177,19 +186,19 @@ func TestStatementCacheBound(t *testing.T) {
 		}
 		// 1+i texts so far: full at i = bound-1, emptied by the next miss.
 		want := i%stmtCacheBound + 1
-		if cached, _, _ := e.StatementCache(); cached != want || cached > stmtCacheBound {
+		if cached, _, _ := statementCache(e); cached != want || cached > stmtCacheBound {
 			t.Fatalf("after %d more texts the cache holds %d, want %d", i, cached, want)
 		}
 	}
 
 	const bad = "MATCH (n) RETURN n LIMIT 'x'"
-	cached, _, misses := e.StatementCache()
+	cached, _, misses := statementCache(e)
 	for i := 1; i <= 2; i++ {
 		if _, err := e.Prepare(bad); err == nil {
 			t.Fatalf("call %d of Prepare(%q) returned no error", i, bad)
 		}
 	}
-	if c, _, m := e.StatementCache(); c != cached || m != misses+2 {
+	if c, _, m := statementCache(e); c != cached || m != misses+2 {
 		t.Fatalf("a bad text twice: %d cached, %d misses; want %d and %d", c, m, cached, misses+2)
 	}
 
@@ -199,7 +208,7 @@ func TestStatementCacheBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c, _, m := e.StatementCache(); c != cached || m != misses+4 {
+	if c, _, m := statementCache(e); c != cached || m != misses+4 {
 		t.Fatalf("a long text twice: %d cached, %d misses; want %d and %d", c, m, cached, misses+4)
 	}
 }

@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"context"
+	"expvar"
 	"fmt"
 	"slices"
 	"sort"
@@ -368,20 +369,14 @@ func procWindow(ctx context.Context, e *Engine, args []model.Value) (*Result, er
 	}, nil
 }
 
-// procStats: aion.stats() -> planner statistics.
+// procStats: aion.stats() -> one (name, value) row per key of the system's
+// metrics registry, in key order; value is the entry's JSON.
 func procStats(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	st := e.Sys.Aion.Stats()
-	lineage, timeStore := e.Sys.Aion.PlannerDecisions()
-	return &Result{
-		Columns: []string{"nodes", "rels", "avgDegree", "lineageQueries", "timestoreQueries"},
-		Rows: [][]Val{{
-			ScalarVal(model.IntValue(st.Nodes())),
-			ScalarVal(model.IntValue(st.Rels())),
-			ScalarVal(model.FloatValue(st.AvgDegree())),
-			ScalarVal(model.IntValue(lineage)),
-			ScalarVal(model.IntValue(timeStore)),
-		}},
-	}, nil
+	res := &Result{Columns: []string{"name", "value"}}
+	e.Sys.Metrics.Do(func(kv expvar.KeyValue) {
+		res.Rows = append(res.Rows, []Val{ScalarVal(model.StringValue(kv.Key)), ScalarVal(model.StringValue(kv.Value.String()))})
+	})
+	return res, nil
 }
 
 // eachStepDiff advances an incremental procedure along the series start,

@@ -13,15 +13,14 @@ import (
 	"aion/internal/vfs"
 )
 
-// This file is the fencing layer beneath failover (ROADMAP item 2's
-// promotion follow-up). A cluster-wide monotonic EPOCH names the current
-// primary's reign. Every node persists the highest epoch it has observed;
-// promotion advances it, and a primary that sees a higher epoch than its
-// own — proof that the cluster moved on without it — demotes itself to
-// sticky read-only (fenced) before it can accept another write. Because
-// the epoch is persisted before the role flips, a fenced primary stays
-// fenced across restarts: the divergent suffix it may hold can be
-// inspected, but never extended or re-served as authoritative.
+// This file is the fencing layer beneath failover. A cluster-wide monotonic
+// EPOCH names the current primary's reign. Every node persists the highest
+// epoch it has observed; promotion advances it, and a primary that sees a
+// higher epoch than its own — proof that the cluster moved on without it —
+// demotes itself to sticky read-only (fenced) before it can accept another
+// write. Because the epoch is persisted before the role flips, a fenced
+// primary stays fenced across restarts: the divergent suffix it may hold can
+// be inspected, but never extended or re-served as authoritative.
 
 // Role is a node's current write-authority state.
 type Role int32

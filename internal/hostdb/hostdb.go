@@ -74,10 +74,10 @@ type DB struct {
 	nextNode model.NodeID
 	nextRel  model.RelID
 
-	// Group-commit pipeline (ROADMAP item 3): concurrent Tx.Commit callers
-	// enqueue under qmu; the first enqueuer becomes leader and drains the
-	// queue in rounds, so N concurrent synchronous commits share one WAL
-	// batch append, one string-table fsync, and one log fsync.
+	// Group-commit pipeline: concurrent Tx.Commit callers enqueue under qmu;
+	// the first enqueuer becomes leader and drains the queue in rounds, so N
+	// concurrent synchronous commits share one WAL batch append, one
+	// string-table fsync, and one log fsync.
 	qmu     sync.Mutex
 	queue   []*commitReq
 	leading bool

@@ -9,10 +9,10 @@ import (
 	"aion/internal/wal"
 )
 
-// This file is the host database's replication surface (ROADMAP item 2).
-// The unit of replication is the durable byte: a primary exposes the
-// fsync-covered prefixes of its string table and transaction log, and a
-// follower appends those bytes verbatim to its own files. Because both
+// This file is the host database's replication surface. The unit of
+// replication is the durable byte: a primary exposes the fsync-covered
+// prefixes of its string table and transaction log, and a follower appends
+// those bytes verbatim to its own files. Because both
 // files are append-only and the records are replayed through the same
 // recovery machinery Open uses, a follower's on-disk state is always a
 // byte-identical prefix of the primary's — positional string refs resolve

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"expvar"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -54,10 +55,13 @@ type Applier struct {
 }
 
 // NewApplier creates an applier over a follower system (opened with
-// system.Options.Replica). The watermark starts at the follower's
-// recovered clock: everything already in its own durable log is servable.
+// system.Options.Replica) and adds its Stats to sys.Metrics as
+// "replica.applier". The watermark starts at the follower's recovered clock:
+// everything already in its own durable log is servable.
 func NewApplier(sys *system.System) *Applier {
-	return &Applier{sys: sys, now: time.Now, watermark: sys.Host.Clock()}
+	a := &Applier{sys: sys, now: time.Now, watermark: sys.Host.Clock()}
+	sys.Metrics.Set("replica.applier", expvar.Func(func() any { return a.Stats() }))
+	return a
 }
 
 // Offsets returns the follower's durable file extents — the resume point a
@@ -236,21 +240,17 @@ func (a *Applier) latestOK() error {
 	return nil
 }
 
-// ReplicationStats implements bolt.Replicator.
-func (a *Applier) ReplicationStats() bolt.ReplicationMetrics {
+// Stats reports the apply counters, the watermark and its lag.
+func (a *Applier) Stats() Stats {
 	a.mu.Lock()
 	wm, pts := a.watermark, a.primaryTS
 	a.mu.Unlock()
-	lag := int64(pts - wm)
-	if lag < 0 {
-		lag = 0
-	}
-	return bolt.ReplicationMetrics{
+	return Stats{
 		FramesApplied: a.framesApplied.Load(),
 		BytesApplied:  a.bytesApplied.Load(),
 		Heartbeats:    a.heartbeats.Load(),
 		Reconnects:    a.reconnects.Load(),
 		Watermark:     int64(wm),
-		WatermarkLag:  lag,
+		WatermarkLag:  max(int64(pts-wm), 0),
 	}
 }

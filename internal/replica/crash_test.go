@@ -187,7 +187,7 @@ func TestCrashSweepFollower(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := NewSource(p.Host)
+	src := NewSource(p)
 
 	// Fault-free run measures the follower's mutating-op count N.
 	ffs := vfstest.NewFaultFS()
@@ -232,7 +232,7 @@ func runPrimaryCrashCase(t *testing.T, txns, k int, torn bool) {
 	var acked []model.Timestamp
 	p, err := openSys(pfs, "primary", false)
 	if err == nil {
-		src := NewSource(p.Host)
+		src := NewSource(p)
 		for i := 0; i < txns; i++ {
 			ts, cerr := commitOne(p, i)
 			if cerr != nil {
@@ -273,7 +273,7 @@ func runPrimaryCrashCase(t *testing.T, txns, k int, torn bool) {
 			t.Fatalf("%s: acked commit %d lost by primary recovery (clock %d)", tag, ts, p2.Host.Clock())
 		}
 	}
-	src2 := NewSource(p2.Host)
+	src2 := NewSource(p2)
 	if err := pump(src2, app, 1<<20); err != nil {
 		t.Fatalf("%s: resume from recovered primary: %v", tag, err)
 	}

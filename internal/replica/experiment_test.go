@@ -38,7 +38,7 @@ func TestReplicaCatchUpExperiment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := NewSource(p.Host)
+		src := NewSource(p)
 		app := NewApplier(f)
 		rounds := 0
 		catchup := time.Now()
@@ -61,7 +61,7 @@ func TestReplicaCatchUpExperiment(t *testing.T) {
 			}
 		}
 		dur := time.Since(catchup)
-		st := app.ReplicationStats()
+		st := app.Stats()
 		t.Logf("cap %7d B: %4d rounds, %d frames, %.1f MiB in %v (%.1f MiB/s, %.0f commits/s, half-lag closed in %v)",
 			cap, rounds, st.FramesApplied, float64(st.BytesApplied)/(1<<20),
 			dur.Round(time.Millisecond), float64(st.BytesApplied)/(1<<20)/dur.Seconds(),

@@ -145,13 +145,12 @@ func startFailNode(t *testing.T, nw *netfault.Network, name string, replica bool
 	n := &failNode{name: name, fs: vfstest.NewFaultFS()}
 	n.sys = openNode(t, n.fs, name, replica)
 	t.Cleanup(func() { n.sys.Close() })
-	n.src = NewSource(n.sys.Host)
+	n.src = NewSource(n.sys)
 	n.src.HeartbeatInterval = 20 * time.Millisecond
-	opts := bolt.Options{ReplicationHandler: n.src.ServeConn, Replication: n.src}
+	opts := bolt.Options{ReplicationHandler: n.src.ServeConn}
 	if replica {
 		n.app = NewApplier(n.sys)
 		opts.ReadGate = n.app.Gate
-		opts.Replication = n.app
 	}
 	n.node = NewNode(n.sys, n.app)
 	opts.Admin = n.node
@@ -268,7 +267,7 @@ func runFailoverScenario(t *testing.T, mode string, pt sweepPoint, seed int64) {
 	}
 	if pt.heartbeats {
 		waitCond(t, 10*time.Second, "no heartbeats on idle streams", func() bool {
-			return f1.app.ReplicationStats().Heartbeats >= 1 && f2.app.ReplicationStats().Heartbeats >= 1
+			return f1.app.Stats().Heartbeats >= 1 && f2.app.Stats().Heartbeats >= 1
 		})
 	}
 	if pt.truncate {
@@ -462,6 +461,36 @@ func runFailoverScenario(t *testing.T, mode string, pt sweepPoint, seed int64) {
 	}
 	if se := surv.src.admit(req); se == nil || se.Code != bolt.FailDiverged {
 		t.Fatalf("zombie rejoin admit = %v, want FailDiverged", se)
+	}
+}
+
+// TestPromotedNodeReportsWhatItShips promotes follower 1 and attaches
+// follower 2 to it. Follower 1's registry then shows what its Source ships
+// to follower 2, and still lists its Applier's counters from before the
+// promotion: every node reports both roles, whichever it plays now.
+func TestPromotedNodeReportsWhatItShips(t *testing.T) {
+	nw := netfault.New(*failoverSeed)
+	p := startFailNode(t, nw, "primary", false)
+	f1 := startFailNode(t, nw, "f1", true)
+	f2 := startFailNode(t, nw, "f2", true)
+	f1.follow(t, nw, p.addr)
+	commitValue(t, p.sys, 1, "before")
+	waitWatermark(t, f1.app, p.sys.Host.Clock())
+	p.srv.Close()
+	nw.SeverAll(p.addr)
+
+	if _, err := f1.node.PromoteNode(); err != nil {
+		t.Fatal(err)
+	}
+	f2.follow(t, nw, f1.addr)
+	commitValue(t, f1.sys, 2, "after")
+	waitWatermark(t, f2.app, f1.sys.Host.Clock())
+
+	if st := registered(t, f1.sys, "replica.source"); st.FramesShipped == 0 || st.Epoch != 1 {
+		t.Errorf("promoted node's replica.source = %+v, want frames shipped at epoch 1", st)
+	}
+	if st := registered(t, f1.sys, "replica.applier"); st.FramesApplied == 0 {
+		t.Errorf("promoted node's replica.applier = %+v, want the frames it applied as a follower", st)
 	}
 }
 

@@ -76,8 +76,8 @@ func TestReplicationOverTCP(t *testing.T) {
 	// Primary with the REPLICATE handler installed.
 	p := openNode(t, vfstest.NewFaultFS(), "primary", false)
 	defer p.Close()
-	src := NewSource(p.Host)
-	psrv, paddr := startNode(t, p, bolt.Options{ReplicationHandler: src.ServeConn, Replication: src})
+	src := NewSource(p)
+	psrv, paddr := startNode(t, p, bolt.Options{ReplicationHandler: src.ServeConn})
 
 	// Two followers tailing it, each serving gated reads.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -93,7 +93,7 @@ func TestReplicationOverTCP(t *testing.T) {
 		fsys := openNode(t, vfstest.NewFaultFS(), dir, true)
 		defer fsys.Close()
 		app := NewApplier(fsys)
-		_, addr := startNode(t, fsys, bolt.Options{ReadGate: app.Gate, Replication: app})
+		_, addr := startNode(t, fsys, bolt.Options{ReadGate: app.Gate})
 		d := &trackingDialer{}
 		fl := &Follower{Applier: app, Addr: paddr, Policy: fastPolicy,
 			ReadTimeout: 500 * time.Millisecond, Dial: d.dial}
@@ -161,12 +161,11 @@ func TestReplicationOverTCP(t *testing.T) {
 		waitWatermark(t, f.app, p.Host.Clock())
 	}
 
-	// Replication counters surfaced through both servers' metrics.
-	pm := psrv.Metrics()
-	if pm.Replication == nil || pm.Replication.FramesShipped == 0 || pm.Replication.BytesShipped == 0 {
-		t.Fatalf("primary replication metrics: %+v", pm.Replication)
+	// Replication counters surfaced through both systems' registries.
+	if pm := registered(t, p, "replica.source"); pm.FramesShipped == 0 || pm.BytesShipped == 0 {
+		t.Fatalf("primary replication metrics: %+v", pm)
 	}
-	fm := followers[0].app.ReplicationStats()
+	fm := registered(t, followers[0].sys, "replica.applier")
 	if fm.FramesApplied == 0 || fm.Watermark != int64(p.Host.Clock()) {
 		t.Fatalf("follower replication metrics: %+v", fm)
 	}
@@ -176,8 +175,8 @@ func TestFollowerReconnectBackoff(t *testing.T) {
 	p := openNode(t, vfstest.NewFaultFS(), "primary", false)
 	defer p.Close()
 	drive(t, p, 5)
-	src := NewSource(p.Host)
-	_, paddr := startNode(t, p, bolt.Options{ReplicationHandler: src.ServeConn, Replication: src})
+	src := NewSource(p)
+	_, paddr := startNode(t, p, bolt.Options{ReplicationHandler: src.ServeConn})
 
 	fsys := openNode(t, vfstest.NewFaultFS(), "follower", true)
 	defer fsys.Close()
@@ -197,7 +196,7 @@ func TestFollowerReconnectBackoff(t *testing.T) {
 	go fl.Run(ctx)
 
 	waitWatermark(t, app, p.Host.Clock())
-	if got := app.ReplicationStats().Reconnects; got < 3 {
+	if got := app.Stats().Reconnects; got < 3 {
 		t.Fatalf("reconnects = %d, want >= 3 (one per refused dial)", got)
 	}
 

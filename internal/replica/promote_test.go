@@ -34,7 +34,7 @@ func TestPromoteNodeFlipsFollowerAndFencesOldPrimary(t *testing.T) {
 	defer f.Close()
 
 	drive(t, p, 10)
-	src := NewSource(p.Host)
+	src := NewSource(p)
 	app := NewApplier(f)
 	if err := pump(src, app, 1<<20); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestAdmitRejectsDivergedRejoinByTailDigest(t *testing.T) {
 	defer f.Close()
 
 	drive(t, p, 8)
-	src := NewSource(p.Host)
+	src := NewSource(p)
 	app := NewApplier(f)
 	if err := pump(src, app, 1<<20); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestAdmitRejectsDivergedRejoinByTailDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newSrc := NewSource(f.Host)
+	newSrc := NewSource(f)
 	se := newSrc.admit(req)
 	if se == nil || se.Code != bolt.FailDiverged {
 		t.Fatalf("admit = %v, want FailDiverged", se)
@@ -137,7 +137,7 @@ func TestAdmitFencesStalePrimaryOnHigherFollowerEpoch(t *testing.T) {
 	defer f.Close()
 
 	drive(t, p, 3)
-	src := NewSource(p.Host)
+	src := NewSource(p)
 	app := NewApplier(f)
 	if err := pump(src, app, 1<<20); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestAdmitFencesStalePrimaryOnHigherFollowerEpoch(t *testing.T) {
 	if p.Host.Role() != hostdb.RoleFenced || p.Host.Epoch() != 1 {
 		t.Fatalf("stale primary role=%v epoch=%d, want fenced/1", p.Host.Role(), p.Host.Epoch())
 	}
-	if m := src.ReplicationStats(); m.FencedStreams != 1 {
+	if m := src.Stats(); m.FencedStreams != 1 {
 		t.Fatalf("fenced streams = %d", m.FencedStreams)
 	}
 }
@@ -176,7 +176,7 @@ func TestApplyAfterPromotionStopsCleanlyWithoutPoisoning(t *testing.T) {
 	defer f.Close()
 
 	drive(t, p, 2)
-	src := NewSource(p.Host)
+	src := NewSource(p)
 	app := NewApplier(f)
 	so, to := app.Offsets()
 	sh, err := src.Shipment(so, to, 1<<20)

@@ -1,8 +1,8 @@
 // Package replica implements WAL-shipping replication for the combined
-// host+Aion system (ROADMAP item 2): a primary-side Source tails the host
-// database's durable transaction log and string table and streams their raw
-// bytes to follower-side Appliers, which append them verbatim to their own
-// files, replay the committed transactions into their own TimeStore and
+// host+Aion system: a primary-side Source tails the host database's durable
+// transaction log and string table and streams their raw bytes to
+// follower-side Appliers, which append them verbatim to their own files,
+// replay the committed transactions into their own TimeStore and
 // LineageStore, and advertise a replicated-watermark timestamp.
 //
 // The replication unit is the durable byte. Because history is append-only
@@ -66,6 +66,21 @@ type Shipment struct {
 // Empty reports whether the shipment carries no bytes (heartbeat-only
 // rounds skip it).
 func (sh *Shipment) Empty() bool { return len(sh.Strings) == 0 && len(sh.Frames) == 0 }
+
+// Stats is a snapshot of a node's replication counters, filled by either
+// role: a Source (registry key "replica.source") its shipping counters, host
+// clock and epoch; an Applier ("replica.applier") its apply counters and
+// watermark. A promoted node lists both.
+type Stats struct {
+	FramesShipped, BytesShipped uint64 // log records, and their payload bytes, sent to followers
+	FramesApplied, BytesApplied uint64 // records verified and applied on a follower
+	Heartbeats                  uint64 // keepalives sent (source) or received (applier)
+	Reconnects                  uint64 // follower stream re-establishments after a failed dial or stream
+	Watermark                   int64  // the highest servable commit: host clock, or replicated watermark
+	WatermarkLag                int64  // the primary's clock at the last heartbeat minus the watermark
+	Epoch                       uint64 // the node's fencing epoch
+	FencedStreams               uint64 // streams refused or ended because this node is not the primary
+}
 
 // Heartbeat is the keepalive a primary sends when it has nothing to ship:
 // its durable extents and clock, from which the follower computes its lag,

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"expvar"
 	"fmt"
 	"testing"
 	"time"
@@ -27,6 +28,17 @@ func openNode(t *testing.T, fs vfs.FS, dir string, asReplica bool) *system.Syste
 		t.Fatalf("open %s: %v", dir, err)
 	}
 	return s
+}
+
+// registered reads the replication Stats that the component named by key
+// added to sys's metrics registry.
+func registered(t *testing.T, sys *system.System, key string) Stats {
+	t.Helper()
+	v, ok := sys.Metrics.Get(key).(expvar.Func)
+	if !ok {
+		t.Fatalf("no %q in the metrics registry", key)
+	}
+	return v.Value().(Stats)
 }
 
 // drive commits txns deterministic transactions on the primary: each adds
@@ -150,7 +162,7 @@ func TestReplicationConvergence(t *testing.T) {
 	defer f.Close()
 
 	drive(t, p, 20)
-	src := NewSource(p.Host)
+	src := NewSource(p)
 	app := NewApplier(f)
 	// Tiny shipments force many rounds (strings-only rounds included).
 	if err := pump(src, app, 1); err != nil {
@@ -219,7 +231,7 @@ func TestApplierOffsetMismatchFailStop(t *testing.T) {
 	f := openNode(t, ffs, "follower", true)
 	defer f.Close()
 	drive(t, p, 3)
-	src := NewSource(p.Host)
+	src := NewSource(p)
 	app := NewApplier(f)
 
 	so, to := app.Offsets()
@@ -250,7 +262,7 @@ func TestSourceRejectsFollowerAhead(t *testing.T) {
 	p := openNode(t, pfs, "primary", false)
 	defer p.Close()
 	drive(t, p, 2)
-	src := NewSource(p.Host)
+	src := NewSource(p)
 	_, txn := p.Host.DurableExtents()
 	if _, err := src.Shipment(0, txn+8, 1<<20); err == nil {
 		t.Fatal("follower-ahead offsets accepted")
@@ -285,7 +297,7 @@ func TestGate(t *testing.T) {
 	f := openNode(t, ffs, "follower", true)
 	defer f.Close()
 	drive(t, p, 5) // watermark will be 5
-	src := NewSource(p.Host)
+	src := NewSource(p)
 	app := NewApplier(f)
 	if err := pump(src, app, 1<<20); err != nil {
 		t.Fatal(err)
@@ -382,8 +394,8 @@ func TestReplicaRefusesACachedWrite(t *testing.T) {
 			t.Fatalf("follower write %d: %v, want FailReadOnly", i, err)
 		}
 	}
-	if _, hits, misses := eng.StatementCache(); hits != 1 || misses != 1 {
-		t.Fatalf("%d hits, %d misses; want the second write served from the cache", hits, misses)
+	if cache := f.Metrics.Get("cypher").(expvar.Func).Value().(map[string]uint64); cache["hits"] != 1 || cache["misses"] != 1 {
+		t.Fatalf("statement cache %v; want the second write served from the cache", cache)
 	}
 	if m := srv.Metrics(); m.Rejected != 2 {
 		t.Fatalf("%d statements gate-rejected, want 2", m.Rejected)

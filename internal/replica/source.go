@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"expvar"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"aion/internal/bolt"
 	"aion/internal/clock"
 	"aion/internal/hostdb"
+	"aion/internal/system"
 )
 
 // maxShipmentBytes caps one shipment's payload well under Bolt's 16 MiB
@@ -50,14 +52,17 @@ type Source struct {
 	fencedStreams atomic.Uint64
 }
 
-// NewSource creates a shipping source over a primary host database.
-func NewSource(db *hostdb.DB) *Source {
-	return &Source{db: db}
+// NewSource creates a shipping source over sys's host database and adds its
+// Stats to sys.Metrics as "replica.source".
+func NewSource(sys *system.System) *Source {
+	s := &Source{db: sys.Host}
+	sys.Metrics.Set("replica.source", expvar.Func(func() any { return s.Stats() }))
+	return s
 }
 
-// ReplicationStats implements bolt.Replicator.
-func (s *Source) ReplicationStats() bolt.ReplicationMetrics {
-	return bolt.ReplicationMetrics{
+// Stats reports the shipping counters, the host clock and the epoch.
+func (s *Source) Stats() Stats {
+	return Stats{
 		FramesShipped: s.framesShipped.Load(),
 		BytesShipped:  s.bytesShipped.Load(),
 		Heartbeats:    s.heartbeats.Load(),

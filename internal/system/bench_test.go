@@ -340,8 +340,14 @@ func BenchmarkDisk(b *testing.B) {
 			fulls += size(f)
 		}
 	}
-	if fulls+deltas != ts.SnapshotBytes {
-		b.Fatalf("%d bytes of element files on disk, the catalogue counts %d", fulls+deltas, ts.SnapshotBytes)
+	if fulls+deltas != ts.SnapshotBytes || deltas != ts.DeltaBytes {
+		b.Fatalf("%d + %d bytes of full and delta files on disk, the catalogue counts %d in all, %d of deltas", fulls, deltas, ts.SnapshotBytes, ts.DeltaBytes)
+	}
+	// Every row is in a running server's /metrics: the files Stats counts are
+	// the files on disk.
+	aionStrings := size(filepath.Join(opts.Dir, "aion", "strings.db"))
+	if aionStrings != ts.StringBytes {
+		b.Fatalf("Aion's string table takes %d bytes on disk, timestore.Stats counts %d", aionStrings, ts.StringBytes)
 	}
 	rows := []struct {
 		owner string
@@ -353,7 +359,7 @@ func BenchmarkDisk(b *testing.B) {
 		{"TimeStore fulls", fulls},
 		{"TimeStore deltas", deltas},
 		{"LineageStore trees", lineage},
-		{"string tables", host.Strings + size(filepath.Join(opts.Dir, "aion", "strings.db"))},
+		{"string tables", host.Strings + aionStrings},
 	}
 	var total int64
 	for _, r := range rows {

@@ -1,9 +1,9 @@
 package system
 
-// The TimeStore half of the one oracle (ROADMAP item 1a): a hosted TimeStore
-// keeps no graph of its own, so every graph it hands out — materialised,
-// cached from a policy snapshot, or persisted in a .dsnap element — is checked
-// here against internal/testkit/refmodel's replay from zero, on a history that goes
+// The TimeStore half of the one oracle: a hosted TimeStore keeps no graph of
+// its own, so every graph it hands out — materialised, cached from a policy
+// snapshot, or persisted in a .dsnap element — is checked here against
+// internal/testkit/refmodel's replay from zero, on a history that goes
 // through every way commits reach it.
 
 import (

@@ -8,6 +8,7 @@ package system
 
 import (
 	"errors"
+	"expvar"
 	"fmt"
 
 	"aion/internal/aion"
@@ -41,6 +42,9 @@ type Options struct {
 type System struct {
 	Host *hostdb.DB
 	Aion *aion.DB
+	// Metrics is the one stats registry: each component adds its Stats here
+	// where it is built, and /metrics and CALL aion.stats() read it.
+	Metrics expvar.Map
 }
 
 // Open creates or reopens a combined system and registers the event
@@ -52,6 +56,8 @@ func Open(opts Options) (*System, error) {
 		return nil, err
 	}
 	s := &System{Host: host}
+	s.Metrics.Set("hostdb", expvar.Func(func() any { return host.Stats() }))
+	s.Metrics.Set("hostdb.storage", expvar.Func(func() any { return host.Storage() }))
 	if opts.DisableTemporal {
 		return s, nil
 	}
@@ -82,6 +88,26 @@ func Open(opts Options) (*System, error) {
 		// on top of a hole.
 		_ = s.Aion.ApplyBatch(us)
 	})
+	// Aion's stores (those its mode opened), the planner's Sec 5.1 statistics
+	// and decisions, and the ingest error that stops the cascade.
+	if ts := s.Aion.TimeStore(); ts != nil {
+		s.Metrics.Set("timestore", expvar.Func(func() any { return ts.Stats() }))
+	}
+	if ls := s.Aion.LineageStore(); ls != nil {
+		s.Metrics.Set("lineagestore", expvar.Func(func() any { return ls.Stats() }))
+	}
+	s.Metrics.Set("planner", expvar.Func(func() any {
+		st := s.Aion.Stats()
+		lineage, timeStore := s.Aion.PlannerDecisions()
+		return map[string]any{"nodes": st.Nodes(), "rels": st.Rels(), "avg_degree": st.AvgDegree(),
+			"decisions": map[string]int64{"lineage": lineage, "timestore": timeStore}}
+	}))
+	s.Metrics.Set("ingest_error", expvar.Func(func() any {
+		if err := s.Aion.Err(); err != nil {
+			return err.Error()
+		}
+		return nil
+	}))
 	return s, nil
 }
 

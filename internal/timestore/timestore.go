@@ -658,6 +658,8 @@ type Stats struct {
 	SnapshotBytes int64 // the chain files, fulls and deltas
 	// DeltaSnapshots counts the chain's differential elements.
 	DeltaSnapshots int
+	DeltaBytes     int64 // the deltas' share of SnapshotBytes
+	StringBytes    int64 // the codec's string table, shared in a hybrid store
 	// ReplayedUpdates counts updates applied on top of a base
 	// materialization while answering queries — the replay work snapshots
 	// and chains could not avoid. The equivalence harness asserts bounded
@@ -695,10 +697,12 @@ type Stats struct {
 // Element sizes are catalogued with the chain, so collecting stats never
 // stats a file while holding s.mu (which would stall the append path).
 func (s *Store) Stats() Stats {
+	strBytes := s.codec.Strings.DiskBytes() // before s.mu: it walks the table
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lastErr, _ := s.lastSnapErr.Load().(string)
 	st := Stats{
+		StringBytes:       strBytes,
 		Updates:           s.updateCount,
 		Snapshots:         int(s.snapshotCount.Load()),
 		LogBytes:          s.seg.log.Size(),
@@ -722,6 +726,7 @@ func (s *Store) Stats() Stats {
 		st.SnapshotBytes += e.size
 		if e.kind == enc.DeltaDiff {
 			st.DeltaSnapshots++
+			st.DeltaBytes += e.size
 		}
 	}
 	return st

@@ -100,13 +100,16 @@ func TestEveryFunctionIsReached(t *testing.T) {
 	if len(mains) < 3 {
 		t.Fatalf("found %d main packages; the walk needs cmd/*, examples/* and benchmark/", len(mains))
 	}
-	production := func(path string) bool {
-		return (strings.HasPrefix(path, "aion/internal/") || strings.HasPrefix(path, "aion/cmd/")) &&
-			!strings.HasPrefix(path, "aion/internal/testkit/")
-	}
 	for _, p := range reachProblems(l, mains, production, reachAllowed) {
 		t.Error(p)
 	}
+}
+
+// production reports whether the package at path is production code: under
+// internal/ or cmd/, and not test support under internal/testkit/.
+func production(path string) bool {
+	return (strings.HasPrefix(path, "aion/internal/") || strings.HasPrefix(path, "aion/cmd/")) &&
+		!strings.HasPrefix(path, "aion/internal/testkit/")
 }
 
 // TestReachabilityFixtures holds the walk's rules to small programs under
