@@ -44,8 +44,8 @@ type Options struct {
 	// Primaries install the log-shipping source here.
 	ReplicationHandler func(conn net.Conn, r *bufio.Reader, w *bufio.Writer, req []byte)
 	// Admin, when set, exposes the failover control surface: MsgPromote
-	// and MsgStatus frames are answered through it, and epochs carried in
-	// HELLO frames are folded into the node (fencing a stale primary).
+	// and MsgStatus frames are answered through it, and the epoch a STATUS
+	// probe carries is folded into the node (fencing a stale primary).
 	Admin Admin
 }
 
@@ -358,20 +358,11 @@ func (s *Server) serve(conn net.Conn) {
 		return w.Flush()
 	}
 
-	// Handshake: expect HELLO, reply SUCCESS. A HELLO may carry the
-	// sender's fencing epoch after the agent string (8 bytes BE); folding
-	// it into the node is how a partitioned ex-primary learns it was
-	// deposed the moment ANY peer from the new reign talks to it. The
-	// reply carries this node's epoch back when the admin surface is
-	// enabled.
+	// Handshake: expect HELLO, reply SUCCESS. The reply carries this
+	// node's epoch back when the admin surface is enabled.
 	frame, err := readFrame(r)
 	if err != nil || len(frame) == 0 || frame[0] != MsgHello {
 		return
-	}
-	if s.opts.Admin != nil {
-		if _, rest, herr := readString(frame[1:]); herr == nil && len(rest) >= 8 {
-			s.opts.Admin.ObserveEpoch(binary.BigEndian.Uint64(rest))
-		}
 	}
 	success := []byte{MsgSuccess}
 	if s.opts.Admin != nil {

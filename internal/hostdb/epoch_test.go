@@ -43,7 +43,7 @@ func TestPromoteFlipsReplicaWritable(t *testing.T) {
 	}
 	// Shipments are now rejected: the promoted node is the timeline's
 	// authority.
-	if _, err := db.ApplyShipment(nil, [][]byte{{0}}); err == nil {
+	if _, err := db.ApplyShipment(nil, []byte{0}); err == nil {
 		t.Fatal("ApplyShipment on promoted node must fail")
 	}
 	if err := db.Close(); err != nil {
@@ -89,7 +89,7 @@ func TestObserveHigherEpochFencesPrimary(t *testing.T) {
 	if err := commitNode(t, db); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced commit err = %v, want ErrFenced", err)
 	}
-	if _, err := db.ApplyShipment(nil, [][]byte{{0}}); err == nil {
+	if _, err := db.ApplyShipment(nil, []byte{0}); err == nil {
 		t.Fatal("fenced node must reject shipments")
 	}
 	if err := db.Promote(4); !errors.Is(err, ErrFenced) {

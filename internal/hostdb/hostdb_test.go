@@ -419,11 +419,11 @@ func TestReplayCommittedDecodesOnlyWhatItDelivers(t *testing.T) {
 	}
 }
 
-// TestTxnFramesStopAtTheCapturedExtent: a shipment reads its strings chunk
-// after capturing the transaction-log extent, so frames must stop at that
+// TestTxnBytesStopAtTheCapturedExtent: a shipment reads its strings chunk
+// after capturing the transaction-log extent, so its records must stop at that
 // extent even when a later commit — whose record references strings the chunk
-// does not hold — has become durable by the time the frames are read.
-func TestTxnFramesStopAtTheCapturedExtent(t *testing.T) {
+// does not hold — has become durable by the time the records are read.
+func TestTxnBytesStopAtTheCapturedExtent(t *testing.T) {
 	db := openDB(t, Options{SyncCommits: true})
 	if _, err := db.Run(func(tx *Tx) error {
 		_, err := tx.CreateNode([]string{"Early"}, nil)
@@ -438,16 +438,20 @@ func TestTxnFramesStopAtTheCapturedExtent(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	frames, next, err := db.TxnFrames(0, captured, 1<<20)
+	txn, err := db.TxnBytes(0, captured, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frames) != 1 || next != captured {
-		t.Fatalf("%d frames up to offset %d, want the 1 commit below the captured extent %d", len(frames), next, captured)
+	if _, rest, err := wal.Cut(txn); err != nil || len(rest) != 0 || int64(len(txn)) != captured {
+		t.Fatalf("%d bytes (%v), want the 1 commit record below the captured extent %d", len(txn), err, captured)
 	}
 	_, now := db.DurableExtents()
-	if frames, next, err = db.TxnFrames(next, now, 1<<20); err != nil || len(frames) != 1 || next != now {
-		t.Fatalf("resuming: %d frames up to %d (%v), want the second commit up to %d", len(frames), next, err, now)
+	next := int64(len(txn))
+	if txn, err = db.TxnBytes(next, now, 1<<20); err != nil || next+int64(len(txn)) != now {
+		t.Fatalf("resuming: %d bytes from %d (%v), want the second commit up to %d", len(txn), next, err, now)
+	}
+	if _, rest, err := wal.Cut(txn); err != nil || len(rest) != 0 {
+		t.Fatalf("resuming: %d bytes after one record (%v), want the second commit alone", len(rest), err)
 	}
 }
 

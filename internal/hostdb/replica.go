@@ -76,57 +76,51 @@ func (db *DB) TailCRC(strTo, txnTo, strMax, txnMax int64) (strLen, txnLen int64,
 	return strLen, txnLen, strCRC, txnCRC, nil
 }
 
-// TxnFrames reads durable transaction-log records starting at byte offset
+// TxnBytes reads durable transaction-log records starting at byte offset
 // from and ending below byte offset to — the transaction-log extent the
 // caller captured with DurableExtents BEFORE it read the strings it ships
 // alongside: a record that became durable after that capture may reference
-// strings the caller's chunk does not hold. Up to roughly maxBytes of payload
-// are returned, as copied record payloads plus the offset the next call
-// should resume from. At least one record is returned when any is available,
-// so a caller always makes progress even when a single commit exceeds
-// maxBytes.
-func (db *DB) TxnFrames(from, to int64, maxBytes int) (frames [][]byte, next int64, err error) {
-	next = from
+// strings the caller's chunk does not hold. The records come back whole and
+// exactly as the log holds them, headers included, up to roughly maxBytes;
+// the next call resumes at from+len. At least one record is returned when any
+// is available, so a caller always makes progress even when a single commit
+// exceeds maxBytes.
+func (db *DB) TxnBytes(from, to int64, maxBytes int) ([]byte, error) {
 	durable := min(to, db.txnLog.SyncedSize())
 	if from >= durable {
-		return nil, next, nil
+		return nil, nil
 	}
-	total := 0
-	_, err = db.txnLog.ScanBatch(from, 0, func(fs []wal.Frame) bool {
+	end := from
+	_, err := db.txnLog.ScanRange(from, durable, 0, func(fs []wal.Frame) bool {
 		for _, f := range fs {
-			if f.Off >= durable {
+			next := f.Off + wal.HeaderSize + int64(len(f.Payload))
+			if end > from && next-from > int64(maxBytes) {
 				return false
 			}
-			if total > 0 && total+len(f.Payload) > maxBytes {
-				return false
-			}
-			frames = append(frames, append([]byte(nil), f.Payload...))
-			total += len(f.Payload)
-			// 8 bytes of record header (length + CRC) precede the payload.
-			next = f.Off + 8 + int64(len(f.Payload))
+			end = next
 		}
 		return true
 	})
 	if err != nil {
-		return nil, from, fmt.Errorf("hostdb: txn frames at %d: %w", from, err)
+		return nil, fmt.Errorf("hostdb: txn records at %d: %w", from, err)
 	}
-	return frames, next, nil
+	return db.txnLog.ReadRange(from, end)
 }
 
 // ApplyShipment ingests one replication shipment on a follower: a chunk of
-// raw string-table bytes (possibly empty) and a batch of transaction-log
-// record payloads, exactly as they appear in the primary's files.
+// raw string-table bytes (possibly empty) and a run of whole transaction-log
+// records, exactly as they appear in the primary's files.
 //
 // Order of operations is the crash-safety contract:
 //
 //  1. append the string bytes (log records hold positional refs into them);
-//  2. decode and check EVERY frame before touching the log: timestamps
-//     strictly increasing from the clock, and every update admitted by the
-//     check a commit runs (pending), over the graph with the shipment's
-//     earlier updates applied — so a corrupt, non-monotonic or
-//     inapplicable shipment is rejected wholesale and leaves the log, the
-//     clock and the graph as they were;
-//  3. append the frames to the follower's own transaction log;
+//  2. cut (wal.Cut checks its CRC), decode and check EVERY record before
+//     touching the log: timestamps strictly increasing from the clock, and
+//     every update admitted by the check a commit runs (pending), over the
+//     graph with the shipment's earlier updates applied — so a corrupt,
+//     non-monotonic or inapplicable shipment is rejected wholesale and
+//     leaves the log, the clock and the graph as they were;
+//  3. append the records' payloads to the follower's own transaction log;
 //  4. fsync strings, then the log — durability BEFORE visibility, so the
 //     watermark this call advances only ever covers bytes that survive a
 //     crash;
@@ -138,7 +132,7 @@ func (db *DB) TxnFrames(from, to int64, maxBytes int) (frames [][]byte, next int
 // reopen; a crash after (4) is replayed by Open's recovery scan. Either
 // way the follower reconverges by resuming from its durable extents.
 // Returns the follower's clock (== highest applied commit timestamp).
-func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, error) {
+func (db *DB) ApplyShipment(strChunk, txn []byte) (model.Timestamp, error) {
 	// Shipments are accepted only in the LIVE replica role: a promoted
 	// follower is a primary now (its log is the new timeline's authority),
 	// and a fenced ex-primary may hold a divergent suffix that shipped
@@ -151,7 +145,7 @@ func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, 
 			return 0, fmt.Errorf("hostdb: apply shipment strings: %w", err)
 		}
 	}
-	if len(frames) == 0 {
+	if len(txn) == 0 {
 		if len(strChunk) > 0 {
 			if err := db.strings.Sync(); err != nil {
 				return 0, err
@@ -167,27 +161,32 @@ func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, 
 	// Only ApplyShipment writes a replica's graph (a promotion stops the
 	// stream first), so the graph checked is the one applied to below.
 	clock := db.Clock()
-	commits := make([][]model.Update, 0, len(frames))
+	var payloads [][]byte
+	var commits [][]model.Update
 	p := newPending()
-	for i, payload := range frames {
+	for i, rest := 0, txn; len(rest) > 0; i++ {
+		payload, next, err := wal.Cut(rest)
+		if err != nil {
+			return 0, fmt.Errorf("hostdb: shipment record %d: %w", i, err)
+		}
 		us, err := db.decodeCommit(nil, payload)
 		if err != nil {
-			return 0, fmt.Errorf("hostdb: shipment frame %d: %w", i, err)
+			return 0, fmt.Errorf("hostdb: shipment record %d: %w", i, err)
 		}
 		if len(us) == 0 {
-			return 0, fmt.Errorf("hostdb: shipment frame %d: empty commit", i)
+			return 0, fmt.Errorf("hostdb: shipment record %d: empty commit", i)
 		}
 		if us[0].TS <= clock {
-			return 0, fmt.Errorf("hostdb: shipment frame %d: commit ts %d not above clock %d", i, us[0].TS, clock)
+			return 0, fmt.Errorf("hostdb: shipment record %d: commit ts %d not above clock %d", i, us[0].TS, clock)
 		}
 		db.mu.RLock()
 		err = p.check(db.current, us...)
 		db.mu.RUnlock()
 		if err != nil {
-			return 0, fmt.Errorf("hostdb: shipment frame %d: %w", i, err)
+			return 0, fmt.Errorf("hostdb: shipment record %d: %w", i, err)
 		}
-		clock = us[0].TS
-		commits = append(commits, us)
+		clock, rest = us[0].TS, next
+		payloads, commits = append(payloads, payload), append(commits, us)
 	}
 
 	// Push the shipped string bytes to the OS before the log records that
@@ -197,7 +196,7 @@ func (db *DB) ApplyShipment(strChunk []byte, frames [][]byte) (model.Timestamp, 
 	if err := db.strings.Flush(); err != nil {
 		return 0, err
 	}
-	if _, err := db.txnLog.AppendBatch(frames); err != nil {
+	if _, err := db.txnLog.AppendBatch(payloads); err != nil {
 		return 0, fmt.Errorf("hostdb: apply shipment append: %w", err)
 	}
 	if err := db.strings.Sync(); err != nil {

@@ -5,21 +5,25 @@ import (
 	"testing"
 
 	"aion/internal/model"
+	"aion/internal/wal"
 )
 
-// TestFollowerRefusesAShipmentItCannotApply: a shipment whose frames decode and
+// TestFollowerRefusesAShipmentItCannotApply: a shipment whose records decode and
 // whose timestamps climb, but which deletes a node the follower never had, is
 // refused before it reaches the follower's log. The follower's log, clock and
 // graph are as they were, it reopens, and the shipment it should have had then
-// applies. Appended and synced first, the frame made every later Open fail.
+// applies. Appended and synced first, the record made every later Open fail.
 func TestFollowerRefusesAShipmentItCannotApply(t *testing.T) {
-	frames := func(db *DB) [][]byte {
+	records := func(db *DB) (recs [][]byte) {
 		_, txn := db.DurableExtents()
-		fs, _, err := db.TxnFrames(0, txn, 1<<20)
+		b, err := db.TxnBytes(0, txn, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fs
+		for len(b) > 0 {
+			recs, b = append(recs, b[:wal.Size(b)]), b[wal.Size(b):]
+		}
+		return recs
 	}
 	create := func(db *DB, n int) {
 		if _, err := db.Run(func(tx *Tx) error {
@@ -40,19 +44,19 @@ func TestFollowerRefusesAShipmentItCannotApply(t *testing.T) {
 	if _, err := p2.Run(func(tx *Tx) error { return tx.DeleteNode(1) }); err != nil {
 		t.Fatal(err) // ts 2
 	}
-	ours, theirs := frames(p1), frames(p2)
+	ours, theirs := records(p1), records(p2)
 
 	dir := t.TempDir()
 	f, err := Open(Options{Dir: dir, Replica: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ApplyShipment(nil, ours[:1]); err != nil {
+	if _, err := f.ApplyShipment(nil, ours[0]); err != nil {
 		t.Fatal(err)
 	}
 	size := f.txnLog.Size()
 	before, clock, _ := f.Committed()
-	if _, err := f.ApplyShipment(nil, theirs[1:]); !errors.Is(err, model.ErrNotFound) {
+	if _, err := f.ApplyShipment(nil, theirs[1]); !errors.Is(err, model.ErrNotFound) {
 		t.Fatalf("a shipment deleting a node the follower lacks: %v, want ErrNotFound", err)
 	}
 	after, _, _ := f.Committed()
@@ -70,7 +74,7 @@ func TestFollowerRefusesAShipmentItCannotApply(t *testing.T) {
 		t.Fatalf("reopening the follower: %v", err)
 	}
 	defer f.Close()
-	if ts, err := f.ApplyShipment(nil, ours[1:]); err != nil || ts != 2 {
+	if ts, err := f.ApplyShipment(nil, ours[1]); err != nil || ts != 2 {
 		t.Fatalf("the right shipment after the refusal: ts %d, %v", ts, err)
 	}
 	if n, _ := f.Counts(); n != 2 {

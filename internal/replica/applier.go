@@ -48,10 +48,9 @@ type Applier struct {
 	lastContact time.Time
 	failed      error
 
-	framesApplied atomic.Uint64
-	bytesApplied  atomic.Uint64
-	heartbeats    atomic.Uint64
-	reconnects    atomic.Uint64
+	bytesApplied atomic.Uint64
+	heartbeats   atomic.Uint64
+	reconnects   atomic.Uint64
 }
 
 // NewApplier creates an applier over a follower system (opened with
@@ -127,7 +126,8 @@ func (a *Applier) Err() error {
 }
 
 // MarkDiverged poisons the applier (stream-level divergence detected by
-// the follower loop: CRC mismatch, primary-reported divergence).
+// the follower loop: a shipment that fails to apply, primary-reported
+// divergence).
 func (a *Applier) MarkDiverged(err error) {
 	a.mu.Lock()
 	if a.failed == nil {
@@ -151,10 +151,10 @@ func (a *Applier) Note(hb Heartbeat) {
 }
 
 // ErrStaleShipment reports a shipment whose byte range lies entirely at or
-// below the follower's durable extents: a replayed frame (a duplicated
+// below the follower's durable extents: a replayed shipment (a duplicated
 // network chunk, or a primary resending after a lost ack). The prefix
 // invariant guarantees those bytes are identical to what the follower
-// already holds, so the frame is skipped — it is NOT divergence.
+// already holds, so the shipment is skipped — it is NOT divergence.
 var ErrStaleShipment = errors.New("replica: stale shipment replayed below durable extents")
 
 // Apply ingests one shipment: verify its offsets land exactly at this
@@ -177,7 +177,7 @@ func (a *Applier) Apply(sh *Shipment) error {
 	}
 	strOff, txnOff := a.Offsets()
 	if sh.StrOff != strOff || sh.TxnOff != txnOff {
-		if sh.StrOff+int64(len(sh.Strings)) <= strOff && sh.TxnOff+int64(len(sh.Frames)) <= txnOff {
+		if sh.StrOff+int64(len(sh.Strings)) <= strOff && sh.TxnOff+int64(len(sh.Txn)) <= txnOff {
 			return ErrStaleShipment
 		}
 		err := fmt.Errorf("replica: shipment offsets (str %d, txn %d) do not match follower extents (str %d, txn %d): diverged",
@@ -185,7 +185,7 @@ func (a *Applier) Apply(sh *Shipment) error {
 		a.MarkDiverged(err)
 		return err
 	}
-	ts, err := a.sys.Host.ApplyShipment(sh.Strings, sh.Frames)
+	ts, err := a.sys.Host.ApplyShipment(sh.Strings, sh.Txn)
 	if err != nil {
 		if !a.IsReplica() {
 			// Promotion raced the shipment: the host refused it on role
@@ -203,12 +203,7 @@ func (a *Applier) Apply(sh *Shipment) error {
 		}
 	}
 
-	a.framesApplied.Add(uint64(len(sh.Frames)))
-	n := len(sh.Strings)
-	for _, f := range sh.Frames {
-		n += len(f)
-	}
-	a.bytesApplied.Add(uint64(n))
+	a.bytesApplied.Add(uint64(len(sh.Strings) + len(sh.Txn)))
 
 	a.mu.Lock()
 	if ts > a.watermark {
@@ -246,11 +241,10 @@ func (a *Applier) Stats() Stats {
 	wm, pts := a.watermark, a.primaryTS
 	a.mu.Unlock()
 	return Stats{
-		FramesApplied: a.framesApplied.Load(),
-		BytesApplied:  a.bytesApplied.Load(),
-		Heartbeats:    a.heartbeats.Load(),
-		Reconnects:    a.reconnects.Load(),
-		Watermark:     int64(wm),
-		WatermarkLag:  max(int64(pts-wm), 0),
+		BytesApplied: a.bytesApplied.Load(),
+		Heartbeats:   a.heartbeats.Load(),
+		Reconnects:   a.reconnects.Load(),
+		Watermark:    int64(wm),
+		WatermarkLag: max(int64(pts-wm), 0),
 	}
 }

@@ -62,8 +62,8 @@ func TestReplicaCatchUpExperiment(t *testing.T) {
 		}
 		dur := time.Since(catchup)
 		st := app.Stats()
-		t.Logf("cap %7d B: %4d rounds, %d frames, %.1f MiB in %v (%.1f MiB/s, %.0f commits/s, half-lag closed in %v)",
-			cap, rounds, st.FramesApplied, float64(st.BytesApplied)/(1<<20),
+		t.Logf("cap %7d B: %4d rounds, %.1f MiB in %v (%.1f MiB/s, %.0f commits/s, half-lag closed in %v)",
+			cap, rounds, float64(st.BytesApplied)/(1<<20),
 			dur.Round(time.Millisecond), float64(st.BytesApplied)/(1<<20)/dur.Seconds(),
 			float64(txns)/dur.Seconds(), halfLag.Round(time.Millisecond))
 		if wm := app.Watermark(); wm != p.Host.Clock() {

@@ -20,6 +20,7 @@ package replica
 // reproducible; the sweep enumerates the protocol points deterministically.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"flag"
@@ -486,19 +487,20 @@ func TestPromotedNodeReportsWhatItShips(t *testing.T) {
 	commitValue(t, f1.sys, 2, "after")
 	waitWatermark(t, f2.app, f1.sys.Host.Clock())
 
-	if st := registered(t, f1.sys, "replica.source"); st.FramesShipped == 0 || st.Epoch != 1 {
-		t.Errorf("promoted node's replica.source = %+v, want frames shipped at epoch 1", st)
+	if st := registered(t, f1.sys, "replica.source"); st.BytesShipped == 0 || st.Epoch != 1 {
+		t.Errorf("promoted node's replica.source = %+v, want bytes shipped at epoch 1", st)
 	}
-	if st := registered(t, f1.sys, "replica.applier"); st.FramesApplied == 0 {
-		t.Errorf("promoted node's replica.applier = %+v, want the frames it applied as a follower", st)
+	if st := registered(t, f1.sys, "replica.applier"); st.BytesApplied == 0 {
+		t.Errorf("promoted node's replica.applier = %+v, want the bytes it applied as a follower", st)
 	}
 }
 
 // TestReplicationChaosSeeded soaks one replication stream in rate-drawn
 // faults — RSTs, torn frames, duplicated and corrupted chunks — and asserts
 // the end state every time: the follower reconnects from its durable
-// offsets, never marks divergence for stream damage, and converges to
-// byte-identical files. Fully determined by -failover.seed.
+// offsets, never marks divergence for stream damage, converges to
+// byte-identical files, and no damaged epoch fences the primary. Fully
+// determined by -failover.seed.
 func TestReplicationChaosSeeded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak needs real sockets and wall-clock backoff")
@@ -507,6 +509,7 @@ func TestReplicationChaosSeeded(t *testing.T) {
 	p := startFailNode(t, nw, "primary", false)
 	f := startFailNode(t, nw, "follower", true)
 	f.follow(t, nw, p.addr)
+	role, epoch := p.sys.Host.Role(), p.sys.Host.Epoch()
 
 	nw.SetRate(netfault.Drop, 0.05)
 	nw.SetRate(netfault.Truncate, 0.05)
@@ -556,9 +559,62 @@ func TestReplicationChaosSeeded(t *testing.T) {
 			t.Fatalf("%s differs after chaos (%d vs %d bytes)", name, len(pb), len(fb))
 		}
 	}
+	if r, e := p.sys.Host.Role(), p.sys.Host.Epoch(); r != role || e != epoch || f.app.Epoch() != epoch {
+		t.Fatalf("after chaos the primary is %s at epoch %d and the follower at epoch %d; want the primary %s at epoch %d throughout",
+			r, e, f.app.Epoch(), role, epoch)
+	}
 	if st := nw.Stats(); len(st.Injected) == 0 {
 		t.Fatalf("chaos soak injected no faults (ops=%d); rates never engaged", st.Ops)
 	} else {
 		t.Logf("chaos: ops=%d injected=%v severed=%d", st.Ops, st.Injected, st.Severed)
+	}
+}
+
+// TestHandshakeEpochsAreNotObserved: epochs cross the replication stream only
+// inside checked records. A HELLO with eight epoch bytes after its agent
+// string leaves a primary as it was, and a follower whose handshake reply
+// claims a higher epoch does not adopt it. Read unchecked, one damaged
+// handshake byte fenced a healthy primary (TestReplicationChaosSeeded with
+// -failover.seed=6, among others).
+func TestHandshakeEpochsAreNotObserved(t *testing.T) {
+	const damaged = 0xff << 56
+	p := startFailNode(t, netfault.New(*failoverSeed), "primary", false)
+	peer, err := net.Dial("tcp", p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := append([]byte{bolt.MsgHello, byte(len("aion-replica"))}, "aion-replica"...)
+	if err := bolt.WriteFrame(peer, binary.BigEndian.AppendUint64(hello, damaged)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bolt.ReadFrame(peer); err != nil {
+		t.Fatal(err)
+	}
+	peer.Close()
+	if r, e := p.sys.Host.Role(), p.sys.Host.Epoch(); r != hostdb.RolePrimary || e != 0 {
+		t.Fatalf("after a HELLO carrying epoch %#x the primary is %s at epoch %d", uint64(damaged), r, e)
+	}
+
+	app := NewApplier(openNode(t, vfstest.NewFaultFS(), "follower", true))
+	defer app.sys.Close()
+	conn, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		if _, err := bolt.ReadFrame(server); err != nil {
+			return
+		}
+		if bolt.WriteFrame(server, binary.BigEndian.AppendUint64([]byte{bolt.MsgSuccess}, damaged)) != nil {
+			return
+		}
+		_, _ = bolt.ReadFrame(server) // the replicate request; then hang up
+	}()
+	fl := &Follower{Applier: app, Addr: "primary",
+		Policy: bolt.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond},
+		Dial:   func(string) (net.Conn, error) { return conn, nil }}
+	if err := fl.Run(context.Background()); err == nil {
+		t.Fatal("a stream that hung up after the handshake reported no failure")
+	}
+	if e := app.Epoch(); e != 0 {
+		t.Fatalf("the follower adopted epoch %#x from a handshake reply", e)
 	}
 }

@@ -119,14 +119,14 @@ func (f *Follower) stream(ctx context.Context, dial func(string) (net.Conn, erro
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
 
-	// HELLO handshake (carrying our fencing epoch, so a fenced ex-primary
-	// on the other end learns of its demotion at connect time), then
-	// convert the connection into a replication stream with our durable
-	// resume offsets and a tail digest of the bytes below them.
+	// HELLO handshake, then convert the connection into a replication
+	// stream with our epoch, durable resume offsets and a tail digest of the
+	// bytes below them. Epochs travel only inside checked records: a fenced
+	// ex-primary learns of its demotion from the request, and we adopt a
+	// higher epoch from the first shipment or heartbeat.
 	hello := []byte{bolt.MsgHello}
 	hello = append(hello, byte(len("aion-replica")))
 	hello = append(hello, "aion-replica"...)
-	hello = binary.BigEndian.AppendUint64(hello, f.Applier.Epoch())
 	if err := bolt.WriteFrame(w, hello); err != nil {
 		return err
 	}
@@ -141,17 +141,11 @@ func (f *Follower) stream(ctx context.Context, dial func(string) (net.Conn, erro
 	if len(frame) == 0 || frame[0] != bolt.MsgSuccess {
 		return fmt.Errorf("replica: handshake rejected")
 	}
-	if len(frame) >= 9 {
-		// Admin-enabled servers echo their epoch; adopt it if higher.
-		if err := f.Applier.ObserveEpoch(binary.BigEndian.Uint64(frame[1:9])); err != nil {
-			return err
-		}
-	}
 	req, err := f.Applier.BuildRequest()
 	if err != nil {
 		return err
 	}
-	if err := bolt.WriteFrame(w, EncodeRequest(req)); err != nil {
+	if err := bolt.WriteFrame(w, encode(bolt.MsgReplicate, req.fields())); err != nil {
 		return err
 	}
 	if err := w.Flush(); err != nil {
@@ -181,8 +175,8 @@ func (f *Follower) stream(ctx context.Context, dial func(string) (net.Conn, erro
 		}
 		switch frame[0] {
 		case bolt.MsgRepBatch:
-			sh, err := DecodeShipment(frame[1:])
-			if err != nil {
+			sh := &Shipment{}
+			if err := decode(frame[1:], sh.fields()); err != nil {
 				// Decode failures (including CRC mismatches) are STREAM
 				// corruption — a fault-injected or flaky transport mangled
 				// the frame in flight. The durable files are untouched, so
@@ -209,7 +203,7 @@ func (f *Follower) stream(ctx context.Context, dial func(string) (net.Conn, erro
 					return ErrPromoted
 				}
 				if errors.Is(err, ErrStaleShipment) {
-					// A replayed frame (duplicated chunk): its bytes are
+					// A replayed shipment (duplicated chunk): its bytes are
 					// already durable here. Skip it and keep the stream.
 					progressed = true
 					continue
@@ -220,8 +214,8 @@ func (f *Follower) stream(ctx context.Context, dial func(string) (net.Conn, erro
 			}
 			progressed = true
 		case bolt.MsgRepHeartbeat:
-			hb, err := DecodeHeartbeat(frame[1:])
-			if err != nil {
+			var hb Heartbeat
+			if err := decode(frame[1:], hb.fields()); err != nil {
 				return result(err)
 			}
 			if own := f.Applier.Epoch(); hb.Epoch < own {

@@ -161,13 +161,15 @@ func TestReplicationOverTCP(t *testing.T) {
 		waitWatermark(t, f.app, p.Host.Clock())
 	}
 
-	// Replication counters surfaced through both systems' registries.
-	if pm := registered(t, p, "replica.source"); pm.FramesShipped == 0 || pm.BytesShipped == 0 {
+	// Replication counters surfaced through both systems' registries: a
+	// follower that started empty applied exactly the primary's file bytes.
+	if pm := registered(t, p, "replica.source"); pm.BytesShipped == 0 {
 		t.Fatalf("primary replication metrics: %+v", pm)
 	}
+	str, txn := p.Host.DurableExtents()
 	fm := registered(t, followers[0].sys, "replica.applier")
-	if fm.FramesApplied == 0 || fm.Watermark != int64(p.Host.Clock()) {
-		t.Fatalf("follower replication metrics: %+v", fm)
+	if fm.BytesApplied != uint64(str+txn) || fm.Watermark != int64(p.Host.Clock()) {
+		t.Fatalf("follower replication metrics: %+v, want %d bytes applied", fm, str+txn)
 	}
 }
 

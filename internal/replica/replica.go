@@ -23,23 +23,26 @@
 //     crash-surviving bytes and recovery can never move it backwards.
 //   - Either side may crash at any point; the follower resumes from its
 //     own durable extents after reopening, and the stream continues.
-//   - A CRC or offset mismatch is divergence: the follower fail-stops
-//     (sticky error, all reads rejected) rather than serve corrupt state.
+//   - A message damaged in flight fails its record's CRC and is a reconnect.
+//     A shipment whose offsets, records or commits fail their check at
+//     apply is divergence: the follower fail-stops (sticky error, all reads
+//     rejected) rather than serve corrupt state.
 package replica
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 
-	"aion/internal/bolt"
 	"aion/internal/model"
+	"aion/internal/wal"
 )
 
 // Shipment is one replication batch: a chunk of raw string-table bytes and
-// a run of transaction-log record payloads, each tagged with the file
-// offset it must land at on the follower, plus the primary's durable
-// extents and clock for lag accounting.
+// a run of whole transaction-log records, each tagged with the file offset
+// it must land at on the follower, plus the primary's durable extents and
+// clock for lag accounting.
 type Shipment struct {
 	// Epoch is the shipping primary's fencing epoch (see hostdb.Role). A
 	// follower adopts a higher epoch and refuses a lower one — a stream
@@ -49,13 +52,11 @@ type Shipment struct {
 	// must equal the follower's current string-table size.
 	StrOff  int64
 	Strings []byte
-	// TxnOff is the transaction-log offset of the first frame; it must
-	// equal the follower's current log size. NextTxn is the primary-side
-	// offset just past the last frame (the next resume point).
-	TxnOff  int64
-	NextTxn int64
-	// Frames are whole commit-record payloads in log order.
-	Frames [][]byte
+	// TxnOff is the transaction-log offset Txn starts at; it must equal the
+	// follower's current log size. Txn is whole commit records exactly as the
+	// primary's log holds them, so TxnOff+len(Txn) is the next resume point.
+	TxnOff int64
+	Txn    []byte
 	// StrDurable/TxnDurable are the primary's durable extents and LatestTS
 	// its commit clock when the shipment was built.
 	StrDurable int64
@@ -65,21 +66,21 @@ type Shipment struct {
 
 // Empty reports whether the shipment carries no bytes (heartbeat-only
 // rounds skip it).
-func (sh *Shipment) Empty() bool { return len(sh.Strings) == 0 && len(sh.Frames) == 0 }
+func (sh *Shipment) Empty() bool { return len(sh.Strings) == 0 && len(sh.Txn) == 0 }
 
 // Stats is a snapshot of a node's replication counters, filled by either
 // role: a Source (registry key "replica.source") its shipping counters, host
 // clock and epoch; an Applier ("replica.applier") its apply counters and
 // watermark. A promoted node lists both.
 type Stats struct {
-	FramesShipped, BytesShipped uint64 // log records, and their payload bytes, sent to followers
-	FramesApplied, BytesApplied uint64 // records verified and applied on a follower
-	Heartbeats                  uint64 // keepalives sent (source) or received (applier)
-	Reconnects                  uint64 // follower stream re-establishments after a failed dial or stream
-	Watermark                   int64  // the highest servable commit: host clock, or replicated watermark
-	WatermarkLag                int64  // the primary's clock at the last heartbeat minus the watermark
-	Epoch                       uint64 // the node's fencing epoch
-	FencedStreams               uint64 // streams refused or ended because this node is not the primary
+	BytesShipped  uint64 // string-table and log file bytes sent to followers
+	BytesApplied  uint64 // file bytes verified and applied on a follower
+	Heartbeats    uint64 // keepalives sent (source) or received (applier)
+	Reconnects    uint64 // follower stream re-establishments after a failed dial or stream
+	Watermark     int64  // the highest servable commit: host clock, or replicated watermark
+	WatermarkLag  int64  // the primary's clock at the last heartbeat minus the watermark
+	Epoch         uint64 // the node's fencing epoch
+	FencedStreams uint64 // streams refused or ended because this node is not the primary
 }
 
 // Heartbeat is the keepalive a primary sends when it has nothing to ship:
@@ -114,191 +115,91 @@ type Request struct {
 
 // --- wire encoding ----------------------------------------------------------
 //
-// Shipments ride on Bolt's length-prefixed framing. Every byte run carries
-// its own CRC32 even though the WAL records are CRC-guarded on disk: the
-// stream check catches corruption introduced in flight or by an off-by-one
-// in offset bookkeeping before anything touches the follower's files.
+// Messages ride on Bolt's length-prefixed framing. Each is its message byte
+// (bolt.MsgReplicate, MsgRepBatch, MsgRepHeartbeat) followed by one wal record
+// (wal.Seal, wal.Cut) holding the fields its fields method lists, in order:
+// integers as canonical uvarints, byte runs as a uvarint length and the
+// bytes. A decoded Shipment's Strings and Txn alias the message. The wire
+// format has no version: a primary and its followers upgrade together.
 
-// EncodeRequest encodes the MsgReplicate frame a follower sends to start
-// (or resume) the stream.
-func EncodeRequest(req Request) []byte {
-	b := []byte{bolt.MsgReplicate}
-	b = binary.AppendUvarint(b, uint64(req.StrOff))
-	b = binary.AppendUvarint(b, uint64(req.TxnOff))
-	b = binary.AppendUvarint(b, req.Epoch)
-	b = binary.AppendUvarint(b, uint64(req.StrTailLen))
-	b = binary.LittleEndian.AppendUint32(b, req.StrTailCRC)
-	b = binary.AppendUvarint(b, uint64(req.TxnTailLen))
-	return binary.LittleEndian.AppendUint32(b, req.TxnTailCRC)
+func (r *Request) fields() []any {
+	return []any{&r.StrOff, &r.TxnOff, &r.Epoch, &r.StrTailLen, &r.StrTailCRC, &r.TxnTailLen, &r.TxnTailCRC}
 }
 
-// DecodeRequest parses a MsgReplicate frame body (after the message byte).
-func DecodeRequest(b []byte) (Request, error) {
-	var req Request
-	var err error
-	if req.StrOff, b, err = uvarint(b); err != nil {
-		return req, fmt.Errorf("replica: bad replicate request")
-	}
-	if req.TxnOff, b, err = uvarint(b); err != nil {
-		return req, fmt.Errorf("replica: bad replicate request")
-	}
-	var epoch int64
-	if epoch, b, err = uvarint(b); err != nil {
-		return req, fmt.Errorf("replica: bad replicate request")
-	}
-	req.Epoch = uint64(epoch)
-	if req.StrTailLen, b, err = uvarint(b); err != nil {
-		return req, fmt.Errorf("replica: bad replicate request")
-	}
-	if len(b) < 4 {
-		return req, fmt.Errorf("replica: bad replicate request")
-	}
-	req.StrTailCRC = binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if req.TxnTailLen, b, err = uvarint(b); err != nil {
-		return req, fmt.Errorf("replica: bad replicate request")
-	}
-	if len(b) < 4 {
-		return req, fmt.Errorf("replica: bad replicate request")
-	}
-	req.TxnTailCRC = binary.LittleEndian.Uint32(b)
-	return req, nil
+func (sh *Shipment) fields() []any {
+	return []any{&sh.Epoch, &sh.StrOff, &sh.Strings, &sh.TxnOff, &sh.Txn, &sh.StrDurable, &sh.TxnDurable, &sh.LatestTS}
 }
 
-// EncodeShipment encodes a MsgRepBatch frame.
-func EncodeShipment(sh *Shipment) []byte {
-	n := 32 + len(sh.Strings)
-	for _, f := range sh.Frames {
-		n += len(f) + 12
+func (hb *Heartbeat) fields() []any {
+	return []any{&hb.Epoch, &hb.StrDurable, &hb.TxnDurable, &hb.LatestTS}
+}
+
+// ErrCRC marks a message whose record fails its length or checksum check:
+// damaged in flight. The follower reconnects and the fresh stream re-ships
+// from its durable offsets; nothing has touched its files.
+var ErrCRC = errors.New("replica: message checksum mismatch")
+
+// errMalformed is a message whose record passes its check but does not hold
+// exactly its fields: a codec mismatch, not damage in flight.
+var errMalformed = errors.New("replica: malformed message")
+
+// encode returns msg followed by one record of the values fields point to.
+func encode(msg byte, fields []any) []byte {
+	b := make([]byte, 1+wal.HeaderSize, 64)
+	b[0] = msg
+	for _, f := range fields {
+		switch v := f.(type) {
+		case *[]byte:
+			b = append(binary.AppendUvarint(b, uint64(len(*v))), *v...)
+		case *int64:
+			b = binary.AppendUvarint(b, uint64(*v))
+		case *uint64:
+			b = binary.AppendUvarint(b, *v)
+		case *uint32:
+			b = binary.AppendUvarint(b, uint64(*v))
+		case *model.Timestamp:
+			b = binary.AppendUvarint(b, uint64(*v))
+		}
 	}
-	b := make([]byte, 0, n)
-	b = append(b, bolt.MsgRepBatch)
-	b = binary.AppendUvarint(b, sh.Epoch)
-	b = binary.AppendUvarint(b, uint64(sh.StrOff))
-	b = binary.AppendUvarint(b, uint64(len(sh.Strings)))
-	b = append(b, sh.Strings...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(sh.Strings))
-	b = binary.AppendUvarint(b, uint64(sh.TxnOff))
-	b = binary.AppendUvarint(b, uint64(sh.NextTxn))
-	b = binary.AppendUvarint(b, uint64(sh.StrDurable))
-	b = binary.AppendUvarint(b, uint64(sh.TxnDurable))
-	b = binary.AppendUvarint(b, uint64(sh.LatestTS))
-	b = binary.AppendUvarint(b, uint64(len(sh.Frames)))
-	for _, f := range sh.Frames {
-		b = binary.AppendUvarint(b, uint64(len(f)))
-		b = append(b, f...)
-		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(f))
-	}
+	wal.Seal(b[1:])
 	return b
 }
 
-// ErrCRC marks a checksum mismatch in a decoded shipment — divergence, not
-// a retryable transport hiccup.
-var ErrCRC = fmt.Errorf("replica: shipment checksum mismatch")
-
-func uvarint(b []byte) (int64, []byte, error) {
-	x, w := binary.Uvarint(b)
-	if w <= 0 {
-		return 0, nil, fmt.Errorf("replica: truncated shipment frame")
-	}
-	return int64(x), b[w:], nil
-}
-
-// DecodeShipment parses and CRC-verifies a MsgRepBatch frame body (after
-// the message byte). A checksum mismatch returns an error wrapping ErrCRC.
-func DecodeShipment(b []byte) (*Shipment, error) {
-	sh := &Shipment{}
-	var err error
-	var epoch int64
-	if epoch, b, err = uvarint(b); err != nil {
-		return nil, err
-	}
-	sh.Epoch = uint64(epoch)
-	if sh.StrOff, b, err = uvarint(b); err != nil {
-		return nil, err
-	}
-	slen, b, err := uvarint(b)
+// decode checks that b is exactly one record and fills fields from it, the
+// inverse of encode: a record that fails its check is ErrCRC, and one that
+// does not hold exactly the fields, canonically encoded, is malformed.
+func decode(b []byte, fields []any) error {
+	rec, rest, err := wal.Cut(b)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("%w: %w", ErrCRC, err)
 	}
-	if int64(len(b)) < slen+4 {
-		return nil, fmt.Errorf("replica: truncated shipment strings")
-	}
-	sh.Strings = append([]byte(nil), b[:slen]...)
-	b = b[slen:]
-	if crc32.ChecksumIEEE(sh.Strings) != binary.LittleEndian.Uint32(b) {
-		return nil, fmt.Errorf("%w (strings at %d)", ErrCRC, sh.StrOff)
-	}
-	b = b[4:]
-	if sh.TxnOff, b, err = uvarint(b); err != nil {
-		return nil, err
-	}
-	if sh.NextTxn, b, err = uvarint(b); err != nil {
-		return nil, err
-	}
-	if sh.StrDurable, b, err = uvarint(b); err != nil {
-		return nil, err
-	}
-	if sh.TxnDurable, b, err = uvarint(b); err != nil {
-		return nil, err
-	}
-	var ts int64
-	if ts, b, err = uvarint(b); err != nil {
-		return nil, err
-	}
-	sh.LatestTS = model.Timestamp(ts)
-	nf, b, err := uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	for i := int64(0); i < nf; i++ {
-		flen, rest, err := uvarint(b)
-		if err != nil {
-			return nil, err
+	for _, f := range fields {
+		x, w := binary.Uvarint(rec)
+		if w <= 0 || w > 1 && rec[w-1] == 0 {
+			return errMalformed
 		}
-		b = rest
-		if int64(len(b)) < flen+4 {
-			return nil, fmt.Errorf("replica: truncated shipment frame %d", i)
+		rec = rec[w:]
+		switch v := f.(type) {
+		case *[]byte:
+			if x > uint64(len(rec)) {
+				return errMalformed
+			}
+			*v, rec = rec[:x], rec[x:]
+		case *int64:
+			*v = int64(x)
+		case *uint64:
+			*v = x
+		case *uint32:
+			if x > math.MaxUint32 {
+				return errMalformed
+			}
+			*v = uint32(x)
+		case *model.Timestamp:
+			*v = model.Timestamp(x)
 		}
-		f := append([]byte(nil), b[:flen]...)
-		b = b[flen:]
-		if crc32.ChecksumIEEE(f) != binary.LittleEndian.Uint32(b) {
-			return nil, fmt.Errorf("%w (frame %d)", ErrCRC, i)
-		}
-		b = b[4:]
-		sh.Frames = append(sh.Frames, f)
 	}
-	return sh, nil
-}
-
-// EncodeHeartbeat encodes a MsgRepHeartbeat frame.
-func EncodeHeartbeat(hb Heartbeat) []byte {
-	b := []byte{bolt.MsgRepHeartbeat}
-	b = binary.AppendUvarint(b, hb.Epoch)
-	b = binary.AppendUvarint(b, uint64(hb.StrDurable))
-	b = binary.AppendUvarint(b, uint64(hb.TxnDurable))
-	return binary.AppendUvarint(b, uint64(hb.LatestTS))
-}
-
-// DecodeHeartbeat parses a MsgRepHeartbeat frame body.
-func DecodeHeartbeat(b []byte) (Heartbeat, error) {
-	var hb Heartbeat
-	var err error
-	var epoch int64
-	if epoch, b, err = uvarint(b); err != nil {
-		return hb, err
+	if len(rec) > 0 || len(rest) > 0 {
+		return errMalformed
 	}
-	hb.Epoch = uint64(epoch)
-	if hb.StrDurable, b, err = uvarint(b); err != nil {
-		return hb, err
-	}
-	if hb.TxnDurable, b, err = uvarint(b); err != nil {
-		return hb, err
-	}
-	ts, _, err := uvarint(b)
-	if err != nil {
-		return hb, err
-	}
-	hb.LatestTS = model.Timestamp(ts)
-	return hb, nil
+	return nil
 }

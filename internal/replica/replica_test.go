@@ -1,9 +1,12 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"expvar"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"aion/internal/system"
 	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
+	"aion/internal/wal"
 )
 
 // openNode opens one system (primary or follower) on fs under dir.
@@ -107,51 +111,106 @@ func readFile(t *testing.T, fs vfs.FS, path string) []byte {
 	return b
 }
 
-func TestShipmentCodecRoundtrip(t *testing.T) {
-	sh := &Shipment{
-		StrOff: 17, Strings: []byte("\x03\x00\x00\x00abc"),
-		TxnOff: 400, NextTxn: 512,
-		Frames:     [][]byte{{1, 2, 3}, {}, {9}},
-		StrDurable: 24, TxnDurable: 512, LatestTS: 42,
-	}
-	b := EncodeShipment(sh)
-	if b[0] != bolt.MsgRepBatch {
-		t.Fatalf("message byte 0x%x", b[0])
-	}
-	got, err := DecodeShipment(b[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.StrOff != sh.StrOff || string(got.Strings) != string(sh.Strings) ||
-		got.TxnOff != sh.TxnOff || got.NextTxn != sh.NextTxn ||
-		got.StrDurable != sh.StrDurable || got.TxnDurable != sh.TxnDurable ||
-		got.LatestTS != sh.LatestTS || len(got.Frames) != 3 ||
-		string(got.Frames[0]) != "\x01\x02\x03" || len(got.Frames[1]) != 0 || string(got.Frames[2]) != "\x09" {
-		t.Fatalf("roundtrip mismatch: %+v", got)
-	}
+// message is what encode and decode work on: a Request, Shipment or Heartbeat.
+type message interface{ fields() []any }
 
-	// Flip one payload byte: the CRC must catch it and classify it as
-	// divergence, not a transport retry.
-	for _, corrupt := range []int{5, len(b) - 3} {
-		bad := append([]byte(nil), b...)
-		bad[corrupt] ^= 0x40
-		if _, err := DecodeShipment(bad[1:]); err == nil {
-			t.Fatalf("corruption at %d undetected", corrupt)
+// wireFixture is a message with its message byte.
+type wireFixture struct {
+	typ byte
+	msg message
+}
+
+// wireFixtures are one Request, Shipment and Heartbeat: the codec tests'
+// fixtures.
+func wireFixtures() []wireFixture {
+	return []wireFixture{
+		{bolt.MsgReplicate, &Request{StrOff: 7, TxnOff: 9, Epoch: 3,
+			StrTailLen: 7, TxnTailLen: 9, StrTailCRC: 0xdeadbeef, TxnTailCRC: 0x1234}},
+		{bolt.MsgRepBatch, &Shipment{Epoch: 2, StrOff: 17, Strings: []byte("\x03\x00\x00\x00abc"),
+			TxnOff: 400, Txn: wal.AppendRecord(wal.AppendRecord(nil, []byte{1, 2, 3}), []byte{9}),
+			StrDurable: 24, TxnDurable: 512, LatestTS: 42}},
+		{bolt.MsgRepHeartbeat, &Heartbeat{Epoch: 5, StrDurable: 1, TxnDurable: 2, LatestTS: 3}},
+	}
+}
+
+// decodeAs decodes b, a message after its type byte, into a new value of m's
+// type.
+func decodeAs(m message, b []byte) (message, error) {
+	got := reflect.New(reflect.TypeOf(m).Elem()).Interface().(message)
+	return got, decode(b, got.fields())
+}
+
+func TestShipmentCodecRoundtrip(t *testing.T) {
+	for _, w := range wireFixtures() {
+		b := encode(w.typ, w.msg.fields())
+		if b[0] != w.typ {
+			t.Errorf("%T: message byte 0x%x, want 0x%x", w.msg, b[0], w.typ)
+		}
+		if got, err := decodeAs(w.msg, b[1:]); err != nil || !reflect.DeepEqual(got, w.msg) {
+			t.Errorf("%T roundtrip: %+v %v", w.msg, got, err)
 		}
 	}
-	hb := Heartbeat{Epoch: 5, StrDurable: 1, TxnDurable: 2, LatestTS: 3}
-	hbb := EncodeHeartbeat(hb)
-	got2, err := DecodeHeartbeat(hbb[1:])
-	if err != nil || got2 != hb {
-		t.Fatalf("heartbeat roundtrip: %+v %v", got2, err)
+}
+
+// TestDamagedMessagesFailTheirCheck: one damaged byte anywhere after a
+// message's type byte fails its record's check. Unchecked, a heartbeat with
+// epoch 5 and its byte 1 flipped decoded as epoch 69: the follower persisted
+// it, and its next request made a healthy primary demote itself.
+func TestDamagedMessagesFailTheirCheck(t *testing.T) {
+	for _, w := range wireFixtures() {
+		b := encode(w.typ, w.msg.fields())
+		for i := 1; i < len(b); i++ {
+			for _, flip := range []byte{0x01, 0x40, 0xff} {
+				bad := append([]byte(nil), b...)
+				bad[i] ^= flip
+				if got, err := decodeAs(w.msg, bad[1:]); !errors.Is(err, ErrCRC) {
+					t.Errorf("%T with byte %d ^ 0x%x: %+v, %v; want ErrCRC", w.msg, i, flip, got, err)
+				}
+			}
+		}
 	}
-	req := Request{StrOff: 7, TxnOff: 9, Epoch: 3,
-		StrTailLen: 7, TxnTailLen: 9, StrTailCRC: 0xdeadbeef, TxnTailCRC: 0x1234}
-	reqb := EncodeRequest(req)
-	got3, err := DecodeRequest(reqb[1:])
-	if err != nil || got3 != req {
-		t.Fatalf("request roundtrip: %+v %v", got3, err)
+}
+
+// TestMessageGolden pins the replication wire format byte for byte: its type
+// byte, then one wal record of the fields as uvarints. There is no migration:
+// a primary and its followers upgrade together, so a change here is a format
+// change every node takes at once.
+func TestMessageGolden(t *testing.T) {
+	want := []string{
+		"600c00000001e859a907090307effdb6f50d09b424",
+		"61250000007f2cbefc02110703000000616263900314030000001d80bc55010203010000002957deab091880042a",
+		"6204000000217667bc05010203",
 	}
+	for i, w := range wireFixtures() {
+		if got := hex.EncodeToString(encode(w.typ, w.msg.fields())); got != want[i] {
+			t.Errorf("%T encodes as\n%s\nwant\n%s", w.msg, got, want[i])
+		}
+	}
+}
+
+// FuzzDecodeMessages feeds the decoder arbitrary bytes as each message type:
+// it must never panic, and a message that decodes re-encodes to the same
+// bytes.
+func FuzzDecodeMessages(f *testing.F) {
+	fixtures := wireFixtures()
+	for _, w := range fixtures {
+		b := encode(w.typ, w.msg.fields())
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, w := range fixtures {
+			if len(b) == 0 || b[0] != w.typ {
+				continue
+			}
+			if m, err := decodeAs(w.msg, b[1:]); err == nil {
+				if got := encode(w.typ, m.fields()); !bytes.Equal(got, b) {
+					t.Fatalf("% x decodes as %T, and re-encodes as % x", b, m, got)
+				}
+			}
+		}
+	})
 }
 
 func TestReplicationConvergence(t *testing.T) {
@@ -254,6 +313,53 @@ func TestApplierOffsetMismatchFailStop(t *testing.T) {
 	}
 	if got := gateCode(t, app.Gate(mustParse(t, "USE aion FOR SYSTEM_TIME AS OF 0 MATCH (n) RETURN n"), nil)); got != bolt.FailDiverged {
 		t.Fatalf("poisoned applier read = 0x%x, want FailDiverged", got)
+	}
+}
+
+// TestStaleShipmentIsSkipped: a shipment whose bytes all lie at or below the
+// follower's extents — a replay — returns ErrStaleShipment and leaves the
+// applier healthy, while one that starts below them but ends above is
+// divergence. Judged by its record count instead of its byte length, the
+// second passed for a replay and was skipped.
+func TestStaleShipmentIsSkipped(t *testing.T) {
+	pfs, ffs := vfstest.NewFaultFS(), vfstest.NewFaultFS()
+	p := openNode(t, pfs, "primary", false)
+	defer p.Close()
+	f := openNode(t, ffs, "follower", true)
+	defer f.Close()
+	drive(t, p, 3)
+	src := NewSource(p)
+	app := NewApplier(f)
+	if err := pump(src, app, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+
+	so, to := app.Offsets()
+	replay, err := src.Shipment(so, 0, 1<<20)
+	if err != nil || replay.TxnOff+int64(len(replay.Txn)) != to {
+		t.Fatalf("replay of the follower's whole log: %+v, %v", replay, err)
+	}
+	if err := app.Apply(replay); !errors.Is(err, ErrStaleShipment) || app.Err() != nil {
+		t.Fatalf("a replay below the extents: %v (applier error %v), want ErrStaleShipment and a healthy applier", err, app.Err())
+	}
+	commitValue(t, p, 100, "after the replay")
+	if err := pump(src, app, 1<<20); err != nil {
+		t.Fatalf("after the skipped replay: %v", err)
+	}
+	if wm := app.Watermark(); wm != p.Host.Clock() {
+		t.Fatalf("watermark %d, primary clock %d", wm, p.Host.Clock())
+	}
+
+	so, to = app.Offsets()
+	commitValue(t, p, 101, "past the extent")
+	_, durable := p.Host.DurableExtents()
+	txn, err := p.Host.TxnBytes(0, durable, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	straddling := &Shipment{StrOff: so, TxnOff: 0, Txn: txn}
+	if err := app.Apply(straddling); err == nil || errors.Is(err, ErrStaleShipment) || app.Err() == nil {
+		t.Fatalf("a shipment from 0 past the extent %d: %v (applier error %v), want divergence", to, err, app.Err())
 	}
 }
 

@@ -46,7 +46,6 @@ type Source struct {
 	// means the wall clock; a test may install a clocktest.Fake.
 	Clock clock.Clock
 
-	framesShipped atomic.Uint64
 	bytesShipped  atomic.Uint64
 	heartbeats    atomic.Uint64
 	fencedStreams atomic.Uint64
@@ -63,7 +62,6 @@ func NewSource(sys *system.System) *Source {
 // Stats reports the shipping counters, the host clock and the epoch.
 func (s *Source) Stats() Stats {
 	return Stats{
-		FramesShipped: s.framesShipped.Load(),
 		BytesShipped:  s.bytesShipped.Load(),
 		Heartbeats:    s.heartbeats.Load(),
 		Watermark:     int64(s.db.Clock()),
@@ -75,7 +73,7 @@ func (s *Source) Stats() Stats {
 // Shipment builds the next batch for a follower whose files end at strOff
 // and txnOff, shipping only fsync-covered bytes. The transaction-log
 // extent is captured before the strings extent (DurableExtents), and
-// frames are withheld until the strings chunk has fully caught up to that
+// records are withheld until the strings chunk has fully caught up to that
 // extent — together this guarantees every positional ref in a shipped
 // record resolves inside the follower's string table.
 //
@@ -93,7 +91,7 @@ func (s *Source) Shipment(strOff, txnOff int64, maxBytes int) (*Shipment, error)
 	}
 	sh := &Shipment{
 		Epoch:  s.db.Epoch(),
-		StrOff: strOff, TxnOff: txnOff, NextTxn: txnOff,
+		StrOff: strOff, TxnOff: txnOff,
 		StrDurable: strDurable, TxnDurable: txnDurable,
 		LatestTS: s.db.Clock(),
 	}
@@ -103,15 +101,13 @@ func (s *Source) Shipment(strOff, txnOff int64, maxBytes int) (*Shipment, error)
 	}
 	sh.Strings = chunk
 	if strOff+int64(len(chunk)) < strDurable {
-		// Strings still catching up; ship them alone so no frame can ever
+		// Strings still catching up; ship them alone so no record can ever
 		// reference a string the follower does not yet hold.
 		return sh, nil
 	}
-	frames, next, err := s.db.TxnFrames(txnOff, txnDurable, maxBytes)
-	if err != nil {
+	if sh.Txn, err = s.db.TxnBytes(txnOff, txnDurable, maxBytes); err != nil {
 		return nil, err
 	}
-	sh.Frames, sh.NextTxn = frames, next
 	return sh, nil
 }
 
@@ -163,8 +159,8 @@ func (s *Source) ServeConn(conn net.Conn, r *bufio.Reader, w *bufio.Writer, reqF
 	if len(reqFrame) == 0 || reqFrame[0] != bolt.MsgReplicate {
 		return
 	}
-	req, err := DecodeRequest(reqFrame[1:])
-	if err != nil {
+	var req Request
+	if decode(reqFrame[1:], req.fields()) != nil {
 		return
 	}
 	send := func(payload []byte) error {
@@ -211,10 +207,8 @@ func (s *Source) ServeConn(conn net.Conn, r *bufio.Reader, w *bufio.Writer, reqF
 		if sh.Empty() {
 			if clk.Now().Sub(lastSend) >= hbEvery {
 				s.heartbeats.Add(1)
-				if send(EncodeHeartbeat(Heartbeat{
-					Epoch:      sh.Epoch,
-					StrDurable: sh.StrDurable, TxnDurable: sh.TxnDurable, LatestTS: sh.LatestTS,
-				})) != nil {
+				hb := Heartbeat{Epoch: sh.Epoch, StrDurable: sh.StrDurable, TxnDurable: sh.TxnDurable, LatestTS: sh.LatestTS}
+				if send(encode(bolt.MsgRepHeartbeat, hb.fields())) != nil {
 					return
 				}
 				lastSend = clk.Now()
@@ -224,17 +218,12 @@ func (s *Source) ServeConn(conn net.Conn, r *bufio.Reader, w *bufio.Writer, reqF
 			}
 			continue
 		}
-		if send(EncodeShipment(sh)) != nil {
+		if send(encode(bolt.MsgRepBatch, sh.fields())) != nil {
 			return
 		}
 		lastSend = clk.Now()
-		s.framesShipped.Add(uint64(len(sh.Frames)))
-		n := len(sh.Strings)
-		for _, f := range sh.Frames {
-			n += len(f)
-		}
-		s.bytesShipped.Add(uint64(n))
+		s.bytesShipped.Add(uint64(len(sh.Strings) + len(sh.Txn)))
 		strOff += int64(len(sh.Strings))
-		txnOff = sh.NextTxn
+		txnOff += int64(len(sh.Txn))
 	}
 }

@@ -1,8 +1,6 @@
 package system
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -11,6 +9,7 @@ import (
 	"aion/internal/strstore"
 	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
+	"aion/internal/wal"
 )
 
 // asFixedRefLog rewrites the TimeStore log of the closed system in fs to the
@@ -24,13 +23,9 @@ func asFixedRefLog(t *testing.T, fs *vfstest.FaultFS) {
 	}
 	defer strs.Close()
 	compact, fixed := enc.NewCodec(strs), enc.NewFixedRefCodec(strs)
-	frame := func(b, payload []byte) []byte {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-		return append(binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload)), payload...)
-	}
 	const path = "sys/aion/timestore/p-1/updates.log"
 	frames := readFrames(t, fs, path)
-	log := frame(nil, []byte("ATL2"))
+	log := wal.AppendRecord(nil, []byte("ATL2"))
 	for _, f := range frames[1:] {
 		us, err := compact.DecodeBlock(nil, f)
 		if err == nil {
@@ -39,7 +34,7 @@ func asFixedRefLog(t *testing.T, fs *vfstest.FaultFS) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log = frame(log, f)
+		log = wal.AppendRecord(log, f)
 	}
 	if err := vfs.PublishFile(fs, path, log); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,7 @@ package system
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"slices"
@@ -27,6 +25,7 @@ import (
 	"aion/internal/testkit/refmodel"
 	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
+	"aion/internal/wal"
 )
 
 // historian stages the transactions of one committer's seeded history. It
@@ -476,8 +475,8 @@ func (r *residentSys) decodeFiles(label string, digests *enc.Codec) {
 	}
 }
 
-// readFrames splits a frame file — [len u32 | crc u32 | payload]*, an element
-// or a segment log — into its checked payloads.
+// readFrames splits a frame file — wal records, an element or a segment log —
+// into its checked payloads.
 func readFrames(t *testing.T, fs vfs.FS, path string) (frames [][]byte) {
 	t.Helper()
 	f, err := fs.Open(path)
@@ -494,14 +493,11 @@ func readFrames(t *testing.T, fs vfs.FS, path string) (frames [][]byte) {
 		t.Fatal(err)
 	}
 	for len(b) > 0 {
-		if len(b) < 8 || int(binary.LittleEndian.Uint32(b)) > len(b)-8 {
-			t.Fatalf("%s: torn frame", path)
+		payload, rest, err := wal.Cut(b)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
-		n := int(binary.LittleEndian.Uint32(b))
-		if crc32.ChecksumIEEE(b[8:8+n]) != binary.LittleEndian.Uint32(b[4:]) {
-			t.Fatalf("%s: frame checksum", path)
-		}
-		frames, b = append(frames, b[8:8+n]), b[8+n:]
+		frames, b = append(frames, payload), rest
 	}
 	if len(frames) == 0 {
 		t.Fatalf("%s: no first frame", path)

@@ -140,14 +140,14 @@ func shipper(t *testing.T, p, f *residentSys) func() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames, next, err := p.Host.TxnFrames(txnOff, txnDurable, 1<<30)
+		txn, err := p.Host.TxnBytes(txnOff, txnDurable, 1<<30)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Host.ApplyShipment(str, frames); err != nil {
+		if _, err := f.Host.ApplyShipment(str, txn); err != nil {
 			t.Fatal(err)
 		}
-		strOff, txnOff = strOff+int64(len(str)), next
+		strOff, txnOff = strOff+int64(len(str)), txnOff+int64(len(txn))
 	}
 }
 

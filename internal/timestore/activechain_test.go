@@ -7,7 +7,6 @@ package timestore
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -21,6 +20,7 @@ import (
 	"aion/internal/strstore"
 	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
+	"aion/internal/wal"
 )
 
 // policySnapshot persists, synchronously, what the snapshot worker would for
@@ -519,16 +519,16 @@ func TestBadWindowCountFailsTheDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := make([]byte, frameHdrLen)
+	frame := make([]byte, wal.HeaderSize)
 	if _, err := f.ReadAt(frame, offs[1]); err != nil {
 		t.Fatal(err)
 	}
-	frame = append(frame, make([]byte, binary.LittleEndian.Uint32(frame))...)
-	if _, err := f.ReadAt(frame[frameHdrLen:], offs[1]+frameHdrLen); err != nil {
+	frame = append(frame, make([]byte, wal.Size(frame)-wal.HeaderSize)...)
+	if _, err := f.ReadAt(frame[wal.HeaderSize:], offs[1]+wal.HeaderSize); err != nil {
 		t.Fatal(err)
 	}
-	frame[frameHdrLen] = 0
-	sealFrame(frame)
+	frame[wal.HeaderSize] = 0
+	wal.Seal(frame)
 	_, err = f.WriteAt(frame, offs[1])
 	if err = errors.Join(err, f.Close()); err != nil {
 		t.Fatal(err)

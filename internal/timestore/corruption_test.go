@@ -12,6 +12,7 @@ import (
 
 	"aion/internal/enc"
 	"aion/internal/memgraph"
+	"aion/internal/wal"
 )
 
 // TestDamagedSnapshotSurfacesError flips a byte in, or cuts the tail off,
@@ -79,9 +80,7 @@ func corruptFrameLen(t *testing.T, path string, off int) {
 // what a header-only delta holds, mutated as a test likes.
 func writeHeaderFile(t *testing.T, path string, hdr enc.DeltaHeader) {
 	t.Helper()
-	fb := append(make([]byte, frameHdrLen), enc.AppendDeltaHeader(nil, hdr)...)
-	sealFrame(fb)
-	if err := os.WriteFile(path, fb, 0o644); err != nil {
+	if err := os.WriteFile(path, wal.AppendRecord(nil, enc.AppendDeltaHeader(nil, hdr)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -199,7 +198,7 @@ func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 					writeHeaderFile(t, elem.path, hdr)
 				} else {
 					// A record frame: skip the header frame, whose length is intact.
-					corruptFrameLen(t, elem.path, frameHdrLen+int(binary.LittleEndian.Uint32(b)))
+					corruptFrameLen(t, elem.path, int(wal.Size(b)))
 					check(t, elem.path, func() error {
 						return s.applyChainFile(context.Background(), chain, k, memgraph.New(), nil, false)
 					})
@@ -221,7 +220,11 @@ func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 // derivedHeader decodes the header frame at the front of an element file.
 func derivedHeader(t *testing.T, b []byte) enc.DeltaHeader {
 	t.Helper()
-	hdr, err := enc.DecodeDeltaHeader(b[frameHdrLen : frameHdrLen+binary.LittleEndian.Uint32(b)])
+	payload, _, err := wal.Cut(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := enc.DecodeDeltaHeader(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/vfs"
+	"aion/internal/wal"
 )
 
 // writeChainElem publishes one element file in the segment directory — frame
@@ -48,7 +49,7 @@ func (s *Store) writeChainElem(kind enc.DeltaKind, pos, base position, logOff in
 // header, whose encoding is canonical (enc.DecodeDeltaHeader rejects any
 // other), framed.
 func headerFrameLen(hdr enc.DeltaHeader) int64 {
-	return frameHdrLen + int64(len(enc.AppendDeltaHeader(nil, hdr)))
+	return wal.HeaderSize + int64(len(enc.AppendDeltaHeader(nil, hdr)))
 }
 
 // readChainHeader reads and validates only frame 0 of a chain file (cheap:

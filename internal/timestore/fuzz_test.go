@@ -2,9 +2,7 @@ package timestore
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -50,18 +48,15 @@ func elemHistory() []model.Update {
 }
 
 // splitFrames splits an element file into its frames' payloads with nothing
-// but the frame layout.
+// but the record layout.
 func splitFrames(b []byte) ([][]byte, error) {
 	var frames [][]byte
 	for len(b) > 0 {
-		if len(b) < frameHdrLen || int64(binary.LittleEndian.Uint32(b)) > int64(len(b)-frameHdrLen) {
-			return nil, fmt.Errorf("torn frame")
+		payload, rest, err := wal.Cut(b)
+		if err != nil {
+			return nil, err
 		}
-		n := int(binary.LittleEndian.Uint32(b))
-		if crc32.ChecksumIEEE(b[frameHdrLen:frameHdrLen+n]) != binary.LittleEndian.Uint32(b[4:]) {
-			return nil, fmt.Errorf("frame checksum")
-		}
-		frames, b = append(frames, b[frameHdrLen:frameHdrLen+n]), b[frameHdrLen+n:]
+		frames, b = append(frames, payload), rest
 	}
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("no header")
@@ -142,7 +137,7 @@ func FuzzReadElement(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:len(b)-5])
 		if e.kind == enc.DeltaDiff {
-			if delta, err = enc.DecodeDeltaHeader(b[frameHdrLen:]); err != nil {
+			if delta, err = enc.DecodeDeltaHeader(b[wal.HeaderSize:]); err != nil {
 				f.Fatal(err)
 			}
 			hdr := delta
@@ -154,9 +149,7 @@ func FuzzReadElement(f *testing.F) {
 			} {
 				m := hdr
 				mutate(&m)
-				fb := append(make([]byte, frameHdrLen), enc.AppendDeltaHeader(nil, m)...)
-				sealFrame(fb)
-				f.Add(fb)
+				f.Add(wal.AppendRecord(nil, enc.AppendDeltaHeader(nil, m)))
 			}
 			f.Add(append(b, b...)) // a record-shaped frame behind the header
 		}
@@ -181,7 +174,7 @@ func FuzzReadElement(f *testing.F) {
 			f.Fatal(err)
 		}
 		last := ends[len(ends)-1]
-		ends = append(ends, windowEnd{off: off + frameHdrLen + int64(len(frame)), count: last.count + uint64(n),
+		ends = append(ends, windowEnd{off: off + wal.HeaderSize + int64(len(frame)), count: last.count + uint64(n),
 			pos: pos[slices.Index(pos, last.pos)+n]})
 		return true
 	}); err != nil {
@@ -191,9 +184,7 @@ func FuzzReadElement(f *testing.F) {
 	// the window ends at tells it from the delta's.
 	short := delta
 	short.LogOff, short.Count = ends[len(ends)-2].off, ends[len(ends)-2].count
-	fb := append(make([]byte, frameHdrLen), enc.AppendDeltaHeader(nil, short)...)
-	sealFrame(fb)
-	f.Add(fb)
+	f.Add(wal.AppendRecord(nil, enc.AppendDeltaHeader(nil, short)))
 	graphAt := func(p position) *memgraph.Graph {
 		g := memgraph.New()
 		for i, u := range us {
@@ -222,7 +213,7 @@ func FuzzReadElement(f *testing.F) {
 		s.fs = fs
 		hdr, err := readChainHeader(fs, path)
 		if err != nil {
-			if frames, werr := splitFrames(b); werr == nil && len(frames[0]) <= headFrameMax-frameHdrLen {
+			if frames, werr := splitFrames(b); werr == nil && len(frames[0]) <= headFrameMax-wal.HeaderSize {
 				if _, herr := enc.DecodeDeltaHeader(frames[0]); herr == nil {
 					t.Fatalf("the header reader says %v, the frame layout and header decoder accept", err)
 				}

@@ -1,6 +1,6 @@
 // Frame-file and replay pipelines. Every persisted materialization — a
-// full- or delta- .dsnap chain element — is one kind of file:
-// a sequence of [len u32 | crc u32 | payload] frames, the first holding the
+// full- or delta- .dsnap chain element — is one kind of file: a sequence of
+// frames, wal records (wal.Seal, wal.Cut), the first holding the
 // element's DeltaHeader and, in a full, each later one a block
 // (enc.AppendBlock) of up to frameBatchRecords update records in the Fig 3
 // format; a delta holds its header alone, its records being its log window.
@@ -16,9 +16,7 @@ package timestore
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"path/filepath"
@@ -42,8 +40,6 @@ const (
 	frameBatchBytes = 256 << 10
 	// replayReadahead is the log scan's chunk size during replay.
 	replayReadahead = 1 << 20
-	// frameHdrLen is the size of a frame's length+CRC header.
-	frameHdrLen = 8
 	// headFrameMax bounds an element's header frame: an enc.DeltaHeader is at
 	// most 65 bytes.
 	headFrameMax = 128
@@ -95,14 +91,6 @@ func (b frameBatch) decode(s *Store, path string) ([]model.Update, error) {
 	return us, nil
 }
 
-// sealFrame fills the header slot at the front of frame with the length and
-// CRC of the payload that follows it.
-func sealFrame(frame []byte) {
-	payload := frame[frameHdrLen:]
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-}
-
 // writeFrameFile writes path as the header frame hdr followed by one frame
 // per frameBatchRecords updates, and returns the bytes written. Update slices
 // are encoded into blocks and framed by ParallelIO workers; the consumer
@@ -117,8 +105,7 @@ func (s *Store) writeFrameFile(path string, hdr []byte, us []model.Update) (writ
 	}
 	defer vfs.CloseChecked(f, &err)
 	w := bufio.NewWriterSize(&vfs.SeqWriter{F: f}, 1<<16)
-	fb := append(make([]byte, frameHdrLen, frameHdrLen+len(hdr)), hdr...)
-	sealFrame(fb)
+	fb := wal.AppendRecord(nil, hdr)
 	if _, err := w.Write(fb); err != nil {
 		return 0, err
 	}
@@ -136,12 +123,12 @@ func (s *Store) writeFrameFile(path string, hdr []byte, us []model.Update) (writ
 		},
 		func(batch []model.Update) (*[]byte, error) {
 			bp := s.framePool.Get()
-			buf, err := s.codec.AppendBlock(append(*bp, make([]byte, frameHdrLen)...), batch)
+			buf, err := s.codec.AppendBlock(append(*bp, make([]byte, wal.HeaderSize)...), batch)
 			if err != nil {
 				s.framePool.Put(bp)
 				return nil, err
 			}
-			sealFrame(buf)
+			wal.Seal(buf)
 			*bp = buf
 			return bp, nil
 		},
@@ -204,14 +191,11 @@ func readFrames(fs vfs.FS, path string, head bool) (frames [][]byte, err error) 
 		return nil, err
 	}
 	for len(b) > 0 && !(head && len(frames) == 1) {
-		if len(b) < frameHdrLen || int64(binary.LittleEndian.Uint32(b)) > int64(len(b)-frameHdrLen) {
-			return nil, fmt.Errorf("timestore: corrupt frame in %s: its length runs past the %d bytes left", path, len(b))
+		var payload []byte
+		if payload, b, err = wal.Cut(b); err != nil {
+			return nil, fmt.Errorf("timestore: corrupt frame in %s: %w", path, err)
 		}
-		payload := b[frameHdrLen : frameHdrLen+binary.LittleEndian.Uint32(b)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
-			return nil, fmt.Errorf("timestore: frame checksum mismatch in %s", path)
-		}
-		frames, b = append(frames, payload), b[frameHdrLen+len(payload):]
+		frames = append(frames, payload)
 	}
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("timestore: %s holds no header frame", path)

@@ -207,7 +207,7 @@ const logMarker = "ATL3"
 
 // logStart is the offset of the segment log's first frame, past the marker —
 // also where an empty log ends, as far as a position is concerned.
-const logStart = frameHdrLen + int64(len(logMarker))
+const logStart = wal.HeaderSize + int64(len(logMarker))
 
 // --- recovery ----------------------------------------------------------------
 

@@ -25,7 +25,7 @@ func TestScanFromMidRecordFails(t *testing.T) {
 	}
 	// Start inside record 1's header and inside its payload: both point at
 	// garbage headers and must surface ErrCorrupt, not silent records.
-	for _, from := range []int64{offs[1] + 2, offs[1] + recordHeaderSize + 1} {
+	for _, from := range []int64{offs[1] + 2, offs[1] + HeaderSize + 1} {
 		if _, err := l.Scan(from, func(int64, []byte) bool { return true }); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("Scan(%d) = %v, want ErrCorrupt", from, err)
 		}

@@ -19,12 +19,51 @@ import (
 	"aion/internal/vfs"
 )
 
-// recordHeaderSize is the per-record framing: length (4) + CRC32 (4).
-const recordHeaderSize = 8
+// HeaderSize is a record's framing ahead of its payload: the payload's length
+// and its CRC-32 (IEEE), each a little-endian uint32. The record is the one
+// checked framing of the system: this log, the TimeStore's element files and
+// every replication message are records.
+const HeaderSize = 8
 
 // ErrCorrupt marks records that fail framing validation (truncated tail or
 // checksum mismatch), as opposed to I/O errors from the filesystem.
 var ErrCorrupt = errors.New("wal: corrupt record")
+
+// Seal fills the HeaderSize bytes at the front of rec with the length and CRC
+// of the payload after them, making rec one record.
+func Seal(rec []byte) {
+	payload := rec[HeaderSize:]
+	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
+}
+
+// AppendRecord appends payload to dst as one record.
+func AppendRecord(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
+// Size returns the length of the record whose header starts b, as the header
+// declares it: b must hold at least HeaderSize bytes.
+func Size(b []byte) int64 { return HeaderSize + int64(binary.LittleEndian.Uint32(b)) }
+
+// Cut splits the record at the front of b into its payload, which aliases b,
+// and the bytes after it. A header that does not fit, a length that runs past
+// b, or a checksum mismatch is an error wrapping ErrCorrupt.
+func Cut(b []byte) (payload, rest []byte, err error) {
+	if len(b) < HeaderSize {
+		return nil, b, fmt.Errorf("%w: %d bytes, short of a record header", ErrCorrupt, len(b))
+	}
+	n := Size(b)
+	if n > int64(len(b)) {
+		return nil, b, fmt.Errorf("%w: length %d runs past the %d bytes left", ErrCorrupt, n-HeaderSize, len(b)-HeaderSize)
+	}
+	if crc32.ChecksumIEEE(b[HeaderSize:n]) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, b, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return b[HeaderSize:n], b[n:], nil
+}
 
 // Log is an append-only record log. Appends are serialized; reads may run
 // concurrently with appends.
@@ -123,19 +162,14 @@ func (l *Log) Append(payload []byte) (int64, error) {
 	if l.failed != nil {
 		return 0, fmt.Errorf("wal: log failed: %w", l.failed)
 	}
-	if cap(l.writeBuf) < recordHeaderSize+len(payload) {
-		l.writeBuf = make([]byte, recordHeaderSize+len(payload))
-	}
-	buf := l.writeBuf[:recordHeaderSize+len(payload)]
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeaderSize:], payload)
+	buf := AppendRecord(l.writeBuf[:0], payload)
 	off := l.size
 	if _, err := l.f.WriteAt(buf, off); err != nil {
 		l.failed = err
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.size = off + int64(len(buf))
+	l.writeBuf = buf[:0]
 	return off, nil
 }
 
@@ -158,7 +192,7 @@ func (l *Log) AppendBatch(payloads [][]byte) ([]int64, error) {
 	}
 	total := 0
 	for _, p := range payloads {
-		total += recordHeaderSize + len(p)
+		total += HeaderSize + len(p)
 	}
 	if cap(l.writeBuf) < total {
 		l.writeBuf = make([]byte, total)
@@ -168,11 +202,7 @@ func (l *Log) AppendBatch(payloads [][]byte) ([]int64, error) {
 	off := l.size
 	for i, p := range payloads {
 		offs[i] = off + int64(len(buf))
-		var hdr [recordHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(p))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p...)
+		buf = AppendRecord(buf, p)
 	}
 	if _, err := l.f.WriteAt(buf, off); err != nil {
 		l.failed = err
@@ -211,26 +241,26 @@ func (l *Log) readAt(off int64) (payload []byte, next int64, err error) {
 	l.mu.RLock()
 	size := l.size
 	l.mu.RUnlock()
-	if off < 0 || off+recordHeaderSize > size {
+	if off < 0 || off+HeaderSize > size {
 		return nil, 0, fmt.Errorf("wal: offset %d out of range (size %d)", off, size)
 	}
-	var hdr [recordHeaderSize]byte
+	var hdr [HeaderSize]byte
 	if _, err := l.f.ReadAt(hdr[:], off); err != nil {
 		return nil, 0, fmt.Errorf("wal: read header: %w", err)
 	}
-	n := int64(binary.LittleEndian.Uint32(hdr[:4]))
-	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if off+recordHeaderSize+n > size {
+	n := Size(hdr[:])
+	if off+n > size {
 		return nil, 0, fmt.Errorf("%w: truncated record at %d", ErrCorrupt, off)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(l.f, off+recordHeaderSize, n), payload); err != nil {
+	rec := make([]byte, n)
+	copy(rec, hdr[:])
+	if _, err := io.ReadFull(io.NewSectionReader(l.f, off+HeaderSize, n-HeaderSize), rec[HeaderSize:]); err != nil {
 		return nil, 0, fmt.Errorf("wal: read payload: %w", err)
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, off)
+	if payload, _, err = Cut(rec); err != nil {
+		return nil, 0, fmt.Errorf("%w at %d", err, off)
 	}
-	return payload, off + recordHeaderSize + n, nil
+	return payload, off + n, nil
 }
 
 // Scan invokes fn for each record starting at offset from, in append order,
@@ -242,7 +272,7 @@ func (l *Log) Scan(from int64, fn func(off int64, payload []byte) bool) (int64, 
 	_, err := l.ScanBatch(from, 0, func(frames []Frame) bool {
 		for _, fr := range frames {
 			ok := fn(fr.Off, fr.Payload)
-			resume = fr.Off + recordHeaderSize + int64(len(fr.Payload))
+			resume = fr.Off + HeaderSize + int64(len(fr.Payload))
 			if !ok {
 				return false
 			}
@@ -284,10 +314,10 @@ func (l *Log) ScanRange(from, to int64, readahead int, fn func(frames []Frame) b
 	if from < 0 {
 		return from, fmt.Errorf("wal: offset %d out of range (size %d)", from, end)
 	}
-	if readahead < recordHeaderSize {
+	if readahead < HeaderSize {
 		readahead = DefaultReadahead
 	}
-	buf := make([]byte, max(recordHeaderSize, min(int64(readahead), end-from)))
+	buf := make([]byte, max(HeaderSize, min(int64(readahead), end-from)))
 	var frames []Frame
 	off := from
 	for off < end {
@@ -302,10 +332,8 @@ func (l *Log) ScanRange(from, to int64, readahead int, fn func(frames []Frame) b
 		frames = frames[:0]
 		pos := 0
 		var parseErr error
-		for pos+recordHeaderSize <= len(chunk) {
-			plen := int(binary.LittleEndian.Uint32(chunk[pos:]))
-			sum := binary.LittleEndian.Uint32(chunk[pos+4:])
-			recEnd := pos + recordHeaderSize + plen
+		for pos+HeaderSize <= len(chunk) {
+			recEnd := pos + int(Size(chunk[pos:]))
 			if off+int64(recEnd) > end {
 				parseErr = fmt.Errorf("%w: truncated record at %d", ErrCorrupt, off+int64(pos))
 				break
@@ -313,22 +341,21 @@ func (l *Log) ScanRange(from, to int64, readahead int, fn func(frames []Frame) b
 			if recEnd > len(chunk) {
 				break // straddles the chunk boundary; next chunk restarts here
 			}
-			payload := chunk[pos+recordHeaderSize : recEnd]
-			if crc32.ChecksumIEEE(payload) != sum {
-				parseErr = fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, off+int64(pos))
+			payload, _, err := Cut(chunk[pos:recEnd])
+			if err != nil {
+				parseErr = fmt.Errorf("%w at %d", err, off+int64(pos))
 				break
 			}
 			frames = append(frames, Frame{Off: off + int64(pos), Payload: payload})
 			pos = recEnd
 		}
 		if pos == 0 && parseErr == nil {
-			if len(chunk) < recordHeaderSize {
+			if len(chunk) < HeaderSize {
 				// A tail fragment smaller than a record header: torn write.
 				return off, fmt.Errorf("%w: truncated record at %d", ErrCorrupt, off)
 			}
 			// A single record larger than the buffer: grow to fit it.
-			plen := int(binary.LittleEndian.Uint32(chunk))
-			buf = make([]byte, recordHeaderSize+plen)
+			buf = make([]byte, Size(chunk))
 			continue
 		}
 		// Records parsed before a mid-chunk corruption are still delivered,

@@ -247,7 +247,7 @@ func TestScanBatchEarlyStop(t *testing.T) {
 		l.Append([]byte{byte(i)})
 	}
 	seen := 0
-	mid, err := l.ScanBatch(0, 4*recordHeaderSize, func(frames []Frame) bool {
+	mid, err := l.ScanBatch(0, 4*HeaderSize, func(frames []Frame) bool {
 		seen += len(frames)
 		return seen < 10
 	})
@@ -290,7 +290,7 @@ func TestScanBatchCorruption(t *testing.T) {
 		offs = append(offs, off)
 	}
 	corruptOnDisk(t, path, func(b []byte) []byte {
-		b[offs[10]+recordHeaderSize] ^= 0xFF // corrupt record 10's payload
+		b[offs[10]+HeaderSize] ^= 0xFF // corrupt record 10's payload
 		return b
 	})
 
@@ -327,10 +327,10 @@ func TestScanRangeStopsAtItsBound(t *testing.T) {
 		offs = append(offs, off)
 	}
 	corruptOnDisk(t, path, func(b []byte) []byte {
-		b[offs[12]+recordHeaderSize] ^= 0xFF
+		b[offs[12]+HeaderSize] ^= 0xFF
 		return b
 	})
-	for _, readahead := range []int{0, recordHeaderSize + 3, 40} {
+	for _, readahead := range []int{0, HeaderSize + 3, 40} {
 		var got []int64
 		next, err := l.ScanRange(offs[5], offs[12], readahead, func(frames []Frame) bool {
 			for _, fr := range frames {
@@ -391,7 +391,7 @@ func TestOpenRepairsTornTail(t *testing.T) {
 
 	// Simulate a torn append: header + half the payload of an 11th record.
 	b, _ := os.ReadFile(path)
-	torn := make([]byte, recordHeaderSize+3)
+	torn := make([]byte, HeaderSize+3)
 	torn[0] = 6 // claims a 6-byte payload; only 3 bytes follow
 	os.WriteFile(path, append(b, torn...), 0o644)
 
@@ -432,7 +432,7 @@ func TestOpenRepairsCorruptMidLog(t *testing.T) {
 	}
 	l.Close()
 	corruptOnDisk(t, path, func(b []byte) []byte {
-		b[offs[5]+recordHeaderSize] ^= 0xFF
+		b[offs[5]+HeaderSize] ^= 0xFF
 		return b
 	})
 	l2, err := Open(path)
@@ -567,14 +567,14 @@ func TestAppendBatchEmptyAndInterleaved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := off1 + recordHeaderSize + 1
+	want := off1 + HeaderSize + 1
 	if offs[0] != want {
 		t.Fatalf("batch record 0 at %d, want %d", offs[0], want)
 	}
-	if offs[1] != offs[0]+recordHeaderSize+2 {
+	if offs[1] != offs[0]+HeaderSize+2 {
 		t.Fatalf("batch record 1 at %d", offs[1])
 	}
-	if off2 != offs[1]+recordHeaderSize+3 {
+	if off2 != offs[1]+HeaderSize+3 {
 		t.Fatalf("post-batch append at %d", off2)
 	}
 }
@@ -599,7 +599,7 @@ func TestAppendBatchTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the batch mid-way through the second record.
-	cut := offs[1] + recordHeaderSize + 3
+	cut := offs[1] + HeaderSize + 3
 	if err := os.Truncate(path, cut); err != nil {
 		t.Fatal(err)
 	}
@@ -621,4 +621,28 @@ func TestAppendBatchTornTail(t *testing.T) {
 	if len(seen) != 1 || seen[0] != "tx-one" {
 		t.Fatalf("recovered %v, want only tx-one", seen)
 	}
+}
+
+// FuzzCut feeds Cut arbitrary bytes: it must never panic, a record it accepts
+// is exactly what AppendRecord makes of the payload it returns, one it refuses
+// is ErrCorrupt with b left whole, and every payload survives AppendRecord
+// then Cut.
+func FuzzCut(f *testing.F) {
+	f.Add(AppendRecord(nil, []byte("ATL3")))
+	f.Add(AppendRecord(AppendRecord(nil, []byte{1, 2, 3}), nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		payload, rest, err := Cut(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || len(rest) != len(b) {
+				t.Fatalf("Cut(% x) = %v with %d bytes left, want ErrCorrupt and all %d", b, err, len(rest), len(b))
+			}
+		} else if rec := b[:len(b)-len(rest)]; !slices.Equal(AppendRecord(nil, payload), rec) {
+			t.Fatalf("Cut accepted % x as payload % x, which AppendRecord frames differently", rec, payload)
+		}
+		if got, rest, err := Cut(AppendRecord(nil, b)); err != nil || !slices.Equal(got, b) || len(rest) != 0 {
+			t.Fatalf("AppendRecord then Cut of % x: % x, %d left, %v", b, got, len(rest), err)
+		}
+	})
 }
