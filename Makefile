@@ -50,7 +50,7 @@ loc:
 	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
 	@n=$$($(LOC_FILES) ! -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "production $$n"; \
-	[ $$n -le 22473 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 22097 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 	@n=$$($(LOC_FILES) -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "testkit $$n"; \
 	[ $$n -le 2132 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }
@@ -66,7 +66,8 @@ bench-smoke:
 # default 1/1000 scale: each comparison warmed, then five timed rounds in
 # alternating order, medians reported. Every printed table also lands in
 # BENCH_paper.json (title, columns, rows; numeric cells as numbers), the
-# CI-visible artifact. About 2 minutes on a 2-vCPU box.
+# CI-visible artifact. It fails, naming the figure, when Fig 10, 12 or 14
+# loses the paper's shape. About 2 minutes on a 2-vCPU box.
 paper:
 	$(GO) run ./cmd/aion-bench -exp all -json BENCH_paper.json
 

@@ -13,8 +13,11 @@
 // with the group-commit ablation).
 //
 // -json <path> additionally writes every printed table — title, columns and
-// rows, numeric cells as numbers — as one JSON report. It exits non-zero when
-// Aion's Fig 10 storage overhead on a dataset is over the paper's 41 %.
+// rows, numeric cells as numbers — as one JSON report. It exits non-zero,
+// naming the figure, when a figure it ran loses the paper's shape: Aion's
+// Fig 10 storage overhead on a dataset is over the paper's 41 %; in Fig 12
+// incremental execution does not win at 100 snapshots, or does not speed up
+// more at 100 snapshots than at 10; in Fig 14 it is under 4× faster.
 package main
 
 import (
@@ -120,9 +123,11 @@ func run(args []string) (err error) {
 	var fig10 []bench.Fig10Row
 	experiment("fig10", func() (err error) { fig10, err = bench.RunFig10(cfg, mkdir); return err })
 	experiment("fig11", func() error { _, err := bench.RunFig11(cfg, mkdir, nil, 32); return err })
-	experiment("fig12", func() error { _, err := bench.RunFig12(cfg, []int{10, 100}); return err })
+	var fig12 []bench.Fig12Row
+	experiment("fig12", func() (err error) { fig12, err = bench.RunFig12(cfg, []int{10, 100}); return err })
 	experiment("fig13", func() error { _, err := bench.RunFig13(cfg, mkdir, 8, 100); return err })
-	experiment("fig14", func() error { _, err := bench.RunFig14(cfg, mkdir, []int{10}); return err })
+	var fig14 []bench.Fig14Row
+	experiment("fig14", func() (err error) { fig14, err = bench.RunFig14(cfg, mkdir, []int{10}); return err })
 	experiment("ext", func() error { _, err := bench.RunExtensionIncremental(cfg, []int{10, 100}); return err })
 	experiment("history", func() error { _, err := bench.RunHistory(cfg, mkdir); return err })
 	experiment("write", func() error {
@@ -152,9 +157,37 @@ func run(args []string) (err error) {
 		}
 		fmt.Printf("\nwrote %d table(s) to %s\n", len(report.Tables()), *jsonPath)
 	}
+	return paperShape(fig10, fig12, fig14)
+}
+
+// paperShape returns an error naming the first figure whose rows break the
+// paper's shape, nil when none does.
+func paperShape(fig10 []bench.Fig10Row, fig12 []bench.Fig12Row, fig14 []bench.Fig14Row) error {
 	for _, r := range fig10 { // the paper's Fig 10: Aion adds 29–41 % to Neo4j's storage
 		if r.OverheadRatio > 0.41 {
 			return fmt.Errorf("Fig 10: Aion adds %.1f %% to Neo4j's storage on %s, over the paper's 41 %%", 100*r.OverheadRatio, r.Dataset)
+		}
+	}
+	at10 := map[[2]string]float64{}
+	for _, r := range fig12 {
+		if r.Snapshots == 10 {
+			at10[[2]string{r.Algorithm, r.Dataset}] = r.Speedup
+		}
+	}
+	for _, r := range fig12 {
+		if r.Snapshots != 100 {
+			continue
+		}
+		if r.Speedup <= 1 {
+			return fmt.Errorf("Fig 12: incremental %s on %s is %.1f× recomputation at 100 snapshots; it must win at 100", r.Algorithm, r.Dataset, r.Speedup)
+		}
+		if s10, ok := at10[[2]string{r.Algorithm, r.Dataset}]; ok && r.Speedup <= s10 {
+			return fmt.Errorf("Fig 12: incremental %s on %s speeds up %.1f× at 100 snapshots and %.1f× at 10; 100 must beat 10 everywhere", r.Algorithm, r.Dataset, r.Speedup, s10)
+		}
+	}
+	for _, r := range fig14 {
+		if r.Speedup < 4 {
+			return fmt.Errorf("Fig 14: incremental %s(%d) over Bolt on %s is %.1f× faster than recomputation; it must be at least 4× everywhere", r.Algorithm, r.Snapshots, r.Dataset, r.Speedup)
 		}
 	}
 	return nil

@@ -52,20 +52,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	avg := incremental.NewAvg("w")
-	avg.InitFrom(g)
-	pr := incremental.NewPageRank(algo.PageRankOptions{})
-	ranks := pr.Run(g)
+	avg := incremental.NewAvg(g, "w")
+	pr := incremental.NewPageRank(g, algo.PageRankOptions{})
 
 	fmt.Println("\nts        rels   avg(w)   top-node  pr-iters")
 	emit := func(ts model.Timestamp) {
-		var top model.NodeID = -1
-		var best float64
-		for id, r := range ranks {
-			if r > best {
-				top, best = id, r
-			}
-		}
+		top, _ := pr.Top()
 		fmt.Printf("%-9d %-6d %-8.2f n%-8d %d\n",
 			ts, avg.Count(), avg.Value(), top, pr.LastIterations)
 	}
@@ -83,8 +75,8 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		avg.ApplyDiff(diff)
-		ranks = pr.Run(g) // warm-started: few iterations per window
+		avg.ApplyDiff(g, diff)
+		pr.ApplyDiff(g, diff) // warm-started: few iterations per window
 		emit(ts)
 		prev = ts
 	}

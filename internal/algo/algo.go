@@ -8,9 +8,7 @@ package algo
 import (
 	"container/heap"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"aion/internal/csr"
 	"aion/internal/memgraph"
@@ -23,68 +21,92 @@ const Unreachable = int32(-1)
 
 // BFS computes hop distances from src over outgoing edges of a snapshot.
 // The result is indexed by sparse node id; Unreachable where no path (or no
-// node) exists. The frontier uses a pre-allocated ring buffer instead of an
-// allocating queue (Sec 5.3).
+// node) exists.
 func BFS(g *memgraph.Graph, src model.NodeID) []int32 {
 	levels := make([]int32, g.MaxNodeID())
 	for i := range levels {
 		levels[i] = Unreachable
 	}
-	if g.Node(src) == nil {
-		return levels
-	}
-	levels[src] = 0
-	queue := pool.NewRing(1024)
-	queue.Push(int64(src))
-	for {
-		v, ok := queue.Pop()
-		if !ok {
-			break
-		}
-		cur := model.NodeID(v)
-		next := levels[cur] + 1
-		g.Neighbours(cur, model.Outgoing, func(_ *model.Rel, nb model.NodeID) bool {
-			if levels[nb] == Unreachable {
-				levels[nb] = next
-				queue.Push(int64(nb))
-			}
-			return true
-		})
+	if g.Node(src) != nil {
+		levels[src] = 0
+		RelaxBFS(g, levels, []model.NodeID{src})
 	}
 	return levels
 }
 
+// RelaxBFS is the BFS kernel, for a full run and an incremental repair
+// alike: from the frontier's nodes it lowers, over outgoing edges, every
+// level that one more hop improves, and goes on from each node it lowered.
+// levels covers g's node ids; a frontier node at Unreachable is skipped, and
+// the frontier's backing array becomes the queue.
+func RelaxBFS(g *memgraph.Graph, levels []int32, frontier []model.NodeID) {
+	queue := frontier
+	for i := 0; i < len(queue); i++ {
+		cur := queue[i]
+		if levels[cur] == Unreachable {
+			continue
+		}
+		next := levels[cur] + 1
+		g.Neighbours(cur, model.Outgoing, func(_ *model.Rel, nb model.NodeID) bool {
+			if levels[nb] == Unreachable || levels[nb] > next {
+				levels[nb] = next
+				queue = append(queue, nb)
+			}
+			return true
+		})
+	}
+}
+
+// Weight is relationship r's weight under the property prop: its value as a
+// float, 1 where r does not have it.
+func Weight(r *model.Rel, prop string) float64 {
+	if v, ok := r.Props[prop]; ok {
+		return v.Float()
+	}
+	return 1
+}
+
 // SSSP computes shortest path distances from src using Dijkstra over the
-// given relationship weight property (missing weights default to 1).
-// Unreachable nodes get +Inf.
+// given relationship weight property (see Weight). Unreachable nodes get
+// +Inf.
 func SSSP(g *memgraph.Graph, src model.NodeID, weightProp string) []float64 {
 	dist := make([]float64, g.MaxNodeID())
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	if g.Node(src) == nil {
-		return dist
+	if g.Node(src) != nil {
+		dist[src] = 0
+		RelaxSSSP(g, weightProp, dist, []model.NodeID{src})
 	}
-	dist[src] = 0
-	pq := &distHeap{{src, 0}}
+	return dist
+}
+
+// RelaxSSSP is the Dijkstra kernel, for a full run and an incremental
+// repair alike: it queues each seed at its current distance (+Inf seeds are
+// skipped), then settles nodes in distance order, lowering every distance an
+// outgoing edge improves. A queued entry counts only while it equals its
+// node's distance: a repair may have lowered or reset the distance since.
+func RelaxSSSP(g *memgraph.Graph, prop string, dist []float64, seeds []model.NodeID) {
+	pq := make(distHeap, 0, len(seeds))
+	for _, id := range seeds {
+		if !math.IsInf(dist[id], 1) {
+			pq = append(pq, distItem{id, dist[id]})
+		}
+	}
+	heap.Init(&pq)
 	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
-		if item.d > dist[item.id] {
+		item := heap.Pop(&pq).(distItem)
+		if item.d != dist[item.id] {
 			continue
 		}
 		g.Neighbours(item.id, model.Outgoing, func(r *model.Rel, nb model.NodeID) bool {
-			w := 1.0
-			if v, ok := r.Props[weightProp]; ok {
-				w = v.Float()
-			}
-			if nd := item.d + w; nd < dist[nb] {
+			if nd := item.d + Weight(r, prop); nd < dist[nb] {
 				dist[nb] = nd
-				heap.Push(pq, distItem{nb, nd})
+				heap.Push(&pq, distItem{nb, nd})
 			}
 			return true
 		})
 	}
-	return dist
 }
 
 type distItem struct {
@@ -106,33 +128,27 @@ func (h *distHeap) Pop() interface{} {
 	return x
 }
 
+// damping is PageRank's damping factor, the usual 0.85.
+const damping = 0.85
+
 // PageRankOptions configures PageRank runs.
 type PageRankOptions struct {
-	Damping float64 // default 0.85
 	MaxIter int     // default 100 (the paper's cap, Sec 6.6)
 	Epsilon float64 // convergence threshold; default 0.01 (the paper's ε)
-	Workers int     // parallel workers; default GOMAXPROCS
 }
 
 func (o *PageRankOptions) defaults() {
-	if o.Damping == 0 {
-		o.Damping = 0.85
-	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 100
 	}
 	if o.Epsilon == 0 {
 		o.Epsilon = 0.01
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 }
 
 // PageRank runs parallel PageRank over a CSR projection, returning ranks by
 // dense node id and the number of iterations executed.
 func PageRank(c *csr.Graph, opts PageRankOptions) ([]float64, int) {
-	opts.defaults()
 	n := c.N
 	if n == 0 {
 		return nil, 0
@@ -144,42 +160,19 @@ func PageRank(c *csr.Graph, opts PageRankOptions) ([]float64, int) {
 	return pageRankFrom(c, ranks, opts)
 }
 
-// pageRankFrom iterates PageRank starting from the given rank vector (the
-// warm-start entry point incremental execution uses).
+// pageRankFrom iterates PageRank over a CSR projection starting from the
+// given rank vector.
 func pageRankFrom(c *csr.Graph, ranks []float64, opts PageRankOptions) ([]float64, int) {
-	opts.defaults()
-	n := c.N
-	next := make([]float64, n)
-	iters := 0
-	for ; iters < opts.MaxIter; iters++ {
-		// Dangling mass is redistributed uniformly.
-		var dangling float64
-		for i := int32(0); i < int32(n); i++ {
-			if c.OutDegree(i) == 0 {
-				dangling += ranks[i]
-			}
-		}
-		base := (1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n)
-		parallelFor(n, opts.Workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sum := 0.0
-				for _, u := range c.In(int32(i)) {
-					sum += ranks[u] / float64(c.OutDegree(u))
-				}
-				next[i] = base + opts.Damping*sum
-			}
-		})
-		var delta float64
-		for i := range ranks {
-			delta += math.Abs(next[i] - ranks[i])
-		}
-		ranks, next = next, ranks
-		if delta < opts.Epsilon {
-			iters++
-			break
-		}
+	outDeg := make([]float64, c.N)
+	for i := range outDeg {
+		outDeg[i] = float64(c.OutDegree(int32(i)))
 	}
-	return ranks, iters
+	return powerIterate(ranks, outDeg, opts, func(ranks []float64, i int) (sum float64) {
+		for _, u := range c.In(int32(i)) {
+			sum += ranks[u] / outDeg[u]
+		}
+		return sum
+	})
 }
 
 // PageRankDynamic runs PageRank directly on the dynamic in-memory graph
@@ -189,7 +182,6 @@ func pageRankFrom(c *csr.Graph, ranks []float64, opts PageRankOptions) ([]float6
 // starting ranks (missing nodes get the uniform share); the result is a
 // rank per live sparse node id.
 func PageRankDynamic(g *memgraph.Graph, warm map[model.NodeID]float64, opts PageRankOptions) (map[model.NodeID]float64, int) {
-	opts.defaults()
 	dm := g.BuildDenseMap()
 	n := dm.Len()
 	if n == 0 {
@@ -213,24 +205,41 @@ func PageRankDynamic(g *memgraph.Graph, warm map[model.NodeID]float64, opts Page
 	for i, sid := range dm.ToSparse {
 		outDeg[i] = float64(len(g.Out(sid)))
 	}
+	ranks, iters := powerIterate(ranks, outDeg, opts, func(ranks []float64, i int) (sum float64) {
+		for _, rid := range g.In(dm.ToSparse[i]) {
+			src := dm.ToDense[g.Rel(rid).Src]
+			sum += ranks[src] / outDeg[src]
+		}
+		return sum
+	})
+	out := make(map[model.NodeID]float64, n)
+	for i, sid := range dm.ToSparse {
+		out[sid] = ranks[i]
+	}
+	return out, iters
+}
+
+// powerIterate is PageRank's power iteration over dense ids from ranks, on
+// GOMAXPROCS workers: inShare(ranks, i) is node i's in-neighbours' share,
+// the sum of ranks[u]/outDeg[u] over them, and the rank of a node without
+// out-edges is spread uniformly. It stops after MaxIter iterations or once
+// an iteration moves the ranks by less than Epsilon in sum.
+func powerIterate(ranks, outDeg []float64, opts PageRankOptions, inShare func(ranks []float64, i int) float64) ([]float64, int) {
+	opts.defaults()
+	n := len(ranks)
 	next := make([]float64, n)
 	iters := 0
 	for ; iters < opts.MaxIter; iters++ {
 		var dangling float64
-		for i := 0; i < n; i++ {
-			if outDeg[i] == 0 {
+		for i, d := range outDeg {
+			if d == 0 {
 				dangling += ranks[i]
 			}
 		}
-		base := (1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n)
-		parallelFor(n, opts.Workers, func(lo, hi int) {
+		base := (1-damping)/float64(n) + damping*dangling/float64(n)
+		pool.ParallelFor(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				sum := 0.0
-				for _, rid := range g.In(dm.ToSparse[i]) {
-					src := dm.ToDense[g.Rel(rid).Src]
-					sum += ranks[src] / outDeg[src]
-				}
-				next[i] = base + opts.Damping*sum
+				next[i] = base + damping*inShare(ranks, i)
 			}
 		})
 		var delta float64
@@ -243,36 +252,7 @@ func PageRankDynamic(g *memgraph.Graph, warm map[model.NodeID]float64, opts Page
 			break
 		}
 	}
-	out := make(map[model.NodeID]float64, n)
-	for i, sid := range dm.ToSparse {
-		out[sid] = ranks[i]
-	}
-	return out, iters
-}
-
-func parallelFor(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 2048 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	return ranks, iters
 }
 
 // WCC computes weakly connected components with union-find, returning a
@@ -359,7 +339,9 @@ func TriangleCount(c *csr.Graph) int64 {
 }
 
 // LocalClusteringCoefficient computes the clustering coefficient of one
-// node over the undirected neighbourhood.
+// node over the undirected neighbourhood: the share of its neighbour pairs
+// that are linked, each pair counted once however many relationships, in
+// either direction, link it.
 func LocalClusteringCoefficient(g *memgraph.Graph, id model.NodeID) float64 {
 	nbs := map[model.NodeID]bool{}
 	g.Neighbours(id, model.Both, func(_ *model.Rel, nb model.NodeID) bool {
@@ -374,13 +356,14 @@ func LocalClusteringCoefficient(g *memgraph.Graph, id model.NodeID) float64 {
 	}
 	links := 0
 	for nb := range nbs {
+		linked := map[model.NodeID]bool{}
 		g.Neighbours(nb, model.Both, func(_ *model.Rel, nn model.NodeID) bool {
-			if nn != nb && nbs[nn] {
+			if nn > nb && nbs[nn] && !linked[nn] { // the pair once, from its lower end
+				linked[nn] = true
 				links++
 			}
 			return true
 		})
 	}
-	// Each link counted twice (once from each endpoint).
-	return float64(links) / float64(k*(k-1))
+	return 2 * float64(links) / float64(k*(k-1))
 }

@@ -88,7 +88,7 @@ func TestPageRankProperties(t *testing.T) {
 		edges = append(edges, [2]int{i, 0})
 	}
 	g := buildGraph(t, 20, edges)
-	c := csr.Build(g, csr.Options{})
+	c := csr.Build(g)
 	ranks, iters := PageRank(c, PageRankOptions{Epsilon: 1e-10, MaxIter: 200})
 	if iters == 0 {
 		t.Fatal("no iterations")
@@ -115,7 +115,7 @@ func TestPageRankWarmStartConverges(t *testing.T) {
 		edges = append(edges, [2]int{rng.Intn(100), rng.Intn(100)})
 	}
 	g := buildGraph(t, 100, edges)
-	c := csr.Build(g, csr.Options{})
+	c := csr.Build(g)
 	cold, coldIters := PageRank(c, PageRankOptions{Epsilon: 1e-8, MaxIter: 500})
 	warm, warmIters := pageRankFrom(c, append([]float64(nil), cold...), PageRankOptions{Epsilon: 1e-8, MaxIter: 500})
 	if warmIters >= coldIters {
@@ -151,18 +151,18 @@ func TestWCC(t *testing.T) {
 func TestTriangleCount(t *testing.T) {
 	// A triangle plus a dangling edge.
 	g := buildGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
-	c := csr.Build(g, csr.Options{})
+	c := csr.Build(g)
 	if n := TriangleCount(c); n != 1 {
 		t.Errorf("triangles = %d, want 1", n)
 	}
 	// Two triangles sharing an edge.
 	g2 := buildGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 0}, {1, 3}, {3, 2}})
-	if n := TriangleCount(csr.Build(g2, csr.Options{})); n != 2 {
+	if n := TriangleCount(csr.Build(g2)); n != 2 {
 		t.Errorf("triangles = %d, want 2", n)
 	}
 	// Reciprocal edges must not fabricate triangles.
 	g3 := buildGraph(t, 2, [][2]int{{0, 1}, {1, 0}})
-	if n := TriangleCount(csr.Build(g3, csr.Options{})); n != 0 {
+	if n := TriangleCount(csr.Build(g3)); n != 0 {
 		t.Errorf("triangles = %d, want 0", n)
 	}
 }
@@ -177,12 +177,20 @@ func TestLocalClusteringCoefficient(t *testing.T) {
 	if LocalClusteringCoefficient(g, 3) != 0 {
 		t.Error("degree-1 node lcc must be 0")
 	}
+	// Node 0's neighbours {1,2}, linked both ways or twice one way: the
+	// pair counts once, so the coefficient is 1.
+	for name, link := range map[string][][2]int{"reciprocal": {{1, 2}, {2, 1}}, "parallel": {{1, 2}, {1, 2}}} {
+		g := buildGraph(t, 3, append([][2]int{{0, 1}, {0, 2}}, link...))
+		if lcc := LocalClusteringCoefficient(g, 0); lcc != 1 {
+			t.Errorf("%s link: lcc = %v, want 1", name, lcc)
+		}
+	}
 }
 
 func TestCSRStructure(t *testing.T) {
 	g := buildGraph(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 2}})
 	g.Apply(model.DeleteNode(100, 3))
-	c := csr.Build(g, csr.Options{})
+	c := csr.Build(g)
 	if c.N != 3 {
 		t.Fatalf("dense N = %d", c.N)
 	}
@@ -199,15 +207,9 @@ func TestCSRStructure(t *testing.T) {
 	}
 }
 
-func TestCSRWeights(t *testing.T) {
-	g := buildGraph(t, 2, [][2]int{{0, 1}})
-	g.Apply(model.UpdateRel(50, 0, 0, 1, model.Properties{"w": model.FloatValue(2.5)}, nil))
-	c := csr.Build(g, csr.Options{WeightProp: "w"})
-	if c.Weights[0] != 2.5 {
-		t.Errorf("weight = %v", c.Weights[0])
-	}
-}
-
+// TestCSRParallelMatchesSerial: a projection big enough to fill its
+// adjacency on several goroutines holds, for every node, exactly the
+// graph's own out- and in-neighbours, in the graph's order.
 func TestCSRParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	edges := [][2]int{}
@@ -215,14 +217,25 @@ func TestCSRParallelMatchesSerial(t *testing.T) {
 		edges = append(edges, [2]int{rng.Intn(3000), rng.Intn(3000)})
 	}
 	g := buildGraph(t, 3000, edges)
-	serial := csr.Build(g, csr.Options{})
-	parallel := csr.Build(g, csr.Options{Parallel: true})
-	if len(serial.OutTargets) != len(parallel.OutTargets) || serial.N != parallel.N {
-		t.Fatal("shape mismatch")
+	c := csr.Build(g)
+	if c.N != 3000 || len(c.OutTargets) != len(edges) || len(c.InTargets) != len(edges) {
+		t.Fatalf("shape: N=%d out=%d in=%d", c.N, len(c.OutTargets), len(c.InTargets))
 	}
-	for i := int32(0); i < int32(serial.N); i++ {
-		if serial.OutDegree(i) != parallel.OutDegree(i) {
-			t.Fatalf("degree mismatch at %d", i)
+	for i, sid := range c.Dense.ToSparse {
+		d := int32(i)
+		out, in := c.Out(d), c.In(d)
+		if len(out) != len(g.Out(sid)) || len(in) != len(g.In(sid)) {
+			t.Fatalf("node %d: degrees %d/%d, the graph's %d/%d", sid, len(out), len(in), len(g.Out(sid)), len(g.In(sid)))
+		}
+		for k, rid := range g.Out(sid) {
+			if out[k] != c.Dense.ToDense[g.Rel(rid).Tgt] {
+				t.Fatalf("node %d: out-neighbour %d differs from the graph's", sid, k)
+			}
+		}
+		for k, rid := range g.In(sid) {
+			if in[k] != c.Dense.ToDense[g.Rel(rid).Src] {
+				t.Fatalf("node %d: in-neighbour %d differs from the graph's", sid, k)
+			}
 		}
 	}
 }
@@ -235,7 +248,7 @@ func TestEmptyGraphAlgorithms(t *testing.T) {
 	if comp := WCC(g); len(comp) != 0 {
 		t.Error("WCC on empty graph")
 	}
-	c := csr.Build(g, csr.Options{})
+	c := csr.Build(g)
 	if ranks, _ := PageRank(c, PageRankOptions{}); ranks != nil {
 		t.Error("PageRank on empty graph must return nil")
 	}
@@ -255,9 +268,9 @@ func TestPageRankDynamicMatchesCSR(t *testing.T) {
 	}
 	g := buildGraph(t, 80, edges)
 	opts := PageRankOptions{Epsilon: 1e-10, MaxIter: 500}
-	viaCSR, _ := PageRank(csr.Build(g, csr.Options{}), opts)
+	viaCSR, _ := PageRank(csr.Build(g), opts)
 	viaDyn, _ := PageRankDynamic(g, nil, opts)
-	c := csr.Build(g, csr.Options{})
+	c := csr.Build(g)
 	for i, sid := range c.Dense.ToSparse {
 		if math.Abs(viaCSR[i]-viaDyn[sid]) > 1e-6 {
 			t.Fatalf("rank mismatch at node %d: %v vs %v", sid, viaCSR[i], viaDyn[sid])

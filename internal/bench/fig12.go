@@ -20,62 +20,21 @@ type Fig12Row struct {
 	Speedup   float64
 }
 
-// incAlgo is one algorithm of the snapshot series: start runs it on the
-// series' first graph and returns how it takes in each next diff (already
-// applied to g); full recomputes it from scratch on g.
-type incAlgo struct {
-	start func(g *memgraph.Graph) func(diff []model.Update)
-	full  func(g *memgraph.Graph)
-}
-
-// prOpts: both PageRank runs execute on the dynamic representation (Sec
-// 6.6/6.7: analytics run on top of the dynamic graph, not a fresh CSR); the
-// recompute restarts from the uniform vector each snapshot while the
-// incremental run warm-starts.
-var prOpts = algo.PageRankOptions{Epsilon: 0.01, MaxIter: 100}
-
-// incAlgos is the algorithm table: AVG, BFS and PageRank are Fig 12's; SSSP
-// (monotonic, path-based) and greedy colouring (non-monotonic) are the Sec 5.2
-// classes the paper claims but does not evaluate, which -exp ext runs.
-var incAlgos = map[string]incAlgo{
-	"AVG": {
-		start: func(g *memgraph.Graph) func([]model.Update) {
-			a := incremental.NewAvg("w")
-			a.InitFrom(g)
-			_ = a.Value()
-			return func(diff []model.Update) { a.ApplyDiff(diff); _ = a.Value() }
-		},
-		full: func(g *memgraph.Graph) { a := incremental.NewAvg("w"); a.InitFrom(g); _ = a.Value() },
-	},
-	"BFS": {
-		start: func(g *memgraph.Graph) func([]model.Update) {
-			b := incremental.NewBFS(g, firstNode(g))
-			return func(diff []model.Update) { b.ApplyDiff(g, diff) }
-		},
-		full: func(g *memgraph.Graph) { algo.BFS(g, firstNode(g)) },
-	},
-	"PR": {
-		start: func(g *memgraph.Graph) func([]model.Update) {
-			pr := incremental.NewPageRank(prOpts)
-			pr.Run(g)
-			return func([]model.Update) { pr.Run(g) }
-		},
-		full: func(g *memgraph.Graph) { algo.PageRankDynamic(g, nil, prOpts) },
-	},
-	"SSSP": {
-		start: func(g *memgraph.Graph) func([]model.Update) {
-			s := incremental.NewSSSP(g, firstNode(g), "w")
-			return func(diff []model.Update) { s.ApplyDiff(g, diff) }
-		},
-		full: func(g *memgraph.Graph) { incremental.NewSSSP(g, firstNode(g), "w") },
-	},
-	"COLOR": {
-		start: func(g *memgraph.Graph) func([]model.Update) {
-			col := incremental.NewColoring(g)
-			return func(diff []model.Update) { col.ApplyDiff(g, diff) }
-		},
-		full: func(g *memgraph.Graph) { incremental.NewColoring(g) },
-	},
+// incAlgos is the algorithm table, name → seed: a seed runs the algorithm on
+// a full snapshot. The recompute calls it on every snapshot of the series;
+// the incremental run calls it on the first and hands each next diff to the
+// state it returns. AVG, BFS and PageRank are Fig 12's; SSSP (monotonic,
+// path-based) and greedy colouring (non-monotonic) are the Sec 5.2 classes
+// the paper claims but does not evaluate, which -exp ext runs. Both PageRank
+// runs execute on the dynamic representation (Sec 6.6/6.7: analytics run on
+// top of the dynamic graph, not a fresh CSR); the recompute restarts from the
+// uniform vector each snapshot while the incremental run warm-starts.
+var incAlgos = map[string]func(g *memgraph.Graph) incremental.Stepper{
+	"AVG":   func(g *memgraph.Graph) incremental.Stepper { return incremental.NewAvg(g, "w") },
+	"BFS":   func(g *memgraph.Graph) incremental.Stepper { return incremental.NewBFS(g, firstNode(g)) },
+	"PR":    func(g *memgraph.Graph) incremental.Stepper { return incremental.NewPageRank(g, algo.PageRankOptions{}) },
+	"SSSP":  func(g *memgraph.Graph) incremental.Stepper { return incremental.NewSSSP(g, firstNode(g), "w") },
+	"COLOR": func(g *memgraph.Graph) incremental.Stepper { return incremental.NewColoring(g) },
 }
 
 // fig12Workload builds the paper's Sec 6.6 protocol: load half of the
@@ -137,21 +96,21 @@ func runIncremental(c Config, snapshotCounts []int, algs []string, title string)
 				return nil, err
 			}
 			for _, alg := range algs {
-				a := incAlgos[alg]
+				seed := incAlgos[alg]
 				d, err := measure(timed(func() error {
 					g := base.Clone()
-					step := a.start(g)
+					state := seed(g)
 					for _, diff := range diffs {
 						applyDiff(g, diff)
-						step(diff)
+						state.ApplyDiff(g, diff)
 					}
 					return nil
 				}), timed(func() error {
 					g := base.Clone()
-					a.full(g)
+					seed(g)
 					for _, diff := range diffs {
 						applyDiff(g, diff)
-						a.full(g)
+						seed(g)
 					}
 					return nil
 				}))

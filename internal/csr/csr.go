@@ -1,15 +1,12 @@
 // Package csr builds static Compressed Sparse Row projections of a graph
-// snapshot, the representation Neo4j's GDS library uses for parallel
-// analytics (Sec 2.1, 5.1). Node ids are translated to the dense domain so
-// algorithms can use flat vectors.
+// snapshot, the representation Neo4j's GDS library runs its algorithms on
+// (Sec 2.1, 5.1); here PageRank and triangle counting read it. Node ids are
+// translated to the dense domain so algorithms can use flat vectors.
 package csr
 
 import (
-	"runtime"
-	"sync"
-
 	"aion/internal/memgraph"
-	"aion/internal/model"
+	"aion/internal/pool"
 )
 
 // Graph is an immutable CSR projection over dense node ids.
@@ -19,24 +16,13 @@ type Graph struct {
 	OutTargets []int32
 	InOffsets  []int64
 	InTargets  []int32
-	// Weights[i] aligns with OutTargets[i]; nil when no weight property was
-	// projected.
-	Weights []float64
-	Dense   *memgraph.DenseMap
+	Dense      *memgraph.DenseMap
 }
 
-// Options configures a projection.
-type Options struct {
-	// WeightProp, when set, projects this float/int relationship property
-	// as edge weights (missing values default to 1).
-	WeightProp string
-	// Parallel enables multi-goroutine construction (on-the-fly CSR
-	// creation is parallelized when snapshots are retrieved, Sec 5.2).
-	Parallel bool
-}
-
-// Build projects a snapshot into CSR form.
-func Build(g *memgraph.Graph, opts Options) *Graph {
+// Build projects a snapshot into CSR form, filling the adjacency of node
+// ranges in parallel (on-the-fly CSR creation is parallelized when snapshots
+// are retrieved, Sec 5.2).
+func Build(g *memgraph.Graph) *Graph {
 	dm := g.BuildDenseMap()
 	n := dm.Len()
 	c := &Graph{N: n, Dense: dm}
@@ -54,62 +40,24 @@ func Build(g *memgraph.Graph, opts Options) *Graph {
 	}
 	c.OutTargets = make([]int32, c.OutOffsets[n])
 	c.InTargets = make([]int32, c.InOffsets[n])
-	if opts.WeightProp != "" {
-		c.Weights = make([]float64, c.OutOffsets[n])
-	}
 
-	// Pass 2: fill adjacency, optionally in parallel over node ranges.
-	fill := func(lo, hi int) {
+	// Pass 2: fill adjacency.
+	pool.ParallelFor(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sid := dm.ToSparse[i]
 			oo := c.OutOffsets[i]
 			for _, rid := range g.Out(sid) {
-				r := g.Rel(rid)
-				c.OutTargets[oo] = dm.ToDense[r.Tgt]
-				if c.Weights != nil {
-					c.Weights[oo] = weightOf(r, opts.WeightProp)
-				}
+				c.OutTargets[oo] = dm.ToDense[g.Rel(rid).Tgt]
 				oo++
 			}
 			io := c.InOffsets[i]
 			for _, rid := range g.In(sid) {
-				r := g.Rel(rid)
-				c.InTargets[io] = dm.ToDense[r.Src]
+				c.InTargets[io] = dm.ToDense[g.Rel(rid).Src]
 				io++
 			}
 		}
-	}
-	if !opts.Parallel || n < 1024 {
-		fill(0, n)
-		return c
-	}
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fill(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return c
-}
-
-func weightOf(r *model.Rel, prop string) float64 {
-	if v, ok := r.Props[prop]; ok {
-		return v.Float()
-	}
-	return 1
 }
 
 // OutDegree returns the out-degree of dense node i.

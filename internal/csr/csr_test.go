@@ -27,7 +27,7 @@ func buildGraph(t *testing.T, n int, edges [][2]int) *memgraph.Graph {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	c := Build(memgraph.New(), Options{})
+	c := Build(memgraph.New())
 	if c.N != 0 || len(c.OutTargets) != 0 {
 		t.Errorf("empty projection: N=%d E=%d", c.N, len(c.OutTargets))
 	}
@@ -35,7 +35,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestOffsetsAreMonotone(t *testing.T) {
 	g := buildGraph(t, 10, [][2]int{{0, 1}, {0, 2}, {3, 4}, {9, 0}, {9, 1}, {9, 2}})
-	c := Build(g, Options{})
+	c := Build(g)
 	for i := 0; i < c.N; i++ {
 		if c.OutOffsets[i] > c.OutOffsets[i+1] || c.InOffsets[i] > c.InOffsets[i+1] {
 			t.Fatalf("offsets not monotone at %d", i)
@@ -49,7 +49,7 @@ func TestOffsetsAreMonotone(t *testing.T) {
 func TestAdjacencyMirrorsGraph(t *testing.T) {
 	edges := [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 1}}
 	g := buildGraph(t, 3, edges)
-	c := Build(g, Options{})
+	c := Build(g)
 	// Every graph edge appears exactly once in the CSR, both directions.
 	outCount := map[[2]int32]int{}
 	for i := int32(0); i < int32(c.N); i++ {
@@ -71,22 +71,5 @@ func TestAdjacencyMirrorsGraph(t *testing.T) {
 	}
 	if inTotal != int64(len(edges)) {
 		t.Errorf("in-degree total = %d", inTotal)
-	}
-}
-
-func TestWeightsDefaultToOne(t *testing.T) {
-	g := buildGraph(t, 2, [][2]int{{0, 1}})
-	c := Build(g, Options{WeightProp: "missing"})
-	if c.Weights[0] != 1 {
-		t.Errorf("default weight = %v", c.Weights[0])
-	}
-}
-
-func TestIntWeightProjected(t *testing.T) {
-	g := buildGraph(t, 2, [][2]int{{0, 1}})
-	g.Apply(model.UpdateRel(99, 0, 0, 1, model.Properties{"w": model.IntValue(7)}, nil))
-	c := Build(g, Options{WeightProp: "w"})
-	if c.Weights[0] != 7 {
-		t.Errorf("int weight = %v", c.Weights[0])
 	}
 }

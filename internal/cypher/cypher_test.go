@@ -378,6 +378,18 @@ func TestIncrementalProcedures(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Errorf("pagerank series rows = %d", len(res.Rows))
 	}
+	// A series that ends before it starts is empty, as model.Steps has it.
+	for _, q := range []string{
+		`CALL aion.incremental.avg('w', 2, 1, 1)`,
+		`CALL aion.incremental.bfs(0, 2, 1, 1)`,
+		`CALL aion.incremental.sssp(0, 'w', 2, 1, 1)`,
+		`CALL aion.incremental.pagerank(2, 1, 1)`,
+		`CALL aion.incremental.coloring(2, 1, 1)`,
+	} {
+		if res := mustQuery(t, e, q, nil); len(res.Rows) != 0 {
+			t.Errorf("%s: %v, want no row", q, res.Rows)
+		}
+	}
 }
 
 func TestMultiPatternComma(t *testing.T) {

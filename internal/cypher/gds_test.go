@@ -96,6 +96,18 @@ func TestGDSLCC(t *testing.T) {
 	if math.Abs(lcc-1.0) > 1e-9 {
 		t.Errorf("lcc = %v", lcc)
 	}
+	// The hub's neighbours {1, 2, 3} are linked pairwise; a second link of
+	// the pair (1, 2), the other way, leaves its coefficient at 1.
+	mustQuery(t, e, `MATCH (a), (b) WHERE id(a) = 2 AND id(b) = 1 CREATE (a)-[:R {w: 1}]->(b)`, nil)
+	if err := e.Sys.Aion.WaitSync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int64{int64(ts), int64(e.Sys.Host.Clock())} {
+		res = mustQuery(t, e, `CALL aion.gds.lcc(0, $ts)`, params(t, "ts", at))
+		if lcc := res.Rows[0][0].S.Float(); lcc != 1 {
+			t.Errorf("hub lcc at %d = %v, want 1", at, lcc)
+		}
+	}
 }
 
 func params(t *testing.T, k string, v int64) map[string]model.Value {

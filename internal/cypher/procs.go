@@ -5,10 +5,8 @@ import (
 	"expvar"
 	"fmt"
 	"slices"
-	"sort"
 
 	"aion/internal/algo"
-	"aion/internal/incremental"
 	"aion/internal/model"
 )
 
@@ -73,6 +71,15 @@ func argN(args []model.Value, n int, name string) error {
 	return nil
 }
 
+// scalars is a row of scalar values.
+func scalars(vs ...model.Value) []Val {
+	row := make([]Val, len(vs))
+	for i, v := range vs {
+		row[i] = ScalarVal(v)
+	}
+	return row
+}
+
 func dirOf(v model.Value) model.Direction {
 	switch v.Str() {
 	case "in", "IN", "incoming", "INCOMING":
@@ -94,110 +101,10 @@ func registerBuiltins(e *Engine) {
 	e.Register("aion.graph", procGraph)
 	e.Register("aion.window", procWindow)
 	e.Register("aion.stats", procStats)
-	e.Register("aion.incremental.avg", procIncAvg)
-	e.Register("aion.incremental.bfs", procIncBFS)
-	e.Register("aion.incremental.pagerank", procIncPageRank)
-	e.Register("aion.incremental.sssp", procIncSSSP)
-	e.Register("aion.incremental.coloring", procIncColoring)
 	e.Register("aion.temporal.earliestArrival", procEarliestArrival)
 	e.Register("aion.temporal.latestDeparture", procLatestDeparture)
+	registerIncremental(e)
 	registerGDS(e)
-}
-
-// procIncSSSP: aion.incremental.sssp(src, prop, start, end, step) ->
-// (ts, reached, maxDistance): shortest-path state advanced by getDiff.
-func procIncSSSP(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 5, "aion.incremental.sssp"); err != nil {
-		return nil, err
-	}
-	src := model.NodeID(args[0].Int())
-	prop := args[1].Str()
-	start, end, step := model.Timestamp(args[2].Int()), model.Timestamp(args[3].Int()), model.Timestamp(args[4].Int())
-	if step <= 0 {
-		return nil, fmt.Errorf("cypher: step must be positive")
-	}
-	g, err := e.Sys.Aion.GraphAtContext(ctx, start)
-	if err != nil {
-		return nil, err
-	}
-	s := incremental.NewSSSP(g, src, prop)
-	res := &Result{Columns: []string{"ts", "reached", "maxDistance"}}
-	emit := func(ts model.Timestamp) error {
-		reached := 0
-		maxD := 0.0
-		for i, d := range s.Distances() {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if d < 1e308 {
-				reached++
-				if d > maxD {
-					maxD = d
-				}
-			}
-		}
-		res.Rows = append(res.Rows, []Val{
-			ScalarVal(model.IntValue(int64(ts))),
-			ScalarVal(model.IntValue(int64(reached))),
-			ScalarVal(model.FloatValue(maxD)),
-		})
-		return nil
-	}
-	if err := emit(start); err != nil {
-		return nil, err
-	}
-	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
-		for _, u := range diff {
-			if err := g.Apply(u); err != nil {
-				return err
-			}
-		}
-		s.ApplyDiff(g, diff)
-		return emit(ts)
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// procIncColoring: aion.incremental.coloring(start, end, step) ->
-// (ts, colors): greedy colouring repaired incrementally between snapshots.
-func procIncColoring(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 3, "aion.incremental.coloring"); err != nil {
-		return nil, err
-	}
-	start, end, step := model.Timestamp(args[0].Int()), model.Timestamp(args[1].Int()), model.Timestamp(args[2].Int())
-	if step <= 0 {
-		return nil, fmt.Errorf("cypher: step must be positive")
-	}
-	g, err := e.Sys.Aion.GraphAtContext(ctx, start)
-	if err != nil {
-		return nil, err
-	}
-	c := incremental.NewColoring(g)
-	res := &Result{Columns: []string{"ts", "colors"}}
-	emit := func(ts model.Timestamp) {
-		res.Rows = append(res.Rows, []Val{
-			ScalarVal(model.IntValue(int64(ts))),
-			ScalarVal(model.IntValue(int64(c.NumColors()))),
-		})
-	}
-	emit(start)
-	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
-		for _, u := range diff {
-			if err := g.Apply(u); err != nil {
-				return err
-			}
-		}
-		c.ApplyDiff(g, diff)
-		emit(ts)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // procNode: aion.node(id, start, end) -> (node, validFrom, validTo).
@@ -376,189 +283,6 @@ func procStats(ctx context.Context, e *Engine, args []model.Value) (*Result, err
 	e.Sys.Metrics.Do(func(kv expvar.KeyValue) {
 		res.Rows = append(res.Rows, []Val{ScalarVal(model.StringValue(kv.Key)), ScalarVal(model.StringValue(kv.Value.String()))})
 	})
-	return res, nil
-}
-
-// eachStepDiff advances an incremental procedure along the series start,
-// start+step, ..., end: for each time ts after start, which the caller has
-// seeded its state at, it hands fn the updates of (prev, ts]. The series
-// never wraps past MaxInt64, and ctx is checked before every step, so the
-// query timeout stops a long series.
-func eachStepDiff(ctx context.Context, e *Engine, start, end, step model.Timestamp, fn func(ts model.Timestamp, diff []model.Update) error) error {
-	steps := model.NewSteps(start, end, step)
-	prev, _, err := steps.Next(ctx) // start itself
-	if err != nil {
-		return err
-	}
-	for {
-		ts, ok, err := steps.Next(ctx)
-		if err != nil || !ok {
-			return err
-		}
-		hi := ts // GetDiff's exclusive end, ts+1 short of the wrap
-		if ts < model.TSInfinity {
-			hi++
-		}
-		diff, err := e.Sys.Aion.GetDiffContext(ctx, prev+1, hi)
-		if err != nil {
-			return err
-		}
-		if err := fn(ts, diff); err != nil {
-			return err
-		}
-		prev = ts
-	}
-}
-
-// procIncAvg: aion.incremental.avg(prop, start, end, step) -> (ts, avg,
-// count). The aggregate is seeded at start and advanced with getDiff
-// between consecutive snapshots.
-func procIncAvg(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 4, "aion.incremental.avg"); err != nil {
-		return nil, err
-	}
-	prop := args[0].Str()
-	start, end, step := model.Timestamp(args[1].Int()), model.Timestamp(args[2].Int()), model.Timestamp(args[3].Int())
-	if step <= 0 {
-		return nil, fmt.Errorf("cypher: step must be positive")
-	}
-	g, err := e.Sys.Aion.GraphAtContext(ctx, start)
-	if err != nil {
-		return nil, err
-	}
-	avg := incremental.NewAvg(prop)
-	avg.InitFrom(g)
-	res := &Result{Columns: []string{"ts", "avg", "count"}}
-	emit := func(ts model.Timestamp) {
-		res.Rows = append(res.Rows, []Val{
-			ScalarVal(model.IntValue(int64(ts))),
-			ScalarVal(model.FloatValue(avg.Value())),
-			ScalarVal(model.IntValue(avg.Count())),
-		})
-	}
-	emit(start)
-	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
-		avg.ApplyDiff(diff)
-		emit(ts)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// procIncBFS: aion.incremental.bfs(src, start, end, step) -> (ts, reached).
-func procIncBFS(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 4, "aion.incremental.bfs"); err != nil {
-		return nil, err
-	}
-	src := model.NodeID(args[0].Int())
-	start, end, step := model.Timestamp(args[1].Int()), model.Timestamp(args[2].Int()), model.Timestamp(args[3].Int())
-	if step <= 0 {
-		return nil, fmt.Errorf("cypher: step must be positive")
-	}
-	g, err := e.Sys.Aion.GraphAtContext(ctx, start)
-	if err != nil {
-		return nil, err
-	}
-	bfs := incremental.NewBFS(g, src)
-	res := &Result{Columns: []string{"ts", "reached"}}
-	emit := func(ts model.Timestamp) error {
-		reached := 0
-		for i, l := range bfs.Levels() {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if l >= 0 {
-				reached++
-			}
-		}
-		res.Rows = append(res.Rows, []Val{
-			ScalarVal(model.IntValue(int64(ts))),
-			ScalarVal(model.IntValue(int64(reached))),
-		})
-		return nil
-	}
-	if err := emit(start); err != nil {
-		return nil, err
-	}
-	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
-		for _, u := range diff {
-			if err := g.Apply(u); err != nil {
-				return err
-			}
-		}
-		bfs.ApplyDiff(g, diff)
-		return emit(ts)
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// procIncPageRank: aion.incremental.pagerank(start, end, step) ->
-// (ts, iterations, topNode, topRank).
-func procIncPageRank(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 3, "aion.incremental.pagerank"); err != nil {
-		return nil, err
-	}
-	start, end, step := model.Timestamp(args[0].Int()), model.Timestamp(args[1].Int()), model.Timestamp(args[2].Int())
-	if step <= 0 {
-		return nil, fmt.Errorf("cypher: step must be positive")
-	}
-	g, err := e.Sys.Aion.GraphAtContext(ctx, start)
-	if err != nil {
-		return nil, err
-	}
-	pr := incremental.NewPageRank(algo.PageRankOptions{})
-	res := &Result{Columns: []string{"ts", "iterations", "topNode", "topRank"}}
-	emit := func(ts model.Timestamp, ranks map[model.NodeID]float64) error {
-		var topID model.NodeID = -1
-		var topRank float64
-		ids := make([]model.NodeID, 0, len(ranks))
-		scanned := 0
-		for id := range ranks {
-			if scanned++; scanned%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for i, id := range ids {
-			if i%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if ranks[id] > topRank {
-				topID, topRank = id, ranks[id]
-			}
-		}
-		res.Rows = append(res.Rows, []Val{
-			ScalarVal(model.IntValue(int64(ts))),
-			ScalarVal(model.IntValue(int64(pr.LastIterations))),
-			ScalarVal(model.IntValue(int64(topID))),
-			ScalarVal(model.FloatValue(topRank)),
-		})
-		return nil
-	}
-	if err := emit(start, pr.Run(g)); err != nil {
-		return nil, err
-	}
-	if err := eachStepDiff(ctx, e, start, end, step, func(ts model.Timestamp, diff []model.Update) error {
-		for _, u := range diff {
-			if err := g.Apply(u); err != nil {
-				return err
-			}
-		}
-		return emit(ts, pr.Run(g))
-	}); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 

@@ -14,12 +14,9 @@ type Coloring struct {
 	color []int32 // -1 = uncoloured / absent
 }
 
-// NewColoring seeds the colouring from a full snapshot.
+// NewColoring colours g greedily, in node id order.
 func NewColoring(g *memgraph.Graph) *Coloring {
-	c := &Coloring{color: make([]int32, g.MaxNodeID())}
-	for i := range c.color {
-		c.color[i] = -1
-	}
+	c := &Coloring{color: grow(nil, g.MaxNodeID(), int32(-1))}
 	g.ForEachNode(func(n *model.Node) bool {
 		c.color[n.ID] = c.smallestFree(g, n.ID)
 		return true
@@ -55,22 +52,16 @@ func (c *Coloring) smallestFree(g *memgraph.Graph, id model.NodeID) int32 {
 	}
 }
 
-func (c *Coloring) grow(n model.NodeID) {
-	for int(n) > len(c.color) {
-		c.color = append(c.color, -1)
-	}
-}
-
 // ApplyDiff repairs the colouring after the updates in us have been applied
 // to g: only conflicted nodes are recoloured, and recolouring cascades to
 // neighbours it newly conflicts with.
 func (c *Coloring) ApplyDiff(g *memgraph.Graph, us []model.Update) {
-	c.grow(g.MaxNodeID())
+	c.color = grow(c.color, g.MaxNodeID(), -1)
 	var dirty []model.NodeID
 	for _, u := range us {
 		switch u.Kind {
 		case model.OpAddNode:
-			c.grow(u.NodeID + 1)
+			c.color = grow(c.color, u.NodeID+1, -1)
 			c.color[u.NodeID] = c.smallestFree(g, u.NodeID)
 		case model.OpDeleteNode:
 			if int(u.NodeID) < len(c.color) {

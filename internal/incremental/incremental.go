@@ -1,13 +1,16 @@
 // Package incremental implements the three classes of incremental
 // algorithms Aion supports (Sec 5.2): non-holistic aggregations (running
 // AVG over a property, with stream-processing-style state), monotonic
-// path-based algorithms (BFS with the tag-and-reset technique of
+// path-based algorithms (BFS and SSSP with the tag-and-reset technique of
 // Kickstarter), and non-monotonic algorithms that converge independently of
-// initialization (PageRank with warm-started delta propagation).
+// initialization (PageRank warm-started from the previous ranks, greedy
+// colouring).
 //
-// Each algorithm keeps intermediate state, consumes getDiff batches between
-// snapshots, and avoids redundant work when analyzing consecutive
-// snapshots.
+// Every algorithm has one shape: its constructor runs it on a full snapshot,
+// and the result is a Stepper that takes in each getDiff batch between
+// consecutive snapshots; a recompute is the constructor again.
+// BFS and SSSP repair with the kernels of their full runs, algo.RelaxBFS and
+// algo.RelaxSSSP.
 package incremental
 
 import (
@@ -15,6 +18,20 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 )
+
+// Stepper is an algorithm's state over a snapshot series. ApplyDiff folds in
+// the updates us, which g, the series' next snapshot, already holds.
+type Stepper interface {
+	ApplyDiff(g *memgraph.Graph, us []model.Update)
+}
+
+// grow extends s to n entries, the new ones fill.
+func grow[T any](s []T, n model.NodeID, fill T) []T {
+	for len(s) < int(n) {
+		s = append(s, fill)
+	}
+	return s
+}
 
 // Avg maintains a running global average of a relationship property — a
 // non-holistic aggregation needing only a counter and a sum over the active
@@ -26,21 +43,16 @@ type Avg struct {
 	values map[model.RelID]float64 // current contribution per live rel
 }
 
-// NewAvg creates a running average over the given relationship property.
-func NewAvg(prop string) *Avg {
-	return &Avg{prop: prop, values: make(map[model.RelID]float64)}
-}
-
-// InitFrom seeds the aggregate from a full snapshot.
-func (a *Avg) InitFrom(g *memgraph.Graph) {
-	a.sum, a.count = 0, 0
-	clear(a.values)
+// NewAvg runs the average of the relationship property prop on g.
+func NewAvg(g *memgraph.Graph, prop string) *Avg {
+	a := &Avg{prop: prop, values: make(map[model.RelID]float64)}
 	g.ForEachRel(func(r *model.Rel) bool {
 		if v, ok := r.Props[a.prop]; ok {
 			a.add(r.ID, v.Float())
 		}
 		return true
 	})
+	return a
 }
 
 func (a *Avg) add(id model.RelID, v float64) {
@@ -57,8 +69,9 @@ func (a *Avg) remove(id model.RelID) {
 	}
 }
 
-// ApplyDiff folds a batch of graph updates into the aggregate.
-func (a *Avg) ApplyDiff(us []model.Update) {
+// ApplyDiff folds a batch of graph updates into the aggregate; it reads
+// only us.
+func (a *Avg) ApplyDiff(_ *memgraph.Graph, us []model.Update) {
 	for _, u := range us {
 		switch u.Kind {
 		case model.OpAddRel:
@@ -101,7 +114,7 @@ type BFS struct {
 	levels []int32
 }
 
-// NewBFS seeds incremental BFS from a full snapshot.
+// NewBFS runs BFS from src on g.
 func NewBFS(g *memgraph.Graph, src model.NodeID) *BFS {
 	return &BFS{src: src, levels: algo.BFS(g, src)}
 }
@@ -110,16 +123,10 @@ func NewBFS(g *memgraph.Graph, src model.NodeID) *BFS {
 // (algo.Unreachable where no path exists). Callers must not mutate it.
 func (b *BFS) Levels() []int32 { return b.levels }
 
-func (b *BFS) grow(n model.NodeID) {
-	for int(n) > len(b.levels) {
-		b.levels = append(b.levels, algo.Unreachable)
-	}
-}
-
 // ApplyDiff updates the distances after the updates in us have been applied
 // to g (g is the post-diff snapshot).
 func (b *BFS) ApplyDiff(g *memgraph.Graph, us []model.Update) {
-	b.grow(g.MaxNodeID())
+	b.levels = grow(b.levels, g.MaxNodeID(), algo.Unreachable)
 	var relaxFrom []model.NodeID
 	var suspects []model.NodeID
 
@@ -146,7 +153,7 @@ func (b *BFS) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 				b.levels[u.NodeID] = algo.Unreachable
 			}
 		case model.OpAddNode:
-			b.grow(u.NodeID + 1)
+			b.levels = grow(b.levels, u.NodeID+1, algo.Unreachable)
 			if u.NodeID == b.src {
 				b.levels[b.src] = 0
 				relaxFrom = append(relaxFrom, b.src)
@@ -154,77 +161,55 @@ func (b *BFS) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 		}
 	}
 
-	// Tag and reset: transitively tag nodes whose level is no longer
-	// justified by a live in-neighbour, reset them, and remember the
-	// boundary nodes to re-propagate from.
+	boundary := tagAndReset(g, b.src, b.levels, algo.Unreachable, suspects,
+		func(_ *model.Rel, nb, v model.NodeID) bool { return b.levels[nb]+1 == b.levels[v] })
+	algo.RelaxBFS(g, b.levels, append(relaxFrom, boundary...))
+}
+
+// tagAndReset is the deletion half of the path repairs (Sec 5.2). From the
+// suspects it tags, transitively, every reached node but src that no
+// untagged reached in-neighbour nb justifies (justifies(r, nb, v), r the
+// edge nb→v), and resets it to unreached. Every reached out-neighbour of a
+// tagged node is examined in turn: a value may have changed earlier in the
+// same diff, so filtering by the old value would miss dependents, and
+// over-tagging is safe where under-tagging is not. It returns the boundary
+// to relax from: the reached in-neighbours of tagged nodes.
+func tagAndReset[T comparable](g *memgraph.Graph, src model.NodeID, vals []T, unreached T, suspects []model.NodeID,
+	justifies func(r *model.Rel, nb, v model.NodeID) bool) []model.NodeID {
 	tagged := map[model.NodeID]bool{}
-	queue := suspects
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if tagged[v] || v == b.src || g.Node(v) == nil {
-			continue
-		}
-		lvl := b.levels[v]
-		if lvl == algo.Unreachable {
+	for len(suspects) > 0 {
+		v := suspects[0]
+		suspects = suspects[1:]
+		if tagged[v] || v == src || g.Node(v) == nil || vals[v] == unreached {
 			continue
 		}
 		justified := false
-		g.Neighbours(v, model.Incoming, func(_ *model.Rel, nb model.NodeID) bool {
-			if !tagged[nb] && b.levels[nb] != algo.Unreachable && b.levels[nb]+1 == lvl {
-				justified = true
-				return false
-			}
-			return true
+		g.Neighbours(v, model.Incoming, func(r *model.Rel, nb model.NodeID) bool {
+			justified = !tagged[nb] && vals[nb] != unreached && justifies(r, nb, v)
+			return !justified
 		})
 		if justified {
 			continue
 		}
 		tagged[v] = true
-		b.levels[v] = algo.Unreachable
-		// Tag dependents: every reachable out-neighbour is re-examined
-		// (v's level may have changed earlier in this same diff, so
-		// filtering by lvl+1 would miss dependents of its older values;
-		// over-tagging is safe, under-tagging is not).
+		vals[v] = unreached
 		g.Neighbours(v, model.Outgoing, func(_ *model.Rel, nb model.NodeID) bool {
-			if !tagged[nb] && b.levels[nb] != algo.Unreachable {
-				queue = append(queue, nb)
+			if !tagged[nb] && vals[nb] != unreached {
+				suspects = append(suspects, nb)
 			}
 			return true
 		})
 	}
-	// Re-propagate: every live node with a known level adjacent to a
-	// tagged one, plus explicitly relaxed sources.
-	frontier := relaxFrom
+	var boundary []model.NodeID
 	for v := range tagged {
 		g.Neighbours(v, model.Incoming, func(_ *model.Rel, nb model.NodeID) bool {
-			if b.levels[nb] != algo.Unreachable {
-				frontier = append(frontier, nb)
+			if vals[nb] != unreached {
+				boundary = append(boundary, nb)
 			}
 			return true
 		})
 	}
-	b.relax(g, frontier)
-}
-
-// relax runs BFS from the frontier, lowering levels where improved.
-func (b *BFS) relax(g *memgraph.Graph, frontier []model.NodeID) {
-	queue := frontier
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if g.Node(cur) == nil || b.levels[cur] == algo.Unreachable {
-			continue
-		}
-		next := b.levels[cur] + 1
-		g.Neighbours(cur, model.Outgoing, func(_ *model.Rel, nb model.NodeID) bool {
-			if b.levels[nb] == algo.Unreachable || b.levels[nb] > next {
-				b.levels[nb] = next
-				queue = append(queue, nb)
-			}
-			return true
-		})
-	}
+	return boundary
 }
 
 // PageRank maintains ranks across snapshots by warm-starting the power
@@ -238,19 +223,30 @@ type PageRank struct {
 	LastIterations int
 }
 
-// NewPageRank creates an incremental PageRank with the given options.
-func NewPageRank(opts algo.PageRankOptions) *PageRank {
-	return &PageRank{opts: opts, ranks: make(map[model.NodeID]float64)}
+// NewPageRank runs PageRank on g, cold, with the given options.
+func NewPageRank(g *memgraph.Graph, opts algo.PageRankOptions) *PageRank {
+	p := &PageRank{opts: opts}
+	p.ApplyDiff(g, nil)
+	return p
 }
 
-// Run computes ranks for the snapshot, warm-starting from the previous
-// result where node identities persist. It executes directly on the
-// dynamic graph representation — no CSR projection (Sec 5.2): for
-// warm-started runs the projection cost would dominate the few iterations
-// needed. It returns ranks by sparse node id.
-func (p *PageRank) Run(g *memgraph.Graph) map[model.NodeID]float64 {
-	ranks, iters := algo.PageRankDynamic(g, p.ranks, p.opts)
-	p.LastIterations = iters
-	p.ranks = ranks
-	return p.ranks
+// ApplyDiff recomputes the ranks on g, warm-starting from the previous
+// result where node identities persist; it reads only g. It executes
+// directly on the dynamic graph representation — no CSR projection (Sec
+// 5.2): for warm-started runs the projection cost would dominate the few
+// iterations needed.
+func (p *PageRank) ApplyDiff(g *memgraph.Graph, _ []model.Update) {
+	p.ranks, p.LastIterations = algo.PageRankDynamic(g, p.ranks, p.opts)
+}
+
+// Top returns the node with the highest rank, the lowest id among equals,
+// and its rank; -1 and 0 on an empty graph.
+func (p *PageRank) Top() (model.NodeID, float64) {
+	top, best := model.NodeID(-1), 0.0
+	for id, r := range p.ranks {
+		if top < 0 || r > best || r == best && id < top {
+			top, best = id, r
+		}
+	}
+	return top, best
 }

@@ -12,11 +12,11 @@ import (
 )
 
 func TestAvgBasics(t *testing.T) {
-	a := NewAvg("w")
+	a := NewAvg(memgraph.New(), "w")
 	if a.Value() != 0 {
 		t.Error("empty avg must be 0")
 	}
-	a.ApplyDiff([]model.Update{
+	a.ApplyDiff(nil, []model.Update{
 		model.AddRel(1, 0, 0, 1, "R", model.Properties{"w": model.FloatValue(2)}),
 		model.AddRel(2, 1, 0, 1, "R", model.Properties{"w": model.FloatValue(4)}),
 	})
@@ -24,24 +24,24 @@ func TestAvgBasics(t *testing.T) {
 		t.Errorf("avg = %v count = %d", a.Value(), a.Count())
 	}
 	// Update changes a contribution.
-	a.ApplyDiff([]model.Update{
+	a.ApplyDiff(nil, []model.Update{
 		model.UpdateRel(3, 0, 0, 1, model.Properties{"w": model.FloatValue(6)}, nil),
 	})
 	if a.Value() != 5 {
 		t.Errorf("avg after update = %v", a.Value())
 	}
 	// Deletion removes it.
-	a.ApplyDiff([]model.Update{model.DeleteRel(4, 0, 0, 1)})
+	a.ApplyDiff(nil, []model.Update{model.DeleteRel(4, 0, 0, 1)})
 	if a.Value() != 4 || a.Count() != 1 {
 		t.Errorf("avg after delete = %v", a.Value())
 	}
 	// Property removal removes the contribution too.
-	a.ApplyDiff([]model.Update{model.UpdateRel(5, 1, 0, 1, nil, []string{"w"})})
+	a.ApplyDiff(nil, []model.Update{model.UpdateRel(5, 1, 0, 1, nil, []string{"w"})})
 	if a.Count() != 0 {
 		t.Errorf("count after prop delete = %d", a.Count())
 	}
 	// Rels without the property are ignored.
-	a.ApplyDiff([]model.Update{model.AddRel(6, 2, 0, 1, "R", nil)})
+	a.ApplyDiff(nil, []model.Update{model.AddRel(6, 2, 0, 1, "R", nil)})
 	if a.Count() != 0 {
 		t.Error("rel without property counted")
 	}
@@ -52,8 +52,7 @@ func TestAvgInitFrom(t *testing.T) {
 	g.Apply(model.AddNode(1, 0, nil, nil))
 	g.Apply(model.AddNode(1, 1, nil, nil))
 	g.Apply(model.AddRel(2, 0, 0, 1, "R", model.Properties{"w": model.FloatValue(10)}))
-	a := NewAvg("w")
-	a.InitFrom(g)
+	a := NewAvg(g, "w")
 	if a.Value() != 10 {
 		t.Errorf("init avg = %v", a.Value())
 	}
@@ -65,8 +64,7 @@ func TestAvgMatchesRecomputeUnderRandomStream(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g.Apply(model.AddNode(model.Timestamp(i+1), model.NodeID(i), nil, nil))
 	}
-	a := NewAvg("w")
-	a.InitFrom(g)
+	a := NewAvg(g, "w")
 	live := map[model.RelID]bool{}
 	next := model.RelID(0)
 	ts := model.Timestamp(100)
@@ -95,11 +93,10 @@ func TestAvgMatchesRecomputeUnderRandomStream(t *testing.T) {
 		if err := g.Apply(u); err != nil {
 			t.Fatal(err)
 		}
-		a.ApplyDiff([]model.Update{u})
+		a.ApplyDiff(g, []model.Update{u})
 	}
 	// Recompute from scratch.
-	ref := NewAvg("w")
-	ref.InitFrom(g)
+	ref := NewAvg(g, "w")
 	if math.Abs(a.Value()-ref.Value()) > 1e-9 {
 		t.Errorf("incremental %v vs recompute %v", a.Value(), ref.Value())
 	}
@@ -235,8 +232,7 @@ func TestPageRankIncrementalMatchesCold(t *testing.T) {
 		rid++
 	}
 	opts := algo.PageRankOptions{Epsilon: 1e-9, MaxIter: 500}
-	inc := NewPageRank(opts)
-	first := inc.Run(g)
+	inc := NewPageRank(g, opts)
 	coldIters := inc.LastIterations
 
 	// Apply a small delta and re-run: warm start must converge faster and
@@ -246,17 +242,32 @@ func TestPageRankIncrementalMatchesCold(t *testing.T) {
 		g.Apply(model.AddRel(ts, rid, model.NodeID(rng.Intn(n)), model.NodeID(rng.Intn(n)), "R", nil))
 		rid++
 	}
-	second := inc.Run(g)
+	inc.ApplyDiff(g, nil)
+	second := inc.ranks
 	warmIters := inc.LastIterations
 	if warmIters >= coldIters {
 		t.Errorf("warm iterations %d >= cold %d", warmIters, coldIters)
 	}
-	c := csr.Build(g, csr.Options{})
+	c := csr.Build(g)
 	coldRanks, _ := algo.PageRank(c, opts)
 	for i, sid := range c.Dense.ToSparse {
 		if math.Abs(coldRanks[i]-second[sid]) > 1e-6 {
 			t.Fatalf("rank mismatch at %d: %v vs %v", sid, coldRanks[i], second[sid])
 		}
 	}
-	_ = first
+}
+
+// TestPageRankTopBreaksTiesByLowestID: Top is the highest rank, the lowest
+// id among equal ranks, whatever order the map yields them in.
+func TestPageRankTopBreaksTiesByLowestID(t *testing.T) {
+	p := &PageRank{}
+	if id, r := p.Top(); id != -1 || r != 0 {
+		t.Errorf("empty Top = %d, %v; want -1, 0", id, r)
+	}
+	p.ranks = map[model.NodeID]float64{9: 0.2, 7: 0.4, 3: 0.1, 5: 0.4, 8: 0.4}
+	for run := 0; run < 20; run++ {
+		if id, r := p.Top(); id != 5 || r != 0.4 {
+			t.Fatalf("Top = %d, %v; want 5, 0.4", id, r)
+		}
+	}
 }

@@ -1,9 +1,9 @@
 package incremental
 
 import (
-	"container/heap"
 	"math"
 
+	"aion/internal/algo"
 	"aion/internal/memgraph"
 	"aion/internal/model"
 )
@@ -19,51 +19,21 @@ type SSSP struct {
 	dist []float64
 }
 
-// NewSSSP seeds incremental SSSP from a full snapshot (weights read from
-// the given relationship property; missing weights default to 1).
+// NewSSSP runs SSSP from src on g, weights read from the relationship
+// property weightProp (see algo.Weight).
 func NewSSSP(g *memgraph.Graph, src model.NodeID, weightProp string) *SSSP {
-	s := &SSSP{src: src, prop: weightProp}
-	s.dist = ssspFull(g, src, weightProp)
-	return s
-}
-
-func ssspFull(g *memgraph.Graph, src model.NodeID, prop string) []float64 {
-	dist := make([]float64, g.MaxNodeID())
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	if g.Node(src) == nil {
-		return dist
-	}
-	dist[src] = 0
-	pq := &pqueue{{src, 0}}
-	relaxHeap(g, prop, dist, pq)
-	return dist
-}
-
-func weight(r *model.Rel, prop string) float64 {
-	if v, ok := r.Props[prop]; ok {
-		return v.Float()
-	}
-	return 1
+	return &SSSP{src: src, prop: weightProp, dist: algo.SSSP(g, src, weightProp)}
 }
 
 // Distances returns the current distance vector indexed by sparse node id
 // (+Inf where unreachable). Callers must not mutate it.
 func (s *SSSP) Distances() []float64 { return s.dist }
 
-func (s *SSSP) grow(n model.NodeID) {
-	for int(n) > len(s.dist) {
-		s.dist = append(s.dist, math.Inf(1))
-	}
-}
-
 // ApplyDiff updates the distances after the updates in us have been applied
 // to g (the post-diff snapshot).
 func (s *SSSP) ApplyDiff(g *memgraph.Graph, us []model.Update) {
-	s.grow(g.MaxNodeID())
-	pq := &pqueue{}
-	var suspects []model.NodeID
+	s.dist = grow(s.dist, g.MaxNodeID(), math.Inf(1))
+	var seeds, suspects []model.NodeID
 
 	for _, u := range us {
 		switch u.Kind {
@@ -74,9 +44,9 @@ func (s *SSSP) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 				if r == nil {
 					continue // added and deleted within the same diff
 				}
-				if nd := du + weight(r, s.prop); nd < s.dist[u.Tgt] {
+				if nd := du + algo.Weight(r, s.prop); nd < s.dist[u.Tgt] {
 					s.dist[u.Tgt] = nd
-					heap.Push(pq, pqItem{u.Tgt, nd})
+					seeds = append(seeds, u.Tgt)
 				}
 			}
 		case model.OpUpdateRel:
@@ -86,11 +56,11 @@ func (s *SSSP) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 				continue
 			}
 			if du := s.dist[r.Src]; !math.IsInf(du, 1) {
-				nd := du + weight(r, s.prop)
+				nd := du + algo.Weight(r, s.prop)
 				switch {
 				case nd < s.dist[r.Tgt]:
 					s.dist[r.Tgt] = nd
-					heap.Push(pq, pqItem{r.Tgt, nd})
+					seeds = append(seeds, r.Tgt)
 				case nd > s.dist[r.Tgt]:
 					suspects = append(suspects, r.Tgt)
 				}
@@ -104,97 +74,17 @@ func (s *SSSP) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 				s.dist[u.NodeID] = math.Inf(1)
 			}
 		case model.OpAddNode:
-			s.grow(u.NodeID + 1)
+			s.dist = grow(s.dist, u.NodeID+1, math.Inf(1))
 			if u.NodeID == s.src {
 				s.dist[s.src] = 0
-				heap.Push(pq, pqItem{s.src, 0})
+				seeds = append(seeds, s.src)
 			}
 		}
 	}
 
-	// Tag and reset: invalidate distances not justified by an intact
-	// in-edge, transitively.
-	tagged := map[model.NodeID]bool{}
-	queue := suspects
-	const eps = 1e-12
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if tagged[v] || v == s.src || g.Node(v) == nil {
-			continue
-		}
-		dv := s.dist[v]
-		if math.IsInf(dv, 1) {
-			continue
-		}
-		justified := false
-		g.Neighbours(v, model.Incoming, func(r *model.Rel, nb model.NodeID) bool {
-			if !tagged[nb] && !math.IsInf(s.dist[nb], 1) &&
-				math.Abs(s.dist[nb]+weight(r, s.prop)-dv) < eps {
-				justified = true
-				return false
-			}
-			return true
-		})
-		if justified {
-			continue
-		}
-		tagged[v] = true
-		s.dist[v] = math.Inf(1)
-		g.Neighbours(v, model.Outgoing, func(r *model.Rel, nb model.NodeID) bool {
-			if !tagged[nb] && !math.IsInf(s.dist[nb], 1) {
-				queue = append(queue, nb)
-			}
-			return true
-		})
-	}
-	// Re-relax from the boundary of the tagged region.
-	for v := range tagged {
-		g.Neighbours(v, model.Incoming, func(_ *model.Rel, nb model.NodeID) bool {
-			if !tagged[nb] && !math.IsInf(s.dist[nb], 1) {
-				heap.Push(pq, pqItem{nb, s.dist[nb]})
-			}
-			return true
-		})
-	}
-	relaxHeap(g, s.prop, s.dist, pq)
-}
-
-// relaxHeap runs Dijkstra relaxation from whatever is queued. An entry is
-// only valid while it matches the node's current distance: tag-and-reset
-// may have *raised* a distance (to +Inf) after the entry was pushed, so the
-// classic "item.d > dist" staleness check is not enough here.
-func relaxHeap(g *memgraph.Graph, prop string, dist []float64, pq *pqueue) {
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(pqItem)
-		if item.d != dist[item.id] {
-			continue
-		}
-		g.Neighbours(item.id, model.Outgoing, func(r *model.Rel, nb model.NodeID) bool {
-			if nd := item.d + weight(r, prop); nd < dist[nb] {
-				dist[nb] = nd
-				heap.Push(pq, pqItem{nb, nd})
-			}
-			return true
-		})
-	}
-}
-
-type pqItem struct {
-	id model.NodeID
-	d  float64
-}
-
-type pqueue []pqItem
-
-func (h pqueue) Len() int            { return len(h) }
-func (h pqueue) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h pqueue) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pqueue) Push(x interface{}) { *h = append(*h, x.(pqItem)) }
-func (h *pqueue) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	// An in-edge justifies a distance it matches within rounding.
+	boundary := tagAndReset(g, s.src, s.dist, math.Inf(1), suspects, func(r *model.Rel, nb, v model.NodeID) bool {
+		return math.Abs(s.dist[nb]+algo.Weight(r, s.prop)-s.dist[v]) < 1e-12
+	})
+	algo.RelaxSSSP(g, s.prop, s.dist, append(seeds, boundary...))
 }

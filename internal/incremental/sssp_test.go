@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"aion/internal/algo"
 	"aion/internal/memgraph"
 	"aion/internal/model"
 )
@@ -132,7 +133,7 @@ func TestIncrementalSSSPMatchesFullRecompute(t *testing.T) {
 			}
 		}
 		s.ApplyDiff(g, diff)
-		want := ssspFull(g, 0, "w")
+		want := algo.SSSP(g, 0, "w")
 		got := s.Distances()
 		for i := 0; i < n; i++ {
 			if math.Abs(got[i]-want[i]) > 1e-9 &&

@@ -1,8 +1,8 @@
-// Package pool implements the statically allocated object pools of Sec 5.3:
+// Package pool implements the statically allocated object pools of Sec 5.3 —
 // production DBMS layers multiply allocation and GC penalties, so Aion
 // minimizes memory allocation on the critical path with reusable byte
-// buffers, per-worker scratch pools, and pre-allocated ring buffers in
-// place of queues.
+// buffers — and the worker fan-outs that keep the hardware busy: an ordered
+// pipeline (stage.go) and a chunked loop over an index range.
 package pool
 
 import "sync"
@@ -34,48 +34,23 @@ func (b *Bytes) Get() *[]byte {
 // Put recycles the slice.
 func (b *Bytes) Put(s *[]byte) { b.p.Put(s) }
 
-// Ring is a fixed-capacity circular buffer of pre-allocated int64 slots,
-// replacing allocation-heavy queue types in traversal hot loops (Sec 5.3:
-// "queues are replaced with circular buffers of pre-allocated objects").
-// The zero Ring is not usable; construct with NewRing. Not safe for
-// concurrent use — each worker thread keeps its own (per-worker pools
-// avoid contention).
-type Ring struct {
-	buf        []int64
-	head, tail int
-	size       int
-}
-
-// NewRing creates a ring with the given capacity (rounded up to 1).
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
+// ParallelFor runs fn over [0, n) in DefaultWorkers contiguous chunks, one
+// goroutine each, and returns when all are done; below 2048 items, or with
+// one worker, it calls fn(0, n) inline.
+func ParallelFor(n int, fn func(lo, hi int)) {
+	workers := DefaultWorkers()
+	if workers <= 1 || n < 2048 {
+		fn(0, n)
+		return
 	}
-	return &Ring{buf: make([]int64, capacity)}
-}
-
-// Push enqueues v, growing the ring if full (growth is rare once the ring
-// is warm; the buffer is retained across uses).
-func (r *Ring) Push(v int64) {
-	if r.size == len(r.buf) {
-		grown := make([]int64, 2*len(r.buf))
-		n := copy(grown, r.buf[r.head:])
-		copy(grown[n:], r.buf[:r.tail])
-		r.buf = grown
-		r.head, r.tail = 0, r.size
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
-	r.buf[r.tail] = v
-	r.tail = (r.tail + 1) % len(r.buf)
-	r.size++
-}
-
-// Pop dequeues the oldest element; ok is false when empty.
-func (r *Ring) Pop() (v int64, ok bool) {
-	if r.size == 0 {
-		return 0, false
-	}
-	v = r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.size--
-	return v, true
+	wg.Wait()
 }
