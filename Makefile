@@ -50,7 +50,7 @@ loc:
 	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
 	@n=$$($(LOC_FILES) ! -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "production $$n"; \
-	[ $$n -le 22097 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 22022 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 	@n=$$($(LOC_FILES) -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "testkit $$n"; \
 	[ $$n -le 2132 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }
@@ -157,14 +157,15 @@ timestore-sweep:
 
 # The restart gate: the two-generation checkpoint crash sweep, the power cut at
 # every mutating operation inside Close (a bare host and a system, commits not
-# synced), the tests that the disk alone selects the catch-up path, the
-# lineage-only watermark and failed-Open leak tests and the tail-only TimeStore
-# recovery property, all under the race detector, then one timed reopen of the
-# benchmark's dataset shape.
+# synced), the tests that the disk alone selects the catch-up path, that Close
+# waits for an ApplyBatch under way, the LineageStore's watermark and
+# failed-apply checkpoint tests, the failed-Open leak tests and the tail-only
+# TimeStore recovery property, all under the race detector, then one timed
+# reopen of the benchmark's dataset shape.
 restart-sweep:
 	$(GO) test -race -count=1 -run 'TestCrashSweepRestart|TestCrashSweepClose' ./internal/system/ ./internal/hostdb/
-	$(GO) test -race -count=1 -run 'TestReopenCatchesUp|TestSkippedApplyBarsTheCheckpoint|TestLineageOnlyKeepsItsWatermark|TestFailedOpenReleasesEverything|TestCloseReleasesDescriptors' ./internal/aion/
-	$(GO) test -race -count=1 -run 'TestInvalidationPrecedesTheFirstWrite|TestFenceScanMatchesBruteForce|TestReplayCommittedDecodesOnly|TestFailedOpenClosesItsFiles' ./internal/lineagestore/ ./internal/timestore/ ./internal/hostdb/
+	$(GO) test -race -count=1 -run 'TestReopenCatchesUp|TestSkippedApplyBarsTheCheckpoint|TestFailedOpenReleasesEverything|TestCloseReleasesDescriptors|TestCloseWaitsForApplyBatch' ./internal/aion/
+	$(GO) test -race -count=1 -run 'TestInvalidationPrecedesTheFirstWrite|TestFailedApplyBarsTheCheckpoint|TestCleanCloseKeepsTheWatermark|TestFenceScanMatchesBruteForce|TestReplayCommittedDecodesOnly|TestFailedOpenClosesItsFiles' ./internal/lineagestore/ ./internal/timestore/ ./internal/hostdb/
 	$(GO) test -run '^$$' -bench BenchmarkReopen -benchtime 1x ./internal/system/
 
 # The heap attribution of a reopened store with the benchmark's dataset

@@ -171,53 +171,6 @@ func TestExpandPicksStoreAndAgrees(t *testing.T) {
 	}
 }
 
-func TestSyncModes(t *testing.T) {
-	ctx := context.Background()
-	for _, mode := range []SyncMode{SyncBoth, SyncTimeStoreOnly, SyncLineageOnly} {
-		t.Run(mode.String(), func(t *testing.T) {
-			db := openDB(t, Options{Mode: mode})
-			if err := db.ApplyBatch(socialUpdates()); err != nil {
-				t.Fatal(err)
-			}
-			if mode != SyncTimeStoreOnly {
-				ns, err := db.LineageStore().GetNodeContext(ctx, 0, 21, 21)
-				if err != nil || len(ns) != 1 {
-					t.Errorf("lineage query: %v %v", ns, err)
-				}
-			}
-			if mode != SyncLineageOnly {
-				g, err := db.GraphAtContext(ctx, 22)
-				if err != nil || g.NodeCount() != 10 {
-					t.Errorf("timestore query: %v", err)
-				}
-			} else {
-				if _, err := db.GraphAtContext(ctx, 22); err != ErrNoStore {
-					t.Errorf("lineage-only global query must fail with ErrNoStore, got %v", err)
-				}
-			}
-		})
-	}
-}
-
-// TestLineageOnlyGlobalQueriesFail covers the ErrNoStore paths.
-func TestLineageOnlyGlobalQueriesFail(t *testing.T) {
-	ctx := context.Background()
-	db := openDB(t, Options{Mode: SyncLineageOnly})
-	db.ApplyBatch([]model.Update{model.AddNode(1, 0, nil, nil)})
-	if _, err := db.GetDiffContext(ctx, 0, 10); err != ErrNoStore {
-		t.Errorf("GetDiff: %v", err)
-	}
-	if _, err := db.GetGraphContext(ctx, 0, 10, 1); err != ErrNoStore {
-		t.Errorf("GetGraph: %v", err)
-	}
-	if _, err := db.GetWindowContext(ctx, 0, 10); err != ErrNoStore {
-		t.Errorf("GetWindow: %v", err)
-	}
-	if _, err := db.ExpandViaTimeStore(ctx, 0, model.Outgoing, 1, 1); err != ErrNoStore {
-		t.Errorf("ExpandViaTimeStore: %v", err)
-	}
-}
-
 func TestStatsTracking(t *testing.T) {
 	db := openDB(t, Options{})
 	db.ApplyBatch(socialUpdates())

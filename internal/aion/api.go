@@ -9,11 +9,6 @@ import (
 	"aion/internal/model"
 )
 
-// ErrNoStore is returned when a query needs a store that this instance was
-// not configured with: a global query in SyncLineageOnly mode, an entity read
-// in SyncTimeStoreOnly mode.
-var ErrNoStore = errors.New("aion: required temporal store not configured")
-
 // errClosed is returned by writes, and by LineageStore reads, after Close.
 var errClosed = errors.New("aion: store closed")
 
@@ -41,9 +36,6 @@ func (c StoreChoice) String() string {
 // update at or before ts (awaitCascade) and only while it is open.
 func fromLineage[T any](ctx context.Context, db *DB, ts model.Timestamp, read func() (T, error)) (T, error) {
 	var none T
-	if db.ls == nil {
-		return none, ErrNoStore
-	}
 	if err := db.awaitCascade(ctx, ts); err != nil {
 		return none, err
 	}
@@ -82,10 +74,9 @@ func (db *DB) GetRelationshipsContext(ctx context.Context, id model.NodeID, d mo
 
 // PlanExpand returns the store the planner would choose for an n-hop
 // expansion, applying the Sec 5.1 heuristic: less than 30 % of the graph
-// estimated to be accessed selects the LineageStore (if there is one; if
-// there is no TimeStore, the LineageStore in any case).
+// estimated to be accessed selects the LineageStore.
 func (db *DB) PlanExpand(hops int, d model.Direction) StoreChoice {
-	if db.ts == nil || db.ls != nil && db.stats.EstimateExpandFraction(hops, d) < SelectivityThreshold {
+	if db.stats.EstimateExpandFraction(hops, d) < SelectivityThreshold {
 		return ChoseLineage
 	}
 	return ChoseTimeStore
@@ -112,35 +103,43 @@ func (db *DB) ExpandViaTimeStore(ctx context.Context, id model.NodeID, d model.D
 	if err != nil {
 		return nil, err
 	}
-	return ExpandInGraph(g, id, d, hops), nil
+	result := make([][]*model.Node, hops)
+	ExpandInGraph(g, id, d, hops, "", func(hop int, _ *model.Rel, n *model.Node) bool {
+		result[hop] = append(result[hop], n)
+		return true
+	})
+	return result, nil
 }
 
-// ExpandInGraph runs the Alg 1 expansion (per-hop deduplication) over a
-// materialized snapshot.
-func ExpandInGraph(g *memgraph.Graph, id model.NodeID, d model.Direction, hops int) [][]*model.Node {
-	result := make([][]*model.Node, hops)
+// ExpandInGraph runs the Alg 1 expansion over a materialized snapshot: hop by
+// hop from id, over relationships of type typ ("" for any), each node reached
+// once per hop. fn gets every node with its hop (0 for the first) and the
+// relationship that first reached it in that hop; returning false stops the
+// walk.
+func ExpandInGraph(g *memgraph.Graph, id model.NodeID, d model.Direction, hops int, typ string, fn func(hop int, r *model.Rel, n *model.Node) bool) {
 	queue := []model.NodeID{id}
-	for hop := 0; hop < hops; hop++ {
+	for hop := 0; hop < hops && len(queue) > 0; hop++ {
 		visited := map[model.NodeID]bool{}
 		var next []model.NodeID
+		stopped := false
 		for _, cid := range queue {
-			g.Neighbours(cid, d, func(_ *model.Rel, nb model.NodeID) bool {
-				if !visited[nb] {
-					visited[nb] = true
-					if n := g.Node(nb); n != nil {
-						result[hop] = append(result[hop], n)
-						next = append(next, nb)
-					}
+			g.Neighbours(cid, d, func(r *model.Rel, nb model.NodeID) bool {
+				if visited[nb] || typ != "" && r.Label != typ {
+					return true
 				}
-				return true
+				visited[nb] = true
+				if n := g.Node(nb); n != nil {
+					next = append(next, nb)
+					stopped = !fn(hop, r, n)
+				}
+				return !stopped
 			})
+			if stopped {
+				return
+			}
 		}
 		queue = next
-		if len(queue) == 0 {
-			break
-		}
 	}
-	return result
 }
 
 // ExpandRangeContext runs the n-hop expansion at each materialization step
@@ -174,17 +173,11 @@ func (db *DB) ExpandRangeContext(ctx context.Context, id model.NodeID, d model.D
 // GetDiffContext returns all graph updates between two time instances
 // (Table 1), enabling incremental execution.
 func (db *DB) GetDiffContext(ctx context.Context, start, end model.Timestamp) ([]model.Update, error) {
-	if db.ts == nil {
-		return nil, ErrNoStore
-	}
 	return db.ts.GetDiffContext(ctx, start, end)
 }
 
 // GraphAtContext materializes the LPG snapshot at ts.
 func (db *DB) GraphAtContext(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, error) {
-	if db.ts == nil {
-		return nil, ErrNoStore
-	}
 	return db.ts.GetGraphContext(ctx, ts)
 }
 
@@ -192,9 +185,6 @@ func (db *DB) GraphAtContext(ctx context.Context, ts model.Timestamp) (*memgraph
 // a series of snapshots, one per step (Table 1); start == end is the one
 // snapshot at start.
 func (db *DB) GetGraphContext(ctx context.Context, start, end, step model.Timestamp) ([]*memgraph.Graph, error) {
-	if db.ts == nil {
-		return nil, ErrNoStore
-	}
 	if start == end {
 		g, err := db.ts.GetGraphContext(ctx, start)
 		if err != nil {
@@ -217,8 +207,5 @@ func (db *DB) GetGraphContext(ctx context.Context, start, end, step model.Timest
 // entity with a version in [start, end), in its last state before end; the
 // graph at start when start == end, and empty when end < start.
 func (db *DB) GetWindowContext(ctx context.Context, start, end model.Timestamp) (*memgraph.Graph, error) {
-	if db.ts == nil {
-		return nil, ErrNoStore
-	}
 	return db.ts.GetWindowContext(ctx, start, end)
 }

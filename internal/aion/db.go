@@ -31,39 +31,6 @@ import (
 	"aion/internal/vfs"
 )
 
-// SyncMode selects which temporal stores a write transaction updates
-// synchronously (the Fig 9 ingestion-overhead configurations).
-type SyncMode int
-
-const (
-	// SyncHybrid updates the TimeStore synchronously and the LineageStore
-	// asynchronously in the background — Aion's production mode (Sec 5.1).
-	SyncHybrid SyncMode = iota
-	// SyncBoth updates both stores on the commit path (the "TS+LS" bar).
-	SyncBoth
-	// SyncTimeStoreOnly maintains only the TimeStore.
-	SyncTimeStoreOnly
-	// SyncLineageOnly maintains only the LineageStore. Its watermark survives
-	// a clean Close (the checkpoint); after an unclean stop there is no log to
-	// rebuild from and the store reopens at -1 over whatever its indexes hold.
-	SyncLineageOnly
-)
-
-// String returns the mode name as used in the Fig 9 legend.
-func (m SyncMode) String() string {
-	switch m {
-	case SyncHybrid:
-		return "Hybrid"
-	case SyncBoth:
-		return "TS+LS"
-	case SyncTimeStoreOnly:
-		return "TimeStore"
-	case SyncLineageOnly:
-		return "LineageStore"
-	}
-	return "?"
-}
-
 // SelectivityThreshold is the planner heuristic of Sec 5.1: if a query is
 // estimated to access less than this fraction of the graph it runs on the
 // LineageStore, otherwise Aion constructs a snapshot with the TimeStore.
@@ -74,8 +41,6 @@ type Options struct {
 	// Dir is the root directory; subdirectories hold each store. Empty
 	// means a fresh temporary directory.
 	Dir string
-	// Mode selects the write-path synchronization (default SyncHybrid).
-	Mode SyncMode
 	// SnapshotEveryOps is the TimeStore's snapshot policy: a snapshot every
 	// this many updates (0: timestore.DefaultSnapshotEveryOps; < 0: none).
 	SnapshotEveryOps int
@@ -109,8 +74,9 @@ type DB struct {
 	// those it has finished; moved is broadcast after each one.
 	queued, cascaded atomic.Uint64
 	moved            signal
-	// reading is held shared by every LineageStore read and exclusively by
-	// Close while it closes the stores.
+	// reading is held shared by every ApplyBatch and every LineageStore read
+	// under way, and exclusively by Close while it drains the cascade and
+	// closes the stores.
 	reading sync.RWMutex
 	// failed is the first error that left a hole in what the stores hold: a
 	// failed background cascade or a failed synchronous TimeStore append.
@@ -149,11 +115,9 @@ func Open(opts Options) (*DB, error) {
 	if err := db.openStores(fs); err != nil {
 		return nil, errors.Join(err, db.closeStores())
 	}
-	if opts.Mode == SyncHybrid {
-		db.queue = make(chan []model.Update, cascadeQueueDepth)
-		db.wg.Add(1)
-		go db.cascadeWorker()
-	}
+	db.queue = make(chan []model.Update, cascadeQueueDepth)
+	db.wg.Add(1)
+	go db.cascadeWorker()
 	return db, nil
 }
 
@@ -161,48 +125,40 @@ func Open(opts Options) (*DB, error) {
 // LineageStore to the TimeStore's end; Open closes what an error leaves open.
 func (db *DB) openStores(fs vfs.FS) (err error) {
 	opts := db.opts
-	if opts.Mode != SyncLineageOnly {
-		db.ts, err = timestore.Open(db.codec, timestore.Options{
-			Dir:              filepath.Join(opts.Dir, "timestore"),
-			SnapshotEveryOps: opts.SnapshotEveryOps,
-			GraphStoreBytes:  opts.GraphStoreBytes,
-			ParallelIO:       opts.ParallelIO,
-			FS:               opts.FS,
-			Host:             opts.Host,
-		})
-		if err != nil {
-			return err
-		}
+	db.ts, err = timestore.Open(db.codec, timestore.Options{
+		Dir:              filepath.Join(opts.Dir, "timestore"),
+		SnapshotEveryOps: opts.SnapshotEveryOps,
+		GraphStoreBytes:  opts.GraphStoreBytes,
+		ParallelIO:       opts.ParallelIO,
+		FS:               opts.FS,
+		Host:             opts.Host,
+	})
+	if err != nil {
+		return err
 	}
-	if opts.Mode != SyncTimeStoreOnly {
-		db.ls, err = lineagestore.Open(db.codec, lineagestore.Options{
-			Dir: filepath.Join(opts.Dir, "lineage"),
-			FS:  opts.FS,
-		})
-		if err != nil {
-			return err
-		}
+	db.ls, err = lineagestore.Open(db.codec, lineagestore.Options{
+		Dir: filepath.Join(opts.Dir, "lineage"),
+		FS:  opts.FS,
+	})
+	if err != nil {
+		return err
 	}
-	if db.ts != nil {
-		latest, err := db.ts.Latest()
-		if err != nil {
-			return err
-		}
-		db.stats.nodes.Store(int64(latest.NodeCount()))
-		db.stats.rels.Store(int64(latest.RelCount()))
+	latest, err := db.ts.Latest()
+	if err != nil {
+		return err
 	}
-	if db.ts != nil && db.ls != nil {
-		// The TimeStore log is the authoritative copy: the LineageStore
-		// resumes from its clean-shutdown checkpoint when the disk holds one,
-		// and is otherwise wiped and replayed from the whole log (after a crash
-		// its index files may lag or lead the durable log undetectably).
-		end := db.ts.LatestTimestamp() + 1
-		err := db.ls.CatchUp(db.ts.Stats().Updates, func(from model.Timestamp, fn func(model.Update) bool) error {
-			return db.ts.ScanDiffContext(context.Background(), from, end, fn)
-		})
-		if err != nil {
-			return err
-		}
+	db.stats.nodes.Store(int64(latest.NodeCount()))
+	db.stats.rels.Store(int64(latest.RelCount()))
+	// The TimeStore log is the authoritative copy: the LineageStore resumes
+	// from its clean-shutdown checkpoint when the disk holds one, and is
+	// otherwise wiped and replayed from the whole log (after a crash its index
+	// files may lag or lead the durable log undetectably).
+	end := db.ts.LatestTimestamp() + 1
+	err = db.ls.CatchUp(db.ts.Stats().Updates, func(from model.Timestamp, fn func(model.Update) bool) error {
+		return db.ts.ScanDiffContext(context.Background(), from, end, fn)
+	})
+	if err != nil {
+		return err
 	}
 	// Make strings.db's directory entry durable: its content syncs would
 	// otherwise be futile — a file whose name never reached the directory
@@ -258,8 +214,8 @@ func (s *signal) broadcast() {
 }
 
 // awaitCascade returns once the LineageStore holds every update at or before
-// ts that an ApplyBatch has returned: at once outside hybrid mode or when the
-// cascade has nothing pending, else when it has applied an update past ts.
+// ts that an ApplyBatch has returned: at once when the cascade has nothing
+// pending, else when it has applied an update past ts.
 // After a sticky failure only a read at or below what the cascade applied is
 // served; a later one gets Err.
 func (db *DB) awaitCascade(ctx context.Context, ts model.Timestamp) error {
@@ -301,8 +257,7 @@ func (db *DB) Err() error {
 // fail records err as the store's sticky failure unless one is recorded.
 func (db *DB) fail(err error) { db.failed.CompareAndSwap(nil, &err) }
 
-// appendTimeStore is the synchronous write of every mode with a TimeStore. A
-// failure past validation (a batch rejected for its timestamps never reaches
+// appendTimeStore is the synchronous write on the commit path. A failure past validation (a batch rejected for its timestamps never reaches
 // the log) means this batch is missing from the history, and anything
 // appended after it would sit on top of the hole.
 func (db *DB) appendTimeStore(us []model.Update) error {
@@ -315,29 +270,26 @@ func (db *DB) appendTimeStore(us []model.Update) error {
 
 // ApplyBatch ingests a batch of committed updates (one transaction or an
 // ingestion batch). Per Sec 5.1 only the TimeStore is written on the
-// caller's path in hybrid mode.
+// caller's path; the cascade worker applies the batch to the LineageStore.
+// Close waits for every ApplyBatch under way; one that starts after Close
+// began fails.
 func (db *DB) ApplyBatch(us []model.Update) error {
+	db.reading.RLock()
+	defer db.reading.RUnlock()
 	if db.closed.Load() {
 		return errClosed
 	}
 	if err := db.Err(); err != nil {
 		return fmt.Errorf("aion: ingestion stopped by an earlier failure: %w", err)
 	}
-	if db.ts != nil {
-		if err := db.appendTimeStore(us); err != nil {
-			return err
-		}
+	if err := db.appendTimeStore(us); err != nil {
+		return err
 	}
 	// Only now: a batch the TimeStore rejected for its timestamps reached no
 	// store, and must not move the planner's counters either.
 	db.stats.apply(us)
-	switch db.opts.Mode {
-	case SyncHybrid:
-		db.queued.Add(1)
-		db.queue <- append([]model.Update(nil), us...)
-	case SyncBoth, SyncLineageOnly:
-		return db.ls.ApplyBatch(us)
-	}
+	db.queued.Add(1)
+	db.queue <- append([]model.Update(nil), us...)
 	return nil
 }
 
@@ -345,10 +297,8 @@ func (db *DB) ApplyBatch(us []model.Update) error {
 // has returned — the wait an entity read makes, at the latest timestamp —
 // and returns Err.
 func (db *DB) WaitSync() error {
-	if db.ls != nil {
-		if err := db.awaitCascade(context.Background(), db.LatestTimestamp()); err != nil {
-			return err
-		}
+	if err := db.awaitCascade(context.Background(), db.LatestTimestamp()); err != nil {
+		return err
 	}
 	return db.Err()
 }
@@ -356,11 +306,10 @@ func (db *DB) WaitSync() error {
 // Stats returns the planner's graph statistics.
 func (db *DB) Stats() *GraphStats { return &db.stats }
 
-// TimeStore exposes the underlying TimeStore (nil in lineage-only mode).
+// TimeStore exposes the underlying TimeStore.
 func (db *DB) TimeStore() *timestore.Store { return db.ts }
 
-// LineageStore exposes the underlying LineageStore (nil in timestore-only
-// mode).
+// LineageStore exposes the underlying LineageStore.
 func (db *DB) LineageStore() *lineagestore.Store { return db.ls }
 
 // PlannerDecisions reports how many queries each store served.
@@ -369,64 +318,42 @@ func (db *DB) PlannerDecisions() (lineage, timeStore int64) {
 }
 
 // LatestTimestamp returns the newest committed timestamp.
-func (db *DB) LatestTimestamp() model.Timestamp {
-	if db.ts != nil {
-		return db.ts.LatestTimestamp()
-	}
-	return db.ls.AppliedThrough()
-}
+func (db *DB) LatestTimestamp() model.Timestamp { return db.ts.LatestTimestamp() }
 
 // DiskBytes reports the store's total on-disk footprint (Fig 10).
 func (db *DB) DiskBytes() (timeStore, lineage int64) {
-	if db.ts != nil {
-		timeStore = db.ts.DiskBytes()
-	}
-	if db.ls != nil {
-		lineage = db.ls.DiskBytes()
-	}
-	return
+	return db.ts.DiskBytes(), db.ls.DiskBytes()
 }
 
 // Flush makes every ingested update durable. The TimeStore log is the
 // authoritative copy (at Open the LineageStore catches up from it, from its
 // checkpoint after a clean Close and from nothing after a crash), so
 // flushing the TimeStore — which syncs the shared string table before its
-// log — is sufficient in every mode that has one.
-func (db *DB) Flush() error {
-	if db.ts != nil {
-		return db.ts.Flush()
-	}
-	if err := db.strings.Sync(); err != nil {
-		return err
-	}
-	return db.ls.Flush()
-}
+// log — is sufficient.
+func (db *DB) Flush() error { return db.ts.Flush() }
 
-// Close drains the background queue, lets the LineageStore reads under way
-// finish (later ones fail), flushes, and closes all stores: the TimeStore
-// first, so the log prefix the LineageStore's checkpoint names is durable
-// before the checkpoint is.
+// Close waits for the ApplyBatch calls and LineageStore reads under way (later
+// ones fail), drains the background queue, flushes, and closes all stores: the
+// TimeStore first, so the log prefix the LineageStore's checkpoint names is
+// durable before the checkpoint is.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
-	if db.opts.Mode == SyncHybrid {
-		close(db.queue)
-		db.wg.Wait()
-	}
 	db.reading.Lock()
 	defer db.reading.Unlock()
+	close(db.queue)
+	db.wg.Wait()
 	return errors.Join(db.closeStores(), db.Err())
 }
 
-// closeStores closes whichever stores are open, all even when one fails. The
-// strings are synced before the LineageStore publishes its checkpoint.
+// closeStores closes whichever stores are open (a failed Open may have opened
+// only some), all even when one fails. The TimeStore's Close syncs the strings
+// before the LineageStore publishes its checkpoint.
 func (db *DB) closeStores() error {
 	var err error
 	if db.ts != nil {
 		err = db.ts.Close()
-	} else {
-		err = db.strings.Sync()
 	}
 	if db.ls != nil {
 		err = errors.Join(err, db.ls.Close())

@@ -12,9 +12,9 @@ import (
 
 // evolvedDB builds a store with creations, property updates, deletions and
 // re-insertions so both stores carry non-trivial histories.
-func evolvedDB(t *testing.T, mode SyncMode) *DB {
+func evolvedDB(t *testing.T) *DB {
 	t.Helper()
-	db := openDB(t, Options{Mode: mode, SnapshotEveryOps: 9})
+	db := openDB(t, Options{SnapshotEveryOps: 9})
 	rng := rand.New(rand.NewSource(3))
 	ts := model.Timestamp(0)
 	var us []model.Update
@@ -61,7 +61,7 @@ func evolvedDB(t *testing.T, mode SyncMode) *DB {
 // the two stores are two views of one history).
 func TestFallbackPathsAgreeWithLineage(t *testing.T) {
 	ctx := context.Background()
-	db := evolvedDB(t, SyncBoth)
+	db := evolvedDB(t)
 	maxTS := db.LatestTimestamp()
 	for probe := model.Timestamp(1); probe <= maxTS; probe += 7 {
 		g, err := db.GraphAtContext(ctx, probe)
@@ -104,7 +104,7 @@ func TestFallbackPathsAgreeWithLineage(t *testing.T) {
 // existed.
 func TestHistoryFallbackAgrees(t *testing.T) {
 	ctx := context.Background()
-	db := evolvedDB(t, SyncBoth)
+	db := evolvedDB(t)
 	maxTS := db.LatestTimestamp()
 	diff, err := db.GetDiffContext(ctx, 0, model.TSInfinity)
 	if err != nil {

@@ -48,8 +48,7 @@ func readsMatch(t *testing.T, db *DB, m *refmodel.Model, nodes []model.NodeID, r
 // internal/testkit/refmodel's interval contract — also right after the commit a read
 // follows, before the hybrid cascade has caught up, where the read waits for
 // it. A graph the TimeStore materialises knows neither when the version it
-// holds began nor when it ends, so a TimeStore-only store answers none of
-// these reads.
+// holds began nor when it ends, so it answers none of these reads.
 func TestEntityReadsMatchTheReferenceModel(t *testing.T) {
 	ctx := context.Background()
 	t.Run("versions at 10, 38 and 47", func(t *testing.T) {
@@ -67,80 +66,62 @@ func TestEntityReadsMatchTheReferenceModel(t *testing.T) {
 			{40, 40, model.Interval{Start: 38, End: 47}},
 			{50, 50, model.Interval{Start: 47, End: model.TSInfinity}},
 		}
-		for _, mode := range []SyncMode{SyncHybrid, SyncBoth, SyncTimeStoreOnly} {
-			db := openDB(t, Options{Mode: mode})
-			for _, u := range us {
-				if err := db.ApplyBatch([]model.Update{u}); err != nil {
-					t.Fatal(err)
-				}
+		db := openDB(t, Options{})
+		for _, u := range us {
+			if err := db.ApplyBatch([]model.Update{u}); err != nil {
+				t.Fatal(err)
 			}
-			for _, w := range windows {
-				ns, err := db.GetNodeContext(ctx, 0, w.start, w.end)
-				if mode == SyncTimeStoreOnly {
-					if err != ErrNoStore {
-						t.Errorf("%v: GetNode(0, %d, %d) = %s, %v; want ErrNoStore", mode, w.start, w.end, refmodel.ShowNodes(ns), err)
-					}
-					continue
-				}
-				if err != nil || len(ns) != 1 || ns[0].Valid != w.want || ns[0].Props["v"].Int() != int64(w.want.Start) {
-					t.Errorf("%v: GetNode(0, %d, %d) = %s, %v; want the version %v", mode, w.start, w.end, refmodel.ShowNodes(ns), err, w.want)
-				}
-			}
-			if mode == SyncTimeStoreOnly {
-				if _, err := db.GetRelationshipContext(ctx, 0, 40, 50); err != ErrNoStore {
-					t.Errorf("%v: GetRelationship: %v, want ErrNoStore", mode, err)
-				}
-				if _, err := db.GetRelationshipsContext(ctx, 0, model.Both, 40, 50); err != ErrNoStore {
-					t.Errorf("%v: GetRelationships: %v, want ErrNoStore", mode, err)
-				}
+		}
+		for _, w := range windows {
+			ns, err := db.GetNodeContext(ctx, 0, w.start, w.end)
+			if err != nil || len(ns) != 1 || ns[0].Valid != w.want || ns[0].Props["v"].Int() != int64(w.want.Start) {
+				t.Errorf("GetNode(0, %d, %d) = %s, %v; want the version %v", w.start, w.end, refmodel.ShowNodes(ns), err, w.want)
 			}
 		}
 	})
-	for _, mode := range []SyncMode{SyncHybrid, SyncBoth} {
-		t.Run(mode.String(), func(t *testing.T) {
-			db := openDB(t, Options{Mode: mode, SnapshotEveryOps: 64})
-			h, m, windows := refmodel.NewHistory(7), &refmodel.Model{}, rand.New(rand.NewSource(7))
-			const commits = 30
-			for h.TS < commits {
-				us := h.Commit(20)
-				if err := db.ApplyBatch(us); err != nil {
-					t.Fatal(err)
-				}
-				m.Apply(us...)
-				// What the commit changed, read at once: no WaitSync.
-				var nodes []model.NodeID
-				var rels []model.RelID
-				for _, u := range us {
-					if u.Kind.IsNodeOp() {
-						nodes = append(nodes, u.NodeID)
-					} else {
-						nodes, rels = append(nodes, u.Src, u.Tgt), append(rels, u.RelID)
-					}
-				}
-				readsMatch(t, db, m, nodes, rels, h.TS, h.TS)
-				readsMatch(t, db, m, nodes, rels, model.Timestamp(windows.Int63n(int64(h.TS)+1)), h.TS+1)
+	t.Run("Hybrid", func(t *testing.T) {
+		db := openDB(t, Options{SnapshotEveryOps: 64})
+		h, m, windows := refmodel.NewHistory(7), &refmodel.Model{}, rand.New(rand.NewSource(7))
+		const commits = 30
+		for h.TS < commits {
+			us := h.Commit(20)
+			if err := db.ApplyBatch(us); err != nil {
+				t.Fatal(err)
 			}
+			m.Apply(us...)
+			// What the commit changed, read at once: no WaitSync.
 			var nodes []model.NodeID
-			for id := model.NodeID(0); id < h.Nodes; id++ {
-				nodes = append(nodes, id)
-			}
 			var rels []model.RelID
-			for id := model.RelID(0); id < h.Rels; id++ {
-				rels = append(rels, id)
+			for _, u := range us {
+				if u.Kind.IsNodeOp() {
+					nodes = append(nodes, u.NodeID)
+				} else {
+					nodes, rels = append(nodes, u.Src, u.Tgt), append(rels, u.RelID)
+				}
 			}
-			for at := model.Timestamp(0); at <= h.TS+1; at++ {
-				readsMatch(t, db, m, nodes, rels, at, at)
-			}
-			for i := 0; i < 12; i++ {
-				start := model.Timestamp(windows.Int63n(int64(h.TS)))
-				readsMatch(t, db, m, nodes, rels, start, start+1+model.Timestamp(windows.Int63n(int64(h.TS-start)+2)))
-			}
-			if lineage, timeStore := db.PlannerDecisions(); lineage == 0 || timeStore != 0 {
-				t.Errorf("%d reads answered by the LineageStore and %d by the TimeStore, want all by the LineageStore", lineage, timeStore)
-			}
-			t.Logf("%d updates over %d nodes and %d relationships", len(h.Updates), h.Nodes, h.Rels)
-		})
-	}
+			readsMatch(t, db, m, nodes, rels, h.TS, h.TS)
+			readsMatch(t, db, m, nodes, rels, model.Timestamp(windows.Int63n(int64(h.TS)+1)), h.TS+1)
+		}
+		var nodes []model.NodeID
+		for id := model.NodeID(0); id < h.Nodes; id++ {
+			nodes = append(nodes, id)
+		}
+		var rels []model.RelID
+		for id := model.RelID(0); id < h.Rels; id++ {
+			rels = append(rels, id)
+		}
+		for at := model.Timestamp(0); at <= h.TS+1; at++ {
+			readsMatch(t, db, m, nodes, rels, at, at)
+		}
+		for i := 0; i < 12; i++ {
+			start := model.Timestamp(windows.Int63n(int64(h.TS)))
+			readsMatch(t, db, m, nodes, rels, start, start+1+model.Timestamp(windows.Int63n(int64(h.TS-start)+2)))
+		}
+		if lineage, timeStore := db.PlannerDecisions(); lineage == 0 || timeStore != 0 {
+			t.Errorf("%d reads answered by the LineageStore and %d by the TimeStore, want all by the LineageStore", lineage, timeStore)
+		}
+		t.Logf("%d updates over %d nodes and %d relationships", len(h.Updates), h.Nodes, h.Rels)
+	})
 }
 
 // countsMatch compares the planner's counters with the live entities of the
@@ -213,48 +194,46 @@ func expandMatches(t *testing.T, db *DB, m *refmodel.Model, id model.NodeID, d m
 // answers what the model's Alg 1 does at every commit timestamp. The history
 // grows from a handful of nodes, so the planner picks each store.
 func TestExpandMatchesTheReferenceModel(t *testing.T) {
-	for _, mode := range []SyncMode{SyncHybrid, SyncBoth} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := Options{Dir: t.TempDir(), Mode: mode, SnapshotEveryOps: 64}
-			db := openDB(t, opts)
-			h, m, starts := refmodel.NewHistory(11), &refmodel.Model{}, rand.New(rand.NewSource(11))
-			const commits = 30
-			for h.TS < commits {
-				us := h.Commit(20)
-				if err := db.ApplyBatch(us); err != nil {
-					t.Fatal(err)
-				}
-				m.Apply(us...)
-				countsMatch(t, db, m, h.TS, "after a commit")
-				// Read at once, no WaitSync: a LineageStore route waits for the cascade.
-				expandMatches(t, db, m, us[0].NodeID, directions[h.TS%3], h.TS, false)
-			}
-			stale := []model.Update{model.AddNode(1, h.Nodes, nil, nil), model.DeleteRel(1, 0, 0, 0)}
-			if err := db.ApplyBatch(stale); !errors.Is(err, model.ErrNonMonotonic) || db.Err() != nil {
-				t.Fatalf("a batch at ts 1 after ts %d: %v (sticky: %v), want it rejected as non-monotonic", h.TS, err, db.Err())
-			}
-			countsMatch(t, db, m, h.TS, "after a rejected batch")
-			if err := db.WaitSync(); err != nil {
+	t.Run("Hybrid", func(t *testing.T) {
+		opts := Options{Dir: t.TempDir(), SnapshotEveryOps: 64}
+		db := openDB(t, opts)
+		h, m, starts := refmodel.NewHistory(11), &refmodel.Model{}, rand.New(rand.NewSource(11))
+		const commits = 30
+		for h.TS < commits {
+			us := h.Commit(20)
+			if err := db.ApplyBatch(us); err != nil {
 				t.Fatal(err)
 			}
-			for ts := model.Timestamp(1); ts <= h.TS; ts++ {
-				for i := 0; i < 3; i++ {
-					id := model.NodeID(starts.Int63n(int64(h.Nodes)))
-					expandMatches(t, db, m, id, directions[i], ts, true)
-				}
+			m.Apply(us...)
+			countsMatch(t, db, m, h.TS, "after a commit")
+			// Read at once, no WaitSync: a LineageStore route waits for the cascade.
+			expandMatches(t, db, m, us[0].NodeID, directions[h.TS%3], h.TS, false)
+		}
+		stale := []model.Update{model.AddNode(1, h.Nodes, nil, nil), model.DeleteRel(1, 0, 0, 0)}
+		if err := db.ApplyBatch(stale); !errors.Is(err, model.ErrNonMonotonic) || db.Err() != nil {
+			t.Fatalf("a batch at ts 1 after ts %d: %v (sticky: %v), want it rejected as non-monotonic", h.TS, err, db.Err())
+		}
+		countsMatch(t, db, m, h.TS, "after a rejected batch")
+		if err := db.WaitSync(); err != nil {
+			t.Fatal(err)
+		}
+		for ts := model.Timestamp(1); ts <= h.TS; ts++ {
+			for i := 0; i < 3; i++ {
+				id := model.NodeID(starts.Int63n(int64(h.Nodes)))
+				expandMatches(t, db, m, id, directions[i], ts, true)
 			}
-			if lineage, timeStore := db.PlannerDecisions(); lineage == 0 || timeStore == 0 {
-				t.Errorf("the planner sent %d expands to the LineageStore and %d to the TimeStore, want both routes taken", lineage, timeStore)
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			db = openDB(t, opts)
-			countsMatch(t, db, m, h.TS, "after a reopen")
-			t.Logf("%d updates over %d nodes and %d relationships; %d live nodes, %d live relationships",
-				len(h.Updates), h.Nodes, h.Rels, db.Stats().Nodes(), db.Stats().Rels())
-		})
-	}
+		}
+		if lineage, timeStore := db.PlannerDecisions(); lineage == 0 || timeStore == 0 {
+			t.Errorf("the planner sent %d expands to the LineageStore and %d to the TimeStore, want both routes taken", lineage, timeStore)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = openDB(t, opts)
+		countsMatch(t, db, m, h.TS, "after a reopen")
+		t.Logf("%d updates over %d nodes and %d relationships; %d live nodes, %d live relationships",
+			len(h.Updates), h.Nodes, h.Rels, db.Stats().Nodes(), db.Stats().Rels())
+	})
 }
 
 // digest encodes updates record by record, label and key lists sorted (a

@@ -131,35 +131,6 @@ func TestReopenCatchesUpFromWhatTheDiskSays(t *testing.T) {
 	}
 }
 
-// TestLineageOnlyKeepsItsWatermark: a cleanly closed SyncLineageOnly store
-// reopens at the timestamp it had applied through, so its monotonicity check
-// still holds.
-func TestLineageOnlyKeepsItsWatermark(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, Mode: SyncLineageOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ts := model.Timestamp(1); ts <= 5; ts++ {
-		if err := db.ApplyBatch([]model.Update{model.AddNode(ts, model.NodeID(ts), []string{"N"}, nil)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db = openDB(t, Options{Dir: dir, Mode: SyncLineageOnly})
-	if got := db.LatestTimestamp(); got != 5 {
-		t.Errorf("reopened at ts %d, want 5", got)
-	}
-	if err := db.ApplyBatch([]model.Update{model.AddNode(2, 99, []string{"N"}, nil)}); !errors.Is(err, model.ErrNonMonotonic) {
-		t.Errorf("Apply at ts 2 after reopening at 5: %v, want ErrNonMonotonic", err)
-	}
-	if err := db.ApplyBatch([]model.Update{model.AddNode(6, 6, []string{"N"}, nil)}); err != nil {
-		t.Errorf("Apply at ts 6: %v", err)
-	}
-}
-
 // removeFailFS fails the first `times` Removes of one path.
 type removeFailFS struct {
 	vfs.FS
@@ -175,38 +146,41 @@ func (f removeFailFS) Remove(path string) error {
 	return f.FS.Remove(path)
 }
 
-// TestSkippedApplyBarsTheCheckpoint: in SyncBoth mode a transient fault fails
-// one LineageStore apply (here before it wrote anything: the checkpoint could
-// not be removed) while the TimeStore keeps the update and the next batch
-// applies to both. The indexes now match no log prefix, so the clean Close
-// must not checkpoint them: the reopen rebuilds, and finds the skipped node.
+// TestSkippedApplyBarsTheCheckpoint: a transient fault fails the cascade's
+// apply of one batch (here before it wrote anything: the lineage checkpoint
+// could not be removed) while the TimeStore keeps it. The failure is sticky:
+// later batches are refused, and WaitSync and Close report it. The checkpoint
+// on disk names the log prefix before the batch, so the reopen resumes from it
+// and finds the skipped node. (lineagestore.TestFailedApplyBarsTheCheckpoint
+// covers an apply that succeeds after a failed one.)
 func TestSkippedApplyBarsTheCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	logged := loadAndClose(t, Options{Dir: dir, Mode: SyncBoth})
+	logged := loadAndClose(t, Options{Dir: dir})
 	once := 1
 	fs := removeFailFS{FS: vfs.OS, path: filepath.Join(dir, "lineage", "checkpoint"), times: &once}
-	db := openDB(t, Options{Dir: dir, Mode: SyncBoth, FS: fs})
+	db, err := Open(Options{Dir: dir, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	next := db.LatestTimestamp() + 1
-	if err := db.ApplyBatch([]model.Update{model.AddNode(next, 1000, []string{"N"}, nil)}); !errors.Is(err, vfstest.ErrInjected) {
-		t.Fatalf("Apply over an irremovable checkpoint: %v, want the injected fault", err)
-	}
-	if err := db.ApplyBatch([]model.Update{model.AddNode(next+1, 1001, []string{"N"}, nil)}); err != nil {
+	if err := db.ApplyBatch([]model.Update{model.AddNode(next, 1000, []string{"N"}, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	if err := db.WaitSync(); !errors.Is(err, vfstest.ErrInjected) {
+		t.Fatalf("WaitSync after a cascade apply over an irremovable checkpoint: %v, want the injected fault", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "lineage", "checkpoint")); !os.IsNotExist(err) {
-		t.Fatalf("Close checkpointed indexes that skipped an update: %v", err)
+	if err := db.ApplyBatch([]model.Update{model.AddNode(next+1, 1001, []string{"N"}, nil)}); !errors.Is(err, vfstest.ErrInjected) {
+		t.Errorf("ApplyBatch after the cascade failed: %v, want the injected fault", err)
 	}
-	db = openDB(t, Options{Dir: dir, Mode: SyncBoth})
-	if st := db.LineageStore().Stats(); st.CaughtUp != logged+2 || st.Updates != logged+2 {
-		t.Errorf("reopen caught up %d of %d updates, want a rebuild of all %d", st.CaughtUp, st.Updates, logged+2)
+	if err := db.Close(); !errors.Is(err, vfstest.ErrInjected) {
+		t.Fatalf("Close: %v, want the injected fault", err)
 	}
-	for id := model.NodeID(1000); id <= 1001; id++ {
-		if vs, err := db.LineageStore().GetNodeContext(context.Background(), id, 0, next+2); err != nil || len(vs) != 1 {
-			t.Errorf("node %d in the rebuilt LineageStore: %v, %v", id, vs, err)
-		}
+	db = openDB(t, Options{Dir: dir})
+	if st := db.LineageStore().Stats(); st.CaughtUp != 1 || st.Updates != logged+1 {
+		t.Errorf("reopen caught up %d of %d updates, want the one after the checkpoint of %d", st.CaughtUp, st.Updates, logged)
+	}
+	if vs, err := db.GetNodeContext(context.Background(), 1000, next, next); err != nil || len(vs) != 1 {
+		t.Errorf("node 1000 after the reopen: %v, %v", vs, err)
 	}
 }
 

@@ -248,3 +248,91 @@ func TestReadsAfterACascadeFailure(t *testing.T) {
 		t.Errorf("Close: %v, want the injected fault", err)
 	}
 }
+
+// heldWriteFS parks the first write to path made once armed until release is
+// closed; held receives once it has parked.
+type heldWriteFS struct {
+	vfs.FS
+	path    string
+	armed   *atomic.Bool
+	held    chan<- struct{}
+	release <-chan struct{}
+}
+
+func (f heldWriteFS) OpenFile(path string) (vfs.File, error) {
+	file, err := f.FS.OpenFile(path)
+	if err != nil || path != f.path {
+		return file, err
+	}
+	return heldWriteFile{file, f}, nil
+}
+
+type heldWriteFile struct {
+	vfs.File
+	fs heldWriteFS
+}
+
+func (f heldWriteFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.held <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestCloseWaitsForApplyBatch: Close, called while an ApplyBatch is writing
+// the TimeStore log, returns only after that ApplyBatch has — which neither
+// writes a closed log nor queues to a stopped cascade — and an ApplyBatch that
+// starts after it fails with the store closed.
+func TestCloseWaitsForApplyBatch(t *testing.T) {
+	dir := t.TempDir()
+	held, release := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	fs := heldWriteFS{FS: vfs.OS, path: filepath.Join(dir, "timestore", "p-1", "updates.log"),
+		armed: &armed, held: held, release: release}
+	db, err := Open(Options{Dir: dir, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	applied := make(chan error, 1)
+	go func() { applied <- db.ApplyBatch(socialUpdates()) }()
+	<-held
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	for !closing(db) {
+		runtime.Gosched()
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while an ApplyBatch was writing the log", err)
+	default:
+	}
+	close(release)
+	if err := <-applied; err != nil {
+		t.Fatalf("the ApplyBatch under way at Close: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ApplyBatch([]model.Update{model.AddNode(23, 100, nil, nil)}); !errors.Is(err, errClosed) {
+		t.Errorf("ApplyBatch after Close: %v, want the store closed", err)
+	}
+	db = openDB(t, Options{Dir: dir})
+	if got := db.LatestTimestamp(); got != 22 {
+		t.Errorf("reopened at ts %d, want the whole batch's 22", got)
+	}
+}
+
+// closing reports whether Close has begun and holds the store, or waits to,
+// so that no ApplyBatch or read can start.
+func closing(db *DB) bool {
+	if !db.closed.Load() {
+		return false
+	}
+	if db.reading.TryRLock() {
+		db.reading.RUnlock()
+		return false
+	}
+	return true
+}

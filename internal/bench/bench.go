@@ -120,16 +120,15 @@ func measure(sides ...side) ([]time.Duration, error) {
 	return med, nil
 }
 
-// loadAion opens a stand-alone Aion store in dir — both stores synchronous,
-// so no measurement races the cascade — and loads ds into it, with a policy
-// snapshot every eighth of the load, all persisted before it returns.
+// loadAion opens a stand-alone Aion store in dir and loads ds into it, with
+// a policy snapshot every eighth of the load; the cascade has drained and the
+// snapshots are persisted before it returns, so no measurement races either.
 func loadAion(dir string, ds *datagen.Dataset) (*aion.DB, error) {
-	db, err := aion.Open(aion.Options{Dir: dir, Mode: aion.SyncBoth,
-		SnapshotEveryOps: len(ds.Updates)/8 + 1})
+	db, err := aion.Open(aion.Options{Dir: dir, SnapshotEveryOps: len(ds.Updates)/8 + 1})
 	if err != nil {
 		return nil, err
 	}
-	if err := db.ApplyBatch(ds.Updates); err != nil {
+	if err := errors.Join(db.ApplyBatch(ds.Updates), db.WaitSync()); err != nil {
 		db.Close()
 		return nil, err
 	}
@@ -137,14 +136,25 @@ func loadAion(dir string, ds *datagen.Dataset) (*aion.DB, error) {
 	return db, nil
 }
 
-// loadHosted opens a host with Aion on it and replays ds through host
-// transactions of batch updates each, committed by writers goroutines (1: in
-// order). It returns the system and how long the replay took.
+// loadHosted opens a host with Aion on it and replays ds through it (replay).
+// It returns the system, its cascade drained, and how long the replay took.
 func loadHosted(opts system.Options, ds *datagen.Dataset, batch, writers int) (*system.System, time.Duration, error) {
 	sys, err := system.Open(opts)
 	if err != nil {
 		return nil, 0, err
 	}
+	took, err := replay(sys.Host, ds, batch, writers)
+	if err = errors.Join(err, sys.Aion.WaitSync()); err != nil {
+		sys.Close()
+		return nil, 0, err
+	}
+	return sys, took, nil
+}
+
+// replay re-issues ds through host transactions of batch updates each,
+// committed by writers goroutines (1: in order), and returns how long that
+// took.
+func replay(host *hostdb.DB, ds *datagen.Dataset, batch, writers int) (time.Duration, error) {
 	batches := make(chan []model.Update, writers) // the next batch ready for each writer
 	go func() {
 		for lo := 0; lo < len(ds.Updates); lo += batch {
@@ -159,21 +169,17 @@ func loadHosted(opts system.Options, ds *datagen.Dataset, batch, writers int) (*
 			var err error
 			for b := range batches { // drained to the end, so the feeder exits
 				if err == nil {
-					_, err = sys.Host.Run(func(tx *hostdb.Tx) error { return replayBatch(tx, b) })
+					_, err = host.Run(func(tx *hostdb.Tx) error { return replayBatch(tx, b) })
 				}
 			}
 			errs <- err
 		}()
 	}
+	var err error
 	for w := 0; w < writers; w++ {
 		err = errors.Join(err, <-errs)
 	}
-	took := time.Since(start)
-	if err != nil {
-		sys.Close()
-		return nil, 0, err
-	}
-	return sys, took, nil
+	return time.Since(start), err
 }
 
 // replayBatch re-issues a generated update batch through a transaction.

@@ -23,9 +23,9 @@ type Fig13Row struct {
 	Writes20 float64
 }
 
-// startBoltSystem loads a dataset into a host+Aion system (hybrid mode,
-// snapshots every eighth of the load) and serves it over Bolt, returning the
-// address and a shutdown func.
+// startBoltSystem loads a dataset into a host+Aion system (snapshots every
+// eighth of the load) and serves it over Bolt, returning the address and a
+// shutdown func.
 func startBoltSystem(c Config, name, dir string) (*datagen.Dataset, string, func(), error) {
 	ds := c.genDataset(name, datagen.Options{})
 	sys, _, err := loadHosted(system.Options{Dir: dir,
@@ -36,10 +36,7 @@ func startBoltSystem(c Config, name, dir string) (*datagen.Dataset, string, func
 	// Take the post-load snapshot now so the policy does not fire (and
 	// steal CPU from the background worker) in the middle of a short
 	// measurement pass.
-	if err = sys.Aion.WaitSync(); err == nil {
-		err = sys.Aion.TimeStore().CreateSnapshot()
-	}
-	if err != nil {
+	if err = sys.Aion.TimeStore().CreateSnapshot(); err != nil {
 		sys.Close()
 		return nil, "", nil, err
 	}

@@ -1,11 +1,20 @@
 package bench
 
 import (
+	"errors"
+	"path/filepath"
 	"time"
 
 	"aion/internal/aion"
 	"aion/internal/datagen"
+	"aion/internal/enc"
+	"aion/internal/hostdb"
+	"aion/internal/lineagestore"
+	"aion/internal/model"
+	"aion/internal/strstore"
 	"aion/internal/system"
+	"aion/internal/timestore"
+	"aion/internal/vfs"
 )
 
 // Fig9Row is one dataset group of Fig 9: ingestion throughput of each
@@ -20,9 +29,11 @@ type Fig9Row struct {
 
 // RunFig9 regenerates Fig 9: normalized ingestion throughput for TS+LS,
 // LineageStore-only, and TimeStore-only against the bare host. Every run
-// loads the dataset into a fresh system through host transactions of
-// batchSize updates from parallel writers (Sec 6.4: batches with 32 client
-// threads), each commit durable; only the load is timed.
+// loads the dataset into a fresh host through transactions of batchSize
+// updates from parallel writers (Sec 6.4: batches with 32 client threads),
+// each commit durable; only the load is timed. The three temporal sides are
+// composed here, not in Aion: one commit listener writes the side's stores
+// on the commit path, as Aion writes its TimeStore.
 func RunFig9(c Config, dir func(string) string, batchSize, writers int) ([]Fig9Row, error) {
 	c.Defaults()
 	if batchSize <= 0 {
@@ -35,18 +46,24 @@ func RunFig9(c Config, dir func(string) string, batchSize, writers int) ([]Fig9R
 	t := &table{header: []string{"Dataset", "baseline (ops/s)", "TS+LS", "LineageStore", "TimeStore"}}
 	for _, name := range c.Datasets {
 		ds := c.genDataset(name, datagen.Options{})
-		ingest := func(mode aion.SyncMode, disabled bool) side {
+		ingest := func(timeStore, lineage bool) side {
 			return func() (time.Duration, error) {
-				sys, took, err := loadHosted(system.Options{Dir: dir(name), DisableTemporal: disabled, SyncCommits: true,
-					Aion: aion.Options{Mode: mode, SnapshotEveryOps: 1 << 30}}, ds, batchSize, writers)
-				if err == nil {
-					err = sys.Close()
+				d := dir(name)
+				host, err := hostdb.Open(hostdb.Options{Dir: d, SyncCommits: true})
+				if err != nil {
+					return 0, err
 				}
-				return took, err
+				closeStores := func() error { return nil }
+				if timeStore || lineage {
+					if closeStores, err = attachStores(host, filepath.Join(d, "aion"), timeStore, lineage); err != nil {
+						return 0, errors.Join(err, host.Close())
+					}
+				}
+				took, err := replay(host, ds, batchSize, writers)
+				return took, errors.Join(err, host.Close(), closeStores())
 			}
 		}
-		d, err := measure(ingest(0, true), ingest(aion.SyncBoth, false),
-			ingest(aion.SyncLineageOnly, false), ingest(aion.SyncTimeStoreOnly, false))
+		d, err := measure(ingest(false, false), ingest(true, true), ingest(false, true), ingest(true, false))
 		if err != nil {
 			return nil, err
 		}
@@ -58,6 +75,57 @@ func RunFig9(c Config, dir func(string) string, batchSize, writers int) ([]Fig9R
 	}
 	c.emit(t, "Fig 9: ingestion overhead (normalized throughput; 1.0 = no temporal store)")
 	return rows, nil
+}
+
+// attachStores opens the temporal side of a Fig 9 bar under dir — a
+// stand-alone TimeStore and/or LineageStore over one string table — and
+// registers a host commit listener that writes them on the commit path, as
+// Aion writes its TimeStore. The TimeStore borrows the host's graph and takes
+// no policy snapshots. The func returned closes the stores and reports the
+// first failed write.
+func attachStores(host *hostdb.DB, dir string, timeStore, lineage bool) (func() error, error) {
+	for _, sub := range []string{"timestore", "lineage"} {
+		if err := vfs.MkdirAll(vfs.OS, filepath.Join(dir, sub)); err != nil {
+			return nil, err
+		}
+	}
+	strings, err := strstore.OpenFS(vfs.OS, filepath.Join(dir, "strings.db"))
+	if err != nil {
+		return nil, err
+	}
+	codec := enc.NewCodec(strings)
+	var writes []func([]model.Update) error
+	closes := []func() error{strings.Close}
+	closeAll := func() (err error) {
+		for i := len(closes) - 1; i >= 0; i-- { // the strings last
+			err = errors.Join(err, closes[i]())
+		}
+		return err
+	}
+	if timeStore {
+		ts, err := timestore.Open(codec, timestore.Options{Dir: filepath.Join(dir, "timestore"),
+			SnapshotEveryOps: -1, Host: host.Committed})
+		if err != nil {
+			return nil, errors.Join(err, closeAll())
+		}
+		writes, closes = append(writes, ts.AppendBatch), append(closes, ts.Close)
+	}
+	if lineage {
+		ls, err := lineagestore.Open(codec, lineagestore.Options{Dir: filepath.Join(dir, "lineage")})
+		if err != nil {
+			return nil, errors.Join(err, closeAll())
+		}
+		writes, closes = append(writes, ls.ApplyBatch), append(closes, ls.Close)
+	}
+	var failed error // the first failed write; nothing is written after it
+	host.OnCommit(func(_ model.Timestamp, us []model.Update) {
+		for _, write := range writes {
+			if failed == nil {
+				failed = write(us)
+			}
+		}
+	})
+	return func() error { return errors.Join(failed, closeAll()) }, nil
 }
 
 // Fig10Row is one dataset group of Fig 10: on-disk storage by component.
@@ -80,7 +148,7 @@ func RunFig10(c Config, dir func(string) string) ([]Fig10Row, error) {
 		// Neo4j's footprint.
 		ds := c.genDataset(name, datagen.Options{RelWeightProp: "w"})
 		sys, _, err := loadHosted(system.Options{Dir: dir(name),
-			Aion: aion.Options{Mode: aion.SyncBoth, SnapshotEveryOps: len(ds.Updates)/2 + 1}}, ds, 1000, 1)
+			Aion: aion.Options{SnapshotEveryOps: len(ds.Updates)/2 + 1}}, ds, 1000, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -3,12 +3,14 @@ package cypher
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"aion/internal/model"
 	"aion/internal/system"
+	"aion/internal/testkit/refmodel"
 )
 
 func newEngine(t *testing.T) *Engine {
@@ -213,6 +215,45 @@ func TestVariableHopExpansion(t *testing.T) {
 		map[string]model.Value{"id": id})
 	if len(res.Rows) != 2 {
 		t.Errorf("1..2-hop rows = %d", len(res.Rows))
+	}
+}
+
+// TestVariableHopsDedupPerHop: a var-hop MATCH expands as Alg 1 does, one
+// dedup per hop, so a node two hops out is returned even when it was the
+// anchor or a node of the first hop. Over a→b, b→a and b→c the latest graph,
+// the AS OF expand (through Expand) and the typed AS OF pattern (through a
+// materialised snapshot) all answer the model's Alg 1 at that ts: b, then a
+// and c.
+func TestVariableHopsDedupPerHop(t *testing.T) {
+	e := newEngine(t)
+	m := &refmodel.Model{}
+	e.Sys.Host.OnCommit(func(_ model.Timestamp, us []model.Update) { m.Apply(us...) })
+	mustQuery(t, e, `CREATE (a {name: 'a'})-[:R]->(b {name: 'b'})`, nil)
+	mustQuery(t, e, `MATCH (a), (b) WHERE id(a) = 0 AND id(b) = 1 CREATE (b)-[:R]->(a)`, nil)
+	mustQuery(t, e, `MATCH (b) WHERE id(b) = 1 CREATE (b)-[:R]->(c {name: 'c'})`, nil)
+	ts := e.Sys.Host.Clock()
+	var want []string
+	for _, hop := range m.Expand(0, model.Outgoing, 2, ts) {
+		for _, n := range hop {
+			want = append(want, n.Props["name"].Str())
+		}
+	}
+	if !slices.Equal(want, []string{"b", "a", "c"}) {
+		t.Fatalf("the model's Alg 1 from a at %d = %v, want [b a c]", ts, want)
+	}
+	params := map[string]model.Value{"ts": model.IntValue(int64(ts))}
+	for _, q := range []string{
+		`MATCH (x)-[*1..2]->(y) WHERE id(x) = 0 RETURN y.name`,
+		`USE GDB FOR SYSTEM_TIME AS OF $ts MATCH (x)-[*1..2]->(y) WHERE id(x) = 0 RETURN y.name`,
+		`USE GDB FOR SYSTEM_TIME AS OF $ts MATCH (x)-[:R*1..2]->(y) WHERE id(x) = 0 RETURN y.name`,
+	} {
+		var got []string
+		for _, row := range mustQuery(t, e, q, params).Rows {
+			got = append(got, row[0].S.Str())
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s = %v, the model's Alg 1 says %v", q, got, want)
+		}
 	}
 }
 

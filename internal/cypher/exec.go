@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aion/internal/aion"
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/system"
@@ -457,35 +458,44 @@ func (ctx *execCtx) anchorID(where Expr, varName string) (int64, bool) {
 	return walk(where)
 }
 
+// anchoredNode serves a single-node pattern anchored by id(var) = ... from
+// the LineageStore: one row per version of the node in win (the one version
+// at win.Start when the window is a point). ok is false for any other
+// pattern.
+func (e *Engine) anchoredNode(ctx *execCtx, m *MatchStmt, win model.Interval) (rows []bindings, ok bool, err error) {
+	if len(m.Patterns) != 1 || len(m.Patterns[0].Nodes) != 1 {
+		return nil, false, nil
+	}
+	np := m.Patterns[0].Nodes[0]
+	id, ok := ctx.anchorID(m.Where, np.Var)
+	if !ok {
+		return nil, false, nil
+	}
+	ns, err := e.Sys.Aion.GetNodeContext(ctx.c, model.NodeID(id), win.Start, win.End)
+	if err != nil {
+		return nil, true, err
+	}
+	for _, n := range ns {
+		if nodeMatches(ctx, n, np) {
+			env := bindings{np.Var: NodeVal(n)}
+			if keep, err := ctx.applyWhere(env, m.Where); err != nil {
+				return nil, true, err
+			} else if keep {
+				rows = append(rows, env)
+			}
+		}
+	}
+	return rows, true, nil
+}
+
 // matchAsOf plans a point-in-time match (Sec 5.1): anchored single-node or
 // anchored expansion patterns use the temporal API directly; otherwise the
 // full snapshot is constructed.
 func (e *Engine) matchAsOf(ctx *execCtx, m *MatchStmt, ts model.Timestamp) ([]bindings, error) {
 	ad := e.Sys.Aion
-	if ad == nil {
-		return nil, fmt.Errorf("cypher: temporal clause requires Aion")
-	}
 	// Anchored single node: LineageStore point query.
-	if len(m.Patterns) == 1 && len(m.Patterns[0].Nodes) == 1 {
-		np := m.Patterns[0].Nodes[0]
-		if id, ok := ctx.anchorID(m.Where, np.Var); ok {
-			ns, err := ad.GetNodeContext(ctx.c, model.NodeID(id), ts, ts)
-			if err != nil {
-				return nil, err
-			}
-			var rows []bindings
-			for _, n := range ns {
-				if nodeMatches(ctx, n, np) {
-					env := bindings{np.Var: NodeVal(n)}
-					if keep, err := ctx.applyWhere(env, m.Where); err != nil {
-						return nil, err
-					} else if keep {
-						rows = append(rows, env)
-					}
-				}
-			}
-			return rows, nil
-		}
+	if rows, ok, err := e.anchoredNode(ctx, m, model.Interval{Start: ts, End: ts}); ok {
+		return rows, err
 	}
 	// Anchored variable-hop expansion: the Expand API (Alg 1, planner
 	// chooses the store).
@@ -538,32 +548,10 @@ func (e *Engine) matchAsOf(ctx *execCtx, m *MatchStmt, ts model.Timestamp) ([]bi
 // patterns return one row per version (Fig 1a); other patterns match the
 // window graph.
 func (e *Engine) matchRange(ctx *execCtx, m *MatchStmt, win model.Interval) ([]bindings, error) {
-	ad := e.Sys.Aion
-	if ad == nil {
-		return nil, fmt.Errorf("cypher: temporal clause requires Aion")
+	if rows, ok, err := e.anchoredNode(ctx, m, win); ok {
+		return rows, err
 	}
-	if len(m.Patterns) == 1 && len(m.Patterns[0].Nodes) == 1 {
-		np := m.Patterns[0].Nodes[0]
-		if id, ok := ctx.anchorID(m.Where, np.Var); ok {
-			ns, err := ad.GetNodeContext(ctx.c, model.NodeID(id), win.Start, win.End)
-			if err != nil {
-				return nil, err
-			}
-			var rows []bindings
-			for _, n := range ns {
-				if nodeMatches(ctx, n, np) {
-					env := bindings{np.Var: NodeVal(n)}
-					if keep, err := ctx.applyWhere(env, m.Where); err != nil {
-						return nil, err
-					} else if keep {
-						rows = append(rows, env)
-					}
-				}
-			}
-			return rows, nil
-		}
-	}
-	g, err := ad.GetWindowContext(ctx.c, win.Start, win.End)
+	g, err := e.Sys.Aion.GetWindowContext(ctx.c, win.Start, win.End)
 	if err != nil {
 		return nil, err
 	}
@@ -736,45 +724,15 @@ func (e *Engine) matchPattern(ctx *execCtx, g *memgraph.Graph, pat PathPattern, 
 		}
 
 		if rp.VarHops {
-			// Variable-length expansion with per-hop frontier (Alg 1).
-			type hopNode struct {
-				id  model.NodeID
-				rel *model.Rel
-			}
-			frontier := []hopNode{{id: cur.ID}}
-			seen := map[model.NodeID]bool{cur.ID: true}
-			for hop := 1; hop <= rp.MaxHops; hop++ {
-				var next []hopNode
-				for _, hn := range frontier {
-					var gerr error
-					if gerr = ctx.checkCancel(); gerr != nil {
-						return gerr
-					}
-					g.Neighbours(hn.id, rp.Dir, func(r *model.Rel, nb model.NodeID) bool {
-						if rp.Type != "" && r.Label != rp.Type {
-							return true
-						}
-						if seen[nb] {
-							return true
-						}
-						seen[nb] = true
-						next = append(next, hopNode{id: nb, rel: r})
-						return true
-					})
-					if gerr != nil {
-						return gerr
-					}
+			// Variable-length expansion: Alg 1, one dedup per hop.
+			var werr error
+			aion.ExpandInGraph(g, cur.ID, rp.Dir, rp.MaxHops, rp.Type, func(hop int, r *model.Rel, n *model.Node) bool {
+				if werr = ctx.checkCancel(); werr == nil && hop+1 >= rp.MinHops {
+					werr = tryNeighbour(r, n.ID)
 				}
-				frontier = next
-				if hop >= rp.MinHops {
-					for _, hn := range frontier {
-						if err := tryNeighbour(hn.rel, hn.id); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
+				return werr == nil
+			})
+			return werr
 		}
 
 		var ferr error

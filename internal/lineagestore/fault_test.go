@@ -186,3 +186,64 @@ func TestInvalidationPrecedesTheFirstWrite(t *testing.T) {
 		t.Fatalf("after the retry: applied through %d, node 10 = %v, %v", s.AppliedThrough(), vs, err)
 	}
 }
+
+// TestFailedApplyBarsTheCheckpoint: a transient fault fails one apply (here
+// before it wrote anything: the checkpoint could not be removed) and the next
+// one applies. The indexes now hold no prefix of the owner's log, so the clean
+// Close must not checkpoint them: the owner's next Open rebuilds.
+func TestFailedApplyBarsTheCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	codec := enc.NewCodec(strstore.NewMem())
+	s, err := Open(codec, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyChain(t, s, 10)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs := &failOnceFS{FS: vfs.OS, path: filepath.Join(dir, checkpointName)}
+	if s, err = Open(codec, Options{Dir: dir, FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(model.AddNode(11, 10, []string{"N"}, nil)); !errors.Is(err, vfstest.ErrInjected) {
+		t.Fatalf("Apply over an irremovable checkpoint: %v, want the injected fault", err)
+	}
+	if err := s.Apply(model.AddNode(12, 11, []string{"N"}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointName)); !os.IsNotExist(err) {
+		t.Fatalf("Close checkpointed indexes that skipped an update: %v", err)
+	}
+}
+
+// TestCleanCloseKeepsTheWatermark: a cleanly closed store reopens at the
+// timestamp it had applied through, so its monotonicity check still holds.
+func TestCleanCloseKeepsTheWatermark(t *testing.T) {
+	dir := t.TempDir()
+	codec := enc.NewCodec(strstore.NewMem())
+	s, err := Open(codec, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyChain(t, s, 5)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(codec, Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.AppliedThrough(); got != 5 {
+		t.Errorf("reopened at ts %d, want 5", got)
+	}
+	if err := s.Apply(model.AddNode(2, 99, []string{"N"}, nil)); !errors.Is(err, model.ErrNonMonotonic) {
+		t.Errorf("Apply at ts 2 after reopening at 5: %v, want ErrNonMonotonic", err)
+	}
+	if err := s.Apply(model.AddNode(6, 5, []string{"N"}, nil)); err != nil {
+		t.Errorf("Apply at ts 6: %v", err)
+	}
+}

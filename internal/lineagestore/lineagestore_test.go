@@ -360,8 +360,10 @@ func TestReopenPreservesHistory(t *testing.T) {
 	if err != nil || len(rels) != 1 {
 		t.Fatalf("reopened rels: %v %v", rels, err)
 	}
-	// New appends continue (monotonic state is not persisted across
-	// reopen, so the new store accepts any ts >= its own lastTS).
+	// New appends continue. The store was flushed, not closed, so no
+	// checkpoint names its position: it reopens at -1, for its owner to
+	// rebuild, and takes any timestamp (a clean Close keeps the watermark:
+	// TestCleanCloseKeepsTheWatermark).
 	if err := s2.Apply(model.UpdateNode(9, 0, nil, nil,
 		model.Properties{"v": model.IntValue(3)}, nil)); err != nil {
 		t.Fatal(err)

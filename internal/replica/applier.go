@@ -196,11 +196,9 @@ func (a *Applier) Apply(sh *Shipment) error {
 		a.MarkDiverged(err)
 		return err
 	}
-	if a.sys.Aion != nil {
-		if aerr := a.sys.Aion.Err(); aerr != nil {
-			a.MarkDiverged(fmt.Errorf("replica: temporal store ingest: %w", aerr))
-			return a.sys.Aion.Err()
-		}
+	if err := a.sys.Aion.Err(); err != nil {
+		a.MarkDiverged(fmt.Errorf("replica: temporal store ingest: %w", err))
+		return err
 	}
 
 	a.bytesApplied.Add(uint64(len(sh.Strings) + len(sh.Txn)))

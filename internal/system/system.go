@@ -23,9 +23,6 @@ type Options struct {
 	Dir string
 	// Aion tunes the temporal store; Dir is filled in automatically.
 	Aion aion.Options
-	// DisableTemporal runs the bare host without Aion attached (the
-	// baseline for the Fig 9 ingestion-overhead normalization).
-	DisableTemporal bool
 	// SyncCommits forwards to hostdb: fsync the txn log per commit.
 	SyncCommits bool
 	// Replica opens the host as a replication follower: local commits are
@@ -58,9 +55,6 @@ func Open(opts Options) (*System, error) {
 	s := &System{Host: host}
 	s.Metrics.Set("hostdb", expvar.Func(func() any { return host.Stats() }))
 	s.Metrics.Set("hostdb.storage", expvar.Func(func() any { return host.Storage() }))
-	if opts.DisableTemporal {
-		return s, nil
-	}
 	aopts := opts.Aion
 	if aopts.FS == nil {
 		aopts.FS = opts.FS
@@ -88,14 +82,11 @@ func Open(opts Options) (*System, error) {
 		// on top of a hole.
 		_ = s.Aion.ApplyBatch(us)
 	})
-	// Aion's stores (those its mode opened), the planner's Sec 5.1 statistics
-	// and decisions, and the ingest error that stops the cascade.
-	if ts := s.Aion.TimeStore(); ts != nil {
-		s.Metrics.Set("timestore", expvar.Func(func() any { return ts.Stats() }))
-	}
-	if ls := s.Aion.LineageStore(); ls != nil {
-		s.Metrics.Set("lineagestore", expvar.Func(func() any { return ls.Stats() }))
-	}
+	// Aion's two stores, the planner's Sec 5.1 statistics and decisions, and
+	// the ingest error that stops the cascade.
+	ts, ls := s.Aion.TimeStore(), s.Aion.LineageStore()
+	s.Metrics.Set("timestore", expvar.Func(func() any { return ts.Stats() }))
+	s.Metrics.Set("lineagestore", expvar.Func(func() any { return ls.Stats() }))
 	s.Metrics.Set("planner", expvar.Func(func() any {
 		st := s.Aion.Stats()
 		lineage, timeStore := s.Aion.PlannerDecisions()
@@ -130,19 +121,12 @@ func (s *System) Flush() error {
 	if err := s.Host.Flush(); err != nil {
 		return err
 	}
-	if s.Aion != nil {
-		return s.Aion.Flush()
-	}
-	return nil
+	return s.Aion.Flush()
 }
 
 // Close shuts down both components in Flush's order, the host first: every
 // commit already reached Aion through the listener, so a crash between the
 // two leaves the host ahead, never Aion.
 func (s *System) Close() error {
-	err := s.Host.Close()
-	if s.Aion != nil {
-		err = errors.Join(err, s.Aion.Close())
-	}
-	return err
+	return errors.Join(s.Host.Close(), s.Aion.Close())
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"aion/internal/aion"
 	"aion/internal/hostdb"
 	"aion/internal/model"
 )
@@ -59,44 +58,6 @@ func TestRollbackDoesNotReachAion(t *testing.T) {
 	sys.Aion.WaitSync()
 	if sys.Aion.LatestTimestamp() != 0 {
 		t.Error("rolled-back transaction leaked into Aion")
-	}
-}
-
-func TestDisableTemporal(t *testing.T) {
-	sys, err := Open(Options{Dir: t.TempDir(), DisableTemporal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if sys.Aion != nil {
-		t.Fatal("temporal store should be absent")
-	}
-	if _, err := sys.Host.Run(func(tx *hostdb.Tx) error {
-		_, err := tx.CreateNode(nil, nil)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLineageOnlyMode(t *testing.T) {
-	sys, err := Open(Options{Dir: t.TempDir(),
-		Aion: aion.Options{Mode: aion.SyncLineageOnly}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	var id model.NodeID
-	ts, err := sys.Host.Run(func(tx *hostdb.Tx) error {
-		id, _ = tx.CreateNode([]string{"X"}, nil)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, err := sys.Aion.LineageStore().GetNodeContext(context.Background(), id, ts, ts)
-	if err != nil || len(ns) != 1 {
-		t.Fatalf("lineage-only: %v %v", ns, err)
 	}
 }
 
