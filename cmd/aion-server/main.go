@@ -45,7 +45,6 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:7687", "listen address")
-		advertise     = flag.String("advertise", "", "address advertised to clients and logs (default: the bound address)")
 		dir           = flag.String("dir", "", "storage directory (default: temp)")
 		queryTimeout  = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline (0 disables)")
 		maxConcurrent = flag.Int("max-concurrent", 64, "concurrent query limit; excess queries are shed (0 = unbounded)")
@@ -107,10 +106,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	public := *advertise
-	if public == "" {
-		public = bound
-	}
 	if *debugAddr != "" {
 		dbg, at, err := serveDebug(*debugAddr, sys)
 		if err != nil {
@@ -123,8 +118,8 @@ func main() {
 	if *replicaOf != "" {
 		role = "replica of " + *replicaOf
 	}
-	fmt.Printf("aion-server (%s) listening on %s (advertised %s); store opened in %v, lineage caught up %d updates\n",
-		role, bound, public, opened, sys.Aion.LineageStore().Stats().CaughtUp)
+	fmt.Printf("aion-server (%s) listening on %s; store opened in %v, lineage caught up %d updates\n",
+		role, bound, opened, sys.Aion.LineageStore().Stats().CaughtUp)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var followerExit <-chan struct{}

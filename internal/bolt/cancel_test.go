@@ -1,7 +1,6 @@
 package bolt
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -37,18 +36,18 @@ func startServerWith(t *testing.T, opts Options) (*Server, string, *cypher.Engin
 // signalled once per invocation as soon as the proc is running.
 func registerBlockProc(engine *cypher.Engine, started chan struct{}) (release func()) {
 	gate := make(chan struct{})
-	engine.Register("test.block", func(ctx context.Context, e *cypher.Engine, args []model.Value) (*cypher.Result, error) {
+	engine.Register("test.block", cypher.Proc{Columns: []string{"ok"}, Run: func(c *cypher.Call) error {
 		if started != nil {
 			started <- struct{}{}
 		}
 		select {
 		case <-gate:
-			return &cypher.Result{Columns: []string{"ok"},
-				Rows: [][]cypher.Val{{cypher.ScalarVal(model.IntValue(1))}}}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
+			c.Add(cypher.ScalarVal(model.IntValue(1)))
+			return nil
+		case <-c.Ctx.Done():
+			return c.Ctx.Err()
 		}
-	})
+	}})
 	var once sync.Once
 	return func() { once.Do(func() { close(gate) }) }
 }
@@ -183,9 +182,9 @@ func TestOverloadShedsRetryable(t *testing.T) {
 // stays usable, and other connections are unaffected.
 func TestPanicIsolation(t *testing.T) {
 	srv, addr, engine := startServerWith(t, Options{MaxConcurrent: 4})
-	engine.Register("test.panic", func(ctx context.Context, e *cypher.Engine, args []model.Value) (*cypher.Result, error) {
+	engine.Register("test.panic", cypher.Proc{Run: func(*cypher.Call) error {
 		panic("injected failure")
-	})
+	}})
 
 	c, err := Dial(addr)
 	if err != nil {

@@ -138,7 +138,7 @@ func (c *Client) Promote() (uint64, error) {
 		return 0, err
 	}
 	if len(frame) > 0 && frame[0] == MsgFailure {
-		return 0, decodeFailure(frame[1:])
+		return 0, DecodeFailure(frame[1:])
 	}
 	if len(frame) < 9 || frame[0] != MsgSuccess {
 		return 0, fmt.Errorf("bolt: bad promote reply")
@@ -162,7 +162,7 @@ func (c *Client) Status() (NodeStatus, error) {
 		return NodeStatus{}, err
 	}
 	if len(frame) > 0 && frame[0] == MsgFailure {
-		return NodeStatus{}, decodeFailure(frame[1:])
+		return NodeStatus{}, DecodeFailure(frame[1:])
 	}
 	if len(frame) < 9 || frame[0] != MsgSuccess {
 		return NodeStatus{}, fmt.Errorf("bolt: bad status reply")
@@ -231,7 +231,7 @@ func (c *Client) RunTimeout(query string, params map[string]model.Value, timeout
 		return nil, nil, nil, fmt.Errorf("bolt: empty reply")
 	}
 	if frame[0] == MsgFailure {
-		return nil, nil, nil, decodeFailure(frame[1:])
+		return nil, nil, nil, DecodeFailure(frame[1:])
 	}
 	if frame[0] != MsgSuccess {
 		return nil, nil, nil, fmt.Errorf("bolt: unexpected reply 0x%x", frame[0])
@@ -287,7 +287,7 @@ func (c *Client) RunTimeout(query string, params map[string]model.Value, timeout
 			}
 			return columns, rows, sum, nil
 		case MsgFailure:
-			return nil, nil, nil, decodeFailure(frame[1:])
+			return nil, nil, nil, DecodeFailure(frame[1:])
 		default:
 			return nil, nil, nil, fmt.Errorf("bolt: unexpected frame 0x%x", frame[0])
 		}

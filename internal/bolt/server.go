@@ -352,7 +352,7 @@ func (s *Server) serve(conn net.Conn) {
 		return writeFrame(w, payload)
 	}
 	fail := func(code byte, msg string) error {
-		if err := send(appendFailure(code, msg)); err != nil {
+		if err := send(AppendFailure(code, msg)); err != nil {
 			return err
 		}
 		return w.Flush()

@@ -119,15 +119,15 @@ func failName(code byte) string {
 	return "error"
 }
 
-// appendFailure encodes a FAILURE frame payload.
-func appendFailure(code byte, msg string) []byte {
+// AppendFailure encodes a FAILURE frame payload.
+func AppendFailure(code byte, msg string) []byte {
 	payload := []byte{MsgFailure, code}
 	return appendString(payload, msg)
 }
 
-// decodeFailure decodes a FAILURE frame body (everything after the message
+// DecodeFailure decodes a FAILURE frame body (everything after the message
 // byte) into a ServerError.
-func decodeFailure(b []byte) *ServerError {
+func DecodeFailure(b []byte) *ServerError {
 	if len(b) == 0 {
 		return &ServerError{Code: FailGeneric, Msg: "unknown failure"}
 	}

@@ -3,6 +3,7 @@ package cypher
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -393,6 +394,29 @@ func TestProcedures(t *testing.T) {
 	}
 	if _, err := e.QueryContext(ctx, `CALL aion.expand(0, 'out', 2, 3) YIELD nothere`, nil); err == nil {
 		t.Error("unknown yield column must fail")
+	}
+}
+
+// TestGraphAheadOfTheLogIsNotCached: aion.graph at a timestamp past the
+// log's end answers with the latest graph but caches nothing there, so a
+// read at that timestamp after two more commits sees them; at the log's end
+// the graph is complete and cached.
+func TestGraphAheadOfTheLogIsNotCached(t *testing.T) {
+	e := newEngine(t)
+	mustQuery(t, e, `CREATE (n:P)`, nil)
+	if n := mustQuery(t, e, `CALL aion.graph(1000)`, nil).Rows[0][0].S.Int(); n != 1 {
+		t.Fatalf("aion.graph(1000) after one CREATE: %d nodes, want 1", n)
+	}
+	mustQuery(t, e, `CREATE (a:P), (b:P)`, nil)
+	for _, q := range []string{`USE GDB FOR SYSTEM_TIME AS OF 1000 MATCH (n:P) RETURN count(*)`, `CALL aion.graph(1000)`} {
+		if n := mustQuery(t, e, q, nil).Rows[0][0].S.Int(); n != 3 {
+			t.Errorf("%s after three nodes were created: %d, want 3", q, n)
+		}
+	}
+	last := e.Sys.Aion.TimeStore().LatestTimestamp()
+	mustQuery(t, e, fmt.Sprintf(`CALL aion.graph(%d)`, last), nil)
+	if gs := e.Sys.Aion.TimeStore().GraphStore(); gs.Holds(1000) || !gs.Holds(last) {
+		t.Errorf("cached at 1000: %v, at the log's end %d: %v; want false, true", gs.Holds(1000), last, gs.Holds(last))
 	}
 }
 

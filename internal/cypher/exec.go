@@ -95,7 +95,9 @@ const (
 // sys.Metrics as "cypher".
 func NewEngine(sys *system.System) *Engine {
 	e := &Engine{Sys: sys, procs: map[string]Proc{}, stmts: map[string]*Statement{}}
-	registerBuiltins(e)
+	for name, p := range builtins {
+		e.Register(name, p)
+	}
 	sys.Metrics.Set("cypher", expvar.Func(func() any {
 		e.stmtMu.RLock()
 		defer e.stmtMu.RUnlock()
@@ -104,7 +106,7 @@ func NewEngine(sys *system.System) *Engine {
 	return e
 }
 
-// Register adds a procedure.
+// Register adds a procedure to this engine's table.
 func (e *Engine) Register(name string, p Proc) { e.procs[name] = p }
 
 // QueryContext prepares and executes one statement under ctx: pattern-match

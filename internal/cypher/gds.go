@@ -1,9 +1,9 @@
 package cypher
 
 import (
-	"context"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"aion/internal/algo"
 	"aion/internal/csr"
@@ -18,176 +18,85 @@ import (
 // on it — PageRank and triangle counting on its CSR projection — and
 // streams the result rows.
 
-// cancelStride is how many result rows pass between cooperative ctx checks
-// in the row-assembly loops below: the projections and algorithms bound
-// their own work, but result sets are O(nodes) and must still observe a
-// deadline that fires mid-assembly.
-const cancelStride = 1024
-
-// strided is the row loops' cooperative check: ctx's error on every
-// cancelStride-th i, nil between.
-func strided(ctx context.Context, i int) error {
-	if i%cancelStride != 0 {
-		return nil
-	}
-	return ctx.Err()
+// atSnapshot is the table entry of a GDS procedure of arity arguments whose
+// argument at is the snapshot's timestamp: run adds the rows of the graph
+// there.
+func atSnapshot(arity, at int, columns []string, run func(c *Call, g *memgraph.Graph)) Proc {
+	return Proc{arity, []int{at}, columns, func(c *Call) error {
+		g, err := c.E.Sys.Aion.GraphAtContext(c.Ctx, c.ts(at))
+		if err == nil {
+			run(c, g)
+		}
+		return err
+	}}
 }
 
-// atSnapshot checks that the procedure name got n arguments and returns the
-// graph at the timestamp args[at].
-func atSnapshot(ctx context.Context, e *Engine, args []model.Value, n int, name string, at int) (*memgraph.Graph, error) {
-	if err := argN(args, n, name); err != nil {
-		return nil, err
-	}
-	return e.Sys.Aion.GraphAtContext(ctx, model.Timestamp(args[at].Int()))
-}
-
-func registerGDS(e *Engine) {
-	e.Register("aion.gds.pagerank", procGDSPageRank)
-	e.Register("aion.gds.wcc", procGDSWCC)
-	e.Register("aion.gds.triangleCount", procGDSTriangles)
-	e.Register("aion.gds.bfs", procGDSBFS)
-	e.Register("aion.gds.sssp", procGDSSSSP)
-	e.Register("aion.gds.lcc", procGDSLCC)
-}
-
-// procGDSPageRank: aion.gds.pagerank(ts, topK) -> (node, rank) sorted by
-// rank descending.
-func procGDSPageRank(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	g, err := atSnapshot(ctx, e, args, 2, "aion.gds.pagerank", 0)
-	if err != nil {
-		return nil, err
-	}
-	c := csr.Build(g)
-	ranks, _ := algo.PageRank(c, algo.PageRankOptions{})
+// gdsPageRank: rows sorted by rank descending, the first topK of them when
+// topK is positive.
+func gdsPageRank(c *Call, g *memgraph.Graph) {
+	p := csr.Build(g)
+	ranks, _ := algo.PageRank(p, algo.PageRankOptions{})
 	type nr struct {
 		id   model.NodeID
 		rank float64
 	}
-	rows := make([]nr, 0, c.N)
-	for i, sid := range c.Dense.ToSparse {
-		if err := strided(ctx, i); err != nil {
-			return nil, err
-		}
+	rows := make([]nr, 0, p.N)
+	for i, sid := range p.Dense.ToSparse {
 		rows = append(rows, nr{sid, ranks[i]})
 	}
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].rank != rows[b].rank {
-			return rows[a].rank > rows[b].rank
-		}
-		return rows[a].id < rows[b].id
-	})
-	k := int(args[1].Int())
-	if k > 0 && k < len(rows) {
+	slices.SortFunc(rows, func(a, b nr) int { return cmp.Or(cmp.Compare(b.rank, a.rank), cmp.Compare(a.id, b.id)) })
+	if k := int(c.Args[1].Int()); k > 0 && k < len(rows) {
 		rows = rows[:k]
 	}
-	res := &Result{Columns: []string{"node", "rank"}}
-	for i, r := range rows {
-		if err := strided(ctx, i); err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, scalars(model.IntValue(int64(r.id)), model.FloatValue(r.rank)))
+	for _, r := range rows {
+		c.Add(scalars(model.IntValue(int64(r.id)), model.FloatValue(r.rank))...)
 	}
-	return res, nil
 }
 
-// procGDSWCC: aion.gds.wcc(ts) -> (component, size) sorted by size desc.
-func procGDSWCC(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	g, err := atSnapshot(ctx, e, args, 1, "aion.gds.wcc", 0)
-	if err != nil {
-		return nil, err
-	}
-	comp := algo.WCC(g)
+// gdsWCC: rows sorted by size descending.
+func gdsWCC(c *Call, g *memgraph.Graph) {
 	sizes := map[int32]int64{}
-	for i, c := range comp {
-		if err := strided(ctx, i); err != nil {
-			return nil, err
-		}
-		if c >= 0 {
-			sizes[c]++
+	for _, comp := range algo.WCC(g) {
+		if comp >= 0 {
+			sizes[comp]++
 		}
 	}
 	type cs struct {
 		id   int32
 		size int64
 	}
-	var rows []cs
+	rows := make([]cs, 0, len(sizes))
 	for id, n := range sizes {
-		if err := strided(ctx, len(rows)+1); err != nil {
-			return nil, err
-		}
 		rows = append(rows, cs{id, n})
 	}
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].size != rows[b].size {
-			return rows[a].size > rows[b].size
-		}
-		return rows[a].id < rows[b].id
-	})
-	res := &Result{Columns: []string{"component", "size"}}
-	for i, r := range rows {
-		if err := strided(ctx, i); err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, scalars(model.IntValue(int64(r.id)), model.IntValue(r.size)))
+	slices.SortFunc(rows, func(a, b cs) int { return cmp.Or(cmp.Compare(b.size, a.size), cmp.Compare(a.id, b.id)) })
+	for _, r := range rows {
+		c.Add(scalars(model.IntValue(int64(r.id)), model.IntValue(r.size))...)
 	}
-	return res, nil
 }
 
-// procGDSTriangles: aion.gds.triangleCount(ts) -> (triangles).
-func procGDSTriangles(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	g, err := atSnapshot(ctx, e, args, 1, "aion.gds.triangleCount", 0)
-	if err != nil {
-		return nil, err
-	}
-	n := algo.TriangleCount(csr.Build(g))
-	return &Result{Columns: []string{"triangles"}, Rows: [][]Val{scalars(model.IntValue(n))}}, nil
+func gdsTriangles(c *Call, g *memgraph.Graph) {
+	c.Add(scalars(model.IntValue(algo.TriangleCount(csr.Build(g))))...)
 }
 
-// procGDSBFS: aion.gds.bfs(src, ts) -> (node, level) for reachable nodes.
-func procGDSBFS(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	g, err := atSnapshot(ctx, e, args, 2, "aion.gds.bfs", 1)
-	if err != nil {
-		return nil, err
-	}
-	levels := algo.BFS(g, model.NodeID(args[0].Int()))
-	res := &Result{Columns: []string{"node", "level"}}
-	for id, l := range levels {
-		if err := strided(ctx, id); err != nil {
-			return nil, err
-		}
+// gdsBFS: a row for each node reachable from src.
+func gdsBFS(c *Call, g *memgraph.Graph) {
+	for id, l := range algo.BFS(g, model.NodeID(c.Args[0].Int())) {
 		if l != algo.Unreachable {
-			res.Rows = append(res.Rows, scalars(model.IntValue(int64(id)), model.IntValue(int64(l))))
+			c.Add(scalars(model.IntValue(int64(id)), model.IntValue(int64(l)))...)
 		}
 	}
-	return res, nil
 }
 
-// procGDSSSSP: aion.gds.sssp(src, ts, weightProp) -> (node, distance).
-func procGDSSSSP(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	g, err := atSnapshot(ctx, e, args, 3, "aion.gds.sssp", 1)
-	if err != nil {
-		return nil, err
-	}
-	dist := algo.SSSP(g, model.NodeID(args[0].Int()), args[2].Str())
-	res := &Result{Columns: []string{"node", "distance"}}
-	for id, d := range dist {
-		if err := strided(ctx, id); err != nil {
-			return nil, err
-		}
+// gdsSSSP: a row for each node reachable from src.
+func gdsSSSP(c *Call, g *memgraph.Graph) {
+	for id, d := range algo.SSSP(g, model.NodeID(c.Args[0].Int()), c.Args[2].Str()) {
 		if !math.IsInf(d, 1) {
-			res.Rows = append(res.Rows, scalars(model.IntValue(int64(id)), model.FloatValue(d)))
+			c.Add(scalars(model.IntValue(int64(id)), model.FloatValue(d))...)
 		}
 	}
-	return res, nil
 }
 
-// procGDSLCC: aion.gds.lcc(nodeId, ts) -> (coefficient).
-func procGDSLCC(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	g, err := atSnapshot(ctx, e, args, 2, "aion.gds.lcc", 1)
-	if err != nil {
-		return nil, err
-	}
-	lcc := algo.LocalClusteringCoefficient(g, model.NodeID(args[0].Int()))
-	return &Result{Columns: []string{"coefficient"}, Rows: [][]Val{scalars(model.FloatValue(lcc))}}, nil
+func gdsLCC(c *Call, g *memgraph.Graph) {
+	c.Add(scalars(model.FloatValue(algo.LocalClusteringCoefficient(g, model.NodeID(c.Args[0].Int()))))...)
 }

@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"cmp"
 	"context"
 	"expvar"
 	"fmt"
@@ -10,12 +11,104 @@ import (
 	"aion/internal/model"
 )
 
-// Proc is a temporal procedure callable from Cypher (Sec 5.1: "Aion wraps
-// the functionality exposed in Table 1 with temporal procedures"). Args are
-// already-evaluated scalars. ctx carries the query's deadline; long-running
-// procedures must observe it (the built-ins check it between snapshot steps
-// and pass it through to the store APIs).
-type Proc func(ctx context.Context, e *Engine, args []model.Value) (*Result, error)
+// Proc is one entry of the procedure table: a temporal procedure callable
+// from Cypher (Sec 5.1: "Aion wraps the functionality exposed in Table 1
+// with temporal procedures"). It declares once what every caller must know
+// of it: how many arguments it takes, which of them are timestamps it reads
+// at (a follower bounds them by its watermark, TimestampArgs), and the
+// columns of its rows. Run adds the rows.
+type Proc struct {
+	Arity   int
+	TSArgs  []int
+	Columns []string
+	Run     func(c *Call) error
+}
+
+// Call is one execution of a procedure: the query's ctx, which the body
+// hands to the store APIs, the engine, and the arguments, already-evaluated
+// scalars of the declared arity.
+type Call struct {
+	Ctx  context.Context
+	E    *Engine
+	Args []model.Value
+	rows [][]Val
+	err  error // the ctx's, once Add found it ended
+}
+
+// cancelStride is how many rows Call.Add appends between ctx checks: the
+// stores and algorithms bound their own work, but a result set is as large
+// as the graph and must still observe a deadline that fires mid-assembly.
+const cancelStride = 1024
+
+// Add appends one row, in Columns order, to the call's result. It is the
+// procedure's cancellation point: every cancelStride rows it checks the ctx,
+// and once the ctx has ended, Add drops every row and the call fails with
+// the ctx's error.
+func (c *Call) Add(row ...Val) {
+	if c.err == nil && len(c.rows)%cancelStride == 0 {
+		c.err = c.Ctx.Err()
+	}
+	if c.err == nil {
+		c.rows = append(c.rows, row)
+	}
+}
+
+// ts reads argument i as a timestamp.
+func (c *Call) ts(i int) model.Timestamp { return model.Timestamp(c.Args[i].Int()) }
+
+// builtins is the procedure table: the Table 1 API, the temporal paths, the
+// incremental series (Sec 5.2) and the GDS analytics. NewEngine registers
+// every entry; each entry's comment gives its signature.
+var builtins = map[string]Proc{
+	// aion.node(id, start, end) -> (node, validFrom, validTo).
+	"aion.node": {3, []int{1, 2}, []string{"node", "validFrom", "validTo"}, procNode},
+	// aion.relationship(id, start, end) -> (rel, validFrom, validTo).
+	"aion.relationship": {3, []int{1, 2}, []string{"rel", "validFrom", "validTo"}, procRelationship},
+	// aion.relationships(nodeId, dir, start, end) -> (rel, validFrom, validTo).
+	"aion.relationships": {4, []int{2, 3}, []string{"rel", "validFrom", "validTo"}, procRelationships},
+	// aion.expand(nodeId, dir, hops, ts) -> (hop, node).
+	"aion.expand": {4, []int{3}, []string{"hop", "node"}, procExpand},
+	// aion.diff(start, end) -> (ts, op, entity, id).
+	"aion.diff": {2, []int{0, 1}, []string{"ts", "op", "entity", "id"}, procDiff},
+	// aion.graph(ts) -> (nodes, rels).
+	"aion.graph": {1, []int{0}, []string{"nodes", "rels"}, procGraph},
+	// aion.window(start, end) -> (nodes, rels).
+	"aion.window": {2, []int{0, 1}, []string{"nodes", "rels"}, procWindow},
+	// aion.stats() -> (name, value).
+	"aion.stats": {0, nil, []string{"name", "value"}, procStats},
+	// aion.temporal.earliestArrival(src, startTime, from, to) -> (node, arrival).
+	"aion.temporal.earliestArrival": temporalPath("arrival", algo.EarliestArrival),
+	// aion.temporal.latestDeparture(tgt, deadline, from, to) -> (node, departure).
+	"aion.temporal.latestDeparture": temporalPath("departure", algo.LatestDeparture),
+
+	// aion.incremental.avg(prop, start, end, step) -> (ts, avg, count).
+	"aion.incremental.avg": series(4, []string{"avg", "count"}, seedAvg),
+	// aion.incremental.bfs(src, start, end, step) -> (ts, reached).
+	"aion.incremental.bfs": series(4, []string{"reached"}, seedBFS),
+	// aion.incremental.sssp(src, prop, start, end, step) -> (ts, reached, maxDistance).
+	"aion.incremental.sssp": series(5, []string{"reached", "maxDistance"}, seedSSSP),
+	// aion.incremental.pagerank(start, end, step) -> (ts, iterations, topNode, topRank).
+	"aion.incremental.pagerank": series(3, []string{"iterations", "topNode", "topRank"}, seedPageRank),
+	// aion.incremental.coloring(start, end, step) -> (ts, colors).
+	"aion.incremental.coloring": series(3, []string{"colors"}, seedColoring),
+
+	// aion.gds.pagerank(ts, topK) -> (node, rank).
+	"aion.gds.pagerank": atSnapshot(2, 0, []string{"node", "rank"}, gdsPageRank),
+	// aion.gds.wcc(ts) -> (component, size).
+	"aion.gds.wcc": atSnapshot(1, 0, []string{"component", "size"}, gdsWCC),
+	// aion.gds.triangleCount(ts) -> (triangles).
+	"aion.gds.triangleCount": atSnapshot(1, 0, []string{"triangles"}, gdsTriangles),
+	// aion.gds.bfs(src, ts) -> (node, level).
+	"aion.gds.bfs": atSnapshot(2, 1, []string{"node", "level"}, gdsBFS),
+	// aion.gds.sssp(src, ts, weightProp) -> (node, distance).
+	"aion.gds.sssp": atSnapshot(3, 1, []string{"node", "distance"}, gdsSSSP),
+	// aion.gds.lcc(nodeId, ts) -> (coefficient).
+	"aion.gds.lcc": atSnapshot(2, 1, []string{"coefficient"}, gdsLCC),
+}
+
+// TimestampArgs returns the positions of the timestamp arguments of the
+// built-in procedure name, none when no built-in has that name.
+func TimestampArgs(name string) []int { return builtins[name].TSArgs }
 
 func (e *Engine) execCall(ctx *execCtx, st *Statement) (*Result, error) {
 	c := st.Call
@@ -23,52 +116,40 @@ func (e *Engine) execCall(ctx *execCtx, st *Statement) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("cypher: unknown procedure %q", c.Name)
 	}
-	args := make([]model.Value, len(c.Args))
+	call := &Call{Ctx: ctx.c, E: e, Args: make([]model.Value, len(c.Args))}
 	for i, ex := range c.Args {
 		v, err := ctx.evalScalar(bindings{}, ex)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = v
+		call.Args[i] = v
 	}
-	res, err := proc(ctx.c, e, args)
-	if err != nil {
+	if len(call.Args) != proc.Arity {
+		return nil, fmt.Errorf("cypher: %s expects %d arguments, got %d", c.Name, proc.Arity, len(call.Args))
+	}
+	if err := cmp.Or(proc.Run(call), call.err); err != nil {
 		return nil, err
 	}
-	if len(c.Yield) > 0 {
-		// Project only the yielded columns, in the requested order.
-		idx := make([]int, 0, len(c.Yield))
-		for _, y := range c.Yield {
-			found := -1
-			for i, col := range res.Columns {
-				if col == y {
-					found = i
-					break
-				}
-			}
-			if found < 0 {
-				return nil, fmt.Errorf("cypher: procedure %s does not yield %q", c.Name, y)
-			}
-			idx = append(idx, found)
-		}
-		out := &Result{Columns: slices.Clone(c.Yield)}
-		for _, row := range res.Rows {
-			pr := make([]Val, len(idx))
-			for i, j := range idx {
-				pr[i] = row[j]
-			}
-			out.Rows = append(out.Rows, pr)
-		}
-		return out, nil
+	if len(c.Yield) == 0 {
+		// The table is shared by every call: the result's columns are its own.
+		return &Result{Columns: slices.Clone(proc.Columns), Rows: call.rows}, nil
 	}
-	return res, nil
-}
-
-func argN(args []model.Value, n int, name string) error {
-	if len(args) != n {
-		return fmt.Errorf("cypher: %s expects %d arguments, got %d", name, n, len(args))
+	// Project only the yielded columns, in the requested order.
+	idx := make([]int, len(c.Yield))
+	for i, y := range c.Yield {
+		if idx[i] = slices.Index(proc.Columns, y); idx[i] < 0 {
+			return nil, fmt.Errorf("cypher: procedure %s does not yield %q", c.Name, y)
+		}
 	}
-	return nil
+	out := &Result{Columns: slices.Clone(c.Yield)}
+	for _, row := range call.rows {
+		pr := make([]Val, len(idx))
+		for i, j := range idx {
+			pr[i] = row[j]
+		}
+		out.Rows = append(out.Rows, pr)
+	}
+	return out, nil
 }
 
 // scalars is a row of scalar values.
@@ -90,248 +171,117 @@ func dirOf(v model.Value) model.Direction {
 	return model.Outgoing
 }
 
-// registerBuiltins wires the Table 1 API and the incremental algorithms as
-// procedures.
-func registerBuiltins(e *Engine) {
-	e.Register("aion.node", procNode)
-	e.Register("aion.relationship", procRelationship)
-	e.Register("aion.relationships", procRelationships)
-	e.Register("aion.expand", procExpand)
-	e.Register("aion.diff", procDiff)
-	e.Register("aion.graph", procGraph)
-	e.Register("aion.window", procWindow)
-	e.Register("aion.stats", procStats)
-	e.Register("aion.temporal.earliestArrival", procEarliestArrival)
-	e.Register("aion.temporal.latestDeparture", procLatestDeparture)
-	registerIncremental(e)
-	registerGDS(e)
+func procNode(c *Call) error {
+	ns, err := c.E.Sys.Aion.GetNodeContext(c.Ctx, model.NodeID(c.Args[0].Int()), c.ts(1), c.ts(2))
+	if err != nil {
+		return err
+	}
+	for _, n := range ns {
+		c.Add(NodeVal(n), ScalarVal(model.IntValue(int64(n.Valid.Start))), ScalarVal(model.IntValue(int64(n.Valid.End))))
+	}
+	return nil
 }
 
-// procNode: aion.node(id, start, end) -> (node, validFrom, validTo).
-func procNode(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 3, "aion.node"); err != nil {
-		return nil, err
-	}
-	ns, err := e.Sys.Aion.GetNodeContext(ctx, model.NodeID(args[0].Int()),
-		model.Timestamp(args[1].Int()), model.Timestamp(args[2].Int()))
+func procRelationship(c *Call) error {
+	rs, err := c.E.Sys.Aion.GetRelationshipContext(c.Ctx, model.RelID(c.Args[0].Int()), c.ts(1), c.ts(2))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{Columns: []string{"node", "validFrom", "validTo"}}
-	for i, n := range ns {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		res.Rows = append(res.Rows, []Val{NodeVal(n),
-			ScalarVal(model.IntValue(int64(n.Valid.Start))),
-			ScalarVal(model.IntValue(int64(n.Valid.End)))})
+	for _, r := range rs {
+		c.Add(RelVal(r), ScalarVal(model.IntValue(int64(r.Valid.Start))), ScalarVal(model.IntValue(int64(r.Valid.End))))
 	}
-	return res, nil
+	return nil
 }
 
-// procRelationship: aion.relationship(id, start, end).
-func procRelationship(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 3, "aion.relationship"); err != nil {
-		return nil, err
-	}
-	rs, err := e.Sys.Aion.GetRelationshipContext(ctx, model.RelID(args[0].Int()),
-		model.Timestamp(args[1].Int()), model.Timestamp(args[2].Int()))
+func procRelationships(c *Call) error {
+	hists, err := c.E.Sys.Aion.GetRelationshipsContext(c.Ctx, model.NodeID(c.Args[0].Int()), dirOf(c.Args[1]), c.ts(2), c.ts(3))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{Columns: []string{"rel", "validFrom", "validTo"}}
-	for i, r := range rs {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		res.Rows = append(res.Rows, []Val{RelVal(r),
-			ScalarVal(model.IntValue(int64(r.Valid.Start))),
-			ScalarVal(model.IntValue(int64(r.Valid.End)))})
-	}
-	return res, nil
-}
-
-// procRelationships: aion.relationships(nodeId, dir, start, end).
-func procRelationships(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 4, "aion.relationships"); err != nil {
-		return nil, err
-	}
-	hists, err := e.Sys.Aion.GetRelationshipsContext(ctx, model.NodeID(args[0].Int()), dirOf(args[1]),
-		model.Timestamp(args[2].Int()), model.Timestamp(args[3].Int()))
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Columns: []string{"rel", "validFrom", "validTo"}}
-	scanned := 0
 	for _, hist := range hists {
 		for _, r := range hist {
-			if scanned++; scanned%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			res.Rows = append(res.Rows, []Val{RelVal(r),
-				ScalarVal(model.IntValue(int64(r.Valid.Start))),
-				ScalarVal(model.IntValue(int64(r.Valid.End)))})
+			c.Add(RelVal(r), ScalarVal(model.IntValue(int64(r.Valid.Start))), ScalarVal(model.IntValue(int64(r.Valid.End))))
 		}
 	}
-	return res, nil
+	return nil
 }
 
-// procExpand: aion.expand(nodeId, dir, hops, ts) -> (hop, node).
-func procExpand(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 4, "aion.expand"); err != nil {
-		return nil, err
-	}
-	hops, err := e.Sys.Aion.ExpandContext(ctx, model.NodeID(args[0].Int()), dirOf(args[1]),
-		int(args[2].Int()), model.Timestamp(args[3].Int()))
+func procExpand(c *Call) error {
+	hops, err := c.E.Sys.Aion.ExpandContext(c.Ctx, model.NodeID(c.Args[0].Int()), dirOf(c.Args[1]), int(c.Args[2].Int()), c.ts(3))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{Columns: []string{"hop", "node"}}
-	scanned := 0
 	for h, ns := range hops {
 		for _, n := range ns {
-			if scanned++; scanned%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			res.Rows = append(res.Rows, []Val{
-				ScalarVal(model.IntValue(int64(h + 1))), NodeVal(n)})
+			c.Add(ScalarVal(model.IntValue(int64(h+1))), NodeVal(n))
 		}
 	}
-	return res, nil
+	return nil
 }
 
-// procDiff: aion.diff(start, end) -> (ts, op, entity, id).
-func procDiff(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 2, "aion.diff"); err != nil {
-		return nil, err
-	}
-	diff, err := e.Sys.Aion.GetDiffContext(ctx, model.Timestamp(args[0].Int()), model.Timestamp(args[1].Int()))
+func procDiff(c *Call) error {
+	diff, err := c.E.Sys.Aion.GetDiffContext(c.Ctx, c.ts(0), c.ts(1))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{Columns: []string{"ts", "op", "entity", "id"}}
-	for i, u := range diff {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
+	for _, u := range diff {
 		entity, id := "node", int64(u.NodeID)
 		if !u.Kind.IsNodeOp() {
 			entity, id = "relationship", int64(u.RelID)
 		}
-		res.Rows = append(res.Rows, []Val{
-			ScalarVal(model.IntValue(int64(u.TS))),
-			ScalarVal(model.StringValue(u.Kind.String())),
-			ScalarVal(model.StringValue(entity)),
-			ScalarVal(model.IntValue(id)),
-		})
+		c.Add(scalars(model.IntValue(int64(u.TS)), model.StringValue(u.Kind.String()),
+			model.StringValue(entity), model.IntValue(id))...)
 	}
-	return res, nil
+	return nil
 }
 
-// procGraph: aion.graph(ts) -> (nodes, rels); materializes a snapshot and
-// stores it in the GraphStore for subsequent queries.
-func procGraph(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 1, "aion.graph"); err != nil {
-		return nil, err
-	}
-	g, err := e.Sys.Aion.GraphAtContext(ctx, model.Timestamp(args[0].Int()))
+func procGraph(c *Call) error {
+	g, err := c.E.Sys.Aion.TimeStore().CacheGraphContext(c.Ctx, c.ts(0))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e.Sys.Aion.TimeStore().GraphStore().Put(g)
-	return &Result{
-		Columns: []string{"nodes", "rels"},
-		Rows: [][]Val{{
-			ScalarVal(model.IntValue(int64(g.NodeCount()))),
-			ScalarVal(model.IntValue(int64(g.RelCount()))),
-		}},
-	}, nil
+	c.Add(scalars(model.IntValue(int64(g.NodeCount())), model.IntValue(int64(g.RelCount())))...)
+	return nil
 }
 
-// procWindow: aion.window(start, end) -> (nodes, rels).
-func procWindow(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	if err := argN(args, 2, "aion.window"); err != nil {
-		return nil, err
-	}
-	g, err := e.Sys.Aion.GetWindowContext(ctx, model.Timestamp(args[0].Int()), model.Timestamp(args[1].Int()))
+func procWindow(c *Call) error {
+	g, err := c.E.Sys.Aion.GetWindowContext(c.Ctx, c.ts(0), c.ts(1))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Result{
-		Columns: []string{"nodes", "rels"},
-		Rows: [][]Val{{
-			ScalarVal(model.IntValue(int64(g.NodeCount()))),
-			ScalarVal(model.IntValue(int64(g.RelCount()))),
-		}},
-	}, nil
+	c.Add(scalars(model.IntValue(int64(g.NodeCount())), model.IntValue(int64(g.RelCount())))...)
+	return nil
 }
 
-// procStats: aion.stats() -> one (name, value) row per key of the system's
-// metrics registry, in key order; value is the entry's JSON.
-func procStats(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	res := &Result{Columns: []string{"name", "value"}}
-	e.Sys.Metrics.Do(func(kv expvar.KeyValue) {
-		res.Rows = append(res.Rows, []Val{ScalarVal(model.StringValue(kv.Key)), ScalarVal(model.StringValue(kv.Value.String()))})
+// procStats adds one (name, value) row per key of the system's metrics
+// registry, in key order; value is the entry's JSON.
+func procStats(c *Call) error {
+	c.E.Sys.Metrics.Do(func(kv expvar.KeyValue) {
+		c.Add(scalars(model.StringValue(kv.Key), model.StringValue(kv.Value.String()))...)
 	})
-	return res, nil
+	return nil
 }
 
-// procEarliestArrival: aion.temporal.earliestArrival(src, startTime, from,
-// to) -> (node, arrival) over the hops of [from, to).
-func procEarliestArrival(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	return temporalPath(ctx, e, args, "aion.temporal.earliestArrival", "arrival", algo.EarliestArrival)
-}
-
-// procLatestDeparture: aion.temporal.latestDeparture(tgt, deadline, from,
-// to) -> (node, departure).
-func procLatestDeparture(ctx context.Context, e *Engine, args []model.Value) (*Result, error) {
-	return temporalPath(ctx, e, args, "aion.temporal.latestDeparture", "departure", algo.LatestDeparture)
-}
-
-// temporalPath is the body of the two temporal-path procedures: solve runs
-// from node args[0] at time args[1] over the hops of the diff [args[2],
-// args[3]), and every node it reaches is a row (node, time) in id order.
-func temporalPath(ctx context.Context, e *Engine, args []model.Value, name, column string,
-	solve func([]algo.PathHop, model.NodeID, model.Timestamp) (map[model.NodeID]model.Timestamp, map[model.NodeID]algo.PathHop)) (*Result, error) {
-	if err := argN(args, 4, name); err != nil {
-		return nil, err
-	}
-	diff, err := e.Sys.Aion.GetDiffContext(ctx, model.Timestamp(args[2].Int()), model.Timestamp(args[3].Int()))
-	if err != nil {
-		return nil, err
-	}
-	times, _ := solve(algo.Hops(diff), model.NodeID(args[0].Int()), model.Timestamp(args[1].Int()))
-	ids := make([]model.NodeID, 0, len(times))
-	for id := range times {
-		if len(ids)%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+// temporalPath is the entry of a temporal-path procedure (src, time, from,
+// to): solve runs from node args[0] at time args[1] over the hops of the
+// diff [args[2], args[3]), and every node it reaches is a row (node,
+// column) in id order.
+func temporalPath(column string,
+	solve func([]algo.PathHop, model.NodeID, model.Timestamp) (map[model.NodeID]model.Timestamp, map[model.NodeID]algo.PathHop)) Proc {
+	return Proc{4, []int{2, 3}, []string{"node", column}, func(c *Call) error {
+		diff, err := c.E.Sys.Aion.GetDiffContext(c.Ctx, c.ts(2), c.ts(3))
+		if err != nil {
+			return err
 		}
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	res := &Result{Columns: []string{"node", column}}
-	for i, id := range ids {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		times, _ := solve(algo.Hops(diff), model.NodeID(c.Args[0].Int()), c.ts(1))
+		ids := make([]model.NodeID, 0, len(times))
+		for id := range times {
+			ids = append(ids, id)
 		}
-		res.Rows = append(res.Rows, []Val{
-			ScalarVal(model.IntValue(int64(id))),
-			ScalarVal(model.IntValue(int64(times[id]))),
-		})
-	}
-	return res, nil
+		slices.Sort(ids)
+		for _, id := range ids {
+			c.Add(scalars(model.IntValue(int64(id)), model.IntValue(int64(times[id])))...)
+		}
+		return nil
+	}}
 }

@@ -618,3 +618,36 @@ func TestHandshakeEpochsAreNotObserved(t *testing.T) {
 		t.Fatalf("the follower adopted epoch %#x from a handshake reply", e)
 	}
 }
+
+// TestUndecodableFailureIsAReconnect: a FAILURE whose message does not
+// decode is FailGeneric, a reconnect, as a bolt.Client reads it, whatever its
+// code byte says. Here that byte is FailDiverged, which a follower reading it
+// on its own fail-stopped on for good.
+func TestUndecodableFailureIsAReconnect(t *testing.T) {
+	app := NewApplier(openNode(t, vfstest.NewFaultFS(), "follower", true))
+	defer app.sys.Close()
+	conn, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		if _, err := bolt.ReadFrame(server); err != nil {
+			return
+		}
+		if bolt.WriteFrame(server, []byte{bolt.MsgSuccess}) != nil {
+			return
+		}
+		if _, err := bolt.ReadFrame(server); err != nil {
+			return
+		}
+		// A message of 5 bytes, of which 1 arrives.
+		_ = bolt.WriteFrame(server, []byte{bolt.MsgFailure, bolt.FailDiverged, 5, 'x'})
+	}()
+	fl := &Follower{Applier: app, Addr: "primary",
+		Policy: bolt.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond},
+		Dial:   func(string) (net.Conn, error) { return conn, nil }}
+	if err := fl.Run(context.Background()); err == nil {
+		t.Fatal("a stream that ended in a FAILURE reported no failure")
+	}
+	if err := app.Err(); err != nil {
+		t.Fatalf("an undecodable FAILURE poisoned the follower: %v", err)
+	}
+}

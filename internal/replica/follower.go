@@ -3,7 +3,6 @@ package replica
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -228,33 +227,17 @@ func (f *Follower) stream(ctx context.Context, dial func(string) (net.Conn, erro
 			f.Applier.Note(hb)
 			progressed = true
 		case bolt.MsgFailure:
-			se := decodeFailureFrame(frame[1:])
-			switch se.Code {
-			case bolt.FailDiverged:
+			se := bolt.DecodeFailure(frame[1:])
+			if se.Code == bolt.FailDiverged {
 				return errDiverged{se}
-			case bolt.FailFenced:
-				// The node we dialed has been fenced (it is not the primary
-				// anymore). Transient from our side: back off and redial —
-				// the operator will repoint us at the new primary.
-				return result(se)
 			}
+			// FailFenced: the node we dialed is not the primary anymore. It
+			// and a FAILURE that does not decode (FailGeneric) are transient
+			// from our side: back off and redial — the operator will repoint
+			// us at the new primary.
 			return result(se)
 		default:
 			return result(fmt.Errorf("replica: unexpected stream message 0x%x", frame[0]))
 		}
 	}
-}
-
-// decodeFailureFrame decodes a FAILURE body ([code, uvarint len, msg])
-// into a ServerError.
-func decodeFailureFrame(b []byte) *bolt.ServerError {
-	if len(b) == 0 {
-		return &bolt.ServerError{Code: bolt.FailGeneric, Msg: "unknown failure"}
-	}
-	code := b[0]
-	msg := ""
-	if n, w := binary.Uvarint(b[1:]); w > 0 && uint64(len(b)-1-w) >= n {
-		msg = string(b[1+w : 1+w+int(n)])
-	}
-	return &bolt.ServerError{Code: code, Msg: msg}
 }

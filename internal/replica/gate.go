@@ -9,31 +9,6 @@ import (
 	"aion/internal/model"
 )
 
-// procTSArgs maps each built-in temporal procedure to the positions of its
-// timestamp arguments, so the gate can bound a CALL's reads against the
-// watermark before execution. Range procedures list both endpoints; the
-// gate conservatively requires every timestamp argument to be at or below
-// the watermark. Procedures absent from the table (none today; a user
-// extension point tomorrow) pass ungated — they can only read what the
-// follower's stores hold, which never exceeds the watermark.
-var procTSArgs = map[string][]int{
-	"aion.node":                     {1, 2},
-	"aion.relationship":             {1, 2},
-	"aion.relationships":            {2, 3},
-	"aion.expand":                   {3},
-	"aion.diff":                     {0, 1},
-	"aion.graph":                    {0},
-	"aion.window":                   {0, 1},
-	"aion.stats":                    {},
-	"aion.incremental.avg":          {1, 2},
-	"aion.incremental.bfs":          {1, 2},
-	"aion.incremental.pagerank":     {0, 1},
-	"aion.incremental.sssp":         {2, 3},
-	"aion.incremental.coloring":     {0, 1},
-	"aion.temporal.earliestArrival": {2, 3},
-	"aion.temporal.latestDeparture": {2, 3},
-}
-
 // lagError wraps an unevaluable-timestamp condition as a retryable
 // FAILURE: the gate cannot prove the read stays below the watermark, and
 // the primary can always answer it.
@@ -85,11 +60,10 @@ func (a *Applier) Gate(st *cypher.Statement, params map[string]model.Value) erro
 
 	wm := a.Watermark()
 	if c := st.Call; c != nil {
-		idxs, known := procTSArgs[c.Name]
-		if !known {
-			return nil
-		}
-		for _, i := range idxs {
+		// A procedure outside the built-in table passes ungated: it can only
+		// read what the follower's stores hold, which never exceeds the
+		// watermark.
+		for _, i := range cypher.TimestampArgs(c.Name) {
 			if i >= len(c.Args) {
 				continue // arity error; the engine reports it properly
 			}

@@ -7,6 +7,7 @@ import (
 	"expvar"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -415,11 +416,12 @@ func TestGate(t *testing.T) {
 	app.Note(Heartbeat{LatestTS: wm}) // fresh contact, zero lag
 
 	const ok = byte(0xFF)
-	cases := []struct {
+	type gateCase struct {
 		q      string
 		params map[string]model.Value
 		want   byte
-	}{
+	}
+	cases := []gateCase{
 		{"CREATE (n:P)", nil, bolt.FailReadOnly},
 		{"MATCH (n:P) SET n.x = 1 RETURN n", nil, bolt.FailReadOnly},
 		{"MATCH (n:P) RETURN n", nil, ok},
@@ -438,6 +440,34 @@ func TestGate(t *testing.T) {
 		{fmt.Sprintf("CALL aion.diff(1, %d)", wm), nil, ok},
 		{fmt.Sprintf("CALL aion.diff(1, %d)", wm+1), nil, bolt.FailReplicaLag},
 		{"CALL aion.stats()", nil, ok},
+	}
+	// Every built-in procedure that reads at a timestamp, each timestamp
+	// argument (a %d) in turn at wm and at wm+1, the others at 1.
+	for _, call := range []string{
+		"aion.node(0, %d, %d)", "aion.relationship(0, %d, %d)",
+		"aion.relationships(0, 'out', %d, %d)", "aion.expand(0, 'out', 2, %d)",
+		"aion.diff(%d, %d)", "aion.graph(%d)", "aion.window(%d, %d)",
+		"aion.temporal.earliestArrival(0, 1, %d, %d)", "aion.temporal.latestDeparture(0, 9, %d, %d)",
+		"aion.incremental.avg('x', %d, %d, 1)", "aion.incremental.bfs(0, %d, %d, 1)",
+		"aion.incremental.sssp(0, 'w', %d, %d, 1)", "aion.incremental.pagerank(%d, %d, 1)",
+		"aion.incremental.coloring(%d, %d, 1)",
+		"aion.gds.pagerank(%d, 10)", "aion.gds.wcc(%d)", "aion.gds.triangleCount(%d)",
+		"aion.gds.bfs(0, %d)", "aion.gds.sssp(0, %d, 'w')", "aion.gds.lcc(0, %d)",
+	} {
+		parts := strings.Split("CALL "+call, "%d")
+		for i := 1; i < len(parts); i++ {
+			for ts, want := range map[model.Timestamp]byte{wm: ok, wm + 1: bolt.FailReplicaLag} {
+				q := parts[0]
+				for j, p := range parts[1:] {
+					at := model.Timestamp(1)
+					if j+1 == i {
+						at = ts
+					}
+					q += fmt.Sprint(at) + p
+				}
+				cases = append(cases, gateCase{q, nil, want})
+			}
+		}
 	}
 	for _, tc := range cases {
 		if got := gateCode(t, app.Gate(mustParse(t, tc.q), tc.params)); got != tc.want {

@@ -3,7 +3,6 @@ package replica
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"expvar"
 	"fmt"
 	"net"
@@ -169,13 +168,8 @@ func (s *Source) ServeConn(conn net.Conn, r *bufio.Reader, w *bufio.Writer, reqF
 		}
 		return w.Flush()
 	}
-	sendFailure := func(se *bolt.ServerError) {
-		payload := []byte{bolt.MsgFailure, se.Code}
-		payload = binary.AppendUvarint(payload, uint64(len(se.Msg)))
-		_ = send(append(payload, se.Msg...))
-	}
 	if se := s.admit(req); se != nil {
-		sendFailure(se)
+		_ = send(bolt.AppendFailure(se.Code, se.Msg))
 		return
 	}
 	poll := s.PollInterval
@@ -193,15 +187,15 @@ func (s *Source) ServeConn(conn net.Conn, r *bufio.Reader, w *bufio.Writer, reqF
 		if s.db.Role() != hostdb.RolePrimary {
 			// Demoted mid-stream: fence this follower off the old timeline.
 			s.fencedStreams.Add(1)
-			sendFailure(&bolt.ServerError{Code: bolt.FailFenced,
-				Msg: fmt.Sprintf("replica: demoted to %s at epoch %d", s.db.Role(), s.db.Epoch())})
+			_ = send(bolt.AppendFailure(bolt.FailFenced,
+				fmt.Sprintf("replica: demoted to %s at epoch %d", s.db.Role(), s.db.Epoch())))
 			return
 		}
 		sh, err := s.Shipment(strOff, txnOff, maxShipmentBytes)
 		if err != nil {
 			// Divergent follower or unreadable primary file: tell the
 			// follower to fail-stop, then drop the stream.
-			sendFailure(&bolt.ServerError{Code: bolt.FailDiverged, Msg: err.Error()})
+			_ = send(bolt.AppendFailure(bolt.FailDiverged, err.Error()))
 			return
 		}
 		if sh.Empty() {

@@ -98,6 +98,23 @@ func (s *Store) GetGraphContext(ctx context.Context, ts model.Timestamp) (*memgr
 	return g, nil
 }
 
+// CacheGraphContext is GetGraphContext for a caller that keeps the snapshot
+// for later queries (aion.graph, Sec 5.2): a copy also enters the
+// GraphStore, but only when the graph is complete at ts, ts being no later
+// than the log's last timestamp when the replay began. The cache key carries
+// no sequence, so a graph cached ahead of the log would stand for commits
+// still to come.
+func (s *Store) CacheGraphContext(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, error) {
+	s.mu.Lock()
+	complete := ts <= s.lastTS
+	s.mu.Unlock()
+	g, err := s.GetGraphContext(ctx, ts)
+	if err == nil && complete {
+		s.gs.Put(g)
+	}
+	return g, err
+}
+
 // basePos returns a mutable graph at the closest base position <= ts
 // together with that exact position: the later of the in-memory GraphStore's
 // floor and the newest chain element on disk — falling back to the empty
