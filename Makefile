@@ -50,7 +50,7 @@ loc:
 	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
 	@n=$$($(LOC_FILES) ! -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "production $$n"; \
-	[ $$n -le 21806 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 21938 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 	@n=$$($(LOC_FILES) -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "testkit $$n"; \
 	[ $$n -le 2132 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }
@@ -227,8 +227,10 @@ disk-budget:
 # point-history's expand class — a node's outgoing relationships at an instant
 # — 20 000 times against the LineageStore of the benchmark-shaped store and
 # reports nanoseconds and page-cache accesses (hits + misses, an exact count at
-# a fixed iteration count) per returned relationship. It fails above 3.46
-# accesses, half of what the read path cost before every entity read became
-# one descent.
+# a fixed iteration count) per returned relationship, then the accesses per
+# returned relationship of as many incoming expands (in-gets/rel) and point
+# relationship reads (point-gets/rel, two descents each). It fails above 0.75
+# accesses, the 0.683 of an expand that is one descent and one scan of the
+# node's cluster + 10 % (2.722 with a descent per relationship).
 expand-budget:
 	$(GO) test -run '^$$' -bench BenchmarkExpand1 -benchtime 20000x ./internal/system/

@@ -76,7 +76,7 @@ func TestReopenCatchesUpFromWhatTheDiskSays(t *testing.T) {
 			}
 		}, true},
 		{"index file truncated", func(t *testing.T, dir string) {
-			if err := os.Truncate(lineage(dir, "rels.idx"), 8192+50); err != nil {
+			if err := os.Truncate(lineage(dir, "outrels.idx"), 8192+50); err != nil {
 				t.Fatal(err)
 			}
 		}, true},

@@ -18,6 +18,10 @@ import (
 // every path. After an I/O error the cursor holds no leaf, every move reports
 // false, and Err returns the error.
 type Cursor struct {
+	// Descents and Gets count the cursor's root-to-leaf descents and its
+	// page-cache accesses since it opened (a profile reads them at Close).
+	Descents, Gets int
+
 	t    *Tree
 	page []byte // the current leaf; nil while unpositioned
 	root []byte // the root, once a descent has passed through it
@@ -41,7 +45,7 @@ func (c *Cursor) Close() {
 // leaves the cursor unpositioned.
 func (c *Cursor) Yield() {
 	c.Close()
-	*c = Cursor{t: c.t, err: c.err}
+	*c = Cursor{Descents: c.Descents, Gets: c.Gets, t: c.t, err: c.err}
 	c.t.mu.RLock()
 }
 
@@ -60,15 +64,23 @@ func (c *Cursor) Value() []byte {
 	return v
 }
 
-// SeekFloor moves to the largest key <= target with one descent and reports
-// whether there is one. When there is none the cursor rests before the
-// tree's smallest key, so that Next yields it.
+// SeekFloor moves to the largest key <= target and reports whether there is
+// one. When the cursor is on a cell of a leaf that holds that key, it looks
+// there first (finger): from the current cell outward, doubling its step, then
+// a binary search of the bracket found — a scan that seeks from one entity to
+// the next mostly moves a few cells and reads no page. Otherwise it takes one
+// descent. When there is no floor the cursor rests before the tree's smallest
+// key, so that Next yields it.
 func (c *Cursor) SeekFloor(target []byte) bool {
+	if c.page != nil && c.err == nil && c.finger(target) {
+		return true
+	}
 	c.page = nil
 	if c.err != nil || c.descend(c.t.root, target, false) {
 		return c.err == nil
 	}
 	for pid := c.t.root; c.err == nil; {
+		c.Gets++
 		p, err := c.t.pc.Get(pid)
 		if err != nil {
 			c.err = err
@@ -83,11 +95,57 @@ func (c *Cursor) SeekFloor(target []byte) bool {
 	return false
 }
 
+// finger finds target's floor in the held leaf, from the current cell
+// outward in doubling steps, then by bisection, and reports whether the leaf
+// is known to hold it: not when target lies below the leaf's first key or
+// above its last.
+func (c *Cursor) finger(target []byte) bool {
+	n := nKeys(c.page)
+	if c.idx < 0 || c.idx >= n {
+		return false
+	}
+	cmpAt := func(i int) int {
+		k, _ := leafCell(c.page, slotOff(c.page, i))
+		return bytes.Compare(k, target)
+	}
+	lo, hi := c.idx, c.idx+1 // key(lo) <= target < key(hi), hi == n: not known
+	for step := 1; cmpAt(lo) > 0; step *= 2 {
+		if lo == 0 {
+			return false
+		}
+		lo, hi = max(lo-step, 0), lo
+	}
+	for step := 1; hi < n && cmpAt(hi) <= 0; step *= 2 {
+		lo, hi = hi, min(hi+step, n)
+	}
+	if hi == n {
+		if d := cmpAt(n - 1); d < 0 {
+			return false // a later leaf may hold keys up to target
+		} else if d == 0 {
+			lo = n - 1
+		}
+		hi = n - 1
+	}
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; cmpAt(mid) > 0 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	c.idx = lo
+	return true
+}
+
 // descend finds the leaf under pid that holds the largest key <= target (or,
 // when strict, < target) and points the cursor at that cell.
 func (c *Cursor) descend(pid pagecache.PageID, target []byte, strict bool) bool {
+	if pid == c.t.root {
+		c.Descents++
+	}
 	p := c.root
 	if pid != c.t.root || p == nil {
+		c.Gets++
 		var err error
 		if p, err = c.t.pc.Get(pid); err != nil {
 			c.err = err
@@ -132,6 +190,7 @@ func (c *Cursor) Next() bool {
 			c.idx = nKeys(c.page)
 			return false
 		}
+		c.Gets++
 		p, err := c.t.pc.Get(next)
 		if err != nil {
 			c.page, c.err = nil, err

@@ -382,3 +382,67 @@ func TestSequentialSplitKeepsPagesFull(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerSeekMatchesDescent: a SeekFloor from wherever one cursor stands —
+// a seek or a few steps before, near its current cell or far from it, on a
+// key or between two, across leaves emptied by hand — lands where a fresh
+// cursor's descent lands.
+func TestFingerSeekMatchesDescent(t *testing.T) {
+	tr := newTree(t)
+	rng := rand.New(rand.NewSource(29))
+	seen := map[string]bool{}
+	for i := 0; i < 6000; i++ {
+		k := []byte{byte(rng.Intn(40)), byte(rng.Intn(256)), byte(rng.Intn(256))}
+		if err := tr.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+		seen[string(k)] = true
+	}
+	dropKeys(t, tr, []byte{10}, []byte{12})
+	dropKeys(t, tr, []byte{39}, []byte{40})
+	var keys []string
+	for k := range seen {
+		if k[0] != 10 && k[0] != 11 && k[0] != 39 {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	target := func(near []byte) []byte {
+		if near == nil || rng.Intn(4) == 0 {
+			return []byte{byte(rng.Intn(41)), byte(rng.Intn(256))} // anywhere
+		}
+		i := sort.SearchStrings(keys, string(near)) + rng.Intn(9) - 4 // a few cells away
+		k := []byte(keys[max(0, min(i, len(keys)-1))])
+		if rng.Intn(2) == 0 { // just above or below it
+			return append(append([]byte(nil), k[:2]...), k[2]+byte(rng.Intn(3))-1, byte(rng.Intn(2)))
+		}
+		return k
+	}
+	c := tr.Cursor()
+	defer c.Close()
+	var near []byte
+	for step := 0; step < 40000; step++ {
+		tg := target(near)
+		got := c.SeekFloor(tg)
+		var gotKey []byte
+		if got {
+			gotKey = append([]byte(nil), c.Key()...)
+		}
+		fresh := Cursor{t: tr}
+		want := fresh.SeekFloor(tg)
+		if got != want || got && !bytes.Equal(gotKey, fresh.Key()) {
+			t.Fatalf("step %d: floor(%x) from a held leaf = %v %x, a descent says %v %x", step, tg, got, gotKey, want, fresh.Key())
+		}
+		for n := rng.Intn(4); n > 0; n-- { // a few steps either way
+			if rng.Intn(2) == 0 {
+				c.Next()
+			} else {
+				c.Prev()
+			}
+		}
+		near = gotKey
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -156,6 +156,7 @@ type PathPattern struct {
 // statement as read-only: no field, slice or map reachable from it is ever
 // written after Parse returns it.
 type Statement struct {
+	Profile  bool // PROFILE CALL ...: the call's operators' costs instead of its rows
 	Temporal TemporalClause
 	Match    *MatchStmt
 	Create   *CreateStmt

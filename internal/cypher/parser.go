@@ -70,6 +70,12 @@ func (p *parser) expect(kind tokenKind, what string) (token, error) {
 
 func (p *parser) statement() (*Statement, error) {
 	st := &Statement{}
+	if t := p.cur(); t.kind == tokIdent && strings.EqualFold(t.text, "PROFILE") { // not a keyword: "profile" stays a valid name
+		if p.next(); !p.cur().isKw("CALL") {
+			return nil, p.errf("PROFILE supports CALL only, got %q", p.cur().text)
+		}
+		st.Profile = true
+	}
 	if p.cur().isKw("USE") {
 		tc, err := p.useClause()
 		if err != nil {

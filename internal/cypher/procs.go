@@ -6,8 +6,10 @@ import (
 	"expvar"
 	"fmt"
 	"slices"
+	"time"
 
 	"aion/internal/algo"
+	"aion/internal/lineagestore"
 	"aion/internal/model"
 )
 
@@ -127,6 +129,16 @@ func (e *Engine) execCall(ctx *execCtx, st *Statement) (*Result, error) {
 	if len(call.Args) != proc.Arity {
 		return nil, fmt.Errorf("cypher: %s expects %d arguments, got %d", c.Name, proc.Arity, len(call.Args))
 	}
+	// The yielded columns are checked before the body runs, PROFILE or not.
+	idx := make([]int, len(c.Yield))
+	for i, y := range c.Yield {
+		if idx[i] = slices.Index(proc.Columns, y); idx[i] < 0 {
+			return nil, fmt.Errorf("cypher: procedure %s does not yield %q", c.Name, y)
+		}
+	}
+	if st.Profile {
+		return profileCall(call, proc, c.Name)
+	}
 	if err := cmp.Or(proc.Run(call), call.err); err != nil {
 		return nil, err
 	}
@@ -135,12 +147,6 @@ func (e *Engine) execCall(ctx *execCtx, st *Statement) (*Result, error) {
 		return &Result{Columns: slices.Clone(proc.Columns), Rows: call.rows}, nil
 	}
 	// Project only the yielded columns, in the requested order.
-	idx := make([]int, len(c.Yield))
-	for i, y := range c.Yield {
-		if idx[i] = slices.Index(proc.Columns, y); idx[i] < 0 {
-			return nil, fmt.Errorf("cypher: procedure %s does not yield %q", c.Name, y)
-		}
-	}
 	out := &Result{Columns: slices.Clone(c.Yield)}
 	for _, row := range call.rows {
 		pr := make([]Val, len(idx))
@@ -149,6 +155,35 @@ func (e *Engine) execCall(ctx *execCtx, st *Statement) (*Result, error) {
 		}
 		out.Rows = append(out.Rows, pr)
 	}
+	return out, nil
+}
+
+// profileColumns are PROFILE's: one row per operator.
+var profileColumns = []string{"operator", "store", "rows", "descents", "gets", "decoded", "us"}
+
+// profileCall runs call with a profile in its ctx and returns, instead of its
+// rows, one row per store operator it ran — its rows, B+Tree descents,
+// page-cache gets, version records decoded and µs — then the call's own row,
+// which sums them and counts the call's rows and whole time.
+func profileCall(call *Call, proc Proc, name string) (*Result, error) {
+	prof := &lineagestore.Profile{}
+	call.Ctx = lineagestore.WithProfile(call.Ctx, prof)
+	t0 := time.Now()
+	if err := cmp.Or(proc.Run(call), call.err); err != nil {
+		return nil, err
+	}
+	total := lineagestore.ProfileOp{Operator: "ProcedureCall " + name, Rows: len(call.rows), Elapsed: time.Since(t0)}
+	out := &Result{Columns: slices.Clone(profileColumns)}
+	row := func(op lineagestore.ProfileOp) {
+		out.Rows = append(out.Rows, scalars(model.StringValue(op.Operator), model.StringValue(op.Store), model.IntValue(int64(op.Rows)),
+			model.IntValue(int64(op.Descents)), model.IntValue(int64(op.Gets)), model.IntValue(int64(op.Decoded)),
+			model.FloatValue(float64(op.Elapsed.Nanoseconds())/1e3)))
+	}
+	for _, op := range prof.Ops {
+		row(op)
+		total.Descents, total.Gets, total.Decoded = total.Descents+op.Descents, total.Gets+op.Gets, total.Decoded+op.Decoded
+	}
+	row(total)
 	return out, nil
 }
 

@@ -1,0 +1,83 @@
+package cypher
+
+import (
+	"context"
+	"slices"
+	"strings"
+	"testing"
+
+	"aion/internal/model"
+)
+
+// TestParseProfile: PROFILE prefixes a CALL; it is not a keyword, so a name
+// spelled profile still parses, and it prefixes nothing else.
+func TestParseProfile(t *testing.T) {
+	for _, q := range []string{"PROFILE CALL aion.relationships(1, 'out', 3, 3)", "profile CALL aion.node(1, 2, 2)"} {
+		st, err := Parse(q)
+		if err != nil || !st.Profile || st.Call == nil {
+			t.Errorf("Parse(%q) = %+v, %v; want a profiled CALL", q, st, err)
+		}
+	}
+	if st, err := Parse("CALL aion.node(1, 2, 2)"); err != nil || st.Profile {
+		t.Errorf("a plain CALL parses as %+v, %v", st, err)
+	}
+	if st, err := Parse("MATCH (profile:Person) RETURN profile.name"); err != nil || st.Profile {
+		t.Errorf("a variable named profile: %+v, %v", st, err)
+	}
+	for _, q := range []string{"PROFILE MATCH (n) RETURN n", "PROFILE", "PROFILE PROFILE CALL aion.stats()"} {
+		if _, err := Parse(q); err == nil {
+			t.Errorf("Parse(%q) succeeded, want PROFILE to take a CALL only", q)
+		}
+	}
+}
+
+// TestProfileRelationships: PROFILE CALL aion.relationships returns one row
+// per operator — the outgoing cluster scan, the in-neighbour scan, the
+// incoming version walks — and then the call's own, whose rows are the plain
+// call's and whose descents, gets and decoded records sum the operators'.
+func TestProfileRelationships(t *testing.T) {
+	e := seed(t)
+	q := "CALL aion.relationships($id, 'both', 3, 3)"
+	params := map[string]model.Value{"id": model.IntValue(1)} // bob: KNOWS from alice, KNOWS to berlin
+	plain := mustQuery(t, e, q, params)
+	if len(plain.Rows) != 2 {
+		t.Fatalf("bob has %d relationships at 3, want 2", len(plain.Rows))
+	}
+	res := mustQuery(t, e, "PROFILE "+q, params)
+	if want := []string{"operator", "store", "rows", "descents", "gets", "decoded", "us"}; !slices.Equal(res.Columns, want) {
+		t.Fatalf("columns %v, want %v", res.Columns, want)
+	}
+	ops := []string{"OutgoingScan outrels.idx", "IncomingScan in.idx", "IncomingVersions outrels.idx", "ProcedureCall aion.relationships"}
+	if len(res.Rows) != len(ops) {
+		t.Fatalf("%d rows, want one per operator %v", len(res.Rows), ops)
+	}
+	var sum [3]int64
+	for i, row := range res.Rows {
+		v := func(j int) model.Value { return row[j].S }
+		if v(0).Str() != ops[i] || i < len(ops)-1 && v(1).Str() != "LineageStore" {
+			t.Errorf("row %d is %q in %q, want %q in the LineageStore", i, v(0).Str(), v(1).Str(), ops[i])
+		}
+		if v(6).Float() < 0 {
+			t.Errorf("%s took %v µs", ops[i], v(6).Float())
+		}
+		if i == len(ops)-1 {
+			if v(2).Int() != int64(len(plain.Rows)) || v(3).Int() != sum[0] || v(4).Int() != sum[1] || v(5).Int() != sum[2] {
+				t.Errorf("the call's row %v, want %d rows and the operators' sums %v", row, len(plain.Rows), sum)
+			}
+			continue
+		}
+		if v(3).Int() < 1 || v(4).Int() < v(3).Int() {
+			t.Errorf("%s: %d descents, %d gets: each operator descends at least once, and a descent reads a page", ops[i], v(3).Int(), v(4).Int())
+		}
+		sum[0], sum[1], sum[2] = sum[0]+v(3).Int(), sum[1]+v(4).Int(), sum[2]+v(5).Int()
+	}
+	if sum[2] < int64(len(plain.Rows)) {
+		t.Errorf("%d records decoded for %d versions", sum[2], len(plain.Rows))
+	}
+	// A YIELD naming no column fails with PROFILE as without it.
+	for _, q := range []string{q + " YIELD nosuch", "PROFILE " + q + " YIELD nosuch"} {
+		if _, err := e.QueryContext(context.Background(), q, params); err == nil || !strings.Contains(err.Error(), "does not yield") {
+			t.Errorf("%s: err %v, want \"does not yield\"", q, err)
+		}
+	}
+}

@@ -210,11 +210,11 @@ func TestDecodeTruncatedValidRecords(t *testing.T) {
 }
 
 // FuzzDecodeVersion (a leg of `make fuzz-smoke`): a LineageStore read decodes
-// version values off B+Tree pages that carry no checksum. On any bytes, id
-// and ts DecodeVersion must return an error or an update, never panic, and
+// version values off B+Tree pages that carry no checksum. On any bytes, src,
+// id and ts DecodeVersion must return an error or an update, never panic, and
 // allocate at most in proportion to its input. It must agree with
-// DecodeUpdate on the record that puts ts and id back, and what it accepts
-// must re-encode to its own bytes.
+// DecodeUpdate on the record that puts ts and id back — and src, for a
+// relationship — and what it accepts must re-encode to its own bytes.
 func FuzzDecodeVersion(f *testing.F) {
 	seedCodec := NewCodec(strstore.NewMem())
 	for _, u := range seedUpdates() {
@@ -222,22 +222,26 @@ func FuzzDecodeVersion(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b, int64(u.NodeID+model.NodeID(u.RelID)), int64(u.TS))
+		f.Add(b, int64(u.Src), int64(u.NodeID+model.NodeID(u.RelID)), int64(u.TS))
 	}
-	f.Add([]byte{}, int64(0), int64(0))
-	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}, int64(-1), int64(math.MaxInt64))
+	f.Add([]byte{}, int64(0), int64(0), int64(0))
+	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}, int64(-1), int64(-1), int64(math.MaxInt64))
 	for _, b := range refSeeds() {
-		f.Add(append(b[:1:1], b[3:]...), int64(b[2]), int64(b[1])) // the record without its ts and id
+		if b[0]&headerTypeMask == byte(TypeRel) { // the record without its ts, id and src
+			f.Add(append(b[:1:1], b[4:]...), int64(b[3]), int64(b[2]), int64(b[1]))
+		} else { // without its ts and id
+			f.Add(append(b[:1:1], b[3:]...), int64(0), int64(b[2]), int64(b[1]))
+		}
 	}
-	f.Fuzz(func(t *testing.T, b []byte, id, ts int64) {
+	f.Fuzz(func(t *testing.T, b []byte, src, id, ts int64) {
 		c := fuzzCodec(t)
-		u, err := c.DecodeVersion(b, id, model.Timestamp(ts))
+		u, err := c.DecodeVersion(b, model.NodeID(src), id, model.Timestamp(ts))
 		// The fewest bytes of three decodes: the fuzzing worker allocates too.
 		n := uint64(math.MaxUint64)
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _ = c.DecodeVersion(b, id, model.Timestamp(ts))
+			_, _ = c.DecodeVersion(b, model.NodeID(src), id, model.Timestamp(ts))
 			runtime.ReadMemStats(&after)
 			n = min(n, after.TotalAlloc-before.TotalAlloc)
 		}
@@ -247,6 +251,9 @@ func FuzzDecodeVersion(f *testing.F) {
 		var full []byte
 		if len(b) > 0 {
 			full = binary.AppendUvarint(binary.AppendUvarint([]byte{b[0]}, uint64(ts)), uint64(id))
+			if b[0]&headerTypeMask == byte(TypeRel) {
+				full = binary.AppendUvarint(full, uint64(src))
+			}
 			full = append(full, b[1:]...)
 		}
 		whole, uerr := c.DecodeUpdate(full)
@@ -267,7 +274,7 @@ func FuzzDecodeVersion(f *testing.F) {
 		if w, err := c.AppendVersion(nil, whole); err != nil || !bytes.Equal(w, enc1) {
 			t.Fatalf("DecodeVersion = %v; DecodeUpdate of the whole record = %v (%x, %v)", u, whole, w, err)
 		}
-		u2, err := c.DecodeVersion(enc1, id, model.Timestamp(ts))
+		u2, err := c.DecodeVersion(enc1, model.NodeID(src), id, model.Timestamp(ts))
 		if err != nil {
 			t.Fatalf("decode of re-encoded version %v: %v", u, err)
 		}

@@ -1,6 +1,7 @@
 package enc
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"aion/internal/model"
@@ -40,22 +41,10 @@ func readUint(k []byte) (v uint64, rest []byte, ok bool) {
 	return v, k[n:], true
 }
 
-// AppendKeyVersion appends a version-tree key, (entityId, ts), to b. The
-// node tree and the relationship tree share this one format — KeyNode and
-// KeyRel are its typed spellings — so one chain walker reads both.
+// AppendKeyVersion appends an (entityId, ts) key to b: a node-tree key (KeyNode)
+// or a rels.idx key (KeyRel: relationship id, insertion timestamp).
 func AppendKeyVersion(b []byte, id int64, ts model.Timestamp) []byte {
-	return appendUint(appendUint(b, uint64(id)), uint64(ts))
-}
-
-// ParseKeyVersion decodes a key written by AppendKeyVersion; ok is false, and
-// the rest zero, for bytes it cannot have written.
-func ParseKeyVersion(k []byte) (id int64, ts model.Timestamp, ok bool) {
-	a, k, _ := readUint(k)
-	t, k, ok := readUint(k)
-	if !ok || len(k) != 0 {
-		return 0, 0, false
-	}
-	return int64(a), model.Timestamp(t), true
+	return AppendKeyTS(AppendKeyPrefix(b, id), ts)
 }
 
 // KeyNode encodes a LineageStore node key: (nodeId, ts).
@@ -63,50 +52,73 @@ func KeyNode(id model.NodeID, ts model.Timestamp) []byte {
 	return AppendKeyVersion(make([]byte, 0, 18), int64(id), ts)
 }
 
-// KeyRel encodes a LineageStore relationship key: (relId, ts).
+// KeyRel encodes a rels.idx key: (relId, insertion ts).
 func KeyRel(id model.RelID, ts model.Timestamp) []byte {
 	return AppendKeyVersion(make([]byte, 0, 18), int64(id), ts)
 }
 
-// AppendKeyNeighPrefix appends the (aId) prefix all neighbourhood keys of a
-// start with, at most 9 bytes: every key of a lies in [prefix(a), prefix(a+1)),
-// and the bare prefix sorts below them all.
-func AppendKeyNeighPrefix(buf []byte, a model.NodeID) []byte {
-	return appendUint(buf, uint64(a))
+// AppendKeyPrefix appends one key component, at most 9 bytes. A key whose
+// leading components are the prefix's lies in [prefix(id), prefix(id+1)) for
+// the last one, and the bare prefix sorts below them all.
+func AppendKeyPrefix(b []byte, id int64) []byte { return appendUint(b, uint64(id)) }
+
+// AppendKeyTS appends the timestamp that ends every version key, after its
+// entity's prefix: (id) in the node tree, (src, rel) in the relationship tree.
+func AppendKeyTS(b []byte, ts model.Timestamp) []byte { return appendUint(b, uint64(ts)) }
+
+// ParseKeyTS decodes what follows an entity's prefix in one of its keys; ok
+// is false for anything but one component.
+func ParseKeyTS(rest []byte) (ts model.Timestamp, ok bool) {
+	v, rest, ok := readUint(rest)
+	return model.Timestamp(v), ok && len(rest) == 0
 }
 
-// AppendKeyNeigh4 appends a neighbourhood key, (aId, bId, ts, relId), to
-// buf. For the out-neighbours index a is the source and b the target; for
-// the in-neighbours index a is the target and b the source (Sec 4.2). The
-// paper keys neighbour entries by (srcId, tgtId, ts) alone (Table 2); we add
-// the rel id so that multigraph relationships created between the same
-// endpoints at the same timestamp cannot collide — and so the value need not
-// repeat it. Ordering by (node, neighbour, time) is preserved.
-func AppendKeyNeigh4(buf []byte, a, b model.NodeID, ts model.Timestamp, rel model.RelID) []byte {
-	return appendUint(appendUint(appendUint(appendUint(buf, uint64(a)), uint64(b)), uint64(ts)), uint64(rel))
+// AppendKeyIncident appends an incident-tree key, (aId, relId, ts), to b. The
+// relationship tree clusters each relationship's version records under its
+// source, (srcId, relId, ts): a node's outgoing relationships, histories and
+// all, are one range. in.idx keys a relationship's events under its target,
+// (tgtId, relId, ts). Table 2 keys neighbours by (srcId, tgtId, ts); keying by
+// the relationship keeps its entries contiguous in both trees, and parallel
+// relationships apart.
+func AppendKeyIncident(b []byte, a model.NodeID, rel model.RelID, ts model.Timestamp) []byte {
+	return AppendKeyTS(AppendKeyPrefix(AppendKeyPrefix(b, int64(a)), int64(rel)), ts)
 }
 
-// ParseKeyNeigh4 decodes a key written by KeyNeigh4; ok is false, and the
-// rest zero, for bytes KeyNeigh4 cannot have written.
-func ParseKeyNeigh4(k []byte) (a, b model.NodeID, ts model.Timestamp, rel model.RelID, ok bool) {
-	var v [4]uint64
+// ParseKeyIncident decodes a key written by AppendKeyIncident; ok is false,
+// and the rest zero, for bytes it cannot have written.
+func ParseKeyIncident(k []byte) (a model.NodeID, rel model.RelID, ts model.Timestamp, ok bool) {
+	var v [3]uint64
 	for i := range v {
 		v[i], k, ok = readUint(k)
 	}
 	if !ok || len(k) != 0 {
-		return 0, 0, 0, 0, false
+		return 0, 0, 0, false
 	}
-	return model.NodeID(v[0]), model.NodeID(v[1]), model.Timestamp(v[2]), model.RelID(v[3]), true
+	return model.NodeID(v[0]), model.RelID(v[1]), model.Timestamp(v[2]), true
 }
 
-// NeighValue encodes a neighbourhood index value: the deletion flag. The
-// relationship the entry maps back to is the key's fourth component.
-func NeighValue(deleted bool) []byte {
+// AppendRelSource appends a rels.idx value, (relId, insertion ts) -> src: the
+// source whose cluster holds that insertion's versions, a uvarint.
+func AppendRelSource(b []byte, src model.NodeID) []byte { return binary.AppendUvarint(b, uint64(src)) }
+
+// ParseRelSource decodes a value written by AppendRelSource; ok is false
+// unless v is exactly one minimal uvarint.
+func ParseRelSource(v []byte) (src model.NodeID, ok bool) {
+	x, rest, err := readUvarint(v, "src")
+	return model.NodeID(x), err == nil && len(rest) == 0
+}
+
+// AppendIncomingValue appends an in.idx value: the source, shifted left one
+// bit to carry the deletion flag, a uvarint.
+func AppendIncomingValue(b []byte, deleted bool, src model.NodeID) []byte {
 	if deleted {
-		return []byte{1}
+		return AppendRelSource(b, src<<1|1)
 	}
-	return []byte{0}
+	return AppendRelSource(b, src<<1)
 }
 
-// ParseNeighValue decodes a value written by NeighValue.
-func ParseNeighValue(v []byte) (deleted bool) { return len(v) > 0 && v[0] != 0 }
+// ParseIncomingValue decodes a value written by AppendIncomingValue.
+func ParseIncomingValue(v []byte) (deleted bool, src model.NodeID, ok bool) {
+	x, ok := ParseRelSource(v)
+	return x&1 == 1, model.NodeID(uint64(x) >> 1), ok
+}

@@ -48,8 +48,8 @@ func TestKeyOrderMatchesTupleOrder(t *testing.T) {
 	}{
 		{"KeyNode", 2, func(v [4]uint64) []byte { return KeyNode(model.NodeID(v[0]), model.Timestamp(v[1])) }},
 		{"KeyRel", 2, func(v [4]uint64) []byte { return KeyRel(model.RelID(v[0]), model.Timestamp(v[1])) }},
-		{"KeyNeigh4", 4, func(v [4]uint64) []byte {
-			return KeyNeigh4(model.NodeID(v[0]), model.NodeID(v[1]), model.Timestamp(v[2]), model.RelID(v[3]))
+		{"KeyIncident", 3, func(v [4]uint64) []byte {
+			return KeyIncident(model.NodeID(v[0]), model.RelID(v[1]), model.Timestamp(v[2]))
 		}},
 	}
 	for _, kind := range kinds {
@@ -62,19 +62,23 @@ func TestKeyOrderMatchesTupleOrder(t *testing.T) {
 	}
 }
 
-// TestNeighKeysLieInPrefixRange: the scan bounds the neighbour queries use
-// hold exactly node a's entries.
+// TestNeighKeysLieInPrefixRange: the scan bounds the incident-tree reads use
+// hold exactly node a's entries, and within them relationship r's: the bare
+// prefixes sort below every key they prefix, and the key with timestamp -1
+// (the largest) above every other of r's.
 func TestNeighKeysLieInPrefixRange(t *testing.T) {
 	f := func(x, y [4]uint64) bool {
-		a := model.NodeID(x[0])
+		a, r := model.NodeID(x[0]), model.RelID(x[1])
 		if a == -1 {
 			a-- // the largest key component: a+1 wraps to 0, as it did with fixed-width keys
 		}
-		lo, hi := AppendKeyNeighPrefix(nil, a), AppendKeyNeighPrefix(nil, a+1)
-		k := KeyNeigh4(a, model.NodeID(x[1]), model.Timestamp(x[2]), model.RelID(x[3]))
+		lo, hi := AppendKeyPrefix(nil, int64(a)), AppendKeyPrefix(nil, int64(a+1))
+		k := KeyIncident(a, r, model.Timestamp(x[2]))
 		in := bytes.HasPrefix(k, lo) && bytes.Compare(lo, k) <= 0 && bytes.Compare(k, hi) < 0
+		rp := incidentPrefix(a, r)
+		in = in && bytes.HasPrefix(k, rp) && bytes.Compare(rp, k) < 0 && bytes.Compare(k, KeyIncident(a, r, -1)) <= 0
 		// and a key of any other node lies outside
-		o := KeyNeigh4(model.NodeID(y[0]), model.NodeID(y[1]), model.Timestamp(y[2]), model.RelID(y[3]))
+		o := KeyIncident(model.NodeID(y[0]), model.RelID(y[1]), model.Timestamp(y[2]))
 		out := bytes.Compare(o, lo) < 0 || bytes.Compare(o, hi) >= 0
 		return in && (out || model.NodeID(y[0]) == a)
 	}
@@ -86,29 +90,39 @@ func TestNeighKeysLieInPrefixRange(t *testing.T) {
 func TestKeyParseRoundTrip(t *testing.T) {
 	for _, a := range keyEdges {
 		for _, b := range keyEdges {
-			// The two version trees share one key format.
+			// The node tree and rels.idx share one key format.
 			for _, k := range [][]byte{KeyNode(model.NodeID(a), model.Timestamp(b)), KeyRel(model.RelID(a), model.Timestamp(b))} {
 				id, ts, ok := ParseKeyVersion(k)
 				if !ok || uint64(id) != a || uint64(ts) != b {
 					t.Errorf("version key (%d, %d) = %x parsed as (%d, %d, %v)", a, b, k, id, ts, ok)
 				}
 			}
-			x, y, nts, rel, ok := ParseKeyNeigh4(KeyNeigh4(model.NodeID(a), model.NodeID(b), model.Timestamp(a), model.RelID(b)))
-			if !ok || uint64(x) != a || uint64(y) != b || uint64(nts) != a || uint64(rel) != b {
-				t.Errorf("neigh key (%d, %d, %d, %d) parsed as (%d, %d, %d, %d, %v)", a, b, a, b, x, y, nts, rel, ok)
+			k := KeyIncident(model.NodeID(a), model.RelID(b), model.Timestamp(a))
+			x, rel, nts, ok := ParseKeyIncident(k)
+			if !ok || uint64(x) != a || uint64(rel) != b || uint64(nts) != a {
+				t.Errorf("incident key (%d, %d, %d) parsed as (%d, %d, %d, %v)", a, b, a, x, rel, nts, ok)
+			}
+			p := incidentPrefix(model.NodeID(a), model.RelID(b))
+			if ts, ok := ParseKeyTS(k[len(p):]); !ok || uint64(ts) != a || !bytes.HasPrefix(k, p) {
+				t.Errorf("incident key %x after its prefix %x parsed as ts %d, %v", k, p, ts, ok)
+			}
+			for _, deleted := range []bool{false, true} {
+				if b >= 1<<62 {
+					break // not a node id: the flag takes the top bit
+				}
+				v := AppendIncomingValue(nil, deleted, model.NodeID(b))
+				d, src, ok := ParseIncomingValue(v)
+				if !ok || d != deleted || uint64(src) != b {
+					t.Errorf("incoming value (%v, %d) = %x parsed as (%v, %d, %v)", deleted, b, v, d, src, ok)
+				}
 			}
 		}
 	}
-	if v := NeighValue(true); len(v) != 1 || !ParseNeighValue(v) {
-		t.Errorf("deleted neigh value %x", v)
-	}
-	if v := NeighValue(false); len(v) != 1 || ParseNeighValue(v) {
-		t.Errorf("live neigh value %x", v)
-	}
 }
 
-// TestKeyEncodingGolden pins the bytes of every key kind and both neighbour
-// values: they are a disk format (the LineageStore's trees since ALC2).
+// TestKeyEncodingGolden pins the bytes of every key kind and both entry
+// values: they are a disk format (the LineageStore's trees; the incident keys
+// and the values since ALC5).
 func TestKeyEncodingGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -120,10 +134,12 @@ func TestKeyEncodingGolden(t *testing.T) {
 		{"KeyNode(14999, 202499)", KeyNode(14999, 202499), "023a9703031703"},
 		{"KeyRel(1<<32, TSInfinity)", KeyRel(1<<32, model.TSInfinity), "050100000000087fffffffffffffff"},
 		{"KeyRel(7, -1)", KeyRel(7, -1), "010708ffffffffffffffff"},
-		{"KeyNeighPrefix(300)", AppendKeyNeighPrefix(nil, 300), "02012c"},
-		{"KeyNeigh4(300, 0, 70000, 1<<56)", KeyNeigh4(300, 0, 70000, 1<<56), "02012c0003011170080100000000000000"},
-		{"NeighValue(false)", NeighValue(false), "00"},
-		{"NeighValue(true)", NeighValue(true), "01"},
+		{"KeyPrefix(300)", AppendKeyPrefix(nil, 300), "02012c"},
+		{"KeyPrefix(300, 0)", incidentPrefix(300, 0), "02012c00"},
+		{"KeyIncident(300, 1<<56, 70000)", KeyIncident(300, 1<<56, 70000), "02012c08010000000000000003011170"},
+		{"RelSource(300)", AppendRelSource(nil, 300), "ac02"},
+		{"IncomingValue(false, 300)", AppendIncomingValue(nil, false, 300), "d804"},
+		{"IncomingValue(true, 0)", AppendIncomingValue(nil, true, 0), "01"},
 	} {
 		if got := hex.EncodeToString(c.got); got != c.want {
 			t.Errorf("%s = %s, want %s", c.name, got, c.want)
@@ -143,8 +159,8 @@ var foreignKeys = [][]byte{
 	{1, 5, 0, 0},                   // trailing bytes after a node key
 	{1, 0, 0},                      // a leading zero byte: not canonical
 	{1, 5, 2, 0, 7},                //
-	{1, 5, 1, 6, 1, 7},             // a neighbour key cut after three components
-	{1, 5, 1, 6, 1, 7, 1, 8, 0},    // trailing byte after a neighbour key
+	{1, 5, 1, 6},                   // an incident key cut after two components
+	{1, 5, 1, 6, 1, 7, 0},          // trailing byte after an incident key
 	bytes.Repeat([]byte{0}, 16),    // a fixed-width node key of the ALC1 trees
 	bytes.Repeat([]byte{0, 1}, 16), // and a neighbour key
 }
@@ -160,8 +176,8 @@ func FuzzParseKeys(f *testing.F) {
 	}
 	f.Add(KeyNode(14999, 202499))
 	f.Add(KeyRel(1<<32, model.TSInfinity))
-	f.Add(KeyNeigh4(300, 0, 70000, 1<<56))
-	f.Add(KeyNeigh4(-1, 1, math.MinInt64, 2))
+	f.Add(KeyIncident(300, 1<<56, 70000))
+	f.Add(KeyIncident(-1, 1, math.MinInt64))
 	f.Fuzz(func(t *testing.T, k []byte) {
 		id, ts, ok := ParseKeyVersion(k)
 		if ok != bytes.Equal(k, AppendKeyVersion(nil, id, ts)) || !ok && (id != 0 || ts != 0) {
@@ -170,18 +186,39 @@ func FuzzParseKeys(f *testing.F) {
 		if ok && !(bytes.Equal(k, KeyNode(model.NodeID(id), ts)) && bytes.Equal(k, KeyRel(model.RelID(id), ts))) {
 			t.Fatalf("KeyNode and KeyRel of (%d, %d) are not the version key %x", id, ts, k)
 		}
-		a, b, nts, rel, ok := ParseKeyNeigh4(k)
-		if ok != bytes.Equal(k, KeyNeigh4(a, b, nts, rel)) || !ok && (a != 0 || b != 0 || nts != 0 || rel != 0) {
-			t.Fatalf("ParseKeyNeigh4(%x) = (%d, %d, %d, %d, %v)", k, a, b, nts, rel, ok)
+		a, rel, nts, ok := ParseKeyIncident(k)
+		if ok != bytes.Equal(k, KeyIncident(a, rel, nts)) || !ok && (a != 0 || rel != 0 || nts != 0) {
+			t.Fatalf("ParseKeyIncident(%x) = (%d, %d, %d, %v)", k, a, rel, nts, ok)
 		}
-		if ok && !bytes.HasPrefix(k, AppendKeyNeighPrefix(nil, a)) {
-			t.Fatalf("key %x of node %d lacks the prefix %x", k, a, AppendKeyNeighPrefix(nil, a))
+		if ok && !bytes.HasPrefix(k, incidentPrefix(a, rel)) {
+			t.Fatalf("key %x of (%d, %d) lacks the prefix %x", k, a, rel, incidentPrefix(a, rel))
 		}
-		_ = ParseNeighValue(k)
+		if deleted, src, ok := ParseIncomingValue(k); ok && !bytes.Equal(k, AppendIncomingValue(nil, deleted, src)) {
+			t.Fatalf("ParseIncomingValue(%x) = (%v, %d) does not re-encode", k, deleted, src)
+		}
+		if src, ok := ParseRelSource(k); ok && !bytes.Equal(k, AppendRelSource(nil, src)) {
+			t.Fatalf("ParseRelSource(%x) = %d does not re-encode", k, src)
+		}
 	})
 }
 
-// KeyNeigh4 encodes a neighbourhood key: (aId, bId, ts, relId).
-func KeyNeigh4(a, b model.NodeID, ts model.Timestamp, rel model.RelID) []byte {
-	return AppendKeyNeigh4(make([]byte, 0, 36), a, b, ts, rel)
+// KeyIncident encodes an incident-tree key: (aId, relId, ts).
+func KeyIncident(a model.NodeID, rel model.RelID, ts model.Timestamp) []byte {
+	return AppendKeyIncident(make([]byte, 0, 27), a, rel, ts)
+}
+
+// ParseKeyVersion decodes a key written by AppendKeyVersion; ok is false, and
+// the rest zero, for bytes it cannot have written.
+func ParseKeyVersion(k []byte) (id int64, ts model.Timestamp, ok bool) {
+	a, k, _ := readUint(k)
+	t, k, ok := readUint(k)
+	if !ok || len(k) != 0 {
+		return 0, 0, false
+	}
+	return int64(a), model.Timestamp(t), true
+}
+
+// incidentPrefix is the (a, rel) prefix of rel's keys under a in an incident tree.
+func incidentPrefix(a model.NodeID, rel model.RelID) []byte {
+	return AppendKeyPrefix(AppendKeyPrefix(nil, int64(a)), int64(rel))
 }

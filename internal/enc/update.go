@@ -11,14 +11,15 @@ import (
 //
 //	header(1) | ts uvarint | id uvarint | body
 //
-// and the LineageStore's version value, whose key holds the id and ts:
+// and the LineageStore's version value, whose key holds the id and ts — and,
+// for a relationship, its source:
 //
 //	header(1) | body
 //
-// A relationship's body starts with src and tgt (uvarints); then, unless the
-// record is a tombstone, come a node's labels or an inserted relationship's
-// label ref, and the props. The header packs the entity type and the
-// deleted/delta state per Fig 3.
+// A relationship's body starts with src and tgt (uvarints; a version value
+// holds tgt alone); then, unless the record is a tombstone, come a node's
+// labels or an inserted relationship's label ref, and the props. The header
+// packs the entity type and the deleted/delta state per Fig 3.
 
 func headerFor(u model.Update) byte {
 	var h byte
@@ -44,19 +45,24 @@ func (c *Codec) AppendUpdate(buf []byte, u model.Update) ([]byte, error) {
 		id = uint64(u.NodeID)
 	}
 	buf = binary.AppendUvarint(binary.AppendUvarint(append(buf, headerFor(u)), uint64(u.TS)), id)
-	return c.appendBody(buf, u)
+	return c.appendBody(buf, u, true)
 }
 
 // AppendVersion encodes u as a LineageStore version value: AppendUpdate's
-// record without the timestamp and the entity id its key holds.
+// record without the timestamp, the entity id and the relationship source its
+// key holds.
 func (c *Codec) AppendVersion(buf []byte, u model.Update) ([]byte, error) {
-	return c.appendBody(append(buf, headerFor(u)), u)
+	return c.appendBody(append(buf, headerFor(u)), u, false)
 }
 
-// appendBody encodes what follows the header, ts and id of u's record.
-func (c *Codec) appendBody(buf []byte, u model.Update) ([]byte, error) {
+// appendBody encodes what follows the header, ts and id of u's record; a
+// relationship's src only withSrc.
+func (c *Codec) appendBody(buf []byte, u model.Update, withSrc bool) ([]byte, error) {
 	if !u.Kind.IsNodeOp() {
-		buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(u.Src)), uint64(u.Tgt))
+		if withSrc {
+			buf = binary.AppendUvarint(buf, uint64(u.Src))
+		}
+		buf = binary.AppendUvarint(buf, uint64(u.Tgt))
 	}
 	var err error
 	switch u.Kind {
@@ -111,12 +117,13 @@ func (c *Codec) DecodeUpdate(b []byte) (model.Update, error) {
 }
 
 // DecodeVersion decodes a value produced by AppendVersion as entity id's
-// update at ts; bytes after it are ignored.
-func (c *Codec) DecodeVersion(b []byte, id int64, ts model.Timestamp) (model.Update, error) {
+// update at ts, a relationship's with the source src its key holds (a node's
+// ignores it); bytes after it are ignored.
+func (c *Codec) DecodeVersion(b []byte, src model.NodeID, id int64, ts model.Timestamp) (model.Update, error) {
 	if len(b) < 1 {
 		return model.Update{}, fmt.Errorf("enc: empty version record")
 	}
-	u, _, err := c.decodeBody(b[0], b[1:], id, ts)
+	u, _, err := c.decodeBody(b[0], b[1:], id, ts, &src)
 	return u, err
 }
 
@@ -135,7 +142,7 @@ func (c *Codec) decodeNext(b []byte) (model.Update, []byte, error) {
 	if err != nil {
 		return model.Update{}, nil, err
 	}
-	return c.decodeBody(b[0], rest, int64(id), model.Timestamp(ts))
+	return c.decodeBody(b[0], rest, int64(id), model.Timestamp(ts), nil)
 }
 
 // readUvarint reads a minimal uvarint: each record decodes from one encoding.
@@ -154,8 +161,9 @@ func readVarint(b []byte) (int64, []byte, error) {
 }
 
 // decodeBody decodes the body after header h as entity id's update at ts and
-// returns the bytes after it.
-func (c *Codec) decodeBody(h byte, b []byte, id int64, ts model.Timestamp) (model.Update, []byte, error) {
+// returns the bytes after it. A relationship's src is *keySrc when the body
+// leaves it out (a version value), read from the body when keySrc is nil.
+func (c *Codec) decodeBody(h byte, b []byte, id int64, ts model.Timestamp, keySrc *model.NodeID) (model.Update, []byte, error) {
 	u := model.Update{TS: ts}
 	deleted := h&headerDeletedBit != 0
 	delta := h&headerDeltaBit != 0
@@ -181,7 +189,9 @@ func (c *Codec) decodeBody(h byte, b []byte, id int64, ts model.Timestamp) (mode
 	case TypeRel:
 		u.RelID = model.RelID(id)
 		var src, tgt uint64
-		if src, b, err = readUvarint(b, "id"); err != nil {
+		if keySrc != nil {
+			src = uint64(*keySrc)
+		} else if src, b, err = readUvarint(b, "id"); err != nil {
 			return u, nil, err
 		}
 		if tgt, b, err = readUvarint(b, "id"); err != nil {

@@ -1,9 +1,20 @@
 // Package lineagestore implements LineageStore (Sec 4.4), Aion's
 // fine-grained temporal store: graph updates indexed by entity identifier
-// using four B+Trees (Table 2) — nodes, relationships, out-neighbours and
-// in-neighbours. Composite keys order first by entity id and then by
+// in four B+Trees. Composite keys order first by entity and then by
 // timestamp, so an entity's full history lands in the same or adjacent
-// pages and is retrieved with O(log n) seeks plus a short range scan.
+// pages and is retrieved with one seek plus a short range scan:
+//
+//	nodes.idx    (node, ts)          -> a node's version records
+//	outrels.idx  (src, rel, ts)      -> a relationship's version records, under its source
+//	rels.idx     (rel, insertion ts) -> src: which cluster a point read descends into
+//	in.idx       (tgt, rel, ts)      -> src and the deletion flag
+//
+// Unlike Table 2, which keeps relationship versions by id beside two
+// neighbour trees, the versions are clustered under their source node: a
+// node's outgoing relationships with their histories are one key range, so
+// an outgoing expand is one descent and one forward scan, and there is no
+// out-neighbour tree. An incoming expand scans in.idx and descends once per
+// relationship into its source's cluster.
 //
 // Updates are stored in place either as deltas or as fully materialized
 // entities. A delta chain threshold (Fig 11; default 4) bounds how many
@@ -65,7 +76,11 @@ func (o *Options) defaults() {
 }
 
 // indexFiles are the four on-disk B+Tree files, in fixed order.
-var indexFiles = [4]string{"nodes.idx", "rels.idx", "out.idx", "in.idx"}
+var indexFiles = [4]string{"nodes.idx", "rels.idx", "outrels.idx", "in.idx"}
+
+// retiredFiles are index files an older format kept and this one does not:
+// a rebuild deletes them with the current ones.
+var retiredFiles = []string{"out.idx"}
 
 // Store is a LineageStore instance. Writes are serialized; reads may run
 // concurrently with each other.
@@ -75,11 +90,11 @@ type Store struct {
 	fs    vfs.FS
 	codec *enc.Codec
 
-	nodes *btree.Tree // KeyNode(id, ts)            -> [chainPos][version record]
-	rels  *btree.Tree // KeyRel(id, ts)             -> [chainPos][version record]
-	out   *btree.Tree // KeyNeigh4(src, tgt, ts, r) -> NeighValue(deleted)
-	in    *btree.Tree // KeyNeigh4(tgt, src, ts, r) -> NeighValue(deleted)
-	pcs   [4]*pagecache.Cache
+	nodes   *btree.Tree // KeyNode(id, ts)              -> [chainPos][version record]
+	rels    *btree.Tree // KeyRel(r, insertion ts)      -> RelSource(src)
+	outRels *btree.Tree // KeyIncident(src, r, ts)      -> [chainPos][version record, src left to the key]
+	in      *btree.Tree // KeyIncident(tgt, r, ts)      -> IncomingValue(deleted, src)
+	pcs     [4]*pagecache.Cache
 
 	lastTS      model.Timestamp
 	atLastTS    uint64 // updates applied at lastTS
@@ -123,7 +138,7 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 // openTrees opens the four index trees; on failure everything already
 // opened is closed again.
 func (s *Store) openTrees() error {
-	trees := [4]**btree.Tree{&s.nodes, &s.rels, &s.out, &s.in}
+	trees := [4]**btree.Tree{&s.nodes, &s.rels, &s.outRels, &s.in}
 	for i, name := range indexFiles {
 		path := filepath.Join(s.opts.Dir, name)
 		// A file cut mid-page is a crash artifact: the B+Tree cannot be
@@ -157,7 +172,7 @@ func (s *Store) closeTrees() error {
 			s.pcs[i] = nil
 		}
 	}
-	s.nodes, s.rels, s.out, s.in = nil, nil, nil, nil
+	s.nodes, s.rels, s.outRels, s.in = nil, nil, nil, nil
 	return err
 }
 
@@ -175,7 +190,7 @@ func (s *Store) Wipe() error {
 	// Close errors are ignored deliberately: the indexes are corrupt and
 	// about to be deleted, so a failed final flush carries no information.
 	_ = s.closeTrees()
-	for _, name := range indexFiles {
+	for _, name := range append(indexFiles[:], retiredFiles...) {
 		if err := s.fs.Remove(filepath.Join(s.opts.Dir, name)); err != nil && !os.IsNotExist(err) {
 			return err
 		}
@@ -191,7 +206,7 @@ func (s *Store) Wipe() error {
 // The checkpoint file: magic | lastTS | atLastTS | updateCount | crc.
 const (
 	checkpointName  = "checkpoint"
-	checkpointMagic = "ALC4" // ALC1: fixed-width keys; ALC2: 4-byte cell lengths, values repeating their key; ALC3: 4-byte refs; CatchUp rebuilds such trees
+	checkpointMagic = "ALC5" // ALC1: fixed-width keys; ALC2: 4-byte cell lengths, values repeating their key; ALC3: 4-byte refs; ALC4: relationship versions keyed by id, out.idx; CatchUp rebuilds such trees
 	checkpointLen   = 4 + 8*3 + 4
 )
 
@@ -283,7 +298,7 @@ func (s *Store) CatchUp(logged uint64, scan func(from model.Timestamp, fn func(m
 
 // holdsData reports whether any tree has an entry on disk (or cannot say).
 func (s *Store) holdsData() bool {
-	for _, t := range []*btree.Tree{s.nodes, s.rels, s.out, s.in} {
+	for _, t := range []*btree.Tree{s.nodes, s.rels, s.outRels, s.in} {
 		if _, _, ok, err := t.First(); ok || err != nil {
 			return true
 		}
@@ -330,33 +345,46 @@ func (s *Store) ApplyBatch(us []model.Update) error {
 	return err
 }
 
-// indexLocked writes u into the trees it belongs to.
+// indexLocked writes u into the trees it belongs to. A relationship's
+// insertion or deletion is a version record in its source's cluster and an
+// entry in its target's in-neighbour range; an insertion also names the
+// cluster in rels.idx, for point reads by id.
 func (s *Store) indexLocked(u model.Update) error {
 	switch u.Kind {
 	case model.OpAddNode, model.OpDeleteNode:
-		return s.putVersion(s.nodes, int64(u.NodeID), 0, u)
+		e := nodeEntity(u.NodeID)
+		return s.putVersion(s.nodes, &e, 0, u)
 	case model.OpUpdateNode:
-		return putDelta(s, &nodeLineage, int64(u.NodeID), u)
+		e := nodeEntity(u.NodeID)
+		return putDelta(s, &nodeLineage, &e, u)
 	case model.OpAddRel, model.OpDeleteRel:
-		if err := s.putVersion(s.rels, int64(u.RelID), 0, u); err != nil {
+		e := relEntity(u.Src, u.RelID)
+		if err := s.putVersion(s.outRels, &e, 0, u); err != nil {
 			return err
 		}
-		if err := s.putNeigh(s.out, u.Src, u.Tgt, u); err != nil {
-			return err
+		if u.Kind == model.OpAddRel {
+			key := enc.AppendKeyVersion(s.scratch[:0], int64(u.RelID), u.TS)
+			s.scratch = enc.AppendRelSource(key, u.Src)
+			if err := s.rels.Put(key, s.scratch[len(key):]); err != nil {
+				return err
+			}
 		}
-		return s.putNeigh(s.in, u.Tgt, u.Src, u)
+		key := enc.AppendKeyIncident(s.scratch[:0], u.Tgt, u.RelID, u.TS)
+		s.scratch = enc.AppendIncomingValue(key, u.Kind == model.OpDeleteRel, u.Src)
+		return s.in.Put(key, s.scratch[len(key):])
 	case model.OpUpdateRel:
-		return putDelta(s, &relLineage, int64(u.RelID), u)
+		e := relEntity(u.Src, u.RelID)
+		return putDelta(s, &relLineage, &e, u)
 	}
 	return fmt.Errorf("lineagestore: unknown op %v", u.Kind)
 }
 
-// putVersion stores u in the nodes or the rels tree as entity id's version
-// record with the given delta-chain position; the key holds id and u.TS, the
-// record neither. Key and record are built in the one store-owned buffer; the
-// tree copies them into its page.
-func (s *Store) putVersion(tree *btree.Tree, id int64, chainPos int, u model.Update) error {
-	key := enc.AppendKeyVersion(s.scratch[:0], id, u.TS)
+// putVersion stores u in the nodes or the relationship tree as entity e's
+// version record with the given delta-chain position; the key holds e and
+// u.TS, the record neither. Key and record are built in the one store-owned
+// buffer; the tree copies them into its page.
+func (s *Store) putVersion(tree *btree.Tree, e *entity, chainPos int, u model.Update) error {
+	key := enc.AppendKeyTS(append(s.scratch[:0], e.prefix()...), u.TS)
 	buf, err := s.codec.AppendVersion(append(key, byte(chainPos)), u)
 	if err != nil {
 		return err
@@ -365,63 +393,55 @@ func (s *Store) putVersion(tree *btree.Tree, id int64, chainPos int, u model.Upd
 	return tree.Put(buf[:len(key)], buf[len(key):])
 }
 
-// putNeigh records relationship u, created or deleted, among a's neighbours
-// in one of the two neighbour trees.
-func (s *Store) putNeigh(tree *btree.Tree, a, b model.NodeID, u model.Update) error {
-	key := enc.AppendKeyNeigh4(s.scratch[:0], a, b, u.TS, u.RelID)
-	s.scratch = append(key, enc.NeighValue(u.Kind == model.OpDeleteRel)...)
-	return tree.Put(key, s.scratch[len(key):])
-}
-
-// chainHead reads the head bytes of id's newest record at or before ts in
+// chainHead reads the head bytes of e's newest record at or before ts in
 // tree: its delta-chain position, and whether the entity is live there (the
 // record is its own and not a tombstone). A live record at ts itself holds an
 // earlier change of the same commit: only that one is decoded, into same.
-func (s *Store) chainHead(tree *btree.Tree, id int64, ts model.Timestamp) (pos int, live bool, same *model.Update, err error) {
+func (s *Store) chainHead(tree *btree.Tree, e *entity, ts model.Timestamp) (pos int, live bool, same *model.Update, err error) {
 	c := tree.Cursor()
 	defer c.Close()
-	if !c.SeekFloor(enc.AppendKeyVersion(s.scratch[:0], id, ts)) {
+	if !c.SeekFloor(enc.AppendKeyTS(append(s.scratch[:0], e.prefix()...), ts)) {
 		return 0, false, nil, c.Err()
 	}
-	kid, kts, pos, rec, err := cell(&c)
-	if err != nil {
+	kts, pos, rec, own, err := cell(&c, e)
+	if err != nil || !own {
 		return 0, false, nil, err
 	}
 	deleted, _ := enc.PeekState(rec)
-	if live = kid == id && !deleted; live && kts == ts {
-		u, err := s.codec.DecodeVersion(rec, id, ts)
+	if live = !deleted; live && kts == ts {
+		u, err := s.codec.DecodeVersion(rec, e.src, e.id, ts)
 		return pos, live, &u, err
 	}
 	return pos, live, nil, nil
 }
 
-// putDelta stores a modification of entity id as the next link of its delta
+// putDelta stores a modification of entity e as the next link of its delta
 // chain, or — when the chain reaches the threshold — folded into the
 // reconstructed state as a full record, which restarts the chain at 0. A
 // change in the commit of the chain's head shares its key: the head takes it
 // in and keeps its kind and chain position.
-func putDelta[E comparable](s *Store, l *lineage[E], id int64, u model.Update) error {
+func putDelta[E comparable](s *Store, l *lineage[E], e *entity, u model.Update) error {
 	tree := l.tree(s)
-	pos, live, same, err := s.chainHead(tree, id, u.TS)
+	pos, live, same, err := s.chainHead(tree, e, u.TS)
 	if err == nil && !live {
-		err = fmt.Errorf("lineagestore: %w: %s %d at ts %d", model.ErrNotFound, l.name, id, u.TS)
+		err = fmt.Errorf("lineagestore: %w: %s %d at ts %d", model.ErrNotFound, l.name, e.id, u.TS)
 	}
 	if err != nil {
 		return err
 	}
 	if same != nil {
 		model.MergeUpdates(same, u)
-		return s.putVersion(tree, id, pos, *same)
+		return s.putVersion(tree, e, pos, *same)
 	}
 	if pos++; s.opts.ChainThreshold > 0 && pos >= s.opts.ChainThreshold {
-		vs, err := history(context.Background(), s, l, id, u.TS, u.TS)
+		vs, err := history(context.Background(), s, l, e, u.TS, u.TS)
 		if err != nil || len(vs) != 1 {
 			return cmp.Or(err, errCorrupt)
 		}
 		l.fold(u, vs[0])
 		u, pos = l.full(u.TS, vs[0]), 0
 	}
-	return s.putVersion(tree, id, pos, u)
+	return s.putVersion(tree, e, pos, u)
 }
 
 // Stats reports store counters for the benchmark harness.
@@ -460,7 +480,7 @@ func (s *Store) Stats() Stats {
 // DiskBytes reports the total on-disk footprint of the four indexes and
 // the checkpoint (Fig 10 storage accounting).
 func (s *Store) DiskBytes() int64 {
-	n := s.nodes.DiskBytes() + s.rels.DiskBytes() + s.out.DiskBytes() + s.in.DiskBytes()
+	n := s.nodes.DiskBytes() + s.rels.DiskBytes() + s.outRels.DiskBytes() + s.in.DiskBytes()
 	if s.clean.Load() {
 		n += checkpointLen
 	}
@@ -469,7 +489,7 @@ func (s *Store) DiskBytes() int64 {
 
 // Flush persists all four indexes.
 func (s *Store) Flush() error {
-	for _, t := range []*btree.Tree{s.nodes, s.rels, s.out, s.in} {
+	for _, t := range []*btree.Tree{s.nodes, s.rels, s.outRels, s.in} {
 		if err := t.Flush(); err != nil {
 			return err
 		}

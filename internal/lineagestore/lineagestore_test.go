@@ -2,6 +2,7 @@ package lineagestore
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -432,7 +433,7 @@ func TestApplyAddRelAllocations(t *testing.T) {
 // on the heap, a map or a copied cell shows up here: a point read allocates
 // its answer — the version, its label slice and property map, what the
 // decoder builds them from, the result slice — and nothing for the descent;
-// collecting a node's live relationships allocates nothing at all.
+// collecting a node's live incoming relationships allocates nothing at all.
 func TestReadAllocations(t *testing.T) {
 	s := openStore(t, Options{})
 	defer s.Close()
@@ -451,14 +452,14 @@ func TestReadAllocations(t *testing.T) {
 	if point > 6 {
 		t.Errorf("a cached point read allocates %.0f times, want at most 6", point)
 	}
-	ids := make([]model.RelID, 0, 16)
+	srcs := make([]source, 0, 16)
 	live := testing.AllocsPerRun(100, func() {
-		if got, err := s.incident(ctx, ids, 1, model.Both, 30, true); err != nil || len(got) != 11 {
+		if got, err := scanIncoming(ctx, nil, s.in, srcs, 2, 30, true, false); err != nil || len(got) != 2 {
 			t.Fatal(got, err)
 		}
 	})
 	if live != 0 {
-		t.Errorf("collecting a node's live relationships allocates %.0f times, want 0", live)
+		t.Errorf("collecting a node's live incoming relationships allocates %.0f times, want 0", live)
 	}
 }
 
@@ -544,10 +545,12 @@ func TestCancelledReadsReleaseEverything(t *testing.T) {
 	apply(t, s, model.AddNode(us[len(us)-1].TS+1<<20, spokes+1, nil, nil)) // every tree lock is free
 }
 
-// TestVersionValueGolden pins the bytes the version trees store under an
-// entity's key (id, ts): a disk format (the ALC4 trees). A value is the
-// delta-chain position, then enc.AppendVersion's record — the header and the
-// body, with neither the id nor the timestamp the key holds.
+// TestVersionValueGolden pins the bytes the trees store: a disk format (the
+// ALC5 trees). A version value is the delta-chain position, then
+// enc.AppendVersion's record — the header and the body, with neither the id
+// nor the timestamp the key holds, nor a relationship's source, which its key
+// in the clustered tree leads with. rels.idx maps (rel, insertion ts) to that
+// source, in.idx (tgt, rel, ts) to the source and the deletion flag.
 func TestVersionValueGolden(t *testing.T) {
 	s := openStore(t, Options{})
 	defer s.Close()
@@ -564,14 +567,29 @@ func TestVersionValueGolden(t *testing.T) {
 		{"node 300 at 3", func() ([]byte, bool, error) { return s.nodes.Get(enc.KeyNode(300, 3)) }, "00000100011001"},
 		// pos 1 | delta header | no labels | props: count, ref "n" (int), varint 2
 		{"node 300 at 4", func() ([]byte, bool, error) { return s.nodes.Get(enc.KeyNode(300, 4)) }, "010800011004"},
-		// pos | header | src 300, tgt 1 | ref "KNOWS" | no props
-		{"rel 7 at 5", func() ([]byte, bool, error) { return s.rels.Get(enc.KeyRel(7, 5)) }, "0001ac02012000"},
-		// pos | tombstone header | src 300, tgt 1
-		{"rel 7 at 6", func() ([]byte, bool, error) { return s.rels.Get(enc.KeyRel(7, 6)) }, "0005ac0201"},
+		// under (src 300, rel 7, ts 5) = 02012c 0107 0105: pos | header | tgt 1 | ref "KNOWS" | no props
+		{"rel 7 at 5", func() ([]byte, bool, error) { return s.outRels.Get(mustHex(t, "02012c01070105")) }, "0001012000"},
+		// pos | tombstone header | tgt 1
+		{"rel 7 at 6", func() ([]byte, bool, error) { return s.outRels.Get(mustHex(t, "02012c01070106")) }, "000501"},
+		// under (rel 7, ts 5): src 300
+		{"rels.idx 7 at 5", func() ([]byte, bool, error) { return s.rels.Get(enc.KeyRel(7, 5)) }, "ac02"},
+		// under (tgt 1, rel 7, ts 5) = 0101 0107 0105: src 300 << 1 | live
+		{"in.idx 1, 7 at 5", func() ([]byte, bool, error) { return s.in.Get(mustHex(t, "010101070105")) }, "d804"},
+		// src 300 << 1 | deleted
+		{"in.idx 1, 7 at 6", func() ([]byte, bool, error) { return s.in.Get(mustHex(t, "010101070106")) }, "d904"},
 	} {
 		v, ok, err := c.tree()
 		if got := fmt.Sprintf("%x", v); err != nil || !ok || got != c.want {
 			t.Errorf("%s: %s (%v, %v), want %s", c.name, got, ok, err, c.want)
 		}
 	}
+}
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -29,23 +29,53 @@ func fixedWidth(parts ...uint64) []byte {
 	return b
 }
 
+// components decodes a compact key into its components: each one length
+// byte n, then n big-endian bytes.
+func components(t *testing.T, k []byte) []uint64 {
+	t.Helper()
+	var out []uint64
+	for len(k) > 0 {
+		n := int(k[0])
+		if n > 8 || len(k) < 1+n {
+			t.Fatalf("not a compact key: %x", k)
+		}
+		var v uint64
+		for _, c := range k[1 : 1+n] {
+			v = v<<8 | uint64(c)
+		}
+		out, k = append(out, v), k[1+n:]
+	}
+	return out
+}
+
+// openTree opens the tree file at path, creating it when it is missing.
+func openTree(t *testing.T, path string) (*pagecache.Cache, *btree.Tree) {
+	t.Helper()
+	pc, err := pagecache.Open(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := btree.Open(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pc, tr
+}
+
+// closeTree flushes and closes a tree openTree opened.
+func closeTree(t *testing.T, pc *pagecache.Cache, tr *btree.Tree) {
+	t.Helper()
+	if err := errors.Join(tr.Flush(), pc.Close()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // rewriteTree replaces the tree file at path with one holding each entry
 // (k, v) as the entry conv returns for it.
 func rewriteTree(t *testing.T, path string, conv func(k, v []byte) ([]byte, []byte)) {
 	t.Helper()
-	open := func(p string) (*pagecache.Cache, *btree.Tree) {
-		pc, err := pagecache.Open(p, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := btree.Open(pc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pc, tr
-	}
-	oldPC, old := open(path)
-	newPC, out := open(path + ".parent")
+	oldPC, old := openTree(t, path)
+	newPC, out := openTree(t, path+".parent")
 	var perr error
 	var n, m int
 	err := old.Scan(nil, nil, func(k, v []byte) bool {
@@ -59,73 +89,127 @@ func rewriteTree(t *testing.T, path string, conv func(k, v []byte) ([]byte, []by
 	if err != nil || perr != nil || m != n || n == 0 {
 		t.Fatalf("rewriting %s: %v, %v, %d of %d entries", path, err, perr, m, n)
 	}
-	if err := out.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := newPC.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := oldPC.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeTree(t, newPC, out)
+	closeTree(t, oldPC, old)
 	if err := os.Rename(path+".parent", path); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// rewriteAsParent replaces the tree file at path with one holding the same
-// entries under the ALC1 encoding: fixed-width keys, and for the neighbour
-// trees the 9-byte value that repeats the relationship id.
-func rewriteAsParent(t *testing.T, path string, neigh bool) {
+// currentTrees are the tree files of this format.
+var currentTrees = []string{"nodes.idx", "rels.idx", "outrels.idx", "in.idx"}
+
+// rewriteAsParent replaces every tree file under lineage with one holding the
+// same entries under the ALC1 encoding: fixed-width keys.
+func rewriteAsParent(t *testing.T, lineage string) {
 	t.Helper()
-	rewriteTree(t, path, func(k, v []byte) ([]byte, []byte) {
-		if neigh {
-			a, b, ts, rel, ok := enc.ParseKeyNeigh4(k)
-			if !ok {
-				t.Fatalf("%s holds the key %x", path, k)
-			}
-			return fixedWidth(uint64(a), uint64(b), uint64(ts), uint64(rel)), append(fixedWidth(uint64(rel)), v...)
-		}
-		id, ts, ok := enc.ParseKeyVersion(k)
-		if !ok {
-			t.Fatalf("%s holds the key %x", path, k)
-		}
-		return fixedWidth(uint64(id), uint64(ts)), v
-	})
+	for _, name := range currentTrees {
+		rewriteTree(t, filepath.Join(lineage, name), func(k, v []byte) ([]byte, []byte) {
+			return fixedWidth(components(t, k)...), v
+		})
+	}
 }
 
-// rewriteWithFixedRefs replaces a version tree's file at path with one holding
-// the same entries under the ALC3 encoding: each record's string refs 4 bytes
-// wide, resolved against the store's string table (the neighbour trees hold
-// none).
-func rewriteWithFixedRefs(t *testing.T, path string, neigh bool) {
+// rewriteWithFixedRefs replaces the version trees under lineage with ones
+// holding the same entries under the ALC3 encoding: each record's string refs
+// 4 bytes wide, resolved against the store's string table (the other trees
+// hold none).
+func rewriteWithFixedRefs(t *testing.T, lineage string) {
 	t.Helper()
-	if neigh {
-		return
-	}
-	strs, err := strstore.OpenFS(vfs.OS, filepath.Join(filepath.Dir(path), "..", "strings.db"))
+	strs, err := strstore.OpenFS(vfs.OS, filepath.Join(lineage, "..", "strings.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer strs.Close()
 	compact, fixed := enc.NewCodec(strs), enc.NewFixedRefCodec(strs)
-	grew := false
-	rewriteTree(t, path, func(k, v []byte) ([]byte, []byte) {
-		id, ts, ok := enc.ParseKeyVersion(k)
-		u, err := compact.DecodeVersion(v[1:], id, ts)
-		if !ok || err != nil {
-			t.Fatalf("%s holds %x → %x (%v)", path, k, v, err)
+	for _, name := range []string{"nodes.idx", "outrels.idx"} {
+		grew := false
+		rewriteTree(t, filepath.Join(lineage, name), func(k, v []byte) ([]byte, []byte) {
+			c := components(t, k)
+			src, id, ts := uint64(0), c[0], c[len(c)-1]
+			if len(c) == 3 {
+				src, id = c[0], c[1]
+			}
+			u, err := compact.DecodeVersion(v[1:], model.NodeID(src), int64(id), model.Timestamp(ts))
+			if err != nil {
+				t.Fatalf("%s holds %x → %x (%v)", name, k, v, err)
+			}
+			w, err := fixed.AppendVersion(v[:1:1], u) // the chain position, then the record
+			if err != nil {
+				t.Fatal(err)
+			}
+			grew = grew || len(w) > len(v)
+			return k, w
+		})
+		if !grew {
+			t.Fatalf("%s holds no record with a string ref", name)
 		}
-		w, err := fixed.AppendVersion(v[:1:1], u) // the chain position, then the record
-		if err != nil {
+	}
+}
+
+// rewriteAsUnclustered replaces the trees under lineage with the ALC4 layout,
+// which kept relationship versions by id: rels.idx (rel, ts) -> [chainPos]
+// [header][src][tgt]..., out.idx and in.idx (node, neighbour, ts, rel) ->
+// [deleted], and no outrels.idx.
+func rewriteAsUnclustered(t *testing.T, lineage string) {
+	t.Helper()
+	relsPC, rels := openTree(t, filepath.Join(lineage, "rels.idx.parent"))
+	outPC, out := openTree(t, filepath.Join(lineage, "out.idx"))
+	inPC, in := openTree(t, filepath.Join(lineage, "in.idx.parent"))
+	put := func(tr *btree.Tree, k, v []byte) {
+		if err := tr.Put(k, v); err != nil {
 			t.Fatal(err)
 		}
-		grew = grew || len(w) > len(v)
-		return k, w
-	})
-	if !grew {
-		t.Fatalf("%s holds no record with a string ref", path)
 	}
+	vpc, versions := openTree(t, filepath.Join(lineage, "outrels.idx"))
+	err := versions.Scan(nil, nil, func(k, v []byte) bool {
+		src, rel, ts, ok := enc.ParseKeyIncident(k)
+		tgt, w := binary.Uvarint(v[2:])
+		if !ok || w <= 0 {
+			t.Fatalf("outrels.idx holds %x → %x", k, v)
+		}
+		deleted, _ := enc.PeekState(v[1:])
+		put(rels, enc.KeyRel(rel, ts), append(binary.AppendUvarint(append([]byte(nil), v[:2]...), uint64(src)), v[2:]...))
+		flag := []byte{0}
+		if deleted {
+			flag[0] = 1
+		}
+		put(out, compact(uint64(src), tgt, uint64(ts), uint64(rel)), flag)
+		put(in, compact(tgt, uint64(src), uint64(ts), uint64(rel)), flag)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeTree(t, vpc, versions)
+	closeTree(t, relsPC, rels)
+	closeTree(t, outPC, out)
+	closeTree(t, inPC, in)
+	for _, name := range []string{"rels.idx", "in.idx"} {
+		if err := os.Rename(filepath.Join(lineage, name+".parent"), filepath.Join(lineage, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(lineage, "outrels.idx")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// compact is the key encoding since ALC2: each component a length byte and
+// its significant big-endian bytes.
+func compact(parts ...uint64) []byte {
+	var b []byte
+	for _, p := range parts {
+		n := 0
+		for x := p; x != 0; x >>= 8 {
+			n++
+		}
+		b = append(b, byte(n))
+		for s := 8 * (n - 1); s >= 0; s -= 8 {
+			b = append(b, byte(p>>s))
+		}
+	}
+	return b
 }
 
 // withCheckpointMagic rewrites the checkpoint of the store at lineage to carry
@@ -133,7 +217,7 @@ func rewriteWithFixedRefs(t *testing.T, path string, neigh bool) {
 func withCheckpointMagic(t *testing.T, lineage, magic string) {
 	t.Helper()
 	cp, err := os.ReadFile(filepath.Join(lineage, "checkpoint"))
-	if err != nil || len(cp) != 32 || string(cp[:4]) != "ALC4" {
+	if err != nil || len(cp) != 32 || string(cp[:4]) != "ALC5" {
 		t.Fatalf("checkpoint %q, %v", cp, err)
 	}
 	copy(cp, magic)
@@ -148,10 +232,12 @@ func withCheckpointMagic(t *testing.T, lineage, magic string) {
 // under an ALC1 checkpoint. ALC2 is the commit before uvarint cell lengths and
 // version records without their key: every tree's meta says AIONBTR3. ALC3 is
 // the commit before compact refs: version records whose refs are 4 bytes wide.
+// ALC4 is the commit before relationship versions were clustered under their
+// source: rels.idx holds them by id, out.idx is the out-neighbour tree.
 // Open accepts none of these checkpoints, finds trees that hold data without
-// one (ALC1, ALC3) or cannot open them (ALC2), and rebuilds them from the
-// TimeStore log, once; the store then answers exactly like one that never held
-// the old format.
+// one (ALC1, ALC3, ALC4) or cannot open them (ALC2), and rebuilds them from
+// the TimeStore log, once, deleting the retired out.idx; the store then
+// answers exactly like one that never held the old format.
 func TestParentFormatIsRebuilt(t *testing.T) {
 	ctx := context.Background()
 	var us []model.Update
@@ -181,35 +267,32 @@ func TestParentFormatIsRebuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	trees := []struct {
-		name  string
-		neigh bool
-	}{{"nodes.idx", false}, {"rels.idx", false}, {"out.idx", true}, {"in.idx", true}}
 	for _, parent := range []struct {
 		magic   string
-		rewrite func(t *testing.T, path string, neigh bool)
+		rewrite func(t *testing.T, lineage string)
 	}{
 		{"ALC1", rewriteAsParent},
-		{"ALC2", func(t *testing.T, path string, _ bool) {
-			f, err := os.OpenFile(path, os.O_WRONLY, 0)
-			if err == nil {
-				_, err = f.WriteAt([]byte("AIONBTR3"), 0) // the meta page's magic
-				err = errors.Join(err, f.Close())
-			}
-			if err != nil {
-				t.Fatal(err)
+		{"ALC2", func(t *testing.T, lineage string) {
+			for _, name := range currentTrees {
+				f, err := os.OpenFile(filepath.Join(lineage, name), os.O_WRONLY, 0)
+				if err == nil {
+					_, err = f.WriteAt([]byte("AIONBTR3"), 0) // the meta page's magic
+					err = errors.Join(err, f.Close())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 		}},
 		{"ALC3", rewriteWithFixedRefs},
+		{"ALC4", rewriteAsUnclustered},
 	} {
 		t.Run(parent.magic, func(t *testing.T) {
 			old, fresh := t.TempDir(), t.TempDir()
 			load(old)
 			load(fresh)
 			lineage := filepath.Join(old, "lineage")
-			for _, f := range trees {
-				parent.rewrite(t, filepath.Join(lineage, f.name), f.neigh)
-			}
+			parent.rewrite(t, lineage)
 			withCheckpointMagic(t, lineage, parent.magic)
 
 			reopen := func(dir string, caughtUp uint64) *aion.DB {
@@ -225,6 +308,9 @@ func TestParentFormatIsRebuilt(t *testing.T) {
 			}
 			if err := reopen(old, uint64(len(us))).Close(); err != nil { // the one rebuild
 				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(lineage, "out.idx")); !os.IsNotExist(err) {
+				t.Fatalf("the rebuild left the retired out.idx (%v)", err)
 			}
 			gdb, wdb := reopen(old, 0), reopen(fresh, 0)
 			t.Cleanup(func() { gdb.Close(); wdb.Close() })

@@ -1,10 +1,12 @@
 package lineagestore
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"aion/internal/btree"
 	"aion/internal/enc"
@@ -63,7 +65,7 @@ var nodeLineage = lineage[*model.Node]{
 
 var relLineage = lineage[*model.Rel]{
 	name: "rel",
-	tree: func(s *Store) *btree.Tree { return s.rels },
+	tree: func(s *Store) *btree.Tree { return s.outRels },
 	fresh: func(id int64, base model.Update) *model.Rel {
 		r := &model.Rel{ID: model.RelID(id), Src: base.Src, Tgt: base.Tgt, Label: base.RelLabel, Props: base.SetProps,
 			Valid: model.Interval{Start: base.TS, End: model.TSInfinity}}
@@ -79,37 +81,84 @@ var relLineage = lineage[*model.Rel]{
 	},
 }
 
-// cell parses the version-tree cell under c: the entity and timestamp of its
-// key, the delta-chain position and the version record of its value, which
-// enc.DecodeVersion completes with the first two. The record aliases the page.
-func cell(c *btree.Cursor) (id int64, ts model.Timestamp, pos int, rec []byte, err error) {
-	id, ts, ok := enc.ParseKeyVersion(c.Key())
-	v := c.Value()
-	if !ok || len(v) < 2 {
-		return 0, 0, 0, nil, errCorrupt
-	}
-	return id, ts, int(v[0]), v[1:], nil
+// entity is one lineage's place in its version tree: the prefix its keys
+// share — (node) in the node tree, (src, rel) in the relationship tree — and
+// the ids its records leave to the key.
+type entity struct {
+	id  int64
+	src model.NodeID // a relationship's source; its records hold the target only
+	kb  [18]byte
+	n   uint8
 }
 
-// versions appends to out the versions of entity id that overlap [start, end)
+func nodeEntity(id model.NodeID) entity {
+	e := entity{id: int64(id)}
+	e.n = uint8(len(enc.AppendKeyPrefix(e.kb[:0], int64(id))))
+	return e
+}
+
+func relEntity(src model.NodeID, id model.RelID) entity {
+	e := entity{id: int64(id), src: src}
+	e.n = uint8(len(enc.AppendKeyPrefix(enc.AppendKeyPrefix(e.kb[:0], int64(src)), int64(id))))
+	return e
+}
+
+// prefix returns the bytes every key of e starts with.
+func (e *entity) prefix() []byte { return e.kb[:e.n] }
+
+// cell parses the version-tree cell under c as one of e's: the timestamp of
+// its key, the delta-chain position and the version record of its value,
+// which enc.DecodeVersion completes with e. own is false, and the rest zero,
+// for another entity's cell. The record aliases the page.
+func cell(c *btree.Cursor, e *entity) (ts model.Timestamp, pos int, rec []byte, own bool, err error) {
+	k, p := c.Key(), e.prefix()
+	if !bytes.HasPrefix(k, p) {
+		return 0, 0, nil, false, nil
+	}
+	ts, ok := enc.ParseKeyTS(k[len(p):])
+	v := c.Value()
+	if !ok || len(v) < 2 {
+		return 0, 0, nil, false, errCorrupt
+	}
+	return ts, int(v[0]), v[1:], true, nil
+}
+
+// walk is a read's cursor on a version tree and the number of version
+// records it decoded, which a profile reports.
+type walk struct {
+	btree.Cursor
+	decoded int
+}
+
+// decode decodes one of e's records at ts.
+func (w *walk) decode(s *Store, e *entity, rec []byte, ts model.Timestamp) (model.Update, error) {
+	w.decoded++
+	return s.codec.DecodeVersion(rec, e.src, e.id, ts)
+}
+
+// versions appends to out the versions of entity e that overlap [start, end)
 // — with start == end, the one valid at that instant — in one pass over c:
-// a single descent to the newest record at or before start, back along the
+// a single seek to the newest record at or before start, back along the
 // delta chain to the full record it hangs from, forward folding the deltas
 // (Sec 4.4), and on across the records inside the window. A version starts
 // at its record's timestamp and ends at the entity's next record, whatever
 // its kind ("the end time can be inferred by updates that follow", Sec 4.2):
 // the cell the walk stops on. c may sit anywhere; the caller closes it.
-func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btree.Cursor, id int64, start, end model.Timestamp, out []E) ([]E, error) {
+func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *walk, e *entity, start, end model.Timestamp, out []E) ([]E, error) {
 	var (
-		kb        [18]byte
+		kb        [27]byte
 		cur, none E
 	)
-	if c.SeekFloor(enc.AppendKeyVersion(kb[:0], id, start)) {
-		kid, kts, _, rec, err := cell(c)
+	if c.SeekFloor(enc.AppendKeyTS(append(kb[:0], e.prefix()...), start)) {
+		kts, _, rec, own, err := cell(&c.Cursor, e)
 		if err != nil {
 			return nil, err
 		}
-		if deleted, delta := enc.PeekState(rec); kid == id && !deleted {
+		deleted, delta := true, false // another entity's record: no version there
+		if own {
+			deleted, delta = enc.PeekState(rec)
+		}
+		if !deleted {
 			back := 0
 			for ; delta && kts != 0; back++ {
 				if err := strided(ctx, back+1); err != nil {
@@ -118,16 +167,16 @@ func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btr
 				if !c.Prev() {
 					return nil, cmp.Or(c.Err(), errCorrupt)
 				}
-				if kid, kts, _, rec, err = cell(c); err != nil || kid != id {
+				if kts, _, rec, own, err = cell(&c.Cursor, e); err != nil || !own {
 					return nil, errCorrupt
 				}
 				_, delta = enc.PeekState(rec)
 			}
-			u, err := s.codec.DecodeVersion(rec, id, kts)
+			u, err := c.decode(s, e, rec, kts)
 			if err != nil {
 				return nil, err
 			}
-			cur = l.fresh(id, u)
+			cur = l.fresh(e.id, u)
 			for ; back > 0; back-- {
 				if err := strided(ctx, back); err != nil {
 					return nil, err
@@ -135,10 +184,10 @@ func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btr
 				if !c.Next() {
 					return nil, cmp.Or(c.Err(), errCorrupt)
 				}
-				if _, kts, _, rec, err = cell(c); err != nil {
-					return nil, err
+				if kts, _, rec, own, err = cell(&c.Cursor, e); err != nil || !own {
+					return nil, cmp.Or(err, errCorrupt)
 				}
-				if u, err = s.codec.DecodeVersion(rec, id, kts); err != nil {
+				if u, err = c.decode(s, e, rec, kts); err != nil {
 					return nil, err
 				}
 				l.fold(u, cur)
@@ -151,11 +200,11 @@ func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btr
 		if err := strided(ctx, n); err != nil {
 			return nil, err
 		}
-		kid, kts, _, rec, err := cell(c)
+		kts, _, rec, own, err := cell(&c.Cursor, e)
 		if err != nil {
 			return nil, err
 		}
-		if kid != id {
+		if !own {
 			break
 		}
 		if cur != none {
@@ -172,13 +221,13 @@ func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btr
 		case deleted:
 			cur = none
 		case !delta: // insertion, re-insertion, or materialized state
-			u, err := s.codec.DecodeVersion(rec, id, kts)
+			u, err := c.decode(s, e, rec, kts)
 			if err != nil {
 				return nil, err
 			}
-			cur = l.fresh(id, u)
+			cur = l.fresh(e.id, u)
 		case cur != none:
-			u, err := s.codec.DecodeVersion(rec, id, kts)
+			u, err := c.decode(s, e, rec, kts)
 			if err != nil {
 				return nil, err
 			}
@@ -196,16 +245,23 @@ func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *btr
 	return out, nil
 }
 
+func checkInterval(start, end model.Timestamp) error {
+	if end < start {
+		return fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
+	}
+	return nil
+}
+
 // history is the Table 1 call on one entity: its versions between start
 // (inclusive) and end (exclusive), or with start == end the single version
 // valid at that instant, if any. One descent, one cursor.
-func history[E comparable](ctx context.Context, s *Store, l *lineage[E], id int64, start, end model.Timestamp) ([]E, error) {
-	if end < start {
-		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
+func history[E comparable](ctx context.Context, s *Store, l *lineage[E], e *entity, start, end model.Timestamp) ([]E, error) {
+	if err := checkInterval(start, end); err != nil {
+		return nil, err
 	}
-	c := l.tree(s).Cursor()
+	c := walk{Cursor: l.tree(s).Cursor()}
 	defer c.Close()
-	return versions(ctx, s, l, &c, id, start, end, nil)
+	return versions(ctx, s, l, &c, e, start, end, nil)
 }
 
 // GetNodeContext returns the node's history between start (inclusive) and
@@ -213,129 +269,236 @@ func history[E comparable](ctx context.Context, s *Store, l *lineage[E], id int6
 // returns the single version valid at that instant, if any. The walk over
 // the window's records checks ctx every cancelStride entries.
 func (s *Store) GetNodeContext(ctx context.Context, id model.NodeID, start, end model.Timestamp) ([]*model.Node, error) {
-	return history(ctx, s, &nodeLineage, int64(id), start, end)
+	e := nodeEntity(id)
+	return history(ctx, s, &nodeLineage, &e, start, end)
 }
 
 // GetRelationshipContext returns the relationship's history between start
 // and end (Table 1); start == end returns the single version at that instant.
+// Two descents: rels.idx names the cluster its versions are in, then the walk
+// descends into it — one more per source, when the id came back under another
+// one in the window.
 func (s *Store) GetRelationshipContext(ctx context.Context, id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
-	return history(ctx, s, &relLineage, int64(id), start, end)
-}
-
-// member is one relationship of a neighbour group: the entries of a
-// neighbour index that share both endpoints.
-type member struct {
-	rel  model.RelID
-	live bool
-}
-
-// appendGroup appends the group's relationships to dst, all or the live ones.
-func appendGroup(dst []model.RelID, group []member, liveOnly bool) []model.RelID {
-	for _, m := range group {
-		if m.live || !liveOnly {
-			dst = append(dst, m.rel)
-		}
-	}
-	return dst
-}
-
-// scanNeighbours appends to dst, in index order, the relationships tree holds
-// for node a with an event at or before through — only those live at through
-// when liveOnly. A node's entries are contiguous and grouped by neighbour, a
-// relationship's all lie in one group in time order, so each group resolves
-// in a slice that rarely leaves the stack. skipLoops leaves out a's
-// self-loops: the other index holds the same entries for them.
-func scanNeighbours(ctx context.Context, tree *btree.Tree, dst []model.RelID, a model.NodeID, through model.Timestamp, liveOnly, skipLoops bool) ([]model.RelID, error) {
-	var (
-		kb    [9]byte
-		gb    [8]member
-		group = gb[:0]
-		nb    model.NodeID // the group's neighbour
-	)
-	c := tree.Cursor()
-	defer c.Close()
-	c.SeekFloor(enc.AppendKeyNeighPrefix(kb[:0], a)) // the bare prefix sorts just below a's first entry
-	for n := 1; c.Next(); n++ {
-		if err := strided(ctx, n); err != nil {
-			return nil, err
-		}
-		ka, b, ets, rel, ok := enc.ParseKeyNeigh4(c.Key())
-		if !ok {
-			return nil, errCorrupt
-		}
-		if ka != a {
-			break
-		}
-		if b != nb {
-			dst, group, nb = appendGroup(dst, group, liveOnly), group[:0], b
-		}
-		if ets > through || skipLoops && b == a {
-			continue // entries per neighbour are time-ordered, the next neighbour's start over
-		}
-		i := 0
-		for i < len(group) && group[i].rel != rel {
-			i++
-		}
-		if i == len(group) { // a relationship's place is its first entry's, a tombstone's too
-			group = append(group, member{rel: rel})
-		}
-		group[i].live = !enc.ParseNeighValue(c.Value())
-	}
-	return appendGroup(dst, group, liveOnly), c.Err()
-}
-
-// incident is scanNeighbours over the index or indexes direction d names
-// (Sec 4.4): out first, each relationship once.
-func (s *Store) incident(ctx context.Context, dst []model.RelID, id model.NodeID, d model.Direction, through model.Timestamp, liveOnly bool) ([]model.RelID, error) {
-	var err error
-	if d == model.Outgoing || d == model.Both {
-		if dst, err = scanNeighbours(ctx, s.out, dst, id, through, liveOnly, false); err != nil {
-			return nil, err
-		}
-	}
-	if d == model.Incoming || d == model.Both {
-		dst, err = scanNeighbours(ctx, s.in, dst, id, through, liveOnly, d == model.Both)
-	}
-	return dst, err
-}
-
-// GetRelationshipsContext returns a node's (in/out) relationship history
-// between start and end (Table 1): one inner slice per incident relationship,
-// holding its versions in the interval. With start == end it returns the
-// relationships live at that instant, one version each. Both the
-// neighbour-index scans and the per-relationship version walks are
-// cancellation points. The candidates — live at the instant, or with any
-// event before end — come from the neighbour indexes; their versions are
-// then read through one cursor on the relationship tree, one descent each,
-// into one backing slice, the cursor yielding to the writer every cancelStride.
-func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
-	if end < start {
-		return nil, fmt.Errorf("lineagestore: %w: [%d, %d)", model.ErrInvalidInterval, start, end)
-	}
-	var idb [16]model.RelID
-	// At an instant: the relationships live then. Over a window: those with any event before its end.
-	ids, err := s.incident(ctx, idb[:0], id, d, max(start, end-1), start == end)
-	if err != nil || len(ids) == 0 {
+	if err := checkInterval(start, end); err != nil {
 		return nil, err
 	}
-	out, flat := make([][]*model.Rel, 0, len(ids)), make([]*model.Rel, 0, len(ids))
+	var sb [2]source
+	srcs, err := s.relSources(sb[:0], id, start, max(start, end-1))
+	if err != nil || len(srcs) == 0 {
+		return nil, err
+	}
+	c := walk{Cursor: s.outRels.Cursor()}
+	defer c.Close()
+	out, err := s.walkSources(ctx, &c, srcs, start, end, nil, nil)
+	if err != nil || len(out) == 0 {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// source names the cluster, (src, rel), that versions of rel live in.
+type source struct {
+	rel model.RelID
+	src model.NodeID
+}
+
+// relSources appends to dst, each once, the sources rels.idx names for
+// relationship id's insertions that a read of [start, through] can meet:
+// the one in effect at start and every later one up to through, newest first.
+func (s *Store) relSources(dst []source, id model.RelID, start, through model.Timestamp) ([]source, error) {
+	var kb [18]byte
 	c := s.rels.Cursor()
 	defer c.Close()
-	for i, rid := range ids {
+	prefix := enc.AppendKeyPrefix(kb[:0], int64(id))
+	for ok := c.SeekFloor(enc.AppendKeyTS(prefix, through)); ok && bytes.HasPrefix(c.Key(), prefix); ok = c.Prev() {
+		ts, tok := enc.ParseKeyTS(c.Key()[len(prefix):])
+		src, sok := enc.ParseRelSource(c.Value())
+		if !tok || !sok {
+			return nil, errCorrupt
+		}
+		if !slices.Contains(dst, source{id, src}) {
+			dst = append(dst, source{id, src})
+		}
+		if ts <= start {
+			break
+		}
+	}
+	return dst, c.Err()
+}
+
+// walkSources appends to out one inner slice per relationship of srcs (whose
+// sources are adjacent): its versions in [start, end) from each source's
+// cluster that keep (nil: all) accepts, in time order. The cursor yields to
+// the writer every cancelStride sources.
+func (s *Store) walkSources(ctx context.Context, c *walk, srcs []source, start, end model.Timestamp, keep func(*model.Rel) bool, out [][]*model.Rel) ([][]*model.Rel, error) {
+	var flat []*model.Rel
+	for i, sc := range srcs {
 		if err := strided(ctx, i); err != nil {
 			return nil, err
 		}
 		if i%cancelStride == cancelStride-1 {
 			c.Yield() // a hub must not hold the cascade out of the tree for its whole length
 		}
-		n := len(flat)
-		if flat, err = versions(ctx, s, &relLineage, &c, int64(rid), start, end, flat); err != nil {
+		e, n := relEntity(sc.src, sc.rel), len(flat)
+		var err error
+		if flat, err = versions(ctx, s, &relLineage, c, &e, start, end, flat); err != nil {
 			return nil, err
 		}
-		if len(flat) > n {
-			out = append(out, flat[n:len(flat):len(flat)])
+		if keep != nil {
+			flat = flat[:n+len(slices.DeleteFunc(flat[n:], func(r *model.Rel) bool { return !keep(r) }))]
+		}
+		if i+1 < len(srcs) && srcs[i+1].rel == sc.rel || len(flat) == 0 {
+			continue
+		}
+		if i > 0 && srcs[i-1].rel == sc.rel { // the id came back under another source
+			slices.SortFunc(flat, func(x, y *model.Rel) int { return cmp.Compare(x.Valid.Start, y.Valid.Start) })
+		}
+		out, flat = append(out, flat[:len(flat):len(flat)]), flat[len(flat):]
+	}
+	return out, nil
+}
+
+// scanIncoming appends to dst, in relationship id order, the sources of node
+// a's incoming relationships with an entry at or before through — at an
+// instant (liveOnly) those live then, read from each one's last such entry;
+// over a window every source any of them names, each once. skipLoops leaves
+// out a's self-loops: the outgoing scan lists them.
+func scanIncoming(ctx context.Context, prof *Profile, tree *btree.Tree, dst []source, a model.NodeID, through model.Timestamp, liveOnly, skipLoops bool) ([]source, error) {
+	var (
+		kb    [9]byte
+		last  source
+		live  bool
+		group int // where the last relationship's sources start in dst
+	)
+	t0 := prof.start()
+	c := tree.Cursor()
+	defer c.Close()
+	c.SeekFloor(enc.AppendKeyPrefix(kb[:0], int64(a))) // the bare prefix sorts just below a's first entry
+	for n := 1; c.Next(); n++ {
+		if err := strided(ctx, n); err != nil {
+			return nil, err
+		}
+		ka, rel, ets, ok := enc.ParseKeyIncident(c.Key())
+		if !ok {
+			return nil, errCorrupt
+		}
+		if ka != a {
+			break
+		}
+		deleted, src, ok := enc.ParseIncomingValue(c.Value())
+		switch {
+		case !ok:
+			return nil, errCorrupt
+		case ets > through || skipLoops && src == a:
+		case !liveOnly:
+			if group < len(dst) && dst[group].rel != rel {
+				group = len(dst)
+			}
+			if !slices.Contains(dst[group:], source{rel, src}) {
+				dst = append(dst, source{rel, src})
+			}
+		default:
+			if live && last.rel != rel {
+				dst = append(dst, last)
+			}
+			last, live = source{rel, src}, !deleted
 		}
 	}
+	if live {
+		dst = append(dst, last)
+	}
+	prof.add(ProfileOp{Operator: "IncomingScan in.idx", Store: store, Rows: len(dst), Descents: c.Descents, Gets: c.Gets}, t0)
+	return dst, c.Err()
+}
+
+// GetRelationshipsContext returns a node's (in/out) relationship history
+// between start and end (Table 1): one inner slice per incident relationship,
+// holding its versions in the interval, outgoing ones first, each direction
+// in relationship id order. With start == end it returns the relationships
+// live at that instant, one version each. Every index scan and version walk
+// is a cancellation point, and a cursor yields to the writer every
+// cancelStride relationships. When ctx carries a Profile, each operator adds
+// its costs to it.
+func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d model.Direction, start, end model.Timestamp) ([][]*model.Rel, error) {
+	if err := checkInterval(start, end); err != nil {
+		return nil, err
+	}
+	prof, _ := ctx.Value(profileKey{}).(*Profile)
+	var out [][]*model.Rel
+	var err error
+	if d != model.Incoming {
+		if out, err = s.outgoing(ctx, prof, id, start, end); err != nil {
+			return nil, err
+		}
+	}
+	if d != model.Outgoing {
+		out, err = s.incoming(ctx, prof, id, start, end, d == model.Both, out)
+	}
+	return out, err
+}
+
+// outgoing returns node a's outgoing relationships' versions in [start, end),
+// one slice each: one descent to a's cluster, then one pass through it, whose
+// version walks mostly seek inside the leaf the cursor holds.
+func (s *Store) outgoing(ctx context.Context, prof *Profile, a model.NodeID, start, end model.Timestamp) ([][]*model.Rel, error) {
+	var (
+		kb   [27]byte
+		out  [][]*model.Rel
+		flat []*model.Rel
+	)
+	t0 := prof.start()
+	c := walk{Cursor: s.outRels.Cursor()}
+	defer c.Close()
+	// The bare prefix sorts just below a's first entry; each Next lands on a
+	// relationship's first cell.
+	c.SeekFloor(enc.AppendKeyPrefix(kb[:0], int64(a)))
+	for i := 0; c.Next(); i++ {
+		src, rel, first, ok := enc.ParseKeyIncident(c.Key())
+		if !ok {
+			return nil, errCorrupt
+		}
+		if src != a {
+			break
+		}
+		if err := strided(ctx, i); err != nil {
+			return nil, err
+		}
+		if i%cancelStride == cancelStride-1 {
+			c.Yield() // as in walkSources
+		}
+		if first <= start || first < end { // else its history starts after the window
+			e, n := relEntity(a, rel), len(flat)
+			var err error
+			if flat, err = versions(ctx, s, &relLineage, &c, &e, start, end, flat); err != nil {
+				return nil, err
+			}
+			if len(flat) > n {
+				out = append(out, flat[n:len(flat):len(flat)])
+			}
+		}
+		c.SeekFloor(enc.AppendKeyIncident(kb[:0], a, rel, -1)) // rel's last cell
+	}
+	prof.add(ProfileOp{Operator: "OutgoingScan outrels.idx", Store: store, Rows: len(out), Descents: c.Descents, Gets: c.Gets, Decoded: c.decoded}, t0)
+	return out, c.Err()
+}
+
+// incoming appends node a's incoming relationships' versions in [start, end)
+// to out: one scan of a's in.idx range names each one's source, then each
+// takes a descent into that source's cluster, keeping the versions that end
+// at a.
+func (s *Store) incoming(ctx context.Context, prof *Profile, a model.NodeID, start, end model.Timestamp, skipLoops bool, out [][]*model.Rel) ([][]*model.Rel, error) {
+	var sb [16]source
+	srcs, err := scanIncoming(ctx, prof, s.in, sb[:0], a, max(start, end-1), start == end, skipLoops)
+	if err != nil || len(srcs) == 0 {
+		return out, err
+	}
+	t0, rows := prof.start(), len(out)
+	c := walk{Cursor: s.outRels.Cursor()}
+	defer c.Close()
+	if out, err = s.walkSources(ctx, &c, srcs, start, end, func(r *model.Rel) bool { return r.Tgt == a }, out); err != nil {
+		return nil, err
+	}
+	prof.add(ProfileOp{Operator: "IncomingVersions outrels.idx", Store: store, Rows: len(out) - rows, Descents: c.Descents, Gets: c.Gets, Decoded: c.decoded}, t0)
 	return out, nil
 }
 
@@ -373,11 +536,11 @@ func (s *Store) ExpandContext(ctx context.Context, id model.NodeID, d model.Dire
 // ids to next, reading them through one cursor on the node tree.
 func (s *Store) expandOne(ctx context.Context, cid model.NodeID, d model.Direction, ts model.Timestamp, rels [][]*model.Rel,
 	visited map[model.NodeID]bool, nodes []*model.Node, next []model.NodeID) ([]*model.Node, []model.NodeID, error) {
-	c := s.nodes.Cursor()
+	c := walk{Cursor: s.nodes.Cursor()}
 	defer c.Close()
 	for i, vs := range rels {
 		if i%cancelStride == cancelStride-1 {
-			c.Yield() // as in GetRelationshipsContext
+			c.Yield() // as in walkSources
 		}
 		r := vs[0]
 		nid := r.Tgt
@@ -388,9 +551,9 @@ func (s *Store) expandOne(ctx context.Context, cid model.NodeID, d model.Directi
 			continue
 		}
 		visited[nid] = true
-		n := len(nodes)
+		e, n := nodeEntity(nid), len(nodes)
 		var err error
-		if nodes, err = versions(ctx, s, &nodeLineage, &c, int64(nid), ts, ts, nodes); err != nil {
+		if nodes, err = versions(ctx, s, &nodeLineage, &c, &e, ts, ts, nodes); err != nil {
 			return nil, nil, err
 		}
 		if len(nodes) > n {

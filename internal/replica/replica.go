@@ -73,7 +73,7 @@ func (sh *Shipment) Empty() bool { return len(sh.Strings) == 0 && len(sh.Txn) ==
 // clock and epoch; an Applier ("replica.applier") its apply counters and
 // watermark. A promoted node lists both.
 type Stats struct {
-	BytesShipped  uint64 // string-table and log file bytes sent to followers
+	BytesShipped  uint64 // string-table and log file bytes handed to the stream, counted before the send
 	BytesApplied  uint64 // file bytes verified and applied on a follower
 	Heartbeats    uint64 // keepalives sent (source) or received (applier)
 	Reconnects    uint64 // follower stream re-establishments after a failed dial or stream

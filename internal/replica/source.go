@@ -212,11 +212,13 @@ func (s *Source) ServeConn(conn net.Conn, r *bufio.Reader, w *bufio.Writer, reqF
 			}
 			continue
 		}
+		// Counted before the send: a follower may apply the batch and report
+		// its watermark before send returns, and the counter must already hold it.
+		s.bytesShipped.Add(uint64(len(sh.Strings) + len(sh.Txn)))
 		if send(encode(bolt.MsgRepBatch, sh.fields())) != nil {
 			return
 		}
 		lastSend = clk.Now()
-		s.bytesShipped.Add(uint64(len(sh.Strings) + len(sh.Txn)))
 		strOff += int64(len(sh.Strings))
 		txnOff += int64(len(sh.Txn))
 	}

@@ -176,7 +176,7 @@ func BenchmarkResident(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		expandReads(b, s, 20000)
+		expandReads(b, s, 20000, model.Outgoing)
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&open)
@@ -366,7 +366,7 @@ func BenchmarkDisk(b *testing.B) {
 		total += r.bytes
 		b.Logf("%-20s %11d B %8.1f B/update", r.owner, r.bytes, float64(r.bytes)/float64(updates))
 		if r.owner == "LineageStore trees" {
-			for _, name := range []string{"nodes.idx", "rels.idx", "out.idx", "in.idx"} {
+			for _, name := range []string{"nodes.idx", "rels.idx", "outrels.idx", "in.idx"} {
 				logTreeRow(b, opts.Dir, name, updates)
 			}
 		}
@@ -401,22 +401,24 @@ func BenchmarkDisk(b *testing.B) {
 }
 
 // expandGetsBudget is BenchmarkExpand1's ceiling on page-cache accesses per
-// returned relationship: half of what the read path cost when every link of
-// an entity's locality was a descent of its own (6.916, measured at the
-// commit before the cursor).
-const expandGetsBudget = 6.916 / 2
+// returned relationship: what the outgoing expand costs with each node's
+// relationships clustered, versions and all, under it — one descent and a
+// forward scan, 0.683 — + 10 %. It was 2.722 when every relationship the
+// out-neighbour scan returned took a descent of its own into a tree keyed by
+// relationship id, and 6.916 before the B+Tree cursor.
+const expandGetsBudget = 0.75
 
 // expandReads runs point-history's expand class n times against the
-// LineageStore of the benchmark-shaped store s: the outgoing relationships of
-// a uniformly drawn node at a uniformly drawn commit timestamp. It returns
-// how many relationships the reads returned.
-func expandReads(b *testing.B, s *System, n int) int {
+// LineageStore of the benchmark-shaped store s — a uniformly drawn node's
+// relationships in direction d at a uniformly drawn commit timestamp — and
+// returns how many relationships the reads returned.
+func expandReads(b *testing.B, s *System, n int, d model.Direction) int {
 	ls, last := s.Aion.LineageStore(), int64(s.Aion.TimeStore().LatestTimestamp())
-	nodes := int64(datagen.MustPreset("DBLP", 20).Nodes)
+	shape := datagen.MustPreset("DBLP", 20)
 	rng, ctx, rels := rand.New(rand.NewSource(1)), context.Background(), 0
 	for i := 0; i < n; i++ {
 		at := model.Timestamp(1 + rng.Int63n(last))
-		hs, err := ls.GetRelationshipsContext(ctx, model.NodeID(rng.Int63n(nodes)), model.Outgoing, at, at)
+		hs, err := ls.GetRelationshipsContext(ctx, model.NodeID(rng.Int63n(int64(shape.Nodes))), d, at, at)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -425,10 +427,32 @@ func expandReads(b *testing.B, s *System, n int) int {
 	return rels
 }
 
+// pointReads reads a uniformly drawn relationship at a uniformly drawn
+// commit timestamp n times, as expandReads draws, and returns how many
+// versions the reads returned.
+func pointReads(b *testing.B, s *System, n int) int {
+	ls, last := s.Aion.LineageStore(), int64(s.Aion.TimeStore().LatestTimestamp())
+	shape := datagen.MustPreset("DBLP", 20)
+	rng, ctx, rels := rand.New(rand.NewSource(1)), context.Background(), 0
+	for i := 0; i < n; i++ {
+		at := model.Timestamp(1 + rng.Int63n(last))
+		rs, err := ls.GetRelationshipContext(ctx, model.RelID(rng.Int63n(int64(shape.Rels))), at, at)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rels += len(rs)
+	}
+	return rels
+}
+
 // BenchmarkExpand1 is point-history's expand class on the LineageStore alone
-// (expandReads). Beside ns/op it reports nanoseconds and page-cache accesses
-// (hits + misses: a count, exact for a fixed -benchtime Nx) per returned
-// relationship, and fails over the budget. make expand-budget runs it.
+// (expandReads, outgoing). Beside ns/op it reports nanoseconds and page-cache
+// accesses (hits + misses: a count, exact for a fixed -benchtime Nx) per
+// returned relationship, and fails over the budget. After the timed loop it
+// reports the accesses per returned relationship of as many incoming expands
+// (one in-neighbour scan, then a descent per relationship into its source's
+// cluster) and of point relationship reads (two descents: rels.idx, then the
+// cluster). make expand-budget runs it.
 func BenchmarkExpand1(b *testing.B) {
 	opts, _ := loadBenchmarkShape(b)
 	s, err := Open(opts)
@@ -437,16 +461,23 @@ func BenchmarkExpand1(b *testing.B) {
 	}
 	defer s.Close()
 	ls := s.Aion.LineageStore()
+	gets := func(before pagecache.Stats, rels int) float64 {
+		after := ls.Stats().Cache
+		return float64(after.Hits+after.Misses-before.Hits-before.Misses) / float64(max(rels, 1))
+	}
 	before := ls.Stats().Cache
 	b.ResetTimer()
-	rels := expandReads(b, s, b.N)
+	rels := expandReads(b, s, b.N, model.Outgoing)
 	b.StopTimer()
-	after := ls.Stats().Cache
-	gets := float64(after.Hits+after.Misses-before.Hits-before.Misses) / float64(max(rels, 1))
+	outGets := gets(before, rels)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(rels, 1)), "ns/rel")
-	b.ReportMetric(gets, "gets/rel")
+	b.ReportMetric(outGets, "gets/rel")
 	b.ReportMetric(float64(rels)/float64(b.N), "rels/op")
-	if b.N > 1000 && gets > expandGetsBudget {
-		b.Fatalf("an expand costs %.2f page-cache accesses per returned relationship, over the budget of %.2f", gets, float64(expandGetsBudget))
+	before = ls.Stats().Cache
+	b.ReportMetric(gets(before, expandReads(b, s, b.N, model.Incoming)), "in-gets/rel")
+	before = ls.Stats().Cache
+	b.ReportMetric(gets(before, pointReads(b, s, b.N)), "point-gets/rel")
+	if b.N > 1000 && outGets > expandGetsBudget {
+		b.Fatalf("an expand costs %.2f page-cache accesses per returned relationship, over the budget of %.2f", outGets, float64(expandGetsBudget))
 	}
 }

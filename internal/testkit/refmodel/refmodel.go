@@ -20,10 +20,9 @@
 // state after both changes; one that creates and deletes it opens none: no
 // version is empty.
 //
-// Order contract. GetRelationships lists relationships as the neighbour
-// indexes do: outgoing before incoming (a self-loop once, among the
-// outgoing), then by neighbour id, then by the timestamp of the
-// relationship's creation, then by relationship id.
+// Order contract. GetRelationships lists relationships as the incident trees
+// hold them: outgoing before incoming (a self-loop once, among the
+// outgoing), then by relationship id.
 package refmodel
 
 import (
@@ -254,52 +253,37 @@ func (m *Model) GetRelationship(id model.RelID, start, end model.Timestamp) []*m
 }
 
 // GetRelationships returns, per relationship incident to id in direction d
-// that has a version in [start, end) (or at the instant), those versions, in
-// the order contract's order.
+// that has a version in [start, end) (or at the instant), those of its
+// versions that are incident to id that way — an id that came back under
+// other endpoints may be outgoing in one lifetime and incoming, or not
+// incident at all, in another — in the order contract's order.
 func (m *Model) GetRelationships(id model.NodeID, d model.Direction, start, end model.Timestamp) [][]*model.Rel {
-	type incident struct {
-		incoming bool
-		nb       model.NodeID
-		created  model.Timestamp
-		rel      model.RelID
-	}
-	var found []incident
-	seen := map[model.RelID]bool{}
-	for i := range m.us {
-		u := &m.us[i]
-		if u.Kind != model.OpAddRel || seen[u.RelID] {
-			continue
-		}
-		switch {
-		case u.Src == id && d != model.Incoming:
-			found = append(found, incident{false, u.Tgt, u.TS, u.RelID})
-		case u.Tgt == id && d != model.Outgoing:
-			found = append(found, incident{true, u.Src, u.TS, u.RelID})
-		default:
-			continue
-		}
-		seen[u.RelID] = true
-	}
-	slices.SortFunc(found, func(a, b incident) int {
-		if a.incoming != b.incoming {
-			return cmp.Compare(btoi(a.incoming), btoi(b.incoming))
-		}
-		return cmp.Or(cmp.Compare(a.nb, b.nb), cmp.Compare(a.created, b.created), cmp.Compare(a.rel, b.rel))
-	})
-	var out [][]*model.Rel
-	for _, f := range found {
-		if vs := m.GetRelationship(f.rel, start, end); len(vs) > 0 {
-			out = append(out, vs)
+	var ids []model.RelID
+	for _, u := range m.us {
+		if u.Kind == model.OpAddRel && (u.Src == id && d != model.Incoming || u.Tgt == id && d != model.Outgoing) && !slices.Contains(ids, u.RelID) {
+			ids = append(ids, u.RelID)
 		}
 	}
-	return out
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
+	slices.Sort(ids)
+	var out, in [][]*model.Rel
+	for _, rel := range ids {
+		var o, i []*model.Rel
+		for _, v := range m.GetRelationship(rel, start, end) {
+			switch {
+			case v.Src == id && d != model.Incoming: // a self-loop once, among the outgoing
+				o = append(o, v)
+			case v.Tgt == id && d != model.Outgoing:
+				i = append(i, v)
+			}
+		}
+		if len(o) > 0 {
+			out = append(out, o)
+		}
+		if len(i) > 0 {
+			in = append(in, i)
+		}
 	}
-	return 0
+	return append(out, in...)
 }
 
 // Expand is Alg 1 over the model: per hop, the not yet visited neighbours at
