@@ -50,7 +50,7 @@ loc:
 	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
 	@n=$$($(LOC_FILES) ! -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "production $$n"; \
-	[ $$n -le 21938 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 21934 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 	@n=$$($(LOC_FILES) -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "testkit $$n"; \
 	[ $$n -le 2132 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }
@@ -216,8 +216,9 @@ heap-budget:
 # records and log. It fails when the TimeStore log is over 10.5 B/update or its
 # chain (fulls + deltas) over 13.5 — 4-byte string refs creeping back in cross
 # either — or the chain holds a file the catalogue does not count, when the
-# four LineageStore trees are over 45.5 B/update — 4-byte refs, 4-byte cell
-# lengths or version records that repeat their key cross it — when Aion adds
+# three LineageStore trees are over 37.5 B/update — a rels.idx on disk again,
+# 4-byte refs, 4-byte cell lengths or version records that repeat their key
+# cross it — when Aion adds
 # over 33 % to the host, or when the host's records and log are not exactly the
 # bytes of the Neo4j store it emulates (7 177 500 + 38 720 016).
 disk-budget:
@@ -229,8 +230,10 @@ disk-budget:
 # reports nanoseconds and page-cache accesses (hits + misses, an exact count at
 # a fixed iteration count) per returned relationship, then the accesses per
 # returned relationship of as many incoming expands (in-gets/rel) and point
-# relationship reads (point-gets/rel, two descents each). It fails above 0.75
-# accesses, the 0.683 of an expand that is one descent and one scan of the
-# node's cluster + 10 % (2.722 with a descent per relationship).
+# relationship reads (point-gets/rel: the in-memory source index names the
+# cluster, then one descent). It fails above 0.75 accesses, the 0.683 of an
+# expand that is one descent and one scan of the node's cluster + 10 % (2.722
+# with a descent per relationship), and above 5.0 point-gets/rel (4.17; 7.17
+# when a rels.idx descent named the cluster first).
 expand-budget:
 	$(GO) test -run '^$$' -bench BenchmarkExpand1 -benchtime 20000x ./internal/system/

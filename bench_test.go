@@ -177,20 +177,6 @@ func BenchmarkExtensionIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTimeStoreSweep runs the stand-alone TimeStore option
-// sweep — no snapshots, three snapshot intervals (the design decision Sec 4.3
-// leaves to a user policy) and a one-worker pipeline — and reports GetGraph over the whole history with and without snapshots.
-func BenchmarkAblationTimeStoreSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunHistory(benchConfig(b), dirFactory(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Millis[len(rows[0].Millis)-1], "no-snapshot-ms")
-		b.ReportMetric(rows[2].Millis[len(rows[2].Millis)-1], "snapshot-n/8-ms")
-	}
-}
-
 // BenchmarkAblationPlannerThreshold runs Fig 8, whose planner column puts
 // the 30 % store-selection heuristic of Sec 5.1 beside the measured
 // LineageStore/TimeStore crossover, and reports the crossover's hop count on

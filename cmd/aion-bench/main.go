@@ -8,9 +8,7 @@
 //	aion-bench -exp table3,fig6,fig11
 //
 // Experiments: table3, table4, fig6, fig7, fig8, fig9, fig10, fig11,
-// fig12, fig13, fig14, ext (incremental SSSP/colouring extension), history
-// (the stand-alone TimeStore option sweep), write (commit-throughput sweep
-// with the group-commit ablation).
+// fig12, fig13, fig14, ext (incremental SSSP/colouring extension).
 //
 // -json <path> additionally writes every printed table — title, columns and
 // rows, numeric cells as numbers — as one JSON report. It exits non-zero,
@@ -24,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"aion/internal/bench"
@@ -54,8 +51,6 @@ func run(args []string) (err error) {
 		globals  = flags.Int("globalops", 5, "snapshot retrievals per system and run (paper: 100)")
 		workdir  = flags.String("dir", "", "working directory for store files (default: temp)")
 		jsonPath = flags.String("json", "", "write every printed table to this JSON file")
-		writeOps = flags.Int("writeops", 100, "commits per committer in the write-path suite")
-		writeCs  = flags.String("committers", "", "comma-separated committer counts for the write suite (default 1,4,16,64)")
 	)
 	flags.Parse(args)
 
@@ -129,21 +124,6 @@ func run(args []string) (err error) {
 	var fig14 []bench.Fig14Row
 	experiment("fig14", func() (err error) { fig14, err = bench.RunFig14(cfg, mkdir, []int{10}); return err })
 	experiment("ext", func() error { _, err := bench.RunExtensionIncremental(cfg, []int{10, 100}); return err })
-	experiment("history", func() error { _, err := bench.RunHistory(cfg, mkdir); return err })
-	experiment("write", func() error {
-		wc := bench.WriteConfig{OpsPerCommitter: *writeOps}
-		if *writeCs != "" {
-			for _, s := range strings.Split(*writeCs, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil || n <= 0 {
-					return fmt.Errorf("bad -committers entry %q", s)
-				}
-				wc.Committers = append(wc.Committers, n)
-			}
-		}
-		_, err := bench.RunWritePath(cfg, mkdir, wc)
-		return err
-	})
 
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,12 +10,14 @@ import (
 )
 
 // TestFailureRemovesTempDir runs invocations that fail — an unknown
-// experiment, and an experiment returning an error — and checks that each
-// still removes the aion-bench-* directory it made under TMPDIR.
+// experiment, and an experiment that ran but whose report cannot be written —
+// and checks that each still removes the aion-bench-* directory it made under
+// TMPDIR.
 func TestFailureRemovesTempDir(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing", "report.json")
 	for _, args := range [][]string{
 		{"-exp", "nosuch"},
-		{"-exp", "write", "-committers", "x"},
+		{"-exp", "table3", "-datasets", "DBLP", "-scale", "100000", "-json", missing},
 	} {
 		tmp := t.TempDir()
 		t.Setenv("TMPDIR", tmp)

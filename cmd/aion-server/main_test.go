@@ -155,10 +155,10 @@ func TestServeDebug(t *testing.T) {
 	getJSON(t, p.debug, "/metrics", &m)
 	// Each tree's row of make disk-budget: a meta page and a root leaf at least.
 	trees := m.LineageStore.Trees
-	if len(trees) != 4 {
-		t.Fatalf("lineagestore publishes %d trees, want 4: %+v", len(trees), trees)
+	if len(trees) != 3 {
+		t.Fatalf("lineagestore publishes %d trees, want 3: %+v", len(trees), trees)
 	}
-	for i, name := range []string{"nodes.idx", "rels.idx", "outrels.idx", "in.idx"} {
+	for i, name := range []string{"nodes.idx", "outrels.idx", "in.idx"} {
 		if tr := trees[i]; tr.Name != name || tr.Pages < 2 || tr.Bytes != int64(tr.Pages)*4096 {
 			t.Errorf("lineagestore tree %d: %+v, want %s with its pages and bytes", i, tr, name)
 		}

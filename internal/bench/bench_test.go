@@ -221,33 +221,6 @@ func TestRunExtensionIncremental(t *testing.T) {
 	}
 }
 
-func TestRunHistory(t *testing.T) {
-	var out bytes.Buffer
-	rows, err := RunHistory(tiny(t, &out), dirFactory(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 || rows[0].Snapshots != 0 || rows[3].Snapshots <= rows[1].Snapshots {
-		t.Fatalf("rows = %+v: want five layouts, none of the first's snapshots and more the shorter the interval", rows)
-	}
-	for _, r := range rows {
-		if len(r.Millis) != len(historyDepths) || r.DiskBytes <= 0 {
-			t.Errorf("row %+v", r)
-		}
-	}
-}
-
-func TestRunWritePath(t *testing.T) {
-	var out bytes.Buffer
-	rows, err := RunWritePath(tiny(t, &out), dirFactory(t), WriteConfig{Committers: []int{2}, OpsPerCommitter: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].FsyncsPerCommit[0] < 1 || rows[1].FsyncsPerCommit[0] != 0 {
-		t.Fatalf("rows = %+v: want a durable and an async level, a durable serialised commit fsyncing", rows)
-	}
-}
-
 // TestMeasureReadsTheWarmCost: two sides whose first call costs 50 times what
 // each later one does — and a cold start, paid by whichever side runs first,
 // that the two share — both read the warm cost, in either order; and the side

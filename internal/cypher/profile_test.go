@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"aion/internal/hostdb"
 	"aion/internal/model"
 )
 
@@ -78,6 +79,72 @@ func TestProfileRelationships(t *testing.T) {
 	for _, q := range []string{q + " YIELD nosuch", "PROFILE " + q + " YIELD nosuch"} {
 		if _, err := e.QueryContext(context.Background(), q, params); err == nil || !strings.Contains(err.Error(), "does not yield") {
 			t.Errorf("%s: err %v, want \"does not yield\"", q, err)
+		}
+	}
+}
+
+// TestProfileRelationship: PROFILE CALL aion.relationship returns the point
+// walk's row and then the call's. A relationship under one source takes one
+// descent into outrels.idx; an id that came back under another source, whose
+// cluster lies leaves away, takes one descent per source.
+func TestProfileRelationship(t *testing.T) {
+	e := newEngine(t)
+	commit := func(f func(tx *hostdb.Tx) error) model.Timestamp {
+		t.Helper()
+		tx := e.Sys.Host.Begin()
+		if err := f(tx); err != nil {
+			tx.Rollback()
+			t.Fatal(err)
+		}
+		ts, err := tx.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	// Nodes 0..99; relationship 1 leaves node 0, then node 99. The 2 000
+	// relationships of the nodes between put the two clusters leaves apart.
+	commit(func(tx *hostdb.Tx) error {
+		for i := 0; i < 100; i++ {
+			if err := tx.CreateNodeWithID(model.NodeID(i), nil, nil); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			if err := tx.CreateRelWithID(model.RelID(100+i), model.NodeID(1+i%98), model.NodeID(i%100), "R", nil); err != nil {
+				return err
+			}
+		}
+		return tx.CreateRelWithID(1, 0, 1, "R", nil)
+	})
+	commit(func(tx *hostdb.Tx) error { return tx.DeleteRel(1) })
+	last := commit(func(tx *hostdb.Tx) error { return tx.CreateRelWithID(1, 99, 0, "S", nil) })
+	if err := e.Sys.Aion.WaitSync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		rel                int64
+		start, end         model.Timestamp
+		versions, descents int64
+	}{
+		{500, last, last, 1, 1}, // one source
+		{1, 0, last + 1, 2, 2},  // two sources, a version in each
+		{1, last, last, 1, 2},   // both sources walked, one version live
+	} {
+		q := "CALL aion.relationship($id, $s, $e)"
+		params := map[string]model.Value{"id": model.IntValue(c.rel), "s": model.IntValue(int64(c.start)), "e": model.IntValue(int64(c.end))}
+		if plain := mustQuery(t, e, q, params); int64(len(plain.Rows)) != c.versions {
+			t.Fatalf("rel %d over [%d, %d): %d versions, want %d", c.rel, c.start, c.end, len(plain.Rows), c.versions)
+		}
+		res := mustQuery(t, e, "PROFILE "+q, params)
+		if len(res.Rows) != 2 {
+			t.Fatalf("rel %d: %d rows, want the point walk's and the call's", c.rel, len(res.Rows))
+		}
+		for i, op := range []string{"PointVersions outrels.idx", "ProcedureCall aion.relationship"} {
+			row := res.Rows[i]
+			if row[0].S.Str() != op || row[2].S.Int() != c.versions || row[3].S.Int() != c.descents {
+				t.Errorf("rel %d over [%d, %d): row %v, want %s with %d rows and %d descents", c.rel, c.start, c.end, row, op, c.versions, c.descents)
+			}
 		}
 	}
 }

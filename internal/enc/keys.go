@@ -41,21 +41,14 @@ func readUint(k []byte) (v uint64, rest []byte, ok bool) {
 	return v, k[n:], true
 }
 
-// AppendKeyVersion appends an (entityId, ts) key to b: a node-tree key (KeyNode)
-// or a rels.idx key (KeyRel: relationship id, insertion timestamp).
-func AppendKeyVersion(b []byte, id int64, ts model.Timestamp) []byte {
-	return AppendKeyTS(AppendKeyPrefix(b, id), ts)
-}
-
 // KeyNode encodes a LineageStore node key: (nodeId, ts).
 func KeyNode(id model.NodeID, ts model.Timestamp) []byte {
-	return AppendKeyVersion(make([]byte, 0, 18), int64(id), ts)
+	return AppendKeyTS(AppendKeyPrefix(make([]byte, 0, 18), int64(id)), ts)
 }
 
-// KeyRel encodes a rels.idx key: (relId, insertion ts).
-func KeyRel(id model.RelID, ts model.Timestamp) []byte {
-	return AppendKeyVersion(make([]byte, 0, 18), int64(id), ts)
-}
+// KeyRel encodes a (relId, ts) key, the node key's shape: no tree of this
+// format holds one, but the benchmark's B+Tree probe keys relationships so.
+func KeyRel(id model.RelID, ts model.Timestamp) []byte { return KeyNode(model.NodeID(id), ts) }
 
 // AppendKeyPrefix appends one key component, at most 9 bytes. A key whose
 // leading components are the prefix's lies in [prefix(id), prefix(id+1)) for
@@ -97,28 +90,22 @@ func ParseKeyIncident(k []byte) (a model.NodeID, rel model.RelID, ts model.Times
 	return model.NodeID(v[0]), model.RelID(v[1]), model.Timestamp(v[2]), true
 }
 
-// AppendRelSource appends a rels.idx value, (relId, insertion ts) -> src: the
-// source whose cluster holds that insertion's versions, a uvarint.
-func AppendRelSource(b []byte, src model.NodeID) []byte { return binary.AppendUvarint(b, uint64(src)) }
-
-// ParseRelSource decodes a value written by AppendRelSource; ok is false
-// unless v is exactly one minimal uvarint.
-func ParseRelSource(v []byte) (src model.NodeID, ok bool) {
-	x, rest, err := readUvarint(v, "src")
-	return model.NodeID(x), err == nil && len(rest) == 0
-}
-
 // AppendIncomingValue appends an in.idx value: the source, shifted left one
 // bit to carry the deletion flag, a uvarint.
 func AppendIncomingValue(b []byte, deleted bool, src model.NodeID) []byte {
+	v := uint64(src) << 1
 	if deleted {
-		return AppendRelSource(b, src<<1|1)
+		v |= 1
 	}
-	return AppendRelSource(b, src<<1)
+	return binary.AppendUvarint(b, v)
 }
 
-// ParseIncomingValue decodes a value written by AppendIncomingValue.
+// ParseIncomingValue decodes a value written by AppendIncomingValue; ok is
+// false unless v is exactly one minimal uvarint.
 func ParseIncomingValue(v []byte) (deleted bool, src model.NodeID, ok bool) {
-	x, ok := ParseRelSource(v)
-	return x&1 == 1, model.NodeID(uint64(x) >> 1), ok
+	x, rest, err := readUvarint(v, "src")
+	if err != nil || len(rest) != 0 {
+		return false, 0, false
+	}
+	return x&1 == 1, model.NodeID(x >> 1), true
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // BenchmarkCommitThroughput measures the synchronous-commit write path at
-// several committer counts (the serialised-committer baseline lives in
-// `aion-bench -exp write`). It is part of the bench-smoke set.
+// several committer counts. It is part of the bench-smoke set.
 func BenchmarkCommitThroughput(b *testing.B) {
 	for _, committers := range []int{1, 16} {
 		b.Run(fmt.Sprintf("committers=%d", committers), func(b *testing.B) {

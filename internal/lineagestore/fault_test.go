@@ -92,7 +92,7 @@ func TestOpenResetsBadMetaMagic(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, "rels.idx"), os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, "in.idx"), os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 // Package lineagestore implements LineageStore (Sec 4.4), Aion's
 // fine-grained temporal store: graph updates indexed by entity identifier
-// in four B+Trees. Composite keys order first by entity and then by
+// in three B+Trees. Composite keys order first by entity and then by
 // timestamp, so an entity's full history lands in the same or adjacent
 // pages and is retrieved with one seek plus a short range scan:
 //
 //	nodes.idx    (node, ts)          -> a node's version records
 //	outrels.idx  (src, rel, ts)      -> a relationship's version records, under its source
-//	rels.idx     (rel, insertion ts) -> src: which cluster a point read descends into
 //	in.idx       (tgt, rel, ts)      -> src and the deletion flag
 //
 // Unlike Table 2, which keeps relationship versions by id beside two
@@ -14,7 +13,9 @@
 // node's outgoing relationships with their histories are one key range, so
 // an outgoing expand is one descent and one forward scan, and there is no
 // out-neighbour tree. An incoming expand scans in.idx and descends once per
-// relationship into its source's cluster.
+// relationship into its source's cluster. A point read by relationship id
+// finds the cluster in an in-memory source index, which Open rebuilds from
+// in.idx (its values name every event's source), and descends once.
 //
 // Updates are stored in place either as deltas or as fully materialized
 // entities. A delta chain threshold (Fig 11; default 4) bounds how many
@@ -22,9 +23,9 @@
 // trading ~16 % extra storage for fast version reconstruction.
 //
 // The indexes are derived data with a clean-shutdown checkpoint, under one
-// invariant: the checkpoint file is on disk only while the four index files
+// invariant: the checkpoint file is on disk only while the three index files
 // are durably the image of exactly the log prefix it names. Close publishes
-// it after all four trees are fsynced and only if no apply or catch-up has
+// it after all three trees are fsynced and only if no apply or catch-up has
 // failed since Open (a skipped update leaves trees that match no prefix);
 // the first Apply, ApplyBatch or Wipe afterwards makes its removal durable
 // before a tree page can be written; one that fails its CRC, that CatchUp
@@ -40,8 +41,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,7 +61,7 @@ const DefaultChainThreshold = 4
 
 // Options configures a LineageStore.
 type Options struct {
-	// Dir is the directory for the four index files. It must exist.
+	// Dir is the directory for the three index files. It must exist.
 	Dir string
 	// ChainThreshold is the maximum delta-chain length before
 	// materialization; 0 means DefaultChainThreshold, negative disables
@@ -75,12 +78,12 @@ func (o *Options) defaults() {
 	}
 }
 
-// indexFiles are the four on-disk B+Tree files, in fixed order.
-var indexFiles = [4]string{"nodes.idx", "rels.idx", "outrels.idx", "in.idx"}
+// indexFiles are the three on-disk B+Tree files, in fixed order.
+var indexFiles = [3]string{"nodes.idx", "outrels.idx", "in.idx"}
 
 // retiredFiles are index files an older format kept and this one does not:
 // a rebuild deletes them with the current ones.
-var retiredFiles = []string{"out.idx"}
+var retiredFiles = []string{"out.idx", "rels.idx"}
 
 // Store is a LineageStore instance. Writes are serialized; reads may run
 // concurrently with each other.
@@ -91,10 +94,10 @@ type Store struct {
 	codec *enc.Codec
 
 	nodes   *btree.Tree // KeyNode(id, ts)              -> [chainPos][version record]
-	rels    *btree.Tree // KeyRel(r, insertion ts)      -> RelSource(src)
 	outRels *btree.Tree // KeyIncident(src, r, ts)      -> [chainPos][version record, src left to the key]
 	in      *btree.Tree // KeyIncident(tgt, r, ts)      -> IncomingValue(deleted, src)
-	pcs     [4]*pagecache.Cache
+	pcs     [3]*pagecache.Cache
+	srcs    sourceIndex // which clusters hold each relationship id's versions
 
 	lastTS      model.Timestamp
 	atLastTS    uint64 // updates applied at lastTS
@@ -135,10 +138,10 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// openTrees opens the four index trees; on failure everything already
-// opened is closed again.
+// openTrees opens the three index trees and rebuilds the source index from
+// in.idx; on failure everything already opened is closed again.
 func (s *Store) openTrees() error {
-	trees := [4]**btree.Tree{&s.nodes, &s.rels, &s.outRels, &s.in}
+	trees := [3]**btree.Tree{&s.nodes, &s.outRels, &s.in}
 	for i, name := range indexFiles {
 		path := filepath.Join(s.opts.Dir, name)
 		// A file cut mid-page is a crash artifact: the B+Tree cannot be
@@ -158,7 +161,76 @@ func (s *Store) openTrees() error {
 		}
 		return errors.Join(fmt.Errorf("lineagestore: open %s: %w", name, err), s.closeTrees())
 	}
+	s.srcs.reset()
+	var bad error
+	err := s.in.Scan(nil, nil, func(k, v []byte) bool {
+		_, rel, _, kok := enc.ParseKeyIncident(k)
+		_, src, vok := enc.ParseIncomingValue(v)
+		if !kok || !vok {
+			bad = errCorrupt
+			return false
+		}
+		s.srcs.add(rel, src)
+		return true
+	})
+	if err = cmp.Or(err, bad); err != nil {
+		return errors.Join(fmt.Errorf("lineagestore: open in.idx: %w", err), s.closeTrees())
+	}
 	return nil
+}
+
+// sourceIndex names, for each relationship id, the sources whose clusters
+// hold its versions — one, unless CreateRelWithID brought the id back under
+// another source. Ids are dense, so a slot per id in a vector answers in one
+// load (as memgraph's id vectors do); the map holds what fits no slot. It
+// has its own lock, held per insertion, because readers do not take s.mu.
+type sourceIndex struct {
+	mu    sync.RWMutex
+	dense []uint32                       // src+1 by relationship id; 0: none
+	many  map[model.RelID][]model.NodeID // ids past dense, sources >= MaxUint32, and ids seen under two sources
+}
+
+func (x *sourceIndex) reset() {
+	x.mu.Lock()
+	x.dense, x.many = nil, map[model.RelID][]model.NodeID{}
+	x.mu.Unlock()
+}
+
+// add records that src's cluster holds versions of rel.
+func (x *sourceIndex) add(rel model.RelID, src model.NodeID) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	srcs := x.many[rel]
+	if srcs == nil && rel >= 0 && rel < model.RelID(len(x.dense)) && x.dense[rel] != 0 {
+		old := model.NodeID(x.dense[rel] - 1)
+		if old == src {
+			return
+		}
+		srcs, x.dense[rel] = []model.NodeID{old}, 0
+	}
+	// An id within twice the vector's length (+64 Ki) grows it; one further
+	// out, as CreateRelWithID may choose, goes to the map.
+	if srcs == nil && src >= 0 && src < math.MaxUint32 && rel >= 0 && int64(rel) < 2*int64(len(x.dense))+1<<16 {
+		for len(x.dense) <= int(rel) { // one append at a time: append(make) allocates each time under -race
+			x.dense = append(x.dense, 0)
+		}
+		x.dense[rel] = uint32(src + 1)
+	} else if !slices.Contains(srcs, src) {
+		x.many[rel] = append(srcs, src)
+	}
+}
+
+// sources appends rel's sources to dst.
+func (x *sourceIndex) sources(dst []source, rel model.RelID) []source {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	if rel >= 0 && rel < model.RelID(len(x.dense)) && x.dense[rel] != 0 {
+		return append(dst, source{rel, model.NodeID(x.dense[rel] - 1)})
+	}
+	for _, src := range x.many[rel] {
+		dst = append(dst, source{rel, src})
+	}
+	return dst
 }
 
 // closeTrees tears down every open page cache, reporting the first flush
@@ -172,7 +244,7 @@ func (s *Store) closeTrees() error {
 			s.pcs[i] = nil
 		}
 	}
-	s.nodes, s.rels, s.outRels, s.in = nil, nil, nil, nil
+	s.nodes, s.outRels, s.in = nil, nil, nil
 	return err
 }
 
@@ -206,7 +278,7 @@ func (s *Store) Wipe() error {
 // The checkpoint file: magic | lastTS | atLastTS | updateCount | crc.
 const (
 	checkpointName  = "checkpoint"
-	checkpointMagic = "ALC5" // ALC1: fixed-width keys; ALC2: 4-byte cell lengths, values repeating their key; ALC3: 4-byte refs; ALC4: relationship versions keyed by id, out.idx; CatchUp rebuilds such trees
+	checkpointMagic = "ALC6" // ALC1: fixed-width keys; ALC2: 4-byte cell lengths, values repeating their key; ALC3: 4-byte refs; ALC4: relationship versions keyed by id, out.idx; ALC5: rels.idx; CatchUp rebuilds such trees
 	checkpointLen   = 4 + 8*3 + 4
 )
 
@@ -229,7 +301,7 @@ func (s *Store) readCheckpoint() {
 	s.clean.Store(true)
 }
 
-// publishLocked writes the checkpoint; the caller just fsynced all four trees.
+// publishLocked writes the checkpoint; the caller just fsynced all three trees.
 func (s *Store) publishLocked() error {
 	b := append(make([]byte, 0, checkpointLen), checkpointMagic...)
 	b = binary.BigEndian.AppendUint64(b, uint64(s.lastTS))
@@ -298,7 +370,7 @@ func (s *Store) CatchUp(logged uint64, scan func(from model.Timestamp, fn func(m
 
 // holdsData reports whether any tree has an entry on disk (or cannot say).
 func (s *Store) holdsData() bool {
-	for _, t := range []*btree.Tree{s.nodes, s.rels, s.outRels, s.in} {
+	for _, t := range []*btree.Tree{s.nodes, s.outRels, s.in} {
 		if _, _, ok, err := t.First(); ok || err != nil {
 			return true
 		}
@@ -348,7 +420,8 @@ func (s *Store) ApplyBatch(us []model.Update) error {
 // indexLocked writes u into the trees it belongs to. A relationship's
 // insertion or deletion is a version record in its source's cluster and an
 // entry in its target's in-neighbour range; an insertion also names the
-// cluster in rels.idx, for point reads by id.
+// cluster in the source index, for point reads by id — before the record is
+// there, so a reader that meets the record finds its cluster.
 func (s *Store) indexLocked(u model.Update) error {
 	switch u.Kind {
 	case model.OpAddNode, model.OpDeleteNode:
@@ -358,16 +431,12 @@ func (s *Store) indexLocked(u model.Update) error {
 		e := nodeEntity(u.NodeID)
 		return putDelta(s, &nodeLineage, &e, u)
 	case model.OpAddRel, model.OpDeleteRel:
+		if u.Kind == model.OpAddRel {
+			s.srcs.add(u.RelID, u.Src)
+		}
 		e := relEntity(u.Src, u.RelID)
 		if err := s.putVersion(s.outRels, &e, 0, u); err != nil {
 			return err
-		}
-		if u.Kind == model.OpAddRel {
-			key := enc.AppendKeyVersion(s.scratch[:0], int64(u.RelID), u.TS)
-			s.scratch = enc.AppendRelSource(key, u.Src)
-			if err := s.rels.Put(key, s.scratch[len(key):]); err != nil {
-				return err
-			}
 		}
 		key := enc.AppendKeyIncident(s.scratch[:0], u.Tgt, u.RelID, u.TS)
 		s.scratch = enc.AppendIncomingValue(key, u.Kind == model.OpDeleteRel, u.Src)
@@ -449,8 +518,8 @@ type Stats struct {
 	Updates    uint64
 	IndexBytes int64
 	CaughtUp   uint64          // re-applied by CatchUp at Open: 0 after a clean Close
-	Cache      pagecache.Stats // page accesses of the four trees, summed
-	Trees      [4]TreeStats    // in indexFiles order
+	Cache      pagecache.Stats // page accesses of the three trees, summed
+	Trees      [3]TreeStats    // in indexFiles order
 }
 
 // TreeStats is one index tree's file: the pages and bytes of its row in
@@ -477,19 +546,19 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// DiskBytes reports the total on-disk footprint of the four indexes and
+// DiskBytes reports the total on-disk footprint of the three indexes and
 // the checkpoint (Fig 10 storage accounting).
 func (s *Store) DiskBytes() int64 {
-	n := s.nodes.DiskBytes() + s.rels.DiskBytes() + s.outRels.DiskBytes() + s.in.DiskBytes()
+	n := s.nodes.DiskBytes() + s.outRels.DiskBytes() + s.in.DiskBytes()
 	if s.clean.Load() {
 		n += checkpointLen
 	}
 	return n
 }
 
-// Flush persists all four indexes.
+// Flush persists all three indexes.
 func (s *Store) Flush() error {
-	for _, t := range []*btree.Tree{s.nodes, s.rels, s.outRels, s.in} {
+	for _, t := range []*btree.Tree{s.nodes, s.outRels, s.in} {
 		if err := t.Flush(); err != nil {
 			return err
 		}

@@ -546,11 +546,11 @@ func TestCancelledReadsReleaseEverything(t *testing.T) {
 }
 
 // TestVersionValueGolden pins the bytes the trees store: a disk format (the
-// ALC5 trees). A version value is the delta-chain position, then
+// ALC6 trees). A version value is the delta-chain position, then
 // enc.AppendVersion's record — the header and the body, with neither the id
 // nor the timestamp the key holds, nor a relationship's source, which its key
-// in the clustered tree leads with. rels.idx maps (rel, insertion ts) to that
-// source, in.idx (tgt, rel, ts) to the source and the deletion flag.
+// in the clustered tree leads with. in.idx maps (tgt, rel, ts) to that source
+// and the deletion flag.
 func TestVersionValueGolden(t *testing.T) {
 	s := openStore(t, Options{})
 	defer s.Close()
@@ -571,8 +571,6 @@ func TestVersionValueGolden(t *testing.T) {
 		{"rel 7 at 5", func() ([]byte, bool, error) { return s.outRels.Get(mustHex(t, "02012c01070105")) }, "0001012000"},
 		// pos | tombstone header | tgt 1
 		{"rel 7 at 6", func() ([]byte, bool, error) { return s.outRels.Get(mustHex(t, "02012c01070106")) }, "000501"},
-		// under (rel 7, ts 5): src 300
-		{"rels.idx 7 at 5", func() ([]byte, bool, error) { return s.rels.Get(enc.KeyRel(7, 5)) }, "ac02"},
 		// under (tgt 1, rel 7, ts 5) = 0101 0107 0105: src 300 << 1 | live
 		{"in.idx 1, 7 at 5", func() ([]byte, bool, error) { return s.in.Get(mustHex(t, "010101070105")) }, "d804"},
 		// src 300 << 1 | deleted

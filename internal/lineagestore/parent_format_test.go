@@ -97,7 +97,7 @@ func rewriteTree(t *testing.T, path string, conv func(k, v []byte) ([]byte, []by
 }
 
 // currentTrees are the tree files of this format.
-var currentTrees = []string{"nodes.idx", "rels.idx", "outrels.idx", "in.idx"}
+var currentTrees = []string{"nodes.idx", "outrels.idx", "in.idx"}
 
 // rewriteAsParent replaces every tree file under lineage with one holding the
 // same entries under the ALC1 encoding: fixed-width keys.
@@ -195,6 +195,31 @@ func rewriteAsUnclustered(t *testing.T, lineage string) {
 	}
 }
 
+// withRelSources adds the ALC5 layout's fourth tree to the trees under
+// lineage: rels.idx (rel, insertion ts) -> src, a uvarint, read from in.idx.
+func withRelSources(t *testing.T, lineage string) {
+	t.Helper()
+	relsPC, rels := openTree(t, filepath.Join(lineage, "rels.idx"))
+	inPC, in := openTree(t, filepath.Join(lineage, "in.idx"))
+	var perr error
+	err := in.Scan(nil, nil, func(k, v []byte) bool {
+		_, rel, ts, kok := enc.ParseKeyIncident(k)
+		deleted, src, vok := enc.ParseIncomingValue(v)
+		if !kok || !vok {
+			t.Fatalf("in.idx holds %x → %x", k, v)
+		}
+		if !deleted {
+			perr = rels.Put(enc.KeyRel(rel, ts), binary.AppendUvarint(nil, uint64(src)))
+		}
+		return perr == nil
+	})
+	if err = errors.Join(err, perr); err != nil {
+		t.Fatal(err)
+	}
+	closeTree(t, inPC, in)
+	closeTree(t, relsPC, rels)
+}
+
 // compact is the key encoding since ALC2: each component a length byte and
 // its significant big-endian bytes.
 func compact(parts ...uint64) []byte {
@@ -217,7 +242,7 @@ func compact(parts ...uint64) []byte {
 func withCheckpointMagic(t *testing.T, lineage, magic string) {
 	t.Helper()
 	cp, err := os.ReadFile(filepath.Join(lineage, "checkpoint"))
-	if err != nil || len(cp) != 32 || string(cp[:4]) != "ALC5" {
+	if err != nil || len(cp) != 32 || string(cp[:4]) != "ALC6" {
 		t.Fatalf("checkpoint %q, %v", cp, err)
 	}
 	copy(cp, magic)
@@ -233,11 +258,13 @@ func withCheckpointMagic(t *testing.T, lineage, magic string) {
 // version records without their key: every tree's meta says AIONBTR3. ALC3 is
 // the commit before compact refs: version records whose refs are 4 bytes wide.
 // ALC4 is the commit before relationship versions were clustered under their
-// source: rels.idx holds them by id, out.idx is the out-neighbour tree.
-// Open accepts none of these checkpoints, finds trees that hold data without
-// one (ALC1, ALC3, ALC4) or cannot open them (ALC2), and rebuilds them from
-// the TimeStore log, once, deleting the retired out.idx; the store then
-// answers exactly like one that never held the old format.
+// source: rels.idx holds them by id, out.idx is the out-neighbour tree. ALC5
+// is the commit before the in-memory source index: rels.idx maps each
+// insertion to its source. Open accepts none of these checkpoints, finds
+// trees that hold data without one (ALC1, ALC3, ALC4, ALC5) or cannot open
+// them (ALC2), and rebuilds them from the TimeStore log, once, deleting the
+// retired out.idx and rels.idx; the store then answers exactly like one that
+// never held the old format.
 func TestParentFormatIsRebuilt(t *testing.T) {
 	ctx := context.Background()
 	var us []model.Update
@@ -286,6 +313,7 @@ func TestParentFormatIsRebuilt(t *testing.T) {
 		}},
 		{"ALC3", rewriteWithFixedRefs},
 		{"ALC4", rewriteAsUnclustered},
+		{"ALC5", withRelSources},
 	} {
 		t.Run(parent.magic, func(t *testing.T) {
 			old, fresh := t.TempDir(), t.TempDir()
@@ -309,8 +337,10 @@ func TestParentFormatIsRebuilt(t *testing.T) {
 			if err := reopen(old, uint64(len(us))).Close(); err != nil { // the one rebuild
 				t.Fatal(err)
 			}
-			if _, err := os.Stat(filepath.Join(lineage, "out.idx")); !os.IsNotExist(err) {
-				t.Fatalf("the rebuild left the retired out.idx (%v)", err)
+			for _, name := range []string{"out.idx", "rels.idx"} {
+				if _, err := os.Stat(filepath.Join(lineage, name)); !os.IsNotExist(err) {
+					t.Fatalf("the rebuild left the retired %s (%v)", name, err)
+				}
 			}
 			gdb, wdb := reopen(old, 0), reopen(fresh, 0)
 			t.Cleanup(func() { gdb.Close(); wdb.Close() })

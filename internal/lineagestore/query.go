@@ -275,55 +275,31 @@ func (s *Store) GetNodeContext(ctx context.Context, id model.NodeID, start, end 
 
 // GetRelationshipContext returns the relationship's history between start
 // and end (Table 1); start == end returns the single version at that instant.
-// Two descents: rels.idx names the cluster its versions are in, then the walk
-// descends into it — one more per source, when the id came back under another
-// one in the window.
+// The source index names the cluster its versions are in, and the walk
+// descends into it once — once per source, when the id came back under
+// another one. When ctx carries a Profile, the walk adds its costs to it.
 func (s *Store) GetRelationshipContext(ctx context.Context, id model.RelID, start, end model.Timestamp) ([]*model.Rel, error) {
 	if err := checkInterval(start, end); err != nil {
 		return nil, err
 	}
-	var sb [2]source
-	srcs, err := s.relSources(sb[:0], id, start, max(start, end-1))
-	if err != nil || len(srcs) == 0 {
-		return nil, err
-	}
+	prof, _ := ctx.Value(profileKey{}).(*Profile)
+	t0 := prof.start()
 	c := walk{Cursor: s.outRels.Cursor()}
 	defer c.Close()
-	out, err := s.walkSources(ctx, &c, srcs, start, end, nil, nil)
-	if err != nil || len(out) == 0 {
-		return nil, err
+	var sb [2]source
+	out, err := s.walkSources(ctx, &c, s.srcs.sources(sb[:0], id), start, end, nil, nil)
+	var vs []*model.Rel
+	if len(out) > 0 {
+		vs = out[0]
 	}
-	return out[0], nil
+	prof.add(ProfileOp{Operator: "PointVersions outrels.idx", Store: store, Rows: len(vs), Descents: c.Descents, Gets: c.Gets, Decoded: c.decoded}, t0)
+	return vs, err
 }
 
 // source names the cluster, (src, rel), that versions of rel live in.
 type source struct {
 	rel model.RelID
 	src model.NodeID
-}
-
-// relSources appends to dst, each once, the sources rels.idx names for
-// relationship id's insertions that a read of [start, through] can meet:
-// the one in effect at start and every later one up to through, newest first.
-func (s *Store) relSources(dst []source, id model.RelID, start, through model.Timestamp) ([]source, error) {
-	var kb [18]byte
-	c := s.rels.Cursor()
-	defer c.Close()
-	prefix := enc.AppendKeyPrefix(kb[:0], int64(id))
-	for ok := c.SeekFloor(enc.AppendKeyTS(prefix, through)); ok && bytes.HasPrefix(c.Key(), prefix); ok = c.Prev() {
-		ts, tok := enc.ParseKeyTS(c.Key()[len(prefix):])
-		src, sok := enc.ParseRelSource(c.Value())
-		if !tok || !sok {
-			return nil, errCorrupt
-		}
-		if !slices.Contains(dst, source{id, src}) {
-			dst = append(dst, source{id, src})
-		}
-		if ts <= start {
-			break
-		}
-	}
-	return dst, c.Err()
 }
 
 // walkSources appends to out one inner slice per relationship of srcs (whose

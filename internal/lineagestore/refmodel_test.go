@@ -167,10 +167,10 @@ func readsAgree(t *testing.T, s *Store, m *refmodel.Model, nodes []model.NodeID,
 
 // TestReinsertedRelationshipMatchesTheReferenceModel: a relationship id that
 // is deleted and comes back under other endpoints — first 1->2, then 3->1,
-// then 1->4 — has its versions in three clusters. A point read follows
-// rels.idx to the cluster of each insertion it meets; an expand lists, from
-// each endpoint, the lifetimes incident to it that way: at each instant, and
-// over windows that span several lifetimes.
+// then 1->4 — has its versions in two clusters, node 1's and node 3's. A
+// point read walks each cluster the source index names for it; an expand
+// lists, from each endpoint, the lifetimes incident to it that way: at each
+// instant, and over windows that span several lifetimes.
 func TestReinsertedRelationshipMatchesTheReferenceModel(t *testing.T) {
 	s := openStore(t, Options{ChainThreshold: 2})
 	defer s.Close()

@@ -42,6 +42,18 @@ mkdir -p "$out"
 args=(-seed "$seed" -seconds "$seconds" -trace 0)
 [[ $workload == all ]] || args+=(-workload "$workload")
 
+# The tree measured, hashed before the first pair through a throwaway copy of
+# the index: `git add -A` there stages every file (an intent-to-add one
+# included) without touching the real index, and `git write-tree` names them.
+# The commit is HEAD when that tree is HEAD's, else null.
+index=$build/ab-index
+cp "$(git -C "$root" rev-parse --absolute-git-dir)/index" "$index"
+GIT_INDEX_FILE=$index git -C "$root" add -A
+worktree=$(GIT_INDEX_FILE=$index git -C "$root" write-tree)
+rm -f "$index"
+commit=null
+[[ $worktree != "$(git -C "$root" rev-parse 'HEAD^{tree}')" ]] || commit="\"$(git -C "$root" rev-parse HEAD)\""
+
 # run SIDE PAIR: one benchmark run; the sides build into their own directories
 # so neither relinks the other's binary between runs.
 run() {
@@ -72,9 +84,6 @@ fsync_probe() {
 	rm -f "$f"
 }
 pr=$(git -C "$root" log -50 --format=%s "$parent" | awk '!n && /^PR [0-9]+:/ {sub(/:.*/, ""); n = $2 + 1} END {if (n) print n}')
-snap=$(git -C "$root" stash create)
-commit=null
-[[ -n $snap ]] || commit="\"$(git -C "$root" rev-parse HEAD)\""
 cpu=$(awk -F': *' '/^model name/ {print $2; exit}' /proc/cpuinfo | tr -d '"\\')
 box=$(printf '{"nproc":%d,"cpu":"%s","go":"%s","fsync_per_s":%d}' "$(nproc)" "$cpu" "$(go env GOVERSION)" "$(fsync_probe)")
 
@@ -82,7 +91,7 @@ box=$(printf '{"nproc":%d,"cpu":"%s","go":"%s","fsync_per_s":%d}' "$(nproc)" "$c
 # list (pretty-printed: one "name"/"better" per line).
 : >"$out/rows.json"
 awk -v spec="$root/BENCHMARK.json" -v exact="$out/change-$pairs.exact" -v rows="$out/rows.json" \
-	-v pr="${pr:-null}" -v commit="$commit" -v tree="$(git -C "$root" rev-parse "${snap:-HEAD}^{tree}")" \
+	-v pr="${pr:-null}" -v commit="$commit" -v tree="$worktree" \
 	-v parent="$(git -C "$root" rev-parse --verify "$parent^{commit}")" -v seed="$seed" -v seconds="$seconds" -v box="$box" '
 	FILENAME==spec {
 		if (/"end_to_end"/) e2e=1; else if (/"per_layer"/) e2e=0
