@@ -50,7 +50,7 @@ loc:
 	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
 	@n=$$($(LOC_FILES) ! -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "production $$n"; \
-	[ $$n -le 21934 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 21931 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 	@n=$$($(LOC_FILES) -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "testkit $$n"; \
 	[ $$n -le 2132 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }
@@ -117,7 +117,8 @@ replica-smoke:
 # parsers and the version decoder B+Tree pages that carry no checksum; a follower decodes the host's
 # commit records and the replication messages off the network; a LineageStore
 # Open trusts its checkpoint file; the log, element files and messages are all
-# split by wal.Cut): long enough to exercise the mutators, short enough for CI.
+# split by wal.Cut; a server parses and runs any text a client sends): long
+# enough to exercise the mutators, short enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUpdates -fuzztime 10s ./internal/enc/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 10s ./internal/enc/
@@ -129,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 3s ./internal/lineagestore/
 	$(GO) test -run '^$$' -fuzz FuzzCut -fuzztime 3s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMessages -fuzztime 3s ./internal/replica/
+	$(GO) test -run '^$$' -fuzz FuzzPrepare -fuzztime 5s ./internal/cypher/
 
 # The failover gate: the kill/partition × protocol-point promotion sweep
 # plus the seeded replication chaos soak, across a bounded seed set under

@@ -134,18 +134,18 @@ func TestPlannerHeuristic(t *testing.T) {
 	db.WaitSync()
 	// Ring of 10 nodes, avg degree 1: 1 hop touches ~2/10 < 30% ->
 	// lineage; 8 hops touch ~9/10 -> timestore.
-	if c := db.PlanExpand(1, model.Outgoing); c != ChoseLineage {
-		t.Errorf("1-hop plan = %v", c)
+	if db.Stats().EstimateExpandFraction(1, model.Outgoing) >= SelectivityThreshold {
+		t.Error("a 1-hop expand is planned on the TimeStore")
 	}
-	if c := db.PlanExpand(8, model.Outgoing); c != ChoseTimeStore {
-		t.Errorf("8-hop plan = %v", c)
+	if db.Stats().EstimateExpandFraction(8, model.Outgoing) < SelectivityThreshold {
+		t.Error("an 8-hop expand is planned on the LineageStore")
 	}
 	// Both paths return the same frontier.
-	viaLS, err := db.LineageStore().ExpandContext(ctx, 0, model.Outgoing, 3, 20)
+	viaLS, err := Expand(ctx, db.View(ctx, 20), 0, model.Outgoing, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTS, err := db.ExpandViaTimeStore(ctx, 0, model.Outgoing, 3, 20)
+	viaTS, err := expandOnSnapshot(ctx, db, 0, model.Outgoing, 3, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

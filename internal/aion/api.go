@@ -1,6 +1,7 @@
 package aion
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -14,36 +15,29 @@ var errClosed = errors.New("aion: store closed")
 
 // Every read takes a ctx and observes it at a bounded stride.
 
-// StoreChoice identifies which temporal store the planner picked.
-type StoreChoice int
-
-const (
-	// ChoseLineage means the query ran on the LineageStore.
-	ChoseLineage StoreChoice = iota
-	// ChoseTimeStore means the query materialized a TimeStore snapshot.
-	ChoseTimeStore
-)
-
-// String returns the choice name.
-func (c StoreChoice) String() string {
-	if c == ChoseLineage {
-		return "LineageStore"
-	}
-	return "TimeStore"
-}
-
-// fromLineage runs read, a LineageStore read at ts, once the store holds every
-// update at or before ts (awaitCascade) and only while it is open.
-func fromLineage[T any](ctx context.Context, db *DB, ts model.Timestamp, read func() (T, error)) (T, error) {
-	var none T
+// enter waits until the LineageStore holds every update at or before ts
+// (awaitCascade) and takes the read side of the lock Close takes, which the
+// caller gives back; it fails after Close.
+func (db *DB) enter(ctx context.Context, ts model.Timestamp) error {
 	if err := db.awaitCascade(ctx, ts); err != nil {
-		return none, err
+		return err
 	}
 	db.reading.RLock()
-	defer db.reading.RUnlock()
 	if db.closed.Load() {
-		return none, errClosed
+		db.reading.RUnlock()
+		return errClosed
 	}
+	return nil
+}
+
+// fromLineage runs read, a Table 1 read of the LineageStore at ts, after
+// enter, and counts it as one planner decision for the LineageStore.
+func fromLineage[T any](ctx context.Context, db *DB, ts model.Timestamp, read func() (T, error)) (T, error) {
+	if err := db.enter(ctx, ts); err != nil {
+		var none T
+		return none, err
+	}
+	defer db.reading.RUnlock()
 	db.decided.lineage.Add(1)
 	return read()
 }
@@ -72,51 +66,172 @@ func (db *DB) GetRelationshipsContext(ctx context.Context, id model.NodeID, d mo
 	})
 }
 
-// PlanExpand returns the store the planner would choose for an n-hop
-// expansion, applying the Sec 5.1 heuristic: less than 30 % of the graph
-// estimated to be accessed selects the LineageStore.
-func (db *DB) PlanExpand(hops int, d model.Direction) StoreChoice {
-	if db.stats.EstimateExpandFraction(hops, d) < SelectivityThreshold {
-		return ChoseLineage
+// PlanContext is the planner's one decision for a read at ts (Sec 5.1). A
+// read that expands hops steps in d from known nodes runs on the View at ts
+// when it is estimated to access less than 30 % of the graph, or expands
+// nothing, and on the TimeStore's snapshot otherwise; either way it counts one
+// decision. A read that starts from no known node scans every node: it gets
+// the snapshot and counts none.
+func (db *DB) PlanContext(ctx context.Context, ts model.Timestamp, anchored bool, hops int, d model.Direction) (Graph, error) {
+	switch {
+	case !anchored:
+	case hops == 0 || db.stats.EstimateExpandFraction(hops, d) < SelectivityThreshold:
+		db.decided.lineage.Add(1)
+		return db.View(ctx, ts), nil
+	default:
+		db.decided.time.Add(1)
 	}
-	return ChoseTimeStore
+	return db.GraphAtContext(ctx, ts)
 }
 
 // ExpandContext returns the n-hop neighbourhood of a node at time ts
-// (Table 1, Alg 1), one slice per hop. The planner picks the store by
-// estimated cardinality.
+// (Table 1, Alg 1), one slice per hop, on the graph PlanContext picks.
 func (db *DB) ExpandContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
-	if db.PlanExpand(hops, d) == ChoseTimeStore {
-		db.decided.time.Add(1)
-		return db.ExpandViaTimeStore(ctx, id, d, hops, ts)
+	if hops < 0 {
+		return nil, fmt.Errorf("aion: expand by %d hops", hops)
 	}
-	return fromLineage(ctx, db, ts, func() ([][]*model.Node, error) {
-		return db.ls.ExpandContext(ctx, id, d, hops, ts)
-	})
-}
-
-// ExpandViaTimeStore materializes a full snapshot and walks it — the
-// TimeStore expansion path whose cost is dominated by graph retrieval
-// (Sec 4.3). Exported for the Fig 8 store comparison.
-func (db *DB) ExpandViaTimeStore(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
-	g, err := db.GraphAtContext(ctx, ts)
+	g, err := db.PlanContext(ctx, ts, true, hops, d)
 	if err != nil {
 		return nil, err
 	}
+	return Expand(ctx, g, id, d, hops)
+}
+
+// Graph is what Alg 1 and Cypher's pattern matcher read: *memgraph.Graph's
+// own method set, which a View has too.
+type Graph interface {
+	Node(id model.NodeID) *model.Node
+	Neighbours(id model.NodeID, d model.Direction, fn func(r *model.Rel, nb model.NodeID) bool)
+	ForEachNode(fn func(n *model.Node) bool)
+}
+
+// View returns the graph at ts as the LineageStore holds it, for one query. It
+// counts no planner decision. Neighbours reads a node's relationships and the
+// states of their other ends not read before after one enter and through one
+// node-tree cursor, as Alg 1 takes them (Sec 4.4), and keeps those states.
+// States keep their version's Valid.Start and report Valid.End open, as a
+// snapshot at ts does. ForEachNode, a scan, fails the view; ReadErr returns
+// its first failed read's error.
+func (db *DB) View(ctx context.Context, ts model.Timestamp) Graph {
+	return &view{ctx: ctx, db: db, ts: ts}
+}
+
+type view struct {
+	ctx   context.Context
+	db    *DB
+	ts    model.Timestamp
+	nodes map[model.NodeID]*model.Node // the states Neighbours read; nil: none at ts
+	ends  *ends                        // Neighbours' buffers, from its first call
+	err   error
+}
+
+// ends are the other ends a Neighbours call reads, and their states.
+type ends struct {
+	ids    []model.NodeID
+	states []*model.Node
+}
+
+// ReadErr returns what failed a View's read, nil for any other graph.
+func ReadErr(g Graph) error {
+	if v, ok := g.(*view); ok {
+		return v.err
+	}
+	return nil
+}
+
+func (v *view) Node(id model.NodeID) *model.Node {
+	if n, ok := v.nodes[id]; ok {
+		return n
+	}
+	if err := v.db.enter(v.ctx, v.ts); err != nil {
+		v.err = cmp.Or(v.err, err)
+		return nil
+	}
+	defer v.db.reading.RUnlock()
+	var one [1]*model.Node
+	ns, err := v.db.ls.NodesAtContext(v.ctx, []model.NodeID{id}, v.ts, one[:0])
+	if v.err = cmp.Or(v.err, err); err != nil || ns[0] == nil {
+		return nil
+	}
+	ns[0].Valid.End = model.TSInfinity
+	return ns[0]
+}
+
+// Neighbours yields a self-loop twice when d is Both, as the snapshot does.
+func (v *view) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.Rel, nb model.NodeID) bool) {
+	rels, err := v.relationships(id, d)
+	if v.err = cmp.Or(v.err, err); err != nil {
+		return
+	}
+	for _, vs := range rels {
+		vs[0].Valid.End = model.TSInfinity
+		if !fn(vs[0], otherEnd(vs[0], id)) || d == model.Both && vs[0].Src == vs[0].Tgt && !fn(vs[0], id) {
+			return
+		}
+	}
+}
+
+// otherEnd returns the end of r that is not id, or id for a self-loop.
+func otherEnd(r *model.Rel, id model.NodeID) model.NodeID { return r.Src ^ r.Tgt ^ id }
+
+// relationships reads id's relationships live at ts, and into v.nodes the
+// states of their ends not read before.
+func (v *view) relationships(id model.NodeID, d model.Direction) ([][]*model.Rel, error) {
+	if err := v.db.enter(v.ctx, v.ts); err != nil {
+		return nil, err
+	}
+	defer v.db.reading.RUnlock()
+	rels, err := v.db.ls.GetRelationshipsContext(v.ctx, id, d, v.ts, v.ts)
+	if err != nil {
+		return nil, err
+	}
+	if v.nodes == nil {
+		v.nodes, v.ends = make(map[model.NodeID]*model.Node, len(rels)), &ends{}
+	}
+	e := v.ends
+	e.ids = e.ids[:0]
+	for _, vs := range rels {
+		if _, ok := v.nodes[otherEnd(vs[0], id)]; !ok { // parallel relationships read their end twice
+			e.ids = append(e.ids, otherEnd(vs[0], id))
+		}
+	}
+	if e.states, err = v.db.ls.NodesAtContext(v.ctx, e.ids, v.ts, e.states[:0]); err != nil {
+		return nil, err
+	}
+	for i, n := range e.states {
+		if n != nil {
+			n.Valid.End = model.TSInfinity
+		}
+		v.nodes[e.ids[i]] = n
+	}
+	return rels, nil
+}
+
+func (v *view) ForEachNode(func(*model.Node) bool) {
+	v.err = cmp.Or(v.err, errors.New("aion: a LineageStore view cannot scan every node"))
+}
+
+// Expand runs Alg 1 on g and returns the nodes each of hops hops reaches
+// first, one slice per hop; ctx is checked at every node.
+func Expand(ctx context.Context, g Graph, id model.NodeID, d model.Direction, hops int) ([][]*model.Node, error) {
 	result := make([][]*model.Node, hops)
+	var err error
 	ExpandInGraph(g, id, d, hops, "", func(hop int, _ *model.Rel, n *model.Node) bool {
 		result[hop] = append(result[hop], n)
-		return true
+		err = ctx.Err()
+		return err == nil
 	})
+	if err = cmp.Or(err, ReadErr(g)); err != nil {
+		return nil, err
+	}
 	return result, nil
 }
 
-// ExpandInGraph runs the Alg 1 expansion over a materialized snapshot: hop by
-// hop from id, over relationships of type typ ("" for any), each node reached
-// once per hop. fn gets every node with its hop (0 for the first) and the
-// relationship that first reached it in that hop; returning false stops the
-// walk.
-func ExpandInGraph(g *memgraph.Graph, id model.NodeID, d model.Direction, hops int, typ string, fn func(hop int, r *model.Rel, n *model.Node) bool) {
+// ExpandInGraph is Alg 1: hop by hop from id, over relationships of type typ
+// ("" for any), each node reached once per hop. fn gets every node with its
+// hop (0 for the first) and the relationship that first reached it in that
+// hop; returning false stops the walk.
+func ExpandInGraph(g Graph, id model.NodeID, d model.Direction, hops int, typ string, fn func(hop int, r *model.Rel, n *model.Node) bool) {
 	queue := []model.NodeID{id}
 	for hop := 0; hop < hops && len(queue) > 0; hop++ {
 		visited := map[model.NodeID]bool{}
@@ -145,7 +260,8 @@ func ExpandInGraph(g *memgraph.Graph, id model.NodeID, d model.Direction, hops i
 // ExpandRangeContext runs the n-hop expansion at each materialization step
 // in [start, end] (the full Table 1 expand signature with start, end, and
 // step): one [][]*model.Node result per step time. ctx is checked before
-// each step's expansion, and the steps never wrap past MaxInt64.
+// each step's expansion, and the steps never wrap past MaxInt64; a negative
+// hop count fails at the first.
 func (db *DB) ExpandRangeContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, start, end, step model.Timestamp) ([][][]*model.Node, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("aion: step must be positive")

@@ -90,3 +90,90 @@ func TestScanGraphsThroughDB(t *testing.T) {
 		}
 	}
 }
+
+// expandOnSnapshot is Alg 1 on the TimeStore's snapshot at ts.
+func expandOnSnapshot(ctx context.Context, db *DB, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
+	g, err := db.GraphAtContext(ctx, ts)
+	if err != nil {
+		return nil, err
+	}
+	return Expand(ctx, g, id, d, hops)
+}
+
+func TestExpandMatchesAlg1(t *testing.T) {
+	ctx := context.Background()
+	// Star: 0 -> 1,2; 1 -> 3; 3 -> 4. All at ts 1..7.
+	db := openDB(t, Options{})
+	if err := db.ApplyBatch([]model.Update{
+		model.AddNode(1, 0, nil, nil),
+		model.AddNode(1, 1, nil, nil),
+		model.AddNode(1, 2, nil, nil),
+		model.AddNode(1, 3, nil, nil),
+		model.AddNode(1, 4, nil, nil),
+		model.AddRel(2, 0, 0, 1, "R", nil),
+		model.AddRel(3, 1, 0, 2, "R", nil),
+		model.AddRel(4, 2, 1, 3, "R", nil),
+		model.AddRel(5, 3, 3, 4, "R", nil),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Expand(ctx, db.View(ctx, 10), 0, model.Outgoing, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res[0]) != 2 {
+		t.Errorf("hop 1: %d nodes", len(res[0]))
+	}
+	if len(res[1]) != 1 || res[1][0].ID != 3 {
+		t.Errorf("hop 2: %v", res[1])
+	}
+	if len(res[2]) != 1 || res[2][0].ID != 4 {
+		t.Errorf("hop 3: %v", res[2])
+	}
+	// Expanding at a time before the rels existed finds nothing.
+	res, _ = Expand(ctx, db.View(ctx, 1), 0, model.Outgoing, 3)
+	if len(res[0]) != 0 {
+		t.Error("expand before rels must be empty")
+	}
+	// Incoming direction walks the reverse edges.
+	res, _ = Expand(ctx, db.View(ctx, 10), 4, model.Incoming, 2)
+	if len(res[0]) != 1 || res[0][0].ID != 3 {
+		t.Errorf("incoming hop 1: %v", res[0])
+	}
+	if len(res[1]) != 1 || res[1][0].ID != 1 {
+		t.Errorf("incoming hop 2: %v", res[1])
+	}
+}
+
+func TestExpandDirectionBoth(t *testing.T) {
+	ctx := context.Background()
+	db := openDB(t, Options{})
+	if err := db.ApplyBatch([]model.Update{
+		model.AddNode(1, 0, nil, nil),
+		model.AddNode(1, 1, nil, nil),
+		model.AddNode(1, 2, nil, nil),
+		model.AddRel(2, 0, 0, 1, "R", nil), // out of 0
+		model.AddRel(3, 1, 2, 0, "R", nil), // in to 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Expand(ctx, db.View(ctx, 5), 0, model.Both, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res[0]) != 2 {
+		t.Errorf("both-direction hop: %d nodes", len(res[0]))
+	}
+}
+
+// A negative hop count is an error at both expand entries, not a panic.
+func TestNegativeHopsFail(t *testing.T) {
+	ctx := context.Background()
+	db := openDB(t, Options{})
+	if _, err := db.ExpandContext(ctx, 0, model.Outgoing, -1, 0); err == nil {
+		t.Error("Expand by -1 hops must fail")
+	}
+	if _, err := db.ExpandRangeContext(ctx, 0, model.Outgoing, -1, 0, 2, 1); err == nil {
+		t.Error("an expand range by -1 hops must fail")
+	}
+}

@@ -172,7 +172,7 @@ func expandMatches(t *testing.T, db *DB, m *refmodel.Model, id model.NodeID, d m
 	}
 	for hops := 1; hops <= 3; hops++ {
 		got, err := db.ExpandContext(ctx, id, d, hops, ts)
-		if db.PlanExpand(hops, d) == ChoseLineage {
+		if db.Stats().EstimateExpandFraction(hops, d) < SelectivityThreshold {
 			check("Expand, on the LineageStore,", got, err, hops, refmodel.SameNodes)
 		} else {
 			check("Expand, on the TimeStore,", got, err, hops, sameStates)
@@ -180,10 +180,10 @@ func expandMatches(t *testing.T, db *DB, m *refmodel.Model, id model.NodeID, d m
 		if !viaStores {
 			continue
 		}
-		got, err = db.LineageStore().ExpandContext(ctx, id, d, hops, ts)
-		check("LineageStore().Expand", got, err, hops, refmodel.SameNodes)
-		got, err = db.ExpandViaTimeStore(ctx, id, d, hops, ts)
-		check("ExpandViaTimeStore", got, err, hops, sameStates)
+		got, err = Expand(ctx, db.View(ctx, ts), id, d, hops)
+		check("Expand on the View", got, err, hops, refmodel.SameNodes)
+		got, err = expandOnSnapshot(ctx, db, id, d, hops, ts)
+		check("Expand on the snapshot", got, err, hops, sameStates)
 	}
 }
 

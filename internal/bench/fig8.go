@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"aion/internal/aion"
 	"aion/internal/baselines/raphtory"
 	"aion/internal/datagen"
 	"aion/internal/model"
@@ -50,7 +51,7 @@ func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop in
 			starts[i] = model.NodeID(rng.Int63n(int64(ds.Spec.Nodes)))
 			tss[i] = model.Timestamp(rng.Int63n(int64(ds.MaxTS)) + 1)
 		}
-		ls := db.LineageStore()
+		ctx := context.Background()
 		for _, hops := range hopsList {
 			d, err := measure(timed(func() error {
 				for i := range starts {
@@ -59,14 +60,18 @@ func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop in
 				return nil
 			}), timed(func() error {
 				for i := range starts {
-					if _, err := ls.ExpandContext(context.Background(), starts[i], model.Outgoing, hops, tss[i]); err != nil {
+					if _, err := aion.Expand(ctx, db.View(ctx, tss[i]), starts[i], model.Outgoing, hops); err != nil {
 						return err
 					}
 				}
 				return nil
 			}), timed(func() error {
 				for i := range starts {
-					if _, err := db.ExpandViaTimeStore(context.Background(), starts[i], model.Outgoing, hops, tss[i]); err != nil {
+					g, err := db.GraphAtContext(ctx, tss[i])
+					if err != nil {
+						return err
+					}
+					if _, err := aion.Expand(ctx, g, starts[i], model.Outgoing, hops); err != nil {
 						return err
 					}
 				}

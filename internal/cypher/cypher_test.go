@@ -14,7 +14,7 @@ import (
 	"aion/internal/testkit/refmodel"
 )
 
-func newEngine(t *testing.T) *Engine {
+func newEngine(t testing.TB) *Engine {
 	t.Helper()
 	sys, err := system.Open(system.Options{Dir: t.TempDir()})
 	if err != nil {
@@ -24,7 +24,7 @@ func newEngine(t *testing.T) *Engine {
 	return NewEngine(sys)
 }
 
-func mustQuery(t *testing.T, e *Engine, q string, params map[string]model.Value) *Result {
+func mustQuery(t testing.TB, e *Engine, q string, params map[string]model.Value) *Result {
 	t.Helper()
 	res, err := e.QueryContext(context.Background(), q, params)
 	if err != nil {
@@ -36,7 +36,7 @@ func mustQuery(t *testing.T, e *Engine, q string, params map[string]model.Value)
 // seed builds a small social network and returns the engine. Timeline:
 // commits 1..4 create alice+bob (1), carol (2), rels (3), alice update (4),
 // rel deletion (5).
-func seed(t *testing.T) *Engine {
+func seed(t testing.TB) *Engine {
 	e := newEngine(t)
 	mustQuery(t, e, `CREATE (a:Person {name: 'alice', age: 30})-[:KNOWS {since: 2020}]->(b:Person {name: 'bob'})`, nil)
 	mustQuery(t, e, `CREATE (c:Person {name: 'carol'})`, nil)
@@ -221,10 +221,9 @@ func TestVariableHopExpansion(t *testing.T) {
 
 // TestVariableHopsDedupPerHop: a var-hop MATCH expands as Alg 1 does, one
 // dedup per hop, so a node two hops out is returned even when it was the
-// anchor or a node of the first hop. Over a→b, b→a and b→c the latest graph,
-// the AS OF expand (through Expand) and the typed AS OF pattern (through a
-// materialised snapshot) all answer the model's Alg 1 at that ts: b, then a
-// and c.
+// anchor or a node of the first hop. Over a→b, b→a and b→c the latest graph
+// and the untyped and typed AS OF patterns (on the LineageStore's View) all
+// answer the model's Alg 1 at that ts: b, then a and c.
 func TestVariableHopsDedupPerHop(t *testing.T) {
 	e := newEngine(t)
 	m := &refmodel.Model{}

@@ -1,10 +1,11 @@
 package cypher
 
 import (
+	"cmp"
 	"context"
 	"expvar"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -205,6 +206,9 @@ type execCtx struct {
 	c      context.Context
 	params map[string]model.Value
 	steps  int
+	rows   []bindings  // matchPattern's output while it runs
+	path   []step      // the path extend is on
+	one    [1]bindings // where the first pattern's rows start: one row allocates no slice
 }
 
 // checkCancel is the engine's cooperative cancellation point, called from
@@ -221,14 +225,6 @@ func (ctx *execCtx) checkCancel() error {
 // bindings maps pattern variables to matched entities.
 type bindings map[string]Val
 
-func (b bindings) clone() bindings {
-	c := make(bindings, len(b)+1)
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
-
 // evalScalar evaluates an expression to a scalar in a binding environment.
 func (ctx *execCtx) evalScalar(env bindings, ex Expr) (model.Value, error) {
 	switch x := ex.(type) {
@@ -241,17 +237,7 @@ func (ctx *execCtx) evalScalar(env bindings, ex Expr) (model.Value, error) {
 		}
 		return v, nil
 	case VarRef:
-		v, ok := env[x.Name]
-		if !ok {
-			return model.Value{}, fmt.Errorf("cypher: unbound variable %s", x.Name)
-		}
-		if v.Node != nil {
-			return model.IntValue(int64(v.Node.ID)), nil
-		}
-		if v.Rel != nil {
-			return model.IntValue(int64(v.Rel.ID)), nil
-		}
-		return v.S, nil
+		return lookup(env, x.Name)
 	case PropAccess:
 		v, ok := env[x.Var]
 		if !ok {
@@ -265,17 +251,10 @@ func (ctx *execCtx) evalScalar(env bindings, ex Expr) (model.Value, error) {
 		}
 		return model.Value{}, fmt.Errorf("cypher: %s is not an entity", x.Var)
 	case IDCall:
-		v, ok := env[x.Var]
-		if !ok {
-			return model.Value{}, fmt.Errorf("cypher: unbound variable %s", x.Var)
+		if v, ok := env[x.Var]; ok && v.Node == nil && v.Rel == nil {
+			return model.Value{}, fmt.Errorf("cypher: id() of non-entity %s", x.Var)
 		}
-		switch {
-		case v.Node != nil:
-			return model.IntValue(int64(v.Node.ID)), nil
-		case v.Rel != nil:
-			return model.IntValue(int64(v.Rel.ID)), nil
-		}
-		return model.Value{}, fmt.Errorf("cypher: id() of non-entity %s", x.Var)
+		return lookup(env, x.Var)
 	case BinOp:
 		return ctx.evalBinOp(env, x)
 	case NotOp:
@@ -290,6 +269,20 @@ func (ctx *execCtx) evalScalar(env bindings, ex Expr) (model.Value, error) {
 		return model.Value{}, fmt.Errorf("cypher: COUNT is only allowed in RETURN")
 	}
 	return model.Value{}, fmt.Errorf("cypher: unsupported expression %T", ex)
+}
+
+// lookup returns name's value in env: an entity's id, or the scalar.
+func lookup(env bindings, name string) (model.Value, error) {
+	v, ok := env[name]
+	switch {
+	case !ok:
+		return model.Value{}, fmt.Errorf("cypher: unbound variable %s", name)
+	case v.Node != nil:
+		return model.IntValue(int64(v.Node.ID)), nil
+	case v.Rel != nil:
+		return model.IntValue(int64(v.Rel.ID)), nil
+	}
+	return v.S, nil
 }
 
 func truthy(v model.Value) bool {
@@ -320,9 +313,7 @@ func (ctx *execCtx) evalBinOp(env bindings, x BinOp) (model.Value, error) {
 		return model.Value{}, err
 	}
 	switch x.Op {
-	case "AND":
-		return model.BoolValue(truthy(r)), nil
-	case "OR":
+	case "AND", "OR":
 		return model.BoolValue(truthy(r)), nil
 	case "=":
 		return model.BoolValue(l.Compare(r) == 0), nil
@@ -405,12 +396,15 @@ func (e *Engine) execMatch(ctx *execCtx, st *Statement) (*Result, error) {
 		// View avoids cloning; entity pointers stay valid after it
 		// returns because mutations replace entity objects.
 		e.Sys.Host.View(func(g *memgraph.Graph) {
-			rows, err = e.matchOnGraph(ctx, g, m)
+			rows, err = ctx.matchOnGraph(g, m)
 		})
 	case window.Start == window.End:
-		// AS OF: point-in-time. Anchored single-entity lookups go through
-		// the LineageStore; everything else materializes the snapshot.
-		rows, err = e.matchAsOf(ctx, m, window.Start)
+		// AS OF: on the graph the planner picks (Sec 5.1) by reach's estimate.
+		anchored, hops, d := ctx.reach(m)
+		var g aion.Graph
+		if g, err = e.Sys.Aion.PlanContext(ctx.c, window.Start, anchored, hops, d); err == nil {
+			rows, err = ctx.matchOnGraph(g, m)
+		}
 	default:
 		// Range: history semantics for anchored single-node lookups, and
 		// window-graph matching otherwise.
@@ -425,139 +419,79 @@ func (e *Engine) execMatch(ctx *execCtx, st *Statement) (*Result, error) {
 // anchorID extracts an `id(var) = <const>` (or `id(var) = $param`)
 // equality from the WHERE conjunction for the given variable.
 func (ctx *execCtx) anchorID(where Expr, varName string) (int64, bool) {
-	var walk func(ex Expr) (int64, bool)
-	walk = func(ex Expr) (int64, bool) {
-		b, ok := ex.(BinOp)
-		if !ok {
-			return 0, false
+	b, ok := where.(BinOp)
+	switch {
+	case !ok:
+	case b.Op == "AND":
+		if id, ok := ctx.anchorID(b.L, varName); ok {
+			return id, true
 		}
-		if b.Op == "AND" {
-			if id, ok := walk(b.L); ok {
-				return id, true
-			}
-			return walk(b.R)
-		}
-		if b.Op != "=" {
-			return 0, false
-		}
-		idc, lok := b.L.(IDCall)
-		if lok && idc.Var == varName {
-			if v, err := ctx.evalScalar(bindings{}, b.R); err == nil && v.Kind() == model.KindInt {
-				return v.Int(), true
-			}
-		}
-		idc, rok := b.R.(IDCall)
-		if rok && idc.Var == varName {
-			if v, err := ctx.evalScalar(bindings{}, b.L); err == nil && v.Kind() == model.KindInt {
-				return v.Int(), true
-			}
-		}
-		return 0, false
-	}
-	if where == nil {
-		return 0, false
-	}
-	return walk(where)
-}
-
-// anchoredNode serves a single-node pattern anchored by id(var) = ... from
-// the LineageStore: one row per version of the node in win (the one version
-// at win.Start when the window is a point). ok is false for any other
-// pattern.
-func (e *Engine) anchoredNode(ctx *execCtx, m *MatchStmt, win model.Interval) (rows []bindings, ok bool, err error) {
-	if len(m.Patterns) != 1 || len(m.Patterns[0].Nodes) != 1 {
-		return nil, false, nil
-	}
-	np := m.Patterns[0].Nodes[0]
-	id, ok := ctx.anchorID(m.Where, np.Var)
-	if !ok {
-		return nil, false, nil
-	}
-	ns, err := e.Sys.Aion.GetNodeContext(ctx.c, model.NodeID(id), win.Start, win.End)
-	if err != nil {
-		return nil, true, err
-	}
-	for _, n := range ns {
-		if nodeMatches(ctx, n, np) {
-			env := bindings{np.Var: NodeVal(n)}
-			if keep, err := ctx.applyWhere(env, m.Where); err != nil {
-				return nil, true, err
-			} else if keep {
-				rows = append(rows, env)
-			}
-		}
-	}
-	return rows, true, nil
-}
-
-// matchAsOf plans a point-in-time match (Sec 5.1): anchored single-node or
-// anchored expansion patterns use the temporal API directly; otherwise the
-// full snapshot is constructed.
-func (e *Engine) matchAsOf(ctx *execCtx, m *MatchStmt, ts model.Timestamp) ([]bindings, error) {
-	ad := e.Sys.Aion
-	// Anchored single node: LineageStore point query.
-	if rows, ok, err := e.anchoredNode(ctx, m, model.Interval{Start: ts, End: ts}); ok {
-		return rows, err
-	}
-	// Anchored variable-hop expansion: the Expand API (Alg 1, planner
-	// chooses the store).
-	if len(m.Patterns) == 1 && len(m.Patterns[0].Nodes) == 2 &&
-		len(m.Patterns[0].Rels) == 1 && m.Patterns[0].Rels[0].VarHops {
-		np := m.Patterns[0].Nodes[0]
-		rp := m.Patterns[0].Rels[0]
-		if id, ok := ctx.anchorID(m.Where, np.Var); ok && rp.Type == "" {
-			start, err := ad.GetNodeContext(ctx.c, model.NodeID(id), ts, ts)
-			if err != nil || len(start) == 0 {
-				return nil, err
-			}
-			res, err := ad.ExpandContext(ctx.c, model.NodeID(id), rp.Dir, rp.MaxHops, ts)
-			if err != nil {
-				return nil, err
-			}
-			var rows []bindings
-			mp := m.Patterns[0].Nodes[1]
-			for hop := rp.MinHops - 1; hop < len(res); hop++ {
-				for _, n := range res[hop] {
-					if !nodeMatches(ctx, n, mp) {
-						continue
-					}
-					env := bindings{}
-					if np.Var != "" {
-						env[np.Var] = NodeVal(start[0])
-					}
-					if mp.Var != "" {
-						env[mp.Var] = NodeVal(n)
-					}
-					if keep, err := ctx.applyWhere(env, m.Where); err != nil {
-						return nil, err
-					} else if keep {
-						rows = append(rows, env)
-					}
+		return ctx.anchorID(b.R, varName)
+	case b.Op == "=":
+		for _, eq := range [2][2]Expr{{b.L, b.R}, {b.R, b.L}} {
+			if idc, ok := eq[0].(IDCall); ok && idc.Var == varName {
+				if v, err := ctx.evalScalar(bindings{}, eq[1]); err == nil && v.Kind() == model.KindInt {
+					return v.Int(), true
 				}
 			}
-			return rows, nil
 		}
 	}
-	// General case: materialize the snapshot.
-	g, err := ad.GraphAtContext(ctx.c, ts)
-	if err != nil {
-		return nil, err
-	}
-	return e.matchOnGraph(ctx, g, m)
+	return 0, false
 }
 
-// matchRange serves history queries over [start, end): anchored single-node
-// patterns return one row per version (Fig 1a); other patterns match the
-// window graph.
-func (e *Engine) matchRange(ctx *execCtx, m *MatchStmt, win model.Interval) ([]bindings, error) {
-	if rows, ok, err := e.anchoredNode(ctx, m, win); ok {
-		return rows, err
+// reach is what the planner estimates a match by: whether every pattern
+// starts from a node that WHERE anchors by id or an earlier pattern binds —
+// where matchPattern finds its first candidates without a scan — and the
+// steps of its longest pattern (a var-hop relationship's upper bound), in
+// their one direction, or Both when directions differ.
+func (ctx *execCtx) reach(m *MatchStmt) (anchored bool, hops int, d model.Direction) {
+	dirs := 0
+	for i, pat := range m.Patterns {
+		first := pat.Nodes[0].Var
+		_, ok := ctx.anchorID(m.Where, first)
+		for _, prev := range m.Patterns[:i] {
+			ok = ok || first != "" && slices.ContainsFunc(prev.Nodes, func(np NodePattern) bool { return np.Var == first })
+		}
+		if !ok {
+			return false, 0, d
+		}
+		n := 0
+		for _, rp := range pat.Rels {
+			n, dirs = n+cmp.Or(rp.MaxHops, 1), dirs|1<<rp.Dir
+		}
+		hops = max(hops, n)
 	}
-	g, err := e.Sys.Aion.GetWindowContext(ctx.c, win.Start, win.End)
-	if err != nil {
+	if d = model.Both; dirs <= 1<<model.Incoming {
+		d = model.Direction(dirs / 2) // none or only outgoing: Outgoing; only incoming: Incoming
+	}
+	return true, hops, d
+}
+
+// matchRange serves history queries over [start, end): an anchored
+// single-node pattern gets one row per version of the node (Fig 1a), from the
+// LineageStore; other patterns match the window graph.
+func (e *Engine) matchRange(ctx *execCtx, m *MatchStmt, win model.Interval) (rows []bindings, err error) {
+	np := m.Patterns[0].Nodes[0]
+	if id, ok := ctx.anchorID(m.Where, np.Var); !ok || len(m.Patterns) > 1 || len(m.Patterns[0].Nodes) > 1 {
+		g, err := e.Sys.Aion.GetWindowContext(ctx.c, win.Start, win.End)
+		if err != nil {
+			return nil, err
+		}
+		return ctx.matchOnGraph(g, m)
+	} else if ns, err := e.Sys.Aion.GetNodeContext(ctx.c, model.NodeID(id), win.Start, win.End); err != nil {
 		return nil, err
+	} else {
+		for _, n := range ns {
+			if env := (bindings{np.Var: NodeVal(n)}); nodeMatches(ctx, n, np) {
+				if keep, err := ctx.applyWhere(env, m.Where); err != nil {
+					return nil, err
+				} else if keep {
+					rows = append(rows, env)
+				}
+			}
+		}
 	}
-	return e.matchOnGraph(ctx, g, m)
+	return rows, nil
 }
 
 func (ctx *execCtx) applyWhere(env bindings, where Expr) (bool, error) {
@@ -607,29 +541,28 @@ func relMatches(ctx *execCtx, r *model.Rel, rp RelPattern) bool {
 	return true
 }
 
-// matchOnGraph runs backtracking pattern matching over a materialized
-// snapshot: each comma-separated pattern extends the binding environments
-// (a join on shared variables), and WHERE filters the final rows.
-func (e *Engine) matchOnGraph(ctx *execCtx, g *memgraph.Graph, m *MatchStmt) ([]bindings, error) {
-	envs := []bindings{{}}
-	for _, pat := range m.Patterns {
-		var next []bindings
-		for _, env := range envs {
-			if err := ctx.checkCancel(); err != nil {
-				return nil, err
-			}
-			matched, err := e.matchPattern(ctx, g, pat, env, m.Where)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, matched...)
+// matchOnGraph runs backtracking pattern matching over g: each
+// comma-separated pattern extends the binding environments (a join on shared
+// variables), and WHERE filters the final rows. A View's failed read fails
+// the match.
+func (ctx *execCtx) matchOnGraph(g aion.Graph, m *MatchStmt) ([]bindings, error) {
+	var envs []bindings
+	for i, pat := range m.Patterns {
+		seeds := envs
+		if envs = nil; i == 0 {
+			seeds, envs = []bindings{nil}, ctx.one[:0] // from the empty environment
 		}
-		envs = next
+		for _, seed := range seeds {
+			var err error
+			if envs, err = ctx.matchPattern(g, pat, seed, m.Where, envs); err != nil {
+				return nil, err
+			}
+		}
 		if len(envs) == 0 {
-			return nil, nil
+			return nil, aion.ReadErr(g)
 		}
 	}
-	var rows []bindings
+	rows := envs[:0]
 	for _, env := range envs {
 		if err := ctx.checkCancel(); err != nil {
 			return nil, err
@@ -642,128 +575,109 @@ func (e *Engine) matchOnGraph(ctx *execCtx, g *memgraph.Graph, m *MatchStmt) ([]
 			rows = append(rows, env)
 		}
 	}
-	return rows, nil
+	return rows, aion.ReadErr(g)
 }
 
-// matchPattern matches one path pattern starting from a seed environment,
-// returning the extended environments (WHERE is applied later by the
-// caller; the where expression here is only used for id-anchor pruning).
-func (e *Engine) matchPattern(ctx *execCtx, g *memgraph.Graph, pat PathPattern, seed bindings, where Expr) ([]bindings, error) {
-	var rows []bindings
-
-	// Candidate set for the first node: a prior binding or an id anchor
-	// avoids the full scan.
-	first := pat.Nodes[0]
-	var candidates []*model.Node
-	if first.Var != "" {
-		if bound, ok := seed[first.Var]; ok && bound.Node != nil {
-			if n := g.Node(bound.Node.ID); n != nil {
-				candidates = []*model.Node{n}
-			}
-		}
+// matchPattern appends to rows the extensions of seed by one path pattern
+// (WHERE is applied later by the caller; here it only names id anchors).
+func (ctx *execCtx) matchPattern(g aion.Graph, pat PathPattern, seed bindings, where Expr, rows []bindings) ([]bindings, error) {
+	// The first node: a prior binding or an id anchor avoids the full scan.
+	id, known := ctx.anchorID(where, pat.Nodes[0].Var)
+	if bound := seed[pat.Nodes[0].Var].Node; bound != nil {
+		id, known = int64(bound.ID), true
 	}
-	if candidates == nil {
-		if id, ok := ctx.anchorID(where, first.Var); ok {
-			if n := g.Node(model.NodeID(id)); n != nil {
-				candidates = []*model.Node{n}
-			}
-		} else {
-			g.ForEachNode(func(n *model.Node) bool {
-				candidates = append(candidates, n)
-				return true
-			})
-		}
+	ctx.rows = rows
+	if !known {
+		var err error
+		g.ForEachNode(func(n *model.Node) bool {
+			err = ctx.start(g, pat, seed, n)
+			return err == nil
+		})
+		return ctx.rows, err
 	}
+	if n := g.Node(model.NodeID(id)); n != nil {
+		return ctx.rows, ctx.start(g, pat, seed, n)
+	}
+	return ctx.rows, nil
+}
 
-	var extend func(env bindings, step int, cur *model.Node) error
-	extend = func(env bindings, step int, cur *model.Node) error {
-		if err := ctx.checkCancel(); err != nil {
-			return err
+// start matches pat from n, its first node's candidate, onto ctx.rows.
+func (ctx *execCtx) start(g aion.Graph, pat PathPattern, seed bindings, n *model.Node) error {
+	if err := ctx.checkCancel(); err != nil || !nodeMatches(ctx, n, pat.Nodes[0]) {
+		return err
+	}
+	ctx.path = ctx.path[:0]
+	return ctx.extend(g, pat, seed, n, n)
+}
+
+// step is a relationship on the path being matched and the node it reaches.
+type step struct {
+	r *model.Rel
+	n *model.Node
+}
+
+// extend matches pat's relationships from len(ctx.path) on, from cur, and
+// appends seed with the path's bindings to ctx.rows for every full path.
+func (ctx *execCtx) extend(g aion.Graph, pat PathPattern, seed bindings, first, cur *model.Node) error {
+	if err := ctx.checkCancel(); err != nil {
+		return err
+	}
+	at := len(ctx.path)
+	if at == len(pat.Rels) {
+		env := make(bindings, len(seed)+2*at+1)
+		for k, v := range seed {
+			env[k] = v
 		}
-		if step == len(pat.Rels) {
-			rows = append(rows, env.clone())
+		bind(env, pat.Nodes[0].Var, NodeVal(first))
+		for i, s := range ctx.path {
+			if prev, ok := env[pat.Nodes[i+1].Var]; ok && (prev.Node == nil || prev.Node.ID != s.n.ID) {
+				return nil // the path meets a bound variable at another entity
+			}
+			bind(env, pat.Nodes[i+1].Var, NodeVal(s.n))
+			bind(env, pat.Rels[i].Var, RelVal(s.r))
+		}
+		ctx.rows = append(ctx.rows, env)
+		return nil
+	}
+	rp, np := pat.Rels[at], pat.Nodes[at+1]
+	tryNeighbour := func(r *model.Rel, n *model.Node) error {
+		if n == nil || !relMatches(ctx, r, rp) || !nodeMatches(ctx, n, np) {
 			return nil
 		}
-		rp := pat.Rels[step]
-		np := pat.Nodes[step+1]
-		tryNeighbour := func(r *model.Rel, nb model.NodeID) error {
-			n := g.Node(nb)
-			if n == nil || !relMatches(ctx, r, rp) || !nodeMatches(ctx, n, np) {
-				return nil
-			}
-			// Bind and recurse; respect already-bound variables.
-			if np.Var != "" {
-				if prev, ok := env[np.Var]; ok {
-					if prev.Node == nil || prev.Node.ID != n.ID {
-						return nil
-					}
-				}
-			}
-			saveN, hadN := env[np.Var]
-			saveR, hadR := env[rp.Var]
-			if np.Var != "" {
-				env[np.Var] = NodeVal(n)
-			}
-			if rp.Var != "" {
-				env[rp.Var] = RelVal(r)
-			}
-			err := extend(env, step+1, n)
-			if np.Var != "" {
-				if hadN {
-					env[np.Var] = saveN
-				} else {
-					delete(env, np.Var)
-				}
-			}
-			if rp.Var != "" {
-				if hadR {
-					env[rp.Var] = saveR
-				} else {
-					delete(env, rp.Var)
-				}
-			}
-			return err
-		}
+		ctx.path = append(ctx.path, step{r, n})
+		err := ctx.extend(g, pat, seed, first, n)
+		ctx.path = ctx.path[:at]
+		return err
+	}
 
-		if rp.VarHops {
-			// Variable-length expansion: Alg 1, one dedup per hop.
-			var werr error
-			aion.ExpandInGraph(g, cur.ID, rp.Dir, rp.MaxHops, rp.Type, func(hop int, r *model.Rel, n *model.Node) bool {
-				if werr = ctx.checkCancel(); werr == nil && hop+1 >= rp.MinHops {
-					werr = tryNeighbour(r, n.ID)
-				}
-				return werr == nil
-			})
-			return werr
-		}
-
-		var ferr error
-		g.Neighbours(cur.ID, rp.Dir, func(r *model.Rel, nb model.NodeID) bool {
-			if err := tryNeighbour(r, nb); err != nil {
-				ferr = err
-				return false
+	if rp.VarHops {
+		// Variable-length expansion: Alg 1, one dedup per hop.
+		var werr error
+		aion.ExpandInGraph(g, cur.ID, rp.Dir, rp.MaxHops, rp.Type, func(hop int, r *model.Rel, n *model.Node) bool {
+			if werr = ctx.checkCancel(); werr == nil && hop+1 >= rp.MinHops {
+				werr = tryNeighbour(r, n)
 			}
-			return true
+			return werr == nil
 		})
-		return ferr
+		return werr
 	}
 
-	for _, n := range candidates {
-		if err := ctx.checkCancel(); err != nil {
-			return nil, err
+	var ferr error
+	g.Neighbours(cur.ID, rp.Dir, func(r *model.Rel, nb model.NodeID) bool {
+		if err := tryNeighbour(r, g.Node(nb)); err != nil {
+			ferr = err
+			return false
 		}
-		if !nodeMatches(ctx, n, first) {
-			continue
-		}
-		env := seed.clone()
-		if first.Var != "" {
-			env[first.Var] = NodeVal(n)
-		}
-		if err := extend(env, 0, n); err != nil {
-			return nil, err
-		}
+		return true
+	})
+	return ferr
+}
+
+// bind sets env[name] to v; "" names nothing.
+func bind(env bindings, name string, v Val) {
+	if name != "" {
+		env[name] = v
 	}
-	return rows, nil
 }
 
 // project evaluates the RETURN items (with COUNT aggregation, ORDER BY, and
@@ -793,52 +707,44 @@ func (e *Engine) project(ctx *execCtx, m *MatchStmt, rows []bindings) (*Result, 
 		res.Rows = [][]Val{out}
 		return res, nil
 	}
-	for _, env := range rows {
+	// One slab holds every row's cells, each followed by its ORDER BY keys.
+	w, width := len(m.Return), len(m.Return)+len(m.Order)
+	cells := make([]Val, len(rows)*width)
+	res.Rows = make([][]Val, len(rows))
+	for i, env := range rows {
 		if err := ctx.checkCancel(); err != nil {
 			return nil, err
 		}
-		out := make([]Val, len(m.Return))
-		for i, item := range m.Return {
+		res.Rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
+		for j, item := range m.Return {
 			v, err := ctx.evalVal(env, item.E)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = v
+			res.Rows[i][j] = v
 		}
-		res.Rows = append(res.Rows, out)
+		for k, ob := range m.Order {
+			v, err := ctx.evalScalar(env, ob.E)
+			if err != nil {
+				return nil, err
+			}
+			res.Rows[i][w+k] = ScalarVal(v)
+		}
 	}
 	if len(m.Order) > 0 {
-		keys := make([][]model.Value, len(res.Rows))
-		for i, env := range rows {
-			for _, ob := range m.Order {
-				v, err := ctx.evalScalar(env, ob.E)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = append(keys[i], v)
-			}
-		}
-		idx := make([]int, len(res.Rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
+		slices.SortStableFunc(res.Rows, func(a, b []Val) int {
 			for k, ob := range m.Order {
-				c := keys[idx[a]][k].Compare(keys[idx[b]][k])
-				if c != 0 {
-					if ob.Desc {
-						return c > 0
-					}
-					return c < 0
+				if c := a[w+k].S.Compare(b[w+k].S); c != 0 && ob.Desc {
+					return -c
+				} else if c != 0 {
+					return c
 				}
 			}
-			return false
+			return 0
 		})
-		sorted := make([][]Val, len(res.Rows))
-		for i, j := range idx {
-			sorted[i] = res.Rows[j]
+		for i := range res.Rows {
+			res.Rows[i] = res.Rows[i][:w:w]
 		}
-		res.Rows = sorted
 	}
 	if m.Limit > 0 && len(res.Rows) > m.Limit {
 		res.Rows = res.Rows[:m.Limit]

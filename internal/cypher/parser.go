@@ -523,26 +523,20 @@ func (p *parser) relPattern() (RelPattern, error) {
 	}
 	if p.cur().kind == tokStar {
 		p.next()
-		rp.VarHops = true
-		rp.MinHops, rp.MaxHops = 1, 1
+		rp.VarHops, rp.MinHops, rp.MaxHops = true, 1, 1
 		if p.cur().kind == tokInt {
-			n, _ := strconv.Atoi(p.next().text)
-			rp.MinHops, rp.MaxHops = n, n
-			if p.cur().kind == tokDotDot {
-				p.next()
-				m, err := p.expect(tokInt, "max hops")
-				if err != nil {
-					return rp, err
-				}
-				rp.MaxHops, _ = strconv.Atoi(m.text)
-			}
-		} else if p.cur().kind == tokDotDot {
+			rp.MinHops, _ = strconv.Atoi(p.next().text)
+			rp.MaxHops = rp.MinHops
+		}
+		if rp.MinHops == 0 {
+			return rp, p.errf("a variable-length relationship takes at least one hop")
+		}
+		if p.cur().kind == tokDotDot {
 			p.next()
 			m, err := p.expect(tokInt, "max hops")
 			if err != nil {
 				return rp, err
 			}
-			rp.MinHops = 1
 			rp.MaxHops, _ = strconv.Atoi(m.text)
 		}
 	}

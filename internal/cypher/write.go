@@ -112,7 +112,7 @@ func (e *Engine) execMatchWrite(ctx *execCtx, m *MatchStmt) (*Result, error) {
 	var rows []bindings
 	var err error
 	e.Sys.Host.View(func(g *memgraph.Graph) {
-		rows, err = e.matchOnGraph(ctx, g, m)
+		rows, err = ctx.matchOnGraph(g, m)
 	})
 	if err != nil {
 		return nil, err

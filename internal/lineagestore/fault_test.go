@@ -65,7 +65,7 @@ func TestOpenResetsTruncatedIndex(t *testing.T) {
 	if err != nil || len(n) == 0 {
 		t.Fatalf("GetNode after reset+reapply: %v %v", n, err)
 	}
-	if err := s2.Flush(); err != nil {
+	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -129,8 +129,15 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	}
 	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, lastTS: -1}
 	s.readCheckpoint() // before the trees: a corruption wipe must remove it
-	if err := s.openTrees(); err != nil {
-		// Corrupt index files: wipe and start empty.
+	err := s.openTrees()
+	switch {
+	case err != nil: // corrupt index files
+	case !s.clean.Load() && s.holdsData():
+		err = errors.New("lineagestore: open: index files no checkpoint names") // a crash's, or an older format's
+	default:
+		err = s.loadSources()
+	}
+	if err != nil {
 		if werr := s.Wipe(); werr != nil {
 			return nil, fmt.Errorf("lineagestore: open: %v; reset failed: %w", err, werr)
 		}
@@ -138,8 +145,8 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// openTrees opens the three index trees and rebuilds the source index from
-// in.idx; on failure everything already opened is closed again.
+// openTrees opens the three index trees and empties the source index; on
+// failure everything already opened is closed again.
 func (s *Store) openTrees() error {
 	trees := [3]**btree.Tree{&s.nodes, &s.outRels, &s.in}
 	for i, name := range indexFiles {
@@ -162,6 +169,12 @@ func (s *Store) openTrees() error {
 		return errors.Join(fmt.Errorf("lineagestore: open %s: %w", name, err), s.closeTrees())
 	}
 	s.srcs.reset()
+	return nil
+}
+
+// loadSources rebuilds the source index from in.idx, whose values name every
+// event's source; on failure the trees are closed.
+func (s *Store) loadSources() error {
 	var bad error
 	err := s.in.Scan(nil, nil, func(k, v []byte) bool {
 		_, rel, _, kok := enc.ParseKeyIncident(k)
@@ -249,8 +262,8 @@ func (s *Store) closeTrees() error {
 }
 
 // Wipe discards the on-disk indexes — the checkpoint first — and reopens the
-// store empty. Used for corruption recovery and by CatchUp when the indexes
-// cannot be trusted.
+// store empty. Used by Open for trees it cannot trust, and by CatchUp for
+// trees that are no prefix of the owner's log.
 func (s *Store) Wipe() error {
 	err := s.invalidate()
 	s.mu.Lock()
@@ -330,12 +343,12 @@ func (s *Store) invalidate() error {
 // CatchUp brings the store to the end of its owner's log at Open: logged is
 // the log's update count, scan streams its updates with timestamp >= from in
 // commit order. A checkpoint not ahead of the log resumes after its position
-// (skipping the updates at lastTS it holds); no checkpoint over index files
-// that hold data, one ahead of the log, or a resume that does not end at
-// exactly the log's end wipes and replays it all.
+// (skipping the updates at lastTS it holds); one ahead of the log, or a
+// resume that does not end at exactly the log's end, wipes and replays it
+// all. Without a checkpoint Open has left the trees empty.
 func (s *Store) CatchUp(logged uint64, scan func(from model.Timestamp, fn func(model.Update) bool) error) error {
 	s.mu.RLock()
-	rebuild := s.updateCount > logged || (!s.clean.Load() && s.holdsData())
+	rebuild := s.updateCount > logged
 	from, skip, start := s.lastTS, s.atLastTS, s.updateCount
 	s.mu.RUnlock()
 	for {

@@ -251,49 +251,6 @@ func bigProps(n int) model.Properties {
 	return p
 }
 
-func TestExpandMatchesAlg1(t *testing.T) {
-	ctx := context.Background()
-	// Star: 0 -> 1,2; 1 -> 3; 3 -> 4. All at ts 1..7.
-	s := openStore(t, Options{})
-	apply(t, s,
-		model.AddNode(1, 0, nil, nil),
-		model.AddNode(1, 1, nil, nil),
-		model.AddNode(1, 2, nil, nil),
-		model.AddNode(1, 3, nil, nil),
-		model.AddNode(1, 4, nil, nil),
-		model.AddRel(2, 0, 0, 1, "R", nil),
-		model.AddRel(3, 1, 0, 2, "R", nil),
-		model.AddRel(4, 2, 1, 3, "R", nil),
-		model.AddRel(5, 3, 3, 4, "R", nil),
-	)
-	res, err := s.ExpandContext(ctx, 0, model.Outgoing, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res[0]) != 2 {
-		t.Errorf("hop 1: %d nodes", len(res[0]))
-	}
-	if len(res[1]) != 1 || res[1][0].ID != 3 {
-		t.Errorf("hop 2: %v", res[1])
-	}
-	if len(res[2]) != 1 || res[2][0].ID != 4 {
-		t.Errorf("hop 3: %v", res[2])
-	}
-	// Expanding at a time before the rels existed finds nothing.
-	res, _ = s.ExpandContext(ctx, 0, model.Outgoing, 3, 1)
-	if len(res[0]) != 0 {
-		t.Error("expand before rels must be empty")
-	}
-	// Incoming direction walks the reverse edges.
-	res, _ = s.ExpandContext(ctx, 4, model.Incoming, 2, 10)
-	if len(res[0]) != 1 || res[0][0].ID != 3 {
-		t.Errorf("incoming hop 1: %v", res[0])
-	}
-	if len(res[1]) != 1 || res[1][0].ID != 1 {
-		t.Errorf("incoming hop 2: %v", res[1])
-	}
-}
-
 func TestMonotonicityEnforced(t *testing.T) {
 	s := openStore(t, Options{})
 	apply(t, s, model.AddNode(10, 0, nil, nil))
@@ -333,7 +290,7 @@ func TestReopenPreservesHistory(t *testing.T) {
 		model.AddRel(3, 0, 0, 1, "R", nil),
 		model.UpdateNode(4, 0, nil, nil, model.Properties{"v": model.IntValue(2)}, nil),
 	)
-	if err := s.Flush(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := strs.Close(); err != nil {
@@ -361,10 +318,7 @@ func TestReopenPreservesHistory(t *testing.T) {
 	if err != nil || len(rels) != 1 {
 		t.Fatalf("reopened rels: %v %v", rels, err)
 	}
-	// New appends continue. The store was flushed, not closed, so no
-	// checkpoint names its position: it reopens at -1, for its owner to
-	// rebuild, and takes any timestamp (a clean Close keeps the watermark:
-	// TestCleanCloseKeepsTheWatermark).
+	// New appends continue after the checkpoint's position.
 	if err := s2.Apply(model.UpdateNode(9, 0, nil, nil,
 		model.Properties{"v": model.IntValue(3)}, nil)); err != nil {
 		t.Fatal(err)
@@ -373,23 +327,18 @@ func TestReopenPreservesHistory(t *testing.T) {
 	if len(ns) != 1 || ns[0].Props["v"].Int() != 3 {
 		t.Fatalf("append after reopen: %v", ns)
 	}
-}
-
-func TestExpandDirectionBoth(t *testing.T) {
-	s := openStore(t, Options{})
-	apply(t, s,
-		model.AddNode(1, 0, nil, nil),
-		model.AddNode(1, 1, nil, nil),
-		model.AddNode(1, 2, nil, nil),
-		model.AddRel(2, 0, 0, 1, "R", nil), // out of 0
-		model.AddRel(3, 1, 2, 0, "R", nil), // in to 0
-	)
-	res, err := s.ExpandContext(context.Background(), 0, model.Both, 1, 5)
+	// Trees flushed but not closed are named by no checkpoint: Open wipes
+	// them, for the owner to rebuild.
+	if err := s2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(enc.NewCodec(strs2), Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res[0]) != 2 {
-		t.Errorf("both-direction hop: %d nodes", len(res[0]))
+	defer s3.Close()
+	if s3.holdsData() || s3.AppliedThrough() != -1 {
+		t.Fatalf("reopen without a checkpoint holds data at %d", s3.AppliedThrough())
 	}
 }
 
@@ -486,8 +435,9 @@ func TestCancelledReadsReleaseEverything(t *testing.T) {
 	defer s.Close()
 	const hub, spokes = 0, 3 * cancelStride
 	var us []model.Update
+	var ids []model.NodeID
 	for i := 0; i <= spokes; i++ {
-		us = append(us, model.AddNode(1, model.NodeID(i), nil, nil))
+		us, ids = append(us, model.AddNode(1, model.NodeID(i), nil, nil)), append(ids, model.NodeID(i))
 	}
 	for i := 1; i <= spokes; i++ {
 		us = append(us, model.AddRel(2, model.RelID(i), hub, model.NodeID(i), "R", nil))
@@ -518,7 +468,10 @@ func TestCancelledReadsReleaseEverything(t *testing.T) {
 			_, err := s.GetRelationshipsContext(ctx, hub, model.Both, 2, last)
 			return err
 		},
-		"expand":  func(ctx context.Context) error { _, err := s.ExpandContext(ctx, 1, model.Both, 2, last); return err }, // a spoke, the hub, every spoke
+		"states": func(ctx context.Context) error {
+			_, err := s.NodesAtContext(ctx, ids, last, nil)
+			return err
+		},
 		"history": func(ctx context.Context) error { _, err := s.GetNodeContext(ctx, hub, 0, last); return err },
 	}
 	for name, read := range reads {

@@ -39,7 +39,7 @@ var errCorrupt = errors.New("lineagestore: corrupt index entry")
 type lineage[E comparable] struct {
 	name  string
 	tree  func(*Store) *btree.Tree
-	fresh func(id int64, base model.Update) E // a version holding only base's state; it takes over base's property map
+	fresh func(id int64, base model.Update) E // a version holding only base's state; it takes over base's labels and property map
 	fold  func(model.Update, E)               // applies a delta in place
 	clone func(E) E
 	valid func(E) *model.Interval
@@ -50,9 +50,9 @@ var nodeLineage = lineage[*model.Node]{
 	name: "node",
 	tree: func(s *Store) *btree.Tree { return s.nodes },
 	fresh: func(id int64, base model.Update) *model.Node {
-		n := &model.Node{ID: model.NodeID(id), Props: base.SetProps, Valid: model.Interval{Start: base.TS, End: model.TSInfinity}}
+		n := &model.Node{ID: model.NodeID(id), Labels: base.AddLabels[:0], Props: base.SetProps, Valid: model.Interval{Start: base.TS, End: model.TSInfinity}}
 		base.SetProps = nil
-		base.ApplyToNode(n)
+		base.ApplyToNode(n) // writes each label no further along than it reads it
 		return n
 	},
 	fold:  model.Update.ApplyToNode,
@@ -478,64 +478,27 @@ func (s *Store) incoming(ctx context.Context, prof *Profile, a model.NodeID, sta
 	return out, nil
 }
 
-// ExpandContext implements Alg 1: the n-hop neighbourhood of a node at time
-// t, translated directly to index lookups. The result holds one slice per hop
-// with per-hop deduplication, exactly as in the paper's pseudocode. The
-// frontier loop checks ctx before expanding each node, so even a densely
-// connected neighbourhood stops within one node's worth of index lookups.
-func (s *Store) ExpandContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
-	result := make([][]*model.Node, hops)
-	queue := []model.NodeID{id}
-	for hop := 0; hop < hops && len(queue) > 0; hop++ {
-		visited := map[model.NodeID]bool{} // S: visited in current hop
-		var next []model.NodeID
-		for _, cid := range queue {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rels, err := s.GetRelationshipsContext(ctx, cid, d, ts, ts)
-			if err != nil {
-				return nil, err
-			}
-			if result[hop], next, err = s.expandOne(ctx, cid, d, ts, rels, visited, result[hop], next); err != nil {
-				return nil, err
-			}
-		}
-		queue = next
-	}
-	return result, nil
-}
-
-// expandOne appends to nodes the states at ts of cid's neighbours over rels
-// that this hop has not visited yet and that exist then — their validity
-// left open, as in the snapshot the TimeStore would expand in — and their
-// ids to next, reading them through one cursor on the node tree.
-func (s *Store) expandOne(ctx context.Context, cid model.NodeID, d model.Direction, ts model.Timestamp, rels [][]*model.Rel,
-	visited map[model.NodeID]bool, nodes []*model.Node, next []model.NodeID) ([]*model.Node, []model.NodeID, error) {
+// NodesAtContext appends to dst the state at ts of each node of ids — nil
+// for one that does not exist then — read through one cursor on the node
+// tree, which yields to the writer every cancelStride nodes.
+func (s *Store) NodesAtContext(ctx context.Context, ids []model.NodeID, ts model.Timestamp, dst []*model.Node) ([]*model.Node, error) {
 	c := walk{Cursor: s.nodes.Cursor()}
 	defer c.Close()
-	for i, vs := range rels {
+	for i, id := range ids {
+		if err := strided(ctx, i); err != nil {
+			return nil, err
+		}
 		if i%cancelStride == cancelStride-1 {
 			c.Yield() // as in walkSources
 		}
-		r := vs[0]
-		nid := r.Tgt
-		if d == model.Incoming || (d == model.Both && r.Tgt == cid && r.Src != cid) {
-			nid = r.Src
-		}
-		if visited[nid] {
-			continue
-		}
-		visited[nid] = true
-		e, n := nodeEntity(nid), len(nodes)
+		e, n := nodeEntity(id), len(dst)
 		var err error
-		if nodes, err = versions(ctx, s, &nodeLineage, &c, &e, ts, ts, nodes); err != nil {
-			return nil, nil, err
+		if dst, err = versions(ctx, s, &nodeLineage, &c, &e, ts, ts, dst); err != nil {
+			return nil, err
 		}
-		if len(nodes) > n {
-			nodes[n].Valid.End = model.TSInfinity // as a snapshot at ts reports it
-			next = append(next, nid)
+		if len(dst) == n {
+			dst = append(dst, nil)
 		}
 	}
-	return nodes, next, nil
+	return dst, nil
 }

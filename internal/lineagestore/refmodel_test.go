@@ -3,6 +3,7 @@ package lineagestore
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -12,13 +13,14 @@ import (
 
 // sweep compares every LineageStore read with the reference model's: at every
 // commit timestamp through last (and one past it) each node and relationship
-// ever created, each node's relationships in all three directions, two-hop
-// expands of a few nodes; and ranged histories over random windows.
+// ever created, each node's relationships in all three directions, every
+// node's state through one NodesAt read in a random order; and ranged
+// histories over random windows.
 func sweep(t *testing.T, s *Store, m *refmodel.Model, h *refmodel.History, last model.Timestamp) {
 	ctx := context.Background()
 	t.Helper()
 	dirs := []model.Direction{model.Outgoing, model.Incoming, model.Both}
-	check := func(start, end model.Timestamp, expands int) {
+	check := func(start, end model.Timestamp) {
 		t.Helper()
 		for id := model.NodeID(0); id < h.Nodes; id++ {
 			got, err := s.GetNodeContext(ctx, id, start, end)
@@ -40,21 +42,16 @@ func sweep(t *testing.T, s *Store, m *refmodel.Model, h *refmodel.History, last 
 				t.Fatalf("GetRelationship(%d, %d, %d) = %s (%v), the model says %s", id, start, end, refmodel.ShowRels(got), err, refmodel.ShowRels(want))
 			}
 		}
-		for ; expands > 0; expands-- {
-			id, d := model.NodeID(h.Rand.Int63n(int64(h.Nodes))), dirs[h.Rand.Intn(3)]
-			got, err := s.ExpandContext(ctx, id, d, 2, start)
-			if want := m.Expand(id, d, 2, start); err != nil || !slices.EqualFunc(got, want, refmodel.SameNodes) {
-				t.Fatalf("Expand(%d, %v, 2, %d) = %s (%v), the model says %s", id, d, start,
-					refmodel.ShowNodes(slices.Concat(got...)), err, refmodel.ShowNodes(slices.Concat(want...)))
-			}
+		if start == end {
+			statesMatch(t, s, m, h.Rand.Perm(int(h.Nodes)), start)
 		}
 	}
 	for at := model.Timestamp(0); at <= last+1; at++ {
-		check(at, at, 3)
+		check(at, at)
 	}
 	for i := 0; i < 12; i++ {
 		start := model.Timestamp(h.Rand.Int63n(int64(last)))
-		check(start, start+1+model.Timestamp(h.Rand.Int63n(int64(last-start)+2)), 0)
+		check(start, start+1+model.Timestamp(h.Rand.Int63n(int64(last-start)+2)))
 	}
 }
 
@@ -132,10 +129,26 @@ func TestHubReadsMatchTheReferenceModel(t *testing.T) {
 				t.Fatalf("GetRelationships(hub, %v, %d, %d): %d relationships (%v), the model says %d", d, w[0], w[1], len(got), err, len(want))
 			}
 		}
-		got, err := s.ExpandContext(ctx, 1, d, 2, 4) // a spoke, the hub, every spoke
-		if want := m.Expand(1, d, 2, 4); err != nil || !slices.EqualFunc(got, want, refmodel.SameNodes) {
-			t.Fatalf("Expand(1, %v, 2, 4) = %s (%v), the model says %s", d,
-				refmodel.ShowNodes(slices.Concat(got...)), err, refmodel.ShowNodes(slices.Concat(want...)))
+	}
+	statesMatch(t, s, m, rand.New(rand.NewSource(1)).Perm(spokes+1), 4) // every spoke, through one cursor past its yields
+}
+
+// statesMatch compares one NodesAt read of the nodes ids names, in that
+// order, with the model's state of each at ts.
+func statesMatch(t *testing.T, s *Store, m *refmodel.Model, ids []int, ts model.Timestamp) {
+	t.Helper()
+	nids := make([]model.NodeID, len(ids))
+	for i, id := range ids {
+		nids[i] = model.NodeID(id)
+	}
+	got, err := s.NodesAtContext(context.Background(), nids, ts, nil)
+	if err != nil || len(got) != len(ids) {
+		t.Fatalf("NodesAt(%d nodes, %d): %d states (%v)", len(ids), ts, len(got), err)
+	}
+	for i, id := range nids {
+		want := m.GetNode(id, ts, ts)
+		if (got[i] == nil) != (len(want) == 0) || got[i] != nil && !refmodel.SameNodes(got[i:i+1], want) {
+			t.Fatalf("NodesAt(..., %d) of node %d = %v, the model says %s", ts, id, got[i], refmodel.ShowNodes(want))
 		}
 	}
 }
