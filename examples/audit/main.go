@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 
 	"aion/internal/cypher"
 	"aion/internal/model"
@@ -95,7 +96,7 @@ func main() {
 	}
 	fmt.Println("diagnoses linked to patient p1, per commit:")
 	for i, hops := range series {
-		fmt.Printf("  commit %d: %d\n", i+1, len(hops[0]))
+		fmt.Printf("  commit %d: %d\n", i+1, len(slices.Concat(hops...))) // one hop, or none when it reaches nothing
 	}
 
 	// Data repair: restore the state of the whole graph as of commit 2

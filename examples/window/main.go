@@ -115,7 +115,7 @@ func main() {
 	best, bestDeg := model.NodeID(-1), 0
 	win.ForEachNode(func(n *model.Node) bool {
 		if n.HasLabel("Product") {
-			if d := win.Degree(n.ID, model.Incoming); d > bestDeg {
+			if d := len(win.In(n.ID)); d > bestDeg {
 				best, bestDeg = n.ID, d
 			}
 		}

@@ -72,7 +72,7 @@ func (db *DB) GetRelationshipsContext(ctx context.Context, id model.NodeID, d mo
 // nothing, and on the TimeStore's snapshot otherwise; either way it counts one
 // decision. A read that starts from no known node scans every node: it gets
 // the snapshot and counts none.
-func (db *DB) PlanContext(ctx context.Context, ts model.Timestamp, anchored bool, hops int, d model.Direction) (Graph, error) {
+func (db *DB) PlanContext(ctx context.Context, ts model.Timestamp, anchored bool, hops int, d model.Direction) (model.Graph, error) {
 	switch {
 	case !anchored:
 	case hops == 0 || db.stats.EstimateExpandFraction(hops, d) < SelectivityThreshold:
@@ -85,7 +85,7 @@ func (db *DB) PlanContext(ctx context.Context, ts model.Timestamp, anchored bool
 }
 
 // ExpandContext returns the n-hop neighbourhood of a node at time ts
-// (Table 1, Alg 1), one slice per hop, on the graph PlanContext picks.
+// (Table 1, Alg 1), as Expand does, on the graph PlanContext picks.
 func (db *DB) ExpandContext(ctx context.Context, id model.NodeID, d model.Direction, hops int, ts model.Timestamp) ([][]*model.Node, error) {
 	if hops < 0 {
 		return nil, fmt.Errorf("aion: expand by %d hops", hops)
@@ -97,22 +97,14 @@ func (db *DB) ExpandContext(ctx context.Context, id model.NodeID, d model.Direct
 	return Expand(ctx, g, id, d, hops)
 }
 
-// Graph is what Alg 1 and Cypher's pattern matcher read: *memgraph.Graph's
-// own method set, which a View has too.
-type Graph interface {
-	Node(id model.NodeID) *model.Node
-	Neighbours(id model.NodeID, d model.Direction, fn func(r *model.Rel, nb model.NodeID) bool)
-	ForEachNode(fn func(n *model.Node) bool)
-}
-
 // View returns the graph at ts as the LineageStore holds it, for one query. It
 // counts no planner decision. Neighbours reads a node's relationships and the
 // states of their other ends not read before after one enter and through one
 // node-tree cursor, as Alg 1 takes them (Sec 4.4), and keeps those states.
 // States keep their version's Valid.Start and report Valid.End open, as a
-// snapshot at ts does. ForEachNode, a scan, fails the view; ReadErr returns
-// its first failed read's error.
-func (db *DB) View(ctx context.Context, ts model.Timestamp) Graph {
+// snapshot at ts does. Node and Rel are one point read each. ForEachNode, a
+// scan, fails the view; ReadErr returns its first failed read's error.
+func (db *DB) View(ctx context.Context, ts model.Timestamp) model.Graph {
 	return &view{ctx: ctx, db: db, ts: ts}
 }
 
@@ -132,37 +124,52 @@ type ends struct {
 }
 
 // ReadErr returns what failed a View's read, nil for any other graph.
-func ReadErr(g Graph) error {
+func ReadErr(g model.Graph) error {
 	if v, ok := g.(*view); ok {
 		return v.err
 	}
 	return nil
 }
 
-func (v *view) Node(id model.NodeID) *model.Node {
-	if n, ok := v.nodes[id]; ok {
-		return n
-	}
+// gate is the view's one way into the LineageStore: it runs read, a read at
+// v.ts, after enter and keeps the view's first failed read's error.
+func gate[T any](v *view, read func() ([]T, error)) []T {
 	if err := v.db.enter(v.ctx, v.ts); err != nil {
 		v.err = cmp.Or(v.err, err)
 		return nil
 	}
 	defer v.db.reading.RUnlock()
-	var one [1]*model.Node
-	ns, err := v.db.ls.NodesAtContext(v.ctx, []model.NodeID{id}, v.ts, one[:0])
-	if v.err = cmp.Or(v.err, err); err != nil || ns[0] == nil {
+	got, err := read()
+	if v.err = cmp.Or(v.err, err); err != nil {
+		return nil
+	}
+	return got
+}
+
+func (v *view) Node(id model.NodeID) *model.Node {
+	if n, ok := v.nodes[id]; ok {
+		return n
+	}
+	ns := gate(v, func() ([]*model.Node, error) { return v.db.ls.NodesAtContext(v.ctx, []model.NodeID{id}, v.ts, nil) })
+	if len(ns) == 0 || ns[0] == nil {
 		return nil
 	}
 	ns[0].Valid.End = model.TSInfinity
 	return ns[0]
 }
 
+func (v *view) Rel(id model.RelID) *model.Rel {
+	rs := gate(v, func() ([]*model.Rel, error) { return v.db.ls.GetRelationshipContext(v.ctx, id, v.ts, v.ts) })
+	if len(rs) == 0 {
+		return nil
+	}
+	rs[0].Valid.End = model.TSInfinity
+	return rs[0]
+}
+
 // Neighbours yields a self-loop twice when d is Both, as the snapshot does.
 func (v *view) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.Rel, nb model.NodeID) bool) {
-	rels, err := v.relationships(id, d)
-	if v.err = cmp.Or(v.err, err); err != nil {
-		return
-	}
+	rels := gate(v, func() ([][]*model.Rel, error) { return v.relationships(id, d) })
 	for _, vs := range rels {
 		vs[0].Valid.End = model.TSInfinity
 		if !fn(vs[0], otherEnd(vs[0], id)) || d == model.Both && vs[0].Src == vs[0].Tgt && !fn(vs[0], id) {
@@ -175,12 +182,8 @@ func (v *view) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.R
 func otherEnd(r *model.Rel, id model.NodeID) model.NodeID { return r.Src ^ r.Tgt ^ id }
 
 // relationships reads id's relationships live at ts, and into v.nodes the
-// states of their ends not read before.
+// states of their ends not read before; it runs behind gate.
 func (v *view) relationships(id model.NodeID, d model.Direction) ([][]*model.Rel, error) {
-	if err := v.db.enter(v.ctx, v.ts); err != nil {
-		return nil, err
-	}
-	defer v.db.reading.RUnlock()
 	rels, err := v.db.ls.GetRelationshipsContext(v.ctx, id, d, v.ts, v.ts)
 	if err != nil {
 		return nil, err
@@ -212,11 +215,15 @@ func (v *view) ForEachNode(func(*model.Node) bool) {
 }
 
 // Expand runs Alg 1 on g and returns the nodes each of hops hops reaches
-// first, one slice per hop; ctx is checked at every node.
-func Expand(ctx context.Context, g Graph, id model.NodeID, d model.Direction, hops int) ([][]*model.Node, error) {
-	result := make([][]*model.Node, hops)
+// first, one slice per hop up to the last hop that reaches a node (none when
+// the first reaches none); ctx is checked at every node.
+func Expand(ctx context.Context, g model.Graph, id model.NodeID, d model.Direction, hops int) ([][]*model.Node, error) {
+	var result [][]*model.Node
 	var err error
 	ExpandInGraph(g, id, d, hops, "", func(hop int, _ *model.Rel, n *model.Node) bool {
+		if hop == len(result) {
+			result = append(result, nil)
+		}
 		result[hop] = append(result[hop], n)
 		err = ctx.Err()
 		return err == nil
@@ -231,7 +238,7 @@ func Expand(ctx context.Context, g Graph, id model.NodeID, d model.Direction, ho
 // ("" for any), each node reached once per hop. fn gets every node with its
 // hop (0 for the first) and the relationship that first reached it in that
 // hop; returning false stops the walk.
-func ExpandInGraph(g Graph, id model.NodeID, d model.Direction, hops int, typ string, fn func(hop int, r *model.Rel, n *model.Node) bool) {
+func ExpandInGraph(g model.Graph, id model.NodeID, d model.Direction, hops int, typ string, fn func(hop int, r *model.Rel, n *model.Node) bool) {
 	queue := []model.NodeID{id}
 	for hop := 0; hop < hops && len(queue) > 0; hop++ {
 		visited := map[model.NodeID]bool{}
@@ -301,13 +308,6 @@ func (db *DB) GraphAtContext(ctx context.Context, ts model.Timestamp) (*memgraph
 // a series of snapshots, one per step (Table 1); start == end is the one
 // snapshot at start.
 func (db *DB) GetGraphContext(ctx context.Context, start, end, step model.Timestamp) ([]*memgraph.Graph, error) {
-	if start == end {
-		g, err := db.ts.GetGraphContext(ctx, start)
-		if err != nil {
-			return nil, err
-		}
-		return []*memgraph.Graph{g}, nil
-	}
 	var out []*memgraph.Graph
 	err := db.ts.ScanGraphsContext(ctx, start, end, step, func(g *memgraph.Graph) bool {
 		out = append(out, g.Clone())

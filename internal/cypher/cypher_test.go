@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -416,6 +417,50 @@ func TestGraphAheadOfTheLogIsNotCached(t *testing.T) {
 	mustQuery(t, e, fmt.Sprintf(`CALL aion.graph(%d)`, last), nil)
 	if gs := e.Sys.Aion.TimeStore().GraphStore(); gs.Holds(1000) || !gs.Holds(last) {
 		t.Errorf("cached at 1000: %v, at the log's end %d: %v; want false, true", gs.Holds(1000), last, gs.Holds(last))
+	}
+}
+
+// TestAsOfMaxInt64IsTheLatestGraph: AS OF MaxInt64 reads the latest graph on
+// each shape the TimeStore's snapshot serves — a count, aion.graph, an
+// expand and an anchored one-hop pattern — where the snapshot's replay bound,
+// ts+1, once wrapped and replayed no log at all. Each shape runs on a fresh
+// store: a graph another cached would hide the wrap.
+func TestAsOfMaxInt64IsTheLatestGraph(t *testing.T) {
+	show := func(rows [][]Val) string {
+		var b strings.Builder
+		for _, row := range rows {
+			for _, v := range row {
+				switch {
+				case v.Node != nil:
+					fmt.Fprintf(&b, "(n%d %v) ", v.Node.ID, v.Node.Props)
+				case v.Rel != nil:
+					fmt.Fprintf(&b, "[r%d %v] ", v.Rel.ID, v.Rel.Props)
+				default:
+					fmt.Fprintf(&b, "%v ", v.S)
+				}
+			}
+			b.WriteString("\n")
+		}
+		return b.String()
+	}
+	for _, q := range []string{
+		`USE GDB FOR SYSTEM_TIME AS OF $ts MATCH (n) RETURN count(*)`,
+		`CALL aion.graph($ts)`,
+		`CALL aion.expand(0, 'out', 2, $ts)`,
+		`USE GDB FOR SYSTEM_TIME AS OF $ts MATCH (a)-[r]->(b) WHERE id(a) = 0 RETURN r, b`,
+	} {
+		e := seed(t)
+		latest := e.Sys.Host.Clock()
+		_, time0 := e.Sys.Aion.PlannerDecisions()
+		got := show(mustQuery(t, e, q, map[string]model.Value{"ts": model.IntValue(math.MaxInt64)}).Rows)
+		_, time1 := e.Sys.Aion.PlannerDecisions()
+		want := show(mustQuery(t, e, q, map[string]model.Value{"ts": model.IntValue(int64(latest))}).Rows)
+		if got != want || strings.Count(want, "\n") == 0 {
+			t.Errorf("%s at MaxInt64:\n%s\nat the latest timestamp %d:\n%s", q, got, latest, want)
+		}
+		if strings.Contains(q, "expand") && time1 == time0 {
+			t.Errorf("%s was not served by the TimeStore", q)
+		}
 	}
 }
 

@@ -401,7 +401,7 @@ func (e *Engine) execMatch(ctx *execCtx, st *Statement) (*Result, error) {
 	case window.Start == window.End:
 		// AS OF: on the graph the planner picks (Sec 5.1) by reach's estimate.
 		anchored, hops, d := ctx.reach(m)
-		var g aion.Graph
+		var g model.Graph
 		if g, err = e.Sys.Aion.PlanContext(ctx.c, window.Start, anchored, hops, d); err == nil {
 			rows, err = ctx.matchOnGraph(g, m)
 		}
@@ -545,7 +545,7 @@ func relMatches(ctx *execCtx, r *model.Rel, rp RelPattern) bool {
 // comma-separated pattern extends the binding environments (a join on shared
 // variables), and WHERE filters the final rows. A View's failed read fails
 // the match.
-func (ctx *execCtx) matchOnGraph(g aion.Graph, m *MatchStmt) ([]bindings, error) {
+func (ctx *execCtx) matchOnGraph(g model.Graph, m *MatchStmt) ([]bindings, error) {
 	var envs []bindings
 	for i, pat := range m.Patterns {
 		seeds := envs
@@ -580,7 +580,7 @@ func (ctx *execCtx) matchOnGraph(g aion.Graph, m *MatchStmt) ([]bindings, error)
 
 // matchPattern appends to rows the extensions of seed by one path pattern
 // (WHERE is applied later by the caller; here it only names id anchors).
-func (ctx *execCtx) matchPattern(g aion.Graph, pat PathPattern, seed bindings, where Expr, rows []bindings) ([]bindings, error) {
+func (ctx *execCtx) matchPattern(g model.Graph, pat PathPattern, seed bindings, where Expr, rows []bindings) ([]bindings, error) {
 	// The first node: a prior binding or an id anchor avoids the full scan.
 	id, known := ctx.anchorID(where, pat.Nodes[0].Var)
 	if bound := seed[pat.Nodes[0].Var].Node; bound != nil {
@@ -602,7 +602,7 @@ func (ctx *execCtx) matchPattern(g aion.Graph, pat PathPattern, seed bindings, w
 }
 
 // start matches pat from n, its first node's candidate, onto ctx.rows.
-func (ctx *execCtx) start(g aion.Graph, pat PathPattern, seed bindings, n *model.Node) error {
+func (ctx *execCtx) start(g model.Graph, pat PathPattern, seed bindings, n *model.Node) error {
 	if err := ctx.checkCancel(); err != nil || !nodeMatches(ctx, n, pat.Nodes[0]) {
 		return err
 	}
@@ -618,7 +618,7 @@ type step struct {
 
 // extend matches pat's relationships from len(ctx.path) on, from cur, and
 // appends seed with the path's bindings to ctx.rows for every full path.
-func (ctx *execCtx) extend(g aion.Graph, pat PathPattern, seed bindings, first, cur *model.Node) error {
+func (ctx *execCtx) extend(g model.Graph, pat PathPattern, seed bindings, first, cur *model.Node) error {
 	if err := ctx.checkCancel(); err != nil {
 		return err
 	}

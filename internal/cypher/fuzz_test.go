@@ -23,6 +23,9 @@ func FuzzPrepare(f *testing.F) {
 		`CALL aion.expand(0, 'out', 2, 3)`,
 		`CALL aion.relationships(1, 'both', 0, 4)`,
 		`USE GDB FOR SYSTEM_TIME BETWEEN 1 AND 4 MATCH (n) WHERE id(n) = 0 RETURN n`,
+		`USE GDB FOR SYSTEM_TIME AS OF 9223372036854775807 MATCH (n) RETURN count(*)`,
+		`CALL aion.graph(9223372036854775807)`,
+		`CALL aion.expand(0, 'out', 2, 9223372036854775807)`,
 	} {
 		f.Add(q)
 	}

@@ -3,6 +3,7 @@ package cypher
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -42,7 +43,7 @@ var anchoredShapes = []string{
 // viewRows matches m with id anchored on the LineageStore's view at ts and on
 // snap, the TimeStore's snapshot at ts, and returns both row sets in a
 // canonical form.
-func viewRows(t *testing.T, e *Engine, m *MatchStmt, id int64, ts model.Timestamp, snap aion.Graph) (view, snapshot []string) {
+func viewRows(t *testing.T, e *Engine, m *MatchStmt, id int64, ts model.Timestamp, snap model.Graph) (view, snapshot []string) {
 	t.Helper()
 	ctx := &execCtx{e: e, c: context.Background(), params: map[string]model.Value{"id": model.IntValue(id)}}
 	g := e.Sys.Aion.View(ctx.c, ts)
@@ -89,21 +90,55 @@ func canonical(rows []bindings) []string {
 
 // TestViewMatchesTheSnapshot: every anchored AS OF shape returns the same
 // rows on the LineageStore's view as on the TimeStore's snapshot, from every
-// node of a seeded history at every commit timestamp, and on the social
+// node of two seeded histories at every commit timestamp, and on the social
 // graph, whose Person anchor, KNOWS {since: 2020} relationship and update at
 // 4 hold the three cases the var-hop shortcut got wrong: a label on the
 // anchor, a property map on a var-hop relationship, and the anchor's
-// Valid.End.
+// Valid.End. The view's Rel answers every relationship id as the snapshot
+// does, Valid.Start aside (as in canonical): ids not yet created, live,
+// deleted and created again.
 func TestViewMatchesTheSnapshot(t *testing.T) {
-	e := newEngine(t)
+	e, again := newEngine(t), newEngine(t)
 	commitHistory(t, e, 5, 30)
+	commitHistory(t, again, 1, 30) // seed 5 creates no relationship id twice
 	social := seed(t)
-	for _, e := range []*Engine{e, social} {
+	var absent, deleted, recreated int // Rel reads of ids in each state
+	for _, e := range []*Engine{e, again, social} {
 		last := e.Sys.Host.Clock()
+		diff, err := e.Sys.Aion.GetDiffContext(context.Background(), 0, last+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxRel := model.RelID(0)
+		for _, u := range diff {
+			maxRel = max(maxRel, u.RelID)
+		}
+		born, died := map[model.RelID]bool{}, map[model.RelID]bool{}
 		for ts := model.Timestamp(0); ts <= last+1; ts++ {
 			snap, err := e.Sys.Aion.GraphAtContext(context.Background(), ts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			view := e.Sys.Aion.View(context.Background(), ts)
+			for id := model.RelID(0); id <= maxRel+1; id++ {
+				got, want := view.Rel(id), snap.Rel(id)
+				if (got == nil) != (want == nil) || got != nil && (got.ID != want.ID || got.Src != want.Src || got.Tgt != want.Tgt ||
+					got.Label != want.Label || !got.Props.Equal(want.Props) || got.Valid.End != want.Valid.End) {
+					t.Fatalf("Rel(%d) at %d: on the view %+v, on the snapshot %+v", id, ts, got, want)
+				}
+				switch {
+				case want == nil && died[id]:
+					deleted++
+				case want == nil:
+					absent++
+				case died[id]:
+					recreated++
+				}
+				died[id] = want == nil && (born[id] || died[id])
+				born[id] = born[id] || want != nil
+			}
+			if err := aion.ReadErr(view); err != nil {
+				t.Fatalf("the view at %d: %v", ts, err)
 			}
 			for id := int64(0); id <= int64(snap.MaxNodeID()); id++ {
 				for _, q := range anchoredShapes {
@@ -117,6 +152,9 @@ func TestViewMatchesTheSnapshot(t *testing.T) {
 				}
 			}
 		}
+	}
+	if absent == 0 || deleted == 0 || recreated == 0 {
+		t.Errorf("Rel read %d ids not yet created, %d deleted and %d created again; want each case", absent, deleted, recreated)
 	}
 	alice := map[string]model.Value{"id": model.IntValue(0)}
 	for q, want := range map[string]int{
@@ -188,5 +226,21 @@ func TestZeroAndNegativeHopsFail(t *testing.T) {
 	}
 	if _, err := e.QueryContext(context.Background(), `CALL aion.expand(0, 'out', $h, 3)`, map[string]model.Value{"h": model.IntValue(-1)}); err == nil {
 		t.Error("aion.expand by -1 hops must fail")
+	}
+}
+
+// TestLongExpandAllocatesPerHopReached: aion.expand's result grows one hop
+// at a time as hops reach nodes, so 2^20 hops from an isolated node return no
+// rows and allocate no 2^20-slot result first (24 MiB, 24 GB at 10^9 hops).
+func TestLongExpandAllocatesPerHopReached(t *testing.T) {
+	e := newEngine(t)
+	mustQuery(t, e, `CREATE (n:X)`, nil)
+	params := map[string]model.Value{"ts": model.IntValue(int64(e.Sys.Host.Clock()))}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := mustQuery(t, e, `CALL aion.expand(0, 'out', 1048576, $ts)`, params)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; len(res.Rows) != 0 || n > 1<<20 {
+		t.Errorf("2^20 hops from an isolated node: %d rows, %d bytes allocated; want none and at most 1 MiB", len(res.Rows), n)
 	}
 }

@@ -116,7 +116,7 @@ func TestSkewProducesHeavyTail(t *testing.T) {
 	g.ApplyAll(ds.Updates)
 	maxDeg, sum := 0, 0
 	g.ForEachNode(func(n *model.Node) bool {
-		d := g.Degree(n.ID, model.Both)
+		d := len(g.Out(n.ID)) + len(g.In(n.ID))
 		sum += d
 		if d > maxDeg {
 			maxDeg = d

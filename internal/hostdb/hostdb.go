@@ -614,14 +614,14 @@ func newPending() pending {
 	return pending{nodes: map[model.NodeID]bool{}, rels: map[model.RelID]relEnds{}, degree: map[model.NodeID]int{}}
 }
 
-func (p *pending) node(g *memgraph.Graph, id model.NodeID) bool {
+func (p *pending) node(g model.Graph, id model.NodeID) bool {
 	if live, ok := p.nodes[id]; ok {
 		return live
 	}
 	return g.Node(id) != nil
 }
 
-func (p *pending) rel(g *memgraph.Graph, id model.RelID) relEnds {
+func (p *pending) rel(g model.Graph, id model.RelID) relEnds {
 	if e, ok := p.rels[id]; ok {
 		return e
 	}
@@ -632,8 +632,9 @@ func (p *pending) rel(g *memgraph.Graph, id model.RelID) relEnds {
 }
 
 // check returns the first precondition us break, in order, on g with p's
-// updates applied; the updates before it are added to p.
-func (p *pending) check(g *memgraph.Graph, us ...model.Update) error {
+// updates applied; the updates before it are added to p. g is any
+// model.Graph: the host's current graph, or the LineageStore's view at ts.
+func (p *pending) check(g model.Graph, us ...model.Update) error {
 	for _, u := range us {
 		switch u.Kind {
 		case model.OpAddNode:
@@ -645,7 +646,12 @@ func (p *pending) check(g *memgraph.Graph, us ...model.Update) error {
 			if !p.node(g, u.NodeID) {
 				return fmt.Errorf("%w: node %d", model.ErrNotFound, u.NodeID)
 			}
-			if g.Degree(u.NodeID, model.Both)+p.degree[u.NodeID] > 0 {
+			degree := p.degree[u.NodeID] // plus the committed degree, counted until positive
+			g.Neighbours(u.NodeID, model.Both, func(*model.Rel, model.NodeID) bool {
+				degree++
+				return degree <= 0
+			})
+			if degree > 0 {
 				return fmt.Errorf("%w: node %d", model.ErrHasRels, u.NodeID)
 			}
 			p.nodes[u.NodeID] = false
@@ -703,14 +709,14 @@ func (db *DB) View(fn func(g *memgraph.Graph)) {
 
 // node and rel read an entity from g, the committed graph, as the
 // transaction sees it; db.mu is held.
-func (tx *Tx) node(g *memgraph.Graph, id model.NodeID) *model.Node {
+func (tx *Tx) node(g model.Graph, id model.NodeID) *model.Node {
 	if n, ok := tx.nodes[id]; ok {
 		return n
 	}
 	return g.Node(id)
 }
 
-func (tx *Tx) rel(g *memgraph.Graph, id model.RelID) *model.Rel {
+func (tx *Tx) rel(g model.Graph, id model.RelID) *model.Rel {
 	if r, ok := tx.rels[id]; ok {
 		return r
 	}

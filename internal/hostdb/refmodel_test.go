@@ -1,12 +1,15 @@
 package hostdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
+	"aion/internal/aion"
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/testkit/refmodel"
@@ -362,5 +365,72 @@ func TestCrashSweepClose(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestCheckAgreesOnTheViewAndTheSnapshot: the commit check reads only
+// model.Graph, so on the LineageStore's view at ts it gives the verdict it
+// gives on the TimeStore's snapshot at ts — nil, ErrExists, ErrNotFound,
+// ErrHasRels or ErrDangling — for seeded runs of one to three candidate
+// updates of all six kinds, at every commit timestamp of a seeded history.
+func TestCheckAgreesOnTheViewAndTheSnapshot(t *testing.T) {
+	ctx := context.Background()
+	db, err := aion.Open(aion.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	h := refmodel.NewHistory(3)
+	for h.TS < 30 {
+		if err := db.ApplyBatch(h.Commit(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	candidate := func() model.Update {
+		id, rid := model.NodeID(rng.Int63n(int64(h.Nodes)+1)), model.RelID(rng.Int63n(int64(h.Rels)+1))
+		props := model.Properties{"c": model.IntValue(1)}
+		return [...]model.Update{
+			model.AddNode(0, id, nil, nil),
+			model.DeleteNode(0, id),
+			model.UpdateNode(0, id, nil, nil, props, nil),
+			model.AddRel(0, rid, id, model.NodeID(rng.Int63n(int64(h.Nodes)+1)), "R", nil),
+			model.DeleteRel(0, rid, 0, 0),
+			model.UpdateRel(0, rid, 0, 0, props, nil),
+		}[rng.Intn(6)]
+	}
+	verdicts := map[error]int{}
+	for ts := model.Timestamp(0); ts <= h.TS+1; ts++ {
+		snap, err := db.GraphAtContext(ctx, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := db.View(ctx, ts)
+		for i := 0; i < 60; i++ {
+			run := make([]model.Update, 1+rng.Intn(3))
+			for j := range run {
+				run[j] = candidate()
+			}
+			onView, onSnap := newPending(), newPending()
+			vErr, sErr := onView.check(view, run...), onSnap.check(snap, run...)
+			verdict := func(err error) error {
+				for _, v := range []error{model.ErrExists, model.ErrNotFound, model.ErrHasRels, model.ErrDangling} {
+					if errors.Is(err, v) {
+						return v
+					}
+				}
+				return err
+			}
+			if verdict(vErr) != verdict(sErr) || fmt.Sprint(vErr) != fmt.Sprint(sErr) {
+				t.Fatalf("at %d, %v: on the view %v, on the snapshot %v", ts, run, vErr, sErr)
+			}
+			verdicts[verdict(sErr)]++
+		}
+		if err := aion.ReadErr(view); err != nil {
+			t.Fatalf("the view at %d: %v", ts, err)
+		}
+	}
+	if len(verdicts) != 5 {
+		t.Errorf("verdicts %v, want nil and each of the four preconditions", verdicts)
 	}
 }

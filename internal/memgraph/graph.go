@@ -79,17 +79,6 @@ func (g *Graph) Out(id model.NodeID) []model.RelID { return g.out.get(int(id)) }
 // be mutated.
 func (g *Graph) In(id model.NodeID) []model.RelID { return g.in.get(int(id)) }
 
-// Degree returns the number of incident relationships in the direction.
-func (g *Graph) Degree(id model.NodeID, d model.Direction) int {
-	switch d {
-	case model.Outgoing:
-		return len(g.Out(id))
-	case model.Incoming:
-		return len(g.In(id))
-	}
-	return len(g.Out(id)) + len(g.In(id))
-}
-
 // Neighbours invokes fn for each (relationship, neighbour id) incident to
 // id in the given direction; it stops early if fn returns false.
 func (g *Graph) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.Rel, nb model.NodeID) bool) {

@@ -136,3 +136,16 @@ func appInterval(p Properties) Interval {
 	}
 	return iv
 }
+
+// Graph is the one graph read interface, the graph at one time: a snapshot
+// (*memgraph.Graph) or aion's LineageStore View at ts. Cypher's matcher,
+// Alg 1 and the host's commit check read it. Counts, dense ids and adjacency
+// lists stay on the snapshot: a View could answer them only by a scan.
+type Graph interface {
+	Node(id NodeID) *Node // nil if absent
+	Rel(id RelID) *Rel    // nil if absent
+	// Neighbours calls fn with each relationship incident to id in d and its
+	// other end (a self-loop twice in Both) until fn returns false.
+	Neighbours(id NodeID, d Direction, fn func(r *Rel, nb NodeID) bool)
+	ForEachNode(fn func(n *Node) bool) // until fn returns false
+}

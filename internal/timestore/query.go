@@ -72,30 +72,19 @@ func (s *Store) scanFrom(ctx context.Context, from position, end model.Timestamp
 
 // GetGraphContext materializes the LPG snapshot valid at ts: fetch the
 // closest base at or before ts — a cached graph or a chain element — and
-// apply the forward changes from the log (Sec 4.3). Both halves are
+// apply the forward changes from the log (Sec 4.3). It is ScanGraphsContext's
+// one-step series, whose bound stops at MaxInt64. Both halves are
 // cancellation points. The returned graph is private to the caller.
 func (s *Store) GetGraphContext(ctx context.Context, ts model.Timestamp) (*memgraph.Graph, error) {
-	g, pos, err := s.basePos(ctx, ts)
-	if err != nil {
-		return nil, err
-	}
-	var derr error
-	err = s.scanFrom(ctx, pos, ts+1, func(u model.Update) bool {
-		if aerr := g.Apply(u); aerr != nil {
-			derr = fmt.Errorf("timestore: replay: %w", aerr)
-			return false
-		}
-		s.replayed.Add(1)
-		return true
+	var out *memgraph.Graph
+	err := s.ScanGraphsContext(ctx, ts, ts, 1, func(g *memgraph.Graph) bool {
+		out = g
+		return false
 	})
-	if err == nil {
-		err = derr
-	}
 	if err != nil {
 		return nil, err
 	}
-	g.SetTimestamp(ts)
-	return g, nil
+	return out, nil
 }
 
 // CacheGraphContext is GetGraphContext for a caller that keeps the snapshot
