@@ -50,10 +50,10 @@ loc:
 	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
 	@n=$$($(LOC_FILES) ! -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "production $$n"; \
-	[ $$n -le 21928 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 21950 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 	@n=$$($(LOC_FILES) -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "testkit $$n"; \
-	[ $$n -le 2132 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 2148 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 
 # One iteration of the read-path micro-benchmarks (enough to catch
 # regressions in the pipeline wiring without a full benchmark run) and the
@@ -181,19 +181,25 @@ restart-sweep:
 # timestore.Open each hold more than 10 MB. The benchmark's second phase is
 # the cached-graphs row: cache-heap-MiB, what reading the newest quarter of
 # history through a 48 MiB GraphStore adds to the live heap (with how many
-# entity versions were loaded and how many of them are the latest graph's own
-# objects): 6.95, 8.0 with a 40-byte model.Value, 14.5 when a loaded graph
-# held vectors of its own; over 7.6 MiB fails the benchmark and the target.
-# Its third phase is the write row: write-heap-MiB, what ingest-commit's
+# entity versions were loaded and how many of them are records shared with the
+# latest graph): 3.38, 5.21 with labels or type and property slice in every
+# record, 6.95 with a property map per entity, 14.5 when a loaded graph held
+# vectors of its own; over 3.7 MiB fails the benchmark and the target. Its
+# third phase is the write row: write-heap-MiB, what ingest-commit's
 # four-statement cycle leaves on the live heap after 4 x 16 384
-# single-statement commits: 5.0, since a page they write is the file's, in
-# its shared mapping (11.4 when each written page took a heap frame until
-# eviction or Close, 17.5 when a pull cost the host a copy of its vectors);
-# over 5.5 MiB fails both. The first row, heap-MiB, is 33.2 (38.5 when the
-# reads left their pages in heap frames, 37.1 with replay filling the record
-# caches and a box per decoded string); over 189 B per update fails, and so
-# does a sum of the first and third rows over 42 MiB (38.2; 44.6 with the
-# written pages in heap frames). The page cache holds no page on the heap:
+# single-statement commits, net of the three second-phase graphs their policy
+# snapshots evict: 3.07, 1.63 when those graphs held 64 B records and so freed
+# more, since a page they write is the file's, in its shared mapping (5.0
+# with property maps, 11.4 when on top each written page took a heap frame
+# until eviction or Close, 17.5 when a pull cost the host a copy of its
+# vectors); over 1.8 MiB fails both. The first row, heap-MiB, is 13.45, the
+# graph in immutable records pointing to shared attributes (14.5 with the
+# attributes in every record, 33.2 with a *model.Node or *model.Rel and a
+# property map per entity, 38.5 when on top the reads left their pages in heap
+# frames); over 77 B per update fails, and so does a sum of the first and
+# third rows over 17.7 MiB (16.5; 38.2 with property maps). A log line sets the
+# resident bytes per entity (117.5) beside Table 3's accounting (95.9). The
+# page cache holds no page on the heap:
 # the target fails when anything under pagecache holds over 0.5 MB at the
 # measurement point (2.2 when replay stamped the record stores through heap
 # frames).

@@ -121,7 +121,7 @@ func run(args []string) (err error) {
 	var fig12 []bench.Fig12Row
 	experiment("fig12", func() (err error) { fig12, err = bench.RunFig12(cfg, []int{10, 100}); return err })
 	experiment("fig13", func() error { _, err := bench.RunFig13(cfg, mkdir, 8, 100); return err })
-	var fig14 []bench.Fig14Row
+	var fig14 []bench.Fig12Row
 	experiment("fig14", func() (err error) { fig14, err = bench.RunFig14(cfg, mkdir, []int{10}); return err })
 	experiment("ext", func() error { _, err := bench.RunExtensionIncremental(cfg, []int{10, 100}); return err })
 
@@ -142,7 +142,7 @@ func run(args []string) (err error) {
 
 // paperShape returns an error naming the first figure whose rows break the
 // paper's shape, nil when none does.
-func paperShape(fig10 []bench.Fig10Row, fig12 []bench.Fig12Row, fig14 []bench.Fig14Row) error {
+func paperShape(fig10 []bench.Fig10Row, fig12 []bench.Fig12Row, fig14 []bench.Fig12Row) error {
 	for _, r := range fig10 { // the paper's Fig 10: Aion adds 29–41 % to Neo4j's storage
 		if r.OverheadRatio > 0.41 {
 			return fmt.Errorf("Fig 10: Aion adds %.1f %% to Neo4j's storage on %s, over the paper's 41 %%", 100*r.OverheadRatio, r.Dataset)

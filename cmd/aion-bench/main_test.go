@@ -44,8 +44,8 @@ func TestPaperShapeNamesTheBrokenFigure(t *testing.T) {
 			{Dataset: "DBLP", Algorithm: "PR", Snapshots: 100, Speedup: at100},
 		}
 	}
-	fig14 := func(speedup float64) []bench.Fig14Row {
-		return []bench.Fig14Row{{Dataset: "DBLP", Algorithm: "AVG", Snapshots: 10, Speedup: speedup}}
+	fig14 := func(speedup float64) []bench.Fig12Row {
+		return []bench.Fig12Row{{Dataset: "DBLP", Algorithm: "AVG", Snapshots: 10, Speedup: speedup}}
 	}
 	if err := paperShape(fig10, fig12(1.3, 2.5), fig14(5)); err != nil {
 		t.Fatalf("rows in the paper's shape: %v", err)

@@ -167,6 +167,15 @@ func (v *view) Rel(id model.RelID) *model.Rel {
 	return rs[0]
 }
 
+func (v *view) HasNode(id model.NodeID) bool { return v.Node(id) != nil }
+
+func (v *view) Ends(id model.RelID) (src, tgt model.NodeID, ok bool) {
+	if r := v.Rel(id); r != nil {
+		return r.Src, r.Tgt, true
+	}
+	return 0, 0, false
+}
+
 // Neighbours yields a self-loop twice when d is Both, as the snapshot does.
 func (v *view) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.Rel, nb model.NodeID) bool) {
 	rels := gate(v, func() ([][]*model.Rel, error) { return v.relationships(id, d) })

@@ -1,6 +1,7 @@
 package aion
 
 import (
+	"math"
 	"sync/atomic"
 
 	"aion/internal/model"
@@ -51,7 +52,8 @@ func (s *GraphStats) AvgDegree() float64 {
 
 // EstimateExpandFraction estimates the fraction of the graph an n-hop
 // expansion from a single node touches: frontier growth by the average
-// degree, capped at the full graph.
+// degree, 1 + deg + … + deg^hops nodes in closed form, capped at the full
+// graph.
 func (s *GraphStats) EstimateExpandFraction(hops int, dir model.Direction) float64 {
 	nodes := s.nodes.Load()
 	if nodes == 0 {
@@ -61,14 +63,9 @@ func (s *GraphStats) EstimateExpandFraction(hops int, dir model.Direction) float
 	if dir == model.Both {
 		deg *= 2
 	}
-	touched := 1.0
-	frontier := 1.0
-	for h := 0; h < hops; h++ {
-		frontier *= deg
-		touched += frontier
-		if touched >= float64(nodes) {
-			return 1.0
-		}
+	touched := float64(max(hops, 0)) + 1
+	if deg != 1 {
+		touched = (math.Pow(deg, touched) - 1) / (deg - 1)
 	}
-	return touched / float64(nodes)
+	return min(touched/float64(nodes), 1)
 }

@@ -27,7 +27,7 @@ func BFS(g *memgraph.Graph, src model.NodeID) []int32 {
 	for i := range levels {
 		levels[i] = Unreachable
 	}
-	if g.Node(src) != nil {
+	if g.HasNode(src) {
 		levels[src] = 0
 		RelaxBFS(g, levels, []model.NodeID{src})
 	}
@@ -47,7 +47,7 @@ func RelaxBFS(g *memgraph.Graph, levels []int32, frontier []model.NodeID) {
 			continue
 		}
 		next := levels[cur] + 1
-		g.Neighbours(cur, model.Outgoing, func(_ *model.Rel, nb model.NodeID) bool {
+		g.EachNeighbour(cur, model.Outgoing, func(_ model.RelID, nb model.NodeID) bool {
 			if levels[nb] == Unreachable || levels[nb] > next {
 				levels[nb] = next
 				queue = append(queue, nb)
@@ -57,10 +57,10 @@ func RelaxBFS(g *memgraph.Graph, levels []int32, frontier []model.NodeID) {
 	}
 }
 
-// Weight is relationship r's weight under the property prop: its value as a
-// float, 1 where r does not have it.
-func Weight(r *model.Rel, prop string) float64 {
-	if v, ok := r.Props[prop]; ok {
+// Weight is relationship rid's weight in g under the property prop: its value
+// as a float, 1 where it does not have it.
+func Weight(g *memgraph.Graph, rid model.RelID, prop string) float64 {
+	if v, ok := g.RelProp(rid, prop); ok {
 		return v.Float()
 	}
 	return 1
@@ -74,7 +74,7 @@ func SSSP(g *memgraph.Graph, src model.NodeID, weightProp string) []float64 {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	if g.Node(src) != nil {
+	if g.HasNode(src) {
 		dist[src] = 0
 		RelaxSSSP(g, weightProp, dist, []model.NodeID{src})
 	}
@@ -99,8 +99,8 @@ func RelaxSSSP(g *memgraph.Graph, prop string, dist []float64, seeds []model.Nod
 		if item.d != dist[item.id] {
 			continue
 		}
-		g.Neighbours(item.id, model.Outgoing, func(r *model.Rel, nb model.NodeID) bool {
-			if nd := item.d + Weight(r, prop); nd < dist[nb] {
+		g.EachNeighbour(item.id, model.Outgoing, func(rid model.RelID, nb model.NodeID) bool {
+			if nd := item.d + Weight(g, rid, prop); nd < dist[nb] {
 				dist[nb] = nd
 				heap.Push(&pq, distItem{nb, nd})
 			}
@@ -207,7 +207,8 @@ func PageRankDynamic(g *memgraph.Graph, warm map[model.NodeID]float64, opts Page
 	}
 	ranks, iters := powerIterate(ranks, outDeg, opts, func(ranks []float64, i int) (sum float64) {
 		for _, rid := range g.In(dm.ToSparse[i]) {
-			src := dm.ToDense[g.Rel(rid).Src]
+			s, _, _ := g.Ends(rid)
+			src := dm.ToDense[s]
 			sum += ranks[src] / outDeg[src]
 		}
 		return sum
@@ -271,16 +272,16 @@ func WCC(g *memgraph.Graph) []int32 {
 		}
 		return x
 	}
-	g.ForEachRel(func(r *model.Rel) bool {
-		a, b := find(int32(r.Src)), find(int32(r.Tgt))
-		if a != b {
-			parent[b] = a
+	for rid := range g.MaxRelID() {
+		if src, tgt, ok := g.Ends(rid); ok {
+			if a, b := find(int32(src)), find(int32(tgt)); a != b {
+				parent[b] = a
+			}
 		}
-		return true
-	})
+	}
 	out := make([]int32, n)
 	for i := range out {
-		if g.Node(model.NodeID(i)) == nil {
+		if !g.HasNode(model.NodeID(i)) {
 			out[i] = -1
 			continue
 		}
@@ -344,7 +345,7 @@ func TriangleCount(c *csr.Graph) int64 {
 // either direction, link it.
 func LocalClusteringCoefficient(g *memgraph.Graph, id model.NodeID) float64 {
 	nbs := map[model.NodeID]bool{}
-	g.Neighbours(id, model.Both, func(_ *model.Rel, nb model.NodeID) bool {
+	g.EachNeighbour(id, model.Both, func(_ model.RelID, nb model.NodeID) bool {
 		if nb != id {
 			nbs[nb] = true
 		}
@@ -357,7 +358,7 @@ func LocalClusteringCoefficient(g *memgraph.Graph, id model.NodeID) float64 {
 	links := 0
 	for nb := range nbs {
 		linked := map[model.NodeID]bool{}
-		g.Neighbours(nb, model.Both, func(_ *model.Rel, nn model.NodeID) bool {
+		g.EachNeighbour(nb, model.Both, func(_ model.RelID, nn model.NodeID) bool {
 			if nn > nb && nbs[nn] && !linked[nn] { // the pair once, from its lower end
 				linked[nn] = true
 				links++

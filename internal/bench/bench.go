@@ -186,44 +186,27 @@ func replay(host *hostdb.DB, ds *datagen.Dataset, batch, writers int) (time.Dura
 // Generated ids are dense and line up with the host's id allocator when
 // batches arrive in order; out-of-order arrival only reorders timestamps,
 // which is harmless for a throughput measurement, so conflicts (an endpoint
-// not yet created by another writer's batch) are tolerated by retry-free
-// skipping.
+// not yet created by another writer's batch, an entity a reordered batch
+// created or removed) are tolerated by retry-free skipping: the transaction
+// refuses the update, and the refusal is dropped.
 func replayBatch(tx *hostdb.Tx, batch []model.Update) error {
 	for _, u := range batch {
 		var err error
 		switch u.Kind {
 		case model.OpAddNode:
-			if tx.Node(u.NodeID) != nil {
-				continue // created by a reordered batch
-			}
 			err = tx.CreateNodeWithID(u.NodeID, u.AddLabels, u.SetProps)
 		case model.OpAddRel:
-			if tx.Node(u.Src) == nil || tx.Node(u.Tgt) == nil || tx.Rel(u.RelID) != nil {
-				continue // endpoint committed by a later batch; skip
-			}
 			err = tx.CreateRelWithID(u.RelID, u.Src, u.Tgt, u.RelLabel, u.SetProps)
 		case model.OpUpdateNode:
-			if tx.Node(u.NodeID) == nil {
-				continue
-			}
 			err = tx.SetNodeProps(u.NodeID, u.SetProps, u.DelProps)
 		case model.OpUpdateRel:
-			if tx.Rel(u.RelID) == nil {
-				continue
-			}
 			err = tx.SetRelProps(u.RelID, u.SetProps, u.DelProps)
 		case model.OpDeleteRel:
-			if tx.Rel(u.RelID) == nil {
-				continue
-			}
 			err = tx.DeleteRel(u.RelID)
 		case model.OpDeleteNode:
-			if tx.Node(u.NodeID) == nil {
-				continue
-			}
 			err = tx.DeleteNode(u.NodeID)
 		}
-		if err != nil {
+		if err != nil && !errors.Is(err, model.ErrExists) && !errors.Is(err, model.ErrNotFound) && !errors.Is(err, model.ErrDangling) {
 			return err
 		}
 	}

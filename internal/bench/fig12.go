@@ -10,8 +10,9 @@ import (
 	"aion/internal/model"
 )
 
-// Fig12Row is one Algorithm(#snapshots) × dataset point of Fig 12 (and of the
-// extension experiment): the speedup of incremental execution over
+// Fig12Row is one Algorithm(#snapshots) × dataset point of Fig 12, of the
+// extension experiment and of Fig 14 (the computation run as a temporal
+// procedure over Bolt): the speedup of incremental execution over
 // recomputation across consecutive snapshots.
 type Fig12Row struct {
 	Dataset   string
@@ -134,10 +135,9 @@ func applyDiff(g *memgraph.Graph, diff []model.Update) {
 }
 
 func firstNode(g *memgraph.Graph) model.NodeID {
-	var id model.NodeID
-	g.ForEachNode(func(n *model.Node) bool {
-		id = n.ID
-		return false
-	})
+	id := model.NodeID(0)
+	for id < g.MaxNodeID() && !g.HasNode(id) {
+		id++
+	}
 	return id
 }

@@ -139,15 +139,6 @@ func boltMixedWorkload(ds *datagen.Dataset, addr string, clients, opsPerClient, 
 	return nil
 }
 
-// Fig14Row is one Algorithm(#snapshots) point of Fig 14: incremental
-// speedup when the computation runs as a temporal procedure over Bolt.
-type Fig14Row struct {
-	Dataset   string
-	Algorithm string
-	Snapshots int
-	Speedup   float64
-}
-
 // fig14Reps is how many times each timed side of Fig 14 repeats its calls,
 // the table reporting one repetition: an incremental call on the smallest
 // dataset takes ~0.2 ms, and with one call per sample scheduler noise
@@ -158,7 +149,7 @@ const fig14Reps = 10
 // aion.incremental.* procedures over Bolt, compared against per-snapshot
 // recomputation through individual procedure calls (the repetitive query
 // compilation and scheduling the paper removes).
-func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig14Row, error) {
+func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig12Row, error) {
 	c.Defaults()
 	if len(snapshotCounts) == 0 {
 		snapshotCounts = []int{10, 100}
@@ -167,7 +158,7 @@ func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig14R
 		"AVG": `CALL aion.incremental.avg('w', %d, %d, %d)`,
 		"BFS": `CALL aion.incremental.bfs(0, %d, %d, %d)`,
 	}
-	var rows []Fig14Row
+	var rows []Fig12Row
 	t := &table{header: []string{"Algorithm(#snapshots)", "Dataset", "incremental (ms)", "recompute (ms)", "speedup (x)"}}
 	for _, name := range c.Datasets {
 		ds, addr, shutdown, err := startBoltSystem(c, name, dir(name))
@@ -212,7 +203,7 @@ func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig14R
 					shutdown()
 					return nil, err
 				}
-				row := Fig14Row{Dataset: name, Algorithm: alg, Snapshots: snaps, Speedup: d[1].Seconds() / d[0].Seconds()}
+				row := Fig12Row{Dataset: name, Algorithm: alg, Snapshots: snaps, Speedup: d[1].Seconds() / d[0].Seconds()}
 				rows = append(rows, row)
 				t.add(fmt.Sprintf("%s(%d)", alg, snaps), name, ms(d[0]/fig14Reps), ms(d[1]/fig14Reps), f1(row.Speedup))
 			}

@@ -47,12 +47,14 @@ func Build(g *memgraph.Graph) *Graph {
 			sid := dm.ToSparse[i]
 			oo := c.OutOffsets[i]
 			for _, rid := range g.Out(sid) {
-				c.OutTargets[oo] = dm.ToDense[g.Rel(rid).Tgt]
+				_, tgt, _ := g.Ends(rid)
+				c.OutTargets[oo] = dm.ToDense[tgt]
 				oo++
 			}
 			io := c.InOffsets[i]
 			for _, rid := range g.In(sid) {
-				c.InTargets[io] = dm.ToDense[g.Rel(rid).Src]
+				src, _, _ := g.Ends(rid)
+				c.InTargets[io] = dm.ToDense[src]
 				io++
 			}
 		}

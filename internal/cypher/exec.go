@@ -394,7 +394,7 @@ func (e *Engine) execMatch(ctx *execCtx, st *Statement) (*Result, error) {
 	case st.Temporal.Kind == TemporalNone:
 		// Latest graph: a normal read transaction, unaffected by Aion.
 		// View avoids cloning; entity pointers stay valid after it
-		// returns because mutations replace entity objects.
+		// returns because every read builds an entity of the caller's own.
 		e.Sys.Host.View(func(g *memgraph.Graph) {
 			rows, err = ctx.matchOnGraph(g, m)
 		})
@@ -511,29 +511,22 @@ func nodeMatches(ctx *execCtx, n *model.Node, np NodePattern) bool {
 			return false
 		}
 	}
-	for k, ex := range np.Props {
-		want, err := ctx.evalScalar(bindings{}, ex)
-		if err != nil {
-			return false
-		}
-		got, ok := n.Props[k]
-		if !ok || !got.Equal(want) {
-			return false
-		}
-	}
-	return true
+	return propsMatch(ctx, n.Props, np.Props)
 }
 
 func relMatches(ctx *execCtx, r *model.Rel, rp RelPattern) bool {
-	if rp.Type != "" && r.Label != rp.Type {
-		return false
-	}
-	for k, ex := range rp.Props {
+	return (rp.Type == "" || r.Label == rp.Type) && propsMatch(ctx, r.Props, rp.Props)
+}
+
+// propsMatch reports whether props holds every property of a pattern's map,
+// equal to its expression's value.
+func propsMatch(ctx *execCtx, props model.Properties, pattern map[string]Expr) bool {
+	for k, ex := range pattern {
 		want, err := ctx.evalScalar(bindings{}, ex)
 		if err != nil {
 			return false
 		}
-		got, ok := r.Props[k]
+		got, ok := props[k]
 		if !ok || !got.Equal(want) {
 			return false
 		}

@@ -42,13 +42,6 @@ func (p *parser) next() token {
 	return t
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (p *parser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("cypher: parse error near position %d: %s", p.cur().pos, fmt.Sprintf(format, args...))
 }
@@ -66,6 +59,28 @@ func (p *parser) expect(kind tokenKind, what string) (token, error) {
 		return token{}, p.errf("expected %s, got %q", what, p.cur().text)
 	}
 	return p.next(), nil
+}
+
+// ident parses an identifier and returns its text.
+func (p *parser) ident(what string) (string, error) {
+	t, err := p.expect(tokIdent, what)
+	return t.text, err
+}
+
+// list parses one or more items separated by sep tokens.
+func list[T any](p *parser, sep tokenKind, item func() (T, error)) ([]T, error) {
+	var out []T
+	for {
+		x, err := item()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, x)
+		if p.cur().kind != sep {
+			return out, nil
+		}
+		p.next()
+	}
 }
 
 func (p *parser) statement() (*Statement, error) {
@@ -140,32 +155,10 @@ func (p *parser) useClause() (TemporalClause, error) {
 		tc.Kind, tc.A = TemporalAsOf, e
 	case p.cur().isKw("FROM"):
 		p.next()
-		a, err := p.additive()
-		if err != nil {
-			return tc, err
-		}
-		if err := p.expectKw("TO"); err != nil {
-			return tc, err
-		}
-		b, err := p.additive()
-		if err != nil {
-			return tc, err
-		}
-		tc.Kind, tc.A, tc.B = TemporalFromTo, a, b
+		return p.period(TemporalFromTo, func() error { return p.expectKw("TO") })
 	case p.cur().isKw("BETWEEN"):
 		p.next()
-		a, err := p.additive()
-		if err != nil {
-			return tc, err
-		}
-		if err := p.expectKw("AND"); err != nil {
-			return tc, err
-		}
-		b, err := p.additive()
-		if err != nil {
-			return tc, err
-		}
-		tc.Kind, tc.A, tc.B = TemporalBetween, a, b
+		return p.period(TemporalBetween, func() error { return p.expectKw("AND") })
 	case p.cur().isKw("CONTAINED"):
 		p.next()
 		if err := p.expectKw("IN"); err != nil {
@@ -174,25 +167,30 @@ func (p *parser) useClause() (TemporalClause, error) {
 		if _, err := p.expect(tokLParen, "("); err != nil {
 			return tc, err
 		}
-		a, err := p.additive()
+		tc, err := p.period(TemporalContainedIn, func() error { _, err := p.expect(tokComma, ","); return err })
 		if err != nil {
 			return tc, err
 		}
-		if _, err := p.expect(tokComma, ","); err != nil {
-			return tc, err
-		}
-		b, err := p.additive()
-		if err != nil {
-			return tc, err
-		}
-		if _, err := p.expect(tokRParen, ")"); err != nil {
-			return tc, err
-		}
-		tc.Kind, tc.A, tc.B = TemporalContainedIn, a, b
+		_, err = p.expect(tokRParen, ")")
+		return tc, err
 	default:
 		return tc, p.errf("expected AS OF / FROM / BETWEEN / CONTAINED IN")
 	}
 	return tc, nil
+}
+
+// period parses the two bounds of a period of the given kind, a and b on
+// either side of what sep parses.
+func (p *parser) period(kind TemporalKind, sep func() error) (TemporalClause, error) {
+	a, err := p.additive()
+	if err == nil {
+		err = sep()
+	}
+	if err != nil {
+		return TemporalClause{Kind: TemporalNone}, err
+	}
+	b, err := p.additive()
+	return TemporalClause{Kind: kind, A: a, B: b}, err
 }
 
 func (p *parser) matchStmt() (*MatchStmt, error) {
@@ -200,18 +198,10 @@ func (p *parser) matchStmt() (*MatchStmt, error) {
 		return nil, err
 	}
 	m := &MatchStmt{}
-	for {
-		pat, err := p.pathPattern()
-		if err != nil {
-			return nil, err
-		}
-		m.Patterns = append(m.Patterns, pat)
-		if p.cur().kind != tokComma {
-			break
-		}
-		p.next()
-	}
 	var err error
+	if m.Patterns, err = list(p, tokComma, p.pathPattern); err != nil {
+		return nil, err
+	}
 	if p.cur().isKw("WHERE") {
 		p.next()
 		m.Where, err = p.expr()
@@ -223,31 +213,19 @@ func (p *parser) matchStmt() (*MatchStmt, error) {
 		switch {
 		case p.cur().isKw("CREATE"):
 			p.next()
-			for {
-				pat, err := p.pathPattern()
-				if err != nil {
-					return nil, err
-				}
-				m.Creates = append(m.Creates, pat)
-				if p.cur().kind != tokComma {
-					break
-				}
-				p.next()
+			pats, err := list(p, tokComma, p.pathPattern)
+			if err != nil {
+				return nil, err
 			}
+			m.Creates = append(m.Creates, pats...)
 			continue
 		case p.cur().isKw("SET"):
 			p.next()
-			for {
-				item, err := p.setItem()
-				if err != nil {
-					return nil, err
-				}
-				m.Sets = append(m.Sets, item)
-				if p.cur().kind != tokComma {
-					break
-				}
-				p.next()
+			items, err := list(p, tokComma, p.setItem)
+			if err != nil {
+				return nil, err
 			}
+			m.Sets = append(m.Sets, items...)
 			continue
 		case p.cur().isKw("DETACH"):
 			p.next()
@@ -255,17 +233,11 @@ func (p *parser) matchStmt() (*MatchStmt, error) {
 			continue
 		case p.cur().isKw("DELETE"):
 			p.next()
-			for {
-				t, err := p.expect(tokIdent, "variable")
-				if err != nil {
-					return nil, err
-				}
-				m.Deletes = append(m.Deletes, t.text)
-				if p.cur().kind != tokComma {
-					break
-				}
-				p.next()
+			vars, err := list(p, tokComma, func() (string, error) { return p.ident("variable") })
+			if err != nil {
+				return nil, err
 			}
+			m.Deletes = append(m.Deletes, vars...)
 			continue
 		}
 		break
@@ -282,23 +254,8 @@ func (p *parser) matchStmt() (*MatchStmt, error) {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			ob := OrderBy{E: e}
-			if p.cur().isKw("DESC") {
-				ob.Desc = true
-				p.next()
-			} else if p.cur().isKw("ASC") {
-				p.next()
-			}
-			m.Order = append(m.Order, ob)
-			if p.cur().kind != tokComma {
-				break
-			}
-			p.next()
+		if m.Order, err = list(p, tokComma, p.orderItem); err != nil {
+			return nil, err
 		}
 	}
 	if p.cur().isKw("LIMIT") {
@@ -313,6 +270,21 @@ func (p *parser) matchStmt() (*MatchStmt, error) {
 		return nil, p.errf("MATCH requires RETURN, SET, DELETE, or CREATE")
 	}
 	return m, nil
+}
+
+func (p *parser) orderItem() (OrderBy, error) {
+	e, err := p.expr()
+	if err != nil {
+		return OrderBy{}, err
+	}
+	ob := OrderBy{E: e}
+	if p.cur().isKw("DESC") {
+		ob.Desc = true
+		p.next()
+	} else if p.cur().isKw("ASC") {
+		p.next()
+	}
+	return ob, nil
 }
 
 func (p *parser) setItem() (SetItem, error) {
@@ -342,24 +314,15 @@ func (p *parser) createStmt() (*CreateStmt, error) {
 		return nil, err
 	}
 	c := &CreateStmt{}
-	for {
-		pat, err := p.pathPattern()
-		if err != nil {
-			return nil, err
-		}
-		c.Patterns = append(c.Patterns, pat)
-		if p.cur().kind != tokComma {
-			break
-		}
-		p.next()
+	var err error
+	if c.Patterns, err = list(p, tokComma, p.pathPattern); err != nil {
+		return nil, err
 	}
 	if p.cur().isKw("RETURN") {
 		p.next()
-		items, err := p.returnItems()
-		if err != nil {
+		if c.Return, err = p.returnItems(); err != nil {
 			return nil, err
 		}
-		c.Return = items
 	}
 	return c, nil
 }
@@ -368,33 +331,17 @@ func (p *parser) callStmt() (*CallStmt, error) {
 	if err := p.expectKw("CALL"); err != nil {
 		return nil, err
 	}
-	var parts []string
-	for {
-		t, err := p.expect(tokIdent, "procedure name")
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, t.text)
-		if p.cur().kind != tokDot {
-			break
-		}
-		p.next()
+	parts, err := list(p, tokDot, func() (string, error) { return p.ident("procedure name") })
+	if err != nil {
+		return nil, err
 	}
 	c := &CallStmt{Name: strings.Join(parts, ".")}
 	if _, err := p.expect(tokLParen, "("); err != nil {
 		return nil, err
 	}
 	if p.cur().kind != tokRParen {
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			c.Args = append(c.Args, e)
-			if p.cur().kind != tokComma {
-				break
-			}
-			p.next()
+		if c.Args, err = list(p, tokComma, p.expr); err != nil {
+			return nil, err
 		}
 	}
 	if _, err := p.expect(tokRParen, ")"); err != nil {
@@ -402,44 +349,23 @@ func (p *parser) callStmt() (*CallStmt, error) {
 	}
 	if p.cur().isKw("YIELD") {
 		p.next()
-		for {
-			t, err := p.expect(tokIdent, "yield column")
-			if err != nil {
-				return nil, err
-			}
-			c.Yield = append(c.Yield, t.text)
-			if p.cur().kind != tokComma {
-				break
-			}
-			p.next()
+		if c.Yield, err = list(p, tokComma, func() (string, error) { return p.ident("yield column") }); err != nil {
+			return nil, err
 		}
 	}
 	return c, nil
 }
 
 func (p *parser) returnItems() ([]ReturnItem, error) {
-	var items []ReturnItem
-	for {
+	return list(p, tokComma, func() (ReturnItem, error) {
 		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		item := ReturnItem{E: e}
-		if p.cur().isKw("AS") {
-			p.next()
-			t, err := p.expect(tokIdent, "alias")
-			if err != nil {
-				return nil, err
-			}
-			item.Alias = t.text
-		}
-		items = append(items, item)
-		if p.cur().kind != tokComma {
-			break
+		if err != nil || !p.cur().isKw("AS") {
+			return ReturnItem{E: e}, err
 		}
 		p.next()
-	}
-	return items, nil
+		alias, err := p.ident("alias")
+		return ReturnItem{E: e, Alias: alias}, err
+	})
 }
 
 // pathPattern parses (n)-[r]->(m)-... chains.
@@ -598,36 +524,28 @@ func (p *parser) propMap() (map[string]Expr, error) {
 
 func (p *parser) expr() (Expr, error) { return p.orExpr() }
 
-func (p *parser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
+// chain parses operand (op operand)*, left-associative, while at holds for
+// the token after an operand.
+func (p *parser) chain(op string, at func(token) bool, operand func() (Expr, error)) (Expr, error) {
+	l, err := operand()
+	for err == nil && at(p.cur()) {
+		p.next()
+		var r Expr
+		r, err = operand()
+		l = BinOp{Op: op, L: l, R: r}
+	}
 	if err != nil {
 		return nil, err
-	}
-	for p.cur().isKw("OR") {
-		p.next()
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = BinOp{Op: "OR", L: l, R: r}
 	}
 	return l, nil
 }
 
+func (p *parser) orExpr() (Expr, error) {
+	return p.chain("OR", func(t token) bool { return t.isKw("OR") }, p.andExpr)
+}
+
 func (p *parser) andExpr() (Expr, error) {
-	l, err := p.notExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().isKw("AND") {
-		p.next()
-		r, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = BinOp{Op: "AND", L: l, R: r}
-	}
-	return l, nil
+	return p.chain("AND", func(t token) bool { return t.isKw("AND") }, p.notExpr)
 }
 
 func (p *parser) notExpr() (Expr, error) {
@@ -673,19 +591,7 @@ func (p *parser) comparison() (Expr, error) {
 }
 
 func (p *parser) additive() (Expr, error) {
-	l, err := p.primary()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokPlus {
-		p.next()
-		r, err := p.primary()
-		if err != nil {
-			return nil, err
-		}
-		l = BinOp{Op: "+", L: l, R: r}
-	}
-	return l, nil
+	return p.chain("+", func(t token) bool { return t.kind == tokPlus }, p.primary)
 }
 
 func (p *parser) primary() (Expr, error) {

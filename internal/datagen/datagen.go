@@ -76,13 +76,6 @@ func MustPreset(name string, scale int) Spec {
 	return s
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Dataset is a generated temporal workload.
 type Dataset struct {
 	Spec    Spec

@@ -61,7 +61,7 @@ func (s *Store) Put(g *memgraph.Graph) { s.put(g.Clone(), false) }
 // worker may be caching at the same moment: when a graph is cached at g's
 // timestamp already, that one stays, moved to the front as Put's would be. So
 // a reader that loaded a policy element while the worker published it never
-// displaces the worker's graph, which holds the host's own entity objects.
+// displaces the worker's graph, which holds the host's own entity records.
 func (s *Store) Admit(g *memgraph.Graph) { s.put(g.Clone(), true) }
 
 // PutOwned caches a snapshot, taking ownership of g: no clone is made, so
@@ -133,7 +133,7 @@ func (s *Store) Holds(ts model.Timestamp) bool {
 }
 
 // Rebase points the entry cached at g's timestamp, if there still is one, at a
-// CoW clone of g — the same state, held in other objects; nothing else about
+// CoW clone of g — the same state, held in other records; nothing else about
 // the entry changes.
 func (s *Store) Rebase(g *memgraph.Graph) {
 	s.mu.Lock()

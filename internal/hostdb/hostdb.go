@@ -459,7 +459,7 @@ func (db *DB) Clock() model.Timestamp {
 // Committed returns a CoW clone of the committed graph together with the
 // commit timestamp it is complete at and the number of updates committed
 // since genesis, all read under one lock so the three describe one state.
-// The clone shares every entity object with the host's graph: entities are
+// The clone shares every entity record with the host's graph: records are
 // replaced on write, never mutated, so whoever holds the clone may apply
 // further updates to it without disturbing the host.
 func (db *DB) Committed() (g *memgraph.Graph, clock model.Timestamp, updates uint64) {
@@ -563,8 +563,9 @@ func (db *DB) Close() error {
 var ErrRolledBack = errors.New("hostdb: transaction finished")
 
 // Tx is a read-write transaction. Reads see the committed graph plus the
-// transaction's own staged writes, implemented as an overlay over the
-// current graph — no snapshot is cloned, which keeps Begin/Commit O(staged
+// transaction's own staged writes: the updates alone are kept, and a read
+// folds an entity's staged updates over its committed state — no snapshot is
+// cloned and no entity copied per write, which keeps Begin/Commit O(staged
 // changes) instead of O(graph). Each write is checked when it is staged, and
 // the whole transaction again at commit against the graph it then lands on;
 // a transaction that fails the second check aborts without touching the
@@ -573,23 +574,13 @@ type Tx struct {
 	db      *DB
 	updates []model.Update
 	done    bool
-
-	// Overlay: staged entity states (nil value = staged deletion), read
-	// through by Node and Rel, and the staged writes' effect that stage
-	// checks the next write against.
-	nodes  map[model.NodeID]*model.Node
-	rels   map[model.RelID]*model.Rel
-	staged pending
+	staged  pending // the writes' effect, which stage checks the next against
 }
 
 // Begin starts a transaction whose reads see the currently committed graph
 // plus its own writes.
 func (db *DB) Begin() *Tx {
-	return &Tx{db: db,
-		nodes:  make(map[model.NodeID]*model.Node),
-		rels:   make(map[model.RelID]*model.Rel),
-		staged: newPending(),
-	}
+	return &Tx{db: db, staged: newPending(0)}
 }
 
 // pending is what a run of updates does to a graph it has not been applied
@@ -597,7 +588,7 @@ func (db *DB) Begin() *Tx {
 // holds the run's next updates to the preconditions memgraph.Graph.Apply
 // enforces (ErrExists, ErrNotFound, ErrHasRels, ErrDangling) on the graph with
 // the run so far applied, so a run that passes applies without an error. It
-// copies no entity.
+// copies no entity, and reads existence and endpoints by id.
 type pending struct {
 	nodes  map[model.NodeID]bool   // created (true) or deleted (false)
 	rels   map[model.RelID]relEnds // created, or deleted (the zero value)
@@ -610,25 +601,24 @@ type relEnds struct {
 	live     bool
 }
 
-func newPending() pending {
-	return pending{nodes: map[model.NodeID]bool{}, rels: map[model.RelID]relEnds{}, degree: map[model.NodeID]int{}}
+// newPending sizes the maps for a run of n updates.
+func newPending(n int) pending {
+	return pending{nodes: make(map[model.NodeID]bool, n), rels: make(map[model.RelID]relEnds, n), degree: make(map[model.NodeID]int, n)}
 }
 
 func (p *pending) node(g model.Graph, id model.NodeID) bool {
 	if live, ok := p.nodes[id]; ok {
 		return live
 	}
-	return g.Node(id) != nil
+	return g.HasNode(id)
 }
 
 func (p *pending) rel(g model.Graph, id model.RelID) relEnds {
 	if e, ok := p.rels[id]; ok {
 		return e
 	}
-	if r := g.Rel(id); r != nil {
-		return relEnds{src: r.Src, tgt: r.Tgt, live: true}
-	}
-	return relEnds{}
+	src, tgt, live := g.Ends(id)
+	return relEnds{src, tgt, live}
 }
 
 // check returns the first precondition us break, in order, on g with p's
@@ -699,69 +689,75 @@ func (db *DB) apply(u model.Update) {
 
 // View runs fn with read access to the committed graph, without cloning.
 // fn must not mutate the graph and must not retain the *Graph beyond the
-// call; entity pointers read from it stay valid because mutations replace
-// entity objects instead of updating them in place.
+// call; entity pointers read from it stay valid, since every read builds an
+// entity of the caller's own.
 func (db *DB) View(fn func(g *memgraph.Graph)) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	fn(db.current)
 }
 
-// node and rel read an entity from g, the committed graph, as the
-// transaction sees it; db.mu is held.
-func (tx *Tx) node(g model.Graph, id model.NodeID) *model.Node {
-	if n, ok := tx.nodes[id]; ok {
-		return n
+// fold returns entity key k's staged updates that a read folds over its
+// committed state, oldest first: from its last creation on, or all of them.
+func (tx *Tx) fold(k int64) (us []model.Update) {
+	for _, u := range tx.updates {
+		if u.EntityKey() != k {
+			continue
+		} else if u.Kind == model.OpAddNode || u.Kind == model.OpAddRel {
+			us = us[:0]
+		}
+		us = append(us, u)
 	}
-	return g.Node(id)
+	return us
+}
+
+// node and rel read an entity from g, the committed graph, as the
+// transaction sees it; db.mu is held. A staged entity is built afresh.
+func (tx *Tx) node(g model.Graph, id model.NodeID) *model.Node {
+	us, n := tx.fold(int64(id)<<1), g.Node(id)
+	switch {
+	case !tx.staged.node(g, id):
+		return nil
+	case len(us) > 0 && us[0].Kind == model.OpAddNode:
+		n = &model.Node{ID: id, Valid: model.Interval{End: model.TSInfinity}}
+	case len(us) > 0:
+		n.Labels = slices.Clone(n.Labels) // ApplyToNode deletes a label in place
+	}
+	for _, u := range us {
+		u.ApplyToNode(n)
+	}
+	return n
 }
 
 func (tx *Tx) rel(g model.Graph, id model.RelID) *model.Rel {
-	if r, ok := tx.rels[id]; ok {
-		return r
+	us, r, e := tx.fold(int64(id)<<1|1), g.Rel(id), tx.staged.rel(g, id)
+	if !e.live {
+		return nil
+	} else if len(us) > 0 && us[0].Kind == model.OpAddRel {
+		r = &model.Rel{ID: id, Src: e.src, Tgt: e.tgt, Label: us[0].RelLabel, Valid: model.Interval{End: model.TSInfinity}}
 	}
-	return g.Rel(id)
+	for _, u := range us {
+		u.ApplyToRel(r)
+	}
+	return r
 }
 
-// stage checks one update against the transaction's view (overlay over the
-// committed graph) so violations surface at operation time, like Neo4j's
-// API, then records it for commit. A relationship's deletion or update takes
-// its endpoints from the view.
+// stage checks one update against the transaction's view (its staged writes
+// over the committed graph) so violations surface at operation time, like
+// Neo4j's API, then records it for commit. A relationship's deletion or
+// update takes its endpoints from the view.
 func (tx *Tx) stage(u model.Update) error {
 	if tx.done {
 		return ErrRolledBack
 	}
 	tx.db.mu.RLock()
 	defer tx.db.mu.RUnlock()
-	g := tx.db.current
-	if err := tx.staged.check(g, u); err != nil {
-		return err
+	if u.Kind == model.OpDeleteRel || u.Kind == model.OpUpdateRel {
+		e := tx.staged.rel(tx.db.current, u.RelID)
+		u.Src, u.Tgt = e.src, e.tgt
 	}
-	switch u.Kind {
-	case model.OpAddNode:
-		n := &model.Node{ID: u.NodeID, Valid: model.Interval{Start: 0, End: model.TSInfinity}}
-		u.ApplyToNode(n)
-		tx.nodes[u.NodeID] = n
-	case model.OpDeleteNode:
-		tx.nodes[u.NodeID] = nil
-	case model.OpUpdateNode:
-		c := tx.node(g, u.NodeID).Clone()
-		u.ApplyToNode(c)
-		tx.nodes[u.NodeID] = c
-	case model.OpAddRel:
-		r := &model.Rel{ID: u.RelID, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel,
-			Valid: model.Interval{Start: 0, End: model.TSInfinity}}
-		u.ApplyToRel(r)
-		tx.rels[u.RelID] = r
-	case model.OpDeleteRel:
-		r := tx.rel(g, u.RelID)
-		u.Src, u.Tgt = r.Src, r.Tgt
-		tx.rels[u.RelID] = nil
-	case model.OpUpdateRel:
-		c := tx.rel(g, u.RelID).Clone()
-		u.Src, u.Tgt = c.Src, c.Tgt
-		u.ApplyToRel(c)
-		tx.rels[u.RelID] = c
+	if err := tx.staged.check(tx.db.current, u); err != nil {
+		return err
 	}
 	tx.updates = append(tx.updates, u)
 	return nil
@@ -848,11 +844,11 @@ func (tx *Tx) IncidentRels(id model.NodeID) []model.RelID {
 	out := slices.Concat(tx.db.current.Out(id), tx.db.current.In(id))
 	tx.db.mu.RUnlock()
 	out = slices.DeleteFunc(out, func(rid model.RelID) bool {
-		r, staged := tx.rels[rid]
-		return staged && r == nil
+		e, staged := tx.staged.rels[rid]
+		return staged && !e.live
 	})
-	for rid, r := range tx.rels {
-		if r != nil && (r.Src == id || r.Tgt == id) && !slices.Contains(out, rid) {
+	for rid, e := range tx.staged.rels {
+		if e.live && (e.src == id || e.tgt == id) && !slices.Contains(out, rid) {
 			out = append(out, rid)
 		}
 	}
@@ -1063,7 +1059,7 @@ func (db *DB) applyAndAppend(batch []*commitReq) ([][]model.Update, error) {
 	applied := make([][]model.Update, 0, len(batch))
 	db.mu.Lock()
 	for _, req := range batch {
-		p := newPending()
+		p := newPending(len(req.updates))
 		if err := p.check(db.current, req.updates...); err != nil {
 			req.err = fmt.Errorf("hostdb: commit conflict: %w", err)
 			db.stats.conflicts.Add(1)

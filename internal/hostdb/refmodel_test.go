@@ -411,7 +411,7 @@ func TestCheckAgreesOnTheViewAndTheSnapshot(t *testing.T) {
 			for j := range run {
 				run[j] = candidate()
 			}
-			onView, onSnap := newPending(), newPending()
+			onView, onSnap := newPending(len(run)), newPending(len(run))
 			vErr, sErr := onView.check(view, run...), onSnap.check(snap, run...)
 			verdict := func(err error) error {
 				for _, v := range []error{model.ErrExists, model.ErrNotFound, model.ErrHasRels, model.ErrDangling} {

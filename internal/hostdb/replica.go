@@ -163,7 +163,7 @@ func (db *DB) ApplyShipment(strChunk, txn []byte) (model.Timestamp, error) {
 	clock := db.Clock()
 	var payloads [][]byte
 	var commits [][]model.Update
-	p := newPending()
+	p := newPending(0)
 	for i, rest := 0, txn; len(rest) > 0; i++ {
 		payload, next, err := wal.Cut(rest)
 		if err != nil {

@@ -17,10 +17,11 @@ type Coloring struct {
 // NewColoring colours g greedily, in node id order.
 func NewColoring(g *memgraph.Graph) *Coloring {
 	c := &Coloring{color: grow(nil, g.MaxNodeID(), int32(-1))}
-	g.ForEachNode(func(n *model.Node) bool {
-		c.color[n.ID] = c.smallestFree(g, n.ID)
-		return true
-	})
+	for id := range g.MaxNodeID() {
+		if g.HasNode(id) {
+			c.color[id] = c.smallestFree(g, id)
+		}
+	}
 	return c
 }
 
@@ -39,7 +40,7 @@ func (c *Coloring) NumColors() int {
 // (undirected adjacency).
 func (c *Coloring) smallestFree(g *memgraph.Graph, id model.NodeID) int32 {
 	used := map[int32]bool{}
-	g.Neighbours(id, model.Both, func(_ *model.Rel, nb model.NodeID) bool {
+	g.EachNeighbour(id, model.Both, func(_ model.RelID, nb model.NodeID) bool {
 		if nb != id && int(nb) < len(c.color) && c.color[nb] >= 0 {
 			used[c.color[nb]] = true
 		}
@@ -85,11 +86,11 @@ func (c *Coloring) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 	for len(dirty) > 0 {
 		v := dirty[0]
 		dirty = dirty[1:]
-		if g.Node(v) == nil || c.color[v] < 0 {
+		if !g.HasNode(v) || c.color[v] < 0 {
 			continue
 		}
 		conflict := false
-		g.Neighbours(v, model.Both, func(_ *model.Rel, nb model.NodeID) bool {
+		g.EachNeighbour(v, model.Both, func(_ model.RelID, nb model.NodeID) bool {
 			if nb != v && c.color[nb] == c.color[v] {
 				conflict = true
 				return false

@@ -46,12 +46,11 @@ type Avg struct {
 // NewAvg runs the average of the relationship property prop on g.
 func NewAvg(g *memgraph.Graph, prop string) *Avg {
 	a := &Avg{prop: prop, values: make(map[model.RelID]float64)}
-	g.ForEachRel(func(r *model.Rel) bool {
-		if v, ok := r.Props[a.prop]; ok {
-			a.add(r.ID, v.Float())
+	for rid := range g.MaxRelID() {
+		if v, ok := g.RelProp(rid, a.prop); ok {
+			a.add(rid, v.Float())
 		}
-		return true
-	})
+	}
 	return a
 }
 
@@ -162,30 +161,30 @@ func (b *BFS) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 	}
 
 	boundary := tagAndReset(g, b.src, b.levels, algo.Unreachable, suspects,
-		func(_ *model.Rel, nb, v model.NodeID) bool { return b.levels[nb]+1 == b.levels[v] })
+		func(_ model.RelID, nb, v model.NodeID) bool { return b.levels[nb]+1 == b.levels[v] })
 	algo.RelaxBFS(g, b.levels, append(relaxFrom, boundary...))
 }
 
 // tagAndReset is the deletion half of the path repairs (Sec 5.2). From the
 // suspects it tags, transitively, every reached node but src that no
-// untagged reached in-neighbour nb justifies (justifies(r, nb, v), r the
+// untagged reached in-neighbour nb justifies (justifies(rid, nb, v), rid the
 // edge nb→v), and resets it to unreached. Every reached out-neighbour of a
 // tagged node is examined in turn: a value may have changed earlier in the
 // same diff, so filtering by the old value would miss dependents, and
 // over-tagging is safe where under-tagging is not. It returns the boundary
 // to relax from: the reached in-neighbours of tagged nodes.
 func tagAndReset[T comparable](g *memgraph.Graph, src model.NodeID, vals []T, unreached T, suspects []model.NodeID,
-	justifies func(r *model.Rel, nb, v model.NodeID) bool) []model.NodeID {
+	justifies func(rid model.RelID, nb, v model.NodeID) bool) []model.NodeID {
 	tagged := map[model.NodeID]bool{}
 	for len(suspects) > 0 {
 		v := suspects[0]
 		suspects = suspects[1:]
-		if tagged[v] || v == src || g.Node(v) == nil || vals[v] == unreached {
+		if tagged[v] || v == src || !g.HasNode(v) || vals[v] == unreached {
 			continue
 		}
 		justified := false
-		g.Neighbours(v, model.Incoming, func(r *model.Rel, nb model.NodeID) bool {
-			justified = !tagged[nb] && vals[nb] != unreached && justifies(r, nb, v)
+		g.EachNeighbour(v, model.Incoming, func(rid model.RelID, nb model.NodeID) bool {
+			justified = !tagged[nb] && vals[nb] != unreached && justifies(rid, nb, v)
 			return !justified
 		})
 		if justified {
@@ -193,7 +192,7 @@ func tagAndReset[T comparable](g *memgraph.Graph, src model.NodeID, vals []T, un
 		}
 		tagged[v] = true
 		vals[v] = unreached
-		g.Neighbours(v, model.Outgoing, func(_ *model.Rel, nb model.NodeID) bool {
+		g.EachNeighbour(v, model.Outgoing, func(_ model.RelID, nb model.NodeID) bool {
 			if !tagged[nb] && vals[nb] != unreached {
 				suspects = append(suspects, nb)
 			}
@@ -202,7 +201,7 @@ func tagAndReset[T comparable](g *memgraph.Graph, src model.NodeID, vals []T, un
 	}
 	var boundary []model.NodeID
 	for v := range tagged {
-		g.Neighbours(v, model.Incoming, func(_ *model.Rel, nb model.NodeID) bool {
+		g.EachNeighbour(v, model.Incoming, func(_ model.RelID, nb model.NodeID) bool {
 			if vals[nb] != unreached {
 				boundary = append(boundary, nb)
 			}

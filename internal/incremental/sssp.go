@@ -40,29 +40,28 @@ func (s *SSSP) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 		case model.OpAddRel:
 			// Relax the new edge locally; weight read from the live rel.
 			if du := s.dist[u.Src]; !math.IsInf(du, 1) {
-				r := g.Rel(u.RelID)
-				if r == nil {
+				if _, _, live := g.Ends(u.RelID); !live {
 					continue // added and deleted within the same diff
 				}
-				if nd := du + algo.Weight(r, s.prop); nd < s.dist[u.Tgt] {
+				if nd := du + algo.Weight(g, u.RelID, s.prop); nd < s.dist[u.Tgt] {
 					s.dist[u.Tgt] = nd
 					seeds = append(seeds, u.Tgt)
 				}
 			}
 		case model.OpUpdateRel:
 			// A weight change can lower (relax) or raise (suspect) a path.
-			r := g.Rel(u.RelID)
-			if r == nil {
+			src, tgt, live := g.Ends(u.RelID)
+			if !live {
 				continue
 			}
-			if du := s.dist[r.Src]; !math.IsInf(du, 1) {
-				nd := du + algo.Weight(r, s.prop)
+			if du := s.dist[src]; !math.IsInf(du, 1) {
+				nd := du + algo.Weight(g, u.RelID, s.prop)
 				switch {
-				case nd < s.dist[r.Tgt]:
-					s.dist[r.Tgt] = nd
-					seeds = append(seeds, r.Tgt)
-				case nd > s.dist[r.Tgt]:
-					suspects = append(suspects, r.Tgt)
+				case nd < s.dist[tgt]:
+					s.dist[tgt] = nd
+					seeds = append(seeds, tgt)
+				case nd > s.dist[tgt]:
+					suspects = append(suspects, tgt)
 				}
 			}
 		case model.OpDeleteRel:
@@ -83,8 +82,8 @@ func (s *SSSP) ApplyDiff(g *memgraph.Graph, us []model.Update) {
 	}
 
 	// An in-edge justifies a distance it matches within rounding.
-	boundary := tagAndReset(g, s.src, s.dist, math.Inf(1), suspects, func(r *model.Rel, nb, v model.NodeID) bool {
-		return math.Abs(s.dist[nb]+algo.Weight(r, s.prop)-s.dist[v]) < 1e-12
+	boundary := tagAndReset(g, s.src, s.dist, math.Inf(1), suspects, func(rid model.RelID, nb, v model.NodeID) bool {
+		return math.Abs(s.dist[nb]+algo.Weight(g, rid, s.prop)-s.dist[v]) < 1e-12
 	})
 	algo.RelaxSSSP(g, s.prop, s.dist, append(seeds, boundary...))
 }

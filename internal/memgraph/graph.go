@@ -4,7 +4,8 @@
 // out-neighbourhood id-vectors — giving O(1) entity insertion/update and
 // neighbourhood access. Neighbourhood vectors store relationship IDs only;
 // endpoints are resolved with an O(1) lookup in the relationship vector
-// (one of the paper's memory optimizations). Snapshots support cheap
+// (one of the paper's memory optimizations). Entities are held as compact
+// immutable records (record.go) and built on read. Snapshots support cheap
 // Copy-on-Write cloning à la Tegra, by the 256-entry chunk (vec.go).
 package memgraph
 
@@ -29,8 +30,8 @@ const (
 // per the paper, parallel updates are key-partitioned at the execution
 // layer and reads precede writes for analytics.
 type Graph struct {
-	nodes vec[*model.Node]
-	rels  vec[*model.Rel]
+	nodes vec[*nodeRec]
+	rels  vec[*relRec]
 	out   vec[[]model.RelID]
 	in    vec[[]model.RelID]
 	// cow is set while the vectors' directories are shared with a clone
@@ -42,6 +43,10 @@ type Graph struct {
 	nodeCount int
 	relCount  int
 	ts        model.Timestamp // the time point this snapshot represents
+	// blankNode and blankRel are the attributes without properties the last
+	// add made here, which the next add with equal labels or type takes.
+	blankNode *nodeAttrs
+	blankRel  *relAttrs
 }
 
 // New returns an empty graph at timestamp 0.
@@ -65,11 +70,37 @@ func (g *Graph) RelCount() int { return g.relCount }
 // the largest node id the graph has seen + 1.
 func (g *Graph) MaxNodeID() model.NodeID { return model.NodeID(g.nodes.n) }
 
-// Node returns the node with the given id, or nil if absent.
-func (g *Graph) Node(id model.NodeID) *model.Node { return g.nodes.get(int(id)) }
+// MaxRelID is MaxNodeID for relationship ids.
+func (g *Graph) MaxRelID() model.RelID { return model.RelID(g.rels.n) }
 
-// Rel returns the relationship with the given id, or nil if absent.
-func (g *Graph) Rel(id model.RelID) *model.Rel { return g.rels.get(int(id)) }
+// Node returns the node with the given id, or nil if absent. Every call
+// builds a node of the caller's own.
+func (g *Graph) Node(id model.NodeID) *model.Node { return g.nodes.get(int(id)).node(id) }
+
+// Rel returns the relationship with the given id, or nil if absent. Every
+// call builds a relationship of the caller's own.
+func (g *Graph) Rel(id model.RelID) *model.Rel { return g.rels.get(int(id)).rel(id) }
+
+// HasNode reports whether node id is live; it builds nothing.
+func (g *Graph) HasNode(id model.NodeID) bool { return g.nodes.get(int(id)) != nil }
+
+// Ends returns relationship id's endpoints, ok false if it is absent; it
+// builds nothing.
+func (g *Graph) Ends(id model.RelID) (src, tgt model.NodeID, ok bool) {
+	if r := g.rels.get(int(id)); r != nil {
+		return r.src, r.tgt, true
+	}
+	return 0, 0, false
+}
+
+// RelProp returns relationship id's property key, ok false if it or the
+// property is absent; it builds nothing.
+func (g *Graph) RelProp(id model.RelID, key string) (model.Value, bool) {
+	if r := g.rels.get(int(id)); r != nil {
+		return r.props.get(key)
+	}
+	return model.Value{}, false
+}
 
 // Out returns the outgoing relationship ids of a node. The slice must not
 // be mutated.
@@ -79,37 +110,41 @@ func (g *Graph) Out(id model.NodeID) []model.RelID { return g.out.get(int(id)) }
 // be mutated.
 func (g *Graph) In(id model.NodeID) []model.RelID { return g.in.get(int(id)) }
 
-// Neighbours invokes fn for each (relationship, neighbour id) incident to
-// id in the given direction; it stops early if fn returns false.
-func (g *Graph) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.Rel, nb model.NodeID) bool) {
+// EachNeighbour is Neighbours by id: fn gets each incident relationship's id
+// and its other end, and nothing is built.
+func (g *Graph) EachNeighbour(id model.NodeID, d model.Direction, fn func(rid model.RelID, nb model.NodeID) bool) {
 	if d == model.Outgoing || d == model.Both {
 		for _, rid := range g.Out(id) {
-			r := g.Rel(rid)
-			if !fn(r, r.Tgt) {
+			if !fn(rid, g.rels.get(int(rid)).tgt) {
 				return
 			}
 		}
 	}
 	if d == model.Incoming || d == model.Both {
 		for _, rid := range g.In(id) {
-			r := g.Rel(rid)
-			if !fn(r, r.Src) {
+			if !fn(rid, g.rels.get(int(rid)).src) {
 				return
 			}
 		}
 	}
 }
 
+// Neighbours invokes fn for each (relationship, neighbour id) incident to
+// id in the given direction; it stops early if fn returns false.
+func (g *Graph) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.Rel, nb model.NodeID) bool) {
+	g.EachNeighbour(id, d, func(rid model.RelID, nb model.NodeID) bool { return fn(g.Rel(rid), nb) })
+}
+
 // ForEachNode invokes fn for every live node in id order; it stops early if
 // fn returns false.
 func (g *Graph) ForEachNode(fn func(n *model.Node) bool) {
-	g.nodes.each(func(n *model.Node) bool { return n == nil || fn(n) })
+	g.nodes.each(func(i int, r *nodeRec) bool { return r == nil || fn(r.node(model.NodeID(i))) })
 }
 
 // ForEachRel invokes fn for every live relationship in id order; it stops
 // early if fn returns false.
 func (g *Graph) ForEachRel(fn func(r *model.Rel) bool) {
-	g.rels.each(func(r *model.Rel) bool { return r == nil || fn(r) })
+	g.rels.each(func(i int, r *relRec) bool { return r == nil || fn(r.rel(model.RelID(i))) })
 }
 
 // unshare gives each vector a directory of its own if they are shared with a
@@ -147,7 +182,7 @@ func (g *Graph) Apply(u model.Update) error {
 // ApplyShared is Apply for a graph that is being materialised at a state ref
 // — unless nil, a handle nobody writes — has already been through. Where ref
 // holds the incarnation of the entity that u produces (same id, created no
-// later than this graph's time) with equal content, ref's object is installed
+// later than this graph's time) with equal content, ref's record is installed
 // instead of a new one, and shared reports that; an adjacency list stays a
 // prefix of ref's for as long as it grows the way ref's did. The graph holds
 // the same state either way, but for Valid.Start: a shared entity carries its
@@ -158,22 +193,26 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 	at := max(g.ts, u.TS) // Timestamp() once u is applied
 	switch u.Kind {
 	case model.OpAddNode:
-		if g.Node(u.NodeID) != nil {
+		if g.HasNode(u.NodeID) {
 			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrExists, u.NodeID, u.TS)
 		}
 		// An add names its entity's whole content, so the reference is asked
 		// before anything is allocated.
-		n := ref.sameNode(u.NodeID, at, u.AddLabels, u.SetProps)
-		if shared = n != nil && len(u.DelProps) == 0; !shared {
-			n = &model.Node{ID: u.NodeID, Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
-			u.ApplyToNode(n)
+		n := ref.refNode(u.NodeID, at, u.AddLabels)
+		if shared = n != nil && n.props.is(u.SetProps) && len(u.DelProps) == 0; !shared {
+			if b := g.blankNode; b == nil || len(u.DelLabels) > 0 || !slices.Equal(b.labels, u.AddLabels) {
+				g.blankNode = &nodeAttrs{labels: nextLabels(nil, u.AddLabels, u.DelLabels)}
+			}
+			n = &nodeRec{g.blankNode, u.TS}
+			if len(u.SetProps) > 0 {
+				n.nodeAttrs = &nodeAttrs{n.labels, props(nil).with(u.SetProps, u.DelProps)}
+			}
 		}
 		g.nodes.set(int(u.NodeID), n) // its adjacency lists are empty: it did not exist
 		g.nodeCount++
 
 	case model.OpDeleteNode:
-		n := g.Node(u.NodeID)
-		if n == nil {
+		if !g.HasNode(u.NodeID) {
 			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
 		}
 		if len(g.Out(u.NodeID)) > 0 || len(g.In(u.NodeID)) > 0 {
@@ -183,29 +222,32 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 		g.nodeCount--
 
 	case model.OpUpdateNode:
-		n := g.Node(u.NodeID)
+		n := g.nodes.get(int(u.NodeID))
 		if n == nil {
 			return false, fmt.Errorf("%w: node %d at ts %d", model.ErrNotFound, u.NodeID, u.TS)
 		}
-		c := nextVersion(n, u) // replace-on-write keeps CoW siblings intact
-		u.ApplyToNode(c)
-		if r := ref.sameNode(u.NodeID, at, c.Labels, c.Props); r != nil {
+		c := &nodeRec{&nodeAttrs{nextLabels(n.labels, u.AddLabels, u.DelLabels), n.props.with(u.SetProps, u.DelProps)}, n.start}
+		if r := ref.refNode(u.NodeID, at, c.labels); r != nil && r.props.equal(c.props) {
 			c, shared = r, true
 		}
 		g.nodes.set(int(u.NodeID), c)
 
 	case model.OpAddRel:
-		if g.Node(u.Src) == nil || g.Node(u.Tgt) == nil {
+		if !g.HasNode(u.Src) || !g.HasNode(u.Tgt) {
 			return false, fmt.Errorf("%w: rel %d (%d->%d) at ts %d", model.ErrDangling, u.RelID, u.Src, u.Tgt, u.TS)
 		}
-		if g.Rel(u.RelID) != nil {
+		if g.rels.get(int(u.RelID)) != nil {
 			return false, fmt.Errorf("%w: rel %d at ts %d", model.ErrExists, u.RelID, u.TS)
 		}
-		r := ref.sameRel(u.RelID, at, u.Src, u.Tgt, u.RelLabel, u.SetProps)
-		if shared = r != nil && len(u.DelProps) == 0; !shared {
-			r = &model.Rel{ID: u.RelID, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel,
-				Valid: model.Interval{Start: u.TS, End: model.TSInfinity}}
-			u.ApplyToRel(r)
+		r := ref.refRel(u.RelID, at, u.Src, u.Tgt, u.RelLabel)
+		if shared = r != nil && r.props.is(u.SetProps) && len(u.DelProps) == 0; !shared {
+			if g.blankRel == nil || g.blankRel.label != u.RelLabel {
+				g.blankRel = &relAttrs{label: u.RelLabel}
+			}
+			r = &relRec{u.Src, u.Tgt, u.TS, g.blankRel}
+			if len(u.SetProps) > 0 {
+				r.relAttrs = &relAttrs{u.RelLabel, props(nil).with(u.SetProps, u.DelProps)}
+			}
 		}
 		g.rels.set(int(u.RelID), r)
 		var refOut, refIn *vec[[]model.RelID]
@@ -217,23 +259,22 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 		g.relCount++
 
 	case model.OpDeleteRel:
-		r := g.Rel(u.RelID)
+		r := g.rels.get(int(u.RelID))
 		if r == nil {
 			return false, fmt.Errorf("%w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
 		}
 		g.rels.set(int(u.RelID), nil)
-		removeAdj(&g.out, r.Src, u.RelID)
-		removeAdj(&g.in, r.Tgt, u.RelID)
+		removeAdj(&g.out, r.src, u.RelID)
+		removeAdj(&g.in, r.tgt, u.RelID)
 		g.relCount--
 
 	case model.OpUpdateRel:
-		r := g.Rel(u.RelID)
+		r := g.rels.get(int(u.RelID))
 		if r == nil {
 			return false, fmt.Errorf("%w: rel %d at ts %d", model.ErrNotFound, u.RelID, u.TS)
 		}
-		c := r.Clone()
-		u.ApplyToRel(c)
-		if s := ref.sameRel(u.RelID, at, c.Src, c.Tgt, c.Label, c.Props); s != nil {
+		c := &relRec{r.src, r.tgt, r.start, &relAttrs{r.label, r.props.with(u.SetProps, u.DelProps)}}
+		if s := ref.refRel(u.RelID, at, c.src, c.tgt, c.label); s != nil && s.props.equal(c.props) {
 			c, shared = s, true
 		}
 		g.rels.set(int(u.RelID), c)
@@ -245,28 +286,29 @@ func (g *Graph) ApplyShared(u model.Update, ref *Graph) (shared bool, err error)
 	return shared, nil
 }
 
-// sameNode returns ref's node id when it is the incarnation a graph at time at
-// holds — created at or before at; it is live in ref, so not deleted since —
-// and carries exactly these labels, in this order, and these properties: the
-// object that may stand in for a node built from them. nil when ref is nil.
-func (ref *Graph) sameNode(id model.NodeID, at model.Timestamp, labels []string, props model.Properties) *model.Node {
+// refNode returns ref's record of node id when it is the incarnation a graph
+// at time at holds — created at or before at; it is live in ref, so not
+// deleted since — and carries exactly these labels, in this order: the record
+// that may stand in for one built with them and equal properties. nil when ref
+// is nil.
+func (ref *Graph) refNode(id model.NodeID, at model.Timestamp, labels []string) *nodeRec {
 	if ref == nil {
 		return nil
 	}
-	n := ref.Node(id)
-	if n == nil || n.Valid.Start > at || !slices.Equal(n.Labels, labels) || !n.Props.Equal(props) {
+	n := ref.nodes.get(int(id))
+	if n == nil || n.start > at || !slices.Equal(n.labels, labels) {
 		return nil
 	}
 	return n
 }
 
-// sameRel is sameNode for a relationship; its endpoints and label are content.
-func (ref *Graph) sameRel(id model.RelID, at model.Timestamp, src, tgt model.NodeID, label string, props model.Properties) *model.Rel {
+// refRel is refNode for a relationship; its endpoints and label are content.
+func (ref *Graph) refRel(id model.RelID, at model.Timestamp, src, tgt model.NodeID, label string) *relRec {
 	if ref == nil {
 		return nil
 	}
-	r := ref.Rel(id)
-	if r == nil || r.Valid.Start > at || r.Src != src || r.Tgt != tgt || r.Label != label || !r.Props.Equal(props) {
+	r := ref.rels.get(int(id))
+	if r == nil || r.start > at || r.src != src || r.tgt != tgt || r.label != label {
 		return nil
 	}
 	return r
@@ -309,30 +351,18 @@ func removeAdj(lists *vec[[]model.RelID], id model.NodeID, rid model.RelID) {
 }
 
 // ShareChunks makes g hold ref's chunk wherever the two hold the same entries:
-// the same entity objects, or the same adjacency arrays at the same lengths —
-// what ApplyShared leaves wherever g's content is ref's — so that g keeps none
-// of its own copies of them alive. ref must be a handle nobody writes, such as
-// a Clone: then neither it nor the graph it was cloned from writes those
-// chunks in place again, and g copies one before it writes to it.
+// the same records, or the same adjacency arrays at the same lengths — what
+// ApplyShared leaves wherever g's content is ref's — so that g keeps none of
+// its own copies of them alive. ref must be a handle nobody writes, such as a
+// Clone: then neither it nor the graph it was cloned from writes those chunks
+// in place again, and g copies one before it writes to it.
 func (g *Graph) ShareChunks(ref *Graph) {
 	g.unshare()
-	g.nodes.adopt(&ref.nodes, func(a, b *model.Node) bool { return a == b })
-	g.rels.adopt(&ref.rels, func(a, b *model.Rel) bool { return a == b })
+	g.nodes.adopt(&ref.nodes, func(a, b *nodeRec) bool { return a == b })
+	g.rels.adopt(&ref.rels, func(a, b *relRec) bool { return a == b })
 	sameList := func(a, b []model.RelID) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
 	g.out.adopt(&ref.out, sameList)
 	g.in.adopt(&ref.in, sameList)
-}
-
-// nextVersion is n.Clone() for the node update u about to be applied to the
-// copy: the label slice stays shared with n unless u edits labels, because
-// ApplyToNode edits them in place and most updates only set properties.
-func nextVersion(n *model.Node, u model.Update) *model.Node {
-	c := *n
-	c.Props = n.Props.Clone()
-	if len(u.AddLabels)+len(u.DelLabels) > 0 {
-		c.Labels = slices.Clone(n.Labels)
-	}
-	return &c
 }
 
 // Unite folds u into g the way a window gathers history (timestore's
@@ -343,11 +373,11 @@ func (g *Graph) Unite(u model.Update) error {
 	switch {
 	case u.Kind == model.OpDeleteNode || u.Kind == model.OpDeleteRel:
 		return nil
-	case u.Kind == model.OpAddNode && g.Node(u.NodeID) != nil:
+	case u.Kind == model.OpAddNode && g.HasNode(u.NodeID):
 		g.unshare()
 		g.nodes.set(int(u.NodeID), nil)
 		g.nodeCount--
-	case u.Kind == model.OpAddRel && g.Rel(u.RelID) != nil:
+	case u.Kind == model.OpAddRel && g.rels.get(int(u.RelID)) != nil:
 		if err := g.Apply(model.DeleteRel(u.TS, u.RelID, 0, 0)); err != nil {
 			return err
 		}
@@ -385,20 +415,18 @@ func (g *Graph) Export() []model.Update {
 // paper's Table 3 accounting constants plus property payloads.
 func (g *Graph) ApproxBytes() int64 {
 	var b int64
-	g.ForEachNode(func(n *model.Node) bool {
-		b += NodeBytes
-		for _, l := range n.Labels {
-			b += int64(len(l))
-		}
-		for k, v := range n.Props {
-			b += int64(len(k) + v.ApproxBytes())
+	g.nodes.each(func(_ int, n *nodeRec) bool {
+		if n != nil {
+			b += NodeBytes + n.props.bytes()
+			for _, l := range n.labels {
+				b += int64(len(l))
+			}
 		}
 		return true
 	})
-	g.ForEachRel(func(r *model.Rel) bool {
-		b += RelBytes
-		for k, v := range r.Props {
-			b += int64(len(k) + v.ApproxBytes())
+	g.rels.each(func(_ int, r *relRec) bool {
+		if r != nil {
+			b += RelBytes + r.props.bytes()
 		}
 		return true
 	})
@@ -421,9 +449,11 @@ func (g *Graph) BuildDenseMap() *DenseMap {
 		ToDense:  make(map[model.NodeID]int32, g.nodeCount),
 		ToSparse: make([]model.NodeID, 0, g.nodeCount),
 	}
-	g.ForEachNode(func(n *model.Node) bool {
-		dm.ToDense[n.ID] = int32(len(dm.ToSparse))
-		dm.ToSparse = append(dm.ToSparse, n.ID)
+	g.nodes.each(func(i int, n *nodeRec) bool {
+		if n != nil {
+			dm.ToDense[model.NodeID(i)] = int32(len(dm.ToSparse))
+			dm.ToSparse = append(dm.ToSparse, model.NodeID(i))
+		}
 		return true
 	})
 	return dm

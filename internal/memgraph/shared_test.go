@@ -1,7 +1,7 @@
 package memgraph
 
 // ApplyShared: a graph materialised beside a reference holds the reference's
-// objects wherever the two agree, and nothing a reader can see says so except
+// records wherever the two agree, and nothing a reader can see says so except
 // Valid.Start, which stays at or before the graph's own time.
 
 import (
@@ -185,7 +185,7 @@ func sameChunks[T any](v, ref *vec[T]) (n int) {
 }
 
 // applyShared folds us into g beside ref and returns how many of the entity
-// versions they produced are ref's objects.
+// versions they produced are ref's records.
 func applyShared(t *testing.T, g, ref *Graph, us []model.Update) (shared int) {
 	t.Helper()
 	for _, u := range us {
@@ -200,12 +200,24 @@ func applyShared(t *testing.T, g, ref *Graph, us []model.Update) (shared int) {
 	return shared
 }
 
-// wantSharedWithinTime checks the contract on every object g has in common
-// with ref — it was created at or before g's time — and returns their number.
+// sameRecord reports whether g holds node id's record (rels false) or
+// relationship id's (rels true) as ref does: the very same one.
+func sameRecord(g, ref *Graph, id int, rels bool) bool {
+	if rels {
+		r := g.rels.get(id)
+		return r != nil && r == ref.rels.get(id)
+	}
+	n := g.nodes.get(id)
+	return n != nil && n == ref.nodes.get(id)
+}
+
+// wantSharedWithinTime checks the contract on every record g has in common
+// with ref — it was created at or before g's time — and returns their number,
+// which sharedRecords must agree with.
 func wantSharedWithinTime(t *testing.T, label string, g, ref *Graph) (common int) {
 	t.Helper()
 	g.ForEachNode(func(n *model.Node) bool {
-		if n == ref.Node(n.ID) {
+		if sameRecord(g, ref, int(n.ID), false) {
 			common++
 			if n.Valid.Start > g.Timestamp() {
 				t.Errorf("%s: shared node %d starts at %d", label, n.ID, n.Valid.Start)
@@ -214,7 +226,7 @@ func wantSharedWithinTime(t *testing.T, label string, g, ref *Graph) (common int
 		return true
 	})
 	g.ForEachRel(func(r *model.Rel) bool {
-		if r == ref.Rel(r.ID) {
+		if sameRecord(g, ref, int(r.ID), true) {
 			common++
 			if r.Valid.Start > g.Timestamp() {
 				t.Errorf("%s: shared relationship %d starts at %d", label, r.ID, r.Valid.Start)
@@ -222,6 +234,9 @@ func wantSharedWithinTime(t *testing.T, label string, g, ref *Graph) (common int
 		}
 		return true
 	})
+	if nodes, rels := sharedRecords(g, ref); nodes+rels != common {
+		t.Errorf("%s: sharedRecords counts %d nodes and %d relationships, %d shared", label, nodes, rels, common)
+	}
 	return common
 }
 
@@ -263,11 +278,11 @@ func TestApplySharedChangesNothingReadable(t *testing.T) {
 			// graph holds again with the same content — born later.
 			for _, u := range full {
 				var start model.Timestamp = -1
-				if n := ref.Node(u.NodeID); u.Kind == model.OpAddNode && n != nil && n != beside.Node(u.NodeID) &&
+				if n := ref.Node(u.NodeID); u.Kind == model.OpAddNode && n != nil && !sameRecord(beside, ref, int(u.NodeID), false) &&
 					slices.Equal(n.Labels, u.AddLabels) && n.Props.Equal(u.SetProps) {
 					start = n.Valid.Start
 				}
-				if r := ref.Rel(u.RelID); u.Kind == model.OpAddRel && r != nil && r != beside.Rel(u.RelID) &&
+				if r := ref.Rel(u.RelID); u.Kind == model.OpAddRel && r != nil && !sameRecord(beside, ref, int(u.RelID), true) &&
 					r.Src == u.Src && r.Tgt == u.Tgt && r.Props.Equal(u.SetProps) {
 					start = r.Valid.Start
 				}
@@ -316,7 +331,7 @@ func TestApplySharedChangesNothingReadable(t *testing.T) {
 }
 
 // A→B→A: the version a snapshot holds is equal to the latest one, which is
-// another object of the same incarnation — shared. A re-creation is not.
+// another record of the same incarnation — shared. A re-creation is not.
 func TestApplySharedTellsIncarnationsApart(t *testing.T) {
 	p := func(v int64) model.Properties { return model.Properties{"p": model.IntValue(v)} }
 	latest := New()
@@ -342,33 +357,34 @@ func TestApplySharedTellsIncarnationsApart(t *testing.T) {
 	if got := applyShared(t, g, ref, full); got != 3 {
 		t.Errorf("%d entities shared, want nodes 0 and 1 and relationship 0", got)
 	}
-	if g.Node(0) != ref.Node(0) || g.Node(1) != ref.Node(1) || g.Rel(0) != ref.Rel(0) {
+	if !sameRecord(g, ref, 0, false) || !sameRecord(g, ref, 1, false) || !sameRecord(g, ref, 0, true) {
 		t.Error("an entity whose content returned to what the snapshot holds is not shared")
 	}
-	if g.Rel(1) == ref.Rel(1) || g.Rel(1).Valid.Start != 1 {
+	if sameRecord(g, ref, 1, true) || g.Rel(1).Valid.Start != 1 {
 		t.Errorf("relationship 1 was created again at 5; the graph at 1 holds %+v", g.Rel(1))
 	}
 	// The same records at 5 or later are the latest graph's, all four.
 	for i := range full {
 		full[i].TS = 5
 	}
-	if g = New(); applyShared(t, g, ref, full) != 4 || g.Rel(1) != ref.Rel(1) {
+	if g = New(); applyShared(t, g, ref, full) != 4 || !sameRecord(g, ref, 1, true) {
 		t.Error("at the re-creation's own time the new incarnation is the graph's")
 	}
-	// Other endpoints, another label order: content differs.
+	// Other endpoints, another label order, another type: content differs.
 	other := []model.Update{
 		model.AddNode(5, 0, []string{"A"}, p(1)),
 		model.AddNode(5, 1, nil, p(1)),
 		model.AddRel(5, 0, 1, 0, "R", p(1)),
+		model.AddRel(5, 1, 0, 1, "S", p(1)),
 	}
-	if g = New(); applyShared(t, g, ref, other) != 1 || g.Rel(0) == ref.Rel(0) || g.Node(1) == ref.Node(1) {
-		t.Error("a relationship between other endpoints or a node with other labels was shared")
+	if g = New(); applyShared(t, g, ref, other) != 1 || sameRecord(g, ref, 0, true) || sameRecord(g, ref, 1, false) || sameRecord(g, ref, 1, true) {
+		t.Error("a relationship between other endpoints or of another type, or a node with other labels, was shared")
 	}
 }
 
 // Loading a full that the reference holds entirely allocates the graph's
-// chunks and nothing per entity: no node, no property map, no label slice, no
-// adjacency list — those are the reference's. ShareChunks then trades every
+// chunks and nothing per entity: no record, no property slice, no label slice,
+// no adjacency list — those are the reference's. ShareChunks then trades every
 // chunk for the reference's own.
 func TestApplySharedOfEqualFullAllocatesVectorsOnly(t *testing.T) {
 	const nodes, rels = 2000, 8000
@@ -410,4 +426,23 @@ func TestApplySharedOfEqualFullAllocatesVectorsOnly(t *testing.T) {
 		exportBytes(t, enc.NewCodec(strstore.NewMem()), ref) != exported {
 		t.Error("a write to the loaded graph reached the reference")
 	}
+}
+
+// sharedRecords counts the live nodes and relationships whose record g holds
+// as ref does, the very same one: what ApplyShared and ShareChunks leave
+// shared.
+func sharedRecords(g, ref *Graph) (nodes, rels int) {
+	g.nodes.each(func(i int, r *nodeRec) bool {
+		if r != nil && r == ref.nodes.get(i) {
+			nodes++
+		}
+		return true
+	})
+	g.rels.each(func(i int, r *relRec) bool {
+		if r != nil && r == ref.rels.get(i) {
+			rels++
+		}
+		return true
+	})
+	return nodes, rels
 }

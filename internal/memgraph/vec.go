@@ -3,7 +3,7 @@ package memgraph
 import "slices"
 
 // chunkLen is the copy-on-write unit of every id-indexed vector: 256 entries,
-// 2 KiB of entity pointers or 6 KiB of adjacency lists.
+// 2 KiB of record pointers or 6 KiB of adjacency lists.
 const (
 	chunkBits = 8
 	chunkLen  = 1 << chunkBits
@@ -84,14 +84,15 @@ func (v *vec[T]) unshare() {
 	}
 }
 
-// each calls fn with every entry in index order until fn returns false.
-func (v *vec[T]) each(fn func(x T) bool) {
-	for _, s := range v.dir {
+// each calls fn with every entry and its index, in index order, until fn
+// returns false.
+func (v *vec[T]) each(fn func(i int, x T) bool) {
+	for k, s := range v.dir {
 		if s.c == nil {
 			continue
 		}
-		for _, x := range s.c.v[:] {
-			if !fn(x) {
+		for j, x := range s.c.v[:] {
+			if !fn(k<<chunkBits|j, x) {
 				return
 			}
 		}

@@ -144,6 +144,10 @@ func appInterval(p Properties) Interval {
 type Graph interface {
 	Node(id NodeID) *Node // nil if absent
 	Rel(id RelID) *Rel    // nil if absent
+	// HasNode and Ends answer what Node and Rel do by id, building no entity:
+	// whether node id is live, and relationship id's endpoints, ok if live.
+	HasNode(id NodeID) bool
+	Ends(id RelID) (src, tgt NodeID, ok bool)
 	// Neighbours calls fn with each relationship incident to id in d and its
 	// other end (a self-loop twice in Both) until fn returns false.
 	Neighbours(id NodeID, d Direction, fn func(r *Rel, nb NodeID) bool)

@@ -134,27 +134,23 @@ func (u Update) ApplyToNode(n *Node) {
 			n.Labels = append(n.Labels, l)
 		}
 	}
-	if len(u.SetProps) > 0 && n.Props == nil {
-		n.Props = make(Properties, len(u.SetProps))
-	}
-	for k, v := range u.SetProps {
-		n.Props[k] = v
-	}
-	for _, k := range u.DelProps {
-		delete(n.Props, k)
-	}
+	u.applyProps(&n.Props)
 }
 
 // ApplyToRel folds the update's delta into the relationship state in place.
-func (u Update) ApplyToRel(r *Rel) {
-	if len(u.SetProps) > 0 && r.Props == nil {
-		r.Props = make(Properties, len(u.SetProps))
+func (u Update) ApplyToRel(r *Rel) { u.applyProps(&r.Props) }
+
+// applyProps sets and then deletes the update's properties in *p, making the
+// map when a set needs one.
+func (u Update) applyProps(p *Properties) {
+	if len(u.SetProps) > 0 && *p == nil {
+		*p = make(Properties, len(u.SetProps))
 	}
 	for k, v := range u.SetProps {
-		r.Props[k] = v
+		(*p)[k] = v
 	}
 	for _, k := range u.DelProps {
-		delete(r.Props, k)
+		delete(*p, k)
 	}
 }
 

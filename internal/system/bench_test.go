@@ -16,6 +16,7 @@ import (
 	"aion/internal/btree"
 	"aion/internal/datagen"
 	"aion/internal/hostdb"
+	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/pagecache"
 	"aion/internal/testkit/benchshape"
@@ -92,39 +93,48 @@ var residentProfile = flag.String("resident.profile", "", "BenchmarkResident: wr
 
 // residentBudget is BenchmarkResident's ceiling in live heap bytes per loaded
 // update, measured after 20 000 expand reads: one resident copy of the
-// current graph, its decoded strings sharing the string table's boxes, no
-// record-store page read back by replay and no clean LineageStore page on the
-// heap measures 171.7, and the budget is that + 10 % (199.4 when the reads
-// left their pages in heap frames, 192 with replay refilling the record
-// caches and a box per decoded string, 248 with a 40-byte model.Value on top,
-// two copies 514, and a per-entity label map beside the one copy 273), so a
-// wider Value, a second copy of the graph or of its labels, or tree pages
-// copied to the heap creeping back in fails the benchmark.
-const residentBudget = 189
+// current graph in immutable records pointing to shared attributes, its
+// decoded strings sharing the string table's boxes, no record-store page read
+// back by replay and no clean LineageStore page on the heap measures 69.6, and
+// the budget is that + 10 % (75.0 with labels or type and property slice in
+// every record, 171.7 when every entity was a *model.Node or
+// *model.Rel with a property map, 199.4 when on top the reads left their pages
+// in heap frames, 192 with replay refilling the record caches and a box per
+// decoded string, 248 with a 40-byte model.Value, two copies 514), so property
+// maps, a wider Value, a second copy of the graph or tree pages copied to the
+// heap creeping back in fail the benchmark.
+const residentBudget = 77
 
 // cacheHeapBudget is BenchmarkResident's ceiling, in MiB, on what the snapshot
 // cache adds to the live heap once the newest quarter of history has been read
-// through benchmark/'s 48 MiB GraphStore: 6.95 with loaded graphs holding the
-// latest graph's chunks wherever they hold the same entries (8.0 with a
-// 40-byte model.Value), 14.5 when every loaded graph held vectors of its own
-// (and 86.6 when it held its own entities too).
-const cacheHeapBudget = 7.6
+// through benchmark/'s 48 MiB GraphStore: 3.38 with loaded graphs holding the
+// latest graph's chunks wherever they hold the same entries, in records that
+// point to shared attributes, and the budget is that + 10 % (5.21 with the
+// attributes in every record, 6.95 with property maps, 8.0 with a 40-byte
+// model.Value on top, 14.5 when every loaded graph held vectors of its own and
+// 86.6 when it held its own entities too).
+const cacheHeapBudget = 3.7
 
 // writeHeapBudget is BenchmarkResident's ceiling, in MiB, on what 65 536
-// single-statement commits add to the live heap: 5.0 with a pull costing the
-// host the chunks it next writes, and the budget is that + 10 %. The
+// single-statement commits add to the live heap: 1.63 with a pull costing the
+// host the chunks it next writes and the graph in records, and the budget is
+// that + 10 % (5.0 with property maps). The row is net of the three cached
+// graphs of the second phase that the commits' policy snapshots evict: with
+// records pointing to shared attributes those free 1.8 MiB less, and it reads
+// 3.07 while the three rows together fall 21.31 → 19.89 MiB. The
 // record-store and LineageStore pages these commits write are the files'
 // own, written through their mappings: 11.4 when every written page took a
 // 4 KiB heap frame until eviction or Close, which fails it. It was 17.5 when
 // a pull cost a copy of the host's vectors that the policy snapshot then
 // kept, and 30.0 when the TimeStore applied each commit to a graph of its own.
-const writeHeapBudget = 5.5
+const writeHeapBudget = 1.8
 
 // openWriteBudget is BenchmarkResident's ceiling, in MiB, on the open store
 // and the commits together, where moving pages from one row to the other nets
-// out: 38.2, and the budget is that + 10 % (44.6 with written pages in heap
-// frames, 49.9 when the expand reads left theirs there too).
-const openWriteBudget = 42
+// out: 16.1, and the budget is that + 10 % (38.2 with property maps, 44.6 on
+// top with written pages in heap frames, 49.9 when the expand reads left
+// theirs there too).
+const openWriteBudget = 17.7
 
 // writeCycle commits ingest-commit's four statements, one commit each: create
 // a node, set a property on one of the first 512, create a relationship from
@@ -168,6 +178,8 @@ func BenchmarkResident(b *testing.B) {
 	opts.Aion.GraphStoreBytes = 48 << 20
 	opts.SyncCommits = false // the third phase's 131 072 fsyncs would be most of the run, and hold no heap
 	var base, open, read, wrote runtime.MemStats
+	var entities int
+	var accounted int64
 	for i := 0; i < b.N; i++ {
 		runtime.GC()
 		runtime.GC()
@@ -180,6 +192,7 @@ func BenchmarkResident(b *testing.B) {
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&open)
+		s.Host.View(func(g *memgraph.Graph) { entities, accounted = g.NodeCount()+g.RelCount(), g.ApproxBytes() })
 		if *residentProfile != "" && i == b.N-1 {
 			f, err := os.Create(*residentProfile)
 			if err == nil {
@@ -201,7 +214,7 @@ func BenchmarkResident(b *testing.B) {
 		runtime.GC()
 		runtime.ReadMemStats(&read)
 		st := ts.Stats()
-		b.Logf("cached graphs: %d holding %.1f accounted MiB; %d entity versions loaded, %d of them the latest graph's objects",
+		b.Logf("cached graphs: %d holding %.1f accounted MiB; %d entity versions loaded, %d of them records shared with the latest graph",
 			st.GraphStore.Snapshots, float64(st.GraphStore.Bytes)/(1<<20), st.LoadedEntities, st.SharedEntities)
 		nodes, _ := s.Host.Counts()
 		for c := 0; c < 4*16384/4; c++ {
@@ -221,10 +234,13 @@ func BenchmarkResident(b *testing.B) {
 		}
 	}
 	live := float64(open.HeapAlloc - base.HeapAlloc)
+	b.Logf("resident: %.1f B per entity over %d entities (Table 3 books 60 B a node, 68 B a relationship and 4 B an adjacency entry: %.1f B per entity here)",
+		live/float64(entities), entities, float64(accounted)/float64(entities))
 	cache := (float64(read.HeapAlloc) - float64(open.HeapAlloc)) / (1 << 20)
 	write := (float64(wrote.HeapAlloc) - float64(read.HeapAlloc)) / (1 << 20)
 	b.ReportMetric(live/(1<<20), "heap-MiB")
 	b.ReportMetric(live/float64(updates), "heap-B/update")
+	b.ReportMetric(live/float64(entities), "heap-B/entity")
 	b.ReportMetric(cache, "cache-heap-MiB")
 	b.ReportMetric(write, "write-heap-MiB")
 	if live/float64(updates) > residentBudget {

@@ -2,7 +2,7 @@ package system
 
 // One resident current graph: the host's committed graph is the only one, and
 // the TimeStore borrows it. These tests pin that every graph a policy snapshot
-// caches is made of the host's own entity objects, that a commit applies once
+// caches is made of the host's own entity records, that a commit applies once
 // and copies nothing, when the host's graph may and may not be taken, and that
 // none of it changes what a query or a snapshot file can observe.
 
@@ -24,6 +24,7 @@ import (
 	"aion/internal/hostdb"
 	"aion/internal/memgraph"
 	"aion/internal/model"
+	"aion/internal/testkit/memshare"
 	"aion/internal/testkit/tstest"
 	"aion/internal/testkit/vfstest"
 )
@@ -152,7 +153,7 @@ func shipper(t *testing.T, p, f *residentSys) func() {
 }
 
 // unshared counts, over the graphs the GraphStore holds at the policy
-// elements' timestamps, the entities whose object is not the one the host's
+// elements' timestamps, the entities whose record is not the one the host's
 // committed graph held at that commit. Graphs of an earlier process life are
 // left out: their host is gone.
 func (r *residentSys) unshared() (unshared, total, graphs int) {
@@ -172,30 +173,19 @@ func (r *residentSys) unshared() (unshared, total, graphs int) {
 			continue
 		}
 		graphs++
-		g.ForEachNode(func(n *model.Node) bool {
-			total++
-			if host.Node(n.ID) != n {
-				unshared++
-			}
-			return true
-		})
-		g.ForEachRel(func(rel *model.Rel) bool {
-			total++
-			if host.Rel(rel.ID) != rel {
-				unshared++
-			}
-			return true
-		})
+		nodes, rels := memshare.Records(g, host)
+		total += g.NodeCount() + g.RelCount()
+		unshared += g.NodeCount() + g.RelCount() - nodes - rels
 	}
 	return unshared, total, graphs
 }
 
-// wantOneGraph asserts every cached policy snapshot holds the host's objects
+// wantOneGraph asserts every cached policy snapshot holds the host's records
 // and nothing else.
 func (r *residentSys) wantOneGraph(label string) {
 	r.t.Helper()
 	if un, total, graphs := r.unshared(); un != 0 || graphs == 0 {
-		r.t.Errorf("%s: %d of the %d entities in %d cached policy snapshots are not the host's own objects", label, un, total, graphs)
+		r.t.Errorf("%s: %d of the %d entities in %d cached policy snapshots are not the host's own records", label, un, total, graphs)
 	}
 }
 
@@ -670,10 +660,10 @@ func (r *residentSys) chainElements() []chainElement {
 }
 
 // TestCachedGraphsShareWithLatest: a graph materialised from element files
-// holds the latest graph's objects for every entity the history has not
+// holds the latest graph's records for every entity the history has not
 // touched since that element. A reopened store reads each of its policy
 // elements — every one a miss, a full or a delta on its cached neighbour —
-// while a committer keeps replacing objects of the latest graph; afterwards
+// while a committer keeps replacing records of the latest graph; afterwards
 // each cached graph differs from the latest in exactly the entities some later
 // commit names, and every read still answers what a replay from zero does.
 func TestCachedGraphsShareWithLatest(t *testing.T) {
@@ -751,29 +741,23 @@ func TestCachedGraphsShareWithLatest(t *testing.T) {
 				touched[u.EntityKey()] = true
 			}
 		}
-		unshared, want, total := 0, 0, 0
+		want, total := 0, g.NodeCount()+g.RelCount()
+		nodes, rels := memshare.Records(g, latest)
+		unshared := total - nodes - rels
 		g.ForEachNode(func(n *model.Node) bool {
-			total++
-			if latest.Node(n.ID) != n {
-				unshared++
-			}
 			if touched[int64(n.ID)<<1] {
 				want++
 			}
 			return true
 		})
 		g.ForEachRel(func(rel *model.Rel) bool {
-			total++
-			if latest.Rel(rel.ID) != rel {
-				unshared++
-			}
 			if touched[int64(rel.ID)<<1|1] {
 				want++
 			}
 			return true
 		})
 		if unshared != want || total == 0 {
-			t.Errorf("the graph cached at %d holds %d of %d entities that are not the latest graph's objects; %d were updated since", at, unshared, total, want)
+			t.Errorf("the graph cached at %d holds %d of %d entities that are not the latest graph's records; %d were updated since", at, unshared, total, want)
 		}
 	}
 	r.verify("after sharing")

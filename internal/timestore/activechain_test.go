@@ -18,6 +18,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/testkit/memshare"
 	"aion/internal/testkit/vfstest"
 	"aion/internal/vfs"
 	"aion/internal/wal"
@@ -224,14 +225,9 @@ func mustGraph(t *testing.T, s *Store, ts model.Timestamp) *memgraph.Graph {
 	return g
 }
 
-// sharedNodes counts the nodes a and b hold as the very same object.
-func sharedNodes(a, b *memgraph.Graph) (n int) {
-	a.ForEachNode(func(x *model.Node) bool {
-		if b.Node(x.ID) == x {
-			n++
-		}
-		return true
-	})
+// sharedNodes counts the nodes a and b hold as the very same record.
+func sharedNodes(a, b *memgraph.Graph) int {
+	n, _ := memshare.Records(a, b)
 	return n
 }
 

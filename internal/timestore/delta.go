@@ -194,7 +194,7 @@ func (s *Store) elemComplete(e chainElem) (bool, error) {
 // for it (nil: none): the graph is also cached for the next reader when it is
 // complete at its timestamp and nothing is cached there yet — the snapshot
 // worker publishes the element's file before its graph, and a reader's copy,
-// shared with a later committed graph, holds private objects for whatever
+// shared with a later committed graph, holds private records for whatever
 // changed in between.
 func (s *Store) materializeElem(ctx context.Context, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
 	// One O(1) handle on the committed graph serves the load and the rebase:

@@ -10,6 +10,7 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/testkit/memshare"
 )
 
 // fakeHost stands in for a host database: the graph its commits add up to,
@@ -64,7 +65,7 @@ func commitsOf(us []model.Update) (commits [][]model.Update) {
 // applies nothing and keeps no graph, yet fed one commit per round it writes
 // the chain a stand-alone twin writes — same names, same bytes — because a due
 // snapshot is captured at the end of the batch that made it due and scheduled
-// at the next boundary; its Latest is the host's own objects; every read
+// at the next boundary; its Latest is the host's own records; every read
 // answers a replay from zero.
 func TestHostedStoreWritesWhatAStandAloneOneDoes(t *testing.T) {
 	us := recreateTail(fenceHistory(3, 1200))
@@ -94,14 +95,10 @@ func TestHostedStoreWritesWhatAStandAloneOneDoes(t *testing.T) {
 	if got, want := digestFiles(t, filepath.Join(opts.Dir, "p-1", "*.dsnap")), digestFiles(t, filepath.Join(alone.Dir, "p-1", "*.dsnap")); got != want {
 		t.Error("the hosted store's chain files differ from the stand-alone twin's")
 	}
-	latest, total := latestOf(t, h), 0
-	host.g.ForEachNode(func(n *model.Node) bool {
-		total++
-		if latest.Node(n.ID) != n {
-			t.Errorf("Latest holds another object than the host for node %d", n.ID)
-		}
-		return true
-	})
+	latest, total := latestOf(t, h), host.g.NodeCount()
+	if shared, _ := memshare.Records(host.g, latest); shared != total {
+		t.Errorf("Latest holds another record than the host for %d of %d nodes", total-shared, total)
+	}
 	if total == 0 || latest.NodeCount() != total || latest.Timestamp() != us[len(us)-1].TS {
 		t.Errorf("Latest: %d nodes at %d, the host holds %d", latest.NodeCount(), latest.Timestamp(), total)
 	}
@@ -243,8 +240,8 @@ func TestOpenHostedLoadsNothing(t *testing.T) {
 			st := s.Stats()
 			// One pull for the state at the log's end; refused, the load of the
 			// newest element pulls its reference.
-			if shared := g.Rel(38) == tc.host.g.Rel(38); shared != tc.shared || st.LatestPulls != map[bool]uint64{true: 1, false: 2}[tc.shared] || st.LatestMismatches != 0 {
-				t.Errorf("Latest is the host's graph: %v (%d pulls, %d mismatches), want %v", shared, st.LatestPulls, st.LatestMismatches, tc.shared)
+			if _, rels := memshare.Records(g, tc.host.g); (rels == g.RelCount()) != tc.shared || st.LatestPulls != map[bool]uint64{true: 1, false: 2}[tc.shared] || st.LatestMismatches != 0 {
+				t.Errorf("Latest shares %d of %d relationship records with the host (%d pulls, %d mismatches), want all: %v", rels, g.RelCount(), st.LatestPulls, st.LatestMismatches, tc.shared)
 			}
 			// Fences and positions are laid the same either way.
 			at, err := s.GetGraphContext(context.Background(), 25)

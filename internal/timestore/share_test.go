@@ -8,9 +8,10 @@ import (
 	"aion/internal/enc"
 	"aion/internal/model"
 	"aion/internal/strstore"
+	"aion/internal/testkit/memshare"
 )
 
-// A graph loaded from an element file holds the latest graph's own objects
+// A graph loaded from an element file holds the latest graph's own records
 // for everything the history has left alone since, and none when the history
 // rewrote every entity after the snapshot; either way every read answers what
 // a replay from zero does, and the counters say which it was.
@@ -60,21 +61,9 @@ func TestLoadedElementSharesWithLatest(t *testing.T) {
 			if loaded != 2*n-1 || shared != want {
 				t.Errorf("loading the full produced %d entities, %d of them the latest graph's; want %d and %d", loaded, shared, 2*n-1, want)
 			}
-			same, latest := 0, latestOf(t, s)
-			g.ForEachNode(func(x *model.Node) bool {
-				if x == latest.Node(x.ID) {
-					same++
-				}
-				return true
-			})
-			g.ForEachRel(func(x *model.Rel) bool {
-				if x == latest.Rel(x.ID) {
-					same++
-				}
-				return true
-			})
-			if uint64(same) != want {
-				t.Errorf("GetGraph(2) holds %d of the latest graph's objects, want %d", same, want)
+			nodes, rels := memshare.Records(g, latestOf(t, s))
+			if uint64(nodes+rels) != want {
+				t.Errorf("GetGraph(2) holds %d of the latest graph's records, want %d", nodes+rels, want)
 			}
 			if o.digest(g.Export()) != o.digest(o.graphAt(2).Export()) {
 				t.Error("GetGraph(2) differs from a replay from zero")

@@ -117,7 +117,7 @@ type Store struct {
 	encBuf   []byte // append-path scratch, guarded by mu (Sec 5.3)
 
 	// loadedEntities counts the entity versions element files have produced,
-	// sharedEntities those of them that are the committed graph's own objects.
+	// sharedEntities those of them that are the committed graph's own records.
 	loadedEntities, sharedEntities atomic.Uint64
 
 	// committed returns the committed graph — Options.Host, or own.Committed —
@@ -474,7 +474,7 @@ func (s *Store) pull() (*memgraph.Graph, model.Timestamp, uint64) {
 // Otherwise the graph is dropped — nil — and clock says which way the two
 // differ: a host is ahead inside a group-commit round or a shipment until the
 // round's last listener call, and while reconcile has a crash-lagged log to
-// catch up. The graph is the caller's own handle, sharing every entity object
+// catch up. The graph is the caller's own handle, sharing every entity record
 // with the host's; it carries the store's position, whatever stamp an aborted
 // commit left on the host's.
 func (s *Store) pullLocked() (g *memgraph.Graph, clock model.Timestamp) {
@@ -668,7 +668,7 @@ type Stats struct {
 	// LoadedEntities counts the entity versions that loading chain elements
 	// has produced — a record of a full, the result of a delta record —
 	// recovery's included; SharedEntities those for which the committed graph's
-	// own object was installed instead of a new one.
+	// own record was installed instead of a new one.
 	LoadedEntities uint64
 	SharedEntities uint64
 	// SnapshotErrors counts failed snapshot persists (background or
