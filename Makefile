@@ -187,13 +187,15 @@ restart-sweep:
 # vectors of its own; over 3.7 MiB fails the benchmark and the target. Its
 # third phase is the write row: write-heap-MiB, what ingest-commit's
 # four-statement cycle leaves on the live heap after 4 x 16 384
-# single-statement commits, net of the three second-phase graphs their policy
-# snapshots evict: 3.07, 1.63 when those graphs held 64 B records and so freed
-# more, since a page they write is the file's, in its shared mapping (5.0
-# with property maps, 11.4 when on top each written page took a heap frame
-# until eviction or Close, 17.5 when a pull cost the host a copy of its
-# vectors); over 1.8 MiB fails both. The first row, heap-MiB, is 13.45, the
-# graph in immutable records pointing to shared attributes (14.5 with the
+# single-statement commits, on the store reopened with an empty GraphStore:
+# 5.4, three policy snapshots cached among it (3.07, and 1.63 with 64 B
+# records, when the row was read net of three second-phase graphs those
+# snapshots evicted), since a page they write is the file's, in its shared
+# mapping (5.0 with property maps and the eviction, 11.4 when on top each
+# written page took a heap frame until eviction or Close, 17.5 when a pull
+# cost the host a copy of its vectors); over 1.8 MiB fails both, so the
+# target fails there. The first row, heap-MiB, is 13.45, the graph in
+# immutable records pointing to shared attributes (14.5 with the
 # attributes in every record, 33.2 with a *model.Node or *model.Rel and a
 # property map per entity, 38.5 when on top the reads left their pages in heap
 # frames); over 77 B per update fails, and so does a sum of the first and
@@ -239,9 +241,14 @@ disk-budget:
 # a fixed iteration count) per returned relationship, then the accesses per
 # returned relationship of as many incoming expands (in-gets/rel) and point
 # relationship reads (point-gets/rel: the in-memory source index names the
-# cluster, then one descent). It fails above 0.75 accesses, the 0.683 of an
-# expand that is one descent and one scan of the node's cluster + 10 % (2.722
-# with a descent per relationship), and above 5.0 point-gets/rel (4.17; 7.17
-# when a rels.idx descent named the cluster first).
+# cluster, then one descent), then the hub row: expands of the 400 nodes with
+# the most outgoing relationships at the last commit, in hub-ns/rel and
+# allocs/rel. It fails above 0.70 accesses, the 0.640 of an expand that is one
+# descent and one forward pass over the node's cluster + 10 % (0.683 when each
+# relationship's walk sought its window and its last cell, 2.722 with a
+# descent per relationship), above 5.0 point-gets/rel (4.17; 7.17 when a
+# rels.idx descent named the cluster first) and above 1.5 allocs/rel (1.13:
+# versions cut from a slab, a delta folded into its version's own map; 3.09
+# with a version and a decoded map per record).
 expand-budget:
 	$(GO) test -run '^$$' -bench BenchmarkExpand1 -benchtime 20000x ./internal/system/

@@ -93,6 +93,28 @@ func timed(fn func() error) side {
 	}
 }
 
+// minWork is the least work a timed run of a repeated side rests on: on a
+// 2-vCPU box Fig 12's 0.4–1.8 ms DBLP BFS runs flipped the figure's shape.
+const minWork = 20 * time.Millisecond
+
+// repeated is timed for work too short to time once: measure's untimed call
+// fixes how many runs, minWork's worth, each later call times; it returns
+// their mean.
+func repeated(fn func() error) side {
+	reps := 0
+	return func() (time.Duration, error) {
+		start, n := time.Now(), max(reps, 1)
+		for range n {
+			if err := fn(); err != nil {
+				return 0, err
+			}
+		}
+		d := time.Since(start)
+		reps = max(reps, int(minWork/max(d, 1))+1)
+		return d / time.Duration(n), nil
+	}
+}
+
 // measure is the harness's one measurement. It runs every side once untimed,
 // to fill the caches, pools and lazily built state a run leaves behind, then
 // rounds timed runs of each, the side that goes first rotating from round to

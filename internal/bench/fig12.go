@@ -82,7 +82,8 @@ func RunExtensionIncremental(c Config, snapshotCounts []int) ([]Fig12Row, error)
 }
 
 // runIncremental times each named algorithm of the table over every dataset's
-// snapshot series: every run evolves its own CoW clone of the first graph.
+// snapshot series: every run evolves its own CoW clone of the first graph,
+// and each timed sample repeats the run for at least minWork.
 func runIncremental(c Config, snapshotCounts []int, algs []string, title string) ([]Fig12Row, error) {
 	c.Defaults()
 	if len(snapshotCounts) == 0 {
@@ -98,7 +99,7 @@ func runIncremental(c Config, snapshotCounts []int, algs []string, title string)
 			}
 			for _, alg := range algs {
 				seed := incAlgos[alg]
-				d, err := measure(timed(func() error {
+				d, err := measure(repeated(func() error {
 					g := base.Clone()
 					state := seed(g)
 					for _, diff := range diffs {
@@ -106,7 +107,7 @@ func runIncremental(c Config, snapshotCounts []int, algs []string, title string)
 						state.ApplyDiff(g, diff)
 					}
 					return nil
-				}), timed(func() error {
+				}), repeated(func() error {
 					g := base.Clone()
 					seed(g)
 					for _, diff := range diffs {

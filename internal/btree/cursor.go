@@ -11,8 +11,10 @@ import (
 // From Tree.Cursor to Close it holds the tree's read lock — writers wait (a
 // long reader lets them in with Yield), other readers do not — and keeps the
 // root page from its first descent on, since every later one starts there.
-// Key and Value alias the current leaf: they are valid until the cursor next
-// moves, yields or closes, and the caller copies what it keeps. A goroutine
+// Key, Value and Cell alias the leaf's page, which is the file's own mapping
+// and which no writer changes while the cursor holds the lock: they stay
+// valid as the cursor moves on, until it yields or closes, and the caller
+// copies what it keeps longer. A goroutine
 // must not open a second cursor on the same tree while one is open (a writer
 // queued between the two read locks would deadlock both), and must Close on
 // every path. After an I/O error the cursor holds no leaf, every move reports
@@ -54,15 +56,19 @@ func (c *Cursor) Err() error { return c.err }
 
 // Key returns the current cell's key; the cursor must be on a cell.
 func (c *Cursor) Key() []byte {
-	k, _ := leafCell(c.page, slotOff(c.page, c.idx))
+	k, _ := c.Cell()
 	return k
 }
 
 // Value returns the current cell's value; the cursor must be on a cell.
 func (c *Cursor) Value() []byte {
-	_, v := leafCell(c.page, slotOff(c.page, c.idx))
+	_, v := c.Cell()
 	return v
 }
+
+// Cell returns the current cell's key and value; the cursor must be on a
+// cell.
+func (c *Cursor) Cell() (k, v []byte) { return leafCell(c.page, slotOff(c.page, c.idx)) }
 
 // SeekFloor moves to the largest key <= target and reports whether there is
 // one. When the cursor is on a cell of a leaf that holds that key, it looks

@@ -206,39 +206,40 @@ func dirOf(v model.Value) model.Direction {
 	return model.Outgoing
 }
 
-func procNode(c *Call) error {
-	ns, err := c.E.Sys.Aion.GetNodeContext(c.Ctx, model.NodeID(c.Args[0].Int()), c.ts(1), c.ts(2))
+// addVersions adds a (version, validFrom, validTo) row per version of vs —
+// or fails with err, the read's — each row a view of one backing array, not a
+// slice of its own.
+func addVersions[E any](c *Call, vs []E, err error, row func(E) (Val, model.Interval)) error {
 	if err != nil {
 		return err
 	}
-	for _, n := range ns {
-		c.Add(NodeVal(n), ScalarVal(model.IntValue(int64(n.Valid.Start))), ScalarVal(model.IntValue(int64(n.Valid.End))))
+	cells := make([]Val, 0, 3*len(vs))
+	c.rows = slices.Grow(c.rows, len(vs))
+	for _, v := range vs {
+		val, iv := row(v)
+		cells = append(cells, val, ScalarVal(model.IntValue(int64(iv.Start))), ScalarVal(model.IntValue(int64(iv.End))))
+		c.Add(cells[len(cells)-3 : len(cells) : len(cells)]...)
 	}
 	return nil
+}
+
+func nodeRow(n *model.Node) (Val, model.Interval) { return NodeVal(n), n.Valid }
+
+func relRow(r *model.Rel) (Val, model.Interval) { return RelVal(r), r.Valid }
+
+func procNode(c *Call) error {
+	ns, err := c.E.Sys.Aion.GetNodeContext(c.Ctx, model.NodeID(c.Args[0].Int()), c.ts(1), c.ts(2))
+	return addVersions(c, ns, err, nodeRow)
 }
 
 func procRelationship(c *Call) error {
 	rs, err := c.E.Sys.Aion.GetRelationshipContext(c.Ctx, model.RelID(c.Args[0].Int()), c.ts(1), c.ts(2))
-	if err != nil {
-		return err
-	}
-	for _, r := range rs {
-		c.Add(RelVal(r), ScalarVal(model.IntValue(int64(r.Valid.Start))), ScalarVal(model.IntValue(int64(r.Valid.End))))
-	}
-	return nil
+	return addVersions(c, rs, err, relRow)
 }
 
 func procRelationships(c *Call) error {
 	hists, err := c.E.Sys.Aion.GetRelationshipsContext(c.Ctx, model.NodeID(c.Args[0].Int()), dirOf(c.Args[1]), c.ts(2), c.ts(3))
-	if err != nil {
-		return err
-	}
-	for _, hist := range hists {
-		for _, r := range hist {
-			c.Add(RelVal(r), ScalarVal(model.IntValue(int64(r.Valid.Start))), ScalarVal(model.IntValue(int64(r.Valid.End))))
-		}
-	}
-	return nil
+	return addVersions(c, slices.Concat(hists...), err, relRow)
 }
 
 func procExpand(c *Call) error {

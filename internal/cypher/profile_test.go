@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"aion/internal/hostdb"
+	"aion/internal/lineagestore"
 	"aion/internal/model"
+	"aion/internal/testkit/refmodel"
 )
 
 // TestParseProfile: PROFILE prefixes a CALL; it is not a keyword, so a name
@@ -145,6 +147,141 @@ func TestProfileRelationship(t *testing.T) {
 			if row[0].S.Str() != op || row[2].S.Int() != c.versions || row[3].S.Int() != c.descents {
 				t.Errorf("rel %d over [%d, %d): row %v, want %s with %d rows and %d descents", c.rel, c.start, c.end, row, op, c.versions, c.descents)
 			}
+		}
+	}
+}
+
+// TestProfileHubScan: the outgoing scan of a hub whose cluster spans several
+// leaves — delta chains, materialized records, a deletion and a re-insertion —
+// is one descent and one forward pass. At every commit timestamp, at an
+// instant and over windows, PROFILE reports one descent and exactly the
+// records the walk must decode: the chain each relationship's state at the
+// window's start hangs from, a full record and the deltas since, and one per
+// live record inside the window. The plain call's rows match the reference
+// model.
+func TestProfileHubScan(t *testing.T) {
+	e := newEngine(t)
+	m := &refmodel.Model{}
+	e.Sys.Host.OnCommit(func(_ model.Timestamp, us []model.Update) { m.Apply(us...) })
+	const hub, spokes = 0, 200 // under the cursor's yield stride: one descent, however many leaves
+	type cell struct {
+		ts   model.Timestamp
+		kind byte // 'f' full, 'd' delta, 't' tombstone
+	}
+	var (
+		cells  = map[model.RelID][]cell{}
+		chain  = map[model.RelID]int{} // deltas since the relationship's last full record
+		staged []model.RelID           // the relationships the commit under way writes a record of
+		ts     model.Timestamp
+	)
+	put := func(id model.RelID, kind byte) {
+		if chain[id]++; kind != 'd' {
+			chain[id] = 0
+		} else if chain[id] >= lineagestore.DefaultChainThreshold { // the write materializes the version
+			kind, chain[id] = 'f', 0
+		}
+		cells[id], staged = append(cells[id], cell{kind: kind}), append(staged, id)
+	}
+	props := func(id model.RelID, round int) model.Properties { // wide values: the cluster fills leaves
+		return model.Properties{"a": model.IntValue(int64(round) << 50), "b": model.IntValue(int64(id) << 52), "c": model.IntValue(-int64(round) << 48)}
+	}
+	commit := func(f func(tx *hostdb.Tx) error) {
+		t.Helper()
+		var err error
+		if ts, err = e.Sys.Host.Run(f); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range staged {
+			cells[id][len(cells[id])-1].ts = ts
+		}
+		staged = staged[:0]
+	}
+	commit(func(tx *hostdb.Tx) error {
+		for i := 0; i <= spokes; i++ {
+			if err := tx.CreateNodeWithID(model.NodeID(i), nil, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	commit(func(tx *hostdb.Tx) error {
+		for i := model.RelID(1); i <= spokes; i++ {
+			put(i, 'f')
+			if err := tx.CreateRelWithID(i, hub, model.NodeID(i), "R", props(i, 0)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for round := 1; round <= 4; round++ { // three deltas each; a fourth on every second relationship materializes it
+		commit(func(tx *hostdb.Tx) error {
+			for i := model.RelID(1); i <= spokes; i++ {
+				if round == 4 && i%2 == 1 {
+					continue
+				}
+				put(i, 'd')
+				if err := tx.SetRelProps(i, props(i, round), nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	commit(func(tx *hostdb.Tx) error {
+		for _, i := range []model.RelID{7, 8} {
+			put(i, 't')
+			if err := tx.DeleteRel(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	commit(func(tx *hostdb.Tx) error { put(7, 'f'); return tx.CreateRelWithID(7, hub, 3, "S", props(7, 9)) })
+	commit(func(tx *hostdb.Tx) error { put(7, 'd'); return tx.SetRelProps(7, props(7, 10), nil) })
+	if err := e.Sys.Aion.WaitSync(); err != nil {
+		t.Fatal(err)
+	}
+	last := ts
+	decoded := func(start, end model.Timestamp) (n int64) {
+		for _, cs := range cells {
+			at := 0 // records the state at start hangs from
+			for _, c := range cs {
+				switch {
+				case c.ts > start && c.ts < end && c.kind != 't':
+					n++
+				case c.ts > start:
+				case c.kind == 'd':
+					at++
+				case c.kind == 'f':
+					at = 1
+				default:
+					at = 0
+				}
+			}
+			n += int64(at)
+		}
+		return n
+	}
+	var windows [][2]model.Timestamp
+	for at := model.Timestamp(0); at <= last+1; at++ {
+		windows = append(windows, [2]model.Timestamp{at, at}, [2]model.Timestamp{at, last + 1}, [2]model.Timestamp{0, at + 1})
+	}
+	for _, w := range windows {
+		params := map[string]model.Value{"s": model.IntValue(int64(w[0])), "e": model.IntValue(int64(w[1]))}
+		const q = "CALL aion.relationships(0, 'out', $s, $e)"
+		var got []*model.Rel
+		for _, row := range mustQuery(t, e, q, params).Rows {
+			got = append(got, row[0].Rel)
+		}
+		if want := slices.Concat(m.GetRelationships(hub, model.Outgoing, w[0], w[1])...); !refmodel.SameRels(got, want) {
+			t.Fatalf("[%d, %d): %s, the model says %s", w[0], w[1], refmodel.ShowRels(got), refmodel.ShowRels(want))
+		}
+		op := mustQuery(t, e, "PROFILE "+q, params).Rows[0]
+		if op[0].S.Str() != "OutgoingScan outrels.idx" || op[3].S.Int() != 1 || op[5].S.Int() != decoded(w[0], w[1]) {
+			t.Errorf("[%d, %d): %v, want the outgoing scan with 1 descent and %d records decoded", w[0], w[1], op, decoded(w[0], w[1]))
+		}
+		if w == [2]model.Timestamp{last, last} && op[4].S.Int() < 4 {
+			t.Errorf("the hub's scan reads %d pages: the cluster does not span 3 leaves", op[4].S.Int())
 		}
 	}
 }

@@ -327,38 +327,45 @@ func (c *Codec) appendProps(buf []byte, set model.Properties, del []string) ([]b
 	return buf, nil
 }
 
-// readProps refuses what appendProps never writes: unsorted keys, a set
-// property after a deletion, a deletion with a type.
-func (c *Codec) readProps(b []byte) (set model.Properties, del []string, rest []byte, err error) {
+// readProps reads a property list into *set, making the map when a set needs
+// one; a deletion is appended to *del or, with del nil, deleted from *set, so
+// that a delta folds into a version's own map. It refuses what appendProps
+// never writes: unsorted keys, a set property after a deletion, a deletion
+// with a type.
+func (c *Codec) readProps(b []byte, set *model.Properties, del *[]string) ([]byte, error) {
 	n, b, err := readUvarint(b, "prop count")
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	prev := ""
+	prev, sets, dels := "", 0, 0
 	for i := uint64(0); i < n; i++ {
 		id, flags, rest, err := c.readRef(b)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		key, err := c.Strings.Lookup(id)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if flags == refDeletedBit {
-			del, b = append(del, key), rest
+			if dels, b = dels+1, rest; del != nil {
+				*del = append(*del, key)
+			} else {
+				delete(*set, key)
+			}
 			continue
 		}
-		if flags&refDeletedBit != 0 || len(del) > 0 || len(set) > 0 && key <= prev {
-			return nil, nil, nil, fmt.Errorf("enc: property %q out of order or with flags %#x", key, flags)
+		if flags&refDeletedBit != 0 || dels > 0 || sets > 0 && key <= prev {
+			return nil, fmt.Errorf("enc: property %q out of order or with flags %#x", key, flags)
 		}
 		var v model.Value
 		if v, b, err = c.readValue(rest, kindFromTag(flags)); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		if set == nil {
-			set = make(model.Properties)
+		if *set == nil {
+			*set = make(model.Properties)
 		}
-		set[key], prev = v, key
+		(*set)[key], prev, sets = v, key, sets+1
 	}
-	return set, del, b, nil
+	return b, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"aion/internal/model"
@@ -214,7 +215,9 @@ func TestDecodeTruncatedValidRecords(t *testing.T) {
 // id and ts DecodeVersion must return an error or an update, never panic, and
 // allocate at most in proportion to its input. It must agree with
 // DecodeUpdate on the record that puts ts and id back — and src, for a
-// relationship — and what it accepts must re-encode to its own bytes.
+// relationship — and what it accepts must re-encode to its own bytes. The
+// decoders into an entity, which the LineageStore's reads use, must agree
+// with it too (versionsAgree).
 func FuzzDecodeVersion(f *testing.F) {
 	seedCodec := NewCodec(strstore.NewMem())
 	for _, u := range seedUpdates() {
@@ -236,6 +239,7 @@ func FuzzDecodeVersion(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, src, id, ts int64) {
 		c := fuzzCodec(t)
 		u, err := c.DecodeVersion(b, model.NodeID(src), id, model.Timestamp(ts))
+		versionsAgree(t, c, b, u, err)
 		// The fewest bytes of three decodes: the fuzzing worker allocates too.
 		n := uint64(math.MaxUint64)
 		for range 3 {
@@ -282,4 +286,47 @@ func FuzzDecodeVersion(f *testing.F) {
 			t.Fatalf("version round trip not canonical (%v):\n  first  %x\n  second %x", err, enc1, enc2)
 		}
 	})
+}
+
+// versionsAgree checks DecodeNodeVersion and DecodeRelVersion on b against
+// DecodeVersion's u and err: both fail where it fails, and on a tombstone; a
+// full record sets the state a fresh version built from u holds, and a delta
+// changes a version as u.ApplyToNode or u.ApplyToRel does, in place.
+func versionsAgree(t *testing.T, c *Codec, b []byte, u model.Update, err error) {
+	t.Helper()
+	n := model.Node{ID: u.NodeID, Labels: []string{"L"}, Props: model.Properties{"k": model.IntValue(1)}}
+	r := model.Rel{ID: u.RelID, Src: u.Src, Tgt: 1, Label: "T", Props: model.Properties{"k": model.IntValue(1)}}
+	wantN, wantR := n, r
+	wantN.Labels, wantN.Props, wantR.Props = slices.Clone(n.Labels), n.Props.Clone(), r.Props.Clone()
+	nerr, rerr := c.DecodeNodeVersion(b, &n), c.DecodeRelVersion(b, &r)
+	node, rel := false, false
+	switch {
+	case err != nil:
+	case u.Kind == model.OpAddNode:
+		wantN.Labels, wantN.Props, node = nil, nil, true
+		u.ApplyToNode(&wantN)
+	case u.Kind == model.OpUpdateNode:
+		u.ApplyToNode(&wantN)
+		node = true
+	case u.Kind == model.OpAddRel:
+		wantR.Label, wantR.Props, rel = u.RelLabel, nil, true
+		fallthrough
+	case u.Kind == model.OpUpdateRel:
+		wantR.Tgt, rel = u.Tgt, true
+		u.ApplyToRel(&wantR)
+	}
+	if (nerr == nil) != node || (rerr == nil) != rel {
+		t.Fatalf("%v (%v): DecodeNodeVersion %v, DecodeRelVersion %v", u, err, nerr, rerr)
+	}
+	same := func(p, q model.Properties) bool { // by their bytes: a NaN in an array is equal to itself
+		pb, perr := c.appendProps(nil, p, nil)
+		qb, qerr := c.appendProps(nil, q, nil)
+		return perr == nil && qerr == nil && bytes.Equal(pb, qb)
+	}
+	if node && (!slices.Equal(n.Labels, wantN.Labels) || !same(n.Props, wantN.Props)) {
+		t.Fatalf("%v decodes into %+v, want %+v", u, n, wantN)
+	}
+	if rel && (r.Tgt != wantR.Tgt || r.Label != wantR.Label || !same(r.Props, wantR.Props)) {
+		t.Fatalf("%v decodes into %+v, want %+v", u, r, wantR)
+	}
 }

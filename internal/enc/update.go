@@ -127,6 +127,76 @@ func (c *Codec) DecodeVersion(b []byte, src model.NodeID, id int64, ts model.Tim
 	return u, err
 }
 
+// DecodeNodeVersion decodes a node's version value into n, whose ID the key
+// holds: a full record sets n's labels and properties; a delta removes and
+// adds its labels and sets and deletes its properties in n's own slice and
+// map. A tombstone, which has no state, is refused.
+func (c *Codec) DecodeNodeVersion(b []byte, n *model.Node) error {
+	b, delta, err := versionBody(b, TypeNode)
+	if err != nil {
+		return err
+	}
+	added, removed, b, err := c.readLabels(b)
+	if err != nil {
+		return err
+	}
+	if !delta {
+		n.Labels, n.Props = added[:0], nil
+	}
+	model.Update{AddLabels: added, DelLabels: removed}.ApplyToNode(n) // writes each label no further along than it reads it
+	_, err = c.readProps(b, &n.Props, nil)
+	return err
+}
+
+// DecodeRelVersion is DecodeNodeVersion for a relationship, whose ID and Src
+// the key holds: a full record sets its target, type and properties; a delta
+// its target and, in its own map, its property changes.
+func (c *Codec) DecodeRelVersion(b []byte, r *model.Rel) error {
+	b, delta, err := versionBody(b, TypeRel)
+	if err != nil {
+		return err
+	}
+	tgt, b, err := readUvarint(b, "id")
+	if err != nil {
+		return err
+	}
+	if r.Tgt = model.NodeID(tgt); !delta {
+		var label model.Value
+		if label, b, err = c.readString(b); err != nil {
+			return err
+		}
+		r.Label, r.Props = label.Str(), nil
+	}
+	_, err = c.readProps(b, &r.Props, nil)
+	return err
+}
+
+// versionBody returns the body of version value b, which must be a live
+// record of type t, and whether it is a delta.
+func versionBody(b []byte, t EntityType) (body []byte, delta bool, err error) {
+	if len(b) == 0 {
+		return nil, false, fmt.Errorf("enc: empty version record")
+	}
+	deleted, delta, err := checkHeader(b[0])
+	if err == nil && (EntityType(b[0]&headerTypeMask) != t || deleted) {
+		err = fmt.Errorf("enc: header %#x is no live record of entity type %d", b[0], t)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return b[1:], delta, nil
+}
+
+// checkHeader splits header h into its deleted and delta flags, refusing a
+// header no record has.
+func checkHeader(h byte) (deleted, delta bool, err error) {
+	deleted, delta = h&headerDeletedBit != 0, h&headerDeltaBit != 0
+	if h&^(headerTypeMask|headerDeletedBit|headerDeltaBit) != 0 || deleted && delta {
+		return false, false, fmt.Errorf("enc: bad header %#x", h)
+	}
+	return deleted, delta, nil
+}
+
 // decodeNext decodes the record at the front of b and returns the bytes after
 // it: the format delimits itself, so records concatenate with no length
 // prefix (a block, batch.go).
@@ -165,12 +235,10 @@ func readVarint(b []byte) (int64, []byte, error) {
 // leaves it out (a version value), read from the body when keySrc is nil.
 func (c *Codec) decodeBody(h byte, b []byte, id int64, ts model.Timestamp, keySrc *model.NodeID) (model.Update, []byte, error) {
 	u := model.Update{TS: ts}
-	deleted := h&headerDeletedBit != 0
-	delta := h&headerDeltaBit != 0
-	if h&^(headerTypeMask|headerDeletedBit|headerDeltaBit) != 0 || deleted && delta {
-		return u, nil, fmt.Errorf("enc: bad header %#x", h)
+	deleted, delta, err := checkHeader(h)
+	if err != nil {
+		return u, nil, err
 	}
-	var err error
 	switch EntityType(h & headerTypeMask) {
 	case TypeNode:
 		u.NodeID = model.NodeID(id)
@@ -215,6 +283,6 @@ func (c *Codec) decodeBody(h byte, b []byte, id int64, ts model.Timestamp, keySr
 	default:
 		return u, nil, fmt.Errorf("enc: unknown entity type %d", h&headerTypeMask)
 	}
-	u.SetProps, u.DelProps, b, err = c.readProps(b)
+	b, err = c.readProps(b, &u.SetProps, &u.DelProps)
 	return u, b, err
 }

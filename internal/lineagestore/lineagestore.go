@@ -502,7 +502,7 @@ func (s *Store) chainHead(tree *btree.Tree, e *entity, ts model.Timestamp) (pos 
 // reconstructed state as a full record, which restarts the chain at 0. A
 // change in the commit of the chain's head shares its key: the head takes it
 // in and keeps its kind and chain position.
-func putDelta[E comparable](s *Store, l *lineage[E], e *entity, u model.Update) error {
+func putDelta[T any](s *Store, l *lineage[T], e *entity, u model.Update) error {
 	tree := l.tree(s)
 	pos, live, same, err := s.chainHead(tree, e, u.TS)
 	if err == nil && !live {

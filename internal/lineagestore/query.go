@@ -34,48 +34,40 @@ func strided(ctx context.Context, n int) error {
 var errCorrupt = errors.New("lineagestore: corrupt index entry")
 
 // lineage is what differs between the two version trees — which tree, and
-// how its records become entity versions — so that one chain walker and one
-// delta writer serve nodes and relationships alike.
-type lineage[E comparable] struct {
-	name  string
-	tree  func(*Store) *btree.Tree
-	fresh func(id int64, base model.Update) E // a version holding only base's state; it takes over base's labels and property map
-	fold  func(model.Update, E)               // applies a delta in place
-	clone func(E) E
-	valid func(E) *model.Interval
-	full  func(model.Timestamp, E) model.Update // the materialized record of a version
+// how its records become entity versions — so that one version walker and
+// one delta writer serve nodes and relationships alike.
+type lineage[T any] struct {
+	name   string
+	tree   func(*Store) *btree.Tree
+	ident  func(v *T, id int64, src model.NodeID) // sets a zero version's identity
+	decode func(*enc.Codec, []byte, *T) error     // a full record sets a version's state; a delta folds into its own maps
+	own    func(*T)                               // gives a copied version a label slice and property map of its own
+	fold   func(model.Update, *T)                 // applies a delta in place
+	valid  func(*T) *model.Interval
+	full   func(model.Timestamp, *T) model.Update // the materialized record of a version
 }
 
-var nodeLineage = lineage[*model.Node]{
-	name: "node",
-	tree: func(s *Store) *btree.Tree { return s.nodes },
-	fresh: func(id int64, base model.Update) *model.Node {
-		n := &model.Node{ID: model.NodeID(id), Labels: base.AddLabels[:0], Props: base.SetProps, Valid: model.Interval{Start: base.TS, End: model.TSInfinity}}
-		base.SetProps = nil
-		base.ApplyToNode(n) // writes each label no further along than it reads it
-		return n
-	},
-	fold:  model.Update.ApplyToNode,
-	clone: (*model.Node).Clone,
-	valid: func(n *model.Node) *model.Interval { return &n.Valid },
+var nodeLineage = lineage[model.Node]{
+	name:   "node",
+	tree:   func(s *Store) *btree.Tree { return s.nodes },
+	ident:  func(n *model.Node, id int64, _ model.NodeID) { n.ID = model.NodeID(id) },
+	decode: (*enc.Codec).DecodeNodeVersion,
+	own:    func(n *model.Node) { n.Labels, n.Props = slices.Clone(n.Labels), n.Props.Clone() },
+	fold:   model.Update.ApplyToNode,
+	valid:  func(n *model.Node) *model.Interval { return &n.Valid },
 	full: func(ts model.Timestamp, n *model.Node) model.Update {
 		return model.AddNode(ts, n.ID, n.Labels, n.Props)
 	},
 }
 
-var relLineage = lineage[*model.Rel]{
-	name: "rel",
-	tree: func(s *Store) *btree.Tree { return s.outRels },
-	fresh: func(id int64, base model.Update) *model.Rel {
-		r := &model.Rel{ID: model.RelID(id), Src: base.Src, Tgt: base.Tgt, Label: base.RelLabel, Props: base.SetProps,
-			Valid: model.Interval{Start: base.TS, End: model.TSInfinity}}
-		base.SetProps = nil
-		base.ApplyToRel(r)
-		return r
-	},
-	fold:  model.Update.ApplyToRel,
-	clone: (*model.Rel).Clone,
-	valid: func(r *model.Rel) *model.Interval { return &r.Valid },
+var relLineage = lineage[model.Rel]{
+	name:   "rel",
+	tree:   func(s *Store) *btree.Tree { return s.outRels },
+	ident:  func(r *model.Rel, id int64, src model.NodeID) { r.ID, r.Src = model.RelID(id), src },
+	decode: (*enc.Codec).DecodeRelVersion,
+	own:    func(r *model.Rel) { r.Props = r.Props.Clone() },
+	fold:   model.Update.ApplyToRel,
+	valid:  func(r *model.Rel) *model.Interval { return &r.Valid },
 	full: func(ts model.Timestamp, r *model.Rel) model.Update {
 		return model.AddRel(ts, r.ID, r.Src, r.Tgt, r.Label, r.Props)
 	},
@@ -108,141 +100,144 @@ func (e *entity) prefix() []byte { return e.kb[:e.n] }
 
 // cell parses the version-tree cell under c as one of e's: the timestamp of
 // its key, the delta-chain position and the version record of its value,
-// which enc.DecodeVersion completes with e. own is false, and the rest zero,
-// for another entity's cell. The record aliases the page.
+// which leaves e's ids to the key. own is false, and the rest zero, for
+// another entity's cell. The record aliases the page.
 func cell(c *btree.Cursor, e *entity) (ts model.Timestamp, pos int, rec []byte, own bool, err error) {
-	k, p := c.Key(), e.prefix()
+	k, v := c.Cell()
+	p := e.prefix()
 	if !bytes.HasPrefix(k, p) {
 		return 0, 0, nil, false, nil
 	}
 	ts, ok := enc.ParseKeyTS(k[len(p):])
-	v := c.Value()
 	if !ok || len(v) < 2 {
 		return 0, 0, nil, false, errCorrupt
 	}
 	return ts, int(v[0]), v[1:], true, nil
 }
 
-// walk is a read's cursor on a version tree and the number of version
-// records it decoded, which a profile reports.
-type walk struct {
+// walk is one read's cursor on a version tree, with what its versions are
+// built from and the number of version records it decoded, which a profile
+// reports.
+type walk[T any] struct {
 	btree.Cursor
+	l       *lineage[T]
+	codec   *enc.Codec
 	decoded int
+	slab    []T      // the versions handed out are cut from it: an allocation per doubling, not one per version
+	chain   [][]byte // the records of the chain the state at the walk's start hangs from, aliasing their pages
 }
 
-// decode decodes one of e's records at ts.
-func (w *walk) decode(s *Store, e *entity, rec []byte, ts model.Timestamp) (model.Update, error) {
-	w.decoded++
-	return s.codec.DecodeVersion(rec, e.src, e.id, ts)
+func newWalk[T any](s *Store, l *lineage[T]) walk[T] {
+	return walk[T]{Cursor: l.tree(s).Cursor(), l: l, codec: s.codec}
 }
 
-// versions appends to out the versions of entity e that overlap [start, end)
-// — with start == end, the one valid at that instant — in one pass over c:
-// a single seek to the newest record at or before start, back along the
-// delta chain to the full record it hangs from, forward folding the deltas
-// (Sec 4.4), and on across the records inside the window. A version starts
-// at its record's timestamp and ends at the entity's next record, whatever
-// its kind ("the end time can be inferred by updates that follow", Sec 4.2):
-// the cell the walk stops on. c may sit anywhere; the caller closes it.
-func versions[E comparable](ctx context.Context, s *Store, l *lineage[E], c *walk, e *entity, start, end model.Timestamp, out []E) ([]E, error) {
-	var (
-		kb        [27]byte
-		cur, none E
-	)
-	if c.SeekFloor(enc.AppendKeyTS(append(kb[:0], e.prefix()...), start)) {
-		kts, _, rec, own, err := cell(&c.Cursor, e)
-		if err != nil {
-			return nil, err
-		}
-		deleted, delta := true, false // another entity's record: no version there
-		if own {
-			deleted, delta = enc.PeekState(rec)
-		}
-		if !deleted {
-			back := 0
-			for ; delta && kts != 0; back++ {
-				if err := strided(ctx, back+1); err != nil {
-					return nil, err
-				}
-				if !c.Prev() {
-					return nil, cmp.Or(c.Err(), errCorrupt)
-				}
-				if kts, _, rec, own, err = cell(&c.Cursor, e); err != nil || !own {
-					return nil, errCorrupt
-				}
-				_, delta = enc.PeekState(rec)
-			}
-			u, err := c.decode(s, e, rec, kts)
-			if err != nil {
-				return nil, err
-			}
-			cur = l.fresh(e.id, u)
-			for ; back > 0; back-- {
-				if err := strided(ctx, back); err != nil {
-					return nil, err
-				}
-				if !c.Next() {
-					return nil, cmp.Or(c.Err(), errCorrupt)
-				}
-				if kts, _, rec, own, err = cell(&c.Cursor, e); err != nil || !own {
-					return nil, cmp.Or(err, errCorrupt)
-				}
-				if u, err = c.decode(s, e, rec, kts); err != nil {
-					return nil, err
-				}
-				l.fold(u, cur)
-				l.valid(cur).Start = kts
-			}
-		}
+// version cuts from the slab a version valid from ts on — a copy of from
+// with maps of its own, or, with from nil, one of e's identity alone — and
+// decodes rec into it.
+func (w *walk[T]) version(from *T, e *entity, ts model.Timestamp, rec []byte) (*T, error) {
+	if len(w.slab) == cap(w.slab) {
+		w.slab = make([]T, 0, max(4, 2*cap(w.slab)))
 	}
-	window := model.Interval{Start: start, End: end}
-	for n := 1; c.Next(); n++ {
-		if err := strided(ctx, n); err != nil {
-			return nil, err
+	w.slab = w.slab[:len(w.slab)+1]
+	v := &w.slab[len(w.slab)-1] // zero: a slot is cut once
+	if from != nil {
+		*v = *from
+		w.l.own(v)
+	} else {
+		w.l.ident(v, e.id, e.src)
+	}
+	*w.l.valid(v) = model.Interval{Start: ts, End: model.TSInfinity}
+	return v, w.decode(rec, v)
+}
+
+func (w *walk[T]) decode(rec []byte, v *T) error {
+	w.decoded++
+	return w.l.decode(w.codec, rec, v)
+}
+
+// forward is the one version walker. From the cell under w (on: there is
+// one) it reads e's cells in key order and appends to out e's versions that
+// overlap [start, end) — with start == end, the one valid at that instant.
+// Up to start it only parses keys and peeks states, noting the chain the
+// state at start hangs from, a full record and the deltas since; past start
+// it decodes that chain, once, into a version cut from the slab. A record
+// inside the window ends the version before it and opens the next: a full
+// one decodes into a new version, a delta into a copy of the one it changes.
+// A version ends at the entity's next record, whatever its kind ("the end
+// time can be inferred by updates that follow", Sec 4.2). The walk stops on
+// the first cell not e's or at or past end (past start, for an instant) and
+// reports whether w is on a cell. The records it notes alias their pages,
+// which no writer changes while w holds the tree.
+func (w *walk[T]) forward(ctx context.Context, e *entity, start, end model.Timestamp, on bool, out []*T) ([]*T, bool, error) {
+	var (
+		cur *T
+		at  model.Timestamp // the timestamp of the chain's newest record
+		err error
+	)
+	w.chain = w.chain[:0]
+	for n := 1; ; n, on = n+1, w.Next() {
+		var kts model.Timestamp
+		var rec []byte
+		own, deleted, delta := false, false, false
+		if on {
+			if err = strided(ctx, n); err == nil {
+				kts, _, rec, own, err = cell(&w.Cursor, e)
+			}
+			if err != nil {
+				return nil, false, err
+			}
+			if own {
+				deleted, delta = enc.PeekState(rec)
+			}
 		}
-		kts, _, rec, own, err := cell(&c.Cursor, e)
-		if err != nil {
-			return nil, err
+		if own && kts <= start {
+			switch {
+			case deleted:
+				w.chain = w.chain[:0]
+			case !delta:
+				w.chain = append(w.chain[:0], rec)
+			case len(w.chain) == 0: // a delta chain that does not lead back to a full record
+				return nil, false, errCorrupt
+			default:
+				w.chain = append(w.chain, rec)
+			}
+			at = kts
+			continue
 		}
-		if !own {
-			break
+		if len(w.chain) > 0 { // the walk just passed start
+			if cur, err = w.version(nil, e, at, w.chain[0]); err != nil {
+				return nil, false, err
+			}
+			for _, rec := range w.chain[1:] {
+				if err = w.decode(rec, cur); err != nil {
+					return nil, false, err
+				}
+			}
+			w.chain = w.chain[:0]
 		}
-		if cur != none {
-			l.valid(cur).End = kts
-		}
-		if kts >= end {
-			break
-		}
-		if cur != none && l.valid(cur).Overlaps(window) {
+		if cur != nil {
+			if own {
+				w.l.valid(cur).End = kts
+			}
 			out = append(out, cur)
 		}
-		deleted, delta := enc.PeekState(rec)
+		if !own || kts >= end {
+			return out, on, w.Err()
+		}
 		switch {
 		case deleted:
-			cur = none
+			cur = nil
 		case !delta: // insertion, re-insertion, or materialized state
-			u, err := c.decode(s, e, rec, kts)
-			if err != nil {
-				return nil, err
-			}
-			cur = l.fresh(e.id, u)
-		case cur != none:
-			u, err := c.decode(s, e, rec, kts)
-			if err != nil {
-				return nil, err
-			}
-			cur = l.clone(cur)
-			*l.valid(cur) = model.Interval{Start: kts, End: model.TSInfinity}
-			l.fold(u, cur)
+			cur, err = w.version(nil, e, kts, rec)
+		case cur == nil:
+			err = errCorrupt
+		default: // a delta changes a copy of the version before it
+			cur, err = w.version(cur, e, kts, rec)
+		}
+		if err != nil {
+			return nil, false, err
 		}
 	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	if cur != none && (start == end || l.valid(cur).Overlaps(window)) {
-		out = append(out, cur)
-	}
-	return out, nil
 }
 
 func checkInterval(start, end model.Timestamp) error {
@@ -252,16 +247,55 @@ func checkInterval(start, end model.Timestamp) error {
 	return nil
 }
 
+// versions appends to out the versions of entity e that overlap [start, end)
+// — with start == end, the one valid at that instant — walking forward from
+// the cell one descent to e's newest record at or before start finds, back
+// along its delta chain to the full record it hangs from (or, with no record
+// of e there, from the cell after). w may sit anywhere before.
+func (w *walk[T]) versions(ctx context.Context, e *entity, start, end model.Timestamp, out []*T) ([]*T, error) {
+	var (
+		kb  [27]byte
+		rec []byte
+		own bool
+		err error
+	)
+	on := w.SeekFloor(enc.AppendKeyTS(append(kb[:0], e.prefix()...), start))
+	if on {
+		_, _, rec, own, err = cell(&w.Cursor, e)
+	}
+	for back := 1; own && err == nil; back++ {
+		if _, delta := enc.PeekState(rec); !delta {
+			break
+		}
+		if err = strided(ctx, back); err != nil {
+			break
+		}
+		if !w.Prev() {
+			err = cmp.Or(w.Err(), errCorrupt)
+		} else if _, _, rec, own, err = cell(&w.Cursor, e); err == nil && !own {
+			err = errCorrupt // a delta chain that does not lead back to a full record
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !own {
+		on = w.Next()
+	}
+	out, _, err = w.forward(ctx, e, start, end, on, out)
+	return out, err
+}
+
 // history is the Table 1 call on one entity: its versions between start
 // (inclusive) and end (exclusive), or with start == end the single version
 // valid at that instant, if any. One descent, one cursor.
-func history[E comparable](ctx context.Context, s *Store, l *lineage[E], e *entity, start, end model.Timestamp) ([]E, error) {
+func history[T any](ctx context.Context, s *Store, l *lineage[T], e *entity, start, end model.Timestamp) ([]*T, error) {
 	if err := checkInterval(start, end); err != nil {
 		return nil, err
 	}
-	c := walk{Cursor: l.tree(s).Cursor()}
-	defer c.Close()
-	return versions(ctx, s, l, &c, e, start, end, nil)
+	w := newWalk(s, l)
+	defer w.Close()
+	return w.versions(ctx, e, start, end, nil)
 }
 
 // GetNodeContext returns the node's history between start (inclusive) and
@@ -284,15 +318,15 @@ func (s *Store) GetRelationshipContext(ctx context.Context, id model.RelID, star
 	}
 	prof, _ := ctx.Value(profileKey{}).(*Profile)
 	t0 := prof.start()
-	c := walk{Cursor: s.outRels.Cursor()}
-	defer c.Close()
+	w := newWalk(s, &relLineage)
+	defer w.Close()
 	var sb [2]source
-	out, err := s.walkSources(ctx, &c, s.srcs.sources(sb[:0], id), start, end, nil, nil)
+	out, err := walkSources(ctx, &w, s.srcs.sources(sb[:0], id), start, end, nil, nil)
 	var vs []*model.Rel
 	if len(out) > 0 {
 		vs = out[0]
 	}
-	prof.add(ProfileOp{Operator: "PointVersions outrels.idx", Store: store, Rows: len(vs), Descents: c.Descents, Gets: c.Gets, Decoded: c.decoded}, t0)
+	prof.add(ProfileOp{Operator: "PointVersions outrels.idx", Store: store, Rows: len(vs), Descents: w.Descents, Gets: w.Gets, Decoded: w.decoded}, t0)
 	return vs, err
 }
 
@@ -306,18 +340,18 @@ type source struct {
 // sources are adjacent): its versions in [start, end) from each source's
 // cluster that keep (nil: all) accepts, in time order. The cursor yields to
 // the writer every cancelStride sources.
-func (s *Store) walkSources(ctx context.Context, c *walk, srcs []source, start, end model.Timestamp, keep func(*model.Rel) bool, out [][]*model.Rel) ([][]*model.Rel, error) {
+func walkSources(ctx context.Context, w *walk[model.Rel], srcs []source, start, end model.Timestamp, keep func(*model.Rel) bool, out [][]*model.Rel) ([][]*model.Rel, error) {
 	var flat []*model.Rel
 	for i, sc := range srcs {
 		if err := strided(ctx, i); err != nil {
 			return nil, err
 		}
 		if i%cancelStride == cancelStride-1 {
-			c.Yield() // a hub must not hold the cascade out of the tree for its whole length
+			w.Yield() // a hub must not hold the cascade out of the tree for its whole length
 		}
 		e, n := relEntity(sc.src, sc.rel), len(flat)
 		var err error
-		if flat, err = versions(ctx, s, &relLineage, c, &e, start, end, flat); err != nil {
+		if flat, err = w.versions(ctx, &e, start, end, flat); err != nil {
 			return nil, err
 		}
 		if keep != nil {
@@ -414,22 +448,22 @@ func (s *Store) GetRelationshipsContext(ctx context.Context, id model.NodeID, d 
 }
 
 // outgoing returns node a's outgoing relationships' versions in [start, end),
-// one slice each: one descent to a's cluster, then one pass through it, whose
-// version walks mostly seek inside the leaf the cursor holds.
+// one slice each: one descent to a's cluster, then one forward pass through
+// it, each relationship's cells read by the version walker in place and its
+// cells past the window only stepped over.
 func (s *Store) outgoing(ctx context.Context, prof *Profile, a model.NodeID, start, end model.Timestamp) ([][]*model.Rel, error) {
 	var (
-		kb   [27]byte
+		kb   [9]byte
 		out  [][]*model.Rel
 		flat []*model.Rel
 	)
 	t0 := prof.start()
-	c := walk{Cursor: s.outRels.Cursor()}
-	defer c.Close()
-	// The bare prefix sorts just below a's first entry; each Next lands on a
-	// relationship's first cell.
-	c.SeekFloor(enc.AppendKeyPrefix(kb[:0], int64(a)))
-	for i := 0; c.Next(); i++ {
-		src, rel, first, ok := enc.ParseKeyIncident(c.Key())
+	w := newWalk(s, &relLineage)
+	defer w.Close()
+	w.SeekFloor(enc.AppendKeyPrefix(kb[:0], int64(a))) // the bare prefix sorts just below a's first entry
+	on := w.Next()
+	for i := 0; on; i++ {
+		src, rel, _, ok := enc.ParseKeyIncident(w.Key())
 		if !ok {
 			return nil, errCorrupt
 		}
@@ -439,23 +473,28 @@ func (s *Store) outgoing(ctx context.Context, prof *Profile, a model.NodeID, sta
 		if err := strided(ctx, i); err != nil {
 			return nil, err
 		}
+		e, n := relEntity(a, rel), len(flat)
 		if i%cancelStride == cancelStride-1 {
-			c.Yield() // as in walkSources
+			w.Yield()               // as in walkSources
+			w.SeekFloor(e.prefix()) // the bare (a, rel) sorts just below rel's first cell
+			on = w.Next()
 		}
-		if first <= start || first < end { // else its history starts after the window
-			e, n := relEntity(a, rel), len(flat)
-			var err error
-			if flat, err = versions(ctx, s, &relLineage, &c, &e, start, end, flat); err != nil {
+		var err error
+		if flat, on, err = w.forward(ctx, &e, start, end, on, flat); err != nil {
+			return nil, err
+		}
+		if len(flat) > n {
+			out = append(out, flat[n:len(flat):len(flat)])
+		}
+		for k := 1; on && bytes.HasPrefix(w.Key(), e.prefix()); k++ { // rel's cells past the window
+			if err := strided(ctx, k); err != nil {
 				return nil, err
 			}
-			if len(flat) > n {
-				out = append(out, flat[n:len(flat):len(flat)])
-			}
+			on = w.Next()
 		}
-		c.SeekFloor(enc.AppendKeyIncident(kb[:0], a, rel, -1)) // rel's last cell
 	}
-	prof.add(ProfileOp{Operator: "OutgoingScan outrels.idx", Store: store, Rows: len(out), Descents: c.Descents, Gets: c.Gets, Decoded: c.decoded}, t0)
-	return out, c.Err()
+	prof.add(ProfileOp{Operator: "OutgoingScan outrels.idx", Store: store, Rows: len(out), Descents: w.Descents, Gets: w.Gets, Decoded: w.decoded}, t0)
+	return out, w.Err()
 }
 
 // incoming appends node a's incoming relationships' versions in [start, end)
@@ -469,12 +508,12 @@ func (s *Store) incoming(ctx context.Context, prof *Profile, a model.NodeID, sta
 		return out, err
 	}
 	t0, rows := prof.start(), len(out)
-	c := walk{Cursor: s.outRels.Cursor()}
-	defer c.Close()
-	if out, err = s.walkSources(ctx, &c, srcs, start, end, func(r *model.Rel) bool { return r.Tgt == a }, out); err != nil {
+	w := newWalk(s, &relLineage)
+	defer w.Close()
+	if out, err = walkSources(ctx, &w, srcs, start, end, func(r *model.Rel) bool { return r.Tgt == a }, out); err != nil {
 		return nil, err
 	}
-	prof.add(ProfileOp{Operator: "IncomingVersions outrels.idx", Store: store, Rows: len(out) - rows, Descents: c.Descents, Gets: c.Gets, Decoded: c.decoded}, t0)
+	prof.add(ProfileOp{Operator: "IncomingVersions outrels.idx", Store: store, Rows: len(out) - rows, Descents: w.Descents, Gets: w.Gets, Decoded: w.decoded}, t0)
 	return out, nil
 }
 
@@ -482,18 +521,18 @@ func (s *Store) incoming(ctx context.Context, prof *Profile, a model.NodeID, sta
 // for one that does not exist then — read through one cursor on the node
 // tree, which yields to the writer every cancelStride nodes.
 func (s *Store) NodesAtContext(ctx context.Context, ids []model.NodeID, ts model.Timestamp, dst []*model.Node) ([]*model.Node, error) {
-	c := walk{Cursor: s.nodes.Cursor()}
-	defer c.Close()
+	w := newWalk(s, &nodeLineage)
+	defer w.Close()
 	for i, id := range ids {
 		if err := strided(ctx, i); err != nil {
 			return nil, err
 		}
 		if i%cancelStride == cancelStride-1 {
-			c.Yield() // as in walkSources
+			w.Yield() // as in walkSources
 		}
 		e, n := nodeEntity(id), len(dst)
 		var err error
-		if dst, err = versions(ctx, s, &nodeLineage, &c, &e, ts, ts, dst); err != nil {
+		if dst, err = w.versions(ctx, &e, ts, ts, dst); err != nil {
 			return nil, err
 		}
 		if len(dst) == n {

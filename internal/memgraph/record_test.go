@@ -105,7 +105,8 @@ func (m *mapGraph) apply(u model.Update) {
 		u.ApplyToNode(n)
 		m.nodes[u.NodeID] = n
 	case model.OpUpdateNode:
-		n := m.nodes[u.NodeID].Clone()
+		o := m.nodes[u.NodeID]
+		n := &model.Node{ID: o.ID, Labels: slices.Clone(o.Labels), Props: o.Props.Clone(), Valid: o.Valid}
 		u.ApplyToNode(n)
 		m.nodes[u.NodeID] = n
 	case model.OpDeleteNode:
@@ -115,7 +116,8 @@ func (m *mapGraph) apply(u model.Update) {
 		u.ApplyToRel(r)
 		m.rels[u.RelID] = r
 	case model.OpUpdateRel:
-		r := m.rels[u.RelID].Clone()
+		o := m.rels[u.RelID]
+		r := &model.Rel{ID: o.ID, Src: o.Src, Tgt: o.Tgt, Label: o.Label, Props: o.Props.Clone(), Valid: o.Valid}
 		u.ApplyToRel(r)
 		m.rels[u.RelID] = r
 	case model.OpDeleteRel:

@@ -27,9 +27,6 @@ type Interval struct {
 // Contains reports whether t falls inside [Start, End).
 func (iv Interval) Contains(t Timestamp) bool { return t >= iv.Start && t < iv.End }
 
-// Overlaps reports whether two half-open intervals intersect.
-func (iv Interval) Overlaps(o Interval) bool { return iv.Start < o.End && o.Start < iv.End }
-
 // ContainedIn reports whether the interval lies inside the closed range
 // [a, b]: Start >= a and End <= b+1, computed without wrapping when b is
 // MaxInt64.
@@ -80,14 +77,6 @@ type Node struct {
 	Valid  Interval
 }
 
-// Clone returns an independent copy of the node.
-func (n *Node) Clone() *Node {
-	c := *n
-	c.Labels = append([]string(nil), n.Labels...)
-	c.Props = n.Props.Clone()
-	return &c
-}
-
 // HasLabel reports whether the node carries the given label.
 func (n *Node) HasLabel(l string) bool {
 	for _, x := range n.Labels {
@@ -113,13 +102,6 @@ type Rel struct {
 	Label string
 	Props Properties
 	Valid Interval
-}
-
-// Clone returns an independent copy of the relationship.
-func (r *Rel) Clone() *Rel {
-	c := *r
-	c.Props = r.Props.Clone()
-	return &c
 }
 
 // AppInterval extracts the application-time interval from the relationship's

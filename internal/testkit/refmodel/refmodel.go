@@ -142,7 +142,7 @@ func (m *Model) ClosedRels(from, to model.Timestamp) []*model.Rel {
 	for _, id := range sortedKeys(rels) {
 		for _, r := range rels[id] {
 			if from <= r.Valid.Start && r.Valid.End < to {
-				out = append(out, r.Clone())
+				out = append(out, &model.Rel{ID: r.ID, Src: r.Src, Tgt: r.Tgt, Label: r.Label, Props: r.Props.Clone(), Valid: r.Valid})
 			}
 		}
 	}
@@ -154,7 +154,7 @@ func (m *Model) ClosedRels(from, to model.Timestamp) []*model.Rel {
 func in[E any](vs []E, valid func(E) model.Interval, start, end model.Timestamp) []E {
 	var out []E
 	for _, v := range vs {
-		keep := valid(v).Overlaps(model.Interval{Start: start, End: end})
+		keep := valid(v).Start < end && start < valid(v).End
 		if start == end {
 			keep = valid(v).Contains(start)
 		}
@@ -187,7 +187,7 @@ func (m *Model) versions(keep func(u *model.Update) bool) (map[model.NodeID][]*m
 			case u.Kind == model.OpAddNode:
 				next = &model.Node{ID: u.NodeID}
 			case u.Kind == model.OpUpdateNode && cur != nil:
-				next = cur.Clone()
+				next = &model.Node{ID: cur.ID, Labels: slices.Clone(cur.Labels), Props: cur.Props.Clone()}
 			}
 			if next != nil {
 				next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
@@ -209,7 +209,7 @@ func (m *Model) versions(keep func(u *model.Update) bool) (map[model.NodeID][]*m
 		case u.Kind == model.OpAddRel:
 			next = &model.Rel{ID: u.RelID, Src: u.Src, Tgt: u.Tgt, Label: u.RelLabel}
 		case u.Kind == model.OpUpdateRel && cur != nil:
-			next = cur.Clone()
+			next = &model.Rel{ID: cur.ID, Src: cur.Src, Tgt: cur.Tgt, Label: cur.Label, Props: cur.Props.Clone()}
 		}
 		if next != nil {
 			next.Valid = model.Interval{Start: u.TS, End: model.TSInfinity}
