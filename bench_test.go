@@ -50,26 +50,27 @@ func BenchmarkTable3Datasets(b *testing.B) {
 func BenchmarkFig6PointQueries(b *testing.B) {
 	c := benchConfig(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig6(c, dirFactory(b))
+		tab, err := bench.RunFig6(c, dirFactory(b))
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := rows[len(rows)-1] // the largest dataset: shapes need size
-		b.ReportMetric(last.AionOpsPerSec, "aion-ops/s")
-		b.ReportMetric(last.RaphtoryOpsPerSec, "raphtory-ops/s")
+		last := len(tab.Rows) - 1 // the largest dataset: shapes need size
+		b.ReportMetric(tab.Num(last, "Aion (ops/s)"), "aion-ops/s")
+		b.ReportMetric(tab.Num(last, "Raphtory (ops/s)"), "raphtory-ops/s")
 	}
 }
 
 func BenchmarkFig7GlobalQueries(b *testing.B) {
 	c := benchConfig(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig7(c, dirFactory(b))
+		tab, err := bench.RunFig7(c, dirFactory(b))
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := rows[len(rows)-1] // the largest dataset: shapes need size
-		b.ReportMetric(last.RaphtorySec/last.AionSec, "speedup-vs-raphtory")
-		b.ReportMetric(last.GradoopSec/last.AionSec, "speedup-vs-gradoop")
+		last := len(tab.Rows) - 1 // the largest dataset: shapes need size
+		aion := tab.Num(last, "Aion (ms)")
+		b.ReportMetric(tab.Num(last, "Raphtory (ms)")/aion, "speedup-vs-raphtory")
+		b.ReportMetric(tab.Num(last, "Gradoop (ms)")/aion, "speedup-vs-gradoop")
 	}
 }
 
@@ -95,12 +96,12 @@ func BenchmarkFig9Ingestion(b *testing.B) {
 	c := benchConfig(b)
 	c.Datasets = []string{"DBLP"}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig9(c, dirFactory(b), 500, 4)
+		tab, err := bench.RunFig9(c, dirFactory(b), 500, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(rows[0].Time, "timestore-normalized")
-		b.ReportMetric(rows[0].TSLS, "both-normalized")
+		b.ReportMetric(tab.Num(0, "TimeStore"), "timestore-normalized")
+		b.ReportMetric(tab.Num(0, "TS+LS"), "both-normalized")
 	}
 }
 
@@ -108,11 +109,11 @@ func BenchmarkFig10Storage(b *testing.B) {
 	c := benchConfig(b)
 	c.Datasets = []string{"DBLP"}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig10(c, dirFactory(b))
+		tab, err := bench.RunFig10(c, dirFactory(b))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(rows[0].OverheadRatio, "overhead-ratio")
+		b.ReportMetric(tab.Num(0, "overhead (%)")/100, "overhead-ratio")
 	}
 }
 
@@ -130,13 +131,13 @@ func BenchmarkFig12Incremental(b *testing.B) {
 	c := benchConfig(b)
 	c.Datasets = []string{"DBLP"}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig12(c, []int{10})
+		tab, err := bench.RunFig12(c, []int{10})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range rows {
-			if r.Algorithm == "AVG" {
-				b.ReportMetric(r.Speedup, "avg-speedup")
+		for i := range tab.Rows {
+			if tab.Text(i, "Algorithm(#snapshots)") == "AVG(10)" {
+				b.ReportMetric(tab.Num(i, "recompute (ms)")/tab.Num(i, "incremental (ms)"), "avg-speedup")
 			}
 		}
 	}
@@ -146,11 +147,11 @@ func BenchmarkFig13Bolt(b *testing.B) {
 	c := benchConfig(b)
 	c.Datasets = []string{"DBLP"}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig13(c, dirFactory(b), 4, 25)
+		tab, err := bench.RunFig13(c, dirFactory(b), 4, 25)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(rows[0].ReadOnly, "readonly-q/s")
+		b.ReportMetric(tab.Num(0, "read-only (q/s)"), "readonly-q/s")
 	}
 }
 
@@ -182,14 +183,15 @@ func BenchmarkExtensionIncremental(b *testing.B) {
 // LineageStore/TimeStore crossover, and reports the crossover's hop count on
 // the largest dataset.
 func BenchmarkAblationPlannerThreshold(b *testing.B) {
+	hops := []int{1, 2, 4, 8}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunFig8(benchConfig(b), dirFactory(b), []int{1, 2, 4, 8}, 5)
+		tab, err := bench.RunFig8(benchConfig(b), dirFactory(b), hops, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range rows[len(rows)-4:] {
-			if r.Time > r.Lineage {
-				b.ReportMetric(float64(r.Hops), "crossover-hops")
+		for k, h := range hops {
+			if r := len(tab.Rows) - len(hops) + k; tab.Num(r, "TimeStore (ops/s)") > tab.Num(r, "LineageStore (ops/s)") {
+				b.ReportMetric(float64(h), "crossover-hops")
 				break
 			}
 		}

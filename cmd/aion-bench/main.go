@@ -12,10 +12,11 @@
 //
 // -json <path> additionally writes every printed table — title, columns and
 // rows, numeric cells as numbers — as one JSON report. It exits non-zero,
-// naming the figure, when a figure it ran loses the paper's shape: Aion's
-// Fig 10 storage overhead on a dataset is over the paper's 41 %; in Fig 12
-// incremental execution does not win at 100 snapshots, or does not speed up
-// more at 100 snapshots than at 10; in Fig 14 it is under 4× faster.
+// naming the figure, when a printed table, the record that report holds,
+// breaks the paper's shape: Aion's Fig 10 storage overhead on a dataset is
+// over the paper's 41 %; in Fig 12 incremental execution does not win at 100
+// snapshots, or does not speed up more at 100 snapshots than at 10; in Fig 14
+// it is under 4× faster.
 package main
 
 import (
@@ -115,14 +116,11 @@ func run(args []string) (err error) {
 	experiment("fig8", func() error { _, err := bench.RunFig8(cfg, mkdir, nil, 0); return err })
 	experiment("table4", func() error { _, err := bench.RunTable4(cfg, mkdir); return err })
 	experiment("fig9", func() error { _, err := bench.RunFig9(cfg, mkdir, 1000, 8); return err })
-	var fig10 []bench.Fig10Row
-	experiment("fig10", func() (err error) { fig10, err = bench.RunFig10(cfg, mkdir); return err })
+	experiment("fig10", func() error { _, err := bench.RunFig10(cfg, mkdir); return err })
 	experiment("fig11", func() error { _, err := bench.RunFig11(cfg, mkdir, nil, 32); return err })
-	var fig12 []bench.Fig12Row
-	experiment("fig12", func() (err error) { fig12, err = bench.RunFig12(cfg, []int{10, 100}); return err })
+	experiment("fig12", func() error { _, err := bench.RunFig12(cfg, []int{10, 100}); return err })
 	experiment("fig13", func() error { _, err := bench.RunFig13(cfg, mkdir, 8, 100); return err })
-	var fig14 []bench.Fig12Row
-	experiment("fig14", func() (err error) { fig14, err = bench.RunFig14(cfg, mkdir, []int{10}); return err })
+	experiment("fig14", func() error { _, err := bench.RunFig14(cfg, mkdir, []int{10}); return err })
 	experiment("ext", func() error { _, err := bench.RunExtensionIncremental(cfg, []int{10, 100}); return err })
 
 	if err != nil {
@@ -137,37 +135,39 @@ func run(args []string) (err error) {
 		}
 		fmt.Printf("\nwrote %d table(s) to %s\n", len(report.Tables()), *jsonPath)
 	}
-	return paperShape(fig10, fig12, fig14)
+	return paperShape(report.Tables())
 }
 
-// paperShape returns an error naming the first figure whose rows break the
-// paper's shape, nil when none does.
-func paperShape(fig10 []bench.Fig10Row, fig12 []bench.Fig12Row, fig14 []bench.Fig12Row) error {
-	for _, r := range fig10 { // the paper's Fig 10: Aion adds 29–41 % to Neo4j's storage
-		if r.OverheadRatio > 0.41 {
-			return fmt.Errorf("Fig 10: Aion adds %.1f %% to Neo4j's storage on %s, over the paper's 41 %%", 100*r.OverheadRatio, r.Dataset)
+// paperShape returns an error naming the first figure whose table breaks the
+// paper's shape, nil when none does. It reads the tables as BENCH_paper.json
+// holds them, finding Figs 10, 12 and 14 by title. A missing cell reads NaN,
+// which fails every predicate: each is written as !(holds).
+func paperShape(tables []bench.Table) error {
+	for _, t := range tables {
+		fig, _, _ := strings.Cut(t.Title, ":")
+		// Speedups come from the two measured cells: the speedup column
+		// rounds to one decimal, which can tie 100 snapshots with 10.
+		speedup := func(i int) float64 { return t.Num(i, "recompute (ms)") / t.Num(i, "incremental (ms)") }
+		at10 := map[string]float64{} // Fig 12's speedups at 10 snapshots, by "alg on dataset"
+		for i := range t.Rows {
+			if alg, ok := strings.CutSuffix(t.Text(i, "Algorithm(#snapshots)"), "(10)"); ok {
+				at10[alg+" on "+t.Text(i, "Dataset")] = speedup(i)
+			}
 		}
-	}
-	at10 := map[[2]string]float64{}
-	for _, r := range fig12 {
-		if r.Snapshots == 10 {
-			at10[[2]string{r.Algorithm, r.Dataset}] = r.Speedup
-		}
-	}
-	for _, r := range fig12 {
-		if r.Snapshots != 100 {
-			continue
-		}
-		if r.Speedup <= 1 {
-			return fmt.Errorf("Fig 12: incremental %s on %s is %.1f× recomputation at 100 snapshots; it must win at 100", r.Algorithm, r.Dataset, r.Speedup)
-		}
-		if s10, ok := at10[[2]string{r.Algorithm, r.Dataset}]; ok && r.Speedup <= s10 {
-			return fmt.Errorf("Fig 12: incremental %s on %s speeds up %.1f× at 100 snapshots and %.1f× at 10; 100 must beat 10 everywhere", r.Algorithm, r.Dataset, r.Speedup, s10)
-		}
-	}
-	for _, r := range fig14 {
-		if r.Speedup < 4 {
-			return fmt.Errorf("Fig 14: incremental %s(%d) over Bolt on %s is %.1f× faster than recomputation; it must be at least 4× everywhere", r.Algorithm, r.Snapshots, r.Dataset, r.Speedup)
+		for i := range t.Rows {
+			s, on := speedup(i), " on "+t.Text(i, "Dataset")
+			alg, at100 := strings.CutSuffix(t.Text(i, "Algorithm(#snapshots)"), "(100)")
+			s10, has10 := at10[alg+on]
+			switch {
+			case fig == "Fig 10" && !(t.Num(i, "overhead (%)") <= 41): // the paper's Aion adds 29–41 %
+				return fmt.Errorf("Fig 10: Aion adds %.1f %% to Neo4j's storage%s, over the paper's 41 %%", t.Num(i, "overhead (%)"), on)
+			case fig == "Fig 12" && at100 && !(s > 1):
+				return fmt.Errorf("Fig 12: incremental %s%s is %.2f× recomputation at 100 snapshots; it must win at 100", alg, on, s)
+			case fig == "Fig 12" && at100 && has10 && !(s > s10):
+				return fmt.Errorf("Fig 12: incremental %s%s speeds up %.2f× at 100 snapshots and %.2f× at 10; 100 must beat 10 everywhere", alg, on, s, s10)
+			case fig == "Fig 14" && !(s >= 4):
+				return fmt.Errorf("Fig 14: incremental %s over Bolt%s is %.2f× faster than recomputation; it must be at least 4× everywhere", alg, on, s)
+			}
 		}
 	}
 	return nil

@@ -271,9 +271,11 @@ type table struct {
 
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
-// emit prints t under title and adds it to the report, if one is attached.
-func (c *Config) emit(t *table, title string) {
-	c.Report.add(title, t)
+// emit prints t under title and returns it as the report records it: the
+// printed table is an experiment's one result. An attached report keeps it too.
+func (c *Config) emit(t *table, title string) Table {
+	rec := t.record(title)
+	c.Report.add(rec)
 	fmt.Fprintf(c.Out, "\n== %s ==\n", title)
 	widths := make([]int, len(t.header))
 	for _, r := range append([][]string{t.header}, t.rows...) {
@@ -288,6 +290,7 @@ func (c *Config) emit(t *table, title string) {
 		}
 		fmt.Fprintln(c.Out, strings.TrimRight(strings.Join(parts, "  "), " "))
 	}
+	return rec
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

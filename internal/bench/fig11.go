@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 
 	"aion/internal/datagen"
@@ -10,22 +11,14 @@ import (
 	"aion/internal/strstore"
 )
 
-// Fig11Row is one point of Fig 11: the delta-materialization sweep. The
-// threshold is the delta-chain length before a full entity version is
-// written; 32 means "never materialize" for the 32-update workload, 1 means
-// "materialize on every update".
-type Fig11Row struct {
-	Threshold       int
-	OpsPerSec       float64
-	StorageBytes    int64
-	StorageOverhead float64 // normalized to the never-materialize run
-}
-
 // RunFig11 regenerates Fig 11 on the DBLP workload: every relationship
 // receives 32 new properties at discrete times, then random point lookups
 // measure reconstruction throughput for thresholds {32, 16, 8, 4, 2, 1}, one
-// store each, all measured together.
-func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int) ([]Fig11Row, error) {
+// store each, all measured together. The threshold is the delta-chain length
+// before a full entity version is written: 32 means "never materialize" for
+// the 32-update workload, 1 "materialize on every update"; storage is
+// normalized to the first threshold's.
+func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int) (Table, error) {
 	c.Defaults()
 	if len(thresholds) == 0 {
 		thresholds = []int{32, 16, 8, 4, 2, 1}
@@ -50,17 +43,11 @@ func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int)
 			ChainThreshold: storeTh,
 		})
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		defer ls.Close()
-		if err := ls.ApplyBatch(ds.Updates); err != nil {
-			return nil, err
-		}
-		if err := ls.ApplyBatch(chain); err != nil {
-			return nil, err
-		}
-		if err := ls.Flush(); err != nil {
-			return nil, err
+		if err := errors.Join(ls.ApplyBatch(ds.Updates), ls.ApplyBatch(chain), ls.Flush()); err != nil {
+			return Table{}, err
 		}
 		stores[i] = ls
 		sides[i] = timed(func() error {
@@ -74,16 +61,12 @@ func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int)
 	}
 	d, err := measure(sides...)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
-	var rows []Fig11Row
 	t := &table{header: []string{"chain threshold", "throughput (ops/s)", "storage (MB)", "normalized storage"}}
 	for i, th := range thresholds {
-		row := Fig11Row{Threshold: th, OpsPerSec: opsPerSec(ops, d[i]), StorageBytes: stores[i].DiskBytes()}
-		row.StorageOverhead = float64(row.StorageBytes) / float64(stores[0].DiskBytes())
-		rows = append(rows, row)
-		t.add(fi(int64(th)), f1(row.OpsPerSec), mb(row.StorageBytes), f2(row.StorageOverhead))
+		bytes := stores[i].DiskBytes()
+		t.add(fi(int64(th)), f1(opsPerSec(ops, d[i])), mb(bytes), f2(float64(bytes)/float64(stores[0].DiskBytes())))
 	}
-	c.emit(t, "Fig 11: materialization strategy (history length of deltas)")
-	return rows, nil
+	return c.emit(t, "Fig 11: materialization strategy (history length of deltas)"), nil
 }

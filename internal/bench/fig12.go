@@ -10,17 +10,6 @@ import (
 	"aion/internal/model"
 )
 
-// Fig12Row is one Algorithm(#snapshots) × dataset point of Fig 12, of the
-// extension experiment and of Fig 14 (the computation run as a temporal
-// procedure over Bolt): the speedup of incremental execution over
-// recomputation across consecutive snapshots.
-type Fig12Row struct {
-	Dataset   string
-	Algorithm string // AVG, BFS, PR; SSSP, COLOR
-	Snapshots int
-	Speedup   float64
-}
-
 // incAlgos is the algorithm table, name → seed: a seed runs the algorithm on
 // a full snapshot. The recompute calls it on every snapshot of the series;
 // the incremental run calls it on the first and hands each next diff to the
@@ -68,15 +57,17 @@ func fig12Workload(c Config, name string, snapshots int) (base *memgraph.Graph, 
 }
 
 // RunFig12 regenerates Fig 12 for AVG, BFS, and PageRank with 10 and 100
-// snapshots.
-func RunFig12(c Config, snapshotCounts []int) ([]Fig12Row, error) {
+// snapshots: one Algorithm(#snapshots) × dataset row each, incremental
+// execution's and recomputation's ms across consecutive snapshots and the
+// speedup (one decimal, so a gate divides the two ms columns instead).
+func RunFig12(c Config, snapshotCounts []int) (Table, error) {
 	return runIncremental(c, snapshotCounts, []string{"AVG", "BFS", "PR"},
 		"Fig 12: incremental execution speedup over recomputation")
 }
 
 // RunExtensionIncremental measures incremental SSSP and colouring against
 // per-snapshot recomputation, with the Fig 12 workload protocol.
-func RunExtensionIncremental(c Config, snapshotCounts []int) ([]Fig12Row, error) {
+func RunExtensionIncremental(c Config, snapshotCounts []int) (Table, error) {
 	return runIncremental(c, snapshotCounts, []string{"SSSP", "COLOR"},
 		"Extension: incremental SSSP and graph colouring (Sec 5.2 classes)")
 }
@@ -84,18 +75,17 @@ func RunExtensionIncremental(c Config, snapshotCounts []int) ([]Fig12Row, error)
 // runIncremental times each named algorithm of the table over every dataset's
 // snapshot series: every run evolves its own CoW clone of the first graph,
 // and each timed sample repeats the run for at least minWork.
-func runIncremental(c Config, snapshotCounts []int, algs []string, title string) ([]Fig12Row, error) {
+func runIncremental(c Config, snapshotCounts []int, algs []string, title string) (Table, error) {
 	c.Defaults()
 	if len(snapshotCounts) == 0 {
 		snapshotCounts = []int{10, 100}
 	}
-	var rows []Fig12Row
 	t := &table{header: []string{"Algorithm(#snapshots)", "Dataset", "incremental (ms)", "recompute (ms)", "speedup (x)"}}
 	for _, name := range c.Datasets {
 		for _, snaps := range snapshotCounts {
 			base, diffs, err := fig12Workload(c, name, snaps)
 			if err != nil {
-				return nil, err
+				return Table{}, err
 			}
 			for _, alg := range algs {
 				seed := incAlgos[alg]
@@ -117,16 +107,13 @@ func runIncremental(c Config, snapshotCounts []int, algs []string, title string)
 					return nil
 				}))
 				if err != nil {
-					return nil, err
+					return Table{}, err
 				}
-				row := Fig12Row{Dataset: name, Algorithm: alg, Snapshots: snaps, Speedup: d[1].Seconds() / d[0].Seconds()}
-				rows = append(rows, row)
-				t.add(fmt.Sprintf("%s(%d)", alg, snaps), name, ms(d[0]), ms(d[1]), f1(row.Speedup))
+				t.add(fmt.Sprintf("%s(%d)", alg, snaps), name, ms(d[0]), ms(d[1]), f1(d[1].Seconds()/d[0].Seconds()))
 			}
 		}
 	}
-	c.emit(t, title)
-	return rows, nil
+	return c.emit(t, title), nil
 }
 
 func applyDiff(g *memgraph.Graph, diff []model.Update) {

@@ -14,15 +14,6 @@ import (
 	"aion/internal/system"
 )
 
-// Fig13Row is one dataset group of Fig 13: transaction throughput over Bolt
-// for read-only, 10 %-write, and 20 %-write mixes.
-type Fig13Row struct {
-	Dataset  string
-	ReadOnly float64 // queries/s
-	Writes10 float64
-	Writes20 float64
-}
-
 // startBoltSystem loads a dataset into a host+Aion system (snapshots every
 // eighth of the load) and serves it over Bolt, returning the address and a
 // shutdown func.
@@ -50,9 +41,10 @@ func startBoltSystem(c Config, name, dir string) (*datagen.Dataset, string, func
 }
 
 // RunFig13 regenerates Fig 13: client threads submit read and write
-// transactions as temporal Cypher over Bolt. Reads retrieve temporal
-// entities at arbitrary time points; writes create or update nodes.
-func RunFig13(c Config, dir func(string) string, clients, opsPerClient int) ([]Fig13Row, error) {
+// transactions as temporal Cypher over Bolt, in read-only, 10 %-write and
+// 20 %-write mixes. Reads retrieve temporal entities at arbitrary time points;
+// writes create or update nodes.
+func RunFig13(c Config, dir func(string) string, clients, opsPerClient int) (Table, error) {
 	c.Defaults()
 	if clients <= 0 {
 		clients = 8
@@ -60,12 +52,11 @@ func RunFig13(c Config, dir func(string) string, clients, opsPerClient int) ([]F
 	if opsPerClient <= 0 {
 		opsPerClient = 100
 	}
-	var rows []Fig13Row
 	t := &table{header: []string{"Dataset", "read-only (q/s)", "10% writes (q/s)", "20% writes (q/s)"}}
 	for _, name := range c.Datasets {
 		ds, addr, shutdown, err := startBoltSystem(c, name, dir(name))
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		mix := func(writePct int) side {
 			return timed(func() error { return boltMixedWorkload(ds, addr, clients, opsPerClient, writePct, c.Seed) })
@@ -73,16 +64,12 @@ func RunFig13(c Config, dir func(string) string, clients, opsPerClient int) ([]F
 		d, err := measure(mix(0), mix(10), mix(20))
 		shutdown()
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		total := clients * opsPerClient
-		row := Fig13Row{Dataset: name, ReadOnly: opsPerSec(total, d[0]),
-			Writes10: opsPerSec(total, d[1]), Writes20: opsPerSec(total, d[2])}
-		rows = append(rows, row)
-		t.add(name, f1(row.ReadOnly), f1(row.Writes10), f1(row.Writes20))
+		t.add(name, f1(opsPerSec(total, d[0])), f1(opsPerSec(total, d[1])), f1(opsPerSec(total, d[2])))
 	}
-	c.emit(t, "Fig 13: transactions using Bolt (32-thread analogue)")
-	return rows, nil
+	return c.emit(t, "Fig 13: transactions using Bolt (32-thread analogue)"), nil
 }
 
 func boltMixedWorkload(ds *datagen.Dataset, addr string, clients, opsPerClient, writePct int, seed int64) error {
@@ -139,17 +126,12 @@ func boltMixedWorkload(ds *datagen.Dataset, addr string, clients, opsPerClient, 
 	return nil
 }
 
-// fig14Reps is how many times each timed side of Fig 14 repeats its calls,
-// the table reporting one repetition: an incremental call on the smallest
-// dataset takes ~0.2 ms, and with one call per sample scheduler noise
-// dragged a ≈ 5× cell under 4× in about one run in ten.
-const fig14Reps = 10
-
 // RunFig14 regenerates Fig 14: the Fig 12 workloads executed through CALL
 // aion.incremental.* procedures over Bolt, compared against per-snapshot
 // recomputation through individual procedure calls (the repetitive query
-// compilation and scheduling the paper removes).
-func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig12Row, error) {
+// compilation and scheduling the paper removes). Both sides are repeated, as
+// Fig 12's are: an incremental call on the smallest dataset takes ~0.2 ms.
+func RunFig14(c Config, dir func(string) string, snapshotCounts []int) (Table, error) {
 	c.Defaults()
 	if len(snapshotCounts) == 0 {
 		snapshotCounts = []int{10, 100}
@@ -158,17 +140,16 @@ func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig12R
 		"AVG": `CALL aion.incremental.avg('w', %d, %d, %d)`,
 		"BFS": `CALL aion.incremental.bfs(0, %d, %d, %d)`,
 	}
-	var rows []Fig12Row
 	t := &table{header: []string{"Algorithm(#snapshots)", "Dataset", "incremental (ms)", "recompute (ms)", "speedup (x)"}}
 	for _, name := range c.Datasets {
 		ds, addr, shutdown, err := startBoltSystem(c, name, dir(name))
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		cl, err := bolt.Dial(addr)
 		if err != nil {
 			shutdown()
-			return nil, err
+			return Table{}, err
 		}
 		maxTS := int64(ds.MaxTS)
 		half := maxTS / 2
@@ -181,19 +162,10 @@ func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig12R
 				}
 				// Recompute: one full procedure call per snapshot (a step
 				// spanning the whole window, so nothing is reused).
-				d, err := measure(timed(func() error {
-					for range fig14Reps {
-						if err := call(half, maxTS, step); err != nil {
+				d, err := measure(repeated(func() error { return call(half, maxTS, step) }), repeated(func() error {
+					for ts := half; ts <= maxTS; ts += step {
+						if err := call(ts, ts, 1); err != nil {
 							return err
-						}
-					}
-					return nil
-				}), timed(func() error {
-					for range fig14Reps {
-						for ts := half; ts <= maxTS; ts += step {
-							if err := call(ts, ts, 1); err != nil {
-								return err
-							}
 						}
 					}
 					return nil
@@ -201,16 +173,13 @@ func RunFig14(c Config, dir func(string) string, snapshotCounts []int) ([]Fig12R
 				if err != nil {
 					cl.Close()
 					shutdown()
-					return nil, err
+					return Table{}, err
 				}
-				row := Fig12Row{Dataset: name, Algorithm: alg, Snapshots: snaps, Speedup: d[1].Seconds() / d[0].Seconds()}
-				rows = append(rows, row)
-				t.add(fmt.Sprintf("%s(%d)", alg, snaps), name, ms(d[0]/fig14Reps), ms(d[1]/fig14Reps), f1(row.Speedup))
+				t.add(fmt.Sprintf("%s(%d)", alg, snaps), name, ms(d[0]), ms(d[1]), f1(d[1].Seconds()/d[0].Seconds()))
 			}
 		}
 		cl.Close()
 		shutdown()
 	}
-	c.emit(t, "Fig 14: incremental speedup with procedures over Bolt")
-	return rows, nil
+	return c.emit(t, "Fig 14: incremental speedup with procedures over Bolt"), nil
 }

@@ -9,25 +9,16 @@ import (
 	"aion/internal/datagen"
 )
 
-// Fig6Row is one bar pair of Fig 6: point-query throughput (random
-// relationship fetches at arbitrary time points), Aion vs Raphtory.
-type Fig6Row struct {
-	Dataset            string
-	AionOpsPerSec      float64
-	RaphtoryOpsPerSec  float64
-	RaphtoryLoadedFrac float64
-}
-
-// RunFig6 regenerates Fig 6: fetching random relationships.
-func RunFig6(c Config, dir func(string) string) ([]Fig6Row, error) {
+// RunFig6 regenerates Fig 6: fetching random relationships (point-query
+// throughput at arbitrary time points), Aion vs Raphtory.
+func RunFig6(c Config, dir func(string) string) (Table, error) {
 	c.Defaults()
-	var rows []Fig6Row
 	t := &table{header: []string{"Dataset", "Aion (ops/s)", "Raphtory (ops/s)", "Raphtory loaded (%)"}}
 	for _, name := range c.Datasets {
 		ds := c.genDataset(name, datagen.Options{})
 		db, err := loadAion(dir(name), ds)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		raph := raphtory.New()
 		raph.IngestAll(ds.Updates)
@@ -49,39 +40,22 @@ func RunFig6(c Config, dir func(string) string) ([]Fig6Row, error) {
 		}))
 		db.Close()
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
-		row := Fig6Row{
-			Dataset:            name,
-			AionOpsPerSec:      opsPerSec(c.PointOps, d[0]),
-			RaphtoryOpsPerSec:  opsPerSec(c.PointOps, d[1]),
-			RaphtoryLoadedFrac: raph.LoadedFraction(),
-		}
-		rows = append(rows, row)
-		t.add(name, f1(row.AionOpsPerSec), f1(row.RaphtoryOpsPerSec), f1(100*row.RaphtoryLoadedFrac))
+		t.add(name, f1(opsPerSec(c.PointOps, d[0])), f1(opsPerSec(c.PointOps, d[1])), f1(100*raph.LoadedFraction()))
 	}
-	c.emit(t, "Fig 6: fetching random relationships (point queries)")
-	return rows, nil
-}
-
-// Fig7Row is one group of Fig 7: runtime to fetch random full snapshots.
-type Fig7Row struct {
-	Dataset     string
-	AionSec     float64
-	RaphtorySec float64
-	GradoopSec  float64
+	return c.emit(t, "Fig 6: fetching random relationships (point queries)"), nil
 }
 
 // RunFig7 regenerates Fig 7: fetching random snapshots (global queries).
-func RunFig7(c Config, dir func(string) string) ([]Fig7Row, error) {
+func RunFig7(c Config, dir func(string) string) (Table, error) {
 	c.Defaults()
-	var rows []Fig7Row
 	t := &table{header: []string{"Dataset", "Aion (ms)", "Raphtory (ms)", "Gradoop (ms)", "Aion vs Raph (x)", "Aion vs Gradoop (x)"}}
 	for _, name := range c.Datasets {
 		ds := c.genDataset(name, datagen.Options{})
 		db, err := loadAion(dir(name), ds)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		raph, grad := raphtory.New(), gradoop.New()
 		raph.IngestAll(ds.Updates)
@@ -108,12 +82,9 @@ func RunFig7(c Config, dir func(string) string) ([]Fig7Row, error) {
 		}))
 		db.Close()
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
-		row := Fig7Row{Dataset: name, AionSec: d[0].Seconds(), RaphtorySec: d[1].Seconds(), GradoopSec: d[2].Seconds()}
-		rows = append(rows, row)
-		t.add(name, ms(d[0]), ms(d[1]), ms(d[2]), f1(row.RaphtorySec/row.AionSec), f1(row.GradoopSec/row.AionSec))
+		t.add(name, ms(d[0]), ms(d[1]), ms(d[2]), f1(d[1].Seconds()/d[0].Seconds()), f1(d[2].Seconds()/d[0].Seconds()))
 	}
-	c.emit(t, "Fig 7: fetching random snapshots (global queries)")
-	return rows, nil
+	return c.emit(t, "Fig 7: fetching random snapshots (global queries)"), nil
 }

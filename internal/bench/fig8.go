@@ -11,22 +11,12 @@ import (
 	"aion/internal/model"
 )
 
-// Fig8Row is one Dataset(#hops) group of Fig 8: n-hop throughput for
-// Raphtory, LineageStore, and TimeStore, beside the fraction of the graph the
-// planner estimates the expansion touches (Sec 5.1 routes it to the TimeStore
-// from 30 % on).
-type Fig8Row struct {
-	Dataset  string
-	Hops     int
-	Raphtory float64 // ops/s
-	Lineage  float64
-	Time     float64
-	Estimate float64 // aion.GraphStats.EstimateExpandFraction
-}
-
 // RunFig8 regenerates Fig 8: n-hop graph accesses starting from random
-// nodes, hops in {1, 2, 4, 8}.
-func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop int) ([]Fig8Row, error) {
+// nodes, hops in {1, 2, 4, 8}; one Dataset(#hops) row each of Raphtory's,
+// the LineageStore's and the TimeStore's throughput, beside the fraction of
+// the graph the planner estimates the expansion touches (Sec 5.1 routes it to
+// the TimeStore from 30 % on).
+func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop int) (Table, error) {
 	c.Defaults()
 	if len(hopsList) == 0 {
 		hopsList = []int{1, 2, 4, 8}
@@ -34,13 +24,12 @@ func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop in
 	if queriesPerHop <= 0 {
 		queriesPerHop = 5
 	}
-	var rows []Fig8Row
 	t := &table{header: []string{"Dataset(#hops)", "Raphtory (ops/s)", "LineageStore (ops/s)", "TimeStore (ops/s)", "planner est. fraction"}}
 	for _, name := range c.Datasets {
 		ds := c.genDataset(name, datagen.Options{})
 		db, err := loadAion(dir(name), ds)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		raph := raphtory.New()
 		raph.IngestAll(ds.Updates)
@@ -79,19 +68,12 @@ func RunFig8(c Config, dir func(string) string, hopsList []int, queriesPerHop in
 			}))
 			if err != nil {
 				db.Close()
-				return nil, err
+				return Table{}, err
 			}
-			row := Fig8Row{Dataset: name, Hops: hops,
-				Raphtory: opsPerSec(queriesPerHop, d[0]),
-				Lineage:  opsPerSec(queriesPerHop, d[1]),
-				Time:     opsPerSec(queriesPerHop, d[2]),
-				Estimate: db.Stats().EstimateExpandFraction(hops, model.Outgoing),
-			}
-			rows = append(rows, row)
-			t.add(fmt.Sprintf("%s(%d)", name, hops), f2(row.Raphtory), f2(row.Lineage), f2(row.Time), fmt.Sprintf("%.3f", row.Estimate))
+			t.add(fmt.Sprintf("%s(%d)", name, hops), f2(opsPerSec(queriesPerHop, d[0])), f2(opsPerSec(queriesPerHop, d[1])),
+				f2(opsPerSec(queriesPerHop, d[2])), fmt.Sprintf("%.3f", db.Stats().EstimateExpandFraction(hops, model.Outgoing)))
 		}
 		db.Close()
 	}
-	c.emit(t, "Fig 8: n-hop graph accesses")
-	return rows, nil
+	return c.emit(t, "Fig 8: n-hop graph accesses"), nil
 }

@@ -17,24 +17,15 @@ import (
 	"aion/internal/vfs"
 )
 
-// Fig9Row is one dataset group of Fig 9: ingestion throughput of each
-// temporal-store configuration, normalized to the bare host database.
-type Fig9Row struct {
-	Dataset  string
-	Baseline float64 // host-only ops/s (the normalizer)
-	TSLS     float64 // both stores synchronous, normalized
-	Lineage  float64 // LineageStore only, normalized
-	Time     float64 // TimeStore only, normalized
-}
-
 // RunFig9 regenerates Fig 9: normalized ingestion throughput for TS+LS,
-// LineageStore-only, and TimeStore-only against the bare host. Every run
+// LineageStore-only, and TimeStore-only against the bare host (whose ops/s
+// is the normalizer; 1.0 = no slower than it). Every run
 // loads the dataset into a fresh host through transactions of batchSize
 // updates from parallel writers (Sec 6.4: batches with 32 client threads),
 // each commit durable; only the load is timed. The three temporal sides are
 // composed here, not in Aion: one commit listener writes the side's stores
 // on the commit path, as Aion writes its TimeStore.
-func RunFig9(c Config, dir func(string) string, batchSize, writers int) ([]Fig9Row, error) {
+func RunFig9(c Config, dir func(string) string, batchSize, writers int) (Table, error) {
 	c.Defaults()
 	if batchSize <= 0 {
 		batchSize = 1000
@@ -42,7 +33,6 @@ func RunFig9(c Config, dir func(string) string, batchSize, writers int) ([]Fig9R
 	if writers <= 0 {
 		writers = 8
 	}
-	var rows []Fig9Row
 	t := &table{header: []string{"Dataset", "baseline (ops/s)", "TS+LS", "LineageStore", "TimeStore"}}
 	for _, name := range c.Datasets {
 		ds := c.genDataset(name, datagen.Options{})
@@ -65,16 +55,12 @@ func RunFig9(c Config, dir func(string) string, batchSize, writers int) ([]Fig9R
 		}
 		d, err := measure(ingest(false, false), ingest(true, true), ingest(false, true), ingest(true, false))
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
-		base := opsPerSec(len(ds.Updates), d[0])
-		row := Fig9Row{Dataset: name, Baseline: base, TSLS: d[0].Seconds() / d[1].Seconds(),
-			Lineage: d[0].Seconds() / d[2].Seconds(), Time: d[0].Seconds() / d[3].Seconds()}
-		rows = append(rows, row)
-		t.add(name, f1(base), f2(row.TSLS), f2(row.Lineage), f2(row.Time))
+		norm := func(i int) string { return f2(d[0].Seconds() / d[i].Seconds()) }
+		t.add(name, f1(opsPerSec(len(ds.Updates), d[0])), norm(1), norm(2), norm(3))
 	}
-	c.emit(t, "Fig 9: ingestion overhead (normalized throughput; 1.0 = no temporal store)")
-	return rows, nil
+	return c.emit(t, "Fig 9: ingestion overhead (normalized throughput; 1.0 = no temporal store)"), nil
 }
 
 // attachStores opens the temporal side of a Fig 9 bar under dir — a
@@ -128,19 +114,12 @@ func attachStores(host *hostdb.DB, dir string, timeStore, lineage bool) (func() 
 	return func() error { return errors.Join(failed, closeAll()) }, nil
 }
 
-// Fig10Row is one dataset group of Fig 10: on-disk storage by component.
-type Fig10Row struct {
-	Dataset       string
-	Neo4jBytes    int64   // host records + property chains + retained txn logs
-	TimeBytes     int64   // log + snapshots (the fences are memory only)
-	LineageBytes  int64   // four B+Trees
-	OverheadRatio float64 // (Time+Lineage) / Neo4j
-}
-
-// RunFig10 regenerates Fig 10: temporal storage overhead.
-func RunFig10(c Config, dir func(string) string) ([]Fig10Row, error) {
+// RunFig10 regenerates Fig 10: temporal storage overhead on disk, by
+// component — the host's records, property chains and retained txn logs
+// (Neo4j), the TimeStore's log and snapshots, the LineageStore's trees — and
+// what the two temporal stores add to the host, in percent.
+func RunFig10(c Config, dir func(string) string) (Table, error) {
 	c.Defaults()
-	var rows []Fig10Row
 	t := &table{header: []string{"Dataset", "Neo4j (MB)", "TimeStore (MB)", "LineageStore (MB)", "overhead (%)"}}
 	for _, name := range c.Datasets {
 		// Real graphs carry properties; give relationships one, as the
@@ -150,24 +129,17 @@ func RunFig10(c Config, dir func(string) string) ([]Fig10Row, error) {
 		sys, _, err := loadHosted(system.Options{Dir: dir(name),
 			Aion: aion.Options{SnapshotEveryOps: len(ds.Updates)/2 + 1}}, ds, 1000, 1)
 		if err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		sys.Aion.TimeStore().WaitSnapshots()
 		if err := sys.Flush(); err != nil {
 			sys.Close()
-			return nil, err
+			return Table{}, err
 		}
 		host := sys.Host.Storage().Total() + sys.Host.IndexAndMetadataBytes()
 		tsBytes, lsBytes := sys.Aion.DiskBytes()
-		row := Fig10Row{
-			Dataset: name, Neo4jBytes: host,
-			TimeBytes: tsBytes, LineageBytes: lsBytes,
-			OverheadRatio: float64(tsBytes+lsBytes) / float64(host),
-		}
-		rows = append(rows, row)
-		t.add(name, mb(row.Neo4jBytes), mb(row.TimeBytes), mb(row.LineageBytes), f1(row.OverheadRatio*100))
+		t.add(name, mb(host), mb(tsBytes), mb(lsBytes), f1(100*float64(tsBytes+lsBytes)/float64(host)))
 		sys.Close()
 	}
-	c.emit(t, "Fig 10: temporal storage overhead (on disk)")
-	return rows, nil
+	return c.emit(t, "Fig 10: temporal storage overhead (on disk)"), nil
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -25,10 +27,8 @@ type Table struct {
 	Rows    [][]any  `json:"rows"`
 }
 
-func (r *Report) add(title string, t *table) {
-	if r == nil {
-		return
-	}
+// record is t titled title, each cell a number where it parses as one.
+func (t *table) record(title string) Table {
 	out := Table{Title: title, Columns: t.header}
 	for _, row := range t.rows {
 		cells := make([]any, len(row))
@@ -40,9 +40,39 @@ func (r *Report) add(title string, t *table) {
 		}
 		out.Rows = append(out.Rows, cells)
 	}
+	return out
+}
+
+// Num returns the number in column of row i: NaN when the table has no such
+// column or the cell is text, so a comparison with a missing cell is false.
+func (t Table) Num(i int, column string) float64 {
+	if v, ok := t.cell(i, column).(float64); ok {
+		return v
+	}
+	return math.NaN()
+}
+
+// Text returns the text in column of row i, "" when the cell is a number or
+// missing.
+func (t Table) Text(i int, column string) string {
+	s, _ := t.cell(i, column).(string)
+	return s
+}
+
+func (t Table) cell(i int, column string) any {
+	if k := slices.Index(t.Columns, column); k >= 0 && i < len(t.Rows) && k < len(t.Rows[i]) {
+		return t.Rows[i][k]
+	}
+	return nil
+}
+
+func (r *Report) add(t Table) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tables = append(r.tables, out)
+	r.tables = append(r.tables, t)
 }
 
 // Tables returns a copy of every table gathered so far.

@@ -8,22 +8,6 @@ import (
 	"aion/internal/memgraph"
 )
 
-// Table3Row mirrors one row of Table 3 (datasets with their properties and
-// in-memory sizes).
-type Table3Row struct {
-	Dataset    string
-	Domain     string
-	Nodes      int
-	Rels       int
-	AvgDegree  float64
-	Directed   bool
-	Neo4jBytes int64 // host-style per-entity accounting
-	AionBytes  int64 // memgraph accounting (Table 3's Aion column)
-	// ResidentBytes is what the Go heap holds for the graph; AionBytes is
-	// the paper's constants and the GraphStore's eviction unit.
-	ResidentBytes int64
-}
-
 // liveHeap is the heap in use after two forced collections.
 func liveHeap() int64 {
 	runtime.GC()
@@ -46,37 +30,23 @@ func neo4jResidentBytes(g *memgraph.Graph) int64 {
 }
 
 // RunTable3 regenerates Table 3 for the scaled datasets.
-func RunTable3(c Config) ([]Table3Row, error) {
+func RunTable3(c Config) (Table, error) {
 	c.Defaults()
-	var rows []Table3Row
 	t := &table{header: []string{"Dataset", "Domain", "|V|", "|E|", "|E|/|V|", "Directed", "Neo4j mem (MB)", "Aion accounted (MB)", "Aion resident (MB)"}}
 	for _, name := range c.Datasets {
 		ds := c.genDataset(name, datagen.Options{})
 		before := liveHeap()
 		g := memgraph.New()
 		if err := g.ApplyAll(ds.Updates); err != nil {
-			return nil, fmt.Errorf("table3 %s: %w", name, err)
+			return Table{}, fmt.Errorf("table3 %s: %w", name, err)
 		}
 		resident := liveHeap() - before
-		row := Table3Row{
-			Dataset:       name,
-			Domain:        ds.Spec.Domain,
-			Nodes:         g.NodeCount(),
-			Rels:          g.RelCount(),
-			AvgDegree:     float64(g.RelCount()) / float64(g.NodeCount()),
-			Directed:      ds.Spec.Directed,
-			Neo4jBytes:    neo4jResidentBytes(g),
-			AionBytes:     g.ApproxBytes(),
-			ResidentBytes: resident,
-		}
-		rows = append(rows, row)
 		dir := "no"
-		if row.Directed {
+		if ds.Spec.Directed {
 			dir = "yes"
 		}
-		t.add(row.Dataset, row.Domain, fi(int64(row.Nodes)), fi(int64(row.Rels)),
-			f1(row.AvgDegree), dir, mb(row.Neo4jBytes), mb(row.AionBytes), mb(row.ResidentBytes))
+		t.add(name, ds.Spec.Domain, fi(int64(g.NodeCount())), fi(int64(g.RelCount())),
+			f1(float64(g.RelCount())/float64(g.NodeCount())), dir, mb(neo4jResidentBytes(g)), mb(g.ApproxBytes()), mb(resident))
 	}
-	c.emit(t, fmt.Sprintf("Table 3: evaluation datasets (scale 1/%d)", c.Scale))
-	return rows, nil
+	return c.emit(t, fmt.Sprintf("Table 3: evaluation datasets (scale 1/%d)", c.Scale)), nil
 }

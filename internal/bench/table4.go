@@ -15,19 +15,6 @@ import (
 	"aion/internal/strstore"
 )
 
-// Table4Row documents one system's storage/retrieval cost model (the
-// analytic part of Table 4), with a measured scaling factor: how point-
-// lookup latency grows when each entity's history is three times longer.
-// Logarithmic costs scale ≈1x; linear history scans scale ≈3x.
-type Table4Row struct {
-	System        string
-	Space         string
-	RelRetrieval  string
-	SnapshotCost  string
-	Persistent    bool
-	MeasuredScale float64 // latency(3x history) / latency(1x history)
-}
-
 // churn appends delete/re-add cycles for every relationship, multiplying
 // each entity's update history without changing the graph's width.
 func churn(ds *datagen.Dataset, cycles int) []model.Update {
@@ -52,9 +39,11 @@ func churn(ds *datagen.Dataset, cycles int) []model.Update {
 	return out
 }
 
-// RunTable4 prints the Table 4 cost model and verifies it empirically:
-// point-query latency under 1x vs 3x per-entity history.
-func RunTable4(c Config, dir func(string) string) ([]Table4Row, error) {
+// RunTable4 prints the Table 4 cost model — each system's storage and
+// retrieval costs, the analytic part — and verifies it empirically: how
+// point-lookup latency grows when each entity's history is three times
+// longer. Logarithmic costs scale ≈1x; linear history scans scale ≈3x.
+func RunTable4(c Config, dir func(string) string) (Table, error) {
 	c.Defaults()
 	name := c.Datasets[0]
 
@@ -97,30 +86,16 @@ func RunTable4(c Config, dir func(string) string) ([]Table4Row, error) {
 	}
 	d1, err := measure3(1) // |U| history
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	d3, err := measure3(3) // 3|U| history
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
-	scale := func(i int) float64 { return d3[i].Seconds() / d1[i].Seconds() }
-
-	rows := []Table4Row{
-		{System: "Aion", Space: "2|U| + k|G|", RelRetrieval: "log(|U_R|)",
-			SnapshotCost: "|G| + delta(|U|)", Persistent: true, MeasuredScale: scale(0)},
-		{System: "Raphtory", Space: "|U|", RelRetrieval: "2|U_R^n|",
-			SnapshotCost: "|U|", Persistent: false, MeasuredScale: scale(1)},
-		{System: "Gradoop", Space: "|U|", RelRetrieval: "|U_R|",
-			SnapshotCost: "|U|", Persistent: false, MeasuredScale: scale(2)},
-	}
+	scale := func(i int) string { return f2(d3[i].Seconds() / d1[i].Seconds()) }
 	t := &table{header: []string{"System", "Space", "Rel retrieval", "Snapshot retrieval", "Persistent", "measured 3x-history scale (x)"}}
-	for _, r := range rows {
-		p := "no"
-		if r.Persistent {
-			p = "yes"
-		}
-		t.add(r.System, r.Space, r.RelRetrieval, r.SnapshotCost, p, f2(r.MeasuredScale))
-	}
-	c.emit(t, fmt.Sprintf("Table 4: storage and retrieval costs (measured on %s)", name))
-	return rows, nil
+	t.add("Aion", "2|U| + k|G|", "log(|U_R|)", "|G| + delta(|U|)", "yes", scale(0))
+	t.add("Raphtory", "|U|", "2|U_R^n|", "|U|", "no", scale(1))
+	t.add("Gradoop", "|U|", "|U_R|", "|U|", "no", scale(2))
+	return c.emit(t, fmt.Sprintf("Table 4: storage and retrieval costs (measured on %s)", name)), nil
 }

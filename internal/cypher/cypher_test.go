@@ -397,6 +397,33 @@ func TestProcedures(t *testing.T) {
 	}
 }
 
+// TestDirectionArguments: aion.relationships and aion.expand read 'out', 'in'
+// and 'both' (bob has one outgoing and one incoming relationship), and fail on
+// any other direction, naming it, instead of reading outgoing ones.
+func TestDirectionArguments(t *testing.T) {
+	e := seed(t)
+	for _, c := range []struct {
+		dir  string
+		rows int // -1: the call fails
+	}{
+		{"'out'", 1}, {"'in'", 1}, {"'both'", 2}, {"'OUT'", 1}, {"'incoming'", 1}, {"'BOTH'", 2},
+		{"'inn'", -1}, {"'Out'", -1}, {"''", -1}, {"3", -1}, {"null", -1},
+	} {
+		for _, q := range []string{"CALL aion.relationships(1, %s, 0, 9)", "CALL aion.expand(1, %s, 1, 9)"} {
+			q = fmt.Sprintf(q, c.dir)
+			res, err := e.QueryContext(context.Background(), q, nil)
+			switch {
+			case c.rows < 0 && (err == nil || !strings.Contains(err.Error(), "direction "+strings.ReplaceAll(c.dir, "'", `"`))):
+				t.Errorf("%s: %v, want an error naming the direction", q, err)
+			case c.rows >= 0 && err != nil:
+				t.Errorf("%s: %v", q, err)
+			case c.rows >= 0 && len(res.Rows) != c.rows:
+				t.Errorf("%s: %d rows, want %d", q, len(res.Rows), c.rows)
+			}
+		}
+	}
+}
+
 // TestGraphAheadOfTheLogIsNotCached: aion.graph at a timestamp past the
 // log's end answers with the latest graph but caches nothing there, so a
 // read at that timestamp after two more commits sees them; at the log's end

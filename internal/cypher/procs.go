@@ -196,14 +196,18 @@ func scalars(vs ...model.Value) []Val {
 	return row
 }
 
-func dirOf(v model.Value) model.Direction {
+// dirOf reads a direction argument, 'out', 'in' or 'both' (also in capitals,
+// or as 'outgoing' or 'incoming'); any other value fails, naming it.
+func dirOf(v model.Value) (model.Direction, error) {
 	switch v.Str() {
+	case "out", "OUT", "outgoing", "OUTGOING":
+		return model.Outgoing, nil
 	case "in", "IN", "incoming", "INCOMING":
-		return model.Incoming
+		return model.Incoming, nil
 	case "both", "BOTH":
-		return model.Both
+		return model.Both, nil
 	}
-	return model.Outgoing
+	return 0, fmt.Errorf("cypher: unknown direction %v, want 'out', 'in' or 'both'", v)
 }
 
 // addVersions adds a (version, validFrom, validTo) row per version of vs —
@@ -238,12 +242,20 @@ func procRelationship(c *Call) error {
 }
 
 func procRelationships(c *Call) error {
-	hists, err := c.E.Sys.Aion.GetRelationshipsContext(c.Ctx, model.NodeID(c.Args[0].Int()), dirOf(c.Args[1]), c.ts(2), c.ts(3))
+	dir, err := dirOf(c.Args[1])
+	if err != nil {
+		return err
+	}
+	hists, err := c.E.Sys.Aion.GetRelationshipsContext(c.Ctx, model.NodeID(c.Args[0].Int()), dir, c.ts(2), c.ts(3))
 	return addVersions(c, slices.Concat(hists...), err, relRow)
 }
 
 func procExpand(c *Call) error {
-	hops, err := c.E.Sys.Aion.ExpandContext(c.Ctx, model.NodeID(c.Args[0].Int()), dirOf(c.Args[1]), int(c.Args[2].Int()), c.ts(3))
+	dir, err := dirOf(c.Args[1])
+	if err != nil {
+		return err
+	}
+	hops, err := c.E.Sys.Aion.ExpandContext(c.Ctx, model.NodeID(c.Args[0].Int()), dir, int(c.Args[2].Int()), c.ts(3))
 	if err != nil {
 		return err
 	}

@@ -36,10 +36,11 @@ const (
 )
 
 // driveCrashLoad runs the concurrent workload: each committer commits
-// transactions that create two nodes sharing a unique "tag" property.
+// transactions that create two nodes sharing a unique "tag" property —
+// serial: one committer after another, so one transaction at a time.
 // It returns tag→timestamp for every acked (successfully committed)
 // transaction.
-func driveCrashLoad(db *DB) map[int64]model.Timestamp {
+func driveCrashLoad(db *DB, serial bool) map[int64]model.Timestamp {
 	acked := make(map[int64]model.Timestamp)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -71,6 +72,9 @@ func driveCrashLoad(db *DB) map[int64]model.Timestamp {
 				mu.Unlock()
 			}
 		}(w)
+		if serial {
+			wg.Wait()
+		}
 	}
 	wg.Wait()
 	return acked
@@ -149,7 +153,7 @@ func runGroupCommitCrashCase(t *testing.T, k int, torn bool) {
 	var acked map[int64]model.Timestamp
 	db, err := Open(Options{FS: fs, SyncCommits: true})
 	if err == nil {
-		acked = driveCrashLoad(db)
+		acked = driveCrashLoad(db, false)
 		fs.Crash() // power cut FIRST: nothing Close still flushes may count as durable
 		_ = db.Close()
 	} else {
@@ -163,24 +167,36 @@ func runGroupCommitCrashCase(t *testing.T, k int, torn bool) {
 	verifyRecovered(t, k, torn, db2, acked)
 }
 
-// TestCrashSweepGroupCommit measures the fault-free workload's mutating-op
-// count, then crashes at every fault index in both modes.
-func TestCrashSweepGroupCommit(t *testing.T) {
+// faultFreeOps runs the workload, serial or concurrent, on a FaultFS that
+// never fails and returns how many mutating ops it made, Open and Close included.
+func faultFreeOps(t *testing.T, serial bool) int {
+	t.Helper()
 	fs := vfstest.NewFaultFS()
 	db, err := Open(Options{FS: fs, SyncCommits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	acked := driveCrashLoad(db)
+	acked := driveCrashLoad(db, serial)
 	if want := crashCommitters * crashTxPerWorker; len(acked) != want {
-		t.Fatalf("fault-free run acked %d/%d transactions", len(acked), want)
+		t.Fatalf("fault-free run (serial %v) acked %d/%d transactions", serial, len(acked), want)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n := int(fs.Ops())
+	return int(fs.Ops())
+}
+
+// TestCrashSweepGroupCommit crashes the concurrent workload at every fault
+// index in both modes, up to the op count of the same transactions committed
+// one at a time: a bound that does not depend on scheduling, since grouping
+// only merges appends and fsyncs, which the concurrent run is checked for.
+func TestCrashSweepGroupCommit(t *testing.T) {
+	n := faultFreeOps(t, true)
 	if n < 10 {
 		t.Fatalf("workload issued only %d mutating ops", n)
+	}
+	if c := faultFreeOps(t, false); c > n {
+		t.Fatalf("the concurrent run made %d mutating ops, more than the %d of one commit at a time", c, n)
 	}
 	t.Logf("sweeping %d fault indexes × 2 modes over %d concurrent transactions",
 		n, crashCommitters*crashTxPerWorker)
