@@ -52,8 +52,8 @@ func speedups(title string, rows map[string]float64) bench.Table {
 func TestPaperShapeNamesTheBrokenFigure(t *testing.T) {
 	fig10 := func(overhead any) bench.Table {
 		return bench.Table{Title: "Fig 10: temporal storage overhead (on disk)",
-			Columns: []string{"Dataset", "Neo4j (MB)", "TimeStore (MB)", "LineageStore (MB)", "overhead (%)"},
-			Rows:    [][]any{{"DBLP", 1.5, 0.2, 0.25, overhead}}}
+			Columns: []string{"Dataset", "Neo4j (KB)", "TimeStore (KB)", "LineageStore (KB)", "overhead (%)"},
+			Rows:    [][]any{{"DBLP", 1536.0, 204.8, 256.0, overhead}}}
 	}
 	fig12 := func(at10, at100 float64) bench.Table {
 		return speedups("Fig 12: incremental execution speedup over recomputation", map[string]float64{"PR(10)": at10, "PR(100)": at100})

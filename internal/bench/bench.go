@@ -296,7 +296,7 @@ func (c *Config) emit(t *table, title string) Table {
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func fi(v int64) string   { return fmt.Sprintf("%d", v) }
-func mb(bytes int64) string {
-	return fmt.Sprintf("%.2f", float64(bytes)/(1<<20))
+func kb(bytes int64) string {
+	return fmt.Sprintf("%.1f", float64(bytes)/(1<<10))
 }
 func ms(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()*1000) }

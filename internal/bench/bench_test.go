@@ -45,7 +45,7 @@ func positive(t *testing.T, tab Table, columns ...string) {
 func TestRunTable3(t *testing.T) {
 	var out bytes.Buffer
 	c := tiny(t, &out)
-	c.Scale = 1000 // the harness default: a tiny graph's MB cells print equal
+	c.Scale = 1000 // the harness default: the memory columns at the size make paper prints
 	tab, err := RunTable3(c)
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +53,10 @@ func TestRunTable3(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	positive(t, tab, "|V|", "|E|", "Neo4j mem (MB)", "Aion accounted (MB)", "Aion resident (MB)")
+	positive(t, tab, "|V|", "|E|", "Neo4j mem (KB)", "Aion accounted (KB)", "Aion resident (KB)")
 	for i := range tab.Rows {
-		if aion, neo4j := tab.Num(i, "Aion accounted (MB)"), tab.Num(i, "Neo4j mem (MB)"); !(aion < neo4j) {
-			t.Errorf("%s: Aion memory %v MB should be below Neo4j %v MB (Table 3 shape)", tab.Text(i, "Dataset"), aion, neo4j)
+		if aion, neo4j := tab.Num(i, "Aion accounted (KB)"), tab.Num(i, "Neo4j mem (KB)"); !(aion < neo4j) {
+			t.Errorf("%s: Aion memory %v KB should be below Neo4j %v KB (Table 3 shape)", tab.Text(i, "Dataset"), aion, neo4j)
 		}
 	}
 	if !strings.Contains(out.String(), "Table 3") {
@@ -127,12 +127,12 @@ func TestRunFig10(t *testing.T) {
 	var out bytes.Buffer
 	c := tiny(t, &out)
 	c.Datasets = []string{"DBLP"}
-	c.Scale = 5000 // a tiny TimeStore prints 0.00 MB
+	c.Scale = 5000 // a TimeStore of tens of KB: tiny's DBLP writes under 2
 	tab, err := RunFig10(c, dirFactory(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	positive(t, tab, "Neo4j (MB)", "TimeStore (MB)", "LineageStore (MB)")
+	positive(t, tab, "Neo4j (KB)", "TimeStore (KB)", "LineageStore (KB)")
 }
 
 func TestRunFig11(t *testing.T) {

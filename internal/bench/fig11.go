@@ -63,10 +63,10 @@ func RunFig11(c Config, dir func(string) string, thresholds []int, chainLen int)
 	if err != nil {
 		return Table{}, err
 	}
-	t := &table{header: []string{"chain threshold", "throughput (ops/s)", "storage (MB)", "normalized storage"}}
+	t := &table{header: []string{"chain threshold", "throughput (ops/s)", "storage (KB)", "normalized storage"}}
 	for i, th := range thresholds {
 		bytes := stores[i].DiskBytes()
-		t.add(fi(int64(th)), f1(opsPerSec(ops, d[i])), mb(bytes), f2(float64(bytes)/float64(stores[0].DiskBytes())))
+		t.add(fi(int64(th)), f1(opsPerSec(ops, d[i])), kb(bytes), f2(float64(bytes)/float64(stores[0].DiskBytes())))
 	}
 	return c.emit(t, "Fig 11: materialization strategy (history length of deltas)"), nil
 }

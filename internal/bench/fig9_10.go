@@ -120,7 +120,7 @@ func attachStores(host *hostdb.DB, dir string, timeStore, lineage bool) (func() 
 // what the two temporal stores add to the host, in percent.
 func RunFig10(c Config, dir func(string) string) (Table, error) {
 	c.Defaults()
-	t := &table{header: []string{"Dataset", "Neo4j (MB)", "TimeStore (MB)", "LineageStore (MB)", "overhead (%)"}}
+	t := &table{header: []string{"Dataset", "Neo4j (KB)", "TimeStore (KB)", "LineageStore (KB)", "overhead (%)"}}
 	for _, name := range c.Datasets {
 		// Real graphs carry properties; give relationships one, as the
 		// host's property records and txn-log images are a large part of
@@ -138,7 +138,7 @@ func RunFig10(c Config, dir func(string) string) (Table, error) {
 		}
 		host := sys.Host.Storage().Total() + sys.Host.IndexAndMetadataBytes()
 		tsBytes, lsBytes := sys.Aion.DiskBytes()
-		t.add(name, mb(host), mb(tsBytes), mb(lsBytes), f1(100*float64(tsBytes+lsBytes)/float64(host)))
+		t.add(name, kb(host), kb(tsBytes), kb(lsBytes), f1(100*float64(tsBytes+lsBytes)/float64(host)))
 		sys.Close()
 	}
 	return c.emit(t, "Fig 10: temporal storage overhead (on disk)"), nil

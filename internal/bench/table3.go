@@ -32,7 +32,7 @@ func neo4jResidentBytes(g *memgraph.Graph) int64 {
 // RunTable3 regenerates Table 3 for the scaled datasets.
 func RunTable3(c Config) (Table, error) {
 	c.Defaults()
-	t := &table{header: []string{"Dataset", "Domain", "|V|", "|E|", "|E|/|V|", "Directed", "Neo4j mem (MB)", "Aion accounted (MB)", "Aion resident (MB)"}}
+	t := &table{header: []string{"Dataset", "Domain", "|V|", "|E|", "|E|/|V|", "Directed", "Neo4j mem (KB)", "Aion accounted (KB)", "Aion resident (KB)"}}
 	for _, name := range c.Datasets {
 		ds := c.genDataset(name, datagen.Options{})
 		before := liveHeap()
@@ -46,7 +46,7 @@ func RunTable3(c Config) (Table, error) {
 			dir = "yes"
 		}
 		t.add(name, ds.Spec.Domain, fi(int64(g.NodeCount())), fi(int64(g.RelCount())),
-			f1(float64(g.RelCount())/float64(g.NodeCount())), dir, mb(neo4jResidentBytes(g)), mb(g.ApproxBytes()), mb(resident))
+			f1(float64(g.RelCount())/float64(g.NodeCount())), dir, kb(neo4jResidentBytes(g)), kb(g.ApproxBytes()), kb(resident))
 	}
 	return c.emit(t, fmt.Sprintf("Table 3: evaluation datasets (scale 1/%d)", c.Scale)), nil
 }

@@ -52,43 +52,21 @@ func New(capacityBytes int64) *Store {
 	}
 }
 
-// Put caches a snapshot under its own timestamp, evicting least recently
-// used snapshots if the byte budget is exceeded. The cached copy is a CoW
-// clone, so the caller may keep mutating g.
-func (s *Store) Put(g *memgraph.Graph) { s.put(g.Clone(), false) }
-
-// Admit is Put for a query's copy of a state that the TimeStore's snapshot
-// worker may be caching at the same moment: when a graph is cached at g's
-// timestamp already, that one stays, moved to the front as Put's would be. So
-// a reader that loaded a policy element while the worker published it never
-// displaces the worker's graph, which holds the host's own entity records.
-func (s *Store) Admit(g *memgraph.Graph) { s.put(g.Clone(), true) }
-
-// PutOwned caches a snapshot, taking ownership of g: no clone is made, so
-// the caller must not mutate g afterwards. The TimeStore's background
-// snapshot worker uses this to hand over its private graph without forcing
-// a copy-on-write break on the next cache read.
-func (s *Store) PutOwned(g *memgraph.Graph) { s.put(g, false) }
-
-// sizeOf is the accounting of a graph about to be cached: a walk of every
-// entity. A variable only so a test can observe where it runs.
-var sizeOf = (*memgraph.Graph).ApproxBytes
-
-func (s *Store) put(g *memgraph.Graph, keep bool) {
-	// Sized before the lock: s.mu is the mutex every cache lookup takes, and
-	// the walk is as long as the graph is large.
+// Put caches a CoW clone of g under g's timestamp, evicting least recently
+// used snapshots past the byte budget; the caller may keep mutating g. A graph
+// cached at that timestamp already stays, moved to the front: both hold the
+// complete state there, and the cached one is what the graphs cached at the
+// rest of its chain run share records with.
+func (s *Store) Put(g *memgraph.Graph) {
+	// Cloned and sized before the lock: s.mu is the mutex every cache lookup
+	// takes, and the walk is as long as the graph is large.
+	g = g.Clone()
 	ts, bytes := g.Timestamp(), sizeOf(g)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.entries[ts]; ok {
-		if keep {
-			s.lru.MoveToFront(old.elem)
-			return
-		}
-		s.bytes -= old.bytes
-		s.lru.Remove(old.elem)
-		delete(s.entries, ts)
-		s.removeOrder(ts)
+		s.lru.MoveToFront(old.elem)
+		return
 	}
 	e := &entry{ts: ts, g: g, bytes: bytes}
 	e.elem = s.lru.PushFront(e)
@@ -97,6 +75,10 @@ func (s *Store) put(g *memgraph.Graph, keep bool) {
 	s.insertOrder(ts)
 	s.evict()
 }
+
+// sizeOf is the accounting of a graph about to be cached: a walk of every
+// entity. A variable only so a test can observe where it runs.
+var sizeOf = (*memgraph.Graph).ApproxBytes
 
 func (s *Store) insertOrder(ts model.Timestamp) {
 	i := sort.Search(len(s.order), func(i int) bool { return s.order[i] >= ts })

@@ -111,35 +111,22 @@ func TestLRUOrderingKeepsHotEntries(t *testing.T) {
 	}
 }
 
-func TestPutReplaceSameTimestamp(t *testing.T) {
-	s := New(1 << 20)
-	s.Put(snapshotAt(t, 10, 1))
-	s.Put(snapshotAt(t, 10, 7))
-	g, at, ok := s.Floor(10)
-	if !ok || at != 10 || g.NodeCount() != 7 {
-		t.Errorf("replacement: %d nodes", g.NodeCount())
-	}
-	if s.Stats().Snapshots != 1 {
-		t.Errorf("snapshots = %d", s.Stats().Snapshots)
-	}
-}
-
-// TestAdmitKeepsTheCachedGraph: a query's copy admitted after the snapshot
-// worker's graph at the same timestamp leaves the worker's records cached, and
-// is cached itself where nothing was.
+// TestAdmitKeepsTheCachedGraph: a graph admitted by Put at a timestamp that
+// is cached already leaves the cached one in place, and its bytes counted
+// once; one with no rival is cached.
 func TestAdmitKeepsTheCachedGraph(t *testing.T) {
 	s := New(1 << 20)
-	owned := snapshotAt(t, 10, 3)
-	s.PutOwned(owned)
-	s.Admit(snapshotAt(t, 10, 3))
-	s.Admit(snapshotAt(t, 20, 5))
-	if got, _, _ := s.Floor(10); sharedWith(got, owned) != 3 {
-		t.Error("an admitted copy displaced the graph cached at its timestamp")
+	first := snapshotAt(t, 10, 3)
+	s.Put(first)
+	s.Put(snapshotAt(t, 10, 7))
+	s.Put(snapshotAt(t, 20, 5))
+	if got, at, ok := s.Floor(10); !ok || at != 10 || got.NodeCount() != 3 || sharedWith(got, first) != 3 {
+		t.Error("a second graph put at 10 displaced the one cached there")
 	}
 	if got, at, ok := s.Floor(20); !ok || at != 20 || got.NodeCount() != 5 {
-		t.Error("an admitted graph with no rival is not cached")
+		t.Error("a graph put with no rival is not cached")
 	}
-	if st := s.Stats(); st.Snapshots != 2 || st.Bytes != owned.ApproxBytes()+snapshotAt(t, 20, 5).ApproxBytes() {
+	if st := s.Stats(); st.Snapshots != 2 || st.Bytes != first.ApproxBytes()+snapshotAt(t, 20, 5).ApproxBytes() {
 		t.Errorf("stats %+v", st)
 	}
 }
@@ -173,18 +160,21 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	}
 }
 
-// TestPutOwnedIsolation: a PutOwned graph is served back as CoW clones that
-// do not disturb the cached state when mutated.
-func TestPutOwnedIsolation(t *testing.T) {
+// TestPutIsolation: the cache holds a clone of what Put was given and hands
+// out clones, so mutating either leaves the cached state alone.
+func TestPutIsolation(t *testing.T) {
 	s := New(1 << 20)
 	g := memgraph.New()
 	if err := g.Apply(model.AddNode(5, 0, []string{"A"}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	s.PutOwned(g)
+	s.Put(g)
+	if err := g.Apply(model.AddNode(5, 2, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
 	c1, at, ok := s.Floor(5)
 	if !ok || at != 5 || c1.NodeCount() != 1 {
-		t.Fatal("PutOwned graph not cached")
+		t.Fatalf("Floor(5) = %v at %d: mutating the graph put reached the cache", ok, at)
 	}
 	if err := c1.Apply(model.AddNode(6, 1, nil, nil)); err != nil {
 		t.Fatal(err)
@@ -196,8 +186,8 @@ func TestPutOwnedIsolation(t *testing.T) {
 }
 
 // TestConcurrentPutAndFloor hammers the cache from writers and readers at
-// once (run with -race): the access pattern of background snapshot persists
-// racing GetGraph reads.
+// once (run with -race): the access pattern of concurrent GetGraph reads,
+// each caching what it loaded.
 func TestConcurrentPutAndFloor(t *testing.T) {
 	s := New(1 << 20)
 	var wg sync.WaitGroup
@@ -212,11 +202,7 @@ func TestConcurrentPutAndFloor(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if i%2 == 0 {
-					s.Put(g)
-				} else {
-					s.PutOwned(g)
-				}
+				s.Put(g)
 			}
 		}(w)
 	}
@@ -277,10 +263,10 @@ func TestRebaseSwapsTheGraphOnly(t *testing.T) {
 }
 
 // Admission sizes a graph by walking every entity; s.mu is the mutex every
-// lookup takes — and the snapshot worker admits while queries read. The walk
-// therefore runs before the lock: probed from inside it, the mutex is free and
-// a lookup goes through, for Put and PutOwned alike — whatever the graph's
-// size, a reader waits for the map insert only.
+// lookup takes — and one query caches while others read. The walk therefore
+// runs before the lock: probed from inside it, the mutex is free and a lookup
+// goes through — whatever the graph's size, a reader waits for the map insert
+// only.
 func TestAdmissionSizesOutsideTheLock(t *testing.T) {
 	s := New(1 << 30)
 	walk := sizeOf
@@ -298,7 +284,7 @@ func TestAdmissionSizesOutsideTheLock(t *testing.T) {
 	}
 	a, b := snapshotAt(t, 10, 15000), snapshotAt(t, 20, 15000)
 	s.Put(a)
-	s.PutOwned(b)
+	s.Put(b)
 	if walks != 2 {
 		t.Fatalf("%d sizing walks, want 2", walks)
 	}

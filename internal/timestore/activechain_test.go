@@ -46,7 +46,7 @@ func policySnapshotNow(t *testing.T, s *Store) {
 }
 
 // appendSettled appends us one by one, letting the snapshot worker finish
-// after each, so every element is written and cached before the next append.
+// after each, so every element is written before the next append.
 func appendSettled(t *testing.T, s *Store, us []model.Update) {
 	t.Helper()
 	for _, u := range us {

@@ -192,10 +192,8 @@ func (s *Store) elemComplete(e chainElem) (bool, error) {
 
 // materializeElem is loadElem for a query, near being the GraphStore's floor
 // for it (nil: none): the graph is also cached for the next reader when it is
-// complete at its timestamp and nothing is cached there yet — the snapshot
-// worker publishes the element's file before its graph, and a reader's copy,
-// shared with a later committed graph, holds private records for whatever
-// changed in between.
+// complete at its timestamp — the only way an element's graph enters the
+// cache.
 func (s *Store) materializeElem(ctx context.Context, chain []chainElem, j int, near *memgraph.Graph) (*memgraph.Graph, error) {
 	// One O(1) handle on the committed graph serves the load and the rebase:
 	// what a loaded graph has in common with it is held once ("Sharing with the
@@ -212,7 +210,7 @@ func (s *Store) materializeElem(ctx context.Context, chain []chainElem, j int, n
 		return nil, err
 	}
 	if complete {
-		s.gs.Admit(g) // caches a CoW clone; g itself stays the caller's
+		s.gs.Put(g) // caches a CoW clone; g itself stays the caller's
 	}
 	return g, s.rebaseRun(ctx, chain, j, g, ref)
 }

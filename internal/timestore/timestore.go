@@ -143,8 +143,10 @@ type Store struct {
 	framePool *pool.Bytes
 
 	// Asynchronous snapshot pipeline: policy-triggered snapshots are
-	// serialized off the commit path by a background worker (Sec 5.1:
-	// "background workers ... insert new snapshots into the GraphStore").
+	// serialized off the commit path by a background worker. Sec 5.1 has the
+	// workers also insert each new snapshot into the GraphStore; here they
+	// only persist it, and a graph enters the cache when a query reads it
+	// (DESIGN.md, "Key design decisions", item 7).
 	snaps      *snapQueue
 	workerDone chan struct{}
 }
@@ -223,8 +225,8 @@ func (q *snapQueue) close() {
 	q.ready.Broadcast()
 }
 
-// snapJob carries a CoW graph clone to the snapshot worker together with
-// its fence in the log: the exact position —
+// snapJob carries a CoW graph clone to the snapshot worker, which persists
+// it and drops it, together with its fence in the log: the exact position —
 // (timestamp, seq) of the last update it contains — and the log offset just
 // past it. Timestamps alone are ambiguous: more updates at the same
 // timestamp may land after the snapshot is scheduled.
@@ -278,10 +280,10 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 }
 
 // snapshotWorker serializes policy-triggered snapshots in the background,
-// each as the element the chain calls for at its position. It is the only
-// writer of deltas and takes its jobs in position order, so a delta's base is
-// the element right before it. Its graphs are private CoW clones complete at
-// their timestamp: once published, the cache owns them without another clone.
+// each as the element the chain calls for at its position, and drops the
+// graph: the GraphStore holds only what queries read. It is the only writer of
+// deltas and takes its jobs in position order, so a delta's base is the
+// element right before it.
 func (s *Store) snapshotWorker() {
 	defer close(s.workerDone)
 	for {
@@ -289,9 +291,7 @@ func (s *Store) snapshotWorker() {
 		if !ok {
 			return
 		}
-		if s.persistSnapshot(j.g, j.at, s.seg.deltaBase(j.at.pos, s.opts.DeltaChainLength)) == nil {
-			s.gs.PutOwned(j.g)
-		}
+		_ = s.persistSnapshot(j.g, j.at, s.seg.deltaBase(j.at.pos, s.opts.DeltaChainLength)) // counted and surfaced through Stats
 		s.snaps.done()
 	}
 }
@@ -301,11 +301,11 @@ func (s *Store) snapshotWorker() {
 // materialization of g, or — when the caller names the base the chain calls
 // for there (segment.deltaBase; the snapshot worker only) — a delta. It must
 // not take s.mu: a bulk AppendBatch holds s.mu for its whole batch,
-// and policy snapshots must keep landing concurrently (the chain and the
-// GraphStore have their own locks, a delta's window is counted off the log
-// the way queries read it; the counters are atomic). Snapshot loss is
-// tolerable (the log still covers the range), but never silent: a failure is
-// counted, surfaced through Stats, and returned.
+// and policy snapshots must keep landing concurrently (the chain has its own
+// lock, a delta's window is counted off the log the way queries read it; the
+// counters are atomic). Snapshot loss is tolerable (the log still covers the
+// range), but never silent: a failure is counted, surfaced through Stats, and
+// returned.
 func (s *Store) persistSnapshot(g *memgraph.Graph, at fence, base *chainElem) error {
 	e, err := s.writeSnapshot(g, at, base)
 	if err == nil {
@@ -582,8 +582,8 @@ func (s *Store) AppendBatch(us []model.Update) error {
 		// The end of a timestamp, as far as this batch can tell (the next one
 		// may continue it, and the capture is dropped): the committed graph is
 		// complete at s.lastTS — the only state a policy snapshot may capture;
-		// mid-timestamp would poison the GraphStore with a state no (ts) query
-		// key can name.
+		// mid-timestamp, no (ts) query could take the element for the graph at
+		// its timestamp, nor a reader cache it.
 		if s.snapshotDueLocked() {
 			s.captureSnapshotLocked()
 		}
@@ -630,13 +630,13 @@ func (s *Store) CreateSnapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Unlike policy snapshots, an eager snapshot may land mid-timestamp
-	// (more updates at ts can still arrive), so the graph must NOT enter
-	// the GraphStore: the cache only ever holds graphs complete at their
-	// timestamp. The file itself is fine — its header carries the exact
-	// (ts, seq) position, which chain-floor lookups honour. Everything
-	// appended so far is in it, so replay resumes at the log's end. It is
-	// always a full: written out of turn, possibly in front of queued policy
-	// jobs, it must not depend on a base staying where it was.
+	// (more updates at ts can still arrive); a reader that loads it caches it
+	// only if it turns out complete (elemComplete). The file itself is fine —
+	// its header carries the exact (ts, seq) position, which chain-floor
+	// lookups honour. Everything appended so far is in it, so replay resumes
+	// at the log's end. It is always a full: written out of turn, possibly in
+	// front of queued policy jobs, it must not depend on a base staying where
+	// it was.
 	g, err := s.latestLocked(context.Background())
 	if err != nil {
 		return err

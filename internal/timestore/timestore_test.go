@@ -167,6 +167,41 @@ func TestSnapshotPolicyOperations(t *testing.T) {
 	}
 }
 
+// TestPolicySnapshotIsCachedByItsFirstRead: the snapshot worker persists a
+// policy element and drops its graph. The first read at the element's
+// timestamp loads it and caches it; the second hits the cache, loads nothing
+// and replays nothing.
+func TestPolicySnapshotIsCachedByItsFirstRead(t *testing.T) {
+	s := openStore(t, Options{SnapshotEveryOps: 5})
+	if err := s.AppendBatch(chainUpdates(10)); err != nil {
+		t.Fatal(err)
+	}
+	s.WaitSnapshots()
+	chain := s.seg.elems()
+	if got := elemKinds(chain); got != "fdd" {
+		t.Fatalf("chain %s, want a full and two deltas", got)
+	}
+	if n := s.Stats().GraphStore.Snapshots; n != 0 {
+		t.Fatalf("%d graphs cached before any read", n)
+	}
+	d := chain[1]
+	first := s.Stats()
+	if n := replayedBy(s, func() { mustGraph(t, s, d.pos.ts) }); n != d.count {
+		t.Errorf("the first read at %d replayed %d updates, want the delta's %d", d.pos.ts, n, d.count)
+	}
+	second := s.Stats()
+	if second.GraphStore.Snapshots != 1 || !s.gs.Holds(d.pos.ts) || second.LoadedEntities == first.LoadedEntities {
+		t.Fatalf("the first read at %d loaded %d entity versions and left %d graphs cached, want the element's graph", d.pos.ts, second.LoadedEntities-first.LoadedEntities, second.GraphStore.Snapshots)
+	}
+	var g *memgraph.Graph
+	if n := replayedBy(s, func() { g = mustGraph(t, s, d.pos.ts) }); n != 0 || g.NodeCount() != 10 {
+		t.Errorf("the second read at %d replayed %d updates for %d nodes, want 0 for 10", d.pos.ts, n, g.NodeCount())
+	}
+	if st := s.Stats(); st.GraphStore.Hits != second.GraphStore.Hits+1 || st.LoadedEntities != second.LoadedEntities {
+		t.Errorf("the second read: %d hits, %d entity versions loaded; want 1 and 0", st.GraphStore.Hits-second.GraphStore.Hits, st.LoadedEntities-second.LoadedEntities)
+	}
+}
+
 // TestWaitSnapshotsWhileAppending: a caller may wait for the snapshot worker
 // while a committer keeps scheduling snapshots — a sync.WaitGroup behind
 // WaitSnapshots panics ("reused before previous Wait has returned") when an

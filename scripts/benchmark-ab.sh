@@ -2,8 +2,8 @@
 # Alternating pairs of the frozen benchmark, parent commit against the working
 # tree: the measurement a claim on a gated metric rests on (choosing-metrics
 # guide, section 8).
-#   scripts/benchmark-ab.sh PARENT-REF [WORKLOAD|all] [PAIRS] [ALLOWED-FIELD ...]
-#   SEED=7 RUN_SECONDS=20 scripts/benchmark-ab.sh HEAD~1 point-history 10
+#   PR=N scripts/benchmark-ab.sh PARENT-REF [WORKLOAD|all] [PAIRS] [ALLOWED-FIELD ...]
+#   PR=66 SEED=7 RUN_SECONDS=20 scripts/benchmark-ab.sh HEAD~1 point-history 10
 # Each pair runs `bash benchmark/run.sh -seed S -seconds N [-workload W]`
 # untraced once in a copy of the parent's committed files (parent-tree.sh,
 # which removes the copies of other parents) and once here, the parent first
@@ -18,15 +18,18 @@
 # of the working tree is `PARENT=$(git stash create)` after `git add -A`. Raw
 # values stay in .bench_build/ab/.
 # Every run appends one row per workload and gated metric to the checked-in
-# BENCH_trajectory.json (one JSON object a line): the PR (one past the newest
-# "PR N:" subject in the parent's history), the commit measured (null for a
-# tree with uncommitted changes, whose git tree hash is always recorded), the
-# parent, seed, pairs and seconds, both sides' median and quartiles, the
+# BENCH_trajectory.json (one JSON object a line): the PR it measures (PR from
+# the environment, required: no run is recorded under a guessed number), the
+# commit measured (null for a tree with uncommitted changes, whose git tree
+# hash is always recorded), the parent, seed, pairs and seconds, both sides' median and quartiles, the
 # wins/losses/ties and verdict, the change's eight exact counters and the
 # box: CPUs, CPU model, Go version and how many synchronous 4 KiB writes one
 # second holds.
 set -euo pipefail
-parent=${1:?usage: benchmark-ab.sh PARENT-REF [WORKLOAD|all] [PAIRS] [ALLOWED-FIELD ...]}
+usage="usage: PR=N benchmark-ab.sh PARENT-REF [WORKLOAD|all] [PAIRS] [ALLOWED-FIELD ...]"
+parent=${1:?$usage}
+pr=${PR:?$usage}
+[[ $pr =~ ^[0-9]+$ ]] || { echo "benchmark-ab.sh: PR=$pr is not a PR number" >&2; exit 2; }
 workload=${2:-all}
 pairs=${3:-10}
 shift $(($# < 3 ? $# : 3))
@@ -83,7 +86,6 @@ fsync_probe() {
 	echo $(($(stat -c %s "$f") / 4096))
 	rm -f "$f"
 }
-pr=$(git -C "$root" log -50 --format=%s "$parent" | awk '!n && /^PR [0-9]+:/ {sub(/:.*/, ""); n = $2 + 1} END {if (n) print n}')
 cpu=$(awk -F': *' '/^model name/ {print $2; exit}' /proc/cpuinfo | tr -d '"\\')
 box=$(printf '{"nproc":%d,"cpu":"%s","go":"%s","fsync_per_s":%d}' "$(nproc)" "$cpu" "$(go env GOVERSION)" "$(fsync_probe)")
 
@@ -91,7 +93,7 @@ box=$(printf '{"nproc":%d,"cpu":"%s","go":"%s","fsync_per_s":%d}' "$(nproc)" "$c
 # list (pretty-printed: one "name"/"better" per line).
 : >"$out/rows.json"
 awk -v spec="$root/BENCHMARK.json" -v exact="$out/change-$pairs.exact" -v rows="$out/rows.json" \
-	-v pr="${pr:-null}" -v commit="$commit" -v tree="$worktree" \
+	-v pr="$pr" -v commit="$commit" -v tree="$worktree" \
 	-v parent="$(git -C "$root" rev-parse --verify "$parent^{commit}")" -v seed="$seed" -v seconds="$seconds" -v box="$box" '
 	FILENAME==spec {
 		if (/"end_to_end"/) e2e=1; else if (/"per_layer"/) e2e=0
