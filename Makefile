@@ -50,7 +50,7 @@ loc:
 	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
 	@n=$$($(LOC_FILES) ! -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "production $$n"; \
-	[ $$n -le 21910 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 21581 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 	@n=$$($(LOC_FILES) -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "testkit $$n"; \
 	[ $$n -le 2148 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }
@@ -191,15 +191,15 @@ restart-sweep:
 # vectors of its own; over 3.7 MiB fails the benchmark and the target. Its
 # third phase is the write row: write-heap-MiB, what ingest-commit's
 # four-statement cycle leaves on the live heap after 4 x 16 384
-# single-statement commits, on the store reopened with an empty GraphStore:
-# 3.1, the host's graph grown by the 16 384 nodes they create (hostdb's
-# apply), with no graph cached; over 1.8 MiB fails both, so the target fails
-# there. The first row, heap-MiB, is 13.45, the graph in immutable records
+# single-statement commits, on the store reopened with an empty GraphStore,
+# beyond host-write-heap-MiB, what the same commits leave in the bare host run
+# alone over the closed directory (its graph grown by the 16 384 nodes they
+# create): 0.18 beside 2.90, with no graph cached; over 1.8 MiB fails both. The first row, heap-MiB, is 13.45, the graph in immutable records
 # pointing to shared attributes (14.5 with the
 # attributes in every record, 33.2 with a *model.Node or *model.Rel and a
 # property map per entity, 38.5 when on top the reads left their pages in heap
-# frames); over 77 B per update fails, and so does a sum of the first and
-# third rows over 17.7 MiB (16.5; 38.2 with property maps). A log line sets the
+# frames); over 77 B per update fails, and so does a sum of the first row and
+# the system's gross write growth over 17.7 MiB (16.5; 38.2 with property maps). A log line sets the
 # resident bytes per entity (117.5) beside Table 3's accounting (95.9). The
 # page cache holds no page on the heap:
 # the target fails when anything under pagecache holds over 0.5 MB at the

@@ -46,9 +46,6 @@ type Options struct {
 	SnapshotEveryOps int
 	// GraphStoreBytes is the snapshot cache budget.
 	GraphStoreBytes int64
-	// ParallelIO is the worker count of the TimeStore's snapshot
-	// (de)serialization and replay pipelines (<= 0: GOMAXPROCS; 1: inline).
-	ParallelIO int
 	// FS is the filesystem every store lives on; nil means the real OS
 	// filesystem (used by the crash-recovery tests to inject faults).
 	FS vfs.FS
@@ -129,7 +126,6 @@ func (db *DB) openStores(fs vfs.FS) (err error) {
 		Dir:              filepath.Join(opts.Dir, "timestore"),
 		SnapshotEveryOps: opts.SnapshotEveryOps,
 		GraphStoreBytes:  opts.GraphStoreBytes,
-		ParallelIO:       opts.ParallelIO,
 		FS:               opts.FS,
 		Host:             opts.Host,
 	})

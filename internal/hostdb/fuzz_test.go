@@ -35,7 +35,7 @@ func TestDecodeCommitBoundsTheCount(t *testing.T) {
 
 // FuzzDecodeCommit feeds decodeCommit arbitrary bytes, as a follower's
 // ApplyShipment does: it must never panic, it must accept the record's update
-// section — all that Open's decode workers are handed — exactly when it
+// section — all that Open decodes — exactly when it
 // accepts the record, with as many updates, and on every record it accepts
 // peekCommitTS — what ReplayCommitted skips by — must name the first update's
 // timestamp (-1 for an empty commit).

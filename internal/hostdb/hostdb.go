@@ -25,7 +25,6 @@ import (
 	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/pagecache"
-	"aion/internal/pool"
 	"aion/internal/strstore"
 	"aion/internal/vfs"
 	"aion/internal/wal"
@@ -163,41 +162,27 @@ func Open(opts Options) (_ *DB, err error) {
 	opened = append(opened, db.propStore.pc.Close)
 	// Recovery: replay the transaction log, one record per committed
 	// transaction (a torn trailing commit was already truncated by the
-	// WAL's tail repair, so commits are recovered atomically). Workers decode
-	// a copy of each readahead chunk's update sections; the updates are
-	// applied in log order here, and stamp no record slot. A commit that
+	// WAL's tail repair, so commits are recovered atomically). Each commit's
+	// update section is decoded from the scan's buffer into one reused slice
+	// and applied in log order; it stamps no record slot. A commit that
 	// passed its CRC but does not decode or apply fails the Open: stopping
 	// there would drop every later commit the log still holds.
-	err = pool.RunOrdered(pool.DefaultWorkers(),
-		func(emit func([][]byte) bool) error {
-			_, err := db.txnLog.ScanBatch(0, 0, func(frames []wal.Frame) bool {
-				job := make([][]byte, len(frames))
-				for i, fr := range frames {
-					job[i] = slices.Clone(updateSection(fr.Payload))
-				}
-				return emit(job)
-			})
-			return err
-		},
-		func(job [][]byte) (us []model.Update, err error) {
-			for _, sec := range job {
-				if us, err = db.decodeCommit(us, sec); err != nil {
-					return nil, err
-				}
+	var us []model.Update
+	var aerr error
+	_, err = db.txnLog.Scan(0, func(_ int64, payload []byte) bool {
+		if us, aerr = db.decodeCommit(us[:0], updateSection(payload)); aerr != nil {
+			return false
+		}
+		for _, u := range us {
+			if aerr = db.current.Apply(u); aerr != nil {
+				return false
 			}
-			return us, nil
-		},
-		func(us []model.Update) error {
-			for _, u := range us {
-				if err := db.current.Apply(u); err != nil {
-					return err
-				}
-				db.countRecords(u)
-				db.advance(u)
-			}
-			return nil
-		})
-	if err != nil {
+			db.countRecords(u)
+			db.advance(u)
+		}
+		return true
+	})
+	if err = errors.Join(err, aerr); err != nil {
 		return nil, fmt.Errorf("hostdb: recovery: %w", err)
 	}
 	db.propStore.next = db.recordBytes.props / PropRecordBytes

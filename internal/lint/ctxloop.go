@@ -11,7 +11,7 @@ import (
 // that never consults ctx keeps burning CPU and holding the admission
 // slot after the client has gone away.
 var ctxLoopPackages = []string{
-	"bolt", "cypher", "aion", "timestore", "lineagestore", "pool",
+	"bolt", "cypher", "aion", "timestore", "lineagestore",
 	// PR-9 failover paths: follower stream loops and fault-injection plumbing
 	// must die promptly with their context, or promotion hangs on shutdown.
 	"replica", "netfault",
@@ -90,8 +90,9 @@ func isCtxType(p *Package, e ast.Expr) bool {
 
 // checkLoops walks fn's body and reports outermost loops whose subtrees
 // never touch ctx. Subtrees of calls that receive ctx are skipped
-// entirely: a closure handed to a ctx-aware helper (pool.RunOrderedCtx's
-// worker bodies, say) delegates its cancellation duty to the helper.
+// entirely: a closure handed to a ctx-aware helper (the per-update callback
+// of timestore's replayWal, say) delegates its cancellation duty to the
+// helper.
 func checkLoops(p *Package, fn *ast.FuncDecl, ctxVars map[types.Object]string) []Finding {
 	var out []Finding
 	ast.Inspect(fn.Body, func(m ast.Node) bool {

@@ -38,7 +38,7 @@ import (
 func openSys(fs vfs.FS, dir string, asReplica bool) (*system.System, error) {
 	return system.Open(system.Options{
 		Dir: dir, SyncCommits: true, Replica: asReplica, FS: fs,
-		Aion: aion.Options{SnapshotEveryOps: 1 << 30, ParallelIO: 1},
+		Aion: aion.Options{SnapshotEveryOps: 1 << 30},
 	})
 }
 

@@ -27,7 +27,7 @@ func openNode(t *testing.T, fs vfs.FS, dir string, asReplica bool) *system.Syste
 	t.Helper()
 	s, err := system.Open(system.Options{
 		Dir: dir, SyncCommits: true, Replica: asReplica, FS: fs,
-		Aion: aion.Options{SnapshotEveryOps: 1 << 30, ParallelIO: 1},
+		Aion: aion.Options{SnapshotEveryOps: 1 << 30},
 	})
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)

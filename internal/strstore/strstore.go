@@ -30,8 +30,7 @@ const MaxRef = 1<<28 - 1
 // Store is an append-only interned string table, each string held as the one
 // string model.Value every decode of it shares. It is safe for concurrent use;
 // the read paths (the lookups, and Intern of a known string) are lock-free so
-// the TimeStore's parallel encode/decode workers do not serialize on the
-// table. When constructed with a backing file, every new string is appended
+// concurrent queries decoding records do not serialize on the table. When constructed with a backing file, every new string is appended
 // durably (length-prefixed) so the table can be reloaded.
 type Store struct {
 	mu       sync.Mutex   // serializes interning of new strings and file state

@@ -119,7 +119,6 @@ func openCrashSys(fs vfs.FS) (*System, error) {
 		FS:          fs,
 		Aion: aion.Options{
 			SnapshotEveryOps: 1 << 30, // snapshot interplay is swept in timestore's harness
-			ParallelIO:       1,
 		},
 	})
 }
@@ -350,7 +349,7 @@ func TestTornCommitIsAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := timestore.Open(enc.NewCodec(strs), timestore.Options{Dir: "sys/aion/timestore", FS: fs, SnapshotEveryOps: 1 << 30, ParallelIO: 1})
+	ts, err := timestore.Open(enc.NewCodec(strs), timestore.Options{Dir: "sys/aion/timestore", FS: fs, SnapshotEveryOps: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

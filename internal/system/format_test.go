@@ -58,7 +58,7 @@ func TestParentFormatAionIsRebuilt(t *testing.T) {
 	}
 	asFixedRefLog(t, r.fs)
 
-	_, err := Open(Options{Dir: "sys", SyncCommits: true, FS: r.fs, Aion: aion.Options{SnapshotEveryOps: residentSnapshotEvery, ParallelIO: 1}})
+	_, err := Open(Options{Dir: "sys", SyncCommits: true, FS: r.fs, Aion: aion.Options{SnapshotEveryOps: residentSnapshotEvery}})
 	if err == nil || !strings.Contains(err.Error(), "ATL2") || !strings.Contains(err.Error(), "no migration") || !strings.Contains(err.Error(), "sys/aion/timestore") {
 		t.Fatalf("Open over an ATL2 log: %v", err)
 	}

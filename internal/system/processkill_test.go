@@ -30,7 +30,6 @@ func TestProcessKillRecoversAckedCommits(t *testing.T) {
 		FS:          fs,
 		Aion: aion.Options{
 			SnapshotEveryOps: 1 << 30,
-			ParallelIO:       1,
 		},
 	})
 	if err != nil {
@@ -66,7 +65,6 @@ func TestProcessKillRecoversAckedCommits(t *testing.T) {
 		FS:          fs,
 		Aion: aion.Options{
 			SnapshotEveryOps: 1 << 30,
-			ParallelIO:       1,
 		},
 	})
 	if err != nil {

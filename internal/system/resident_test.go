@@ -54,7 +54,7 @@ const residentSnapshotEvery = 48
 func (r *residentSys) open() {
 	r.t.Helper()
 	s, err := Open(Options{Dir: "sys", SyncCommits: true, FS: r.fs, Replica: r.replica,
-		Aion: aion.Options{SnapshotEveryOps: residentSnapshotEvery, ParallelIO: 1}})
+		Aion: aion.Options{SnapshotEveryOps: residentSnapshotEvery}})
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestOneResidentGraph(t *testing.T) {
 		}
 		const nodes, every = 20000, 8192
 		s, err := Open(Options{Dir: "sys", FS: vfstest.NewFaultFS(),
-			Aion: aion.Options{SnapshotEveryOps: every, ParallelIO: 1, GraphStoreBytes: 1}})
+			Aion: aion.Options{SnapshotEveryOps: every, GraphStoreBytes: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,7 +538,7 @@ func TestOneResidentGraph(t *testing.T) {
 func TestFailedIngestIsSticky(t *testing.T) {
 	hostFS, aionFS := vfstest.NewFaultFS(), vfstest.NewFaultFS()
 	opts := Options{Dir: "sys", SyncCommits: true, FS: hostFS,
-		Aion: aion.Options{Dir: "aion", FS: aionFS, ParallelIO: 1}}
+		Aion: aion.Options{Dir: "aion", FS: aionFS}}
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

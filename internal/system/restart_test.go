@@ -240,7 +240,7 @@ func TestCrashSweepRestart(t *testing.T) {
 // with the model's graph there.
 func TestCrashSweepClose(t *testing.T) {
 	open := func(fs vfs.FS) (*System, error) {
-		return Open(Options{Dir: "sys", FS: fs, Aion: aion.Options{SnapshotEveryOps: 1 << 30, ParallelIO: 1}})
+		return Open(Options{Dir: "sys", FS: fs, Aion: aion.Options{SnapshotEveryOps: 1 << 30}})
 	}
 	load := func() (*vfstest.FaultFS, *System, *refmodel.Model) {
 		fs := vfstest.NewFaultFS()

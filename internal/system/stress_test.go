@@ -34,7 +34,6 @@ func TestStressConcurrentCommitsWithSnapshots(t *testing.T) {
 			// A snapshot every 20 commits, so the trigger fires throughout
 			// the run, racing the committers and readers.
 			SnapshotEveryOps: 20,
-			ParallelIO:       1,
 		},
 	})
 	if err != nil {

@@ -137,7 +137,7 @@ type Store struct {
 }
 
 // OpenStore opens a TimeStore on a fresh in-memory FaultFS. Dir defaults
-// to "ts" and ParallelIO to 2, so pipelines run concurrently but small.
+// to "ts".
 func OpenStore(tb testing.TB, opts timestore.Options) *Store {
 	tb.Helper()
 	fs := vfstest.NewFaultFS()
@@ -163,9 +163,6 @@ func openOn(fs *vfstest.FaultFS, codec *enc.Codec, opts *timestore.Options) (*St
 	o := *opts
 	if o.Dir == "" {
 		o.Dir = "ts"
-	}
-	if o.ParallelIO == 0 {
-		o.ParallelIO = 2
 	}
 	o.FS = fs
 	st, err := timestore.Open(codec, o)

@@ -8,13 +8,12 @@ import (
 
 	"aion/internal/enc"
 	"aion/internal/model"
-	"aion/internal/pool"
 	"aion/internal/strstore"
 	"aion/internal/testkit/benchshape"
 )
 
 // benchStoreUpdates is sized so the snapshot and the log tail each cover
-// >=100k updates (the acceptance workload of the parallel-IO change).
+// ~55k updates.
 const benchStoreUpdates = 110_000
 
 // buildBenchStore appends benchStoreUpdates updates, snapshotting at the
@@ -42,7 +41,6 @@ func openBenchStore(b *testing.B) *Store {
 	s, err := Open(enc.NewCodec(strstore.NewMem()), Options{
 		Dir:              b.TempDir(),
 		SnapshotEveryOps: 1 << 30, // snapshots only where the bench places them
-		ParallelIO:       1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -73,24 +71,8 @@ func benchUpdates(n int) []model.Update {
 	return us
 }
 
-// parallelLevels returns the worker counts benchmarked for the pipeline:
-// 1 (inline), 4 (the acceptance point), and GOMAXPROCS.
-func parallelLevels() []struct {
-	name string
-	par  int
-} {
-	return []struct {
-		name string
-		par  int
-	}{
-		{"P1", 1},
-		{"P4", 4},
-		{fmt.Sprintf("PMAX=%d", pool.DefaultWorkers()), pool.DefaultWorkers()},
-	}
-}
-
 // BenchmarkSnapshotLoad measures materializing a ~55k-update snapshot file
-// from disk: the read+CRC+decode+apply pipeline in isolation.
+// from disk: read, CRC, decode and apply in isolation.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	s, _, _ := buildBenchStore(b)
 	s.WaitSnapshots()
@@ -98,67 +80,55 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	if len(chain) != 1 {
 		b.Fatalf("expected 1 snapshot element, found %d", len(chain))
 	}
-	for _, lvl := range parallelLevels() {
-		b.Run(lvl.name, func(b *testing.B) {
-			s.opts.ParallelIO = lvl.par
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g, err := s.loadElem(context.Background(), chain, 0, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if g.NodeCount() == 0 {
-					b.Fatal("empty snapshot")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := s.loadElem(context.Background(), chain, 0, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.NodeCount() == 0 {
+			b.Fatal("empty snapshot")
+		}
 	}
 }
 
 // BenchmarkGetGraph measures the full global query: floor snapshot (cached
-// in the GraphStore) plus a ~55k-update log-tail replay through ScanBatch
-// and the decode stage.
+// in the GraphStore) plus a ~55k-update log-tail replay through ScanRange
+// and the frame decode.
 func BenchmarkGetGraph(b *testing.B) {
 	s, _, lastTS := buildBenchStore(b)
-	for _, lvl := range parallelLevels() {
-		b.Run(lvl.name, func(b *testing.B) {
-			s.opts.ParallelIO = lvl.par
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g, err := s.GetGraphContext(context.Background(), lastTS)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if g.Timestamp() != lastTS {
-					b.Fatal("wrong timestamp")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := s.GetGraphContext(context.Background(), lastTS)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.Timestamp() != lastTS {
+			b.Fatal("wrong timestamp")
+		}
 	}
 }
 
 // BenchmarkGetDiff measures the pure log-scan path (no graph apply), where
-// ScanBatch readahead dominates.
+// ScanRange readahead and the frame decode dominate.
 func BenchmarkGetDiff(b *testing.B) {
 	s, midTS, lastTS := buildBenchStore(b)
-	for _, lvl := range parallelLevels() {
-		b.Run(lvl.name, func(b *testing.B) {
-			s.opts.ParallelIO = lvl.par
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				err := s.ScanDiffContext(context.Background(), midTS, lastTS, func(model.Update) bool {
-					n++
-					return true
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("empty diff")
-				}
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		err := s.ScanDiffContext(context.Background(), midTS, lastTS, func(model.Update) bool {
+			n++
+			return true
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n == 0 {
+			b.Fatal("empty diff")
+		}
 	}
 }
 

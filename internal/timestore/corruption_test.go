@@ -115,105 +115,103 @@ func TestCorruptFrameLengthRejectedBeforeAllocation(t *testing.T) {
 			t.Errorf("want a corrupt-frame error naming %s, got %v", path, err)
 		}
 	}
-	for _, par := range []int{1, 4} {
-		for _, kind := range []enc.DeltaKind{enc.DeltaFull, enc.DeltaDiff} {
-			t.Run(fmt.Sprintf("kind=%s/P%d", kind, par), func(t *testing.T) {
-				s := openStore(t, Options{SnapshotEveryOps: 1 << 30, GraphStoreBytes: 1,
-					DeltaChainLength: 1, ParallelIO: par})
-				us := propUpdates(50)
-				if err := s.AppendBatch(us[:60]); err != nil {
+	for _, kind := range []enc.DeltaKind{enc.DeltaFull, enc.DeltaDiff} {
+		t.Run(fmt.Sprintf("kind=%s", kind), func(t *testing.T) {
+			s := openStore(t, Options{SnapshotEveryOps: 1 << 30, GraphStoreBytes: 1,
+				DeltaChainLength: 1})
+			us := propUpdates(50)
+			if err := s.AppendBatch(us[:60]); err != nil {
+				t.Fatal(err)
+			}
+			snapshotNow(t, s)
+			if kind == enc.DeltaDiff {
+				if err := s.AppendBatch(us[60:]); err != nil {
 					t.Fatal(err)
 				}
-				snapshotNow(t, s)
-				if kind == enc.DeltaDiff {
-					if err := s.AppendBatch(us[60:]); err != nil {
-						t.Fatal(err)
+				policySnapshotNow(t, s)
+			}
+			chain := s.seg.elems()
+			k := len(chain) - 1
+			if k < 0 || chain[k].kind != kind {
+				t.Fatalf("chain %s does not end in a %s", elemKinds(chain), kind)
+			}
+			elem := chain[k]
+			b, err := os.ReadFile(elem.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := &fenceOracle{t: t, us: us, pos: streamPositions(us), codec: s.codec}
+			// apply returns the reader's error; a chain it accepts must
+			// build the history's graph.
+			apply := func(chain []chainElem) error {
+				t.Helper()
+				g := memgraph.New()
+				for j := range chain {
+					if err := s.applyChainFile(context.Background(), chain, j, g, nil, false); err != nil {
+						return err
 					}
-					policySnapshotNow(t, s)
 				}
-				chain := s.seg.elems()
-				k := len(chain) - 1
-				if k < 0 || chain[k].kind != kind {
-					t.Fatalf("chain %s does not end in a %s", elemKinds(chain), kind)
+				g.SetTimestamp(chain[k].pos.ts)
+				if o.digest(g.Export()) != o.digest(o.graphAt(chain[k].pos.ts).Export()) {
+					t.Errorf("the chain ending in %+v built another graph than the history's at %d", chain[k], chain[k].pos.ts)
 				}
-				elem := chain[k]
-				b, err := os.ReadFile(elem.path)
-				if err != nil {
+				return nil
+			}
+			if kind == enc.DeltaDiff {
+				if int64(len(b)) != headerFrameLen(derivedHeader(t, b)) {
+					t.Fatalf("a delta of %d bytes is more than its header frame", len(b))
+				}
+				if err := apply(chain); err != nil {
+					t.Fatalf("the delta as written: %v", err)
+				}
+				hdr, base := derivedHeader(t, b), chain[k-1]
+				var frameOffs []int64
+				if _, err := s.seg.log.Scan(base.logOff, func(off int64, _ []byte) bool {
+					frameOffs = append(frameOffs, off) // the window's frames: the delta ends the log
+					return true
+				}); err != nil {
 					t.Fatal(err)
 				}
-				o := &fenceOracle{t: t, us: us, pos: streamPositions(us), codec: s.codec}
-				// apply returns the reader's error; a chain it accepts must
-				// build the history's graph.
-				apply := func(chain []chainElem) error {
-					t.Helper()
-					g := memgraph.New()
-					for j := range chain {
-						if err := s.applyChainFile(context.Background(), chain, j, g, nil, false); err != nil {
-							return err
-						}
+				for name, mutate := range map[string]func(h *enc.DeltaHeader){
+					"logOff inside a frame": func(h *enc.DeltaHeader) { h.LogOff-- },
+					"logOff a frame short":  func(h *enc.DeltaHeader) { h.LogOff = frameOffs[len(frameOffs)-2] },
+					"window a frame short": func(h *enc.DeltaHeader) { // its one record off the count too
+						h.LogOff, h.Count = frameOffs[len(frameOffs)-1], h.Count-1
+					},
+					"logOff before its base": func(h *enc.DeltaHeader) { h.LogOff = base.logOff - 1 },
+					"logOff past the log":    func(h *enc.DeltaHeader) { h.LogOff = s.seg.log.Size() + 1 },
+					"count one more":         func(h *enc.DeltaHeader) { h.Count++ },
+					"count one less":         func(h *enc.DeltaHeader) { h.Count-- },
+					"base another position":  func(h *enc.DeltaHeader) { h.BaseSeq++ },
+					"base the genesis":       func(h *enc.DeltaHeader) { h.BaseTS = -1 },
+				} {
+					m := hdr
+					mutate(&m)
+					writeHeaderFile(t, elem.path, m)
+					mutated := slices.Clone(chain)
+					mutated[k] = derived(m, elem.path)
+					if err := apply(mutated); err == nil {
+						t.Errorf("%s: a delta with header %+v applied", name, m)
 					}
-					g.SetTimestamp(chain[k].pos.ts)
-					if o.digest(g.Export()) != o.digest(o.graphAt(chain[k].pos.ts).Export()) {
-						t.Errorf("the chain ending in %+v built another graph than the history's at %d", chain[k], chain[k].pos.ts)
-					}
-					return nil
 				}
-				if kind == enc.DeltaDiff {
-					if int64(len(b)) != headerFrameLen(derivedHeader(t, b)) {
-						t.Fatalf("a delta of %d bytes is more than its header frame", len(b))
-					}
-					if err := apply(chain); err != nil {
-						t.Fatalf("the delta as written: %v", err)
-					}
-					hdr, base := derivedHeader(t, b), chain[k-1]
-					var frameOffs []int64
-					if _, err := s.seg.log.Scan(base.logOff, func(off int64, _ []byte) bool {
-						frameOffs = append(frameOffs, off) // the window's frames: the delta ends the log
-						return true
-					}); err != nil {
-						t.Fatal(err)
-					}
-					for name, mutate := range map[string]func(h *enc.DeltaHeader){
-						"logOff inside a frame": func(h *enc.DeltaHeader) { h.LogOff-- },
-						"logOff a frame short":  func(h *enc.DeltaHeader) { h.LogOff = frameOffs[len(frameOffs)-2] },
-						"window a frame short": func(h *enc.DeltaHeader) { // its one record off the count too
-							h.LogOff, h.Count = frameOffs[len(frameOffs)-1], h.Count-1
-						},
-						"logOff before its base": func(h *enc.DeltaHeader) { h.LogOff = base.logOff - 1 },
-						"logOff past the log":    func(h *enc.DeltaHeader) { h.LogOff = s.seg.log.Size() + 1 },
-						"count one more":         func(h *enc.DeltaHeader) { h.Count++ },
-						"count one less":         func(h *enc.DeltaHeader) { h.Count-- },
-						"base another position":  func(h *enc.DeltaHeader) { h.BaseSeq++ },
-						"base the genesis":       func(h *enc.DeltaHeader) { h.BaseTS = -1 },
-					} {
-						m := hdr
-						mutate(&m)
-						writeHeaderFile(t, elem.path, m)
-						mutated := slices.Clone(chain)
-						mutated[k] = derived(m, elem.path)
-						if err := apply(mutated); err == nil {
-							t.Errorf("%s: a delta with header %+v applied", name, m)
-						}
-					}
-					writeHeaderFile(t, elem.path, hdr)
-				} else {
-					// A record frame: skip the header frame, whose length is intact.
-					corruptFrameLen(t, elem.path, int(wal.Size(b)))
-					check(t, elem.path, func() error {
-						return s.applyChainFile(context.Background(), chain, k, memgraph.New(), nil, false)
-					})
-				}
-				// The header frame itself, as every reader reads it.
-				corruptFrameLen(t, elem.path, 0)
+				writeHeaderFile(t, elem.path, hdr)
+			} else {
+				// A record frame: skip the header frame, whose length is intact.
+				corruptFrameLen(t, elem.path, int(wal.Size(b)))
 				check(t, elem.path, func() error {
 					return s.applyChainFile(context.Background(), chain, k, memgraph.New(), nil, false)
 				})
-				check(t, elem.path, func() error {
-					_, err := readChainHeader(s.fs, elem.path)
-					return err
-				})
+			}
+			// The header frame itself, as every reader reads it.
+			corruptFrameLen(t, elem.path, 0)
+			check(t, elem.path, func() error {
+				return s.applyChainFile(context.Background(), chain, k, memgraph.New(), nil, false)
 			})
-		}
+			check(t, elem.path, func() error {
+				_, err := readChainHeader(s.fs, elem.path)
+				return err
+			})
+		})
 	}
 }
 

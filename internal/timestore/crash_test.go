@@ -86,7 +86,6 @@ func openCrashTS(fs vfs.FS, codec *enc.Codec) (*Store, error) {
 	return Open(codec, Options{
 		Dir:              "ts",
 		SnapshotEveryOps: 1 << 30, // policy off: the driver snapshots eagerly for determinism
-		ParallelIO:       1,
 		FS:               fs,
 	})
 }

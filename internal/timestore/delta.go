@@ -101,14 +101,7 @@ func (s *Store) applyChainFile(ctx context.Context, chain []chainElem, k int, g,
 	var end position // where the records applied end
 	if elem.kind == enc.DeltaFull {
 		end = elem.pos
-		err = s.decodeFrames(ctx, elem.path, frames[1:], func(us []model.Update) error {
-			for _, u := range us {
-				if err := apply(u); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		err = s.decodeFrames(ctx, elem.path, frames[1:], apply)
 	} else {
 		if len(frames) != 1 || k == 0 || chain[k-1].pos != elem.base || elem.logOff > s.seg.log.Size() {
 			return fmt.Errorf("timestore: delta %s is not a header on the element before it naming a window of the log", elem.path)

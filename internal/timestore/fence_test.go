@@ -12,7 +12,6 @@ import (
 	"aion/internal/graphstore"
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/pool"
 	"aion/internal/strstore"
 	"aion/internal/testkit/refmodel"
 	"aion/internal/vfs"
@@ -200,7 +199,7 @@ func openDecodingAll(t *testing.T, codec *enc.Codec, opts Options) *Store {
 	t.Helper()
 	opts.defaults()
 	s := &Store{opts: opts, fs: vfs.OrOS(opts.FS), codec: codec, snaps: newSnapQueue(),
-		workerDone: make(chan struct{}), framePool: pool.NewBytes(frameBatchBytes + 4096)}
+		workerDone: make(chan struct{})}
 	ctx := context.Background()
 	var err error
 	if s.seg, err = openSegment(s.fs, opts.Dir); err != nil {

@@ -1,8 +1,8 @@
 package timestore
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,13 +12,14 @@ import (
 	"testing"
 
 	"aion/internal/enc"
+	"aion/internal/memgraph"
 	"aion/internal/model"
 	"aion/internal/strstore"
 )
 
 // propUpdates builds a richer workload than chainUpdates: labeled nodes with
 // string and int properties plus rels, so snapshot records exercise the full
-// codec (string interning, property maps) through the pipeline.
+// codec (string interning, property maps) through the frame files.
 func propUpdates(n int) []model.Update {
 	var us []model.Update
 	ts := model.Timestamp(1)
@@ -51,108 +52,92 @@ func snapshotFiles(t testing.TB, dir string) []string {
 	return files
 }
 
-// TestParallelSnapshotBytesIdentical is the worker-count property test: the
-// same update sequence persisted with 1 (inline), 2, 4 and 8 pipeline
-// workers must produce byte-identical files — an eager snapshot and every
-// full-/delta- element of a policy chain alike (workers reorder work, never
-// bytes).
-func TestParallelSnapshotBytesIdentical(t *testing.T) {
-	us := propUpdates(500)
-	// write returns name -> bytes of every persisted materialization.
-	write := func(par int) map[string][]byte {
-		out := map[string][]byte{}
-		collect := func(store, dir string) {
-			for _, f := range snapshotFiles(t, dir) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(b) == 0 {
-					t.Fatalf("ParallelIO=%d wrote an empty %s", par, filepath.Base(f))
-				}
-				out[store+filepath.Base(f)] = b
-			}
-		}
-		dir := t.TempDir()
-		s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30, ParallelIO: par})
-		if err := s.AppendBatch(us); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CreateSnapshot(); err != nil {
-			t.Fatal(err)
-		}
-		collect("active/", dir)
-		if len(out) != 1 {
-			t.Fatalf("ParallelIO=%d produced %d snapshot files, want 1", par, len(out))
-		}
-
-		// Chain files: a policy chain whose fulls and delta span several
-		// pipeline batches (> frameBatchRecords records).
-		pdir := t.TempDir()
-		p := openStore(t, Options{Dir: pdir, SnapshotEveryOps: 300, DeltaChainLength: 1, ParallelIO: par})
-		for _, u := range us {
-			if err := p.Append(u); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p.WaitSnapshots()
-		if got := elemKinds(p.seg.elems()); got != "fdf" {
-			t.Fatalf("ParallelIO=%d: policy chain %s, want fdf", par, got)
-		}
-		collect("chain/", pdir)
-		return out
+// TestLoadRoundTrip checks that a multi-frame full is read back as the graph
+// it was written from: counts, labels, properties and the timestamp.
+func TestLoadRoundTrip(t *testing.T) {
+	const n = 300
+	us := propUpdates(n)
+	s := openStore(t, Options{SnapshotEveryOps: 1 << 30})
+	if err := s.AppendBatch(us); err != nil {
+		t.Fatal(err)
 	}
-	inline := write(1)
-	for _, par := range []int{2, 4, 8} {
-		got := write(par)
-		if len(got) != len(inline) {
-			t.Fatalf("ParallelIO=%d wrote %d files, inline wrote %d", par, len(got), len(inline))
-		}
-		for name, want := range inline {
-			if !bytes.Equal(got[name], want) {
-				t.Errorf("ParallelIO=%d: %s differs from the inline pipeline's (%d vs %d bytes)",
-					par, name, len(got[name]), len(want))
-			}
-		}
+	if err := s.CreateSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.loadElem(context.Background(), s.seg.elems(), 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NodeCount() != n || g.RelCount() != n-1 {
+		t.Fatalf("%d nodes / %d rels, want %d / %d", g.NodeCount(), g.RelCount(), n, n-1)
+	}
+	nd := g.Node(model.NodeID(42))
+	if nd == nil || nd.Props["name"].Str() != "node-42" || nd.Props["rank"].Int() != 42 {
+		t.Fatalf("node 42 decoded as %+v", nd)
+	}
+	if lastTS := us[len(us)-1].TS; g.Timestamp() != lastTS {
+		t.Fatalf("timestamp %d, want %d", g.Timestamp(), lastTS)
 	}
 }
 
-// TestParallelLoadRoundTrip checks that a snapshot written at one worker
-// count is read back identically at another (inline and concurrent, both
-// ways): counts, labels, and properties survive the 3-stage pipeline.
-func TestParallelLoadRoundTrip(t *testing.T) {
-	const n = 300
-	us := propUpdates(n)
-	for _, par := range []int{1, 4} {
-		dir := t.TempDir()
-		s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30, ParallelIO: par})
-		if err := s.AppendBatch(us); err != nil {
-			t.Fatal(err)
+// TestCancelStopsReplayWithinAStride cancels a read's ctx mid-replay and
+// counts the records replay decodes after it: GetGraphContext and
+// ScanDiffContext fail with the ctx's error having decoded at most
+// replayStride records and one frame past the cancel, and a full loaded under
+// an already-cancelled ctx applies no frame.
+func TestCancelStopsReplayWithinAStride(t *testing.T) {
+	const frame = 7 // records per log frame: one timestamp's run
+	var us []model.Update
+	for i := 0; i < 4000; i++ {
+		us = append(us, model.AddNode(model.Timestamp(1+i/frame), model.NodeID(i), []string{"N"}, nil))
+	}
+	s := openStore(t, Options{SnapshotEveryOps: 1 << 30})
+	if err := s.AppendBatch(us); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { replayDecoded = nil }()
+	last := us[len(us)-1].TS
+	for name, read := range map[string]func(ctx context.Context) error{
+		"GetGraphContext": func(ctx context.Context) error {
+			_, err := s.GetGraphContext(ctx, last-1)
+			return err
+		},
+		"ScanDiffContext": func(ctx context.Context) error {
+			return s.ScanDiffContext(ctx, 0, last, func(model.Update) bool { return true })
+		},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		decoded, atCancel := 0, -1
+		replayDecoded = func(n int) {
+			if decoded += n; atCancel < 0 && decoded >= 1000 {
+				cancel()
+				atCancel = decoded
+			}
 		}
-		if err := s.CreateSnapshot(); err != nil {
-			t.Fatal(err)
+		err := read(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s after a cancel returned %v", name, err)
 		}
-		chain := s.seg.elems()
-		lastTS := us[len(us)-1].TS
-		for _, loadPar := range []int{1, 4} {
-			s.opts.ParallelIO = loadPar
-			g, err := s.loadElem(context.Background(), chain, 0, nil, nil)
-			if err != nil {
-				t.Fatalf("write par=%d load par=%d: %v", par, loadPar, err)
-			}
-			if g.NodeCount() != n || g.RelCount() != n-1 {
-				t.Fatalf("load par=%d: %d nodes / %d rels, want %d / %d",
-					loadPar, g.NodeCount(), g.RelCount(), n, n-1)
-			}
-			nd := g.Node(model.NodeID(42))
-			if nd == nil || nd.Props["name"].Str() != "node-42" || nd.Props["rank"].Int() != 42 {
-				t.Fatalf("load par=%d: node 42 decoded as %+v", loadPar, nd)
-			}
-			if g.Timestamp() != lastTS {
-				t.Fatalf("load par=%d: timestamp %d, want %d", loadPar, g.Timestamp(), lastTS)
-			}
+		if atCancel < 0 {
+			t.Fatalf("%s decoded %d records, never reaching the cancel", name, decoded)
 		}
-		s.opts.ParallelIO = par
+		if past := decoded - atCancel; past > replayStride+frame {
+			t.Errorf("%s decoded %d records past the cancel, want at most %d", name, past, replayStride+frame)
+		}
+	}
+
+	if err := s.CreateSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := memgraph.New()
+	if err := s.applyChainFile(ctx, s.seg.elems(), 0, g, nil, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("loading a full under a cancelled ctx returned %v", err)
+	}
+	if g.NodeCount() != 0 {
+		t.Errorf("loading a full under a cancelled ctx applied %d nodes", g.NodeCount())
 	}
 }
 
@@ -170,7 +155,7 @@ func TestSnapshotWriteErrorSurfaced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 10, ParallelIO: 2})
+	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 10})
 	if err := s.AppendBatch(us); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +182,7 @@ func TestSnapshotWriteErrorSurfaced(t *testing.T) {
 // same timestamp must not double-count) — satellite (b).
 func TestStatsSnapshotBytesTracked(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30, ParallelIO: 2})
+	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
 	if err := s.AppendBatch(chainUpdates(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +205,10 @@ func TestStatsSnapshotBytesTracked(t *testing.T) {
 	}
 }
 
-// TestRecoverParallel reopens a populated store with ParallelIO=4 so
-// recovery runs the snapshot load and the log-tail replay on concurrent
-// workers, and checks the rebuilt state matches an inline (ParallelIO=1)
-// reopen.
-func TestRecoverParallel(t *testing.T) {
+// TestReopenRoundTrip reopens a populated store, so recovery loads the
+// newest full and replays the log tail after it, and checks the graphs it
+// answers at the end and halfway.
+func TestReopenRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	const n = 400
 	dir := t.TempDir()
@@ -232,7 +216,7 @@ func TestRecoverParallel(t *testing.T) {
 	// The codec (and its string table) outlives the store, as it does in a
 	// real deployment where the string store is a persistent file.
 	codec := enc.NewCodec(strstore.NewMem())
-	s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 150, ParallelIO: 1})
+	s, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,40 +227,34 @@ func TestRecoverParallel(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		r, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 1 << 30, ParallelIO: par})
-		if err != nil {
-			t.Fatalf("reopen par=%d: %v", par, err)
-		}
-		g, err := r.GetGraphContext(ctx, us[len(us)-1].TS)
-		if err != nil {
-			t.Fatalf("reopen par=%d: %v", par, err)
-		}
-		if g.NodeCount() != n || g.RelCount() != n-1 {
-			t.Fatalf("reopen par=%d: %d nodes / %d rels, want %d / %d",
-				par, g.NodeCount(), g.RelCount(), n, n-1)
-		}
-		mid, err := r.GetGraphContext(ctx, model.Timestamp(n/2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mid.NodeCount() != n/2 {
-			t.Fatalf("reopen par=%d: mid graph %d nodes, want %d", par, mid.NodeCount(), n/2)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
+	r, err := Open(codec, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	g, err := r.GetGraphContext(ctx, us[len(us)-1].TS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NodeCount() != n || g.RelCount() != n-1 {
+		t.Fatalf("%d nodes / %d rels, want %d / %d", g.NodeCount(), g.RelCount(), n, n-1)
+	}
+	mid, err := r.GetGraphContext(ctx, model.Timestamp(n/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid.NodeCount() != n/2 {
+		t.Fatalf("mid graph %d nodes, want %d", mid.NodeCount(), n/2)
 	}
 }
 
 // TestConcurrentReadWriteStress runs a writer appending updates against
-// readers hammering GetGraph, GetGraphs, and GetDiff with the parallel
-// pipelines enabled — satellite (d), run under -race in the Makefile's race
-// target.
+// readers hammering GetGraph, GetGraphs, and GetDiff, run under -race in
+// the Makefile's race target.
 func TestConcurrentReadWriteStress(t *testing.T) {
 	ctx := context.Background()
 	const n = 1500
-	s := openStore(t, Options{SnapshotEveryOps: 200, ParallelIO: 4})
+	s := openStore(t, Options{SnapshotEveryOps: 200})
 	us := propUpdates(n)
 	var appended atomic.Int64 // highest ts visible to readers
 	var wg sync.WaitGroup

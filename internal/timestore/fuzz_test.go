@@ -11,7 +11,6 @@ import (
 	"aion/internal/enc"
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/pool"
 	"aion/internal/strstore"
 	"aion/internal/testkit/vfstest"
 	"aion/internal/wal"
@@ -198,7 +197,7 @@ func FuzzReadElement(f *testing.F) {
 	}
 	base := graphAt(full.pos)
 
-	s := &Store{codec: elemCodec(f), opts: Options{ParallelIO: 1}, framePool: pool.NewBytes(frameBatchBytes + 4096),
+	s := &Store{codec: elemCodec(f),
 		seg: &segment{dir: "e", log: log}}
 	path := filepath.Join("e", chainFileName(enc.DeltaFull, position{ts: 1}))
 	f.Fuzz(func(t *testing.T, b []byte) {

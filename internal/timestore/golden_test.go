@@ -95,8 +95,8 @@ func digestFiles(t *testing.T, pattern string) string {
 // TestGoldenOnDiskBytes pins the segment log's bytes — the ATL3 marker, then
 // one block frame per Append — for a fixed prefix of the golden sequence, and
 // the bytes of an eager full taken at its end, name included: an ADS2 header
-// frame, then one frame per block of up to 256 records
-// (TestParallelSnapshotBytesIdentical extends that to every worker count).
+// frame, then one frame per block of up to 256 records (TestGoldenMultiFrameFull
+// pins a full of several).
 // The prefix ends where a store of the sealing layout closed its first
 // segment, and the two digests are that segment's log and end full.
 func TestGoldenOnDiskBytes(t *testing.T) {
@@ -124,6 +124,35 @@ func TestGoldenOnDiskBytes(t *testing.T) {
 	}
 	if got := digestFiles(t, filepath.Join(dir, "p-1", "*.dsnap")); got != wantEndFull {
 		t.Errorf("eager full .dsnap digest %s, want %s", got, wantEndFull)
+	}
+}
+
+// TestGoldenMultiFrameFull pins the bytes of an eager full that spans several
+// block frames: propUpdates(500) is 999 records, a header frame and then four
+// blocks of up to frameBatchRecords records, the last one short.
+func TestGoldenMultiFrameFull(t *testing.T) {
+	const want = "580d7d918cea5f90e377558f1c36ebf9de2d719a1bceb88b9e8411084f8de3e4"
+	dir := t.TempDir()
+	s := openStore(t, Options{Dir: dir, SnapshotEveryOps: 1 << 30})
+	if err := s.AppendBatch(propUpdates(500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	files := snapshotFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("%d element files, want one full", len(files))
+	}
+	frames, err := readFrames(s.fs, files[0], false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 5 {
+		t.Fatalf("the full holds %d frames, want a header and 4 blocks", len(frames))
+	}
+	if got := digestFiles(t, files[0]); got != want {
+		t.Errorf("multi-frame full digest %s, want %s", got, want)
 	}
 }
 

@@ -69,7 +69,7 @@ func commitsOf(us []model.Update) (commits [][]model.Update) {
 // answers a replay from zero.
 func TestHostedStoreWritesWhatAStandAloneOneDoes(t *testing.T) {
 	us := recreateTail(fenceHistory(3, 1200))
-	opts := Options{SnapshotEveryOps: 64, ParallelIO: 1}
+	opts := Options{SnapshotEveryOps: 64}
 	alone, host := opts, &fakeHost{g: memgraph.New()}
 	alone.Dir, opts.Dir, opts.Host = t.TempDir(), t.TempDir(), host.Committed
 	a, h := openStore(t, alone), openStore(t, opts)
@@ -113,7 +113,7 @@ func TestHostedStoreWritesWhatAStandAloneOneDoes(t *testing.T) {
 func TestDueSnapshotWaitsForTheRoundsLastCall(t *testing.T) {
 	us := fenceHistory(5, 900)
 	host := &fakeHost{g: memgraph.New()}
-	s := openStore(t, Options{SnapshotEveryOps: 40, ParallelIO: 1, Host: host.Committed})
+	s := openStore(t, Options{SnapshotEveryOps: 40, Host: host.Committed})
 	commits := commitsOf(us)
 	roundEnd := map[position]bool{}
 	for lo := 0; lo < len(commits); lo += 5 {
@@ -152,7 +152,7 @@ func TestDivergedHostIsCountedAndReported(t *testing.T) {
 	const every = 32
 	commits := commitsOf(fenceHistory(7, 400))
 	host := &fakeHost{g: memgraph.New()}
-	s := openStore(t, Options{SnapshotEveryOps: every, ParallelIO: 1, Host: host.Committed})
+	s := openStore(t, Options{SnapshotEveryOps: every, Host: host.Committed})
 	// The lost commit only sets properties, so the later ones still apply.
 	lost := slices.IndexFunc(commits, func(c []model.Update) bool {
 		return !slices.ContainsFunc(c, func(u model.Update) bool { return u.Kind != model.OpUpdateNode })

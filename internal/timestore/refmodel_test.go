@@ -198,7 +198,7 @@ func TestGlobalReadsMatchTheReferenceModel(t *testing.T) {
 	defer func(old int) { fenceStride = old }(fenceStride)
 	fenceStride = 5
 	const n = 600
-	opts := Options{Dir: t.TempDir(), SnapshotEveryOps: 24, DeltaChainLength: 2, ParallelIO: 2}
+	opts := Options{Dir: t.TempDir(), SnapshotEveryOps: 24, DeltaChainLength: 2}
 	s := openBare(t, enc.NewCodec(strstore.NewMem()), opts)
 	defer func() { s.Close() }()
 	h := feedHistory(t, s, 5, n)

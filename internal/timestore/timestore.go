@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -34,7 +33,6 @@ import (
 	"aion/internal/graphstore"
 	"aion/internal/memgraph"
 	"aion/internal/model"
-	"aion/internal/pool"
 	"aion/internal/vfs"
 	"aion/internal/wal"
 )
@@ -49,12 +47,6 @@ type Options struct {
 	SnapshotEveryOps int
 	// GraphStoreBytes is the byte budget of the in-memory snapshot cache.
 	GraphStoreBytes int64
-	// ParallelIO is the worker count of the snapshot (de)serialization and
-	// log-replay pipelines. <= 0 (the default) means GOMAXPROCS; 1 runs the
-	// same pipelines inline on the calling goroutine (no goroutines, every
-	// filesystem operation in program order), with identical behaviour and
-	// on-disk bytes.
-	ParallelIO int
 	// DeltaChainLength is the number of differential policy snapshots
 	// between full ones in the chain. 0 picks the default (4); < 0 disables
 	// deltas (every chain element is a full materialization).
@@ -81,9 +73,6 @@ func (o *Options) defaults() {
 	}
 	if o.GraphStoreBytes <= 0 {
 		o.GraphStoreBytes = 256 << 20
-	}
-	if o.ParallelIO <= 0 {
-		o.ParallelIO = runtime.GOMAXPROCS(0)
 	}
 	if o.DeltaChainLength == 0 {
 		o.DeltaChainLength = 4
@@ -138,9 +127,6 @@ type Store struct {
 	// which would otherwise vanish silently off the commit path.
 	snapErrs    atomic.Uint64
 	lastSnapErr atomic.Value // string
-	// framePool recycles the element writer's frame buffers (Sec 5.3:
-	// reusable byte buffers on the critical path).
-	framePool *pool.Bytes
 
 	// Asynchronous snapshot pipeline: policy-triggered snapshots are
 	// serialized off the commit path by a background worker. Sec 5.1 has the
@@ -266,7 +252,6 @@ func Open(codec *enc.Codec, opts Options) (*Store, error) {
 		codec:      codec,
 		snaps:      newSnapQueue(),
 		workerDone: make(chan struct{}),
-		framePool:  pool.NewBytes(frameBatchBytes + 4096),
 	}
 	if err := s.recover(); err != nil {
 		err = fmt.Errorf("timestore: recover: %w", err)
@@ -353,8 +338,8 @@ func (s *Store) writeSnapshot(g *memgraph.Graph, at fence, base *chainElem) (cha
 // fenceStride is how many log records share one fence at least. Fences
 // sit at frame starts only, the first frame at least fenceStride records past
 // the previous fence, so a lookup discards fewer than fenceStride records plus
-// one frame before the one it wants: at 128 that is half of one replay job
-// (frameBatchRecords), while the list costs 24 B per 128 updates of memory
+// one frame before the one it wants: at 128 that is half of replay's ctx
+// stride (replayStride), while the list costs 24 B per 128 updates of memory
 // and a lock once per 128 appended records.
 // A constant in production; a variable only so tests can shrink it.
 var fenceStride = 128

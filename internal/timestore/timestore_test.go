@@ -208,7 +208,7 @@ func TestPolicySnapshotIsCachedByItsFirstRead(t *testing.T) {
 // append adds to it from zero during a Wait — and every wait still returns
 // with nothing it could see pending.
 func TestWaitSnapshotsWhileAppending(t *testing.T) {
-	s := openStore(t, Options{SnapshotEveryOps: 1, FS: vfstest.NewFaultFS(), Dir: "ts", ParallelIO: 1})
+	s := openStore(t, Options{SnapshotEveryOps: 1, FS: vfstest.NewFaultFS(), Dir: "ts"})
 	var stop atomic.Bool
 	waiters := make(chan struct{})
 	for w := 0; w < 4; w++ {

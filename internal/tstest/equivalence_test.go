@@ -275,7 +275,7 @@ func driveFaulty(st *tstest.Store, us []model.Update) (attempted, durable int) {
 func TestCrashEquivalenceSweep(t *testing.T) {
 	us := tstest.GenWorkload(11, 160)
 	maxTS := us[len(us)-1].TS
-	sweepOpts := timestore.Options{SnapshotEveryOps: 10, DeltaChainLength: 1, ParallelIO: 1}
+	sweepOpts := timestore.Options{SnapshotEveryOps: 10, DeltaChainLength: 1}
 
 	// Fault-free run measures the op count to sweep.
 	probe := tstest.OpenStore(t, sweepOpts)
@@ -325,7 +325,7 @@ func runCrashEquivalenceCase(t *testing.T, cmp *tstest.Comparator, us []model.Up
 	}
 
 	// A clean store fed the recovered prefix, fulls only, is the oracle.
-	mono := tstest.OpenStore(t, timestore.Options{SnapshotEveryOps: 1 << 30, ParallelIO: 1})
+	mono := tstest.OpenStore(t, timestore.Options{SnapshotEveryOps: 1 << 30})
 	if len(rec) > 0 {
 		if err := mono.AppendBatch(rec); err != nil {
 			t.Fatalf("k=%d torn=%v: oracle append: %v", k, torn, err)

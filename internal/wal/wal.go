@@ -283,8 +283,8 @@ func (l *Log) Scan(from int64, fn func(off int64, payload []byte) bool) (int64, 
 }
 
 // Frame is one log record surfaced by ScanBatch. Payload aliases the scan's
-// readahead buffer and is valid only until the batch callback returns;
-// callers that hand frames to concurrent decode workers must copy it first.
+// readahead buffer and is valid only until the batch callback returns: decode
+// it there, or copy it.
 type Frame struct {
 	Off     int64
 	Payload []byte
