@@ -96,8 +96,9 @@ func TestQueryDeadlineMidScan(t *testing.T) {
 
 	const timeout = 400 * time.Millisecond
 	begin := time.Now()
-	// 120^3 = 1.7e9 candidate rows: unbounded without cancellation.
-	_, _, _, err = c.RunTimeout("MATCH (a), (b), (c) RETURN count(*)", nil, timeout)
+	// 120^4 = 2.1e8 candidate rows: seconds without cancellation, even for a
+	// count that keeps no row.
+	_, _, _, err = c.RunTimeout("MATCH (a), (b), (c), (d) RETURN count(*)", nil, timeout)
 	elapsed := time.Since(begin)
 	var se *ServerError
 	if !errors.As(err, &se) || se.Code != FailTimeout {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"expvar"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -206,13 +207,16 @@ type execCtx struct {
 	c      context.Context
 	params map[string]model.Value
 	steps  int
-	rows   []bindings  // matchPattern's output while it runs
-	path   []step      // the path extend is on
-	one    [1]bindings // where the first pattern's rows start: one row allocates no slice
+	// The match running (matchOnGraph): the one environment its steps bind
+	// their variables in, the sink its full matches stream to, and the nodes
+	// its scans lend, innermost last.
+	env  bindings
+	out  rowSink
+	lent []*model.Node
 }
 
 // checkCancel is the engine's cooperative cancellation point, called from
-// the pattern-matching and projection loops. The real ctx.Err() load is
+// the pattern-matching loops. The real ctx.Err() load is
 // strided (every 256 steps) so the check stays invisible in match profiles.
 func (ctx *execCtx) checkCancel() error {
 	ctx.steps++
@@ -376,7 +380,7 @@ func (ctx *execCtx) evalAppTime(env bindings, x AppTimeFilter) (model.Value, err
 
 func (e *Engine) execMatch(ctx *execCtx, st *Statement) (*Result, error) {
 	m := st.Match
-	if len(m.Sets) > 0 || len(m.Deletes) > 0 || len(m.Creates) > 0 {
+	if IsWrite(st) {
 		if st.Temporal.Kind != TemporalNone {
 			return nil, fmt.Errorf("cypher: write clauses cannot target historical versions")
 		}
@@ -389,31 +393,31 @@ func (e *Engine) execMatch(ctx *execCtx, st *Statement) (*Result, error) {
 		return nil, err
 	}
 
-	var rows []bindings
+	p := newProjection(m)
 	switch {
 	case st.Temporal.Kind == TemporalNone:
 		// Latest graph: a normal read transaction, unaffected by Aion.
-		// View avoids cloning; entity pointers stay valid after it
-		// returns because every read builds an entity of the caller's own.
+		// View avoids cloning; the rows stream to p while it runs, and p
+		// copies what it keeps of a node a scan lends.
 		e.Sys.Host.View(func(g *memgraph.Graph) {
-			rows, err = ctx.matchOnGraph(g, m)
+			err = ctx.matchOnGraph(g, m, p)
 		})
 	case window.Start == window.End:
 		// AS OF: on the graph the planner picks (Sec 5.1) by reach's estimate.
 		anchored, hops, d := ctx.reach(m)
 		var g model.Graph
 		if g, err = e.Sys.Aion.PlanContext(ctx.c, window.Start, anchored, hops, d); err == nil {
-			rows, err = ctx.matchOnGraph(g, m)
+			err = ctx.matchOnGraph(g, m, p)
 		}
 	default:
 		// Range: history semantics for anchored single-node lookups, and
 		// window-graph matching otherwise.
-		rows, err = e.matchRange(ctx, m, window)
+		err = e.matchRange(ctx, m, window, p)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return e.project(ctx, m, rows)
+	return p.result(), nil
 }
 
 // anchorID extracts an `id(var) = <const>` (or `id(var) = $param`)
@@ -441,7 +445,7 @@ func (ctx *execCtx) anchorID(where Expr, varName string) (int64, bool) {
 
 // reach is what the planner estimates a match by: whether every pattern
 // starts from a node that WHERE anchors by id or an earlier pattern binds —
-// where matchPattern finds its first candidates without a scan — and the
+// where the matcher finds its first candidates without a scan — and the
 // steps of its longest pattern (a var-hop relationship's upper bound), in
 // their one direction, or Both when directions differ.
 func (ctx *execCtx) reach(m *MatchStmt) (anchored bool, hops int, d model.Direction) {
@@ -470,39 +474,35 @@ func (ctx *execCtx) reach(m *MatchStmt) (anchored bool, hops int, d model.Direct
 // matchRange serves history queries over [start, end): an anchored
 // single-node pattern gets one row per version of the node (Fig 1a), from the
 // LineageStore; other patterns match the window graph.
-func (e *Engine) matchRange(ctx *execCtx, m *MatchStmt, win model.Interval) (rows []bindings, err error) {
+func (e *Engine) matchRange(ctx *execCtx, m *MatchStmt, win model.Interval, out rowSink) error {
 	np := m.Patterns[0].Nodes[0]
 	if id, ok := ctx.anchorID(m.Where, np.Var); !ok || len(m.Patterns) > 1 || len(m.Patterns[0].Nodes) > 1 {
 		g, err := e.Sys.Aion.GetWindowContext(ctx.c, win.Start, win.End)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return ctx.matchOnGraph(g, m)
+		return ctx.matchOnGraph(g, m, out)
 	} else if ns, err := e.Sys.Aion.GetNodeContext(ctx.c, model.NodeID(id), win.Start, win.End); err != nil {
-		return nil, err
+		return err
 	} else {
 		for _, n := range ns {
-			if env := (bindings{np.Var: NodeVal(n)}); nodeMatches(ctx, n, np) {
-				if keep, err := ctx.applyWhere(env, m.Where); err != nil {
-					return nil, err
-				} else if keep {
-					rows = append(rows, env)
-				}
+			if err == nil && nodeMatches(ctx, n, np) {
+				err = ctx.emit(bindings{np.Var: NodeVal(n)}, m.Where, out)
 			}
 		}
+		return err
 	}
-	return rows, nil
 }
 
-func (ctx *execCtx) applyWhere(env bindings, where Expr) (bool, error) {
-	if where == nil {
-		return true, nil
+// emit hands env to out if WHERE keeps it.
+func (ctx *execCtx) emit(env bindings, where Expr, out rowSink) error {
+	if where != nil {
+		v, err := ctx.evalScalar(env, where)
+		if err != nil || !truthy(v) {
+			return err
+		}
 	}
-	v, err := ctx.evalScalar(env, where)
-	if err != nil {
-		return false, err
-	}
-	return truthy(v), nil
+	return out.row(ctx, env)
 }
 
 func nodeMatches(ctx *execCtx, n *model.Node, np NodePattern) bool {
@@ -534,199 +534,192 @@ func propsMatch(ctx *execCtx, props model.Properties, pattern map[string]Expr) b
 	return true
 }
 
-// matchOnGraph runs backtracking pattern matching over g: each
-// comma-separated pattern extends the binding environments (a join on shared
-// variables), and WHERE filters the final rows. A View's failed read fails
-// the match.
-func (ctx *execCtx) matchOnGraph(g model.Graph, m *MatchStmt) ([]bindings, error) {
-	var envs []bindings
-	for i, pat := range m.Patterns {
-		seeds := envs
-		if envs = nil; i == 0 {
-			seeds, envs = []bindings{nil}, ctx.one[:0] // from the empty environment
-		}
-		for _, seed := range seeds {
-			var err error
-			if envs, err = ctx.matchPattern(g, pat, seed, m.Where, envs); err != nil {
-				return nil, err
-			}
-		}
-		if len(envs) == 0 {
-			return nil, aion.ReadErr(g)
-		}
-	}
-	rows := envs[:0]
-	for _, env := range envs {
-		if err := ctx.checkCancel(); err != nil {
-			return nil, err
-		}
-		keep, err := ctx.applyWhere(env, m.Where)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			rows = append(rows, env)
-		}
-	}
-	return rows, aion.ReadErr(g)
+// rowSink takes the rows a match streams. row gets each full match WHERE
+// keeps, in an environment that holds until row returns: the matcher unbinds
+// its variables after it, and a scan refills the node it lends.
+type rowSink interface {
+	row(ctx *execCtx, env bindings) error
 }
 
-// matchPattern appends to rows the extensions of seed by one path pattern
-// (WHERE is applied later by the caller; here it only names id anchors).
-func (ctx *execCtx) matchPattern(g model.Graph, pat PathPattern, seed bindings, where Expr, rows []bindings) ([]bindings, error) {
+// matchOnGraph matches m over g by backtracking over one environment: each
+// step binds its variables for the rest of the match and unbinds them after
+// it, so the comma-separated patterns join on the variables they share, and
+// every full match WHERE keeps streams to out. A View's failed read fails the
+// match.
+func (ctx *execCtx) matchOnGraph(g model.Graph, m *MatchStmt, out rowSink) error {
+	ctx.env, ctx.out = bindings{}, out
+	return cmp.Or(ctx.pattern(g, m, 0), aion.ReadErr(g))
+}
+
+// pattern matches m.Patterns[i:], then WHERE, in ctx.env.
+func (ctx *execCtx) pattern(g model.Graph, m *MatchStmt, i int) error {
+	if i == len(m.Patterns) {
+		return ctx.emit(ctx.env, m.Where, ctx.out)
+	}
 	// The first node: a prior binding or an id anchor avoids the full scan.
-	id, known := ctx.anchorID(where, pat.Nodes[0].Var)
-	if bound := seed[pat.Nodes[0].Var].Node; bound != nil {
+	first := m.Patterns[i].Nodes[0].Var
+	id, known := ctx.anchorID(m.Where, first)
+	if bound := ctx.env[first].Node; bound != nil {
 		id, known = int64(bound.ID), true
 	}
-	ctx.rows = rows
-	if !known {
-		var err error
-		g.ForEachNode(func(n *model.Node) bool {
-			err = ctx.start(g, pat, seed, n)
-			return err == nil
-		})
-		return ctx.rows, err
-	}
-	if n := g.Node(model.NodeID(id)); n != nil {
-		return ctx.rows, ctx.start(g, pat, seed, n)
-	}
-	return ctx.rows, nil
-}
-
-// start matches pat from n, its first node's candidate, onto ctx.rows.
-func (ctx *execCtx) start(g model.Graph, pat PathPattern, seed bindings, n *model.Node) error {
-	if err := ctx.checkCancel(); err != nil || !nodeMatches(ctx, n, pat.Nodes[0]) {
-		return err
-	}
-	ctx.path = ctx.path[:0]
-	return ctx.extend(g, pat, seed, n, n)
-}
-
-// step is a relationship on the path being matched and the node it reaches.
-type step struct {
-	r *model.Rel
-	n *model.Node
-}
-
-// extend matches pat's relationships from len(ctx.path) on, from cur, and
-// appends seed with the path's bindings to ctx.rows for every full path.
-func (ctx *execCtx) extend(g model.Graph, pat PathPattern, seed bindings, first, cur *model.Node) error {
-	if err := ctx.checkCancel(); err != nil {
-		return err
-	}
-	at := len(ctx.path)
-	if at == len(pat.Rels) {
-		env := make(bindings, len(seed)+2*at+1)
-		for k, v := range seed {
-			env[k] = v
+	if known {
+		if n := g.Node(model.NodeID(id)); n != nil {
+			return ctx.step(g, m, i, 0, nil, n)
 		}
-		bind(env, pat.Nodes[0].Var, NodeVal(first))
-		for i, s := range ctx.path {
-			if prev, ok := env[pat.Nodes[i+1].Var]; ok && (prev.Node == nil || prev.Node.ID != s.n.ID) {
-				return nil // the path meets a bound variable at another entity
-			}
-			bind(env, pat.Nodes[i+1].Var, NodeVal(s.n))
-			bind(env, pat.Rels[i].Var, RelVal(s.r))
-		}
-		ctx.rows = append(ctx.rows, env)
 		return nil
 	}
-	rp, np := pat.Rels[at], pat.Nodes[at+1]
-	tryNeighbour := func(r *model.Rel, n *model.Node) error {
-		if n == nil || !relMatches(ctx, r, rp) || !nodeMatches(ctx, n, np) {
-			return nil
-		}
-		ctx.path = append(ctx.path, step{r, n})
-		err := ctx.extend(g, pat, seed, first, n)
-		ctx.path = ctx.path[:at]
+	var err error
+	d := len(ctx.lent)
+	g.ForEachNode(func(n *model.Node) bool {
+		ctx.lent = append(ctx.lent[:d], n)
+		err = ctx.step(g, m, i, 0, nil, n)
+		return err == nil
+	})
+	ctx.lent = ctx.lent[:d]
+	return err
+}
+
+// step binds n as node j of pattern i, reached by r unless j is 0, and matches
+// the rest of the match from it. A nil n (a relationship's end a View failed
+// to read) matches nothing.
+func (ctx *execCtx) step(g model.Graph, m *MatchStmt, i, j int, r *model.Rel, n *model.Node) error {
+	pat := m.Patterns[i]
+	var rp RelPattern // none before the first node
+	if j > 0 {
+		rp = pat.Rels[j-1]
+	}
+	if err := ctx.checkCancel(); err != nil || n == nil || j > 0 && !relMatches(ctx, r, rp) || !nodeMatches(ctx, n, pat.Nodes[j]) {
 		return err
 	}
+	nb, nok := ctx.bind(pat.Nodes[j].Var, NodeVal(n))
+	rb, rok := ctx.bind(rp.Var, RelVal(r))
+	var err error
+	if nok && rok {
+		err = ctx.next(g, m, i, j, n)
+	}
+	delete(ctx.env, nb) // unbinds what this step bound; "" is never bound
+	delete(ctx.env, rb)
+	return err
+}
 
+// next matches pattern i's relationship j from n, its node j, or the next
+// pattern after its last node.
+func (ctx *execCtx) next(g model.Graph, m *MatchStmt, i, j int, n *model.Node) error {
+	pat := m.Patterns[i]
+	if j == len(pat.Rels) {
+		return ctx.pattern(g, m, i+1)
+	}
+	rp := pat.Rels[j]
+	var err error
 	if rp.VarHops {
 		// Variable-length expansion: Alg 1, one dedup per hop.
-		var werr error
-		aion.ExpandInGraph(g, cur.ID, rp.Dir, rp.MaxHops, rp.Type, func(hop int, r *model.Rel, n *model.Node) bool {
-			if werr = ctx.checkCancel(); werr == nil && hop+1 >= rp.MinHops {
-				werr = tryNeighbour(r, n)
+		aion.ExpandInGraph(g, n.ID, rp.Dir, rp.MaxHops, rp.Type, func(hop int, r *model.Rel, nb *model.Node) bool {
+			if err = ctx.checkCancel(); err == nil && hop+1 >= rp.MinHops {
+				err = ctx.step(g, m, i, j+1, r, nb)
 			}
-			return werr == nil
+			return err == nil
 		})
-		return werr
+		return err
 	}
-
-	var ferr error
-	g.Neighbours(cur.ID, rp.Dir, func(r *model.Rel, nb model.NodeID) bool {
-		if err := tryNeighbour(r, g.Node(nb)); err != nil {
-			ferr = err
-			return false
-		}
-		return true
+	g.Neighbours(n.ID, rp.Dir, func(r *model.Rel, nb model.NodeID) bool {
+		err = ctx.step(g, m, i, j+1, r, g.Node(nb))
+		return err == nil
 	})
-	return ferr
+	return err
 }
 
-// bind sets env[name] to v; "" names nothing.
-func bind(env bindings, name string, v Val) {
-	if name != "" {
-		env[name] = v
+// bind binds name to v in ctx.env and returns it, for the caller to unbind
+// once the match below it is done, or "" where name was bound already or is
+// "" itself. ok is false where name is bound already, to another entity.
+func (ctx *execCtx) bind(name string, v Val) (bound string, ok bool) {
+	if name == "" {
+		return "", true
 	}
+	prev, in := ctx.env[name]
+	if !in {
+		ctx.env[name] = v
+		return name, true
+	}
+	return "", prev.Node != nil && v.Node != nil && prev.Node.ID == v.Node.ID ||
+		prev.Rel != nil && v.Rel != nil && prev.Rel.ID == v.Rel.ID
 }
 
-// project evaluates the RETURN items (with COUNT aggregation, ORDER BY, and
-// LIMIT).
-func (e *Engine) project(ctx *execCtx, m *MatchStmt, rows []bindings) (*Result, error) {
-	res := &Result{}
-	hasCount := false
+// keep returns v as a cell that outlives the match: a node a scan lends is
+// copied, with a Props map of its own, and every other entity is the caller's
+// already.
+func (ctx *execCtx) keep(v Val) Val {
+	if v.Node == nil || !slices.Contains(ctx.lent, v.Node) {
+		return v
+	}
+	n := *v.Node
+	n.Props = maps.Clone(n.Props)
+	return NodeVal(&n)
+}
+
+// projection is RETURN, the sink a read's match streams to. Each row's
+// returned cells, then its ORDER BY keys, go into one slab; a COUNT keeps the
+// first row's other cells and no row, only the count.
+type projection struct {
+	Result
+	m     *MatchStmt
+	count bool
+	n     int // rows streamed
+	cells []Val
+}
+
+func newProjection(m *MatchStmt) *projection {
+	p := &projection{m: m}
 	for _, item := range m.Return {
-		if _, ok := item.E.(CountCall); ok {
-			hasCount = true
-		}
-		res.Columns = append(res.Columns, returnName(item))
+		_, ok := item.E.(CountCall)
+		p.count = p.count || ok
+		p.Columns = append(p.Columns, returnName(item))
 	}
-	if hasCount {
-		out := make([]Val, len(m.Return))
-		for i, item := range m.Return {
+	return p
+}
+
+func (p *projection) row(ctx *execCtx, env bindings) error {
+	if p.n++; p.count && p.n > 1 {
+		return nil
+	}
+	for _, item := range p.m.Return {
+		v, err := ctx.evalVal(env, item.E)
+		if err != nil {
+			return err
+		}
+		p.cells = append(p.cells, v)
+	}
+	for _, ob := range p.m.Order {
+		v, err := ctx.evalScalar(env, ob.E)
+		if err != nil {
+			return err
+		}
+		p.cells = append(p.cells, ScalarVal(v))
+	}
+	return nil
+}
+
+// result cuts the slab into rows, with COUNT's one row counted, and applies
+// ORDER BY and LIMIT.
+func (p *projection) result() *Result {
+	w, width, n := len(p.m.Return), len(p.m.Return)+len(p.m.Order), p.n
+	if p.count {
+		if n == 0 {
+			p.cells = make([]Val, width)
+		}
+		for i, item := range p.m.Return {
 			if _, ok := item.E.(CountCall); ok {
-				out[i] = ScalarVal(model.IntValue(int64(len(rows))))
-			} else if len(rows) > 0 {
-				v, err := ctx.evalVal(rows[0], item.E)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
+				p.cells[i] = ScalarVal(model.IntValue(int64(p.n)))
 			}
 		}
-		res.Rows = [][]Val{out}
-		return res, nil
+		n = 1
 	}
-	// One slab holds every row's cells, each followed by its ORDER BY keys.
-	w, width := len(m.Return), len(m.Return)+len(m.Order)
-	cells := make([]Val, len(rows)*width)
-	res.Rows = make([][]Val, len(rows))
-	for i, env := range rows {
-		if err := ctx.checkCancel(); err != nil {
-			return nil, err
-		}
-		res.Rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
-		for j, item := range m.Return {
-			v, err := ctx.evalVal(env, item.E)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows[i][j] = v
-		}
-		for k, ob := range m.Order {
-			v, err := ctx.evalScalar(env, ob.E)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows[i][w+k] = ScalarVal(v)
-		}
+	p.Rows = make([][]Val, n)
+	for i := range p.Rows {
+		p.Rows[i] = p.cells[i*width : (i+1)*width : (i+1)*width]
 	}
-	if len(m.Order) > 0 {
-		slices.SortStableFunc(res.Rows, func(a, b []Val) int {
-			for k, ob := range m.Order {
+	if len(p.m.Order) > 0 {
+		slices.SortStableFunc(p.Rows, func(a, b []Val) int {
+			for k, ob := range p.m.Order {
 				if c := a[w+k].S.Compare(b[w+k].S); c != 0 && ob.Desc {
 					return -c
 				} else if c != 0 {
@@ -735,14 +728,14 @@ func (e *Engine) project(ctx *execCtx, m *MatchStmt, rows []bindings) (*Result, 
 			}
 			return 0
 		})
-		for i := range res.Rows {
-			res.Rows[i] = res.Rows[i][:w:w]
+		for i := range p.Rows {
+			p.Rows[i] = p.Rows[i][:w:w]
 		}
 	}
-	if m.Limit > 0 && len(res.Rows) > m.Limit {
-		res.Rows = res.Rows[:m.Limit]
+	if p.m.Limit > 0 && len(p.Rows) > p.m.Limit {
+		p.Rows = p.Rows[:p.m.Limit]
 	}
-	return res, nil
+	return &p.Result
 }
 
 func returnName(item ReturnItem) string {
@@ -762,16 +755,17 @@ func returnName(item ReturnItem) string {
 	return "expr"
 }
 
-// evalVal evaluates a RETURN expression, preserving entity values.
+// evalVal evaluates a RETURN expression to a cell that outlives the match
+// (keep), an entity for a variable; a COUNT is the projection's to fill.
 func (ctx *execCtx) evalVal(env bindings, ex Expr) (Val, error) {
-	if vr, ok := ex.(VarRef); ok {
-		if v, ok := env[vr.Name]; ok {
-			return v, nil
+	switch x := ex.(type) {
+	case CountCall:
+		return Val{}, nil
+	case VarRef:
+		if v, ok := env[x.Name]; ok {
+			return ctx.keep(v), nil
 		}
 	}
 	s, err := ctx.evalScalar(env, ex)
-	if err != nil {
-		return Val{}, err
-	}
-	return ScalarVal(s), nil
+	return ScalarVal(s), err
 }

@@ -47,15 +47,14 @@ func viewRows(t *testing.T, e *Engine, m *MatchStmt, id int64, ts model.Timestam
 	t.Helper()
 	ctx := &execCtx{e: e, c: context.Background(), params: map[string]model.Value{"id": model.IntValue(id)}}
 	g := e.Sys.Aion.View(ctx.c, ts)
-	rows, err := ctx.matchOnGraph(g, m)
-	if err != nil {
+	var onView, onSnap kept
+	if err := ctx.matchOnGraph(g, m, &onView); err != nil {
 		t.Fatalf("at %d on the view: %v", ts, err)
 	}
-	view = canonical(rows)
-	if rows, err = ctx.matchOnGraph(snap, m); err != nil {
+	if err := ctx.matchOnGraph(snap, m, &onSnap); err != nil {
 		t.Fatalf("at %d on the snapshot: %v", ts, err)
 	}
-	return view, canonical(rows)
+	return canonical(onView), canonical(onSnap)
 }
 
 // canonical renders each row's bindings, sorted by name, and sorts the rows:

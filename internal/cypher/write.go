@@ -9,37 +9,25 @@ import (
 )
 
 // execCreate runs a CREATE statement in a host transaction. The after-
-// commit listener feeds the changes into Aion (Fig 4 stage 1).
+// commit listener feeds the changes into Aion (Fig 4 stage 1). Its RETURN
+// projects the one row it created, once it is committed.
 func (e *Engine) execCreate(ctx *execCtx, c *CreateStmt) (*Result, error) {
-	res := &Result{}
-	env := bindings{}
+	p, env := newProjection(&MatchStmt{Return: c.Return}), bindings{}
 	tx := e.Sys.Host.Begin()
 	for _, pat := range c.Patterns {
-		if err := e.createPattern(ctx, tx, pat, env, res); err != nil {
+		if err := e.createPattern(ctx, tx, pat, env, &p.Result); err != nil {
 			tx.Rollback()
 			return nil, err
 		}
 	}
 	ts, err := tx.Commit()
+	if p.CommitTS = ts; err == nil && len(c.Return) > 0 {
+		err = p.row(ctx, env)
+	}
 	if err != nil {
 		return nil, err
 	}
-	res.CommitTS = ts
-	for _, item := range c.Return {
-		res.Columns = append(res.Columns, returnName(item))
-	}
-	if len(c.Return) > 0 {
-		row := make([]Val, len(c.Return))
-		for i, item := range c.Return {
-			v, err := ctx.evalVal(env, item.E)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		res.Rows = [][]Val{row}
-	}
-	return res, nil
+	return p.result(), nil
 }
 
 // createPattern creates (or reuses via bound variables) the nodes of one
@@ -106,109 +94,104 @@ func (ctx *execCtx) evalProps(exprs map[string]Expr) (model.Properties, error) {
 	return props, nil
 }
 
+// kept is the sink that keeps every row: a copy of its environment, with each
+// node a scan lent copied (keep).
+type kept []bindings
+
+func (k *kept) row(ctx *execCtx, env bindings) error {
+	c := make(bindings, len(env))
+	for name, v := range env {
+		c[name] = ctx.keep(v)
+	}
+	*k = append(*k, c)
+	return nil
+}
+
 // execMatchWrite runs MATCH ... SET / DELETE against the latest graph in a
-// host transaction.
-func (e *Engine) execMatchWrite(ctx *execCtx, m *MatchStmt) (*Result, error) {
-	var rows []bindings
-	var err error
+// host transaction. It keeps the matched rows before it stages a write:
+// staging takes the host's lock, which View holds while the match runs.
+func (e *Engine) execMatchWrite(ctx *execCtx, m *MatchStmt) (res *Result, err error) {
+	var rows kept
 	e.Sys.Host.View(func(g *memgraph.Graph) {
-		rows, err = ctx.matchOnGraph(g, m)
+		err = ctx.matchOnGraph(g, m, &rows)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	res = &Result{}
 	tx := e.Sys.Host.Begin()
+	defer func() {
+		if err != nil {
+			tx.Rollback()
+		}
+	}()
 	deletedNodes := map[model.NodeID]bool{}
 	deletedRels := map[model.RelID]bool{}
+	deleteRel := func(rid model.RelID) error {
+		if deletedRels[rid] {
+			return nil
+		}
+		deletedRels[rid] = true
+		res.RelsDeleted++
+		return tx.DeleteRel(rid)
+	}
 	setApplied := map[string]bool{}
 	for _, env := range rows {
 		// MATCH ... CREATE: create pattern elements per matched row,
 		// reusing bound variables as endpoints.
 		for _, pat := range m.Creates {
 			if err := e.createPattern(ctx, tx, pat, env, res); err != nil {
-				tx.Rollback()
 				return nil, err
 			}
 		}
 		for _, item := range m.Sets {
 			v, ok := env[item.Var]
 			if !ok {
-				tx.Rollback()
 				return nil, fmt.Errorf("cypher: SET of unbound variable %s", item.Var)
 			}
 			val, err := ctx.evalScalar(env, item.E)
 			if err != nil {
-				tx.Rollback()
 				return nil, err
 			}
+			id, _ := lookup(env, item.Var) // the entity's id
+			props, key := model.Properties{item.Prop: val}, fmt.Sprintf("%t%d.%s", v.Rel != nil, id.Int(), item.Prop)
 			switch {
-			case v.Node != nil:
-				key := fmt.Sprintf("n%d.%s", v.Node.ID, item.Prop)
-				if setApplied[key] {
-					continue
-				}
-				setApplied[key] = true
-				if err := tx.SetNodeProps(v.Node.ID, model.Properties{item.Prop: val}, nil); err != nil {
-					tx.Rollback()
-					return nil, err
-				}
-			case v.Rel != nil:
-				key := fmt.Sprintf("r%d.%s", v.Rel.ID, item.Prop)
-				if setApplied[key] {
-					continue
-				}
-				setApplied[key] = true
-				if err := tx.SetRelProps(v.Rel.ID, model.Properties{item.Prop: val}, nil); err != nil {
-					tx.Rollback()
-					return nil, err
-				}
-			default:
-				tx.Rollback()
+			case v.Node == nil && v.Rel == nil:
 				return nil, fmt.Errorf("cypher: SET on non-entity %s", item.Var)
+			case setApplied[key]:
+				continue
+			case v.Node != nil:
+				err = tx.SetNodeProps(v.Node.ID, props, nil)
+			default:
+				err = tx.SetRelProps(v.Rel.ID, props, nil)
 			}
+			if err != nil {
+				return nil, err
+			}
+			setApplied[key] = true
 			res.PropsSet++
 		}
 		for _, name := range m.Deletes {
 			v, ok := env[name]
-			if !ok {
-				tx.Rollback()
-				return nil, fmt.Errorf("cypher: DELETE of unbound variable %s", name)
-			}
 			switch {
+			case !ok:
+				return nil, fmt.Errorf("cypher: DELETE of unbound variable %s", name)
 			case v.Rel != nil:
-				if deletedRels[v.Rel.ID] {
-					continue
-				}
-				deletedRels[v.Rel.ID] = true
-				if err := tx.DeleteRel(v.Rel.ID); err != nil {
-					tx.Rollback()
-					return nil, err
-				}
-				res.RelsDeleted++
-			case v.Node != nil:
-				if deletedNodes[v.Node.ID] {
-					continue
-				}
+				err = deleteRel(v.Rel.ID)
+			case v.Node != nil && !deletedNodes[v.Node.ID]:
 				deletedNodes[v.Node.ID] = true
-				if m.Detach {
-					// DETACH DELETE: remove incident relationships first.
+				if m.Detach { // DETACH DELETE: remove incident relationships first.
 					for _, rid := range tx.IncidentRels(v.Node.ID) {
-						if !deletedRels[rid] {
-							deletedRels[rid] = true
-							if err := tx.DeleteRel(rid); err != nil {
-								tx.Rollback()
-								return nil, err
-							}
-							res.RelsDeleted++
+						if err = deleteRel(rid); err != nil {
+							return nil, err
 						}
 					}
 				}
-				if err := tx.DeleteNode(v.Node.ID); err != nil {
-					tx.Rollback()
-					return nil, err
-				}
+				err = tx.DeleteNode(v.Node.ID)
 				res.NodesDeleted++
+			}
+			if err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -9,9 +9,8 @@ import (
 )
 
 // DecodeUpdates decodes a batch of update records produced by AppendUpdate,
-// appending the results to dst. The codec is safe for concurrent decoding, so
-// batches may be decoded on many workers at once. On error the updates
-// decoded so far are returned alongside it.
+// appending the results to dst. On error the updates decoded so far are
+// returned alongside it.
 func (c *Codec) DecodeUpdates(dst []model.Update, payloads [][]byte) ([]model.Update, error) {
 	dst = slices.Grow(dst, len(payloads))
 	for _, p := range payloads {

@@ -292,8 +292,8 @@ func (c *Codec) readValue(b []byte, k model.ValueKind) (model.Value, []byte, err
 // appendProps encodes set and deleted properties: count, then per property a
 // flagged key reference (deleted bit, type tag) followed by the value
 // payload (omitted for deletions). Keys are emitted in sorted order so the
-// same logical update always encodes to the same bytes — the snapshot
-// writers rely on this for the sequential/parallel byte-identity guarantee.
+// same logical update always encodes to the same bytes, whatever order its
+// map iterates in: the golden-bytes tests rely on it.
 func (c *Codec) appendProps(buf []byte, set model.Properties, del []string) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(set)+len(del)))
 	keys := make([]string, 0, len(set))

@@ -674,8 +674,9 @@ func (db *DB) apply(u model.Update) {
 
 // View runs fn with read access to the committed graph, without cloning.
 // fn must not mutate the graph and must not retain the *Graph beyond the
-// call; entity pointers read from it stay valid, since every read builds an
-// entity of the caller's own.
+// call. The entities Node, Rel and Neighbours build are the caller's own and
+// stay valid after it; a node ForEachNode lends is valid only until its fn
+// returns (model.Graph).
 func (db *DB) View(fn func(g *memgraph.Graph)) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -11,6 +11,7 @@ package memgraph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -75,7 +76,7 @@ func (g *Graph) MaxRelID() model.RelID { return model.RelID(g.rels.n) }
 
 // Node returns the node with the given id, or nil if absent. Every call
 // builds a node of the caller's own.
-func (g *Graph) Node(id model.NodeID) *model.Node { return g.nodes.get(int(id)).node(id) }
+func (g *Graph) Node(id model.NodeID) *model.Node { return g.nodes.get(int(id)).node(id, nil, nil) }
 
 // Rel returns the relationship with the given id, or nil if absent. Every
 // call builds a relationship of the caller's own.
@@ -136,9 +137,11 @@ func (g *Graph) Neighbours(id model.NodeID, d model.Direction, fn func(r *model.
 }
 
 // ForEachNode invokes fn for every live node in id order; it stops early if
-// fn returns false.
+// fn returns false. It lends fn one node, refilled from each record with one
+// Props map: the node is valid until fn returns (model.Graph).
 func (g *Graph) ForEachNode(fn func(n *model.Node) bool) {
-	g.nodes.each(func(i int, r *nodeRec) bool { return r == nil || fn(r.node(model.NodeID(i))) })
+	n, m := new(model.Node), model.Properties{}
+	g.nodes.each(func(i int, r *nodeRec) bool { return r == nil || fn(r.node(model.NodeID(i), n, m)) })
 }
 
 // ForEachRel invokes fn for every live relationship in id order; it stops
@@ -401,7 +404,7 @@ func (g *Graph) ApplyAll(us []model.Update) error {
 func (g *Graph) Export() []model.Update {
 	us := make([]model.Update, 0, g.nodeCount+g.relCount)
 	g.ForEachNode(func(n *model.Node) bool {
-		us = append(us, model.AddNode(g.ts, n.ID, n.Labels, n.Props))
+		us = append(us, model.AddNode(g.ts, n.ID, n.Labels, maps.Clone(n.Props))) // n is lent
 		return true
 	})
 	g.ForEachRel(func(r *model.Rel) bool {

@@ -43,21 +43,27 @@ type prop struct {
 	val model.Value
 }
 
-// node and rel build the entity, the caller's own: a new Props map, and
-// Labels capped so that an append copies. A nil record builds nil.
-func (r *nodeRec) node(id model.NodeID) *model.Node {
+// node makes n, a new node when nil, the entity r holds at id, its properties
+// in m (props.into) and its Labels capped so that an append copies: the
+// caller's own when n and m are nil. A nil record makes nil.
+func (r *nodeRec) node(id model.NodeID, n *model.Node, m model.Properties) *model.Node {
 	if r == nil {
 		return nil
 	}
-	return &model.Node{ID: id, Labels: r.labels[:len(r.labels):len(r.labels)], Props: r.props.toMap(),
+	if n == nil {
+		n = new(model.Node)
+	}
+	*n = model.Node{ID: id, Labels: r.labels[:len(r.labels):len(r.labels)], Props: r.props.into(m),
 		Valid: model.Interval{Start: r.start, End: model.TSInfinity}}
+	return n
 }
 
+// rel builds the relationship, the caller's own. A nil record builds nil.
 func (r *relRec) rel(id model.RelID) *model.Rel {
 	if r == nil {
 		return nil
 	}
-	return &model.Rel{ID: id, Src: r.src, Tgt: r.tgt, Label: r.label, Props: r.props.toMap(),
+	return &model.Rel{ID: id, Src: r.src, Tgt: r.tgt, Label: r.label, Props: r.props.into(nil),
 		Valid: model.Interval{Start: r.start, End: model.TSInfinity}}
 }
 
@@ -69,12 +75,16 @@ func (ps props) get(k string) (model.Value, bool) {
 	return ps[i].val, true
 }
 
-// toMap returns ps as a map of the caller's own, nil when empty.
-func (ps props) toMap() model.Properties {
+// into returns ps in m, cleared first, or in a new map when m is nil; nil
+// when ps is empty.
+func (ps props) into(m model.Properties) model.Properties {
 	if len(ps) == 0 {
 		return nil
 	}
-	m := make(model.Properties, len(ps))
+	if m == nil {
+		m = make(model.Properties, len(ps))
+	}
+	clear(m)
 	for _, p := range ps {
 		m[p.key] = p.val
 	}

@@ -318,8 +318,9 @@ func TestRecordsMatchTheMapModel(t *testing.T) {
 	}
 }
 
-// Every read builds the caller's own entity: writing its Props, appending to
-// its Labels or editing Export's updates leaves the graph as it was.
+// Every read builds the caller's own entity, or lends one (ForEachNode):
+// writing its Props, appending to its Labels or editing Export's updates
+// leaves the graph as it was.
 func TestEntitiesAreTheCallersOwn(t *testing.T) {
 	g := New()
 	mustApply(t, g,
@@ -370,9 +371,10 @@ var (
 
 // What a read allocates, per entity, where every entity has properties: Export
 // builds a property map per entity (a Go map of one or two entries is two
-// allocations) and nothing else, a scan adds the entity, and the id accessors
-// build nothing. The map is the price of model.Properties being a Go map; the
-// bounds keep a read from paying more than that.
+// allocations) and nothing else, ForEachRel adds the relationship, ForEachNode
+// lends one node and one map for the whole scan, and the id accessors build
+// nothing. The map is the price of model.Properties being a Go map; the bounds
+// keep a read from paying more than that.
 func TestReadAllocations(t *testing.T) {
 	g := New()
 	for i := range 256 {
@@ -381,18 +383,16 @@ func TestReadAllocations(t *testing.T) {
 			mustApply(t, g, model.AddRel(2, model.RelID(i), model.NodeID(i-1), model.NodeID(i), "R", model.Properties{"w": model.IntValue(3)}))
 		}
 	}
-	entities := float64(g.NodeCount() + g.RelCount())
+	nodes, rels := float64(g.NodeCount()), float64(g.RelCount())
 	for _, c := range []struct {
-		name string
-		max  float64 // allocations per entity
-		fn   func()
+		name     string
+		max      float64 // allocations per entity
+		entities float64
+		fn       func()
 	}{
-		{"Export", 2, func() { g.Export() }},
-		{"ForEachNode and ForEachRel", 3, func() {
-			g.ForEachNode(func(n *model.Node) bool { sinkNode = n; return true })
-			g.ForEachRel(func(r *model.Rel) bool { sinkRel = r; return true })
-		}},
-		{"HasNode, Ends and EachNeighbour", 0, func() {
+		{"Export", 2, nodes + rels, func() { g.Export() }},
+		{"ForEachRel", 3, rels, func() { g.ForEachRel(func(r *model.Rel) bool { sinkRel = r; return true }) }},
+		{"HasNode, Ends and EachNeighbour", 0, nodes + rels, func() {
 			for i := range g.MaxNodeID() {
 				g.HasNode(i)
 				g.Ends(model.RelID(i))
@@ -400,8 +400,12 @@ func TestReadAllocations(t *testing.T) {
 			}
 		}},
 	} {
-		if per := testing.AllocsPerRun(5, c.fn) / entities; per > c.max+0.01 {
+		if per := testing.AllocsPerRun(5, c.fn) / c.entities; per > c.max+0.01 {
 			t.Errorf("%s: %.2f allocations per entity, want at most %.0f", c.name, per, c.max)
 		}
+	}
+	// The node, its map and the map's one group, whatever the graph's size.
+	if per := testing.AllocsPerRun(5, func() { g.ForEachNode(func(n *model.Node) bool { sinkNode = n; return true }) }); per > 3 {
+		t.Errorf("ForEachNode: %.0f allocations per scan of %.0f nodes, want at most 3", per, nodes)
 	}
 }

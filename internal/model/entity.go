@@ -122,7 +122,8 @@ func appInterval(p Properties) Interval {
 // Graph is the one graph read interface, the graph at one time: a snapshot
 // (*memgraph.Graph) or aion's LineageStore View at ts. Cypher's matcher,
 // Alg 1 and the host's commit check read it. Counts, dense ids and adjacency
-// lists stay on the snapshot: a View could answer them only by a scan.
+// lists stay on the snapshot: a View could answer them only by a scan. Node,
+// Rel and Neighbours hand out entities the caller owns; ForEachNode lends.
 type Graph interface {
 	Node(id NodeID) *Node // nil if absent
 	Rel(id RelID) *Rel    // nil if absent
@@ -133,5 +134,9 @@ type Graph interface {
 	// Neighbours calls fn with each relationship incident to id in d and its
 	// other end (a self-loop twice in Both) until fn returns false.
 	Neighbours(id NodeID, d Direction, fn func(r *Rel, nb NodeID) bool)
-	ForEachNode(fn func(n *Node) bool) // until fn returns false
+	// ForEachNode calls fn with each live node until fn returns false. The
+	// node is lent: it and its Props are valid until fn returns, and may be
+	// refilled for the next; a caller that keeps one copies it. Writing to it
+	// changes nothing the graph holds.
+	ForEachNode(fn func(n *Node) bool)
 }

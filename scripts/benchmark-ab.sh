@@ -14,7 +14,10 @@
 # verdict by BENCHMARK.json's direction and bound — a gain is claimable with
 # at least nine wins in ten pairs and medians further apart than the parent's
 # own interquartile distance; a loss beyond the bound fails the script; a
-# parent spread wider than the bound leaves the metric unresolved. A null A/A
+# parent spread wider than the bound leaves the metric unresolved. After them
+# it prints each side's median of the two ungated metrics every PR reports,
+# ops_per_s and lat_p50_us per workload, read from each run's "not gated" note
+# line: reported, not gated, with no verdict and no trajectory row. A null A/A
 # of the working tree is `PARENT=$(git stash create)` after `git add -A`. Raw
 # values stay in .bench_build/ab/.
 # Every run appends one row per workload and gated metric to the checked-in
@@ -65,6 +68,8 @@ run() {
 	(cd "$dir" && CARGO_TARGET_DIR=$target bash benchmark/run.sh "${args[@]}") >"$out/$1-$2.txt"
 	exact_counters <"$out/$1-$2.txt" >"$out/$1-$2.exact"
 	awk -v side="$1" -v pair="$2" '/^workload /{w=$2} /^  [a-z_]+ +[-0-9.e+]+ [A-Za-z]+$/{print side, pair, w, $1, $2}' "$out/$1-$2.txt" >>"$out/values.txt"
+	awk -v side="$1" -v pair="$2" '/^workload /{w=$2} /not gated/{for (i=1;i<NF;i++) if ($i=="ops_per_s" || $i=="lat_p50_us") print side, pair, w, $i, $(i+1)+0}' \
+		"$out/$1-$2.txt" >>"$out/ungated.txt"
 }
 
 for ((p = 1; p <= pairs; p++)); do
@@ -144,6 +149,19 @@ awk -v spec="$root/BENCHMARK.json" -v exact="$out/change-$pairs.exact" -v rows="
 		exit bad
 	}' "$root/BENCHMARK.json" "$out/change-$pairs.exact" "$out/values.txt" >"$out/report.txt" || status=$?
 (read -r header; echo "$header"; sort) <"$out/report.txt"
+awk -v pairs="$pairs" '{k=$3" "$4; c=++n[k,$1]; v[k,$1,c]=$5; keys[k]=1}
+	function median(k, side,   c, i, j, t, a) {
+		c=n[k,side]; for (i=1;i<=c;i++) a[i]=v[k,side,i]
+		for (i=2;i<=c;i++) for (j=i;j>1&&a[j-1]>a[j];j--) {t=a[j];a[j]=a[j-1];a[j-1]=t}
+		return c%2 ? a[(c+1)/2] : (a[c/2]+a[c/2+1])/2
+	}
+	END {
+		printf "\nreported, not gated (median of %d pairs)\n%-14s %-22s %14s %14s %8s\n", pairs, "workload", "metric", "parent", "change", "delta"
+		for (k in keys) {
+			split(k, wm, " "); P=median(k, "parent"); C=median(k, "change")
+			printf "%-14s %-22s %14.3f %14.3f %+7.1f%%\n", wm[1], wm[2], P, C, P ? 100*(C-P)/P : 0 | "sort"
+		}
+	}' "$out/ungated.txt"
 traj=$root/BENCH_trajectory.json
 {
 	if [[ -f $traj ]]; then grep '^{' "$traj" || true; fi
