@@ -51,7 +51,7 @@ loc:
 	@echo "total $$($(LOC_FILES) | xargs cat | wc -l)"
 	@n=$$($(LOC_FILES) ! -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "production $$n"; \
-	[ $$n -le 21576 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
+	[ $$n -le 21520 ] || { echo "loc: production code is $$n lines, over this recipe's ceiling" >&2; exit 1; }
 	@n=$$($(LOC_FILES) -path 'internal/testkit/*' | xargs cat | wc -l); \
 	echo "testkit $$n"; \
 	[ $$n -le 2148 ] || { echo "loc: internal/testkit is $$n lines, over this recipe's ceiling" >&2; exit 1; }

@@ -117,9 +117,14 @@ func DialVia(addr string, dial func(addr string) (net.Conn, error)) (*Client, er
 		return nil, fmt.Errorf("bolt: handshake rejected")
 	}
 	// Servers with an admin surface append their fencing epoch to the
-	// handshake SUCCESS; older/plain servers send a bare frame.
-	if len(frame) >= 9 {
+	// handshake SUCCESS; plain servers send a bare frame.
+	switch len(frame) {
+	case 1:
+	case 9:
 		c.epoch = binary.BigEndian.Uint64(frame[1:9])
+	default:
+		conn.Close()
+		return nil, fmt.Errorf("bolt: bad HELLO reply")
 	}
 	return c, nil
 }
@@ -130,20 +135,9 @@ func DialVia(addr string, dial func(addr string) (net.Conn, error)) (*Client, er
 // partitioned — the epoch fence is what keeps a zombie from splitting the
 // brain afterwards.
 func (c *Client) Promote() (uint64, error) {
-	if err := c.send([]byte{MsgPromote}); err != nil {
+	if err := c.admin([]byte{MsgPromote}, "PROMOTE", func(body []byte) bool { return len(body) == 0 }); err != nil {
 		return 0, err
 	}
-	frame, err := c.recvDeadline(c.opTimeout())
-	if err != nil {
-		return 0, err
-	}
-	if len(frame) > 0 && frame[0] == MsgFailure {
-		return 0, DecodeFailure(frame[1:])
-	}
-	if len(frame) < 9 || frame[0] != MsgSuccess {
-		return 0, fmt.Errorf("bolt: bad promote reply")
-	}
-	c.epoch = binary.BigEndian.Uint64(frame[1:9])
 	return c.epoch, nil
 }
 
@@ -153,33 +147,40 @@ func (c *Client) Promote() (uint64, error) {
 // so it never fences; a peer that writes a STATUS frame with a higher epoch
 // fences a deposed primary that missed the failover (epoch gossip).
 func (c *Client) Status() (NodeStatus, error) {
-	req := binary.BigEndian.AppendUint64([]byte{MsgStatus}, c.epoch)
-	if err := c.send(req); err != nil {
+	var st NodeStatus
+	err := c.admin(binary.BigEndian.AppendUint64([]byte{MsgStatus}, c.epoch), "STATUS", func(body []byte) bool {
+		role, rest, err := readString(body)
+		wm, w := binary.Varint(rest)
+		st.Role, st.Watermark = role, wm
+		return err == nil && w > 0 && w == len(rest)
+	})
+	if err != nil {
 		return NodeStatus{}, err
+	}
+	st.Epoch = c.epoch
+	return st, nil
+}
+
+// admin sends one PROMOTE or STATUS request and reads its reply under
+// OpTimeout. A FAILURE comes back as a *ServerError. A SUCCESS carries the
+// node's epoch and then a body that parse must accept whole; the epoch
+// becomes the session's.
+func (c *Client) admin(req []byte, name string, parse func(body []byte) bool) error {
+	if err := c.send(req); err != nil {
+		return err
 	}
 	frame, err := c.recvDeadline(c.opTimeout())
 	if err != nil {
-		return NodeStatus{}, err
+		return err
 	}
 	if len(frame) > 0 && frame[0] == MsgFailure {
-		return NodeStatus{}, DecodeFailure(frame[1:])
+		return DecodeFailure(frame[1:])
 	}
-	if len(frame) < 9 || frame[0] != MsgSuccess {
-		return NodeStatus{}, fmt.Errorf("bolt: bad status reply")
+	if len(frame) < 9 || frame[0] != MsgSuccess || !parse(frame[9:]) {
+		return fmt.Errorf("bolt: bad %s reply", name)
 	}
-	st := NodeStatus{Epoch: binary.BigEndian.Uint64(frame[1:9])}
-	role, rest, err := readString(frame[9:])
-	if err != nil {
-		return NodeStatus{}, err
-	}
-	st.Role = role
-	wm, w := binary.Varint(rest)
-	if w <= 0 {
-		return NodeStatus{}, fmt.Errorf("bolt: bad status watermark")
-	}
-	st.Watermark = wm
-	c.epoch = st.Epoch
-	return st, nil
+	c.epoch = binary.BigEndian.Uint64(frame[1:9])
+	return nil
 }
 
 func (c *Client) send(payload []byte) error {
@@ -194,16 +195,17 @@ func (c *Client) send(payload []byte) error {
 
 func (c *Client) recv() ([]byte, error) { return readFrame(c.r) }
 
-// Run executes a query and pulls all records, with no client-side deadline
-// (the server's default query timeout still applies).
+// Run executes a query and reads its whole reply, with no client-side
+// deadline (the server's default query timeout still applies).
 func (c *Client) Run(query string, params map[string]model.Value) ([]string, [][]cypher.Val, *Summary, error) {
 	return c.RunTimeout(query, params, 0)
 }
 
 // RunTimeout executes a query with a per-query deadline request encoded in
-// the RUN frame. The server enforces it (capped by its own maximum) and
-// answers with a FailTimeout FAILURE when the query exceeds it. A zero
-// timeout requests the server default.
+// the RUN frame. That frame is the statement's one request: the server
+// answers with the columns, every record and the summary, or with a
+// FAILURE — FailTimeout when the query exceeds its deadline. A zero timeout
+// requests the server default.
 func (c *Client) RunTimeout(query string, params map[string]model.Value, timeout time.Duration) ([]string, [][]cypher.Val, *Summary, error) {
 	if timeout > 0 && c.conn != nil {
 		// Bound the whole statement's reads client-side: the server enforces
@@ -251,10 +253,7 @@ func (c *Client) RunTimeout(query string, params map[string]model.Value, timeout
 		}
 	}
 
-	// PULL and stream records.
-	if err := c.send([]byte{MsgPull}); err != nil {
-		return nil, nil, nil, err
-	}
+	// The records and the summary follow in the same reply.
 	var rows [][]cypher.Val
 	for {
 		frame, err := c.recv()

@@ -34,8 +34,8 @@ type Options struct {
 	DrainTimeout time.Duration
 	// ReadGate, when set, screens every parsed statement before execution.
 	// Replica servers use it to reject writes (FailReadOnly) and reads above
-	// the replicated watermark (FailReplicaLag). A *ServerError return is
-	// sent to the client with its code; any other error maps to FailGeneric.
+	// the replicated watermark (FailReplicaLag). Its error is sent to the
+	// client as a statement's would be: a *ServerError with its own code.
 	ReadGate func(st *cypher.Statement, params map[string]model.Value) error
 	// ReplicationHandler, when set, takes over a connection whose client
 	// sends MsgReplicate after the handshake: the serve loop hands the
@@ -118,10 +118,9 @@ type Server struct {
 	conns    map[net.Conn]bool
 	closed   bool
 	draining bool
-	// active counts connections with an unfinished statement cycle (RUN
-	// admitted through PULL summary flushed). Once draining is set no
-	// connection can become active, so active only falls; the transition
-	// to zero closes drainedCh.
+	// active counts statements admitted whose reply is not yet flushed.
+	// Once draining is set no statement can be admitted, so active only
+	// falls; the transition to zero closes drainedCh.
 	active    int
 	drainedCh chan struct{}
 
@@ -258,8 +257,8 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// enterStatement marks a connection busy for drain accounting; it fails
-// when the server is draining.
+// enterStatement admits a statement for drain accounting; it fails when
+// the server is draining.
 func (s *Server) enterStatement() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,8 +269,8 @@ func (s *Server) enterStatement() bool {
 	return true
 }
 
-// exitStatement ends a statement cycle; the last one out during a drain
-// signals Close.
+// exitStatement ends a statement once its reply is flushed; the last one
+// out during a drain signals Close.
 func (s *Server) exitStatement() {
 	s.mu.Lock()
 	s.active--
@@ -333,11 +332,6 @@ func (s *Server) runQuery(ctx context.Context, query string, params map[string]m
 	return s.engine.ExecContext(ctx, st, params)
 }
 
-// rowFlushStride is how many RECORD frames are buffered between flushes
-// when streaming a PULL response: large enough to amortize syscalls, small
-// enough that the client sees rows while the server is still producing.
-const rowFlushStride = 256
-
 func (s *Server) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
@@ -347,16 +341,6 @@ func (s *Server) serve(conn net.Conn) {
 
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
-
-	send := func(payload []byte) error {
-		return writeFrame(w, payload)
-	}
-	fail := func(code byte, msg string) error {
-		if err := send(AppendFailure(code, msg)); err != nil {
-			return err
-		}
-		return w.Flush()
-	}
 
 	// Handshake: expect HELLO, reply SUCCESS. The reply carries this
 	// node's epoch back when the admin surface is enabled.
@@ -368,25 +352,12 @@ func (s *Server) serve(conn net.Conn) {
 	if s.opts.Admin != nil {
 		success = binary.BigEndian.AppendUint64(success, s.opts.Admin.ObserveEpoch(0))
 	}
-	if err := send(success); err != nil {
-		return
-	}
-	if err := w.Flush(); err != nil {
+	if reply(w, success) != nil {
 		return
 	}
 
-	var pending *cypher.Result
-	// busy tracks whether this connection holds a statement slot (RUN
-	// admitted, summary not yet delivered) for drain accounting.
-	busy := false
-	finishStatement := func() {
-		if busy {
-			busy = false
-			s.exitStatement()
-		}
-	}
-	defer finishStatement()
-
+	// Every request gets its whole reply before the next one is read; an
+	// error here is the connection's, and ends it.
 	for {
 		frame, err := readFrame(r)
 		if err != nil || len(frame) == 0 {
@@ -396,184 +367,151 @@ func (s *Server) serve(conn net.Conn) {
 		case MsgGoodbye:
 			return
 		case MsgReplicate:
-			if s.opts.ReplicationHandler == nil {
-				if fail(FailGeneric, "bolt: replication not enabled") != nil {
-					return
-				}
-				continue
-			}
-			// The connection becomes a long-lived push stream owned by the
-			// replication source.
-			s.opts.ReplicationHandler(conn, r, w, frame)
-			return
-		case MsgPromote:
-			if s.opts.Admin == nil {
-				if fail(FailGeneric, "bolt: admin surface not enabled") != nil {
-					return
-				}
-				continue
-			}
-			epoch, perr := s.opts.Admin.PromoteNode()
-			if perr != nil {
-				code := FailGeneric
-				var se *ServerError
-				if errors.As(perr, &se) {
-					code = se.Code
-				}
-				if fail(code, perr.Error()) != nil {
-					return
-				}
-				continue
-			}
-			s.promotions.Add(1)
-			payload := binary.BigEndian.AppendUint64([]byte{MsgSuccess}, epoch)
-			if send(payload) != nil || w.Flush() != nil {
+			if s.opts.ReplicationHandler != nil {
+				// The connection becomes a long-lived push stream owned by
+				// the replication source.
+				s.opts.ReplicationHandler(conn, r, w, frame)
 				return
 			}
-		case MsgStatus:
-			if s.opts.Admin == nil {
-				if fail(FailGeneric, "bolt: admin surface not enabled") != nil {
-					return
-				}
-				continue
-			}
-			// STATUS doubles as epoch gossip: a prober that has seen a
-			// higher epoch (a client that followed a failover) delivers it
-			// here, which is how a partitioned-then-healed ex-primary
-			// learns it was deposed and fences itself.
-			if len(frame) >= 9 {
-				s.opts.Admin.ObserveEpoch(binary.BigEndian.Uint64(frame[1:9]))
-			}
-			st := s.opts.Admin.NodeStatus()
-			payload := binary.BigEndian.AppendUint64([]byte{MsgSuccess}, st.Epoch)
-			payload = appendString(payload, st.Role)
-			payload = binary.AppendVarint(payload, st.Watermark)
-			if send(payload) != nil || w.Flush() != nil {
-				return
-			}
+			err = fail(w, FailGeneric, "bolt: replication not enabled")
+		case MsgPromote, MsgStatus:
+			err = s.admin(w, frame)
 		case MsgRun:
-			// A RUN while a result is pending replaces it; the previous
-			// statement cycle is over.
-			pending = nil
-			finishStatement()
-			query, params, reqTimeout, derr := decodeRun(frame[1:])
-			if derr != nil {
-				if fail(FailGeneric, derr.Error()) != nil {
-					return
-				}
-				continue
-			}
-			// Admission: reject during drain, shed at the concurrency cap.
-			if !s.enterStatement() {
-				if fail(FailShuttingDown, "server is shutting down") != nil {
-					return
-				}
-				continue
-			}
-			busy = true
-			if s.sem != nil {
-				select {
-				case s.sem <- struct{}{}:
-				default:
-					finishStatement()
-					s.shed.Add(1)
-					if fail(FailOverloaded, "too many concurrent queries") != nil {
-						return
-					}
-					continue
-				}
-			}
-			s.queries.Add(1)
-			ctx, cancel := s.queryContext(reqTimeout)
-			res, qerr := s.runQuery(ctx, query, params)
-			cancel()
-			if s.sem != nil {
-				<-s.sem
-			}
-			if qerr != nil {
-				finishStatement()
-				code := FailGeneric
-				var se *ServerError
-				switch {
-				case errors.As(qerr, &se):
-					code = se.Code
-				case errors.Is(qerr, hostdb.ErrFenced):
-					// A commit reached a demoted ex-primary: the client must
-					// re-resolve the primary, not retry here.
-					code = FailFenced
-				case errors.Is(qerr, hostdb.ErrReplicaReadOnly):
-					code = FailReadOnly
-				case errors.Is(qerr, context.DeadlineExceeded):
-					s.timeouts.Add(1)
-					code = FailTimeout
-				case errors.Is(qerr, context.Canceled) && s.isDraining():
-					code = FailShuttingDown
-				}
-				if fail(code, qerr.Error()) != nil {
-					return
-				}
-				continue
-			}
-			pending = res
-			// SUCCESS carries the column names.
-			payload := []byte{MsgSuccess}
-			payload = binary.AppendUvarint(payload, uint64(len(res.Columns)))
-			for _, c := range res.Columns {
-				payload = appendString(payload, c)
-			}
-			if send(payload) != nil {
-				return
-			}
-			if w.Flush() != nil {
-				return
-			}
-		case MsgPull:
-			if pending == nil {
-				if fail(FailGeneric, "bolt: PULL with no pending result") != nil {
-					return
-				}
-				continue
-			}
-			// Stream records with periodic flushes so large results reach
-			// the client incrementally instead of accumulating in the
-			// write buffer.
-			for i, row := range pending.Rows {
-				payload := []byte{MsgRecord}
-				payload = binary.AppendUvarint(payload, uint64(len(row)))
-				for _, v := range row {
-					payload = appendVal(payload, v)
-				}
-				if send(payload) != nil {
-					return
-				}
-				if (i+1)%rowFlushStride == 0 {
-					if w.Flush() != nil {
-						return
-					}
-				}
-			}
-			// Summary SUCCESS with write counters.
-			payload := []byte{MsgSuccess}
-			payload = binary.AppendUvarint(payload, 0) // no columns
-			for _, c := range []int{pending.NodesCreated, pending.RelsCreated,
-				pending.PropsSet, pending.NodesDeleted, pending.RelsDeleted} {
-				payload = binary.AppendVarint(payload, int64(c))
-			}
-			payload = binary.AppendVarint(payload, int64(pending.CommitTS))
-			pending = nil
-			if send(payload) != nil {
-				return
-			}
-			if w.Flush() != nil {
-				return
-			}
-			finishStatement()
+			err = s.run(w, frame[1:])
 		default:
-			if fail(FailGeneric, fmt.Sprintf("bolt: unexpected message 0x%x", frame[0])) != nil {
-				return
-			}
+			err = fail(w, FailGeneric, fmt.Sprintf("bolt: unexpected message 0x%x", frame[0]))
+		}
+		if err != nil {
+			return
 		}
 	}
+}
+
+// reply writes one frame and flushes it.
+func reply(w *bufio.Writer, payload []byte) error {
+	if err := writeFrame(w, payload); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
+// fail replies with one FAILURE.
+func fail(w *bufio.Writer, code byte, msg string) error {
+	return reply(w, AppendFailure(code, msg))
+}
+
+// failCode maps the error of a statement or an admin command to the code
+// its FAILURE carries.
+func (s *Server) failCode(err error) byte {
+	var se *ServerError
+	switch {
+	case errors.As(err, &se):
+		return se.Code
+	case errors.Is(err, hostdb.ErrFenced):
+		// A commit reached a demoted ex-primary: the client must
+		// re-resolve the primary, not retry here.
+		return FailFenced
+	case errors.Is(err, hostdb.ErrReplicaReadOnly):
+		return FailReadOnly
+	case errors.Is(err, context.DeadlineExceeded):
+		return FailTimeout
+	case errors.Is(err, context.Canceled) && s.isDraining():
+		return FailShuttingDown
+	}
+	return FailGeneric
+}
+
+// run answers one RUN with its whole reply: SUCCESS with the columns, a
+// RECORD per row and the summary SUCCESS, or one FAILURE. The statement is
+// active for drain from its admission until that reply is flushed, and the
+// deferred exitStatement ends it even when writing the reply panics. The
+// 64 KiB writer writes itself out whenever it fills, so a large result
+// reaches the client while the rest is still being encoded.
+func (s *Server) run(w *bufio.Writer, body []byte) error {
+	query, params, reqTimeout, err := decodeRun(body)
+	if err != nil {
+		return fail(w, FailGeneric, err.Error())
+	}
+	// Admission: reject during drain, shed at the concurrency cap.
+	if !s.enterStatement() {
+		return fail(w, FailShuttingDown, "server is shutting down")
+	}
+	defer s.exitStatement()
+	if s.sem != nil {
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			s.shed.Add(1)
+			return fail(w, FailOverloaded, "too many concurrent queries")
+		}
+	}
+	s.queries.Add(1)
+	ctx, cancel := s.queryContext(reqTimeout)
+	res, err := s.runQuery(ctx, query, params)
+	cancel()
+	if s.sem != nil {
+		<-s.sem
+	}
+	if err != nil {
+		code := s.failCode(err)
+		if code == FailTimeout {
+			s.timeouts.Add(1)
+		}
+		return fail(w, code, err.Error())
+	}
+	payload := binary.AppendUvarint([]byte{MsgSuccess}, uint64(len(res.Columns)))
+	for _, c := range res.Columns {
+		payload = appendString(payload, c)
+	}
+	if err := writeFrame(w, payload); err != nil {
+		return err
+	}
+	for _, row := range res.Rows {
+		payload = binary.AppendUvarint(append(payload[:0], MsgRecord), uint64(len(row)))
+		for _, v := range row {
+			payload = appendVal(payload, v)
+		}
+		if err := writeFrame(w, payload); err != nil {
+			return err
+		}
+	}
+	// The summary SUCCESS: no columns, then the write counters.
+	payload = binary.AppendUvarint(append(payload[:0], MsgSuccess), 0)
+	for _, c := range []int{res.NodesCreated, res.RelsCreated,
+		res.PropsSet, res.NodesDeleted, res.RelsDeleted} {
+		payload = binary.AppendVarint(payload, int64(c))
+	}
+	return reply(w, binary.AppendVarint(payload, int64(res.CommitTS)))
+}
+
+// admin answers PROMOTE and STATUS, the failover control surface.
+func (s *Server) admin(w *bufio.Writer, frame []byte) error {
+	if s.opts.Admin == nil {
+		return fail(w, FailGeneric, "bolt: admin surface not enabled")
+	}
+	if frame[0] == MsgPromote {
+		epoch, err := s.opts.Admin.PromoteNode()
+		if err != nil {
+			return fail(w, s.failCode(err), err.Error())
+		}
+		s.promotions.Add(1)
+		return reply(w, binary.BigEndian.AppendUint64([]byte{MsgSuccess}, epoch))
+	}
+	// STATUS doubles as epoch gossip: a prober that has seen a higher
+	// epoch (a client that followed a failover) delivers it here, which is
+	// how a partitioned-then-healed ex-primary learns it was deposed and
+	// fences itself. The epoch field is absent or exactly 8 bytes.
+	switch len(frame) {
+	case 1:
+	case 9:
+		s.opts.Admin.ObserveEpoch(binary.BigEndian.Uint64(frame[1:9]))
+	default:
+		return fail(w, FailGeneric, "bolt: bad STATUS epoch")
+	}
+	st := s.opts.Admin.NodeStatus()
+	payload := binary.BigEndian.AppendUint64([]byte{MsgSuccess}, st.Epoch)
+	payload = appendString(payload, st.Role)
+	return reply(w, binary.AppendVarint(payload, st.Watermark))
 }
 
 // decodeRun parses a RUN frame body: query, parameters, and an optional

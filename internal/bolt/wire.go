@@ -1,9 +1,11 @@
 // Package bolt implements a simplified version of Neo4j's Bolt protocol
-// (Sec 6.7): a binary client-server protocol over TCP with the same message
-// lifecycle — HELLO to open a session, RUN to submit a (temporal) Cypher
-// query with parameters, PULL to stream RECORDs followed by a SUCCESS
-// summary, FAILURE for recoverable errors, GOODBYE to close. Frames are
-// length-prefixed; values use a compact tagged encoding (packstream-like).
+// (Sec 6.7): a binary client-server protocol over TCP. HELLO opens a
+// session. RUN submits a (temporal) Cypher query with parameters and is the
+// statement's one request: the reply is a SUCCESS with the columns, a
+// RECORD per row and a summary SUCCESS, or a FAILURE. (Neo4j's drivers send
+// RUN and PULL in one write; here RUN alone asks for the rows.) GOODBYE
+// closes. Frames are length-prefixed; values use a compact tagged encoding
+// (packstream-like).
 package bolt
 
 import (
@@ -21,7 +23,6 @@ const (
 	MsgHello   byte = 0x01
 	MsgGoodbye byte = 0x02
 	MsgRun     byte = 0x10
-	MsgPull    byte = 0x3F
 	MsgRecord  byte = 0x71
 	MsgSuccess byte = 0x70
 	MsgFailure byte = 0x7F

@@ -3,6 +3,7 @@ package cypher
 import (
 	"cmp"
 	"context"
+	"errors"
 	"expvar"
 	"fmt"
 	"maps"
@@ -414,7 +415,7 @@ func (e *Engine) execMatch(ctx *execCtx, st *Statement) (*Result, error) {
 		// window-graph matching otherwise.
 		err = e.matchRange(ctx, m, window, p)
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, errLimit) {
 		return nil, err
 	}
 	return p.result(), nil
@@ -548,7 +549,8 @@ type rowSink interface {
 // match.
 func (ctx *execCtx) matchOnGraph(g model.Graph, m *MatchStmt, out rowSink) error {
 	ctx.env, ctx.out = bindings{}, out
-	return cmp.Or(ctx.pattern(g, m, 0), aion.ReadErr(g))
+	err := ctx.pattern(g, m, 0)
+	return cmp.Or(aion.ReadErr(g), err) // a failed read outranks errLimit
 }
 
 // pattern matches m.Patterns[i:], then WHERE, in ctx.env.
@@ -658,14 +660,21 @@ func (ctx *execCtx) keep(v Val) Val {
 
 // projection is RETURN, the sink a read's match streams to. Each row's
 // returned cells, then its ORDER BY keys, go into one slab; a COUNT keeps the
-// first row's other cells and no row, only the count.
+// first row's other cells and no row, only the count. A LIMIT with neither
+// stops the match once it holds its rows.
 type projection struct {
 	Result
 	m     *MatchStmt
 	count bool
 	n     int // rows streamed
+	stop  int // rows after which row returns errLimit; 0 = never
 	cells []Val
 }
+
+// errLimit is the projection's signal that it holds every row it returns:
+// the matcher unwinds on it as on any error, and execMatch takes it as
+// success.
+var errLimit = errors.New("cypher: LIMIT reached")
 
 func newProjection(m *MatchStmt) *projection {
 	p := &projection{m: m}
@@ -673,6 +682,9 @@ func newProjection(m *MatchStmt) *projection {
 		_, ok := item.E.(CountCall)
 		p.count = p.count || ok
 		p.Columns = append(p.Columns, returnName(item))
+	}
+	if !p.count && len(m.Order) == 0 {
+		p.stop = m.Limit
 	}
 	return p
 }
@@ -694,6 +706,9 @@ func (p *projection) row(ctx *execCtx, env bindings) error {
 			return err
 		}
 		p.cells = append(p.cells, ScalarVal(v))
+	}
+	if p.n == p.stop {
+		return errLimit
 	}
 	return nil
 }

@@ -44,7 +44,8 @@ func allocs(t *testing.T, e *Engine, q string) float64 {
 // lent in its one environment, and a COUNT keeps no row. RETURN n pays for the
 // copy of each node it keeps (the node, and its property map: three). An AS OF
 // count pays for the snapshot it builds and nothing more. Anchored statements
-// read nodes of their own, which they return as they are.
+// read nodes of their own, which they return as they are, and a LIMIT stops a
+// scan once it holds its rows.
 func TestScanAllocationsPerNode(t *testing.T) {
 	const nodes = 1000
 	e := scanEngine(t, nodes)
@@ -75,6 +76,7 @@ func TestScanAllocationsPerNode(t *testing.T) {
 		max float64
 	}{
 		{`MATCH (n) WHERE id(n) = 7 RETURN n`, 10},
+		{`MATCH (n) RETURN n LIMIT 1`, 30},
 		{`USE GDB FOR SYSTEM_TIME AS OF 1 MATCH (n) WHERE id(n) = 7 RETURN n`, 14},
 	} {
 		if n := allocs(t, e, c.q); n > c.max {
@@ -123,5 +125,41 @@ func TestLentNodesAreKeptAsCopies(t *testing.T) {
 		if row[0].S.Kind() != model.KindInt || row[0].S.Int() != 0 {
 			t.Errorf("n.x = %v after the SET, want 0, the first a's v", row[0].S)
 		}
+	}
+}
+
+// A LIMIT without ORDER BY or COUNT stops the match once RETURN holds its
+// rows, and those rows are the first rows of the statement without it, on
+// every plan. ORDER BY … LIMIT still sorts every row, and a count still
+// counts every row.
+func TestLimitStopsTheMatch(t *testing.T) {
+	e := scanEngine(t, 50)
+	ids := func(q string) []int64 {
+		var out []int64
+		for _, row := range mustQuery(t, e, q, nil).Rows {
+			for _, c := range row {
+				out = append(out, int64(c.Node.ID))
+			}
+		}
+		return out
+	}
+	for _, use := range []string{"", "USE GDB FOR SYSTEM_TIME AS OF 1 ", "USE GDB FOR SYSTEM_TIME FROM 1 TO 9 "} {
+		for _, c := range []struct {
+			match string
+			limit int
+			width int
+		}{{"MATCH (n) RETURN n", 5, 1}, {"MATCH (a), (b) RETURN a, b", 7, 2}, {"MATCH (n) WHERE id(n) = 3 RETURN n", 5, 1}} {
+			all := ids(use + c.match)
+			want := all[:min(len(all), c.limit*c.width)]
+			if got := ids(fmt.Sprintf("%s%s LIMIT %d", use, c.match, c.limit)); !slices.Equal(got, want) {
+				t.Errorf("%s%s LIMIT %d: %v, want the first rows %v", use, c.match, c.limit, got, want)
+			}
+		}
+	}
+	if got := ids(`MATCH (n) RETURN n ORDER BY id(n) DESC LIMIT 3`); !slices.Equal(got, []int64{49, 48, 47}) {
+		t.Errorf("ORDER BY id(n) DESC LIMIT 3: %v, want [49 48 47]", got)
+	}
+	if rows := mustQuery(t, e, `MATCH (n) RETURN count(*) LIMIT 1`, nil).Rows; rows[0][0].S.Int() != 50 {
+		t.Errorf("count(*) LIMIT 1 = %v, want 50", rows[0][0].S)
 	}
 }

@@ -497,10 +497,11 @@ type Stats struct {
 	Commits int64
 	// Conflicts counts commits aborted by a conflicting concurrent commit.
 	Conflicts int64
-	// Batches is the number of group-commit rounds; Commits/Batches is the
-	// mean group size the pipeline achieved.
+	// Batches is the number of group-commit rounds and applied shipments;
+	// Commits/Batches is the mean group size the pipeline achieved.
 	Batches int64
-	// MaxBatch is the largest single group committed in one round.
+	// MaxBatch is the largest local group committed in one round; a
+	// shipment does not count.
 	MaxBatch int64
 	// Fsyncs counts fsync syscalls issued on the commit path (string table
 	// + transaction log). With SyncCommits, Fsyncs/Commits is the
@@ -1000,26 +1001,10 @@ func (db *DB) commitBatch(batch []*commitReq) {
 		return
 	}
 	batch = group
-	for _, us := range applied {
-		for _, u := range us {
-			db.accountRecords(u)
-		}
-	}
-
-	// Phase 3 — after-commit listeners (Aion's ingestion entry point), in
-	// commit-timestamp order: rounds are serialized by the leader flag and
-	// within a round `applied` is already timestamp-ordered.
-	db.listenerMu.RLock()
-	listeners := db.listeners
-	db.listenerMu.RUnlock()
-	for _, us := range applied {
-		for _, l := range listeners {
-			l(us[0].TS, us)
-		}
-	}
-
-	db.stats.batches.Add(1)
-	db.stats.commits.Add(int64(len(applied)))
+	// Phase 3 — publish, in commit-timestamp order: rounds are serialized
+	// by the leader flag and within a round `applied` is already
+	// timestamp-ordered.
+	db.publish(applied)
 	for n := int64(len(applied)); ; {
 		cur := db.stats.maxBatch.Load()
 		if n <= cur || db.stats.maxBatch.CompareAndSwap(cur, n) {
@@ -1029,6 +1014,27 @@ func (db *DB) commitBatch(batch []*commitReq) {
 	for _, req := range batch {
 		close(req.done)
 	}
+}
+
+// publish ends the commit of durable transactions, given in commit-timestamp
+// order: it accounts their records, fires the after-commit listeners (Aion's
+// ingestion entry point) once per commit, and counts them as one batch.
+func (db *DB) publish(commits [][]model.Update) {
+	for _, us := range commits {
+		for _, u := range us {
+			db.accountRecords(u)
+		}
+	}
+	db.listenerMu.RLock()
+	listeners := db.listeners
+	db.listenerMu.RUnlock()
+	for _, us := range commits {
+		for _, l := range listeners {
+			l(us[0].TS, us)
+		}
+	}
+	db.stats.batches.Add(1)
+	db.stats.commits.Add(int64(len(commits)))
 }
 
 // applyAndAppend runs one sub-batch through apply and the WAL append,

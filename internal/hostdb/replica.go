@@ -218,21 +218,6 @@ func (db *DB) ApplyShipment(strChunk, txn []byte) (model.Timestamp, error) {
 	}
 	db.idMu.Unlock()
 	db.mu.Unlock()
-	for _, us := range commits {
-		for _, u := range us {
-			db.accountRecords(u)
-		}
-	}
-
-	db.listenerMu.RLock()
-	listeners := db.listeners
-	db.listenerMu.RUnlock()
-	for _, us := range commits {
-		for _, l := range listeners {
-			l(us[0].TS, us)
-		}
-	}
-	db.stats.commits.Add(int64(len(commits)))
-	db.stats.batches.Add(1)
+	db.publish(commits)
 	return clock, nil
 }

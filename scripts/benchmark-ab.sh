@@ -17,7 +17,9 @@
 # parent spread wider than the bound leaves the metric unresolved. After them
 # it prints each side's median of the two ungated metrics every PR reports,
 # ops_per_s and lat_p50_us per workload, read from each run's "not gated" note
-# line: reported, not gated, with no verdict and no trajectory row. A null A/A
+# line, and the paired sign test of scripts/signtest.awk on them (wins, p-value
+# and an interval for the median difference): reported, not gated, with no
+# verdict and no trajectory row. A null A/A
 # of the working tree is `PARENT=$(git stash create)` after `git add -A`. Raw
 # values stay in .bench_build/ab/.
 # Every run appends one row per workload and gated metric to the checked-in
@@ -162,6 +164,8 @@ awk -v pairs="$pairs" '{k=$3" "$4; c=++n[k,$1]; v[k,$1,c]=$5; keys[k]=1}
 			printf "%-14s %-22s %14.3f %14.3f %+7.1f%%\n", wm[1], wm[2], P, C, P ? 100*(C-P)/P : 0 | "sort"
 		}
 	}' "$out/ungated.txt"
+echo
+awk -f "$root/scripts/signtest.awk" "$out/ungated.txt"
 traj=$root/BENCH_trajectory.json
 {
 	if [[ -f $traj ]]; then grep '^{' "$traj" || true; fi
